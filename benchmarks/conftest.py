@@ -50,8 +50,8 @@ def record_env(tag: str) -> bool:
     """True when the ``REPRO_{tag}_RECORD`` gate is on.
 
     Recording gates append a dated entry to the experiment's
-    ``BENCH_*.json`` trajectory; ``record_env("E24")`` reads
-    ``REPRO_E24_RECORD``.
+    ``BENCH_*.json`` trajectory; ``record_env("E25")`` reads
+    ``REPRO_E25_RECORD``.
     """
     return env_flag(f"REPRO_{tag}_RECORD")
 

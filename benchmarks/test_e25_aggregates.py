@@ -6,21 +6,19 @@ per-value support counts for MIN/MAX, folded from the same Section 5
 delta pipeline the SPJ views ride.  This experiment drives a
 dashboard-shaped workload — a ``sales`` fact stream with occasional
 corrections (deletes) against a static ``catalog`` dimension — through
-three arms:
+two arms:
 
-* **differential / codegen** — the default engine: generated group
-  apply kernels fold each commit's core delta into the accumulators;
-* **differential / interpreter** — the same fold, per-tuple Python
-  (the kernel ablation: identical contents, identical abstract work);
+* **differential** — the maintainer: generated group-apply kernels
+  fold each commit's core delta into the accumulators;
 * **full recompute** — the naive baseline: re-evaluate every view
   expression from scratch after each commit, as a system without
   incremental maintenance would.
 
-The ablation asserts byte-for-byte contents agreement across all three
-arms, counter-for-counter parity between the two differential arms
-(``aggregate_rows_folded`` and ``aggregate_groups_touched`` included),
-and — outside smoke runs — that differential maintenance beats the
-recompute baseline in wall-clock terms.
+The experiment asserts byte-for-byte contents agreement between the
+arms and — outside smoke runs — that differential maintenance beats
+the recompute baseline in wall-clock terms.  (The kernel-vs-reference
+fold parity this file used to carry as a third arm lives in
+``tests/test_aggregates.py``.)
 
 Set ``REPRO_E25_SMOKE=1`` (CI does) to shrink the stream to a smoke
 run of the same code paths.  Set ``REPRO_E25_RECORD=1`` to append the
@@ -120,12 +118,12 @@ def _churn(db, txns, seed):
                     live.add(row)
 
 
-def _run_differential(use_codegen):
+def _run_differential():
     """One maintained run; returns (seconds, counters, contents, stats)."""
     best = None
     for _ in range(REPEATS):
         db = _seeded_database()
-        maintainer = ViewMaintainer(db, use_codegen=use_codegen)
+        maintainer = ViewMaintainer(db)
         for name, expression in VIEWS.items():
             maintainer.define_view(name, expression)
         recorder = CostRecorder()
@@ -179,9 +177,9 @@ def _run_recompute():
     return best
 
 
-#: Counters both differential arms must charge identically — the SPJ
-#: core's abstract work plus the aggregate fold's own two counters.
-PARITY_COUNTERS = (
+#: The abstract work recorded with each trajectory entry — the SPJ
+#: core's counters plus the aggregate fold's own two.
+WORK_COUNTERS = (
     "tuples_scanned",
     "join_probes",
     "tuples_emitted",
@@ -205,47 +203,27 @@ def _record(entry):
 
 def test_e25_aggregate_maintenance(report, benchmark):
     compiled_s, compiled_counters, compiled_views, compiled_stats = (
-        _run_differential(use_codegen=True)
-    )
-    interp_s, interp_counters, interp_views, interp_stats = (
-        _run_differential(use_codegen=False)
+        _run_differential()
     )
     recompute_s, recompute_views = _run_recompute()
 
-    # Byte-for-byte agreement across all three arms.
-    assert compiled_views == interp_views
+    # Byte-for-byte agreement between the arms.
     assert compiled_views == recompute_views
-
-    # Counter-for-counter parity: the kernels fold the same rows and
-    # touch the same groups as the interpreter — cheaper dispatch only.
-    for name in PARITY_COUNTERS:
-        assert compiled_counters.get(name, 0) == interp_counters.get(
-            name, 0
-        ), name
     assert compiled_counters.get("aggregate_rows_folded", 0) > 0
     assert compiled_counters.get("aggregate_groups_touched", 0) > 0
 
-    # The kernels actually ran, never fell back, and the interpreter
-    # arm never compiled.
+    # The kernels actually ran and never fell back.
     assert compiled_stats["codegen_plans_compiled"] > 0
     assert compiled_stats["codegen_batch_rows"] > 0
     assert compiled_stats["codegen_fallback_tuples"] == 0
-    assert interp_stats["codegen_plans_compiled"] == 0
-    assert interp_stats["codegen_batch_rows"] == 0
 
     speedup = recompute_s / compiled_s if compiled_s else float("inf")
     rows = [
         [
-            "differential/codegen",
+            "differential",
             f"{compiled_s * 1e3:.1f}",
             compiled_counters.get("aggregate_rows_folded", 0),
             compiled_counters.get("aggregate_groups_touched", 0),
-        ],
-        [
-            "differential/interp",
-            f"{interp_s * 1e3:.1f}",
-            interp_counters.get("aggregate_rows_folded", 0),
-            interp_counters.get("aggregate_groups_touched", 0),
         ],
         ["full recompute", f"{recompute_s * 1e3:.1f}", "-", "-"],
     ]
@@ -276,13 +254,12 @@ def test_e25_aggregate_maintenance(report, benchmark):
                 "smoke": SMOKE,
                 "txns": TXNS,
                 "differential_ms": round(compiled_s * 1e3, 2),
-                "interpreter_ms": round(interp_s * 1e3, 2),
                 "recompute_ms": round(recompute_s * 1e3, 2),
                 "speedup_vs_recompute": round(speedup, 3),
                 "codegen": compiled_stats,
-                "parity_counters": {
+                "work_counters": {
                     name: compiled_counters.get(name, 0)
-                    for name in PARITY_COUNTERS
+                    for name in WORK_COUNTERS
                 },
             }
         )
@@ -290,7 +267,7 @@ def test_e25_aggregate_maintenance(report, benchmark):
     # One micro-benchmark sample: a single sale event folded through
     # the generated group-apply kernels.
     bench_db = _seeded_database()
-    bench_maintainer = ViewMaintainer(bench_db, use_codegen=True)
+    bench_maintainer = ViewMaintainer(bench_db)
     for name, expression in VIEWS.items():
         bench_maintainer.define_view(name, expression)
     bench_rng = random.Random(1)

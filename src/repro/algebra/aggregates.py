@@ -280,7 +280,7 @@ def render_group(
     emits no row at all — the aggregate analogue of "delete the view
     tuple when the counter reaches zero").  This is the single
     definition of the aggregate arithmetic: full evaluation
-    (:func:`aggregate_relation`), the interpreter fold and the
+    (:func:`aggregate_relation`), the reference fold and the
     generated kernels (:mod:`repro.core.codegen`) must all agree with
     it cell for cell.
     """

@@ -652,8 +652,8 @@ def analyze_maintainer(maintainer: "ViewMaintainer") -> AnalysisReport:
     """The full analyzer over every view a maintainer has registered.
 
     Runs the per-definition checks (with the database's constraint
-    catalog and each view's compiled plan — the cached one when
-    available, a fresh compile otherwise) plus the cross-view pass.
+    catalog and each view's compiled plan, compiled now if a DDL event
+    had evicted it) plus the cross-view pass.
     """
     charge("analysis_runs")
     names = maintainer.view_names()
@@ -662,14 +662,11 @@ def analyze_maintainer(maintainer: "ViewMaintainer") -> AnalysisReport:
     aggregates: dict[str, tuple | None] = {}
     for name in names:
         view = maintainer.view(name)
-        plan = maintainer.compiled_plan(name)
-        if plan is None:
-            plan = maintainer._compile_plan(view.definition)
         findings.extend(
             analyze_definition(
                 view.definition,
                 constraints=maintainer.database.constraints,
-                plan=plan,
+                plan=maintainer.peek_plan(name),
                 keys=maintainer.database.keys,
             )
         )

@@ -11,13 +11,14 @@ per-group accumulator can provide.  COUNT/SUM/AVG would get away with
 plain totals; the implementation keeps the bag uniformly so one fold
 and one renderer cover the whole supported class.
 
-The fold protocol mirrors the generated aggregate kernel
-(:func:`repro.core.codegen.generate_aggregate_source`) *exactly* —
-same touched-group ordering, same mutation order, same underflow
-signalling — so the ``use_codegen`` ablation is byte-for-byte and
-counter-for-counter comparable.  Both are driven by
-:meth:`repro.core.compiled.CompiledViewPlan.fold_aggregate`, which owns
-the instrumentation charges and the visible-delta assembly.
+The fold protocol is mirrored *exactly* by the generated aggregate
+kernel (:func:`repro.core.codegen.generate_aggregate_source`) — same
+touched-group ordering, same mutation order, same underflow signalling.
+Maintenance runs the kernel, driven by
+:meth:`repro.core.compiled.CompiledViewPlan.fold_aggregate` (which owns
+the instrumentation charges and the visible-delta assembly);
+:meth:`AggregateState.fold` is the reference the parity tests hold the
+kernel to.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ class AggregateState:
         inserted: Mapping[ValueTuple, int],
         deleted: Mapping[ValueTuple, int],
     ) -> FoldResult:
-        """The interpreter fold — the oracle the generated kernel mirrors.
+        """The reference fold — the oracle the generated kernel mirrors.
 
         Collects the touched groups (inserts first, then deletes, in
         delta order), renders their before-rows, applies the core delta

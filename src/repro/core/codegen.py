@@ -1,10 +1,10 @@
 """Generated batch kernels for the maintenance hot path.
 
-The interpreter in :mod:`repro.core.planner` and
-:mod:`repro.core.irrelevance` re-dispatches per tuple: every screened
-tuple walks condition ASTs, every joined tuple goes through generic
-step objects and closure predicates.  Algorithm 4.1 already amortizes
-the *planning* work (invariant split, APSP) once per batch; this module
+The reference functions in :mod:`repro.core.planner` and
+:mod:`repro.core.irrelevance` dispatch per tuple: every screened tuple
+walks condition ASTs, every joined tuple goes through generic step
+objects and closure predicates.  Algorithm 4.1 already amortizes the
+*planning* work (invariant split, APSP) once per batch; this module
 finishes the job in the DBToaster tradition by amortizing the
 *dispatch* as well — at plan-compile time each
 :class:`~repro.core.compiled.CompiledViewPlan` emits straight-line
@@ -28,16 +28,20 @@ runs the generated closures over whole batches:
 Generated source is a pure function of the plan structure — no
 timestamps, no ids, no dict-order dependence — so two compiles of the
 same plan emit byte-identical text (the CLI's ``explain <view> source``
-determinism check).  Every kernel preserves the interpreter's
-instrumentation counters exactly (charged in bulk by the drivers), and
-the ``use_codegen=False`` ablation keeps the interpreter as the oracle:
-both paths must agree byte-for-byte on every view state.
+determinism check).  Every kernel charges the same instrumentation
+counters as the reference function it replaces (in bulk, from the
+drivers), and the parity suites hold the two to byte-for-byte agreement
+on every view state.
 
-Fallback rules: a shape whose truth table would unroll past
-:data:`MAX_CODEGEN_ROWS` rows (or a view past
-:data:`MAX_CODEGEN_OPERANDS` occurrences) is executed by the
-interpreter instead, charging ``codegen_fallback_tuples``; results are
-identical either way.
+Relation and attribute names are chosen by users and reach generated
+text only inside comments, always through :func:`quoted`, so no
+identifier can end its comment and start a statement.
+
+One selection remains: a shape whose truth table would unroll past
+:data:`MAX_CODEGEN_ROWS` rows (it doubles per changed occurrence, and
+so does the memory the unrolled source takes to compile) is executed by
+:func:`~repro.core.differential.execute_planner` instead, charging
+``codegen_fallback_tuples``; results are identical either way.
 """
 
 from __future__ import annotations
@@ -63,44 +67,38 @@ ValueTuple = tuple[int, ...]
 
 #: Bumped whenever the shape of the generated source changes; part of
 #: the plan fingerprint so a cached plan compiled by an older generator
-#: can never be served to a newer runtime (and so toggling
-#: ``use_codegen`` evicts, rather than reuses, cached plans).
+#: can never be served to a newer runtime.
 #: v2: aggregate fold kernels (group-apply + unrolled renderers).
 #: v3: counter-free apply kernels (derived view keys pin counters to 1).
-CODEGEN_VERSION = 3
+#: v4: every name in a comment is quoted (see :func:`quoted`).
+CODEGEN_VERSION = 4
 
-#: Views with more occurrences than this fall back to the interpreter
-#: wholesale (the unrolled trie would be enormous and cold).
-MAX_CODEGEN_OPERANDS = 8
-
-#: Shapes whose truth table exceeds this many rows fall back too.
+#: Shapes whose truth table exceeds this many rows run on
+#: :func:`~repro.core.differential.execute_planner` instead: the
+#: unrolled source doubles per changed occurrence (255 rows take 0.3 s
+#: and 79 MB to compile, 4 095 rows 11 s and 1 GB).
 MAX_CODEGEN_ROWS = 64
 
 _PY_OPS = {"=": "==", "<": "<", ">": ">", "<=": "<=", ">=": ">="}
 
 
 def plan_fingerprint(
-    normal_form: "NormalForm",
-    use_codegen: bool,
-    aggregate: "AggregateSpec | None" = None,
+    normal_form: "NormalForm", aggregate: "AggregateSpec | None" = None
 ) -> tuple:
     """The cache identity of a compiled plan.
 
-    Extends the definition's structural fingerprint with the executable
-    format: generated kernels are tagged with :data:`CODEGEN_VERSION`,
-    interpreter plans with a distinct marker.  Aggregate views mix in
-    their spec fingerprint — two views sharing one SPJ core but
-    different GROUP BY keys or aggregate lists are different
-    executables.  The plan cache compares this on every ``get``, so
-    flipping ``use_codegen`` (or upgrading the generator) evicts stale
-    plans instead of executing them.
+    Extends the definition's structural fingerprint with the generator
+    version (:data:`CODEGEN_VERSION`).  Aggregate views mix in their
+    spec fingerprint — two views sharing one SPJ core but different
+    GROUP BY keys or aggregate lists are different executables.  The
+    plan cache compares this on every ``get``, so a plan compiled for
+    another definition or by another generator is evicted, never
+    executed.
     """
     base: tuple = normal_form.fingerprint()
     if aggregate is not None:
         base = (base, aggregate.fingerprint())
-    if use_codegen:
-        return (base, ("codegen", CODEGEN_VERSION))
-    return (base, ("interpreter",))
+    return (base, ("codegen", CODEGEN_VERSION))
 
 
 class CodegenStats:
@@ -204,6 +202,17 @@ class DeltaBatch:
 # Source-emission helpers
 # ----------------------------------------------------------------------
 
+def quoted(names: "str | tuple[str, ...] | list[str]") -> str:
+    """A name (or a tuple/list of names) as one line of source text.
+
+    The only route by which a user-chosen identifier enters generated
+    source: ``repr`` of a string escapes quotes, newlines and every
+    non-printable character, so whatever the name holds stays inside
+    the comment it was written into.
+    """
+    return repr(names)
+
+
 class _Emitter:
     """Tiny indented-source builder."""
 
@@ -282,7 +291,7 @@ def generate_screen_source(
 
     The generated ``screen_kernel(cols, n, mask)`` marks relevant slots
     in ``mask`` and returns ``(ground_evals, bound_probes)`` so the
-    driver can charge the interpreter's per-tuple counters in bulk.
+    driver can charge the reference filter's per-tuple counters in bulk.
     Structure per slot, mirroring ``RelevanceFilter._decide`` exactly:
     one block per live (occurrence, disjunct) screen, variant-evaluable
     atoms as nested short-circuit tests, variant bounds as ``min``/
@@ -291,7 +300,7 @@ def generate_screen_source(
     invariant path is unreachable are omitted at generation time).
     """
     out = _Emitter()
-    out.emit(f"# screen kernel: relation {relation_name!r}")
+    out.emit(f"# screen kernel: relation {quoted(relation_name)}")
     if statically_irrelevant:
         # The Theorem 4.1 static proof is baked into the source: the
         # kernel body is the proof's conclusion.  Constraint DDL
@@ -346,14 +355,14 @@ def generate_screen_source(
         out.indent = base_indent
         out.emit(
             f"# screen {screen_index}: occurrence "
-            f"{occurrence.name}#{occurrence.position}"
+            f"{quoted(occurrence.name)}#{occurrence.position}"
         )
 
         def col_expr(qualified: str, _occ=occurrence) -> str:
             return f"c{schema.index(_occ.inverse[qualified])}[i]"
 
         # Variant evaluable atoms: nested short-circuit so the per-atom
-        # ground-eval counter matches the interpreter's early exit.
+        # ground-eval counter matches the reference filter's early exit.
         for atom in screen.variant_evaluable:
             expr = _substituted_ground_expr(atom, col_expr)
             out.emit("ge += 1")
@@ -491,7 +500,7 @@ def codegen_rows(
 
     Kernel generation happens once per shape; the per-execution charge
     is applied in bulk by the kernel driver so the counter stays
-    execution-proportional, exactly like the interpreter's.
+    execution-proportional, exactly like the reference planner's.
     """
     changed = sorted(set(changed_positions))
     rows: list[Rows] = []
@@ -515,10 +524,9 @@ def generate_shape_source(
     """Emit the row kernel + apply kernel for one truth-table shape.
 
     The row kernel unrolls the planner's prefix-sharing trie: one named
-    list per distinct (row-prefix × choice) node when sharing is on,
-    one per (row, step) when the E13 ablation turns sharing off.  Hash
-    tables stay shared per (step, choice) either way — mirroring the
-    interpreter's ``hash_cache`` — and are built lazily behind a
+    list per distinct (row-prefix × choice) node.  Hash tables are
+    shared per (step, choice) — mirroring the reference planner's
+    ``hash_cache`` — and are built lazily behind a
     ``None`` guard so an OLD operand answered by an index probe (or
     never reached because its accumulator is empty) is never
     materialized.  The apply kernel folds each completed row through
@@ -540,12 +548,12 @@ def generate_shape_source(
     names = [occ.name for occ in nf.occurrences]
     out.emit(
         "# row kernel: shape "
-        + repr(tuple(names[i] for i in planner.changed))
-        + f" of view over {names!r}"
+        + quoted(tuple(names[i] for i in planner.changed))
+        + f" of view over {quoted(names)}"
     )
     out.emit(
         "# order (delta-first): "
-        + " -> ".join(names[step.position] for step in steps)
+        + " -> ".join(quoted(names[step.position]) for step in steps)
     )
     if counter_free:
         out.emit(
@@ -571,17 +579,14 @@ def generate_shape_source(
     hash_nodes: set[tuple[int, DeltaRowChoice]] = set()
     plans: list[list[tuple[str, str, int, DeltaRowChoice]]] = []
     emitted: set[str] = set()
-    for row_index, row in enumerate(rows):
+    for row in rows:
         chain: list[tuple[str, str, int, DeltaRowChoice]] = []
         sig = ""
         parent = ""
         for j, step in enumerate(steps):
             choice = row[step.position]
             sig += "D" if choice is DeltaRowChoice.DELTA else "O"
-            if planner.share:
-                node = f"n_{sig}"
-            else:
-                node = f"n_r{row_index}_{j}"
+            node = f"n_{sig}"
             chain.append((node, parent, j, choice))
             parent = node
         plans.append(chain)
@@ -616,7 +621,7 @@ def generate_shape_source(
 def _render_sig(chain, steps, names) -> str:
     parts = []
     for _, _, j, choice in chain:
-        name = names[steps[j].position]
+        name = quoted(names[steps[j].position])
         parts.append(name if choice is DeltaRowChoice.OLD else f"i_{name}")
     return " * ".join(parts)
 
@@ -885,8 +890,8 @@ def generate_aggregate_source(
     )
 
     out = _Emitter()
-    out.emit(f"# aggregate kernel: {spec}")
-    out.emit(f"# core row layout: {tuple(core_schema.names)!r}")
+    out.emit(f"# aggregate kernel: {quoted(str(spec))}")
+    out.emit(f"# core row layout: {quoted(tuple(core_schema.names))}")
     out.emit()
     out.emit("def render(k, bag):")
     out.indent += 1
@@ -1053,13 +1058,15 @@ class ShapeKernels:
         self.source = source
         self.row_kernel = row_kernel
         #: Rows this shape charges per execution (0 when the planner is
-        #: statically empty, mirroring the interpreter's early return).
+        #: statically empty, mirroring the reference planner's early
+        #: return).
         self.rows_evaluated = rows_evaluated
-        #: ``subexpression_memo_hits`` the interpreter would charge per
-        #: execution.  The memo holds every prefix of each evaluated
-        #: row, so a row scores exactly one hit iff its first-step
-        #: choice appeared in an earlier row — a compile-time constant
-        #: of the shape (0 with sharing off or a statically empty plan).
+        #: ``subexpression_memo_hits`` the reference planner charges
+        #: per execution.  The memo holds every prefix of each
+        #: evaluated row, so a row scores exactly one hit iff its
+        #: first-step choice appeared in an earlier row — a
+        #: compile-time constant of the shape (0 for a statically empty
+        #: plan).
         self.memo_hits = memo_hits
 
     def __repr__(self) -> str:
@@ -1071,8 +1078,6 @@ def compile_shape_kernels(
 ) -> ShapeKernels | None:
     """Generate + compile one shape's kernels; None triggers fallback."""
     nf = planner.normal_form
-    if len(nf.occurrences) > MAX_CODEGEN_OPERANDS:
-        return None
     rows = codegen_rows(len(nf.occurrences), planner.changed)
     if len(rows) > MAX_CODEGEN_ROWS:
         return None
@@ -1085,9 +1090,6 @@ def compile_shape_kernels(
         rows_evaluated = memo_hits = 0
     else:
         rows_evaluated = len(rows)
-        memo_hits = 0
-        if planner.share and rows:
-            first_position = planner.steps[0].position
-            distinct_first = len({row[first_position] for row in rows})
-            memo_hits = len(rows) - distinct_first
+        first_position = planner.steps[0].position
+        memo_hits = len(rows) - len({row[first_position] for row in rows})
     return ShapeKernels(source, kernel, rows_evaluated, memo_hits)

@@ -44,7 +44,6 @@ from repro.core.codegen import (
     CODEGEN_VERSION,
     CodegenStats,
     DeltaBatch,
-    MAX_CODEGEN_OPERANDS,
     MAX_CODEGEN_ROWS,
     ScreenKernel,
     ShapeKernels,
@@ -55,6 +54,7 @@ from repro.core.codegen import (
     generate_screen_source,
     generate_shape_source,
     plan_fingerprint,
+    quoted,
 )
 from repro.core.counting import net_counts
 from repro.core.differential import (
@@ -97,18 +97,6 @@ class CompiledViewPlan:
         Names among the view's operands that are themselves registered
         views — they carry no persistent index, and their screens bind
         against view output schemas.
-    share_subexpressions, use_indexes, use_codegen:
-        The owning maintainer's evaluation switches, frozen into the
-        plan.  With ``use_codegen`` the plan emits batch kernels from
-        generated source (:mod:`repro.core.codegen`) at registration
-        time and executes those; without it, the per-tuple interpreter
-        runs — the ablation oracle the kernels are verified against.
-    use_counter_free:
-        Allow the generated apply kernels to pin the Section 5.2
-        multiplicity counters to one when the chase over declared keys
-        proves every view row has multiplicity ≤ 1 (E26's ablation
-        switch; the fact itself is re-proved at compile time from the
-        database's key catalog, and key DDL invalidates the plan).
     codegen_stats:
         Optional maintainer-owned :class:`~repro.core.codegen.CodegenStats`
         sink; cumulative codegen counters survive plan eviction there.
@@ -118,13 +106,8 @@ class CompiledViewPlan:
         "definition",
         "normal_form",
         "fingerprint",
-        "share_subexpressions",
-        "use_indexes",
-        "use_codegen",
-        "use_counter_free",
         "_database",
         "_view_operands",
-        "_schemas",
         "_screens",
         "_static_irrelevant",
         "_planners",
@@ -132,7 +115,6 @@ class CompiledViewPlan:
         "_codegen_stats",
         "_screen_kernels",
         "_shape_kernels",
-        "_aggregate_source",
         "_aggregate_kernel",
         "_reduction",
         "_view_key",
@@ -145,26 +127,17 @@ class CompiledViewPlan:
         database: "Database",
         catalog: Mapping[str, RelationSchema],
         view_operands: Iterable[str] = (),
-        share_subexpressions: bool = True,
-        use_indexes: bool = True,
-        use_codegen: bool = True,
-        use_counter_free: bool = True,
         codegen_stats: CodegenStats | None = None,
     ) -> None:
         self.definition = definition
         self.normal_form: NormalForm = definition.normal_form
         #: Identity of the executable this plan is: the definition's
         #: structural fingerprint extended with the generated-source
-        #: version (or an interpreter marker).  The cache refuses to
-        #: serve a plan whose fingerprint no longer matches the
-        #: registered view *and current execution mode*.
+        #: version.  The cache refuses to serve a plan whose
+        #: fingerprint no longer matches the registered view.
         self.fingerprint: tuple = plan_fingerprint(
-            self.normal_form, use_codegen, definition.aggregate
+            self.normal_form, definition.aggregate
         )
-        self.share_subexpressions = share_subexpressions
-        self.use_indexes = use_indexes
-        self.use_codegen = use_codegen
-        self.use_counter_free = use_counter_free
         self._codegen_stats = codegen_stats
         self._database = database
         self._view_operands = frozenset(view_operands)
@@ -186,7 +159,7 @@ class CompiledViewPlan:
             if self._reduction is not None
             else self.normal_form
         )
-        self._schemas: dict[str, RelationSchema] = {}
+        schemas: dict[str, RelationSchema] = {}
         # Compile the Section 4 screens eagerly — one per participating
         # relation; this is the Definition 4.2 invariant split plus its
         # APSP, the paper's built-once structure.
@@ -199,7 +172,7 @@ class CompiledViewPlan:
                     f"cannot compile plan for view {definition.name!r}: "
                     f"operand {name!r} is not in the catalog"
                 ) from None
-            self._schemas[name] = schema
+            schemas[name] = schema
             self._screens[name] = RelevanceFilter(self.normal_form, name, schema)
         # Static irrelevance (the analyzer's check (d), proved here so
         # the *plan itself* carries the optimization): a relation whose
@@ -237,35 +210,35 @@ class CompiledViewPlan:
         # The aggregate fold kernel (when the view aggregates) compiles
         # eagerly with the screens: its shape depends only on the spec
         # and core schema, never on the incoming delta.
-        self._aggregate_source: str | None = None
-        self._aggregate_kernel: AggregateKernel | None = None
-        if use_codegen:
-            for name in sorted(self._screens):
-                source = generate_screen_source(
-                    name,
-                    self._screens[name],
-                    self._schemas[name],
-                    statically_irrelevant=name in self._static_irrelevant,
-                )
-                kernel = compile_kernel(
-                    source,
-                    "screen_kernel",
-                    f"<codegen:{definition.name}:screen:{name}>",
-                )
-                self._screen_kernels[name] = (source, kernel)
-            if definition.aggregate is not None:
-                source = generate_aggregate_source(
-                    definition.aggregate, self.normal_form.output_schema()
-                )
-                self._aggregate_source = source
-                self._aggregate_kernel = compile_kernel(
+        self._aggregate_kernel: tuple[str, AggregateKernel] | None = None
+        for name in sorted(self._screens):
+            source = generate_screen_source(
+                name,
+                self._screens[name],
+                schemas[name],
+                statically_irrelevant=name in self._static_irrelevant,
+            )
+            kernel = compile_kernel(
+                source,
+                "screen_kernel",
+                f"<codegen:{definition.name}:screen:{name}>",
+            )
+            self._screen_kernels[name] = (source, kernel)
+        if definition.aggregate is not None:
+            source = generate_aggregate_source(
+                definition.aggregate, self.normal_form.output_schema()
+            )
+            self._aggregate_kernel = (
+                source,
+                compile_kernel(
                     source,
                     "fold_kernel",
                     f"<codegen:{definition.name}:aggregate>",
-                )
-            charge("codegen_plans_compiled")
-            if codegen_stats is not None:
-                codegen_stats.plans_compiled += 1
+                ),
+            )
+        charge("codegen_plans_compiled")
+        if codegen_stats is not None:
+            codegen_stats.plans_compiled += 1
 
     # ------------------------------------------------------------------
     # Section 4: screening
@@ -305,9 +278,7 @@ class CompiledViewPlan:
             stats.static_dropped = stats.checked
             charge("fk_probe_tuples_dropped", stats.checked)
             return Delta(delta.schema), stats
-        if self.use_codegen:
-            return self._screen_batch(relation_name, screen, delta)
-        return screen.screen_delta(delta)
+        return self._screen_batch(relation_name, screen, delta)
 
     def _screen_batch(
         self, relation_name: str, screen: RelevanceFilter, delta: Delta
@@ -378,11 +349,11 @@ class CompiledViewPlan:
     def counter_free(self) -> bool:
         """Whether apply kernels pin the Section 5.2 counters to one.
 
-        True only when the switch is on *and* the chase proved a view
-        key (so every view row has multiplicity ≤ 1).  The interpreter
-        path always keeps full counters — it is the parity oracle.
+        True exactly when the chase proved a view key, so every view
+        row has multiplicity ≤ 1.  The reference functions always keep
+        full counters — they are the parity oracle.
         """
-        return self.use_counter_free and self._view_key is not None
+        return self._view_key is not None
 
     def screens(self) -> Mapping[str, RelevanceFilter]:
         """The compiled per-relation relevance filters (read-only)."""
@@ -396,11 +367,7 @@ class CompiledViewPlan:
         key = tuple(sorted(set(changed_positions)))
         planner = self._planners.get(key)
         if planner is None:
-            planner = RowPlanner(
-                self._exec_normal_form,
-                key,
-                share_subexpressions=self.share_subexpressions,
-            )
+            planner = RowPlanner(self._exec_normal_form, key)
             self._planners[key] = planner
         return planner
 
@@ -414,21 +381,20 @@ class CompiledViewPlan:
         if not changed:
             return Delta(self._exec_normal_form.output_schema())
         planner = self.planner_for(changed)
-        if self.use_codegen:
-            kernels = self._shape_kernels_for(changed, planner)
-            if kernels is not None:
-                return self._execute_kernels(
-                    planner, kernels, post_instances, deltas, changed
-                )
-            # The shape exceeds the codegen limits: the interpreter
-            # executes it instead, tuple by tuple.
-            fallback = sum(
-                len(d.inserted) + len(d.deleted) for d in deltas.values()
+        kernels = self._shape_kernels_for(changed, planner)
+        if kernels is not None:
+            return self._execute_kernels(
+                planner, kernels, post_instances, deltas, changed
             )
-            if fallback:
-                charge("codegen_fallback_tuples", fallback)
-                if self._codegen_stats is not None:
-                    self._codegen_stats.fallback_tuples += fallback
+        # The shape's truth table exceeds MAX_CODEGEN_ROWS: the
+        # reference planner executes it instead, tuple by tuple.
+        fallback = sum(
+            len(d.inserted) + len(d.deleted) for d in deltas.values()
+        )
+        if fallback:
+            charge("codegen_fallback_tuples", fallback)
+            if self._codegen_stats is not None:
+                self._codegen_stats.fallback_tuples += fallback
         return execute_planner(
             planner,
             post_instances,
@@ -450,27 +416,24 @@ class CompiledViewPlan:
         upsert, from the changefeed's point of view); a group that
         appears or disappears contributes just the insert or delete.
 
-        Runs the generated fold kernel under ``use_codegen`` and the
-        interpreter fold otherwise; the two mirror each other exactly,
-        and both counters — ``aggregate_rows_folded`` and
-        ``aggregate_groups_touched`` — are charged here in the shared
-        driver, so the ablation stays counter-for-counter comparable.
+        Runs the generated fold kernel, the twin of the reference
+        :meth:`~repro.core.aggregates.AggregateState.fold`; both
+        counters — ``aggregate_rows_folded`` and
+        ``aggregate_groups_touched`` — are charged here in the driver.
         """
+        assert self._aggregate_kernel is not None, "not an aggregate view"
         ins = core_delta.inserted
         dele = core_delta.deleted
         rows = len(ins) + len(dele)
         if rows:
             charge("aggregate_rows_folded", rows)
-        if self.use_codegen and self._aggregate_kernel is not None:
-            touched, before, after, bad = self._aggregate_kernel(
-                state.groups, ins, dele
-            )
-            if rows:
-                charge("codegen_batch_rows", rows)
-                if self._codegen_stats is not None:
-                    self._codegen_stats.batch_rows += rows
-        else:
-            touched, before, after, bad = state.fold(ins, dele)
+        touched, before, after, bad = self._aggregate_kernel[1](
+            state.groups, ins, dele
+        )
+        if rows:
+            charge("codegen_batch_rows", rows)
+            if self._codegen_stats is not None:
+                self._codegen_stats.batch_rows += rows
         if bad is not None:
             raise MaintenanceError(
                 f"aggregate maintenance for view {self.definition.name!r} "
@@ -532,12 +495,10 @@ class CompiledViewPlan:
         resolved: dict[int, ProbeFn | None] = {}
 
         def probe_for(step_index: int) -> ProbeFn | None:
-            probe = resolved.get(step_index)
             if step_index in resolved:
-                return probe
-            if hook is not None:
-                step = steps[step_index]
-                probe = hook(step.position, step.link_attr_names)
+                return resolved[step_index]
+            step = steps[step_index]
+            probe = hook(step.position, step.link_attr_names)
             resolved[step_index] = probe
             return probe
 
@@ -592,7 +553,7 @@ class CompiledViewPlan:
         self._index_bindings[key] = binding
         return binding
 
-    def index_probe_for(self, deltas: Mapping[str, Delta]) -> IndexProbe | None:
+    def index_probe_for(self, deltas: Mapping[str, Delta]) -> IndexProbe:
         """The per-execution OLD-operand probe hook.
 
         Bindings are plan-level (resolved once, invalidated with the
@@ -603,8 +564,6 @@ class CompiledViewPlan:
         harmlessly: an irrelevant tuple fails the view condition in
         every combination.
         """
-        if not self.use_indexes:
-            return None
 
         def probe_hook(
             position: int, link_attrs: tuple[str, ...]
@@ -647,45 +606,25 @@ class CompiledViewPlan:
         structure, so two compiles of the same definition against the
         same catalog and constraints emit byte-identical text — the
         property the CLI's ``--source`` determinism check asserts.
-        Shapes beyond the codegen limits are listed as interpreter
-        fallbacks.
+        Shapes beyond :data:`~repro.core.codegen.MAX_CODEGEN_ROWS` are
+        listed as reference-planner fallbacks.
         """
         name = self.definition.name
         parts = [
-            f"# generated kernels for view {name!r} "
+            f"# generated kernels for view {quoted(name)} "
             f"(codegen v{CODEGEN_VERSION})\n"
         ]
         if self._reduction is not None:
             parts.append(
                 f"# fk reduction: shapes cover the reduced normal form "
-                f"over {self._reduction.delta_relation!r} alone; deltas on "
-                f"{', '.join(self._reduction.probe_relations)} are screened "
-                "out wholesale\n"
+                f"over {quoted(self._reduction.delta_relation)} alone; "
+                "deltas on "
+                f"{', '.join(map(quoted, self._reduction.probe_relations))} "
+                "are screened out wholesale\n"
             )
-        for relation_name in sorted(self._screens):
-            cached = self._screen_kernels.get(relation_name)
-            if cached is not None:
-                parts.append(cached[0])
-                continue
-            parts.append(
-                generate_screen_source(
-                    relation_name,
-                    self._screens[relation_name],
-                    self._schemas[relation_name],
-                    statically_irrelevant=(
-                        relation_name in self._static_irrelevant
-                    ),
-                )
-            )
+        for relation_name in sorted(self._screen_kernels):
+            parts.append(self._screen_kernels[relation_name][0])
         width = len(self._exec_normal_form.occurrences)
-        if width > MAX_CODEGEN_OPERANDS:
-            parts.append(
-                f"# {width} operands exceed the codegen limit "
-                f"({MAX_CODEGEN_OPERANDS}); every shape runs on the "
-                "interpreter\n"
-            )
-            parts.extend(self._aggregate_source_parts())
-            return "\n".join(parts)
         shapes = [(i,) for i in range(width)]
         if width > 1:
             shapes.append(tuple(range(width)))
@@ -694,7 +633,7 @@ class CompiledViewPlan:
             if len(rows) > MAX_CODEGEN_ROWS:
                 parts.append(
                     f"# shape {shape!r}: {len(rows)} truth-table rows "
-                    "exceed the codegen limit; interpreter fallback\n"
+                    "exceed the codegen limit; reference-planner fallback\n"
                 )
                 continue
             parts.append(
@@ -704,20 +643,9 @@ class CompiledViewPlan:
                     counter_free=self.counter_free,
                 )
             )
-        parts.extend(self._aggregate_source_parts())
+        if self._aggregate_kernel is not None:
+            parts.append(self._aggregate_kernel[0])
         return "\n".join(parts)
-
-    def _aggregate_source_parts(self) -> list[str]:
-        """The aggregate fold kernel listing (empty for plain views)."""
-        if self.definition.aggregate is None:
-            return []
-        if self._aggregate_source is not None:
-            return [self._aggregate_source]
-        return [
-            generate_aggregate_source(
-                self.definition.aggregate, self.normal_form.output_schema()
-            )
-        ]
 
     def describe(self, changed_relations: Iterable[str]) -> str:
         """The compiled plan, as text, for a hypothetical update.
@@ -767,12 +695,9 @@ class CompiledViewPlan:
             )
             for step in self._view_key.proof:
                 lines.append(f"  {step}")
-            mode = (
-                "counter-free apply kernels"
-                if self.counter_free
-                else "full Section 5.2 counters (counter-free disabled)"
+            lines.append(
+                "  multiplicity ≤ 1 proven; counter-free apply kernels"
             )
-            lines.append(f"  multiplicity ≤ 1 proven; {mode}")
         lines.append("relevance screens (Definition 4.2 split, compiled once):")
         for relation_name in sorted(changed_set & self._screens.keys()):
             if relation_name in self._static_irrelevant:
@@ -819,11 +744,9 @@ class CompiledViewPlan:
         if not bound_any:
             lines.append("  (none: no OLD operand is joined by equality links)")
         if self.definition.aggregate is not None:
-            mode = (
-                "generated fold kernel" if self.use_codegen else "interpreter fold"
-            )
             lines.append(
-                f"aggregate stage ({mode}): {self.definition.aggregate}"
+                "aggregate stage (generated fold kernel): "
+                f"{self.definition.aggregate}"
             )
         return "\n".join(lines)
 

@@ -22,8 +22,13 @@ once per view — eagerly at registration — cached in a
 event (index create/drop, relation drop, view re-registration) could
 stale them.  Every consumer of the maintainer — immediate commits,
 deferred ``refresh``, WAL-replay recovery, changefeed followers, the
-network view-server — therefore runs the same cached plan; the
-``use_plan_cache`` switch disables reuse for ablation measurements.
+network view-server — therefore runs the same cached plan, and there
+is one pipeline: screen kernels, then row kernels, then (for aggregate
+views) the fold kernel.  The per-tuple functions the kernels mirror —
+:func:`~repro.core.irrelevance.filter_delta`,
+:func:`~repro.core.differential.compute_view_delta`,
+:meth:`~repro.core.aggregates.AggregateState.fold` — are the reference
+library the parity tests compare the maintainer against.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from repro.algebra.expressions import Expression
 from repro.algebra.relation import Delta, Relation
-from repro.core.codegen import CodegenStats, plan_fingerprint
+from repro.core.codegen import CodegenStats
 from repro.core.compiled import CompiledViewPlan
 from repro.core.plancache import PlanCache
 from repro.core.views import MaterializedView, ViewDefinition
@@ -103,34 +108,6 @@ class ViewMaintainer:
     ----------
     database:
         The database whose commits to observe.
-    use_relevance_filter:
-        Screen deltas with the Section 4 filter before differential
-        evaluation (default on; E10's ablation switch).
-    share_subexpressions:
-        Memoize partial joins across truth-table rows (default on;
-        E13's ablation switch).
-    use_indexes:
-        Lazily create hash indexes on base relations so OLD operands
-        are probed rather than re-hashed per transaction (default on).
-    use_plan_cache:
-        Reuse compiled maintenance plans across transactions (default
-        on; E21's ablation switch — off compiles a fresh plan per
-        maintenance call, restoring the pre-cache behavior).
-    use_codegen:
-        Execute generated batch kernels (:mod:`repro.core.codegen`)
-        instead of the per-tuple interpreter (default on; E24's
-        ablation switch — off keeps the interpreter as the oracle the
-        kernels are verified against).  Flipping the switch changes the
-        expected plan fingerprint, so cached plans compiled under the
-        other mode are evicted, never executed.
-    use_counter_free:
-        Let compiled plans pin the Section 5.2 multiplicity counters to
-        one when the chase over declared keys proves every view row has
-        multiplicity ≤ 1 (default on; E26's ablation switch — off keeps
-        full counter arithmetic even when the proof succeeds).  The
-        fact is re-proved per plan compile and key DDL invalidates
-        plans, so the switch never changes results, only the kernels'
-        arithmetic.
     strict:
         Default for :meth:`define_view`'s ``strict`` parameter: run the
         static analyzer (:mod:`repro.analysis`) on every new definition
@@ -144,22 +121,10 @@ class ViewMaintainer:
     def __init__(
         self,
         database: Database,
-        use_relevance_filter: bool = True,
-        share_subexpressions: bool = True,
-        use_indexes: bool = True,
-        use_plan_cache: bool = True,
-        use_codegen: bool = True,
-        use_counter_free: bool = True,
         strict: bool = False,
         auto_verify: bool = False,
     ) -> None:
         self.database = database
-        self.use_relevance_filter = use_relevance_filter
-        self.share_subexpressions = share_subexpressions
-        self.use_indexes = use_indexes
-        self.use_plan_cache = use_plan_cache
-        self.use_codegen = use_codegen
-        self.use_counter_free = use_counter_free
         self.strict = strict
         self.auto_verify = auto_verify
         #: Cumulative codegen counters; owned here (not by plans) so
@@ -177,6 +142,9 @@ class ViewMaintainer:
         self._dependencies: dict[str, frozenset[str]] = {}
         self._subscribers: dict[str, list[Callable[[MaterializedView, Delta], None]]] = {}
         self._plan_cache = PlanCache()
+        #: Per view: the fingerprint a served plan must carry, fixed at
+        #: registration.
+        self._fingerprints: dict[str, tuple] = {}
         #: True while _maintain runs: a plan's own lazy index creation
         #: must not invalidate the plan executing it.
         self._in_maintenance = False
@@ -328,23 +296,23 @@ class ViewMaintainer:
         referenced: frozenset[str],
         policy: MaintenancePolicy,
     ) -> MaterializedView:
-        name = view.definition.name
+        definition = view.definition
+        name = definition.name
+        # Compile before registering anything: registration is the
+        # natural compile point (the first transaction then executes a
+        # cached plan like every later one), and a definition whose
+        # plan cannot be compiled must leave no trace — not a view
+        # without a plan, not a taken name.
+        plan = self._compile_plan(definition, referenced)
         view.last_refresh_sequence = self.database.log.last_sequence()
-        # Re-registration under a previously used name must never serve
-        # the old definition's plan (drop_view already invalidates; this
-        # also covers plans that survived an earlier detach()).
-        self._plan_cache.invalidate(name)
+        self._plan_cache.put(name, plan)
+        self._fingerprints[name] = plan.fingerprint
         self._views[name] = view
         self._policies[name] = policy
         self._pending[name] = {}
         self._commits_since_refresh[name] = 0
         self._stats[name] = MaintenanceStats()
         self._dependencies[name] = referenced
-        if self.use_plan_cache:
-            # Compile eagerly: registration is the natural compile
-            # point, and the first transaction then executes a cached
-            # plan like every later one.
-            self._plan_cache.put(name, self._compile_plan(view.definition))
         return view
 
     def drop_view(self, name: str) -> None:
@@ -365,40 +333,34 @@ class ViewMaintainer:
         del self._commits_since_refresh[name]
         del self._stats[name]
         del self._dependencies[name]
+        del self._fingerprints[name]
         self._subscribers.pop(name, None)
         self._plan_cache.invalidate(name)
 
     # ------------------------------------------------------------------
     # Compiled plans
     # ------------------------------------------------------------------
-    def _compile_plan(self, definition: ViewDefinition) -> CompiledViewPlan:
-        """Build a fresh compiled plan for one registered definition."""
-        referenced = frozenset(definition.normal_form.relation_names)
+    def _compile_plan(
+        self, definition: ViewDefinition, referenced: frozenset[str]
+    ) -> CompiledViewPlan:
+        """Build a fresh compiled plan for one definition."""
         return CompiledViewPlan(
             definition,
             self.database,
             self._combined_catalog(),
             view_operands=referenced & self._views.keys(),
-            share_subexpressions=self.share_subexpressions,
-            use_indexes=self.use_indexes,
-            use_codegen=self.use_codegen,
-            use_counter_free=self.use_counter_free,
             codegen_stats=self._codegen_stats,
         )
 
     def expected_plan_fingerprint(self, name: str) -> tuple:
-        """The fingerprint a served plan for ``name`` must carry *now*.
+        """The fingerprint a served plan for ``name`` must carry.
 
-        Combines the registered definition's structural fingerprint
-        with the current execution mode (codegen version vs
-        interpreter) — the value the cache audit in the simulation
+        The registered definition's structural fingerprint plus the
+        generator version — the value the cache audit in the simulation
         oracle compares cached plans against.
         """
         self._require_view(name)
-        definition = self._views[name].definition
-        return plan_fingerprint(
-            definition.normal_form, self.use_codegen, definition.aggregate
-        )
+        return self._fingerprints[name]
 
     def codegen_stats(self) -> CodegenStats:
         """Cumulative codegen counters across all plans and recompiles."""
@@ -406,31 +368,40 @@ class ViewMaintainer:
 
     def kernel_source(self, name: str) -> str:
         """The generated kernel source for one view's current plan."""
-        self._require_view(name)
-        return self._plan_for(name).kernel_source()
+        return self.peek_plan(name).kernel_source()
+
+    def _recompile(self, name: str) -> CompiledViewPlan:
+        """Compile and cache the plan of a registered view anew."""
+        return self._plan_cache.put(
+            name,
+            self._compile_plan(
+                self._views[name].definition, self._dependencies[name]
+            ),
+        )
 
     def _plan_for(self, name: str) -> CompiledViewPlan:
-        """The plan a maintenance call executes — cached when possible.
+        """The plan a maintenance call executes, counted as hit or miss.
 
-        With the cache enabled this is a hit except right after an
-        invalidation (the miss recompiles and re-caches).  With the
-        cache disabled every call is a counted miss compiling a
-        throwaway plan — the E21 ablation's cost model.
+        A hit except right after an invalidation (the miss recompiles
+        and re-caches).
         """
-        view = self._views[name]
         stats = self._stats[name]
-        fingerprint = plan_fingerprint(
-            view.definition.normal_form, self.use_codegen, view.definition.aggregate
-        )
-        plan = self._plan_cache.get(name, fingerprint)
+        plan = self._plan_cache.get(name, self._fingerprints[name])
         if plan is not None:
             stats.plan_cache_hits += 1
             return plan
         stats.plan_cache_misses += 1
-        plan = self._compile_plan(view.definition)
-        if self.use_plan_cache:
-            self._plan_cache.put(name, plan)
-        return plan
+        return self._recompile(name)
+
+    def peek_plan(self, name: str) -> CompiledViewPlan:
+        """The plan introspection reads: compiled if absent, uncounted.
+
+        ``explain``, ``kernel_source``, ``recommended_indexes`` and the
+        static analyzer are not maintenance, so they leave the hit/miss
+        counters alone.
+        """
+        self._require_view(name)
+        return self._plan_cache.peek(name) or self._recompile(name)
 
     def compiled_plan(self, name: str) -> CompiledViewPlan | None:
         """The currently cached plan for ``name`` (None when absent).
@@ -542,8 +513,7 @@ class ViewMaintainer:
         probe binds — the plan a real transaction with this shape would
         execute, served from the same cache.
         """
-        self._require_view(name)
-        return self._plan_for(name).describe(changed_relations)
+        return self.peek_plan(name).describe(changed_relations)
 
     def analyze(self) -> "AnalysisReport":
         """Run the full static analyzer over every registered view.
@@ -569,8 +539,7 @@ class ViewMaintainer:
         the indexes the lazy path would create on first use.  Returns
         sorted ``(relation_name, attributes)`` pairs.
         """
-        self._require_view(name)
-        plan = self._plan_for(name)
+        plan = self.peek_plan(name)
         normal_form = plan.execution_normal_form
         recommendations: set[tuple[str, tuple[str, ...]]] = set()
         for changed in range(len(normal_form.occurrences)):
@@ -843,16 +812,12 @@ class ViewMaintainer:
         try:
             relevant: dict[str, Delta] = {}
             for relation_name, delta in deltas.items():
-                if self.use_relevance_filter:
-                    filtered, filter_stats = plan.screen(relation_name, delta)
-                    stats.tuples_screened += filter_stats.checked
-                    stats.tuples_irrelevant += filter_stats.irrelevant
-                    stats.tuples_static_dropped += filter_stats.static_dropped
-                    if not filtered.is_empty():
-                        relevant[relation_name] = filtered
-                else:
-                    if not delta.is_empty():
-                        relevant[relation_name] = delta
+                filtered, filter_stats = plan.screen(relation_name, delta)
+                stats.tuples_screened += filter_stats.checked
+                stats.tuples_irrelevant += filter_stats.irrelevant
+                stats.tuples_static_dropped += filter_stats.static_dropped
+                if not filtered.is_empty():
+                    relevant[relation_name] = filtered
 
             if not relevant:
                 # Every update was provably irrelevant: the view is
@@ -890,8 +855,5 @@ class ViewMaintainer:
     def __repr__(self) -> str:
         return (
             f"<ViewMaintainer {len(self._views)} views, "
-            f"filter={'on' if self.use_relevance_filter else 'off'}, "
-            f"sharing={'on' if self.share_subexpressions else 'off'}, "
-            f"plan_cache={'on' if self.use_plan_cache else 'off'} "
-            f"({len(self._plan_cache)} plans)>"
+            f"{len(self._plan_cache)} cached plans>"
         )

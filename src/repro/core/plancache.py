@@ -6,8 +6,8 @@ One :class:`PlanCache` lives inside each
 three events that matter for its correctness story:
 
 * **hit** — a maintenance call executed an already-compiled plan;
-* **miss** — no plan was cached (first use, post-invalidation, or the
-  cache is disabled for ablation) and one was compiled;
+* **miss** — no plan was cached (post-invalidation) and one was
+  compiled;
 * **invalidation** — a cached plan was discarded because something it
   depends on changed: an index was created or dropped, a base relation
   was dropped, or the view was re-registered under the same name.
@@ -18,17 +18,13 @@ amortization claim ("plans are built once per view, not once per
 transaction") is observable end to end.
 
 Plan fingerprints (see :func:`repro.core.codegen.plan_fingerprint`)
-cover the execution mode and generated-source version, not just the
-normal form: a plan compiled with the generated batch kernels carries
-``("codegen", CODEGEN_VERSION)`` while an interpreter plan carries
-``("interpreter",)``.  Toggling ``use_codegen`` — or bumping
-``CODEGEN_VERSION`` when kernel emission changes — therefore misses on
-:meth:`PlanCache.get` and recompiles, so stale generated source can
-never be executed against a maintainer configured differently.
-Invalidation also drops the compiled kernel artifacts along with the
-plan: a static-irrelevance proof baked into generated screen source is
-discarded the moment ``declare_constraint`` / ``drop_constraint``
-changes what is provable.
+cover the generated-source version, not just the normal form: bumping
+``CODEGEN_VERSION`` when kernel emission changes misses on
+:meth:`PlanCache.get` and recompiles, so source emitted by an older
+generator is never executed.  Invalidation also drops the compiled
+kernel artifacts along with the plan: a static-irrelevance proof baked
+into generated screen source is discarded the moment
+``declare_constraint`` / ``drop_constraint`` changes what is provable.
 """
 
 from __future__ import annotations

@@ -138,8 +138,6 @@ class AdaptiveMaintainer:
         Number of initial maintenance rounds that alternate strategies
         regardless of the estimates, so both coefficients get calibrated
         before the model starts deciding.
-    use_relevance_filter:
-        Screen deltas with the Section 4 filter first (default on).
     """
 
     def __init__(
@@ -148,11 +146,9 @@ class AdaptiveMaintainer:
         name: str,
         expression: Expression,
         exploration: int = 4,
-        use_relevance_filter: bool = True,
         model: MaintenanceCostModel | None = None,
     ) -> None:
         self.database = database
-        self.use_relevance_filter = use_relevance_filter
         self.exploration = exploration
         self.model = model if model is not None else MaintenanceCostModel()
         definition = ViewDefinition(name, expression, database.schema_catalog())
@@ -173,9 +169,9 @@ class AdaptiveMaintainer:
 
         relevant: dict[str, Delta] = {}
         for relation_name in touched:
-            delta = deltas[relation_name]
-            if self.use_relevance_filter:
-                delta, _ = filter_delta(normal_form, relation_name, delta)
+            delta, _ = filter_delta(
+                normal_form, relation_name, deltas[relation_name]
+            )
             if not delta.is_empty():
                 relevant[relation_name] = delta
         if not relevant:

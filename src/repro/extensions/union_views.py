@@ -47,13 +47,11 @@ class UnionView:
         database: Database,
         name: str,
         branches: Sequence[Expression],
-        use_relevance_filter: bool = True,
     ) -> None:
         if not branches:
             raise MaintenanceError("a union view needs at least one branch")
         self.database = database
         self.name = name
-        self.use_relevance_filter = use_relevance_filter
         catalog = database.schema_catalog()
         self.normal_forms = [to_normal_form(b, catalog) for b in branches]
         schemas = [nf.output_schema() for nf in self.normal_forms]
@@ -102,9 +100,7 @@ class UnionView:
         for nf in self.normal_forms:
             branch_deltas: dict[str, Delta] = {}
             for relation_name in frozenset(nf.relation_names) & deltas.keys():
-                delta = deltas[relation_name]
-                if self.use_relevance_filter:
-                    delta, _ = filter_delta(nf, relation_name, delta)
+                delta, _ = filter_delta(nf, relation_name, deltas[relation_name])
                 if not delta.is_empty():
                     branch_deltas[relation_name] = delta
             if not branch_deltas:

@@ -16,25 +16,56 @@ event loop) and threads each see only their own recorder, and nesting
 ``recording(...)`` inside an active block routes charges to the
 innermost recorder until it exits.
 
-Counter families by prefix (each named counter is charged at exactly
-one call site):
+The catalogue: every counter charged with ``charge("...")`` anywhere
+under ``src/``, by family.  ``tools/check_counter_docs.py`` (CI lint)
+keeps this list and the charge sites equal in both directions.  A
+counter names one kind of work, not one call site: the evaluation and
+screening counters are charged by the per-tuple reference functions
+*and*, in bulk, by the drivers of the generated kernels that mirror
+them (:mod:`repro.core.compiled`), so a recorder reads the same numbers
+whichever executed.
 
-* evaluation — ``tuples_scanned``, ``join_probes``, ``index_probes``,
-  truth-table row counts, satisfiability checks;
-* maintenance — ``transactions_skipped_irrelevant`` and the per-view
-  counters mirrored in :class:`repro.core.maintainer.MaintenanceStats`;
+* evaluation — ``tuples_scanned`` (operand tuples read by a scan, a
+  hash-table build or an aggregation), ``join_probes`` (accumulator
+  tuples probed into an operand), ``tuples_emitted`` (tuples a
+  select, project or join step produced), ``tuples_ignored``
+  (``insert ⊗ delete`` join pairs dropped by the tag algebra),
+  ``index_probes`` (lookups answered by an engine hash index),
+  ``full_reevaluations`` (complete evaluations of an expression tree
+  by :func:`repro.algebra.evaluate.evaluate`);
+* differential (Section 5) — ``differential_updates`` (view deltas
+  computed), ``truth_table_rows`` (Section 5.3 rows enumerated),
+  ``delta_rows_evaluated`` (rows the planner or a row kernel actually
+  evaluated), ``subexpression_memo_hits`` (row prefixes served from the
+  planner's memo instead of re-joined);
+* screening (Section 4) — ``filter_tuples_checked`` (delta tuples put
+  through a relevance screen), ``filter_ground_evals`` (variant atoms
+  evaluated on a substituted tuple), ``filter_bound_probes``
+  (negative-cycle probes of a tuple's variant bounds against the
+  invariant graph), ``sat_checks`` (conjunction satisfiability tests),
+  ``floyd_warshall_runs`` and ``bellman_ford_runs`` (constraint-graph
+  solves by either algorithm);
+* maintenance — ``transactions_skipped_irrelevant`` (maintenance calls
+  whose every delta tuple was screened out; per-view totals are in
+  :class:`repro.core.maintainer.MaintenanceStats`),
+  ``aggregate_rows_folded`` (core-delta rows folded into aggregate
+  support bags), ``aggregate_groups_touched`` (groups re-rendered by
+  those folds), ``union_view_maintenances`` (commits a
+  :class:`repro.extensions.UnionView` maintained),
+  ``baseline_recomputations`` (views recomputed by the
+  full-re-evaluation baseline), ``assertion_checks`` and
+  ``assertion_checks_screened`` (integrity assertions examined at
+  commit, and those dismissed by the relevance screen alone);
 * plan cache — ``plan_cache_hits``, ``plan_cache_misses``,
   ``plan_cache_invalidations`` charged by
   :class:`repro.core.plancache.PlanCache` as compiled maintenance plans
-  are served, compiled, and discarded;
+  are served, found missing, and discarded;
 * durability (``wal_*``) — ``wal_records_appended``,
   ``wal_bytes_written``, ``wal_fsyncs``, ``wal_segments_rotated``,
   ``wal_records_read`` from :mod:`repro.replication.wal`, plus
   ``log_replay_transactions`` charged by
   :func:`repro.engine.log.replay_records` during crash recovery and
   changefeed catch-up;
-* serving (``server_*``) — request, session and changefeed counters
-  charged by :mod:`repro.server` (see ``docs/server.md``);
 * cluster (``cluster_*``) — sharded-coordinator counters charged by
   :mod:`repro.cluster` (see ``docs/cluster.md``):
   ``cluster_txns_committed`` / ``cluster_txns_aborted``,
@@ -50,25 +81,35 @@ one call site):
   ``static_tuples_dropped`` (tuples discarded with zero per-tuple
   screening by a compiled plan's static-irrelevance short-circuit; see
   ``docs/analysis.md``);
+* keys and the chase (see ``docs/analysis.md``) — ``dependency_closures``
+  (attribute closures computed), ``view_keys_derived`` and
+  ``fk_reductions_derived`` (successful chase proofs of a view key or
+  an FK-join reduction), ``fk_probe_tuples_dropped`` (probe-relation
+  delta tuples a reduced plan discarded unscreened);
 * scheduling (``scheduler_*`` and base-free hosting; see
   ``docs/scheduler.md``) — ``self_maintainability_proofs``
   (classifier verdicts attempted while deciding whether a view can be
   maintained without base relations), ``scheduler_ticks`` /
   ``scheduler_refreshes`` / ``scheduler_sla_violations`` /
   ``scheduler_backpressure_deferrals`` charged by
-  :class:`repro.scheduler.RefreshScheduler`, and
+  :class:`repro.scheduler.RefreshScheduler`,
   ``base_free_rows_dropped`` (base-relation tuples shed by a
   :class:`repro.replication.Follower` or cluster shard hosting only
-  self-maintainable views);
+  self-maintainable views) and ``base_free_keys_tracked`` (key values
+  a base-free shard keeps so it can still check keyed inserts);
 * codegen (``codegen_*``; see ``docs/codegen.md``) —
   ``codegen_plans_compiled`` (kernel sets generated, ``compile()``-d
-  and installed by :mod:`repro.core.codegen`, charged once per screen
-  compilation and once per truth-table shape),
-  ``codegen_batch_rows`` (delta tuples screened plus truth-table rows
-  evaluated by the generated batch kernels — the work the per-tuple
-  interpreter would otherwise have dispatched tuple by tuple), and
-  ``codegen_fallback_tuples`` (delta tuples routed back to the
-  interpreter because the view exceeded the codegen size caps).
+  and installed by :mod:`repro.core.codegen`, charged once per plan's
+  screen and fold kernels and once per truth-table shape),
+  ``codegen_batch_rows`` (delta tuples screened, truth-table rows
+  evaluated and core rows folded by the generated batch kernels), and
+  ``codegen_fallback_tuples`` (delta tuples whose truth table exceeded
+  the row cap ``MAX_CODEGEN_ROWS`` and ran on the reference planner
+  instead).
+
+The view-server's ``server_*`` counters (``docs/server.md``) are kept
+on the server's own always-on recorder, not charged through
+:func:`charge`.
 
 Usage::
 

@@ -62,16 +62,12 @@ from repro.replication.wal import TailDamage, WalReader
 class Follower:
     """Consumes a WAL directory and maintains its own views from it.
 
-    ``maintainer_options`` are passed through to the follower's private
-    :class:`ViewMaintainer` (e.g. ``use_relevance_filter=False`` for an
-    ablation replica).  ``base_free=True`` drops the base-relation copy
-    after view registration (see the module docstring); it requires
-    every registered view to be self-maintainable.
+    ``base_free=True`` drops the base-relation copy after view
+    registration (see the module docstring); it requires every
+    registered view to be self-maintainable.
     """
 
-    def __init__(
-        self, directory: str, base_free: bool = False, **maintainer_options
-    ) -> None:
+    def __init__(self, directory: str, base_free: bool = False) -> None:
         self.directory = directory
         self.base_free = base_free
         #: Distinct base tuples shed by base-free hosting (0 until the
@@ -94,7 +90,7 @@ class Follower:
         # same WAL positions a server changefeed reports.
         self.database.log.advance_sequence(self.position + 1)
         #: The follower's own maintainer — define any views on it.
-        self.maintainer = ViewMaintainer(self.database, **maintainer_options)
+        self.maintainer = ViewMaintainer(self.database)
         #: Torn-tail report from the last poll (None when clean).
         self.tail_damage: TailDamage | None = None
         self._reader = WalReader(directory)

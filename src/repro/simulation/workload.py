@@ -198,7 +198,6 @@ class SimulationConfig:
         "base_free_followers",
         "clients",
         "lost_fsync_rate",
-        "use_codegen",
     )
 
     def __init__(
@@ -214,7 +213,6 @@ class SimulationConfig:
         base_free_followers: int = 1,
         clients: int = 2,
         lost_fsync_rate: float = 0.15,
-        use_codegen: bool = True,
     ) -> None:
         self.seed = seed
         self.episodes = episodes
@@ -230,10 +228,6 @@ class SimulationConfig:
         self.base_free_followers = base_free_followers
         self.clients = clients
         self.lost_fsync_rate = lost_fsync_rate
-        #: Maintain every copy (leader, recovery, followers) with the
-        #: generated batch kernels; ``False`` pins the per-tuple
-        #: interpreter so oracle rounds exercise the ablation too.
-        self.use_codegen = use_codegen
 
     @property
     def total_followers(self) -> int:
@@ -402,9 +396,7 @@ class Episode:
                 for _ in range(rng.randint(4, 8))
             }
             self.database.create_relation(name, attributes, sorted(rows))
-        self.maintainer = ViewMaintainer(
-            self.database, use_codegen=self.config.use_codegen
-        )
+        self.maintainer = ViewMaintainer(self.database)
         for name, policy in (
             ("v0", MaintenancePolicy.IMMEDIATE),
             ("v1", MaintenancePolicy.IMMEDIATE),
@@ -460,11 +452,7 @@ class Episode:
             # single-relation definitions (a random join view would be
             # legitimately rejected at shed time).
             base_free = index >= self.config.followers
-            follower = Follower(
-                self.directory,
-                base_free=base_free,
-                use_codegen=self.config.use_codegen,
-            )
+            follower = Follower(self.directory, base_free=base_free)
             name = f"g{index}"
             # Followers host aggregate views too; base-free ones only
             # get the self-maintainable subset (single relation, no
@@ -680,9 +668,7 @@ class Episode:
 
     def _recover(self) -> None:
         recovery = Recovery(self.directory)
-        maintainer = ViewMaintainer(
-            recovery.database, use_codegen=self.config.use_codegen
-        )
+        maintainer = ViewMaintainer(recovery.database)
         for name in sorted(self.views):
             expression, policy = self.views[name]
             recovery.restore_view(maintainer, name, expression, policy=policy)
@@ -732,11 +718,7 @@ class Episode:
     def _rebootstrap_follower(self, index: int) -> None:
         """Rebuild one follower from the leader's latest checkpoint."""
         name, expression, base_free = self.follower_views[index]
-        follower = Follower(
-            self.directory,
-            base_free=base_free,
-            use_codegen=self.config.use_codegen,
-        )
+        follower = Follower(self.directory, base_free=base_free)
         follower.define_view(name, expression)
         self.links[index].reset(follower)
         self.stats["follower_resets"] += 1

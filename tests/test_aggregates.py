@@ -7,7 +7,8 @@ counters included — to a full recompute from the base relations, on
 every execution path the engine has:
 
 * the immediate commit path, with the generated kernel and with the
-  interpreter fallback (and counter-for-counter parity between them),
+  reference fold of ``tests/reference.py`` (and counter-for-counter
+  parity between them),
 * deferred refresh at a quiescent point,
 * kill-and-recover (checkpoint + WAL replay through ``recover``),
 * followers, both full-replica and base-free.
@@ -38,7 +39,12 @@ from repro import (
 from repro.algebra.evaluate import evaluate
 from repro.instrumentation import CostRecorder, recording
 from repro.simulation.workload import BASE_TABLES
+from tests.reference import ReferenceViews
 from tests.strategies import aggregate_expressions, update_streams
+
+#: The maintainer (generated fold kernel) and the reference functions
+#: (``AggregateState.fold``): same ``define_view`` / ``view`` surface.
+ENGINES = (ViewMaintainer, ReferenceViews)
 
 
 def build_database(initial):
@@ -82,9 +88,9 @@ class TestDifferentialEqualsRecompute:
     @settings(max_examples=40, deadline=None)
     def test_immediate_commit_path(self, expression, stream):
         initial, transactions = stream
-        for use_codegen in (True, False):
+        for engine in ENGINES:
             database = build_database(initial)
-            maintainer = ViewMaintainer(database, use_codegen=use_codegen)
+            maintainer = engine(database)
             maintainer.define_view("agg", expression)
             replay(database, transactions)
             assert_matches_recompute(maintainer, "agg", database)
@@ -116,33 +122,29 @@ class TestDifferentialEqualsRecompute:
 
     @given(expression=aggregate_expressions(), stream=update_streams())
     @settings(max_examples=25, deadline=None)
-    def test_codegen_interpreter_counter_parity(self, expression, stream):
+    def test_kernel_reference_counter_parity(self, expression, stream):
         # Same stream, both engines: identical contents and identical
         # abstract aggregate work — the generated kernel may batch
         # differently but must fold the same rows and touch the same
-        # groups (the counters are charged in the shared driver, so a
-        # kernel that diverged from the interpreter fold would show up
-        # as a contents mismatch; parity here pins the charging sites).
+        # groups as the reference fold.
         initial, transactions = stream
         observed = {}
-        for use_codegen in (True, False):
+        for engine in ENGINES:
             database = build_database(initial)
-            maintainer = ViewMaintainer(database, use_codegen=use_codegen)
+            maintainer = engine(database)
             maintainer.define_view("agg", expression)
             recorder = CostRecorder()
             with recording(recorder):
                 replay(database, transactions)
-            observed[use_codegen] = (
+            observed[engine] = (
                 maintainer.view("agg").contents.counts(),
                 recorder.get("aggregate_rows_folded"),
                 recorder.get("aggregate_groups_touched"),
                 recorder.get("codegen_fallback_tuples"),
             )
-        codegen, interpreter = observed[True], observed[False]
-        assert codegen[0] == interpreter[0]
-        assert codegen[1] == interpreter[1]
-        assert codegen[2] == interpreter[2]
-        assert codegen[3] == 0, "generated kernels must not fall back"
+        kernel, reference = observed[ViewMaintainer], observed[ReferenceViews]
+        assert kernel[:3] == reference[:3]
+        assert kernel[3] == 0, "generated kernels must not fall back"
 
 
 # ----------------------------------------------------------------------
@@ -261,10 +263,10 @@ MINMAX_VIEW = BaseRef("r").project(["A", "C"]).aggregate(
 
 
 class TestMinMaxDeletes:
-    def _engine(self, rows, use_codegen=True):
+    def _engine(self, rows, engine):
         database = Database()
         database.create_relation("r", ["A", "B", "C"], rows)
-        maintainer = ViewMaintainer(database, use_codegen=use_codegen)
+        maintainer = engine(database)
         maintainer.define_view("mm", MINMAX_VIEW)
         return database, maintainer
 
@@ -275,9 +277,9 @@ class TestMinMaxDeletes:
         # Two distinct base rows project to the SAME core row (1, 9):
         # its support count is 2, so deleting one base row must NOT
         # retire the max — only the second delete exhausts the value.
-        for use_codegen in (True, False):
+        for engine in ENGINES:
             database, maintainer = self._engine(
-                [(1, 10, 9), (1, 20, 9), (1, 30, 4)], use_codegen
+                [(1, 10, 9), (1, 20, 9), (1, 30, 4)], engine
             )
             database.apply(deletes={"r": [(1, 10, 9)]})
             assert self.rows(maintainer) == {(1, 9, 4): 1}
@@ -285,9 +287,9 @@ class TestMinMaxDeletes:
             assert self.rows(maintainer) == {(1, 4, 4): 1}
 
     def test_group_disappearance(self):
-        for use_codegen in (True, False):
+        for engine in ENGINES:
             database, maintainer = self._engine(
-                [(1, 10, 9), (2, 10, 5)], use_codegen
+                [(1, 10, 9), (2, 10, 5)], engine
             )
             database.apply(deletes={"r": [(1, 10, 9)]})
             # Group 1 is gone entirely — no row with NULL-ish extremes.
@@ -296,8 +298,8 @@ class TestMinMaxDeletes:
             assert self.rows(maintainer) == {}
 
     def test_reinsert_after_empty(self):
-        for use_codegen in (True, False):
-            database, maintainer = self._engine([(1, 10, 9)], use_codegen)
+        for engine in ENGINES:
+            database, maintainer = self._engine([(1, 10, 9)], engine)
             database.apply(deletes={"r": [(1, 10, 9)]})
             assert self.rows(maintainer) == {}
             database.apply(inserts={"r": [(1, 40, 3)]})
@@ -309,9 +311,9 @@ class TestMinMaxDeletes:
         # Distinct base rows, equal aggregated value: (1,10,9) and
         # (1,20,9) are different tuples whose C both equal 9.  Deleting
         # one leaves the other still supporting max=9.
-        for use_codegen in (True, False):
+        for engine in ENGINES:
             database, maintainer = self._engine(
-                [(1, 10, 9), (1, 20, 9)], use_codegen
+                [(1, 10, 9), (1, 20, 9)], engine
             )
             database.apply(deletes={"r": [(1, 20, 9)]})
             assert self.rows(maintainer) == {(1, 9, 9): 1}
@@ -323,10 +325,10 @@ class TestMinMaxDeletes:
         # row goes and come back on re-insert — same lifecycle as keyed
         # groups, exercised through the global-aggregate rendering.
         view = BaseRef("r").aggregate([], [("max", "C", "top")])
-        for use_codegen in (True, False):
+        for engine in ENGINES:
             database = Database()
             database.create_relation("r", ["A", "B", "C"], [(1, 1, 7)])
-            maintainer = ViewMaintainer(database, use_codegen=use_codegen)
+            maintainer = engine(database)
             maintainer.define_view("g", view)
             assert dict(maintainer.view("g").contents.counts()) == {(7,): 1}
             database.apply(deletes={"r": [(1, 1, 7)]})

@@ -1,13 +1,13 @@
 """Tests for the generated batch kernels (``repro.core.codegen``).
 
-The codegen contract has four legs, each pinned here:
+The codegen contract has five legs, each pinned here:
 
-* **equivalence** — a maintainer running the generated kernels and one
-  running the per-tuple interpreter agree byte-for-byte on view
-  contents *and* on every abstract work counter, over random legal
-  update streams covering every truth-table shape the views produce
-  (single-relation, two- and three-way joins, counted projections,
-  disjunctions needing the final DNF re-check);
+* **equivalence** — a maintainer running the generated kernels and the
+  per-tuple reference functions (``tests/reference.py``) agree
+  byte-for-byte on view contents *and* on the abstract work counters,
+  over random legal update streams covering every truth-table shape
+  the views produce (single-relation, two- and three-way joins, counted
+  projections, disjunctions needing the final DNF re-check);
 * **determinism** — compiling the same view twice emits byte-identical
   kernel source (replicas must agree on the code they run, not just
   its results);
@@ -15,12 +15,16 @@ The codegen contract has four legs, each pinned here:
   screen source cannot survive ``declare_constraint`` /
   ``drop_constraint``: the DDL drops the compiled kernels with the
   plan, and the recompiled source changes behavior immediately;
-* **fallback** — views exceeding the codegen size caps fall back to
-  the interpreter, charging ``codegen_fallback_tuples``, with
-  identical results.
+* **fallback** — shapes whose truth table exceeds the row cap run on
+  the reference planner, charging ``codegen_fallback_tuples``, with
+  identical results and identical work counters; a wide view with few
+  changed relations stays on kernels;
+* **hostile names** — relation and attribute names never execute: they
+  reach generated source only quoted, inside comments.
 """
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +35,7 @@ from repro import BaseRef, Database, ViewMaintainer
 from repro.algebra.relation import Delta
 from repro.core.codegen import CODEGEN_VERSION, DeltaBatch, plan_fingerprint
 from repro.instrumentation import CostRecorder, recording
+from tests.reference import REFERENCE_PARITY_COUNTERS, ReferenceViews
 
 # ----------------------------------------------------------------------
 # Shared fixtures: three base relations and view shapes spanning the
@@ -49,21 +54,11 @@ VIEW_SHAPES = {
     "disj": BaseRef("r").select("A < 3 or B > 6"),
 }
 
-#: Work counters both execution modes must charge identically.
-PARITY_COUNTERS = (
+#: Work counters the row kernels and the row-cap fallback (the
+#: reference planner behind the same index probes) charge identically.
+FALLBACK_PARITY_COUNTERS = REFERENCE_PARITY_COUNTERS + (
     "tuples_scanned",
-    "join_probes",
     "index_probes",
-    "tuples_emitted",
-    "tuples_ignored",
-    "truth_table_rows",
-    "delta_rows_evaluated",
-    "subexpression_memo_hits",
-    "filter_tuples_checked",
-    "filter_ground_evals",
-    "filter_bound_probes",
-    "static_tuples_dropped",
-    "differential_updates",
 )
 
 
@@ -75,17 +70,22 @@ def _fresh_database():
     return db
 
 
-def _run_stream(stream, **maintainer_options):
+def _run_stream(stream, reference=False):
     """Build the shared catalog, replay ``stream``, return the evidence.
 
     ``stream`` is a list of transactions; each transaction is a list of
     ``(relation, row, delete?)`` operations.  Deletes target a live row
-    (chosen by index) so every stream is legal by construction.
+    (chosen by index) so every stream is legal by construction.  The
+    views are maintained by a :class:`ViewMaintainer`, or with
+    ``reference`` by the reference functions alone.
     """
     db = _fresh_database()
-    maintainer = ViewMaintainer(db, **maintainer_options)
-    for name, expression in VIEW_SHAPES.items():
-        maintainer.define_view(name, expression)
+    if reference:
+        maintainer = ReferenceViews(db, VIEW_SHAPES)
+    else:
+        maintainer = ViewMaintainer(db)
+        for name, expression in VIEW_SHAPES.items():
+            maintainer.define_view(name, expression)
     live = {
         name: sorted(db.relation(name).value_tuples())
         for name in ("r", "s", "t")
@@ -109,7 +109,8 @@ def _run_stream(stream, **maintainer_options):
                 live = {
                     name: sorted(rows) for name, rows in staged.items()
                 }
-    maintainer.verify_all()
+    if not reference:
+        maintainer.verify_all()
     contents = {
         name: dict(maintainer.view(name).contents.counts())
         for name in VIEW_SHAPES
@@ -117,20 +118,28 @@ def _run_stream(stream, **maintainer_options):
     return maintainer, recorder.snapshot(), contents
 
 
-def _assert_parity(stream, **options):
-    """Codegen and interpreter agree on contents and on all counters."""
-    m_gen, c_gen, v_gen = _run_stream(stream, use_codegen=True, **options)
-    m_int, c_int, v_int = _run_stream(stream, use_codegen=False, **options)
-    assert v_gen == v_int
-    for name in PARITY_COUNTERS:
-        assert c_gen.get(name, 0) == c_int.get(name, 0), (
+def _assert_same_work(counters, have, want):
+    for name in counters:
+        assert have.get(name, 0) == want.get(name, 0), (
             name,
-            c_gen.get(name, 0),
-            c_int.get(name, 0),
+            have.get(name, 0),
+            want.get(name, 0),
         )
+
+
+def _assert_parity(stream):
+    """Kernels, row-cap fallback and reference functions all agree."""
+    m_gen, c_gen, v_gen = _run_stream(stream)
+    _, c_ref, v_ref = _run_stream(stream, reference=True)
+    assert v_gen == v_ref
+    _assert_same_work(REFERENCE_PARITY_COUNTERS, c_gen, c_ref)
     assert m_gen.codegen_stats().plans_compiled > 0
-    assert m_int.codegen_stats().plans_compiled == 0
-    assert "codegen_plans_compiled" not in c_int
+    assert m_gen.codegen_stats().fallback_tuples == 0
+    assert "codegen_plans_compiled" not in c_ref
+    with mock.patch.object(codegen, "MAX_CODEGEN_ROWS", 0):
+        _, c_cap, v_cap = _run_stream(stream)
+    assert v_gen == v_cap
+    _assert_same_work(FALLBACK_PARITY_COUNTERS, c_gen, c_cap)
 
 
 rows_st = st.tuples(
@@ -152,10 +161,10 @@ stream_st = st.lists(
 class TestEquivalence:
     @settings(max_examples=25, deadline=None)
     @given(stream=stream_st)
-    def test_codegen_matches_interpreter_on_random_streams(self, stream):
+    def test_kernels_match_reference_on_random_streams(self, stream):
         _assert_parity(stream)
 
-    def test_parity_holds_under_every_ablation(self):
+    def test_parity_holds_on_a_long_seeded_stream(self):
         rng = random.Random(17)
         stream = [
             [
@@ -168,13 +177,7 @@ class TestEquivalence:
             ]
             for _ in range(25)
         ]
-        for options in (
-            {},
-            {"share_subexpressions": False},
-            {"use_indexes": False},
-            {"use_relevance_filter": False},
-        ):
-            _assert_parity(stream, **options)
+        _assert_parity(stream)
 
 
 class TestSourceDeterminism:
@@ -195,15 +198,14 @@ class TestSourceDeterminism:
         assert "'join2'" in source
         assert f"codegen v{CODEGEN_VERSION}" in source
 
-    def test_fingerprint_separates_execution_modes(self):
+    def test_fingerprint_carries_the_generator_version(self):
         db = _fresh_database()
         maintainer = ViewMaintainer(db)
         maintainer.define_view("v", VIEW_SHAPES["join2"])
         nf = maintainer.view("v").definition.normal_form
-        assert plan_fingerprint(nf, True) != plan_fingerprint(nf, False)
-        assert plan_fingerprint(nf, True) == (
-            maintainer.expected_plan_fingerprint("v")
-        )
+        assert plan_fingerprint(nf)[-1] == ("codegen", CODEGEN_VERSION)
+        assert plan_fingerprint(nf) == maintainer.expected_plan_fingerprint("v")
+        assert plan_fingerprint(nf) == maintainer.compiled_plan("v").fingerprint
 
 
 class TestConstraintDDL:
@@ -247,30 +249,128 @@ class TestConstraintDDL:
 
 
 class TestFallback:
-    def test_oversized_shape_falls_back_to_interpreter(self, monkeypatch):
+    def test_oversized_shape_falls_back_to_reference_planner(self, monkeypatch):
         monkeypatch.setattr(codegen, "MAX_CODEGEN_ROWS", 0)
         stream = [
             [("r", (1, 6), False), ("s", (8, 8), False)],
             [("r", (2, 7), True)],
         ]
-        m_gen, c_gen, v_gen = _run_stream(stream, use_codegen=True)
-        assert c_gen.get("codegen_fallback_tuples", 0) > 0
-        assert m_gen.codegen_stats().fallback_tuples > 0
+        m_cap, c_cap, v_cap = _run_stream(stream)
+        assert c_cap.get("codegen_fallback_tuples", 0) > 0
+        assert m_cap.codegen_stats().fallback_tuples > 0
         monkeypatch.undo()
-        _, c_int, v_int = _run_stream(stream, use_codegen=False)
-        assert v_gen == v_int
-        assert "codegen_fallback_tuples" not in c_int
+        _, c_ref, v_ref = _run_stream(stream, reference=True)
+        assert v_cap == v_ref
+        assert "codegen_fallback_tuples" not in c_ref
 
-    def test_wide_views_fall_back_at_registration(self, monkeypatch):
-        monkeypatch.setattr(codegen, "MAX_CODEGEN_OPERANDS", 1)
-        stream = [[("r", (1, 6), False), ("s", (8, 8), False)]]
-        m_gen, c_gen, v_gen = _run_stream(stream, use_codegen=True)
-        monkeypatch.undo()
-        _, _, v_int = _run_stream(stream, use_codegen=False)
-        assert v_gen == v_int
-        # The joins exceeded the cap; the single-operand views did not.
-        assert c_gen.get("codegen_fallback_tuples", 0) > 0
-        assert m_gen.codegen_stats().plans_compiled > 0
+    def test_wide_view_with_one_changed_relation_runs_on_kernels(self):
+        # No cap on operand count: what the row cap bounds is the truth
+        # table, and one changed relation out of twelve is one row.
+        width = 12
+        names = [f"c{i}" for i in range(width)]
+
+        def build():
+            db = Database()
+            for i, name in enumerate(names):
+                db.create_relation(
+                    name, [f"K{i}", f"K{i + 1}"], [(v, v) for v in range(4)]
+                )
+            expression = BaseRef(names[0])
+            for name in names[1:]:
+                expression = expression.join(BaseRef(name))
+            return db, expression
+
+        def replay(db):
+            with db.transact() as txn:
+                txn.insert(names[5], (1, 2))
+                txn.delete(names[5], (3, 3))
+            with db.transact() as txn:
+                txn.insert(names[5], (2, 1))
+
+        db, expression = build()
+        maintainer = ViewMaintainer(db)
+        view = maintainer.define_view("wide", expression)
+        recorder = CostRecorder()
+        with recording(recorder):
+            replay(db)
+        maintainer.verify_all()
+        assert recorder.get("codegen_fallback_tuples") == 0
+        assert maintainer.codegen_stats().fallback_tuples == 0
+        assert recorder.get("codegen_batch_rows") > 0
+        # Every single-relation shape is generated; only the shape with
+        # all twelve relations changed (4 095 rows) is past the row cap.
+        source = maintainer.kernel_source("wide")
+        assert source.count("# row kernel: shape") == width
+        assert source.count("reference-planner fallback") == 1
+
+        db, expression = build()
+        reference = ReferenceViews(db, {"wide": expression})
+        replay(db)
+        assert view.contents.counts() == reference.view("wide").contents.counts()
+        assert len(view.contents) > 4  # the inserts joined through
+
+
+class TestHostileNames:
+    """Names are data: quoted into comments, never executed."""
+
+    #: Each would, written raw into a ``#`` comment, end the comment and
+    #: start a statement (or break tokenization) in generated source.
+    NAMES = [
+        "s\n        ge = 1000000  #",
+        "s\rimport os",
+        "s'\"; raise SystemExit  #",
+        "s # not a comment\n\traise ValueError",
+        "s\u2028mask = None",
+    ]
+
+    @pytest.mark.parametrize("hostile", NAMES)
+    def test_hostile_relation_and_attribute_names(self, hostile):
+        def build():
+            db = Database()
+            db.create_relation("r", ["A", "B"], [(1, 6), (2, 7)])
+            db.create_relation(hostile, [hostile, "D"], [(6, 1), (7, 2)])
+            return db
+
+        join = (
+            BaseRef("r")
+            .product(BaseRef(hostile))
+            .select("A < 10 and D >= 0")
+            .project(["A", "D"])
+        )
+        aggregate = BaseRef(hostile).aggregate(
+            ["D"], [("count", None, "n"), ("max", hostile, "m")]
+        )
+        def replay(db):
+            with db.transact() as txn:
+                txn.insert(hostile, (9, 3))
+                txn.insert("r", (3, 9))
+            with db.transact() as txn:
+                txn.delete(hostile, (6, 1))
+
+        # Correct maintenance is the stronger of the two acceptable
+        # outcomes (the other being a typed refusal at registration).
+        db = build()
+        maintainer = ViewMaintainer(db)
+        maintainer.define_view("j", join)
+        maintainer.define_view("g", aggregate)
+        for name in ("j", "g"):
+            source = maintainer.kernel_source(name)
+            assert hostile not in source
+            quoted_lines = [
+                line for line in source.splitlines() if repr(hostile) in line
+            ]
+            assert quoted_lines
+            assert all(line.lstrip().startswith("#") for line in quoted_lines)
+        replay(db)
+        maintainer.verify_all()
+        reference_db = build()
+        reference = ReferenceViews(reference_db, {"j": join, "g": aggregate})
+        replay(reference_db)
+        for name in ("j", "g"):
+            assert (
+                maintainer.view(name).contents.counts()
+                == reference.view(name).contents.counts()
+            )
 
 
 class TestDeltaBatch:
@@ -320,8 +420,7 @@ class TestStatsSurface:
 
     def test_counters_reach_the_recorder(self):
         _, counters, _ = _run_stream(
-            [[("r", (1, 6), False)], [("s", (8, 8), False)]],
-            use_codegen=True,
+            [[("r", (1, 6), False)], [("s", (8, 8), False)]]
         )
         assert counters.get("codegen_plans_compiled", 0) > 0
         assert counters.get("codegen_batch_rows", 0) > 0

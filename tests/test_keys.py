@@ -9,14 +9,15 @@ Three layers under test, mirroring the subsystem's shape:
   derived view keys, FK-join reduction, key-determined rows,
 * the load-bearing consumers: analyzer findings, the ``fk_join``
   self-maintainability class, and the counter-free apply kernels —
-  verified byte-for-byte against the counted path across all five
-  execution paths (immediate, deferred, WAL-replay recovery, follower,
-  server) plus a base-free FK-join follower against a full-base oracle.
+  verified byte-for-byte against the counted reference functions
+  (``tests/reference.py``: full Section 5.2 counters, no FK reduction)
+  on all five execution paths (immediate, deferred, WAL-replay
+  recovery, follower, server) plus a base-free FK-join follower against
+  a full-base oracle.
 """
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.algebra.expressions import BaseRef
 from repro.analysis import (
@@ -40,6 +41,7 @@ from repro.replication.durability import DurabilityManager
 from repro.replication.follower import Follower
 from repro.replication.recovery import Recovery
 from repro.scheduler.selfmaint import KIND_FK_JOIN, KIND_JOIN
+from tests.reference import ReferenceViews
 from tests.strategies import SPJ_TABLES, update_streams
 
 
@@ -389,38 +391,40 @@ class TestKeyDdlInvalidation:
 
 
 # ----------------------------------------------------------------------
-# Counter-free parity: five execution paths, byte-for-byte
+# Counter-free parity: five execution paths, byte-for-byte against the
+# counted, unreduced reference functions
 # ----------------------------------------------------------------------
-def final_counts(use_counter_free: bool):
+def counted_reference():
+    """The FK-join view after LEGAL_OPS, by the reference functions."""
     db = keyed_database()
-    maintainer = ViewMaintainer(db, use_counter_free=use_counter_free)
-    maintainer.define_view("v", fk_join_view())
-    plan = maintainer.compiled_plan("v")
-    assert plan.counter_free is use_counter_free
+    reference = ReferenceViews(db, {"v": fk_join_view()})
     apply_ops(db)
-    return maintainer.view("v").contents.counts()
+    counts = reference.view("v").contents.counts()
+    assert counts  # non-vacuous
+    return counts
 
 
 class TestCounterFreeParity:
     def test_immediate_commit_path(self):
-        counted = final_counts(use_counter_free=False)
-        assert counted  # non-vacuous
-        assert final_counts(use_counter_free=True) == counted
+        db = keyed_database()
+        maintainer = ViewMaintainer(db)
+        maintainer.define_view("v", fk_join_view())
+        plan = maintainer.compiled_plan("v")
+        assert plan.counter_free and plan.reduction is not None
+        apply_ops(db)
+        assert maintainer.view("v").contents.counts() == counted_reference()
 
     def test_deferred_refresh_path(self):
-        results = []
-        for flag in (True, False):
-            db = keyed_database()
-            maintainer = ViewMaintainer(db, use_counter_free=flag)
-            maintainer.define_view(
-                "v", fk_join_view(), policy=MaintenancePolicy.DEFERRED
-            )
-            apply_ops(db, LEGAL_OPS[:3])
-            maintainer.refresh("v")
-            apply_ops(db, LEGAL_OPS[3:])
-            maintainer.refresh("v")
-            results.append(maintainer.view("v").contents.counts())
-        assert results[0] == results[1] and results[0]
+        db = keyed_database()
+        maintainer = ViewMaintainer(db)
+        maintainer.define_view(
+            "v", fk_join_view(), policy=MaintenancePolicy.DEFERRED
+        )
+        apply_ops(db, LEGAL_OPS[:3])
+        maintainer.refresh("v")
+        apply_ops(db, LEGAL_OPS[3:])
+        maintainer.refresh("v")
+        assert maintainer.view("v").contents.counts() == counted_reference()
 
     def test_wal_replay_recovery_path(self, tmp_path):
         directory = str(tmp_path / "wal")
@@ -432,19 +436,16 @@ class TestCounterFreeParity:
         apply_ops(db)
         durability.close()
 
-        results = []
-        for flag in (True, False):
-            recovery = Recovery(directory)
-            recovery.database.declare_key("p", ["B"])
-            recovery.database.declare_foreign_key("r", ["B"], "p", ["B"])
-            maintainer = ViewMaintainer(
-                recovery.database, use_counter_free=flag
-            )
-            recovery.restore_view(maintainer, "v", fk_join_view())
-            recovery.replay()
-            results.append(maintainer.view("v").contents.counts())
-        assert results[0] == results[1]
-        assert results[0] == leader.view("v").contents.counts()
+        recovery = Recovery(directory)
+        recovery.database.declare_key("p", ["B"])
+        recovery.database.declare_foreign_key("r", ["B"], "p", ["B"])
+        maintainer = ViewMaintainer(recovery.database)
+        recovery.restore_view(maintainer, "v", fk_join_view())
+        assert maintainer.compiled_plan("v").counter_free
+        recovery.replay()
+        counts = maintainer.view("v").contents.counts()
+        assert counts == leader.view("v").contents.counts()
+        assert counts == counted_reference()
 
     def test_follower_path(self, tmp_path):
         directory = str(tmp_path / "wal")
@@ -453,41 +454,31 @@ class TestCounterFreeParity:
         durability = DurabilityManager(db, directory, sync="never")
         durability.checkpoint(leader)
 
-        followers = []
-        for flag in (True, False):
-            follower = Follower(directory, use_counter_free=flag)
-            follower.declare_key("p", ["B"])
-            follower.declare_foreign_key("r", ["B"], "p", ["B"])
-            follower.define_view("v", fk_join_view())
-            followers.append(follower)
-        assert followers[0].maintainer.compiled_plan("v").counter_free
-        assert not followers[1].maintainer.compiled_plan("v").counter_free
+        follower = Follower(directory)
+        follower.declare_key("p", ["B"])
+        follower.declare_foreign_key("r", ["B"], "p", ["B"])
+        follower.define_view("v", fk_join_view())
+        assert follower.maintainer.compiled_plan("v").counter_free
 
         apply_ops(db)
         durability.close()
-        counts = []
-        for follower in followers:
-            follower.poll()
-            counts.append(follower.view("v").contents.counts())
-        assert counts[0] == counts[1] and counts[0]
+        follower.poll()
+        assert follower.view("v").contents.counts() == counted_reference()
 
     def test_server_path(self):
         from repro.server import ServerConfig, ViewServer
 
-        results = []
-        for flag in (True, False):
-            db = keyed_database()
-            maintainer = ViewMaintainer(db, use_counter_free=flag)
-            maintainer.define_view("v", fk_join_view())
-            server = ViewServer(db, maintainer, ServerConfig())
-            for ops in LEGAL_OPS:
-                request = {"insert": {}, "delete": {}}
-                for op, name, row in ops:
-                    bucket = "insert" if op == "ins" else "delete"
-                    request[bucket].setdefault(name, []).append(list(row))
-                server._op_txn(None, request)
-            results.append(maintainer.view("v").contents.counts())
-        assert results[0] == results[1] and results[0]
+        db = keyed_database()
+        maintainer = ViewMaintainer(db)
+        maintainer.define_view("v", fk_join_view())
+        server = ViewServer(db, maintainer, ServerConfig())
+        for ops in LEGAL_OPS:
+            request = {"insert": {}, "delete": {}}
+            for op, name, row in ops:
+                bucket = "insert" if op == "ins" else "delete"
+                request[bucket].setdefault(name, []).append(list(row))
+            server._op_txn(None, request)
+        assert maintainer.view("v").contents.counts() == counted_reference()
 
 
 # ----------------------------------------------------------------------
@@ -537,11 +528,12 @@ PROPERTY_VIEWS = [
 
 
 @settings(max_examples=40, deadline=None)
-@given(data=update_streams(), use_codegen=st.booleans())
-def test_derived_view_keys_are_sound(data, use_codegen):
+@given(data=update_streams())
+def test_derived_view_keys_are_sound(data):
     """No two materialized rows ever agree on a derived view key, and
     every row's multiplicity is exactly one — across random legal
-    update streams, on both the codegen and interpreter paths.
+    update streams, for the maintainer's counter-free kernels and for
+    the counted reference functions alike.
 
     The stream strategy is key-oblivious; enforcement itself keeps the
     replayed stream legal (violating transactions abort and are
@@ -561,14 +553,16 @@ def test_derived_view_keys_are_sound(data, use_codegen):
             rows = kept
         db.create_relation(name, list(attrs), rows)
     db.declare_key("s", ["C"])
-    maintainer = ViewMaintainer(db, use_codegen=use_codegen)
+    maintainer = ViewMaintainer(db)
+    reference = ReferenceViews(db, dict(PROPERTY_VIEWS))
     views = {}
     for name, expression in PROPERTY_VIEWS:
         views[name] = maintainer.define_view(name, expression)
-        assert maintainer.compiled_plan(name).view_key is not None
+        assert maintainer.compiled_plan(name).counter_free
 
     def check_soundness():
         for name, view in views.items():
+            assert view.contents == reference.view(name).contents
             view_key = maintainer.compiled_plan(name).view_key
             schema = view.contents.schema
             positions = tuple(

@@ -11,6 +11,7 @@ from repro.engine.database import Database
 from repro.errors import MaintenanceError, UnknownViewError
 
 from tests.conftest import run_random_transactions
+from tests.reference import ReferenceViews
 
 
 @pytest.fixture
@@ -120,24 +121,17 @@ class TestImmediateMaintenance:
         assert (9, 20) in u.contents
         assert pb.contents.count_of((10,)) == 2
 
-    def test_without_filter_same_results(self, db, view_expr):
-        filtered = ViewMaintainer(db, use_relevance_filter=True)
-        unfiltered = ViewMaintainer(db, use_relevance_filter=False)
-        a = filtered.define_view("a", view_expr)
-        b = unfiltered.define_view("b", view_expr)
+    def test_same_results_as_reference_functions(self, db, view_expr):
+        # The reference screens per tuple and hashes OLD operands; the
+        # maintainer runs screen kernels and probes persistent indexes.
+        maintainer = ViewMaintainer(db)
+        view = maintainer.define_view("u", view_expr)
+        reference = ReferenceViews(db, {"u": view_expr})
         rng = random.Random(4)
-        run_random_transactions(db, rng, 25, value_max=14)
-        assert a.contents == b.contents
-        assert unfiltered.stats("b").tuples_screened == 0
-
-    def test_without_indexes_same_results(self, db, view_expr):
-        with_idx = ViewMaintainer(db, use_indexes=True)
-        without_idx = ViewMaintainer(db, use_indexes=False)
-        a = with_idx.define_view("a", view_expr)
-        b = without_idx.define_view("b", view_expr)
-        rng = random.Random(6)
-        run_random_transactions(db, rng, 25, value_max=14)
-        assert a.contents == b.contents
+        run_random_transactions(db, rng, 40, value_max=14)
+        assert view.contents == reference.view("u").contents
+        assert maintainer.stats("u").tuples_irrelevant > 0
+        assert db.indexes.lookup("s", ("C",)) is not None
 
 
 class TestDeferredMaintenance:

@@ -3,10 +3,12 @@
 Covers eager compilation at registration, hit/miss accounting across
 commits, DDL-driven invalidation (index create/drop, relation drop,
 view re-registration under the same name), the stale-index-binding
-regression, the cache-disabled ablation, byte-for-byte agreement of
-live commits vs. WAL replay vs. a changefeed follower executing the
-same plans, and a property test that plan reuse never changes view
-contents compared to fresh-plan runs.
+regression, registration atomicity when a compile fails, introspection
+that leaves the counters alone, byte-for-byte agreement of live commits
+vs. WAL replay vs. a changefeed follower executing the same plans, and
+property tests that plan reuse never changes view contents compared to
+the reference functions, which plan from scratch on every transaction
+(``tests/reference.py``).
 """
 
 import random
@@ -25,6 +27,7 @@ from repro import (
     check_view_consistency,
     recover,
 )
+from tests.reference import ReferenceViews
 from tests.strategies import SPJ_TABLES, spj_database_rows, spj_expressions
 from repro.core.compiled import CompiledViewPlan
 from repro.core.plancache import PlanCache
@@ -221,34 +224,54 @@ class TestStaleIndexBindings:
         assert live is None or (2, 99) in live.probe((2,))
 
 
-class TestAblation:
-    def test_cache_disabled_compiles_every_call(self, db):
-        m = ViewMaintainer(db, use_plan_cache=False)
-        m.define_view("v", VIEW_EXPR)
-        assert m.compiled_plan("v") is None  # nothing is ever cached
+class TestRegistrationAtomicity:
+    def test_failed_compile_leaves_no_trace(self, db, maintainer, monkeypatch):
+        import repro.core.compiled as compiled
+        from repro.errors import MaintenanceError
+
+        def broken_compile(source, name, filename):
+            raise MaintenanceError(f"cannot compile {filename}")
+
+        monkeypatch.setattr(compiled, "compile_kernel", broken_compile)
+        with pytest.raises(MaintenanceError, match="cannot compile"):
+            maintainer.define_view("w", BaseRef("r").select("A < 3"))
+        assert maintainer.view_names() == ("v",)
+        assert maintainer.compiled_plan("v") is not None
+        # Commits still work: nothing half-registered is walked.
+        db.apply(inserts={"r": [(2, 2)]})
+        monkeypatch.undo()
+        # The name was never taken.
+        view = maintainer.define_view("w", BaseRef("r").select("A < 3"))
+        assert view.contents.counts() == {(1, 2): 1, (2, 2): 1}
+        assert maintainer.compiled_plan("w") is not None
+        maintainer.verify_all()
+
+
+class TestIntrospectionIsNotMaintenance:
+    def test_hits_equal_maintenance_calls(self, db, maintainer):
         db.apply(inserts={"r": [(3, 2)]})
-        db.apply(inserts={"r": [(4, 2)]})
-        stats = m.stats("v")
-        assert stats.plan_cache_misses == 2
-        assert stats.plan_cache_hits == 0
-        check_view_consistency(m.view("v"), db.instances())
+        db.apply(inserts={"s": [(2, 21)]})
+        for _ in range(3):
+            maintainer.explain("v", ["r"])
+            maintainer.kernel_source("v")
+            maintainer.recommended_indexes("v")
+        stats = maintainer.stats("v")
+        assert stats.transactions_seen == 2
+        assert (stats.plan_cache_hits, stats.plan_cache_misses) == (2, 0)
+        assert maintainer.plan_cache_stats()["plan_cache_hits"] == 2
 
-    def test_cached_and_uncached_agree(self):
-        def run(use_plan_cache):
-            database = Database()
-            database.create_relation("r", ["A", "B"], [(1, 2), (5, 10)])
-            database.create_relation("s", ["C", "D"], [(2, 20), (10, 30)])
-            m = ViewMaintainer(database, use_plan_cache=use_plan_cache)
-            m.define_view("v", VIEW_EXPR)
-            rng = random.Random(7)
-            for _ in range(30):
-                with database.transact() as txn:
-                    txn.insert("r", (rng.randrange(12), rng.randrange(12)))
-                    if rng.random() < 0.5:
-                        txn.insert("s", (rng.randrange(12), rng.randrange(40)))
-            return m.view("v").contents
-
-        assert run(True) == run(False)
+    def test_introspection_after_invalidation_compiles_uncounted(
+        self, db, maintainer
+    ):
+        db.create_index("r", ["A"])
+        assert maintainer.compiled_plan("v") is None
+        assert "compiled plan" in maintainer.explain("v", ["r"])
+        assert maintainer.compiled_plan("v") is not None
+        stats = maintainer.stats("v")
+        assert (stats.plan_cache_hits, stats.plan_cache_misses) == (0, 0)
+        db.apply(inserts={"r": [(3, 2)]})
+        assert (stats.plan_cache_hits, stats.plan_cache_misses) == (1, 0)
+        check_view_consistency(maintainer.view("v"), db.instances())
 
 
 class TestReplicationAgreement:
@@ -338,11 +361,11 @@ class TestPlanReuseProperty:
     @settings(max_examples=40, deadline=None)
     @given(batches=transaction_batches())
     def test_plan_reuse_never_changes_view_contents(self, batches):
-        def run(use_plan_cache):
+        def run(engine):
             database = Database()
             database.create_relation("r", ["A", "B"])
             database.create_relation("s", ["C", "D"])
-            m = ViewMaintainer(database, use_plan_cache=use_plan_cache)
+            m = engine(database)
             m.define_view("v", VIEW_EXPR)
             for r_rows, s_rows in batches:
                 with database.transact() as txn:
@@ -352,14 +375,14 @@ class TestPlanReuseProperty:
                         txn.insert("s", row)
             return database, m
 
-        cached_db, cached = run(True)
-        fresh_db, fresh = run(False)
+        cached_db, cached = run(ViewMaintainer)
+        fresh_db, fresh = run(ReferenceViews)
         assert cached.view("v").contents == fresh.view("v").contents
         check_view_consistency(cached.view("v"), cached_db.instances())
 
 
 class TestRandomSpjViewAgreement:
-    """Cached plans vs fresh compilation on the simulator's view class.
+    """Cached plans vs per-transaction planning on the simulator's view class.
 
     The view population is exactly the one the deterministic simulation
     harness runs (tests/strategies.spj_expressions delegates to
@@ -372,15 +395,15 @@ class TestRandomSpjViewAgreement:
         expression=spj_expressions(),
         workload_seed=st.integers(min_value=0, max_value=2**31 - 1),
     )
-    def test_cached_plans_agree_with_fresh_compilation(
+    def test_cached_plans_agree_with_fresh_planning(
         self, expression, workload_seed
     ):
-        def run(use_plan_cache):
+        def run(engine):
             rng = random.Random(workload_seed)
             database = Database()
             for name, rows in spj_database_rows(random.Random(workload_seed)).items():
                 database.create_relation(name, SPJ_TABLES[name], rows)
-            maintainer = ViewMaintainer(database, use_plan_cache=use_plan_cache)
+            maintainer = engine(database)
             maintainer.define_view("v", expression)
             for _ in range(6):
                 with database.transact() as txn:
@@ -395,13 +418,10 @@ class TestRandomSpjViewAgreement:
                             txn.delete(name, row)
             return database, maintainer
 
-        cached_db, cached = run(True)
-        fresh_db, fresh = run(False)
+        cached_db, cached = run(ViewMaintainer)
+        fresh_db, fresh = run(ReferenceViews)
         assert dict(cached.view("v").contents.items()) == dict(
             fresh.view("v").contents.items()
         )
-        # The cache-enabled run actually reused plans, and the disabled
-        # run compiled fresh every commit — the ablation is real.
-        assert fresh.plan_cache_stats()["plan_cache_hits"] == 0
         check_view_consistency(cached.view("v"), cached_db.instances())
         check_view_consistency(fresh.view("v"), fresh_db.instances())

@@ -5,6 +5,10 @@ transactions through the full pipeline, checking:
 
 * maintenance correctness — differential == full re-evaluation,
   counts included, for arbitrary SPJ views and update streams;
+* reference parity — the maintainer's kernels equal the per-tuple
+  reference functions (``tests/reference.py``) after every commit;
+* Theorem 4.1 on deltas — screening a transaction's deltas with
+  ``filter_delta`` never changes the ``compute_view_delta`` result;
 * filter soundness — irrelevant-reported tuples never change the view;
 * filter completeness — relevant-reported tuples have a constructed
   witness database where they do;
@@ -23,12 +27,15 @@ from repro.algebra.expressions import BaseRef, to_normal_form
 from repro.algebra.relation import Relation
 from repro.algebra.schema import RelationSchema
 from repro.core.consistency import check_view_consistency
+from repro.core.differential import compute_view_delta
 from repro.core.irrelevance import (
     construct_witness_database,
+    filter_delta,
     is_irrelevant_update,
 )
 from repro.core.maintainer import ViewMaintainer
 from repro.engine.database import Database
+from tests.reference import ReferenceViews
 
 # ----------------------------------------------------------------------
 # Strategies for whole maintenance scenarios
@@ -106,29 +113,57 @@ class TestMaintenanceCorrectness:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(r_rows, s_rows, view_indices, transactions)
-    def test_all_pipeline_variants_agree(self, r_init, s_init, vi, txns):
-        """Filter on/off × sharing on/off × indexes on/off must give
-        byte-identical views."""
+    def test_maintainer_equals_reference_functions(
+        self, r_init, s_init, vi, txns
+    ):
+        """Compiled plans, generated kernels and index probes must give
+        views byte-identical to the per-tuple reference functions."""
         db = _build_db(r_init, s_init)
-        variants = [
-            ViewMaintainer(db, use_relevance_filter=True, share_subexpressions=True),
-            ViewMaintainer(db, use_relevance_filter=False, share_subexpressions=True),
-            ViewMaintainer(
-                db,
-                use_relevance_filter=True,
-                share_subexpressions=False,
-                use_indexes=False,
-            ),
-        ]
-        views = [
-            m.define_view(f"v{i}", VIEW_EXPRESSIONS[vi])
-            for i, m in enumerate(variants)
-        ]
+        maintainer = ViewMaintainer(db)
+        view = maintainer.define_view("v", VIEW_EXPRESSIONS[vi])
+        reference = ReferenceViews(db, {"v": VIEW_EXPRESSIONS[vi]})
         for statements_batch in txns:
             with db.transact() as txn:
                 for name, op, row in statements_batch:
                     getattr(txn, op)(name, row)
-        assert views[0].contents == views[1].contents == views[2].contents
+            assert view.contents == reference.view("v").contents
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(r_rows, s_rows, view_indices, transactions)
+    def test_screened_deltas_give_the_unscreened_view_delta(
+        self, r_init, s_init, vi, txns
+    ):
+        """Theorem 4.1 over whole deltas: dropping the tuples
+        ``filter_delta`` reports irrelevant never changes the view
+        delta — with the planner's prefix sharing on or off."""
+        db = _build_db(r_init, s_init)
+        nf = to_normal_form(VIEW_EXPRESSIONS[vi], CATALOG)
+
+        def check(txn_id, deltas):
+            touched = {
+                name: deltas[name]
+                for name in set(nf.relation_names) & deltas.keys()
+            }
+            screened = {
+                name: filter_delta(nf, name, delta)[0]
+                for name, delta in touched.items()
+            }
+            want = compute_view_delta(nf, db.instances(), touched)
+            for share in (True, False):
+                have = compute_view_delta(
+                    nf, db.instances(), screened, share_subexpressions=share
+                )
+                assert have == want, (share, have, want)
+
+        db.add_commit_hook(check)
+        for statements_batch in txns:
+            with db.transact() as txn:
+                for name, op, row in statements_batch:
+                    getattr(txn, op)(name, row)
 
     @settings(
         max_examples=60,

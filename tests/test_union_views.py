@@ -134,16 +134,3 @@ class TestRandomizedSoak:
             run_random_transactions(db, rng, 2)
             view.verify()
 
-    def test_filter_ablation_agrees(self):
-        db = Database()
-        db.create_relation("r", ["A", "B"], [(i, i % 4) for i in range(10)])
-        branches = [
-            BaseRef("r").select("A <= 4").project(["B"]),
-            BaseRef("r").select("B >= 2").project(["B"]),
-        ]
-        filtered = UnionView(db, "a", branches, use_relevance_filter=True)
-        unfiltered = UnionView(db, "b", branches, use_relevance_filter=False)
-        rng = random.Random(89)
-        run_random_transactions(db, rng, 30)
-        assert filtered.contents == unfiltered.contents
-        filtered.verify()
