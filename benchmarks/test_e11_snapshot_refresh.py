@@ -98,7 +98,7 @@ def test_e11_snapshot_refresh(report, benchmark):
             [
                 "immediate" if interval == 1 else f"every {interval} txns",
                 f"{seconds / TRANSACTIONS * 1e6:.0f}",
-                stats.deltas_applied,
+                stats["deltas_applied"],
                 f"{staleness:.1f}",
             ]
         )

@@ -46,7 +46,7 @@ def _run(probe_indexes):
     definition = ViewDefinition("v", VIEW, db.schema_catalog())
     view = MaterializedView.materialize(definition, db.instances())
     # Only the plan's index-probe hook is used; nothing executes it.
-    plan = CompiledViewPlan(definition, db, db.schema_catalog())
+    plan = CompiledViewPlan(definition, db, db.schema_catalog(), CostRecorder())
 
     def maintain(txn_id, deltas):
         probe = plan.index_probe_for(deltas) if probe_indexes else None

@@ -66,10 +66,10 @@ def test_e18_orderflow_macro(report, benchmark):
     }
     for name in maintainer.view_names():
         stats = maintainer.stats(name)
-        totals["screened"] += stats.tuples_screened
-        totals["irrelevant"] += stats.tuples_irrelevant
-        totals["skipped"] += stats.transactions_skipped
-        totals["applied"] += stats.deltas_applied
+        totals["screened"] += stats["tuples_screened"]
+        totals["irrelevant"] += stats["tuples_irrelevant"]
+        totals["skipped"] += stats["transactions_skipped"]
+        totals["applied"] += stats["deltas_applied"]
 
     rows = [
         [

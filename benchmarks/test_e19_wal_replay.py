@@ -117,7 +117,7 @@ def test_e19_wal_replay(report, benchmark):
     replayed = replay_recorder.get("log_replay_transactions")
     assert replayed == TRANSACTIONS
     stats = recovered.stats("v")
-    assert stats.transactions_seen == TRANSACTIONS  # differential, not recomputed
+    assert stats["transactions_seen"] == TRANSACTIONS  # differential, not recomputed
     report(
         format_table(
             ["path", "transactions", "seconds", "txn/s", "records read"],

@@ -238,15 +238,15 @@ def test_e23_scheduler(report, benchmark, tmp_path):
             [
                 [
                     len(SLA_BOUNDS),
-                    nominal.stats.refreshes,
-                    nominal.stats.sla_violations,
-                    nominal.stats.backpressure_deferrals,
+                    nominal.counters()["refreshes"],
+                    nominal.counters()["sla_violations"],
+                    nominal.counters()["backpressure_deferrals"],
                 ],
                 [
                     1,
-                    starved.stats.refreshes,
-                    starved.stats.sla_violations,
-                    starved.stats.backpressure_deferrals,
+                    starved.counters()["refreshes"],
+                    starved.counters()["sla_violations"],
+                    starved.counters()["backpressure_deferrals"],
                 ],
             ],
             title="E23  backpressure ablation",
@@ -254,8 +254,8 @@ def test_e23_scheduler(report, benchmark, tmp_path):
     )
 
     # Nominal provisioning refreshes at the bound, never beyond it.
-    assert nominal.stats.sla_violations == 0
-    assert nominal.stats.backpressure_deferrals == 0
+    assert nominal.counters()["sla_violations"] == 0
+    assert nominal.counters()["backpressure_deferrals"] == 0
     # Looser bounds amortize strictly more commits per refresh.
     refresh_counts = [row[1] for row in sweep_rows]
     assert refresh_counts == sorted(refresh_counts, reverse=True)
@@ -283,8 +283,8 @@ def test_e23_scheduler(report, benchmark, tmp_path):
                     }
                     for bound, row in zip(SLA_BOUNDS, sweep_rows)
                 },
-                "nominal_violations": nominal.stats.sla_violations,
-                "starved_violations": starved.stats.sla_violations,
+                "nominal_violations": nominal.counters()["sla_violations"],
+                "starved_violations": starved.counters()["sla_violations"],
             }
         )
 

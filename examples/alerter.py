@@ -78,8 +78,8 @@ def main() -> None:
 
     stats = maintainer.stats("alarms")
     print(
-        f"\n{stats.tuples_screened} readings screened, "
-        f"{stats.tuples_irrelevant} provably irrelevant, "
+        f"\n{stats['tuples_screened']} readings screened, "
+        f"{stats['tuples_irrelevant']} provably irrelevant, "
         f"{len(fired)} alert events, "
         f"{len(alarms.contents)} alarms currently active."
     )

@@ -99,7 +99,7 @@ def main() -> None:
     print("  both views match the pre-crash state, tuple for tuple")
     stats = recovered.stats("big_orders")
     print(f"  big_orders caught up differentially: "
-          f"{stats.deltas_applied} deltas, {stats.tuples_irrelevant} updates "
+          f"{stats['deltas_applied']} deltas, {stats['tuples_irrelevant']} updates "
           "screened as irrelevant")
 
     # -- follower -----------------------------------------------------

@@ -58,9 +58,9 @@ def main() -> None:
     for name in maintainer.view_names():
         stats = maintainer.stats(name)
         print(
-            f"{name:<16} {stats.transactions_seen:>5} "
-            f"{stats.transactions_skipped:>8} {stats.deltas_applied:>8} "
-            f"{stats.tuples_screened:>9} {stats.tuples_irrelevant:>11}"
+            f"{name:<16} {stats['transactions_seen']:>5} "
+            f"{stats['transactions_skipped']:>8} {stats['deltas_applied']:>8} "
+            f"{stats['tuples_screened']:>9} {stats['tuples_irrelevant']:>11}"
         )
 
     # --- Verify everything ------------------------------------------------

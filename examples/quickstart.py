@@ -44,11 +44,11 @@ def main() -> None:
 
     stats = maintainer.stats("u")
     print(
-        f"\nThe filter screened {stats.tuples_screened} tuples and proved "
-        f"{stats.tuples_irrelevant} irrelevant;"
+        f"\nThe filter screened {stats['tuples_screened']} tuples and proved "
+        f"{stats['tuples_irrelevant']} irrelevant;"
     )
     print(
-        f"{stats.deltas_applied} differential update(s) were applied "
+        f"{stats['deltas_applied']} differential update(s) were applied "
         "instead of re-evaluating the view from scratch."
     )
 

@@ -126,13 +126,13 @@ def main(argv: list[str] | None = None) -> None:
     stats = maintainer.stats(scenario.view_name)
     print(f"Committed {transactions} transactions.")
     print(
-        f"Filter screened {stats.tuples_screened} updated tuples, proved "
-        f"{stats.tuples_irrelevant} irrelevant "
-        f"({100 * stats.tuples_irrelevant / max(1, stats.tuples_screened):.0f}%)."
+        f"Filter screened {stats['tuples_screened']} updated tuples, proved "
+        f"{stats['tuples_irrelevant']} irrelevant "
+        f"({100 * stats['tuples_irrelevant'] / max(1, stats['tuples_screened']):.0f}%)."
     )
     print(
-        f"{stats.transactions_skipped} transactions were skipped outright; "
-        f"{stats.deltas_applied} needed a differential update."
+        f"{stats['transactions_skipped']} transactions were skipped outright; "
+        f"{stats['deltas_applied']} needed a differential update."
     )
     print(f"Dashboard now shows {len(view.contents)} hot pending orders.")
     print("Revenue by status (status, orders, revenue, avg order):")

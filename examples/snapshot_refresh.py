@@ -88,11 +88,11 @@ def main() -> None:
     live_stats = maintainer.stats("live")
     nightly_stats = maintainer.stats("nightly")
     print(
-        f"\nlive view:    {live_stats.deltas_applied} differential updates "
+        f"\nlive view:    {live_stats['deltas_applied']} differential updates "
         f"(one per relevant commit)"
     )
     print(
-        f"nightly view: {nightly_stats.deltas_applied} differential updates "
+        f"nightly view: {nightly_stats['deltas_applied']} differential updates "
         f"(one per refresh — the composed-delta amortization of [AL80])"
     )
 

@@ -210,7 +210,7 @@ class Shell:
         if lowered.startswith("stats "):
             name = line.split(None, 1)[1].strip()
             stats = self.maintainer.stats(name)
-            lines = [f"{k}: {v}" for k, v in stats.as_dict().items()]
+            lines = [f"{k}: {v}" for k, v in stats.items()]
             lines.extend(
                 f"backlog_{k}: {v}"
                 for k, v in self.maintainer.backlog(name).items()

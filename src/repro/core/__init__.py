@@ -42,7 +42,7 @@ from repro.core.differential import (
     execute_planner,
 )
 from repro.core.compiled import CompiledViewPlan
-from repro.core.plancache import PlanCache, PlanCacheStats
+from repro.core.plancache import PlanCache
 from repro.core.views import ViewDefinition, MaterializedView
 from repro.core.maintainer import ViewMaintainer, MaintenancePolicy
 from repro.core.consistency import check_view_consistency
@@ -73,7 +73,6 @@ __all__ = [
     "execute_planner",
     "CompiledViewPlan",
     "PlanCache",
-    "PlanCacheStats",
     "ViewDefinition",
     "MaterializedView",
     "ViewMaintainer",

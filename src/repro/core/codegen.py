@@ -101,33 +101,6 @@ def plan_fingerprint(
     return (base, ("codegen", CODEGEN_VERSION))
 
 
-class CodegenStats:
-    """Cumulative codegen counters for one maintainer.
-
-    Mirrors the ``codegen_*`` instrumentation family (see
-    :mod:`repro.instrumentation`) so the CLI ``stats`` command and the
-    server ``stats`` op can report them without an active recorder.
-    """
-
-    __slots__ = ("plans_compiled", "batch_rows", "fallback_tuples")
-
-    def __init__(self) -> None:
-        self.plans_compiled = 0
-        self.batch_rows = 0
-        self.fallback_tuples = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "codegen_plans_compiled": self.plans_compiled,
-            "codegen_batch_rows": self.batch_rows,
-            "codegen_fallback_tuples": self.fallback_tuples,
-        }
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v}" for k, v in self.as_dict().items())
-        return f"<CodegenStats {inner}>"
-
-
 # ----------------------------------------------------------------------
 # DeltaBatch: the columnar screen()-boundary representation
 # ----------------------------------------------------------------------

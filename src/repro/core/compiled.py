@@ -42,7 +42,6 @@ from repro.analysis.dependencies import (
 from repro.core.codegen import (
     AggregateKernel,
     CODEGEN_VERSION,
-    CodegenStats,
     DeltaBatch,
     MAX_CODEGEN_ROWS,
     ScreenKernel,
@@ -62,16 +61,12 @@ from repro.core.differential import (
     changed_positions_for,
     execute_planner,
 )
-from repro.core.irrelevance import (
-    FilterStats,
-    RelevanceFilter,
-    is_statically_irrelevant,
-)
+from repro.core.irrelevance import RelevanceFilter, is_statically_irrelevant
 from repro.core.planner import IndexProbe, ProbeFn, RowPlanner
 from repro.core.truthtable import count_delta_rows
 from repro.core.views import ViewDefinition
 from repro.errors import MaintenanceError
-from repro.instrumentation import charge
+from repro.instrumentation import CostRecorder, charge
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.aggregates import AggregateState
@@ -93,13 +88,14 @@ class CompiledViewPlan:
     catalog:
         Schema catalog at compile time (base relations *and* upstream
         views), used to build relevance screens per operand relation.
+    counters:
+        The owner's always-on bag — the maintainer's per-view row — for
+        the per-view screening counters and the ``codegen_*`` family,
+        which so outlive the plan (eviction, recompiles).
     view_operands:
         Names among the view's operands that are themselves registered
         views — they carry no persistent index, and their screens bind
         against view output schemas.
-    codegen_stats:
-        Optional maintainer-owned :class:`~repro.core.codegen.CodegenStats`
-        sink; cumulative codegen counters survive plan eviction there.
     """
 
     __slots__ = (
@@ -112,7 +108,7 @@ class CompiledViewPlan:
         "_static_irrelevant",
         "_planners",
         "_index_bindings",
-        "_codegen_stats",
+        "_counters",
         "_screen_kernels",
         "_shape_kernels",
         "_aggregate_kernel",
@@ -126,8 +122,8 @@ class CompiledViewPlan:
         definition: ViewDefinition,
         database: "Database",
         catalog: Mapping[str, RelationSchema],
+        counters: CostRecorder,
         view_operands: Iterable[str] = (),
-        codegen_stats: CodegenStats | None = None,
     ) -> None:
         self.definition = definition
         self.normal_form: NormalForm = definition.normal_form
@@ -138,7 +134,7 @@ class CompiledViewPlan:
         self.fingerprint: tuple = plan_fingerprint(
             self.normal_form, definition.aggregate
         )
-        self._codegen_stats = codegen_stats
+        self._counters = counters
         self._database = database
         self._view_operands = frozenset(view_operands)
         # Chase-derived facts (keys DDL invalidates the plan, so they
@@ -236,33 +232,21 @@ class CompiledViewPlan:
                     f"<codegen:{definition.name}:aggregate>",
                 ),
             )
-        charge("codegen_plans_compiled")
-        if codegen_stats is not None:
-            codegen_stats.plans_compiled += 1
+        counters.count("codegen_plans_compiled")
 
     # ------------------------------------------------------------------
     # Section 4: screening
     # ------------------------------------------------------------------
-    def screen(self, relation_name: str, delta: Delta) -> tuple[Delta, FilterStats]:
+    def screen(self, relation_name: str, delta: Delta) -> Delta:
         """Screen one relation's delta through the compiled filter."""
-        screen = self._screens.get(relation_name)
-        if screen is None:
+        if relation_name not in self._screens:
             # The relation does not participate in the view: everything
             # is irrelevant (Theorem 4.1's trivial case).
-            stats = FilterStats()
-            stats.checked = len(delta.inserted) + len(delta.deleted)
-            stats.irrelevant = stats.checked
-            return Delta(delta.schema), stats
+            return self._drop(delta)
         if relation_name in self._static_irrelevant:
             # Proven at compile time: no legal update to this relation
-            # can affect the view, so the whole delta is discarded with
-            # zero per-tuple screening work.
-            stats = FilterStats()
-            stats.checked = len(delta.inserted) + len(delta.deleted)
-            stats.irrelevant = stats.checked
-            stats.static_dropped = stats.checked
-            charge("static_tuples_dropped", stats.checked)
-            return Delta(delta.schema), stats
+            # can affect the view.
+            return self._drop(delta, "static_tuples_dropped")
         if (
             self._reduction is not None
             and relation_name in self._reduction.probe_relations
@@ -271,18 +255,28 @@ class CompiledViewPlan:
             # change the view (legal states keep the foreign key
             # satisfied, and the probe contributes only its referenced
             # key attributes, which the referencing side already
-            # carries).  Dropped wholesale, like static irrelevance.
-            stats = FilterStats()
-            stats.checked = len(delta.inserted) + len(delta.deleted)
-            stats.irrelevant = stats.checked
-            stats.static_dropped = stats.checked
-            charge("fk_probe_tuples_dropped", stats.checked)
-            return Delta(delta.schema), stats
-        return self._screen_batch(relation_name, screen, delta)
+            # carries).
+            return self._drop(delta, "fk_probe_tuples_dropped")
+        return self._screen_batch(relation_name, delta)
 
-    def _screen_batch(
-        self, relation_name: str, screen: RelevanceFilter, delta: Delta
-    ) -> tuple[Delta, FilterStats]:
+    def _drop(self, delta: Delta, proof: str | None = None) -> Delta:
+        """Discard a whole delta with zero per-tuple screening work.
+
+        Every tuple counts as screened and irrelevant; when a
+        compile-time proof (rather than non-participation) dropped
+        them, also as statically dropped and under the proof's own
+        counter ``proof``.
+        """
+        count = self._counters.count
+        dropped = len(delta.inserted) + len(delta.deleted)
+        count("tuples_screened", dropped)
+        count("tuples_irrelevant", dropped)
+        if proof is not None:
+            count("tuples_static_dropped", dropped)
+            count(proof, dropped)
+        return Delta(delta.schema)
+
+    def _screen_batch(self, relation_name: str, delta: Delta) -> Delta:
         """Run the generated screen kernel over one columnar batch.
 
         Functionally identical to
@@ -296,24 +290,19 @@ class CompiledViewPlan:
         n = len(batch)
         mask = bytearray(n)
         ground_evals, bound_probes = kernel(batch.columns, n, mask)
-        stats = FilterStats()
-        stats.checked = n
-        stats.relevant = sum(mask)
-        stats.irrelevant = n - stats.relevant
         if n:
+            count = self._counters.count
+            count("tuples_screened", n)
+            irrelevant = n - sum(mask)
+            if irrelevant:
+                count("tuples_irrelevant", irrelevant)
             charge("filter_tuples_checked", n)
-            charge("codegen_batch_rows", n)
-            if self._codegen_stats is not None:
-                self._codegen_stats.batch_rows += n
+            count("codegen_batch_rows", n)
         if ground_evals:
             charge("filter_ground_evals", ground_evals)
         if bound_probes:
             charge("filter_bound_probes", bound_probes)
-        cumulative = screen.stats
-        cumulative.checked += stats.checked
-        cumulative.relevant += stats.relevant
-        cumulative.irrelevant += stats.irrelevant
-        return batch.to_delta(mask), stats
+        return batch.to_delta(mask)
 
     @property
     def static_irrelevant(self) -> frozenset[str]:
@@ -392,9 +381,7 @@ class CompiledViewPlan:
             len(d.inserted) + len(d.deleted) for d in deltas.values()
         )
         if fallback:
-            charge("codegen_fallback_tuples", fallback)
-            if self._codegen_stats is not None:
-                self._codegen_stats.fallback_tuples += fallback
+            self._counters.count("codegen_fallback_tuples", fallback)
         return execute_planner(
             planner,
             post_instances,
@@ -431,9 +418,7 @@ class CompiledViewPlan:
             state.groups, ins, dele
         )
         if rows:
-            charge("codegen_batch_rows", rows)
-            if self._codegen_stats is not None:
-                self._codegen_stats.batch_rows += rows
+            self._counters.count("codegen_batch_rows", rows)
         if bad is not None:
             raise MaintenanceError(
                 f"aggregate maintenance for view {self.definition.name!r} "
@@ -466,9 +451,7 @@ class CompiledViewPlan:
             planner, self.definition.name, counter_free=self.counter_free
         )
         if kernels is not None:
-            charge("codegen_plans_compiled")
-            if self._codegen_stats is not None:
-                self._codegen_stats.plans_compiled += 1
+            self._counters.count("codegen_plans_compiled")
         self._shape_kernels[key] = kernels
         return kernels
 
@@ -509,9 +492,7 @@ class CompiledViewPlan:
         if rows:
             charge("truth_table_rows", rows)
             charge("delta_rows_evaluated", rows)
-            charge("codegen_batch_rows", rows)
-            if self._codegen_stats is not None:
-                self._codegen_stats.batch_rows += rows
+            self._counters.count("codegen_batch_rows", rows)
         if kernels.memo_hits:
             charge("subexpression_memo_hits", kernels.memo_hits)
         if scanned:

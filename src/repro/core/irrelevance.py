@@ -321,27 +321,20 @@ class _DisjunctScreen:
 
 
 class FilterStats:
-    """Counters describing one batch-filtering run.
+    """Counters describing one batch-filtering run of the reference
+    functions (:meth:`RelevanceFilter.screen_delta`, :func:`filter_delta`)."""
 
-    ``static_dropped`` counts tuples discarded without *any* per-tuple
-    work because the whole relation was proven statically irrelevant at
-    plan-compile time (:func:`is_statically_irrelevant`); such tuples
-    are included in ``checked`` and ``irrelevant`` so aggregate
-    accounting stays comparable across plans.
-    """
-
-    __slots__ = ("checked", "relevant", "irrelevant", "static_dropped")
+    __slots__ = ("checked", "relevant", "irrelevant")
 
     def __init__(self) -> None:
         self.checked = 0
         self.relevant = 0
         self.irrelevant = 0
-        self.static_dropped = 0
 
     def __repr__(self) -> str:
         return (
             f"<FilterStats checked={self.checked} relevant={self.relevant} "
-            f"irrelevant={self.irrelevant} static_dropped={self.static_dropped}>"
+            f"irrelevant={self.irrelevant}>"
         )
 
 

@@ -39,13 +39,12 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from repro.algebra.expressions import Expression
 from repro.algebra.relation import Delta, Relation
-from repro.core.codegen import CodegenStats
 from repro.core.compiled import CompiledViewPlan
 from repro.core.plancache import PlanCache
 from repro.core.views import MaterializedView, ViewDefinition
 from repro.engine.database import Database
 from repro.errors import MaintenanceError, UnknownViewError
-from repro.instrumentation import charge
+from repro.instrumentation import CostRecorder
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis import AnalysisReport
@@ -60,45 +59,6 @@ class MaintenancePolicy(enum.Enum):
     IMMEDIATE = "immediate"
     #: On demand / periodically — snapshot refresh (Section 6, [AL80]).
     DEFERRED = "deferred"
-
-
-class MaintenanceStats:
-    """Per-view maintenance counters."""
-
-    __slots__ = (
-        "transactions_seen",
-        "transactions_skipped",
-        "deltas_applied",
-        "tuples_screened",
-        "tuples_irrelevant",
-        "tuples_static_dropped",
-        "view_tuples_inserted",
-        "view_tuples_deleted",
-        "plan_cache_hits",
-        "plan_cache_misses",
-        "plan_cache_invalidations",
-    )
-
-    def __init__(self) -> None:
-        self.transactions_seen = 0
-        self.transactions_skipped = 0
-        self.deltas_applied = 0
-        self.tuples_screened = 0
-        self.tuples_irrelevant = 0
-        self.tuples_static_dropped = 0
-        self.view_tuples_inserted = 0
-        self.view_tuples_deleted = 0
-        self.plan_cache_hits = 0
-        self.plan_cache_misses = 0
-        self.plan_cache_invalidations = 0
-
-    def as_dict(self) -> dict[str, int]:
-        """Counter values as a plain dict (for reports)."""
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v}" for k, v in self.as_dict().items())
-        return f"<MaintenanceStats {inner}>"
 
 
 class ViewMaintainer:
@@ -127,9 +87,12 @@ class ViewMaintainer:
         self.database = database
         self.strict = strict
         self.auto_verify = auto_verify
-        #: Cumulative codegen counters; owned here (not by plans) so
-        #: they survive plan-cache evictions and recompiles.
-        self._codegen_stats = CodegenStats()
+        #: Per view: its always-on row.  The view's compiled plans count
+        #: into it too, so codegen counters survive evictions and
+        #: recompiles.
+        self._stats: dict[str, CostRecorder] = {}
+        #: The rows of dropped views, summed.
+        self._retired = CostRecorder()
         self._views: dict[str, MaterializedView] = {}
         self._policies: dict[str, MaintenancePolicy] = {}
         self._pending: dict[str, dict[str, Delta]] = {}
@@ -137,7 +100,6 @@ class ViewMaintainer:
         #: last refresh — the backlog measure staleness SLAs bound.
         #: (Distinct from len(_pending): composition nets per relation.)
         self._commits_since_refresh: dict[str, int] = {}
-        self._stats: dict[str, MaintenanceStats] = {}
         #: Per view: names it reads (base relations and upstream views).
         self._dependencies: dict[str, frozenset[str]] = {}
         self._subscribers: dict[str, list[Callable[[MaterializedView, Delta], None]]] = {}
@@ -303,7 +265,8 @@ class ViewMaintainer:
         # cached plan like every later one), and a definition whose
         # plan cannot be compiled must leave no trace — not a view
         # without a plan, not a taken name.
-        plan = self._compile_plan(definition, referenced)
+        row = CostRecorder()
+        plan = self._compile_plan(definition, referenced, row)
         view.last_refresh_sequence = self.database.log.last_sequence()
         self._plan_cache.put(name, plan)
         self._fingerprints[name] = plan.fingerprint
@@ -311,7 +274,7 @@ class ViewMaintainer:
         self._policies[name] = policy
         self._pending[name] = {}
         self._commits_since_refresh[name] = 0
-        self._stats[name] = MaintenanceStats()
+        self._stats[name] = row
         self._dependencies[name] = referenced
         return view
 
@@ -327,29 +290,34 @@ class ViewMaintainer:
             raise MaintenanceError(
                 f"cannot drop view {name!r}: referenced by {sorted(dependants)}"
             )
+        row = self._stats.pop(name)
+        if self._plan_cache.invalidate(name):
+            row.count("plan_cache_invalidations")
+        self._retired.add(row)
         del self._views[name]
         del self._policies[name]
         del self._pending[name]
         del self._commits_since_refresh[name]
-        del self._stats[name]
         del self._dependencies[name]
         del self._fingerprints[name]
         self._subscribers.pop(name, None)
-        self._plan_cache.invalidate(name)
 
     # ------------------------------------------------------------------
     # Compiled plans
     # ------------------------------------------------------------------
     def _compile_plan(
-        self, definition: ViewDefinition, referenced: frozenset[str]
+        self,
+        definition: ViewDefinition,
+        referenced: frozenset[str],
+        row: CostRecorder,
     ) -> CompiledViewPlan:
         """Build a fresh compiled plan for one definition."""
         return CompiledViewPlan(
             definition,
             self.database,
             self._combined_catalog(),
+            row,
             view_operands=referenced & self._views.keys(),
-            codegen_stats=self._codegen_stats,
         )
 
     def expected_plan_fingerprint(self, name: str) -> tuple:
@@ -362,9 +330,9 @@ class ViewMaintainer:
         self._require_view(name)
         return self._fingerprints[name]
 
-    def codegen_stats(self) -> CodegenStats:
+    def codegen_stats(self) -> CostRecorder:
         """Cumulative codegen counters across all plans and recompiles."""
-        return self._codegen_stats
+        return self.totals.family("codegen")
 
     def kernel_source(self, name: str) -> str:
         """The generated kernel source for one view's current plan."""
@@ -375,7 +343,9 @@ class ViewMaintainer:
         return self._plan_cache.put(
             name,
             self._compile_plan(
-                self._views[name].definition, self._dependencies[name]
+                self._views[name].definition,
+                self._dependencies[name],
+                self._stats[name],
             ),
         )
 
@@ -385,12 +355,11 @@ class ViewMaintainer:
         A hit except right after an invalidation (the miss recompiles
         and re-caches).
         """
-        stats = self._stats[name]
         plan = self._plan_cache.get(name, self._fingerprints[name])
         if plan is not None:
-            stats.plan_cache_hits += 1
+            self._stats[name].count("plan_cache_hits")
             return plan
-        stats.plan_cache_misses += 1
+        self._stats[name].count("plan_cache_misses")
         return self._recompile(name)
 
     def peek_plan(self, name: str) -> CompiledViewPlan:
@@ -401,7 +370,7 @@ class ViewMaintainer:
         counters alone.
         """
         self._require_view(name)
-        return self._plan_cache.peek(name) or self._recompile(name)
+        return self._plan_cache.get(name) or self._recompile(name)
 
     def compiled_plan(self, name: str) -> CompiledViewPlan | None:
         """The currently cached plan for ``name`` (None when absent).
@@ -410,11 +379,11 @@ class ViewMaintainer:
         hit/miss counters.
         """
         self._require_view(name)
-        return self._plan_cache.peek(name)
+        return self._plan_cache.get(name)
 
     def plan_cache_stats(self) -> dict[str, int]:
         """Maintainer-wide plan-cache counters (hits/misses/invalidations)."""
-        return self._plan_cache.stats.as_dict()
+        return self.totals.family("plan_cache").as_dict()
 
     def plan_fingerprints(self) -> dict[str, tuple]:
         """Cached plans' definition fingerprints (see PlanCache.fingerprints)."""
@@ -436,7 +405,7 @@ class ViewMaintainer:
             return
         for name, deps in self._dependencies.items():
             if relation_name in deps and self._plan_cache.invalidate(name):
-                self._stats[name].plan_cache_invalidations += 1
+                self._stats[name].count("plan_cache_invalidations")
 
     # ------------------------------------------------------------------
     # Combined catalogs (base relations + registered views)
@@ -483,20 +452,25 @@ class ViewMaintainer:
         """All registered view names, sorted."""
         return tuple(sorted(self._views))
 
-    def stats(self, name: str) -> MaintenanceStats:
-        """Maintenance counters for one view."""
+    @property
+    def totals(self) -> CostRecorder:
+        """Maintainer-wide always-on totals: every view's row summed,
+        dropped views' included."""
+        totals = CostRecorder()
+        for row in (self._retired, *self._stats.values()):
+            totals.add(row)
+        return totals
+
+    def stats(self, name: str) -> dict[str, int]:
+        """One view's maintenance counters: the ``view`` and
+        ``plan_cache`` families of :mod:`repro.instrumentation`."""
         self._require_view(name)
-        return self._stats[name]
+        return self._stats[name].family("view", "plan_cache").as_dict()
 
     def all_stats(self) -> dict[str, dict[str, int]]:
-        """Every view's maintenance counters as plain dicts.
-
-        The JSON-ready form served by the view-server's ``stats`` op
-        and convenient for ad-hoc reporting; per-view
-        :class:`MaintenanceStats` objects stay available via
-        :meth:`stats`.
-        """
-        return {name: self._stats[name].as_dict() for name in self.view_names()}
+        """Every view's maintenance counters (:meth:`stats`), by name —
+        the JSON-ready form the view-server's ``stats`` op serves."""
+        return {name: self.stats(name) for name in self.view_names()}
 
     def policy(self, name: str) -> MaintenancePolicy:
         """The registered maintenance policy for one view."""
@@ -577,17 +551,17 @@ class ViewMaintainer:
 
         rows = []
         for name in self.view_names():
-            stats = self._stats[name]
+            row = self._stats[name]
             rows.append(
                 [
                     name,
                     self._policies[name].value,
                     len(self._views[name].contents),
-                    stats.transactions_seen,
-                    stats.transactions_skipped,
-                    stats.deltas_applied,
-                    stats.tuples_screened,
-                    stats.tuples_irrelevant,
+                    row.get("transactions_seen"),
+                    row.get("transactions_skipped"),
+                    row.get("deltas_applied"),
+                    row.get("tuples_screened"),
+                    row.get("tuples_irrelevant"),
                 ]
             )
         return format_table(
@@ -804,26 +778,22 @@ class ViewMaintainer:
     ) -> Delta:
         """Execute the compiled plan; returns the applied view delta
         (empty when everything was screened)."""
-        stats = self._stats[name]
-        stats.transactions_seen += 1
+        count = self._stats[name].count
+        count("transactions_seen")
         plan = self._plan_for(name)
 
         self._in_maintenance = True
         try:
             relevant: dict[str, Delta] = {}
             for relation_name, delta in deltas.items():
-                filtered, filter_stats = plan.screen(relation_name, delta)
-                stats.tuples_screened += filter_stats.checked
-                stats.tuples_irrelevant += filter_stats.irrelevant
-                stats.tuples_static_dropped += filter_stats.static_dropped
+                filtered = plan.screen(relation_name, delta)
                 if not filtered.is_empty():
                     relevant[relation_name] = filtered
 
             if not relevant:
                 # Every update was provably irrelevant: the view is
                 # already up to date — the payoff Section 4 is after.
-                stats.transactions_skipped += 1
-                charge("transactions_skipped_irrelevant")
+                count("transactions_skipped")
                 view.last_refresh_sequence = self.database.log.last_sequence()
                 return Delta(view.contents.schema)
 
@@ -836,10 +806,12 @@ class ViewMaintainer:
                 view_delta = plan.fold_aggregate(view.aggregate_state, view_delta)
         finally:
             self._in_maintenance = False
-        stats.view_tuples_inserted += len(view_delta.inserted)
-        stats.view_tuples_deleted += len(view_delta.deleted)
+        if view_delta.inserted:
+            count("view_tuples_inserted", len(view_delta.inserted))
+        if view_delta.deleted:
+            count("view_tuples_deleted", len(view_delta.deleted))
         view.apply_delta(view_delta)
-        stats.deltas_applied += 1
+        count("deltas_applied")
         view.last_refresh_sequence = self.database.log.last_sequence()
 
         if self.auto_verify:

@@ -12,10 +12,12 @@ three events that matter for its correctness story:
   depends on changed: an index was created or dropped, a base relation
   was dropped, or the view was re-registered under the same name.
 
-The counters feed both the maintainer's ``stats`` mapping and — through
-:mod:`repro.instrumentation` — the server's ``stats`` operation, so the
-amortization claim ("plans are built once per view, not once per
-transaction") is observable end to end.
+The cache reports each event through its return values and the
+maintainer counts it once, on the view's row (the ``plan_cache_*``
+family of :mod:`repro.instrumentation`), so the amortization claim
+("plans are built once per view, not once per transaction") is
+observable per view, maintainer-wide and in the server's ``stats``
+operation from the same increment.
 
 Plan fingerprints (see :func:`repro.core.codegen.plan_fingerprint`)
 cover the generated-source version, not just the normal form: bumping
@@ -32,75 +34,42 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from repro.core.compiled import CompiledViewPlan
-from repro.instrumentation import charge
-
-
-class PlanCacheStats:
-    """Cumulative hit/miss/invalidation counters for one cache."""
-
-    __slots__ = ("hits", "misses", "invalidations")
-
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "plan_cache_hits": self.hits,
-            "plan_cache_misses": self.misses,
-            "plan_cache_invalidations": self.invalidations,
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"<PlanCacheStats hits={self.hits} misses={self.misses} "
-            f"invalidations={self.invalidations}>"
-        )
 
 
 class PlanCache:
     """Compiled plans keyed by view name, with explicit invalidation.
 
-    The cache never compiles anything itself — the maintainer owns
-    compilation — it only stores, serves, and discards plans, charging
-    the instrumentation counters as it goes.  A fingerprint check on
-    :meth:`get` guards against serving a plan compiled for a different
-    definition that happens to share the view's name (the
-    re-registration race the invalidation path exists to prevent).
+    The cache never compiles or counts anything itself — the maintainer
+    owns both — it only stores, serves, and discards plans.  A
+    fingerprint check on :meth:`get` guards against serving a plan
+    compiled for a different definition that happens to share the
+    view's name (the re-registration race the invalidation path exists
+    to prevent).
     """
 
-    __slots__ = ("_plans", "stats")
+    __slots__ = ("_plans",)
 
     def __init__(self) -> None:
         self._plans: dict[str, CompiledViewPlan] = {}
-        self.stats = PlanCacheStats()
 
     def get(
         self, name: str, fingerprint: tuple | None = None
     ) -> Optional[CompiledViewPlan]:
-        """The cached plan for ``name``, or None (counted as hit/miss).
+        """The cached plan for ``name`` (a hit), or None (a miss).
 
-        When ``fingerprint`` is given, a cached plan whose definition
-        identity differs is treated as stale: it is evicted and the call
-        counts as a miss.
+        When ``fingerprint`` is given (the maintenance path), a cached
+        plan whose definition identity differs is treated as stale: it
+        is evicted and the call is a miss.
         """
         plan = self._plans.get(name)
-        if plan is not None and fingerprint is not None:
-            if plan.fingerprint != fingerprint:
-                del self._plans[name]
-                plan = None
-        if plan is None:
-            self.stats.misses += 1
-            charge("plan_cache_misses")
+        if (
+            plan is not None
+            and fingerprint is not None
+            and plan.fingerprint != fingerprint
+        ):
+            del self._plans[name]
             return None
-        self.stats.hits += 1
-        charge("plan_cache_hits")
         return plan
-
-    def peek(self, name: str) -> Optional[CompiledViewPlan]:
-        """The cached plan without touching the hit/miss counters."""
-        return self._plans.get(name)
 
     def fingerprints(self) -> dict[str, tuple]:
         """Every cached plan's definition fingerprint, keyed by name.
@@ -120,20 +89,12 @@ class PlanCache:
 
     def invalidate(self, name: str) -> bool:
         """Discard one view's plan; True when a plan was cached."""
-        plan = self._plans.pop(name, None)
-        if plan is None:
-            return False
-        self.stats.invalidations += 1
-        charge("plan_cache_invalidations")
-        return True
+        return self._plans.pop(name, None) is not None
 
     def invalidate_all(self) -> int:
         """Discard every cached plan; returns how many were discarded."""
         count = len(self._plans)
-        if count:
-            self._plans.clear()
-            self.stats.invalidations += count
-            charge("plan_cache_invalidations", count)
+        self._plans.clear()
         return count
 
     def __len__(self) -> int:
@@ -146,4 +107,4 @@ class PlanCache:
         return iter(self._plans)
 
     def __repr__(self) -> str:
-        return f"<PlanCache {len(self._plans)} plans, {self.stats!r}>"
+        return f"<PlanCache {len(self._plans)} plans>"

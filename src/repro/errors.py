@@ -151,3 +151,8 @@ class ReplicationError(ReproError):
     checkpoint documents, and followers consuming a log that references
     relations they never declared.
     """
+
+
+class UnknownMetricError(ReproError):
+    """A counter was incremented under a name :mod:`repro.instrumentation`
+    does not declare (a typo, or a name built from user input)."""

@@ -18,7 +18,7 @@ The subsystem has two halves (see ``docs/scheduler.md``):
 """
 
 from repro.scheduler.monitor import Monitor, StalenessReport
-from repro.scheduler.refresh import RefreshScheduler, SchedulerStats, TickClock
+from repro.scheduler.refresh import RefreshScheduler, TickClock
 from repro.scheduler.selfmaint import (
     KIND_CONSTRAINT_EMPTY,
     KIND_JOIN,
@@ -34,7 +34,6 @@ __all__ = [
     "KIND_SINGLE_RELATION",
     "Monitor",
     "RefreshScheduler",
-    "SchedulerStats",
     "SelfMaintainability",
     "StalenessReport",
     "StalenessSLA",

@@ -28,6 +28,7 @@ from repro.errors import MaintenanceError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.maintainer import ViewMaintainer
+    from repro.core.views import MaterializedView
     from repro.scheduler.refresh import RefreshScheduler
 
 #: Per-view cost counters diffed over the window, in report order.
@@ -154,6 +155,10 @@ class Monitor:
         self.scheduler = scheduler
         self._window_start: Optional[int] = None
         self._base_stats: dict[str, dict[str, int]] = {}
+        #: The view object each baseline row belongs to: a view dropped
+        #: and re-defined under the same name inside the window is a
+        #: new object whose counters restarted at zero.
+        self._base_views: dict[str, "MaterializedView"] = {}
         self._base_scheduler: dict[str, int] = {}
         self._base_violations: dict[str, int] = {}
 
@@ -161,8 +166,11 @@ class Monitor:
         """Open a window at virtual tick ``now``."""
         self._window_start = now
         self._base_stats = self.maintainer.all_stats()
+        self._base_views = {
+            name: self.maintainer.view(name) for name in self._base_stats
+        }
         if self.scheduler is not None:
-            self._base_scheduler = self.scheduler.stats.as_dict()
+            self._base_scheduler = self.scheduler.counters()
             self._base_violations = self.scheduler.violations()
         else:
             self._base_scheduler = {}
@@ -178,8 +186,12 @@ class Monitor:
             raise MaintenanceError("Monitor.report() before begin()")
         views: dict[str, dict] = {}
         for name in self.maintainer.view_names():
-            stats = self.maintainer.stats(name).as_dict()
-            base = self._base_stats.get(name, {})
+            stats = self.maintainer.stats(name)
+            base = (
+                self._base_stats[name]
+                if self._base_views.get(name) is self.maintainer.view(name)
+                else {}  # younger than the window: diffed against zero
+            )
             cost = {
                 key: stats[key] - base.get(key, 0) for key in _COST_COUNTERS
             }
@@ -205,7 +217,7 @@ class Monitor:
             }
         scheduler_delta: Optional[dict[str, int]] = None
         if self.scheduler is not None:
-            live = self.scheduler.stats.as_dict()
+            live = self.scheduler.counters()
             scheduler_delta = {
                 key: live[key] - self._base_scheduler.get(key, 0) for key in live
             }

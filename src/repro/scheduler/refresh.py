@@ -35,7 +35,7 @@ import heapq
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import MaintenanceError, UnknownViewError
-from repro.instrumentation import charge
+from repro.instrumentation import CostRecorder
 from repro.scheduler.sla import StalenessSLA
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -66,35 +66,6 @@ class TickClock:
         return f"<TickClock t={self.now}>"
 
 
-class SchedulerStats:
-    """Scheduler-wide counters."""
-
-    __slots__ = (
-        "ticks",
-        "refreshes",
-        "refreshed_commits",
-        "due_views_seen",
-        "backpressure_deferrals",
-        "sla_violations",
-    )
-
-    def __init__(self) -> None:
-        self.ticks = 0
-        self.refreshes = 0
-        self.refreshed_commits = 0
-        self.due_views_seen = 0
-        self.backpressure_deferrals = 0
-        self.sla_violations = 0
-
-    def as_dict(self) -> dict[str, int]:
-        """Counter values as a plain dict (for reports)."""
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v}" for k, v in self.as_dict().items())
-        return f"<SchedulerStats {inner}>"
-
-
 class RefreshScheduler:
     """Drives ``refresh()`` for deferred views against staleness SLAs."""
 
@@ -109,7 +80,8 @@ class RefreshScheduler:
         self.maintainer = maintainer
         self.clock = clock if clock is not None else TickClock()
         self.batch_limit = batch_limit
-        self.stats = SchedulerStats()
+        #: Always-on totals: the ``scheduler`` family.
+        self.totals = CostRecorder()
         self._slas: dict[str, StalenessSLA] = {}
         #: Tick at which the oldest unapplied commit was first observed.
         self._first_pending_tick: dict[str, int] = {}
@@ -151,6 +123,12 @@ class RefreshScheduler:
         """Per-view SLA-violation tick counts (views with SLAs only)."""
         return {name: self._violations.get(name, 0) for name in self.sla_names()}
 
+    def counters(self) -> dict[str, int]:
+        """The scheduler's totals, keyed without the ``scheduler_``
+        prefix (the ``stats`` op's and the monitor's form)."""
+        totals = self.totals.family("scheduler").as_dict()
+        return {name.removeprefix("scheduler_"): n for name, n in totals.items()}
+
     # ------------------------------------------------------------------
     # Observation
     # ------------------------------------------------------------------
@@ -188,8 +166,8 @@ class RefreshScheduler:
         queue order depends only on backlog measures, the clock, and
         view names.
         """
-        self.stats.ticks += 1
-        charge("scheduler_ticks")
+        count = self.totals.count
+        count("scheduler_ticks")
         self.note_commit()
 
         queue: list[tuple[int, str]] = []
@@ -200,11 +178,10 @@ class RefreshScheduler:
             lag = self.lag_ticks(name)
             if not sla.due(pending, lag):
                 continue
-            self.stats.due_views_seen += 1
+            count("scheduler_due_views_seen")
             if sla.violated(pending, lag):
-                self.stats.sla_violations += 1
                 self._violations[name] = self._violations.get(name, 0) + 1
-                charge("scheduler_sla_violations")
+                count("scheduler_sla_violations")
             heapq.heappush(queue, (-sla.overdue_by(pending, lag), name))
 
         refreshed: list[str] = []
@@ -213,13 +190,11 @@ class RefreshScheduler:
             pending = self.maintainer.backlog(name)["commits_since_refresh"]
             self.maintainer.refresh(name)
             self._first_pending_tick.pop(name, None)
-            self.stats.refreshes += 1
-            self.stats.refreshed_commits += pending
-            charge("scheduler_refreshes")
+            count("scheduler_refreshes")
+            count("scheduler_refreshed_commits", pending)
             refreshed.append(name)
         if queue:
-            self.stats.backpressure_deferrals += len(queue)
-            charge("scheduler_backpressure_deferrals", len(queue))
+            count("scheduler_backpressure_deferrals", len(queue))
         return tuple(refreshed)
 
     def __repr__(self) -> str:

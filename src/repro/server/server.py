@@ -547,9 +547,9 @@ class ViewServer:
         # Advance virtual time and let the scheduler refresh whatever
         # the commit pushed past its staleness SLA.
         self.clock.advance(1)
-        for refreshed in self.scheduler.tick():
-            self.recorder.incr("server_scheduler_refreshes")
-            self.recorder.incr(f"server_scheduler_refreshed_{refreshed}")
+        refreshed = self.scheduler.tick()
+        if refreshed:
+            self.recorder.incr("server_scheduler_refreshes", len(refreshed))
         applied = {
             name: {
                 "inserted": delta.insert_count(),
@@ -648,7 +648,7 @@ class ViewServer:
                     if (sla := self.scheduler.sla(name)) is not None
                 },
                 "violations": self.scheduler.violations(),
-                "counters": self.scheduler.stats.as_dict(),
+                "counters": self.scheduler.counters(),
             },
         }
         if self.durability is not None:

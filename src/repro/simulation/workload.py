@@ -507,8 +507,7 @@ class Episode:
         return self
 
     def _fold_scheduler_stats(self) -> None:
-        for key, value in self.scheduler.stats.as_dict().items():
-            self.stats[f"scheduler_{key}"] += value
+        self.stats.update(self.scheduler.totals.family("scheduler").as_dict())
 
     def _collect_stats(self) -> None:
         for client in self.clients:

@@ -124,7 +124,7 @@ class TestExample41:
                 txn.insert("r", (11, 10))
         assert recorder.get("filter_tuples_checked") == 0
         assert recorder.get("static_tuples_dropped") == 1
-        assert maintainer.stats("u").tuples_static_dropped == 1
+        assert maintainer.stats("u")["tuples_static_dropped"] == 1
         assert view.contents.counts() == {}
 
         # Updates to the unconstrained relation still screen per tuple.

@@ -10,23 +10,23 @@ from repro.instrumentation import CostRecorder, active_recorder, charge, recordi
 class TestCostRecorder:
     def test_charges_only_when_active(self):
         recorder = CostRecorder()
-        charge("x")  # no active recorder: dropped
-        assert recorder.get("x") == 0
+        charge("tuples_scanned")  # no active recorder: dropped
+        assert recorder.get("tuples_scanned") == 0
         with recording(recorder):
-            charge("x")
-            charge("x", 4)
-        charge("x")  # inactive again
-        assert recorder.get("x") == 5
+            charge("tuples_scanned")
+            charge("tuples_scanned", 4)
+        charge("tuples_scanned")  # inactive again
+        assert recorder.get("tuples_scanned") == 5
 
     def test_nesting_restores_previous(self):
         outer, inner = CostRecorder(), CostRecorder()
         with recording(outer):
-            charge("a")
+            charge("join_probes")
             with recording(inner):
-                charge("a")
-            charge("a")
-        assert outer.get("a") == 2
-        assert inner.get("a") == 1
+                charge("join_probes")
+            charge("join_probes")
+        assert outer.get("join_probes") == 2
+        assert inner.get("join_probes") == 1
         assert active_recorder() is None
 
     def test_restored_on_exception(self):
@@ -38,22 +38,22 @@ class TestCostRecorder:
 
     def test_reset_and_snapshot(self):
         recorder = CostRecorder()
-        recorder.incr("a", 3)
+        recorder.incr("join_probes", 3)
         snap = recorder.snapshot()
         recorder.reset()
-        assert snap == {"a": 3}
-        assert recorder.get("a") == 0
+        assert snap == {"join_probes": 3}
+        assert recorder.get("join_probes") == 0
 
 
 class TestHarness:
     def test_run_measured_captures_counters_and_result(self):
         def work():
-            charge("ops", 7)
+            charge("tuples_emitted", 7)
             return "done"
 
         m = run_measured("label", work)
         assert m.result == "done"
-        assert m.counter("ops") == 7
+        assert m.counter("tuples_emitted") == 7
         assert m.counter("missing") == 0
         assert m.seconds >= 0
 
@@ -64,7 +64,7 @@ class TestHarness:
             setup_calls.append(value)
 
             def work():
-                charge("ops", value)
+                charge("tuples_emitted", value)
                 return value
 
             return work

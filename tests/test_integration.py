@@ -91,7 +91,7 @@ class TestScenarioSoak:
         check_view_consistency(view, db.instances())
         # The stats must account for every screened tuple.
         stats = maintainer.stats(scenario.view_name)
-        assert stats.tuples_screened >= stats.tuples_irrelevant
+        assert stats["tuples_screened"] >= stats["tuples_irrelevant"]
 
 
 class TestSnapshotQueueWithMaintainer:

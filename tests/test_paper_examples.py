@@ -69,7 +69,7 @@ class TestExample41:
         with db.transact() as txn:
             txn.insert("r", (9, 10))
         assert view.contents == before  # relevant, yet no effect here
-        assert maintainer.stats("u").tuples_irrelevant == 0
+        assert maintainer.stats("u")["tuples_irrelevant"] == 0
 
 
 class TestExample51:

@@ -46,9 +46,9 @@ class TestQuickstartDocstring:
             txn.insert("r", (11, 10))
         assert view.contents.counts() == {(5, 20): 1, (9, 20): 1}
         stats = maintainer.stats("u")
-        assert stats.tuples_screened == 2
-        assert stats.tuples_irrelevant == 1
-        assert stats.deltas_applied == 1
+        assert stats["tuples_screened"] == 2
+        assert stats["tuples_irrelevant"] == 1
+        assert stats["deltas_applied"] == 1
 
 
 class TestDoctests:

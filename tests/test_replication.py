@@ -347,8 +347,8 @@ class TestCrashRecovery:
         stats = fresh.stats("v")
         # Replay went through the maintenance pipeline, not re-evaluation:
         # every replayed transaction was seen and screened.
-        assert stats.transactions_seen == 6
-        assert stats.tuples_screened > 0
+        assert stats["transactions_seen"] == 6
+        assert stats["tuples_screened"] > 0
 
     def test_restored_policy_defaults_from_checkpoint(self, tmp_path):
         directory = str(tmp_path)

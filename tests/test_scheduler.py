@@ -276,9 +276,9 @@ class TestRefreshScheduler:
         clock.advance(1)
         assert scheduler.tick() == ("d1",)
         assert maintainer.backlog("d1")["commits_since_refresh"] == 0
-        assert scheduler.stats.refreshes == 1
-        assert scheduler.stats.refreshed_commits == 2
-        assert scheduler.stats.sla_violations == 0
+        assert scheduler.counters()["refreshes"] == 1
+        assert scheduler.counters()["refreshed_commits"] == 2
+        assert scheduler.counters()["sla_violations"] == 0
 
     def test_lag_bound_fires_without_new_commits(self):
         db, _, clock, scheduler = make_scheduled()
@@ -305,8 +305,8 @@ class TestRefreshScheduler:
         # have missed their SLA; backpressure refreshes only one.
         refreshed = scheduler.tick()
         assert len(refreshed) == 1
-        assert scheduler.stats.sla_violations == 2
-        assert scheduler.stats.backpressure_deferrals == 1
+        assert scheduler.counters()["sla_violations"] == 2
+        assert scheduler.counters()["backpressure_deferrals"] == 1
         assert sum(scheduler.violations().values()) == 2
         # The deferred view is picked up next tick (another violation
         # tick for it, since it is still strictly beyond the bound).
@@ -398,6 +398,24 @@ class TestMonitor:
         assert report.data["scheduler"] is None
         assert report.data["views"]["v"]["cost"]["transactions_seen"] == 1
 
+    def test_view_redefined_inside_the_window_is_diffed_against_zero(self):
+        # The re-defined view's counters restart at zero while the
+        # baseline is keyed by name: costs once came out as -4.
+        db = make_database()
+        maintainer = ViewMaintainer(db)
+        maintainer.define_view("v", BaseRef("r"))
+        for i in range(5):
+            db.apply(inserts={"r": [(10 + i, i)]})
+        monitor = Monitor(maintainer)
+        monitor.begin(0)
+        maintainer.drop_view("v")
+        maintainer.define_view("v", BaseRef("r"))
+        db.apply(inserts={"r": [(20, 0)]})
+        cost = monitor.report(1).data["views"]["v"]["cost"]
+        assert min(cost.values()) >= 0
+        assert cost["transactions_seen"] == cost["deltas_applied"] == 1
+        assert cost["view_tuples_inserted"] == 1
+
 
 # ----------------------------------------------------------------------
 # Server wiring
@@ -424,7 +442,7 @@ class TestServerScheduler:
         for i in range(4):
             server._op_txn(None, {"insert": {"r": [[i, i]]}})
         assert server.clock.now == 4
-        assert server.scheduler.stats.refreshes >= 1
+        assert server.scheduler.counters()["refreshes"] >= 1
         assert maintainer.backlog("d")["commits_since_refresh"] < 2
         counters = server.recorder.snapshot()
         assert counters.get("server_scheduler_refreshes", 0) >= 1

@@ -114,7 +114,7 @@ class TestPropagation:
             txn.insert("r", (100, 1))  # irrelevant to 'narrow'
         # The upstream view never changed, so the stacked view saw no
         # delta at all — not even a screened one.
-        assert stats.transactions_seen == 0
+        assert stats["transactions_seen"] == 0
 
     def test_deferred_downstream_over_immediate_upstream(self, db, maintainer):
         maintainer.define_view("joined", BaseRef("r").join(BaseRef("s")))
