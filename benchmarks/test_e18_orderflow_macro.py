@@ -51,7 +51,7 @@ def test_e18_orderflow_macro(report, benchmark):
     # The stacked view against direct evaluation over combined instances.
     stacked_truth = evaluate(
         flow.view_definitions()["open_premium"],
-        maintainer._combined_instances(),
+        maintainer.instances(),
     )
     stacked_report = compare_relations(
         "open_premium", maintainer.view("open_premium").contents, stacked_truth

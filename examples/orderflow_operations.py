@@ -67,7 +67,7 @@ def main() -> None:
     for name in maintainer.view_names():
         report = check_view_consistency(
             maintainer.view(name),
-            maintainer._combined_instances(),
+            maintainer.instances(),
             raise_on_mismatch=False,
         )
         print(f"\n{report.summary()}", end="")

@@ -12,18 +12,23 @@ Python source, ``compile()``s it once, and thereafter every transaction
 runs the generated closures over whole batches:
 
 * **screen kernels** — one per (view, relation-occurrence set): the
-  Definition 4.2 invariant/variant split evaluated over a columnar
-  :class:`DeltaBatch`, with the invariant APSP distances baked into the
-  source as integer literals and the variant bounds unrolled into
+  Definition 4.2 invariant/variant split evaluated row by row over a
+  delta's two count dicts, with the invariant APSP distances baked into
+  the source as integer literals and the variant bounds unrolled into
   ``min``/``max`` expressions plus the O(B²) negative-cycle probes;
 * **row kernels** — one per truth-table shape: the Section 5.3 rows
-  unrolled into a prefix-sharing trie of hash-join loops, with
-  equality-link keys, pre/post-filters and the paper's tag algebra all
-  inlined (``insert ⊗ delete`` pairs dropped in-loop);
+  unrolled into a prefix-sharing trie of hash-join loops over the
+  changed operands' count dicts and the live relations of the OLD
+  ones, with equality-link keys, pre/post-filters and the paper's tag
+  algebra all inlined (``insert ⊗ delete`` pairs dropped in-loop);
 * **apply kernels** — one per shape: the final DNF re-check,
   projection and Section 5.2 multiplicity-counter folding into plain
   ``dict`` accumulators, collapsed to a net view delta by
   :func:`repro.core.counting.net_counts`.
+
+One data format crosses every kernel boundary, in and out: the
+``values → count`` dicts a :class:`~repro.algebra.relation.Delta`
+already holds (``inserted`` / ``deleted``).
 
 Generated source is a pure function of the plan structure — no
 timestamps, no ids, no dict-order dependence — so two compiles of the
@@ -50,7 +55,6 @@ from itertools import product
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.algebra.conditions import Atom, Condition, Var
-from repro.algebra.relation import Delta
 from repro.algebra.schema import RelationSchema
 from repro.algebra.tags import Tag
 from repro.core.graph import INF, ZERO
@@ -71,7 +75,8 @@ ValueTuple = tuple[int, ...]
 #: v2: aggregate fold kernels (group-apply + unrolled renderers).
 #: v3: counter-free apply kernels (derived view keys pin counters to 1).
 #: v4: every name in a comment is quoted (see :func:`quoted`).
-CODEGEN_VERSION = 4
+#: v5: kernels read and write ``Delta``'s count dicts directly.
+CODEGEN_VERSION = 5
 
 #: Shapes whose truth table exceeds this many rows run on
 #: :func:`~repro.core.differential.execute_planner` instead: the
@@ -99,76 +104,6 @@ def plan_fingerprint(
     if aggregate is not None:
         base = (base, aggregate.fingerprint())
     return (base, ("codegen", CODEGEN_VERSION))
-
-
-# ----------------------------------------------------------------------
-# DeltaBatch: the columnar screen()-boundary representation
-# ----------------------------------------------------------------------
-
-class DeltaBatch:
-    """One relation's net delta in columnar (struct-of-arrays) layout.
-
-    ``columns[j][i]`` is attribute ``j`` of slot ``i``; the first
-    :attr:`n_inserted` slots are the delta's inserts (in dict order),
-    the rest its deletes.  Screen kernels loop over slot indices and
-    index columns directly — no per-tuple dict, no ``Row`` views —
-    while :attr:`rows` keeps the original encoded tuples so a filtered
-    :class:`~repro.algebra.relation.Delta` is rebuilt without decoding.
-    """
-
-    __slots__ = ("schema", "rows", "counts", "columns", "n_inserted")
-
-    def __init__(self, schema: RelationSchema) -> None:
-        self.schema = schema
-        self.rows: list[ValueTuple] = []
-        self.counts: list[int] = []
-        self.columns: list[list[int]] = [[] for _ in schema.names]
-        self.n_inserted = 0
-
-    @classmethod
-    def from_delta(cls, delta: Delta) -> "DeltaBatch":
-        """Transpose one delta into columns (inserts first, then deletes)."""
-        batch = cls(delta.schema)
-        rows = batch.rows
-        counts = batch.counts
-        columns = batch.columns
-        width = len(columns)
-        for values, count in delta.inserted.items():
-            rows.append(values)
-            counts.append(count)
-            for j in range(width):
-                columns[j].append(values[j])
-        batch.n_inserted = len(rows)
-        for values, count in delta.deleted.items():
-            rows.append(values)
-            counts.append(count)
-            for j in range(width):
-                columns[j].append(values[j])
-        return batch
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def to_delta(self, mask: bytearray) -> Delta:
-        """The sub-delta of slots whose ``mask`` byte is set."""
-        inserted: dict[ValueTuple, int] = {}
-        deleted: dict[ValueTuple, int] = {}
-        rows = self.rows
-        counts = self.counts
-        split = self.n_inserted
-        for i in range(split):
-            if mask[i]:
-                inserted[rows[i]] = counts[i]
-        for i in range(split, len(rows)):
-            if mask[i]:
-                deleted[rows[i]] = counts[i]
-        return Delta.from_counts(self.schema, inserted, deleted)
-
-    def __repr__(self) -> str:
-        return (
-            f"<DeltaBatch {list(self.schema.names)} {len(self.rows)} slots "
-            f"({self.n_inserted} inserts)>"
-        )
 
 
 # ----------------------------------------------------------------------
@@ -200,6 +135,11 @@ class _Emitter:
             self.lines.append("    " * self.indent + line)
         else:
             self.lines.append("")
+
+    def skip_if(self, condition: str) -> None:
+        """``if <condition>: continue`` at the current indent."""
+        self.emit(f"if {condition}:")
+        self.emit("    continue")
 
     def source(self) -> str:
         return "\n".join(self.lines) + "\n"
@@ -251,7 +191,7 @@ def _condition_expr(
 
 
 # ----------------------------------------------------------------------
-# Screen kernels (Section 4 over a DeltaBatch)
+# Screen kernels (Section 4 over a delta's count dicts)
 # ----------------------------------------------------------------------
 
 def generate_screen_source(
@@ -262,10 +202,11 @@ def generate_screen_source(
 ) -> str:
     """Emit the batch screen kernel for one participating relation.
 
-    The generated ``screen_kernel(cols, n, mask)`` marks relevant slots
-    in ``mask`` and returns ``(ground_evals, bound_probes)`` so the
-    driver can charge the reference filter's per-tuple counters in bulk.
-    Structure per slot, mirroring ``RelevanceFilter._decide`` exactly:
+    The generated ``screen_kernel(inserted, deleted)`` returns
+    ``(kept_inserted, kept_deleted, ground_evals, bound_probes)``: the
+    relevant entries of each count dict, in order, and the tallies the
+    driver charges to the reference filter's per-tuple counters in bulk.
+    Structure per tuple, mirroring ``RelevanceFilter._decide`` exactly:
     one block per live (occurrence, disjunct) screen, variant-evaluable
     atoms as nested short-circuit tests, variant bounds as ``min``/
     ``max`` folds, and the negative-cycle probe pairs unrolled with the
@@ -280,47 +221,34 @@ def generate_screen_source(
         # invalidates the whole plan, regenerating this file.
         out.emit("# statically irrelevant under the declared constraint:")
         out.emit("# every legal update is dropped with no per-tuple work")
-        out.emit("def screen_kernel(cols, n, mask):")
+        out.emit("def screen_kernel(inserted, deleted):")
         out.indent += 1
-        out.emit("return 0, 0")
+        out.emit("return {}, {}, 0, 0")
         return out.source()
     if relevance_filter._always_relevant:
         out.emit("# condition has an empty disjunct (constant TRUE):")
         out.emit("# every update is relevant, no screening possible")
-        out.emit("def screen_kernel(cols, n, mask):")
+        out.emit("def screen_kernel(inserted, deleted):")
         out.indent += 1
-        out.emit("for i in range(n):")
-        out.indent += 1
-        out.emit("mask[i] = 1")
-        out.indent -= 1
-        out.emit("return 0, 0")
+        out.emit("return inserted, deleted, 0, 0")
         return out.source()
 
     screens = relevance_filter._screens
-    out.emit("def screen_kernel(cols, n, mask):")
+    out.emit("def screen_kernel(inserted, deleted):")
     out.indent += 1
     if not screens:
         out.emit("# every disjunct's invariant part is unsatisfiable:")
         out.emit("# all updates screened out")
-        out.emit("return 0, 0")
+        out.emit("return {}, {}, 0, 0")
         return out.source()
 
-    used_columns = sorted(
-        {
-            schema.index(screen.occurrence.inverse[name])
-            for screen in screens
-            for atom in (
-                screen.variant_evaluable + screen.variant_non_evaluable
-            )
-            for name in atom.variables()
-            if name in screen.occurrence.inverse
-        }
-    )
-    for j in used_columns:
-        out.emit(f"c{j} = cols[{j}]")
+    out.emit("ki = {}")
+    out.emit("kd = {}")
     out.emit("ge = 0")
     out.emit("bp = 0")
-    out.emit("for i in range(n):")
+    out.emit("for src, kept in ((inserted, ki), (deleted, kd)):")
+    out.indent += 1
+    out.emit("for v, c in src.items():")
     out.indent += 1
     base_indent = out.indent
     for screen_index, screen in enumerate(screens):
@@ -332,7 +260,7 @@ def generate_screen_source(
         )
 
         def col_expr(qualified: str, _occ=occurrence) -> str:
-            return f"c{schema.index(_occ.inverse[qualified])}[i]"
+            return f"v[{schema.index(_occ.inverse[qualified])}]"
 
         # Variant evaluable atoms: nested short-circuit so the per-atom
         # ground-eval counter matches the reference filter's early exit.
@@ -347,17 +275,17 @@ def generate_screen_source(
             joined = " or ".join(probes)
             out.emit(f"if not ({joined}):")
             out.indent += 1
-        out.emit("mask[i] = 1")
+        out.emit("kept[v] = c")
         out.emit("continue")
-    out.indent = base_indent - 1
-    out.emit("return ge, bp")
+    out.indent = base_indent - 2
+    out.emit("return ki, kd, ge, bp")
     return out.source()
 
 
 def _substituted_ground_expr(
     atom: Atom, col_expr: Callable[[str], str]
 ) -> str:
-    """A variant-evaluable atom as an expression over column slots."""
+    """A variant-evaluable atom as an expression over the row's cells."""
     op = _PY_OPS[atom.op]
     assert isinstance(atom.left, Var)
     left = col_expr(atom.left.name)
@@ -379,7 +307,7 @@ def _bound_probe_exprs(
 
     Reproduces ``_DisjunctScreen.admits``: each variant non-evaluable
     atom contributes an upper (``x ≤ e``) or lower (``x ≥ e``) bound
-    whose constant is a column expression; discrete-domain
+    whose constant is a cell expression; discrete-domain
     normalization (``<`` → ``≤ e−1``, ``>`` → ``≥ e+1``, ``=`` → both)
     is applied symbolically here, and the probe pairs are unrolled with
     the APSP entries as literals.
@@ -496,15 +424,24 @@ def generate_shape_source(
 ) -> str:
     """Emit the row kernel + apply kernel for one truth-table shape.
 
-    The row kernel unrolls the planner's prefix-sharing trie: one named
-    list per distinct (row-prefix × choice) node.  Hash tables are
-    shared per (step, choice) — mirroring the reference planner's
-    ``hash_cache`` — and are built lazily behind a
+    The row kernel ``row_kernel(deltas, old, index_for)`` unrolls the
+    planner's prefix-sharing trie: one named list per distinct
+    (row-prefix × choice) node.  ``deltas[p]`` is the
+    :class:`~repro.algebra.relation.Delta` of changed occurrence ``p``
+    — its ``inserted``/``deleted`` dicts are the DELTA operand —
+    ``old(p)`` the live post-commit relation of occurrence ``p``, whose
+    OLD operand ``r − d_r`` is computed in the scan (``count −
+    inserted.get(values, 0) > 0``, exactly
+    :func:`repro.core.differential._old_operand`), and ``index_for(j)``
+    the hash index bound to step ``j``'s OLD probe (``None`` for a view
+    operand).  Hash tables are shared per (step, choice) — mirroring the
+    reference planner's ``hash_cache`` — and are built lazily behind a
     ``None`` guard so an OLD operand answered by an index probe (or
-    never reached because its accumulator is empty) is never
-    materialized.  The apply kernel folds each completed row through
-    the final DNF re-check, the projection and the Section 5.2 counter
-    accumulators.
+    never reached because its accumulator is empty) is never scanned.
+    The kernel returns ``(ins, dele, tuples_scanned, join_probes,
+    tuples_emitted, tuples_ignored)``.  The apply kernel folds each
+    completed row through the final DNF re-check, the projection and
+    the Section 5.2 counter accumulators.
 
     With ``counter_free`` (sound only when a derived view key proves
     every view row has multiplicity ≤ 1 — see
@@ -536,7 +473,7 @@ def generate_shape_source(
 
     _emit_apply_kernel(out, planner, counter_free)
     out.emit()
-    out.emit("def row_kernel(operands, probe_for):")
+    out.emit("def row_kernel(deltas, old, index_for):")
     out.indent += 1
     out.emit("ins = {}")
     out.emit("dele = {}")
@@ -548,7 +485,13 @@ def generate_shape_source(
     out.emit("jp = 0")
     out.emit("te = 0")
     out.emit("ti = 0")
+    for p in planner.changed:
+        out.emit(f"i{p} = deltas[{p}].inserted")
+        out.emit(f"d{p} = deltas[{p}].deleted")
 
+    # One hash table per joined (step, choice): any such node may take
+    # the hash path — an OLD probe is only answered from an index when
+    # one is bound at run time.
     hash_nodes: set[tuple[int, DeltaRowChoice]] = set()
     plans: list[list[tuple[str, str, int, DeltaRowChoice]]] = []
     emitted: set[str] = set()
@@ -562,21 +505,15 @@ def generate_shape_source(
             node = f"n_{sig}"
             chain.append((node, parent, j, choice))
             parent = node
+            if j:
+                hash_nodes.add((j, choice))
         plans.append(chain)
-        for node, _, j, choice in chain:
-            if node in emitted:
-                continue
-            # The hash-table path may be taken by any node that is not
-            # guaranteed an index probe — i.e. every node.
-            hash_nodes.add((j, choice))
-            emitted.add(node)
 
     for j, choice in sorted(
         hash_nodes, key=lambda item: (item[0], item[1].value)
     ):
         out.emit(f"h_{j}_{choice.name} = None")
 
-    emitted.clear()
     for row_index, chain in enumerate(plans):
         out.emit(f"# row {row_index}: " + _render_sig(chain, steps, names))
         for node, parent, j, choice in chain:
@@ -613,10 +550,7 @@ def _emit_apply_kernel(
         expr = _condition_expr(
             planner.normal_form.condition, final_schema.index, "v"
         )
-        out.emit(f"if not ({expr}):")
-        out.indent += 1
-        out.emit("continue")
-        out.indent -= 1
+        out.skip_if(f"not ({expr})")
     out.emit(f"k = {key}")
     out.emit("if t is T_I:")
     out.indent += 1
@@ -635,26 +569,54 @@ def _emit_apply_kernel(
     out.indent -= 1
 
 
+def _emit_scan(
+    out: _Emitter, planner: "RowPlanner", j: int, choice: DeltaRowChoice
+) -> int:
+    """Open the loop binding ``bv, bt, bc`` over one operand's tuples.
+
+    Tallies ``tuples_scanned`` as the reference planner does (every
+    operand tuple, before the prefilter) and skips prefiltered tuples;
+    the caller emits the loop body, then closes the returned number of
+    indent levels.
+    """
+    step = planner.steps[j]
+    p = step.position
+    if choice is DeltaRowChoice.DELTA:
+        out.emit(f"ts += len(i{p}) + len(d{p})")
+        out.emit(f"for src, bt in ((i{p}, T_I), (d{p}, T_D)):")
+        out.indent += 1
+        out.emit("for bv, bc in src.items():")
+        out.indent += 1
+        depth = 2
+    else:
+        out.emit("bt = T_O")
+        if p in planner.changed:
+            # r − d_r from the post-state: inserted copies are not OLD.
+            out.emit(f"for bv, bc in old({p}).items():")
+            out.indent += 1
+            out.emit(f"bc -= i{p}.get(bv, 0)")
+            out.skip_if("bc <= 0")
+            out.emit("ts += 1")
+        else:
+            out.emit(f"src = old({p})")
+            out.emit("ts += len(src)")
+            out.emit("for bv, bc in src.items():")
+            out.indent += 1
+        depth = 1
+    prefilter = _prefilter_expr(step, "bv")
+    if prefilter is not None:
+        out.skip_if(f"not ({prefilter})")
+    return depth
+
+
 def _emit_first_operand(
     out: _Emitter, planner: "RowPlanner", node: str, choice: DeltaRowChoice
 ) -> None:
-    step = planner.steps[0]
-    out.emit(
-        f"src = operands[{step.position}][C_{choice.name}]._counts"
-    )
-    out.emit("ts += len(src)")
-    prefilter = _prefilter_expr(step, "bv")
-    if prefilter is None:
-        out.emit(f"{node} = [(bv, bt, bc) for (bv, bt), bc in src.items()]")
-        return
     out.emit(f"{node} = []")
     out.emit(f"{node}_append = {node}.append")
-    out.emit("for (bv, bt), bc in src.items():")
-    out.indent += 1
-    out.emit(f"if {prefilter}:")
-    out.indent += 1
+    depth = _emit_scan(out, planner, 0, choice)
     out.emit(f"{node}_append((bv, bt, bc))")
-    out.indent -= 2
+    out.indent -= depth
 
 
 def _emit_join_node(
@@ -673,8 +635,8 @@ def _emit_join_node(
     out.emit(f"{node}_append = {node}.append")
     use_probe = choice is DeltaRowChoice.OLD and bool(step.link_attr_names)
     if use_probe:
-        out.emit(f"p = probe_for({j})")
-        out.emit("if p is not None:")
+        out.emit(f"ix = index_for({j})")
+        out.emit("if ix is not None:")
         out.indent += 1
         _emit_probe_loop(out, planner, node, parent, j, key_expr)
         out.indent -= 1
@@ -691,19 +653,26 @@ def _emit_probe_loop(
     out: _Emitter, planner: "RowPlanner", node: str, parent: str, j: int,
     key_expr: str,
 ) -> None:
+    """An OLD operand answered from its persistent hash index.
+
+    Indexes hold the post-commit relation (set semantics, count one), so
+    a changed operand's probe results drop this transaction's inserts.
+    """
     step = planner.steps[j]
+    p = step.position
     prefilter = _prefilter_expr(step, "bv")
+    out.emit("bt = T_O")
+    out.emit("bc = 1")
     out.emit(f"for av, at, ac in {parent}:")
     out.indent += 1
     out.emit("jp += 1")
     out.emit(f"k = {key_expr}")
-    out.emit("for bv, bt, bc in p(k):")
+    out.emit("for bv in ix.probe(k):")
     out.indent += 1
+    if p in planner.changed:
+        out.skip_if(f"bv in i{p}")
     if prefilter is not None:
-        out.emit(f"if not ({prefilter}):")
-        out.indent += 1
-        out.emit("continue")
-        out.indent -= 1
+        out.skip_if(f"not ({prefilter})")
     _emit_combine_emit(out, planner, node, j)
     out.indent -= 2
 
@@ -719,26 +688,11 @@ def _emit_hash_join(
 ) -> None:
     step = planner.steps[j]
     table = f"h_{j}_{choice.name}"
-    prefilter = _prefilter_expr(step, "bv")
-    key_positions = step.operand_key_positions
-    build_key = (
-        "("
-        + ", ".join(f"bv[{p}]" for p in key_positions)
-        + ("," if len(key_positions) == 1 else "")
-        + ")"
-    )
+    build_key = _key_tuple_expr(step.operand_key_positions, "bv")
     out.emit(f"if {table} is None:")
     out.indent += 1
     out.emit(f"{table} = {{}}")
-    out.emit(f"src = operands[{step.position}][C_{choice.name}]._counts")
-    out.emit("ts += len(src)")
-    out.emit("for (bv, bt), bc in src.items():")
-    out.indent += 1
-    if prefilter is not None:
-        out.emit(f"if not ({prefilter}):")
-        out.indent += 1
-        out.emit("continue")
-        out.indent -= 1
+    depth = _emit_scan(out, planner, j, choice)
     out.emit(f"bk = {build_key}")
     out.emit(f"bucket = {table}.get(bk)")
     out.emit("if bucket is None:")
@@ -748,7 +702,8 @@ def _emit_hash_join(
     out.emit("else:")
     out.indent += 1
     out.emit("bucket.append((bv, bt, bc))")
-    out.indent -= 2
+    out.indent -= 1
+    out.indent -= depth
     out.indent -= 1
     out.emit(f"for av, at, ac in {parent}:")
     out.indent += 1
@@ -788,10 +743,7 @@ def _emit_combine_emit(
     out.emit("rv = av + bv")
     postfilter = _postfilter_expr(step, "rv")
     if postfilter is not None:
-        out.emit(f"if not ({postfilter}):")
-        out.indent += 1
-        out.emit("continue")
-        out.indent -= 1
+        out.skip_if(f"not ({postfilter})")
     out.emit("te += 1")
     out.emit(f"{node}_append((rv, t, ac * bc))")
 
@@ -978,18 +930,15 @@ def generate_aggregate_source(
 _KERNEL_GLOBALS = {
     "__builtins__": {
         "len": len,
-        "range": range,
         "min": min,
         "max": max,
     },
     "T_O": Tag.OLD,
     "T_I": Tag.INSERT,
     "T_D": Tag.DELETE,
-    "C_OLD": DeltaRowChoice.OLD,
-    "C_DELTA": DeltaRowChoice.DELTA,
 }
 
-ScreenKernel = Callable[[list, int, bytearray], tuple[int, int]]
+ScreenKernel = Callable[[dict, dict], tuple[dict, dict, int, int]]
 RowKernel = Callable[..., tuple[dict, dict, int, int, int, int]]
 AggregateKernel = Callable[[dict, dict, dict], tuple[dict, dict, dict, object]]
 

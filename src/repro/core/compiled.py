@@ -27,7 +27,9 @@ same plan against a replica produces byte-for-byte the leader's result.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional
+from functools import partial
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional
 
 from repro.algebra.expressions import NormalForm
 from repro.algebra.relation import Delta, Relation
@@ -42,7 +44,6 @@ from repro.analysis.dependencies import (
 from repro.core.codegen import (
     AggregateKernel,
     CODEGEN_VERSION,
-    DeltaBatch,
     MAX_CODEGEN_ROWS,
     ScreenKernel,
     ShapeKernels,
@@ -56,15 +57,11 @@ from repro.core.codegen import (
     quoted,
 )
 from repro.core.counting import net_counts
-from repro.core.differential import (
-    build_operands,
-    changed_positions_for,
-    execute_planner,
-)
+from repro.core.differential import changed_positions_for, execute_planner
 from repro.core.irrelevance import RelevanceFilter, is_statically_irrelevant
-from repro.core.planner import IndexProbe, ProbeFn, RowPlanner
+from repro.core.planner import IndexProbe, ProbeFn, RowPlanner, StepPlan
 from repro.core.truthtable import count_delta_rows
-from repro.core.views import ViewDefinition
+from repro.core.views import MaterializedView, ViewDefinition
 from repro.errors import MaintenanceError
 from repro.instrumentation import CostRecorder, charge
 
@@ -93,9 +90,10 @@ class CompiledViewPlan:
         the per-view screening counters and the ``codegen_*`` family,
         which so outlive the plan (eviction, recompiles).
     view_operands:
-        Names among the view's operands that are themselves registered
-        views — they carry no persistent index, and their screens bind
-        against view output schemas.
+        The view's operands that are themselves registered views, by
+        name — they carry no persistent index, their screens bind
+        against view output schemas, and an OLD scan reads their live
+        contents.
     """
 
     __slots__ = (
@@ -110,7 +108,7 @@ class CompiledViewPlan:
         "_index_bindings",
         "_counters",
         "_screen_kernels",
-        "_shape_kernels",
+        "_shapes",
         "_aggregate_kernel",
         "_reduction",
         "_view_key",
@@ -123,7 +121,7 @@ class CompiledViewPlan:
         database: "Database",
         catalog: Mapping[str, RelationSchema],
         counters: CostRecorder,
-        view_operands: Iterable[str] = (),
+        view_operands: Mapping[str, MaterializedView] = MappingProxyType({}),
     ) -> None:
         self.definition = definition
         self.normal_form: NormalForm = definition.normal_form
@@ -136,7 +134,7 @@ class CompiledViewPlan:
         )
         self._counters = counters
         self._database = database
-        self._view_operands = frozenset(view_operands)
+        self._view_operands = dict(view_operands)
         # Chase-derived facts (keys DDL invalidates the plan, so they
         # are re-proved on every compile, like static irrelevance).
         # Both are gated on set-semantics operands: view operands are
@@ -202,7 +200,13 @@ class CompiledViewPlan:
         # Shape kernels compile on first use of each truth-table shape,
         # like the planners they mirror.
         self._screen_kernels: dict[str, tuple[str, ScreenKernel]] = {}
-        self._shape_kernels: dict[tuple[int, ...], ShapeKernels | None] = {}
+        #: changed positions → everything one execution of that shape
+        #: needs that no transaction changes: its planner, its kernels
+        #: (None past the row cap) and its step → bound index lookup.
+        self._shapes: dict[
+            tuple[int, ...],
+            tuple[RowPlanner, ShapeKernels | None, Callable],
+        ] = {}
         # The aggregate fold kernel (when the view aggregates) compiles
         # eagerly with the screens: its shape depends only on the spec
         # and core schema, never on the incoming delta.
@@ -257,7 +261,28 @@ class CompiledViewPlan:
             # key attributes, which the referencing side already
             # carries).
             return self._drop(delta, "fk_probe_tuples_dropped")
-        return self._screen_batch(relation_name, delta)
+        # The generated kernel is functionally identical to
+        # RelevanceFilter.screen_delta, every instrumentation counter
+        # included: it returns its per-tuple ground-eval and
+        # bound-probe tallies so they are charged in bulk here.
+        kernel = self._screen_kernels[relation_name][1]
+        inserted, deleted, ground_evals, bound_probes = kernel(
+            delta.inserted, delta.deleted
+        )
+        n = len(delta.inserted) + len(delta.deleted)
+        if n:
+            count = self._counters.count
+            count("tuples_screened", n)
+            irrelevant = n - len(inserted) - len(deleted)
+            if irrelevant:
+                count("tuples_irrelevant", irrelevant)
+            charge("filter_tuples_checked", n)
+            count("codegen_batch_rows", n)
+        if ground_evals:
+            charge("filter_ground_evals", ground_evals)
+        if bound_probes:
+            charge("filter_bound_probes", bound_probes)
+        return Delta.from_counts(delta.schema, inserted, deleted)
 
     def _drop(self, delta: Delta, proof: str | None = None) -> Delta:
         """Discard a whole delta with zero per-tuple screening work.
@@ -276,34 +301,6 @@ class CompiledViewPlan:
             count(proof, dropped)
         return Delta(delta.schema)
 
-    def _screen_batch(self, relation_name: str, delta: Delta) -> Delta:
-        """Run the generated screen kernel over one columnar batch.
-
-        Functionally identical to
-        :meth:`~repro.core.irrelevance.RelevanceFilter.screen_delta`,
-        including every instrumentation counter — the kernel returns
-        its per-tuple ground-eval and bound-probe tallies so they can
-        be charged in bulk here.
-        """
-        kernel = self._screen_kernels[relation_name][1]
-        batch = DeltaBatch.from_delta(delta)
-        n = len(batch)
-        mask = bytearray(n)
-        ground_evals, bound_probes = kernel(batch.columns, n, mask)
-        if n:
-            count = self._counters.count
-            count("tuples_screened", n)
-            irrelevant = n - sum(mask)
-            if irrelevant:
-                count("tuples_irrelevant", irrelevant)
-            charge("filter_tuples_checked", n)
-            count("codegen_batch_rows", n)
-        if ground_evals:
-            charge("filter_ground_evals", ground_evals)
-        if bound_probes:
-            charge("filter_bound_probes", bound_probes)
-        return batch.to_delta(mask)
-
     @property
     def static_irrelevant(self) -> frozenset[str]:
         """Relations proven statically irrelevant under their constraints."""
@@ -312,7 +309,7 @@ class CompiledViewPlan:
     @property
     def view_operands(self) -> frozenset[str]:
         """Operand names that are themselves registered views (bags)."""
-        return self._view_operands
+        return frozenset(self._view_operands)
 
     @property
     def execution_normal_form(self) -> NormalForm:
@@ -360,21 +357,17 @@ class CompiledViewPlan:
             self._planners[key] = planner
         return planner
 
-    def compute_delta(
-        self,
-        post_instances: Mapping[str, Relation],
-        deltas: Mapping[str, Delta],
-    ) -> Delta:
-        """The net view change for one transaction, via cached planners."""
+    def compute_delta(self, deltas: Mapping[str, Delta]) -> Delta:
+        """The net view change for one transaction's (screened) deltas."""
         changed = changed_positions_for(self._exec_normal_form, deltas)
         if not changed:
             return Delta(self._exec_normal_form.output_schema())
-        planner = self.planner_for(changed)
-        kernels = self._shape_kernels_for(changed, planner)
+        shape = self._shapes.get(changed)
+        if shape is None:
+            shape = self._compile_shape(changed)
+        planner, kernels, index_for = shape
         if kernels is not None:
-            return self._execute_kernels(
-                planner, kernels, post_instances, deltas, changed
-            )
+            return self._execute_kernels(planner, kernels, index_for, deltas)
         # The shape's truth table exceeds MAX_CODEGEN_ROWS: the
         # reference planner executes it instead, tuple by tuple.
         fallback = sum(
@@ -384,7 +377,10 @@ class CompiledViewPlan:
             self._counters.count("codegen_fallback_tuples", fallback)
         return execute_planner(
             planner,
-            post_instances,
+            {
+                name: self._operand_relation(name)
+                for name in self._exec_normal_form.relation_names
+            },
             deltas,
             changed,
             index_probe=self.index_probe_for(deltas),
@@ -440,53 +436,38 @@ class CompiledViewPlan:
                 inserted[a] = 1
         return Delta.from_counts(state.visible_schema, inserted, deleted)
 
-    def _shape_kernels_for(
-        self, changed: tuple[int, ...], planner: RowPlanner
-    ) -> ShapeKernels | None:
-        """The cached (or newly compiled) kernels for one shape."""
-        key = tuple(sorted(set(changed)))
-        if key in self._shape_kernels:
-            return self._shape_kernels[key]
+    def _compile_shape(
+        self, changed: tuple[int, ...]
+    ) -> tuple[RowPlanner, ShapeKernels | None, Callable]:
+        """Compile and cache one truth-table shape's execution entry."""
+        planner = self.planner_for(changed)
         kernels = compile_shape_kernels(
             planner, self.definition.name, counter_free=self.counter_free
         )
         if kernels is not None:
             self._counters.count("codegen_plans_compiled")
-        self._shape_kernels[key] = kernels
-        return kernels
+        shape = (planner, kernels, partial(self._step_index, planner.steps))
+        self._shapes[changed] = shape
+        return shape
 
     def _execute_kernels(
         self,
         planner: RowPlanner,
         kernels: ShapeKernels,
-        post_instances: Mapping[str, Relation],
+        index_for: Callable,
         deltas: Mapping[str, Delta],
-        changed: tuple[int, ...],
     ) -> Delta:
         """Run one shape's generated row kernel over one transaction.
 
-        The columnar/batch counterpart of
+        The batch counterpart of
         :func:`repro.core.differential.execute_planner`, charging the
         same counters in bulk from the kernel's tallies.
         """
         charge("differential_updates")
-        operands = build_operands(
-            self._exec_normal_form, post_instances, deltas, changed
-        )
-        hook = self.index_probe_for(deltas)
-        steps = planner.steps
-        resolved: dict[int, ProbeFn | None] = {}
-
-        def probe_for(step_index: int) -> ProbeFn | None:
-            if step_index in resolved:
-                return resolved[step_index]
-            step = steps[step_index]
-            probe = hook(step.position, step.link_attr_names)
-            resolved[step_index] = probe
-            return probe
-
         ins, dele, scanned, probes, emitted, ignored = kernels.row_kernel(
-            operands, probe_for
+            [deltas.get(occ.name) for occ in self._exec_normal_form.occurrences],
+            self._old_relation,
+            index_for,
         )
         rows = kernels.rows_evaluated
         if rows:
@@ -505,6 +486,34 @@ class CompiledViewPlan:
             charge("tuples_ignored", ignored)
         net_counts(ins, dele)
         return Delta.from_counts(planner.output_schema, ins, dele)
+
+    # ------------------------------------------------------------------
+    # Operand resolution
+    # ------------------------------------------------------------------
+    def _operand_relation(self, name: str) -> Relation:
+        """The live post-commit relation behind one operand name.
+
+        The plan's one resolver — upstream view contents or base
+        relation — consulted only when an OLD operand is actually
+        scanned (or the row-cap fallback builds its operands).
+        """
+        view = self._view_operands.get(name)
+        if view is not None:
+            return view.contents
+        return self._database.relation(name)
+
+    def _old_relation(self, position: int) -> Relation:
+        """:meth:`_operand_relation` by occurrence position (kernels)."""
+        return self._operand_relation(
+            self._exec_normal_form.occurrences[position].name
+        )
+
+    def _step_index(
+        self, steps: tuple[StepPlan, ...], step_index: int
+    ) -> "HashIndex | None":
+        """The index bound to one step's OLD probe (kernels)."""
+        step = steps[step_index]
+        return self._bind_index(step.position, step.link_attr_names)
 
     # ------------------------------------------------------------------
     # Index bindings
@@ -565,10 +574,6 @@ class CompiledViewPlan:
             return probe
 
         return probe_hook
-
-    def rebind_indexes(self) -> None:
-        """Drop cached index bindings (next execution re-resolves)."""
-        self._index_bindings.clear()
 
     def index_bindings(self) -> dict[tuple[int, tuple[str, ...]], "HashIndex | None"]:
         """A snapshot of the currently resolved probe bindings."""

@@ -160,7 +160,7 @@ class ViewMaintainer:
             )
             if errors:
                 raise StrictAnalysisError(name, errors)
-        view = MaterializedView.materialize(definition, self._combined_instances())
+        view = MaterializedView.materialize(definition, self.instances())
         return self._install_view(view, referenced, policy)
 
     def restore_view(
@@ -191,9 +191,9 @@ class ViewMaintainer:
         diverging view.
         """
         definition, referenced = self._validated_definition(name, expression)
-        if definition.aggregate is not None:
-            expected = definition.normal_form.output_schema()
-            if tuple(contents.schema.names) != tuple(expected.names):
+        expected = definition.normal_form.output_schema()
+        if tuple(contents.schema.names) != tuple(expected.names):
+            if definition.aggregate is not None:
                 raise MaintenanceError(
                     f"restored contents for aggregate view {name!r} have "
                     f"schema {list(contents.schema.names)}, expected the "
@@ -201,20 +201,6 @@ class ViewMaintainer:
                     "checkpoints store the core rows, not the rendered "
                     "group rows)"
                 )
-            adopted = Relation(expected)
-            for values, count in contents.items():
-                adopted.add(tuple(contents.schema.decode_values(values)), count)
-            from repro.core.aggregates import AggregateState
-
-            state = AggregateState.from_core(definition.aggregate, adopted)
-            view = MaterializedView(definition, state.visible_relation(), state)
-            if verify:
-                from repro.core.consistency import check_view_consistency
-
-                check_view_consistency(view, self._combined_instances())
-            return self._install_view(view, referenced, policy)
-        expected = definition.output_schema()
-        if tuple(contents.schema.names) != tuple(expected.names):
             raise MaintenanceError(
                 f"restored contents for view {name!r} have schema "
                 f"{list(contents.schema.names)}, expected {list(expected.names)}"
@@ -222,11 +208,11 @@ class ViewMaintainer:
         adopted = Relation(expected)
         for values, count in contents.items():
             adopted.add(tuple(contents.schema.decode_values(values)), count)
-        view = MaterializedView(definition, adopted)
+        view = MaterializedView.from_stored(definition, adopted)
         if verify:
             from repro.core.consistency import check_view_consistency
 
-            check_view_consistency(view, self._combined_instances())
+            check_view_consistency(view, self.instances())
         return self._install_view(view, referenced, policy)
 
     def _validated_definition(
@@ -317,7 +303,10 @@ class ViewMaintainer:
             self.database,
             self._combined_catalog(),
             row,
-            view_operands=referenced & self._views.keys(),
+            view_operands={
+                name: self._views[name]
+                for name in referenced & self._views.keys()
+            },
         )
 
     def expected_plan_fingerprint(self, name: str) -> tuple:
@@ -416,7 +405,13 @@ class ViewMaintainer:
             catalog[view_name] = view.contents.schema
         return catalog
 
-    def _combined_instances(self):
+    def instances(self) -> dict[str, Relation]:
+        """Base relations plus every view's contents, by name.
+
+        The mapping :func:`~repro.core.consistency.check_view_consistency`
+        and :func:`~repro.algebra.evaluate.evaluate` take: a stacked
+        view's definition names its upstream views like relations.
+        """
         instances = dict(self.database.instances())
         for view_name, view in self._views.items():
             instances[view_name] = view.contents
@@ -762,7 +757,7 @@ class ViewMaintainer:
         """
         from repro.core.consistency import check_view_consistency
 
-        instances = self._combined_instances()
+        instances = self.instances()
         reports: dict[str, ConsistencyReport] = {}
         for name in self.view_names():
             reports[name] = check_view_consistency(
@@ -797,7 +792,7 @@ class ViewMaintainer:
                 view.last_refresh_sequence = self.database.log.last_sequence()
                 return Delta(view.contents.schema)
 
-            view_delta = plan.compute_delta(self._combined_instances(), relevant)
+            view_delta = plan.compute_delta(relevant)
             if view.aggregate_state is not None:
                 # The pipeline produced a delta over the SPJ *core*; the
                 # fold stage turns it into the visible group-row delta
@@ -817,7 +812,7 @@ class ViewMaintainer:
         if self.auto_verify:
             from repro.core.consistency import check_view_consistency
 
-            check_view_consistency(view, self._combined_instances())
+            check_view_consistency(view, self.instances())
 
         if not view_delta.is_empty():
             for callback in self._subscribers.get(name, ()):

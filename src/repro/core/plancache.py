@@ -91,12 +91,6 @@ class PlanCache:
         """Discard one view's plan; True when a plan was cached."""
         return self._plans.pop(name, None) is not None
 
-    def invalidate_all(self) -> int:
-        """Discard every cached plan; returns how many were discarded."""
-        count = len(self._plans)
-        self._plans.clear()
-        return count
-
     def __len__(self) -> int:
         return len(self._plans)
 

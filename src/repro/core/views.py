@@ -132,13 +132,26 @@ class MaterializedView:
         """
         from repro.core.planner import evaluate_normal_form
 
-        contents = evaluate_normal_form(definition.normal_form, instances)
+        return cls.from_stored(
+            definition, evaluate_normal_form(definition.normal_form, instances)
+        )
+
+    @classmethod
+    def from_stored(
+        cls, definition: ViewDefinition, stored: Relation
+    ) -> "MaterializedView":
+        """The view whose :meth:`stored_contents` is ``stored``.
+
+        ``stored`` is over the normal form's output schema either way:
+        a plain view's contents, or an aggregate view's core support,
+        which is grouped into the support state and rendered.
+        """
         if definition.aggregate is not None:
             from repro.core.aggregates import AggregateState
 
-            state = AggregateState.from_core(definition.aggregate, contents)
+            state = AggregateState.from_core(definition.aggregate, stored)
             return cls(definition, state.visible_relation(), state)
-        return cls(definition, contents)
+        return cls(definition, stored)
 
     def stored_contents(self) -> Relation:
         """The relation checkpoints persist.

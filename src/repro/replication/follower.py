@@ -56,7 +56,7 @@ from repro.errors import ReplicationError
 from repro.instrumentation import charge
 from repro.replication.checkpoints import Checkpoint, latest_checkpoint_path
 from repro.replication.recovery import decode_wal_record
-from repro.replication.wal import TailDamage, WalReader
+from repro.replication.wal import TailDamage, WalReader, WalRecord
 
 
 class Follower:

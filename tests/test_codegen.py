@@ -23,6 +23,7 @@ The codegen contract has five legs, each pinned here:
   reach generated source only quoted, inside comments.
 """
 
+import ast
 import random
 from unittest import mock
 
@@ -32,8 +33,7 @@ from hypothesis import strategies as st
 
 import repro.core.codegen as codegen
 from repro import BaseRef, Database, ViewMaintainer
-from repro.algebra.relation import Delta
-from repro.core.codegen import CODEGEN_VERSION, DeltaBatch, plan_fingerprint
+from repro.core.codegen import CODEGEN_VERSION, plan_fingerprint
 from repro.instrumentation import CostRecorder, recording
 from tests.reference import REFERENCE_PARITY_COUNTERS, ReferenceViews
 
@@ -320,7 +320,7 @@ class TestHostileNames:
         "s\rimport os",
         "s'\"; raise SystemExit  #",
         "s # not a comment\n\traise ValueError",
-        "s\u2028mask = None",
+        "s\u2028kept = None",
     ]
 
     @pytest.mark.parametrize("hostile", NAMES)
@@ -373,35 +373,56 @@ class TestHostileNames:
             )
 
 
-class TestDeltaBatch:
-    def _delta(self, db):
-        schema = db.relation("r").schema
-        return Delta.from_counts(
-            schema,
-            {(1, 6): 2, (2, 7): 1},
-            {(9, 9): 1},
+class TestKernelNamespace:
+    """Generated source touches nothing but its inputs and the kernel
+    constants: no private attribute of any object, no ambient name."""
+
+    def _sources(self):
+        db = _fresh_database()
+        maintainer = ViewMaintainer(db)
+        maintainer.define_view("sel", VIEW_SHAPES["disj"])
+        maintainer.define_view("join", VIEW_SHAPES["join2"])
+        maintainer.define_view("proj", VIEW_SHAPES["proj"])
+        maintainer.define_view(
+            "stacked", BaseRef("s").product(BaseRef("proj")).select("C = B")
         )
+        maintainer.define_view(
+            "agg",
+            BaseRef("r").aggregate(
+                ["B"], [("count", None, "n"), ("sum", "A", "t"), ("max", "A", "m")]
+            ),
+        )
+        return {
+            name: maintainer.kernel_source(name)
+            for name in ("sel", "join", "stacked", "agg")
+        }
 
-    def test_full_mask_round_trips(self):
-        delta = self._delta(_fresh_database())
-        batch = DeltaBatch.from_delta(delta)
-        assert len(batch) == 3
-        assert batch.n_inserted == 2
-        assert batch.columns[0] == [1, 2, 9]
-        assert batch.columns[1] == [6, 7, 9]
-        out = batch.to_delta(bytearray([1] * len(batch)))
-        assert out.inserted == delta.inserted
-        assert out.deleted == delta.deleted
-
-    def test_partial_mask_keeps_counts_and_sides(self):
-        delta = self._delta(_fresh_database())
-        batch = DeltaBatch.from_delta(delta)
-        mask = bytearray(len(batch))
-        mask[0] = 1  # one insert
-        mask[2] = 1  # the delete
-        out = batch.to_delta(mask)
-        assert out.inserted == {(1, 6): 2}
-        assert out.deleted == {(9, 9): 1}
+    def test_no_private_attribute_and_no_free_name(self):
+        ambient = set(codegen._KERNEL_GLOBALS) | set(
+            codegen._KERNEL_GLOBALS["__builtins__"]
+        )
+        for view, source in self._sources().items():
+            assert "_counts" not in source
+            functions = [
+                node
+                for node in ast.parse(source).body
+                if isinstance(node, ast.FunctionDef)
+            ]
+            assert functions, view
+            module_names = {function.name for function in functions}
+            for function in functions:
+                bound = {arg.arg for arg in function.args.args}
+                loaded = set()
+                for node in ast.walk(function):
+                    if isinstance(node, ast.Attribute):
+                        assert not node.attr.startswith("_"), (view, node.attr)
+                    elif isinstance(node, ast.Name):
+                        if isinstance(node.ctx, ast.Load):
+                            loaded.add(node.id)
+                        else:
+                            bound.add(node.id)
+                free = loaded - bound - module_names - ambient
+                assert not free, (view, function.name, sorted(free))
 
 
 class TestStatsSurface:

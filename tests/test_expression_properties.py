@@ -185,6 +185,6 @@ class TestMaintenanceOnRandomTrees:
             with db.transact() as txn:
                 for name, op, row in batch:
                     getattr(txn, op)(name, row)
-        combined = maintainer._combined_instances()
+        combined = maintainer.instances()
         check_view_consistency(upstream, combined)
         check_view_consistency(stacked, combined)

@@ -5,6 +5,8 @@ import random
 import pytest
 
 from repro.algebra.expressions import BaseRef
+from repro.algebra.schema import RelationSchema
+from repro.core.compiled import CompiledViewPlan
 from repro.core.consistency import check_view_consistency
 from repro.core.maintainer import MaintenancePolicy, ViewMaintainer
 from repro.engine.database import Database
@@ -258,3 +260,60 @@ class TestSubscribers:
             txn.insert("r", (9, 10))
         assert received == []
         m.unsubscribe("u", callback)  # idempotent
+
+
+class TestCommitPathGlue:
+    def test_commits_build_no_instance_map_and_no_schema(
+        self, db, view_expr, monkeypatch
+    ):
+        """Everything a commit needs that no transaction changes is
+        resolved when the plan (or one of its shapes) compiles: 50
+        commits build no name -> relation map and no schema."""
+        m = ViewMaintainer(db)
+        m.define_view("u", view_expr)
+        m.define_view("sel", BaseRef("r").select("A < 8"))
+        m.define_view("p", BaseRef("r").project(["B"]))
+        m.define_view("st", BaseRef("s").product(BaseRef("p")).select("C = B"))
+        m.define_view(
+            "agg", BaseRef("r").aggregate(["B"], [("count", None, "n")])
+        )
+        # Row kernels compile on the first use of a truth-table shape;
+        # these three commits use every shape the views have.
+        db.apply(inserts={"r": [(3, 7)]})
+        db.apply(inserts={"s": [(7, 1)]})
+        db.apply(inserts={"r": [(4, 8)], "s": [(8, 2)]})
+        calls = {"instances": 0, "schemas": 0}
+        in_plan = []
+
+        instances = ViewMaintainer.instances
+
+        def counting_instances(self):
+            calls["instances"] += 1
+            return instances(self)
+
+        monkeypatch.setattr(ViewMaintainer, "instances", counting_instances)
+        for attr in ("screen", "compute_delta"):
+            method = getattr(CompiledViewPlan, attr)
+
+            def inside(self, *args, _method=method):
+                in_plan.append(1)
+                try:
+                    return _method(self, *args)
+                finally:
+                    in_plan.pop()
+
+            monkeypatch.setattr(CompiledViewPlan, attr, inside)
+        init = RelationSchema.__init__
+
+        def counting_init(self, *args, **kwargs):
+            calls["schemas"] += bool(in_plan)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(RelationSchema, "__init__", counting_init)
+
+        run_random_transactions(db, random.Random(5), 50)
+        assert m.stats("u")["transactions_seen"] > 0
+        assert m.stats("st")["deltas_applied"] > 0
+        assert calls == {"instances": 0, "schemas": 0}
+        monkeypatch.undo()
+        m.verify_all()

@@ -64,7 +64,7 @@ class TestStream:
                 for name in maintainer.view_names():
                     check_view_consistency(
                         maintainer.view(name),
-                        maintainer._combined_instances(),
+                        maintainer.instances(),
                     )
 
     def test_line_ids_never_collide(self):

@@ -78,14 +78,6 @@ class TestPlanCacheUnit:
         assert cache.invalidate("w")
         assert not cache.invalidate("w")
 
-    def test_invalidate_all(self, db, maintainer):
-        cache = PlanCache()
-        plan = maintainer.compiled_plan("v")
-        cache.put("a", plan)
-        cache.put("b", plan)
-        assert cache.invalidate_all() == 2
-        assert len(cache) == 0
-
     def test_charges_flow_to_recorder(self, db, maintainer):
         # The cache reports hit / miss / eviction; the maintainer counts
         # each once, and the one increment reaches the recorder too.

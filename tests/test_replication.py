@@ -11,6 +11,7 @@ snapshot + WAL replay reproduces every relation and every view exactly
 import json
 import os
 import random
+import typing
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +38,7 @@ from repro.replication.checkpoints import (
 from repro.replication.wal import (
     WalCorruptionError,
     WalReader,
+    WalRecord,
     WalWriter,
     decode_line,
     encode_record,
@@ -446,6 +448,9 @@ class TestFollower:
             writer.append(1, {})
         with pytest.raises(ReplicationError, match="checkpoint"):
             Follower(directory)
+
+    def test_apply_record_annotations_resolve(self):
+        assert typing.get_type_hints(Follower.apply_record)["record"] is WalRecord
 
 
 # ----------------------------------------------------------------------

@@ -104,7 +104,7 @@ class TestPropagation:
         with db.transact() as txn:
             txn.insert("r", (5, 1))
             txn.insert("s", (1, 5))
-        check_view_consistency(both, maintainer._combined_instances())
+        check_view_consistency(both, maintainer.instances())
 
     def test_upstream_skip_skips_downstream(self, db, maintainer):
         maintainer.define_view("narrow", BaseRef("r").select("A < 0"))
@@ -130,7 +130,7 @@ class TestPropagation:
         assert (99,) not in snap.contents
         maintainer.refresh("snap")
         assert (99,) in snap.contents
-        check_view_consistency(snap, maintainer._combined_instances())
+        check_view_consistency(snap, maintainer.instances())
 
 
 class TestRandomizedStack:
@@ -152,5 +152,5 @@ class TestRandomizedStack:
         # end-to-end pass for good measure.
         for name in ("l1", "l2", "l3"):
             check_view_consistency(
-                maintainer.view(name), maintainer._combined_instances()
+                maintainer.view(name), maintainer.instances()
             )
