@@ -4,8 +4,11 @@ Section 5.3: "a new feature of our problem is the possibility of saving
 computation by re-using partial subexpressions appearing in multiple
 rows within the table.  Efficient solutions are being investigated."
 
-Our planner's solution is prefix memoization over a fixed delta-first
-join order.  The experiment updates k relations of a chain join
+Our planner's solution is prefix memoization over the rows' join
+orders: every row starts at its lowest delta and grows along the
+equality links, and rows whose orders begin with the same (position,
+choice) prefix share that prefix's result.  The experiment updates k
+relations of a chain join
 simultaneously (2^k − 1 rows) with sharing on and off and reports join
 probes, memo hits and wall time — identical results, strictly less
 work with sharing, growing with k.

@@ -417,20 +417,21 @@ def _plan_lint_findings(
     findings: list[Finding] = []
     p = len(nf.occurrences)
 
-    # OLD operands joined with no equality links: simulate the planner
-    # for every single-relation update (the common transaction shape)
-    # and collect steps that join an unchanged operand with an empty
-    # link set — those are full cross-product scans no index can serve.
+    # OLD operands joined with no equality links: walk the planner's
+    # row chain for every single-relation update (the common
+    # transaction shape) and collect steps that join an unchanged
+    # operand with an empty link set — those are full cross-product
+    # scans no index can serve.
     if p > 1:
         unbound: dict[int, set[str]] = {}
         for changed in range(p):
             planner = plan.planner_for([changed])
-            for step in planner.steps:
-                if step.position == changed or step.link_attr_names:
-                    continue
-                unbound.setdefault(step.position, set()).add(
-                    nf.occurrences[changed].name
-                )
+            for chain in planner.chains.values():
+                for step in chain[1:]:
+                    if not step.link_attr_names:
+                        unbound.setdefault(step.position, set()).add(
+                            nf.occurrences[changed].name
+                        )
         for position in sorted(unbound):
             occurrence = nf.occurrences[position]
             triggers = ", ".join(sorted(unbound[position]))

@@ -90,7 +90,8 @@ Shell commands::
     explain <view> [changing <rel>[, <rel>]*]
                                 -- the compiled maintenance plan: the
                                    invariant/variant screening split,
-                                   join order, index bindings, and the
+                                   each truth-table row's join order,
+                                   index bindings, and the
                                    chase proofs (derived view keys, FK
                                    reductions); the bare form assumes
                                    every referenced relation changed

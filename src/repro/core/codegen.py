@@ -17,13 +17,17 @@ runs the generated closures over whole batches:
   the source as integer literals and the variant bounds unrolled into
   ``min``/``max`` expressions plus the O(B²) negative-cycle probes;
 * **row kernels** — one per truth-table shape: the Section 5.3 rows
-  unrolled into a prefix-sharing trie of hash-join loops over the
-  changed operands' count dicts and the live relations of the OLD
-  ones, with equality-link keys, pre/post-filters and the paper's tag
-  algebra all inlined (``insert ⊗ delete`` pairs dropped in-loop);
-* **apply kernels** — one per shape: the final DNF re-check,
-  projection and Section 5.2 multiplicity-counter folding into plain
-  ``dict`` accumulators, collapsed to a net view delta by
+  unrolled, each along its own delta-rooted join order
+  (``RowPlanner.chains``), into hash-join loops over the changed
+  operands' count dicts and index probes (or, for a view operand,
+  scans) of the OLD ones, rows sharing the node of every common
+  (position, choice) prefix, with equality-link keys, pre/post-filters
+  and the paper's tag algebra all inlined (``insert ⊗ delete`` pairs
+  dropped in-loop);
+* **apply kernels** — one per distinct complete join order of a shape:
+  the final DNF re-check, projection and Section 5.2
+  multiplicity-counter folding into plain ``dict`` accumulators,
+  collapsed to a net view delta by
   :func:`repro.core.counting.net_counts`.
 
 One data format crosses every kernel boundary, in and out: the
@@ -51,21 +55,20 @@ so does the memory the unrolled source takes to compile) is executed by
 
 from __future__ import annotations
 
-from itertools import product
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.algebra.conditions import Atom, Condition, Var
 from repro.algebra.schema import RelationSchema
 from repro.algebra.tags import Tag
 from repro.core.graph import INF, ZERO
-from repro.core.truthtable import DeltaRowChoice, Rows
+from repro.core.truthtable import DeltaRowChoice, count_delta_rows
 from repro.errors import MaintenanceError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.algebra.aggregates import AggregateSpec
     from repro.algebra.expressions import NormalForm
     from repro.core.irrelevance import RelevanceFilter
-    from repro.core.planner import RowPlanner
+    from repro.core.planner import RowPlanner, StepPlan
 
 ValueTuple = tuple[int, ...]
 
@@ -76,7 +79,8 @@ ValueTuple = tuple[int, ...]
 #: v3: counter-free apply kernels (derived view keys pin counters to 1).
 #: v4: every name in a comment is quoted (see :func:`quoted`).
 #: v5: kernels read and write ``Delta``'s count dicts directly.
-CODEGEN_VERSION = 5
+#: v6: a join order per truth-table row; steps numbered per shape.
+CODEGEN_VERSION = 6
 
 #: Shapes whose truth table exceeds this many rows run on
 #: :func:`~repro.core.differential.execute_planner` instead: the
@@ -393,55 +397,44 @@ def _fold(func: str, exprs: list[str]) -> str:
 # Row + apply kernels (Section 5.3 over one truth-table shape)
 # ----------------------------------------------------------------------
 
-def codegen_rows(
-    num_operands: int, changed_positions: Sequence[int]
-) -> list[Rows]:
-    """The rows :func:`~repro.core.truthtable.enumerate_delta_rows`
-    yields, computed without charging ``truth_table_rows``.
-
-    Kernel generation happens once per shape; the per-execution charge
-    is applied in bulk by the kernel driver so the counter stays
-    execution-proportional, exactly like the reference planner's.
-    """
-    changed = sorted(set(changed_positions))
-    rows: list[Rows] = []
-    for bits in product(
-        (DeltaRowChoice.OLD, DeltaRowChoice.DELTA), repeat=len(changed)
-    ):
-        if all(b is DeltaRowChoice.OLD for b in bits):
-            continue
-        row = [DeltaRowChoice.OLD] * num_operands
-        for position, bit in zip(changed, bits):
-            row[position] = bit
-        rows.append(tuple(row))
-    return rows
-
-
 def generate_shape_source(
-    planner: "RowPlanner",
-    rows: Sequence[Rows],
-    counter_free: bool = False,
+    planner: "RowPlanner", counter_free: bool = False
 ) -> str:
-    """Emit the row kernel + apply kernel for one truth-table shape.
+    """Emit the row kernel + apply kernels for one truth-table shape.
 
-    The row kernel ``row_kernel(deltas, old, index_for)`` unrolls the
-    planner's prefix-sharing trie: one named list per distinct
-    (row-prefix × choice) node.  ``deltas[p]`` is the
+    The row kernel ``row_kernel(deltas, old, index_for)`` unrolls
+    ``planner.chains``: each row's own join order, one named list per
+    distinct (position, choice) prefix, so rows whose orders begin
+    alike share the node — exactly the prefixes the reference planner
+    memoizes.  ``deltas[p]`` is the
     :class:`~repro.algebra.relation.Delta` of changed occurrence ``p``
     — its ``inserted``/``deleted`` dicts are the DELTA operand —
     ``old(p)`` the live post-commit relation of occurrence ``p``, whose
     OLD operand ``r − d_r`` is computed in the scan (``count −
     inserted.get(values, 0) > 0``, exactly
-    :func:`repro.core.differential._old_operand`), and ``index_for(j)``
-    the hash index bound to step ``j``'s OLD probe (``None`` for a view
-    operand).  Hash tables are shared per (step, choice) — mirroring the
-    reference planner's ``hash_cache`` — and are built lazily behind a
-    ``None`` guard so an OLD operand answered by an index probe (or
-    never reached because its accumulator is empty) is never scanned.
-    The kernel returns ``(ins, dele, tuples_scanned, join_probes,
-    tuples_emitted, tuples_ignored)``.  The apply kernel folds each
-    completed row through the final DNF re-check, the projection and
-    the Section 5.2 counter accumulators.
+    :func:`repro.core.differential._old_operand`), and ``index_for(s)``
+    the hash index bound to the OLD probe of distinct step ``s``
+    (``StepPlan.number``; ``None`` for a view operand).  Hash tables
+    are one per (distinct step, choice) — mirroring the reference
+    planner's ``hash_cache`` — and are built lazily behind a ``None``
+    guard so an OLD operand answered by an index probe (or never
+    reached because its accumulator is empty) is never scanned.  The
+    kernel returns ``(ins, dele, tuples_scanned, join_probes,
+    tuples_emitted, tuples_ignored)``.
+
+    Names follow the steps' numbers, which count distinct steps in
+    first-use order: the table of step ``s`` is ``h_{s}_{CHOICE}``, a
+    node is ``n_`` plus its prefix's choice letters, and the apply
+    kernel of a complete order is ``apply_kernel`` — each of the last
+    two suffixed ``_{s}`` with its last step's number unless that is
+    the node's depth, which holds exactly along row 0's order.  A shape
+    whose rows all share one order therefore reads as it did when the
+    order was the shape's.
+
+    There is one apply kernel per distinct complete order: it folds
+    each completed row through the final DNF re-check, the projection
+    and the Section 5.2 counter accumulators, and the first two read
+    positions of the joined row, whose layout is the order's.
 
     With ``counter_free`` (sound only when a derived view key proves
     every view row has multiplicity ≤ 1 — see
@@ -453,7 +446,7 @@ def generate_shape_source(
     transaction may legitimately delete a view row and re-insert it.
     """
     nf = planner.normal_form
-    steps = planner.steps
+    chains = planner.chains
     out = _Emitter()
     names = [occ.name for occ in nf.occurrences]
     out.emit(
@@ -461,18 +454,21 @@ def generate_shape_source(
         + quoted(tuple(names[i] for i in planner.changed))
         + f" of view over {quoted(names)}"
     )
-    out.emit(
-        "# order (delta-first): "
-        + " -> ".join(quoted(names[step.position]) for step in steps)
-    )
+    for row_index, row in enumerate(chains):
+        out.emit(f"# row {row_index}: {planner.describe_chain(row, quoted)}")
     if counter_free:
         out.emit(
             "# counter-free: a derived view key proves multiplicity <= 1;"
         )
         out.emit("# the apply kernel pins every counter to one")
 
-    _emit_apply_kernel(out, planner, counter_free)
-    out.emit()
+    apply_kernels: set[str] = set()
+    for chain in chains.values():
+        name = _numbered("apply_kernel", chain)
+        if name not in apply_kernels:
+            apply_kernels.add(name)
+            _emit_apply_kernel(out, planner, chain, name, counter_free)
+            out.emit()
     out.emit("def row_kernel(deltas, old, index_for):")
     out.indent += 1
     out.emit("ins = {}")
@@ -489,60 +485,58 @@ def generate_shape_source(
         out.emit(f"i{p} = deltas[{p}].inserted")
         out.emit(f"d{p} = deltas[{p}].deleted")
 
-    # One hash table per joined (step, choice): any such node may take
-    # the hash path — an OLD probe is only answered from an index when
-    # one is bound at run time.
-    hash_nodes: set[tuple[int, DeltaRowChoice]] = set()
-    plans: list[list[tuple[str, str, int, DeltaRowChoice]]] = []
-    emitted: set[str] = set()
-    for row in rows:
-        chain: list[tuple[str, str, int, DeltaRowChoice]] = []
-        sig = ""
-        parent = ""
-        for j, step in enumerate(steps):
-            choice = row[step.position]
-            sig += "D" if choice is DeltaRowChoice.DELTA else "O"
-            node = f"n_{sig}"
-            chain.append((node, parent, j, choice))
-            parent = node
-            if j:
-                hash_nodes.add((j, choice))
-        plans.append(chain)
-
-    for j, choice in sorted(
+    # One hash table per joined (distinct step, choice): any such node
+    # may take the hash path — an OLD probe is only answered from an
+    # index when one is bound at run time.
+    hash_nodes = {
+        (step.number, row[step.position])
+        for row, chain in chains.items()
+        for step in chain[1:]
+    }
+    for number, choice in sorted(
         hash_nodes, key=lambda item: (item[0], item[1].value)
     ):
-        out.emit(f"h_{j}_{choice.name} = None")
+        out.emit(f"h_{number}_{choice.name} = None")
 
-    for row_index, chain in enumerate(plans):
-        out.emit(f"# row {row_index}: " + _render_sig(chain, steps, names))
-        for node, parent, j, choice in chain:
+    emitted: set[str] = set()
+    for row_index, (row, chain) in enumerate(chains.items()):
+        out.emit(f"# row {row_index}")
+        parent = ""
+        sig = ""
+        for depth, step in enumerate(chain):
+            choice = row[step.position]
+            sig += "D" if choice is DeltaRowChoice.DELTA else "O"
+            node = _numbered(f"n_{sig}", chain[: depth + 1])
             if node not in emitted:
-                if j == 0:
-                    _emit_first_operand(out, planner, node, choice)
+                if depth == 0:
+                    _emit_first_operand(out, planner, node, step, choice)
                 else:
-                    _emit_join_node(out, planner, node, parent, j, choice)
+                    _emit_join_node(out, planner, node, parent, step, choice)
                 emitted.add(node)
-        out.emit(f"apply_kernel({chain[-1][0]}, ins, dele)")
+            parent = node
+        out.emit(f"{_numbered('apply_kernel', chain)}({parent}, ins, dele)")
     out.emit("return ins, dele, ts, jp, te, ti")
     return out.source()
 
 
-def _render_sig(chain, steps, names) -> str:
-    parts = []
-    for _, _, j, choice in chain:
-        name = quoted(names[steps[j].position])
-        parts.append(name if choice is DeltaRowChoice.OLD else f"i_{name}")
-    return " * ".join(parts)
+def _numbered(name: str, chain: Sequence["StepPlan"]) -> str:
+    """``name`` for the (prefix of a) chain: suffixed with its last
+    step's number unless that number is the depth (row 0's order)."""
+    number = chain[-1].number
+    return name if number == len(chain) - 1 else f"{name}_{number}"
 
 
 def _emit_apply_kernel(
-    out: _Emitter, planner: "RowPlanner", counter_free: bool = False
+    out: _Emitter,
+    planner: "RowPlanner",
+    chain: Sequence["StepPlan"],
+    name: str,
+    counter_free: bool,
 ) -> None:
-    final_schema = planner.final_schema
-    positions = planner.projection_positions
-    key = "(" + ", ".join(f"v[{p}]" for p in positions) + ("," if len(positions) == 1 else "") + ")"
-    out.emit("def apply_kernel(rows, ins, dele):")
+    final_schema = chain[-1].acc_schema
+    _, positions = planner.finish_of(chain)
+    key = _key_tuple_expr(positions, "v")
+    out.emit(f"def {name}(rows, ins, dele):")
     out.indent += 1
     out.emit("for v, t, c in rows:")
     out.indent += 1
@@ -570,7 +564,7 @@ def _emit_apply_kernel(
 
 
 def _emit_scan(
-    out: _Emitter, planner: "RowPlanner", j: int, choice: DeltaRowChoice
+    out: _Emitter, planner: "RowPlanner", step: "StepPlan", choice: DeltaRowChoice
 ) -> int:
     """Open the loop binding ``bv, bt, bc`` over one operand's tuples.
 
@@ -579,7 +573,6 @@ def _emit_scan(
     the caller emits the loop body, then closes the returned number of
     indent levels.
     """
-    step = planner.steps[j]
     p = step.position
     if choice is DeltaRowChoice.DELTA:
         out.emit(f"ts += len(i{p}) + len(d{p})")
@@ -610,11 +603,15 @@ def _emit_scan(
 
 
 def _emit_first_operand(
-    out: _Emitter, planner: "RowPlanner", node: str, choice: DeltaRowChoice
+    out: _Emitter,
+    planner: "RowPlanner",
+    node: str,
+    step: "StepPlan",
+    choice: DeltaRowChoice,
 ) -> None:
     out.emit(f"{node} = []")
     out.emit(f"{node}_append = {node}.append")
-    depth = _emit_scan(out, planner, 0, choice)
+    depth = _emit_scan(out, planner, step, choice)
     out.emit(f"{node}_append((bv, bt, bc))")
     out.indent -= depth
 
@@ -624,10 +621,9 @@ def _emit_join_node(
     planner: "RowPlanner",
     node: str,
     parent: str,
-    j: int,
+    step: "StepPlan",
     choice: DeltaRowChoice,
 ) -> None:
-    step = planner.steps[j]
     key_expr = _probe_key_expr(step)
     out.emit(f"{node} = []")
     out.emit(f"if {parent}:")
@@ -635,22 +631,26 @@ def _emit_join_node(
     out.emit(f"{node}_append = {node}.append")
     use_probe = choice is DeltaRowChoice.OLD and bool(step.link_attr_names)
     if use_probe:
-        out.emit(f"ix = index_for({j})")
+        out.emit(f"ix = index_for({step.number})")
         out.emit("if ix is not None:")
         out.indent += 1
-        _emit_probe_loop(out, planner, node, parent, j, key_expr)
+        _emit_probe_loop(out, planner, node, parent, step, key_expr)
         out.indent -= 1
         out.emit("else:")
         out.indent += 1
-        _emit_hash_join(out, planner, node, parent, j, choice, key_expr)
+        _emit_hash_join(out, planner, node, parent, step, choice, key_expr)
         out.indent -= 1
     else:
-        _emit_hash_join(out, planner, node, parent, j, choice, key_expr)
+        _emit_hash_join(out, planner, node, parent, step, choice, key_expr)
     out.indent -= 1
 
 
 def _emit_probe_loop(
-    out: _Emitter, planner: "RowPlanner", node: str, parent: str, j: int,
+    out: _Emitter,
+    planner: "RowPlanner",
+    node: str,
+    parent: str,
+    step: "StepPlan",
     key_expr: str,
 ) -> None:
     """An OLD operand answered from its persistent hash index.
@@ -658,7 +658,6 @@ def _emit_probe_loop(
     Indexes hold the post-commit relation (set semantics, count one), so
     a changed operand's probe results drop this transaction's inserts.
     """
-    step = planner.steps[j]
     p = step.position
     prefilter = _prefilter_expr(step, "bv")
     out.emit("bt = T_O")
@@ -673,7 +672,7 @@ def _emit_probe_loop(
         out.skip_if(f"bv in i{p}")
     if prefilter is not None:
         out.skip_if(f"not ({prefilter})")
-    _emit_combine_emit(out, planner, node, j)
+    _emit_combine_emit(out, node, step)
     out.indent -= 2
 
 
@@ -682,17 +681,16 @@ def _emit_hash_join(
     planner: "RowPlanner",
     node: str,
     parent: str,
-    j: int,
+    step: "StepPlan",
     choice: DeltaRowChoice,
     key_expr: str,
 ) -> None:
-    step = planner.steps[j]
-    table = f"h_{j}_{choice.name}"
+    table = f"h_{step.number}_{choice.name}"
     build_key = _key_tuple_expr(step.operand_key_positions, "bv")
     out.emit(f"if {table} is None:")
     out.indent += 1
     out.emit(f"{table} = {{}}")
-    depth = _emit_scan(out, planner, j, choice)
+    depth = _emit_scan(out, planner, step, choice)
     out.emit(f"bk = {build_key}")
     out.emit(f"bucket = {table}.get(bk)")
     out.emit("if bucket is None:")
@@ -714,15 +712,12 @@ def _emit_hash_join(
     out.indent += 1
     out.emit("for bv, bt, bc in bucket:")
     out.indent += 1
-    _emit_combine_emit(out, planner, node, j)
+    _emit_combine_emit(out, node, step)
     out.indent -= 3
 
 
-def _emit_combine_emit(
-    out: _Emitter, planner: "RowPlanner", node: str, j: int
-) -> None:
+def _emit_combine_emit(out: _Emitter, node: str, step: "StepPlan") -> None:
     """Tag algebra + postfilter + emit, shared by both join paths."""
-    step = planner.steps[j]
     out.emit("if at is T_O:")
     out.indent += 1
     out.emit("t = bt")
@@ -985,10 +980,10 @@ class ShapeKernels:
         self.rows_evaluated = rows_evaluated
         #: ``subexpression_memo_hits`` the reference planner charges
         #: per execution.  The memo holds every prefix of each
-        #: evaluated row, so a row scores exactly one hit iff its
-        #: first-step choice appeared in an earlier row — a
-        #: compile-time constant of the shape (0 for a statically empty
-        #: plan).
+        #: evaluated row, so a row scores exactly one hit iff an
+        #: earlier row's order opens with the same (position, choice) —
+        #: a compile-time constant of the shape (0 for a statically
+        #: empty plan).
         self.memo_hits = memo_hits
 
     def __repr__(self) -> str:
@@ -999,11 +994,9 @@ def compile_shape_kernels(
     planner: "RowPlanner", view_name: str, counter_free: bool = False
 ) -> ShapeKernels | None:
     """Generate + compile one shape's kernels; None triggers fallback."""
-    nf = planner.normal_form
-    rows = codegen_rows(len(nf.occurrences), planner.changed)
-    if len(rows) > MAX_CODEGEN_ROWS:
+    if count_delta_rows(len(planner.changed)) > MAX_CODEGEN_ROWS:
         return None
-    source = generate_shape_source(planner, rows, counter_free)
+    source = generate_shape_source(planner, counter_free)
     shape_tag = "".join(str(p) for p in planner.changed)
     kernel = compile_kernel(
         source, "row_kernel", f"<codegen:{view_name}:shape{shape_tag}>"
@@ -1011,7 +1004,10 @@ def compile_shape_kernels(
     if planner.always_empty:
         rows_evaluated = memo_hits = 0
     else:
-        rows_evaluated = len(rows)
-        first_position = planner.steps[0].position
-        memo_hits = len(rows) - len({row[first_position] for row in rows})
+        chains = planner.chains
+        rows_evaluated = len(chains)
+        memo_hits = len(chains) - len(
+            {(chain[0].position, row[chain[0].position])
+             for row, chain in chains.items()}
+        )
     return ShapeKernels(source, kernel, rows_evaluated, memo_hits)

@@ -9,9 +9,10 @@ from "once per batch" to "once per view registration":
 * the Section 4 relevance screens (normalization, invariant/variant
   split, Floyd–Warshall APSP) are built per participating relation at
   compile time and reused by every subsequent transaction;
-* the Section 5 row planners (delta-first join order, hash-join links,
-  selection pushdown, projection positions) are built per truth-table
-  shape — the tuple of changed occurrence positions — and cached;
+* the Section 5 row planners (a delta-rooted join order per row,
+  hash-join links, selection pushdown, projection positions) are built
+  per truth-table shape — the tuple of changed occurrence positions —
+  and cached;
 * OLD-operand probes bind to persistent hash indexes once, and the
   bindings are kept until an index create/drop, relation drop or view
   re-registration invalidates the whole plan.
@@ -47,7 +48,6 @@ from repro.core.codegen import (
     MAX_CODEGEN_ROWS,
     ScreenKernel,
     ShapeKernels,
-    codegen_rows,
     compile_kernel,
     compile_shape_kernels,
     generate_aggregate_source,
@@ -446,7 +446,8 @@ class CompiledViewPlan:
         )
         if kernels is not None:
             self._counters.count("codegen_plans_compiled")
-        shape = (planner, kernels, partial(self._step_index, planner.steps))
+        index_for = partial(self._step_index, planner.distinct_steps)
+        shape = (planner, kernels, index_for)
         self._shapes[changed] = shape
         return shape
 
@@ -511,7 +512,7 @@ class CompiledViewPlan:
     def _step_index(
         self, steps: tuple[StepPlan, ...], step_index: int
     ) -> "HashIndex | None":
-        """The index bound to one step's OLD probe (kernels)."""
+        """The index bound to one distinct step's OLD probe (kernels)."""
         step = steps[step_index]
         return self._bind_index(step.position, step.link_attr_names)
 
@@ -615,18 +616,16 @@ class CompiledViewPlan:
         if width > 1:
             shapes.append(tuple(range(width)))
         for shape in shapes:
-            rows = codegen_rows(width, shape)
-            if len(rows) > MAX_CODEGEN_ROWS:
+            rows = count_delta_rows(len(shape))
+            if rows > MAX_CODEGEN_ROWS:
                 parts.append(
-                    f"# shape {shape!r}: {len(rows)} truth-table rows "
+                    f"# shape {shape!r}: {rows} truth-table rows "
                     "exceed the codegen limit; reference-planner fallback\n"
                 )
                 continue
             parts.append(
                 generate_shape_source(
-                    self.planner_for(shape),
-                    rows,
-                    counter_free=self.counter_free,
+                    self.planner_for(shape), counter_free=self.counter_free
                 )
             )
         if self._aggregate_kernel is not None:
@@ -638,7 +637,8 @@ class CompiledViewPlan:
 
         Sections: the Definition 4.2 invariant/variant split per changed
         relation (the screening plan), the cached row plan for the
-        resulting truth-table shape (join order, hash links, pushdown),
+        resulting truth-table shape (each row's join order, hash links,
+        pushdown),
         and the hash index each OLD probe binds.  This is what the CLI's
         ``explain`` verb prints.
         """
@@ -704,15 +704,12 @@ class CompiledViewPlan:
         planner = self.planner_for(positions)
         lines.append(planner.describe())
         lines.append("index bindings (OLD-operand probes):")
-        bound_any = False
-        for index_pos, step in enumerate(planner.steps):
-            if step.position in positions or not step.link_attr_names:
-                continue
+        probes = planner.old_probe_steps()
+        for step in probes:
             occurrence = nf.occurrences[step.position]
-            bound_any = True
             if occurrence.name in self._view_operands:
                 lines.append(
-                    f"  step {index_pos}: {occurrence.name} is a view operand; "
+                    f"  step {step.number}: {occurrence.name} is a view operand; "
                     "no persistent index (contents hashed per execution)"
                 )
                 continue
@@ -724,10 +721,10 @@ class CompiledViewPlan:
                 "bound" if existing is not None else "will be created on first use"
             )
             lines.append(
-                f"  step {index_pos}: probes hash index "
+                f"  step {step.number}: probes hash index "
                 f"{occurrence.name}({', '.join(base_attrs)}) [{state}]"
             )
-        if not bound_any:
+        if not probes:
             lines.append("  (none: no OLD operand is joined by equality links)")
         if self.definition.aggregate is not None:
             lines.append(

@@ -39,8 +39,10 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from repro.algebra.expressions import Expression
 from repro.algebra.relation import Delta, Relation
+from repro.core.codegen import MAX_CODEGEN_ROWS
 from repro.core.compiled import CompiledViewPlan
 from repro.core.plancache import PlanCache
+from repro.core.truthtable import count_delta_rows
 from repro.core.views import MaterializedView, ViewDefinition
 from repro.engine.database import Database
 from repro.errors import MaintenanceError, UnknownViewError
@@ -477,8 +479,8 @@ class ViewMaintainer:
 
         ``changed_relations`` names the base relations a transaction
         would touch; the returned text shows the invariant/variant
-        screening split, the truth-table rows, the delta-first join
-        order with its pushdown decisions, and the hash index each OLD
+        screening split, the truth-table rows, each row's join order
+        with its pushdown decisions, and the hash index each OLD
         probe binds — the plan a real transaction with this shape would
         execute, served from the same cache.
         """
@@ -502,20 +504,22 @@ class ViewMaintainer:
     def recommended_indexes(self, name: str) -> tuple[tuple[str, tuple[str, ...]], ...]:
         """Indexes the planner would probe while maintaining this view.
 
-        Simulates the delta-first plan for every single-relation update
-        (the common case) and collects, for each OLD operand joined by
-        equality links, the base relation and link attributes — exactly
-        the indexes the lazy path would create on first use.  Returns
-        sorted ``(relation_name, attributes)`` pairs.
+        Walks every row's join order for each single-relation update
+        and for the update changing every operand (past the kernel row
+        cap that shape is left out), and collects, for each OLD operand
+        joined by equality links, the base relation and link attributes
+        — exactly the indexes the lazy path would create on first use.
+        Returns sorted ``(relation_name, attributes)`` pairs.
         """
         plan = self.peek_plan(name)
         normal_form = plan.execution_normal_form
+        width = len(normal_form.occurrences)
+        shapes = [(i,) for i in range(width)]
+        if 1 < width and count_delta_rows(width) <= MAX_CODEGEN_ROWS:
+            shapes.append(tuple(range(width)))
         recommendations: set[tuple[str, tuple[str, ...]]] = set()
-        for changed in range(len(normal_form.occurrences)):
-            planner = plan.planner_for([changed])
-            for step in planner.steps:
-                if step.position == changed or not step.link_attr_names:
-                    continue
+        for shape in shapes:
+            for step in plan.planner_for(shape).old_probe_steps():
                 occurrence = normal_form.occurrences[step.position]
                 if occurrence.name in self._views:
                     continue  # view operands carry no persistent index

@@ -12,17 +12,23 @@ evaluator (see DESIGN.md).
 
 This planner implements those ideas concretely:
 
-* **Order** — operands are evaluated delta-first (changed positions,
-  then unchanged ones).  Deltas are typically tiny, so intermediate
-  results stay small and each subsequent join probes a large "old"
-  operand with few keys.
+* **Order** — each truth-table row gets its own join order, chosen to
+  start where that row is small: at its lowest DELTA position, then
+  repeatedly the operand an equality atom links to what is already
+  bound (DELTA before OLD, then the lower position), and an unlinked
+  operand — a cross join — only when nothing is linked.  A row never
+  opens with an OLD operand, so no row scans one whole: an OLD operand
+  is reached through the keys of a delta-sized accumulator, which a
+  persistent index answers.  The orders live in
+  :attr:`RowPlanner.chains`, the one place a join order is decided;
+  the reference evaluator and the kernel generator both walk it.
 
-* **Sharing** — rows are evaluated left-deep over that fixed order and
-  every prefix result is memoized on its (position, choice) signature.
-  Because unchanged operands are OLD in every row, rows share all work
-  up to the first differing changed choice; with ``k`` changed
-  relations the 2^k − 1 rows collapse into a binary trie of partial
-  joins.  Experiment E13 measures the effect of turning this off.
+* **Sharing** — every prefix result is memoized on its (position,
+  choice) signature, so rows whose orders begin alike share the work
+  up to the point they part; the :class:`StepPlan` of a step (its
+  links, filters and accumulator layout) depends only on the positions
+  joined so far and is likewise kept once per distinct order prefix.
+  Experiment E13 measures the effect of turning the memo off.
 
 * **Selection pushdown** — atoms of the view condition that appear in
   every DNF disjunct are applied as early as their variables are bound:
@@ -48,7 +54,7 @@ from repro.algebra.expressions import NormalForm
 from repro.algebra.relation import TaggedRelation
 from repro.algebra.schema import RelationSchema
 from repro.algebra.tags import Tag, combine_join_tags
-from repro.core.truthtable import DeltaRowChoice, Rows
+from repro.core.truthtable import DeltaRowChoice, Rows, delta_rows, render_row
 from repro.instrumentation import charge
 
 ValueTuple = tuple[int, ...]
@@ -70,9 +76,18 @@ class StepPlan:
     positions, and are reused verbatim across every execution of the
     owning :class:`RowPlanner` (and, through
     :class:`repro.core.compiled.CompiledViewPlan`, across transactions).
+
+    A step is a function of the positions joined so far, in order
+    (``prefix``, this operand last) — which atoms are links, which are
+    filters and where the accumulator keeps each attribute all follow
+    from it — so the planner keeps one per distinct prefix and every
+    row chain that reaches the prefix shares it.  ``number`` counts the
+    distinct steps of one planner in first-use order.
     """
 
     __slots__ = (
+        "number",
+        "prefix",
         "position",
         "operand_schema",
         "acc_schema",
@@ -87,14 +102,17 @@ class StepPlan:
 
     def __init__(
         self,
-        position: int,
+        number: int,
+        prefix: tuple[int, ...],
         operand_schema: RelationSchema,
         acc_schema: RelationSchema,
         eq_links: Sequence[tuple[int, str, int]],
         prefilter_atoms: Sequence[Atom],
         postfilter_atoms: Sequence[Atom],
     ) -> None:
-        self.position = position
+        self.number = number
+        self.prefix = prefix
+        self.position = prefix[-1]
         self.operand_schema = operand_schema
         self.acc_schema = acc_schema
         # (acc value position, operand attr name, shift): the operand
@@ -119,22 +137,30 @@ class StepPlan:
             else None
         )
 
-    def describe(self, operand_name: str, step_index: int) -> str:
+    def describe(self, operand_names: Sequence[str]) -> str:
         """One human-readable line for this step of the plan."""
-        parts = [f"step {step_index}: {operand_name}"]
+        head = f"step {self.number}: {operand_names[self.position]}"
+        if len(self.prefix) > 1:
+            joined = " ⋈ ".join(operand_names[p] for p in self.prefix[:-1])
+            head += f" onto {joined}"
+        parts = [head]
         if self.eq_links:
             links = ", ".join(
                 f"{name} = acc[{pos}]{f' + {shift}' if shift else ''}"
                 for pos, name, shift in self.eq_links
             )
             parts.append(f"hash-join on [{links}]")
-        elif step_index:
+        elif len(self.prefix) > 1:
             parts.append("cross join (no equality link)")
         if self.prefilter is not None:
             parts.append("prefiltered")
         if self.postfilter is not None:
             parts.append("post-filtered")
         return "; ".join(parts)
+
+
+#: One truth-table row's plan: its steps in join order.
+Chain = tuple[StepPlan, ...]
 
 
 class RowPlanner:
@@ -165,12 +191,28 @@ class RowPlanner:
         self.share = share_subexpressions
         self.index_probe = index_probe
         self.changed = tuple(sorted(set(changed_positions)))
-        unchanged = [
-            i for i in range(len(normal_form.occurrences)) if i not in self.changed
-        ]
-        #: Evaluation order: delta positions first, then unchanged.
-        self.order: tuple[int, ...] = self.changed + tuple(unchanged)
-        self._build_steps()
+        self._output_schema = normal_form.output_schema()
+        self._plan_condition()
+        self._steps_by_prefix: dict[tuple[int, ...], StepPlan] = {}
+        # Complete order -> (final DNF re-check, projection positions):
+        # both read the fully joined row, whose layout is the order's.
+        self._finishes: dict[
+            tuple[int, ...],
+            tuple[Optional[Callable[[ValueTuple], bool]], tuple[int, ...]],
+        ] = {}
+        width = len(normal_form.occurrences)
+        #: Truth-table row -> its chain, in truth-table order: the
+        #: shape's 2^k − 1 rows, or the one all-OLD row of a full
+        #: evaluation when nothing changed.  The one place a join order
+        #: is decided; :meth:`evaluate_rows` and the kernel generator
+        #: both walk it.
+        self.chains: dict[Rows, Chain] = {
+            row: self._build_chain(row)
+            for row in (
+                delta_rows(width, self.changed)
+                or [(DeltaRowChoice.OLD,) * width]
+            )
+        }
 
     # ------------------------------------------------------------------
     # Static planning
@@ -180,7 +222,9 @@ class RowPlanner:
         qualified = self.normal_form.qualified_schema
         return qualified.project_schema(occurrence.qualified_names())
 
-    def _build_steps(self) -> None:
+    def _plan_condition(self) -> None:
+        """What of the condition every order shares: the pushable atoms
+        and which operand pairs an equality atom links."""
         nf = self.normal_form
         disjuncts = nf.condition.disjuncts
         if disjuncts:
@@ -195,80 +239,112 @@ class RowPlanner:
         # Ground atoms shared by every disjunct evaluate at plan time: a
         # false one makes the whole condition unsatisfiable, so no row
         # can ever contribute anything.
-        self._always_empty = False
-        ground = [a for a in pushable if a.is_ground()]
-        pushable = [a for a in pushable if not a.is_ground()]
-        for atom in ground:
-            if not atom.truth_value():
-                self._always_empty = True
+        self._always_empty = any(
+            a.is_ground() and not a.truth_value() for a in pushable
+        )
+        self._pushable = [a for a in pushable if not a.is_ground()]
 
-        assigned = [False] * len(pushable)
-        bound: set[str] = set()
-        steps: list[StepPlan] = []
-        acc_schema: RelationSchema | None = None
+        owner = {
+            name: occ.position
+            for occ in nf.occurrences
+            for name in occ.qualified_names()
+        }
+        self._linked: list[set[int]] = [set() for _ in nf.occurrences]
+        for atom in self._pushable:
+            names = atom.variables()
+            if atom.op == "=" and len(names) == 2:
+                p, q = (owner[name] for name in names)
+                if p != q:
+                    self._linked[p].add(q)
+                    self._linked[q].add(p)
 
-        for step_index, position in enumerate(self.order):
-            operand_schema = self._operand_schema(position)
-            operand_names = set(operand_schema.names)
-            new_acc_schema = (
-                operand_schema
-                if acc_schema is None
-                else acc_schema.concat(operand_schema)
+    def _build_chain(self, row: Rows) -> Chain:
+        """One row's join order and steps, by the greedy rule: start at
+        the row's lowest DELTA position, then keep appending an operand
+        an equality atom links to what is bound — DELTA before OLD,
+        then the lower position — and an unlinked one only when none is
+        linked."""
+        delta = DeltaRowChoice.DELTA
+        rest = list(range(len(row)))
+        prefix: tuple[int, ...] = (
+            next((p for p in rest if row[p] is delta), 0),
+        )
+        rest.remove(prefix[0])
+        chain = [self._step_for(prefix)]
+        while rest:
+            bound = set(prefix)
+            position = min(
+                rest,
+                key=lambda p: (
+                    not (self._linked[p] & bound),
+                    row[p] is not delta,
+                    p,
+                ),
             )
+            rest.remove(position)
+            prefix += (position,)
+            chain.append(self._step_for(prefix))
+        if prefix not in self._finishes:
+            acc_schema = chain[-1].acc_schema
+            nf = self.normal_form
+            self._finishes[prefix] = (
+                compile_condition(nf.condition, acc_schema)
+                if self._needs_final_filter
+                else None,
+                tuple(acc_schema.index(q) for _, q in nf.projection),
+            )
+        return tuple(chain)
 
-            eq_links: list[tuple[int, str, int]] = []
-            prefilter_atoms: list[Atom] = []
-            postfilter_atoms: list[Atom] = []
-            for idx, atom in enumerate(pushable):
-                if assigned[idx]:
-                    continue
-                atom_vars = atom.variables()
-                if not atom_vars <= (bound | operand_names):
-                    continue
-                if not atom_vars & operand_names:
-                    continue  # should have been applied at an earlier step
-                if atom_vars <= operand_names:
-                    prefilter_atoms.append(atom)
-                    assigned[idx] = True
-                    continue
-                link = self._as_eq_link(atom, bound, operand_schema, acc_schema)
-                if link is not None:
-                    eq_links.append(link)
-                    assigned[idx] = True
-                    continue
+    def _step_for(self, prefix: tuple[int, ...]) -> StepPlan:
+        """The step joining ``prefix[-1]`` onto ``prefix[:-1]`` (shared)."""
+        step = self._steps_by_prefix.get(prefix)
+        if step is not None:
+            return step
+        operand_schema = self._operand_schema(prefix[-1])
+        operand_names = operand_schema.nameset
+        parent = self._steps_by_prefix.get(prefix[:-1])
+        acc_schema = parent.acc_schema if parent is not None else None
+        new_acc_schema = (
+            operand_schema
+            if acc_schema is None
+            else acc_schema.concat(operand_schema)
+        )
+        reachable = new_acc_schema.nameset
+
+        # A pushable atom is applied at the step that binds its last
+        # variable: as an operand prefilter, a hash-join key, or a
+        # post-filter over the joined row.
+        eq_links: list[tuple[int, str, int]] = []
+        prefilter_atoms: list[Atom] = []
+        postfilter_atoms: list[Atom] = []
+        for atom in self._pushable:
+            atom_vars = atom.variables()
+            if not atom_vars <= reachable or not atom_vars & operand_names:
+                continue
+            if atom_vars <= operand_names:
+                prefilter_atoms.append(atom)
+                continue
+            link = self._as_eq_link(atom, operand_schema, acc_schema)
+            if link is not None:
+                eq_links.append(link)
+            else:
                 postfilter_atoms.append(atom)
-                assigned[idx] = True
 
-            steps.append(
-                StepPlan(
-                    position,
-                    operand_schema,
-                    new_acc_schema,
-                    eq_links,
-                    prefilter_atoms,
-                    postfilter_atoms,
-                )
-            )
-            bound |= operand_names
-            acc_schema = new_acc_schema
-
-        assert acc_schema is not None
-        self._steps: tuple[StepPlan, ...] = tuple(steps)
-        self._final_schema = acc_schema
-        self._final_filter = (
-            compile_condition(nf.condition, acc_schema)
-            if self._needs_final_filter
-            else None
+        step = StepPlan(
+            len(self._steps_by_prefix),
+            prefix,
+            operand_schema,
+            new_acc_schema,
+            eq_links,
+            prefilter_atoms,
+            postfilter_atoms,
         )
-        self._projection_positions = tuple(
-            acc_schema.index(qualified) for _, qualified in nf.projection
-        )
-        self._output_schema = nf.output_schema()
+        self._steps_by_prefix[prefix] = step
+        return step
 
     @staticmethod
     def _as_eq_link(
         atom: Atom,
-        bound: set[str],
         operand_schema: RelationSchema,
         acc_schema: RelationSchema | None,
     ) -> tuple[int, str, int] | None:
@@ -283,10 +359,10 @@ class RowPlanner:
         assert isinstance(atom.left, Var) and isinstance(atom.right, Var)
         x, y, c = atom.left.name, atom.right.name, atom.offset
         # Atom means value(x) = value(y) + c.
-        if x in bound and y in operand_schema.nameset:
+        if x in acc_schema.nameset and y in operand_schema.nameset:
             # value(y) = value(x) - c
             return (acc_schema.index(x), y, -c)
-        if y in bound and x in operand_schema.nameset:
+        if y in acc_schema.nameset and x in operand_schema.nameset:
             # value(x) = value(y) + c
             return (acc_schema.index(y), x, c)
         return None
@@ -320,14 +396,16 @@ class RowPlanner:
 
         for row in rows:
             charge("delta_rows_evaluated")
+            chain = self.chains[row]
             result = self._eval_prefix(
-                len(self._steps) - 1, row, operands, memo, hash_cache, index_probe
+                chain, len(chain) - 1, row, operands, memo, hash_cache, index_probe
             )
-            self._project_into(result, merged)
+            self._project_into(result, chain, merged)
         return merged
 
     def _eval_prefix(
         self,
+        chain: Chain,
         step_index: int,
         row: Rows,
         operands: Sequence[Mapping[DeltaRowChoice, TaggedRelation]],
@@ -335,20 +413,23 @@ class RowPlanner:
         hash_cache: dict,
         index_probe: IndexProbe | None,
     ) -> TaggedRelation:
-        key = tuple(row[self._steps[j].position] for j in range(step_index + 1))
+        key = tuple(
+            (step.position, row[step.position])
+            for step in chain[: step_index + 1]
+        )
         if self.share:
             cached = memo.get(key)
             if cached is not None:
                 charge("subexpression_memo_hits")
                 return cached
 
-        step = self._steps[step_index]
+        step = chain[step_index]
         choice = row[step.position]
         if step_index == 0:
             result = self._load_first_operand(step, choice, operands)
         else:
             acc = self._eval_prefix(
-                step_index - 1, row, operands, memo, hash_cache, index_probe
+                chain, step_index - 1, row, operands, memo, hash_cache, index_probe
             )
             result = self._join_step(
                 acc, step, choice, operands, hash_cache, index_probe
@@ -436,7 +517,9 @@ class RowPlanner:
 
                 return filtered
 
-        cache_key = (step.position, choice)
+        # One table per distinct step: the key attributes and the
+        # prefilter are the step's, not the operand's.
+        cache_key = (step.number, choice)
         table = hash_cache.get(cache_key)
         if table is None:
             table = {}
@@ -456,9 +539,28 @@ class RowPlanner:
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def steps(self) -> tuple[StepPlan, ...]:
-        """The resolved join steps, in execution order."""
-        return self._steps
+    def distinct_steps(self) -> tuple[StepPlan, ...]:
+        """Every step some chain uses, indexed by ``StepPlan.number``."""
+        return tuple(self._steps_by_prefix.values())
+
+    def old_probe_steps(self) -> tuple[StepPlan, ...]:
+        """The distinct steps some row joins as an OLD operand through
+        equality links — the probes a persistent index can answer."""
+        found = {
+            step.number: step
+            for row, chain in self.chains.items()
+            for step in chain[1:]
+            if row[step.position] is DeltaRowChoice.OLD and step.link_attr_names
+        }
+        return tuple(found[number] for number in sorted(found))
+
+    def finish_of(
+        self, chain: Chain
+    ) -> tuple[Optional[Callable[[ValueTuple], bool]], tuple[int, ...]]:
+        """What turns a chain's joined rows into view rows: the final
+        DNF re-check (``None`` for a conjunctive condition) and the
+        positions the projection keeps, both over ``chain[-1].acc_schema``."""
+        return self._finishes[chain[-1].prefix]
 
     @property
     def always_empty(self) -> bool:
@@ -471,50 +573,64 @@ class RowPlanner:
         return self._needs_final_filter
 
     @property
-    def final_schema(self) -> RelationSchema:
-        """Schema of a fully joined row, before projection."""
-        return self._final_schema
-
-    @property
-    def projection_positions(self) -> tuple[int, ...]:
-        """Positions in :attr:`final_schema` the projection keeps."""
-        return self._projection_positions
-
-    @property
     def output_schema(self) -> RelationSchema:
         """Schema of the projected view delta."""
         return self._output_schema
 
+    def describe_chain(
+        self, row: Rows, quote: Callable[[str], str] = str
+    ) -> str:
+        """One row's join order, e.g. ``i_customer -> lineitem [probe cust_id]``.
+
+        A DELTA operand renders as ``i_<name>``; a joined operand says
+        how it is reached: ``probe`` (OLD, by its link attributes —
+        from a persistent index where one exists), ``hash`` (DELTA, by
+        its link attributes) or ``cross`` (no equality link).  ``quote``
+        renders every relation and attribute name.
+        """
+        occurrences = self.normal_form.occurrences
+        parts = []
+        for step in self.chains[row]:
+            occurrence = occurrences[step.position]
+            old = row[step.position] is DeltaRowChoice.OLD
+            part = quote(occurrence.name) if old else f"i_{quote(occurrence.name)}"
+            if len(step.prefix) > 1:
+                attrs = ", ".join(
+                    quote(occurrence.inverse[q]) for q in step.link_attr_names
+                )
+                if not attrs:
+                    part += " [cross]"
+                else:
+                    part += f" [{'probe' if old else 'hash'} {attrs}]"
+            parts.append(part)
+        return " -> ".join(parts)
+
     def describe(self) -> str:
         """A human-readable account of the evaluation plan.
 
-        Lists the truth-table rows to evaluate, the delta-first operand
-        order, and per step: the hash-join links (with ``x = y + c``
+        Lists the truth-table rows to evaluate, each row's join order,
+        and per distinct step: the hash-join links (with ``x = y + c``
         shifts), operand prefilters and post-join filters the pushdown
         assigned — the textual form of what :meth:`evaluate_rows` will
         execute.
         """
-        from repro.core.truthtable import count_delta_rows, enumerate_delta_rows
-        from repro.core.truthtable import render_row
-
         nf = self.normal_form
         names = [occ.name for occ in nf.occurrences]
         lines = [
             f"view: {nf!r}",
             f"changed occurrences: "
             f"{[names[i] for i in self.changed] or '(none: full evaluation)'}",
-            f"rows to evaluate: {count_delta_rows(len(self.changed)) or 1}",
+            f"rows to evaluate: {len(self.chains)}",
         ]
-        for row in enumerate_delta_rows(len(nf.occurrences), self.changed):
+        for row in self.chains:
             lines.append(f"  {render_row(row, names)}")
-        lines.append(
-            "operand order (delta-first): "
-            + " -> ".join(names[i] for i in self.order)
-        )
-        for index, step in enumerate(self._steps):
-            occ = nf.occurrences[step.position]
-            lines.append("  " + step.describe(occ.name, index))
-        if self._final_filter is not None:
+        lines.append("join order per row (from its lowest delta, along the links):")
+        for index, row in enumerate(self.chains):
+            lines.append(f"  row {index}: {self.describe_chain(row)}")
+        lines.append("steps (one per distinct order prefix, shared across rows):")
+        for step in self._steps_by_prefix.values():
+            lines.append("  " + step.describe(names))
+        if self._needs_final_filter:
             lines.append("final pass: full DNF condition re-check")
         lines.append(
             "projection: " + ", ".join(out for out, _ in nf.projection)
@@ -525,10 +641,11 @@ class RowPlanner:
         )
         return "\n".join(lines)
 
-    def _project_into(self, result: TaggedRelation, merged: TaggedRelation) -> None:
+    def _project_into(
+        self, result: TaggedRelation, chain: Chain, merged: TaggedRelation
+    ) -> None:
         """Apply the final filter and projection; accumulate into merged."""
-        final_filter = self._final_filter
-        positions = self._projection_positions
+        final_filter, positions = self.finish_of(chain)
         for values, tag, count in result.items():
             if final_filter is not None and not final_filter(values):
                 continue
@@ -565,8 +682,7 @@ def evaluate_normal_form(
         for values, count in relation.items():  # type: ignore[attr-defined]
             tagged.add(values, Tag.OLD, count)
         operands.append({DeltaRowChoice.OLD: tagged})
-    all_old = tuple([DeltaRowChoice.OLD] * len(normal_form.occurrences))
-    merged = planner.evaluate_rows([all_old], operands)
+    merged = planner.evaluate_rows(planner.chains, operands)
 
     out = Relation(normal_form.output_schema())
     counts = out._counts

@@ -42,15 +42,41 @@ class DeltaRowChoice(enum.Enum):
 Rows = tuple[DeltaRowChoice, ...]
 
 
+def delta_rows(
+    num_operands: int, changed_positions: Sequence[int]
+) -> list[Rows]:
+    """The truth-table rows that need evaluating, as a list.
+
+    ``changed_positions`` are the operand indices the transaction
+    modified.  Every combination of OLD/DELTA over those positions
+    except all-OLD (the current view), with unchanged positions pinned
+    to OLD — ``2^k − 1`` rows, none when nothing changed.  Plan
+    construction reads this; an execution goes through
+    :func:`enumerate_delta_rows`, which charges each row.
+    """
+    changed = sorted(set(changed_positions))
+    for position in changed:
+        if not 0 <= position < num_operands:
+            raise MaintenanceError(
+                f"changed position {position} out of range for "
+                f"{num_operands} operands"
+            )
+    rows: list[Rows] = []
+    for bits in product((DeltaRowChoice.OLD, DeltaRowChoice.DELTA),
+                        repeat=len(changed)):
+        if all(b is DeltaRowChoice.OLD for b in bits):
+            continue  # the current materialization of the view
+        row = [DeltaRowChoice.OLD] * num_operands
+        for position, bit in zip(changed, bits):
+            row[position] = bit
+        rows.append(tuple(row))
+    return rows
+
+
 def enumerate_delta_rows(
     num_operands: int, changed_positions: Sequence[int]
 ) -> Iterator[Rows]:
-    """Yield the truth-table rows that need evaluating.
-
-    ``changed_positions`` are the operand indices the transaction
-    modified.  The generator yields every combination of OLD/DELTA over
-    those positions except all-OLD (the current view), with unchanged
-    positions pinned to OLD — ``2^k − 1`` rows in total.
+    """Yield the rows of :func:`delta_rows`, charging ``truth_table_rows``.
 
     The paper's p = 3 example: with insertions to r₁ and r₂ only,
     "to bring the view up to date we need to compute only the joins
@@ -60,24 +86,9 @@ def enumerate_delta_rows(
     >>> [tuple(c.value for c in row) for row in rows]
     [(0, 1, 0), (1, 0, 0), (1, 1, 0)]
     """
-    changed = sorted(set(changed_positions))
-    if not changed:
-        return
-    for position in changed:
-        if not 0 <= position < num_operands:
-            raise MaintenanceError(
-                f"changed position {position} out of range for "
-                f"{num_operands} operands"
-            )
-    for bits in product((DeltaRowChoice.OLD, DeltaRowChoice.DELTA),
-                        repeat=len(changed)):
-        if all(b is DeltaRowChoice.OLD for b in bits):
-            continue  # the current materialization of the view
-        row = [DeltaRowChoice.OLD] * num_operands
-        for position, bit in zip(changed, bits):
-            row[position] = bit
+    for row in delta_rows(num_operands, changed_positions):
         charge("truth_table_rows")
-        yield tuple(row)
+        yield row
 
 
 def count_delta_rows(changed_count: int) -> int:

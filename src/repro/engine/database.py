@@ -29,13 +29,12 @@ from repro.engine.constraints import (
     find_violations,
     validate_constraint_condition,
 )
-from repro.engine.indexes import IndexManager
+from repro.engine.indexes import HashIndex, IndexManager
 from repro.engine.keys import (
     ForeignKey,
     KeyCatalog,
     find_dangling_references,
     find_key_collisions,
-    post_state_rows,
     validate_key_attributes,
 )
 from repro.engine.log import UpdateLog
@@ -47,6 +46,8 @@ from repro.errors import (
     SchemaError,
     UnknownRelationError,
 )
+
+ValueTuple = tuple[int, ...]
 
 CommitHook = Callable[[int, Mapping[str, Delta]], None]
 
@@ -197,7 +198,10 @@ class Database:
         transactions whose net effect would create such a pair
         (:class:`~repro.errors.KeyViolationError`).  Declaring fires a
         ``declare_key`` DDL event, invalidating cached plans whose
-        dependency proofs the new premise could strengthen.
+        dependency proofs the new premise could strengthen.  The hash
+        index on the key attributes is bound here (created, or reused
+        when one exists): the commit check probes it once per inserted
+        row instead of walking the relation.
         """
         relation = self.relation(relation_name)
         key = validate_key_attributes(relation_name, attributes, relation.schema)
@@ -212,6 +216,7 @@ class Database:
                 f"cannot declare key ({', '.join(key)}) on {relation_name!r}: "
                 f"existing rows collide on it: {preview}"
             )
+        self.create_index(relation_name, key)
         self.keys.declare_key(relation_name, key)
         return key
 
@@ -240,7 +245,10 @@ class Database:
         not a functional dependency, so the chase could not use it).
         Existing rows are validated immediately; from here on the commit
         pipeline rejects transactions whose net effect leaves a
-        referencing row without its referenced partner.
+        referencing row without its referenced partner, probing the
+        referenced key's index for each inserted referencing row and
+        the index on the referencing attributes, bound here, for each
+        deleted referenced row.
         """
         relation = self.relation(relation_name)
         ref = self.relation(ref_relation)
@@ -273,6 +281,7 @@ class Database:
                 f"cannot declare foreign key {foreign_key.describe()}: "
                 f"existing rows dangle: {preview}"
             )
+        self.create_index(relation_name, key)
         self.keys.declare_foreign_key(foreign_key)
         return foreign_key
 
@@ -433,12 +442,6 @@ class Database:
                 f"transaction {txn.txn_id} violates {violation}"
             )
 
-    def _post_state(self, name: str, deltas: Mapping[str, Delta]):
-        relation = self._relations[name]
-        return post_state_rows(
-            relation.value_tuples(), deltas.get(name)
-        )
-
     def net_effect_violation(
         self, deltas: Mapping[str, Delta]
     ) -> str | None:
@@ -450,13 +453,18 @@ class Database:
         staged sub-transaction's netted deltas so that a unanimously
         prepared commit can never fail its key checks afterwards.
 
-        Key collisions: deletes cannot create one, so only relations
-        receiving inserts are checked — but against their full
-        *post-state*, since a new row may collide with a surviving
-        stored row.  Foreign keys ``r → p`` can break through inserts
-        into ``r`` or deletes from ``p``; both sides are evaluated
-        against their post-states, so a transaction may move a
-        referenced row and its referencing rows together.
+        The stored state satisfies every declared key and foreign key,
+        so only rows the net effect moves can break one, and each is
+        checked by probing an index over the stored (pre-commit) state:
+        the work is proportional to the delta, not to the relation.
+
+        Key collisions: deletes cannot create one, so only inserted
+        rows are checked — each against the stored rows sharing its key
+        value that the transaction does not delete, and against the
+        other inserted rows.  Foreign keys ``r → p`` can break through
+        inserts into ``r`` or deletes from ``p``; both sides are judged
+        on the post-state, so a transaction may move a referenced row
+        and its referencing rows together.
         """
         if not len(self.keys):
             return None
@@ -465,10 +473,7 @@ class Database:
             if not delta.inserted:
                 continue
             for key in self.keys.keys_of(name):
-                schema = self._relations[name].schema
-                collisions = find_key_collisions(
-                    schema, key, self._post_state(name, deltas)
-                )
+                collisions = self._key_collisions(name, key, delta)
                 if collisions:
                     preview = ", ".join(
                         f"{a!r}/{b!r}" for a, b in collisions[:3]
@@ -478,9 +483,8 @@ class Database:
                     return (
                         f"the key ({', '.join(key)}) on {name!r}: {preview}"
                     )
-        touched = set(deltas)
         checked: set[ForeignKey] = set()
-        for name in sorted(touched):
+        for name in sorted(deltas):
             candidates = self.keys.foreign_keys_of(name) + self.keys.referencing(
                 name
             )
@@ -488,18 +492,8 @@ class Database:
                 if fk in checked:
                     continue
                 checked.add(fk)
-                src_delta = deltas.get(fk.relation)
-                dst_delta = deltas.get(fk.ref_relation)
-                src_grew = src_delta is not None and bool(src_delta.inserted)
-                dst_shrank = dst_delta is not None and bool(dst_delta.deleted)
-                if not (src_grew or dst_shrank):
-                    continue
-                dangling = find_dangling_references(
-                    fk,
-                    self._relations[fk.relation].schema,
-                    self._post_state(fk.relation, deltas),
-                    self._relations[fk.ref_relation].schema,
-                    self._post_state(fk.ref_relation, deltas),
+                dangling = self._dangling_references(
+                    fk, deltas.get(fk.relation), deltas.get(fk.ref_relation)
                 )
                 if dangling:
                     preview = ", ".join(map(str, dangling[:3]))
@@ -507,6 +501,80 @@ class Database:
                         preview += ", …"
                     return f"the foreign key {fk.describe()}: {preview}"
         return None
+
+    def _bound_index(self, name: str, attributes: tuple[str, ...]) -> HashIndex:
+        """The index a declared key or foreign key probes: bound at its
+        declaration, re-created here if it was dropped since."""
+        return self.indexes.lookup(name, attributes) or self.create_index(
+            name, attributes
+        )
+
+    def _key_collisions(
+        self, name: str, key: tuple[str, ...], delta: Delta
+    ) -> list[tuple[ValueTuple, ValueTuple]]:
+        """The post-state's collisions on ``key``, one probe per inserted row.
+
+        Every colliding pair holds an inserted row, so the inserted
+        rows plus the surviving stored rows sharing a key value with
+        one of them are all the rows that can collide.
+        """
+        schema = self._relations[name].schema
+        positions = schema.positions(key)
+        index = self._bound_index(name, key)
+        deleted = delta.deleted
+        rows = set(delta.inserted)
+        for values in delta.inserted:
+            for stored in index.probe(tuple(values[p] for p in positions)):
+                if stored not in deleted:
+                    rows.add(stored)
+        return find_key_collisions(schema, key, rows)
+
+    def _dangling_references(
+        self, fk: ForeignKey, src_delta: Delta | None, dst_delta: Delta | None
+    ) -> list[ValueTuple]:
+        """The post-state's referencing rows without a partner, sorted.
+
+        Only an inserted referencing row or a stored one whose partner
+        the transaction deletes can dangle: the first kind probes the
+        referenced key's index, the second is found by probing the
+        index on the referencing attributes with the deleted key.
+        """
+        src_inserted = src_delta.inserted if src_delta is not None else {}
+        dst_deleted = dst_delta.deleted if dst_delta is not None else {}
+        if not (src_inserted or dst_deleted):
+            return []
+        src_positions = self._relations[fk.relation].schema.positions(
+            fk.attributes
+        )
+        dst_positions = self._relations[fk.ref_relation].schema.positions(
+            fk.ref_attributes
+        )
+        # Referenced key values the transaction itself supplies.
+        arriving = {
+            tuple(values[p] for p in dst_positions)
+            for values in (dst_delta.inserted if dst_delta is not None else ())
+        }
+        dangling: set[ValueTuple] = set()
+        if src_inserted:
+            referenced = self._bound_index(fk.ref_relation, fk.ref_attributes)
+            for values in src_inserted:
+                wanted = tuple(values[p] for p in src_positions)
+                if wanted not in arriving and all(
+                    stored in dst_deleted for stored in referenced.probe(wanted)
+                ):
+                    dangling.add(values)
+        if dst_deleted:
+            referencing = self._bound_index(fk.relation, fk.attributes)
+            src_deleted = src_delta.deleted if src_delta is not None else {}
+            for values in dst_deleted:
+                gone = tuple(values[p] for p in dst_positions)
+                if gone not in arriving:
+                    dangling.update(
+                        stored
+                        for stored in referencing.probe(gone)
+                        if stored not in src_deleted
+                    )
+        return sorted(dangling)
 
     def _apply_commit(self, txn: Transaction, deltas: Mapping[str, Delta]) -> None:
         """Apply a transaction's net effect (called by Transaction.commit)."""

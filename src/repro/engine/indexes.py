@@ -12,13 +12,15 @@ one covers the join attributes of an "old" base operand.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.algebra.relation import Delta, Relation
 from repro.errors import SchemaError
 from repro.instrumentation import charge
 
 ValueTuple = tuple[int, ...]
+
+_NO_ROWS: frozenset[ValueTuple] = frozenset()
 
 
 class HashIndex:
@@ -70,15 +72,25 @@ class HashIndex:
     # ------------------------------------------------------------------
     # Probing
     # ------------------------------------------------------------------
-    def probe(self, key: ValueTuple) -> frozenset[ValueTuple]:
-        """All rows whose indexed attributes equal ``key``."""
+    def probe(self, key: ValueTuple) -> AbstractSet[ValueTuple]:
+        """All rows whose indexed attributes equal ``key``.
+
+        Returns the index's own bucket, not a copy (a shared empty set
+        on a miss): read it, never mutate it, and do not hold it across
+        a commit — the next delta applied to the index changes it in
+        place.
+        """
         charge("index_probes")
-        return frozenset(self._buckets.get(tuple(key), ()))
+        return self._buckets.get(key, _NO_ROWS)
 
     def probe_many(self, keys: Iterable[ValueTuple]) -> Iterator[ValueTuple]:
-        """Rows matching any of ``keys`` (deduplicated per key)."""
+        """Rows matching any of ``keys`` (deduplicated per key).
+
+        Each key's rows are copied before they are yielded, so a
+        consumer may commit between two of them.
+        """
         for key in keys:
-            yield from self.probe(key)
+            yield from tuple(self.probe(key))
 
     def __len__(self) -> int:
         """Number of distinct keys."""

@@ -29,7 +29,7 @@ are invalidated exactly like plans staled by a constraint change.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.algebra.schema import RelationSchema
 from repro.errors import ConstraintError
@@ -303,23 +303,3 @@ def find_dangling_references(
         if tuple(values[p] for p in src_positions) not in present
     ]
     return sorted(dangling)
-
-
-def post_state_rows(
-    relation_rows: Iterable[ValueTuple],
-    delta: "object | None",
-) -> Iterator[ValueTuple]:
-    """Stored rows − deleted + inserted, for net-effect commit checks.
-
-    ``delta`` is a :class:`~repro.algebra.relation.Delta` (or None when
-    the transaction leaves the relation untouched).
-    """
-    if delta is None:
-        yield from relation_rows
-        return
-    deleted: Mapping[ValueTuple, int] = delta.deleted  # type: ignore[attr-defined]
-    inserted: Mapping[ValueTuple, int] = delta.inserted  # type: ignore[attr-defined]
-    for values in relation_rows:
-        if values not in deleted:
-            yield values
-    yield from inserted

@@ -39,7 +39,17 @@ class TestPlannerDescribe:
         text = RowPlanner(nf, [0]).describe()
         assert "rows to evaluate: 1" in text
         assert "i_r ⋈ s" in text
-        assert "delta-first" in text
+        assert "  row 0: i_r -> s [probe B]" in text
+
+    def test_each_row_gets_its_own_order(self, db):
+        nf = to_normal_form(
+            BaseRef("r").join(BaseRef("s")), db.schema_catalog()
+        )
+        text = RowPlanner(nf, [0, 1]).describe()
+        assert "  row 0: i_s -> r [probe B]" in text
+        assert "  row 1: i_r -> s [probe B]" in text
+        assert "  row 2: i_r -> i_s [hash B]" in text
+        assert "operand order" not in text
 
     def test_full_evaluation_mode(self, db):
         nf = to_normal_form(BaseRef("r"), db.schema_catalog())

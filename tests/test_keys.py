@@ -36,7 +36,9 @@ from repro.analysis import (
 from repro.analysis.dependencies import shared_equality_atoms
 from repro.core.maintainer import MaintenancePolicy, ViewMaintainer
 from repro.engine.database import Database
+from repro.engine.keys import find_key_collisions
 from repro.errors import ConstraintError, KeyViolationError
+from repro.instrumentation import CostRecorder, recording
 from repro.replication.durability import DurabilityManager
 from repro.replication.follower import Follower
 from repro.replication.recovery import Recovery
@@ -163,6 +165,85 @@ class TestKeyEnforcement:
         clean = db.begin()
         clean.insert("p", (8, 80))
         assert db.net_effect_violation(clean.net_deltas()) is None
+
+    def test_collision_inside_one_transactions_inserts(self):
+        db = keyed_database()
+        with pytest.raises(
+            KeyViolationError, match=r"key \(B\) on 'p': \(8, 1\)/\(8, 2\)"
+        ):
+            with db.transact() as txn:
+                txn.insert("p", (8, 1))
+                txn.insert("p", (8, 2))
+
+    def test_violation_text_is_the_whole_post_states(self):
+        # The probe-based check reports the pairs a sort over the whole
+        # post-state reports: per key value the smallest row against
+        # each other one, ordered by the other.
+        db = keyed_database()
+        txn = db.begin()
+        txn.insert("p", (0, 99))  # stored (0, 0)
+        txn.insert("p", (1, 5))  # stored (1, 10)
+        txn.insert("p", (1, 7))
+        deltas = txn.net_deltas()
+        post = set(db.relation("p").value_tuples()) | set(deltas["p"].inserted)
+        want = find_key_collisions(db.relation("p").schema, ("B",), post)
+        assert want == [((0, 0), (0, 99)), ((1, 5), (1, 7)), ((1, 5), (1, 10))]
+        assert db.net_effect_violation(deltas) == (
+            "the key (B) on 'p': " + ", ".join(f"{a!r}/{b!r}" for a, b in want)
+        )
+
+    @pytest.mark.parametrize("size", [10, 2_000])
+    def test_commit_check_probes_once_per_inserted_row_and_key(self, size):
+        db = Database()
+        db.create_relation("p", ["B", "C"], [(b, -b) for b in range(size)])
+        db.declare_key("p", ["B"])
+        db.declare_key("p", ["C"])
+        recorder = CostRecorder()
+        with recording(recorder):
+            with db.transact() as txn:
+                txn.delete("p", (3, -3))
+                txn.insert("p", (3, -3_000))  # same B, re-inserted
+                txn.insert("p", (size, -size))
+                txn.insert("p", (size + 1, -size - 1))
+        assert recorder.get("index_probes") == 3 * 2
+
+    def test_dropping_a_keys_index_does_not_disarm_the_key(self):
+        db = keyed_database()
+        assert db.drop_index("p", ["B"])
+        with pytest.raises(KeyViolationError, match=r"key \(B\) on 'p'"):
+            with db.transact() as txn:
+                txn.insert("p", (0, 99))
+        assert db.indexes.lookup("p", ("B",)) is not None
+
+    @pytest.mark.parametrize("size", [10, 2_000])
+    def test_foreign_key_check_probes_per_changed_row(self, size):
+        db = Database()
+        db.create_relation("p", ["B", "C"], [(b, 0) for b in range(size)])
+        db.create_relation("r", ["A", "B"], [(a, a % size) for a in range(3 * size)])
+        db.declare_key("p", ["B"])
+        db.declare_foreign_key("r", ["B"], "p", ["B"])
+        recorder = CostRecorder()
+        with recording(recorder):
+            with db.transact() as txn:
+                # Two referencing rows arrive (one for a parent arriving
+                # with them), and a parent leaves with its three rows.
+                txn.insert("p", (size, 0))
+                txn.insert("r", (-1, size))
+                txn.insert("r", (-2, 1))
+                txn.delete("p", (5, 0))
+                for a in (5, size + 5, 2 * size + 5):
+                    txn.delete("r", (a, 5))
+        # 1 key probe (the inserted parent) + 1 referenced-key probe
+        # ((-2, 1); (-1, size) is met by the arriving parent) + 1
+        # referencing-attribute probe (the deleted parent).
+        assert recorder.get("index_probes") == 3
+
+        with pytest.raises(
+            KeyViolationError,
+            match=r"foreign key r \(B\) references p \(B\): \(6, 6\), ",
+        ):
+            with db.transact() as txn:
+                txn.delete("p", (6, 0))
 
     def test_drop_key_requires_dropping_referencing_fk_first(self):
         db = keyed_database()

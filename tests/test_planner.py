@@ -180,12 +180,54 @@ class TestIndexProbe:
 
 
 class TestPlannerPlumbing:
-    def test_evaluation_order_puts_deltas_first(self, catalog):
+    def test_every_row_starts_at_its_lowest_delta(self, catalog):
         nf = to_normal_form(
             BaseRef("r").join(BaseRef("s")).join(BaseRef("t")), catalog
         )
-        planner = RowPlanner(nf, changed_positions=[2])
-        assert planner.order[0] == 2
+        for changed in ([2], [0, 1], [0, 2], [0, 1, 2]):
+            planner = RowPlanner(nf, changed_positions=changed)
+            assert len(planner.chains) == 2 ** len(changed) - 1
+            for row, chain in planner.chains.items():
+                deltas = [p for p in changed if row[p] is DeltaRowChoice.DELTA]
+                assert chain[0].position == deltas[0]
+                assert sorted(step.position for step in chain) == [0, 1, 2]
+                # r - s - t is connected, so growing along the links
+                # never leaves an operand to be cross-joined.
+                assert all(step.link_attr_names for step in chain[1:])
+
+    def test_linked_delta_is_joined_before_linked_old(self, catalog):
+        star = to_normal_form(
+            BaseRef("r")
+            .product(BaseRef("s").rename({"B": "B2"}))
+            .product(BaseRef("t").rename({"C": "C2"}))
+            .select("B = B2 and A = D"),
+            catalog,
+        )
+        chains = RowPlanner(star, changed_positions=[0, 2]).chains
+        old, delta = DeltaRowChoice.OLD, DeltaRowChoice.DELTA
+        orders = {
+            row: [step.position for step in chain]
+            for row, chain in chains.items()
+        }
+        assert orders == {
+            (old, old, delta): [2, 0, 1],
+            (delta, old, old): [0, 1, 2],
+            (delta, old, delta): [0, 2, 1],
+        }
+        # Rows sharing an order prefix share its step plans.
+        assert chains[(delta, old, old)][0] is chains[(delta, old, delta)][0]
+
+    def test_unlinked_operand_comes_last(self, catalog):
+        nf = to_normal_form(
+            BaseRef("r")
+            .product(BaseRef("t"))
+            .product(BaseRef("s").rename({"B": "B2", "C": "C2"}))
+            .select("B = B2"),
+            catalog,
+        )
+        (chain,) = RowPlanner(nf, changed_positions=[0]).chains.values()
+        assert [step.position for step in chain] == [0, 2, 1]
+        assert not chain[2].link_attr_names
 
     def test_always_empty_condition_short_circuits(self, catalog):
         nf = to_normal_form(BaseRef("r").select("1 = 2"), catalog)
