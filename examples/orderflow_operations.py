@@ -24,8 +24,7 @@ def main() -> None:
         view = maintainer.define_view(name, expression)
         kind = (
             "stacked"
-            if maintainer._dependencies[name] & set(maintainer.view_names())
-            - {name}
+            if maintainer.dependencies(name) & set(maintainer.view_names())
             else "base"
         )
         print(f"defined {kind:<7} view {name:<16} ({len(view.contents)} tuples)")

@@ -419,10 +419,6 @@ class Occurrence:
         """Qualified names of this occurrence's attributes."""
         return tuple(self.rename.values())
 
-    def fingerprint(self) -> tuple:
-        """A hashable identity for plan caching (name + renaming)."""
-        return (self.name, self.position, tuple(sorted(self.rename.items())))
-
     def __repr__(self) -> str:
         return f"<Occurrence {self.name}#{self.position}>"
 
@@ -490,26 +486,6 @@ class NormalForm:
     def condition_variables(self) -> frozenset[str]:
         """The set Y of Section 4 (qualified)."""
         return self.condition.variables()
-
-    def fingerprint(self) -> tuple:
-        """A hashable, structural identity of this normal form.
-
-        Two normal forms with equal fingerprints denote the same
-        maintenance problem: same occurrences (names and renamings),
-        same DNF condition (atoms are canonicalized and hashable —
-        see :mod:`repro.algebra.conditions`), same projection and same
-        flattened schema.  The compiled-plan cache
-        (:mod:`repro.core.plancache`) uses this as the identity a
-        cached plan was built for, so a view re-registered under the
-        same name with a *different* definition can never be served a
-        stale plan.
-        """
-        return (
-            tuple(o.fingerprint() for o in self.occurrences),
-            self.condition,
-            self.projection,
-            tuple(self.qualified_schema.names),
-        )
 
     def __repr__(self) -> str:
         proj = ", ".join(out for out, _ in self.projection)

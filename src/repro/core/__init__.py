@@ -5,7 +5,7 @@
   :mod:`irrelevance`.
 * Section 5 — differential re-evaluation: :mod:`counting`,
   :mod:`truthtable`, :mod:`planner`, :mod:`differential`.
-* Compiled plans: :mod:`compiled`, :mod:`plancache` — the
+* Compiled plans: :mod:`compiled`, :mod:`codegen` — the
   built-once/executed-often packaging of both sections.
 * Orchestration: :mod:`views`, :mod:`maintainer`, :mod:`consistency`.
 """
@@ -42,7 +42,6 @@ from repro.core.differential import (
     execute_planner,
 )
 from repro.core.compiled import CompiledViewPlan
-from repro.core.plancache import PlanCache
 from repro.core.views import ViewDefinition, MaterializedView
 from repro.core.maintainer import ViewMaintainer, MaintenancePolicy
 from repro.core.consistency import check_view_consistency
@@ -72,7 +71,6 @@ __all__ = [
     "compute_view_delta",
     "execute_planner",
     "CompiledViewPlan",
-    "PlanCache",
     "ViewDefinition",
     "MaterializedView",
     "ViewMaintainer",

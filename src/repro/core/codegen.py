@@ -66,15 +66,13 @@ from repro.errors import MaintenanceError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.algebra.aggregates import AggregateSpec
-    from repro.algebra.expressions import NormalForm
     from repro.core.irrelevance import RelevanceFilter
     from repro.core.planner import RowPlanner, StepPlan
 
 ValueTuple = tuple[int, ...]
 
-#: Bumped whenever the shape of the generated source changes; part of
-#: the plan fingerprint so a cached plan compiled by an older generator
-#: can never be served to a newer runtime.
+#: Bumped whenever the shape of the generated source changes; written
+#: into the header of every generated kernel source.
 #: v2: aggregate fold kernels (group-apply + unrolled renderers).
 #: v3: counter-free apply kernels (derived view keys pin counters to 1).
 #: v4: every name in a comment is quoted (see :func:`quoted`).
@@ -89,25 +87,6 @@ CODEGEN_VERSION = 6
 MAX_CODEGEN_ROWS = 64
 
 _PY_OPS = {"=": "==", "<": "<", ">": ">", "<=": "<=", ">=": ">="}
-
-
-def plan_fingerprint(
-    normal_form: "NormalForm", aggregate: "AggregateSpec | None" = None
-) -> tuple:
-    """The cache identity of a compiled plan.
-
-    Extends the definition's structural fingerprint with the generator
-    version (:data:`CODEGEN_VERSION`).  Aggregate views mix in their
-    spec fingerprint — two views sharing one SPJ core but different
-    GROUP BY keys or aggregate lists are different executables.  The
-    plan cache compares this on every ``get``, so a plan compiled for
-    another definition or by another generator is evicted, never
-    executed.
-    """
-    base: tuple = normal_form.fingerprint()
-    if aggregate is not None:
-        base = (base, aggregate.fingerprint())
-    return (base, ("codegen", CODEGEN_VERSION))
 
 
 # ----------------------------------------------------------------------

@@ -18,8 +18,8 @@ from "once per batch" to "once per view registration":
   re-registration invalidates the whole plan.
 
 A :class:`CompiledViewPlan` is the unit the
-:class:`~repro.core.plancache.PlanCache` stores and every maintenance
-entry point — immediate commits, deferred ``refresh``, WAL-replay
+:class:`~repro.core.maintainer.ViewMaintainer` keeps on each view's
+registry record and every maintenance entry point — immediate commits, deferred ``refresh``, WAL-replay
 recovery, changefeed followers, and the network view-server above them
 — executes.  The plan is deliberately *stateless with respect to data*:
 it holds no tuples, only derived control structure, so executing the
@@ -53,7 +53,6 @@ from repro.core.codegen import (
     generate_aggregate_source,
     generate_screen_source,
     generate_shape_source,
-    plan_fingerprint,
     quoted,
 )
 from repro.core.counting import net_counts
@@ -99,7 +98,6 @@ class CompiledViewPlan:
     __slots__ = (
         "definition",
         "normal_form",
-        "fingerprint",
         "_database",
         "_view_operands",
         "_screens",
@@ -125,13 +123,6 @@ class CompiledViewPlan:
     ) -> None:
         self.definition = definition
         self.normal_form: NormalForm = definition.normal_form
-        #: Identity of the executable this plan is: the definition's
-        #: structural fingerprint extended with the generated-source
-        #: version.  The cache refuses to serve a plan whose
-        #: fingerprint no longer matches the registered view.
-        self.fingerprint: tuple = plan_fingerprint(
-            self.normal_form, definition.aggregate
-        )
         self._counters = counters
         self._database = database
         self._view_operands = dict(view_operands)

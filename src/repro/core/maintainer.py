@@ -17,31 +17,39 @@ database's commit pipeline:
 Both paths execute **compiled maintenance plans**
 (:class:`~repro.core.compiled.CompiledViewPlan`): the relevance
 screens, join orders, pushdown decisions and index bindings are built
-once per view — eagerly at registration — cached in a
-:class:`~repro.core.plancache.PlanCache`, and invalidated when a DDL
-event (index create/drop, relation drop, view re-registration) could
-stale them.  Every consumer of the maintainer — immediate commits,
-deferred ``refresh``, WAL-replay recovery, changefeed followers, the
-network view-server — therefore runs the same cached plan, and there
-is one pipeline: screen kernels, then row kernels, then (for aggregate
-views) the fold kernel.  The per-tuple functions the kernels mirror —
+once per view — eagerly at registration — kept on the view's registry
+record, and discarded when a DDL event (index create/drop, relation
+drop, a declared constraint or key) could stale them; the next
+maintenance call recompiles.  Every consumer of the maintainer —
+immediate commits, deferred ``refresh``, WAL-replay recovery,
+changefeed followers, the network view-server — therefore runs the
+same cached plan, and there is one pipeline: screen kernels, then row
+kernels, then (for aggregate views) the fold kernel.  The per-tuple
+functions the kernels mirror —
 :func:`~repro.core.irrelevance.filter_delta`,
 :func:`~repro.core.differential.compute_view_delta`,
 :meth:`~repro.core.aggregates.AggregateState.fold` — are the reference
 library the parity tests compare the maintainer against.
+
+The registry is one record per view plus one index, *dependents*: a
+relation or view name to the records whose definitions read it.  The
+trivial case of Section 4's filter — the updated relation does not
+occur in the view — is decided by that lookup, so a commit, a DDL
+event and ``drop_view`` each touch only the views their subject
+reaches, never the catalog.
 """
 
 from __future__ import annotations
 
 import contextlib
 import enum
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from repro.algebra.expressions import Expression
 from repro.algebra.relation import Delta, Relation
 from repro.core.codegen import MAX_CODEGEN_ROWS
 from repro.core.compiled import CompiledViewPlan
-from repro.core.plancache import PlanCache
 from repro.core.truthtable import count_delta_rows
 from repro.core.views import MaterializedView, ViewDefinition
 from repro.engine.database import Database
@@ -61,6 +69,65 @@ class MaintenancePolicy(enum.Enum):
     IMMEDIATE = "immediate"
     #: On demand / periodically — snapshot refresh (Section 6, [AL80]).
     DEFERRED = "deferred"
+
+
+class _ViewEntry:
+    """Everything the maintainer keeps about one registered view."""
+
+    __slots__ = (
+        "view",
+        "policy",
+        "dependencies",
+        "ordinal",
+        "row",
+        "plan",
+        "pending",
+        "commits_since_refresh",
+        "subscribers",
+    )
+
+    def __init__(
+        self,
+        view: MaterializedView,
+        policy: MaintenancePolicy,
+        dependencies: frozenset[str],
+        ordinal: int,
+        row: CostRecorder,
+        plan: CompiledViewPlan,
+    ) -> None:
+        self.view = view
+        self.policy = policy
+        #: Names the definition reads: base relations and upstream views.
+        self.dependencies = dependencies
+        #: Registration order.  An upstream view is always registered
+        #: before its dependents, so ascending ordinal is a valid
+        #: propagation order.
+        self.ordinal = ordinal
+        #: The view's always-on counters.  Its compiled plans count
+        #: into it too, so codegen counters survive recompiles.
+        self.row = row
+        #: The compiled plan; None between a DDL invalidation and the
+        #: next maintenance call or introspection, which recompiles.
+        self.plan: CompiledViewPlan | None = plan
+        #: Deferred views: the composed, not yet applied operand deltas.
+        self.pending: dict[str, Delta] = {}
+        #: Commits that touched a deferred view's operands since its
+        #: last refresh — the backlog measure staleness SLAs bound.
+        #: (Distinct from len(pending): composition nets per relation.)
+        self.commits_since_refresh = 0
+        self.subscribers: list[Callable[[MaterializedView, Delta], None]] = []
+
+
+def _enqueue(
+    worklist: list[tuple[int, _ViewEntry]],
+    queued: set[int],
+    readers: Iterable[_ViewEntry],
+) -> None:
+    """Push the records not yet queued in this commit (at most once each)."""
+    for entry in readers:
+        if entry.ordinal not in queued:
+            queued.add(entry.ordinal)
+            heappush(worklist, (entry.ordinal, entry))
 
 
 class ViewMaintainer:
@@ -89,26 +156,15 @@ class ViewMaintainer:
         self.database = database
         self.strict = strict
         self.auto_verify = auto_verify
-        #: Per view: its always-on row.  The view's compiled plans count
-        #: into it too, so codegen counters survive evictions and
-        #: recompiles.
-        self._stats: dict[str, CostRecorder] = {}
+        #: One record per registered view, in definition order.
+        self._entries: dict[str, _ViewEntry] = {}
+        #: Relation or view name -> the records whose definitions read
+        #: it, in definition order.  Written by _install_view and
+        #: drop_view only.
+        self._dependents: dict[str, list[_ViewEntry]] = {}
+        self._next_ordinal = 0
         #: The rows of dropped views, summed.
         self._retired = CostRecorder()
-        self._views: dict[str, MaterializedView] = {}
-        self._policies: dict[str, MaintenancePolicy] = {}
-        self._pending: dict[str, dict[str, Delta]] = {}
-        #: Commits that touched a deferred view's operands since its
-        #: last refresh — the backlog measure staleness SLAs bound.
-        #: (Distinct from len(_pending): composition nets per relation.)
-        self._commits_since_refresh: dict[str, int] = {}
-        #: Per view: names it reads (base relations and upstream views).
-        self._dependencies: dict[str, frozenset[str]] = {}
-        self._subscribers: dict[str, list[Callable[[MaterializedView, Delta], None]]] = {}
-        self._plan_cache = PlanCache()
-        #: Per view: the fingerprint a served plan must carry, fixed at
-        #: registration.
-        self._fingerprints: dict[str, tuple] = {}
         #: True while _maintain runs: a plan's own lazy index creation
         #: must not invalidate the plan executing it.
         self._in_maintenance = False
@@ -155,7 +211,7 @@ class ViewMaintainer:
                 definition,
                 constraints=self.database.constraints,
                 keys=self.database.keys,
-                view_operands=referenced & self._views.keys(),
+                view_operands=referenced & self._entries.keys(),
             )
             errors = tuple(
                 f for f in findings if f.severity is Severity.ERROR
@@ -221,7 +277,7 @@ class ViewMaintainer:
         self, name: str, expression: Expression
     ) -> tuple[ViewDefinition, frozenset[str]]:
         """Shared registration checks for new and restored views."""
-        if name in self._views:
+        if name in self._entries:
             raise MaintenanceError(f"view {name!r} is already defined")
         if name in self.database.relation_names():
             raise MaintenanceError(
@@ -231,9 +287,8 @@ class ViewMaintainer:
             )
         definition = ViewDefinition(name, expression, self._combined_catalog())
         referenced = frozenset(definition.normal_form.relation_names)
-        view_deps = referenced & self._views.keys()
-        for dep in sorted(view_deps):
-            if self._policies[dep] is not MaintenancePolicy.IMMEDIATE:
+        for dep in sorted(referenced & self._entries.keys()):
+            if self._entries[dep].policy is not MaintenancePolicy.IMMEDIATE:
                 raise MaintenanceError(
                     f"view {name!r} references deferred view {dep!r}; "
                     "stacked views require IMMEDIATE upstream maintenance"
@@ -256,39 +311,31 @@ class ViewMaintainer:
         row = CostRecorder()
         plan = self._compile_plan(definition, referenced, row)
         view.last_refresh_sequence = self.database.log.last_sequence()
-        self._plan_cache.put(name, plan)
-        self._fingerprints[name] = plan.fingerprint
-        self._views[name] = view
-        self._policies[name] = policy
-        self._pending[name] = {}
-        self._commits_since_refresh[name] = 0
-        self._stats[name] = row
-        self._dependencies[name] = referenced
+        entry = _ViewEntry(view, policy, referenced, self._next_ordinal, row, plan)
+        self._next_ordinal += 1
+        self._entries[name] = entry
+        for dep in referenced:
+            self._dependents.setdefault(dep, []).append(entry)
         return view
 
     def drop_view(self, name: str) -> None:
         """Forget a view (its contents are discarded)."""
-        self._require_view(name)
-        dependants = [
-            other
-            for other, deps in self._dependencies.items()
-            if name in deps and other != name
-        ]
-        if dependants:
+        entry = self._entry(name)
+        readers = self._dependents.get(name)
+        if readers:
+            referencing = sorted(r.view.definition.name for r in readers)
             raise MaintenanceError(
-                f"cannot drop view {name!r}: referenced by {sorted(dependants)}"
+                f"cannot drop view {name!r}: referenced by {referencing}"
             )
-        row = self._stats.pop(name)
-        if self._plan_cache.invalidate(name):
-            row.count("plan_cache_invalidations")
-        self._retired.add(row)
-        del self._views[name]
-        del self._policies[name]
-        del self._pending[name]
-        del self._commits_since_refresh[name]
-        del self._dependencies[name]
-        del self._fingerprints[name]
-        self._subscribers.pop(name, None)
+        if entry.plan is not None:
+            entry.row.count("plan_cache_invalidations")
+        self._retired.add(entry.row)
+        del self._entries[name]
+        for dep in entry.dependencies:
+            readers = self._dependents[dep]
+            readers.remove(entry)
+            if not readers:
+                del self._dependents[dep]
 
     # ------------------------------------------------------------------
     # Compiled plans
@@ -306,20 +353,10 @@ class ViewMaintainer:
             self._combined_catalog(),
             row,
             view_operands={
-                name: self._views[name]
-                for name in referenced & self._views.keys()
+                name: self._entries[name].view
+                for name in referenced & self._entries.keys()
             },
         )
-
-    def expected_plan_fingerprint(self, name: str) -> tuple:
-        """The fingerprint a served plan for ``name`` must carry.
-
-        The registered definition's structural fingerprint plus the
-        generator version — the value the cache audit in the simulation
-        oracle compares cached plans against.
-        """
-        self._require_view(name)
-        return self._fingerprints[name]
 
     def codegen_stats(self) -> CostRecorder:
         """Cumulative codegen counters across all plans and recompiles."""
@@ -329,29 +366,25 @@ class ViewMaintainer:
         """The generated kernel source for one view's current plan."""
         return self.peek_plan(name).kernel_source()
 
-    def _recompile(self, name: str) -> CompiledViewPlan:
-        """Compile and cache the plan of a registered view anew."""
-        return self._plan_cache.put(
-            name,
-            self._compile_plan(
-                self._views[name].definition,
-                self._dependencies[name],
-                self._stats[name],
-            ),
+    def _recompile(self, entry: _ViewEntry) -> CompiledViewPlan:
+        """Compile and keep the plan of a registered view anew."""
+        entry.plan = self._compile_plan(
+            entry.view.definition, entry.dependencies, entry.row
         )
+        return entry.plan
 
-    def _plan_for(self, name: str) -> CompiledViewPlan:
+    def _plan_for(self, entry: _ViewEntry) -> CompiledViewPlan:
         """The plan a maintenance call executes, counted as hit or miss.
 
         A hit except right after an invalidation (the miss recompiles
-        and re-caches).
+        and keeps the new plan).
         """
-        plan = self._plan_cache.get(name, self._fingerprints[name])
+        plan = entry.plan
         if plan is not None:
-            self._stats[name].count("plan_cache_hits")
+            entry.row.count("plan_cache_hits")
             return plan
-        self._stats[name].count("plan_cache_misses")
-        return self._recompile(name)
+        entry.row.count("plan_cache_misses")
+        return self._recompile(entry)
 
     def peek_plan(self, name: str) -> CompiledViewPlan:
         """The plan introspection reads: compiled if absent, uncounted.
@@ -360,8 +393,8 @@ class ViewMaintainer:
         static analyzer are not maintenance, so they leave the hit/miss
         counters alone.
         """
-        self._require_view(name)
-        return self._plan_cache.get(name) or self._recompile(name)
+        entry = self._entry(name)
+        return entry.plan or self._recompile(entry)
 
     def compiled_plan(self, name: str) -> CompiledViewPlan | None:
         """The currently cached plan for ``name`` (None when absent).
@@ -369,16 +402,11 @@ class ViewMaintainer:
         Purely observational: does not compile and does not touch the
         hit/miss counters.
         """
-        self._require_view(name)
-        return self._plan_cache.get(name)
+        return self._entry(name).plan
 
     def plan_cache_stats(self) -> dict[str, int]:
         """Maintainer-wide plan-cache counters (hits/misses/invalidations)."""
         return self.totals.family("plan_cache").as_dict()
-
-    def plan_fingerprints(self) -> dict[str, tuple]:
-        """Cached plans' definition fingerprints (see PlanCache.fingerprints)."""
-        return self._plan_cache.fingerprints()
 
     def _on_ddl(self, event: str, relation_name: str) -> None:
         """Invalidate plans a schema change could have staled.
@@ -388,23 +416,35 @@ class ViewMaintainer:
         maintained the moment they leave the manager.  Index creation,
         relation drop/re-creation and anything else touching an operand
         invalidate too: the cheapest sound answer is to recompile, and
-        compilation is exactly what this cache made rare.  The one
-        exception is index creation *by a running plan* (the lazy
+        compilation is exactly what keeping the plan made rare.  The
+        one exception is index creation *by a running plan* (the lazy
         binding path), which must not invalidate the plan executing it.
+
+        Views and relations share one namespace, so creating a relation
+        under a registered view's name is refused here (the database
+        takes the relation back out): every view stacked on that name
+        would otherwise read the relation's deltas as the view's.
         """
         if event == "create_index" and self._in_maintenance:
             return
-        for name, deps in self._dependencies.items():
-            if relation_name in deps and self._plan_cache.invalidate(name):
-                self._stats[name].count("plan_cache_invalidations")
+        if event == "create_relation" and relation_name in self._entries:
+            raise MaintenanceError(
+                f"relation name {relation_name!r} collides with a registered "
+                "view; views and relations share one namespace (stacked "
+                "views resolve references through it)"
+            )
+        for entry in self._dependents.get(relation_name, ()):
+            if entry.plan is not None:
+                entry.plan = None
+                entry.row.count("plan_cache_invalidations")
 
     # ------------------------------------------------------------------
     # Combined catalogs (base relations + registered views)
     # ------------------------------------------------------------------
     def _combined_catalog(self):
         catalog = dict(self.database.schema_catalog())
-        for view_name, view in self._views.items():
-            catalog[view_name] = view.contents.schema
+        for view_name, entry in self._entries.items():
+            catalog[view_name] = entry.view.contents.schema
         return catalog
 
     def instances(self) -> dict[str, Relation]:
@@ -415,8 +455,8 @@ class ViewMaintainer:
         view's definition names its upstream views like relations.
         """
         instances = dict(self.database.instances())
-        for view_name, view in self._views.items():
-            instances[view_name] = view.contents
+        for view_name, entry in self._entries.items():
+            instances[view_name] = entry.view.contents
         return instances
 
     def subscribe(
@@ -430,39 +470,44 @@ class ViewMaintainer:
         natural hook for alerters [BC79]: the view delta *is* the alert
         stream.
         """
-        self._require_view(name)
-        self._subscribers.setdefault(name, []).append(callback)
+        self._entry(name).subscribers.append(callback)
 
     def unsubscribe(
         self, name: str, callback: Callable[[MaterializedView, Delta], None]
     ) -> None:
         """Remove a previously registered subscriber (no-op if absent)."""
-        with contextlib.suppress(ValueError):
-            self._subscribers.get(name, []).remove(callback)
+        entry = self._entries.get(name)
+        if entry is not None:
+            with contextlib.suppress(ValueError):
+                entry.subscribers.remove(callback)
 
     def view(self, name: str) -> MaterializedView:
         """The materialized view registered under ``name``."""
-        self._require_view(name)
-        return self._views[name]
+        return self._entry(name).view
 
     def view_names(self) -> tuple[str, ...]:
         """All registered view names, sorted."""
-        return tuple(sorted(self._views))
+        return tuple(sorted(self._entries))
+
+    def dependencies(self, name: str) -> frozenset[str]:
+        """The names one view's definition reads: base relations and
+        upstream views."""
+        return self._entry(name).dependencies
 
     @property
     def totals(self) -> CostRecorder:
         """Maintainer-wide always-on totals: every view's row summed,
         dropped views' included."""
         totals = CostRecorder()
-        for row in (self._retired, *self._stats.values()):
-            totals.add(row)
+        totals.add(self._retired)
+        for entry in self._entries.values():
+            totals.add(entry.row)
         return totals
 
     def stats(self, name: str) -> dict[str, int]:
         """One view's maintenance counters: the ``view`` and
         ``plan_cache`` families of :mod:`repro.instrumentation`."""
-        self._require_view(name)
-        return self._stats[name].family("view", "plan_cache").as_dict()
+        return self._entry(name).row.family("view", "plan_cache").as_dict()
 
     def all_stats(self) -> dict[str, dict[str, int]]:
         """Every view's maintenance counters (:meth:`stats`), by name —
@@ -471,8 +516,7 @@ class ViewMaintainer:
 
     def policy(self, name: str) -> MaintenancePolicy:
         """The registered maintenance policy for one view."""
-        self._require_view(name)
-        return self._policies[name]
+        return self._entry(name).policy
 
     def explain(self, name: str, changed_relations: Iterable[str]) -> str:
         """Describe the compiled maintenance plan for a hypothetical update.
@@ -521,7 +565,7 @@ class ViewMaintainer:
         for shape in shapes:
             for step in plan.planner_for(shape).old_probe_steps():
                 occurrence = normal_form.occurrences[step.position]
-                if occurrence.name in self._views:
+                if occurrence.name in self._entries:
                     continue  # view operands carry no persistent index
                 base_attrs = tuple(
                     occurrence.inverse[q] for q in step.link_attr_names
@@ -550,12 +594,13 @@ class ViewMaintainer:
 
         rows = []
         for name in self.view_names():
-            row = self._stats[name]
+            entry = self._entries[name]
+            row = entry.row
             rows.append(
                 [
                     name,
-                    self._policies[name].value,
-                    len(self._views[name].contents),
+                    entry.policy.value,
+                    len(entry.view.contents),
                     row.get("transactions_seen"),
                     row.get("transactions_skipped"),
                     row.get("deltas_applied"),
@@ -583,38 +628,48 @@ class ViewMaintainer:
         self.database.remove_commit_hook(self._on_commit)
         self.database.remove_ddl_hook(self._on_ddl)
 
-    def _require_view(self, name: str) -> None:
-        if name not in self._views:
-            raise UnknownViewError(f"no view named {name!r}")
+    def _entry(self, name: str) -> _ViewEntry:
+        try:
+            return self._entries[name]
+        except KeyError:
+            raise UnknownViewError(f"no view named {name!r}") from None
 
     # ------------------------------------------------------------------
     # Commit-side
     # ------------------------------------------------------------------
     def _on_commit(self, txn_id: int, deltas: Mapping[str, Delta]) -> None:
-        if not deltas:
-            return
-        # Views are processed in definition order: upstream views exist
-        # before anything that references them, so each view's operand
-        # deltas — base-relation deltas from the transaction plus the
-        # view deltas just applied upstream — are ready when needed.
-        applied_view_deltas: dict[str, Delta] = {}
-        for name, view in self._views.items():
-            effective: dict[str, Delta] = {}
-            for dep in self._dependencies[name]:
-                delta = deltas.get(dep)
-                if delta is None:
-                    delta = applied_view_deltas.get(dep)
-                if delta is not None and not delta.is_empty():
-                    effective[dep] = delta
-            if not effective:
-                continue
-            if self._policies[name] is MaintenancePolicy.IMMEDIATE:
-                view_delta = self._maintain(name, view, effective)
+        entries = self._entries
+        dependents = self._dependents
+        # Operand deltas by name: the transaction's non-empty base
+        # deltas, then every view delta as it is applied.  A registered
+        # view's name never takes a base delta — what is stacked on it
+        # reads the view.
+        arrived: dict[str, Delta] = {}
+        # The records some arrived delta reaches, popped in ascending
+        # ordinal: upstream views are registered before anything that
+        # references them, so every operand delta of a popped view —
+        # from the transaction or from a view maintained before it — has
+        # arrived.
+        worklist: list[tuple[int, _ViewEntry]] = []
+        queued: set[int] = set()
+        for name, delta in deltas.items():
+            if name not in entries and not delta.is_empty():
+                arrived[name] = delta
+                _enqueue(worklist, queued, dependents.get(name, ()))
+        while worklist:
+            entry = heappop(worklist)[1]
+            effective = {
+                dep: arrived[dep] for dep in entry.dependencies if dep in arrived
+            }
+            if entry.policy is MaintenancePolicy.IMMEDIATE:
+                view_delta = self._maintain(entry, effective)
                 if not view_delta.is_empty():
-                    applied_view_deltas[name] = view_delta
+                    name = entry.view.definition.name
+                    arrived[name] = view_delta
+                    _enqueue(worklist, queued, dependents.get(name, ()))
             else:
-                self._commits_since_refresh[name] += 1
-                pending = self._pending[name]
+                entry.commits_since_refresh += 1
+                pending = entry.pending
                 for relation_name, delta in effective.items():
                     existing = pending.get(relation_name)
                     composed = (
@@ -647,11 +702,11 @@ class ViewMaintainer:
         """Classify one registered view (see
         :func:`repro.scheduler.selfmaint.classify_self_maintainability`);
         the proof uses the database's declared constraints and keys."""
-        self._require_view(name)
+        definition = self._entry(name).view.definition
         from repro.scheduler.selfmaint import classify_self_maintainability
 
         return classify_self_maintainability(
-            self._views[name].definition,
+            definition,
             self.database.constraints,
             self.database.keys,
         )
@@ -677,21 +732,19 @@ class ViewMaintainer:
         observation that its approach "also applies to this
         environment").
         """
-        self._require_view(name)
-        view = self._views[name]
-        pending = self._pending[name]
-        self._commits_since_refresh[name] = 0
+        entry = self._entry(name)
+        pending = entry.pending
+        entry.commits_since_refresh = 0
         if not pending:
-            view.last_refresh_sequence = self.database.log.last_sequence()
+            entry.view.last_refresh_sequence = self.database.log.last_sequence()
             return False
-        self._pending[name] = {}
-        self._maintain(name, view, pending)
+        entry.pending = {}
+        self._maintain(entry, pending)
         return True
 
     def pending_deltas(self, name: str) -> dict[str, Delta]:
         """A deferred view's composed, not-yet-applied deltas."""
-        self._require_view(name)
-        return dict(self._pending[name])
+        return dict(self._entry(name).pending)
 
     def backlog(self, name: str) -> dict[str, int]:
         """How stale one view is, as four observable measures.
@@ -709,19 +762,19 @@ class ViewMaintainer:
         The `stats` server op and the CLI ``stats <view>`` line expose
         these, and the staleness-SLA scheduler prioritizes by them.
         """
-        self._require_view(name)
-        pending = self._pending[name]
+        entry = self._entry(name)
+        pending = entry.pending
         return {
             "pending_relations": len(pending),
             "pending_delta_size": sum(
                 delta.insert_count() + delta.delete_count()
                 for delta in pending.values()
             ),
-            "commits_since_refresh": self._commits_since_refresh[name],
+            "commits_since_refresh": entry.commits_since_refresh,
             "sequence_lag": max(
                 0,
                 self.database.log.last_sequence()
-                - self._views[name].last_refresh_sequence,
+                - entry.view.last_refresh_sequence,
             ),
         }
 
@@ -740,7 +793,7 @@ class ViewMaintainer:
         """
         refreshed = []
         for name in self.view_names():
-            if self._policies[name] is MaintenancePolicy.DEFERRED:
+            if self._entries[name].policy is MaintenancePolicy.DEFERRED:
                 if self.refresh(name):
                     refreshed.append(name)
         return tuple(refreshed)
@@ -765,21 +818,22 @@ class ViewMaintainer:
         reports: dict[str, ConsistencyReport] = {}
         for name in self.view_names():
             reports[name] = check_view_consistency(
-                self._views[name], instances, raise_on_mismatch=raise_on_mismatch
+                self._entries[name].view,
+                instances,
+                raise_on_mismatch=raise_on_mismatch,
             )
         return reports
 
     # ------------------------------------------------------------------
     # The filter + differential pipeline
     # ------------------------------------------------------------------
-    def _maintain(
-        self, name: str, view: MaterializedView, deltas: Mapping[str, Delta]
-    ) -> Delta:
+    def _maintain(self, entry: _ViewEntry, deltas: Mapping[str, Delta]) -> Delta:
         """Execute the compiled plan; returns the applied view delta
         (empty when everything was screened)."""
-        count = self._stats[name].count
+        view = entry.view
+        count = entry.row.count
         count("transactions_seen")
-        plan = self._plan_for(name)
+        plan = self._plan_for(entry)
 
         self._in_maintenance = True
         try:
@@ -819,12 +873,13 @@ class ViewMaintainer:
             check_view_consistency(view, self.instances())
 
         if not view_delta.is_empty():
-            for callback in self._subscribers.get(name, ()):
+            for callback in entry.subscribers:
                 callback(view, view_delta)
         return view_delta
 
     def __repr__(self) -> str:
         return (
-            f"<ViewMaintainer {len(self._views)} views, "
-            f"{len(self._plan_cache)} cached plans>"
+            f"<ViewMaintainer {len(self._entries)} views, "
+            f"{sum(e.plan is not None for e in self._entries.values())} "
+            "cached plans>"
         )

@@ -43,6 +43,7 @@ from repro.errors import (
     ConstraintError,
     ConstraintViolationError,
     KeyViolationError,
+    ReproError,
     SchemaError,
     UnknownRelationError,
 )
@@ -86,6 +87,12 @@ class Database:
 
         Initial rows bypass the transaction machinery: they define the
         starting state, not an update to be maintained against.
+
+        DDL hooks observe the creation and a hook that crashes does not
+        undo it, with one exception: a hook that *rejects* the name by
+        raising a :class:`~repro.errors.ReproError` (a view maintainer
+        does when a registered view already holds it) leaves no
+        relation behind.
         """
         if name in self._relations:
             raise SchemaError(f"relation {name!r} already exists")
@@ -97,7 +104,11 @@ class Database:
                 raise SchemaError(f"duplicate initial row {row!r} in {name!r}")
             relation.add(row)
         self._relations[name] = relation
-        self._notify_ddl("create_relation", name)
+        try:
+            self._notify_ddl("create_relation", name)
+        except ReproError:
+            del self._relations[name]
+            raise
         return relation
 
     def drop_relation(self, name: str) -> None:

@@ -12,6 +12,7 @@ one covers the join attributes of an "old" base operand.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.algebra.relation import Delta, Relation
@@ -21,6 +22,7 @@ from repro.instrumentation import charge
 ValueTuple = tuple[int, ...]
 
 _NO_ROWS: frozenset[ValueTuple] = frozenset()
+_NO_INDEXES: Mapping[tuple[str, ...], HashIndex] = MappingProxyType({})
 
 
 class HashIndex:
@@ -116,49 +118,51 @@ class IndexManager:
     """
 
     def __init__(self) -> None:
-        self._indexes: dict[tuple[str, tuple[str, ...]], HashIndex] = {}
+        #: Relation name -> indexed attributes -> index: a commit visits
+        #: only the indexes of the relations it changed.
+        self._indexes: dict[str, dict[tuple[str, ...], HashIndex]] = {}
         self.on_change: "Callable[[str, str], None] | None" = None
 
     def create_index(self, relation: Relation, relation_name: str,
                      attributes: Sequence[str]) -> HashIndex:
         """Create (or return the existing) index on the given attributes."""
-        key = (relation_name, tuple(attributes))
-        existing = self._indexes.get(key)
+        existing = self.lookup(relation_name, attributes)
         if existing is not None:
             return existing
         index = HashIndex(relation, relation_name, attributes)
-        self._indexes[key] = index
+        self._indexes.setdefault(relation_name, {})[index.attributes] = index
         if self.on_change is not None:
             self.on_change("create_index", relation_name)
         return index
 
     def drop_index(self, relation_name: str, attributes: Sequence[str]) -> bool:
         """Remove an index; returns True when one existed."""
-        existed = self._indexes.pop((relation_name, tuple(attributes)), None) is not None
-        if existed and self.on_change is not None:
+        on_relation = self._indexes.get(relation_name)
+        if on_relation is None or on_relation.pop(tuple(attributes), None) is None:
+            return False
+        if not on_relation:
+            del self._indexes[relation_name]
+        if self.on_change is not None:
             self.on_change("drop_index", relation_name)
-        return existed
+        return True
 
     def lookup(self, relation_name: str,
                attributes: Sequence[str]) -> HashIndex | None:
         """The index on exactly these attributes, if declared."""
-        return self._indexes.get((relation_name, tuple(attributes)))
+        return self._indexes.get(relation_name, _NO_INDEXES).get(tuple(attributes))
 
     def indexes_on(self, relation_name: str) -> tuple[HashIndex, ...]:
         """Every index declared over ``relation_name``."""
-        return tuple(
-            idx for (name, _), idx in self._indexes.items() if name == relation_name
-        )
+        return tuple(self._indexes.get(relation_name, _NO_INDEXES).values())
 
     def apply_deltas(self, deltas: Mapping[str, Delta]) -> None:
         """Propagate a commit's net deltas into all affected indexes."""
-        for (name, _), index in self._indexes.items():
-            delta = deltas.get(name)
-            if delta is not None:
+        for name, delta in deltas.items():
+            for index in self._indexes.get(name, _NO_INDEXES).values():
                 index.apply_delta(delta)
 
     def __len__(self) -> int:
-        return len(self._indexes)
+        return sum(len(on_relation) for on_relation in self._indexes.values())
 
     def __repr__(self) -> str:
-        return f"<IndexManager {len(self._indexes)} indexes>"
+        return f"<IndexManager {len(self)} indexes>"

@@ -141,9 +141,18 @@ class RefreshScheduler:
         after each commit and by :meth:`tick` itself (a tick observes
         before it schedules), so wiring ``note_commit`` everywhere is a
         precision improvement, not a correctness requirement.
+
+        An SLA whose view has been dropped is forgotten here, with its
+        pending tick and violation count: the view's name may be taken
+        again by a view the SLA was never declared for.
         """
-        for name in self._slas:
-            backlog = self.maintainer.backlog(name)
+        for name in tuple(self._slas):
+            try:
+                backlog = self.maintainer.backlog(name)
+            except UnknownViewError:
+                self.drop_sla(name)
+                self._violations.pop(name, None)
+                continue
             if backlog["commits_since_refresh"] > 0:
                 self._first_pending_tick.setdefault(name, self.clock.now)
             else:

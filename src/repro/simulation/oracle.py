@@ -82,19 +82,15 @@ def verify_maintainer(label: str, maintainer: "ViewMaintainer") -> list[str]:
                 f"{len(rendered)} group row(s) but the visible contents "
                 f"hold {len(visible)} — internal state diverged"
             )
-    live = {
-        name: maintainer.expected_plan_fingerprint(name)
-        for name in maintainer.view_names()
-    }
-    for name, cached in maintainer.plan_fingerprints().items():
-        if name not in live:
-            divergences.append(
-                f"{label}: plan cache holds a plan for dropped view {name!r}"
-            )
-        elif cached != live[name]:
+    # A kept plan must have been compiled for the definition registered
+    # under its name now (a stale one would maintain the view with
+    # outdated screens).
+    for name in maintainer.view_names():
+        plan = maintainer.compiled_plan(name)
+        if plan is not None and plan.definition is not maintainer.view(name).definition:
             divergences.append(
                 f"{label}: cached plan for {name!r} is stale "
-                "(fingerprint differs from the live definition)"
+                "(compiled for another definition than the live one)"
             )
     return divergences
 

@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 
 import repro.core.codegen as codegen
 from repro import BaseRef, Database, ViewMaintainer
-from repro.core.codegen import CODEGEN_VERSION, plan_fingerprint
+from repro.core.codegen import CODEGEN_VERSION
 from repro.instrumentation import CostRecorder, recording
 from tests.reference import REFERENCE_PARITY_COUNTERS, ReferenceViews
 
@@ -197,15 +197,6 @@ class TestSourceDeterminism:
         source = self._kernel_sources()["join2"]
         assert "'join2'" in source
         assert f"codegen v{CODEGEN_VERSION}" in source
-
-    def test_fingerprint_carries_the_generator_version(self):
-        db = _fresh_database()
-        maintainer = ViewMaintainer(db)
-        maintainer.define_view("v", VIEW_SHAPES["join2"])
-        nf = maintainer.view("v").definition.normal_form
-        assert plan_fingerprint(nf)[-1] == ("codegen", CODEGEN_VERSION)
-        assert plan_fingerprint(nf) == maintainer.expected_plan_fingerprint("v")
-        assert plan_fingerprint(nf) == maintainer.compiled_plan("v").fingerprint
 
 
 class TestConstraintDDL:

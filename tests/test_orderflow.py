@@ -44,8 +44,7 @@ class TestViews:
         maintainer = ViewMaintainer(flow.database)
         for name, expression in flow.view_definitions().items():
             maintainer.define_view(name, expression)
-        deps = maintainer._dependencies["open_premium"]
-        assert "open_lines" in deps
+        assert "open_lines" in maintainer.dependencies("open_premium")
 
 
 class TestStream:

@@ -30,7 +30,7 @@ from repro import (
 from tests.reference import ReferenceViews
 from tests.strategies import SPJ_TABLES, spj_database_rows, spj_expressions
 from repro.core.compiled import CompiledViewPlan
-from repro.core.plancache import PlanCache
+from repro.errors import UnknownViewError
 from repro.instrumentation import CostRecorder, recording
 
 VIEW_EXPR = (
@@ -56,31 +56,10 @@ def maintainer(db):
     return m
 
 
-class TestPlanCacheUnit:
-    def test_get_miss_then_put_then_hit(self, db, maintainer):
-        cache = PlanCache()
-        plan = maintainer.compiled_plan("v")
-        assert cache.get("w") is None
-        cache.put("w", plan)
-        assert cache.get("w") is plan
-
-    def test_fingerprint_mismatch_counts_as_miss(self, db, maintainer):
-        cache = PlanCache()
-        plan = maintainer.compiled_plan("v")
-        cache.put("w", plan)
-        assert cache.get("w", fingerprint=("something", "else")) is None
-        assert "w" not in cache
-
-    def test_invalidate_counts_only_real_evictions(self, db, maintainer):
-        cache = PlanCache()
-        assert not cache.invalidate("w")
-        cache.put("w", maintainer.compiled_plan("v"))
-        assert cache.invalidate("w")
-        assert not cache.invalidate("w")
-
+class TestCounting:
     def test_charges_flow_to_recorder(self, db, maintainer):
-        # The cache reports hit / miss / eviction; the maintainer counts
-        # each once, and the one increment reaches the recorder too.
+        # The maintainer counts each hit / miss / invalidation once, and
+        # the one increment reaches the recorder too.
         recorder = CostRecorder()
         with recording(recorder):
             db.create_index("s", ["C"])  # invalidation
@@ -156,7 +135,8 @@ class TestInvalidation:
 
     def test_drop_view_invalidates(self, db, maintainer):
         maintainer.drop_view("v")
-        assert "v" not in maintainer._plan_cache
+        with pytest.raises(UnknownViewError):
+            maintainer.compiled_plan("v")
         assert maintainer.plan_cache_stats()["plan_cache_invalidations"] == 1
 
     def test_reregistration_under_same_name_gets_new_plan(self, db, maintainer):
@@ -167,7 +147,8 @@ class TestInvalidation:
         )
         new_plan = maintainer.compiled_plan("v")
         assert new_plan is not None and new_plan is not old_plan
-        assert new_plan.fingerprint != old_plan.fingerprint
+        assert new_plan.definition is maintainer.view("v").definition
+        assert new_plan.definition is not old_plan.definition
         db.apply(inserts={"r": [(9, 77)]})
         assert (77,) in maintainer.view("v").contents
         check_view_consistency(maintainer.view("v"), db.instances())

@@ -1,5 +1,8 @@
 """Contract tests for the package's public surface."""
 
+import re
+from pathlib import Path
+
 import repro
 
 
@@ -79,3 +82,21 @@ class TestDoctests:
         ):
             failures, _ = doctest.testmod(module)
             assert failures == 0, module.__name__
+
+
+class TestApiReference:
+    def test_docs_api_names_what_exists_and_all_of_core(self):
+        """docs/api.md keeps no row for a deleted maintainer method and
+        misses no name `repro.core` exports."""
+        import repro.core
+        from repro.core.maintainer import ViewMaintainer
+
+        text = (Path(__file__).parent.parent / "docs" / "api.md").read_text()
+        documented = set(re.findall(r"`maintainer\.(\w+)", text))
+        assert documented, "docs/api.md lists no maintainer methods"
+        missing = sorted(n for n in documented if not hasattr(ViewMaintainer, n))
+        assert not missing, f"docs/api.md names absent ViewMaintainer attributes: {missing}"
+        undocumented = sorted(
+            n for n in repro.core.__all__ if not re.search(rf"\b{n}\b", text)
+        )
+        assert not undocumented, f"docs/api.md misses repro.core names: {undocumented}"

@@ -335,6 +335,31 @@ class TestRefreshScheduler:
         clock.advance(1)
         assert scheduler.tick() == ()
 
+    def test_dropped_view_takes_its_sla_with_it(self):
+        db, maintainer, clock, scheduler = make_scheduled(batch_limit=1)
+        scheduler.declare_sla("d1", StalenessSLA(max_pending_commits=1))
+        scheduler.declare_sla("d2", StalenessSLA(max_pending_commits=1))
+        for i in range(2):
+            with db.transact() as txn:
+                txn.insert("r", (1 + i, i))
+        clock.advance(1)
+        assert scheduler.tick() == ("d1",)  # d2 left pending and in violation
+        maintainer.drop_view("d2")
+        # Every later tick used to raise UnknownViewError from backlog().
+        with db.transact() as txn:
+            txn.insert("r", (4, 4))
+        clock.advance(1)
+        assert scheduler.tick() == ("d1",)
+        assert scheduler.sla_names() == ("d1",)
+        assert scheduler.violations() == {"d1": 1}
+        # The name may be taken again; the new view starts without an SLA.
+        maintainer.define_view(
+            "d2", BaseRef("r").select("A <= 5"), policy=MaintenancePolicy.DEFERRED
+        )
+        scheduler.declare_sla("d2", StalenessSLA(max_lag_ticks=3))
+        assert scheduler.violations()["d2"] == 0
+        assert scheduler.lag_ticks("d2") == 0
+
     def test_batch_limit_must_be_positive(self):
         _, maintainer, _, _ = make_scheduled()
         with pytest.raises(ValueError):

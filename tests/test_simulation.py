@@ -20,6 +20,7 @@ the fixed-seed smoke batch on every push, and ``REPRO_SIM_FULL=1``
 (nightly) runs the 200-episode acceptance batch from the issue.
 """
 
+import copy
 import os
 import random
 
@@ -543,7 +544,8 @@ class TestOracleSensitivity:
         episode = self._built_episode(tmp_path)
         plan = episode.maintainer.compiled_plan("v0")
         assert plan is not None
-        plan.fingerprint = ("tampered",)
+        # A plan compiled for a definition other than the registered one.
+        plan.definition = copy.copy(plan.definition)
         episode._oracle_round()
         assert any("stale" in line for line in episode.divergences), (
             episode.divergences
