@@ -301,11 +301,44 @@ class Delta:
             yield values, Tag.DELETE, count
 
     def apply_to(self, relation: Relation) -> None:
-        """Apply this delta in place: ``r := r ∪ i_r − d_r``."""
+        """Apply this delta in place: ``r := r ∪ i_r − d_r``.
+
+        All or nothing: every count is checked — positive, and no more
+        copies deleted than ``relation`` holds — before the first tuple
+        changes, so a :class:`MaintenanceError` leaves ``relation`` as
+        it was.  The tuples are already encoded; only the two schemas'
+        attribute names are compared.
+        """
+        if relation.schema.names != self.schema.names:
+            raise SchemaError(
+                f"cannot apply a delta over {self.schema.names} "
+                f"to a relation over {relation.schema.names}"
+            )
+        counts = relation._counts
         for values, count in self.deleted.items():
-            relation.discard(Row(relation.schema, values), count)
+            if count <= 0:
+                raise MaintenanceError(
+                    f"delete count must be positive, got {count}"
+                )
+            present = counts.get(values, 0)
+            if present < count:
+                raise MaintenanceError(
+                    f"cannot remove {count} copies of {values}: "
+                    f"only {present} present"
+                )
+        for count in self.inserted.values():
+            if count <= 0:
+                raise MaintenanceError(
+                    f"insert count must be positive, got {count}"
+                )
+        for values, count in self.deleted.items():
+            remaining = counts[values] - count
+            if remaining:
+                counts[values] = remaining
+            else:
+                del counts[values]
         for values, count in self.inserted.items():
-            relation.add(Row(relation.schema, values), count)
+            counts[values] = counts.get(values, 0) + count
 
     def compose(self, later: "Delta") -> "Delta":
         """The net effect of this delta followed by ``later``.

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from repro.algebra.domains import Domain, INTEGERS
+from repro.algebra.domains import Domain, INTEGERS, IntegerDomain
 from repro.errors import SchemaError
 
 
@@ -75,7 +75,7 @@ class RelationSchema:
     1
     """
 
-    __slots__ = ("attributes", "names", "_index", "_nameset")
+    __slots__ = ("attributes", "names", "_index", "_nameset", "_plain_integers")
 
     def __init__(self, attributes: Iterable[Attribute | str]) -> None:
         attrs = []
@@ -94,6 +94,11 @@ class RelationSchema:
             raise SchemaError("a relation schema needs at least one attribute")
         self._index = {name: i for i, name in enumerate(self.names)}
         self._nameset = frozenset(self.names)
+        #: Every domain is exactly IntegerDomain: an ``int`` is its own
+        #: encoding, so whole tuples pass through without per-value calls.
+        self._plain_integers = all(
+            type(a.domain) is IntegerDomain for a in self.attributes
+        )
 
     # ------------------------------------------------------------------
     # Lookup
@@ -173,6 +178,12 @@ class RelationSchema:
     # ------------------------------------------------------------------
     def encode_values(self, values: Sequence[object]) -> tuple[int, ...]:
         """Validate and encode one tuple of raw values against the schema."""
+        if self._plain_integers and len(values) == len(self.attributes):
+            for v in values:
+                if type(v) is not int:
+                    break  # bool, subclass, non-integer: validate below
+            else:
+                return tuple(values)  # type: ignore  # every value is an int
         if len(values) != len(self.attributes):
             raise SchemaError(
                 f"tuple arity {len(values)} does not match schema arity "
@@ -184,6 +195,8 @@ class RelationSchema:
 
     def decode_values(self, codes: Sequence[int]) -> tuple[object, ...]:
         """Invert :meth:`encode_values`."""
+        if self._plain_integers:
+            return tuple(codes)
         return tuple(
             attr.domain.decode(c) for attr, c in zip(self.attributes, codes)
         )

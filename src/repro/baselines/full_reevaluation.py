@@ -58,7 +58,7 @@ class FullReevaluationMaintainer:
             refreshed = MaterializedView.materialize(
                 view.definition, self.database.instances()
             )
-            view.contents = refreshed.contents
+            view.replace_contents(refreshed.contents)
             view.updates_applied += 1
             self.recomputations[name] += 1
 

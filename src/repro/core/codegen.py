@@ -19,8 +19,9 @@ runs the generated closures over whole batches:
 * **row kernels** — one per truth-table shape: the Section 5.3 rows
   unrolled, each along its own delta-rooted join order
   (``RowPlanner.chains``), into hash-join loops over the changed
-  operands' count dicts and index probes (or, for a view operand,
-  scans) of the OLD ones, rows sharing the node of every common
+  operands' count dicts and index probes of the OLD ones (a base
+  relation's index or an upstream view's own), rows sharing the node
+  of every common
   (position, choice) prefix, with equality-link keys, pre/post-filters
   and the paper's tag algebra all inlined (``insert ⊗ delete`` pairs
   dropped in-loop);
@@ -55,7 +56,7 @@ so does the memory the unrolled source takes to compile) is executed by
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Optional, Sequence
 
 from repro.algebra.conditions import Atom, Condition, Var
 from repro.algebra.schema import RelationSchema
@@ -78,7 +79,8 @@ ValueTuple = tuple[int, ...]
 #: v4: every name in a comment is quoted (see :func:`quoted`).
 #: v5: kernels read and write ``Delta``'s count dicts directly.
 #: v6: a join order per truth-table row; steps numbered per shape.
-CODEGEN_VERSION = 6
+#: v7: every linked OLD step is an index probe (view operands included).
+CODEGEN_VERSION = 7
 
 #: Shapes whose truth table exceeds this many rows run on
 #: :func:`~repro.core.differential.execute_planner` instead: the
@@ -377,7 +379,9 @@ def _fold(func: str, exprs: list[str]) -> str:
 # ----------------------------------------------------------------------
 
 def generate_shape_source(
-    planner: "RowPlanner", counter_free: bool = False
+    planner: "RowPlanner",
+    counter_free: bool = False,
+    bag_operands: Collection[str] = (),
 ) -> str:
     """Emit the row kernel + apply kernels for one truth-table shape.
 
@@ -388,17 +392,23 @@ def generate_shape_source(
     memoizes.  ``deltas[p]`` is the
     :class:`~repro.algebra.relation.Delta` of changed occurrence ``p``
     — its ``inserted``/``deleted`` dicts are the DELTA operand —
-    ``old(p)`` the live post-commit relation of occurrence ``p``, whose
-    OLD operand ``r − d_r`` is computed in the scan (``count −
+    ``old(p)`` the live post-commit count map of occurrence ``p``, and
+    ``index_for(s)`` the hash index bound to the OLD probe of distinct
+    step ``s`` (``StepPlan.number``).  Every OLD operand joined through
+    equality links is answered by probing that index and nothing else.
+    The index holds the post-commit operand and OLD means ``r − d_r``,
+    so a changed base operand (a set) drops this transaction's inserts
+    from each bucket, and an operand named in ``bag_operands`` — an
+    upstream view, whose tuples carry Section 5.2 counters — takes each
+    multiplicity from ``old(p)`` less the inserted copies (``count −
     inserted.get(values, 0) > 0``, exactly
-    :func:`repro.core.differential._old_operand`), and ``index_for(s)``
-    the hash index bound to the OLD probe of distinct step ``s``
-    (``StepPlan.number``; ``None`` for a view operand).  Hash tables
-    are one per (distinct step, choice) — mirroring the reference
-    planner's ``hash_cache`` — and are built lazily behind a ``None``
-    guard so an OLD operand answered by an index probe (or never
-    reached because its accumulator is empty) is never scanned.  The
-    kernel returns ``(ins, dele, tuples_scanned, join_probes,
+    :func:`repro.core.differential._old_operand`); which of the two a
+    step emits is decided here, at generation time.  A DELTA operand,
+    or an OLD one no link reaches (a cross join), is hashed: one table
+    per (distinct step, choice) — mirroring the reference planner's
+    ``hash_cache`` — built lazily behind a ``None`` guard so an operand
+    never reached because its accumulator is empty is never scanned.
+    The kernel returns ``(ins, dele, tuples_scanned, join_probes,
     tuples_emitted, tuples_ignored)``.
 
     Names follow the steps' numbers, which count distinct steps in
@@ -428,6 +438,9 @@ def generate_shape_source(
     chains = planner.chains
     out = _Emitter()
     names = [occ.name for occ in nf.occurrences]
+    bags = frozenset(
+        occ.position for occ in nf.occurrences if occ.name in bag_operands
+    )
     out.emit(
         "# row kernel: shape "
         + quoted(tuple(names[i] for i in planner.changed))
@@ -464,13 +477,13 @@ def generate_shape_source(
         out.emit(f"i{p} = deltas[{p}].inserted")
         out.emit(f"d{p} = deltas[{p}].deleted")
 
-    # One hash table per joined (distinct step, choice): any such node
-    # may take the hash path — an OLD probe is only answered from an
-    # index when one is bound at run time.
+    # One hash table per joined (distinct step, choice) that no index
+    # answers: DELTA operands and link-less OLD ones.
     hash_nodes = {
         (step.number, row[step.position])
         for row, chain in chains.items()
         for step in chain[1:]
+        if not _probes_index(step, row[step.position])
     }
     for number, choice in sorted(
         hash_nodes, key=lambda item: (item[0], item[1].value)
@@ -490,7 +503,9 @@ def generate_shape_source(
                 if depth == 0:
                     _emit_first_operand(out, planner, node, step, choice)
                 else:
-                    _emit_join_node(out, planner, node, parent, step, choice)
+                    _emit_join_node(
+                        out, planner, node, parent, step, choice, step.position in bags
+                    )
                 emitted.add(node)
             parent = node
         out.emit(f"{_numbered('apply_kernel', chain)}({parent}, ins, dele)")
@@ -595,6 +610,11 @@ def _emit_first_operand(
     out.indent -= depth
 
 
+def _probes_index(step: "StepPlan", choice: DeltaRowChoice) -> bool:
+    """Whether a joined step is an index probe (else a hash join)."""
+    return choice is DeltaRowChoice.OLD and bool(step.link_attr_names)
+
+
 def _emit_join_node(
     out: _Emitter,
     planner: "RowPlanner",
@@ -602,23 +622,15 @@ def _emit_join_node(
     parent: str,
     step: "StepPlan",
     choice: DeltaRowChoice,
+    bag: bool,
 ) -> None:
     key_expr = _probe_key_expr(step)
     out.emit(f"{node} = []")
     out.emit(f"if {parent}:")
     out.indent += 1
     out.emit(f"{node}_append = {node}.append")
-    use_probe = choice is DeltaRowChoice.OLD and bool(step.link_attr_names)
-    if use_probe:
-        out.emit(f"ix = index_for({step.number})")
-        out.emit("if ix is not None:")
-        out.indent += 1
-        _emit_probe_loop(out, planner, node, parent, step, key_expr)
-        out.indent -= 1
-        out.emit("else:")
-        out.indent += 1
-        _emit_hash_join(out, planner, node, parent, step, choice, key_expr)
-        out.indent -= 1
+    if _probes_index(step, choice):
+        _emit_probe_loop(out, planner, node, parent, step, key_expr, bag)
     else:
         _emit_hash_join(out, planner, node, parent, step, choice, key_expr)
     out.indent -= 1
@@ -631,23 +643,36 @@ def _emit_probe_loop(
     parent: str,
     step: "StepPlan",
     key_expr: str,
+    bag: bool,
 ) -> None:
     """An OLD operand answered from its persistent hash index.
 
-    Indexes hold the post-commit relation (set semantics, count one), so
-    a changed operand's probe results drop this transaction's inserts.
+    Indexes hold the distinct tuples of the post-commit operand.  A base
+    operand is a set: count one, and a changed one's probe results drop
+    this transaction's inserts.  A ``bag`` operand (an upstream view)
+    reads each tuple's count from the live count map, less the copies
+    this transaction inserted.
     """
     p = step.position
     prefilter = _prefilter_expr(step, "bv")
+    out.emit(f"ix = index_for({step.number})")
     out.emit("bt = T_O")
-    out.emit("bc = 1")
+    if bag:
+        out.emit(f"counts = old({p})")
+    else:
+        out.emit("bc = 1")
     out.emit(f"for av, at, ac in {parent}:")
     out.indent += 1
     out.emit("jp += 1")
     out.emit(f"k = {key_expr}")
     out.emit("for bv in ix.probe(k):")
     out.indent += 1
-    if p in planner.changed:
+    if bag and p in planner.changed:
+        out.emit(f"bc = counts[bv] - i{p}.get(bv, 0)")
+        out.skip_if("bc <= 0")
+    elif bag:
+        out.emit("bc = counts[bv]")
+    elif p in planner.changed:
         out.skip_if(f"bv in i{p}")
     if prefilter is not None:
         out.skip_if(f"not ({prefilter})")
@@ -970,12 +995,15 @@ class ShapeKernels:
 
 
 def compile_shape_kernels(
-    planner: "RowPlanner", view_name: str, counter_free: bool = False
+    planner: "RowPlanner",
+    view_name: str,
+    counter_free: bool = False,
+    bag_operands: Collection[str] = (),
 ) -> ShapeKernels | None:
     """Generate + compile one shape's kernels; None triggers fallback."""
     if count_delta_rows(len(planner.changed)) > MAX_CODEGEN_ROWS:
         return None
-    source = generate_shape_source(planner, counter_free)
+    source = generate_shape_source(planner, counter_free, bag_operands)
     shape_tag = "".join(str(p) for p in planner.changed)
     kernel = compile_kernel(
         source, "row_kernel", f"<codegen:{view_name}:shape{shape_tag}>"

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from functools import partial
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 
 from repro.algebra.expressions import NormalForm
 from repro.algebra.relation import Delta, Relation
@@ -58,7 +58,7 @@ from repro.core.codegen import (
 from repro.core.counting import net_counts
 from repro.core.differential import changed_positions_for, execute_planner
 from repro.core.irrelevance import RelevanceFilter, is_statically_irrelevant
-from repro.core.planner import IndexProbe, ProbeFn, RowPlanner, StepPlan
+from repro.core.planner import IndexProbe, ProbeFn, ProbeRow, RowPlanner, StepPlan
 from repro.core.truthtable import count_delta_rows
 from repro.core.views import MaterializedView, ViewDefinition
 from repro.errors import MaintenanceError
@@ -90,9 +90,10 @@ class CompiledViewPlan:
         which so outlive the plan (eviction, recompiles).
     view_operands:
         The view's operands that are themselves registered views, by
-        name — they carry no persistent index, their screens bind
-        against view output schemas, and an OLD scan reads their live
-        contents.
+        name — they are bags: an OLD probe binds an index the view
+        itself keeps (:meth:`MaterializedView.index_on`) and reads each
+        multiplicity from the live contents, and their screens bind
+        against view output schemas.
     """
 
     __slots__ = (
@@ -179,10 +180,10 @@ class CompiledViewPlan:
         # relations has 2^p − 1 possible shapes but a workload usually
         # exercises a handful.
         self._planners: dict[tuple[int, ...], RowPlanner] = {}
-        #: (position, link_attrs) → bound HashIndex, or None for
-        #: view-typed operands (no persistent index exists).
+        #: (position, link_attrs) → bound HashIndex: the database's
+        #: for a base operand, the upstream view's own for a view operand.
         self._index_bindings: dict[
-            tuple[int, tuple[str, ...]], "HashIndex | None"
+            tuple[int, tuple[str, ...]], "HashIndex"
         ] = {}
         # Generated batch kernels.  Screen kernels are compiled eagerly
         # — they bake the APSP distances and any static-irrelevance
@@ -433,7 +434,10 @@ class CompiledViewPlan:
         """Compile and cache one truth-table shape's execution entry."""
         planner = self.planner_for(changed)
         kernels = compile_shape_kernels(
-            planner, self.definition.name, counter_free=self.counter_free
+            planner,
+            self.definition.name,
+            counter_free=self.counter_free,
+            bag_operands=self._view_operands,
         )
         if kernels is not None:
             self._counters.count("codegen_plans_compiled")
@@ -458,7 +462,7 @@ class CompiledViewPlan:
         charge("differential_updates")
         ins, dele, scanned, probes, emitted, ignored = kernels.row_kernel(
             [deltas.get(occ.name) for occ in self._exec_normal_form.occurrences],
-            self._old_relation,
+            self._old_counts,
             index_for,
         )
         rows = kernels.rows_evaluated
@@ -486,23 +490,24 @@ class CompiledViewPlan:
         """The live post-commit relation behind one operand name.
 
         The plan's one resolver — upstream view contents or base
-        relation — consulted only when an OLD operand is actually
-        scanned (or the row-cap fallback builds its operands).
+        relation — consulted only when an OLD operand is scanned, a bag
+        operand's multiplicities are read, or the row-cap fallback
+        builds its operands.
         """
         view = self._view_operands.get(name)
         if view is not None:
             return view.contents
         return self._database.relation(name)
 
-    def _old_relation(self, position: int) -> Relation:
-        """:meth:`_operand_relation` by occurrence position (kernels)."""
+    def _old_counts(self, position: int) -> dict[ValueTuple, int]:
+        """The live count map of one occurrence's operand (kernels)."""
         return self._operand_relation(
             self._exec_normal_form.occurrences[position].name
-        )
+        )._counts
 
     def _step_index(
         self, steps: tuple[StepPlan, ...], step_index: int
-    ) -> "HashIndex | None":
+    ) -> "HashIndex":
         """The index bound to one distinct step's OLD probe (kernels)."""
         step = steps[step_index]
         return self._bind_index(step.position, step.link_attr_names)
@@ -512,26 +517,27 @@ class CompiledViewPlan:
     # ------------------------------------------------------------------
     def _bind_index(
         self, position: int, link_attrs: tuple[str, ...]
-    ) -> "HashIndex | None":
+    ) -> "HashIndex":
         """Resolve (and cache) the hash index one OLD probe uses.
 
-        Base-relation operands lazily create their covering index on
-        first use — the same behavior the maintainer had per
-        transaction, now amortized into the plan.  View-typed operands
-        bind ``None``: the planner falls back to hashing their
-        contents.
+        An operand lazily gets its covering index on first use — the
+        same behavior the maintainer had per transaction, now amortized
+        into the plan: a base relation's from the database, an upstream
+        view's from the view itself.
         """
         key = (position, link_attrs)
-        if key in self._index_bindings:
-            return self._index_bindings[key]
+        binding = self._index_bindings.get(key)
+        if binding is not None:
+            return binding
         occurrence = self._exec_normal_form.occurrences[position]
-        if occurrence.name in self._view_operands:
-            binding: "HashIndex | None" = None
+        base_attrs = tuple(occurrence.inverse[q] for q in link_attrs)
+        view = self._view_operands.get(occurrence.name)
+        if view is not None:
+            binding = view.index_on(base_attrs)
         else:
-            base_attrs = tuple(occurrence.inverse[q] for q in link_attrs)
-            binding = self._database.indexes.lookup(occurrence.name, base_attrs)
-            if binding is None:
-                binding = self._database.create_index(occurrence.name, base_attrs)
+            binding = self._database.indexes.lookup(
+                occurrence.name, base_attrs
+            ) or self._database.create_index(occurrence.name, base_attrs)
         self._index_bindings[key] = binding
         return binding
 
@@ -542,33 +548,45 @@ class CompiledViewPlan:
         plan); the screening of probe results against the transaction's
         inserted tuples is per-execution — indexes store the
         *post-commit* relation while OLD semantics wants ``r − d_r``.
+        A base operand is a set (count one, an inserted tuple is not
+        OLD); a view operand is a bag, whose surviving multiplicity is
+        the live count less this transaction's inserted copies.
         Inserts the relevance filter dropped survive in probe results
         harmlessly: an irrelevant tuple fails the view condition in
         every combination.
         """
 
-        def probe_hook(
-            position: int, link_attrs: tuple[str, ...]
-        ) -> Optional[ProbeFn]:
+        def probe_hook(position: int, link_attrs: tuple[str, ...]) -> ProbeFn:
             index = self._bind_index(position, link_attrs)
-            if index is None:
-                return None
-            occurrence = self._exec_normal_form.occurrences[position]
-            delta = deltas.get(occurrence.name)
+            name = self._exec_normal_form.occurrences[position].name
+            delta = deltas.get(name)
             inserted = delta.inserted if delta is not None else {}
 
-            def probe(key: ValueTuple):
-                for values in index.probe(key):
-                    if values in inserted:
-                        continue
-                    yield values, Tag.OLD, 1
+            if name not in self._view_operands:
 
-            return probe
+                def probe_set(key: ValueTuple) -> Iterator[ProbeRow]:
+                    for values in index.probe(key):
+                        if values not in inserted:
+                            yield values, Tag.OLD, 1
+
+                return probe_set
+
+            counts = self._old_counts(position)
+
+            def probe_bag(key: ValueTuple) -> Iterator[ProbeRow]:
+                for values in index.probe(key):
+                    remaining = counts[values] - inserted.get(values, 0)
+                    if remaining > 0:
+                        yield values, Tag.OLD, remaining
+
+            return probe_bag
 
         return probe_hook
 
-    def index_bindings(self) -> dict[tuple[int, tuple[str, ...]], "HashIndex | None"]:
-        """A snapshot of the currently resolved probe bindings."""
+    def index_bindings(self) -> dict[tuple[int, tuple[str, ...]], "HashIndex"]:
+        """A snapshot of the currently resolved probe bindings: the
+        hash index — a base relation's or an upstream view's — each
+        OLD probe executed so far reads, by (position, link attributes)."""
         return dict(self._index_bindings)
 
     # ------------------------------------------------------------------
@@ -616,7 +634,9 @@ class CompiledViewPlan:
                 continue
             parts.append(
                 generate_shape_source(
-                    self.planner_for(shape), counter_free=self.counter_free
+                    self.planner_for(shape),
+                    counter_free=self.counter_free,
+                    bag_operands=self._view_operands,
                 )
             )
         if self._aggregate_kernel is not None:
@@ -698,16 +718,15 @@ class CompiledViewPlan:
         probes = planner.old_probe_steps()
         for step in probes:
             occurrence = nf.occurrences[step.position]
-            if occurrence.name in self._view_operands:
-                lines.append(
-                    f"  step {step.number}: {occurrence.name} is a view operand; "
-                    "no persistent index (contents hashed per execution)"
-                )
-                continue
             base_attrs = tuple(
                 occurrence.inverse[q] for q in step.link_attr_names
             )
-            existing = self._database.indexes.lookup(occurrence.name, base_attrs)
+            view = self._view_operands.get(occurrence.name)
+            existing = (
+                view._indexes.get(base_attrs)
+                if view is not None
+                else self._database.indexes.lookup(occurrence.name, base_attrs)
+            )
             state = (
                 "bound" if existing is not None else "will be created on first use"
             )

@@ -21,7 +21,13 @@ from repro.errors import MaintenanceError
 class ConsistencyReport:
     """The differences between a maintained view and the ground truth."""
 
-    __slots__ = ("view_name", "missing", "unexpected", "count_mismatches")
+    __slots__ = (
+        "view_name",
+        "missing",
+        "unexpected",
+        "count_mismatches",
+        "stale_indexes",
+    )
 
     def __init__(
         self,
@@ -37,19 +43,32 @@ class ConsistencyReport:
         self.unexpected = unexpected
         #: tuples present in both with differing counts: values -> (view, truth)
         self.count_mismatches = count_mismatches
+        #: view indexes that differ from a rebuild from the contents:
+        #: indexed attributes -> first (lowest) key whose bucket differs
+        self.stale_indexes: dict[tuple[str, ...], tuple[int, ...]] = {}
 
     def is_consistent(self) -> bool:
-        """True when the view matches the ground truth exactly."""
-        return not (self.missing or self.unexpected or self.count_mismatches)
+        """True when the view matches the ground truth exactly and
+        every index it carries matches its contents."""
+        return not (
+            self.missing
+            or self.unexpected
+            or self.count_mismatches
+            or self.stale_indexes
+        )
 
     def summary(self) -> str:
         """A one-line human-readable verdict."""
         if self.is_consistent():
             return f"view {self.view_name!r}: consistent"
+        stale = "".join(
+            f", index on ({', '.join(attrs)}) stale at key {key}"
+            for attrs, key in self.stale_indexes.items()
+        )
         return (
             f"view {self.view_name!r}: {len(self.missing)} missing, "
             f"{len(self.unexpected)} unexpected, "
-            f"{len(self.count_mismatches)} count mismatches"
+            f"{len(self.count_mismatches)} count mismatches{stale}"
         )
 
     def __repr__(self) -> str:
@@ -87,12 +106,18 @@ def check_view_consistency(
 ) -> ConsistencyReport:
     """Recompute ``view`` from scratch and compare with its contents.
 
-    With ``raise_on_mismatch`` (the default) an inconsistency raises
-    :class:`~repro.errors.MaintenanceError` carrying the report's
-    summary; otherwise the report is returned for inspection either way.
+    Each hash index the view carries is audited as well, against a
+    rebuild from the contents.  With ``raise_on_mismatch`` (the default)
+    an inconsistency raises :class:`~repro.errors.MaintenanceError`
+    carrying the report's summary; otherwise the report is returned for
+    inspection either way.
     """
     truth = evaluate(view.definition.expression, instances)
     report = compare_relations(view.definition.name, view.contents, truth)
+    for attrs, index in view._indexes.items():
+        stale_key = index._stale_key(view.contents)
+        if stale_key is not None:
+            report.stale_indexes[attrs] = stale_key
     if raise_on_mismatch and not report.is_consistent():
         raise MaintenanceError(report.summary())
     return report

@@ -319,7 +319,14 @@ class ViewMaintainer:
         return view
 
     def drop_view(self, name: str) -> None:
-        """Forget a view (its contents are discarded)."""
+        """Forget a view (its contents are discarded).
+
+        The hash indexes its plan had upstream views build go with it:
+        each upstream view it read drops its indexes, and the plans of
+        that view's remaining readers are invalidated, so whichever of
+        them still probes one rebuilds and rebinds it on its next use
+        and no index is kept up that no plan probes.
+        """
         entry = self._entry(name)
         readers = self._dependents.get(name)
         if readers:
@@ -336,6 +343,10 @@ class ViewMaintainer:
             readers.remove(entry)
             if not readers:
                 del self._dependents[dep]
+            upstream = self._entries.get(dep)
+            if upstream is not None and upstream.view._indexes:
+                upstream.view._indexes.clear()
+                self._invalidate_readers(dep)
 
     # ------------------------------------------------------------------
     # Compiled plans
@@ -433,7 +444,11 @@ class ViewMaintainer:
                 "view; views and relations share one namespace (stacked "
                 "views resolve references through it)"
             )
-        for entry in self._dependents.get(relation_name, ()):
+        self._invalidate_readers(relation_name)
+
+    def _invalidate_readers(self, name: str) -> None:
+        """Discard the kept plan of every view reading ``name``."""
+        for entry in self._dependents.get(name, ()):
             if entry.plan is not None:
                 entry.plan = None
                 entry.row.count("plan_cache_invalidations")
@@ -551,9 +566,9 @@ class ViewMaintainer:
         Walks every row's join order for each single-relation update
         and for the update changing every operand (past the kernel row
         cap that shape is left out), and collects, for each OLD operand
-        joined by equality links, the base relation and link attributes
-        — exactly the indexes the lazy path would create on first use.
-        Returns sorted ``(relation_name, attributes)`` pairs.
+        joined by equality links, the base relation or upstream view
+        and link attributes — exactly the indexes the lazy path would
+        create on first use.  Returns sorted ``(name, attributes)`` pairs.
         """
         plan = self.peek_plan(name)
         normal_form = plan.execution_normal_form
@@ -565,8 +580,6 @@ class ViewMaintainer:
         for shape in shapes:
             for step in plan.planner_for(shape).old_probe_steps():
                 occurrence = normal_form.occurrences[step.position]
-                if occurrence.name in self._entries:
-                    continue  # view operands carry no persistent index
                 base_attrs = tuple(
                     occurrence.inverse[q] for q in step.link_attr_names
                 )
@@ -581,11 +594,14 @@ class ViewMaintainer:
         index-build latency.
         """
         created = 0
-        for relation_name, attrs in self.recommended_indexes(name):
-            before = self.database.indexes.lookup(relation_name, attrs)
-            self.database.create_index(relation_name, attrs)
-            if before is None:
-                created += 1
+        for operand_name, attrs in self.recommended_indexes(name):
+            upstream = self._entries.get(operand_name)
+            if upstream is not None:
+                created += attrs not in upstream.view._indexes
+                upstream.view.index_on(attrs)
+            else:
+                created += self.database.indexes.lookup(operand_name, attrs) is None
+                self.database.create_index(operand_name, attrs)
         return created
 
     def report(self) -> str:

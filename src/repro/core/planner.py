@@ -496,8 +496,8 @@ class RowPlanner:
         """A probe function over the operand, preferring a caller index.
 
         The index fast path applies to OLD operands only (indexes track
-        base relations); DELTA operands are hashed directly — they are
-        small by assumption.
+        base relations and materialized views); DELTA operands are
+        hashed directly — they are small by assumption.
         """
         if (
             choice is DeltaRowChoice.OLD

@@ -29,8 +29,10 @@ class HashIndex:
     """A hash index mapping key values to the rows that carry them.
 
     ``attributes`` names the indexed attributes, in key order.  Rows are
-    stored as full encoded value tuples; a key maps to the set of rows
-    sharing it.
+    stored as full encoded value tuples; a key maps to the set of
+    *distinct* rows sharing it, so the same index serves a bag (a
+    :class:`~repro.core.views.MaterializedView`'s contents), whose
+    multiplicities stay in the relation's count map.
     """
 
     __slots__ = ("relation_name", "attributes", "_positions", "_buckets")
@@ -43,12 +45,17 @@ class HashIndex:
         self.attributes = tuple(attributes)
         self._positions = relation.schema.positions(self.attributes)
         self._buckets: dict[ValueTuple, set[ValueTuple]] = {}
-        for values in relation.value_tuples():
-            self._insert(values)
+        self._rebuild(relation)
 
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
+    def _rebuild(self, relation: Relation) -> None:
+        """Re-index ``relation`` in place: holders of this index keep it."""
+        self._buckets.clear()
+        for values in relation.value_tuples():
+            self._insert(values)
+
     def _key_of(self, values: ValueTuple) -> ValueTuple:
         return tuple(values[i] for i in self._positions)
 
@@ -63,6 +70,19 @@ class HashIndex:
         bucket.discard(values)
         if not bucket:
             del self._buckets[key]
+
+    def _stale_key(self, relation: Relation) -> ValueTuple | None:
+        """The lowest key whose bucket differs from a rebuild over
+        ``relation``; ``None`` when the index is in step with it."""
+        rebuilt = HashIndex(relation, self.relation_name, self.attributes)._buckets
+        kept = self._buckets
+        if kept == rebuilt:
+            return None
+        return min(
+            key
+            for key in kept.keys() | rebuilt.keys()
+            if kept.get(key) != rebuilt.get(key)
+        )
 
     def apply_delta(self, delta: Delta) -> None:
         """Keep the index in step with a committed net-effect delta."""

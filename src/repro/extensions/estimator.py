@@ -208,8 +208,8 @@ class AdaptiveMaintainer:
                 )
                 self.view.apply_delta(view_delta)
             else:
-                self.view.contents = evaluate_normal_form(
-                    normal_form, self.database.instances()
+                self.view.replace_contents(
+                    evaluate_normal_form(normal_form, self.database.instances())
                 )
                 self.view.updates_applied += 1
 

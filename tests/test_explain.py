@@ -140,8 +140,11 @@ class TestCompiledPlanExplain:
             "stacked",
             BaseRef("base_v").join(BaseRef("t")).select("B = C"),
         )
-        text = m.explain("stacked", ["t"])
-        assert "base_v is a view operand" in text
+        probe = "probes hash index base_v(B)"
+        assert f"{probe} [will be created on first use]" in m.explain("stacked", ["t"])
+        with db.transact() as txn:
+            txn.insert("t", (2, 9))
+        assert f"{probe} [bound]" in m.explain("stacked", ["t"])
 
     def test_screens_only_for_changed_relations(self, maintainer):
         text = maintainer.explain("v", ["r"])

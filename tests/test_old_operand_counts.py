@@ -80,8 +80,9 @@ class TestCountedSemantics:
 
 class TestStackedViewKernel:
     """One transaction changes a base relation *and* the upstream view
-    of a stacked view: the row ``i_t * p`` scans the OLD operand of the
-    counted view ``p`` on the hash path (views carry no index)."""
+    of a stacked view: the row ``i_t * p`` probes the index the counted
+    view ``p`` keeps on ``B`` and reads each OLD multiplicity as the
+    live counter less the copies this transaction inserted."""
 
     VIEWS = {
         "p": BaseRef("r").project(["B"]),

@@ -131,6 +131,24 @@ class TestDelta:
         Delta(schema, inserted=[(1, 2)], deleted=[(3, 4)]).apply_to(r)
         assert (1, 2) in r and (3, 4) not in r
 
+    def test_apply_to_is_all_or_nothing(self, schema):
+        r = Relation.from_counts(schema, {(3, 4): 2, (5, 6): 1})
+        before = r.counts()
+        uncovered = Delta.from_counts(schema, {(1, 2): 1}, {(3, 4): 2, (5, 6): 2})
+        with pytest.raises(MaintenanceError, match="only 1 present"):
+            uncovered.apply_to(r)
+        assert r.counts() == before
+        for inserted, deleted in (({(1, 2): 0}, {(3, 4): 1}), ({}, {(3, 4): 1, (5, 6): 0})):
+            with pytest.raises(MaintenanceError, match="count must be positive"):
+                Delta.from_counts(schema, inserted, deleted).apply_to(r)
+            assert r.counts() == before
+
+    def test_apply_to_checks_schema_names(self, schema):
+        r = Relation.from_rows(schema, [(3, 4)])
+        with pytest.raises(SchemaError):
+            Delta(RelationSchema(["A", "C"]), inserted=[(1, 2)]).apply_to(r)
+        assert r.counts() == {(3, 4): 1}
+
     def test_tagged_items(self, schema):
         d = Delta(schema, inserted=[(1, 2)], deleted=[(3, 4)])
         tags = {tag for _, tag, _ in d.tagged_items()}

@@ -117,6 +117,34 @@ class TestRelationSchema:
         assert codes == (1, 5)
         assert s.decode_values(codes) == ("done", 5)
 
+    def test_plain_integer_schema_passes_ints_through_and_validates_the_rest(self):
+        import enum
+
+        from repro.algebra.domains import IntegerDomain
+        from repro.errors import DomainError
+
+        class Code(enum.IntEnum):
+            SEVEN = 7
+
+        class Offset(IntegerDomain):
+            def encode(self, value):
+                return value + 100
+
+        s = RelationSchema(["A", "B"])
+        assert s.encode_values([1, -2]) == (1, -2)
+        assert s.decode_values([1, -2]) == (1, -2)
+        encoded = s.encode_values((Code.SEVEN, 2))
+        assert encoded == (7, 2) and type(encoded[0]) is int
+        for bad in ((True, 2), (1, "2"), (1, 2.0), (1, None)):
+            with pytest.raises(DomainError):
+                s.encode_values(bad)
+        for bad in ((1,), (1, 2, 3)):
+            with pytest.raises(SchemaError):
+                s.encode_values(bad)
+        # A subclass of the integer domain is not "plain": it encodes.
+        shifted = RelationSchema(["A", Attribute("B", Offset())])
+        assert shifted.encode_values((1, 2)) == (1, 102)
+
     def test_equality_and_hash(self):
         assert RelationSchema(["A", "B"]) == RelationSchema(["A", "B"])
         assert RelationSchema(["A", "B"]) != RelationSchema(["B", "A"])
