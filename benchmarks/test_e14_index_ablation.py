@@ -2,9 +2,9 @@
 
 The differential algorithm's per-transaction cost is dominated by
 preparing and probing the large OLD operands.  The maintainer answers
-those probes from lazily-created persistent hash indexes (maintained
-across commits by the engine) instead of re-hashing each base relation
-on every transaction.  This experiment runs the same small-transaction
+those probes from lazily-created persistent hash indexes (each kept in
+step by the relation that carries it) instead of re-hashing each base
+relation on every transaction.  This experiment runs the same small-transaction
 stream through the reference function ``compute_view_delta`` with and
 without an ``index_probe`` hook — the hook being the maintainer's own
 (``CompiledViewPlan.index_probe_for``) — and reports per-transaction

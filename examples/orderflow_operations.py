@@ -35,11 +35,12 @@ def main() -> None:
 
     # --- Index advisor ---------------------------------------------------
     print("\nIndex recommendations:")
+    created = 0
     for name in maintainer.view_names():
         for relation, attrs in maintainer.recommended_indexes(name):
             print(f"  {name:<16} -> index on {relation}({', '.join(attrs)})")
-        maintainer.create_recommended_indexes(name)
-    print(f"  ({len(db.indexes)} indexes created)")
+        created += maintainer.create_recommended_indexes(name)
+    print(f"  ({created} indexes created)")
 
     # --- Stream transactions ---------------------------------------------
     transactions = 300

@@ -7,6 +7,9 @@ Three tuple-collection types underpin the whole library:
   Base relations always hold count 1 per tuple (the paper notes the
   counter "need not be explicitly stored" for them); materialized views
   rely on real counts so that projection distributes over difference.
+  A stored relation — base relation or view contents alike — also
+  carries the :class:`HashIndex` es its readers probe, and every
+  mutator keeps them in step.
 
 * :class:`Delta` — the net effect of a transaction on one relation: a
   set of inserted tuples and a disjoint set of deleted tuples, exactly
@@ -21,14 +24,112 @@ All three store rows as encoded value tuples aligned with their schema.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from types import MappingProxyType
+from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
 from repro.algebra.schema import RelationSchema
 from repro.algebra.tags import Tag
 from repro.algebra.tuples import Row, coerce_row
 from repro.errors import MaintenanceError, SchemaError
+from repro.instrumentation import charge
 
 ValueTuple = tuple[int, ...]
+
+_NO_ROWS: frozenset[ValueTuple] = frozenset()
+
+
+class HashIndex:
+    """A hash index mapping key values to the rows that carry them.
+
+    The differential algorithm repeatedly joins small delta relations
+    against large, mostly-static stored relations ("old" operands);
+    probing one by the values of a few join attributes is what this
+    serves.  ``attributes`` names the indexed attributes, in key order.
+    Rows are stored as full encoded value tuples; a key maps to the set
+    of *distinct* rows sharing it, so the same index serves a bag (a
+    view's contents), whose multiplicities stay in the relation's count
+    map.  Obtained from :meth:`Relation.index_on`, which is also what
+    keeps it in step with the relation.
+    """
+
+    __slots__ = ("attributes", "_positions", "_buckets")
+
+    def __init__(self, relation: "Relation", attributes: Sequence[str]) -> None:
+        if not attributes:
+            raise SchemaError("an index needs at least one attribute")
+        self.attributes = tuple(attributes)
+        self._positions = relation.schema.positions(self.attributes)
+        self._buckets: dict[ValueTuple, set[ValueTuple]] = {}
+        self._rebuild(relation)
+
+    # ------------------------------------------------------------------
+    # Maintenance (driven by the owning relation's mutators)
+    # ------------------------------------------------------------------
+    def _rebuild(self, relation: "Relation") -> None:
+        """Re-index ``relation`` in place: holders of this index keep it."""
+        self._buckets.clear()
+        for values in relation.value_tuples():
+            self._insert(values)
+
+    def _key_of(self, values: ValueTuple) -> ValueTuple:
+        return tuple(values[i] for i in self._positions)
+
+    def _insert(self, values: ValueTuple) -> None:
+        self._buckets.setdefault(self._key_of(values), set()).add(values)
+
+    def _remove(self, values: ValueTuple) -> None:
+        key = self._key_of(values)
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            return
+        bucket.discard(values)
+        if not bucket:
+            del self._buckets[key]
+
+    def _stale_key(self, relation: "Relation") -> ValueTuple | None:
+        """The lowest key whose bucket differs from a rebuild over
+        ``relation``; ``None`` when the index is in step with it."""
+        rebuilt = HashIndex(relation, self.attributes)._buckets
+        kept = self._buckets
+        if kept == rebuilt:
+            return None
+        return min(
+            key
+            for key in kept.keys() | rebuilt.keys()
+            if kept.get(key) != rebuilt.get(key)
+        )
+
+    # ------------------------------------------------------------------
+    # Probing
+    # ------------------------------------------------------------------
+    def probe(self, key: ValueTuple) -> AbstractSet[ValueTuple]:
+        """All rows whose indexed attributes equal ``key``.
+
+        Returns the index's own bucket, not a copy (a shared empty set
+        on a miss): read it, never mutate it, and do not hold it across
+        a commit — the next change to the relation changes it in place.
+        """
+        charge("index_probes")
+        return self._buckets.get(key, _NO_ROWS)
+
+    def probe_many(self, keys: Iterable[ValueTuple]) -> Iterator[ValueTuple]:
+        """Rows matching any of ``keys`` (deduplicated per key).
+
+        Each key's rows are copied before they are yielded, so a
+        consumer may commit between two of them.
+        """
+        for key in keys:
+            yield from tuple(self.probe(key))
+
+    def __len__(self) -> int:
+        """Number of distinct keys."""
+        return len(self._buckets)
+
+    def __repr__(self) -> str:
+        return (
+            f"<HashIndex ({', '.join(self.attributes)}) "
+            f"{len(self._buckets)} keys>"
+        )
 
 
 class Relation:
@@ -45,11 +146,15 @@ class Relation:
     2
     """
 
-    __slots__ = ("schema", "_counts")
+    __slots__ = ("schema", "_counts", "_indexes")
 
     def __init__(self, schema: RelationSchema) -> None:
         self.schema = schema
         self._counts: dict[ValueTuple, int] = {}
+        #: Indexed attributes → hash index.  One rule for sets and bags
+        #: in every mutator: a tuple enters its buckets when its counter
+        #: leaves zero and leaves them when the counter returns to zero.
+        self._indexes: dict[tuple[str, ...], HashIndex] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -92,7 +197,11 @@ class Relation:
         if count <= 0:
             raise MaintenanceError(f"insert count must be positive, got {count}")
         values = coerce_row(self.schema, row)
-        self._counts[values] = self._counts.get(values, 0) + count
+        present = self._counts.get(values, 0)
+        self._counts[values] = present + count
+        if not present:
+            for index in self._indexes.values():
+                index._insert(values)
 
     def discard(self, row: object, count: int = 1) -> None:
         """Remove ``count`` copies of ``row``.
@@ -112,6 +221,8 @@ class Relation:
             )
         if present == count:
             del self._counts[values]
+            for index in self._indexes.values():
+                index._remove(values)
         else:
             self._counts[values] = present - count
 
@@ -124,7 +235,52 @@ class Relation:
         """
         dropped = len(self._counts)
         self._counts.clear()
+        for index in self._indexes.values():
+            index._buckets.clear()
         return dropped
+
+    def assign(self, other: "Relation") -> None:
+        """Take ``other``'s tuples and counts, in place.
+
+        The relation keeps its identity and its indexes (rebuilt), so
+        whoever holds either — a compiled plan above all — goes on
+        reading the live contents.
+        """
+        self._require_same_schema(other)
+        self._counts = dict(other._counts)
+        for index in self._indexes.values():
+            index._rebuild(self)
+
+    # ------------------------------------------------------------------
+    # Hash indexes
+    # ------------------------------------------------------------------
+    def index_on(self, attributes: Sequence[str]) -> HashIndex:
+        """The hash index on ``attributes``, built from the count map on
+        first request and kept in step by every mutator from then on.
+
+        A bucket holds the *distinct* tuples sharing a key; a bag's
+        multiplicities are read from the relation at probe time.
+        """
+        attrs = tuple(attributes)
+        index = self._indexes.get(attrs)
+        if index is None:
+            index = self._indexes[attrs] = HashIndex(self, attrs)
+        return index
+
+    @property
+    def indexes(self) -> Mapping[tuple[str, ...], HashIndex]:
+        """The indexes this relation carries, by indexed attributes
+        (read-only)."""
+        return MappingProxyType(self._indexes)
+
+    def _drop_index(self, attributes: Sequence[str]) -> bool:
+        """Stop keeping one index; True when it existed.
+
+        Whoever still holds the index object would probe a frozen copy,
+        so only an owner that invalidates the index's readers calls
+        this (``Database.drop_index``, ``ViewMaintainer.drop_view``).
+        """
+        return self._indexes.pop(tuple(attributes), None) is not None
 
     # ------------------------------------------------------------------
     # Inspection
@@ -305,9 +461,9 @@ class Delta:
 
         All or nothing: every count is checked — positive, and no more
         copies deleted than ``relation`` holds — before the first tuple
-        changes, so a :class:`MaintenanceError` leaves ``relation`` as
-        it was.  The tuples are already encoded; only the two schemas'
-        attribute names are compared.
+        changes, so a :class:`MaintenanceError` leaves ``relation`` and
+        its indexes as they were.  The tuples are already encoded; only
+        the two schemas' attribute names are compared.
         """
         if relation.schema.names != self.schema.names:
             raise SchemaError(
@@ -339,6 +495,14 @@ class Delta:
                 del counts[values]
         for values, count in self.inserted.items():
             counts[values] = counts.get(values, 0) + count
+        if relation._indexes:
+            # A delete that only lowers a counter leaves the tuple indexed.
+            gone = [values for values in self.deleted if values not in counts]
+            for index in relation._indexes.values():
+                for values in gone:
+                    index._remove(values)
+                for values in self.inserted:
+                    index._insert(values)
 
     def compose(self, later: "Delta") -> "Delta":
         """The net effect of this delta followed by ``later``.

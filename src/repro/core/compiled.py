@@ -33,7 +33,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 
 from repro.algebra.expressions import NormalForm
-from repro.algebra.relation import Delta, Relation
+from repro.algebra.relation import Delta, HashIndex, Relation
 from repro.algebra.tags import Tag
 from repro.algebra.schema import RelationSchema
 from repro.analysis.dependencies import (
@@ -60,14 +60,13 @@ from repro.core.differential import changed_positions_for, execute_planner
 from repro.core.irrelevance import RelevanceFilter, is_statically_irrelevant
 from repro.core.planner import IndexProbe, ProbeFn, ProbeRow, RowPlanner, StepPlan
 from repro.core.truthtable import count_delta_rows
-from repro.core.views import MaterializedView, ViewDefinition
+from repro.core.views import ViewDefinition
 from repro.errors import MaintenanceError
 from repro.instrumentation import CostRecorder, charge
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.aggregates import AggregateState
     from repro.engine.database import Database
-    from repro.engine.indexes import HashIndex
 
 ValueTuple = tuple[int, ...]
 
@@ -80,7 +79,8 @@ class CompiledViewPlan:
     definition:
         The view's validated definition (carries the normal form).
     database:
-        The database whose base relations and indexes the plan binds.
+        The database whose base relations, declared constraints and
+        keys the plan binds.
     catalog:
         Schema catalog at compile time (base relations *and* upstream
         views), used to build relevance screens per operand relation.
@@ -89,18 +89,19 @@ class CompiledViewPlan:
         the per-view screening counters and the ``codegen_*`` family,
         which so outlive the plan (eviction, recompiles).
     view_operands:
-        The view's operands that are themselves registered views, by
-        name — they are bags: an OLD probe binds an index the view
-        itself keeps (:meth:`MaterializedView.index_on`) and reads each
-        multiplicity from the live contents, and their screens bind
-        against view output schemas.
+        The contents of the view's operands that are themselves
+        registered views, by name.  Every operand name is resolved to
+        its live stored relation here, once — these, or a base relation
+        of ``database`` — and from then on the two kinds differ in one
+        respect only: a view operand is a bag, so the kernels generated
+        for it read each multiplicity from the live count map.
     """
 
     __slots__ = (
         "definition",
         "normal_form",
-        "_database",
-        "_view_operands",
+        "_operands",
+        "_bag_operands",
         "_screens",
         "_static_irrelevant",
         "_planners",
@@ -120,20 +121,19 @@ class CompiledViewPlan:
         database: "Database",
         catalog: Mapping[str, RelationSchema],
         counters: CostRecorder,
-        view_operands: Mapping[str, MaterializedView] = MappingProxyType({}),
+        view_operands: Mapping[str, Relation] = MappingProxyType({}),
     ) -> None:
         self.definition = definition
         self.normal_form: NormalForm = definition.normal_form
         self._counters = counters
-        self._database = database
-        self._view_operands = dict(view_operands)
+        self._bag_operands = frozenset(view_operands)
         # Chase-derived facts (keys DDL invalidates the plan, so they
         # are re-proved on every compile, like static irrelevance).
         # Both are gated on set-semantics operands: view operands are
         # bags, for which the multiplicity-≤-1 argument fails.
         self._reduction: FkReduction | None = None
         self._view_key: ViewKey | None = None
-        if definition.aggregate is None and not self._view_operands:
+        if definition.aggregate is None and not self._bag_operands:
             self._reduction = fk_reduction(self.normal_form, database.keys)
             self._view_key = derive_view_key(self.normal_form, database.keys)
         #: The normal form execution actually runs: the FK-reduced
@@ -146,6 +146,9 @@ class CompiledViewPlan:
             else self.normal_form
         )
         schemas: dict[str, RelationSchema] = {}
+        #: Operand name → its live post-commit relation.  A DDL event
+        #: that could replace one invalidates the whole plan.
+        self._operands: dict[str, Relation] = {}
         # Compile the Section 4 screens eagerly — one per participating
         # relation; this is the Definition 4.2 invariant split plus its
         # APSP, the paper's built-once structure.
@@ -159,6 +162,11 @@ class CompiledViewPlan:
                     f"operand {name!r} is not in the catalog"
                 ) from None
             schemas[name] = schema
+            self._operands[name] = (
+                view_operands[name]
+                if name in view_operands
+                else database.relation(name)
+            )
             self._screens[name] = RelevanceFilter(self.normal_form, name, schema)
         # Static irrelevance (the analyzer's check (d), proved here so
         # the *plan itself* carries the optimization): a relation whose
@@ -171,8 +179,7 @@ class CompiledViewPlan:
         self._static_irrelevant: frozenset[str] = frozenset(
             name
             for name in self._screens
-            if name not in self._view_operands
-            and (constraint := constraints.get(name)) is not None
+            if (constraint := constraints.get(name)) is not None
             and is_statically_irrelevant(self.normal_form, name, constraint)
         )
         # Row planners are keyed by the changed-position tuple (the
@@ -180,10 +187,9 @@ class CompiledViewPlan:
         # relations has 2^p − 1 possible shapes but a workload usually
         # exercises a handful.
         self._planners: dict[tuple[int, ...], RowPlanner] = {}
-        #: (position, link_attrs) → bound HashIndex: the database's
-        #: for a base operand, the upstream view's own for a view operand.
+        #: (position, link_attrs) → the operand relation's HashIndex.
         self._index_bindings: dict[
-            tuple[int, tuple[str, ...]], "HashIndex"
+            tuple[int, tuple[str, ...]], HashIndex
         ] = {}
         # Generated batch kernels.  Screen kernels are compiled eagerly
         # — they bake the APSP distances and any static-irrelevance
@@ -301,7 +307,7 @@ class CompiledViewPlan:
     @property
     def view_operands(self) -> frozenset[str]:
         """Operand names that are themselves registered views (bags)."""
-        return frozenset(self._view_operands)
+        return self._bag_operands
 
     @property
     def execution_normal_form(self) -> NormalForm:
@@ -369,10 +375,7 @@ class CompiledViewPlan:
             self._counters.count("codegen_fallback_tuples", fallback)
         return execute_planner(
             planner,
-            {
-                name: self._operand_relation(name)
-                for name in self._exec_normal_form.relation_names
-            },
+            self._operands,
             deltas,
             changed,
             index_probe=self.index_probe_for(deltas),
@@ -437,7 +440,7 @@ class CompiledViewPlan:
             planner,
             self.definition.name,
             counter_free=self.counter_free,
-            bag_operands=self._view_operands,
+            bag_operands=self._bag_operands,
         )
         if kernels is not None:
             self._counters.count("codegen_plans_compiled")
@@ -486,28 +489,15 @@ class CompiledViewPlan:
     # ------------------------------------------------------------------
     # Operand resolution
     # ------------------------------------------------------------------
-    def _operand_relation(self, name: str) -> Relation:
-        """The live post-commit relation behind one operand name.
-
-        The plan's one resolver — upstream view contents or base
-        relation — consulted only when an OLD operand is scanned, a bag
-        operand's multiplicities are read, or the row-cap fallback
-        builds its operands.
-        """
-        view = self._view_operands.get(name)
-        if view is not None:
-            return view.contents
-        return self._database.relation(name)
-
     def _old_counts(self, position: int) -> dict[ValueTuple, int]:
         """The live count map of one occurrence's operand (kernels)."""
-        return self._operand_relation(
+        return self._operands[
             self._exec_normal_form.occurrences[position].name
-        )._counts
+        ]._counts
 
     def _step_index(
         self, steps: tuple[StepPlan, ...], step_index: int
-    ) -> "HashIndex":
+    ) -> HashIndex:
         """The index bound to one distinct step's OLD probe (kernels)."""
         step = steps[step_index]
         return self._bind_index(step.position, step.link_attr_names)
@@ -517,13 +507,12 @@ class CompiledViewPlan:
     # ------------------------------------------------------------------
     def _bind_index(
         self, position: int, link_attrs: tuple[str, ...]
-    ) -> "HashIndex":
+    ) -> HashIndex:
         """Resolve (and cache) the hash index one OLD probe uses.
 
-        An operand lazily gets its covering index on first use — the
-        same behavior the maintainer had per transaction, now amortized
-        into the plan: a base relation's from the database, an upstream
-        view's from the view itself.
+        An operand lazily gets its covering index on first use, from
+        the operand relation itself: an index nobody dropped changes no
+        plan's meaning, so no DDL event fires.
         """
         key = (position, link_attrs)
         binding = self._index_bindings.get(key)
@@ -531,13 +520,7 @@ class CompiledViewPlan:
             return binding
         occurrence = self._exec_normal_form.occurrences[position]
         base_attrs = tuple(occurrence.inverse[q] for q in link_attrs)
-        view = self._view_operands.get(occurrence.name)
-        if view is not None:
-            binding = view.index_on(base_attrs)
-        else:
-            binding = self._database.indexes.lookup(
-                occurrence.name, base_attrs
-            ) or self._database.create_index(occurrence.name, base_attrs)
+        binding = self._operands[occurrence.name].index_on(base_attrs)
         self._index_bindings[key] = binding
         return binding
 
@@ -548,45 +531,35 @@ class CompiledViewPlan:
         plan); the screening of probe results against the transaction's
         inserted tuples is per-execution — indexes store the
         *post-commit* relation while OLD semantics wants ``r − d_r``.
-        A base operand is a set (count one, an inserted tuple is not
-        OLD); a view operand is a bag, whose surviving multiplicity is
-        the live count less this transaction's inserted copies.
-        Inserts the relevance filter dropped survive in probe results
-        harmlessly: an irrelevant tuple fails the view condition in
-        every combination.
+        A tuple's surviving multiplicity is its live count less this
+        transaction's inserted copies — for a set operand (count one)
+        that is "an inserted tuple is not OLD", for a bag operand the
+        same subtraction the generated scan performs.  Inserts the
+        relevance filter dropped survive in probe results harmlessly:
+        an irrelevant tuple fails the view condition in every
+        combination.
         """
 
         def probe_hook(position: int, link_attrs: tuple[str, ...]) -> ProbeFn:
             index = self._bind_index(position, link_attrs)
-            name = self._exec_normal_form.occurrences[position].name
-            delta = deltas.get(name)
+            delta = deltas.get(self._exec_normal_form.occurrences[position].name)
             inserted = delta.inserted if delta is not None else {}
-
-            if name not in self._view_operands:
-
-                def probe_set(key: ValueTuple) -> Iterator[ProbeRow]:
-                    for values in index.probe(key):
-                        if values not in inserted:
-                            yield values, Tag.OLD, 1
-
-                return probe_set
-
             counts = self._old_counts(position)
 
-            def probe_bag(key: ValueTuple) -> Iterator[ProbeRow]:
+            def probe(key: ValueTuple) -> Iterator[ProbeRow]:
                 for values in index.probe(key):
                     remaining = counts[values] - inserted.get(values, 0)
                     if remaining > 0:
                         yield values, Tag.OLD, remaining
 
-            return probe_bag
+            return probe
 
         return probe_hook
 
-    def index_bindings(self) -> dict[tuple[int, tuple[str, ...]], "HashIndex"]:
+    def index_bindings(self) -> dict[tuple[int, tuple[str, ...]], HashIndex]:
         """A snapshot of the currently resolved probe bindings: the
-        hash index — a base relation's or an upstream view's — each
-        OLD probe executed so far reads, by (position, link attributes)."""
+        hash index of its operand relation each OLD probe executed so
+        far reads, by (position, link attributes)."""
         return dict(self._index_bindings)
 
     # ------------------------------------------------------------------
@@ -636,7 +609,7 @@ class CompiledViewPlan:
                 generate_shape_source(
                     self.planner_for(shape),
                     counter_free=self.counter_free,
-                    bag_operands=self._view_operands,
+                    bag_operands=self._bag_operands,
                 )
             )
         if self._aggregate_kernel is not None:
@@ -721,14 +694,10 @@ class CompiledViewPlan:
             base_attrs = tuple(
                 occurrence.inverse[q] for q in step.link_attr_names
             )
-            view = self._view_operands.get(occurrence.name)
-            existing = (
-                view._indexes.get(base_attrs)
-                if view is not None
-                else self._database.indexes.lookup(occurrence.name, base_attrs)
-            )
             state = (
-                "bound" if existing is not None else "will be created on first use"
+                "bound"
+                if base_attrs in self._operands[occurrence.name].indexes
+                else "will be created on first use"
             )
             lines.append(
                 f"  step {step.number}: probes hash index "

@@ -114,7 +114,7 @@ def check_view_consistency(
     """
     truth = evaluate(view.definition.expression, instances)
     report = compare_relations(view.definition.name, view.contents, truth)
-    for attrs, index in view._indexes.items():
+    for attrs, index in view.contents.indexes.items():
         stale_key = index._stale_key(view.contents)
         if stale_key is not None:
             report.stale_indexes[attrs] = stale_key

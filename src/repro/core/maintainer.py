@@ -165,9 +165,6 @@ class ViewMaintainer:
         self._next_ordinal = 0
         #: The rows of dropped views, summed.
         self._retired = CostRecorder()
-        #: True while _maintain runs: a plan's own lazy index creation
-        #: must not invalidate the plan executing it.
-        self._in_maintenance = False
         database.add_commit_hook(self._on_commit)
         database.add_ddl_hook(self._on_ddl)
 
@@ -344,8 +341,12 @@ class ViewMaintainer:
             if not readers:
                 del self._dependents[dep]
             upstream = self._entries.get(dep)
-            if upstream is not None and upstream.view._indexes:
-                upstream.view._indexes.clear()
+            if upstream is None:
+                continue
+            contents = upstream.view.contents
+            if contents.indexes:
+                for attrs in tuple(contents.indexes):
+                    contents._drop_index(attrs)
                 self._invalidate_readers(dep)
 
     # ------------------------------------------------------------------
@@ -364,7 +365,7 @@ class ViewMaintainer:
             self._combined_catalog(),
             row,
             view_operands={
-                name: self._entries[name].view
+                name: self._entries[name].view.contents
                 for name in referenced & self._entries.keys()
             },
         )
@@ -424,20 +425,18 @@ class ViewMaintainer:
 
         Index drops are the correctness-critical case — a cached plan
         holds direct bindings to index objects that stop being
-        maintained the moment they leave the manager.  Index creation,
-        relation drop/re-creation and anything else touching an operand
-        invalidate too: the cheapest sound answer is to recompile, and
-        compilation is exactly what keeping the plan made rare.  The
-        one exception is index creation *by a running plan* (the lazy
-        binding path), which must not invalidate the plan executing it.
+        maintained the moment their relation drops them.  Explicit
+        index creation, relation drop/re-creation and anything else
+        touching an operand invalidate too: the cheapest sound answer
+        is to recompile, and compilation is exactly what keeping the
+        plan made rare.  (A plan's own lazy index creation asks the
+        operand relation directly and is not a DDL event.)
 
         Views and relations share one namespace, so creating a relation
         under a registered view's name is refused here (the database
         takes the relation back out): every view stacked on that name
         would otherwise read the relation's deltas as the view's.
         """
-        if event == "create_index" and self._in_maintenance:
-            return
         if event == "create_relation" and relation_name in self._entries:
             raise MaintenanceError(
                 f"relation name {relation_name!r} collides with a registered "
@@ -594,14 +593,11 @@ class ViewMaintainer:
         index-build latency.
         """
         created = 0
+        instances = self.instances()
         for operand_name, attrs in self.recommended_indexes(name):
-            upstream = self._entries.get(operand_name)
-            if upstream is not None:
-                created += attrs not in upstream.view._indexes
-                upstream.view.index_on(attrs)
-            else:
-                created += self.database.indexes.lookup(operand_name, attrs) is None
-                self.database.create_index(operand_name, attrs)
+            operand = instances[operand_name]
+            created += attrs not in operand.indexes
+            operand.index_on(attrs)
         return created
 
     def report(self) -> str:
@@ -851,30 +847,26 @@ class ViewMaintainer:
         count("transactions_seen")
         plan = self._plan_for(entry)
 
-        self._in_maintenance = True
-        try:
-            relevant: dict[str, Delta] = {}
-            for relation_name, delta in deltas.items():
-                filtered = plan.screen(relation_name, delta)
-                if not filtered.is_empty():
-                    relevant[relation_name] = filtered
+        relevant: dict[str, Delta] = {}
+        for relation_name, delta in deltas.items():
+            filtered = plan.screen(relation_name, delta)
+            if not filtered.is_empty():
+                relevant[relation_name] = filtered
 
-            if not relevant:
-                # Every update was provably irrelevant: the view is
-                # already up to date — the payoff Section 4 is after.
-                count("transactions_skipped")
-                view.last_refresh_sequence = self.database.log.last_sequence()
-                return Delta(view.contents.schema)
+        if not relevant:
+            # Every update was provably irrelevant: the view is
+            # already up to date — the payoff Section 4 is after.
+            count("transactions_skipped")
+            view.last_refresh_sequence = self.database.log.last_sequence()
+            return Delta(view.contents.schema)
 
-            view_delta = plan.compute_delta(relevant)
-            if view.aggregate_state is not None:
-                # The pipeline produced a delta over the SPJ *core*; the
-                # fold stage turns it into the visible group-row delta
-                # every downstream consumer (contents, subscribers,
-                # changefeeds, stacked views) sees.
-                view_delta = plan.fold_aggregate(view.aggregate_state, view_delta)
-        finally:
-            self._in_maintenance = False
+        view_delta = plan.compute_delta(relevant)
+        if view.aggregate_state is not None:
+            # The pipeline produced a delta over the SPJ *core*; the
+            # fold stage turns it into the visible group-row delta
+            # every downstream consumer (contents, subscribers,
+            # changefeeds, stacked views) sees.
+            view_delta = plan.fold_aggregate(view.aggregate_state, view_delta)
         if view_delta.inserted:
             count("view_tuples_inserted", len(view_delta.inserted))
         if view_delta.deleted:

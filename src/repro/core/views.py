@@ -17,7 +17,7 @@ into visible group-row deltas.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional
 
 from repro.algebra.aggregates import Aggregate, AggregateSpec
 from repro.algebra.expressions import (
@@ -28,7 +28,6 @@ from repro.algebra.expressions import (
 )
 from repro.algebra.relation import Delta, Relation
 from repro.algebra.schema import RelationSchema
-from repro.engine.indexes import HashIndex
 from repro.errors import ViewDefinitionError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -91,10 +90,10 @@ class MaterializedView:
     """A stored view materialization plus maintenance statistics.
 
     The stored relation carries the Section 5.2 multiplicity counter on
-    every tuple.  ``contents`` exposes it read-only by convention —
-    mutate only through :meth:`apply_delta` and
-    :meth:`replace_contents`, which keep the view's hash indexes
-    (:meth:`index_on`) in step with it.
+    every tuple, and — like any stored relation — the hash indexes its
+    readers probe (``contents.index_on``).  ``contents`` is one object
+    for the view's lifetime, read-only by convention: change it through
+    :meth:`apply_delta` and :meth:`replace_contents`.
     """
 
     __slots__ = (
@@ -103,7 +102,6 @@ class MaterializedView:
         "aggregate_state",
         "updates_applied",
         "last_refresh_sequence",
-        "_indexes",
     )
 
     def __init__(
@@ -121,9 +119,6 @@ class MaterializedView:
         self.updates_applied = 0
         #: Log sequence the view is current as of (deferred maintenance).
         self.last_refresh_sequence = 0
-        #: Indexed attributes -> hash index over ``contents``; created
-        #: by :meth:`index_on`, never checkpointed.
-        self._indexes: dict[tuple[str, ...], HashIndex] = {}
 
     @classmethod
     def materialize(
@@ -172,23 +167,6 @@ class MaterializedView:
             return self.aggregate_state.stored_contents()
         return self.contents
 
-    def index_on(self, attributes: Sequence[str]) -> HashIndex:
-        """The hash index of ``contents`` on ``attributes``, built on
-        first request and kept up by :meth:`apply_delta` from then on.
-
-        A bucket holds the *distinct* tuples sharing a key; a tuple's
-        multiplicity is read from ``contents`` at probe time.  A plan
-        maintaining a view stacked on this one binds the index its OLD
-        probe of this operand uses through here.
-        """
-        attrs = tuple(attributes)
-        index = self._indexes.get(attrs)
-        if index is None:
-            index = self._indexes[attrs] = HashIndex(
-                self.contents, self.definition.name, attrs
-            )
-        return index
-
     def apply_delta(self, delta: Delta) -> None:
         """Apply a computed view delta to the stored contents.
 
@@ -198,23 +176,13 @@ class MaterializedView:
         if delta.is_empty():
             return
         delta.apply_to(self.contents)
-        if self._indexes:
-            counts = self.contents._counts
-            # A delete that only lowers a counter leaves the tuple indexed.
-            gone = [values for values in delta.deleted if values not in counts]
-            for index in self._indexes.values():
-                for values in gone:
-                    index._remove(values)
-                for values in delta.inserted:
-                    index._insert(values)
         self.updates_applied += 1
 
     def replace_contents(self, contents: Relation) -> None:
-        """Swap in a recomputed relation; rebuild the indexes in place,
-        so a plan that bound one keeps probing the live contents."""
-        self.contents = contents
-        for index in self._indexes.values():
-            index._rebuild(contents)
+        """Take a recomputed relation's tuples (:meth:`Relation.assign`):
+        a plan that bound ``contents`` or one of its indexes keeps
+        reading the live view."""
+        self.contents.assign(contents)
 
     def __len__(self) -> int:
         return len(self.contents)

@@ -3,16 +3,18 @@
 A :class:`Database` owns:
 
 * the base relations (plain set-semantics relations — every tuple has
-  multiplicity one, as the paper notes for base relations in §5.2);
+  multiplicity one, as the paper notes for base relations in §5.2),
+  each carrying its own hash indexes — :meth:`create_index` /
+  :meth:`drop_index` are the DDL facade over them;
 * the transaction factory (:meth:`begin` / :meth:`transact`);
 * the :class:`~repro.engine.log.UpdateLog`;
-* the :class:`~repro.engine.indexes.IndexManager`;
 * an ordered list of *commit hooks* — callables receiving
   ``(txn_id, {relation: Delta})`` — through which view maintainers and
   snapshot queues observe committed net effects.  Hooks run inside the
-  commit, after base relations and indexes have been updated, matching
-  the paper's assumption that base relations are updated before views
-  and that complete affected tuples are available at view-update time.
+  commit, after base relations (and so their indexes) have been
+  updated, matching the paper's assumption that base relations are
+  updated before views and that complete affected tuples are available
+  at view-update time.
 """
 
 from __future__ import annotations
@@ -21,15 +23,13 @@ from contextlib import contextmanager, suppress
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.algebra.conditions import Condition
-from repro.algebra.relation import Delta, Relation
+from repro.algebra.relation import Delta, HashIndex, Relation
 from repro.algebra.schema import RelationSchema
-from repro.algebra.tuples import Row
 from repro.engine.constraints import (
     ConstraintCatalog,
     find_violations,
     validate_constraint_condition,
 )
-from repro.engine.indexes import HashIndex, IndexManager
 from repro.engine.keys import (
     ForeignKey,
     KeyCatalog,
@@ -67,8 +67,6 @@ class Database:
         self._relations: dict[str, Relation] = {}
         self._next_txn_id = 1
         self.log = UpdateLog()
-        self.indexes = IndexManager()
-        self.indexes.on_change = self._notify_ddl
         self.constraints = ConstraintCatalog(notify=self._notify_ddl)
         self.keys = KeyCatalog(notify=self._notify_ddl)
         self._commit_hooks: list[CommitHook] = []
@@ -113,14 +111,13 @@ class Database:
 
     def drop_relation(self, name: str) -> None:
         """Remove a base relation and its indexes."""
-        if name not in self._relations:
+        relation = self._relations.pop(name, None)
+        if relation is None:
             raise UnknownRelationError(f"unknown relation {name!r}")
-        del self._relations[name]
-        # Snapshot into a list before dropping: drop_index mutates the
-        # manager's mapping backing indexes_on, so iteration must never
-        # run over a live view of it.
-        for index in list(self.indexes.indexes_on(name)):
-            self.indexes.drop_index(name, index.attributes)
+        # Snapshot before dropping: _drop_index mutates the mapping.
+        for attributes in tuple(relation.indexes):
+            relation._drop_index(attributes)
+            self._notify_ddl("drop_index", name)
         # The constraint dies with its relation; drop_relation's own DDL
         # event already reaches every dependent, so no second event.
         self.constraints.discard(name)
@@ -146,15 +143,32 @@ class Database:
         """Mapping of relation name to live contents (for evaluation)."""
         return dict(self._relations)
 
-    def create_index(self, relation_name: str, attributes: Sequence[str]):
-        """Declare a hash index over a base relation."""
-        return self.indexes.create_index(
-            self.relation(relation_name), relation_name, attributes
-        )
+    def create_index(
+        self, relation_name: str, attributes: Sequence[str]
+    ) -> HashIndex:
+        """Declare a hash index over a base relation (or return the
+        existing one).  A ``create_index`` DDL event fires only when the
+        relation's index set really changed."""
+        relation = self.relation(relation_name)
+        existing = relation.indexes.get(tuple(attributes))
+        if existing is not None:
+            return existing
+        index = relation.index_on(attributes)
+        self._notify_ddl("create_index", relation_name)
+        return index
 
     def drop_index(self, relation_name: str, attributes: Sequence[str]) -> bool:
-        """Drop a hash index; returns True when one existed."""
-        return self.indexes.drop_index(relation_name, attributes)
+        """Drop a hash index; returns True when one existed.
+
+        The ``drop_index`` DDL event is what makes dropping safe: a
+        compiled plan holds the index object itself, which stops being
+        kept up here, so its readers must recompile and rebind.
+        """
+        relation = self._relations.get(relation_name)
+        if relation is None or not relation._drop_index(attributes):
+            return False
+        self._notify_ddl("drop_index", relation_name)
+        return True
 
     def declare_constraint(
         self, relation_name: str, condition: object
@@ -374,7 +388,7 @@ class Database:
         """Register a commit observer (view maintainer, snapshot queue…).
 
         Hooks run in registration order, inside the commit, after base
-        relations, indexes and the log have been updated.
+        relations (with their indexes) and the log have been updated.
         """
         self._commit_hooks.append(hook)
 
@@ -387,8 +401,8 @@ class Database:
         """Register a schema-change observer.
 
         Hooks fire on ``create_relation``/``drop_relation`` and on real
-        index-set changes (``create_index``/``drop_index``), including
-        ones made directly through :attr:`indexes`.  View maintainers
+        index-set changes made through :meth:`create_index` /
+        :meth:`drop_index`.  View maintainers
         use this to invalidate compiled maintenance plans whose join
         order or index bindings the change could stale.
         """
@@ -467,7 +481,9 @@ class Database:
         The stored state satisfies every declared key and foreign key,
         so only rows the net effect moves can break one, and each is
         checked by probing an index over the stored (pre-commit) state:
-        the work is proportional to the delta, not to the relation.
+        the work is proportional to the delta, not to the relation.  The
+        indexes were bound at declaration; :meth:`create_index` hands
+        them back, or re-creates one that was dropped since.
 
         Key collisions: deletes cannot create one, so only inserted
         rows are checked — each against the stored rows sharing its key
@@ -513,13 +529,6 @@ class Database:
                     return f"the foreign key {fk.describe()}: {preview}"
         return None
 
-    def _bound_index(self, name: str, attributes: tuple[str, ...]) -> HashIndex:
-        """The index a declared key or foreign key probes: bound at its
-        declaration, re-created here if it was dropped since."""
-        return self.indexes.lookup(name, attributes) or self.create_index(
-            name, attributes
-        )
-
     def _key_collisions(
         self, name: str, key: tuple[str, ...], delta: Delta
     ) -> list[tuple[ValueTuple, ValueTuple]]:
@@ -531,7 +540,7 @@ class Database:
         """
         schema = self._relations[name].schema
         positions = schema.positions(key)
-        index = self._bound_index(name, key)
+        index = self.create_index(name, key)
         deleted = delta.deleted
         rows = set(delta.inserted)
         for values in delta.inserted:
@@ -567,7 +576,7 @@ class Database:
         }
         dangling: set[ValueTuple] = set()
         if src_inserted:
-            referenced = self._bound_index(fk.ref_relation, fk.ref_attributes)
+            referenced = self.create_index(fk.ref_relation, fk.ref_attributes)
             for values in src_inserted:
                 wanted = tuple(values[p] for p in src_positions)
                 if wanted not in arriving and all(
@@ -575,7 +584,7 @@ class Database:
                 ):
                     dangling.add(values)
         if dst_deleted:
-            referencing = self._bound_index(fk.relation, fk.attributes)
+            referencing = self.create_index(fk.relation, fk.attributes)
             src_deleted = src_delta.deleted if src_delta is not None else {}
             for values in dst_deleted:
                 gone = tuple(values[p] for p in dst_positions)
@@ -590,12 +599,7 @@ class Database:
     def _apply_commit(self, txn: Transaction, deltas: Mapping[str, Delta]) -> None:
         """Apply a transaction's net effect (called by Transaction.commit)."""
         for name, delta in deltas.items():
-            relation = self._relations[name]
-            for values in delta.deleted:
-                relation.discard(Row(relation.schema, values))
-            for values in delta.inserted:
-                relation.add(Row(relation.schema, values))
-        self.indexes.apply_deltas(deltas)
+            delta.apply_to(self._relations[name])
         if deltas:
             self.log.append(txn.txn_id, deltas)
         for hook in self._commit_hooks:

@@ -98,8 +98,15 @@ class UpdateLog:
                 yield record
 
     def last_sequence(self) -> int:
-        """Sequence number of the newest record (0 when empty)."""
-        return self._records[-1].sequence if self._records else 0
+        """The log's position: the sequence of the newest record ever
+        appended or skipped to (0 for a fresh log).
+
+        A property of the sequence counter, not of the retained
+        records, so it survives :meth:`truncate_before` and is already
+        the WAL position after :meth:`advance_sequence` with no record
+        replayed yet (a recovery whose WAL tail is empty).
+        """
+        return self._next_sequence - 1
 
     def composed_delta(self, relation_name: str, since_sequence: int = 0) -> Delta | None:
         """Net delta for one relation across all records after a point.

@@ -164,7 +164,7 @@ class TestViews:
         # The recommendations are themselves executable commands.
         for command in recommendations.splitlines():
             assert "created index on" in shell.execute(command)
-        assert shell.maintainer.database.indexes.lookup("s", ("B",)) is not None
+        assert shell.maintainer.database.relation("s").indexes.get(("B",)) is not None
 
     def test_recommend_indexes_none_needed(self, shell):
         _setup_sales(shell)

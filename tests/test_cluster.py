@@ -638,6 +638,34 @@ class TestClusterKeys:
         assert result.divergences == []
         assert result.stats["txns_committed"] > 0
 
+    def test_keyed_base_free_shard_sheds_its_index_rows_too(self):
+        # A base-free node sheds its bootstrap rows with Relation.clear()
+        # at construction; the key index its declaration bound must not
+        # go on holding them.
+        topology, tables, rows, constraints, keys, views = cluster_workload(
+            2, keyed=True
+        )
+        coordinator = build_cluster(
+            topology,
+            tables,
+            rows,
+            constraints,
+            [view for view in views if view[0] != "v_rt"],
+            base_free_shards=[1],
+            keys=keys,
+        )
+        node = coordinator.nodes()[1]
+        assert node.base_free and node.base_rows_dropped > 0
+        assert ("A",) in node.database.relation("r").indexes
+        for name in node.database.relation_names():
+            relation = node.database.relation(name)
+            assert len(relation) == 0
+            for attrs, index in relation.indexes.items():
+                assert len(index) == 0, (name, attrs)
+        # The full host beside it kept rows and index alike.
+        home = coordinator.nodes()[HOME_SHARD].database.relation("r")
+        assert len(home.indexes[("A",)]) == len(home) > 0
+
     def test_keyed_base_free_unrestricted_ops_pass_oracle(self):
         # PR 9 restricted base-free schedules to home-shard inserts; the
         # declared key (with its row-determining constraint) lifts that:

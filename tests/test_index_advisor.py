@@ -79,8 +79,8 @@ class TestCreation:
         m.define_view("v", BaseRef("r").join(BaseRef("s")))
         created = m.create_recommended_indexes("v")
         assert created >= 2
-        assert db.indexes.lookup("r", ("B",)) is not None
-        assert db.indexes.lookup("s", ("B",)) is not None
+        assert db.relation("r").indexes.get(("B",)) is not None
+        assert db.relation("s").indexes.get(("B",)) is not None
 
     def test_creation_is_idempotent(self, db):
         m = ViewMaintainer(db)

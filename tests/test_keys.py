@@ -213,7 +213,7 @@ class TestKeyEnforcement:
         with pytest.raises(KeyViolationError, match=r"key \(B\) on 'p'"):
             with db.transact() as txn:
                 txn.insert("p", (0, 99))
-        assert db.indexes.lookup("p", ("B",)) is not None
+        assert db.relation("p").indexes.get(("B",)) is not None
 
     @pytest.mark.parametrize("size", [10, 2_000])
     def test_foreign_key_check_probes_per_changed_row(self, size):
@@ -594,6 +594,30 @@ class TestBaseFreeFkJoin:
         counts = bare.view("v").contents.counts()
         assert counts == full.view("v").contents.counts()
         assert counts, "the oracle comparison must be non-vacuous"
+
+    def test_shed_base_copies_sheds_the_index_rows_too(self, tmp_path):
+        """The indexes a key and a foreign key bound at declaration are
+        part of the base copy: none of them holds a row afterwards."""
+        directory = str(tmp_path / "wal")
+        db = keyed_database()
+        leader = ViewMaintainer(db)
+        durability = DurabilityManager(db, directory, sync="never")
+        durability.checkpoint(leader)
+        durability.close()
+
+        bare = Follower(directory, base_free=True)
+        bare.declare_key("p", ["B"])
+        bare.declare_foreign_key("r", ["B"], "p", ["B"])
+        bare.define_view("v", fk_join_view())
+        assert len(bare.database.relation("p").indexes[("B",)]) > 0
+        assert bare.shed_base_copies() > 0
+        for name in bare.database.relation_names():
+            relation = bare.database.relation(name)
+            assert len(relation) == 0
+            for attrs, index in relation.indexes.items():
+                assert len(index) == 0, (name, attrs)
+                assert index._stale_key(relation) is None
+        assert set(bare.database.relation("r").indexes) == {("B",)}
 
 
 # ----------------------------------------------------------------------

@@ -49,6 +49,22 @@ class TestLogging:
     def test_last_sequence_empty(self):
         assert Database().log.last_sequence() == 0
 
+    def test_last_sequence_is_the_position_not_the_newest_retained_record(
+        self, db
+    ):
+        # A recovery or follower boot whose WAL tail is empty skips the
+        # counter ahead and replays nothing: the position is still 5.
+        db.log.advance_sequence(6)
+        assert len(db.log) == 0
+        assert db.log.last_sequence() == 5
+        with db.transact() as txn:
+            txn.insert("r", (10,))
+        assert db.log.last_sequence() == 6
+        # Dropping every retained record does not rewind it either.
+        assert db.log.truncate_before(7) == 1
+        assert len(db.log) == 0
+        assert db.log.last_sequence() == 6
+
 
 class TestComposedDelta:
     def test_composes_across_transactions(self, db):

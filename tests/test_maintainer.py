@@ -133,7 +133,7 @@ class TestImmediateMaintenance:
         run_random_transactions(db, rng, 40, value_max=14)
         assert view.contents == reference.view("u").contents
         assert maintainer.stats("u")["tuples_irrelevant"] > 0
-        assert db.indexes.lookup("s", ("C",)) is not None
+        assert db.relation("s").indexes.get(("C",)) is not None
 
 
 class TestDeferredMaintenance:

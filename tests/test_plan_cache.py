@@ -123,9 +123,31 @@ class TestInvalidation:
         plan = maintainer.compiled_plan("v")
         # The commit lazily created the probe index on s(C) — that must
         # not have evicted the very plan that created it.
-        assert db.indexes.lookup("s", ("C",)) is not None
+        assert db.relation("s").indexes.get(("C",)) is not None
         assert plan is not None
         assert maintainer.plan_cache_stats()["plan_cache_invalidations"] == 0
+
+    def test_lazy_index_creation_is_not_a_ddl_event(self, db, maintainer):
+        # The plan asks the operand relation for its probe index; an
+        # index nobody dropped changes no plan's meaning, so nothing is
+        # broadcast and no plan — its own or a sibling's reading the
+        # same relation — is discarded.
+        maintainer.define_view("w", BaseRef("s").select("D > 20"))
+        events = []
+        db.add_ddl_hook(lambda event, name: events.append((event, name)))
+        plans = {name: maintainer.compiled_plan(name) for name in ("v", "w")}
+        assert not db.relation("s").indexes
+        db.apply(inserts={"r": [(3, 2)]})
+        assert set(db.relation("s").indexes) == {("C",)}
+        assert events == []
+        for name, plan in plans.items():
+            assert maintainer.compiled_plan(name) is plan
+        assert maintainer.plan_cache_stats()["plan_cache_invalidations"] == 0
+        # The explicit facade on the same relation still is one.
+        db.create_index("s", ["D"])
+        assert events == [("create_index", "s")]
+        assert maintainer.compiled_plan("v") is None
+        assert maintainer.compiled_plan("w") is None
 
     def test_drop_relation_invalidates(self, db, maintainer):
         # Dropping an operand relation leaves the view unusable, but the
@@ -184,12 +206,12 @@ class TestStaleIndexBindings:
         # Demonstrate the hazard the invalidation prevents: the dropped
         # index object genuinely does not contain later insertions.
         db.apply(inserts={"r": [(3, 2)]})
-        dead = db.indexes.lookup("s", ("C",))
+        dead = db.relation("s").indexes.get(("C",))
         assert dead is not None
         db.drop_index("s", ("C",))
         db.apply(inserts={"s": [(2, 99)]})
         assert not dead.probe((2,)) & {(2, 99)}  # the corpse is stale
-        live = db.indexes.lookup("s", ("C",))
+        live = db.relation("s").indexes.get(("C",))
         assert live is None or (2, 99) in live.probe((2,))
 
 

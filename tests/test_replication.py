@@ -336,6 +336,27 @@ class TestCrashRecovery:
         assert recovered.view("d").contents == expected_d
         check_view_consistency(recovered.view("v"), recovery.database.instances())
 
+    def test_empty_tail_recovery_sits_at_the_checkpoint_sequence(self, tmp_path):
+        directory = str(tmp_path)
+        db, durability, maintainer = make_leader(directory)
+        churn(db, 5, seed=4)
+        durability.checkpoint(maintainer)  # nothing follows it in the WAL
+        position = db.log.last_sequence()
+        assert position == maintainer.view("v").last_refresh_sequence == 5
+        del db, durability, maintainer
+
+        recovery, recovered = recover(
+            directory, lambda rec, fresh: rec.restore_view(fresh, "v", VIEW_EXPR)
+        )
+        assert recovery.checkpoint_sequence == recovery.last_sequence == position
+        assert len(recovery.database.log) == 0
+        assert recovery.database.log.last_sequence() == position
+        assert recovered.view("v").last_refresh_sequence == position
+        assert recovered.backlog("v")["sequence_lag"] == 0
+        with recovery.database.transact() as txn:
+            txn.insert("r", (3, 2))
+        assert recovered.view("v").last_refresh_sequence == position + 1
+
     def test_recovered_views_catch_up_differentially(self, tmp_path):
         directory = str(tmp_path)
         db, durability, maintainer = make_leader(directory)
@@ -511,13 +532,13 @@ class TestCliVerbs:
 class TestSatelliteRegressions:
     def test_drop_relation_with_multiple_indexes(self):
         db = Database()
-        db.create_relation("r", ["A", "B"], [(1, 2)])
+        relation = db.create_relation("r", ["A", "B"], [(1, 2)])
         db.create_index("r", ["A"])
         db.create_index("r", ["B"])
         db.create_index("r", ["A", "B"])
         db.drop_relation("r")
         assert "r" not in db.relation_names()
-        assert db.indexes.indexes_on("r") == ()
+        assert dict(relation.indexes) == {}
 
     def test_begin_pins_and_advances_txn_ids(self):
         db = Database()

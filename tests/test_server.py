@@ -28,6 +28,7 @@ from repro.engine.persistence import delta_to_document, relation_to_document
 from repro.instrumentation import CostRecorder
 from repro.replication.durability import DurabilityManager
 from repro.replication.follower import Follower
+from repro.replication.recovery import recover
 from repro.server import (
     ServerConfig,
     ServerError,
@@ -626,6 +627,37 @@ class TestFollowerEquivalence:
             relation_to_document(follower.view("hot").contents)
             == relation_to_document(maintainer.view("hot").contents)
         )
+
+
+class TestRestartedServer:
+    def test_position_and_resume_after_an_empty_tail_recovery(self, tmp_path):
+        """A server restarted from a checkpoint with nothing after it
+        answers the checkpoint's sequence, and a subscriber resuming
+        from before it is told so instead of silently missing deltas."""
+        directory = str(tmp_path / "durable")
+        db = make_database()
+        maintainer = ViewMaintainer(db)
+        maintainer.define_view("hot", HOT)
+        durability = DurabilityManager(db, directory, sync="never")
+        for i in range(5):
+            db.apply(inserts={"r": [(700 + i, 10)]})
+        durability.checkpoint(maintainer)
+        durability.close()
+
+        recovery, recovered = recover(
+            directory, lambda rec, fresh: rec.restore_view(fresh, "hot", HOT)
+        )
+
+        server = ViewServer(recovery.database, recovered, ServerConfig())
+        with ServerHandle(server) as handle, connect(handle) as client:
+            assert client.query("hot")["seq"] == 5
+            with pytest.raises(ServerError) as exc:
+                client.subscribe("hot", from_seq=2)
+            assert exc.value.code == protocol.E_OFFSET_OUT_OF_RANGE
+            sub = client.subscribe("hot", from_seq=5)
+            assert (sub["seq"], sub["replayed"]) == (5, 0)
+            assert client.txn(insert={"r": [(800, 10)]})["seq"] == 6
+            assert client.next_event(timeout=5)["seq"] == 6
 
 
 # ----------------------------------------------------------------------

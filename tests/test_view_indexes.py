@@ -2,10 +2,10 @@
 
 A view stacked on another view reaches its upstream operand the way it
 reaches a base relation: through a hash index on the link attributes,
-bound lazily by its compiled plan (``MaterializedView.index_on``) and
-kept up by ``MaterializedView.apply_delta``.  The upstream is a *bag*,
-so a probed tuple's multiplicity is read from the live contents.  Pinned
-here:
+bound lazily by its compiled plan (``view.contents.index_on``) and kept
+up by the contents relation itself, as any stored relation's are.  The
+upstream is a *bag*, so a probed tuple's multiplicity is read from the
+live contents.  Pinned here:
 
 * **parity** — over random streams on a stacked pair whose upstream
   holds multiplicities ≥ 2, the reader equals its recompute and every
@@ -36,10 +36,9 @@ from hypothesis import strategies as st
 import repro.core.codegen as codegen
 from repro import BaseRef, Database, ViewMaintainer
 from repro.algebra.evaluate import evaluate
-from repro.algebra.relation import Delta
+from repro.algebra.relation import Delta, HashIndex
 from repro.analysis.findings import F_UNBOUND_OLD_OPERAND
 from repro.cli import parse_view_expression
-from repro.engine.indexes import HashIndex
 from repro.errors import MaintenanceError
 from repro.instrumentation import CostRecorder, recording
 from repro.replication import DurabilityManager, recover
@@ -72,8 +71,8 @@ def _bag_maintainer(db):
 def _assert_indexes_match_contents(maintainer):
     for name in maintainer.view_names():
         view = maintainer.view(name)
-        for attrs, index in view._indexes.items():
-            rebuilt = HashIndex(view.contents, name, attrs)
+        for attrs, index in view.contents.indexes.items():
+            rebuilt = HashIndex(view.contents, attrs)
             assert index._buckets == rebuilt._buckets, (name, attrs)
 
 
@@ -145,7 +144,7 @@ class TestBagOperandParity:
         ]
         maintainer, have, _ = _replay(stream)
         self._assert_parity(stream)
-        assert maintainer.view("p")._indexes.keys() == {("B",)}
+        assert set(maintainer.view("p").contents.indexes) == {("B",)}
         assert have["p"] == {(0,): 2, (1,): 3, (2,): 3, (3,): 1}
 
 
@@ -203,7 +202,7 @@ class TestRowCapFallback:
         assert st_contents.count_of((1, 9, 1)) == 3
         assert st_contents.count_of((2, 9, 2)) == 4
         assert maintainer.codegen_stats().get("codegen_fallback_tuples") > 0
-        assert maintainer.view("p")._indexes.keys() == {("B",)}
+        assert set(maintainer.view("p").contents.indexes) == {("B",)}
 
 
 class TestLifecycle:
@@ -212,11 +211,11 @@ class TestLifecycle:
         maintainer = _bag_maintainer(db)
         with db.transact() as txn:
             txn.insert("r", (20, 1))  # reaches st through i_p, not OLD p
-        assert maintainer.view("p")._indexes == {}
+        assert not maintainer.view("p").contents.indexes
         with db.transact() as txn:
             txn.insert("t", (1, 9))
-        index = maintainer.view("p")._indexes[("B",)]
-        assert maintainer.view("p").index_on(["B"]) is index
+        index = maintainer.view("p").contents.indexes[("B",)]
+        assert maintainer.view("p").contents.index_on(["B"]) is index
         assert index in maintainer.compiled_plan("st").index_bindings().values()
 
     def test_restored_views_build_lazily_on_first_bind(self):
@@ -224,16 +223,16 @@ class TestLifecycle:
         leader = _bag_maintainer(db)
         with db.transact() as txn:
             txn.insert("t", (1, 9))
-        assert leader.view("p")._indexes
+        assert leader.view("p").contents.indexes
         restored = ViewMaintainer(db)
         for name, expression in BAG_VIEWS.items():
             restored.restore_view(
                 name, expression, leader.view(name).stored_contents()
             )
-        assert restored.view("p")._indexes == {}
+        assert not restored.view("p").contents.indexes
         with db.transact() as txn:
             txn.insert("t", (2, 9))
-        assert restored.view("p")._indexes.keys() == {("B",)}
+        assert set(restored.view("p").contents.indexes) == {("B",)}
         restored.verify_all()
         assert restored.view("st").contents.count_of((2, 9, 2)) == 3
 
@@ -244,7 +243,7 @@ class TestLifecycle:
         maintainer = _bag_maintainer(db)
         with db.transact() as txn:
             txn.insert("t", (1, 9))
-        assert maintainer.view("p")._indexes
+        assert maintainer.view("p").contents.indexes
         durability.checkpoint(maintainer)
         with db.transact() as txn:
             txn.insert("r", (20, 1))  # the replayed tail never probes OLD p
@@ -255,10 +254,10 @@ class TestLifecycle:
                 recovery.restore_view(fresh, name, expression)
 
         recovery, recovered = recover(directory, restore)
-        assert recovered.view("p")._indexes == {}
+        assert not recovered.view("p").contents.indexes
         with recovery.database.transact() as txn:
             txn.insert("t", (1, 7))
-        assert recovered.view("p")._indexes.keys() == {("B",)}
+        assert set(recovered.view("p").contents.indexes) == {("B",)}
         recovered.verify_all()
         assert recovered.view("st").contents.count_of((1, 7, 1)) == 4
 
@@ -270,11 +269,11 @@ class TestLifecycle:
         )
         with db.transact() as txn:
             txn.insert("t", (1, 9))
-        assert maintainer.view("p")._indexes
+        assert maintainer.view("p").contents.indexes
         before = maintainer.stats("st2")
 
         maintainer.drop_view("st")
-        assert maintainer.view("p")._indexes == {}
+        assert not maintainer.view("p").contents.indexes
         assert maintainer.compiled_plan("st2") is None
         with db.transact() as txn:
             txn.insert("t", (2, 9))
@@ -283,11 +282,11 @@ class TestLifecycle:
         after = maintainer.stats("st2")
         assert after["plan_cache_invalidations"] == before["plan_cache_invalidations"] + 1
         assert after["plan_cache_misses"] == before["plan_cache_misses"] + 1
-        assert maintainer.view("p")._indexes.keys() == {("B",)}
+        assert set(maintainer.view("p").contents.indexes) == {("B",)}
         maintainer.verify_all()
 
         maintainer.drop_view("st2")
-        assert maintainer.view("p")._indexes == {}
+        assert not maintainer.view("p").contents.indexes
 
     def test_replace_contents_keeps_a_bound_plan_correct(self):
         db = _bag_database()
@@ -295,14 +294,15 @@ class TestLifecycle:
         with db.transact() as txn:
             txn.insert("t", (1, 9))
         upstream = maintainer.view("p")
-        index = upstream.index_on(["B"])
-        replacement = upstream.contents.copy()
+        contents = upstream.contents
+        index = contents.index_on(["B"])
+        replacement = contents.copy()
         replacement.add((7,), 2)  # a key the old contents never held
         replacement.discard((2,), 3)
         upstream.replace_contents(replacement)
-        assert upstream.contents is replacement
-        assert upstream.index_on(["B"]) is index
-        assert index._buckets == HashIndex(replacement, "p", ["B"])._buckets
+        assert upstream.contents is contents and contents == replacement
+        assert contents.index_on(["B"]) is index
+        assert index._buckets == HashIndex(replacement, ["B"])._buckets
 
         # The bound plan reads the live contents: put the recompute back,
         # move a counter through the maintainer, then probe it.
@@ -321,7 +321,7 @@ class TestApplyIsAllOrNothing:
         db = _bag_database()
         maintainer = _bag_maintainer(db)
         view = maintainer.view("p")
-        index = view.index_on(["B"])
+        index = view.contents.index_on(["B"])
         contents = view.contents.counts()
         buckets = {key: set(rows) for key, rows in index._buckets.items()}
         updates = view.updates_applied
@@ -345,7 +345,7 @@ class TestIndexAudit:
         with db.transact() as txn:
             txn.insert("t", (1, 9))
         maintainer.verify_all()
-        index = maintainer.view("p")._indexes[("B",)]
+        index = maintainer.view("p").contents.indexes[("B",)]
         index._buckets[(2,)].discard((2,))
 
         report = maintainer.verify_all(raise_on_mismatch=False)["p"]
