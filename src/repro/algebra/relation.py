@@ -30,7 +30,7 @@ from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 from repro.algebra.schema import RelationSchema
 from repro.algebra.tags import Tag
 from repro.algebra.tuples import Row, coerce_row
-from repro.errors import MaintenanceError, SchemaError
+from repro.errors import DomainError, MaintenanceError, SchemaError
 from repro.instrumentation import charge
 
 ValueTuple = tuple[int, ...]
@@ -193,7 +193,8 @@ class Relation:
     # Mutation
     # ------------------------------------------------------------------
     def add(self, row: object, count: int = 1) -> None:
-        """Insert ``count`` copies of ``row`` (incrementing its counter)."""
+        """Insert ``count`` copies of ``row`` (incrementing its counter).
+        Raw rows only, as for ``discard``, ``count_of`` and ``in``."""
         if count <= 0:
             raise MaintenanceError(f"insert count must be positive, got {count}")
         values = coerce_row(self.schema, row)
@@ -296,8 +297,8 @@ class Relation:
     def __contains__(self, row: object) -> bool:
         try:
             values = coerce_row(self.schema, row)
-        except SchemaError:
-            return False
+        except (SchemaError, DomainError):
+            return False  # a row that cannot be stored is not present
         return values in self._counts
 
     def count_of(self, row: object) -> int:
@@ -321,6 +322,11 @@ class Relation:
     def counts(self) -> dict[ValueTuple, int]:
         """A copy of the underlying count map."""
         return dict(self._counts)
+
+    @property
+    def count_map(self) -> Mapping[ValueTuple, int]:
+        """The live count map, encoded tuple → counter (read-only)."""
+        return MappingProxyType(self._counts)
 
     # ------------------------------------------------------------------
     # Set/multiset algebra (used by baselines and consistency checks)

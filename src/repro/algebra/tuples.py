@@ -81,6 +81,11 @@ def coerce_row(schema: RelationSchema, row: object) -> tuple[int, ...]:
 
     Accepts a :class:`Row`, a mapping from attribute names, or a
     positional sequence, validating values against the schema's domains.
+
+    A row goes through this door once, at the API edge (transactions,
+    ``create_relation``, ``Delta(...)``, the raw-row ``Relation``
+    methods, documents, a shard's raw batches); the result is never
+    passed back in — under a ``StringDomain`` a code is not a raw value.
     """
     if isinstance(row, Row):
         if row.schema.names != schema.names:

@@ -570,10 +570,7 @@ class ClusterCoordinator:
     def merged_relation(self, target: str) -> Relation:
         """:meth:`merged_counts` materialized as a relation."""
         counts, schema, _ = self.merged_counts(target)
-        relation = Relation(schema)
-        for values, count in sorted(counts.items()):
-            relation.add(schema.decode_values(values), count)
-        return relation
+        return Relation.from_counts(schema, counts)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -647,9 +644,7 @@ def build_cluster(
     workload restriction for that relation.
     """
     frozen_tables = {name: tuple(attrs) for name, attrs in tables.items()}
-    frozen_rows = {
-        name: [tuple(row) for row in batch] for name, batch in rows.items()
-    }
+    frozen_rows = {name: list(batch) for name, batch in rows.items()}
     coerced = {
         name: Condition.coerce(cond) for name, cond in constraints.items()
     }

@@ -98,9 +98,7 @@ class ClusterServer(ViewServer):
                 protocol.E_UNKNOWN_TARGET,
                 f"{name!r} names neither a view nor a base relation",
             ) from None
-        contents = Relation(schema)
-        for values, count in sorted(counts.items()):
-            contents.add(schema.decode_values(values), count)
+        contents = Relation.from_counts(schema, counts)
         return kind, contents, self.coordinator.last_sequence
 
     def _op_txn(

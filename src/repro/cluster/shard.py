@@ -117,7 +117,7 @@ class ShardNode:
         self.database = Database()
         for name in sorted(tables):
             attributes = tables[name]
-            initial = [tuple(row) for row in rows.get(name, ())]
+            initial = rows.get(name, ())
             if topology.is_partitioned(name):
                 initial = [
                     row
@@ -245,25 +245,19 @@ class ShardNode:
         now run inside the commit pipeline, so prepare must anticipate
         them exactly.
 
-        A base-free node holds no rows, so its probe skips the
-        delete-existence check (deletes are validated structurally
-        only); existence stays with the full replicas in the quorum,
+        A base-free node holds no rows, so its probe finds no delete
+        present (deletes are validated structurally only); existence
+        stays with the full replicas in the quorum,
         except for key-occupancy relations, whose presence and key
         collisions are checked against the occupancy set.
         """
         net: dict[str, Delta] = {}
         probe = self.database.begin()
         try:
-            if self.base_free:
-                for name, batch in sorted(deletes.items()):
-                    schema = self.database.relation(name).schema
-                    for row in batch:
-                        coerce_row(schema, tuple(row))
-            else:
-                for name, batch in sorted(deletes.items()):
-                    probe.delete_many(name, (tuple(row) for row in batch))
+            for name, batch in sorted(deletes.items()):
+                probe.delete_many(name, batch)
             for name, batch in sorted(inserts.items()):
-                probe.insert_many(name, (tuple(row) for row in batch))
+                probe.insert_many(name, batch)
             if not self.base_free:
                 net = probe.net_deltas()
         except ReproError as exc:
@@ -277,7 +271,7 @@ class ShardNode:
             if condition is None or not batch:
                 continue
             schema = self.database.relation(name).schema
-            encoded = {coerce_row(schema, tuple(row)): 1 for row in batch}
+            encoded = {coerce_row(schema, row): 1 for row in batch}
             violations = find_violations(name, condition, schema, encoded)
             if violations:
                 preview = ", ".join(map(str, violations[:3]))
@@ -334,9 +328,9 @@ class ShardNode:
         else:
             txn = self.database.begin(txn_id=txn_id)
             for name, batch in sorted((message.get("deletes") or {}).items()):
-                txn.delete_many(name, (tuple(row) for row in batch))
+                txn.delete_many(name, batch)
             for name, batch in sorted((message.get("inserts") or {}).items()):
-                txn.insert_many(name, (tuple(row) for row in batch))
+                txn.insert_many(name, batch)
             txn.commit()
         views = {name: doc for name, doc in self._captured}
         self._captured.clear()
@@ -445,10 +439,10 @@ class ShardNode:
                 continue
             net: dict[tuple, int] = {}
             for row in deletes.get(name, ()):
-                values = coerce_row(schema, tuple(row))
+                values = coerce_row(schema, row)
                 net[values] = net.get(values, 0) - 1
             for row in inserts.get(name, ()):
-                values = coerce_row(schema, tuple(row))
+                values = coerce_row(schema, row)
                 net[values] = net.get(values, 0) + 1
             inserted = {values: count for values, count in net.items() if count > 0}
             deleted = {values: -count for values, count in net.items() if count < 0}
@@ -487,7 +481,7 @@ class ShardNode:
         pend_ins: set[ValueTuple] = set()
         pend_del: set[ValueTuple] = set()
         for row in delete_rows:
-            values = coerce_row(schema, tuple(row))
+            values = coerce_row(schema, row)
             key_values = tuple(values[i] for i in positions)
             if key_values not in occupied or key_values in removed:
                 continue
@@ -496,7 +490,7 @@ class ShardNode:
                 pend_del.add(values)
                 removed.add(key_values)
         for row in insert_rows:
-            values = coerce_row(schema, tuple(row))
+            values = coerce_row(schema, row)
             key_values = tuple(values[i] for i in positions)
             if values in pend_del:
                 # Reinsert of a row deleted earlier in this batch:

@@ -460,13 +460,9 @@ class _ClusterEpisode:
         for entry in self.coordinator.committed_log:
             txn = database.begin(txn_id=entry["txn"])
             for name in sorted(entry["deletes"]):
-                txn.delete_many(
-                    name, (tuple(row) for row in entry["deletes"][name])
-                )
+                txn.delete_many(name, entry["deletes"][name])
             for name in sorted(entry["inserts"]):
-                txn.insert_many(
-                    name, (tuple(row) for row in entry["inserts"][name])
-                )
+                txn.insert_many(name, entry["inserts"][name])
             txn.commit()
         maintainer.quiesce()
         return database, maintainer

@@ -489,11 +489,11 @@ class CompiledViewPlan:
     # ------------------------------------------------------------------
     # Operand resolution
     # ------------------------------------------------------------------
-    def _old_counts(self, position: int) -> dict[ValueTuple, int]:
+    def _old_counts(self, position: int) -> Mapping[ValueTuple, int]:
         """The live count map of one occurrence's operand (kernels)."""
         return self._operands[
             self._exec_normal_form.occurrences[position].name
-        ]._counts
+        ].count_map
 
     def _step_index(
         self, steps: tuple[StepPlan, ...], step_index: int

@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.algebra.relation import Delta, Relation
-from repro.algebra.tuples import Row
 from repro.errors import MaintenanceError
 from repro.instrumentation import charge
 
@@ -90,11 +89,8 @@ def maintain_project_view(
             f"view schema {view.schema.names} does not match projection "
             f"{tuple(attributes)}"
         )
-    insert_counts, delete_counts = project_delta(delta, attributes)
-    for values, count in delete_counts.items():
-        view.discard(Row(view.schema, values), count)
-    for values, count in insert_counts.items():
-        view.add(Row(view.schema, values), count)
+    inserted, deleted = net_counts(*project_delta(delta, attributes))
+    Delta.from_counts(view.schema, inserted, deleted).apply_to(view)
 
 
 def counted_projection_distributes(

@@ -196,9 +196,7 @@ def construct_witness_database(
             solution = solve_conjunction(disjunct)
             if solution is None:
                 continue
-            instances: dict[str, Relation] = {
-                name: Relation(schema) for name, schema in schemas.items()
-            }
+            rows: dict[str, dict] = {name: {} for name in schemas}
             for other in normal_form.occurrences:
                 if other is occurrence:
                     continue
@@ -207,10 +205,11 @@ def construct_witness_database(
                     solution.get(other.rename[attr], 1)
                     for attr in other_schema.names
                 )
-                relation = instances[other.name]
-                if row not in relation:
-                    relation.add(row)
-            return instances
+                rows[other.name][row] = 1  # a solver witness: already encoded
+            return {
+                name: Relation.from_counts(schema, rows[name])
+                for name, schema in schemas.items()
+            }
     return None
 
 

@@ -97,10 +97,10 @@ class Database:
         if not isinstance(schema, RelationSchema):
             schema = RelationSchema(schema)
         relation = Relation(schema)
-        for row in rows:
-            if row in relation:
-                raise SchemaError(f"duplicate initial row {row!r} in {name!r}")
+        for distinct, row in enumerate(rows):
             relation.add(row)
+            if len(relation) == distinct:  # the row only raised a counter
+                raise SchemaError(f"duplicate initial row {row!r} in {name!r}")
         self._relations[name] = relation
         try:
             self._notify_ddl("create_relation", name)
@@ -378,6 +378,7 @@ class Database:
                 txn.delete_many(name, rows)
             for name, rows in (inserts or {}).items():
                 txn.insert_many(name, rows)
+            # Committed here for the deltas; transact() is the abort on error.
             deltas = txn.commit()
         return deltas
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from repro.algebra.relation import Delta
-from repro.algebra.tuples import Row
 from repro.instrumentation import charge
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -146,7 +145,10 @@ def replay_records(
     Each record becomes one transaction through the normal commit
     pipeline, so every commit hook — view maintainers above all — sees
     the replayed deltas exactly as it saw the originals; views are
-    re-derived differentially, never recomputed.  Replay is
+    re-derived differentially, never recomputed.  A record's tuples are
+    already encoded (they crossed the row boundary when first written,
+    or in ``delta_from_document``), so they enter the transaction's
+    netting as they are.  Replay is
     deterministic because each record holds a *net effect*: deletions
     are applied before insertions per relation, and net-effect
     cancellation cannot re-trigger (inserts are absent from, deletes
@@ -162,13 +164,8 @@ def replay_records(
         txn_id = record.txn_id if preserve_txn_ids else None
         with database.transact(txn_id) as txn:
             for name, delta in record.deltas.items():
-                # Deltas hold encoded tuples; wrap them in Rows so the
-                # transaction does not re-encode already-encoded values.
-                schema = database.relation(name).schema
-                for values in delta.deleted:
-                    txn.delete(name, Row(schema, values))
-                for values in delta.inserted:
-                    txn.insert(name, Row(schema, values))
+                txn._net(name, delta.deleted, False, encoded=True)
+                txn._net(name, delta.inserted, True, encoded=True)
         replayed += 1
         charge("log_replay_transactions")
     return replayed

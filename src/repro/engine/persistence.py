@@ -110,7 +110,7 @@ def relation_from_document(
         )
     schema = RelationSchema(attributes)
     relation = Relation(schema)
-    for values, count in zip(rows, counts):
+    for distinct, (values, count) in enumerate(zip(rows, counts)):
         if count != 1 and not allow_counts:
             raise PersistenceError(
                 f"relation {name!r}: base relations are sets; "
@@ -121,11 +121,11 @@ def relation_from_document(
                 f"relation {name!r}: count {count} for {values} "
                 "must be positive"
             )
-        if tuple(values) in relation:
+        relation.add(values, count)
+        if len(relation) == distinct:  # the row only raised a counter
             raise PersistenceError(
                 f"relation {name!r}: duplicate row {values}"
             )
-        relation.add(tuple(values), count)
     return relation
 
 
@@ -155,9 +155,7 @@ def database_from_document(doc: dict[str, Any]) -> Database:
         raise PersistenceError("document has no 'relations' mapping")
     for name, rel_doc in relations.items():
         decoded = relation_from_document(rel_doc, name)
-        relation = database.create_relation(name, decoded.schema)
-        for row in decoded.rows():
-            relation.add(row)
+        database.create_relation(name, decoded.schema, decoded.rows())
     return database
 
 
@@ -186,11 +184,9 @@ def delta_to_document(delta: Delta) -> dict[str, Any]:
 def delta_from_document(schema: RelationSchema, doc: dict[str, Any]) -> Delta:
     """Decode a document produced by :func:`delta_to_document`."""
     try:
-        inserted = [tuple(row) for row in doc["inserted"]]
-        deleted = [tuple(row) for row in doc["deleted"]]
+        return Delta(schema, doc["inserted"], doc["deleted"])
     except (KeyError, TypeError) as exc:
         raise PersistenceError(f"delta document is malformed: {exc}") from exc
-    return Delta(schema, inserted, deleted)
 
 
 def deltas_to_document(deltas: "dict[str, Delta]") -> dict[str, Any]:

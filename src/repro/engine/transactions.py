@@ -11,18 +11,21 @@ set of changes".
 
 :class:`Transaction` implements exactly that bookkeeping.  Operations
 are validated and folded into net-effect sets relative to the
-relation's pre-transaction state:
+relation's pre-transaction state, by one rule and its mirror image:
 
 * ``insert(t)`` with ``t`` pending deletion cancels the deletion;
-  with ``t`` already present (or already pending insertion) it is a
-  no-op (base relations are sets — count 1 per tuple, per §5.2);
-  otherwise ``t`` joins the pending-insert set.
+  otherwise ``t`` joins the pending-insert set unless it is already
+  present (base relations are sets — count 1 per tuple, per §5.2).
 * ``delete(t)`` with ``t`` pending insertion cancels the insertion;
-  with ``t`` present and not yet deleted it joins the pending-delete
-  set; otherwise it is a no-op.
+  otherwise ``t`` joins the pending-delete set if it is present.
 
 The resulting sets provably satisfy the Section 3 disjointness
 invariant, which the property tests verify against a replay oracle.
+
+Rows cross the encoding boundary here: the public methods take *raw*
+rows and encode each exactly once; everything from the pending sets on
+(deltas, count maps, indexes, kernels, the write-ahead log) holds
+encoded tuples and never coerces them again.
 """
 
 from __future__ import annotations
@@ -31,13 +34,12 @@ import enum
 from typing import TYPE_CHECKING, Iterable
 
 from repro.algebra.relation import Delta
+from repro.algebra.schema import RelationSchema
 from repro.algebra.tuples import coerce_row
 from repro.errors import TransactionError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.database import Database
-
-ValueTuple = tuple[int, ...]
 
 
 class TransactionState(enum.Enum):
@@ -53,59 +55,36 @@ class Transaction:
 
     Obtain instances through :meth:`repro.engine.database.Database.begin`
     or the :meth:`~repro.engine.database.Database.transact` context
-    manager rather than constructing them directly.
+    manager rather than constructing them directly.  Rows are raw — a
+    ``Row``, a mapping or a sequence — and are encoded once, here.
     """
 
     def __init__(self, database: "Database", txn_id: int) -> None:
         self._database = database
         self.txn_id = txn_id
         self.state = TransactionState.ACTIVE
-        # Per relation: net pending inserts / deletes (encoded tuples).
-        self._pending_inserts: dict[str, set[ValueTuple]] = {}
-        self._pending_deletes: dict[str, set[ValueTuple]] = {}
+        # Per relation: schema, net pending inserts, net pending deletes
+        # (encoded tuples).
+        self._pending: dict[str, tuple[RelationSchema, set, set]] = {}
 
     # ------------------------------------------------------------------
     # Update operations
     # ------------------------------------------------------------------
     def insert(self, relation_name: str, row: object) -> None:
         """``insert(R, t)``: make ``t`` present in ``R`` after commit."""
-        self._require_active()
-        relation = self._database.relation(relation_name)
-        values = coerce_row(relation.schema, row)
-        inserts = self._pending_inserts.setdefault(relation_name, set())
-        deletes = self._pending_deletes.setdefault(relation_name, set())
-        if values in deletes:
-            # Was present, deleted earlier in this transaction; reinsert
-            # cancels to a net no-op.
-            deletes.discard(values)
-            return
-        if values in inserts or values in relation:
-            return
-        inserts.add(values)
+        self._net(relation_name, (row,), True)
 
     def insert_many(self, relation_name: str, rows: Iterable[object]) -> None:
         """Insert every row of ``rows`` into ``relation_name``."""
-        for row in rows:
-            self.insert(relation_name, row)
+        self._net(relation_name, rows, True)
 
     def delete(self, relation_name: str, row: object) -> None:
         """``delete(R, t)``: make ``t`` absent from ``R`` after commit."""
-        self._require_active()
-        relation = self._database.relation(relation_name)
-        values = coerce_row(relation.schema, row)
-        inserts = self._pending_inserts.setdefault(relation_name, set())
-        deletes = self._pending_deletes.setdefault(relation_name, set())
-        if values in inserts:
-            # Inserted earlier in this transaction: net no-op.
-            inserts.discard(values)
-            return
-        if values in relation and values not in deletes:
-            deletes.add(values)
+        self._net(relation_name, (row,), False)
 
     def delete_many(self, relation_name: str, rows: Iterable[object]) -> None:
         """Delete every row of ``rows`` from ``relation_name``."""
-        for row in rows:
-            self.delete(relation_name, row)
+        self._net(relation_name, rows, False)
 
     def update(self, relation_name: str, old_row: object, new_row: object) -> None:
         """Modify a tuple in place, expressed as delete + insert.
@@ -117,34 +96,66 @@ class Transaction:
         self.delete(relation_name, old_row)
         self.insert(relation_name, new_row)
 
+    def _net(
+        self,
+        relation_name: str,
+        rows: Iterable[object],
+        inserting: bool,
+        encoded: bool = False,
+    ) -> None:
+        """The one write path: fold ``rows`` into the net pending sets.
+
+        Insert and delete differ only in which set a row cancels from,
+        which it grows, and whether it must be absent or present to
+        count.  A bad row raises with the rows before it left pending.
+        ``encoded`` rows skip the boundary they crossed when first
+        written (replay of logged deltas only).
+        """
+        self._require_active()
+        relation = self._database.relation(relation_name)
+        pending = self._pending.get(relation_name)
+        if pending is None:
+            pending = self._pending[relation_name] = (relation.schema, set(), set())
+        schema, inserts, deletes = pending
+        cancels, grows = (deletes, inserts) if inserting else (inserts, deletes)
+        stored = relation.count_map
+        encode = schema.encode_values
+        for row in rows:
+            if encoded:
+                values = row
+            elif type(row) is tuple or type(row) is list:
+                # Skips coerce_row's ABC tests, not a check: encode_values
+                # validates arity and every domain either way.
+                values = encode(row)
+            else:
+                values = coerce_row(schema, row)
+            if values in cancels:
+                # The opposite operation earlier in this transaction.
+                cancels.discard(values)
+            elif (values in stored) is not inserting:
+                grows.add(values)
+
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def touched_relations(self) -> tuple[str, ...]:
         """Names of relations with a non-empty net effect so far."""
-        names = set()
-        for name, pending in self._pending_inserts.items():
-            if pending:
-                names.add(name)
-        for name, pending in self._pending_deletes.items():
-            if pending:
-                names.add(name)
-        return tuple(sorted(names))
+        return tuple(
+            sorted(n for n, (_, ins, dels) in self._pending.items() if ins or dels)
+        )
 
     def net_deltas(self) -> dict[str, Delta]:
         """The current net effect per relation, as :class:`Delta` objects.
 
         Only relations with a non-empty net effect appear in the result.
         """
-        deltas: dict[str, Delta] = {}
-        for name in self.touched_relations():
-            schema = self._database.relation(name).schema
-            deltas[name] = Delta.from_counts(
-                schema,
-                {v: 1 for v in self._pending_inserts.get(name, ())},
-                {v: 1 for v in self._pending_deletes.get(name, ())},
+        return {
+            name: Delta.from_counts(
+                schema, {v: 1 for v in inserts}, {v: 1 for v in deletes}
             )
-        return deltas
+            for name, (schema, inserts, deletes) in sorted(self._pending.items())
+            if inserts or deletes
+        }
 
     def is_read_only(self) -> bool:
         """True when the transaction has no net effect at all."""
@@ -176,8 +187,7 @@ class Transaction:
         """Discard all pending operations."""
         self._require_active()
         self.state = TransactionState.ABORTED
-        self._pending_inserts.clear()
-        self._pending_deletes.clear()
+        self._pending.clear()
 
     def _require_active(self) -> None:
         if self.state is not TransactionState.ACTIVE:

@@ -155,17 +155,17 @@ class AlerterRegistry:
     # Delivery
     # ------------------------------------------------------------------
     def _deliver(self, alerter: Alerter, delta: Delta) -> None:
-        contents = alerter.view.contents
+        counts = alerter.view.contents.count_map
         events: list[AlertEvent] = []
         for values, count in delta.inserted.items():
             # The delta is already applied: a raise happened iff the
             # tuple's count equals the inserted count (it was absent).
-            if contents.count_of(values) == count:
+            if counts.get(values) == count:
                 events.append(
                     AlertEvent(alerter.name, AlertEvent.RAISED, values, count)
                 )
         for values, count in delta.deleted.items():
-            if contents.count_of(values) == 0:
+            if values not in counts:
                 events.append(
                     AlertEvent(alerter.name, AlertEvent.CLEARED, values, count)
                 )

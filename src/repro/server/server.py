@@ -534,9 +534,9 @@ class ViewServer:
             # Deletes before inserts, matching Database.apply: an update
             # expressed as delete+insert of the same key nets correctly.
             for name, batch_rows in deletes.items():
-                txn.delete_many(name, (tuple(row) for row in batch_rows))
+                txn.delete_many(name, batch_rows)
             for name, batch_rows in inserts.items():
-                txn.insert_many(name, (tuple(row) for row in batch_rows))
+                txn.insert_many(name, batch_rows)
             deltas = txn.commit()
         except ReproError as exc:
             if txn.state.value == "active":

@@ -533,9 +533,9 @@ class Episode:
         with self.database.transact() as txn:
             for op, name, row in payload["ops"]:
                 if op == "ins":
-                    txn.insert(name, tuple(row))
+                    txn.insert(name, row)
                 else:
-                    txn.delete(name, tuple(row))
+                    txn.delete(name, row)
         self.stats["txns"] += 1
 
     def _event_server_txn(self, payload: dict[str, Any]) -> None:

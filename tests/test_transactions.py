@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.algebra.domains import StringDomain
+from repro.algebra.schema import Attribute, RelationSchema
 from repro.engine.database import Database
 from repro.errors import SchemaError, TransactionError, UnknownRelationError
 
@@ -181,18 +183,30 @@ class TestContextManager:
 
 
 class TestReplayEquivalence:
-    def test_net_effect_equals_sequential_replay(self, db):
-        """τ(r) = r ∪ i_r − d_r must match replaying the op sequence."""
+    def test_net_effect_equals_sequential_replay(self):
+        """τ(r) = r ∪ i_r − d_r must match replaying the op sequence.
+
+        The second attribute is a label, so the oracle (raw rows in a
+        Python set) and the transaction (encoded tuples) only agree if
+        every row is encoded exactly once on the way in.
+        """
         import random
+
+        labels = ["e", "d", "c", "b", "a"]  # codes run against label order
+        schema = RelationSchema([Attribute("A"), Attribute("B", StringDomain(labels))])
+        db = Database()
+        relation = db.create_relation("r", schema, [(1, "b"), (3, "d")])
+
+        def stored():
+            return {schema.decode_values(values) for values in relation.value_tuples()}
 
         rng = random.Random(42)
         for _ in range(50):
             # Snapshot current state; build a random op sequence.
-            before = set(db.relation("r").value_tuples())
-            replay = set(before)
+            replay = stored()
             txn = db.begin()
             for _ in range(rng.randint(1, 10)):
-                row = (rng.randint(0, 4), rng.randint(0, 4))
+                row = (rng.randint(0, 4), rng.choice(labels))
                 if rng.random() < 0.5:
                     txn.insert("r", row)
                     replay.add(row)
@@ -200,4 +214,4 @@ class TestReplayEquivalence:
                     txn.delete("r", row)
                     replay.discard(row)
             txn.commit()
-            assert set(db.relation("r").value_tuples()) == replay
+            assert stored() == replay

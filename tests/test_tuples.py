@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.algebra.schema import RelationSchema
+from repro.algebra.domains import StringDomain
+from repro.algebra.relation import Relation
+from repro.algebra.schema import Attribute, RelationSchema
 from repro.algebra.tuples import Row, coerce_row
 from repro.errors import SchemaError
 
@@ -85,3 +87,21 @@ class TestCoerceRow:
     def test_bad_arity_rejected(self, schema):
         with pytest.raises(SchemaError):
             coerce_row(schema, (1,))
+
+
+class TestMembership:
+    def test_in_never_raises_for_a_row_that_cannot_be_present(self, schema):
+        # DomainError is a sibling of SchemaError, not a subclass: a value
+        # outside its domain used to escape ``in`` where a bad arity did not.
+        relation = Relation.from_rows(schema, [(1, 2, 3)])
+        assert (1, 2, 3) in relation
+        assert (1, 2) not in relation
+        assert "abc" not in relation
+        assert (1, 2, "x") not in relation
+        assert (1, 2, True) not in relation
+        labelled = Relation.from_rows(
+            RelationSchema([Attribute("x", StringDomain(["lo", "hi"]))]), [("hi",)]
+        )
+        assert ("hi",) in labelled
+        assert ("mid",) not in labelled
+        assert (1,) not in labelled  # a code is not a raw value
