@@ -15,6 +15,7 @@ from typing import Mapping
 
 from repro.algebra.expressions import Expression
 from repro.algebra.relation import Delta
+from repro.core.planner import evaluate_normal_form
 from repro.core.views import MaterializedView, ViewDefinition
 from repro.engine.database import Database
 from repro.errors import MaintenanceError, UnknownViewError
@@ -55,10 +56,11 @@ class FullReevaluationMaintainer:
             if not (view.definition.relation_names & deltas.keys()):
                 continue
             charge("baseline_recomputations")
-            refreshed = MaterializedView.materialize(
-                view.definition, self.database.instances()
+            view.replace_contents(
+                evaluate_normal_form(
+                    view.definition.normal_form, self.database.instances()
+                )
             )
-            view.replace_contents(refreshed.contents)
             view.updates_applied += 1
             self.recomputations[name] += 1
 

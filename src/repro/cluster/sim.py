@@ -25,7 +25,11 @@ The checked invariants:
    (non-home copies are *legitimately* stale exactly where the routing
    oracle proved staleness invisible, so they are not compared);
 5. every submitted transaction resolves — committed or aborted with a
-   typed error — and the 2PC layer drains to zero pending.
+   typed error — and the 2PC layer drains to zero pending;
+6. every shard's aggregate views are internally sound — support bags
+   render the visible rows and accumulators equal a rebuild from the
+   bags (:func:`~repro.simulation.oracle.audit_aggregate_state`),
+   shards rebuilt mid-episode included.
 
 Episodes are pure functions of ``(seed, config)``: all randomness
 flows from string-seeded :class:`random.Random` instances and all time
@@ -57,6 +61,7 @@ from repro.core.maintainer import ViewMaintainer
 from repro.engine.database import Database
 from repro.server import protocol
 from repro.simulation.clock import SimClock
+from repro.simulation.oracle import audit_aggregate_state
 
 __all__ = [
     "ClusterEpisodeResult",
@@ -570,6 +575,11 @@ class _ClusterEpisode:
             )
             if message:
                 self.divergences.append(message)
+        # 6. every shard's aggregate state is internally sound
+        for node in self.coordinator.nodes():
+            self.divergences.extend(
+                audit_aggregate_state(f"shard {node.shard_id}", node.maintainer)
+            )
         # Fold the routing counters into the batch stats.
         counters = self.coordinator.recorder.counters
         for key in (

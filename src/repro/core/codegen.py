@@ -58,9 +58,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Collection, Optional, Sequence
 
+from repro.algebra.aggregates import column_plans
 from repro.algebra.conditions import Atom, Condition, Var
 from repro.algebra.schema import RelationSchema
 from repro.algebra.tags import Tag
+from repro.core.aggregates import accumulator_slots
 from repro.core.graph import INF, ZERO
 from repro.core.truthtable import DeltaRowChoice, count_delta_rows
 from repro.errors import MaintenanceError
@@ -80,7 +82,8 @@ ValueTuple = tuple[int, ...]
 #: v5: kernels read and write ``Delta``'s count dicts directly.
 #: v6: a join order per truth-table row; steps numbered per shape.
 #: v7: every linked OLD step is an index probe (view operands included).
-CODEGEN_VERSION = 7
+#: v8: the fold kernel keeps per-group accumulators and renders from them.
+CODEGEN_VERSION = 8
 
 #: Shapes whose truth table exceeds this many rows run on
 #: :func:`~repro.core.differential.execute_planner` instead: the
@@ -785,114 +788,106 @@ def generate_aggregate_source(
 ) -> str:
     """Emit the fold kernel for one aggregate view.
 
-    The generated module holds two functions: ``render(k, bag)`` with
-    the view's column arithmetic unrolled (one shared pass accumulates
-    the group total and every SUM/AVG accumulator; MIN/MAX fold over
-    the bag's distinct rows), and ``fold_kernel(groups, ins, dele)``
-    applying one core delta to the support bags.  The kernel returns
-    ``(touched, before, after, bad)`` — the touched groups in delta
-    order, their rendered rows on both sides of the mutation, and the
-    offending core row when a delete underflows its group support
-    (``None`` otherwise); the driver
+    ``fold_kernel(groups, accs, ins, dele)`` applies one core delta to
+    the support bags *and* the per-group accumulator lists (layout:
+    :func:`~repro.core.aggregates.accumulator_slots`), and renders each
+    touched group's row on both sides of the mutation from its
+    accumulators — O(columns) per group, so the whole fold is
+    proportional to the delta.  A bag is iterated in one place only:
+    when a delete removed a core row carrying the group's current
+    MIN/MAX, the group's extrema are recomputed from the surviving bag,
+    once per such group per fold.
+
+    Every delete is checked against its bag before the first mutation
+    (the delta is netted, so the pre-state is what counts); an
+    underflow returns the offending core row in the last slot with
+    nothing changed.  Otherwise the kernel returns ``(inserted,
+    deleted, touched, rescanned, None)`` — the visible delta's two
+    count dicts (touched groups in delta order, inserts first; a changed
+    group contributes its old row out and its new row in), the number
+    of touched groups and the bag rows rescanned; the driver
     (:meth:`~repro.core.compiled.CompiledViewPlan.fold_aggregate`)
-    assembles the visible delta and charges the counters.  This is the
-    generated twin of :meth:`repro.core.aggregates.AggregateState.fold`
-    — both must agree cell for cell and in dict order.
+    charges the counters.  The reference it is held to, cell for cell
+    and in dict order, is :meth:`repro.core.aggregates.AggregateState.fold`,
+    which renders from the bags instead.
     """
     positions = core_schema.positions(spec.keys)
-    plans = [
-        (
-            column.func,
-            -1
-            if column.attribute is None
-            else core_schema.index(column.attribute),
-        )
-        for column in spec.columns
+    plans = column_plans(spec, core_schema)
+    slots = accumulator_slots(plans)
+    cells = [f"k[{i}]" for i in range(len(positions))]
+    for func, p in plans:
+        if func == "count":
+            cells.append("a[0]")
+        elif func == "avg":
+            cells.append(f"a[{slots.index(('sum', p))}] // a[0]")
+        else:
+            cells.append(f"a[{slots.index((func, p))}]")
+    row = "(" + ", ".join(cells) + ("," if len(cells) == 1 else "") + ")"
+    extrema = [
+        (i, func, p) for i, (func, p) in enumerate(slots) if func in ("min", "max")
     ]
-    sum_positions = sorted(
-        {p for func, p in plans if func in ("sum", "avg")}
-    )
+    key = _key_tuple_expr(positions, "v")
 
     out = _Emitter()
     out.emit(f"# aggregate kernel: {quoted(str(spec))}")
     out.emit(f"# core row layout: {quoted(tuple(core_schema.names))}")
+    out.emit(f"# accumulators per group: {quoted([f for f, _ in slots])}")
     out.emit()
-    out.emit("def render(k, bag):")
+    out.emit("def fold_kernel(groups, accs, ins, dele):")
     out.indent += 1
-    out.emit("total = 0")
-    for p in sum_positions:
-        out.emit(f"s{p} = 0")
-    out.emit("for v, c in bag.items():")
+    out.emit("for v, c in dele.items():")
     out.indent += 1
-    out.emit("total += c")
-    for p in sum_positions:
-        out.emit(f"s{p} += v[{p}] * c")
+    out.emit(f"bag = groups.get({key})")
+    out.emit("if bag is None or bag.get(v, 0) < c:")
+    out.emit("    return {}, {}, 0, 0, v")
     out.indent -= 1
-    out.emit("if total <= 0:")
-    out.indent += 1
-    out.emit("return None")
-    out.indent -= 1
-    cells = [f"k[{i}]" for i in range(len(positions))]
-    for func, p in plans:
-        if func == "count":
-            cells.append("total")
-        elif func == "sum":
-            cells.append(f"s{p}")
-        elif func == "avg":
-            cells.append(f"s{p} // total")
-        elif func == "min":
-            cells.append(f"min(v[{p}] for v in bag)")
-        else:  # max
-            cells.append(f"max(v[{p}] for v in bag)")
-    inner = ", ".join(cells)
-    out.emit(f"return ({inner}{',' if len(cells) == 1 else ''})")
-    out.indent -= 1
-    out.emit()
-
-    key = _key_tuple_expr(positions, "v")
-    out.emit("def fold_kernel(groups, ins, dele):")
-    out.indent += 1
-    out.emit("touched = {}")
-    out.emit("for v in ins:")
-    out.indent += 1
-    out.emit(f"touched[{key}] = 1")
-    out.indent -= 1
-    out.emit("for v in dele:")
-    out.indent += 1
-    out.emit(f"touched[{key}] = 1")
-    out.indent -= 1
+    # A group's before-row is rendered the first time a delta row
+    # reaches it, ahead of that row's own update: inserts run first, so
+    # ``before`` keeps the reference fold's touched order.
     out.emit("before = {}")
-    out.emit("for k in touched:")
-    out.indent += 1
-    out.emit("bag = groups.get(k)")
-    out.emit("if bag:")
-    out.indent += 1
-    out.emit("row = render(k, bag)")
-    out.emit("if row is not None:")
-    out.indent += 1
-    out.emit("before[k] = row")
-    out.indent -= 3
     out.emit("for v, c in ins.items():")
     out.indent += 1
     out.emit(f"k = {key}")
-    out.emit("bag = groups.get(k)")
-    out.emit("if bag is None:")
+    out.emit("a = accs.get(k)")
+    out.emit("if k not in before:")
+    out.emit(f"    before[k] = None if a is None else {row}")
+    out.emit("if a is None:")
     out.indent += 1
     out.emit("groups[k] = {v: c}")
+    fresh = ", ".join(
+        "c" if func == "count" else f"v[{p}] * c" if func == "sum" else f"v[{p}]"
+        for func, p in slots
+    )
+    out.emit(f"accs[k] = [{fresh}]")
     out.indent -= 1
     out.emit("else:")
     out.indent += 1
+    out.emit("bag = groups[k]")
     out.emit("bag[v] = bag.get(v, 0) + c")
+    for i, (func, p) in enumerate(slots):
+        if func == "count":
+            out.emit("a[0] += c")
+        elif func == "sum":
+            out.emit(f"a[{i}] += v[{p}] * c")
+        else:
+            out.emit(f"if v[{p}] {'<' if func == 'min' else '>'} a[{i}]:")
+            out.emit(f"    a[{i}] = v[{p}]")
     out.indent -= 2
+    if extrema:
+        out.emit("stale = {}")
     out.emit("for v, c in dele.items():")
     out.indent += 1
     out.emit(f"k = {key}")
-    out.emit("bag = groups.get(k)")
-    out.emit("n = (bag.get(v, 0) if bag is not None else 0) - c")
-    out.emit("if n < 0:")
-    out.indent += 1
-    out.emit("return touched, before, {}, v")
-    out.indent -= 1
+    out.emit("bag = groups[k]")
+    out.emit("a = accs[k]")
+    out.emit("if k not in before:")
+    out.emit(f"    before[k] = {row}")
+    for i, (func, p) in enumerate(slots):
+        if func == "count":
+            out.emit("a[0] -= c")
+        elif func == "sum":
+            out.emit(f"a[{i}] -= v[{p}] * c")
+    out.emit("n = bag[v] - c")
     out.emit("if n:")
     out.indent += 1
     out.emit("bag[v] = n")
@@ -903,19 +898,44 @@ def generate_aggregate_source(
     out.emit("if not bag:")
     out.indent += 1
     out.emit("del groups[k]")
-    out.indent -= 3
-    out.emit("after = {}")
-    out.emit("for k in touched:")
+    out.emit("del accs[k]")
+    out.indent -= 1
+    if extrema:
+        carried = " or ".join(f"v[{p}] == a[{i}]" for i, _, p in extrema)
+        out.emit(f"elif {carried}:")
+        out.emit("    stale[k] = a")
+    out.indent -= 2
+    if extrema:
+        # The extremum-exhaustion branch: the only place a bag is
+        # iterated.  A stale group that went on to vanish (a[0] == 0)
+        # has no bag left to scan.
+        out.emit("rescanned = 0")
+        out.emit("for k, a in stale.items():")
+        out.indent += 1
+        out.emit("if a[0]:")
+        out.indent += 1
+        out.emit("bag = groups[k]")
+        out.emit("rescanned += len(bag)")
+        for i, func, p in extrema:
+            out.emit(f"a[{i}] = {func}(v[{p}] for v in bag)")
+        out.indent -= 2
+    out.emit("inserted = {}")
+    out.emit("deleted = {}")
+    out.emit("for k, old in before.items():")
     out.indent += 1
-    out.emit("bag = groups.get(k)")
-    out.emit("if bag:")
+    out.emit("a = accs.get(k)")
+    out.emit(f"new = None if a is None else {row}")
+    out.emit("if old != new:")
     out.indent += 1
-    out.emit("row = render(k, bag)")
-    out.emit("if row is not None:")
-    out.indent += 1
-    out.emit("after[k] = row")
-    out.indent -= 3
-    out.emit("return touched, before, after, None")
+    out.emit("if old is not None:")
+    out.emit("    deleted[old] = 1")
+    out.emit("if new is not None:")
+    out.emit("    inserted[new] = 1")
+    out.indent -= 2
+    out.emit(
+        "return inserted, deleted, len(before), "
+        f"{'rescanned' if extrema else '0'}, None"
+    )
     return out.source()
 
 
@@ -939,7 +959,9 @@ _KERNEL_GLOBALS = {
 
 ScreenKernel = Callable[[dict, dict], tuple[dict, dict, int, int]]
 RowKernel = Callable[..., tuple[dict, dict, int, int, int, int]]
-AggregateKernel = Callable[[dict, dict, dict], tuple[dict, dict, dict, object]]
+AggregateKernel = Callable[
+    [dict, dict, dict, dict], tuple[dict, dict, int, int, object]
+]
 
 
 def compile_kernel(source: str, name: str, filename: str) -> Callable:

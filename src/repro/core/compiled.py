@@ -388,16 +388,20 @@ class CompiledViewPlan:
 
         The final stage of aggregate maintenance: the Section 5 pipeline
         produced ``core_delta`` over the view's SPJ core, and this fold
-        applies it to the per-group support bags, re-rendering every
-        touched group.  A group whose visible row changes contributes a
-        delete of the old row and an insert of the new one (a keyed
-        upsert, from the changefeed's point of view); a group that
-        appears or disappears contributes just the insert or delete.
+        applies it to the per-group support bags and accumulators,
+        re-rendering every touched group.  A group whose visible row
+        changes contributes a delete of the old row and an insert of
+        the new one (a keyed upsert, from the changefeed's point of
+        view); a group that appears or disappears contributes just the
+        insert or delete.
 
-        Runs the generated fold kernel, the twin of the reference
-        :meth:`~repro.core.aggregates.AggregateState.fold`; both
-        counters — ``aggregate_rows_folded`` and
-        ``aggregate_groups_touched`` — are charged here in the driver.
+        Runs the generated fold kernel, which keeps bags and
+        accumulators in step and renders from the accumulators; the
+        reference :meth:`~repro.core.aggregates.AggregateState.fold`
+        renders the same rows from the bags.  The counters —
+        ``aggregate_rows_folded``, ``aggregate_groups_touched`` and
+        ``aggregate_support_rescanned`` — are charged here in the
+        driver.  An underflowing delete raises with the state untouched.
         """
         assert self._aggregate_kernel is not None, "not an aggregate view"
         ins = core_delta.inserted
@@ -405,8 +409,8 @@ class CompiledViewPlan:
         rows = len(ins) + len(dele)
         if rows:
             charge("aggregate_rows_folded", rows)
-        touched, before, after, bad = self._aggregate_kernel[1](
-            state.groups, ins, dele
+        inserted, deleted, touched, rescanned, bad = self._aggregate_kernel[1](
+            state.groups, state.accumulators, ins, dele
         )
         if rows:
             self._counters.count("codegen_batch_rows", rows)
@@ -417,18 +421,9 @@ class CompiledViewPlan:
                 "group support holds"
             )
         if touched:
-            charge("aggregate_groups_touched", len(touched))
-        inserted: dict[ValueTuple, int] = {}
-        deleted: dict[ValueTuple, int] = {}
-        for key in touched:
-            b = before.get(key)
-            a = after.get(key)
-            if b == a:
-                continue
-            if b is not None:
-                deleted[b] = 1
-            if a is not None:
-                inserted[a] = 1
+            charge("aggregate_groups_touched", touched)
+        if rescanned:
+            charge("aggregate_support_rescanned", rescanned)
         return Delta.from_counts(state.visible_schema, inserted, deleted)
 
     def _compile_shape(

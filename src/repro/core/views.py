@@ -178,11 +178,24 @@ class MaterializedView:
         delta.apply_to(self.contents)
         self.updates_applied += 1
 
-    def replace_contents(self, contents: Relation) -> None:
-        """Take a recomputed relation's tuples (:meth:`Relation.assign`):
-        a plan that bound ``contents`` or one of its indexes keeps
-        reading the live view."""
-        self.contents.assign(contents)
+    def replace_contents(self, stored: Relation) -> None:
+        """Become the view whose :meth:`stored_contents` is ``stored``.
+
+        ``stored`` is what :meth:`from_stored` takes: a plain view's
+        recomputed contents, or an aggregate view's recomputed core,
+        which replaces bags and accumulators through
+        :meth:`~repro.core.aggregates.AggregateState.from_core` before
+        the visible rows are rendered.  ``contents`` takes the tuples
+        in place (:meth:`Relation.assign`): a plan that bound it or one
+        of its indexes keeps reading the live view.
+        """
+        spec = self.definition.aggregate
+        if spec is not None:
+            from repro.core.aggregates import AggregateState
+
+            self.aggregate_state = AggregateState.from_core(spec, stored)
+            stored = self.aggregate_state.visible_relation()
+        self.contents.assign(stored)
 
     def __len__(self) -> int:
         return len(self.contents)

@@ -35,7 +35,7 @@ from repro.core.irrelevance import filter_delta
 from repro.core.planner import evaluate_normal_form
 from repro.core.views import MaterializedView, ViewDefinition
 from repro.engine.database import Database
-from repro.errors import MaintenanceError
+from repro.errors import MaintenanceError, ViewDefinitionError
 from repro.instrumentation import CostRecorder, recording
 
 #: Operation counters that constitute "work" for the model.
@@ -128,7 +128,11 @@ class MaintenanceCostModel:
 
 
 class AdaptiveMaintainer:
-    """Maintains one view, choosing the cheaper strategy per commit.
+    """Maintains one SPJ view, choosing the cheaper strategy per commit.
+
+    Aggregate definitions are rejected with ``ViewDefinitionError``:
+    both strategies work over the SPJ core and neither runs the fold
+    stage, so an aggregate view belongs to :class:`ViewMaintainer`.
 
     Parameters
     ----------
@@ -152,6 +156,14 @@ class AdaptiveMaintainer:
         self.exploration = exploration
         self.model = model if model is not None else MaintenanceCostModel()
         definition = ViewDefinition(name, expression, database.schema_catalog())
+        if definition.aggregate is not None:
+            # Both strategies here produce a delta or a relation over
+            # the SPJ core; neither runs the fold stage that turns it
+            # into group rows.
+            raise ViewDefinitionError(
+                f"AdaptiveMaintainer maintains SPJ views; {name!r} is an "
+                "aggregate view (use ViewMaintainer)"
+            )
         self.view = MaterializedView.materialize(definition, database.instances())
         #: Every maintenance round's decision, in commit order.
         self.decisions: list[StrategyDecision] = []

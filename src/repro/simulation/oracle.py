@@ -56,6 +56,41 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.replication.follower import Follower
 
 
+def audit_aggregate_state(label: str, maintainer: "ViewMaintainer") -> list[str]:
+    """An aggregate view's three layers of state against each other.
+
+    The support bags must render exactly the cached visible contents (a
+    fold that mutated the bags but mis-rendered a group would otherwise
+    slip past the expression-level recompute only by luck), and every
+    group's accumulators must equal a rebuild from its bag — the bags
+    move by dict arithmetic, the accumulators by the generated kernel,
+    and restore, promotion and shard rebuild reconstruct the second
+    from the first.
+    """
+    divergences: list[str] = []
+    for name in maintainer.view_names():
+        view = maintainer.view(name)
+        state = view.aggregate_state
+        if state is None:
+            continue
+        rendered = state.visible_relation().counts()
+        visible = view.contents.counts()
+        if rendered != visible:
+            divergences.append(
+                f"{label}: aggregate view {name!r} support bags render "
+                f"{len(rendered)} group row(s) but the visible contents "
+                f"hold {len(visible)} — internal state diverged"
+            )
+        drifted = state.accumulator_drift()
+        if drifted:
+            divergences.append(
+                f"{label}: aggregate view {name!r} accumulators differ "
+                f"from a rebuild from the support bags in "
+                f"{len(drifted)} group(s), first {drifted[0]!r}"
+            )
+    return divergences
+
+
 def verify_maintainer(label: str, maintainer: "ViewMaintainer") -> list[str]:
     """Full recompute of every view + plan-cache staleness audit.
 
@@ -66,22 +101,7 @@ def verify_maintainer(label: str, maintainer: "ViewMaintainer") -> list[str]:
     for name, report in maintainer.verify_all(raise_on_mismatch=False).items():
         if not report.is_consistent():
             divergences.append(f"{label}: {report.summary()}")
-    # Aggregate views carry internal per-group support bags; the rows
-    # they render must agree with the cached visible contents (a fold
-    # that mutated the bags but mis-rendered a group would otherwise
-    # slip past the expression-level recompute above only by luck).
-    for name in maintainer.view_names():
-        state = maintainer.view(name).aggregate_state
-        if state is None:
-            continue
-        rendered = state.visible_relation().counts()
-        visible = maintainer.view(name).contents.counts()
-        if rendered != visible:
-            divergences.append(
-                f"{label}: aggregate view {name!r} support bags render "
-                f"{len(rendered)} group row(s) but the visible contents "
-                f"hold {len(visible)} — internal state diverged"
-            )
+    divergences.extend(audit_aggregate_state(label, maintainer))
     # A kept plan must have been compiled for the definition registered
     # under its name now (a stale one would maintain the view with
     # outdated screens).
@@ -216,18 +236,12 @@ def verify_base_free_follower(
                     "tuples — the base-free path leaked base state"
                 )
     follower.maintainer.quiesce()
+    divergences.extend(audit_aggregate_state(label, follower.maintainer))
     instances = {
         name: leader.relation(name) for name in leader.relation_names()
     }
     for name in sorted(follower.maintainer.view_names()):
         view = follower.maintainer.view(name)
-        if view.aggregate_state is not None:
-            rendered = view.aggregate_state.visible_relation().counts()
-            if rendered != view.contents.counts():
-                divergences.append(
-                    f"{label}: aggregate view {name!r} support bags "
-                    "disagree with the visible contents"
-                )
         want = evaluate(view.definition.expression, instances).counts()
         have = view.contents.counts()
         if want == have:

@@ -22,8 +22,10 @@ disappearance, re-insert after an empty group, and duplicate rows with
 equal aggregate input.
 """
 
+import re
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,6 +39,10 @@ from repro import (
     recover,
 )
 from repro.algebra.evaluate import evaluate
+from repro.algebra.relation import Delta
+from repro.baselines.full_reevaluation import FullReevaluationMaintainer
+from repro.errors import MaintenanceError, ViewDefinitionError
+from repro.extensions.estimator import AdaptiveMaintainer
 from repro.instrumentation import CostRecorder, recording
 from repro.simulation.workload import BASE_TABLES
 from tests.reference import ReferenceViews
@@ -390,3 +396,275 @@ class TestAccumulatorSemantics:
             database.apply(inserts={name: [(1, 2)]})
         assert maintainer.view("agg").contents.counts() == before
         assert_matches_recompute(maintainer, "agg", database)
+
+
+# ----------------------------------------------------------------------
+# Accumulators: the cost law, soundness under any stream, all-or-nothing
+# ----------------------------------------------------------------------
+
+#: Every accumulator kind at once: total, Σ for SUM and AVG, both
+#: extrema of one input and one extremum of another.
+WIDE_COLUMNS = [
+    ("count", None, "n"),
+    ("sum", "a", "total"),
+    ("avg", "a", "mean"),
+    ("min", "a", "lo"),
+    ("max", "a", "hi"),
+    ("max", "b", "top"),
+]
+
+
+def _one_big_group(support_rows):
+    """r(g, a, b): group 1 holds ``support_rows`` rows, a = 100, 101, …"""
+    database = Database()
+    database.create_relation(
+        "r",
+        ["g", "a", "b"],
+        [(1, 100 + i, i % 7) for i in range(support_rows)] + [(2, 5, 5), (2, 6, 1)],
+    )
+    maintainer = ViewMaintainer(database)
+    maintainer.define_view("v", BaseRef("r").aggregate(["g"], WIDE_COLUMNS))
+    # The first commit compiles the plan; it is not what is measured.
+    database.apply(inserts={"r": [(3, 0, 0)]})
+    return database, maintainer
+
+
+def _counters_of(database, **changes):
+    recorder = CostRecorder()
+    with recording(recorder):
+        database.apply(**changes)
+    return dict(recorder.counters)
+
+
+class TestFoldCostLaw:
+    def test_fold_work_does_not_grow_with_the_group(self):
+        # The same insert + interior delete against a group of 10 and of
+        # 10 000 support rows: every counter identical, no bag rescanned.
+        observed = []
+        for support_rows in (10, 10_000):
+            database, maintainer = _one_big_group(support_rows)
+            counters = _counters_of(
+                database,
+                inserts={"r": [(1, 50, 3), (2, 9, 9)]},
+                deletes={"r": [(1, 105, 5)]},
+            )
+            assert counters["aggregate_rows_folded"] == 3
+            assert counters["aggregate_groups_touched"] == 2
+            assert "aggregate_support_rescanned" not in counters
+            assert_matches_recompute(maintainer, "v", database)
+            observed.append(counters)
+        assert observed[0] == observed[1]
+
+    def test_removing_the_extremum_rescans_its_bag_once(self):
+        for support_rows in (10, 200):
+            database, maintainer = _one_big_group(support_rows)
+            state = maintainer.view("v").aggregate_state
+            # Group 1 loses its min *and* its max of ``a`` in one fold
+            # (one rescan, not two); group 2 loses its max of ``b``;
+            # group 3 loses its only row (nothing left to scan).
+            counters = _counters_of(
+                database,
+                deletes={
+                    "r": [
+                        (1, 100, 0),
+                        (1, 100 + support_rows - 1, (support_rows - 1) % 7),
+                        (2, 5, 5),
+                        (3, 0, 0),
+                    ]
+                },
+            )
+            assert counters["aggregate_support_rescanned"] == (
+                len(state.groups[(1,)]) + len(state.groups[(2,)])
+            )
+            assert len(state.groups[(1,)]) == support_rows - 2
+            assert (3,) not in state.groups
+            assert state.accumulator_drift() == []
+            assert_matches_recompute(maintainer, "v", database)
+
+    def test_generated_source_iterates_a_bag_in_one_branch_only(self):
+        _, maintainer = _one_big_group(2)
+        lines = maintainer.compiled_plan("v")._aggregate_kernel[0].splitlines()
+        assert not any("render" in line for line in lines)
+
+        def depth(line):
+            return len(line) - len(line.lstrip())
+
+        iterates_a_bag = re.compile(
+            r"\bfor\b[^:]*\bin\s+(bag|groups)\b"
+            r"|\b(bag|groups\[\w+\])\.(items|values|keys)\("
+        )
+        (branch,) = [n for n, line in enumerate(lines) if "in stale.items()" in line]
+        block_end = next(
+            n
+            for n in range(branch + 1, len(lines))
+            if lines[n].strip() and depth(lines[n]) <= depth(lines[branch])
+        )
+        scans = [n for n, line in enumerate(lines) if iterates_a_bag.search(line)]
+        # Every bag scan sits inside the extremum-exhaustion block.
+        assert scans and all(branch < n < block_end for n in scans)
+        # No extremum, no branch: COUNT/SUM/AVG never look inside a bag.
+        database = Database()
+        database.create_relation("r", ["g", "a"], [(1, 2)])
+        totals = ViewMaintainer(database)
+        totals.define_view(
+            "t", BaseRef("r").aggregate(["g"], [("avg", "a", "mean")])
+        )
+        database.apply(inserts={"r": [(1, 3)]})
+        source = totals.compiled_plan("t")._aggregate_kernel[0]
+        assert "stale" not in source
+        assert not any(map(iterates_a_bag.search, source.splitlines()))
+
+    def test_a_surviving_copy_keeps_the_extremum_without_a_rescan(self):
+        # Two base rows project onto the core row (1, 9): deleting one
+        # leaves the value supported, so nothing is rescanned.
+        database = Database()
+        database.create_relation(
+            "r", ["A", "B", "C"], [(1, 10, 9), (1, 20, 9), (1, 30, 4)]
+        )
+        maintainer = ViewMaintainer(database)
+        maintainer.define_view("mm", MINMAX_VIEW)
+        counters = _counters_of(database, deletes={"r": [(1, 10, 9)]})
+        assert "aggregate_support_rescanned" not in counters
+        counters = _counters_of(database, deletes={"r": [(1, 20, 9)]})
+        assert counters["aggregate_support_rescanned"] == 1
+
+
+_small_rows = st.tuples(
+    st.integers(0, 2), st.integers(-4, 4), st.integers(-2, 2)
+)
+
+
+class TestAccumulatorsEqualARebuild:
+    @given(
+        keys=st.sampled_from([["g"], []]),
+        initial=st.sets(_small_rows, max_size=8),
+        steps=st.lists(
+            st.lists(st.tuples(st.booleans(), _small_rows), min_size=1, max_size=5),
+            max_size=12,
+        ),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_after_every_fold_of_a_legal_stream(self, keys, initial, steps):
+        # Tiny domains on purpose: negative inputs (floor-division AVG),
+        # rows that differ only in the column an extremum ignores,
+        # groups that vanish and come back, and the () global group.
+        database = Database()
+        database.create_relation("r", ["g", "a", "b"], sorted(initial))
+        maintainer = ViewMaintainer(database)
+        maintainer.define_view("v", BaseRef("r").aggregate(keys, WIDE_COLUMNS))
+        state = maintainer.view("v").aggregate_state
+        assert state.accumulator_drift() == []
+        held = set(initial)
+        for step in steps:
+            inserts = {row for delete, row in step if not delete} - held
+            deletes = {row for delete, row in step if delete} & held
+            database.apply(
+                inserts={"r": sorted(inserts)}, deletes={"r": sorted(deletes)}
+            )
+            held = (held | inserts) - deletes
+            assert state.accumulator_drift() == []
+            assert state.accumulators.keys() == state.groups.keys()
+            assert_matches_recompute(maintainer, "v", database)
+
+    def test_drift_is_reported(self):
+        database, maintainer = _one_big_group(4)
+        state = maintainer.view("v").aggregate_state
+        state.accumulators[(1,)][1] += 1
+        del state.accumulators[(2,)]
+        assert state.accumulator_drift() == [(1,), (2,)]
+
+
+def _snapshot(view):
+    state = view.aggregate_state
+    return repr(
+        (
+            {key: dict(bag) for key, bag in state.groups.items()},
+            {key: list(acc) for key, acc in state.accumulators.items()},
+            view.contents.counts(),
+        )
+    )
+
+
+class TestUnderflowIsAllOrNothing:
+    # Legal rows first, the underflow last: a fold that mutates as it
+    # goes has already changed groups 1 and 2 when it finds out.
+    INSERTED = {(1, 7, 7): 1, (4, 1, 1): 1}
+    DELETED = {(1, 100, 0): 1, (2, 5, 5): 1, (2, 6, 1): 2}
+
+    def test_kernel_fold_leaves_no_trace(self):
+        database, maintainer = _one_big_group(6)
+        view = maintainer.view("v")
+        before = _snapshot(view)
+        core_delta = Delta.from_counts(
+            view.aggregate_state.core_schema, self.INSERTED, self.DELETED
+        )
+        with pytest.raises(MaintenanceError, match=r"core row \(2, 6, 1\)"):
+            maintainer.compiled_plan("v").fold_aggregate(
+                view.aggregate_state, core_delta
+            )
+        assert _snapshot(view) == before
+        # …and the view is still maintainable afterwards.
+        database.apply(deletes={"r": [(2, 6, 1)]})
+        assert_matches_recompute(maintainer, "v", database)
+
+    def test_reference_fold_leaves_no_trace(self):
+        database, maintainer = _one_big_group(6)
+        view = maintainer.view("v")
+        before = _snapshot(view)
+        *_, bad = view.aggregate_state.fold(self.INSERTED, self.DELETED)
+        assert bad == (2, 6, 1)
+        assert _snapshot(view) == before
+
+    def test_a_missing_group_underflows_too(self):
+        database, maintainer = _one_big_group(2)
+        state = maintainer.view("v").aggregate_state
+        before = _snapshot(maintainer.view("v"))
+        *_, bad = state.fold({}, {(9, 9, 9): 1})
+        assert bad == (9, 9, 9)
+        kernel = maintainer.compiled_plan("v")._aggregate_kernel[1]
+        *_, bad = kernel(state.groups, state.accumulators, {}, {(9, 9, 9): 1})
+        assert bad == (9, 9, 9)
+        assert _snapshot(maintainer.view("v")) == before
+
+
+class TestReplaceContents:
+    EXPRESSION = BaseRef("r").aggregate(["g"], [("min", "m", "lo"), ("count", None, "n")])
+
+    def test_full_reevaluation_keeps_the_aggregate_state_current(self):
+        # Regression: the baseline replaced ``contents`` only, so the
+        # bags (and with them ``stored_contents()``, what a checkpoint
+        # persists) stayed at the state the view was defined in.
+        database = Database()
+        database.create_relation("r", ["g", "m"], [(1, 5)])
+        baseline = FullReevaluationMaintainer(database)
+        view = baseline.define_view("v", self.EXPRESSION)
+        database.apply(inserts={"r": [(1, 2)]})
+        assert dict(view.contents.counts()) == {(1, 2, 2): 1}
+        state = view.aggregate_state
+        assert state.visible_relation().counts() == view.contents.counts()
+        assert view.stored_contents().counts() == database.relation("r").counts()
+        assert state.accumulator_drift() == []
+
+    def test_a_replaced_view_folds_on_from_the_new_state(self):
+        database = Database()
+        database.create_relation("r", ["g", "m"], [(1, 5), (2, 8)])
+        maintainer = ViewMaintainer(database)
+        maintainer.define_view("v", self.EXPRESSION)
+        view = maintainer.view("v")
+        contents = view.contents
+        # A change made around the commit pipeline, then a resync.
+        database.relation("r").add((1, 2))
+        view.replace_contents(database.relation("r"))
+        assert view.contents is contents
+        database.apply(deletes={"r": [(1, 2)]}, inserts={"r": [(2, 1)]})
+        assert dict(contents.counts()) == {(1, 5, 1): 1, (2, 1, 2): 1}
+        assert view.aggregate_state.accumulator_drift() == []
+        assert_matches_recompute(maintainer, "v", database)
+
+    def test_adaptive_maintainer_rejects_aggregates(self):
+        # Neither of its strategies runs the fold stage; before, the
+        # first commit died with a SchemaError inside the commit hook.
+        database = Database()
+        database.create_relation("r", ["g", "m"], [(1, 5)])
+        with pytest.raises(ViewDefinitionError, match="aggregate"):
+            AdaptiveMaintainer(database, "v", self.EXPRESSION)
