@@ -460,6 +460,8 @@ class ClusterCoordinator:
                     "deletes": raw_ops["deletes"],
                 }
             )
+            # Appending encodes the event once and hands it to the feed's
+            # listeners — an attached ClusterServer's fan-out.
             for view in sorted(merged):
                 self.feeds[view].append(self._emitted_seq, merged[view])
             for hook in list(self.emit_hooks):

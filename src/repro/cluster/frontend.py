@@ -59,33 +59,28 @@ class ClusterServer(ViewServer):
         self.coordinator = coordinator
         home = coordinator.nodes()[HOME_SHARD]
         super().__init__(home.database, home.maintainer, config)
-        coordinator.emit_hooks.append(self._on_cluster_event)
 
     # ------------------------------------------------------------------
     # Changefeed plumbing: the coordinator owns the merged feeds
     # ------------------------------------------------------------------
     def _attach_feed(self, view_name: str) -> Changefeed:
         # Override: never subscribe to the home maintainer — per-shard
-        # deltas are partial.  The coordinator appends merged events.
-        feed = self.coordinator.feeds[view_name]
-        self._feeds[view_name] = feed
+        # deltas are partial.  The coordinator appends merged events, in
+        # ``cluster_seq`` order and view-name order within one, and the
+        # feed hands each to the inherited fan-out.
+        feed = self._feeds.get(view_name)
+        if feed is None:
+            feed = self._feeds[view_name] = self.coordinator.feeds[view_name]
+            feed.listeners.append(self._fan_out)
         return feed
 
-    def _on_cluster_event(
-        self, sequence: int, merged: Mapping[str, Mapping[str, Any]]
-    ) -> None:
-        for name in sorted(merged):
-            targets = self._subscribers.get(name)
-            if not targets:
-                continue
-            for session, subscription_id in list(targets):
-                sent = session.send_frame(
-                    protocol.delta_event(
-                        subscription_id, name, sequence, dict(merged[name])
-                    )
-                )
-                if sent:
-                    self.recorder.incr("server_events_sent")
+    def _feed_position(self, view_name: str) -> tuple[Changefeed, int]:
+        if view_name not in self.coordinator.feeds:
+            raise ProtocolError(
+                protocol.E_UNKNOWN_TARGET,
+                f"{view_name!r} names no view (subscriptions are per-view)",
+            )
+        return self._attach_feed(view_name), self.coordinator.last_sequence
 
     # ------------------------------------------------------------------
     # Data-plane overrides
@@ -143,40 +138,6 @@ class ClusterServer(ViewServer):
             "txn": txn_id,
             "seq": outcome["cluster_seq"],
             "applied": outcome["applied"],
-        }
-
-    def _op_subscribe(
-        self, session: Session | LocalSession, doc: Mapping[str, Any]
-    ) -> dict[str, Any]:
-        view_name = protocol.request_field(doc, "view", str)
-        after = protocol.request_field(doc, "from", int, required=False)
-        feed = self.coordinator.feeds.get(view_name)
-        if feed is None:
-            raise ProtocolError(
-                protocol.E_UNKNOWN_TARGET,
-                f"{view_name!r} names no view (subscriptions are per-view)",
-            )
-        current = self.coordinator.last_sequence
-        replay: list[tuple[int, dict[str, Any]]] = []
-        if after is not None and after < current:
-            replay = feed.since(after)
-        subscription_id = session.new_subscription(view_name)
-        self._subscribers.setdefault(view_name, []).append(
-            (session, subscription_id)
-        )
-        self.recorder.incr("server_subscriptions_opened")
-        for sequence, delta_doc in replay:
-            session.pending_events.append(
-                protocol.delta_event(
-                    subscription_id, view_name, sequence, delta_doc
-                )
-            )
-        self.recorder.incr("server_events_sent", len(replay))
-        return {
-            "subscription": subscription_id,
-            "view": view_name,
-            "seq": current,
-            "replayed": len(replay),
         }
 
     def _op_stats(

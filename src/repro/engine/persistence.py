@@ -15,7 +15,7 @@ intervals, and enumerated string domains (labels stored verbatim).
 from __future__ import annotations
 
 import json
-from typing import IO, Any
+from typing import IO, Any, Mapping
 
 from repro.algebra.domains import (
     Domain,
@@ -34,6 +34,24 @@ FORMAT_VERSION = 1
 
 class PersistenceError(ReproError):
     """A document could not be encoded or decoded."""
+
+
+# ----------------------------------------------------------------------
+# Canonical bytes (what WAL checksums and wire frames are taken over)
+# ----------------------------------------------------------------------
+
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def canonical_json(value: Any) -> bytes:
+    """``value`` as sorted-key, no-whitespace, ASCII-escaped JSON bytes.
+
+    Byte-for-byte ``json.dumps(value, sort_keys=True, separators=(",",
+    ":"))``.  A nested document encodes to the same bytes it has on its
+    own, which is what lets the WAL and the changefeed dump a delta
+    once and splice the bytes into the envelope around it.
+    """
+    return _CANONICAL.encode(value).encode("utf-8")
 
 
 # ----------------------------------------------------------------------
@@ -189,7 +207,7 @@ def delta_from_document(schema: RelationSchema, doc: dict[str, Any]) -> Delta:
         raise PersistenceError(f"delta document is malformed: {exc}") from exc
 
 
-def deltas_to_document(deltas: "dict[str, Delta]") -> dict[str, Any]:
+def deltas_to_document(deltas: "Mapping[str, Delta]") -> dict[str, Any]:
     """Encode a commit's per-relation deltas (empty ones are dropped)."""
     return {
         name: delta_to_document(delta)

@@ -176,7 +176,7 @@ METRICS: dict[str, Metric] = _declare(
         ("server_subscriptions_opened", "subscriptions", "subscribe requests accepted"),
         ("server_events_sent", "events", "changefeed events queued to subscribers"),
         ("server_bytes_written", "bytes", "bytes written to session sockets"),
-        ("server_slow_consumer_disconnects", "sessions", "sessions dropped because their outbox was full"),
+        ("server_slow_consumer_disconnects", "sessions", "sessions dropped because their pending frames passed outbox_frames"),
         ("server_scheduler_refreshes", "calls", "deferred-view refreshes run inside a txn request"),
     )),
 )

@@ -70,7 +70,7 @@ class DurabilityManager:
     def _on_commit(self, txn_id: int, deltas: Mapping[str, Delta]) -> None:
         if not deltas:
             return
-        self._writer.append(txn_id, deltas_to_document(dict(deltas)))
+        self._writer.append(txn_id, deltas_to_document(deltas))
 
     @property
     def position(self) -> int:

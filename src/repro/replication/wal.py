@@ -37,8 +37,9 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator
 
+from repro.engine.persistence import canonical_json
 from repro.errors import ReplicationError
 from repro.instrumentation import charge
 
@@ -91,16 +92,14 @@ class WalRecord:
 # Line codec
 # ----------------------------------------------------------------------
 
-def _canonical(body: dict[str, Any]) -> bytes:
-    return json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
 def encode_record(sequence: int, txn_id: int, deltas_doc: dict[str, Any]) -> bytes:
-    """Serialize one record to its checksummed JSONL line (with newline)."""
-    body = {"seq": sequence, "txn": txn_id, "deltas": deltas_doc}
-    crc = zlib.crc32(_canonical(body))
-    line = json.dumps({"body": body, "crc": crc}, sort_keys=True, separators=(",", ":"))
-    return line.encode("utf-8") + b"\n"
+    """Serialize one record to its checksummed JSONL line (with newline).
+
+    The body is dumped once; its bytes are what the checksum covers and
+    what the envelope carries.
+    """
+    body = canonical_json({"seq": sequence, "txn": txn_id, "deltas": deltas_doc})
+    return b'{"body":%b,"crc":%d}\n' % (body, zlib.crc32(body))
 
 
 def decode_line(raw: bytes) -> WalRecord | None:
@@ -118,7 +117,7 @@ def decode_line(raw: bytes) -> WalRecord | None:
         return None
     if not isinstance(deltas_doc, dict):
         return None
-    if zlib.crc32(_canonical(body)) != crc:
+    if zlib.crc32(canonical_json(body)) != crc:
         return None
     return WalRecord(sequence, txn_id, deltas_doc)
 
@@ -351,10 +350,10 @@ class WalWriter:
         """Sequence of the last appended (or recovered) record."""
         return self._last_sequence
 
-    def append(self, txn_id: int, deltas_doc: Mapping[str, Any]) -> int:
+    def append(self, txn_id: int, deltas_doc: dict[str, Any]) -> int:
         """Append one committed transaction; returns its sequence."""
         sequence = self._last_sequence + 1
-        line = encode_record(sequence, txn_id, dict(deltas_doc))
+        line = encode_record(sequence, txn_id, deltas_doc)
         stream = self._stream_for(sequence)
         self._io.write(stream, line)
         if self.sync == "commit":

@@ -35,6 +35,7 @@ import json
 import struct
 from typing import Any, BinaryIO
 
+from repro.engine.persistence import canonical_json
 from repro.errors import ReproError
 
 #: Bumped on any incompatible frame- or document-shape change.
@@ -70,8 +71,6 @@ E_TOO_MANY_SESSIONS = "too_many_sessions"
 E_SHUTTING_DOWN = "shutting_down"
 #: The request exceeded the server's per-request timeout.
 E_TIMEOUT = "timeout"
-#: The session's outbox overflowed (slow-subscriber policy).
-E_SLOW_CONSUMER = "slow_consumer"
 #: A cluster transaction aborted because a shard stayed unreachable
 #: past the coordinator's two-phase-commit timeout (retry is safe: the
 #: abort is durable before the error is reported).
@@ -102,7 +101,33 @@ class ServerError(ReproError):
 
 def encode_frame(doc: dict[str, Any]) -> bytes:
     """Serialize one document to its framed wire form."""
-    payload = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    payload = canonical_json(doc)
+    return _HEADER.pack(len(payload)) + payload
+
+
+# An event frame is ``encode_frame(delta_event(...))`` byte for byte, but
+# built without a pass over the delta per subscriber: with sorted keys the
+# payload is a *head* (the delta — dumped once per view delta — and the
+# sequence), the subscription id, and a *tail* (the view name, fixed per
+# view).
+
+def event_head(sequence: int, delta_doc: dict[str, Any]) -> bytes:
+    """An event payload up to its subscription id: the one dump of a
+    view delta, shared by every subscriber it will ever reach."""
+    return b'{"delta":%b,"event":"delta","seq":%d,"subscription":' % (
+        canonical_json(delta_doc),
+        sequence,
+    )
+
+
+def event_tail(view_name: str) -> bytes:
+    """What follows the subscription id in every event of one view."""
+    return b',"view":%b}' % canonical_json(view_name)
+
+
+def encode_event(head: bytes, subscription_id: int, tail: bytes) -> bytes:
+    """One subscriber's framed event, spliced from the shared parts."""
+    payload = b"%b%d%b" % (head, subscription_id, tail)
     return _HEADER.pack(len(payload)) + payload
 
 
@@ -203,7 +228,7 @@ def response_error(request_id: Any, code: str, message: str) -> dict[str, Any]:
 def delta_event(
     subscription_id: int, view_name: str, sequence: int, delta_doc: dict[str, Any]
 ) -> dict[str, Any]:
-    """A changefeed event document."""
+    """A changefeed event document (the shape :func:`encode_event` splices)."""
     return {
         "event": "delta",
         "subscription": subscription_id,

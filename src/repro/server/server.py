@@ -12,7 +12,8 @@ sessions serialize exactly as in-process callers' do, and the
 maintainer's commit hooks fire inside the committing request.  Those
 hooks are also the changefeed: the server subscribes to every view and
 fans each applied view delta out to the sessions subscribed to it —
-through bounded per-session outboxes, so one stalled reader is
+dumped to JSON once, whatever the number of subscribers, and queued on
+bounded per-session pending lists, so one stalled reader is
 disconnected (the slow-consumer policy) rather than allowed to wedge
 the commit path.
 
@@ -28,10 +29,10 @@ import asyncio
 import contextlib
 import threading
 from collections import deque
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.algebra.conditions import Condition
-from repro.algebra.relation import Delta, Relation
+from repro.algebra.relation import Relation
 from repro.core.maintainer import ViewMaintainer
 from repro.engine.database import Database
 from repro.engine.persistence import delta_to_document
@@ -56,10 +57,11 @@ class ServerConfig:
 
     ``port=0`` binds an ephemeral port (the bound one is published on
     :attr:`ViewServer.port` after start — the test-friendly default).
-    ``outbox_frames`` bounds each session's outbound queue; a frame that
-    does not fit disconnects the session (see ``docs/server.md`` for the
-    full backpressure policy).  ``changefeed_history`` is how many past
-    view deltas are retained per view for resumable subscriptions.
+    ``outbox_frames`` bounds the frames a session holds that its
+    transport has not taken yet; a frame that does not fit disconnects
+    the session (see ``docs/server.md`` for the full backpressure
+    policy).  ``changefeed_history`` is how many past view deltas are
+    retained per view for resumable subscriptions.
     """
 
     __slots__ = (
@@ -110,29 +112,42 @@ class ServerConfig:
 class Changefeed:
     """One view's retained delta history (the resumable-offset window).
 
-    Fed by the maintainer's subscriber hook, consumed by ``subscribe``
-    requests carrying a ``from`` position.  :attr:`floor` is the highest
-    sequence *not* retained: a subscriber may resume from any position
-    ``>= floor`` and miss nothing; anything older is out of range.
+    Fed by the maintainer's subscriber hook (or, in a cluster, by the
+    coordinator's merge), consumed by ``subscribe`` requests carrying a
+    ``from`` position.  :meth:`append` is where a view delta is
+    serialised — once, into the event head
+    (:func:`~repro.server.protocol.event_head`) the ring retains and
+    every listener (a server's fan-out) receives.  :attr:`floor` is the
+    highest sequence *not* retained: a subscriber may resume from any
+    position ``>= floor`` and miss nothing; anything older is out of
+    range.
     """
 
-    __slots__ = ("view_name", "events", "floor")
+    __slots__ = ("view_name", "tail", "events", "floor", "listeners")
 
     def __init__(self, view_name: str, base_sequence: int, capacity: int) -> None:
         self.view_name = view_name
-        #: Retained ``(sequence, delta_document)`` pairs, oldest first.
-        self.events: deque[tuple[int, dict[str, Any]]] = deque(maxlen=capacity)
+        #: The bytes closing every event frame of this view.
+        self.tail = protocol.event_tail(view_name)
+        #: Retained ``(sequence, event_head)`` pairs, oldest first.
+        self.events: deque[tuple[int, bytes]] = deque(maxlen=capacity)
         #: Highest sequence that is no longer replayable.
         self.floor = base_sequence
+        #: Called with ``(feed, event_head)`` on every append.
+        self.listeners: list[Callable[[Changefeed, bytes], None]] = []
 
     def append(self, sequence: int, delta_doc: dict[str, Any]) -> None:
-        """Retain one applied view delta, evicting the oldest if full."""
+        """Encode and retain one applied view delta, evicting the oldest
+        if full, and hand the encoded event to the listeners."""
+        head = protocol.event_head(sequence, delta_doc)
         if self.events.maxlen is not None and len(self.events) == self.events.maxlen:
             self.floor = self.events[0][0]
-        self.events.append((sequence, delta_doc))
+        self.events.append((sequence, head))
+        for listener in self.listeners:
+            listener(self, head)
 
-    def since(self, after: int) -> list[tuple[int, dict[str, Any]]]:
-        """Retained events with ``sequence > after``.
+    def since(self, after: int) -> list[tuple[int, bytes]]:
+        """Retained ``(sequence, event_head)`` pairs with ``sequence > after``.
 
         Raises :class:`~repro.server.protocol.ProtocolError`
         (``offset_out_of_range``) when ``after`` precedes the window.
@@ -143,7 +158,7 @@ class Changefeed:
                 f"view {self.view_name!r} retains deltas after sequence "
                 f"{self.floor}; cannot resume from {after}",
             )
-        return [(seq, doc) for seq, doc in self.events if seq > after]
+        return [(seq, head) for seq, head in self.events if seq > after]
 
 
 class ViewServer:
@@ -334,7 +349,7 @@ class ViewServer:
             targets.remove(entry)
 
     # ------------------------------------------------------------------
-    # The changefeed (maintainer hook → session outboxes)
+    # The changefeed (maintainer hook → feed ring → session frames)
     # ------------------------------------------------------------------
     def _attach_feed(self, view_name: str) -> Changefeed:
         feed = self._feeds.get(view_name)
@@ -345,26 +360,28 @@ class ViewServer:
                 view.last_refresh_sequence,
                 self.config.changefeed_history,
             )
+            feed.listeners.append(self._fan_out)
             self._feeds[view_name] = feed
             self.maintainer.subscribe(
-                view_name, lambda v, delta: self._on_view_delta(v, delta)
+                view_name,
+                lambda v, delta: feed.append(
+                    v.last_refresh_sequence, delta_to_document(delta)
+                ),
             )
         return feed
 
-    def _on_view_delta(self, view, delta: Delta) -> None:
-        sequence = view.last_refresh_sequence
-        delta_doc = delta_to_document(delta)
-        name = view.definition.name
-        self._feeds[name].append(sequence, delta_doc)
-        targets = self._subscribers.get(name)
+    def _fan_out(self, feed: Changefeed, head: bytes) -> None:
+        """Queue one already-encoded view delta on every subscribed session."""
+        targets = self._subscribers.get(feed.view_name)
         if not targets:
             return
+        sent = 0
         for session, subscription_id in list(targets):
-            sent = session.send_frame(
-                protocol.delta_event(subscription_id, name, sequence, delta_doc)
-            )
-            if sent:
-                self.recorder.incr("server_events_sent")
+            if session.send_frame(
+                protocol.encode_event(head, subscription_id, feed.tail)
+            ):
+                sent += 1
+        self.recorder.incr("server_events_sent", sent)
 
     # ------------------------------------------------------------------
     # Request dispatch
@@ -564,9 +581,9 @@ class ViewServer:
             "applied": applied,
         }
 
-    def _op_subscribe(self, session: Session, doc: Mapping[str, Any]) -> dict[str, Any]:
-        view_name = protocol.request_field(doc, "view", str)
-        after = protocol.request_field(doc, "from", int, required=False)
+    def _feed_position(self, view_name: str) -> tuple[Changefeed, int]:
+        """The feed a subscription to ``view_name`` follows, and the
+        sequence that view stands at."""
         try:
             view = self.maintainer.view(view_name)
         except UnknownViewError:
@@ -574,9 +591,13 @@ class ViewServer:
                 protocol.E_UNKNOWN_TARGET,
                 f"{view_name!r} names no view (subscriptions are per-view)",
             ) from None
-        feed = self._attach_feed(view_name)
-        current = view.last_refresh_sequence
-        replay: list[tuple[int, dict[str, Any]]] = []
+        return self._attach_feed(view_name), view.last_refresh_sequence
+
+    def _op_subscribe(self, session: Session, doc: Mapping[str, Any]) -> dict[str, Any]:
+        view_name = protocol.request_field(doc, "view", str)
+        after = protocol.request_field(doc, "from", int, required=False)
+        feed, current = self._feed_position(view_name)
+        replay: list[tuple[int, bytes]] = []
         if after is not None and after < current:
             replay = feed.since(after)
         subscription_id = session.new_subscription(view_name)
@@ -584,11 +605,11 @@ class ViewServer:
             (session, subscription_id)
         )
         self.recorder.incr("server_subscriptions_opened")
-        # Catch-up events are staged; the session flushes them right
+        # Catch-up events are staged; the session sends them right
         # after this response, so confirmation always precedes deltas.
-        for sequence, delta_doc in replay:
+        for _, head in replay:
             session.pending_events.append(
-                protocol.delta_event(subscription_id, view_name, sequence, delta_doc)
+                protocol.encode_event(head, subscription_id, feed.tail)
             )
         self.recorder.incr("server_events_sent", len(replay))
         return {

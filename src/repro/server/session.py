@@ -1,4 +1,4 @@
-"""One connected client: framing loop, outbox, backpressure policy.
+"""One connected client: framing loop, batched writes, backpressure policy.
 
 A :class:`Session` owns exactly one TCP connection.  Requests are read
 and handled *sequentially* (a client that wants parallelism opens more
@@ -6,14 +6,17 @@ connections), so a session never interleaves two of its own requests;
 different sessions interleave only at ``await`` points, and all
 database work is synchronous — the event loop serializes every commit.
 
-All outbound frames — responses and changefeed events alike — pass
-through one bounded outbox queue drained by a writer task.  That queue
-is the server's backpressure boundary: when a client stops reading, the
-kernel socket buffer fills, the writer task blocks in ``drain()``, the
-outbox fills, and the next frame that does not fit triggers the
-slow-consumer policy — the session is *disconnected*, never awaited,
-so one stalled subscriber cannot wedge the commit path fanning out to
-everyone else.
+All outbound frames — responses and changefeed events alike — are
+appended, already encoded, to one pending list per session, and one
+flush per loop iteration hands the joined bytes to the transport: the
+frames a commit produces for a connection leave in a single write.
+That list is the server's backpressure boundary: when a client stops
+reading, the kernel socket buffer fills, the transport's own buffer
+passes its high-water mark, flushing stops until it drains, the pending
+list grows, and the frame that would take it past ``outbox_frames``
+triggers the slow-consumer policy — the session is *disconnected*,
+never awaited, so one stalled subscriber cannot wedge the commit path
+fanning out to everyone else.
 """
 
 from __future__ import annotations
@@ -34,28 +37,34 @@ class Session:
         self.reader = reader
         self.writer = writer
         self.session_id = session_id
-        config = server.config
-        self.outbox: asyncio.Queue = asyncio.Queue(maxsize=config.outbox_frames)
+        self._loop = asyncio.get_running_loop()
+        #: Encoded frames not yet handed to the transport; at most
+        #: ``outbox_frames`` of them (the slow-consumer bound).
+        self._pending: list[bytes] = []
+        self._flush_scheduled = False
+        #: Transport writes made so far: one per flush, whatever it held.
+        self.writes = 0
+        #: Exists only while the transport is above its high-water mark.
+        self._drain_waiter: asyncio.Task | None = None
+        self._high_water = writer.transport.get_write_buffer_limits()[1]
         #: subscription id → view name (ids are per-session).
         self.subscriptions: dict[int, str] = {}
         self._next_subscription_id = 1
-        #: Events staged by a ``subscribe`` handler, flushed right after
-        #: its response so the response frame always precedes them.
-        self.pending_events: list[dict[str, Any]] = []
+        #: Event frames staged by a ``subscribe`` handler, sent right
+        #: after its response so the response frame always precedes them.
+        self.pending_events: list[bytes] = []
         self.closing = False
         self.close_reason: str | None = None
         self._aborted = False
         self._idle = asyncio.Event()
         self._idle.set()
-        self._writer_task: asyncio.Task | None = None
         self.task: asyncio.Task | None = None
 
     # ------------------------------------------------------------------
-    # Main loops
+    # Main loop
     # ------------------------------------------------------------------
     async def run(self) -> None:
         """Read → handle → respond until EOF, error, or shutdown."""
-        self._writer_task = asyncio.create_task(self._writer_loop())
         try:
             await self._read_loop()
         except asyncio.CancelledError:
@@ -63,7 +72,9 @@ class Session:
         except ProtocolError as exc:
             # Framing violations are fatal: report once, then hang up
             # (the stream can no longer be trusted to re-synchronize).
-            self.send_frame(protocol.response_error(None, exc.code, str(exc)))
+            self.send_frame(
+                protocol.encode_frame(protocol.response_error(None, exc.code, str(exc)))
+            )
             self.close_reason = self.close_reason or exc.code
         except (ConnectionError, OSError):
             self.close_reason = self.close_reason or "io_error"
@@ -85,17 +96,16 @@ class Session:
     async def _handle(self, doc: dict[str, Any]) -> None:
         config = self.server.config
         try:
-            response = await asyncio.wait_for(
-                self.server.dispatch(self, doc), config.request_timeout
-            )
-        except (asyncio.TimeoutError, TimeoutError):
+            async with asyncio.timeout(config.request_timeout):
+                response = await self.server.dispatch(self, doc)
+        except TimeoutError:
             self.pending_events.clear()
             response = protocol.response_error(
                 doc.get("id"),
                 protocol.E_TIMEOUT,
                 f"request exceeded the {config.request_timeout}s limit",
             )
-        self.send_frame(response)
+        self.send_frame(protocol.encode_frame(response))
         # Subscription catch-up: staged after the response so a resumed
         # subscriber always sees its confirmation before any event.
         events, self.pending_events = self.pending_events, []
@@ -103,48 +113,65 @@ class Session:
             if not self.send_frame(event):
                 break
 
-    async def _writer_loop(self) -> None:
-        try:
-            while True:
-                frame = await self.outbox.get()
-                if frame is None:
-                    break
-                self.writer.write(frame)
-                await self.writer.drain()
-                self.server.recorder.incr("server_bytes_written", len(frame))
-        except (ConnectionError, OSError):
-            self.closing = True
-            self.close_reason = self.close_reason or "io_error"
-
     # ------------------------------------------------------------------
     # Outbound frames and the slow-consumer policy
     # ------------------------------------------------------------------
-    def send_frame(self, doc: dict[str, Any]) -> bool:
-        """Enqueue one outbound frame; False when the session is done for.
+    def send_frame(self, frame: bytes) -> bool:
+        """Queue one encoded frame; False when the session is done for.
 
-        Never blocks.  A full outbox means the peer has stopped reading
-        faster than the server produces: the session is aborted on the
-        spot (slow-consumer policy) rather than awaited.
+        Never blocks and never writes: the frame joins the pending list
+        and everything queued during this loop iteration reaches the
+        transport in one write.  A full list means the peer has stopped
+        reading faster than the server produces: the session is aborted
+        on the spot (slow-consumer policy) rather than awaited.
         """
         if self.closing:
             return False
-        try:
-            self.outbox.put_nowait(protocol.encode_frame(doc))
-        except asyncio.QueueFull:
+        if len(self._pending) >= self.server.config.outbox_frames:
             self.server.recorder.incr("server_slow_consumer_disconnects")
             self.abort("slow_consumer")
             return False
+        self._pending.append(frame)
+        if not self._flush_scheduled and self._drain_waiter is None:
+            self._flush_scheduled = True
+            self._loop.call_soon(self._flush)
         return True
 
+    def _flush(self) -> None:
+        """Hand every pending frame to the transport in one write."""
+        self._flush_scheduled = False
+        if not self._pending or self._drain_waiter is not None:
+            return
+        data = b"".join(self._pending)
+        self._pending.clear()
+        # Counted first: whoever has read the bytes reads settled counts.
+        self.writes += 1
+        self.server.recorder.incr("server_bytes_written", len(data))
+        self.writer.write(data)
+        if self.writer.transport.get_write_buffer_size() > self._high_water:
+            self._drain_waiter = self._loop.create_task(self._flush_when_drained())
+
+    async def _flush_when_drained(self) -> None:
+        try:
+            await self.writer.drain()
+        except (ConnectionError, OSError):
+            self.closing = True
+            self.close_reason = self.close_reason or "io_error"
+            return
+        finally:
+            self._drain_waiter = None
+        self._flush()
+
     def abort(self, reason: str) -> None:
-        """Drop the connection immediately, without flushing the outbox."""
+        """Drop the connection immediately, pending frames included."""
         if self.closing:
             return
         self.closing = True
         self._aborted = True
         self.close_reason = reason
-        if self._writer_task is not None:
-            self._writer_task.cancel()
+        self._pending.clear()
+        if self._drain_waiter is not None:
+            self._drain_waiter.cancel()
         transport = self.writer.transport
         if transport is not None:
             transport.abort()
@@ -176,31 +203,28 @@ class Session:
         this is what "drains in-flight transactions" means: a commit
         that has started gets to finish and its response gets queued —
         then stops the read loop; :meth:`run`'s cleanup flushes the
-        outbox so queued responses still reach the client.
+        pending frames so queued responses still reach the client.
         """
         self.closing = True
-        with contextlib.suppress(asyncio.TimeoutError, TimeoutError):
-            await asyncio.wait_for(self._idle.wait(), timeout)
+        with contextlib.suppress(TimeoutError):
+            async with asyncio.timeout(timeout):
+                await self._idle.wait()
         if self.task is not None:
             self.task.cancel()
 
     async def _shutdown(self) -> None:
         self.closing = True
-        if self._writer_task is not None:
-            if self._aborted:
-                self._writer_task.cancel()
-            else:
-                try:
-                    self.outbox.put_nowait(None)
-                except asyncio.QueueFull:
-                    self._writer_task.cancel()
-            try:
-                await asyncio.wait_for(
-                    asyncio.shield(self._writer_task),
-                    self.server.config.drain_timeout,
-                )
-            except (asyncio.TimeoutError, TimeoutError, asyncio.CancelledError):
-                self._writer_task.cancel()
+        if not self._aborted:
+            # Frames queued but not yet written — a response from this
+            # very loop iteration, or everything behind a transport that
+            # is still draining — reach the peer before the close.
+            with contextlib.suppress(TimeoutError, asyncio.CancelledError):
+                async with asyncio.timeout(self.server.config.drain_timeout):
+                    while self._pending or self._drain_waiter is not None:
+                        if self._drain_waiter is None:
+                            self._flush()
+                        else:
+                            await self._drain_waiter
         with contextlib.suppress(ConnectionError, OSError, asyncio.CancelledError):
             self.writer.close()
             await self.writer.wait_closed()
@@ -230,7 +254,7 @@ class LocalSession:
     returns ``False`` means the frame did not fit (the peer has stopped
     draining), and the session is disconnected on the spot — the same
     slow-consumer policy a socket-backed :class:`Session` applies when
-    its outbox fills.
+    its pending list fills.
 
     Requests are handled *synchronously*: ``dispatch`` is an ``async
     def`` for the socket path's timeout plumbing, but every handler
@@ -244,7 +268,7 @@ class LocalSession:
         self._transport = transport
         self.subscriptions: dict[int, str] = {}
         self._next_subscription_id = 1
-        self.pending_events: list[dict[str, Any]] = []
+        self.pending_events: list[bytes] = []
         self.closing = False
         self.close_reason: str | None = None
         self.task = None
@@ -272,7 +296,7 @@ class LocalSession:
                 "ViewServer.dispatch suspended; LocalSession requires "
                 "synchronous request handlers"
             )
-        self.send_frame(response)
+        self.send_frame(protocol.encode_frame(response))
         events, self.pending_events = self.pending_events, []
         for event in events:
             if not self.send_frame(event):
@@ -282,11 +306,11 @@ class LocalSession:
     # ------------------------------------------------------------------
     # Outbound frames and the slow-consumer policy
     # ------------------------------------------------------------------
-    def send_frame(self, doc: dict[str, Any]) -> bool:
-        """Push one frame through the transport; False when it refuses."""
+    def send_frame(self, frame: bytes) -> bool:
+        """Push one encoded frame through the transport; False when it refuses."""
         if self.closing:
             return False
-        if not self._transport(protocol.encode_frame(doc)):
+        if not self._transport(frame):
             self.server.recorder.incr("server_slow_consumer_disconnects")
             self.close("slow_consumer")
             return False

@@ -11,10 +11,12 @@ snapshot + WAL replay reproduces every relation and every view exactly
 import json
 import os
 import random
+import tempfile
 import typing
+import zlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import (
@@ -103,6 +105,68 @@ class TestRecordCodec:
     def test_encoding_is_deterministic(self):
         doc = {"r": {"inserted": [[1, 2], [3, 4]], "deleted": [[5, 6]]}}
         assert encode_record(3, 9, doc) == encode_record(3, 9, doc)
+
+
+# ----------------------------------------------------------------------
+# One dump per record, unchanged bytes
+# ----------------------------------------------------------------------
+
+def two_dump_record(sequence, txn_id, deltas_doc):
+    """The line encoder up to PR 22: body dumped for the checksum, then
+    dumped again inside the envelope.  What every existing log holds."""
+    body = {"seq": sequence, "txn": txn_id, "deltas": deltas_doc}
+    crc = zlib.crc32(
+        json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    )
+    line = json.dumps({"body": body, "crc": crc}, sort_keys=True, separators=(",", ":"))
+    return line.encode("utf-8") + b"\n"
+
+
+_cells = st.integers(-(2**40), 2**40) | st.text(max_size=6)
+_row_lists = st.lists(st.lists(_cells, max_size=3), max_size=3)
+deltas_documents = st.dictionaries(
+    st.text(max_size=8),
+    st.fixed_dictionaries({"inserted": _row_lists, "deleted": _row_lists}),
+    max_size=3,
+)
+_sequences = st.integers(0, 2**70)
+
+
+class TestSingleDumpRecord:
+    @given(sequence=_sequences, txn_id=_sequences, doc=deltas_documents)
+    @example(sequence=1, txn_id=1, doc={'q"\\é☃': {"inserted": [["\"\\\u2028"]], "deleted": []}})
+    @settings(max_examples=150, deadline=None)
+    def test_spliced_line_is_the_two_dump_line(self, sequence, txn_id, doc):
+        line = encode_record(sequence, txn_id, doc)
+        assert line == two_dump_record(sequence, txn_id, doc)
+        record = decode_line(line.rstrip(b"\n"))
+        assert (record.sequence, record.txn_id, record.deltas_doc) == (
+            sequence, txn_id, doc,
+        )
+
+    @given(docs=st.lists(deltas_documents, min_size=1, max_size=5))
+    @settings(max_examples=25, deadline=None)
+    def test_a_log_written_by_the_old_encoder_reads_back_and_extends(self, docs):
+        with tempfile.TemporaryDirectory() as directory:
+            *old, newest = docs
+            segment = os.path.join(directory, "wal-0000000000000001.jsonl")
+            with open(segment, "wb") as stream:
+                for sequence, doc in enumerate(old, start=1):
+                    stream.write(two_dump_record(sequence, 100 + sequence, doc))
+            reader = WalReader(directory)
+            assert [
+                (r.sequence, r.txn_id, r.deltas_doc) for r in reader.records()
+            ] == [(n, 100 + n, doc) for n, doc in enumerate(old, start=1)]
+            assert reader.tail_damage is None
+            # A writer resumes behind it; the file it leaves is the one
+            # the old encoder would have written for the whole history.
+            with WalWriter(directory) as writer:
+                assert writer.append(100 + len(docs), newest) == len(docs)
+            with open(segment, "rb") as stream:
+                assert stream.read() == b"".join(
+                    two_dump_record(n, 100 + n, doc)
+                    for n, doc in enumerate(docs, start=1)
+                )
 
 
 # ----------------------------------------------------------------------

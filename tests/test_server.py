@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import asyncio
 import io
+import json
 import random
 import socket
 import threading
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.algebra.expressions import BaseRef
@@ -253,6 +254,42 @@ class TestFramingProperties:
         cut = data.draw(st.integers(min_value=0, max_value=len(blob)))
         prefix = blob[:cut]
         assert _drain_async(prefix) == _drain_blocking(io.BytesIO(prefix))
+
+
+# ----------------------------------------------------------------------
+# One dump per delta, unchanged bytes
+# ----------------------------------------------------------------------
+def whole_document_frame(doc) -> bytes:
+    """The frame encoder up to PR 22: every document dumped whole."""
+    payload = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return len(payload).to_bytes(4, "big") + payload
+
+
+class TestEncodeOnce:
+    @given(
+        view=st.text(max_size=12),
+        subscription=st.integers(0, 2**40),
+        sequence=st.integers(0, 2**70),
+        delta=json_documents,
+    )
+    @example(view='hot "\\ é☃\u2028', subscription=3, sequence=42,
+             delta={"inserted": [[3, "a\"b"]], "deleted": []})
+    @settings(max_examples=150, deadline=None)
+    def test_spliced_event_frame_is_the_whole_document_frame(
+        self, view, subscription, sequence, delta
+    ):
+        doc = protocol.delta_event(subscription, view, sequence, delta)
+        expected = whole_document_frame(doc)
+        assert protocol.encode_frame(doc) == expected
+        # Live and replayed events both come out of the feed's one dump.
+        feed = Changefeed(view, base_sequence=sequence - 1, capacity=2)
+        live = []
+        feed.listeners.append(lambda f, head: live.append(head))
+        feed.append(sequence, delta)
+        [(replayed_sequence, replayed)] = feed.since(sequence - 1)
+        assert replayed_sequence == sequence
+        for head in (live[0], replayed):
+            assert protocol.encode_event(head, subscription, feed.tail) == expected
 
 
 # ----------------------------------------------------------------------
@@ -707,6 +744,47 @@ class TestBackpressure:
 
 
 # ----------------------------------------------------------------------
+# One socket write per connection per commit
+# ----------------------------------------------------------------------
+class TestOneWritePerCommit:
+    def test_a_commit_is_one_write_per_connection_it_reaches(self):
+        db = make_database()
+        maintainer = ViewMaintainer(db)
+        # Defined out of name order: events must follow definition order.
+        views = {
+            "v_joined": HOT,
+            "v_all": BaseRef("r").project(["A", "B"]),
+            "v_big": BaseRef("r").select("A > 1").project(["A"]),
+        }
+        for name, expression in views.items():
+            maintainer.define_view(name, expression)
+        server = ViewServer(db, maintainer, ServerConfig())
+        with ServerHandle(server) as handle:
+            with connect(handle) as subscriber, connect(handle) as writer:
+                for name in views:
+                    subscriber.subscribe(name)
+                assert writer.ping()
+                subscribed, writing = sorted(
+                    server._sessions.values(), key=lambda s: not s.subscriptions
+                )
+                assert subscribed.subscriptions and not writing.subscriptions
+                before = (subscribed.writes, writing.writes)
+                events = server.recorder.get("server_events_sent")
+                # (7, 20) joins s's (20, 6): all three views change.
+                seq = writer.txn(insert={"r": [(7, 20)]})["seq"]
+                received = subscriber.drain_events(len(views), timeout=5)
+                assert [e["view"] for e in received] == list(views)
+                assert {e["seq"] for e in received} == {seq}
+                assert server.recorder.get("server_events_sent") - events == len(views)
+                # Three event frames left in one write, the response in
+                # another — and nothing else, then or later.
+                after = (before[0] + 1, before[1] + 1)
+                assert (subscribed.writes, writing.writes) == after
+                assert subscriber.next_event(timeout=0.2) is None
+                assert (subscribed.writes, writing.writes) == after
+
+
+# ----------------------------------------------------------------------
 # Admission control and shutdown
 # ----------------------------------------------------------------------
 class TestAdmissionAndShutdown:
@@ -860,6 +938,23 @@ class TestSession:
         assert doc["ok"] is False
         assert doc["error"]["code"] == protocol.E_BAD_FRAME
         assert eof is None  # the server hung up after reporting
+
+    def test_frames_pending_when_the_drain_starts_are_delivered(self):
+        """A response queued in the loop iteration the shutdown begins in
+        (not yet written: the flush is scheduled, the drain gets there
+        first) still reaches the client before the connection closes."""
+        drains = []
+
+        async def handler(session, doc):
+            # Queued behind this request: by the time the flush callback
+            # runs, drain_close has already marked the session closing.
+            drains.append(asyncio.ensure_future(session.drain_close(1.0)))
+            return protocol.response_ok(doc.get("id"), {"last": True})
+
+        stub = _StubServer(handler)
+        received = _drive_session(stub, [{"id": 4, "op": "ping"}], read_frames=2)
+        assert received == [{"id": 4, "ok": True, "result": {"last": True}}]
+        assert stub.released == [1] and drains[0].done()
 
     def test_session_releases_on_eof(self):
         async def handler(session, doc):
