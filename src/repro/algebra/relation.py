@@ -426,22 +426,40 @@ class Delta:
             )
 
     @classmethod
+    def adopt(
+        cls,
+        schema: RelationSchema,
+        inserted: dict[ValueTuple, int],
+        deleted: dict[ValueTuple, int],
+    ) -> "Delta":
+        """The delta *over* two pre-encoded count maps, not copies of
+        them: for a caller that built the maps and keeps no other
+        reference.  The one disjointness check runs as in ``__init__``.
+        """
+        delta = cls.__new__(cls)
+        delta.schema = schema
+        delta.inserted = inserted
+        delta.deleted = deleted
+        # An empty side overlaps nothing.
+        if inserted and deleted:
+            overlap = inserted.keys() & deleted.keys()
+            if overlap:
+                raise MaintenanceError(
+                    "delta inserts and deletes must be disjoint; "
+                    f"overlap: {overlap}"
+                )
+        return delta
+
+    @classmethod
     def from_counts(
         cls,
         schema: RelationSchema,
         inserted: Mapping[ValueTuple, int],
         deleted: Mapping[ValueTuple, int],
     ) -> "Delta":
-        """Internal constructor from pre-encoded count maps."""
-        delta = cls(schema)
-        delta.inserted = dict(inserted)
-        delta.deleted = dict(deleted)
-        overlap = delta.inserted.keys() & delta.deleted.keys()
-        if overlap:
-            raise MaintenanceError(
-                f"delta inserts and deletes must be disjoint; overlap: {overlap}"
-            )
-        return delta
+        """Internal constructor from pre-encoded count maps, copied:
+        the caller's maps may be live (a relation's, another delta's)."""
+        return cls.adopt(schema, dict(inserted), dict(deleted))
 
     def is_empty(self) -> bool:
         """True when the transaction had no net effect on this relation."""
@@ -552,7 +570,7 @@ class Delta:
             if remaining:
                 inserted[values] = inserted.get(values, 0) + remaining
 
-        return Delta.from_counts(self.schema, inserted, deleted)
+        return Delta.adopt(self.schema, inserted, deleted)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Delta):
@@ -665,7 +683,7 @@ class TaggedRelation:
                 del inserted[values]
             if not deleted[values]:
                 del deleted[values]
-        return Delta.from_counts(self.schema, inserted, deleted)
+        return Delta.adopt(self.schema, inserted, deleted)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TaggedRelation):

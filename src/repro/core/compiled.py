@@ -56,19 +56,21 @@ from repro.core.codegen import (
     quoted,
 )
 from repro.core.counting import net_counts
-from repro.core.differential import changed_positions_for, execute_planner
+from repro.core.differential import execute_planner
 from repro.core.irrelevance import RelevanceFilter, is_statically_irrelevant
 from repro.core.planner import IndexProbe, ProbeFn, ProbeRow, RowPlanner, StepPlan
 from repro.core.truthtable import count_delta_rows
 from repro.core.views import ViewDefinition
 from repro.errors import MaintenanceError
-from repro.instrumentation import CostRecorder, charge
+from repro.instrumentation import CostRecorder, Tally
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.aggregates import AggregateState
     from repro.engine.database import Database
 
 ValueTuple = tuple[int, ...]
+CountMap = dict[ValueTuple, int]
+_Shape = tuple[tuple[int, ...], RowPlanner, ShapeKernels | None, Callable]
 
 
 class CompiledViewPlan:
@@ -85,9 +87,10 @@ class CompiledViewPlan:
         Schema catalog at compile time (base relations *and* upstream
         views), used to build relevance screens per operand relation.
     counters:
-        The owner's always-on bag — the maintainer's per-view row — for
-        the per-view screening counters and the ``codegen_*`` family,
-        which so outlive the plan (eviction, recompiles).
+        The owner's always-on bag — the maintainer's per-view row —
+        which counts this compile.  What a maintenance call counts goes
+        to the tally its caller settles there (:meth:`maintain`), so
+        the per-view counters outlive the plan (eviction, recompiles).
     view_operands:
         The contents of the view's operands that are themselves
         registered views, by name.  Every operand name is resolved to
@@ -106,13 +109,14 @@ class CompiledViewPlan:
         "_static_irrelevant",
         "_planners",
         "_index_bindings",
-        "_counters",
         "_screen_kernels",
         "_shapes",
         "_aggregate_kernel",
         "_reduction",
         "_view_key",
         "_exec_normal_form",
+        "_occurrence_names",
+        "_core_schema",
     )
 
     def __init__(
@@ -125,7 +129,6 @@ class CompiledViewPlan:
     ) -> None:
         self.definition = definition
         self.normal_form: NormalForm = definition.normal_form
-        self._counters = counters
         self._bag_operands = frozenset(view_operands)
         # Chase-derived facts (keys DDL invalidates the plan, so they
         # are re-proved on every compile, like static irrelevance).
@@ -145,6 +148,8 @@ class CompiledViewPlan:
             if self._reduction is not None
             else self.normal_form
         )
+        self._occurrence_names = self._exec_normal_form.relation_names
+        self._core_schema = self._exec_normal_form.output_schema()
         schemas: dict[str, RelationSchema] = {}
         #: Operand name → its live post-commit relation.  A DDL event
         #: that could replace one invalidates the whole plan.
@@ -198,13 +203,12 @@ class CompiledViewPlan:
         # Shape kernels compile on first use of each truth-table shape,
         # like the planners they mirror.
         self._screen_kernels: dict[str, tuple[str, ScreenKernel]] = {}
-        #: changed positions → everything one execution of that shape
-        #: needs that no transaction changes: its planner, its kernels
-        #: (None past the row cap) and its step → bound index lookup.
-        self._shapes: dict[
-            tuple[int, ...],
-            tuple[RowPlanner, ShapeKernels | None, Callable],
-        ] = {}
+        #: The names of the relations whose deltas survived screening,
+        #: in a call's order → everything one execution of that shape
+        #: needs that no transaction changes: the changed positions,
+        #: their planner, its kernels (None past the row cap) and its
+        #: step → bound index lookup.
+        self._shapes: dict[tuple[str, ...], _Shape] = {}
         # The aggregate fold kernel (when the view aggregates) compiles
         # eagerly with the screens: its shape depends only on the spec
         # and core schema, never on the incoming delta.
@@ -237,67 +241,103 @@ class CompiledViewPlan:
         counters.count("codegen_plans_compiled")
 
     # ------------------------------------------------------------------
+    # One maintenance call
+    # ------------------------------------------------------------------
+    def maintain(
+        self,
+        deltas: Mapping[str, Delta],
+        aggregate_state: "AggregateState | None",
+        counted: Tally,
+        charged: Tally | None,
+    ) -> Delta | None:
+        """One view's whole pipeline for one commit's non-empty operand
+        deltas: the view delta, or ``None`` when every tuple was
+        screened out — the payoff Section 4 is after.
+
+        The three steps hand on the kernels' own count maps and append
+        ``(metric, amount)`` pairs to ``counted`` (always-on) or
+        ``charged`` (active recorder only; ``None`` when none is
+        active), which the caller settles once
+        (:meth:`~repro.instrumentation.CostRecorder.settle`).
+        """
+        relevant: dict[str, Delta] = {}
+        for relation_name, delta in deltas.items():
+            screened = self.screen(relation_name, delta, counted, charged)
+            if screened is not None:
+                relevant[relation_name] = screened
+        if not relevant:
+            return None
+        inserted, deleted = self.compute_delta(relevant, counted, charged)
+        if aggregate_state is None:
+            return Delta.adopt(self._core_schema, inserted, deleted)
+        # That was a delta over the SPJ *core*; the fold turns it into
+        # the visible group-row delta every downstream consumer sees.
+        inserted, deleted = self.fold_aggregate(
+            aggregate_state, inserted, deleted, counted, charged
+        )
+        return Delta.adopt(aggregate_state.visible_schema, inserted, deleted)
+
+    # ------------------------------------------------------------------
     # Section 4: screening
     # ------------------------------------------------------------------
-    def screen(self, relation_name: str, delta: Delta) -> Delta:
-        """Screen one relation's delta through the compiled filter."""
+    def screen(
+        self,
+        relation_name: str,
+        delta: Delta,
+        counted: Tally,
+        charged: Tally | None,
+    ) -> Delta | None:
+        """What of one relation's delta can affect the view, if any."""
+        n = len(delta.inserted) + len(delta.deleted)
         if relation_name not in self._screens:
             # The relation does not participate in the view: everything
             # is irrelevant (Theorem 4.1's trivial case).
-            return self._drop(delta)
-        if relation_name in self._static_irrelevant:
-            # Proven at compile time: no legal update to this relation
-            # can affect the view.
-            return self._drop(delta, "static_tuples_dropped")
-        if (
+            counted += (("tuples_screened", n), ("tuples_irrelevant", n))
+            return None
+        static = relation_name in self._static_irrelevant
+        if static or (
             self._reduction is not None
             and relation_name in self._reduction.probe_relations
         ):
-            # The FK reduction proved probe-side updates can never
-            # change the view (legal states keep the foreign key
+            # Dropped with no per-tuple work by a compile-time proof,
+            # and counted under it: no legal update to this relation
+            # can affect the view, or the FK reduction proved the same
+            # of a probe side (legal states keep the foreign key
             # satisfied, and the probe contributes only its referenced
             # key attributes, which the referencing side already
             # carries).
-            return self._drop(delta, "fk_probe_tuples_dropped")
+            counted += (
+                ("tuples_screened", n),
+                ("tuples_irrelevant", n),
+                ("tuples_static_dropped", n),
+                ("static_tuples_dropped", n if static else 0),
+                ("fk_probe_tuples_dropped", 0 if static else n),
+            )
+            return None
         # The generated kernel is functionally identical to
         # RelevanceFilter.screen_delta, every instrumentation counter
         # included: it returns its per-tuple ground-eval and
         # bound-probe tallies so they are charged in bulk here.
-        kernel = self._screen_kernels[relation_name][1]
-        inserted, deleted, ground_evals, bound_probes = kernel(
-            delta.inserted, delta.deleted
+        inserted, deleted, ground_evals, bound_probes = self._screen_kernels[
+            relation_name
+        ][1](delta.inserted, delta.deleted)
+        counted += (
+            ("tuples_screened", n),
+            ("tuples_irrelevant", n - len(inserted) - len(deleted)),
+            ("codegen_batch_rows", n),
         )
-        n = len(delta.inserted) + len(delta.deleted)
-        if n:
-            count = self._counters.count
-            count("tuples_screened", n)
-            irrelevant = n - len(inserted) - len(deleted)
-            if irrelevant:
-                count("tuples_irrelevant", irrelevant)
-            charge("filter_tuples_checked", n)
-            count("codegen_batch_rows", n)
-        if ground_evals:
-            charge("filter_ground_evals", ground_evals)
-        if bound_probes:
-            charge("filter_bound_probes", bound_probes)
-        return Delta.from_counts(delta.schema, inserted, deleted)
-
-    def _drop(self, delta: Delta, proof: str | None = None) -> Delta:
-        """Discard a whole delta with zero per-tuple screening work.
-
-        Every tuple counts as screened and irrelevant; when a
-        compile-time proof (rather than non-participation) dropped
-        them, also as statically dropped and under the proof's own
-        counter ``proof``.
-        """
-        count = self._counters.count
-        dropped = len(delta.inserted) + len(delta.deleted)
-        count("tuples_screened", dropped)
-        count("tuples_irrelevant", dropped)
-        if proof is not None:
-            count("tuples_static_dropped", dropped)
-            count(proof, dropped)
-        return Delta(delta.schema)
+        if charged is not None:
+            charged += (
+                ("filter_tuples_checked", n),
+                ("filter_ground_evals", ground_evals),
+                ("filter_bound_probes", bound_probes),
+            )
+        if inserted is delta.inserted:
+            # A constant-TRUE condition: the kernel passed its input on.
+            return delta
+        if inserted or deleted:
+            return Delta.adopt(delta.schema, inserted, deleted)
+        return None
 
     @property
     def static_irrelevant(self) -> frozenset[str]:
@@ -355,39 +395,66 @@ class CompiledViewPlan:
             self._planners[key] = planner
         return planner
 
-    def compute_delta(self, deltas: Mapping[str, Delta]) -> Delta:
-        """The net view change for one transaction's (screened) deltas."""
-        changed = changed_positions_for(self._exec_normal_form, deltas)
-        if not changed:
-            return Delta(self._exec_normal_form.output_schema())
-        shape = self._shapes.get(changed)
-        if shape is None:
-            shape = self._compile_shape(changed)
-        planner, kernels, index_for = shape
-        if kernels is not None:
-            return self._execute_kernels(planner, kernels, index_for, deltas)
-        # The shape's truth table exceeds MAX_CODEGEN_ROWS: the
-        # reference planner executes it instead, tuple by tuple.
-        fallback = sum(
-            len(d.inserted) + len(d.deleted) for d in deltas.values()
+    def compute_delta(
+        self, deltas: Mapping[str, Delta], counted: Tally, charged: Tally | None
+    ) -> tuple[CountMap, CountMap]:
+        """The view's netted insert and delete count maps — fresh
+        dicts — for one transaction's screened deltas, none empty.
+
+        Runs the shape's generated row kernel, the batch counterpart of
+        :func:`repro.core.differential.execute_planner`, tallying the
+        same counters in bulk from what the kernel returns.
+        """
+        names = tuple(deltas)
+        shape = self._shapes.get(names) or self._compile_shape(names, counted)
+        changed, planner, kernels, index_for = shape
+        if kernels is None:
+            # The shape's truth table exceeds MAX_CODEGEN_ROWS: the
+            # reference planner executes it instead, tuple by tuple,
+            # charging as it goes.
+            fallback = sum(len(d.inserted) + len(d.deleted) for d in deltas.values())
+            counted += (("codegen_fallback_tuples", fallback),)
+            delta = execute_planner(
+                planner,
+                self._operands,
+                deltas,
+                changed,
+                index_probe=self.index_probe_for(deltas),
+            )
+            return delta.inserted, delta.deleted
+        ins, dele, scanned, probes, emitted, ignored = kernels.row_kernel(
+            list(map(deltas.get, self._occurrence_names)), self._old_counts, index_for
         )
-        if fallback:
-            self._counters.count("codegen_fallback_tuples", fallback)
-        return execute_planner(
-            planner,
-            self._operands,
-            deltas,
-            changed,
-            index_probe=self.index_probe_for(deltas),
-        )
+        rows = kernels.rows_evaluated
+        counted += (("codegen_batch_rows", rows),)
+        if charged is not None:
+            charged += (
+                ("differential_updates", 1),
+                ("truth_table_rows", rows),
+                ("delta_rows_evaluated", rows),
+                ("subexpression_memo_hits", kernels.memo_hits),
+                ("tuples_scanned", scanned),
+                ("join_probes", probes),
+                ("tuples_emitted", emitted),
+                ("tuples_ignored", ignored),
+            )
+        if ins and dele:
+            net_counts(ins, dele)
+        return ins, dele
 
     def fold_aggregate(
-        self, state: "AggregateState", core_delta: Delta
-    ) -> Delta:
-        """Fold one core delta into the support state; visible delta out.
+        self,
+        state: "AggregateState",
+        inserted: CountMap,
+        deleted: CountMap,
+        counted: Tally,
+        charged: Tally | None,
+    ) -> tuple[CountMap, CountMap]:
+        """Fold one core delta's count maps into the support state;
+        the visible delta's count maps out.
 
         The final stage of aggregate maintenance: the Section 5 pipeline
-        produced ``core_delta`` over the view's SPJ core, and this fold
+        produced the core delta over the view's SPJ core, and this fold
         applies it to the per-group support bags and accumulators,
         re-rendering every touched group.  A group whose visible row
         changes contributes a delete of the old row and an insert of
@@ -400,95 +467,59 @@ class CompiledViewPlan:
         reference :meth:`~repro.core.aggregates.AggregateState.fold`
         renders the same rows from the bags.  The counters —
         ``aggregate_rows_folded``, ``aggregate_groups_touched`` and
-        ``aggregate_support_rescanned`` — are charged here in the
+        ``aggregate_support_rescanned`` — are tallied here in the
         driver.  An underflowing delete raises with the state untouched.
         """
         assert self._aggregate_kernel is not None, "not an aggregate view"
-        ins = core_delta.inserted
-        dele = core_delta.deleted
-        rows = len(ins) + len(dele)
-        if rows:
-            charge("aggregate_rows_folded", rows)
+        rows = len(inserted) + len(deleted)
         inserted, deleted, touched, rescanned, bad = self._aggregate_kernel[1](
-            state.groups, state.accumulators, ins, dele
+            state.groups, state.accumulators, inserted, deleted
         )
-        if rows:
-            self._counters.count("codegen_batch_rows", rows)
+        counted += (("codegen_batch_rows", rows),)
+        if charged is not None:
+            # An underflow touched and rescanned nothing.
+            charged += (
+                ("aggregate_rows_folded", rows),
+                ("aggregate_groups_touched", touched),
+                ("aggregate_support_rescanned", rescanned),
+            )
         if bad is not None:
             raise MaintenanceError(
                 f"aggregate maintenance for view {self.definition.name!r} "
                 f"would delete more copies of core row {bad} than the "
                 "group support holds"
             )
-        if touched:
-            charge("aggregate_groups_touched", touched)
-        if rescanned:
-            charge("aggregate_support_rescanned", rescanned)
-        return Delta.from_counts(state.visible_schema, inserted, deleted)
+        return inserted, deleted
 
-    def _compile_shape(
-        self, changed: tuple[int, ...]
-    ) -> tuple[RowPlanner, ShapeKernels | None, Callable]:
-        """Compile and cache one truth-table shape's execution entry."""
-        planner = self.planner_for(changed)
-        kernels = compile_shape_kernels(
-            planner,
-            self.definition.name,
-            counter_free=self.counter_free,
-            bag_operands=self._bag_operands,
+    def _compile_shape(self, names: tuple[str, ...], counted: Tally) -> _Shape:
+        """One truth-table shape's execution entry, compiled on first
+        use and memoised under ``names``."""
+        changed = tuple(
+            i for i, name in enumerate(self._occurrence_names) if name in names
         )
-        if kernels is not None:
-            self._counters.count("codegen_plans_compiled")
-        index_for = partial(self._step_index, planner.distinct_steps)
-        shape = (planner, kernels, index_for)
-        self._shapes[changed] = shape
+        # The same names in another order reach the same shape.
+        shape = next((s for s in self._shapes.values() if s[0] == changed), None)
+        if shape is None:
+            planner = self.planner_for(changed)
+            kernels = compile_shape_kernels(
+                planner,
+                self.definition.name,
+                counter_free=self.counter_free,
+                bag_operands=self._bag_operands,
+            )
+            if kernels is not None:
+                counted += (("codegen_plans_compiled", 1),)
+            index_for = partial(self._step_index, planner.distinct_steps)
+            shape = (changed, planner, kernels, index_for)
+        self._shapes[names] = shape
         return shape
-
-    def _execute_kernels(
-        self,
-        planner: RowPlanner,
-        kernels: ShapeKernels,
-        index_for: Callable,
-        deltas: Mapping[str, Delta],
-    ) -> Delta:
-        """Run one shape's generated row kernel over one transaction.
-
-        The batch counterpart of
-        :func:`repro.core.differential.execute_planner`, charging the
-        same counters in bulk from the kernel's tallies.
-        """
-        charge("differential_updates")
-        ins, dele, scanned, probes, emitted, ignored = kernels.row_kernel(
-            [deltas.get(occ.name) for occ in self._exec_normal_form.occurrences],
-            self._old_counts,
-            index_for,
-        )
-        rows = kernels.rows_evaluated
-        if rows:
-            charge("truth_table_rows", rows)
-            charge("delta_rows_evaluated", rows)
-            self._counters.count("codegen_batch_rows", rows)
-        if kernels.memo_hits:
-            charge("subexpression_memo_hits", kernels.memo_hits)
-        if scanned:
-            charge("tuples_scanned", scanned)
-        if probes:
-            charge("join_probes", probes)
-        if emitted:
-            charge("tuples_emitted", emitted)
-        if ignored:
-            charge("tuples_ignored", ignored)
-        net_counts(ins, dele)
-        return Delta.from_counts(planner.output_schema, ins, dele)
 
     # ------------------------------------------------------------------
     # Operand resolution
     # ------------------------------------------------------------------
     def _old_counts(self, position: int) -> Mapping[ValueTuple, int]:
         """The live count map of one occurrence's operand (kernels)."""
-        return self._operands[
-            self._exec_normal_form.occurrences[position].name
-        ].count_map
+        return self._operands[self._occurrence_names[position]].count_map
 
     def _step_index(
         self, steps: tuple[StepPlan, ...], step_index: int
@@ -537,7 +568,7 @@ class CompiledViewPlan:
 
         def probe_hook(position: int, link_attrs: tuple[str, ...]) -> ProbeFn:
             index = self._bind_index(position, link_attrs)
-            delta = deltas.get(self._exec_normal_form.occurrences[position].name)
+            delta = deltas.get(self._occurrence_names[position])
             inserted = delta.inserted if delta is not None else {}
             counts = self._old_counts(position)
 

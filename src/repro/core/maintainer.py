@@ -23,8 +23,10 @@ drop, a declared constraint or key) could stale them; the next
 maintenance call recompiles.  Every consumer of the maintainer —
 immediate commits, deferred ``refresh``, WAL-replay recovery,
 changefeed followers, the network view-server — therefore runs the
-same cached plan, and there is one pipeline: screen kernels, then row
-kernels, then (for aggregate views) the fold kernel.  The per-tuple
+same cached plan, and there is one pipeline, run by one call per view
+(:meth:`~repro.core.compiled.CompiledViewPlan.maintain`): screen
+kernels, then row kernels, then (for aggregate views) the fold kernel;
+what it counts is settled on the view's row once.  The per-tuple
 functions the kernels mirror —
 :func:`~repro.core.irrelevance.filter_delta`,
 :func:`~repro.core.differential.compute_view_delta`,
@@ -54,7 +56,7 @@ from repro.core.truthtable import count_delta_rows
 from repro.core.views import MaterializedView, ViewDefinition
 from repro.engine.database import Database
 from repro.errors import MaintenanceError, UnknownViewError
-from repro.instrumentation import CostRecorder
+from repro.instrumentation import CostRecorder, Tally, active_recorder
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis import AnalysisReport
@@ -385,19 +387,6 @@ class ViewMaintainer:
         )
         return entry.plan
 
-    def _plan_for(self, entry: _ViewEntry) -> CompiledViewPlan:
-        """The plan a maintenance call executes, counted as hit or miss.
-
-        A hit except right after an invalidation (the miss recompiles
-        and keeps the new plan).
-        """
-        plan = entry.plan
-        if plan is not None:
-            entry.row.count("plan_cache_hits")
-            return plan
-        entry.row.count("plan_cache_misses")
-        return self._recompile(entry)
-
     def peek_plan(self, name: str) -> CompiledViewPlan:
         """The plan introspection reads: compiled if absent, uncounted.
 
@@ -664,6 +653,7 @@ class ViewMaintainer:
         # arrived.
         worklist: list[tuple[int, _ViewEntry]] = []
         queued: set[int] = set()
+        recording = active_recorder() is not None
         for name, delta in deltas.items():
             if name not in entries and not delta.is_empty():
                 arrived[name] = delta
@@ -674,8 +664,8 @@ class ViewMaintainer:
                 dep: arrived[dep] for dep in entry.dependencies if dep in arrived
             }
             if entry.policy is MaintenancePolicy.IMMEDIATE:
-                view_delta = self._maintain(entry, effective)
-                if not view_delta.is_empty():
+                view_delta = self._maintain(entry, effective, recording)
+                if view_delta is not None:
                     name = entry.view.definition.name
                     arrived[name] = view_delta
                     _enqueue(worklist, queued, dependents.get(name, ()))
@@ -751,7 +741,7 @@ class ViewMaintainer:
             entry.view.last_refresh_sequence = self.database.log.last_sequence()
             return False
         entry.pending = {}
-        self._maintain(entry, pending)
+        self._maintain(entry, pending, active_recorder() is not None)
         return True
 
     def pending_deltas(self, name: str) -> dict[str, Delta]:
@@ -839,50 +829,54 @@ class ViewMaintainer:
     # ------------------------------------------------------------------
     # The filter + differential pipeline
     # ------------------------------------------------------------------
-    def _maintain(self, entry: _ViewEntry, deltas: Mapping[str, Delta]) -> Delta:
-        """Execute the compiled plan; returns the applied view delta
-        (empty when everything was screened)."""
+    def _maintain(
+        self, entry: _ViewEntry, deltas: Mapping[str, Delta], recording: bool
+    ) -> Delta | None:
+        """Execute the compiled plan and apply what it returns: the
+        applied view delta, ``None`` when the view did not change.  What
+        the call counts is settled on the view's row once, raise or not;
+        what it would only charge is not even tallied unless a recorder
+        is active to receive it (``recording``).
+        """
         view = entry.view
-        count = entry.row.count
-        count("transactions_seen")
-        plan = self._plan_for(entry)
-
-        relevant: dict[str, Delta] = {}
-        for relation_name, delta in deltas.items():
-            filtered = plan.screen(relation_name, delta)
-            if not filtered.is_empty():
-                relevant[relation_name] = filtered
-
-        if not relevant:
-            # Every update was provably irrelevant: the view is
-            # already up to date — the payoff Section 4 is after.
-            count("transactions_skipped")
-            view.last_refresh_sequence = self.database.log.last_sequence()
-            return Delta(view.contents.schema)
-
-        view_delta = plan.compute_delta(relevant)
-        if view.aggregate_state is not None:
-            # The pipeline produced a delta over the SPJ *core*; the
-            # fold stage turns it into the visible group-row delta
-            # every downstream consumer (contents, subscribers,
-            # changefeeds, stacked views) sees.
-            view_delta = plan.fold_aggregate(view.aggregate_state, view_delta)
-        if view_delta.inserted:
-            count("view_tuples_inserted", len(view_delta.inserted))
-        if view_delta.deleted:
-            count("view_tuples_deleted", len(view_delta.deleted))
-        view.apply_delta(view_delta)
-        count("deltas_applied")
+        plan = entry.plan
+        counted: Tally = [("transactions_seen", 1)]
+        charged: Tally | None = [] if recording else None
+        try:
+            # A hit except right after an invalidation (the miss
+            # recompiles and keeps the new plan).
+            if plan is None:
+                counted += (("plan_cache_misses", 1),)
+                plan = self._recompile(entry)
+            else:
+                counted += (("plan_cache_hits", 1),)
+            view_delta = plan.maintain(
+                deltas, view.aggregate_state, counted, charged
+            )
+            if view_delta is None:
+                counted += (("transactions_skipped", 1),)
+            else:
+                counted += (
+                    ("view_tuples_inserted", len(view_delta.inserted)),
+                    ("view_tuples_deleted", len(view_delta.deleted)),
+                )
+                view.apply_delta(view_delta)
+                counted += (("deltas_applied", 1),)
+        finally:
+            entry.row.settle(counted, charged)
         view.last_refresh_sequence = self.database.log.last_sequence()
+        if view_delta is None:
+            return None
 
         if self.auto_verify:
             from repro.core.consistency import check_view_consistency
 
             check_view_consistency(view, self.instances())
 
-        if not view_delta.is_empty():
-            for callback in entry.subscribers:
-                callback(view, view_delta)
+        if view_delta.is_empty():
+            return None
+        for callback in entry.subscribers:
+            callback(view, view_delta)
         return view_delta
 
     def __repr__(self) -> str:

@@ -572,11 +572,6 @@ class RowPlanner:
         """True when the full DNF condition is re-checked at the end."""
         return self._needs_final_filter
 
-    @property
-    def output_schema(self) -> RelationSchema:
-        """Schema of the projected view delta."""
-        return self._output_schema
-
     def describe_chain(
         self, row: Rows, quote: Callable[[str], str] = str
     ) -> str:

@@ -150,7 +150,7 @@ class Transaction:
         Only relations with a non-empty net effect appear in the result.
         """
         return {
-            name: Delta.from_counts(
+            name: Delta.adopt(
                 schema, {v: 1 for v in inserts}, {v: 1 for v in deletes}
             )
             for name, (schema, inserts, deletes) in sorted(self._pending.items())

@@ -20,7 +20,9 @@ One bag type, :class:`CostRecorder`, serves both ways of counting:
   the scheduler own a bag and count with :meth:`CostRecorder.count`,
   which feeds the bag and the active recorder in one increment (the
   maintainer-wide totals are the sum of its rows, dropped views'
-  included).  The server and the cluster coordinator activate their
+  included).  One view's maintenance defers its increments to two
+  :data:`Tally` lists and lands them together
+  (:meth:`CostRecorder.settle`).  The server and the cluster coordinator activate their
   own bag around the work they host, so they count with ``incr`` /
   :func:`charge`.
 
@@ -188,10 +190,24 @@ for _metric in METRICS.values():
     _FAMILIES.setdefault(_metric.family, []).append(_metric.name)
 
 
+#: Increments one call defers: ``(metric, amount)`` pairs, in order.
+Tally = list[tuple[str, int]]
+
+
 def _undeclared(name: str) -> UnknownMetricError:
     return UnknownMetricError(
         f"{name!r} is not a declared metric (see repro.instrumentation.METRICS)"
     )
+
+
+def _land(counters: dict[str, int], tally: Tally) -> None:
+    for name, amount in tally:
+        if name in counters:
+            counters[name] += amount
+        elif name not in METRICS:
+            raise _undeclared(name)
+        elif amount:
+            counters[name] = amount
 
 
 class CostRecorder:
@@ -217,6 +233,19 @@ class CostRecorder:
         recorder = _ACTIVE.get()
         if recorder is not None:
             recorder.incr(name, amount)
+
+    def settle(self, counted: Tally, charged: Tally | None) -> None:
+        """Land one call's tallies: ``counted`` like :meth:`count` (this
+        bag and the active recorder), ``charged`` like :func:`charge`
+        (the active recorder alone; ``None`` from a caller that saw no
+        recorder active and tallied none).  A zero amount is no event."""
+        active = _ACTIVE.get()
+        _land(self.counters, counted)
+        if active is not None:
+            _land(active.counters, counted)
+        if charged:
+            # Into nothing with no recorder active: names still checked.
+            _land({} if active is None else active.counters, charged)
 
     def add(self, other: CostRecorder) -> None:
         """Fold another bag's counts into this one."""

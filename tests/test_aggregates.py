@@ -595,16 +595,61 @@ class TestUnderflowIsAllOrNothing:
         database, maintainer = _one_big_group(6)
         view = maintainer.view("v")
         before = _snapshot(view)
-        core_delta = Delta.from_counts(
-            view.aggregate_state.core_schema, self.INSERTED, self.DELETED
-        )
         with pytest.raises(MaintenanceError, match=r"core row \(2, 6, 1\)"):
             maintainer.compiled_plan("v").fold_aggregate(
-                view.aggregate_state, core_delta
+                view.aggregate_state, self.INSERTED, self.DELETED, [], []
             )
         assert _snapshot(view) == before
         # …and the view is still maintainable afterwards.
         database.apply(deletes={"r": [(2, 6, 1)]})
+        assert_matches_recompute(maintainer, "v", database)
+
+    def test_a_failed_maintenance_keeps_what_it_counted(self):
+        # Through the public seam a base-free host feeds: the screen and
+        # the row kernel ran and the fold's rows were handed over before
+        # the underflow was found, and all of that stays counted — the
+        # numbers are what fbd8c76, which incremented as it went, reads
+        # after the same call.
+        database, maintainer = _one_big_group(6)
+        view = maintainer.view("v")
+        before = _snapshot(view)
+        row_before = maintainer.stats("v")
+        codegen_before = maintainer.codegen_stats().as_dict()
+        delta = Delta.from_counts(
+            database.relation("r").schema, self.INSERTED, self.DELETED
+        )
+        recorder = CostRecorder()
+        with pytest.raises(MaintenanceError, match=r"core row \(2, 6, 1\)"):
+            with recording(recorder):
+                maintainer.apply_deltas(99, {"r": delta})
+        assert _snapshot(view) == before
+        moved = {
+            name: value - row_before[name]
+            for name, value in maintainer.stats("v").items()
+            if value != row_before[name]
+        }
+        assert moved == {
+            "transactions_seen": 1,
+            "plan_cache_hits": 1,
+            "tuples_screened": 5,
+        }
+        codegen = maintainer.codegen_stats().as_dict()
+        assert codegen["codegen_batch_rows"] == codegen_before["codegen_batch_rows"] + 11
+        assert recorder.counters == {
+            "transactions_seen": 1,
+            "plan_cache_hits": 1,
+            "tuples_screened": 5,
+            "filter_tuples_checked": 5,
+            "codegen_batch_rows": 11,
+            "differential_updates": 1,
+            "truth_table_rows": 1,
+            "delta_rows_evaluated": 1,
+            "tuples_scanned": 5,
+            "aggregate_rows_folded": 5,
+        }
+        # …and the next legal commit is maintained.
+        database.apply(deletes={"r": [(2, 6, 1)]}, inserts={"r": [(1, 7, 7)]})
+        assert maintainer.stats("v")["deltas_applied"] == row_before["deltas_applied"] + 1
         assert_matches_recompute(maintainer, "v", database)
 
     def test_reference_fold_leaves_no_trace(self):

@@ -45,6 +45,29 @@ class TestRecorder:
         recorder.reset()
         assert recorder.get("tuples_scanned") == 0
 
+    def test_settle_lands_each_kind_where_count_and_charge_would(self):
+        bag, active = CostRecorder(), CostRecorder()
+        with recording(active):
+            bag.settle(
+                [("tuples_screened", 2), ("tuples_irrelevant", 0)],
+                [("join_probes", 3), ("tuples_ignored", 0)],
+            )
+        assert bag.counters == {"tuples_screened": 2}
+        assert active.counters == {"tuples_screened": 2, "join_probes": 3}
+        bag.settle([("tuples_screened", 1)], None)  # nobody is recording
+        assert bag.counters == {"tuples_screened": 3}
+        assert active.counters == {"tuples_screened": 2, "join_probes": 3}
+
+    def test_settle_rejects_an_undeclared_name_of_either_kind(self):
+        bag = CostRecorder()
+        with pytest.raises(UnknownMetricError):
+            bag.settle([("no_such_counter", 0)], None)
+        with pytest.raises(UnknownMetricError):
+            bag.settle([], [("no_such_counter", 1)])  # recorder or not
+        with pytest.raises(UnknownMetricError), recording(CostRecorder()):
+            bag.settle([], [("no_such_counter", 1)])
+        assert bag.counters == {}
+
 
 class TestRecordingContext:
     def test_charge_without_active_recorder_is_a_noop(self):
@@ -250,31 +273,62 @@ class TestOneIncrementPerEvent:
 
 class TestDeclarationsMatchTheSource:
     #: Functions whose first string argument is a counter name.
-    INCREMENTS = {"charge": 0, "incr": 0, "count": 0, "_drop": 1}
-    #: The only non-literal names: the registry's own plumbing, and
-    #: ``_drop`` forwarding the literal its caller passed.
-    FORWARDED = {("instrumentation.py", "name"), ("compiled.py", "proof")}
+    INCREMENTS = {"charge": 0, "incr": 0, "count": 0}
+    #: The two lists of a deferred tally (``CostRecorder.settle``): a
+    #: site extends one with ``(name, amount)`` pairs.
+    TALLIES = {"counted", "charged"}
+    #: The only non-literal names: the registry's own plumbing.
+    FORWARDED = {("instrumentation.py", "name")}
+
+    @classmethod
+    def _name_arguments(cls, node):
+        """The expressions ``node`` passes as counter names."""
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = getattr(func, "id", None) or getattr(func, "attr", None)
+            position = cls.INCREMENTS.get(called)
+            if position is not None and len(node.args) > position:
+                arg = node.args[position]
+                # Other things are called ``count``; a name is a string.
+                computed = isinstance(arg, (ast.Name, ast.JoinedStr, ast.BinOp))
+                if computed or isinstance(getattr(arg, "value", None), str):
+                    yield arg
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(getattr(t, "id", None) in cls.TALLIES for t in targets):
+                value = node.value
+                # ``[] if recording else None``: a tally nobody reads.
+                values = [value.body, value.orelse] if isinstance(value, ast.IfExp) else [value]
+                for value in values:
+                    if isinstance(value, ast.Constant) and value.value is None:
+                        continue
+                    assert hasattr(value, "elts"), "a tally takes a literal of pairs"
+                    for pair in value.elts:
+                        assert isinstance(pair, ast.Tuple) and len(pair.elts) == 2
+                        yield pair.elts[0]
 
     def test_every_declared_name_has_a_literal_increment_site(self):
         literal: set[str] = set()
         opaque: set[tuple[str, str]] = set()
         for path in sorted(SRC.rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                called = getattr(func, "id", None) or getattr(func, "attr", None)
-                position = self.INCREMENTS.get(called)
-                if position is None or len(node.args) <= position:
-                    continue
-                arg = node.args[position]
-                if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-                    literal.add(arg.value)
-                elif isinstance(arg, (ast.Name, ast.JoinedStr, ast.BinOp)):
-                    opaque.add((path.name, ast.unparse(arg)))
+                for arg in self._name_arguments(node):
+                    if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                        literal.add(arg.value)
+                    else:
+                        opaque.add((path.name, ast.unparse(arg)))
         assert literal - METRICS.keys() == set(), "incremented but undeclared"
         assert METRICS.keys() - literal == set(), "declared but never incremented"
         assert opaque <= self.FORWARDED, "counter names must be literals"
+
+    def test_a_computed_name_in_a_tally_is_found(self):
+        tree = ast.parse("counted += ((proof, n), ('tuples_screened', n))")
+        names = [
+            ast.unparse(arg)
+            for node in ast.walk(tree)
+            for arg in self._name_arguments(node)
+        ]
+        assert names == ["proof", "'tuples_screened'"]
 
     def test_every_declaration_is_complete(self):
         for metric in METRICS.values():

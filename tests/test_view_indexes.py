@@ -26,6 +26,7 @@ live contents.  Pinned here:
 """
 
 import ast
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -34,7 +35,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.codegen as codegen
-from repro import BaseRef, Database, ViewMaintainer
+from repro import BaseRef, Database, ViewMaintainer, instrumentation
 from repro.algebra.evaluate import evaluate
 from repro.algebra.relation import Delta, HashIndex
 from repro.analysis.findings import F_UNBOUND_OLD_OPERAND
@@ -402,17 +403,21 @@ class TestMacrobenchCatalog:
         }
         return assigned["VIEW_SPECS"], assigned["KEYS"]
 
-    def test_no_view_scans_an_old_operand(self):
+    def _maintainer(self, rows=None):
         specs, keys = self._catalog()
         assert len(specs) == 6
         db = Database()
         for name, attributes in self.SCHEMA.items():
-            db.create_relation(name, attributes)
+            db.create_relation(name, attributes, (rows or {}).get(name, ()))
         for name, key in keys.items():
             db.declare_key(name, list(key))
         maintainer = ViewMaintainer(db)
         for name, spec in specs.items():
             maintainer.define_view(name, parse_view_expression(spec))
+        return specs, db, maintainer
+
+    def test_no_view_scans_an_old_operand(self):
+        specs, db, maintainer = self._maintainer()
 
         unbound = [
             finding
@@ -434,3 +439,71 @@ class TestMacrobenchCatalog:
                     assert f"step {step.number}: probes hash index " in text, name
                 if len(operands) == 1:
                     assert "(none: no OLD operand" in text
+
+    def test_one_row_commit_pays_for_no_glue_between_the_kernels(self):
+        """A clock-free law for what runs *between* the generated
+        kernels: a view is maintained in one ``plan.maintain`` call
+        whose steps hand each other count maps and one tally."""
+        specs, db, maintainer = self._maintainer(
+            {
+                "customer": [(c, c % 4, c % 3) for c in range(8)],
+                "product": [(p, 390 + 10 * p, p % 3) for p in range(8)],
+            }
+        )
+        # Kernels compile and indexes bind on first use, outside the law.
+        db.apply(inserts={"lineitem": [(1, 2, 3, 7, 0)]})
+        seen = {name: maintainer.stats(name)["transactions_seen"] for name in specs}
+
+        registry = instrumentation.__file__
+        constructors = (Delta.__init__.__code__, Delta.adopt.__func__.__code__)
+        counts = {"calls": 0, "registry": 0, "probe charges": 0, "deltas": 0}
+
+        def profile(frame, event, arg):
+            if event == "c_call":
+                counts["calls"] += 1
+            if event != "call":
+                return
+            counts["calls"] += 1
+            code = frame.f_code
+            caller = frame.f_back.f_code
+            if code.co_filename == registry and caller.co_filename != registry:
+                if caller is HashIndex.probe.__code__:
+                    counts["probe charges"] += 1
+                else:
+                    counts["registry"] += 1
+            elif code in constructors:
+                counts["deltas"] += 1
+
+        sys.setprofile(profile)
+        try:
+            db.apply(inserts={"lineitem": [(2, 5, 4, 9, 0)]})
+        finally:
+            sys.setprofile(None)
+
+        maintained = [
+            name
+            for name in specs
+            if maintainer.stats(name)["transactions_seen"] > seen[name]
+        ]
+        # lineitem reaches five views; open_premium hears open_lines.
+        assert len(maintained) == 6
+        assert all(maintainer.stats(name)["deltas_applied"] == 2 for name in specs)
+        maintainer.verify_all()
+        # repro.instrumentation is entered once per maintained view —
+        # the settlement — plus a constant of 1: the commit asks once
+        # whether a recorder is active.  (fbd8c76: 99, a ``count`` or
+        # ``charge`` per metric.)  HashIndex.probe charges its own
+        # ``index_probes``, one per probe, apart.
+        assert counts["registry"] == len(maintained) + 1
+        assert counts["probe charges"] == 5
+        # Per maintained view and changed operand, the screened operand
+        # and the view delta; plus the transaction's own lineitem delta.
+        # (fbd8c76: 15 — every stage wrapped its kernel's dicts anew,
+        # three times for an aggregate view, and each ``from_counts``
+        # ran ``__init__`` first.)
+        assert counts["deltas"] <= 2 * len(maintained) + 1
+        # Every Python-level and C-level call of the commit: 416 on
+        # CPython 3.11, 779 at fbd8c76.  A change that brings per-stage
+        # wrapping or per-metric calls back fails here by count, not by
+        # clock.
+        assert counts["calls"] <= 440

@@ -6,9 +6,12 @@ the kernel boundary: everything inside a generated function is one
 ``codegen.kernel_us`` number.  This tool runs the same transactions
 under ``cProfile`` instead, where a generated kernel is a frame like any
 other (``<codegen:cat_price:aggregate>:…(fold_kernel)``), and prints the
-functions sorted by self time.  The workload — base rows, views,
-operation stream — comes from the benchmark's own generator and harness,
-imported read-only the way ``tests/test_patch_points.py`` reads them.
+function calls made per transaction (Python and built-in, the stream's
+reads included — a count that repeats exactly for a fixed ``--txns`` and
+seed) and then the functions sorted by self time.  The workload — base
+rows, views, operation stream — comes from the benchmark's own generator
+and harness, imported read-only the way ``tests/test_patch_points.py``
+reads them.
 
 By default the stream is run *in process* (``oltp_served`` too: no
 server, no WAL).  ``--served`` profiles the other side of the wire
@@ -76,11 +79,15 @@ def profile_in_process(workload, stream, txns: int):
     host.run_chunk(ops, phase, 0)
     profiler.disable()
     host.verify()
+    stats = pstats.Stats(profiler)
     print(
         f"{workload.name}: {phase.txns} transactions, "
         f"{len(ops) - phase.txns} reads, seed {SEED}"
     )
-    return pstats.Stats(profiler)
+    # Exact for a fixed --txns and seed: a count, not a timing.
+    calls = stats.total_calls
+    print(f"function calls per transaction: {calls / phase.txns:.1f}   ({calls} calls)")
+    return stats
 
 
 def profile_served_child(workload, stream, txns: int):
