@@ -24,8 +24,9 @@ All three store rows as encoded value tuples aligned with their schema.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from types import MappingProxyType
-from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.algebra.schema import RelationSchema
 from repro.algebra.tags import Tag
@@ -36,6 +37,15 @@ from repro.instrumentation import charge
 ValueTuple = tuple[int, ...]
 
 _NO_ROWS: frozenset[ValueTuple] = frozenset()
+
+
+def key_function(positions: Sequence[int]) -> Callable[[ValueTuple], ValueTuple]:
+    """The function that builds a row's key: its values at
+    ``positions``, as a tuple (a 1-tuple for one position)."""
+    if len(positions) == 1:
+        (position,) = positions
+        return lambda values: (values[position],)
+    return itemgetter(*positions)
 
 
 class HashIndex:
@@ -52,14 +62,20 @@ class HashIndex:
     keeps it in step with the relation.
     """
 
-    __slots__ = ("attributes", "_positions", "_buckets")
+    __slots__ = ("attributes", "key_of", "lookup", "_buckets")
 
     def __init__(self, relation: "Relation", attributes: Sequence[str]) -> None:
         if not attributes:
             raise SchemaError("an index needs at least one attribute")
         self.attributes = tuple(attributes)
-        self._positions = relation.schema.positions(self.attributes)
+        #: A stored row's key: its values of ``attributes``, as a tuple.
+        self.key_of = key_function(relation.schema.positions(self.attributes))
         self._buckets: dict[ValueTuple, set[ValueTuple]] = {}
+        #: ``lookup(key, default)``: :meth:`probe` without its charge,
+        #: for callers that count their own probes (the row kernels).
+        #: The bucket dict's own ``get``: valid for the index's life,
+        #: as a rebuild clears the dict in place.
+        self.lookup = self._buckets.get
         self._rebuild(relation)
 
     # ------------------------------------------------------------------
@@ -71,14 +87,11 @@ class HashIndex:
         for values in relation.value_tuples():
             self._insert(values)
 
-    def _key_of(self, values: ValueTuple) -> ValueTuple:
-        return tuple(values[i] for i in self._positions)
-
     def _insert(self, values: ValueTuple) -> None:
-        self._buckets.setdefault(self._key_of(values), set()).add(values)
+        self._buckets.setdefault(self.key_of(values), set()).add(values)
 
     def _remove(self, values: ValueTuple) -> None:
-        key = self._key_of(values)
+        key = self.key_of(values)
         bucket = self._buckets.get(key)
         if bucket is None:
             return

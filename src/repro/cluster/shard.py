@@ -15,8 +15,8 @@ coordinator drives it over :class:`~repro.cluster.links.DirectLink` or
 a simulated lossy channel):
 
 * ``prepare`` — validate the sub-transaction (structure, domains, and
-  declared constraints against the *raw* inserted rows, which is exact:
-  a raw insert that violates a constraint can never be netted away,
+  declared constraints against its netted inserts, which is exact: a
+  raw insert that violates a constraint can never be netted away,
   because the violating row cannot already be present) and stage it.
   No state changes; a crash between prepare and commit loses only the
   stage, which the coordinator's retransmitted, self-contained commit
@@ -232,12 +232,13 @@ class ShardNode:
         """Row-local validation exactly matching a single-node commit.
 
         Structural errors (unknown relations, arity, domains) surface
-        through a throwaway transaction that is always aborted; the
-        constraint check runs over the raw inserted rows, which agrees
-        with commit-time net-effect checking in both directions: a
-        violating raw insert can never be netted away (the row cannot
-        be present, and a same-transaction delete of an absent row does
-        not cancel the insert), and netting never adds inserted rows.
+        through a throwaway transaction that is always aborted, which
+        encodes each row once; the constraint check runs over that
+        probe's netted inserts, which hold every violating raw insert:
+        a violating row can never be stored, so netting never removes
+        one (a same-transaction delete of an absent row does not cancel
+        the insert), and netting never adds inserted rows.  A base-free
+        node stores nothing, so its netted inserts are the raw ones.
 
         Declared keys and foreign keys are checked here too, on the
         probe's netted post-state: 2PC's contract is that a unanimous
@@ -251,15 +252,13 @@ class ShardNode:
         except for key-occupancy relations, whose presence and key
         collisions are checked against the occupancy set.
         """
-        net: dict[str, Delta] = {}
         probe = self.database.begin()
         try:
             for name, batch in sorted(deletes.items()):
                 probe.delete_many(name, batch)
             for name, batch in sorted(inserts.items()):
                 probe.insert_many(name, batch)
-            if not self.base_free:
-                net = probe.net_deltas()
+            net = probe.net_deltas()
         except ReproError as exc:
             return str(exc)
         finally:
@@ -267,12 +266,12 @@ class ShardNode:
                 probe.abort()
         for name in sorted(inserts):
             condition = self.database.constraints.get(name)
-            batch = inserts[name]
-            if condition is None or not batch:
+            delta = net.get(name)
+            if condition is None or delta is None or not delta.inserted:
                 continue
-            schema = self.database.relation(name).schema
-            encoded = {coerce_row(schema, row): 1 for row in batch}
-            violations = find_violations(name, condition, schema, encoded)
+            violations = find_violations(
+                name, condition, delta.schema, delta.inserted
+            )
             if violations:
                 preview = ", ".join(map(str, violations[:3]))
                 return (

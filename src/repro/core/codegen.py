@@ -83,7 +83,8 @@ ValueTuple = tuple[int, ...]
 #: v6: a join order per truth-table row; steps numbered per shape.
 #: v7: every linked OLD step is an index probe (view operands included).
 #: v8: the fold kernel keeps per-group accumulators and renders from them.
-CODEGEN_VERSION = 8
+#: v9: an OLD probe subscripts a table of bucket lookups and counts itself.
+CODEGEN_VERSION = 9
 
 #: Shapes whose truth table exceeds this many rows run on
 #: :func:`~repro.core.differential.execute_planner` instead: the
@@ -396,9 +397,12 @@ def generate_shape_source(
     :class:`~repro.algebra.relation.Delta` of changed occurrence ``p``
     — its ``inserted``/``deleted`` dicts are the DELTA operand —
     ``old(p)`` the live post-commit count map of occurrence ``p``, and
-    ``index_for(s)`` the hash index bound to the OLD probe of distinct
-    step ``s`` (``StepPlan.number``).  Every OLD operand joined through
-    equality links is answered by probing that index and nothing else.
+    ``index_for[s]`` the bucket lookup (:attr:`~repro.algebra.relation.
+    HashIndex.lookup`) of the hash index bound to the OLD probe of
+    distinct step ``s`` (``StepPlan.number``).  Every OLD operand joined
+    through equality links is answered by that lookup and nothing else,
+    ``ix(k, NO_ROWS)`` per parent row; the kernel counts those probes
+    itself.
     The index holds the post-commit operand and OLD means ``r − d_r``,
     so a changed base operand (a set) drops this transaction's inserts
     from each bucket, and an operand named in ``bag_operands`` — an
@@ -412,7 +416,7 @@ def generate_shape_source(
     ``hash_cache`` — built lazily behind a ``None`` guard so an operand
     never reached because its accumulator is empty is never scanned.
     The kernel returns ``(ins, dele, tuples_scanned, join_probes,
-    tuples_emitted, tuples_ignored)``.
+    tuples_emitted, tuples_ignored, index_probes)``.
 
     Names follow the steps' numbers, which count distinct steps in
     first-use order: the table of step ``s`` is ``h_{s}_{CHOICE}``, a
@@ -470,12 +474,13 @@ def generate_shape_source(
     out.emit("dele = {}")
     if planner.always_empty:
         out.emit("# a shared ground atom is false: no row can contribute")
-        out.emit("return ins, dele, 0, 0, 0, 0")
+        out.emit("return ins, dele, 0, 0, 0, 0, 0")
         return out.source()
     out.emit("ts = 0")
     out.emit("jp = 0")
     out.emit("te = 0")
     out.emit("ti = 0")
+    out.emit("ip = 0")
     for p in planner.changed:
         out.emit(f"i{p} = deltas[{p}].inserted")
         out.emit(f"d{p} = deltas[{p}].deleted")
@@ -512,7 +517,7 @@ def generate_shape_source(
                 emitted.add(node)
             parent = node
         out.emit(f"{_numbered('apply_kernel', chain)}({parent}, ins, dele)")
-    out.emit("return ins, dele, ts, jp, te, ti")
+    out.emit("return ins, dele, ts, jp, te, ti, ip")
     return out.source()
 
 
@@ -654,21 +659,22 @@ def _emit_probe_loop(
     operand is a set: count one, and a changed one's probe results drop
     this transaction's inserts.  A ``bag`` operand (an upstream view)
     reads each tuple's count from the live count map, less the copies
-    this transaction inserted.
+    this transaction inserted.  Every parent row is one join probe and
+    one index probe, both counted in bulk.
     """
     p = step.position
     prefilter = _prefilter_expr(step, "bv")
-    out.emit(f"ix = index_for({step.number})")
-    out.emit("bt = T_O")
+    out.emit(f"ix = index_for[{step.number}]")
     if bag:
         out.emit(f"counts = old({p})")
     else:
         out.emit("bc = 1")
+    out.emit(f"jp += len({parent})")
+    out.emit(f"ip += len({parent})")
     out.emit(f"for av, at, ac in {parent}:")
     out.indent += 1
-    out.emit("jp += 1")
     out.emit(f"k = {key_expr}")
-    out.emit("for bv in ix.probe(k):")
+    out.emit("for bv in ix(k, NO_ROWS):")
     out.indent += 1
     if bag and p in planner.changed:
         out.emit(f"bc = counts[bv] - i{p}.get(bv, 0)")
@@ -679,7 +685,7 @@ def _emit_probe_loop(
         out.skip_if(f"bv in i{p}")
     if prefilter is not None:
         out.skip_if(f"not ({prefilter})")
-    _emit_combine_emit(out, node, step)
+    _emit_combine_emit(out, node, step, probed=True)
     out.indent -= 2
 
 
@@ -719,29 +725,28 @@ def _emit_hash_join(
     out.indent += 1
     out.emit("for bv, bt, bc in bucket:")
     out.indent += 1
-    _emit_combine_emit(out, node, step)
+    _emit_combine_emit(out, node, step, probed=False)
     out.indent -= 3
 
 
-def _emit_combine_emit(out: _Emitter, node: str, step: "StepPlan") -> None:
-    """Tag algebra + postfilter + emit, shared by both join paths."""
-    out.emit("if at is T_O:")
-    out.indent += 1
-    out.emit("t = bt")
-    out.indent -= 1
-    out.emit("elif bt is T_O:")
-    out.indent += 1
-    out.emit("t = at")
-    out.indent -= 1
-    out.emit("elif at is bt:")
-    out.indent += 1
-    out.emit("t = at")
-    out.indent -= 1
-    out.emit("else:")
-    out.indent += 1
-    out.emit("ti += 1")
-    out.emit("continue")
-    out.indent -= 1
+def _emit_combine_emit(
+    out: _Emitter, node: str, step: "StepPlan", probed: bool
+) -> None:
+    """Tag algebra + postfilter + emit, shared by both join paths.  A
+    ``probed`` operand is OLD by construction, so the joined row keeps
+    the parent's tag; a hashed one may be a DELTA operand."""
+    if probed:
+        out.emit("t = at")
+    else:
+        out.emit("if at is T_O:")
+        out.emit("    t = bt")
+        out.emit("elif bt is T_O:")
+        out.emit("    t = at")
+        out.emit("elif at is bt:")
+        out.emit("    t = at")
+        out.emit("else:")
+        out.emit("    ti += 1")
+        out.emit("    continue")
     out.emit("rv = av + bv")
     postfilter = _postfilter_expr(step, "rv")
     if postfilter is not None:
@@ -955,10 +960,12 @@ _KERNEL_GLOBALS = {
     "T_O": Tag.OLD,
     "T_I": Tag.INSERT,
     "T_D": Tag.DELETE,
+    #: What an index lookup answers for a key no row carries.
+    "NO_ROWS": frozenset(),
 }
 
 ScreenKernel = Callable[[dict, dict], tuple[dict, dict, int, int]]
-RowKernel = Callable[..., tuple[dict, dict, int, int, int, int]]
+RowKernel = Callable[..., tuple[dict, dict, int, int, int, int, int]]
 AggregateKernel = Callable[
     [dict, dict, dict, dict], tuple[dict, dict, int, int, object]
 ]

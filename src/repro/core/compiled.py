@@ -28,9 +28,8 @@ same plan against a replica produces byte-for-byte the leader's result.
 
 from __future__ import annotations
 
-from functools import partial
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, AbstractSet, Callable, Iterable, Iterator, Mapping
 
 from repro.algebra.expressions import NormalForm
 from repro.algebra.relation import Delta, HashIndex, Relation
@@ -70,7 +69,31 @@ if TYPE_CHECKING:  # pragma: no cover
 
 ValueTuple = tuple[int, ...]
 CountMap = dict[ValueTuple, int]
-_Shape = tuple[tuple[int, ...], RowPlanner, ShapeKernels | None, Callable]
+Lookup = Callable[[ValueTuple, AbstractSet[ValueTuple]], AbstractSet[ValueTuple]]
+
+
+class _BoundLookups(dict[int, Lookup]):
+    """One shape's step number → the bucket lookup of the index bound
+    to that step's OLD probe (:attr:`HashIndex.lookup`); the row kernel
+    subscripts it.  A step's entry is bound on first use, through
+    :meth:`CompiledViewPlan._bind_index`, so an index is still created
+    lazily and with no DDL event."""
+
+    __slots__ = ("_plan", "_steps")
+
+    def __init__(self, plan: "CompiledViewPlan", steps: tuple[StepPlan, ...]) -> None:
+        super().__init__()
+        self._plan = plan
+        self._steps = steps
+
+    def __missing__(self, number: int) -> Lookup:
+        step = self._steps[number]
+        index = self._plan._bind_index(step.position, step.link_attr_names)
+        self[number] = index.lookup
+        return index.lookup
+
+
+_Shape = tuple[tuple[int, ...], RowPlanner, ShapeKernels | None, _BoundLookups]
 
 
 class CompiledViewPlan:
@@ -407,7 +430,7 @@ class CompiledViewPlan:
         """
         names = tuple(deltas)
         shape = self._shapes.get(names) or self._compile_shape(names, counted)
-        changed, planner, kernels, index_for = shape
+        changed, planner, kernels, lookups = shape
         if kernels is None:
             # The shape's truth table exceeds MAX_CODEGEN_ROWS: the
             # reference planner executes it instead, tuple by tuple,
@@ -422,8 +445,8 @@ class CompiledViewPlan:
                 index_probe=self.index_probe_for(deltas),
             )
             return delta.inserted, delta.deleted
-        ins, dele, scanned, probes, emitted, ignored = kernels.row_kernel(
-            list(map(deltas.get, self._occurrence_names)), self._old_counts, index_for
+        ins, dele, scanned, probes, emitted, ignored, looked_up = kernels.row_kernel(
+            list(map(deltas.get, self._occurrence_names)), self._old_counts, lookups
         )
         rows = kernels.rows_evaluated
         counted += (("codegen_batch_rows", rows),)
@@ -435,6 +458,7 @@ class CompiledViewPlan:
                 ("subexpression_memo_hits", kernels.memo_hits),
                 ("tuples_scanned", scanned),
                 ("join_probes", probes),
+                ("index_probes", looked_up),
                 ("tuples_emitted", emitted),
                 ("tuples_ignored", ignored),
             )
@@ -509,8 +533,8 @@ class CompiledViewPlan:
             )
             if kernels is not None:
                 counted += (("codegen_plans_compiled", 1),)
-            index_for = partial(self._step_index, planner.distinct_steps)
-            shape = (changed, planner, kernels, index_for)
+            lookups = _BoundLookups(self, planner.distinct_steps)
+            shape = (changed, planner, kernels, lookups)
         self._shapes[names] = shape
         return shape
 
@@ -520,13 +544,6 @@ class CompiledViewPlan:
     def _old_counts(self, position: int) -> Mapping[ValueTuple, int]:
         """The live count map of one occurrence's operand (kernels)."""
         return self._operands[self._occurrence_names[position]].count_map
-
-    def _step_index(
-        self, steps: tuple[StepPlan, ...], step_index: int
-    ) -> HashIndex:
-        """The index bound to one distinct step's OLD probe (kernels)."""
-        step = steps[step_index]
-        return self._bind_index(step.position, step.link_attr_names)
 
     # ------------------------------------------------------------------
     # Index bindings

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import contextlib
 import enum
-from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from repro.algebra.expressions import Expression
@@ -120,18 +119,6 @@ class _ViewEntry:
         self.subscribers: list[Callable[[MaterializedView, Delta], None]] = []
 
 
-def _enqueue(
-    worklist: list[tuple[int, _ViewEntry]],
-    queued: set[int],
-    readers: Iterable[_ViewEntry],
-) -> None:
-    """Push the records not yet queued in this commit (at most once each)."""
-    for entry in readers:
-        if entry.ordinal not in queued:
-            queued.add(entry.ordinal)
-            heappush(worklist, (entry.ordinal, entry))
-
-
 class ViewMaintainer:
     """Maintains a set of materialized views over one database.
 
@@ -164,6 +151,12 @@ class ViewMaintainer:
         #: it, in definition order.  Written by _install_view and
         #: drop_view only.
         self._dependents: dict[str, list[_ViewEntry]] = {}
+        #: Relation or view name -> its *reach list*: the records a
+        #: delta to it can reach through _dependents, directly or via
+        #: the IMMEDIATE views in between, in ascending ordinal.  Built
+        #: on first use by _reach_of; dropped wholesale by _install_view
+        #: and drop_view.
+        self._reach: dict[str, list[_ViewEntry]] = {}
         self._next_ordinal = 0
         #: The rows of dropped views, summed.
         self._retired = CostRecorder()
@@ -315,6 +308,7 @@ class ViewMaintainer:
         self._entries[name] = entry
         for dep in referenced:
             self._dependents.setdefault(dep, []).append(entry)
+        self._reach.clear()
         return view
 
     def drop_view(self, name: str) -> None:
@@ -337,6 +331,7 @@ class ViewMaintainer:
             entry.row.count("plan_cache_invalidations")
         self._retired.add(entry.row)
         del self._entries[name]
+        self._reach.clear()
         for dep in entry.dependencies:
             readers = self._dependents[dep]
             readers.remove(entry)
@@ -638,37 +633,59 @@ class ViewMaintainer:
     # ------------------------------------------------------------------
     # Commit-side
     # ------------------------------------------------------------------
+    def _reach_of(self, name: str) -> list[_ViewEntry]:
+        """The reach list of one relation or view name (see ``_reach``)."""
+        reach = self._reach.get(name)
+        if reach is None:
+            found: dict[int, _ViewEntry] = {}
+            names = [name]
+            while names:
+                for entry in self._dependents.get(names.pop(), ()):
+                    if entry.ordinal not in found:
+                        found[entry.ordinal] = entry
+                        # A deferred view has no per-commit delta to
+                        # pass on.
+                        if entry.policy is MaintenancePolicy.IMMEDIATE:
+                            names.append(entry.view.definition.name)
+            reach = self._reach[name] = [found[o] for o in sorted(found)]
+        return reach
+
     def _on_commit(self, txn_id: int, deltas: Mapping[str, Delta]) -> None:
         entries = self._entries
-        dependents = self._dependents
         # Operand deltas by name: the transaction's non-empty base
         # deltas, then every view delta as it is applied.  A registered
         # view's name never takes a base delta — what is stacked on it
         # reads the view.
-        arrived: dict[str, Delta] = {}
-        # The records some arrived delta reaches, popped in ascending
-        # ordinal: upstream views are registered before anything that
-        # references them, so every operand delta of a popped view —
-        # from the transaction or from a view maintained before it — has
-        # arrived.
-        worklist: list[tuple[int, _ViewEntry]] = []
-        queued: set[int] = set()
+        arrived = {
+            name: delta
+            for name, delta in deltas.items()
+            if name not in entries and not delta.is_empty()
+        }
+        # The records those deltas can reach, in ascending ordinal:
+        # upstream views are registered before anything that references
+        # them, so every operand delta of a record — from the
+        # transaction or from a view maintained before it — has arrived
+        # by its turn.
+        if len(arrived) == 1:
+            reached = self._reach_of(next(iter(arrived)))
+        else:
+            merged = {e.ordinal: e for name in arrived for e in self._reach_of(name)}
+            reached = [merged[ordinal] for ordinal in sorted(merged)]
+        if not reached:
+            return
+        sequence = self.database.log.last_sequence()
         recording = active_recorder() is not None
-        for name, delta in deltas.items():
-            if name not in entries and not delta.is_empty():
-                arrived[name] = delta
-                _enqueue(worklist, queued, dependents.get(name, ()))
-        while worklist:
-            entry = heappop(worklist)[1]
+        for entry in reached:
             effective = {
                 dep: arrived[dep] for dep in entry.dependencies if dep in arrived
             }
+            if not effective:
+                # Reachable, but no operand changed in this commit.
+                continue
             if entry.policy is MaintenancePolicy.IMMEDIATE:
-                view_delta = self._maintain(entry, effective, recording)
+                view_delta = self._maintain(entry, effective, recording, sequence)
                 if view_delta is not None:
-                    name = entry.view.definition.name
-                    arrived[name] = view_delta
-                    _enqueue(worklist, queued, dependents.get(name, ()))
+                    arrived[entry.view.definition.name] = view_delta
             else:
                 entry.commits_since_refresh += 1
                 pending = entry.pending
@@ -737,11 +754,12 @@ class ViewMaintainer:
         entry = self._entry(name)
         pending = entry.pending
         entry.commits_since_refresh = 0
+        sequence = self.database.log.last_sequence()
         if not pending:
-            entry.view.last_refresh_sequence = self.database.log.last_sequence()
+            entry.view.last_refresh_sequence = sequence
             return False
         entry.pending = {}
-        self._maintain(entry, pending, active_recorder() is not None)
+        self._maintain(entry, pending, active_recorder() is not None, sequence)
         return True
 
     def pending_deltas(self, name: str) -> dict[str, Delta]:
@@ -830,13 +848,18 @@ class ViewMaintainer:
     # The filter + differential pipeline
     # ------------------------------------------------------------------
     def _maintain(
-        self, entry: _ViewEntry, deltas: Mapping[str, Delta], recording: bool
+        self,
+        entry: _ViewEntry,
+        deltas: Mapping[str, Delta],
+        recording: bool,
+        sequence: int,
     ) -> Delta | None:
         """Execute the compiled plan and apply what it returns: the
         applied view delta, ``None`` when the view did not change.  What
         the call counts is settled on the view's row once, raise or not;
         what it would only charge is not even tallied unless a recorder
-        is active to receive it (``recording``).
+        is active to receive it (``recording``).  ``sequence`` is the
+        log position the view is brought up to.
         """
         view = entry.view
         plan = entry.plan
@@ -864,7 +887,7 @@ class ViewMaintainer:
                 counted += (("deltas_applied", 1),)
         finally:
             entry.row.settle(counted, charged)
-        view.last_refresh_sequence = self.database.log.last_sequence()
+        view.last_refresh_sequence = sequence
         if view_delta is None:
             return None
 

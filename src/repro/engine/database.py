@@ -23,7 +23,7 @@ from contextlib import contextmanager, suppress
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.algebra.conditions import Condition
-from repro.algebra.relation import Delta, HashIndex, Relation
+from repro.algebra.relation import Delta, HashIndex, Relation, key_function
 from repro.algebra.schema import RelationSchema
 from repro.engine.constraints import (
     ConstraintCatalog,
@@ -539,16 +539,15 @@ class Database:
         rows plus the surviving stored rows sharing a key value with
         one of them are all the rows that can collide.
         """
-        schema = self._relations[name].schema
-        positions = schema.positions(key)
         index = self.create_index(name, key)
+        key_of = index.key_of
         deleted = delta.deleted
         rows = set(delta.inserted)
         for values in delta.inserted:
-            for stored in index.probe(tuple(values[p] for p in positions)):
+            for stored in index.probe(key_of(values)):
                 if stored not in deleted:
                     rows.add(stored)
-        return find_key_collisions(schema, key, rows)
+        return find_key_collisions(self._relations[name].schema, key, rows)
 
     def _dangling_references(
         self, fk: ForeignKey, src_delta: Delta | None, dst_delta: Delta | None
@@ -564,22 +563,21 @@ class Database:
         dst_deleted = dst_delta.deleted if dst_delta is not None else {}
         if not (src_inserted or dst_deleted):
             return []
-        src_positions = self._relations[fk.relation].schema.positions(
-            fk.attributes
+        src_key = key_function(
+            self._relations[fk.relation].schema.positions(fk.attributes)
         )
-        dst_positions = self._relations[fk.ref_relation].schema.positions(
-            fk.ref_attributes
+        dst_key = key_function(
+            self._relations[fk.ref_relation].schema.positions(fk.ref_attributes)
         )
         # Referenced key values the transaction itself supplies.
-        arriving = {
-            tuple(values[p] for p in dst_positions)
-            for values in (dst_delta.inserted if dst_delta is not None else ())
-        }
+        arriving = set(
+            map(dst_key, dst_delta.inserted if dst_delta is not None else ())
+        )
         dangling: set[ValueTuple] = set()
         if src_inserted:
             referenced = self.create_index(fk.ref_relation, fk.ref_attributes)
             for values in src_inserted:
-                wanted = tuple(values[p] for p in src_positions)
+                wanted = src_key(values)
                 if wanted not in arriving and all(
                     stored in dst_deleted for stored in referenced.probe(wanted)
                 ):
@@ -588,7 +586,7 @@ class Database:
             referencing = self.create_index(fk.relation, fk.attributes)
             src_deleted = src_delta.deleted if src_delta is not None else {}
             for values in dst_deleted:
-                gone = tuple(values[p] for p in dst_positions)
+                gone = dst_key(values)
                 if gone not in arriving:
                     dangling.update(
                         stored

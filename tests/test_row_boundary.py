@@ -22,9 +22,11 @@ from pathlib import Path
 import pytest
 
 from repro import BaseRef, Database, DurabilityManager, ViewMaintainer, recover
+from repro.algebra.conditions import Condition
 from repro.algebra.domains import FiniteDomain, StringDomain
 from repro.algebra.schema import Attribute, RelationSchema
 from repro.algebra.tuples import Row
+from repro.cluster import ClusterTopology, PartitionSpec, ShardNode
 from repro.engine.log import replay_records
 from repro.engine.persistence import relation_to_document
 from repro.errors import DomainError, SchemaError
@@ -135,6 +137,43 @@ def test_a_written_row_is_encoded_exactly_once(tmp_path, encode_calls, shape):
     assert len(view.contents) == 20 - 7 + 12
     assert len(list(WalReader(str(tmp_path)).records())) == 1
     maintainer.verify_all()
+
+
+@pytest.mark.parametrize("base_free", [False, True])
+def test_a_prepared_cluster_batch_is_encoded_exactly_once(encode_calls, base_free):
+    # Shard 0 of two owns A <= 49; its constraint is B < 10 and that range.
+    shard = ShardNode(
+        0,
+        ClusterTopology(2, [PartitionSpec("r", "A", (49,))]),
+        {"r": ["A", "B"]},
+        {"r": [(1, 1), (2, 6), (60, 2)]},
+        {"r": Condition.coerce("B < 10")},
+        [("low", BaseRef("r").select("B < 5"))],
+        base_free=base_free,
+    )
+    del encode_calls[:]
+
+    def prepare(txn, inserts, deletes=()):
+        (reply,) = shard.handle(
+            {
+                "kind": "prepare",
+                "txn": txn,
+                "inserts": {"r": inserts},
+                "deletes": {"r": list(deletes)},
+            }
+        )
+        return reply
+
+    inserts = [[3, 1], [4, 7], [5, 2], [1, 1]]
+    assert prepare(1, inserts, [[2, 6]])["kind"] == "prepared"
+    assert len(encode_calls) == len(inserts) + 1
+    # The check still sees every row it must reject — the declared
+    # constraint's and the shard's range's — from the one encoding.
+    for txn, bad in ((2, (4, 12)), (3, (70, 1))):
+        del encode_calls[:]
+        reply = prepare(txn, [[6, 1], list(bad)])
+        assert reply["kind"] == "nack" and str(bad) in reply["error"]
+        assert len(encode_calls) == 2
 
 
 # ----------------------------------------------------------------------

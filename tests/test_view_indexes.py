@@ -374,11 +374,24 @@ class TestGeneratedSource:
         sources = self._sources()
         # A linked OLD step is a probe and owns no hash table; DELTA
         # operands and the link-less cross join still hash.
-        assert "ix.probe(k)" in sources["st"]
+        assert "for bv in ix(k, NO_ROWS):" in sources["st"]
         assert "_OLD = None" not in sources["st"]
         assert "bc = counts[bv] - i1.get(bv, 0)" in sources["st"]
         assert "_DELTA = None" in sources["st"]
         assert "_OLD = None" in sources["cross"]
+        # The probe loop is the lookup alone: no index method is called
+        # per probe, and the probed operand being OLD, no tag branch.
+        loops = [
+            loop
+            for source in sources.values()
+            for loop in source.split("ix = index_for[")[1:]
+        ]
+        assert loops
+        for loop in loops:
+            body = loop.split("_append((rv, t, ac * bc))")[0]
+            assert "ix.probe(" not in body
+            assert "if at is T_O" not in body
+            assert "t = at" in body
 
     def test_two_compiles_emit_byte_identical_source(self):
         assert self._sources() == self._sources()
@@ -492,18 +505,24 @@ class TestMacrobenchCatalog:
         # repro.instrumentation is entered once per maintained view —
         # the settlement — plus a constant of 1: the commit asks once
         # whether a recorder is active.  (fbd8c76: 99, a ``count`` or
-        # ``charge`` per metric.)  HashIndex.probe charges its own
-        # ``index_probes``, one per probe, apart.
+        # ``charge`` per metric.)  The kernels probe index buckets
+        # directly and count their probes themselves (42a3db4: 5
+        # ``HashIndex.probe`` charges, one per probe).
         assert counts["registry"] == len(maintained) + 1
-        assert counts["probe charges"] == 5
+        assert counts["probe charges"] == 0
         # Per maintained view and changed operand, the screened operand
         # and the view delta; plus the transaction's own lineitem delta.
         # (fbd8c76: 15 — every stage wrapped its kernel's dicts anew,
         # three times for an aggregate view, and each ``from_counts``
         # ran ``__init__`` first.)
         assert counts["deltas"] <= 2 * len(maintained) + 1
-        # Every Python-level and C-level call of the commit: 416 on
-        # CPython 3.11, 779 at fbd8c76.  A change that brings per-stage
-        # wrapping or per-metric calls back fails here by count, not by
-        # clock.
-        assert counts["calls"] <= 440
+        # Every Python-level and C-level call of the commit: 365 on
+        # CPython 3.11, 416 at 42a3db4, 779 at fbd8c76.  A change that
+        # brings per-stage wrapping, per-metric calls or per-probe
+        # dispatch back fails here by count, not by clock.
+        assert counts["calls"] <= 380
+
+        # The probes are still counted, in bulk, for an active recorder.
+        with recording(CostRecorder()) as recorder:
+            db.apply(inserts={"lineitem": [(3, 6, 5, 9, 0)]})
+        assert recorder.get("index_probes") == 5

@@ -150,6 +150,137 @@ class TestDagPropagation:
 
 
 # ----------------------------------------------------------------------
+# Reach lists follow the registry
+# ----------------------------------------------------------------------
+class TestReachLists:
+    """A commit walks the cached reach lists of the relations it
+    changed; every registry change must drop them."""
+
+    def _maintainer(self):
+        db = Database()
+        db.create_relation("r", ["A", "B"], [(1, 1), (60, 2)])
+        db.create_relation("s", ["B", "C"], [(1, 4), (2, 5)])
+        maintainer = ViewMaintainer(db)
+        maintainer.define_view("low", BaseRef("r").select("A < 100"))
+        maintainer.define_view("sel", BaseRef("s").select("C < 100"))
+        # Reached from r through low and from s directly: the reach
+        # lists of r and s interleave by ordinal.
+        maintainer.define_view("both", BaseRef("low").join(BaseRef("s")))
+        return db, maintainer
+
+    def _commit(self, db, maintainer, inserts, reached, deferred=()):
+        """Commit ``inserts``: exactly the ``reached`` views are
+        maintained, in that order, and the ``deferred`` ones composed."""
+        names = maintainer.view_names()
+        fired: list[str] = []
+
+        def record(view, delta):
+            fired.append(view.definition.name)
+
+        for name in names:
+            maintainer.subscribe(name, record)
+        seen = {name: maintainer.stats(name)["transactions_seen"] for name in names}
+        backlog = {
+            name: maintainer.backlog(name)["commits_since_refresh"] for name in names
+        }
+        db.apply(inserts=inserts)
+        for name in names:
+            maintainer.unsubscribe(name, record)
+        moved = [
+            name
+            for name in names
+            if maintainer.stats(name)["transactions_seen"] > seen[name]
+        ]
+        assert sorted(moved) == sorted(reached)
+        assert all(
+            maintainer.stats(name)["transactions_seen"] == seen[name] + 1
+            for name in moved
+        )
+        # Every reached view changed here, so the subscriber order is the
+        # maintenance order: upstream before stacked.
+        assert fired == list(reached)
+        composed = [
+            name
+            for name in names
+            if maintainer.backlog(name)["commits_since_refresh"] > backlog[name]
+        ]
+        assert composed == sorted(deferred)
+        maintainer.quiesce()
+        maintainer.verify_all()
+
+    def test_registry_changes_drop_the_reach_lists(self):
+        db, maintainer = self._maintainer()
+
+        def commit(inserts, reached, deferred=()):
+            self._commit(db, maintainer, inserts, reached, deferred)
+
+        # Warm both lists.
+        commit({"r": [(2, 1)]}, ["low", "both"])
+        commit({"s": [(1, 6)]}, ["sel", "both"])
+        # (a) A view stacked on an existing view.
+        maintainer.define_view("top", BaseRef("both").select("A < 50"))
+        commit({"r": [(3, 1)]}, ["low", "both", "top"])
+        # (b) Dropped again: its object is never maintained after.
+        top = maintainer.view("top")
+        applied = top.updates_applied
+        maintainer.drop_view("top")
+        commit({"r": [(4, 2)]}, ["low", "both"])
+        assert top.updates_applied == applied
+        # (c) A deferred view: reached, composed, never maintained in the
+        # commit.
+        maintainer.define_view(
+            "later",
+            BaseRef("r").select("A < 90"),
+            policy=MaintenancePolicy.DEFERRED,
+        )
+        commit({"r": [(5, 1)]}, ["low", "both"], deferred=["later"])
+        # (d) A restored view.
+        low = maintainer.view("low")
+        maintainer.restore_view("copy", low.definition.expression, low.contents)
+        commit({"r": [(6, 2)]}, ["low", "both", "copy"], deferred=["later"])
+        # Two relations whose reach lists interleave: r reaches low(0),
+        # both(2), later(4), copy(5); s reaches sel(1), both(2).  Merged
+        # by ordinal, both once, after each of its operands.
+        commit(
+            {"r": [(7, 1)], "s": [(2, 7)]},
+            ["low", "sel", "both", "copy"],
+            deferred=["later"],
+        )
+
+    def test_base_free_apply_deltas_walks_the_same_lists(self):
+        """A base-free host holds no base rows and feeds shipped deltas
+        to ``apply_deltas``: the same views are reached, in the same
+        order, to the same contents as the committing host's."""
+
+        def host():
+            db = Database()
+            db.create_relation("r", ["A", "B"])
+            maintainer = ViewMaintainer(db)
+            maintainer.define_view("low", BaseRef("r").select("A < 100"))
+            maintainer.define_view("top", BaseRef("low").select("B = 1"))
+            maintainer.define_view("high", BaseRef("r").select("A >= 100"))
+            fired: list[str] = []
+            for name in maintainer.view_names():
+                maintainer.subscribe(
+                    name, lambda view, delta: fired.append(view.definition.name)
+                )
+            return db, maintainer, fired
+
+        full_db, full, full_fired = host()
+        _, bare, bare_fired = host()
+        for txn_id, rows in enumerate([[(1, 1), (2, 2)], [(3, 1), (200, 1)]], 1):
+            deltas = full_db.apply(inserts={"r": rows})
+            bare.apply_deltas(txn_id, deltas)
+        assert bare_fired == full_fired == ["low", "top", "low", "top", "high"]
+        for name in full.view_names():
+            assert bare.stats(name) == full.stats(name)
+            assert bare.view(name).contents.counts() == (
+                full.view(name).contents.counts()
+            )
+        full.verify_all()
+
+
+# ----------------------------------------------------------------------
 # DDL and drop_view through the index
 # ----------------------------------------------------------------------
 @pytest.fixture

@@ -74,19 +74,25 @@ def profile_in_process(workload, stream, txns: int):
     host.run_chunk(stream.warmup() + stream.take(workload.chunk_ops), Phase(), 0)
     ops = stream.take_txns(txns)
     phase = Phase()
+    seen = host.maintainer.totals.get("transactions_seen")
     profiler = cProfile.Profile()
     profiler.enable()
     host.run_chunk(ops, phase, 0)
     profiler.disable()
+    maintained = host.maintainer.totals.get("transactions_seen") - seen
     host.verify()
     stats = pstats.Stats(profiler)
     print(
         f"{workload.name}: {phase.txns} transactions, "
         f"{len(ops) - phase.txns} reads, seed {SEED}"
     )
-    # Exact for a fixed --txns and seed: a count, not a timing.
+    # Exact for a fixed --txns and seed: counts, not timings.
     calls = stats.total_calls
     print(f"function calls per transaction: {calls / phase.txns:.1f}   ({calls} calls)")
+    print(
+        f"calls per maintained view:      {calls / max(maintained, 1):.1f}   "
+        f"({maintained} view maintenances)"
+    )
     return stats
 
 
