@@ -20,6 +20,7 @@ from repro.bench.reporting import format_table
 from repro.core.differential import compute_view_delta
 from repro.core.maintainer import ViewMaintainer
 from repro.core.compiled import CompiledViewPlan
+from repro.core.planner import evaluate_normal_form
 from repro.core.views import MaterializedView, ViewDefinition
 from repro.engine.database import Database
 from repro.instrumentation import CostRecorder, recording
@@ -44,7 +45,9 @@ VIEW = BaseRef("r").join(BaseRef("s")).select("C >= 100").project(["A", "C"])
 def _run(probe_indexes):
     db = _make_db()
     definition = ViewDefinition("v", VIEW, db.schema_catalog())
-    view = MaterializedView.materialize(definition, db.instances())
+    view = MaterializedView.from_stored(
+        definition, evaluate_normal_form(definition.normal_form, db.instances())
+    )
     # Only the plan's index-probe hook is used; nothing executes it.
     plan = CompiledViewPlan(definition, db, db.schema_catalog(), CostRecorder())
 

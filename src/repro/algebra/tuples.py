@@ -87,6 +87,10 @@ def coerce_row(schema: RelationSchema, row: object) -> tuple[int, ...]:
     methods, documents, a shard's raw batches); the result is never
     passed back in — under a ``StringDomain`` a code is not a raw value.
     """
+    # Tuples and lists first: nearly every row is one, and the
+    # ``typing`` ABC checks below cost several times the encode.
+    if isinstance(row, (tuple, list)):
+        return schema.encode_values(row)
     if isinstance(row, Row):
         if row.schema.names != schema.names:
             raise SchemaError(

@@ -37,7 +37,10 @@ class FullReevaluationMaintainer:
         if name in self._views:
             raise MaintenanceError(f"view {name!r} is already defined")
         definition = ViewDefinition(name, expression, self.database.schema_catalog())
-        view = MaterializedView.materialize(definition, self.database.instances())
+        view = MaterializedView.from_stored(
+            definition,
+            evaluate_normal_form(definition.normal_form, self.database.instances()),
+        )
         self._views[name] = view
         self.recomputations[name] = 0
         return view

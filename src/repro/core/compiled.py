@@ -21,7 +21,8 @@ A :class:`CompiledViewPlan` is the unit the
 :class:`~repro.core.maintainer.ViewMaintainer` keeps on each view's
 registry record and every maintenance entry point — immediate commits, deferred ``refresh``, WAL-replay
 recovery, changefeed followers, and the network view-server above them
-— executes.  The plan is deliberately *stateless with respect to data*:
+— executes, from the view's first materialization
+(:meth:`CompiledViewPlan.evaluate`) on.  The plan is deliberately *stateless with respect to data*:
 it holds no tuples, only derived control structure, so executing the
 same plan against a replica produces byte-for-byte the leader's result.
 """
@@ -29,7 +30,7 @@ same plan against a replica produces byte-for-byte the leader's result.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import TYPE_CHECKING, AbstractSet, Callable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, AbstractSet, Callable, Iterable, Iterator, Mapping, cast
 
 from repro.algebra.expressions import NormalForm
 from repro.algebra.relation import Delta, HashIndex, Relation
@@ -57,7 +58,7 @@ from repro.core.codegen import (
 from repro.core.counting import net_counts
 from repro.core.differential import execute_planner
 from repro.core.irrelevance import RelevanceFilter, is_statically_irrelevant
-from repro.core.planner import IndexProbe, ProbeFn, ProbeRow, RowPlanner, StepPlan
+from repro.core.planner import IndexProbe, ProbeFn, ProbeRow, RowPlanner, StepPlan, evaluate_normal_form
 from repro.core.truthtable import count_delta_rows
 from repro.core.views import ViewDefinition
 from repro.errors import MaintenanceError
@@ -72,28 +73,32 @@ CountMap = dict[ValueTuple, int]
 Lookup = Callable[[ValueTuple, AbstractSet[ValueTuple]], AbstractSet[ValueTuple]]
 
 
-class _BoundLookups(dict[int, Lookup]):
-    """One shape's step number → the bucket lookup of the index bound
-    to that step's OLD probe (:attr:`HashIndex.lookup`); the row kernel
-    subscripts it.  A step's entry is bound on first use, through
-    :meth:`CompiledViewPlan._bind_index`, so an index is still created
-    lazily and with no DDL event."""
+class _Lookups(dict[int, Lookup]):
+    """One shape's step number → the bucket lookup of the index that
+    step's OLD probe reads (:attr:`HashIndex.lookup`); the row kernel
+    subscripts it.  A step's entry is resolved on first use, by
+    ``index_of(step)``: for a commit, the index the plan binds
+    (:meth:`CompiledViewPlan._bind_index`, so an index is still created
+    lazily and with no DDL event); for :meth:`CompiledViewPlan.evaluate`,
+    a transient one."""
 
-    __slots__ = ("_plan", "_steps")
+    __slots__ = ("_index_of", "_steps")
 
-    def __init__(self, plan: "CompiledViewPlan", steps: tuple[StepPlan, ...]) -> None:
+    def __init__(
+        self,
+        index_of: Callable[[StepPlan], HashIndex],
+        steps: tuple[StepPlan, ...],
+    ) -> None:
         super().__init__()
-        self._plan = plan
+        self._index_of = index_of
         self._steps = steps
 
     def __missing__(self, number: int) -> Lookup:
-        step = self._steps[number]
-        index = self._plan._bind_index(step.position, step.link_attr_names)
-        self[number] = index.lookup
-        return index.lookup
+        lookup = self[number] = self._index_of(self._steps[number]).lookup
+        return lookup
 
 
-_Shape = tuple[tuple[int, ...], RowPlanner, ShapeKernels | None, _BoundLookups]
+_Shape = tuple[tuple[int, ...], RowPlanner, ShapeKernels | None, _Lookups]
 
 
 class CompiledViewPlan:
@@ -515,6 +520,62 @@ class CompiledViewPlan:
             )
         return inserted, deleted
 
+    # ------------------------------------------------------------------
+    # Complete evaluation
+    # ------------------------------------------------------------------
+    def evaluate(self, counted: Tally, charged: Tally | None) -> Relation:
+        """The view's stored contents — an aggregate view's core rows —
+        evaluated from scratch on the kernels commits run.
+
+        Complete evaluation is one row of the Section 5.3 truth table:
+        insert all of an operand ``r`` into an empty ``r``, and only
+        ``i_r ⋈ s ⋈ …`` of the expansion is non-empty — the shape
+        ``(r,)`` that every commit on ``r`` executes.  Its row kernel
+        runs with the whole count map of the largest operand (ties to
+        the first occurrence) as ``inserted``, so OLD ``r − d_r`` is
+        empty, and every other operand read as it stands.  An OLD probe
+        reads an index the operand already carries or one built for
+        this call alone, never registered: evaluation creates and binds
+        no index and fires no DDL event.  A shape past
+        :data:`~repro.core.codegen.MAX_CODEGEN_ROWS` runs on
+        :func:`~repro.core.planner.evaluate_normal_form` instead.
+
+        Tallies go to ``counted`` and ``charged`` as in :meth:`maintain`.
+        """
+        operands = [self._operands[name] for name in self._occurrence_names]
+        sizes = [len(operand) for operand in operands]
+        if not all(sizes):
+            # A join with an empty operand is empty.
+            return Relation(self._core_schema)
+        largest = sizes.index(max(sizes))
+        root_name, root = self._occurrence_names[largest], operands[largest]
+        names = (root_name,)
+        _, planner, kernels, _ = self._shapes.get(names) or self._compile_shape(names, counted)
+        if kernels is None:
+            return evaluate_normal_form(self._exec_normal_form, self._operands)
+
+        def transient(step: StepPlan) -> HashIndex:
+            name, attrs = self._probe_target(step.position, step.link_attr_names)
+            operand = self._operands[name]
+            return operand.indexes.get(attrs) or HashIndex(operand, attrs)
+
+        # The kernel only reads a delta's maps: the live one will do.
+        everything = Delta.adopt(root.schema, cast(CountMap, root.count_map), {})
+        inserted, _, scanned, probes, emitted, _, looked_up = kernels.row_kernel(
+            [everything if name == root_name else None for name in self._occurrence_names],
+            self._old_counts,
+            _Lookups(transient, planner.distinct_steps),
+        )
+        counted += (("codegen_batch_rows", kernels.rows_evaluated),)
+        if charged is not None:
+            charged += (
+                ("tuples_scanned", scanned),
+                ("join_probes", probes),
+                ("index_probes", looked_up),
+                ("tuples_emitted", emitted),
+            )
+        return Relation.from_counts(self._core_schema, inserted)
+
     def _compile_shape(self, names: tuple[str, ...], counted: Tally) -> _Shape:
         """One truth-table shape's execution entry, compiled on first
         use and memoised under ``names``."""
@@ -533,7 +594,10 @@ class CompiledViewPlan:
             )
             if kernels is not None:
                 counted += (("codegen_plans_compiled", 1),)
-            lookups = _BoundLookups(self, planner.distinct_steps)
+            lookups = _Lookups(
+                lambda step: self._bind_index(step.position, step.link_attr_names),
+                planner.distinct_steps,
+            )
             shape = (changed, planner, kernels, lookups)
         self._shapes[names] = shape
         return shape
@@ -559,13 +623,18 @@ class CompiledViewPlan:
         """
         key = (position, link_attrs)
         binding = self._index_bindings.get(key)
-        if binding is not None:
-            return binding
-        occurrence = self._exec_normal_form.occurrences[position]
-        base_attrs = tuple(occurrence.inverse[q] for q in link_attrs)
-        binding = self._operands[occurrence.name].index_on(base_attrs)
-        self._index_bindings[key] = binding
+        if binding is None:
+            name, attrs = self._probe_target(position, link_attrs)
+            binding = self._index_bindings[key] = self._operands[name].index_on(attrs)
         return binding
+
+    def _probe_target(
+        self, position: int, link_attrs: tuple[str, ...]
+    ) -> tuple[str, tuple[str, ...]]:
+        """The operand one OLD probe reads and the attributes of it
+        the probe's link attributes name."""
+        occurrence = self._exec_normal_form.occurrences[position]
+        return occurrence.name, tuple(occurrence.inverse[q] for q in link_attrs)
 
     def index_probe_for(self, deltas: Mapping[str, Delta]) -> IndexProbe:
         """The per-execution OLD-operand probe hook.
@@ -733,18 +802,17 @@ class CompiledViewPlan:
         lines.append("index bindings (OLD-operand probes):")
         probes = planner.old_probe_steps()
         for step in probes:
-            occurrence = nf.occurrences[step.position]
-            base_attrs = tuple(
-                occurrence.inverse[q] for q in step.link_attr_names
+            operand, base_attrs = self._probe_target(
+                step.position, step.link_attr_names
             )
             state = (
                 "bound"
-                if base_attrs in self._operands[occurrence.name].indexes
+                if base_attrs in self._operands[operand].indexes
                 else "will be created on first use"
             )
             lines.append(
                 f"  step {step.number}: probes hash index "
-                f"{occurrence.name}({', '.join(base_attrs)}) [{state}]"
+                f"{operand}({', '.join(base_attrs)}) [{state}]"
             )
         if not probes:
             lines.append("  (none: no OLD operand is joined by equality links)")

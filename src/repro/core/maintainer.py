@@ -175,9 +175,13 @@ class ViewMaintainer:
     ) -> MaterializedView:
         """Register and materialize a view.
 
-        The initial materialization is a complete evaluation of the
-        defining expression — differential maintenance takes over from
-        the next commit.
+        The plan is compiled first, and the initial materialization is
+        its :meth:`~repro.core.compiled.CompiledViewPlan.evaluate`: the
+        complete evaluation of the defining expression, run as the
+        kernel of the one truth-table row that inserting the largest
+        operand into an empty one leaves.  Differential maintenance
+        takes over from the next commit, on the same plan.  Whatever
+        step fails, the view leaves no trace.
 
         The expression may reference *other registered views* by name
         (views over views): the upstream view then acts as a base
@@ -210,8 +214,14 @@ class ViewMaintainer:
             )
             if errors:
                 raise StrictAnalysisError(name, errors)
-        view = MaterializedView.materialize(definition, self.instances())
-        return self._install_view(view, referenced, policy)
+        row = CostRecorder()
+        plan = self._compile_plan(definition, referenced, row)
+        counted: Tally = []
+        charged: Tally | None = [] if active_recorder() is not None else None
+        stored = plan.evaluate(counted, charged)
+        row.settle(counted, charged)
+        view = MaterializedView.from_stored(definition, stored)
+        return self._install_view(view, referenced, policy, plan, row)
 
     def restore_view(
         self,
@@ -255,6 +265,8 @@ class ViewMaintainer:
                 f"restored contents for view {name!r} have schema "
                 f"{list(contents.schema.names)}, expected {list(expected.names)}"
             )
+        row = CostRecorder()
+        plan = self._compile_plan(definition, referenced, row)
         adopted = Relation(expected)
         for values, count in contents.items():
             adopted.add(tuple(contents.schema.decode_values(values)), count)
@@ -263,7 +275,7 @@ class ViewMaintainer:
             from repro.core.consistency import check_view_consistency
 
             check_view_consistency(view, self.instances())
-        return self._install_view(view, referenced, policy)
+        return self._install_view(view, referenced, policy, plan, row)
 
     def _validated_definition(
         self, name: str, expression: Expression
@@ -292,20 +304,18 @@ class ViewMaintainer:
         view: MaterializedView,
         referenced: frozenset[str],
         policy: MaintenancePolicy,
+        plan: CompiledViewPlan,
+        row: CostRecorder,
     ) -> MaterializedView:
-        definition = view.definition
-        name = definition.name
-        # Compile before registering anything: registration is the
-        # natural compile point (the first transaction then executes a
-        # cached plan like every later one), and a definition whose
-        # plan cannot be compiled must leave no trace — not a view
-        # without a plan, not a taken name.
-        row = CostRecorder()
-        plan = self._compile_plan(definition, referenced, row)
+        """Register a view with the plan and counter row its caller
+        compiled it with.  Callers compile before anything else: a
+        definition whose plan cannot be compiled, or whose contents
+        cannot be computed, must leave no trace — not a view without a
+        plan, not a taken name."""
         view.last_refresh_sequence = self.database.log.last_sequence()
         entry = _ViewEntry(view, policy, referenced, self._next_ordinal, row, plan)
         self._next_ordinal += 1
-        self._entries[name] = entry
+        self._entries[view.definition.name] = entry
         for dep in referenced:
             self._dependents.setdefault(dep, []).append(entry)
         self._reach.clear()

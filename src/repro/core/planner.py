@@ -51,7 +51,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 from repro.algebra.conditions import Atom, Condition, Var
 from repro.algebra.evaluate import compile_condition
 from repro.algebra.expressions import NormalForm
-from repro.algebra.relation import TaggedRelation
+from repro.algebra.relation import Relation, TaggedRelation
 from repro.algebra.schema import RelationSchema
 from repro.algebra.tags import Tag, combine_join_tags
 from repro.core.truthtable import DeltaRowChoice, Rows, delta_rows, render_row
@@ -648,15 +648,17 @@ class RowPlanner:
 
 
 def evaluate_normal_form(
-    normal_form: NormalForm,
-    instances: Mapping[str, "object"],
-) -> "object":
-    """Full (non-differential) evaluation via the pipelined planner.
+    normal_form: NormalForm, instances: Mapping[str, Relation]
+) -> Relation:
+    """Full (non-differential) evaluation via the reference planner.
 
     Treats every operand as OLD and evaluates the single all-old row,
-    so the complete re-evaluation baseline enjoys the same hash joins
-    and selection pushdown the differential path gets — the benchmark
-    comparisons stay apples-to-apples.  Returns a counted
+    tuple by tuple, charging as it goes.  This is the reference
+    library's complete evaluation — the complete re-evaluation
+    baseline, the extensions and the row-cap fallback run it; the
+    maintainer materializes a view on its generated kernels instead
+    (:meth:`~repro.core.compiled.CompiledViewPlan.evaluate`), so a
+    clock comparing the two is not apples-to-apples.  Returns a counted
     :class:`~repro.algebra.relation.Relation` over the view's output
     schema.
 
@@ -664,8 +666,6 @@ def evaluate_normal_form(
     is retained as an *independent* oracle; the test suite cross-checks
     the two on random inputs.
     """
-    from repro.algebra.relation import Relation
-
     planner = RowPlanner(normal_form, changed_positions=())
     operands = []
     for occurrence in normal_form.occurrences:
@@ -674,7 +674,7 @@ def evaluate_normal_form(
             occurrence.qualified_names()
         )
         tagged = TaggedRelation(occ_schema)
-        for values, count in relation.items():  # type: ignore[attr-defined]
+        for values, count in relation.items():
             tagged.add(values, Tag.OLD, count)
         operands.append({DeltaRowChoice.OLD: tagged})
     merged = planner.evaluate_rows(planner.chains, operands)

@@ -121,24 +121,6 @@ class MaterializedView:
         self.last_refresh_sequence = 0
 
     @classmethod
-    def materialize(
-        cls, definition: ViewDefinition, instances: Mapping[str, Relation]
-    ) -> "MaterializedView":
-        """Evaluate the definition from scratch and store the result.
-
-        Uses the pipelined normal-form evaluator (hash joins, selection
-        pushdown); the naive tree evaluator stays available as an
-        independent oracle via :func:`repro.algebra.evaluate.evaluate`.
-        For aggregate views the core is evaluated, grouped into the
-        support state, and the visible rows rendered from it.
-        """
-        from repro.core.planner import evaluate_normal_form
-
-        return cls.from_stored(
-            definition, evaluate_normal_form(definition.normal_form, instances)
-        )
-
-    @classmethod
     def from_stored(
         cls, definition: ViewDefinition, stored: Relation
     ) -> "MaterializedView":

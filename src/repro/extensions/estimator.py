@@ -164,7 +164,10 @@ class AdaptiveMaintainer:
                 f"AdaptiveMaintainer maintains SPJ views; {name!r} is an "
                 "aggregate view (use ViewMaintainer)"
             )
-        self.view = MaterializedView.materialize(definition, database.instances())
+        self.view = MaterializedView.from_stored(
+            definition,
+            evaluate_normal_form(definition.normal_form, database.instances()),
+        )
         #: Every maintenance round's decision, in commit order.
         self.decisions: list[StrategyDecision] = []
         self._rounds = 0

@@ -28,6 +28,7 @@ from repro.algebra.relation import Delta
 from repro.core.aggregates import AggregateState
 from repro.core.differential import compute_view_delta
 from repro.core.irrelevance import filter_delta
+from repro.core.planner import evaluate_normal_form
 from repro.core.views import MaterializedView, ViewDefinition
 from repro.engine.database import Database
 from repro.instrumentation import charge
@@ -101,7 +102,9 @@ class ReferenceViews:
         for view_name, view in self.views.items():
             catalog[view_name] = view.contents.schema
         definition = ViewDefinition(name, expression, catalog)
-        view = MaterializedView.materialize(definition, self._instances())
+        view = MaterializedView.from_stored(
+            definition, evaluate_normal_form(definition.normal_form, self._instances())
+        )
         self.views[name] = view
         return view
 

@@ -9,6 +9,7 @@ from repro.core.consistency import (
     check_view_consistency,
     compare_relations,
 )
+from repro.core.planner import evaluate_normal_form
 from repro.core.views import MaterializedView, ViewDefinition
 from repro.errors import MaintenanceError
 
@@ -18,7 +19,9 @@ def setting():
     catalog = {"r": RelationSchema(["A", "B"])}
     instances = {"r": Relation.from_rows(catalog["r"], [(1, 10), (2, 10)])}
     definition = ViewDefinition("v", BaseRef("r").project(["B"]), catalog)
-    view = MaterializedView.materialize(definition, instances)
+    view = MaterializedView.from_stored(
+        definition, evaluate_normal_form(definition.normal_form, instances)
+    )
     return view, instances
 
 

@@ -87,6 +87,37 @@ class TestCoerceRow:
     def test_bad_arity_rejected(self, schema):
         with pytest.raises(SchemaError):
             coerce_row(schema, (1,))
+        with pytest.raises(SchemaError):
+            coerce_row(schema, [1, 2, 3, 4])
+
+    def test_every_row_shape_encodes_alike(self, schema):
+        """Tuples and lists take a fast path ahead of the ABC checks;
+        every other shape still reaches the same encoded tuple."""
+        from collections import namedtuple
+
+        Point = namedtuple("Point", ["A", "B", "C"])
+        shapes = [
+            (1, 2, 3),
+            [1, 2, 3],
+            Point(1, 2, 3),
+            Row(schema, (1, 2, 3)),
+            {"C": 3, "A": 1, "B": 2},
+            range(1, 4),
+        ]
+        assert {coerce_row(schema, shape) for shape in shapes} == {(1, 2, 3)}
+        assert type(coerce_row(schema, [1, 2, 3])) is tuple
+        with pytest.raises(SchemaError):
+            coerce_row(schema, b"abc")
+
+    def test_fast_path_still_validates_domains(self):
+        from repro.algebra.domains import StringDomain
+        from repro.algebra.schema import Attribute
+        from repro.errors import DomainError
+
+        s = RelationSchema([Attribute("x", StringDomain(["lo", "hi"]))])
+        assert coerce_row(s, ("hi",)) == coerce_row(s, ["hi"]) == (1,)
+        with pytest.raises(DomainError):
+            coerce_row(s, ("mid",))
 
 
 class TestMembership:

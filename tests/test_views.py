@@ -5,6 +5,7 @@ import pytest
 from repro.algebra.expressions import BaseRef
 from repro.algebra.relation import Delta
 from repro.algebra.schema import RelationSchema
+from repro.core.planner import evaluate_normal_form
 from repro.core.views import MaterializedView, ViewDefinition
 from repro.errors import ExpressionError, ViewDefinitionError
 
@@ -47,7 +48,8 @@ class TestMaterializedView:
             "s": Relation.from_rows(catalog["s"], [(10, 5)]),
         }
         definition = ViewDefinition("v", BaseRef("r").join(BaseRef("s")), catalog)
-        return MaterializedView.materialize(definition, instances), instances
+        stored = evaluate_normal_form(definition.normal_form, instances)
+        return MaterializedView.from_stored(definition, stored), instances
 
     def test_materialize(self, catalog):
         view, _ = self._view(catalog)

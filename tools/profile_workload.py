@@ -29,6 +29,11 @@ checksum, once by recovery and once by the writer's open, which is
 ``2 * wal_tail`` encodes (4 000 for ``oltp_served``) before the first
 request.
 
+``--setup`` profiles the set-up instead of the stream: the harness's
+own ``build_database`` and ``define_views``, which is what ``setup_s``
+times, and prints the function calls per base tuple — exact for a fixed
+workload and seed, like the per-transaction count.
+
 ``cProfile`` charges every Python call and nothing inside C code, so the
 shares it prints overstate call-heavy code.  Use it to find a candidate;
 measure the change with ``macrobench/run.py``.
@@ -37,6 +42,7 @@ Usage (from the repository root)::
 
     python tools/profile_workload.py oltp_inproc --txns 5000
     python tools/profile_workload.py oltp_served --served
+    python tools/profile_workload.py oltp_inproc --setup
 """
 
 from __future__ import annotations
@@ -93,6 +99,26 @@ def profile_in_process(workload, stream, txns: int):
         f"calls per maintained view:      {calls / max(maintained, 1):.1f}   "
         f"({maintained} view maintenances)"
     )
+    return stats
+
+
+def profile_setup(workload, stream, txns: int):
+    import catalog
+    from harness import build_database, define_views
+
+    rows, schemas = stream.base_rows(), stream.schemas()
+    specs = catalog.view_specs(workload)
+    profiler = cProfile.Profile()
+    profiler.enable()
+    database = build_database(rows, schemas)
+    maintainer = define_views(database, specs)
+    profiler.disable()
+    maintainer.verify_all()
+    tuples = sum(map(len, rows.values()))
+    stats = pstats.Stats(profiler)
+    print(f"{workload.name} set-up: {tuples} base tuples, {len(specs)} views, seed {SEED}")
+    calls = stats.total_calls
+    print(f"function calls per base tuple: {calls / tuples:.1f}   ({calls} calls)")
     return stats
 
 
@@ -157,15 +183,21 @@ def main() -> int:
     parser.add_argument("workload", choices=sorted(config.WORKLOADS))
     parser.add_argument("--txns", type=int, default=5000,
                         help="write transactions to profile (default 5000)")
-    parser.add_argument("--served", action="store_true",
-                        help="profile the serve child of a served workload, not the stream in process")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--served", action="store_true",
+                      help="profile the serve child of a served workload, not the stream in process")
+    mode.add_argument("--setup", action="store_true",
+                      help="profile building the database and defining the views, not the stream")
     args = parser.parse_args()
 
     workload = config.WORKLOADS[args.workload]
     if args.served and not workload.served:
         parser.error(f"{workload.name} has no serve child; --served needs a served workload")
     stream = Stream(workload, SEED)
-    profile = profile_served_child if args.served else profile_in_process
+    if args.setup:
+        profile = profile_setup
+    else:
+        profile = profile_served_child if args.served else profile_in_process
     profile(workload, stream, args.txns).strip_dirs().sort_stats("tottime").print_stats(TOP)
     return 0
 
