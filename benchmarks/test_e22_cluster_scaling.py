@@ -31,7 +31,7 @@ from pathlib import Path
 from benchmarks.conftest import env_flag, smoke_env
 from repro.bench.reporting import format_table
 from repro.cluster import build_cluster
-from repro.cluster.sim import VALUE_RANGE, cluster_workload
+from repro.simulation.sharded import VALUE_RANGE, cluster_workload
 
 SMOKE = smoke_env("E22")
 RECORD = env_flag("REPRO_E22_RECORD")

@@ -35,10 +35,11 @@ Invocations::
         reference exactly one partitioned relation.  The cluster serves
         from memory: commits are NOT appended back to DIR's WAL.
     python -m repro.cli simulate [--seed N] [--episodes N] [--events N]
-                                 [--followers N] [--clients N]
-                                 [--no-crashes] [--no-partitions]
-                                 [--no-ddl] [--corruption] [--trace]
-                                 [--sharded [--shards N] [--broadcast]]
+                                 [--no-crashes] [--no-partitions] [--trace]
+                                 [--followers N] [--base-free-followers N]
+                                 [--clients N] [--no-ddl] [--corruption]
+                                 | --sharded [--shards N] [--broadcast]
+                                             [--base-free] [--keyed]
         Run the deterministic simulation harness (docs/testing.md):
         seeded random workloads under injected crashes, torn writes,
         lost fsyncs and network faults, checked after every quiescent
@@ -46,12 +47,10 @@ Invocations::
         state, followers and client changefeed mirrors.  The same seed
         always replays the identical run; a divergence prints the
         failing episode's seed and a minimized event trace, and exits 1.
-        --base-free-followers adds replicas that shed their base
-        copies (self-maintainable views only); --sharded --base-free
-        runs every non-home shard base-free (docs/scheduler.md);
-        adding --keyed declares a key on the partitioned relation and
-        drives it with unrestricted inserts and deletes, exercising
-        key-occupancy presence tracking (docs/cluster.md).
+        --sharded runs a cluster instead (docs/cluster.md): --base-free
+        sheds every non-home shard's base rows, and --keyed declares a
+        key that lets them check presence (docs/scheduler.md).  A flag
+        of the other topology is an error.
     python -m repro.cli monitor [--seed N] [--commits N]
                                 [--json PATH] [--html PATH]
         Drive a seeded synthetic workload under staleness SLAs and
@@ -134,9 +133,11 @@ Run interactively with ``python -m repro.cli``.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import re
 import sys
+from typing import Any
 
 from repro.algebra.expressions import BaseRef, Expression
 from repro.core.maintainer import MaintenancePolicy, ViewMaintainer
@@ -851,87 +852,67 @@ def run_analyze(
     return 1 if report.has_errors else 0
 
 
-def run_simulate(
-    seed: int = 0,
-    episodes: int = 10,
-    events: int = 40,
-    followers: int = 1,
-    base_free_followers: int = 1,
-    clients: int = 2,
-    crashes: bool = True,
-    partitions: bool = True,
-    ddl: bool = True,
-    corruption: bool = False,
-    trace: bool = False,
-    emit=print,
-) -> int:
+#: ``simulate`` options (by dest) that shape one topology only.
+SINGLE_NODE_OPTIONS = (
+    "followers", "base_free_followers", "clients", "no_ddl", "corruption"
+)
+SHARDED_OPTIONS = ("shards", "broadcast", "base_free", "keyed")
+
+
+def simulate_fields(options: argparse.Namespace) -> dict[str, Any]:
+    """The ``SimulationConfig`` fields the ``simulate`` flags set.
+
+    A flag that does not shape the chosen topology is a
+    :class:`ShellError` naming it, never silently ignored.
+    """
+    topology = "sharded" if options.sharded else "single-node"
+    for dest in SINGLE_NODE_OPTIONS if options.sharded else SHARDED_OPTIONS:
+        given = getattr(options, dest)  # None or False when absent
+        if given is not None and given is not False:
+            flag = "--" + dest.replace("_", "-")
+            raise ShellError(f"{flag} does not apply to a {topology} simulation")
+    shards = 0
+    if options.sharded:
+        shards = 3 if options.shards is None else options.shards
+        if shards < 1:
+            raise ShellError("--shards must be at least 1")
+    fields = {
+        "seed": options.seed,
+        "episodes": options.episodes,
+        "events": options.events,
+        "shards": shards,
+        "crashes": not options.no_crashes,
+        "partitions": not options.no_partitions,
+        "followers": options.followers,
+        "base_free_followers": options.base_free_followers,
+        "clients": options.clients,
+        "ddl": not options.no_ddl,
+        "corruption": options.corruption,
+        "routed": not options.broadcast,
+        "keyed": options.keyed,
+        "base_free_shards": options.base_free,
+    }
+    return {name: value for name, value in fields.items() if value is not None}
+
+
+def run_simulate(trace: bool = False, emit=print, **fields: Any) -> int:
     """The ``simulate`` verb; returns the process exit code.
 
-    Output is a pure function of the arguments (the harness owns all
-    randomness and time), so piping two runs with the same seed through
-    ``diff`` is itself a determinism test.
+    ``fields`` are :class:`~repro.simulation.SimulationConfig`'s, so
+    ``shards`` picks the topology.  Output is a pure function of the
+    arguments (the harness owns all randomness and time), so piping two
+    runs with the same seed through ``diff`` is itself a determinism
+    test.  ``trace`` appends every episode's event trace.
     """
     from repro.simulation import SimulationConfig, run_simulation
 
-    config = SimulationConfig(
-        seed=seed,
-        episodes=episodes,
-        events=events,
-        followers=followers,
-        base_free_followers=base_free_followers,
-        clients=clients,
-        crashes=crashes,
-        partitions=partitions,
-        ddl=ddl,
-        corruption=corruption,
-    )
-    report = run_simulation(config)
+    report = run_simulation(SimulationConfig(**fields))
     emit(report.format())
     if trace:
         for result in report.episodes:
             emit(f"episode seed={result.seed}")
             for line in result.trace:
                 emit(f"  {line}")
-    return 0 if report.ok else 1
-
-
-def run_simulate_cluster(
-    seed: int = 0,
-    episodes: int = 5,
-    events: int = 60,
-    shards: int = 3,
-    crashes: bool = True,
-    partitions: bool = True,
-    routed: bool = True,
-    base_free: bool = False,
-    keyed: bool = False,
-    emit=print,
-) -> int:
-    """The ``simulate --sharded`` verb; returns the process exit code.
-
-    Runs the sharded-cluster harness of docs/cluster.md: seeded client
-    transactions against an in-process cluster over lossy simulated
-    links, with shard crashes and coordinator-side partitions, checked
-    at quiescence against a single-node full recompute.  ``keyed``
-    declares a key on the partitioned relation, which with
-    ``base_free`` lifts the home-range workload restriction: key
-    occupancy lets base-free owners reproduce presence semantics.
-    """
-    from repro.cluster.sim import ClusterSimConfig, run_cluster_simulation
-
-    config = ClusterSimConfig(
-        seed=seed,
-        episodes=episodes,
-        events=events,
-        shards=shards,
-        crashes=crashes,
-        partitions=partitions,
-        routed=routed,
-        base_free=base_free,
-        keyed=keyed,
-    )
-    report = run_cluster_simulation(config)
-    emit(report.format())
     return 0 if report.ok else 1
 
 
@@ -1045,8 +1026,6 @@ def repl(shell: Shell | None = None) -> int:  # pragma: no cover - interactive
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point: shell by default, ``recover``/``follow`` verbs."""
-    import argparse
-
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     if not argv:
         return repl()
@@ -1148,24 +1127,24 @@ def main(argv: list[str] | None = None) -> int:
         "--events", type=int, default=40, help="events per episode (default 40)"
     )
     simulate_parser.add_argument(
-        "--followers", type=int, default=1, help="replica count (default 1)"
+        "--followers", type=int, help="replica count (default 1)"
     )
     simulate_parser.add_argument(
-        "--base-free-followers", type=int, default=1,
+        "--base-free-followers", type=int,
         help=(
             "extra replicas hosting self-maintainable views without "
             "base-relation copies (default 1; docs/scheduler.md)"
         ),
     )
     simulate_parser.add_argument(
-        "--clients", type=int, default=2, help="changefeed clients (default 2)"
+        "--clients", type=int, help="changefeed clients (default 2)"
     )
     simulate_parser.add_argument(
         "--no-crashes", action="store_true", help="disable crash/recovery events"
     )
     simulate_parser.add_argument(
         "--no-partitions", action="store_true",
-        help="disable partitions, stalls and lossy replica channels",
+        help="disable partitions, stalls and lossy links",
     )
     simulate_parser.add_argument(
         "--no-ddl", action="store_true", help="disable DDL and view churn"
@@ -1179,11 +1158,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     simulate_parser.add_argument(
         "--sharded", action="store_true",
-        help="run the sharded-cluster harness instead (docs/cluster.md)",
+        help="simulate a sharded cluster instead (docs/cluster.md)",
     )
     simulate_parser.add_argument(
-        "--shards", type=int, default=3,
-        help="shard count for --sharded (default 3)",
+        "--shards", type=int, help="shard count for --sharded (default 3)"
     )
     simulate_parser.add_argument(
         "--broadcast", action="store_true",
@@ -1247,32 +1225,8 @@ def main(argv: list[str] | None = None) -> int:
             if options.shell:  # pragma: no cover - interactive
                 return repl(Shell(database))
             return 0
-        if options.command == "simulate" and options.sharded:
-            return run_simulate_cluster(
-                seed=options.seed,
-                episodes=options.episodes,
-                events=options.events,
-                shards=options.shards,
-                crashes=not options.no_crashes,
-                partitions=not options.no_partitions,
-                routed=not options.broadcast,
-                base_free=options.base_free,
-                keyed=options.keyed,
-            )
         if options.command == "simulate":
-            return run_simulate(
-                seed=options.seed,
-                episodes=options.episodes,
-                events=options.events,
-                followers=options.followers,
-                base_free_followers=options.base_free_followers,
-                clients=options.clients,
-                crashes=not options.no_crashes,
-                partitions=not options.no_partitions,
-                ddl=not options.no_ddl,
-                corruption=options.corruption,
-                trace=options.trace,
-            )
+            return run_simulate(trace=options.trace, **simulate_fields(options))
         if options.command == "monitor":
             return run_monitor(
                 seed=options.seed,

@@ -19,15 +19,17 @@ Modules
 * :mod:`~repro.cluster.topology` — key-range partitions as conditions.
 * :mod:`~repro.cluster.routing` — the static skip table.
 * :mod:`~repro.cluster.shard` — one shard's 2PC state machine.
-* :mod:`~repro.cluster.links` — synchronous and simulated transports.
+* :mod:`~repro.cluster.links` — the transport surface and its synchronous link.
 * :mod:`~repro.cluster.coordinator` — routing, 2PC, changefeed merge.
 * :mod:`~repro.cluster.frontend` — the wire-protocol cluster server.
-* :mod:`~repro.cluster.sim` — deterministic sharded fault simulation.
+
+The deterministic sharded fault simulation is a topology of the one
+simulator (:mod:`repro.simulation.sharded`); nothing here imports it.
 """
 
 from repro.cluster.coordinator import ClusterCoordinator, build_cluster
 from repro.cluster.frontend import ClusterServer
-from repro.cluster.links import DirectLink, SimShardLink
+from repro.cluster.links import DirectLink, ShardLink
 from repro.cluster.routing import (
     RoutingTable,
     build_routing_table,
@@ -49,8 +51,8 @@ __all__ = [
     "DirectLink",
     "PartitionSpec",
     "RoutingTable",
+    "ShardLink",
     "ShardNode",
-    "SimShardLink",
     "build_cluster",
     "build_routing_table",
     "even_boundaries",

@@ -47,7 +47,7 @@ from repro.algebra.expressions import (
 )
 from repro.algebra.relation import Relation
 from repro.algebra.schema import RelationSchema
-from repro.cluster.links import DirectLink, SimShardLink
+from repro.cluster.links import DirectLink, ShardLink
 from repro.cluster.routing import RoutingTable, build_routing_table
 from repro.cluster.shard import ShardNode
 from repro.cluster.topology import HOME_SHARD, ClusterTopology
@@ -59,7 +59,6 @@ from repro.server.server import Changefeed
 
 __all__ = ["ClusterCoordinator", "PendingTxn", "build_cluster"]
 
-Link = DirectLink | SimShardLink
 OpBatches = Mapping[str, Sequence[Sequence[Any]]]
 EmitHook = Callable[[int, Mapping[str, Mapping[str, Any]]], None]
 
@@ -128,7 +127,7 @@ class ClusterCoordinator:
         tables: Mapping[str, Sequence[str]],
         constraints: Mapping[str, Condition | str],
         views: Sequence[tuple[str, Expression]],
-        links: Sequence[Link],
+        links: Sequence[ShardLink],
         *,
         shard_factory: Callable[[int], ShardNode] | None = None,
         routed: bool = True,
@@ -522,10 +521,8 @@ class ClusterCoordinator:
         node = self._shard_factory(shard)
         for message in self.history[shard]:
             node.handle(message)
-        link = self.links[shard]
-        link.rebind(node)
-        if isinstance(link, SimShardLink):
-            link.reset()
+        self.links[shard].rebind(node)
+        self.links[shard].reset()
         for pending in self._pending.values():
             if shard in pending.participants:
                 pending.last_send.pop(shard, None)
@@ -606,7 +603,7 @@ def build_cluster(
     views: Sequence[tuple[str, Expression]],
     *,
     routed: bool = True,
-    link_factory: Callable[[ShardNode, int], Link] | None = None,
+    link_factory: Callable[[ShardNode, int], ShardLink] | None = None,
     changefeed_history: int = 256,
     base_free_shards: Sequence[int] = (),
     keys: Mapping[str, Sequence[Sequence[str]]] | None = None,
@@ -618,7 +615,7 @@ def build_cluster(
     shard filters its own slice.  Without a ``link_factory`` the shards
     hang off synchronous :class:`~repro.cluster.links.DirectLink`\\ s
     (the front-end / CLI / example deployment shape); the simulation
-    passes a factory producing lossy :class:`~repro.cluster.links.
+    passes a factory producing lossy :class:`~repro.simulation.network.
     SimShardLink`\\ s.  The returned coordinator carries a
     ``shard_factory`` closing over the initial rows, so
     :meth:`ClusterCoordinator.crash_shard` can rebuild any shard from
@@ -684,7 +681,7 @@ def build_cluster(
             foreign_keys=fk_list,
         )
 
-    links: list[Link] = []
+    links: list[ShardLink] = []
     for shard_id in range(topology.shards):
         node = make_shard(shard_id)
         links.append(

@@ -2,43 +2,49 @@
 
 The coordinator and :class:`~repro.cluster.shard.ShardNode` speak
 JSON-able dict messages; a *link* is the duplex pipe carrying them.
-Two implementations share one tiny interface (``send`` / ``pump`` /
+Every link has the :class:`ShardLink` surface (``send`` / ``reset`` /
 ``rebind``, plus a ``deliver`` callback the coordinator installs for
-shard replies):
+shard replies).
 
-* :class:`DirectLink` — synchronous in-process delivery.  ``send``
-  invokes the shard handler inline and feeds replies straight back, so
-  a whole two-phase commit completes within one coordinator call.  This
-  is the transport behind the cluster front-end, the CLI, examples and
-  benchmarks, where a client expects its transaction resolved before
-  the response frame is written.
-* :class:`SimShardLink` — a pair of :class:`~repro.simulation.network.
-  SimChannel` queues (one per direction) under the deterministic
-  simulation clock, inheriting drops, duplication, reordering, delay
-  and partitions.  Nothing moves until :meth:`SimShardLink.pump` runs,
-  so the simulation schedule fully controls interleaving.
+:class:`DirectLink` is synchronous in-process delivery: ``send``
+invokes the shard handler inline and feeds replies straight back, so a
+whole two-phase commit completes within one coordinator call.  This is
+the transport behind the cluster front-end, the CLI, examples and
+benchmarks, where a client expects its transaction resolved before the
+response frame is written.  The simulator's lossy link
+(:class:`repro.simulation.network.SimShardLink`) is the other
+implementation.
 
 ``rebind`` swaps in a freshly rebuilt :class:`ShardNode` after a
-simulated crash; :meth:`SimShardLink.reset` models the crash also
-losing every in-flight message.
+crash; ``reset`` then drops whatever the crash left in flight.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Protocol
 
 from repro.cluster.shard import ShardNode
-from repro.simulation.clock import SimClock
-from repro.simulation.network import SimChannel
 
-__all__ = ["DirectLink", "SimShardLink"]
+__all__ = ["DirectLink", "ShardLink"]
 
 #: Replies travel coordinator-ward through this callback.
 DeliverFn = Callable[[Mapping[str, Any]], None]
 
 
-def _drop(message: Mapping[str, Any]) -> None:
+class ShardLink(Protocol):
+    """What the coordinator needs of a transport to one shard."""
+
+    shard: ShardNode
+    deliver: DeliverFn
+
+    def send(self, message: Mapping[str, Any]) -> bool: ...
+
+    def reset(self) -> None: ...
+
+    def rebind(self, shard: ShardNode) -> None: ...
+
+
+def undelivered(message: Mapping[str, Any]) -> None:
     """Default deliver target before a coordinator attaches."""
 
 
@@ -49,105 +55,18 @@ class DirectLink:
 
     def __init__(self, shard: ShardNode) -> None:
         self.shard = shard
-        self.deliver: DeliverFn = _drop
+        self.deliver: DeliverFn = undelivered
 
     def send(self, message: Mapping[str, Any]) -> bool:
         for reply in self.shard.handle(message):
             self.deliver(reply)
         return True
 
-    def pump(self) -> int:
-        """Nothing is ever queued; present for interface symmetry."""
-        return 0
+    def reset(self) -> None:
+        """Nothing is ever in flight, so a crash leaves nothing to drop."""
 
     def rebind(self, shard: ShardNode) -> None:
         self.shard = shard
 
     def __repr__(self) -> str:
         return f"<DirectLink shard={self.shard.shard_id}>"
-
-
-class SimShardLink:
-    """A lossy, delayed, partitionable link under simulated time.
-
-    Each direction is an independent :class:`SimChannel`, so a message
-    and its reply each face their own drop/duplicate/reorder/delay
-    draw — retransmission and ack-caching on both ends are what make
-    the protocol converge, and this link is what exercises them.
-    """
-
-    __slots__ = ("shard", "deliver", "to_shard", "to_coord")
-
-    def __init__(
-        self,
-        shard: ShardNode,
-        clock: SimClock,
-        rng: random.Random,
-        *,
-        delay_max: int = 2,
-        drop_rate: float = 0.0,
-        duplicate_rate: float = 0.0,
-        reorder_rate: float = 0.0,
-    ) -> None:
-        self.shard = shard
-        self.deliver: DeliverFn = _drop
-        self.to_shard = SimChannel(
-            clock,
-            rng,
-            delay_max=delay_max,
-            drop_rate=drop_rate,
-            duplicate_rate=duplicate_rate,
-            reorder_rate=reorder_rate,
-        )
-        self.to_coord = SimChannel(
-            clock,
-            rng,
-            delay_max=delay_max,
-            drop_rate=drop_rate,
-            duplicate_rate=duplicate_rate,
-            reorder_rate=reorder_rate,
-        )
-
-    def send(self, message: Mapping[str, Any]) -> bool:
-        return self.to_shard.send(dict(message))
-
-    def pump(self) -> int:
-        """Deliver everything due in both directions; returns how many
-        messages moved (0 means the link is momentarily idle)."""
-        moved = 0
-        for message in self.to_shard.deliver_due():
-            moved += 1
-            for reply in self.shard.handle(message):
-                self.to_coord.send(reply)
-        for reply in self.to_coord.deliver_due():
-            moved += 1
-            self.deliver(reply)
-        return moved
-
-    @property
-    def partitioned(self) -> bool:
-        return self.to_shard.partitioned
-
-    def partition(self, flag: bool) -> None:
-        """(Un)partition both directions at once."""
-        self.to_shard.partitioned = flag
-        self.to_coord.partitioned = flag
-
-    def reset(self) -> None:
-        """Drop every in-flight message (a crash wipes the wire too)."""
-        self.to_shard.clear()
-        self.to_coord.clear()
-
-    def rebind(self, shard: ShardNode) -> None:
-        self.shard = shard
-
-    def idle(self) -> bool:
-        """True when nothing is queued in either direction."""
-        return len(self.to_shard) == 0 and len(self.to_coord) == 0
-
-    def __repr__(self) -> str:
-        state = "partitioned" if self.partitioned else "connected"
-        return (
-            f"<SimShardLink shard={self.shard.shard_id} {state} "
-            f"{len(self.to_shard)}+{len(self.to_coord)} queued>"
-        )

@@ -40,14 +40,15 @@ With ``base_free=True`` the node keeps schemas and declared constraints
 but sheds its base-relation rows right after registration: every hosted
 view must be **self-maintainable** (:mod:`repro.scheduler.selfmaint`),
 and commits are applied by *netting* the sub-transaction's op batches
-into per-relation deltas fed straight to the maintainer — for any
-valid transaction, pairwise insert/delete netting equals the commit
-pipeline's net effect, so view contents and acks stay byte-identical to
-a full shard's.  What a base-free node cannot do by itself is check
-presence (it has no rows to check against): a duplicate insert or a
-delete of an absent row — silent no-ops on a full shard — would leak
-into its netted deltas, so without further premises the workload must
-avoid them, and existence stays with the shards holding full copies.
+(:meth:`ShardNode._net_base_free`, the commit pipeline's own rule) into
+per-relation deltas fed straight to the maintainer, so view contents
+and acks stay byte-identical to a full shard's.  What a base-free node
+cannot do by itself is check presence (it has no rows to check
+against): it takes a delete to name a present row and an insert an
+absent one, so a duplicate insert of a stored row or a delete of an
+absent row — silent no-ops on a full shard — would leak into its
+netted deltas.  Without further premises the workload must avoid them,
+and existence stays with the shards holding full copies.
 
 Declared keys close that trust boundary.  When a partitioned relation
 declares a key that (a) contains the partition attribute, so routing
@@ -72,7 +73,6 @@ from typing import Any, Mapping, Sequence
 from repro.algebra.conditions import Condition
 from repro.algebra.expressions import Expression
 from repro.algebra.relation import Delta, Relation
-from repro.algebra.tuples import coerce_row
 from repro.analysis.dependencies import determined_row, key_determines_row
 from repro.cluster.topology import ClusterTopology
 from repro.core.maintainer import ViewMaintainer
@@ -232,38 +232,33 @@ class ShardNode:
         """Row-local validation exactly matching a single-node commit.
 
         Structural errors (unknown relations, arity, domains) surface
-        through a throwaway transaction that is always aborted, which
-        encodes each row once; the constraint check runs over that
-        probe's netted inserts, which hold every violating raw insert:
-        a violating row can never be stored, so netting never removes
-        one (a same-transaction delete of an absent row does not cancel
-        the insert), and netting never adds inserted rows.  A base-free
-        node stores nothing, so its netted inserts are the raw ones.
+        while the batches are netted, which encodes each row once: a
+        full node nets through a throwaway transaction that is always
+        aborted, a base-free node through :meth:`_net_base_free`.  The
+        constraint check runs over the netted inserts, which hold every
+        violating raw insert: a violating row can never be stored, so
+        netting never removes one (a same-transaction delete of an
+        absent row does not cancel the insert — on a base-free node,
+        whose unkeyed deletes are taken to name stored rows, within
+        the trust boundary), and netting never adds inserted rows.
 
         Declared keys and foreign keys are checked here too, on the
-        probe's netted post-state: 2PC's contract is that a unanimous
-        prepare guarantees the later commit cannot fail, and key checks
-        now run inside the commit pipeline, so prepare must anticipate
-        them exactly.
-
-        A base-free node holds no rows, so its probe finds no delete
-        present (deletes are validated structurally only); existence
-        stays with the full replicas in the quorum,
-        except for key-occupancy relations, whose presence and key
-        collisions are checked against the occupancy set.
+        netted post-state: 2PC's contract is that a unanimous prepare
+        guarantees the later commit cannot fail, and key checks run
+        inside the commit pipeline, so prepare must anticipate them
+        exactly.  A base-free node holds no rows, so existence stays
+        with the full replicas in the quorum, except for key-occupancy
+        relations, whose presence and key collisions are checked
+        against the occupancy set.
         """
-        probe = self.database.begin()
+        violation: str | None = None
         try:
-            for name, batch in sorted(deletes.items()):
-                probe.delete_many(name, batch)
-            for name, batch in sorted(inserts.items()):
-                probe.insert_many(name, batch)
-            net = probe.net_deltas()
+            if self.base_free:
+                net, violation = self._net_base_free(inserts, deletes)
+            else:
+                net = self._probe(inserts, deletes)
         except ReproError as exc:
             return str(exc)
-        finally:
-            if probe.state.value == "active":
-                probe.abort()
         for name in sorted(inserts):
             condition = self.database.constraints.get(name)
             delta = net.get(name)
@@ -280,15 +275,21 @@ class ShardNode:
                 )
         if not self.base_free:
             violation = self.database.net_effect_violation(net)
-            if violation is not None:
-                return f"shard {self.shard_id} rejects: {violation}"
-        for name in sorted(self._occupancy):
-            _, _, violation = self._occupancy_net(
-                name, inserts.get(name, ()), deletes.get(name, ())
-            )
-            if violation is not None:
-                return f"shard {self.shard_id} rejects: {violation}"
+        if violation is not None:
+            return f"shard {self.shard_id} rejects: {violation}"
         return None
+
+    def _probe(self, inserts: OpBatches, deletes: OpBatches) -> dict[str, Delta]:
+        """A full node's net effect, from a transaction never committed."""
+        probe = self.database.begin()
+        try:
+            for name, batch in sorted(deletes.items()):
+                probe.delete_many(name, batch)
+            for name, batch in sorted(inserts.items()):
+                probe.insert_many(name, batch)
+            return probe.net_deltas()
+        finally:
+            probe.abort()
 
     def _on_commit(self, message: Mapping[str, Any]) -> list[dict[str, Any]]:
         shard_seq = int(message["shard_seq"])
@@ -310,7 +311,9 @@ class ShardNode:
         self._captured.clear()
         self._applied_counts = {}
         if self.base_free:
-            deltas = self._raw_netted_deltas(message)
+            deltas, _ = self._net_base_free(
+                message.get("inserts") or {}, message.get("deletes") or {}
+            )
             for name in self._occupancy:
                 delta = deltas.get(name)
                 if delta is None:
@@ -405,129 +408,88 @@ class ShardNode:
         self.base_rows_dropped = dropped
         charge("base_free_rows_dropped", dropped)
 
-    def _raw_netted_deltas(self, message: Mapping[str, Any]) -> dict[str, Delta]:
-        """Net a sub-transaction's raw op batches into per-relation deltas.
+    def _net_base_free(
+        self, inserts: OpBatches, deletes: OpBatches
+    ) -> tuple[dict[str, Delta], str | None]:
+        """Net op batches into per-relation deltas without stored rows.
 
-        Pairwise insert/delete netting equals the commit pipeline's
-        net-effect for any valid transaction: a delete cancels exactly
-        one insert of the same tuple (or one stored copy — which the
-        pipeline also nets to a count move), and what remains is the
-        ``(i_r, d_r)`` pair a full shard's commit would produce.
+        Each row is encoded once and folded by the commit pipeline's
+        rule (:meth:`~repro.engine.transactions.Transaction._net`),
+        deletes first as :meth:`_apply_commit` feeds them: a row
+        cancels a pending opposite operation, or else joins the
+        deletes if it is present, the inserts if it is absent.  Only
+        the presence test differs, per relation:
 
-        Key-occupancy relations instead net through
-        :meth:`_occupancy_net`, which consults the occupancy set to
-        reproduce the pipeline's presence semantics (duplicate inserts
-        and absent deletes are silent no-ops), so their workloads need
-        not be restricted to exact operations.
+        * a key-occupancy relation holds a row iff its key is occupied
+          and :func:`~repro.analysis.dependencies.determined_row` of
+          that key *is* the row — exact, so duplicate inserts and
+          absent deletes net to silent no-ops as on a full shard;
+        * any other relation is taken at its word, a deleted row
+          present and an inserted one absent (the trust boundary in the
+          module docstring).
+
+        Returns the deltas and, for prepare to nack on, the first
+        declared-key collision of a netted insert with another netted
+        insert or with an occupied key the batch does not vacate.
         """
-        inserts = message.get("inserts") or {}
-        deletes = message.get("deletes") or {}
         deltas: dict[str, Delta] = {}
+        violation: str | None = None
         for name in sorted(set(inserts) | set(deletes)):
             schema = self.database.relation(name).schema
-            if name in self._occupancy:
-                pend_ins, pend_del, _ = self._occupancy_net(
-                    name, inserts.get(name, ()), deletes.get(name, ())
-                )
-                if pend_ins or pend_del:
-                    deltas[name] = Delta.from_counts(
-                        schema,
-                        {values: 1 for values in pend_ins},
-                        {values: 1 for values in pend_del},
-                    )
-                continue
-            net: dict[tuple, int] = {}
-            for row in deletes.get(name, ()):
-                values = coerce_row(schema, row)
-                net[values] = net.get(values, 0) - 1
-            for row in inserts.get(name, ()):
-                values = coerce_row(schema, row)
-                net[values] = net.get(values, 0) + 1
-            inserted = {values: count for values, count in net.items() if count > 0}
-            deleted = {values: -count for values, count in net.items() if count < 0}
-            if inserted or deleted:
-                deltas[name] = Delta.from_counts(schema, inserted, deleted)
-        return deltas
-
-    def _occupancy_net(
-        self,
-        name: str,
-        insert_rows: Sequence[Sequence[Any]],
-        delete_rows: Sequence[Sequence[Any]],
-    ) -> tuple[set[ValueTuple], set[ValueTuple], str | None]:
-        """Presence-aware netting against the key-occupancy set.
-
-        Replays the commit pipeline's semantics — deletes first, then
-        inserts, as :meth:`_apply_commit` would feed a transaction —
-        with ``determined_row`` standing in for the shed stored rows:
-        a delete only takes effect when the occupancy set holds its key
-        *and* the determined row matches (otherwise the row is absent
-        and the delete is a silent no-op); an insert of the row a key
-        value already pins is a silent no-op; an insert whose key is
-        held by a *different* surviving row is a key collision.
-
-        Returns ``(inserted, deleted, violation)`` where the first two
-        are the netted row sets and ``violation`` is an error string
-        when the batch would break the declared key — prepare nacks on
-        it, so commits never see one.
-        """
-        schema = self.database.relation(name).schema
-        key = self._occupancy_keys[name]
-        positions = self._occupancy_positions[name]
-        constraint = self.database.constraints.get(name)
-        occupied = self._occupancy[name]
-        removed: set[ValueTuple] = set()
-        pend_ins: set[ValueTuple] = set()
-        pend_del: set[ValueTuple] = set()
-        for row in delete_rows:
-            values = coerce_row(schema, row)
-            key_values = tuple(values[i] for i in positions)
-            if key_values not in occupied or key_values in removed:
-                continue
-            stored = determined_row(schema, key, key_values, constraint)
-            if stored == values:
-                pend_del.add(values)
-                removed.add(key_values)
-        for row in insert_rows:
-            values = coerce_row(schema, row)
-            key_values = tuple(values[i] for i in positions)
-            if values in pend_del:
-                # Reinsert of a row deleted earlier in this batch:
-                # cancels to a net no-op, restoring occupancy.
-                pend_del.discard(values)
-                removed.discard(key_values)
-                continue
-            stored = None
-            if key_values in occupied and key_values not in removed:
-                stored = determined_row(schema, key, key_values, constraint)
-            if stored == values or values in pend_ins:
-                continue
-            pend_ins.add(values)
-        # Validate the post-state: occupancy keys are pairwise distinct
-        # by invariant, so a collision must involve a netted insert —
-        # against a surviving stored row, or against another insert.
-        # A single pass over the *final* pending sets also covers
-        # delete/insert/reinsert interleavings where a cancellation
-        # restores a stored row after a colliding insert was netted.
-        inserted_keys: dict[ValueTuple, ValueTuple] = {}
-        for values in sorted(pend_ins):
-            key_values = tuple(values[i] for i in positions)
-            collides_with = inserted_keys.get(key_values)
-            if collides_with is None and (
-                key_values in occupied and key_values not in removed
+            positions = self._occupancy_positions.get(name)
+            inserted: set[ValueTuple] = set()
+            deleted: set[ValueTuple] = set()
+            for inserting, batch in (
+                (False, deletes.get(name, ())),
+                (True, inserts.get(name, ())),
             ):
-                collides_with = determined_row(
-                    schema, key, key_values, constraint
+                cancels, grows = (
+                    (deleted, inserted) if inserting else (inserted, deleted)
                 )
-            if collides_with is not None:
-                return (
-                    pend_ins,
-                    pend_del,
-                    f"the key ({', '.join(key)}) on {name!r}: "
-                    f"{values!r}/{collides_with!r}",
+                for row in batch:
+                    values = schema.encode_values(row)
+                    if values in cancels:
+                        cancels.discard(values)
+                        continue
+                    if positions is None:
+                        present = not inserting
+                    else:
+                        key_values = tuple(values[i] for i in positions)
+                        present = self._pinned_row(name, key_values) == values
+                    if present != inserting:
+                        grows.add(values)
+            if inserted or deleted:
+                deltas[name] = Delta.adopt(
+                    schema, dict.fromkeys(inserted, 1), dict.fromkeys(deleted, 1)
                 )
-            inserted_keys[key_values] = values
-        return pend_ins, pend_del, None
+            if positions is None or violation is not None:
+                continue
+            vacated = {tuple(values[i] for i in positions) for values in deleted}
+            claimed: dict[ValueTuple, ValueTuple] = {}
+            for values in sorted(inserted):
+                key_values = tuple(values[i] for i in positions)
+                other = claimed.get(key_values)
+                if other is None and key_values not in vacated:
+                    other = self._pinned_row(name, key_values)
+                if other is not None:
+                    violation = (
+                        f"the key ({', '.join(self._occupancy_keys[name])}) "
+                        f"on {name!r}: {values!r}/{other!r}"
+                    )
+                    break
+                claimed[key_values] = values
+        return deltas, violation
+
+    def _pinned_row(self, name: str, key_values: ValueTuple) -> ValueTuple | None:
+        """The stored row an occupied key pins (``None`` when vacant)."""
+        if key_values not in self._occupancy[name]:
+            return None
+        return determined_row(
+            self.database.relation(name).schema,
+            self._occupancy_keys[name],
+            key_values,
+            self.database.constraints.get(name),
+        )
 
     def _capture_view_delta(self, view: MaterializedView, delta: Delta) -> None:
         self._captured.append((view.definition.name, delta_to_document(delta)))

@@ -22,16 +22,22 @@ Layers
     corruption of segments.
 :mod:`~repro.simulation.network`
     :class:`SimChannel` (delay/reorder/drop/duplicate/partition),
+    :class:`SimShardLink` (a coordinator-to-shard link),
     :class:`ReplicaLink` (record shipping to a follower) and
     :class:`SimClient` (a server session over an injectable transport,
     maintaining a changefeed mirror).
 :mod:`~repro.simulation.workload`
-    Schedule generation (pure data from the seed) and the
-    :class:`Episode` machine that executes it.
+    :class:`SimulationConfig`, schedule generation (pure data from the
+    seed) and the single-node :class:`Episode` machine.
+:mod:`~repro.simulation.sharded`
+    The sharded topology (``SimulationConfig(shards=N)``): a cluster
+    of shards behind lossy links, crash-rebuilt mid-protocol, checked
+    at the end against a single-node replay of its committed log.
 :mod:`~repro.simulation.oracle`
     The full-recompute and cross-copy agreement checks.
 :mod:`~repro.simulation.runner`
-    Batches of episodes, trace minimization, the CLI's engine.
+    Batches of episodes of either topology, trace minimization, the
+    report; the CLI's engine.
 
 Entry points: ``python -m repro.cli simulate --seed N`` or
 :func:`repro.simulation.runner.run_simulation`.

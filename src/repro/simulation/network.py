@@ -1,6 +1,7 @@
-"""The simulated network: lossy channels, record shipping, sim clients.
+"""The simulated network: lossy channels, shard links, record shipping,
+sim clients.
 
-Three pieces, each deterministic given its seeded RNG and the
+Four pieces, each deterministic given its seeded RNG and the
 :class:`~repro.simulation.clock.SimClock`:
 
 :class:`SimChannel`
@@ -9,6 +10,11 @@ Three pieces, each deterministic given its seeded RNG and the
     channel (``fifo=True``) models one TCP connection: delay only,
     delivery order preserved — byte streams do not reorder; datagram
     faults belong on the record bus.
+
+:class:`SimShardLink`
+    A coordinator-to-shard link for the sharded topology: one
+    :class:`SimChannel` per direction, so a message and its reply each
+    face their own fault draw.
 
 :class:`ReplicaLink`
     Ships WAL records from the leader's directory to a
@@ -34,8 +40,10 @@ from __future__ import annotations
 
 import heapq
 import random
-from typing import Any
+from typing import Any, Mapping
 
+from repro.cluster.links import DeliverFn, undelivered
+from repro.cluster.shard import ShardNode
 from repro.replication.follower import Follower
 from repro.replication.wal import WalReader, WalRecord
 from repro.server import protocol
@@ -131,6 +139,73 @@ class SimChannel:
             "duplicated": self.duplicated,
             "refused": self.refused,
         }
+
+
+class SimShardLink:
+    """A lossy, delayed, partitionable coordinator-to-shard link.
+
+    Each direction is an independent :class:`SimChannel`, so a message
+    and its reply each face their own drop/duplicate/reorder/delay
+    draw — retransmission and ack-caching on both ends are what make
+    the 2PC protocol converge, and this link is what exercises them.
+    Nothing moves until :meth:`pump` runs, so the schedule controls
+    every interleaving.
+    """
+
+    __slots__ = ("shard", "deliver", "to_shard", "to_coord")
+
+    def __init__(
+        self,
+        shard: ShardNode,
+        clock: SimClock,
+        rng: random.Random,
+        *,
+        delay_max: int = 2,
+        drop_rate: float = 0.0,
+        duplicate_rate: float = 0.0,
+        reorder_rate: float = 0.0,
+    ) -> None:
+        self.shard = shard
+        self.deliver: DeliverFn = undelivered
+        self.to_shard = SimChannel(
+            clock, rng, delay_max, drop_rate, duplicate_rate, reorder_rate
+        )
+        self.to_coord = SimChannel(
+            clock, rng, delay_max, drop_rate, duplicate_rate, reorder_rate
+        )
+
+    def send(self, message: Mapping[str, Any]) -> bool:
+        return self.to_shard.send(dict(message))
+
+    def pump(self) -> int:
+        """Deliver everything due in both directions; returns how many
+        messages moved (0 means the link is momentarily idle)."""
+        moved = 0
+        for message in self.to_shard.deliver_due():
+            moved += 1
+            for reply in self.shard.handle(message):
+                self.to_coord.send(reply)
+        for reply in self.to_coord.deliver_due():
+            moved += 1
+            self.deliver(reply)
+        return moved
+
+    def partition(self, flag: bool) -> None:
+        """(Un)partition both directions at once."""
+        self.to_shard.partitioned = flag
+        self.to_coord.partitioned = flag
+
+    def reset(self) -> None:
+        """Drop every in-flight message (a crash wipes the wire too)."""
+        self.to_shard.clear()
+        self.to_coord.clear()
+
+    def rebind(self, shard: ShardNode) -> None:
+        self.shard = shard
+
+    def idle(self) -> bool:
+        """True when nothing is queued in either direction."""
+        return len(self.to_shard) == 0 and len(self.to_coord) == 0
 
 
 class ReplicaLink:

@@ -32,8 +32,10 @@ trace.  The checks:
     re-evaluated with the naive tree evaluator against the leader's
     relations and bag-compared with the follower's maintained contents.
     Once the bootstrap copy has been shed, every base relation on the
-    follower must also be empty — rows reappearing there would mean the
-    delta-only path quietly fell back to base state.
+    follower must also be empty (:func:`verify_shed_base`, which the
+    sharded topology runs on its base-free shards too).
+
+Relation and view bag comparisons report through :func:`diff_counts`.
 
 All comparisons are *bag* comparisons over encoded tuples — the same
 ``Relation.counts()`` mapping the persistence layer serializes, so
@@ -42,7 +44,7 @@ All comparisons are *bag* comparisons over encoded tuples — the same
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.algebra.evaluate import evaluate
 from repro.engine.database import Database
@@ -141,27 +143,54 @@ def ground_truth_database(directory: str) -> tuple[Database, int]:
     return database, last
 
 
+def diff_counts(
+    label: str,
+    want: Mapping[tuple[int, ...], int],
+    have: Mapping[tuple[int, ...], int],
+) -> str | None:
+    """One bag comparison: ``None`` when equal, else a divergence
+    naming the first missing, unexpected and recounted tuples."""
+    if want == have:
+        return None
+    missing = sorted(set(want) - set(have))
+    unexpected = sorted(set(have) - set(want))
+    recounted = sorted(k for k in set(want) & set(have) if want[k] != have[k])
+    return (
+        f"{label} diverges (missing {missing[:3]!r}, unexpected "
+        f"{unexpected[:3]!r}, count mismatches {recounted[:3]!r}; "
+        f"sizes {len(want)} vs {len(have)})"
+    )
+
+
 def diff_relations(
-    label: str, expected: Database, actual: Database, names
+    label: str, expected: Database, actual: Database, names: Iterable[str]
 ) -> list[str]:
     """Bag-compare the named relations between two databases."""
+    found = (
+        diff_counts(
+            f"{label}: relation {name!r}",
+            expected.relation(name).counts(),
+            actual.relation(name).counts(),
+        )
+        for name in sorted(names)
+    )
+    return [message for message in found if message]
+
+
+def verify_shed_base(label: str, database: Database) -> list[str]:
+    """A base-free host (follower or shard) must hold no base tuple.
+
+    Rows reappearing in a shed relation would mean the delta-only path
+    quietly fell back to base state.
+    """
     divergences: list[str] = []
-    for name in sorted(names):
-        want = expected.relation(name).counts()
-        have = actual.relation(name).counts()
-        if want == have:
-            continue
-        missing = sorted(set(want) - set(have))
-        unexpected = sorted(set(have) - set(want))
-        recounted = sorted(
-            k for k in set(want) & set(have) if want[k] != have[k]
-        )
-        divergences.append(
-            f"{label}: relation {name!r} diverges "
-            f"(missing {missing[:3]!r}, unexpected {unexpected[:3]!r}, "
-            f"count mismatches {recounted[:3]!r}; "
-            f"sizes {len(want)} vs {len(have)})"
-        )
+    for name in sorted(database.relation_names()):
+        held = len(database.relation(name))
+        if held:
+            divergences.append(
+                f"{label}: shed base relation {name!r} holds {held} "
+                "tuples — the base-free path leaked base state"
+            )
     return divergences
 
 
@@ -226,15 +255,9 @@ def verify_base_free_follower(
     every committed record — otherwise the leader is simply ahead.
     Deferred follower views are quiesced first, as everywhere else.
     """
-    divergences: list[str] = []
-    if follower.base_dropped:
-        for name in sorted(follower.database.relation_names()):
-            held = len(follower.database.relation(name))
-            if held:
-                divergences.append(
-                    f"{label}: shed base relation {name!r} holds {held} "
-                    "tuples — the base-free path leaked base state"
-                )
+    divergences = (
+        verify_shed_base(label, follower.database) if follower.base_dropped else []
+    )
     follower.maintainer.quiesce()
     divergences.extend(audit_aggregate_state(label, follower.maintainer))
     instances = {
@@ -242,19 +265,11 @@ def verify_base_free_follower(
     }
     for name in sorted(follower.maintainer.view_names()):
         view = follower.maintainer.view(name)
-        want = evaluate(view.definition.expression, instances).counts()
-        have = view.contents.counts()
-        if want == have:
-            continue
-        missing = sorted(set(want) - set(have))
-        unexpected = sorted(set(have) - set(want))
-        recounted = sorted(
-            k for k in set(want) & set(have) if want[k] != have[k]
+        message = diff_counts(
+            f"{label}: base-free view {name!r} (vs the leader recompute)",
+            evaluate(view.definition.expression, instances).counts(),
+            view.contents.counts(),
         )
-        divergences.append(
-            f"{label}: base-free view {name!r} diverges from the leader "
-            f"recompute (missing {missing[:3]!r}, unexpected "
-            f"{unexpected[:3]!r}, count mismatches {recounted[:3]!r}; "
-            f"sizes {len(want)} vs {len(have)})"
-        )
+        if message:
+            divergences.append(message)
     return divergences

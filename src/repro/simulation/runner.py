@@ -18,6 +18,7 @@ import tempfile
 from collections import Counter
 from typing import Any
 
+from repro.simulation.sharded import ShardedEpisode
 from repro.simulation.workload import (
     Episode,
     SimulationConfig,
@@ -28,6 +29,14 @@ Schedule = list[tuple[str, dict[str, Any]]]
 
 #: Bound on re-executions spent shrinking one failing schedule.
 MINIMIZE_BUDGET = 40
+#: The config fields a report header shows, per topology.
+SINGLE_NODE_FIELDS = (
+    "followers", "base_free_followers", "clients", "crashes", "partitions",
+    "ddl", "corruption",
+)
+SHARDED_FIELDS = (
+    "shards", "crashes", "partitions", "routed", "keyed", "base_free_shards"
+)
 
 
 class EpisodeResult:
@@ -109,13 +118,11 @@ class SimulationReport:
     def format(self) -> str:
         """A deterministic multi-line summary (same seed, same text)."""
         config = self.config
+        fields = SHARDED_FIELDS if config.shards else SINGLE_NODE_FIELDS
         lines = [
             f"simulation seed={config.seed} episodes={len(self.episodes)} "
-            f"events={config.events} followers={config.followers} "
-            f"base_free_followers={config.base_free_followers} "
-            f"clients={config.clients} crashes={config.crashes} "
-            f"partitions={config.partitions} ddl={config.ddl} "
-            f"corruption={config.corruption}"
+            f"events={config.events} "
+            + " ".join(f"{name}={getattr(config, name)}" for name in fields)
         ]
         for key in sorted(self.stats):
             lines.append(f"  {key}: {self.stats[key]}")
@@ -150,10 +157,13 @@ def run_episode(
 ) -> EpisodeResult:
     """Execute one episode in a scratch directory, always cleaned up.
 
-    An exception escaping the episode machine is itself a finding (the
-    simulator's handlers absorb every *expected* outcome), so it is
-    converted into a divergence — with the scratch path scrubbed for
-    reproducible text — rather than propagated.
+    ``config.shards`` picks the episode: :class:`Episode` for the
+    single-node stack, :class:`ShardedEpisode` for a cluster (which
+    leaves the directory unused).  An exception escaping the episode
+    machine is itself a finding (the simulator's handlers absorb every
+    *expected* outcome), so it is converted into a divergence — with
+    the scratch path scrubbed for reproducible text — rather than
+    propagated.
     """
     if schedule is None:
         schedule = generate_schedule(random.Random(f"{seed}:schedule"), config)
@@ -163,7 +173,11 @@ def run_episode(
     divergences: list[str] = []
     ended_early: str | None = None
     try:
-        episode = Episode(seed, config, directory)
+        episode = (
+            ShardedEpisode(seed, config)
+            if config.shards
+            else Episode(seed, config, directory)
+        )
         trace, stats, divergences = episode.trace, episode.stats, episode.divergences
         episode.run(schedule)
         ended_early = episode.ended_early

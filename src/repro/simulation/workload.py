@@ -44,6 +44,11 @@ Event kinds
 Deferred views are only required to agree with the oracle at quiescent
 points, which is why every oracle round is preceded by
 :meth:`ViewMaintainer.quiesce`.
+
+A config with ``shards`` > 0 describes the sharded topology instead:
+:func:`generate_schedule` then draws that topology's events and the
+runner executes them on a
+:class:`~repro.simulation.sharded.ShardedEpisode`.
 """
 
 from __future__ import annotations
@@ -69,6 +74,7 @@ from repro.simulation import oracle
 from repro.simulation.clock import SimClock
 from repro.simulation.faults import FaultyWalIO, flip_segment_byte
 from repro.simulation.network import ReplicaLink, SimChannel, SimClient
+from repro.simulation.sharded import sharded_schedule
 
 #: The simulated schema: three base relations with disjoint attribute
 #: names, so any natural join between them is a (filtered) product —
@@ -184,12 +190,23 @@ def _random_row(rng: random.Random, arity: int) -> list[int]:
 # Simulation configuration
 # ----------------------------------------------------------------------
 class SimulationConfig:
-    """Knobs for a simulation batch (all deterministic given ``seed``)."""
+    """Knobs for a simulation batch (all deterministic given ``seed``).
+
+    ``shards`` picks the topology: 0 is the single-node stack
+    (:class:`Episode`: WAL, server, followers, clients), N > 0 a cluster
+    of N shards (:class:`~repro.simulation.sharded.ShardedEpisode`).
+    ``ddl``, ``corruption``, ``followers``, ``base_free_followers``,
+    ``clients`` and ``lost_fsync_rate`` only shape the single node;
+    ``routed``, ``keyed`` and ``base_free_shards`` only the cluster.
+    ``crashes`` and ``partitions`` apply to both: with ``partitions``
+    every link is lossy as well as partitionable.
+    """
 
     __slots__ = (
         "seed",
         "episodes",
         "events",
+        "shards",
         "crashes",
         "partitions",
         "ddl",
@@ -198,6 +215,9 @@ class SimulationConfig:
         "base_free_followers",
         "clients",
         "lost_fsync_rate",
+        "routed",
+        "keyed",
+        "base_free_shards",
     )
 
     def __init__(
@@ -205,6 +225,7 @@ class SimulationConfig:
         seed: int = 0,
         episodes: int = 10,
         events: int = 40,
+        shards: int = 0,
         crashes: bool = True,
         partitions: bool = True,
         ddl: bool = True,
@@ -213,10 +234,14 @@ class SimulationConfig:
         base_free_followers: int = 1,
         clients: int = 2,
         lost_fsync_rate: float = 0.15,
+        routed: bool = True,
+        keyed: bool = False,
+        base_free_shards: bool = False,
     ) -> None:
         self.seed = seed
         self.episodes = episodes
         self.events = events
+        self.shards = shards
         self.crashes = crashes
         self.partitions = partitions
         self.ddl = ddl
@@ -228,6 +253,19 @@ class SimulationConfig:
         self.base_free_followers = base_free_followers
         self.clients = clients
         self.lost_fsync_rate = lost_fsync_rate
+        #: Skip the deltas the routing analysis proves irrelevant to a
+        #: shard (``False`` broadcasts every replicated delta).
+        self.routed = routed
+        #: Declare a key on the partitioned relation, plus the
+        #: constraint that makes the row a function of it, so base-free
+        #: owners can track key occupancy (docs/cluster.md).
+        self.keyed = keyed
+        #: Every non-home shard sheds its base rows.  Without ``keyed``
+        #: the partitioned-relation ops then stay in the home shard's
+        #: range: a base-free owner cannot existence-check a delete or
+        #: detect a duplicate insert, so only rows a full replica
+        #: validates may be touched (the documented trust boundary).
+        self.base_free_shards = base_free_shards
 
     @property
     def total_followers(self) -> int:
@@ -242,6 +280,8 @@ def generate_schedule(
     rng: random.Random, config: SimulationConfig
 ) -> list[tuple[str, dict[str, Any]]]:
     """Draw ``config.events`` weighted events; no state is consulted."""
+    if config.shards:
+        return sharded_schedule(rng, config)
     kinds: list[tuple[str, float]] = [
         ("txn", 22),
         ("server_txn", 8),

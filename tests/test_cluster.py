@@ -14,16 +14,19 @@ under hand-pumped :class:`SimShardLink` transports —
 * the merged changefeed emits strictly in ``cluster_seq`` order even
   when shard acks complete out of order —
 
-plus the wire-protocol front-end over a :class:`LocalSession`, episode
-determinism, and the randomized simulation batch.  The batch smoke
-(``REPRO_CLUSTER_SIM_SMOKE=1``, CI's cluster job) additionally asserts
-the acceptance criteria: zero divergences under crash + partition +
-reorder faults with ``cluster_deltas_skipped > 0``.
+plus the wire-protocol front-end over a :class:`LocalSession`, the
+layering (``repro.cluster`` imports nothing from the simulator), and
+sharded episodes of the one simulator (``SimulationConfig(shards=N)``).
+The batch smoke (``REPRO_CLUSTER_SIM_SMOKE=1``, CI's cluster job)
+additionally asserts the acceptance criteria: zero divergences under
+crash + partition + reorder faults with ``cluster_deltas_skipped > 0``.
 """
 
 from __future__ import annotations
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -41,18 +44,14 @@ from repro.cluster import (
     validate_shardable,
 )
 from repro.cluster.coordinator import TIMEOUT_TICKS
-from repro.cluster.links import SimShardLink
-from repro.cluster.sim import (
-    ClusterSimConfig,
-    cluster_workload,
-    run_cluster_episode,
-    run_cluster_simulation,
-)
 from repro.core.maintainer import ViewMaintainer
 from repro.engine.database import Database
 from repro.errors import ClusterError, UnknownRelationError
 from repro.server import protocol
+from repro.simulation import SimulationConfig, run_episode, run_simulation
 from repro.simulation.clock import SimClock
+from repro.simulation.network import SimShardLink
+from repro.simulation.sharded import ShardedEpisode, cluster_workload
 
 CLUSTER_SMOKE = env_flag("REPRO_CLUSTER_SIM_SMOKE")
 
@@ -541,40 +540,54 @@ class TestClusterServer:
 # ----------------------------------------------------------------------
 class TestClusterSimulation:
     def test_episode_is_deterministic(self):
-        config = ClusterSimConfig(seed=3, episodes=1, events=25)
-        first = run_cluster_episode(11, config)
-        second = run_cluster_episode(11, config)
+        config = SimulationConfig(seed=3, episodes=1, events=25, shards=3)
+        first = run_episode(11, config)
+        second = run_episode(11, config)
         assert first.schedule == second.schedule
+        assert first.trace == second.trace
         assert first.stats == second.stats
         assert first.divergences == second.divergences
 
     def test_single_episode_with_faults_passes_oracle(self):
-        config = ClusterSimConfig(seed=5, episodes=1, events=40)
-        result = run_cluster_episode(5, config)
+        config = SimulationConfig(seed=5, episodes=1, events=40, shards=3)
+        result = run_episode(5, config)
         assert result.divergences == []
         assert result.stats["txns_submitted"] > 0
         assert result.stats["cluster_deltas_skipped"] > 0
 
     def test_broadcast_mode_never_skips(self):
-        config = ClusterSimConfig(
+        config = SimulationConfig(
             seed=5,
             episodes=1,
             events=30,
+            shards=3,
             routed=False,
             crashes=False,
             partitions=False,
-            drop_rate=0.0,
         )
-        result = run_cluster_episode(5, config)
+        result = run_episode(5, config)
         assert result.divergences == []
         assert result.stats["cluster_deltas_skipped"] == 0
+
+    def test_tampered_shard_state_is_reported(self):
+        config = SimulationConfig(
+            seed=1, events=0, shards=3, keyed=True, base_free_shards=True
+        )
+        episode = ShardedEpisode(1, config)
+        home, _, base_free = episode.coordinator.nodes()
+        home.maintainer.view("v_low").contents.add((0, 1))
+        base_free.database.relation("s").add((1, 2))
+        episode.run([])
+        found = "\n".join(episode.divergences)
+        assert "merged view 'v_low' diverges" in found
+        assert "base-free shard 2: shed base relation 's' holds 1" in found
 
     @pytest.mark.skipif(
         not CLUSTER_SMOKE, reason="set REPRO_CLUSTER_SIM_SMOKE=1 to run"
     )
     def test_smoke_batch(self):
-        report = run_cluster_simulation(
-            ClusterSimConfig(seed=1, episodes=4, events=60)
+        report = run_simulation(
+            SimulationConfig(seed=1, episodes=4, events=60, shards=3)
         )
         assert report.ok, report.format()
         assert report.stats["cluster_deltas_skipped"] > 0
@@ -582,6 +595,28 @@ class TestClusterSimulation:
         text = report.format()
         assert text.endswith("OK")
         assert report.format() == text  # formatting is pure
+
+
+def test_the_cluster_imports_nothing_from_the_simulator():
+    # The simulator drives the cluster through its link seam; the
+    # dependency must not run the other way.
+    cluster = Path(__file__).resolve().parent.parent / "src" / "repro" / "cluster"
+    offenders = []
+    for path in sorted(cluster.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            offenders += [
+                f"{path.name}: {name}"
+                for name in names
+                if name == "repro.simulation"
+                or name.startswith("repro.simulation.")
+            ]
+    assert offenders == []
 
 
 # ----------------------------------------------------------------------
@@ -633,8 +668,10 @@ class TestClusterKeys:
         assert (existing[0], 6) in after
 
     def test_keyed_episode_passes_oracle(self):
-        config = ClusterSimConfig(seed=11, episodes=1, events=40, keyed=True)
-        result = run_cluster_episode(11, config)
+        config = SimulationConfig(
+            seed=11, episodes=1, events=40, shards=3, keyed=True
+        )
+        result = run_episode(11, config)
         assert result.divergences == []
         assert result.stats["txns_committed"] > 0
 
@@ -670,9 +707,14 @@ class TestClusterKeys:
         # PR 9 restricted base-free schedules to home-shard inserts; the
         # declared key (with its row-determining constraint) lifts that:
         # unrestricted inserts AND deletes, oracle byte-for-byte.
-        config = ClusterSimConfig(
-            seed=13, episodes=1, events=50, keyed=True, base_free=True
+        config = SimulationConfig(
+            seed=13,
+            episodes=1,
+            events=50,
+            shards=3,
+            keyed=True,
+            base_free_shards=True,
         )
-        result = run_cluster_episode(13, config)
+        result = run_episode(13, config)
         assert result.divergences == []
         assert result.stats["txns_submitted"] > 0

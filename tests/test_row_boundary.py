@@ -43,7 +43,6 @@ EDGE_MODULES = {
     "engine/transactions.py",
     "engine/database.py",
     "engine/persistence.py",
-    "cluster/shard.py",
 }
 
 #: Modules that hold encoded tuples and once wrapped them in ``Row`` so
@@ -139,17 +138,25 @@ def test_a_written_row_is_encoded_exactly_once(tmp_path, encode_calls, shape):
     maintainer.verify_all()
 
 
-@pytest.mark.parametrize("base_free", [False, True])
-def test_a_prepared_cluster_batch_is_encoded_exactly_once(encode_calls, base_free):
-    # Shard 0 of two owns A <= 49; its constraint is B < 10 and that range.
+@pytest.mark.parametrize(
+    "base_free, keys",
+    [(False, {}), (True, {}), (True, {"r": [("A",)]})],
+    ids=["False", "True", "keyed"],
+)
+def test_a_prepared_cluster_batch_is_encoded_exactly_once(
+    encode_calls, base_free, keys
+):
+    # Shard 0 of two owns A <= 49; its constraint is B = A + 1 and that
+    # range.  With the key, a base-free shard tracks key occupancy.
     shard = ShardNode(
         0,
         ClusterTopology(2, [PartitionSpec("r", "A", (49,))]),
         {"r": ["A", "B"]},
-        {"r": [(1, 1), (2, 6), (60, 2)]},
-        {"r": Condition.coerce("B < 10")},
+        {"r": [(1, 2), (2, 3), (60, 61)]},
+        {"r": Condition.coerce("B = A + 1")},
         [("low", BaseRef("r").select("B < 5"))],
         base_free=base_free,
+        keys=keys,
     )
     del encode_calls[:]
 
@@ -164,14 +171,14 @@ def test_a_prepared_cluster_batch_is_encoded_exactly_once(encode_calls, base_fre
         )
         return reply
 
-    inserts = [[3, 1], [4, 7], [5, 2], [1, 1]]
-    assert prepare(1, inserts, [[2, 6]])["kind"] == "prepared"
+    inserts = [[3, 4], [4, 5], [5, 6], [1, 2]]
+    assert prepare(1, inserts, [[2, 3]])["kind"] == "prepared"
     assert len(encode_calls) == len(inserts) + 1
     # The check still sees every row it must reject — the declared
     # constraint's and the shard's range's — from the one encoding.
-    for txn, bad in ((2, (4, 12)), (3, (70, 1))):
+    for txn, bad in ((2, (4, 12)), (3, (70, 71))):
         del encode_calls[:]
-        reply = prepare(txn, [[6, 1], list(bad)])
+        reply = prepare(txn, [[6, 7], list(bad)])
         assert reply["kind"] == "nack" and str(bad) in reply["error"]
         assert len(encode_calls) == 2
 

@@ -454,9 +454,15 @@ class TestScheduleGeneration:
 # ----------------------------------------------------------------------
 # Episode determinism + batch soundness
 # ----------------------------------------------------------------------
+TOPOLOGIES = pytest.mark.parametrize(
+    "shards", [0, 3], ids=["single-node", "sharded"]
+)
+
+
 class TestEpisodeDeterminism:
-    def test_same_seed_twice_identical_run(self):
-        config = SimulationConfig(seed=7, events=35, followers=1, clients=2)
+    @TOPOLOGIES
+    def test_same_seed_twice_identical_run(self, shards):
+        config = SimulationConfig(seed=7, events=35, shards=shards)
         seed = episode_seeds(config)[0]
         first = run_episode(seed, config)
         second = run_episode(seed, config)
@@ -625,14 +631,15 @@ class TestMinimization:
         _, _, runs = minimize_schedule(0, config, schedule, budget=3)
         assert runs <= 3 + 1  # + the final confirming replay
 
-    def test_batch_reports_minimized_reproduction(self, monkeypatch):
+    @TOPOLOGIES
+    def test_batch_reports_minimized_reproduction(self, monkeypatch, shards):
         # Force one episode to fail by injecting a bogus event into its
         # generated schedule, and check the report carries a minimized
         # trace for it.
         import repro.simulation.runner as runner_module
 
         original = runner_module.generate_schedule
-        config = SimulationConfig(seed=19, episodes=2, events=12)
+        config = SimulationConfig(seed=19, episodes=2, events=12, shards=shards)
         first_seed = episode_seeds(config)[0]
         bombed = {"done": False}
 
@@ -651,7 +658,8 @@ class TestMinimization:
         assert len(failure.minimized_schedule) < len(failure.schedule)
         text = report.format()
         assert f"DIVERGENCE seed={first_seed}" in text
-        assert "minimized to" in text
+        assert f"minimized to 1 of {len(failure.schedule)} events" in text
+        assert "] t=" in failure.minimized_trace[0]
         assert text.endswith("FAILED (1 episodes)")
 
     def test_report_format_shows_failure_details(self):
@@ -707,6 +715,41 @@ class TestCliSimulate:
         assert code == 0
         assert out.startswith("simulation seed=7 episodes=1")
         assert out.rstrip().endswith("OK")
+
+    def test_sharded_trace_is_printed(self, capsys):
+        from repro.cli import main
+
+        argv = ["simulate", "--sharded", "--seed", "7", "--episodes", "1"]
+        code = main(argv + ["--events", "10", "--trace"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert lines[0].startswith("simulation seed=7 episodes=1 events=10 shards=3")
+        assert "OK" in lines
+        assert any(line.startswith("episode seed=") for line in lines)
+        assert any(line.startswith("  [0] t=0 ") for line in lines)
+        assert lines[-1].startswith("  [end] t=")
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--sharded", "--corruption"], "--corruption"),
+            (["--sharded", "--clients", "2"], "--clients"),
+            (["--sharded", "--followers", "0"], "--followers"),
+            (["--sharded", "--no-ddl"], "--no-ddl"),
+            (["--keyed"], "--keyed"),
+            (["--base-free"], "--base-free"),
+            (["--broadcast"], "--broadcast"),
+            (["--shards", "3"], "--shards"),
+        ],
+    )
+    def test_a_flag_of_the_other_topology_is_an_error(self, capsys, flags, named):
+        from repro.cli import main
+
+        assert main(["simulate", "--episodes", "1", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {named} does not apply")
 
 
 # ----------------------------------------------------------------------
