@@ -78,7 +78,7 @@ from repro.algebra import (
 )
 from repro.algebra.domains import Domain, IntegerDomain, FiniteDomain, StringDomain
 from repro.algebra.expressions import to_normal_form
-from repro.engine import Database, Transaction, UpdateLog, SnapshotQueue
+from repro.engine import Database, Transaction
 from repro.core import (
     is_satisfiable,
     is_satisfiable_conjunction,
@@ -156,8 +156,6 @@ __all__ = [
     # engine
     "Database",
     "Transaction",
-    "UpdateLog",
-    "SnapshotQueue",
     # core
     "is_satisfiable",
     "is_satisfiable_conjunction",

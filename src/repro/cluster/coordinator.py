@@ -83,7 +83,6 @@ class PendingTxn:
         "cluster_seq",
         "view_docs",
         "applied_docs",
-        "raw_ops",
     )
 
     def __init__(
@@ -91,7 +90,6 @@ class PendingTxn:
         txn_id: int,
         participants: frozenset[int],
         messages: dict[int, dict[str, Any]],
-        raw_ops: dict[str, Any],
         start_tick: int,
     ) -> None:
         self.txn_id = txn_id
@@ -108,8 +106,6 @@ class PendingTxn:
         self.view_docs: dict[int, dict[str, dict[str, Any]]] = {}
         #: Per-shard applied base-relation counts from commit acks.
         self.applied_docs: dict[int, dict[str, dict[str, int]]] = {}
-        #: The unsplit client ops, for the ordered committed log.
-        self.raw_ops = raw_ops
 
     def outstanding(self) -> set[int]:
         """Participants whose current-phase reply is still missing."""
@@ -191,8 +187,6 @@ class ClusterCoordinator:
         self.history: list[list[dict[str, Any]]] = [
             [] for _ in range(topology.shards)
         ]
-        #: Client raw ops of every committed txn, ``cluster_seq`` order.
-        self.committed_log: list[dict[str, Any]] = []
         self._txn_counter = 0
         self._cluster_seq = 0
         self._shard_seqs = [0] * topology.shards
@@ -200,9 +194,7 @@ class ClusterCoordinator:
         self._pending: dict[int, PendingTxn] = {}
         self._outcomes: dict[int, dict[str, Any]] = {}
         #: Completed-but-unemitted events, keyed by ``cluster_seq``.
-        self._complete: dict[int, tuple[int, dict[str, dict[str, Any]]]] = {}
-        #: Raw client ops awaiting in-order emission, by ``cluster_seq``.
-        self._raw_by_seq: dict[int, dict[str, Any]] = {}
+        self._complete: dict[int, dict[str, dict[str, Any]]] = {}
         self._emitted_seq = 0
         for link in self.links:
             link.deliver = self.on_shard_message
@@ -239,11 +231,10 @@ class ClusterCoordinator:
             per_shard = self._split(raw_inserts, raw_deletes)
             self._txn_counter += 1
             txn_id = self._txn_counter
-            raw_ops = {"inserts": raw_inserts, "deletes": raw_deletes}
             if not per_shard:
                 # Every op was empty (or skippable): commit trivially at
-                # the next global position so the ordered log still
-                # records the transaction.
+                # the next global position so the changefeed order still
+                # counts the transaction.
                 self._cluster_seq += 1
                 self._outcomes[txn_id] = {
                     "status": "committed",
@@ -251,8 +242,7 @@ class ClusterCoordinator:
                     "applied": {},
                 }
                 charge("cluster_txns_committed")
-                self._complete[self._cluster_seq] = (txn_id, {})
-                self._raw_by_seq[self._cluster_seq] = raw_ops
+                self._complete[self._cluster_seq] = {}
                 self._emit_ready()
                 return txn_id
             messages = {
@@ -268,7 +258,6 @@ class ClusterCoordinator:
                 txn_id,
                 frozenset(per_shard),
                 messages,
-                raw_ops,
                 self._tick,
             )
             self._pending[txn_id] = pending
@@ -360,7 +349,6 @@ class ClusterCoordinator:
             "status": "committed",
             "cluster_seq": pending.cluster_seq,
         }
-        self._raw_by_seq[pending.cluster_seq] = pending.raw_ops
         commit_messages: dict[int, dict[str, Any]] = {}
         for shard in sorted(pending.participants):
             self._shard_seqs[shard] += 1
@@ -412,7 +400,7 @@ class ClusterCoordinator:
                 entry = applied.setdefault(name, {"inserted": 0, "deleted": 0})
                 entry["inserted"] += int(counts.get("inserted", 0))
                 entry["deleted"] += int(counts.get("deleted", 0))
-        self._complete[pending.cluster_seq] = (pending.txn_id, merged)
+        self._complete[pending.cluster_seq] = merged
         del self._pending[pending.txn_id]
         self._outcomes[pending.txn_id]["applied"] = applied
         self._emit_ready()
@@ -449,16 +437,7 @@ class ClusterCoordinator:
         """Emit completed events in strict ``cluster_seq`` order."""
         while self._emitted_seq + 1 in self._complete:
             self._emitted_seq += 1
-            txn_id, merged = self._complete.pop(self._emitted_seq)
-            raw_ops = self._raw_by_seq.pop(self._emitted_seq)
-            self.committed_log.append(
-                {
-                    "seq": self._emitted_seq,
-                    "txn": txn_id,
-                    "inserts": raw_ops["inserts"],
-                    "deletes": raw_ops["deletes"],
-                }
-            )
+            merged = self._complete.pop(self._emitted_seq)
             # Appending encodes the event once and hands it to the feed's
             # listeners — an attached ClusterServer's fan-out.
             for view in sorted(merged):

@@ -312,7 +312,7 @@ class ViewMaintainer:
         definition whose plan cannot be compiled, or whose contents
         cannot be computed, must leave no trace — not a view without a
         plan, not a taken name."""
-        view.last_refresh_sequence = self.database.log.last_sequence()
+        view.last_refresh_sequence = self.database.last_sequence()
         entry = _ViewEntry(view, policy, referenced, self._next_ordinal, row, plan)
         self._next_ordinal += 1
         self._entries[view.definition.name] = entry
@@ -683,7 +683,7 @@ class ViewMaintainer:
             reached = [merged[ordinal] for ordinal in sorted(merged)]
         if not reached:
             return
-        sequence = self.database.log.last_sequence()
+        sequence = self.database.last_sequence()
         recording = active_recorder() is not None
         for entry in reached:
             effective = {
@@ -719,7 +719,8 @@ class ViewMaintainer:
         deltas and feed them here directly.  Stacked views, deferred
         composition, subscribers and statistics all behave exactly as
         for a local commit.  Callers own sequencing: deltas must arrive
-        in commit order, and the database log must be advanced so
+        in commit order, and the database position must be advanced
+        (:meth:`~repro.engine.database.Database.advance_sequence`) so
         ``last_refresh_sequence`` bookkeeping stays meaningful.
         """
         self._on_commit(txn_id, deltas)
@@ -764,7 +765,7 @@ class ViewMaintainer:
         entry = self._entry(name)
         pending = entry.pending
         entry.commits_since_refresh = 0
-        sequence = self.database.log.last_sequence()
+        sequence = self.database.last_sequence()
         if not pending:
             entry.view.last_refresh_sequence = sequence
             return False
@@ -803,7 +804,7 @@ class ViewMaintainer:
             "commits_since_refresh": entry.commits_since_refresh,
             "sequence_lag": max(
                 0,
-                self.database.log.last_sequence()
+                self.database.last_sequence()
                 - entry.view.last_refresh_sequence,
             ),
         }

@@ -7,14 +7,15 @@ A :class:`Database` owns:
   each carrying its own hash indexes — :meth:`create_index` /
   :meth:`drop_index` are the DDL facade over them;
 * the transaction factory (:meth:`begin` / :meth:`transact`);
-* the :class:`~repro.engine.log.UpdateLog`;
+* the commit position (:meth:`last_sequence`) — a counter, not a
+  history: the write-ahead log is the one record of past commits;
 * an ordered list of *commit hooks* — callables receiving
   ``(txn_id, {relation: Delta})`` — through which view maintainers and
-  snapshot queues observe committed net effects.  Hooks run inside the
-  commit, after base relations (and so their indexes) have been
-  updated, matching the paper's assumption that base relations are
-  updated before views and that complete affected tuples are available
-  at view-update time.
+  the write-ahead log observe committed net effects.  Hooks run inside
+  the commit, after base relations (and so their indexes) and the
+  position have been updated, matching the paper's assumption that base
+  relations are updated before views and that complete affected tuples
+  are available at view-update time.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from repro.engine.keys import (
     find_key_collisions,
     validate_key_attributes,
 )
-from repro.engine.log import UpdateLog
 from repro.engine.transactions import Transaction
 from repro.errors import (
     ConstraintError,
@@ -66,7 +66,7 @@ class Database:
     def __init__(self) -> None:
         self._relations: dict[str, Relation] = {}
         self._next_txn_id = 1
-        self.log = UpdateLog()
+        self._last_sequence = 0
         self.constraints = ConstraintCatalog(notify=self._notify_ddl)
         self.keys = KeyCatalog(notify=self._notify_ddl)
         self._commit_hooks: list[CommitHook] = []
@@ -370,6 +370,27 @@ class Database:
         """
         self._next_txn_id = max(self._next_txn_id, next_txn_id)
 
+    def last_sequence(self) -> int:
+        """The commit position: the sequence of the newest commit with a
+        net effect, or of the one skipped to (0 for a fresh database).
+
+        Every non-empty commit takes the next sequence before its hooks
+        run, so a hook — the maintainer stamping a view's
+        ``last_refresh_sequence`` — reads its own commit's sequence.
+        """
+        return self._last_sequence
+
+    def advance_sequence(self, next_sequence: int) -> None:
+        """Ensure future commits get sequences ``>= next_sequence``.
+
+        Recovery and followers call this before replaying a WAL tail so
+        each replayed commit takes *the sequence the WAL gave it* —
+        afterwards :meth:`last_sequence` (and every view's
+        ``last_refresh_sequence``) is a WAL position, which is what
+        changefeed subscribers resume from, even with nothing replayed.
+        """
+        self._last_sequence = max(self._last_sequence, next_sequence - 1)
+
     def apply(self, inserts: Mapping[str, Iterable[object]] | None = None,
               deletes: Mapping[str, Iterable[object]] | None = None) -> dict[str, Delta]:
         """One-shot transaction helper: insert/delete batches and commit."""
@@ -386,10 +407,11 @@ class Database:
     # Commit pipeline
     # ------------------------------------------------------------------
     def add_commit_hook(self, hook: CommitHook) -> None:
-        """Register a commit observer (view maintainer, snapshot queue…).
+        """Register a commit observer (view maintainer, WAL writer…).
 
         Hooks run in registration order, inside the commit, after base
-        relations (with their indexes) and the log have been updated.
+        relations (with their indexes) and the position have been
+        updated.
         """
         self._commit_hooks.append(hook)
 
@@ -600,7 +622,7 @@ class Database:
         for name, delta in deltas.items():
             delta.apply_to(self._relations[name])
         if deltas:
-            self.log.append(txn.txn_id, deltas)
+            self._last_sequence += 1
         for hook in self._commit_hooks:
             hook(txn.txn_id, deltas)
 
@@ -608,7 +630,8 @@ class Database:
     # Misc
     # ------------------------------------------------------------------
     def clone_data(self) -> "Database":
-        """A structural copy of schemas and contents (no hooks, no log).
+        """A structural copy of schemas and contents (no hooks; the
+        position starts at 0).
 
         Used by consistency checks and tests that need an isolated
         replica to replay or recompute against.

@@ -168,7 +168,7 @@ class Transaction:
         """Atomically apply the net effect and run maintenance hooks.
 
         Returns the per-relation deltas that were applied.  Hooks (view
-        maintainers, index managers, the update log) run *inside* the
+        maintainers, the write-ahead log) run *inside* the
         commit, matching the paper's assumption that "the differential
         update mechanism is invoked as the last operation within the
         transaction".

@@ -1,7 +1,7 @@
 """Durability and replication: the committed delta stream made portable.
 
-The package turns the engine's in-memory update log into infrastructure
-(see ``docs/durability.md``):
+The package turns the engine's commit stream into infrastructure (see
+``docs/durability.md``):
 
 * :mod:`~repro.replication.wal` — the on-disk write-ahead delta log:
   checksummed JSONL records in rotating segments, with torn-tail

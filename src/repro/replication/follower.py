@@ -85,10 +85,10 @@ class Follower:
         self.database = checkpoint.build_database()
         #: WAL sequence the replica is current as of.
         self.position = checkpoint.wal_sequence
-        # Replayed commits keep their WAL sequences in the replica's
-        # in-memory log, so follower view refresh positions are the
-        # same WAL positions a server changefeed reports.
-        self.database.log.advance_sequence(self.position + 1)
+        # Replayed commits keep their WAL sequences as the replica's
+        # position, so follower view refresh positions are the same WAL
+        # positions a server changefeed reports.
+        self.database.advance_sequence(self.position + 1)
         #: The follower's own maintainer — define any views on it.
         self.maintainer = ViewMaintainer(self.database)
         #: Torn-tail report from the last poll (None when clean).
@@ -181,15 +181,16 @@ class Follower:
         if self.base_free:
             self.shed_base_copies()
             log_record = decode_wal_record(self.database, record)
-            appended = self.database.log.append(
-                log_record.txn_id, log_record.deltas
-            )
-            if appended.sequence != record.sequence:
+            # No commit runs here, so the position is advanced by hand,
+            # before maintenance stamps refresh positions from it.
+            sequence = self.database.last_sequence() + 1
+            if sequence != record.sequence:
                 raise ReplicationError(
-                    f"base-free follower log assigned sequence "
-                    f"{appended.sequence} to WAL record {record.sequence}; "
-                    "the in-memory log is out of step with the WAL"
+                    f"base-free follower database would assign sequence "
+                    f"{sequence} to WAL record {record.sequence}; "
+                    "its position is out of step with the WAL"
                 )
+            self.database.advance_sequence(sequence + 1)
             self.maintainer.apply_deltas(log_record.txn_id, log_record.deltas)
         else:
             replay_records(

@@ -49,7 +49,7 @@ def decode_wal_record(database: Database, record: WalRecord) -> LogRecord:
         raise ReplicationError(
             f"cannot decode WAL record {record.sequence}: {exc}"
         ) from exc
-    return LogRecord(record.txn_id, record.sequence, deltas)
+    return LogRecord(record.txn_id, deltas)
 
 
 class Recovery:
@@ -75,11 +75,11 @@ class Recovery:
         self.checkpoint_sequence = self._checkpoint.wal_sequence
         #: The recovered database (snapshot state until :meth:`replay`).
         self.database = self._checkpoint.build_database()
-        # Align the in-memory log with the WAL: replayed commits keep
-        # their on-disk sequences, so the recovered history (sequences
-        # included) is indistinguishable from the one that wrote the
-        # log — and view refresh positions are WAL positions.
-        self.database.log.advance_sequence(self.checkpoint_sequence + 1)
+        # Align the database position with the WAL: replayed commits
+        # keep their on-disk sequences, so the recovered history
+        # (sequences included) is indistinguishable from the one that
+        # wrote the log — and view refresh positions are WAL positions.
+        self.database.advance_sequence(self.checkpoint_sequence + 1)
         #: Torn-tail report from the last replay (None when clean).
         self.tail_damage: TailDamage | None = None
         #: WAL sequence the database is current as of after replay.

@@ -445,7 +445,7 @@ class ViewServer:
                 protocol.E_UNKNOWN_TARGET,
                 f"{name!r} names neither a view nor a base relation",
             ) from None
-        return "relation", relation, self.database.log.last_sequence()
+        return "relation", relation, self.database.last_sequence()
 
     def _op_query(self, session: Session, doc: Mapping[str, Any]) -> dict[str, Any]:
         target = protocol.request_field(doc, "target", str)
@@ -577,7 +577,7 @@ class ViewServer:
         }
         return {
             "txn": txn.txn_id,
-            "seq": self.database.log.last_sequence(),
+            "seq": self.database.last_sequence(),
             "applied": applied,
         }
 
@@ -659,7 +659,7 @@ class ViewServer:
                 "max": self.config.max_sessions,
             },
             "subscriptions": sum(len(t) for t in self._subscribers.values()),
-            "seq": self.database.log.last_sequence(),
+            "seq": self.database.last_sequence(),
             "scheduler": {
                 "now": self.clock.now,
                 "batch_limit": self.scheduler.batch_limit,

@@ -32,7 +32,8 @@ Layers
 :mod:`~repro.simulation.sharded`
     The sharded topology (``SimulationConfig(shards=N)``): a cluster
     of shards behind lossy links, crash-rebuilt mid-protocol, checked
-    at the end against a single-node replay of its committed log.
+    at the end against a single-node replay of its committed
+    transactions.
 :mod:`~repro.simulation.oracle`
     The full-recompute and cross-copy agreement checks.
 :mod:`~repro.simulation.runner`

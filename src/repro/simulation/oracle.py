@@ -129,7 +129,7 @@ def ground_truth_database(directory: str) -> tuple[Database, int]:
         raise AssertionError(f"no checkpoint in {directory!r} to ground on")
     checkpoint = Checkpoint.load(path)
     database = checkpoint.build_database()
-    database.log.advance_sequence(checkpoint.wal_sequence + 1)
+    database.advance_sequence(checkpoint.wal_sequence + 1)
     last = checkpoint.wal_sequence
     reader = WalReader(directory)
 

@@ -7,8 +7,9 @@ behind lossy, reordering, partitionable
 :class:`~repro.simulation.network.SimShardLink`\\ s, crash-rebuilt
 mid-protocol, driven by a seeded workload — and at the end of the run
 the merged cluster state must agree **byte for byte** with a
-single-node ground truth that applied the coordinator's committed log
-to one ordinary Database + ViewMaintainer pair.
+single-node ground truth that applied the committed transactions, in
+the coordinator's ``cluster_seq`` order, to one ordinary Database +
+ViewMaintainer pair.
 
 The checked invariants:
 
@@ -54,7 +55,7 @@ from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.algebra.conditions import Condition
 from repro.algebra.expressions import BaseRef, Expression
-from repro.cluster.coordinator import ClusterCoordinator, build_cluster
+from repro.cluster.coordinator import ClusterCoordinator, OpBatches, build_cluster
 from repro.cluster.shard import ShardNode
 from repro.cluster.topology import (
     HOME_SHARD,
@@ -295,7 +296,9 @@ class ShardedEpisode:
             for name, _ in self.views
         }
         self.coordinator.emit_hooks.append(self._fold_event)
-        self.submitted: list[int] = []
+        #: Every submitted transaction's ops, by txn id: what the
+        #: single-node ground truth replays.
+        self.submitted: dict[int, tuple[OpBatches, OpBatches]] = {}
         self._heal_at: dict[int, int] = {}
 
     # -- changefeed mirror ------------------------------------------------
@@ -329,11 +332,10 @@ class ShardedEpisode:
 
     def _event_txn(self, payload: dict[str, Any]) -> None:
         self.stats["txns_submitted"] += 1
-        txn_id = self.coordinator.submit(
-            inserts=payload.get("inserts") or {},
-            deletes=payload.get("deletes") or {},
-        )
-        self.submitted.append(txn_id)
+        inserts = payload.get("inserts") or {}
+        deletes = payload.get("deletes") or {}
+        txn_id = self.coordinator.submit(inserts=inserts, deletes=deletes)
+        self.submitted[txn_id] = (inserts, deletes)
 
     def _event_net(self, payload: dict[str, Any]) -> None:
         for _ in range(int(payload["ticks"])):
@@ -393,12 +395,24 @@ class ShardedEpisode:
         maintainer = ViewMaintainer(database)
         for name, expression in self.views:
             maintainer.define_view(name, expression)
-        for entry in self.coordinator.committed_log:
-            txn = database.begin(txn_id=entry["txn"])
-            for name in sorted(entry["deletes"]):
-                txn.delete_many(name, entry["deletes"][name])
-            for name in sorted(entry["inserts"]):
-                txn.insert_many(name, entry["inserts"][name])
+        # The emitted commits' txn ids, by cluster_seq.
+        committed: dict[int, int] = {}
+        for txn_id in self.submitted:
+            outcome = self.coordinator.outcome(txn_id)
+            if (
+                outcome is not None
+                and outcome["status"] == "committed"
+                and outcome["cluster_seq"] <= self.coordinator.last_sequence
+            ):
+                committed[outcome["cluster_seq"]] = txn_id
+        for sequence in sorted(committed):
+            txn_id = committed[sequence]
+            inserts, deletes = self.submitted[txn_id]
+            txn = database.begin(txn_id=txn_id)
+            for name in sorted(deletes):
+                txn.delete_many(name, deletes[name])
+            for name in sorted(inserts):
+                txn.insert_many(name, inserts[name])
             txn.commit()
         maintainer.quiesce()
         return database, maintainer

@@ -6,6 +6,7 @@ import random
 
 import pytest
 from repro import BaseRef, Database, Relation, RelationSchema
+from repro.engine.log import LogRecord
 
 
 # ----------------------------------------------------------------------
@@ -56,6 +57,16 @@ def make_random_two_table_db(rng: random.Random, size: int = 12) -> Database:
     db.create_relation("r", ["A", "B"], sorted(r_rows))
     db.create_relation("s", ["B", "C"], sorted(s_rows))
     return db
+
+
+def capture_commits(db: Database) -> list[LogRecord]:
+    """A list that every later commit with a net effect is appended to,
+    in commit order: the history a test replays or ships."""
+    records: list[LogRecord] = []
+    db.add_commit_hook(
+        lambda txn_id, deltas: deltas and records.append(LogRecord(txn_id, dict(deltas)))
+    )
+    return records
 
 
 def run_random_transactions(

@@ -72,8 +72,35 @@ def make_cluster(shards=3, *, routed=True, link_factory=None):
     )
 
 
-def single_node_truth(coordinator):
-    """Replay the coordinator's committed log on one node."""
+class Client:
+    """Submits through a coordinator and keeps what it submitted."""
+
+    def __init__(self, coordinator):
+        self.coordinator = coordinator
+        self.ops = {}
+
+    def submit(self, inserts=None, deletes=None):
+        txn_id = self.coordinator.submit(inserts=inserts, deletes=deletes)
+        self.ops[txn_id] = (inserts or {}, deletes or {})
+        return txn_id
+
+    def committed(self):
+        """``(cluster_seq, txn)`` of every emitted commit, in order."""
+        found = []
+        for txn_id in self.ops:
+            outcome = self.coordinator.outcome(txn_id)
+            if (
+                outcome is not None
+                and outcome["status"] == "committed"
+                and outcome["cluster_seq"] <= self.coordinator.last_sequence
+            ):
+                found.append((outcome["cluster_seq"], txn_id))
+        return sorted(found)
+
+
+def single_node_truth(client):
+    """Replay a client's committed transactions on one node."""
+    coordinator = client.coordinator
     _, tables, rows, constraints, _, views = cluster_workload(
         coordinator.topology.shards
     )
@@ -85,19 +112,21 @@ def single_node_truth(coordinator):
     maintainer = ViewMaintainer(database)
     for name, expression in views:
         maintainer.define_view(name, expression)
-    for entry in coordinator.committed_log:
-        txn = database.begin(txn_id=entry["txn"])
-        for name in sorted(entry["deletes"]):
-            txn.delete_many(name, (tuple(r) for r in entry["deletes"][name]))
-        for name in sorted(entry["inserts"]):
-            txn.insert_many(name, (tuple(r) for r in entry["inserts"][name]))
+    for _, txn_id in client.committed():
+        inserts, deletes = client.ops[txn_id]
+        txn = database.begin(txn_id=txn_id)
+        for name in sorted(deletes):
+            txn.delete_many(name, (tuple(r) for r in deletes[name]))
+        for name in sorted(inserts):
+            txn.insert_many(name, (tuple(r) for r in inserts[name]))
         txn.commit()
     maintainer.quiesce()
     return database, maintainer
 
 
-def assert_matches_truth(coordinator):
-    database, maintainer = single_node_truth(coordinator)
+def assert_matches_truth(client):
+    coordinator = client.coordinator
+    database, maintainer = single_node_truth(client)
     for name in coordinator.views:
         merged, _, _ = coordinator.merged_counts(name)
         assert merged == maintainer.view(name).contents.counts(), name
@@ -127,6 +156,7 @@ class SimCluster:
             return SimShardLink(node, self.clock, rng, delay_max=0)
 
         self.coordinator = make_cluster(shards, link_factory=factory)
+        self.client = Client(self.coordinator)
         self.links = list(self.coordinator.links)
 
     def pump(self, shard):
@@ -257,21 +287,18 @@ class TestRouting:
 class TestDirectCluster:
     def test_commits_resolve_synchronously_and_match_truth(self):
         coordinator = make_cluster(3)
-        first = coordinator.submit(
-            inserts={"r": [[0, 5], [5, 5]], "t": [[5, 5]]}
-        )
-        second = coordinator.submit(
-            deletes={"r": [[1, 2]]}, inserts={"s": [[1, 1]]}
-        )
+        client = Client(coordinator)
+        first = client.submit(inserts={"r": [[0, 5], [5, 5]], "t": [[5, 5]]})
+        second = client.submit(deletes={"r": [[1, 2]]}, inserts={"s": [[1, 1]]})
         for txn_id in (first, second):
             outcome = coordinator.outcome(txn_id)
             assert outcome is not None and outcome["status"] == "committed"
         assert coordinator.last_sequence == 2
-        assert [e["txn"] for e in coordinator.committed_log] == [
-            first,
-            second,
+        assert client.committed() == [
+            (1, first),
+            (2, second),
         ]
-        assert_matches_truth(coordinator)
+        assert_matches_truth(client)
 
     def test_applied_counts_match_single_node_figures(self):
         # Partitioned rows split across shards must sum back to the
@@ -318,18 +345,20 @@ class TestDirectCluster:
 
     def test_constraint_violation_aborts_with_no_effects(self):
         coordinator = make_cluster(3)
+        client = Client(coordinator)
         before = {
             name: coordinator.merged_counts(name)[0]
             for name in list(coordinator.views) + ["r", "s", "t"]
         }
-        txn_id = coordinator.submit(inserts={"s": [[-1, 0]], "r": [[0, 0]]})
+        txn_id = client.submit(inserts={"s": [[-1, 0]], "r": [[0, 0]]})
         outcome = coordinator.outcome(txn_id)
         assert outcome["status"] == "aborted"
         assert outcome["code"] == protocol.E_TXN_FAILED
         assert "constraint" in outcome["error"]
         for name, counts in before.items():
             assert coordinator.merged_counts(name)[0] == counts, name
-        assert coordinator.committed_log == []
+        assert client.committed() == []
+        assert coordinator.last_sequence == 0
         assert coordinator.pending_count() == 0
 
     def test_noop_transaction_commits_trivially(self):
@@ -358,7 +387,7 @@ class TestFaultPaths:
         coordinator = cluster.coordinator
         baseline, _, _ = coordinator.merged_counts("r")
         # Rows 0 and 5 live on shards 0 and 2: a two-participant txn.
-        txn_id = coordinator.submit(inserts={"r": [[0, 6], [5, 6]]})
+        txn_id = cluster.client.submit(inserts={"r": [[0, 6], [5, 6]]})
         # Let shard 0 prepare; shard 2's prepare stays queued on the
         # wire, then the crash wipes both the wire and its memory.
         cluster.pump(0)
@@ -373,14 +402,14 @@ class TestFaultPaths:
         cluster.settle()
         outcome = coordinator.outcome(txn_id)
         assert outcome is not None and outcome["status"] == "committed"
-        assert_matches_truth(coordinator)
+        assert_matches_truth(cluster.client)
         counters = coordinator.recorder.counters
         assert counters.get("cluster_shard_rebuilds") == 1
 
     def test_crash_after_commit_decision_still_applies_everywhere(self):
         cluster = SimCluster(3)
         coordinator = cluster.coordinator
-        txn_id = coordinator.submit(inserts={"r": [[0, 6], [5, 6]]})
+        txn_id = cluster.client.submit(inserts={"r": [[0, 6], [5, 6]]})
         # Both shards prepare and the coordinator decides commit...
         cluster.pump(0)
         cluster.pump(2)
@@ -392,14 +421,14 @@ class TestFaultPaths:
         coordinator.crash_shard(2)
         cluster.settle()
         assert coordinator.last_sequence == outcome["cluster_seq"]
-        assert_matches_truth(coordinator)
+        assert_matches_truth(cluster.client)
 
     def test_partition_times_out_typed_and_retry_succeeds(self):
         cluster = SimCluster(3)
         coordinator = cluster.coordinator
         baseline, _, _ = coordinator.merged_counts("r")
         cluster.links[2].partition(True)
-        txn_id = coordinator.submit(inserts={"r": [[0, 6], [5, 6]]})
+        txn_id = cluster.client.submit(inserts={"r": [[0, 6], [5, 6]]})
         for _ in range(TIMEOUT_TICKS + 1):
             assert coordinator.outcome(txn_id) is None
             cluster.tick()
@@ -411,14 +440,14 @@ class TestFaultPaths:
         cluster.links[2].partition(False)
         cluster.settle()
         assert coordinator.merged_counts("r")[0] == baseline
-        assert coordinator.committed_log == []
+        assert cluster.client.committed() == []
         # The retry is a fresh transaction and commits cleanly.
-        retry = coordinator.submit(inserts={"r": [[0, 6], [5, 6]]})
+        retry = cluster.client.submit(inserts={"r": [[0, 6], [5, 6]]})
         cluster.settle()
         retried = coordinator.outcome(retry)
         assert retried is not None and retried["status"] == "committed"
-        assert [e["txn"] for e in coordinator.committed_log] == [retry]
-        assert_matches_truth(coordinator)
+        assert cluster.client.committed() == [(1, retry)]
+        assert_matches_truth(cluster.client)
         counters = coordinator.recorder.counters
         assert counters.get("cluster_txns_aborted") == 1
         assert counters.get("cluster_txns_committed") == 1
@@ -430,8 +459,8 @@ class TestFaultPaths:
         coordinator.emit_hooks.append(lambda seq, merged: events.append(seq))
         # T1 involves only shard 2, T2 only shard 0 — their 2PC rounds
         # proceed independently, so acks can complete out of order.
-        first = coordinator.submit(inserts={"r": [[5, 1]]})
-        second = coordinator.submit(inserts={"r": [[0, 1]]})
+        first = cluster.client.submit(inserts={"r": [[5, 1]]})
+        second = cluster.client.submit(inserts={"r": [[0, 1]]})
         # One pump of shard 2 runs T1's prepare→prepared round: T1 is
         # decided with cluster_seq 1 and its commit is on the wire.
         cluster.pump(2)
@@ -446,14 +475,14 @@ class TestFaultPaths:
         # buffer, so subscribers never observe a gap.
         assert events == []
         assert coordinator.last_sequence == 0
+        assert cluster.client.committed() == []
         # T1's ack lands; both events flush in cluster_seq order.
         cluster.pump(2)
         assert events == [1, 2]
         assert coordinator.last_sequence == 2
-        assert [e["seq"] for e in coordinator.committed_log] == [1, 2]
-        assert [e["txn"] for e in coordinator.committed_log] == [
-            first,
-            second,
+        assert cluster.client.committed() == [
+            (1, first),
+            (2, second),
         ]
         feed = coordinator.feeds["v_low"]
         sequences = [seq for seq, _ in feed.since(0)]
@@ -653,7 +682,7 @@ class TestClusterKeys:
         assert outcome["status"] == "aborted"
         assert "key (A)" in outcome["error"]
         assert coordinator.merged_counts("r")[0] == before
-        assert coordinator.committed_log == []
+        assert coordinator.last_sequence == 0
 
     def test_keyed_replacement_commits(self):
         coordinator = self.make_keyed_cluster()

@@ -1,5 +1,8 @@
 """Unit tests for the Database container and commit pipeline."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.engine.database import Database
@@ -100,15 +103,48 @@ class TestCommitPipeline:
             pass
         assert seen == [{}]
 
-    def test_log_records_commits(self, db):
+    def test_commit_advances_the_position(self, db):
         with db.transact() as txn:
             txn.insert("r", (3, 4))
-        assert len(db.log) == 1
+        assert db.last_sequence() == 1
 
-    def test_empty_commit_not_logged(self, db):
+    def test_empty_commit_does_not_advance_the_position(self, db):
         with db.transact():
             pass
-        assert len(db.log) == 0
+        with db.transact() as txn:
+            txn.insert("r", (3, 4))
+            txn.delete("r", (3, 4))  # nets to nothing
+        assert db.last_sequence() == 0
+
+    def test_commits_retain_no_memory(self, db):
+        # The database keeps a position, not a history: once warm, a
+        # long stream of commits through a maintained view leaves the
+        # traced heap where it was (a retained record per commit would
+        # grow it by hundreds of bytes each).
+        from repro.algebra.expressions import BaseRef
+        from repro.core.maintainer import ViewMaintainer
+
+        ViewMaintainer(db).define_view("v", BaseRef("r").select("A >= 3"))
+
+        def pairs(count):
+            for i in range(count):
+                with db.transact() as txn:
+                    txn.insert("r", (3 + i % 7, 4))
+                with db.transact() as txn:
+                    txn.delete("r", (3 + i % 7, 4))
+
+        pairs(50)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            pairs(2000)
+            gc.collect()
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert after - before < 64 * 1024, after - before
+        assert db.last_sequence() == 4100
 
     def test_indexes_maintained_through_commits(self, db):
         index = db.create_index("r", ["A"])

@@ -85,32 +85,3 @@ class TestComposition:
         inverse = Delta.from_counts(SCHEMA, delta.deleted, delta.inserted)
         assert delta.compose(inverse).is_empty()
 
-
-class TestSnapshotQueueAgreesWithLog:
-    @settings(max_examples=100, deadline=None)
-    @given(states_and_deltas(chain_length=4))
-    def test_queue_composition_equals_log_composition(self, scenario):
-        """Two independent composition paths — SnapshotQueue (incremental)
-        and UpdateLog.composed_delta (fold over records) — must agree."""
-        from repro.engine.database import Database
-        from repro.engine.snapshots import SnapshotQueue
-
-        initial, deltas, _ = scenario
-        db = Database()
-        db.create_relation("r", SCHEMA, sorted(initial))
-        queue = SnapshotQueue(db)
-        for delta in deltas:
-            with db.transact() as txn:
-                for values in delta.deleted:
-                    txn.delete("r", values)
-                for values in delta.inserted:
-                    txn.insert("r", values)
-        queue_delta = queue.pending_deltas().get("r")
-        log_delta = db.log.composed_delta("r")
-        # The queue drops fully-cancelled entries; the log returns an
-        # explicit empty delta when records existed.  Both mean "no net
-        # change".
-        if queue_delta is None:
-            assert log_delta is None or log_delta.is_empty()
-        else:
-            assert queue_delta == log_delta

@@ -47,7 +47,7 @@ class TestHookFailures:
         # veto a commit.
         assert (2, 2) in db.relation("r")
         # The log recorded it too.
-        assert db.log.last_sequence() == 1
+        assert db.last_sequence() == 1
 
     def test_earlier_hooks_complete_before_failure(self, db):
         seen = []

@@ -178,7 +178,7 @@ class TestIndexThroughDatabase:
         assert relation.counts() == {(1, 10): 1, (2, 10): 1}
         assert index.probe((10,)) == {(1, 10), (2, 10)}
         assert index._stale_key(relation) is None
-        assert len(db.log) == 0 and seen == []
+        assert db.last_sequence() == 0 and seen == []
 
 
 # ----------------------------------------------------------------------

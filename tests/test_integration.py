@@ -2,7 +2,7 @@
 
 Long random workloads exercising every component together: multiple
 views with mixed policies over one database, scenario databases, index
-use, snapshots and the log, all cross-checked against full
+use, deferred views and log replay, all cross-checked against full
 re-evaluation at the end (and continuously for the immediate views).
 """
 
@@ -15,10 +15,10 @@ from repro.baselines.full_reevaluation import FullReevaluationMaintainer
 from repro.core.consistency import check_view_consistency
 from repro.core.maintainer import MaintenancePolicy, ViewMaintainer
 from repro.engine.database import Database
-from repro.engine.snapshots import SnapshotQueue
+from repro.engine.log import replay_records
 from repro.workloads.scenarios import alerter_scenario, sales_scenario
 
-from tests.conftest import run_random_transactions
+from tests.conftest import capture_commits, run_random_transactions
 
 
 class TestMultiViewSoak:
@@ -94,35 +94,19 @@ class TestScenarioSoak:
         assert stats["tuples_screened"] >= stats["tuples_irrelevant"]
 
 
-class TestSnapshotQueueWithMaintainer:
-    def test_external_snapshot_consumer_alongside_maintainer(self):
-        """A SnapshotQueue and a ViewMaintainer observing the same
-        commits must not interfere."""
-        db = Database()
-        db.create_relation("r", ["A", "B"], [(1, 1)])
-        queue = SnapshotQueue(db)
-        maintainer = ViewMaintainer(db)
-        view = maintainer.define_view("v", BaseRef("r").select("B >= 1"))
-        rng = random.Random(2)
-        run_random_transactions(db, rng, 20)
-        check_view_consistency(view, db.instances())
-        # Applying the queue's composed deltas to the initial state
-        # reproduces the live state.
-        assert queue.pending_transaction_count() > 0
-
-
 class TestLogReplayWithViews:
     def test_replayed_database_supports_same_views(self):
         db = Database()
         db.create_relation("r", ["A", "B"], [(i, i % 3) for i in range(8)])
         db.create_relation("s", ["B", "C"], [(i % 3, i) for i in range(8)])
         initial = db.clone_data()
+        records = capture_commits(db)
         maintainer = ViewMaintainer(db)
         view = maintainer.define_view("v", BaseRef("r").join(BaseRef("s")))
         rng = random.Random(3)
         run_random_transactions(db, rng, 30)
         # Replay history into the initial copy and materialize there.
-        db.log.replay(initial)
+        replay_records(initial, records)
         replay_maintainer = ViewMaintainer(initial)
         replay_view = replay_maintainer.define_view(
             "v", BaseRef("r").join(BaseRef("s"))

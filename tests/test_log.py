@@ -1,8 +1,11 @@
-"""Unit tests for the update log."""
+"""Unit tests for the commit position and log-record replay."""
 
 import pytest
 
 from repro.engine.database import Database
+from repro.engine.log import replay_records
+
+from tests.conftest import capture_commits
 
 
 @pytest.fixture
@@ -15,82 +18,42 @@ def db():
 
 class TestLogging:
     def test_sequence_numbers_increase(self, db):
+        # A hook reads its own commit's sequence: the position moves
+        # before the hooks run.
+        seen = []
+        db.add_commit_hook(lambda *_: seen.append(db.last_sequence()))
         for i in range(3):
             with db.transact() as txn:
                 txn.insert("r", (10 + i,))
-        sequences = [record.sequence for record in db.log]
-        assert sequences == [1, 2, 3]
-        assert db.log.last_sequence() == 3
+        assert seen == [1, 2, 3]
+        assert db.last_sequence() == 3
 
     def test_record_contents(self, db):
+        records = capture_commits(db)
         with db.transact() as txn:
             txn.insert("r", (10,))
             txn.delete("s", (1,))
-        (record,) = list(db.log)
-        assert record.touched_relations() == ("r", "s")
+        (record,) = records
+        assert sorted(record.deltas) == ["r", "s"]
         assert record.deltas["r"].inserted == {(10,): 1}
         assert record.deltas["s"].deleted == {(1,): 1}
 
-    def test_records_since(self, db):
-        for i in range(4):
-            with db.transact() as txn:
-                txn.insert("r", (10 + i,))
-        later = list(db.log.records_since(2))
-        assert [r.sequence for r in later] == [3, 4]
-
-    def test_truncate_before(self, db):
-        for i in range(4):
-            with db.transact() as txn:
-                txn.insert("r", (10 + i,))
-        dropped = db.log.truncate_before(3)
-        assert dropped == 2
-        assert [r.sequence for r in db.log] == [3, 4]
-
     def test_last_sequence_empty(self):
-        assert Database().log.last_sequence() == 0
+        assert Database().last_sequence() == 0
 
     def test_last_sequence_is_the_position_not_the_newest_retained_record(
         self, db
     ):
         # A recovery or follower boot whose WAL tail is empty skips the
         # counter ahead and replays nothing: the position is still 5.
-        db.log.advance_sequence(6)
-        assert len(db.log) == 0
-        assert db.log.last_sequence() == 5
+        db.advance_sequence(6)
+        assert db.last_sequence() == 5
         with db.transact() as txn:
             txn.insert("r", (10,))
-        assert db.log.last_sequence() == 6
-        # Dropping every retained record does not rewind it either.
-        assert db.log.truncate_before(7) == 1
-        assert len(db.log) == 0
-        assert db.log.last_sequence() == 6
-
-
-class TestComposedDelta:
-    def test_composes_across_transactions(self, db):
-        with db.transact() as txn:
-            txn.insert("r", (10,))
-        with db.transact() as txn:
-            txn.delete("r", (10,))
-            txn.insert("r", (11,))
-        composed = db.log.composed_delta("r")
-        assert composed is not None
-        assert composed.inserted == {(11,): 1}
-        assert composed.deleted == {}
-
-    def test_untouched_relation_gives_none(self, db):
-        with db.transact() as txn:
-            txn.insert("r", (10,))
-        assert db.log.composed_delta("s") is None
-
-    def test_since_sequence(self, db):
-        with db.transact() as txn:
-            txn.insert("r", (10,))
-        checkpoint = db.log.last_sequence()
-        with db.transact() as txn:
-            txn.insert("r", (11,))
-        composed = db.log.composed_delta("r", since_sequence=checkpoint)
-        assert composed.inserted == {(11,): 1}
+        assert db.last_sequence() == 6
+        # Skipping to a point already passed does not rewind it.
+        db.advance_sequence(3)
+        assert db.last_sequence() == 6
 
 
 class TestReplay:
@@ -98,6 +61,7 @@ class TestReplay:
         import random
 
         initial = db.clone_data()
+        records = capture_commits(db)
         rng = random.Random(3)
         for _ in range(20):
             with db.transact() as txn:
@@ -108,6 +72,6 @@ class TestReplay:
                         txn.insert(name, row)
                     else:
                         txn.delete(name, row)
-        db.log.replay(initial)
+        assert replay_records(initial, records) == len(records)
         for name in ("r", "s"):
             assert initial.relation(name) == db.relation(name)

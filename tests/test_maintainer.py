@@ -142,16 +142,32 @@ class TestDeferredMaintenance:
         view = m.define_view("u", view_expr, policy=MaintenancePolicy.DEFERRED)
         with db.transact() as txn:
             txn.insert("r", (9, 10))
-        # Not yet applied.
+        with db.transact() as txn:
+            txn.insert("r", (6, 10))
+            txn.delete("r", (1, 2))
+            txn.delete("s", (2, 10))
+        # Not yet applied; composed across commits, one delta per relation.
         assert view.contents.counts() == {(5, 20): 1}
-        assert m.pending_deltas("u")["r"].inserted == {(9, 10): 1}
+        pending = m.pending_deltas("u")
+        assert set(pending) == {"r", "s"}
+        assert pending["r"].inserted == {(9, 10): 1, (6, 10): 1}
+        assert pending["r"].deleted == {(1, 2): 1}
+        assert (pending["s"].inserted, pending["s"].deleted) == ({}, {(2, 10): 1})
+        assert m.backlog("u")["commits_since_refresh"] == 2
         assert m.refresh("u")
-        assert view.contents.counts() == {(5, 20): 1, (9, 20): 1}
+        assert view.contents.counts() == {(5, 20): 1, (9, 20): 1, (6, 20): 1}
         check_view_consistency(view, db.instances())
 
     def test_refresh_with_nothing_pending(self, db, view_expr):
         m = ViewMaintainer(db)
         m.define_view("u", view_expr, policy=MaintenancePolicy.DEFERRED)
+        # Read-only transactions leave nothing pending and age nothing.
+        with db.transact():
+            pass
+        with db.transact() as txn:
+            txn.insert("r", (9, 10))
+            txn.delete("r", (9, 10))
+        assert m.backlog("u")["commits_since_refresh"] == 0
         assert not m.refresh("u")
 
     def test_pending_composition_cancels(self, db, view_expr):

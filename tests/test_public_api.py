@@ -100,3 +100,14 @@ class TestApiReference:
             n for n in repro.core.__all__ if not re.search(rf"\b{n}\b", text)
         )
         assert not undocumented, f"docs/api.md misses repro.core names: {undocumented}"
+
+    def test_docs_api_names_all_of_engine(self):
+        """A name `repro.engine` exports is documented, so a deleted one
+        cannot linger in the exports or the docs."""
+        import repro.engine
+
+        text = (Path(__file__).parent.parent / "docs" / "api.md").read_text()
+        undocumented = sorted(
+            n for n in repro.engine.__all__ if not re.search(rf"\b{n}\b", text)
+        )
+        assert not undocumented, f"docs/api.md misses repro.engine names: {undocumented}"

@@ -405,7 +405,7 @@ class TestCrashRecovery:
         db, durability, maintainer = make_leader(directory)
         churn(db, 5, seed=4)
         durability.checkpoint(maintainer)  # nothing follows it in the WAL
-        position = db.log.last_sequence()
+        position = db.last_sequence()
         assert position == maintainer.view("v").last_refresh_sequence == 5
         del db, durability, maintainer
 
@@ -413,8 +413,7 @@ class TestCrashRecovery:
             directory, lambda rec, fresh: rec.restore_view(fresh, "v", VIEW_EXPR)
         )
         assert recovery.checkpoint_sequence == recovery.last_sequence == position
-        assert len(recovery.database.log) == 0
-        assert recovery.database.log.last_sequence() == position
+        assert recovery.database.last_sequence() == position
         assert recovered.view("v").last_refresh_sequence == position
         assert recovered.backlog("v")["sequence_lag"] == 0
         with recovery.database.transact() as txn:
@@ -760,7 +759,7 @@ class TestCrashPointMatrix:
 
         checkpoint = Checkpoint.load(latest_checkpoint_path(directory))
         oracle_db = checkpoint.build_database()
-        oracle_db.log.advance_sequence(checkpoint.wal_sequence + 1)
+        oracle_db.advance_sequence(checkpoint.wal_sequence + 1)
         expected = [snapshot(oracle_db)]
         for record in records:
             replay_records(

@@ -34,6 +34,8 @@ from repro.extensions.alerters import AlertEvent, AlerterRegistry
 from repro.replication.wal import WalReader
 from repro.server import ServerConfig, ServerHandle, ViewClient, ViewServer
 
+from tests.conftest import capture_commits
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 #: The modules that take raw rows from outside; the list lives here.
@@ -308,9 +310,10 @@ class TestLabelColumn:
         db = labelled_database()
         fresh = labelled_database()
         view = ViewMaintainer(fresh).define_view("in_stock", IN_STOCK)
+        records = capture_commits(db)
         db.apply(inserts={"item": [(3, "red", 1)]}, deletes={"item": [(2, "blue", 4)]})
         db.apply(inserts={"stock": [(2, 6)], "item": [(2, "green", 4)]})
-        assert replay_records(fresh, db.log) == 2
+        assert replay_records(fresh, records) == 2
         assert fresh.relation("item") == db.relation("item")
         assert decoded(view.contents) == {("green", 5): 1, ("green", 6): 1, ("red", 9): 1}
 

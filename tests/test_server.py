@@ -589,7 +589,7 @@ class TestConcurrentLoad:
         expected = relation_to_document(expected_maintainer.view("hot").contents)
         assert answer["rows"] == expected["rows"]
         assert answer["counts"] == expected["counts"]
-        assert db.log.last_sequence() == clients * txns_each
+        assert db.last_sequence() == clients * txns_each
 
     def test_every_subscriber_sees_the_same_sequence(self, served):
         handle, *_ = served

@@ -8,7 +8,10 @@ under ``cProfile`` instead, where a generated kernel is a frame like any
 other (``<codegen:cat_price:aggregate>:…(fold_kernel)``), and prints the
 function calls made per transaction (Python and built-in, the stream's
 reads included — a count that repeats exactly for a fixed ``--txns`` and
-seed) and then the functions sorted by self time.  The workload — base
+seed) and then the functions sorted by self time.  In process it also
+prints the bytes retained per transaction, taken with ``tracemalloc``
+over a second, unprofiled pass of as many transactions of the same
+stream, so the call counts are not moved by it.  The workload — base
 rows, views, operation stream — comes from the benchmark's own generator
 and harness, imported read-only the way ``tests/test_patch_points.py``
 reads them.
@@ -49,10 +52,12 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import os
 import pstats
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -86,6 +91,7 @@ def profile_in_process(workload, stream, txns: int):
     host.run_chunk(ops, phase, 0)
     profiler.disable()
     maintained = host.maintainer.totals.get("transactions_seen") - seen
+    retained, retained_txns = bytes_retained(host, stream.take_txns(txns))
     host.verify()
     stats = pstats.Stats(profiler)
     print(
@@ -99,7 +105,37 @@ def profile_in_process(workload, stream, txns: int):
         f"calls per maintained view:      {calls / max(maintained, 1):.1f}   "
         f"({maintained} view maintenances)"
     )
+    print(
+        f"bytes retained per transaction: {retained / max(retained_txns, 1):.1f}   "
+        f"({retained} B over {retained_txns} more transactions)"
+    )
     return stats
+
+
+def bytes_retained(host, ops) -> tuple[int, int]:
+    """Heap growth over one more, unprofiled pass of the stream.
+
+    Taken with ``tracemalloc`` around ``ops`` after a full collection on
+    both sides, leaving out what the harness itself keeps (its latency
+    samples).  What remains is what the system holds on to: the rows the
+    stream added, and anything kept per commit.  Returns ``(bytes,
+    transactions)``.
+    """
+    from harness import Phase
+
+    outside = [tracemalloc.Filter(False, str(ROOT / "macrobench" / "*"))]
+    phase = Phase()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot().filter_traces(outside)
+        host.run_chunk(ops, phase, 0)
+        gc.collect()
+        after = tracemalloc.take_snapshot().filter_traces(outside)
+    finally:
+        tracemalloc.stop()
+    grown = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+    return grown, phase.txns
 
 
 def profile_setup(workload, stream, txns: int):
