@@ -5,9 +5,9 @@ under ``sync="commit"``, an fsync) to buy crash recovery.  The first
 table prices that premium per transaction across sync modes, with the
 counter families (`wal_bytes_written`, `wal_fsyncs`) explaining where
 the time goes.  The second table measures the payoff path: replaying
-the logged stream into a recovered database — views catching up
-differentially through the normal commit pipeline — against the
-leader's original maintenance cost for the same stream.
+the logged stream into a recovered database — the tail folded into one
+net-effect commit, views catching up differentially through the normal
+commit pipeline.
 """
 
 import random
@@ -116,21 +116,27 @@ def test_e19_wal_replay(report, benchmark):
     replay_seconds = time.perf_counter() - start
     replayed = replay_recorder.get("log_replay_transactions")
     assert replayed == TRANSACTIONS
+    assert replay_recorder.get("wal_records_read") == TRANSACTIONS
     stats = recovered.stats("v")
-    assert stats["transactions_seen"] == TRANSACTIONS  # differential, not recomputed
+    # Differential, not recomputed: the tail is folded into one commit,
+    # which the view sees once.
+    assert stats["transactions_seen"] == 1
     report(
         format_table(
-            ["path", "transactions", "seconds", "txn/s", "records read"],
+            ["path", "records replayed", "view commits", "seconds", "records/s"],
             [
                 [
-                    "recover (replay WAL tail)",
+                    "recover (fold WAL tail)",
                     replayed,
+                    stats["transactions_seen"],
                     f"{replay_seconds:.3f}",
                     f"{replayed / replay_seconds:.0f}",
-                    replay_recorder.get("wal_records_read"),
                 ]
             ],
-            title="E19b  recovery replay throughput (views catch up differentially)",
+            title=(
+                "E19b  recovery replay throughput (the tail folded into one "
+                "commit; views catch up differentially)"
+            ),
         )
     )
     shutil.rmtree(directory, ignore_errors=True)

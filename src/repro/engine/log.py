@@ -7,7 +7,10 @@ commit pipeline hands to every commit hook.  The database keeps no
 history of it — only its position, :meth:`Database.last_sequence` — and
 the write-ahead log (:mod:`repro.replication.wal`) is the one history.
 A :class:`LogRecord` is one decoded entry of that history, and
-:func:`replay_records` re-commits a stream of them.
+:func:`replay_records` re-commits a stream of them, one commit per
+record — the path of followers, which report a position per record, and
+of the test oracles.  Crash recovery folds its tail into one commit
+instead (:mod:`repro.replication.recovery`).
 """
 
 from __future__ import annotations

@@ -104,14 +104,13 @@ def relation_to_document(relation: Relation) -> dict[str, Any]:
     }
 
 
-def relation_from_document(
-    doc: dict[str, Any], name: str = "?", allow_counts: bool = False
-) -> Relation:
-    """Decode a document produced by :func:`relation_to_document`.
+def _relation_parts(
+    doc: dict[str, Any], name: str, allow_counts: bool
+) -> tuple[RelationSchema, list, list]:
+    """A relation document's schema, rows and checked counts.
 
-    ``allow_counts`` permits multiplicities greater than one — required
-    for materialized-view contents (checkpoints persist their §5.2
-    counters), forbidden for base relations (which are sets).
+    ``allow_counts`` permits multiplicities greater than one; without it
+    every count must be 1.  The rows themselves are not looked at here.
     """
     try:
         attributes = [
@@ -120,26 +119,49 @@ def relation_from_document(
         ]
         rows = doc["rows"]
         counts = doc["counts"]
-    except (KeyError, TypeError) as exc:
+        schema = RelationSchema(attributes)
+    except (KeyError, TypeError, ReproError) as exc:
         raise PersistenceError(f"relation {name!r} is malformed: {exc}") from exc
+    if not isinstance(rows, list) or not isinstance(counts, list):
+        raise PersistenceError(f"relation {name!r}: rows and counts must be lists")
     if len(rows) != len(counts):
         raise PersistenceError(
             f"relation {name!r}: {len(rows)} rows but {len(counts)} counts"
         )
-    schema = RelationSchema(attributes)
-    relation = Relation(schema)
-    for distinct, (values, count) in enumerate(zip(rows, counts)):
+    for values, count in zip(rows, counts):
         if count != 1 and not allow_counts:
             raise PersistenceError(
                 f"relation {name!r}: base relations are sets; "
                 f"count {count} for {values}"
             )
-        if count < 1:
+        if type(count) is not int or count < 1:
             raise PersistenceError(
-                f"relation {name!r}: count {count} for {values} "
-                "must be positive"
+                f"relation {name!r}: count {count!r} for {values} "
+                "must be a positive integer"
             )
-        relation.add(values, count)
+    return schema, rows, counts
+
+
+def relation_from_document(
+    doc: dict[str, Any], name: str = "?", allow_counts: bool = False
+) -> Relation:
+    """Decode a document produced by :func:`relation_to_document`.
+
+    ``allow_counts`` permits multiplicities greater than one — required
+    for materialized-view contents (checkpoints persist their §5.2
+    counters), forbidden for base relations (which are sets).  A row
+    that does not fit the schema is a :class:`PersistenceError` naming
+    the relation.
+    """
+    schema, rows, counts = _relation_parts(doc, name, allow_counts)
+    relation = Relation(schema)
+    for distinct, (values, count) in enumerate(zip(rows, counts)):
+        try:
+            relation.add(values, count)
+        except (TypeError, ReproError) as exc:
+            raise PersistenceError(
+                f"relation {name!r}: bad row {values!r}: {exc}"
+            ) from exc
         if len(relation) == distinct:  # the row only raised a counter
             raise PersistenceError(
                 f"relation {name!r}: duplicate row {values}"
@@ -161,19 +183,27 @@ def database_to_document(database: Database) -> dict[str, Any]:
 
 
 def database_from_document(doc: dict[str, Any]) -> Database:
-    """Decode a document produced by :func:`database_to_document`."""
-    if doc.get("format") != FORMAT_VERSION:
+    """Decode a document produced by :func:`database_to_document`.
+
+    Each relation is built once: its document rows go straight into
+    :meth:`Database.create_relation`, which encodes every row and
+    rejects duplicates.
+    """
+    version = doc.get("format") if isinstance(doc, dict) else None
+    if version != FORMAT_VERSION:
         raise PersistenceError(
-            f"unsupported format version {doc.get('format')!r} "
-            f"(expected {FORMAT_VERSION})"
+            f"unsupported format version {version!r} (expected {FORMAT_VERSION})"
         )
     database = Database()
     relations = doc.get("relations")
     if not isinstance(relations, dict):
         raise PersistenceError("document has no 'relations' mapping")
     for name, rel_doc in relations.items():
-        decoded = relation_from_document(rel_doc, name)
-        database.create_relation(name, decoded.schema, decoded.rows())
+        schema, rows, _ = _relation_parts(rel_doc, name, allow_counts=False)
+        try:
+            database.create_relation(name, schema, rows)
+        except (TypeError, ReproError) as exc:
+            raise PersistenceError(f"relation {name!r}: {exc}") from exc
     return database
 
 
@@ -200,10 +230,11 @@ def delta_to_document(delta: Delta) -> dict[str, Any]:
 
 
 def delta_from_document(schema: RelationSchema, doc: dict[str, Any]) -> Delta:
-    """Decode a document produced by :func:`delta_to_document`."""
+    """Decode a document produced by :func:`delta_to_document`; a row
+    that does not fit ``schema`` is a :class:`PersistenceError`."""
     try:
         return Delta(schema, doc["inserted"], doc["deleted"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ReproError) as exc:
         raise PersistenceError(f"delta document is malformed: {exc}") from exc
 
 

@@ -142,7 +142,7 @@ METRICS: dict[str, Metric] = _declare(
         ("wal_fsyncs", "calls", "fsyncs issued by the WAL writer"),
         ("wal_segments_rotated", "segments", "WAL segments closed and replaced"),
         ("wal_records_read", "records", "records read back by WAL readers"),
-        ("log_replay_transactions", "txns", "transactions replayed by recovery and changefeed catch-up"),
+        ("log_replay_transactions", "txns", "logged transactions replayed by recovery (folded into one commit) and changefeed catch-up"),
     )),
     ("cluster", (  # docs/cluster.md
         ("cluster_txns_committed", "txns", "cluster transactions committed"),

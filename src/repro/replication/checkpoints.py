@@ -120,16 +120,17 @@ class Checkpoint:
     __slots__ = ("wal_sequence", "next_txn_id", "_database_doc", "_views")
 
     def __init__(self, doc: dict[str, Any]) -> None:
-        if doc.get("format") != CHECKPOINT_FORMAT_VERSION:
+        version = doc.get("format") if isinstance(doc, dict) else None
+        if version != CHECKPOINT_FORMAT_VERSION:
             raise ReplicationError(
-                f"unsupported checkpoint format {doc.get('format')!r} "
+                f"unsupported checkpoint format {version!r} "
                 f"(expected {CHECKPOINT_FORMAT_VERSION})"
             )
         try:
             self.wal_sequence = int(doc["wal_sequence"])
             self.next_txn_id = int(doc["next_txn_id"])
             self._database_doc = doc["database"]
-            self._views = doc.get("views", {})
+            self._views = dict(doc.get("views", {}))
         except (KeyError, TypeError, ValueError) as exc:
             raise ReplicationError(f"checkpoint document is malformed: {exc}") from exc
 
@@ -145,12 +146,18 @@ class Checkpoint:
 
     def build_database(self) -> Database:
         """A fresh database holding the snapshot's base relations."""
+        if self._database_doc is None:
+            raise ReplicationError("checkpoint snapshot was already released")
         try:
             database = database_from_document(self._database_doc)
         except PersistenceError as exc:
             raise ReplicationError(f"checkpoint snapshot is invalid: {exc}") from exc
         database.advance_txn_counter(self.next_txn_id)
         return database
+
+    def release_database(self) -> None:
+        """Let go of the base-relation document (the view documents stay)."""
+        self._database_doc = None
 
     def view_names(self) -> tuple[str, ...]:
         """Names of the views whose contents the checkpoint carries."""

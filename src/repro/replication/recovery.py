@@ -11,19 +11,40 @@ views *differentially* maintained rather than recomputed:
    the checkpoint are re-adopted byte-for-byte via
    :meth:`ViewMaintainer.restore_view`, so no view is evaluated from
    scratch.
-3. **Replay** — WAL records after the checkpoint sequence are
-   re-committed through the normal commit pipeline under their original
-   transaction ids.  Every commit hook fires exactly as it did before
-   the crash, so the maintainer's filter + differential machinery
-   brings every view (and every index) up to date, and deferred views
-   re-accumulate their pending backlogs.
+3. **Replay** — the WAL records after the checkpoint sequence are
+   folded, in order, into *one* transaction's net effect and committed
+   once through the normal commit pipeline.  Committed net effects
+   compose (Section 3): a row inserted by one record and deleted by a
+   later one is not represented at all, exactly as inside a single
+   transaction.  So the maintainer's filter + differential machinery
+   brings every view (and every index) up to date in one pass whose
+   cost, and whose memory, is proportional to the *net* tail rather
+   than to the record count, and deferred views take the tail as one
+   pending backlog.
 
-Replay is deterministic: records hold *net effects* (Section 3), whose
-application is insensitive to the vagaries of the original operation
-order, and the WAL's checksums plus sequence continuity guarantee the
-replayed stream is exactly the committed prefix.  A torn tail — the
-record being appended when the process died — is truncated, which is
-correct because an incomplete append means the commit never finished.
+What counts as a commit changes; positions do not.  Per-commit
+measures see the replayed tail as one commit: a view's
+``transactions_seen`` and a deferred view's ``commits_since_refresh``
+grow by one.  Positions stay WAL positions: the folded commit takes the
+last record's sequence, so afterwards ``Database.last_sequence()`` is
+that record's sequence (also when the tail nets to nothing), every view
+the net effect reaches has it as its ``last_refresh_sequence``, and the
+transaction counter is past every replayed id.  Records are decoded and
+checked before anything is committed, so a corrupt log
+(:class:`~repro.replication.wal.WalCorruptionError`) leaves the database
+at its checkpoint state.
+
+Replay is deterministic: records hold *net effects*, whose composition
+is insensitive to the vagaries of the original operation order, and the
+WAL's checksums plus sequence continuity guarantee the replayed stream
+is exactly the committed prefix.  A torn tail — the record being
+appended when the process died — is left out, which is correct because
+an incomplete append means the commit never finished.
+
+A recovery session is used once: views are restored, then the tail is
+replayed, and the checkpoint's documents are let go of as soon as they
+are no longer needed — the base-relation document once the database is
+built, the view documents when replay starts.
 """
 
 from __future__ import annotations
@@ -34,9 +55,11 @@ from repro.algebra.expressions import Expression
 from repro.core.maintainer import MaintenancePolicy, ViewMaintainer
 from repro.core.views import MaterializedView
 from repro.engine.database import Database
-from repro.engine.log import LogRecord, replay_records
+from repro.engine.log import LogRecord
 from repro.engine.persistence import PersistenceError, deltas_from_document
+from repro.engine.transactions import Transaction
 from repro.errors import ReplicationError
+from repro.instrumentation import charge
 from repro.replication.checkpoints import Checkpoint, latest_checkpoint_path
 from repro.replication.wal import TailDamage, WalReader, WalRecord
 
@@ -70,15 +93,18 @@ class Recovery:
                 "schema definitions, so recovery needs the base snapshot "
                 "written by DurabilityManager.checkpoint()"
             )
-        self._checkpoint = Checkpoint.load(path)
+        checkpoint = Checkpoint.load(path)
         #: WAL sequence the snapshot is current as of.
-        self.checkpoint_sequence = self._checkpoint.wal_sequence
+        self.checkpoint_sequence = checkpoint.wal_sequence
         #: The recovered database (snapshot state until :meth:`replay`).
-        self.database = self._checkpoint.build_database()
-        # Align the database position with the WAL: replayed commits
-        # keep their on-disk sequences, so the recovered history
-        # (sequences included) is indistinguishable from the one that
-        # wrote the log — and view refresh positions are WAL positions.
+        self.database = checkpoint.build_database()
+        checkpoint.release_database()
+        # The view documents, until replay starts (None afterwards).
+        self._checkpoint: Checkpoint | None = checkpoint
+        self._view_names = checkpoint.view_names()
+        # Align the database position with the WAL: the replayed commit
+        # keeps the last record's sequence, so view refresh positions
+        # are WAL positions.
         self.database.advance_sequence(self.checkpoint_sequence + 1)
         #: Torn-tail report from the last replay (None when clean).
         self.tail_damage: TailDamage | None = None
@@ -87,7 +113,17 @@ class Recovery:
 
     def checkpointed_views(self) -> tuple[str, ...]:
         """View names whose contents the checkpoint persisted."""
-        return self._checkpoint.view_names()
+        return self._view_names
+
+    def _unreplayed(self, step: str) -> Checkpoint:
+        """The checkpoint's view documents; a :class:`ReplicationError`
+        once :meth:`replay` has started."""
+        if self._checkpoint is None:
+            raise ReplicationError(
+                f"{step} after replay(): a recovery restores its views, "
+                "then replays the WAL tail once"
+            )
+        return self._checkpoint
 
     def restore_view(
         self,
@@ -103,39 +139,61 @@ class Recovery:
         to IMMEDIATE for views the checkpoint never saw).  Call before
         :meth:`replay` so the view catches up differentially.
         """
+        checkpoint = self._unreplayed("restore_view")
         if maintainer.database is not self.database:
             raise ReplicationError(
                 "restore_view needs a maintainer attached to the recovered "
                 "database (Recovery.database)"
             )
         if policy is None:
-            recorded = self._checkpoint.view_policy(name)
+            recorded = checkpoint.view_policy(name)
             policy = (
                 MaintenancePolicy(recorded)
                 if recorded is not None
                 else MaintenancePolicy.IMMEDIATE
             )
-        contents = self._checkpoint.view_contents(name)
+        contents = checkpoint.view_contents(name)
         if contents is None:
             return maintainer.define_view(name, expression, policy=policy)
         return maintainer.restore_view(name, expression, contents, policy=policy)
 
     def replay(self) -> int:
-        """Re-commit the WAL tail; returns the number of transactions.
+        """Commit the WAL tail as one transaction; returns the number of
+        WAL records it folded.
 
-        Safe to call once, after all views are restored and before any
-        new transaction touches :attr:`database`.
+        Call once, after all views are restored and before any new
+        transaction touches :attr:`database`.  Each record's deletions,
+        then its insertions, are netted into the one transaction (see
+        the module docstring for what that means for per-commit
+        measures and positions).
         """
+        self._unreplayed("replay")
+        self._checkpoint = None  # every view is restored
+        database = self.database
         reader = WalReader(self.directory)
-
-        def decoded():
-            for record in reader.records(after=self.checkpoint_sequence):
-                self.last_sequence = record.sequence
-                yield decode_wal_record(self.database, record)
-
-        replayed = replay_records(self.database, decoded(), preserve_txn_ids=True)
+        # Its id is the newest record's, set once that record is known.
+        tail = Transaction(database, 0)
+        last: WalRecord | None = None
+        newest_txn_id = 0
+        records = 0
+        for record in reader.records(after=self.checkpoint_sequence):
+            for name, delta in decode_wal_record(database, record).deltas.items():
+                tail._net(name, delta.deleted, False, encoded=True)
+                tail._net(name, delta.inserted, True, encoded=True)
+            last = record
+            newest_txn_id = max(newest_txn_id, record.txn_id)
+            records += 1
         self.tail_damage = reader.tail_damage
-        return replayed
+        if last is None:
+            return 0
+        charge("log_replay_transactions", records)
+        database.advance_sequence(last.sequence)  # the commit takes it
+        tail.txn_id = last.txn_id
+        tail.commit()
+        database.advance_sequence(last.sequence + 1)  # an empty net too
+        database.advance_txn_counter(newest_txn_id + 1)
+        self.last_sequence = last.sequence
+        return records
 
     def __repr__(self) -> str:
         return (

@@ -14,9 +14,10 @@ Every record is one line of JSON::
 
     {"body": {"seq": 7, "txn": 12, "deltas": {...}}, "crc": 2833017299}
 
-``crc`` is the CRC-32 of the canonical (sorted-key, no-whitespace) JSON
-encoding of ``body``; deltas serialize rows in sorted order, so a given
-record always produces identical bytes.  Records live in *segment*
+``crc`` is the CRC-32 of the ``body`` bytes exactly as written, which
+are its canonical (sorted-key, no-whitespace) JSON encoding; deltas
+serialize rows in sorted order, so a given record always produces
+identical bytes.  Records live in *segment*
 files named ``wal-<first sequence>.jsonl``; a segment is closed and a
 new one started once it exceeds the writer's ``segment_bytes``, which
 keeps checkpoint-time pruning a matter of deleting whole files.
@@ -102,22 +103,35 @@ def encode_record(sequence: int, txn_id: int, deltas_doc: dict[str, Any]) -> byt
     return b'{"body":%b,"crc":%d}\n' % (body, zlib.crc32(body))
 
 
+_BODY = b'{"body":'
+_CRC = b',"crc":'
+
+
 def decode_line(raw: bytes) -> WalRecord | None:
-    """Decode one line; ``None`` when it is damaged in any way."""
+    """Decode one line; ``None`` when it is damaged in any way.
+
+    The checksum is checked over the body bytes exactly as written —
+    the slice between ``{"body":`` and the last ``,"crc":`` — before
+    the body is parsed, so the body is neither parsed nor re-encoded
+    unless its bytes are intact.
+    """
+    split = raw.rfind(_CRC)
+    if split < 0 or not raw.startswith(_BODY) or not raw.endswith(b"}"):
+        return None
+    crc = raw[split + len(_CRC):-1]
+    body_bytes = raw[len(_BODY):split]
+    if not crc.isdigit() or zlib.crc32(body_bytes) != int(crc):
+        return None
     try:
-        doc = json.loads(raw.decode("utf-8"))
-        body = doc["body"]
-        crc = doc["crc"]
+        body = json.loads(body_bytes)
         sequence = body["seq"]
         txn_id = body["txn"]
         deltas_doc = body["deltas"]
-    except (ValueError, KeyError, TypeError, UnicodeDecodeError):
+    except (ValueError, KeyError, TypeError):
         return None
     if not isinstance(sequence, int) or not isinstance(txn_id, int):
         return None
     if not isinstance(deltas_doc, dict):
-        return None
-    if zlib.crc32(canonical_json(body)) != crc:
         return None
     return WalRecord(sequence, txn_id, deltas_doc)
 

@@ -8,10 +8,12 @@ snapshot + WAL replay reproduces every relation and every view exactly
 — multiplicity counters included.
 """
 
+import gc
 import json
 import os
 import random
 import tempfile
+import tracemalloc
 import typing
 import zlib
 
@@ -299,6 +301,24 @@ class TestTornTail:
         with pytest.raises(WalCorruptionError):
             WalWriter(directory)  # open-time scan must refuse too
 
+    def test_one_flipped_body_byte_in_the_final_record_is_tail_damage(
+        self, tmp_path
+    ):
+        # The checksum covers the body bytes exactly as written: a flip
+        # that leaves the line valid JSON is still caught.
+        directory = str(tmp_path)
+        self.write_log(directory)
+        path = _only_segment(directory)
+        data = open(path, "rb").read()
+        flip = data.rindex(b"[3,3]") + 1
+        with open(path, "wb") as stream:
+            stream.write(data[:flip] + b"4" + data[flip + 1:])
+        reader = WalReader(directory)
+        assert [r.sequence for r in reader.records()] == [1, 2]
+        assert reader.tail_damage is not None
+        with WalWriter(directory) as writer:
+            assert writer.last_sequence == 2
+
     def test_sequence_gap_raises(self, tmp_path):
         directory = str(tmp_path)
         path = os.path.join(directory, "wal-0000000000000001.jsonl")
@@ -429,11 +449,15 @@ class TestCrashRecovery:
         recovery = Recovery(directory)
         fresh = ViewMaintainer(recovery.database)
         recovery.restore_view(fresh, "v", VIEW_EXPR)
-        assert recovery.replay() == 6
+        recorder = CostRecorder()
+        with recording(recorder):
+            assert recovery.replay() == 6
+        assert recorder.get("log_replay_transactions") == 6
         stats = fresh.stats("v")
         # Replay went through the maintenance pipeline, not re-evaluation:
-        # every replayed transaction was seen and screened.
-        assert stats["transactions_seen"] == 6
+        # the six records were folded into one commit, which the view
+        # saw and screened.
+        assert stats["transactions_seen"] == 1
         assert stats["tuples_screened"] > 0
 
     def test_restored_policy_defaults_from_checkpoint(self, tmp_path):
@@ -484,6 +508,190 @@ class TestCrashRecovery:
         # Transaction ids keep advancing past everything ever committed.
         assert recovery.database.next_txn_id > 4
         resumed.close()
+
+    def test_a_tail_that_nets_to_nothing_still_lands_the_position(
+        self, tmp_path
+    ):
+        directory = str(tmp_path)
+        db, durability, maintainer = make_leader(directory)
+        with db.transact() as txn:
+            txn.insert("r", (3, 2))
+        with db.transact() as txn:
+            txn.delete("r", (3, 2))
+        expected = {n: db.relation(n).counts() for n in db.relation_names()}
+        del db, durability, maintainer
+
+        recovery, recovered = recover(
+            directory, lambda rec, m: rec.restore_view(m, "v", VIEW_EXPR)
+        )
+        assert recovery.last_sequence == recovery.database.last_sequence() == 2
+        assert recovery.database.next_txn_id == 3
+        assert {
+            n: recovery.database.relation(n).counts()
+            for n in recovery.database.relation_names()
+        } == expected
+        # Nothing reached the view, so it was not maintained.
+        assert recovered.stats("v")["transactions_seen"] == 0
+        with recovery.database.transact() as txn:
+            txn.insert("r", (3, 2))
+        assert recovery.database.last_sequence() == 3
+        assert recovered.view("v").last_refresh_sequence == 3
+
+    def test_mid_log_corruption_leaves_the_checkpoint_state(self, tmp_path):
+        directory = str(tmp_path)
+        db, durability, maintainer = make_leader(directory)
+        churn(db, 6, seed=3)
+        del db, durability, maintainer
+        path = _only_segment(directory)
+        lines = open(path, "rb").read().splitlines(keepends=True)
+        lines[2] = lines[2].replace(b'"seq":3', b'"seq":4')  # crc now wrong
+        with open(path, "wb") as stream:
+            stream.writelines(lines)
+        checkpoint = Checkpoint.load(latest_checkpoint_path(directory))
+        snapshot = checkpoint.build_database()
+
+        recovery = Recovery(directory)
+        fresh = ViewMaintainer(recovery.database)
+        recovery.restore_view(fresh, "v", VIEW_EXPR)
+        with pytest.raises(WalCorruptionError):
+            recovery.replay()
+        for name in snapshot.relation_names():
+            assert recovery.database.relation(name) == snapshot.relation(name)
+        assert recovery.database.last_sequence() == checkpoint.wal_sequence
+        assert recovery.database.next_txn_id == checkpoint.next_txn_id
+        assert fresh.view("v").contents == checkpoint.view_contents("v")
+        assert fresh.stats("v")["transactions_seen"] == 0
+
+
+# ----------------------------------------------------------------------
+# The recovery lifecycle and hostile bytes
+# ----------------------------------------------------------------------
+
+R_ATTRIBUTES = [
+    {"name": "A", "domain": {"kind": "integer"}},
+    {"name": "B", "domain": {"kind": "integer"}},
+]
+BAD_ROWS = [[1], [1, "x"], 5, "ab", None]
+
+
+def checkpoint_document(rows, views=None):
+    return {
+        "format": 1,
+        "wal_sequence": 0,
+        "next_txn_id": 1,
+        "database": {
+            "format": 1,
+            "relations": {
+                "r": {
+                    "attributes": R_ATTRIBUTES,
+                    "rows": rows,
+                    "counts": [1] * len(rows),
+                }
+            },
+        },
+        "views": views or {},
+    }
+
+
+class TestRecoveryLifecycle:
+    def test_restore_and_replay_are_refused_after_replay(self, tmp_path):
+        directory = str(tmp_path)
+        db, durability, maintainer = make_leader(directory)
+        churn(db, 3, seed=2)
+        del db, durability, maintainer
+
+        recovery = Recovery(directory)
+        fresh = ViewMaintainer(recovery.database)
+        recovery.restore_view(fresh, "v", VIEW_EXPR)
+        assert recovery.replay() == 3
+        with pytest.raises(ReplicationError, match="after replay"):
+            recovery.restore_view(fresh, "d", DEFERRED_EXPR)
+        with pytest.raises(ReplicationError, match="after replay"):
+            recovery.replay()
+        # The CLI's recover verb lists them after replaying.
+        assert recovery.checkpointed_views() == ("d", "v")
+
+    def test_no_checkpoint_rows_remain_behind_a_finished_recovery(
+        self, tmp_path
+    ):
+        # The database and its maintainer are what a served process
+        # keeps; the recovery session that built them must hold none of
+        # the checkpoint's documents (base rows or view contents).
+        directory = str(tmp_path)
+        db = Database()
+        db.create_relation("r", ["A", "B"], [(i, i % 50) for i in range(3000)])
+        maintainer = ViewMaintainer(db)
+        maintainer.define_view("v", BaseRef("r").select("B < 40"))
+        with DurabilityManager(db, directory) as durability:
+            durability.checkpoint(maintainer)
+            for i in range(5):
+                db.apply(inserts={"r": [(3000 + i, i)]}, deletes={"r": [(i, i)]})
+        del db, maintainer
+
+        gc.collect()
+        tracemalloc.start()
+        try:
+            recovery = Recovery(directory)
+            database = recovery.database
+            fresh = ViewMaintainer(database)
+            recovery.restore_view(fresh, "v", BaseRef("r").select("B < 40"))
+            recovery.replay()
+            gc.collect()
+            before, _ = tracemalloc.get_traced_memory()
+            del recovery
+            gc.collect()
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert before - after < 64 * 1024, before - after
+        assert len(database.relation("r")) >= 3000
+        assert len(fresh.view("v").contents) >= 2400
+
+
+class TestHostileBytes:
+    """Checkpoint and WAL bytes that parse but do not fit the schema
+    are a :class:`ReplicationError` naming the relation or record."""
+
+    @pytest.mark.parametrize("row", BAD_ROWS)
+    def test_a_bad_base_row_in_a_checkpoint(self, row):
+        checkpoint = Checkpoint(checkpoint_document([[7, 7], row]))
+        with pytest.raises(ReplicationError, match="'r'"):
+            checkpoint.build_database()
+
+    @pytest.mark.parametrize("row", BAD_ROWS)
+    def test_a_bad_row_in_checkpointed_view_contents(self, row):
+        views = {
+            "v": {
+                "policy": "immediate",
+                "relation": {
+                    "attributes": R_ATTRIBUTES,
+                    "rows": [[7, 7], row],
+                    "counts": [2, 1],
+                },
+            }
+        }
+        checkpoint = Checkpoint(checkpoint_document([], views))
+        with pytest.raises(ReplicationError, match="'v'"):
+            checkpoint.view_contents("v")
+
+    @pytest.mark.parametrize("row", BAD_ROWS)
+    def test_a_bad_row_in_a_checksummed_wal_record(self, row, tmp_path):
+        from repro.replication.recovery import decode_wal_record
+
+        database = Checkpoint(checkpoint_document([])).build_database()
+        line = encode_record(1, 1, {"r": {"inserted": [row], "deleted": []}})
+        record = decode_line(line.rstrip(b"\n"))
+        assert record is not None  # the bytes are intact
+        with pytest.raises(ReplicationError, match="WAL record 1"):
+            decode_wal_record(database, record)
+        # Recovery surfaces the same typed error.
+        directory = str(tmp_path)
+        with open(os.path.join(directory, "checkpoint-0000000000000000.json"), "w") as out:
+            json.dump(checkpoint_document([]), out)
+        with open(os.path.join(directory, "wal-0000000000000001.jsonl"), "wb") as out:
+            out.write(line)
+        with pytest.raises(ReplicationError, match="WAL record 1"):
+            Recovery(directory).replay()
 
 
 # ----------------------------------------------------------------------
@@ -703,17 +911,37 @@ class TestReplayProperties:
             )
 
 
+STACKED_EXPR = BaseRef("v").select("D >= 4")
+MINMAX_EXPR = BaseRef("s").aggregate(
+    ["C"], [("max", "D", "top"), ("min", "D", "bottom")]
+)
+#: One view of each kind recovery must carry: immediate, deferred,
+#: stacked on another view, and an aggregate whose MIN/MAX rescan.
+MATRIX_VIEWS = {
+    "v": VIEW_EXPR,
+    "d": DEFERRED_EXPR,
+    "hot": STACKED_EXPR,
+    "extremes": MINMAX_EXPR,
+}
+
+
+def restore_matrix_views(recovery, maintainer):
+    for name, expression in MATRIX_VIEWS.items():
+        recovery.restore_view(maintainer, name, expression)
+
+
 class TestCrashPointMatrix:
     """Every record boundary of a 50-commit log is a crash point.
 
     Generalizes the ad-hoc tail-truncation cases above: the log is
     written into a single segment, then for *each* record boundary a
     copy of the directory is truncated at exactly that boundary and
-    recovered.  Recovery must converge to the state an incremental
-    oracle replay reaches after the same number of records — base
-    relations byte-for-byte and the restored view consistent — at
-    every one of the ~50 crash points, not just the handful an ad-hoc
-    test picks.
+    recovered.  Recovery folds the surviving tail into one commit; it
+    must reach the state the per-record oracle (``replay_records``, one
+    commit per record) reaches after the same number of records — base
+    relations and every view's stored contents byte-for-byte, the
+    position and the transaction counter — at every one of the ~50
+    crash points, not just the handful an ad-hoc test picks.
     """
 
     def test_recovery_at_every_record_boundary(self, tmp_path):
@@ -727,6 +955,9 @@ class TestCrashPointMatrix:
         db, durability, maintainer = make_leader(
             directory, segment_bytes=1 << 20
         )
+        maintainer.define_view("hot", STACKED_EXPR)
+        maintainer.define_view("extremes", MINMAX_EXPR)
+        durability.checkpoint(maintainer)
         rng = random.Random(42)
         for _ in range(50):
             with db.transact() as txn:
@@ -745,45 +976,58 @@ class TestCrashPointMatrix:
         boundaries = [0] + [
             index + 1 for index, byte in enumerate(payload) if byte == 0x0A
         ]
-
-        # The expected state after k records, built by an incremental
-        # oracle replay with no maintainer involved.
         records = list(WalReader(directory).records())
         assert len(boundaries) == len(records) + 1
 
-        def snapshot(database):
-            return {
-                name: dict(database.relation(name).counts())
-                for name in database.relation_names()
-            }
+        def state(database, views):
+            views.quiesce()
+            return (
+                {
+                    name: dict(database.relation(name).counts())
+                    for name in database.relation_names()
+                },
+                {
+                    name: dict(views.view(name).stored_contents().counts())
+                    for name in MATRIX_VIEWS
+                },
+                database.last_sequence(),
+                database.next_txn_id,
+            )
 
-        checkpoint = Checkpoint.load(latest_checkpoint_path(directory))
-        oracle_db = checkpoint.build_database()
-        oracle_db.advance_sequence(checkpoint.wal_sequence + 1)
-        expected = [snapshot(oracle_db)]
+        # The expected state after k records: the same boot and view
+        # restore, then one commit per record.
+        oracle = Recovery(directory)
+        oracle_views = ViewMaintainer(oracle.database)
+        restore_matrix_views(oracle, oracle_views)
+        expected = [state(oracle.database, oracle_views)]
         for record in records:
             replay_records(
-                oracle_db,
-                [decode_wal_record(oracle_db, record)],
+                oracle.database,
+                [decode_wal_record(oracle.database, record)],
                 preserve_txn_ids=True,
             )
-            expected.append(snapshot(oracle_db))
+            expected.append(state(oracle.database, oracle_views))
 
+        checkpoint_sequence = oracle.checkpoint_sequence
         for k, offset in enumerate(boundaries):
             scratch = str(tmp_path / f"crash-{k}")
             shutil.copytree(directory, scratch)
             copied_segment = os.path.join(scratch, os.path.basename(segment))
             with open(copied_segment, "r+b") as stream:
                 stream.truncate(offset)
-            recovery, recovered = recover(
-                scratch, lambda rec, m: rec.restore_view(m, "v", VIEW_EXPR)
-            )
-            assert snapshot(recovery.database) == expected[k], (
+            recovery, recovered = recover(scratch, restore_matrix_views)
+            assert state(recovery.database, recovered) == expected[k], (
                 f"crash at record boundary {k} diverged"
             )
-            assert recovery.last_sequence == (
-                records[k - 1].sequence if k else checkpoint.wal_sequence
-            )
-            check_view_consistency(
-                recovered.view("v"), recovery.database.instances()
-            )
+            last = records[k - 1].sequence if k else checkpoint_sequence
+            assert recovery.last_sequence == last
+            # One folded commit: a view the net tail reached is current
+            # as of the last record, any other as of the checkpoint.
+            for name in ("v", "hot", "extremes"):
+                seen = recovered.stats(name)["transactions_seen"]
+                assert seen in (0, 1)
+                assert recovered.view(name).last_refresh_sequence == (
+                    last if seen else checkpoint_sequence
+                )
+            recovered.verify_all()
+            shutil.rmtree(scratch)

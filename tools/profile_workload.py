@@ -26,16 +26,17 @@ calls the served path is made of (``socket.send``, ``epoll.poll``,
 ahead of the self-time table.  The counts cover the child's whole life
 (set-up, warm-up, the stream's reads, the gate's queries), so a few
 dozen system calls are not the transactions' — under 0.01 per
-transaction at the default ``--txns`` — and neither are the set-up's
-JSON encodes: every WAL record scanned is re-encoded to check its
-checksum, once by recovery and once by the writer's open, which is
-``2 * wal_tail`` encodes (4 000 for ``oltp_served``) before the first
-request.
+transaction at the default ``--txns``.
 
-``--setup`` profiles the set-up instead of the stream: the harness's
-own ``build_database`` and ``define_views``, which is what ``setup_s``
-times, and prints the function calls per base tuple — exact for a fixed
-workload and seed, like the per-transaction count.
+``--setup`` profiles the set-up instead of the stream, that is, what
+``setup_s`` times.  In process that is the harness's own
+``build_database`` and ``define_views``, and the tool prints the
+function calls per base tuple.  On a served workload it is the child's
+restart: ``cli.build_served_state`` (checkpoint load, view restore, WAL
+replay) plus the ``DurabilityManager`` open, run on a directory made by
+the harness's own ``ServedHost._prepare``, and the tool prints the
+function calls per WAL record replayed.  Both counts are exact for a
+fixed workload and seed, like the per-transaction count.
 
 ``cProfile`` charges every Python call and nothing inside C code, so the
 shares it prints overstate call-heavy code.  Use it to find a candidate;
@@ -46,6 +47,7 @@ Usage (from the repository root)::
     python tools/profile_workload.py oltp_inproc --txns 5000
     python tools/profile_workload.py oltp_served --served
     python tools/profile_workload.py oltp_inproc --setup
+    python tools/profile_workload.py oltp_served --setup
 """
 
 from __future__ import annotations
@@ -158,6 +160,35 @@ def profile_setup(workload, stream, txns: int):
     return stats
 
 
+def profile_served_setup(workload, stream, txns: int):
+    from harness import ServedHost
+
+    from repro.cli import build_served_state
+    from repro.replication.durability import DurabilityManager
+
+    host = ServedHost(workload, stream, False)
+    try:
+        directory = host._prepare()
+        options = [f"{name}={spec}" for name, spec in host.specs.items()]
+        profiler = cProfile.Profile()
+        profiler.enable()
+        recovery, maintainer, replayed = build_served_state(directory, options)
+        durability = DurabilityManager(recovery.database, directory)
+        profiler.disable()
+        durability.close()
+        maintainer.verify_all()
+    finally:
+        host.close()
+    stats = pstats.Stats(profiler)
+    print(
+        f"{workload.name} set-up (recovery + WAL open): {replayed} WAL records "
+        f"on the checkpoint, {len(options)} views, seed {SEED}"
+    )
+    calls = stats.total_calls
+    print(f"function calls per WAL record: {calls / max(replayed, 1):.1f}   ({calls} calls)")
+    return stats
+
+
 def profile_served_child(workload, stream, txns: int):
     import harness
     from harness import Phase, ServedHost
@@ -223,7 +254,8 @@ def main() -> int:
     mode.add_argument("--served", action="store_true",
                       help="profile the serve child of a served workload, not the stream in process")
     mode.add_argument("--setup", action="store_true",
-                      help="profile building the database and defining the views, not the stream")
+                      help="profile the set-up, not the stream: building the database and "
+                           "defining the views, or, on a served workload, the child's recovery")
     args = parser.parse_args()
 
     workload = config.WORKLOADS[args.workload]
@@ -231,7 +263,7 @@ def main() -> int:
         parser.error(f"{workload.name} has no serve child; --served needs a served workload")
     stream = Stream(workload, SEED)
     if args.setup:
-        profile = profile_setup
+        profile = profile_served_setup if workload.served else profile_setup
     else:
         profile = profile_served_child if args.served else profile_in_process
     profile(workload, stream, args.txns).strip_dirs().sort_stats("tottime").print_stats(TOP)
