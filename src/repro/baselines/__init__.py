@@ -2,9 +2,7 @@
 
 * :mod:`full_reevaluation` — recompute the view from scratch on every
   commit ("complete re-evaluation", the cost the paper calls "often
-  wasteful").
-* :mod:`unfiltered` — the differential algorithm *without* the
-  Section 4 relevance filter (ablation for experiment E10).
+  wasteful"), on the compiled kernels the differential maintainer runs.
 * :mod:`key_projection` — Section 5.2's alternative (2): carry the
   underlying relation's key through the projection instead of a
   multiplicity counter.

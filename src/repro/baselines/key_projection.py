@@ -17,12 +17,11 @@ answers queries on ``X`` by projecting the key away on read.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from repro.algebra.evaluate import project_relation
-from repro.algebra.relation import Delta, Relation
+from repro.algebra.relation import Delta, Relation, ValueTuple, key_function
 from repro.algebra.schema import RelationSchema
-from repro.algebra.tuples import Row
 from repro.errors import MaintenanceError, SchemaError
 from repro.instrumentation import charge
 
@@ -63,7 +62,7 @@ class KeyProjectionView:
             if name not in stored_names:
                 stored_names.append(name)
         self.stored_schema = base_schema.project_schema(stored_names)
-        self._stored_positions = base_schema.positions(stored_names)
+        self._widen = key_function(base_schema.positions(stored_names))
         self.contents = Relation(self.stored_schema)
 
     # ------------------------------------------------------------------
@@ -76,13 +75,11 @@ class KeyProjectionView:
                 f"expected base schema {self.base_schema.names}, "
                 f"got {base.schema.names}"
             )
-        self.contents = Relation(self.stored_schema)
-        for values, count in base.items():
-            if count != 1:
-                raise MaintenanceError(
-                    "key-projection views require set-semantics bases"
-                )
-            self.contents.add(self._stored_row(values))
+        if any(count != 1 for count in base.count_map.values()):
+            raise MaintenanceError("key-projection views require set-semantics bases")
+        self.contents = Relation.from_counts(
+            self.stored_schema, self._stored(base.count_map)
+        )
 
     def apply_delta(self, delta: Delta) -> None:
         """Maintain through a base delta — trivially, thanks to the key.
@@ -91,17 +88,17 @@ class KeyProjectionView:
         deletions "cause no trouble": each base change maps to exactly
         one stored-tuple change.
         """
-        for values in delta.deleted:
-            charge("tuples_scanned")
-            self.contents.discard(self._stored_row(values))
-        for values in delta.inserted:
-            charge("tuples_scanned")
-            self.contents.add(self._stored_row(values))
+        charge("tuples_scanned", len(delta.deleted) + len(delta.inserted))
+        Delta.adopt(
+            self.stored_schema,
+            self._stored(delta.inserted),
+            self._stored(delta.deleted),
+        ).apply_to(self.contents)
 
-    def _stored_row(self, values: tuple[int, ...]) -> Row:
-        return Row(
-            self.stored_schema, tuple(values[i] for i in self._stored_positions)
-        )
+    def _stored(self, counts: Mapping[ValueTuple, int]) -> dict[ValueTuple, int]:
+        """Base tuples' counts on their stored tuples (the key makes the
+        widening injective)."""
+        return {self._widen(values): count for values, count in counts.items()}
 
     # ------------------------------------------------------------------
     # Reading

@@ -160,6 +160,14 @@ _CREATE_VIEW = re.compile(
 _ROW = re.compile(r"\(([^)]*)\)")
 
 
+def _operand(line: str, words: int, usage: str) -> str:
+    """What follows a command's first ``words`` words (``stats ;``: none)."""
+    parts = line.split(None, words)
+    if len(parts) <= words:
+        raise ShellError(f"usage: {usage}")
+    return parts[words].strip()
+
+
 class Shell:
     """State and command dispatch for one interactive session."""
 
@@ -204,13 +212,13 @@ class Shell:
         if lowered == "quiesce" or lowered in ("refresh --all", "refresh -a"):
             return self._quiesce()
         if lowered.startswith("refresh "):
-            name = line.split(None, 1)[1].strip()
+            name = _operand(line, 1, "refresh <view> | refresh --all")
             did = self.maintainer.refresh(name)
             return f"refreshed {name}" if did else f"{name} was already current"
         if lowered.startswith("show "):
-            return self._show(line.split(None, 1)[1].strip())
+            return self._show(_operand(line, 1, "show <table-or-view>"))
         if lowered.startswith("stats "):
-            name = line.split(None, 1)[1].strip()
+            name = _operand(line, 1, "stats <view>")
             stats = self.maintainer.stats(name)
             lines = [f"{k}: {v}" for k, v in stats.items()]
             lines.extend(
@@ -228,7 +236,7 @@ class Shell:
             )
             return "\n".join(lines)
         if lowered.startswith("recommend indexes "):
-            name = line.split(None, 2)[2].strip()
+            name = _operand(line, 2, "recommend indexes <view>")
             recommendations = self.maintainer.recommended_indexes(name)
             if not recommendations:
                 return f"view {name} needs no indexes"
@@ -279,7 +287,7 @@ class Shell:
             relations = sorted(set(view.definition.normal_form.relation_names))
             return self.maintainer.explain(name, relations)
         if lowered.startswith("drop view "):
-            name = line.split(None, 2)[2].strip()
+            name = _operand(line, 2, "drop view <view>")
             self.maintainer.drop_view(name)
             return f"dropped view {name}"
         match = re.match(

@@ -594,41 +594,6 @@ class ViewMaintainer:
             operand.index_on(attrs)
         return created
 
-    def report(self) -> str:
-        """A formatted per-view maintenance summary table."""
-        from repro.bench.reporting import format_table
-
-        rows = []
-        for name in self.view_names():
-            entry = self._entries[name]
-            row = entry.row
-            rows.append(
-                [
-                    name,
-                    entry.policy.value,
-                    len(entry.view.contents),
-                    row.get("transactions_seen"),
-                    row.get("transactions_skipped"),
-                    row.get("deltas_applied"),
-                    row.get("tuples_screened"),
-                    row.get("tuples_irrelevant"),
-                ]
-            )
-        return format_table(
-            [
-                "view",
-                "policy",
-                "tuples",
-                "seen",
-                "skipped",
-                "applied",
-                "screened",
-                "irrelevant",
-            ],
-            rows,
-            title="view maintenance summary",
-        )
-
     def detach(self) -> None:
         """Stop observing commits (views stop being maintained)."""
         self.database.remove_commit_hook(self._on_commit)

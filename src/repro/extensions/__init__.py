@@ -15,6 +15,8 @@ neighbouring applications of the same machinery, all implemented here:
 * :mod:`union_views` — the SPJ class lifted to SPJU: views defined as a
   union of branches, maintained through the very distributivity over
   union that powers Section 5.
+
+All but :mod:`assertions` run the compiled kernels (see its docstring).
 """
 
 from repro.extensions.assertions import AssertionMonitor, IntegrityAssertion

@@ -25,6 +25,10 @@ This module builds that bridge:
   transaction can be aborted.
 * Alternatively :meth:`AssertionMonitor.attach` installs a post-commit
   monitor that records violations (useful when enforcement is advisory).
+
+It runs the per-tuple reference library, not a compiled plan, on
+purpose: the state it checks is not committed yet and exists only as
+copies of the touched relations, and a compiled plan reads live ones.
 """
 
 from __future__ import annotations

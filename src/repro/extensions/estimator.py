@@ -22,6 +22,10 @@ the model into the commit pipeline: early commits explore both
 strategies; afterwards each commit runs whichever the model predicts
 cheaper, and every observation refines the model.  Decisions are kept
 for inspection as :class:`StrategyDecision` records.
+
+Both strategies run one compiled plan (screen kernels, then the row
+kernel or :meth:`~repro.core.compiled.CompiledViewPlan.evaluate`), and
+a round observes those kernels' work tallies; DDL drops the plan.
 """
 
 from __future__ import annotations
@@ -30,20 +34,14 @@ from typing import Mapping
 
 from repro.algebra.expressions import Expression
 from repro.algebra.relation import Delta
-from repro.core.differential import compute_view_delta
-from repro.core.irrelevance import filter_delta
-from repro.core.planner import evaluate_normal_form
+from repro.core.compiled import CompiledViewPlan
 from repro.core.views import MaterializedView, ViewDefinition
 from repro.engine.database import Database
 from repro.errors import MaintenanceError, ViewDefinitionError
-from repro.instrumentation import CostRecorder, recording
+from repro.instrumentation import CostRecorder, Tally
 
 #: Operation counters that constitute "work" for the model.
 _WORK_COUNTERS = ("tuples_scanned", "join_probes", "tuples_emitted")
-
-
-def _work(recorder: CostRecorder) -> int:
-    return sum(recorder.get(name) for name in _WORK_COUNTERS)
 
 
 class StrategyDecision:
@@ -164,34 +162,53 @@ class AdaptiveMaintainer:
                 f"AdaptiveMaintainer maintains SPJ views; {name!r} is an "
                 "aggregate view (use ViewMaintainer)"
             )
-        self.view = MaterializedView.from_stored(
-            definition,
-            evaluate_normal_form(definition.normal_form, database.instances()),
-        )
+        #: The always-on bag the plan counts into.
+        self._counters = CostRecorder()
+        #: The compiled plan; None from a DDL event to its next use.
+        self._plan: CompiledViewPlan | None = None
+        counted: Tally = []
+        charged: Tally = []
+        stored = self._compiled(definition).evaluate(counted, charged)
+        self._counters.settle(counted, charged)
+        self.view = MaterializedView.from_stored(definition, stored)
         #: Every maintenance round's decision, in commit order.
         self.decisions: list[StrategyDecision] = []
         self._rounds = 0
         database.add_commit_hook(self._on_commit)
+        database.add_ddl_hook(self._on_ddl)
 
     # ------------------------------------------------------------------
     # Commit pipeline
     # ------------------------------------------------------------------
-    def _on_commit(self, txn_id: int, deltas: Mapping[str, Delta]) -> None:
-        normal_form = self.view.definition.normal_form
-        touched = self.view.definition.relation_names & deltas.keys()
-        if not touched:
-            return
-
-        relevant: dict[str, Delta] = {}
-        for relation_name in touched:
-            delta, _ = filter_delta(
-                normal_form, relation_name, deltas[relation_name]
+    def _compiled(self, definition: ViewDefinition) -> CompiledViewPlan:
+        if self._plan is None:
+            self._plan = CompiledViewPlan(
+                definition, self.database, self.database.schema_catalog(),
+                self._counters,
             )
-            if not delta.is_empty():
-                relevant[relation_name] = delta
+        return self._plan
+
+    def _on_commit(self, txn_id: int, deltas: Mapping[str, Delta]) -> None:
+        definition = self.view.definition
+        names = definition.relation_names
+        if not names & deltas.keys():
+            return
+        plan = self._compiled(definition)
+        # The kernels' tallies are the work a round observes, so they
+        # are kept whether or not a recorder is active to receive them.
+        counted: Tally = []
+        charged: Tally = []
+        relevant: dict[str, Delta] = {}
+        for relation_name, delta in deltas.items():
+            if relation_name in names:
+                screened = plan.screen(relation_name, delta, counted, charged)
+                if screened is not None:
+                    relevant[relation_name] = screened
         if not relevant:
+            self._counters.settle(counted, charged)
             return
 
+        normal_form = definition.normal_form
         delta_tuples = sum(
             len(d.inserted) + len(d.deleted) for d in relevant.values()
         )
@@ -215,20 +232,19 @@ class AdaptiveMaintainer:
             chosen = "differential" if est_diff <= est_full else "full"
         self._rounds += 1
 
-        recorder = CostRecorder()
-        with recording(recorder):
-            if chosen == "differential":
-                view_delta = compute_view_delta(
-                    normal_form, self.database.instances(), relevant
-                )
-                self.view.apply_delta(view_delta)
-            else:
-                self.view.replace_contents(
-                    evaluate_normal_form(normal_form, self.database.instances())
-                )
-                self.view.updates_applied += 1
+        if chosen == "differential":
+            inserted, deleted = plan.compute_delta(relevant, counted, charged)
+            self.view.apply_delta(
+                Delta.adopt(self.view.contents.schema, inserted, deleted)
+            )
+        else:
+            self.view.replace_contents(plan.evaluate(counted, charged))
+            self.view.updates_applied += 1
 
-        observed = _work(recorder)
+        # Screening tallies none of the work counters.
+        observed = sum(
+            amount for metric, amount in charged if metric in _WORK_COUNTERS
+        )
         diff_term, full_term = self.model.size_features(
             delta_tuples, changed, touched_base, total_base
         )
@@ -238,6 +254,10 @@ class AdaptiveMaintainer:
         self.decisions.append(
             StrategyDecision(chosen, est_diff, est_full, observed)
         )
+        self._counters.settle(counted, charged)
+
+    def _on_ddl(self, event: str, relation_name: str) -> None:
+        self._plan = None
 
     # ------------------------------------------------------------------
     # Inspection
@@ -252,6 +272,7 @@ class AdaptiveMaintainer:
     def detach(self) -> None:
         """Stop maintaining."""
         self.database.remove_commit_hook(self._on_commit)
+        self.database.remove_ddl_hook(self._on_ddl)
 
     def __repr__(self) -> str:
         counts = self.strategy_counts()

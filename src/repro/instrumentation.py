@@ -115,7 +115,6 @@ METRICS: dict[str, Metric] = _declare(
         ("aggregate_rows_folded", "rows", "core-delta rows folded into aggregate support bags"),
         ("aggregate_groups_touched", "groups", "groups re-rendered by those folds"),
         ("aggregate_support_rescanned", "rows", "support-bag rows rescanned because a fold removed a row carrying its group's MIN/MAX"),
-        ("union_view_maintenances", "calls", "commits an extensions.UnionView maintained"),
         ("baseline_recomputations", "views", "views recomputed by the full-re-evaluation baseline"),
         ("assertion_checks", "calls", "integrity assertions examined at commit"),
         ("assertion_checks_screened", "calls", "of those, dismissed by the relevance screen alone"),

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.algebra.evaluate import project_relation
+from repro.algebra.evaluate import evaluate, project_relation
 from repro.algebra.expressions import BaseRef
 from repro.algebra.relation import Delta, Relation
 from repro.algebra.schema import RelationSchema
@@ -71,6 +71,32 @@ class TestFullReevaluation:
         rng = random.Random(21)
         run_random_transactions(db, rng, 40)
         assert a.contents == b.contents
+
+
+class TestFullReevaluationDdl:
+    """The maintainer keeps compiled plans, which hold the live operand
+    relations and the indexes they probe: DDL must not leave one stale."""
+
+    EXPR = BaseRef("r").join(BaseRef("s")).select("C >= 1").project(["A", "C"])
+
+    def test_a_dropped_index_is_not_probed(self, db):
+        db.create_index("s", ["B"])
+        m = FullReevaluationMaintainer(db)
+        view = m.define_view("v", self.EXPR)
+        db.apply(inserts={"r": [(4, 20)]})
+        assert db.drop_index("s", ["B"])
+        db.apply(inserts={"s": [(30, 3)]})  # the dropped index misses it
+        db.apply(inserts={"r": [(5, 30)]})
+        assert view.contents == evaluate(self.EXPR, db.instances())
+
+    def test_a_recreated_operand_is_read(self, db):
+        m = FullReevaluationMaintainer(db)
+        view = m.define_view("v", self.EXPR)
+        db.drop_relation("s")
+        db.create_relation("s", ["B", "C"], [(10, 7), (20, 8), (30, 9)])
+        db.apply(inserts={"r": [(4, 30)]})
+        assert view.contents == evaluate(self.EXPR, db.instances())
+        assert (4, 9) in view.contents
 
 
 class TestKeyProjection:

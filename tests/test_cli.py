@@ -4,6 +4,8 @@ import asyncio
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import (
     Shell,
@@ -210,6 +212,57 @@ class TestShellPlumbing:
         shell.execute("INSERT INTO r VALUES (1)")
         assert "1 row(s) inserted" in shell.execute("Insert Into r Values (2)")
 
+    @pytest.mark.parametrize(
+        "line",
+        ["stats ;", "refresh ;", "show ;", "drop view ;", "recommend indexes ;"],
+    )
+    def test_a_verb_without_its_operand_is_a_usage_error(self, shell, line):
+        with pytest.raises(ShellError, match="usage: "):
+            shell.execute(line)
+
+
+#: The shell grammar's vocabulary, as a soup: the command heads, then
+#: keywords, the names the set-up below defines (and one it does not),
+#: numbers and punctuation.
+_HEADS = st.sampled_from(
+    [
+        "create table", "create view", "insert into", "delete from",
+        "refresh", "show", "stats", "recommend indexes", "create index on",
+        "drop index on", "explain", "drop view", "constrain",
+        "drop constraint", "declare key", "drop key", "declare fk",
+        "drop fk", "quiesce", "tables", "views", "keys", "constraints",
+        "analyze", "help", "",
+    ]
+)
+_WORDS = st.sampled_from(
+    "table view deferred as values join where select group by compute "
+    "count sum avg min max index on changing source references --all "
+    "and or not r s v w nope A B C D 0 1 -3 70000".split()
+)
+_PUNCTUATION = st.sampled_from("( ) , ; * = < <= > >= + - ()".split())
+
+
+class TestHostileLines:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        _HEADS,
+        st.lists(st.one_of(_PUNCTUATION, _WORDS), max_size=8),
+        st.booleans(),
+        st.sampled_from(["", ";", " ;", " ; ;"]),
+    )
+    def test_a_line_returns_or_raises_a_repro_error(
+        self, head, words, tight, end
+    ):
+        shell = Shell()
+        _setup_sales(shell)
+        shell.execute("create view v as r join s where C > 5 select A, C")
+        shell.execute("create view w deferred as r where A > 1")
+        line = ("" if tight else " ").join([head, *words]) + end
+        try:
+            assert isinstance(shell.execute(line), str)
+        except ReproError:
+            pass
+
 
 # ----------------------------------------------------------------------
 # The serve --view grammar
@@ -290,6 +343,12 @@ class TestVerbErrors:
     def test_serve_bad_view_spec(self, tmp_path, capsys):
         directory = _durable_dir(tmp_path)
         code = main(["serve", directory, "--port", "0", "--view", "malformed"])
+        _assert_one_line_error(capsys, code)
+
+    def test_analyze_spec_with_a_bare_verb(self, tmp_path, capsys):
+        spec = tmp_path / "spec.txt"
+        spec.write_text("create table r (A, B)\nshow ;\n")
+        code = main(["analyze", str(spec)])
         _assert_one_line_error(capsys, code)
 
 

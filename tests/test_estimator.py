@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.algebra.evaluate import evaluate
 from repro.algebra.expressions import BaseRef
 from repro.core.consistency import check_view_consistency
 from repro.engine.database import Database
@@ -146,3 +147,40 @@ class TestAdaptiveMaintainer:
                 txn.insert("r", (2000 + i, i % 10))
         assert all(d.chosen == "full" for d in maintainer.decisions)
         check_view_consistency(maintainer.view, db.instances())
+
+
+class TestAdaptiveMaintainerDdl:
+    """Both strategies run one compiled plan, which holds the live
+    operand relations and the indexes it probes: DDL must not leave it
+    stale."""
+
+    @staticmethod
+    def _differential_only():
+        model = MaintenanceCostModel()
+        model.c_full = 1e9  # make full re-evaluation look terrible
+        return model
+
+    def test_a_dropped_index_is_not_probed(self, db):
+        maintainer = AdaptiveMaintainer(
+            db, "v", EXPR, exploration=0, model=self._differential_only()
+        )
+        db.apply(inserts={"r": [(1000, 3)]})  # binds an index on s(B)
+        assert db.drop_index("s", ["B"])
+        db.apply(inserts={"s": [(3, 5000)]})  # the dropped index misses it
+        db.apply(inserts={"r": [(1001, 3)]})
+        assert maintainer.strategy_counts()["full"] == 0
+        assert maintainer.view.contents == evaluate(EXPR, db.instances())
+        assert (1001, 5000) in maintainer.view.contents
+
+    def test_a_recreated_operand_is_read(self, db):
+        maintainer = AdaptiveMaintainer(
+            db, "v", EXPR, exploration=0, model=self._differential_only()
+        )
+        rows = sorted(db.relation("s").value_tuples())
+        db.drop_relation("s")
+        # Different rows, of which only the new ones join a later insert.
+        db.create_relation("s", ["B", "C"], [*rows, (77, 5), (77, 6)])
+        db.apply(inserts={"r": [(1000, 77)]})
+        assert maintainer.strategy_counts()["full"] == 0
+        assert maintainer.view.contents == evaluate(EXPR, db.instances())
+        assert (1000, 6) in maintainer.view.contents

@@ -1,0 +1,102 @@
+"""Which layer may import what, read from the source with ``ast``.
+
+Two rules:
+
+* the system — the layers a ``repro.cli`` verb runs, and the metrics
+  registry — imports none of the apparatus kept beside it (benchmark
+  reporting, baselines, extensions, workload generators, the
+  simulator);
+* one engine: outside ``core/`` every maintainer runs the compiled
+  kernels.  The per-tuple reference library they mirror is imported
+  only by the integrity-assertion monitor, which checks a state that
+  is not committed yet and so has no live relations for a compiled plan
+  to read.  The package root re-exports that library as public API;
+  re-exporting runs nothing, so ``__init__.py`` files are not checked.
+"""
+
+import ast
+from pathlib import Path
+
+from repro.algebra.expressions import BaseRef
+from repro.engine.database import Database
+from repro.extensions.union_views import UnionView
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+SYSTEM = (
+    "algebra/",
+    "core/",
+    "engine/",
+    "replication/",
+    "server/",
+    "cluster/",
+    "scheduler/",
+    "analysis/",
+    "instrumentation.py",
+)
+APPARATUS = (
+    "repro.bench",
+    "repro.baselines",
+    "repro.extensions",
+    "repro.workloads",
+    "repro.simulation",
+)
+REFERENCE_LIBRARY = {
+    "compute_view_delta",
+    "filter_delta",
+    "execute_planner",
+    "evaluate_normal_form",
+}
+
+
+def _modules():
+    for path in sorted(SRC.rglob("*.py")):
+        yield path.relative_to(SRC).as_posix(), ast.parse(
+            path.read_text(encoding="utf-8")
+        )
+
+
+def _imports(tree: ast.AST):
+    """Every ``(module, name)`` a module imports, anywhere in it; a
+    plain ``import m`` is ``(m, None)``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, None
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                yield node.module, alias.name
+
+
+def test_the_system_imports_no_apparatus():
+    offenders = sorted(
+        (module, imported)
+        for module, tree in _modules()
+        if module.startswith(SYSTEM)
+        for imported, _ in _imports(tree)
+        if imported.startswith(APPARATUS)
+    )
+    assert offenders == []
+
+
+def test_only_core_and_the_assertion_monitor_import_the_reference_library():
+    importers = sorted(
+        module
+        for module, tree in _modules()
+        if not module.startswith("core/")
+        and not module.endswith("__init__.py")
+        and any(name in REFERENCE_LIBRARY for _, name in _imports(tree))
+    )
+    assert importers == ["extensions/assertions.py"]
+
+
+def test_a_union_view_adds_no_commit_hook_of_its_own():
+    tree = ast.parse((SRC / "extensions" / "union_views.py").read_text("utf-8"))
+    assert not any(
+        isinstance(node, ast.Attribute) and node.attr == "add_commit_hook"
+        for node in ast.walk(tree)
+    )
+    db = Database()
+    db.create_relation("r", ["A", "B"], [(1, 2)])
+    view = UnionView(db, "u", [BaseRef("r").project(["A"])])
+    assert db._commit_hooks == [view._maintainer._on_commit]

@@ -216,16 +216,6 @@ class TestStats:
         d = m.stats("u")
         assert set(d) >= {"transactions_seen", "deltas_applied"}
 
-    def test_report_renders_all_views(self, db, view_expr):
-        m = ViewMaintainer(db)
-        m.define_view("u", view_expr)
-        m.define_view("pb", BaseRef("r").project(["B"]))
-        with db.transact() as txn:
-            txn.insert("r", (9, 10))
-        text = m.report()
-        assert "u" in text and "pb" in text
-        assert "immediate" in text
-
 
 class TestNamespace:
     def test_view_name_colliding_with_relation_rejected(self, db, view_expr):

@@ -49,7 +49,7 @@ EDGE_MODULES = {
 
 #: Modules that hold encoded tuples and once wrapped them in ``Row`` so
 #: that a raw-row API would not encode them a second time.
-NO_ROW_CONSTRUCTION = ("engine/log.py", "core/counting.py", "cluster/")
+NO_ROW_CONSTRUCTION = ("engine/log.py", "core/counting.py", "cluster/", "baselines/")
 
 
 def _modules():

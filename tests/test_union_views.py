@@ -119,6 +119,30 @@ class TestMaintenance:
             view.verify()
 
 
+class TestDdl:
+    """Each branch is a view with a compiled plan, which holds the live
+    operand relations and the indexes it probes: DDL must not leave one
+    stale."""
+
+    def test_a_dropped_index_is_not_probed(self, db):
+        view = UnionView(db, "hot", _branches())
+        db.apply(inserts={"orders": [(3, 9, 10)]})  # binds priority(cust)
+        assert db.drop_index("priority", ["cust"])
+        db.apply(inserts={"priority": [(9,)]})  # the dropped index misses it
+        db.apply(inserts={"orders": [(4, 9, 20)]})
+        assert view.contents.count_of((4,)) == 1
+        view.verify()
+
+    def test_a_recreated_operand_is_read(self, db):
+        view = UnionView(db, "hot", _branches())
+        db.drop_relation("priority")
+        # Different rows, of which only the new one joins a later insert.
+        db.create_relation("priority", ["cust"], [(7,), (9,)])
+        db.apply(inserts={"orders": [(3, 9, 10)]})
+        assert view.contents.count_of((3,)) == 1
+        view.verify()
+
+
 class TestRandomizedSoak:
     def test_union_view_matches_recomputation(self):
         db = Database()
