@@ -58,10 +58,8 @@ def _stream(count):
 
 
 def _run(shards, routed=True):
-    topology, tables, rows, constraints, _, views = cluster_workload(shards)
-    coordinator = build_cluster(
-        topology, tables, rows, constraints, views, routed=routed
-    )
+    topology, genesis, views = cluster_workload(shards)
+    coordinator = build_cluster(topology, genesis, views, routed=routed)
     start = time.perf_counter()
     for inserts, deletes in _stream(TXNS):
         txn_id = coordinator.submit(inserts=inserts, deletes=deletes)

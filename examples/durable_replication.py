@@ -54,8 +54,10 @@ def build_leader(directory: str):
     maintainer.define_view(
         "region_counts", REGION_VIEW, policy=MaintenancePolicy.DEFERRED
     )
-    # The WAL does not record schemas: the initial checkpoint is the
-    # recovery starting point, so take it before the first transaction.
+    # The WAL records row changes only: schemas and the catalog
+    # (constraints, keys, foreign keys) travel in checkpoints, so the
+    # initial checkpoint is the recovery starting point — take it before
+    # the first transaction, and again after any later DDL.
     durability.checkpoint(maintainer)
     return rng, db, durability, maintainer
 

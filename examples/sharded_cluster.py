@@ -11,7 +11,7 @@ records every send the proof avoided.
 Run:  python examples/sharded_cluster.py
 """
 
-from repro import BaseRef
+from repro import BaseRef, Database
 from repro.cluster import ClusterTopology, PartitionSpec, build_cluster
 
 
@@ -19,12 +19,19 @@ def main() -> None:
     # --- Topology: orders partitioned on its key, 3 shards ------------
     # Shard 0 owns K <= 9, shard 1 owns 10..19, shard 2 owns K >= 20.
     topology = ClusterTopology(3, [PartitionSpec("orders", "K", (9, 19))])
-    tables = {"orders": ["K", "AMOUNT"], "regions": ["RID", "POP"]}
-    rows = {
-        "orders": [(k, k * 10) for k in range(0, 30, 3)],
-        "regions": [(rid, rid * 100) for rid in range(8)],
-    }
-    constraints = {"regions": "RID >= 0"}
+
+    # --- Genesis: the cluster's initial database, catalog included ----
+    # Every shard is built from it: its slice of orders, a full copy of
+    # regions, and the declared catalog (here one constraint; keys and
+    # foreign keys travel the same way).
+    genesis = Database()
+    genesis.create_relation(
+        "orders", ["K", "AMOUNT"], [(k, k * 10) for k in range(0, 30, 3)]
+    )
+    genesis.create_relation(
+        "regions", ["RID", "POP"], [(rid, rid * 100) for rid in range(8)]
+    )
+    genesis.declare_constraint("regions", "RID >= 0")
 
     # The view joins orders to regions but pins K = RID and K <= 7:
     # every contributing orders row lives in shard 0's range, so on
@@ -38,7 +45,7 @@ def main() -> None:
         )
     ]
 
-    coordinator = build_cluster(topology, tables, rows, constraints, views)
+    coordinator = build_cluster(topology, genesis, views)
 
     print("Routing proofs derived at registration:")
     for line in coordinator.routing.describe():

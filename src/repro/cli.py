@@ -747,8 +747,8 @@ def run_serve_cluster(
 ) -> int:
     """The ``serve-cluster`` verb: recover DIR, shard it, serve it.
 
-    The recovered base relations, constraints and requested views are
-    re-homed onto an in-process cluster (docs/cluster.md): shard 0 is
+    The recovered database — relations and catalog — and the requested
+    views are re-homed onto an in-process cluster (docs/cluster.md): shard 0 is
     the home shard, DirectLink transports keep client transactions
     synchronous, and the analyzer-derived routing table is printed at
     startup.  Unlike ``serve``, the cluster holds everything in memory
@@ -764,26 +764,11 @@ def run_serve_cluster(
 
     recovery = Recovery(directory)
     replayed = recovery.replay()
-    database = recovery.database
     topology = ClusterTopology(
         shards, [parse_partition_option(option) for option in partition_options]
     )
-    tables = {
-        name: list(database.relation(name).schema.names)
-        for name in database.relation_names()
-    }
-    rows = {
-        name: [
-            database.relation(name).schema.decode_values(values)
-            for values in sorted(database.relation(name).value_tuples())
-        ]
-        for name in database.relation_names()
-    }
-    constraints = dict(database.constraints.items())
     views = [parse_view_option(option) for option in (view_options or [])]
-    coordinator = build_cluster(
-        topology, tables, rows, constraints, views
-    )
+    coordinator = build_cluster(topology, recovery.database, views)
     server = ClusterServer(coordinator, ServerConfig(host=host, port=port))
 
     async def _serve() -> None:

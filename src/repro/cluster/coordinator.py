@@ -51,7 +51,8 @@ from repro.cluster.links import DirectLink, ShardLink
 from repro.cluster.routing import RoutingTable, build_routing_table
 from repro.cluster.shard import ShardNode
 from repro.cluster.topology import HOME_SHARD, ClusterTopology
-from repro.engine.keys import ForeignKey
+from repro.engine.database import Database
+from repro.engine.persistence import database_to_document
 from repro.errors import ClusterError, UnknownRelationError
 from repro.instrumentation import CostRecorder, charge, recording
 from repro.server import protocol
@@ -120,8 +121,7 @@ class ClusterCoordinator:
     def __init__(
         self,
         topology: ClusterTopology,
-        tables: Mapping[str, Sequence[str]],
-        constraints: Mapping[str, Condition | str],
+        genesis: Mapping[str, Any],
         views: Sequence[tuple[str, Expression]],
         links: Sequence[ShardLink],
         *,
@@ -135,9 +135,16 @@ class ClusterCoordinator:
                 f"{len(links)} links were supplied"
             )
         self.topology = topology
-        self.tables = {name: tuple(attrs) for name, attrs in tables.items()}
+        #: The cluster's initial database as a document: what every
+        #: shard, and the sharded oracle's single node, is built from.
+        self.genesis = genesis
+        self.tables = {
+            name: tuple(attribute["name"] for attribute in doc["attributes"])
+            for name, doc in genesis["relations"].items()
+        }
         self.constraints = {
-            name: Condition.coerce(cond) for name, cond in constraints.items()
+            name: Condition.coerce(text)
+            for name, text in genesis["constraints"].items()
         }
         self.links = list(links)
         self.routed = routed
@@ -576,29 +583,27 @@ class ClusterCoordinator:
 
 def build_cluster(
     topology: ClusterTopology,
-    tables: Mapping[str, Sequence[str]],
-    rows: Mapping[str, Sequence[Sequence[Any]]],
-    constraints: Mapping[str, Condition | str],
+    genesis: Database,
     views: Sequence[tuple[str, Expression]],
     *,
     routed: bool = True,
     link_factory: Callable[[ShardNode, int], ShardLink] | None = None,
     changefeed_history: int = 256,
     base_free_shards: Sequence[int] = (),
-    keys: Mapping[str, Sequence[Sequence[str]]] | None = None,
-    foreign_keys: Sequence[ForeignKey] = (),
 ) -> ClusterCoordinator:
     """Stand up a full cluster: shards, links, coordinator.
 
-    ``rows`` holds each relation's *complete* initial contents; every
-    shard filters its own slice.  Without a ``link_factory`` the shards
-    hang off synchronous :class:`~repro.cluster.links.DirectLink`\\ s
-    (the front-end / CLI / example deployment shape); the simulation
-    passes a factory producing lossy :class:`~repro.simulation.network.
-    SimShardLink`\\ s.  The returned coordinator carries a
-    ``shard_factory`` closing over the initial rows, so
-    :meth:`ClusterCoordinator.crash_shard` can rebuild any shard from
-    genesis plus its commit history.
+    ``genesis`` is the cluster's initial database — schemas, *complete*
+    contents and catalog — frozen once as its document
+    (:func:`~repro.engine.persistence.database_to_document`).  Every
+    shard, and every :meth:`ClusterCoordinator.crash_shard` rebuild, is
+    built from that document (see :class:`ShardNode`), so the compiled
+    plans prove the same chase facts cluster-wide.
+
+    Without a ``link_factory`` the shards hang off synchronous
+    :class:`~repro.cluster.links.DirectLink`\\ s (the front-end / CLI /
+    example deployment shape); the simulation passes a factory producing
+    lossy :class:`~repro.simulation.network.SimShardLink`\\ s.
 
     ``base_free_shards`` lists shard ids built with ``base_free=True``
     (see :class:`ShardNode`): those nodes shed their base rows after
@@ -609,29 +614,15 @@ def build_cluster(
     deletes are validated upstream, or declare keys that restore
     presence tracking (below).
 
-    ``keys`` maps relation names to their declared candidate keys and
-    ``foreign_keys`` lists :class:`~repro.engine.keys.ForeignKey`
-    declarations; every shard declares them on its local database
-    before registering views, so compiled plans prove the same chase
-    facts cluster-wide.  A key on a *partitioned* relation must
-    contain the partition attribute — rows agreeing on the key would
-    otherwise route to different shards and shard-local enforcement
-    could miss a cluster-wide collision.  On base-free shards a
-    partition-aligned, row-determining key unlocks key-occupancy
-    presence tracking (see :class:`ShardNode`), lifting the exact-ops
-    workload restriction for that relation.
+    A declared key on a *partitioned* relation must contain the
+    partition attribute — rows agreeing on the key would otherwise route
+    to different shards and shard-local enforcement could miss a
+    cluster-wide collision.  On base-free shards a partition-aligned,
+    row-determining key unlocks key-occupancy presence tracking (see
+    :class:`ShardNode`), lifting the exact-ops workload restriction for
+    that relation.
     """
-    frozen_tables = {name: tuple(attrs) for name, attrs in tables.items()}
-    frozen_rows = {name: list(batch) for name, batch in rows.items()}
-    coerced = {
-        name: Condition.coerce(cond) for name, cond in constraints.items()
-    }
-    view_list = [(name, expression) for name, expression in views]
-    frozen_keys = {
-        name: tuple(tuple(key) for key in declared)
-        for name, declared in (keys or {}).items()
-    }
-    for name, declared in sorted(frozen_keys.items()):
+    for name, declared in genesis.keys.items():
         spec = topology.spec(name)
         if spec is None:
             continue
@@ -643,21 +634,13 @@ def build_cluster(
                     f"{spec.key!r}: shard-local enforcement cannot see "
                     f"a collision between rows routed to different shards"
                 )
-    fk_list = tuple(foreign_keys)
-
+    document = database_to_document(genesis)
+    view_list = [(name, expression) for name, expression in views]
     base_free = frozenset(base_free_shards)
 
     def make_shard(shard_id: int) -> ShardNode:
         return ShardNode(
-            shard_id,
-            topology,
-            frozen_tables,
-            frozen_rows,
-            coerced,
-            view_list,
-            base_free=shard_id in base_free,
-            keys=frozen_keys,
-            foreign_keys=fk_list,
+            shard_id, topology, document, view_list, base_free=shard_id in base_free
         )
 
     links: list[ShardLink] = []
@@ -670,8 +653,7 @@ def build_cluster(
         )
     return ClusterCoordinator(
         topology,
-        frozen_tables,
-        coerced,
+        document,
         view_list,
         links,
         shard_factory=make_shard,

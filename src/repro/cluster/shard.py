@@ -70,7 +70,6 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Sequence
 
-from repro.algebra.conditions import Condition
 from repro.algebra.expressions import Expression
 from repro.algebra.relation import Delta, Relation
 from repro.analysis.dependencies import determined_row, key_determines_row
@@ -78,10 +77,13 @@ from repro.cluster.topology import ClusterTopology
 from repro.core.maintainer import ViewMaintainer
 from repro.core.views import MaterializedView
 from repro.engine.constraints import find_violations
-from repro.engine.database import Database
-from repro.engine.keys import ForeignKey
-from repro.engine.persistence import delta_to_document
-from repro.errors import ClusterError, ReproError, UnknownViewError
+from repro.engine.persistence import database_from_document, delta_to_document
+from repro.errors import (
+    ClusterError,
+    ReproError,
+    UnknownRelationError,
+    UnknownViewError,
+)
 from repro.instrumentation import charge
 
 __all__ = ["ShardNode"]
@@ -93,20 +95,51 @@ OpBatches = Mapping[str, Sequence[Sequence[Any]]]
 ValueTuple = tuple[int, ...]
 
 
+def _shard_document(
+    genesis: Mapping[str, Any], topology: ClusterTopology, shard_id: int
+) -> dict[str, Any]:
+    """The cluster's genesis database document as one shard holds it.
+
+    A partitioned relation keeps only the rows its key range owns, and
+    that range is conjoined onto its declared constraint (a premise that
+    is just ``true`` is not declared); replicated relations, keys and
+    foreign keys are the genesis's own.
+    """
+    relations = dict(genesis["relations"])
+    for name in topology.partitions:
+        doc = relations.get(name)
+        if doc is None:
+            raise UnknownRelationError(
+                f"partitioned relation {name!r} is not in the genesis database"
+            )
+        attributes = [attribute["name"] for attribute in doc["attributes"]]
+        owned = [
+            row
+            for row in doc["rows"]
+            if topology.shard_of_row(name, attributes, row) == shard_id
+        ]
+        relations[name] = {**doc, "rows": owned, "counts": [1] * len(owned)}
+    premises = topology.shard_premises(shard_id, genesis["constraints"])
+    constraints = {
+        name: str(condition)
+        for name, condition in sorted(premises.items())
+        if not condition.is_true()
+    }
+    return {**genesis, "relations": relations, "constraints": constraints}
+
+
 class ShardNode:
-    """One shard's state machine: local stack + ordered 2PC application."""
+    """One shard's state machine: local stack + ordered 2PC application,
+    over its slice of ``genesis``, the cluster's initial database
+    document."""
 
     def __init__(
         self,
         shard_id: int,
         topology: ClusterTopology,
-        tables: Mapping[str, Sequence[str]],
-        rows: Mapping[str, Sequence[Sequence[Any]]],
-        constraints: Mapping[str, Condition],
+        genesis: Mapping[str, Any],
         views: Sequence[tuple[str, Expression]],
         base_free: bool = False,
-        keys: Mapping[str, Sequence[Sequence[str]]] | None = None,
-        foreign_keys: Sequence[ForeignKey] = (),
     ) -> None:
         self.shard_id = shard_id
         self.topology = topology
@@ -114,44 +147,12 @@ class ShardNode:
         #: Distinct base tuples shed by base-free hosting (the
         #: benchmark's memory-saving measure; 0 on full shards).
         self.base_rows_dropped = 0
-        self.database = Database()
-        for name in sorted(tables):
-            attributes = tables[name]
-            initial = rows.get(name, ())
-            if topology.is_partitioned(name):
-                initial = [
-                    row
-                    for row in initial
-                    if topology.shard_of_row(name, attributes, row) == shard_id
-                ]
-            self.database.create_relation(name, list(attributes), initial)
-        # Declared constraints come first (they are premises the view
-        # plans' static screens may use), global before range: for a
-        # partitioned relation the shard declares K ∧ range as one
-        # conjoined condition.
-        for name in sorted(constraints):
-            condition = Condition.coerce(constraints[name])
-            spec = topology.spec(name)
-            if spec is not None:
-                condition = condition.conjoin(spec.range_condition(shard_id))
-            if not condition.is_true():
-                self.database.declare_constraint(name, condition)
-        for name, spec in sorted(topology.partitions.items()):
-            if name in constraints:
-                continue
-            window = spec.range_condition(shard_id)
-            if not window.is_true():
-                self.database.declare_constraint(name, window)
-        # Keys and foreign keys are declared before the maintainer is
-        # built so the compiled plans' chase proofs (view keys, FK
-        # reductions) see the same premises a single-node stack would.
-        for name in sorted(keys or {}):
-            for key in (keys or {})[name]:
-                self.database.declare_key(name, list(key))
-        for fk in foreign_keys:
-            self.database.declare_foreign_key(
-                fk.relation, fk.attributes, fk.ref_relation, fk.ref_attributes
-            )
+        # The whole catalog is in place before the maintainer is built,
+        # so the compiled plans' static screens and chase proofs see the
+        # premises a single-node stack would.
+        self.database = database_from_document(
+            _shard_document(genesis, topology, shard_id)
+        )
         #: Base-free key-occupancy: relation → set of key tuples
         #: currently stored, for partitioned relations whose declared
         #: key contains the partition attribute and determines the row

@@ -420,7 +420,7 @@ class ViewMaintainer:
         Index drops are the correctness-critical case — a cached plan
         holds direct bindings to index objects that stop being
         maintained the moment their relation drops them.  Explicit
-        index creation, relation drop/re-creation and anything else
+        index creation, relation creation and anything else
         touching an operand invalidate too: the cheapest sound answer
         is to recompile, and compilation is exactly what keeping the
         plan made rare.  (A plan's own lazy index creation asks the
@@ -429,13 +429,21 @@ class ViewMaintainer:
         Views and relations share one namespace, so creating a relation
         under a registered view's name is refused here (the database
         takes the relation back out): every view stacked on that name
-        would otherwise read the relation's deltas as the view's.
+        would otherwise read the relation's deltas as the view's.  And a
+        relation a registered view reads cannot be dropped (SQL's
+        ``RESTRICT``): the view would outlive its operand.
         """
         if event == "create_relation" and relation_name in self._entries:
             raise MaintenanceError(
                 f"relation name {relation_name!r} collides with a registered "
                 "view; views and relations share one namespace (stacked "
                 "views resolve references through it)"
+            )
+        readers = self._dependents.get(relation_name)
+        if event == "drop_relation" and readers:
+            raise MaintenanceError(
+                f"cannot drop relation {relation_name!r}: read by views "
+                f"{sorted(r.view.definition.name for r in readers)}"
             )
         self._invalidate_readers(relation_name)
 

@@ -110,19 +110,23 @@ class Database:
         return relation
 
     def drop_relation(self, name: str) -> None:
-        """Remove a base relation and its indexes."""
-        relation = self._relations.pop(name, None)
-        if relation is None:
-            raise UnknownRelationError(f"unknown relation {name!r}")
+        """Remove a base relation with its indexes, constraint and keys.
+
+        The ``drop_relation`` DDL event fires first, with everything
+        still in place, and a hook that raises leaves it all there: that
+        is how a view maintainer refuses to drop a relation a registered
+        view reads (SQL's ``RESTRICT``).  The one event reaches every
+        dependent of the indexes, constraint and keys that go with the
+        relation, so none of them fires its own.
+        """
+        relation = self.relation(name)
+        self._notify_ddl("drop_relation", name)
+        del self._relations[name]
         # Snapshot before dropping: _drop_index mutates the mapping.
         for attributes in tuple(relation.indexes):
             relation._drop_index(attributes)
-            self._notify_ddl("drop_index", name)
-        # The constraint dies with its relation; drop_relation's own DDL
-        # event already reaches every dependent, so no second event.
         self.constraints.discard(name)
         self.keys.discard(name)
-        self._notify_ddl("drop_relation", name)
 
     def relation(self, name: str) -> Relation:
         """The live base relation named ``name``."""

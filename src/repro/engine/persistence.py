@@ -5,8 +5,12 @@ downstream user can adopt needs its states to be portable: benchmark
 inputs, failing cases from property tests and example databases all
 want to round-trip through files.  The format is a single JSON document
 holding every relation's schema (attribute names and domains) and its
-tuple counts; views are not persisted — they are derived state and are
-re-materialized from their definitions after a load.
+tuple counts, plus the catalog the paper's shortcuts rest on —
+constraints, candidate keys and foreign keys — so every rebuild
+(checkpoints, recovery, followers, cluster shards) enforces and plans
+with the premises the original declared.  Views are not persisted —
+they are derived state and are re-materialized from their definitions
+after a load.
 
 Domains serialize by kind: the unbounded integer domain, finite integer
 intervals, and enumerated string domains (labels stored verbatim).
@@ -28,8 +32,8 @@ from repro.algebra.schema import Attribute, RelationSchema
 from repro.engine.database import Database
 from repro.errors import ReproError
 
-#: Bumped on any incompatible format change.
-FORMAT_VERSION = 1
+#: Bumped on any incompatible format change (2: the catalog).
+FORMAT_VERSION = 2
 
 
 class PersistenceError(ReproError):
@@ -174,12 +178,32 @@ def relation_from_document(
 # ----------------------------------------------------------------------
 
 def database_to_document(database: Database) -> dict[str, Any]:
-    """Encode a database's schemas and contents as a JSON-able dict."""
-    relations = {
-        name: relation_to_document(database.relation(name))
-        for name in database.relation_names()
+    """Encode a database's schemas, contents and catalog as a JSON-able
+    dict; a constraint is stored as its condition's text, which
+    :meth:`~repro.algebra.conditions.Condition.coerce` parses back to an
+    equal condition."""
+    return {
+        "format": FORMAT_VERSION,
+        "relations": {
+            name: relation_to_document(database.relation(name))
+            for name in database.relation_names()
+        },
+        "constraints": {
+            name: str(condition) for name, condition in database.constraints.items()
+        },
+        "keys": {
+            name: [list(key) for key in keys] for name, keys in database.keys.items()
+        },
+        "foreign_keys": [
+            {
+                "relation": fk.relation,
+                "attributes": list(fk.attributes),
+                "ref_relation": fk.ref_relation,
+                "ref_attributes": list(fk.ref_attributes),
+            }
+            for fk in database.keys.foreign_key_items()
+        ],
     }
-    return {"format": FORMAT_VERSION, "relations": relations}
 
 
 def database_from_document(doc: dict[str, Any]) -> Database:
@@ -187,7 +211,9 @@ def database_from_document(doc: dict[str, Any]) -> Database:
 
     Each relation is built once: its document rows go straight into
     :meth:`Database.create_relation`, which encodes every row and
-    rejects duplicates.
+    rejects duplicates.  The catalog follows — constraints, keys, then
+    foreign keys — through the database's own ``declare_*`` methods, so
+    each declaration validates the rows it lands on.
     """
     version = doc.get("format") if isinstance(doc, dict) else None
     if version != FORMAT_VERSION:
@@ -204,7 +230,30 @@ def database_from_document(doc: dict[str, Any]) -> Database:
             database.create_relation(name, schema, rows)
         except (TypeError, ReproError) as exc:
             raise PersistenceError(f"relation {name!r}: {exc}") from exc
+    entry: Any = None
+    try:
+        for entry in _stored_as(doc.get("constraints"), dict).items():
+            database.declare_constraint(entry[0], _stored_as(entry[1], str))
+        for entry in _stored_as(doc.get("keys"), dict).items():
+            for key in _stored_as(entry[1], list):
+                database.declare_key(entry[0], _stored_as(key, list))
+        for entry in _stored_as(doc.get("foreign_keys"), list):
+            database.declare_foreign_key(
+                entry["relation"],
+                _stored_as(entry["attributes"], list),
+                entry["ref_relation"],
+                _stored_as(entry["ref_attributes"], list),
+            )
+    except (KeyError, TypeError, ReproError) as exc:
+        raise PersistenceError(f"catalog entry {entry!r} is invalid: {exc}") from exc
     return database
+
+
+def _stored_as(value: Any, kind: type) -> Any:
+    """``value``, which the document must hold as a ``kind``."""
+    if not isinstance(value, kind):
+        raise TypeError(f"expected a {kind.__name__}, got {value!r}")
+    return value
 
 
 # ----------------------------------------------------------------------

@@ -257,6 +257,12 @@ class AdaptiveMaintainer:
         self._counters.settle(counted, charged)
 
     def _on_ddl(self, event: str, relation_name: str) -> None:
+        definition = self.view.definition
+        if event == "drop_relation" and relation_name in definition.relation_names:
+            raise MaintenanceError(
+                f"cannot drop relation {relation_name!r}: read by view "
+                f"{definition.name!r}"
+            )
         self._plan = None
 
     # ------------------------------------------------------------------

@@ -1,12 +1,16 @@
 """Checkpoint documents: a base snapshot anchored to a WAL position.
 
 A checkpoint is the recovery starting point: one JSON document holding
-every base relation (via :func:`repro.engine.persistence`), the stored
-contents of every materialized view (multiplicity counters included),
-the transaction-id counter, and the WAL sequence the snapshot is
-current as of.  Recovery loads the newest checkpoint and replays only
-the WAL records *after* its sequence — views restored from the
-checkpoint then catch up differentially, never by recomputation.
+every base relation and the catalog declared over them — constraints,
+keys and foreign keys (via :func:`repro.engine.persistence`) — the
+stored contents of every materialized view (multiplicity counters
+included), the transaction-id counter, and the WAL sequence the
+snapshot is current as of.  Recovery loads the newest checkpoint and
+replays only the WAL records *after* its sequence — views restored from
+the checkpoint then catch up differentially, never by recomputation.
+
+The WAL carries row changes only, so a catalog change becomes durable
+at the next checkpoint, as a new relation does.
 
 View *definitions* are code, not data: the checkpoint persists each
 view's contents and policy under its name, and the recovering process
@@ -145,7 +149,8 @@ class Checkpoint:
         return cls(doc)
 
     def build_database(self) -> Database:
-        """A fresh database holding the snapshot's base relations."""
+        """A fresh database holding the snapshot's base relations and
+        catalog."""
         if self._database_doc is None:
             raise ReplicationError("checkpoint snapshot was already released")
         try:
@@ -154,10 +159,6 @@ class Checkpoint:
             raise ReplicationError(f"checkpoint snapshot is invalid: {exc}") from exc
         database.advance_txn_counter(self.next_txn_id)
         return database
-
-    def release_database(self) -> None:
-        """Let go of the base-relation document (the view documents stay)."""
-        self._database_doc = None
 
     def view_names(self) -> tuple[str, ...]:
         """Names of the views whose contents the checkpoint carries."""
@@ -185,3 +186,26 @@ class Checkpoint:
             f"<Checkpoint wal_seq={self.wal_sequence} "
             f"{len(self._views)} views>"
         )
+
+
+def boot_from_checkpoint(directory: str) -> tuple[Checkpoint, Database]:
+    """The newest checkpoint of ``directory`` and the database it holds.
+
+    The one boot recovery, followers and the simulation oracle share:
+    the database has the snapshot's relations, catalog and transaction
+    counter, and a position aligned with the WAL, so a replayed commit
+    takes the sequence the WAL gave it.  The checkpoint keeps only its
+    view documents.
+    """
+    path = latest_checkpoint_path(directory)
+    if path is None:
+        raise ReplicationError(
+            f"no checkpoint in {directory!r}: the WAL carries row changes "
+            "only, so a database boots from the schemas, catalog and rows "
+            "DurabilityManager.checkpoint() writes"
+        )
+    checkpoint = Checkpoint.load(path)
+    database = checkpoint.build_database()
+    checkpoint._database_doc = None
+    database.advance_sequence(checkpoint.wal_sequence + 1)
+    return checkpoint, database

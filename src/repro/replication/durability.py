@@ -9,8 +9,8 @@ and prunes fully-covered log segments.
 The intended lifecycle::
 
     db = Database()
-    db.create_relation(...)                  # schema is checkpoint state,
-    durability = DurabilityManager(db, dir)  # not WAL state — so attach
+    db.create_relation(...)                  # schema, catalog: checkpoint
+    durability = DurabilityManager(db, dir)  # state, not WAL — so attach
     maintainer = ViewMaintainer(db)          # and checkpoint before the
     maintainer.define_view(...)              # first transaction:
     durability.checkpoint(maintainer)

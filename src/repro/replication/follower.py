@@ -33,17 +33,12 @@ the memory for the base copies is gone.  Constraint enforcement is
 necessarily the leader's job in this mode: a base-free host has no
 state to validate deltas against.
 
-Declared keys widen what a base-free follower may host.  Declaring the
-leader's keys and foreign keys on the follower
-(:meth:`Follower.declare_key` / :meth:`Follower.declare_foreign_key`,
-before the views) feeds the chase the premises for the ``fk_join``
-self-maintainability class: a join view whose probe relations are
-reached through declared foreign keys onto their declared keys
-compiles to an FK-reduced plan that executes over the delta relation
-alone, so it — inserts *and* deletes, which the shipped records carry
-as leader-validated net effects — maintains exactly like a
-single-relation view, with probe-relation deltas proven irrelevant and
-dropped wholesale.
+A follower boots with the leader's catalog as of its checkpoint, so the
+leader's keys and foreign keys are the chase's premises for the
+``fk_join`` self-maintainability class: a join view whose probe
+relations are reached through declared foreign keys onto their declared
+keys compiles to an FK-reduced plan over the delta relation alone and
+maintains — inserts and deletes — like a single-relation view.
 """
 
 from __future__ import annotations
@@ -54,7 +49,7 @@ from repro.core.views import MaterializedView
 from repro.engine.log import replay_records
 from repro.errors import ReplicationError
 from repro.instrumentation import charge
-from repro.replication.checkpoints import Checkpoint, latest_checkpoint_path
+from repro.replication.checkpoints import boot_from_checkpoint
 from repro.replication.recovery import decode_wal_record
 from repro.replication.wal import TailDamage, WalReader, WalRecord
 
@@ -74,21 +69,14 @@ class Follower:
         #: first applied record; the benchmark's memory-saving measure).
         self.base_rows_dropped = 0
         self._base_dropped = False
-        path = latest_checkpoint_path(directory)
-        if path is None:
-            raise ReplicationError(
-                f"no checkpoint in {directory!r}: followers bootstrap their "
-                "base-relation copy (and schemas) from the leader's checkpoint"
-            )
-        checkpoint = Checkpoint.load(path)
-        #: The follower's private base-relation replica.
-        self.database = checkpoint.build_database()
+        checkpoint, database = boot_from_checkpoint(directory)
+        #: The follower's private base-relation replica, positioned at
+        #: the checkpoint's WAL sequence: replayed commits keep their
+        #: WAL sequences, so follower view refresh positions are the
+        #: same WAL positions a server changefeed reports.
+        self.database = database
         #: WAL sequence the replica is current as of.
         self.position = checkpoint.wal_sequence
-        # Replayed commits keep their WAL sequences as the replica's
-        # position, so follower view refresh positions are the same WAL
-        # positions a server changefeed reports.
-        self.database.advance_sequence(self.position + 1)
         #: The follower's own maintainer — define any views on it.
         self.maintainer = ViewMaintainer(self.database)
         #: Torn-tail report from the last poll (None when clean).
@@ -124,32 +112,6 @@ class Follower:
     def view(self, name: str) -> MaterializedView:
         """One of the follower's materialized views."""
         return self.maintainer.view(name)
-
-    def declare_key(self, relation_name: str, attributes) -> tuple[str, ...]:
-        """Declare a candidate key on the follower's replica.
-
-        Mirror the leader's declarations *before* defining views: the
-        chase premises unlock the ``fk_join`` self-maintainability
-        class, letting a base-free follower host FK-joins (see the
-        module docstring).  The follower never enforces keys itself —
-        shipped records are leader-validated — so declarations here
-        are purely analysis premises.
-        """
-        return self.database.declare_key(relation_name, attributes)
-
-    def declare_foreign_key(
-        self,
-        relation_name: str,
-        attributes,
-        ref_relation: str,
-        ref_attributes,
-    ):
-        """Declare a foreign key on the follower's replica (see
-        :meth:`declare_key`; the referenced key must be declared
-        first)."""
-        return self.database.declare_foreign_key(
-            relation_name, attributes, ref_relation, ref_attributes
-        )
 
     def refresh(self, name: str) -> bool:
         """Apply a deferred follower view's composed backlog."""

@@ -3,9 +3,10 @@
 The protocol has three steps, and their order is what makes recovered
 views *differentially* maintained rather than recomputed:
 
-1. **Boot** — load the newest checkpoint; its base relations become a
-   fresh :class:`~repro.engine.database.Database` and its transaction
-   counter is restored.
+1. **Boot** — load the newest checkpoint; its base relations and
+   catalog become a fresh :class:`~repro.engine.database.Database` and
+   its transaction counter is restored
+   (:func:`~repro.replication.checkpoints.boot_from_checkpoint`).
 2. **Restore views** — the caller re-supplies each view's defining
    expression (definitions are code, not data); contents persisted in
    the checkpoint are re-adopted byte-for-byte via
@@ -32,7 +33,10 @@ the net effect reaches has it as its ``last_refresh_sequence``, and the
 transaction counter is past every replayed id.  Records are decoded and
 checked before anything is committed, so a corrupt log
 (:class:`~repro.replication.wal.WalCorruptionError`) leaves the database
-at its checkpoint state.
+at its checkpoint state; so does a tail that breaks the checkpoint's
+catalog — a key dropped after the checkpoint and then violated — which
+is a :class:`~repro.errors.ReplicationError` naming the key and the
+checkpoint.
 
 Replay is deterministic: records hold *net effects*, whose composition
 is insensitive to the vagaries of the original operation order, and the
@@ -58,9 +62,9 @@ from repro.engine.database import Database
 from repro.engine.log import LogRecord
 from repro.engine.persistence import PersistenceError, deltas_from_document
 from repro.engine.transactions import Transaction
-from repro.errors import ReplicationError
+from repro.errors import ReplicationError, ReproError
 from repro.instrumentation import charge
-from repro.replication.checkpoints import Checkpoint, latest_checkpoint_path
+from repro.replication.checkpoints import Checkpoint, boot_from_checkpoint
 from repro.replication.wal import TailDamage, WalReader, WalRecord
 
 
@@ -86,26 +90,14 @@ class Recovery:
 
     def __init__(self, directory: str) -> None:
         self.directory = directory
-        path = latest_checkpoint_path(directory)
-        if path is None:
-            raise ReplicationError(
-                f"no checkpoint in {directory!r}: the WAL does not record "
-                "schema definitions, so recovery needs the base snapshot "
-                "written by DurabilityManager.checkpoint()"
-            )
-        checkpoint = Checkpoint.load(path)
+        checkpoint, database = boot_from_checkpoint(directory)
         #: WAL sequence the snapshot is current as of.
         self.checkpoint_sequence = checkpoint.wal_sequence
         #: The recovered database (snapshot state until :meth:`replay`).
-        self.database = checkpoint.build_database()
-        checkpoint.release_database()
+        self.database = database
         # The view documents, until replay starts (None afterwards).
         self._checkpoint: Checkpoint | None = checkpoint
         self._view_names = checkpoint.view_names()
-        # Align the database position with the WAL: the replayed commit
-        # keeps the last record's sequence, so view refresh positions
-        # are WAL positions.
-        self.database.advance_sequence(self.checkpoint_sequence + 1)
         #: Torn-tail report from the last replay (None when clean).
         self.tail_damage: TailDamage | None = None
         #: WAL sequence the database is current as of after replay.
@@ -186,9 +178,17 @@ class Recovery:
         self.tail_damage = reader.tail_damage
         if last is None:
             return 0
+        tail.txn_id = last.txn_id
+        try:  # before the position moves, so a failure leaves the checkpoint
+            database._check_constraints(tail, tail.net_deltas())
+        except ReproError as exc:
+            raise ReplicationError(
+                f"the WAL tail after checkpoint {self.checkpoint_sequence} "
+                f"breaks that checkpoint's catalog (a catalog change is "
+                f"durable only from the next checkpoint): {exc}"
+            ) from exc
         charge("log_replay_transactions", records)
         database.advance_sequence(last.sequence)  # the commit takes it
-        tail.txn_id = last.txn_id
         tail.commit()
         database.advance_sequence(last.sequence + 1)  # an empty net too
         database.advance_txn_counter(newest_txn_id + 1)

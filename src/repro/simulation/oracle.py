@@ -49,7 +49,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 from repro.algebra.evaluate import evaluate
 from repro.engine.database import Database
 from repro.engine.log import replay_records
-from repro.replication.checkpoints import Checkpoint, latest_checkpoint_path
+from repro.replication.checkpoints import boot_from_checkpoint
 from repro.replication.recovery import decode_wal_record
 from repro.replication.wal import WalReader
 
@@ -124,12 +124,7 @@ def ground_truth_database(directory: str) -> tuple[Database, int]:
     :class:`~repro.replication.wal.WalCorruptionError` — the caller
     decides whether detection was the expected outcome.
     """
-    path = latest_checkpoint_path(directory)
-    if path is None:
-        raise AssertionError(f"no checkpoint in {directory!r} to ground on")
-    checkpoint = Checkpoint.load(path)
-    database = checkpoint.build_database()
-    database.advance_sequence(checkpoint.wal_sequence + 1)
+    checkpoint, database = boot_from_checkpoint(directory)
     last = checkpoint.wal_sequence
     reader = WalReader(directory)
 

@@ -53,7 +53,6 @@ import random
 from collections import Counter
 from typing import TYPE_CHECKING, Any, Mapping
 
-from repro.algebra.conditions import Condition
 from repro.algebra.expressions import BaseRef, Expression
 from repro.cluster.coordinator import ClusterCoordinator, OpBatches, build_cluster
 from repro.cluster.shard import ShardNode
@@ -65,6 +64,7 @@ from repro.cluster.topology import (
 )
 from repro.core.maintainer import ViewMaintainer
 from repro.engine.database import Database
+from repro.engine.persistence import database_from_document
 from repro.server import protocol
 from repro.simulation.clock import SimClock
 from repro.simulation.network import SimShardLink
@@ -96,16 +96,10 @@ LINK_REORDER_RATE = 0.2
 def cluster_workload(
     shards: int,
     keyed: bool = False,
-) -> tuple[
-    ClusterTopology,
-    dict[str, list[str]],
-    dict[str, list[tuple[int, int]]],
-    dict[str, str],
-    dict[str, list[tuple[str, ...]]],
-    list[tuple[str, Expression]],
-]:
-    """The fixed episode schema: one partitioned and two replicated
-    relations, plus three views spanning the routing spectrum.
+) -> tuple[ClusterTopology, Database, list[tuple[str, Expression]]]:
+    """The fixed episode schema as a topology, a genesis database and
+    views: one partitioned and two replicated relations, plus views
+    spanning the routing spectrum.
 
     ``v_low`` touches only the partitioned relation; ``v_rs`` restricts
     the join key to the home shard's range, making ``s`` provably
@@ -133,12 +127,15 @@ def cluster_workload(
         "s": [(c, (c + 1) % VALUE_RANGE) for c in range(VALUE_RANGE)],
         "t": [(e, (e * 3) % VALUE_RANGE) for e in range(VALUE_RANGE)],
     }
-    constraints = {"s": "C >= 0"}
-    keys: dict[str, list[tuple[str, ...]]] = {}
     if keyed:
         rows["r"] = [(a, a + 1) for a in range(VALUE_RANGE)]
-        constraints["r"] = "B = A + 1"
-        keys["r"] = [("A",)]
+    genesis = Database()
+    for name, attributes in tables.items():
+        genesis.create_relation(name, attributes, rows[name])
+    genesis.declare_constraint("s", "C >= 0")
+    if keyed:
+        genesis.declare_constraint("r", "B = A + 1")
+        genesis.declare_key("r", ["A"])
     views: list[tuple[str, Expression]] = [
         ("v_low", BaseRef("r").select(f"A <= {low_cut}")),
         (
@@ -155,7 +152,7 @@ def cluster_workload(
             ),
         ),
     ]
-    return topology, tables, rows, constraints, keys, views
+    return topology, genesis, views
 
 
 def sharded_schedule(rng: random.Random, config: SimulationConfig) -> Schedule:
@@ -240,14 +237,9 @@ class ShardedEpisode:
         self.divergences: list[str] = []
         #: No sharded event ends a run early; always ``None``.
         self.ended_early: str | None = None
-        (
-            self.topology,
-            self.tables,
-            self.rows,
-            self.constraints,
-            self.keys,
-            self.views,
-        ) = cluster_workload(config.shards, keyed=config.keyed)
+        self.topology, genesis, self.views = cluster_workload(
+            config.shards, keyed=config.keyed
+        )
         base_free_shards: tuple[int, ...] = ()
         if config.base_free_shards:
             # Only self-maintainable views can be hosted base-free:
@@ -280,14 +272,11 @@ class ShardedEpisode:
 
         self.coordinator: ClusterCoordinator = build_cluster(
             self.topology,
-            self.tables,
-            self.rows,
-            self.constraints,
+            genesis,
             self.views,
             routed=config.routed,
             base_free_shards=base_free_shards,
             link_factory=link_factory,
-            keys=self.keys,
         )
         #: The changefeed mirror: initial merged view contents, folded
         #: forward by every emitted event (oracle invariant 2).
@@ -380,18 +369,7 @@ class ShardedEpisode:
 
     # -- the oracle --------------------------------------------------------
     def _ground_truth(self) -> tuple[Database, ViewMaintainer]:
-        database = Database()
-        for name in sorted(self.tables):
-            database.create_relation(
-                name, list(self.tables[name]), self.rows[name]
-            )
-        for name in sorted(self.constraints):
-            database.declare_constraint(
-                name, Condition.coerce(self.constraints[name])
-            )
-        for name in sorted(self.keys):
-            for key in self.keys[name]:
-                database.declare_key(name, list(key))
+        database = database_from_document(self.coordinator.genesis)
         maintainer = ViewMaintainer(database)
         for name, expression in self.views:
             maintainer.define_view(name, expression)
@@ -446,7 +424,7 @@ class ShardedEpisode:
         # With base-free shards only the home slice is materialized
         # anywhere, so the union is compared against the single-node
         # relation restricted to home-owned rows.
-        attributes = self.tables["r"]
+        attributes = self.coordinator.tables["r"]
         truth_r = database.relation("r").counts()
         if self.config.base_free_shards:
             schema = database.relation("r").schema

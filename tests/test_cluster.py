@@ -31,6 +31,7 @@ from pathlib import Path
 import pytest
 
 from benchmarks.conftest import env_flag
+from repro.algebra.conditions import Condition
 from repro.algebra.expressions import BaseRef, to_normal_form
 from repro.algebra.schema import RelationSchema
 from repro.cluster import (
@@ -45,7 +46,6 @@ from repro.cluster import (
 )
 from repro.cluster.coordinator import TIMEOUT_TICKS
 from repro.core.maintainer import ViewMaintainer
-from repro.engine.database import Database
 from repro.errors import ClusterError, UnknownRelationError
 from repro.server import protocol
 from repro.simulation import SimulationConfig, run_episode, run_simulation
@@ -60,15 +60,9 @@ CLUSTER_SMOKE = env_flag("REPRO_CLUSTER_SIM_SMOKE")
 # Shared workload helpers
 # ----------------------------------------------------------------------
 def make_cluster(shards=3, *, routed=True, link_factory=None):
-    topology, tables, rows, constraints, _, views = cluster_workload(shards)
+    topology, genesis, views = cluster_workload(shards)
     return build_cluster(
-        topology,
-        tables,
-        rows,
-        constraints,
-        views,
-        routed=routed,
-        link_factory=link_factory,
+        topology, genesis, views, routed=routed, link_factory=link_factory
     )
 
 
@@ -101,14 +95,7 @@ class Client:
 def single_node_truth(client):
     """Replay a client's committed transactions on one node."""
     coordinator = client.coordinator
-    _, tables, rows, constraints, _, views = cluster_workload(
-        coordinator.topology.shards
-    )
-    database = Database()
-    for name in sorted(tables):
-        database.create_relation(name, list(tables[name]), rows[name])
-    for name in sorted(constraints):
-        database.declare_constraint(name, constraints[name])
+    _, database, views = cluster_workload(coordinator.topology.shards)
     maintainer = ViewMaintainer(database)
     for name, expression in views:
         maintainer.define_view(name, expression)
@@ -227,11 +214,9 @@ class TestTopology:
 # ----------------------------------------------------------------------
 class TestRouting:
     def test_workload_routing_table(self):
-        topology, tables, _, constraints, _, views = cluster_workload(3)
-        catalog = {
-            name: RelationSchema(list(attrs))
-            for name, attrs in tables.items()
-        }
+        topology, genesis, views = cluster_workload(3)
+        catalog = genesis.schema_catalog()
+        constraints = dict(genesis.constraints.items())
         from repro.algebra.aggregates import Aggregate
 
         # Routing sees the SPJ core: the coordinator peels Aggregate
@@ -653,26 +638,31 @@ def test_the_cluster_imports_nothing_from_the_simulator():
 # ----------------------------------------------------------------------
 class TestClusterKeys:
     def make_keyed_cluster(self, shards=2):
-        topology, tables, rows, constraints, _, views = cluster_workload(shards)
-        seen, deduped = set(), []
-        for row in rows["r"]:
-            if row[0] not in seen:
-                seen.add(row[0])
-                deduped.append(row)
-        rows = dict(rows)
-        rows["r"] = deduped
-        return build_cluster(
-            topology, tables, rows, constraints, views, keys={"r": [("A",)]}
-        )
+        topology, genesis, views = cluster_workload(shards)
+        genesis.declare_key("r", ["A"])
+        return build_cluster(topology, genesis, views)
 
     def test_partition_misaligned_key_is_rejected(self):
         # A key that omits the partition attribute cannot be enforced
         # shard-locally: rows colliding on it live on different shards.
-        topology, tables, rows, constraints, _, views = cluster_workload(2)
+        topology, genesis, views = cluster_workload(2)
+        genesis.declare_key("r", ["B"])
         with pytest.raises(ClusterError, match="omits the partition attribute"):
-            build_cluster(
-                topology, tables, rows, constraints, views, keys={"r": [("B",)]}
-            )
+            build_cluster(topology, genesis, views)
+
+    def test_every_shard_and_rebuild_declares_the_genesis_catalog(self):
+        topology, genesis, views = cluster_workload(3, keyed=True)
+        coordinator = build_cluster(topology, genesis, views)
+        genesis.drop_key("r")  # frozen at build time: reaches no shard
+        coordinator.crash_shard(1)
+        for node in coordinator.nodes():
+            database = node.database
+            assert database.keys.keys_of("r") == (("A",),)
+            window = topology.spec("r").range_condition(node.shard_id)
+            assert database.constraints.get("r") == Condition.coerce(
+                "B = A + 1"
+            ).conjoin(window)
+            assert str(database.constraints.get("s")) == "C >= 0"
 
     def test_prepare_nacks_a_key_violation(self):
         coordinator = self.make_keyed_cluster()
@@ -708,17 +698,12 @@ class TestClusterKeys:
         # A base-free node sheds its bootstrap rows with Relation.clear()
         # at construction; the key index its declaration bound must not
         # go on holding them.
-        topology, tables, rows, constraints, keys, views = cluster_workload(
-            2, keyed=True
-        )
+        topology, genesis, views = cluster_workload(2, keyed=True)
         coordinator = build_cluster(
             topology,
-            tables,
-            rows,
-            constraints,
+            genesis,
             [view for view in views if view[0] != "v_rt"],
             base_free_shards=[1],
-            keys=keys,
         )
         node = coordinator.nodes()[1]
         assert node.base_free and node.base_rows_dropped > 0

@@ -6,7 +6,12 @@ import tracemalloc
 import pytest
 
 from repro.engine.database import Database
-from repro.errors import SchemaError, UnknownRelationError
+from repro.errors import (
+    KeyViolationError,
+    MaintenanceError,
+    SchemaError,
+    UnknownRelationError,
+)
 
 
 @pytest.fixture
@@ -207,13 +212,38 @@ class TestDdlHooks:
         assert not db.drop_index("r", ["A"])  # already gone
         assert events == [("create_index", "r"), ("drop_index", "r")]
 
-    def test_drop_relation_reports_its_index_drops(self, db):
+    def test_drop_relation_is_one_event_fired_before_the_drop(self, db):
+        # The one event reaches every dependent of the relation's
+        # indexes, constraint and keys; hooks see it all still in place.
         events = []
         db.create_index("r", ["A"])
-        db.add_ddl_hook(lambda event, name: events.append((event, name)))
+
+        def hook(event, name):
+            events.append((event, name, tuple(db.relation(name).indexes)))
+
+        db.add_ddl_hook(hook)
         db.drop_relation("r")
-        assert ("drop_index", "r") in events
-        assert events[-1] == ("drop_relation", "r")
+        assert events == [("drop_relation", "r", (("A",),))]
+
+    def test_a_hook_that_raises_vetoes_the_drop(self, db):
+        relation = db.relation("r")
+        index = db.create_index("r", ["B"])
+        db.declare_constraint("r", "A >= 0")
+        db.declare_key("r", ["A"])
+
+        def veto(event, name):
+            if event == "drop_relation":
+                raise MaintenanceError(f"{name!r} is in use")
+
+        db.add_ddl_hook(veto)
+        with pytest.raises(MaintenanceError, match="in use"):
+            db.drop_relation("r")
+        assert db.relation("r") is relation
+        assert relation.indexes[("B",)] is index
+        assert str(db.constraints.get("r")) == "A >= 0"
+        assert db.keys.keys_of("r") == (("A",),)
+        with pytest.raises(KeyViolationError):
+            db.apply(inserts={"r": [(1, 9)]})
 
     def test_remove_ddl_hook(self, db):
         events = []

@@ -518,8 +518,6 @@ class TestCounterFreeParity:
         durability.close()
 
         recovery = Recovery(directory)
-        recovery.database.declare_key("p", ["B"])
-        recovery.database.declare_foreign_key("r", ["B"], "p", ["B"])
         maintainer = ViewMaintainer(recovery.database)
         recovery.restore_view(maintainer, "v", fk_join_view())
         assert maintainer.compiled_plan("v").counter_free
@@ -536,8 +534,6 @@ class TestCounterFreeParity:
         durability.checkpoint(leader)
 
         follower = Follower(directory)
-        follower.declare_key("p", ["B"])
-        follower.declare_foreign_key("r", ["B"], "p", ["B"])
         follower.define_view("v", fk_join_view())
         assert follower.maintainer.compiled_plan("v").counter_free
 
@@ -577,8 +573,6 @@ class TestBaseFreeFkJoin:
         full = Follower(directory)
         bare = Follower(directory, base_free=True)
         for follower in (full, bare):
-            follower.declare_key("p", ["B"])
-            follower.declare_foreign_key("r", ["B"], "p", ["B"])
             follower.define_view("v", fk_join_view())
         verdict = bare.maintainer.self_maintainability("v")
         assert verdict.self_maintainable and verdict.kind == KIND_FK_JOIN
@@ -606,8 +600,6 @@ class TestBaseFreeFkJoin:
         durability.close()
 
         bare = Follower(directory, base_free=True)
-        bare.declare_key("p", ["B"])
-        bare.declare_foreign_key("r", ["B"], "p", ["B"])
         bare.define_view("v", fk_join_view())
         assert len(bare.database.relation("p").indexes[("B",)]) > 0
         assert bare.shed_base_copies() > 0

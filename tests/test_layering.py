@@ -90,6 +90,33 @@ def test_only_core_and_the_assertion_monitor_import_the_reference_library():
     assert importers == ["extensions/assertions.py"]
 
 
+def test_only_the_codec_the_shell_and_the_cluster_genesis_declare_keys():
+    """The catalog is database state: a rebuilt database gets its keys
+    from the document it is built from, so nothing in ``src/`` but the
+    codec, the shell's declare verbs and the sharded simulation's
+    genesis is told them again.  (``self.keys.declare_*`` is the
+    database recording its own declaration in its ``KeyCatalog``.)"""
+    declarers = set()
+    for module, tree in _modules():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("declare_key", "declare_foreign_key")
+                    and not (
+                        isinstance(node.func.value, ast.Attribute)
+                        and node.func.value.attr == "keys"
+                    )
+                ):
+                    declarers.add((module, getattr(top, "name", None)))
+    assert declarers == {
+        ("engine/persistence.py", "database_from_document"),
+        ("cli.py", "Shell"),
+        ("simulation/sharded.py", "cluster_workload"),
+    }
+
+
 def test_a_union_view_adds_no_commit_hook_of_its_own():
     tree = ast.parse((SRC / "extensions" / "union_views.py").read_text("utf-8"))
     assert not any(

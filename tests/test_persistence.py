@@ -5,10 +5,12 @@ import json
 
 import pytest
 
+from repro.algebra.conditions import Condition
 from repro.algebra.domains import FiniteDomain, StringDomain
 from repro.algebra.schema import Attribute, RelationSchema
 from repro.engine.database import Database
 from repro.engine.persistence import (
+    FORMAT_VERSION,
     PersistenceError,
     database_from_document,
     database_to_document,
@@ -78,23 +80,76 @@ class TestRoundTrip:
         assert database_from_document(doc).relation_names() == ()
 
 
+class TestCatalog:
+    """Constraints, keys and foreign keys are database state: the
+    document carries them and a load declares them again."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "A = B - 4",
+            "A >= 1 and B <= 9",
+            "(A <= 1) or (B >= 3 and A < B + 2)",
+            "(true) or (A = 1)",
+            "true",
+            "A >= -3 and 5 >= B",
+        ],
+    )
+    def test_a_constraint_round_trips_to_an_equal_condition(self, text):
+        db = Database()
+        db.create_relation("r", ["A", "B"])
+        declared = db.declare_constraint("r", text)
+        loaded = database_from_document(database_to_document(db))
+        assert loaded.constraints.get("r") == declared
+        assert Condition.coerce(str(declared)) == declared
+
+    def test_keys_and_foreign_keys_round_trip(self, db):
+        db.create_relation("p", ["A", "C"], [(1, 0), (3, 0)])
+        db.declare_constraint("r", "B >= 2")
+        db.declare_key("p", ["A"])
+        db.declare_key("r", ["A"])
+        db.declare_key("r", ["A", "B"])
+        db.declare_foreign_key("r", ["A"], "p", ["A"])
+        doc = database_to_document(db)
+        assert doc["keys"] == {"p": [["A"]], "r": [["A"], ["A", "B"]]}
+        assert doc["foreign_keys"] == [
+            {
+                "relation": "r",
+                "attributes": ["A"],
+                "ref_relation": "p",
+                "ref_attributes": ["A"],
+            }
+        ]
+        loaded = database_from_document(json.loads(json.dumps(doc)))
+        assert database_to_document(loaded) == doc
+        assert [fk.describe() for fk in loaded.keys.foreign_key_items()] == [
+            "r (A) references p (A)"
+        ]
+
+
 class TestErrors:
     def test_wrong_version(self):
         with pytest.raises(PersistenceError):
             database_from_document({"format": 999, "relations": {}})
 
+    def test_a_version_1_document_is_refused(self):
+        # Version 1 carried no catalog: loading it would silently drop
+        # every constraint and key its database declared.
+        with pytest.raises(PersistenceError, match="format version 1"):
+            database_from_document({"format": 1, "relations": {}})
+
     def test_missing_relations(self):
-        with pytest.raises(PersistenceError):
-            database_from_document({"format": 1})
+        with pytest.raises(PersistenceError, match="relations"):
+            database_from_document({"format": FORMAT_VERSION})
 
     def test_malformed_relation(self):
-        doc = {"format": 1, "relations": {"r": {"attributes": []}}}
+        doc = {"format": FORMAT_VERSION, "relations": {"r": {"attributes": []}}}
         with pytest.raises(PersistenceError):
             database_from_document(doc)
 
     def test_row_count_mismatch(self):
         doc = {
-            "format": 1,
+            "format": FORMAT_VERSION,
             "relations": {
                 "r": {
                     "attributes": [{"name": "A", "domain": {"kind": "integer"}}],
@@ -108,7 +163,7 @@ class TestErrors:
 
     def test_counted_base_rejected(self):
         doc = {
-            "format": 1,
+            "format": FORMAT_VERSION,
             "relations": {
                 "r": {
                     "attributes": [{"name": "A", "domain": {"kind": "integer"}}],
@@ -122,7 +177,7 @@ class TestErrors:
 
     def test_unknown_domain_kind(self):
         doc = {
-            "format": 1,
+            "format": FORMAT_VERSION,
             "relations": {
                 "r": {
                     "attributes": [{"name": "A", "domain": {"kind": "complex"}}],

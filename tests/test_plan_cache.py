@@ -30,7 +30,7 @@ from repro import (
 from tests.reference import ReferenceViews
 from tests.strategies import SPJ_TABLES, spj_database_rows, spj_expressions
 from repro.core.compiled import CompiledViewPlan
-from repro.errors import UnknownViewError
+from repro.errors import MaintenanceError, UnknownViewError
 from repro.instrumentation import CostRecorder, recording
 
 VIEW_EXPR = (
@@ -149,11 +149,19 @@ class TestInvalidation:
         assert maintainer.compiled_plan("v") is None
         assert maintainer.compiled_plan("w") is None
 
-    def test_drop_relation_invalidates(self, db, maintainer):
-        # Dropping an operand relation leaves the view unusable, but the
-        # plan must be gone immediately, not on next use.
+    def test_dropping_an_operand_is_refused_and_keeps_the_plan(
+        self, db, maintainer
+    ):
+        # RESTRICT: a relation a registered view reads cannot be
+        # dropped, so the plan reading it stays valid and kept.
+        plan = maintainer.compiled_plan("v")
+        with pytest.raises(MaintenanceError, match=r"read by views \['v'\]"):
+            db.drop_relation("s")
+        assert "s" in db.relation_names()
+        assert maintainer.compiled_plan("v") is plan
+        maintainer.drop_view("v")
         db.drop_relation("s")
-        assert maintainer.compiled_plan("v") is None
+        assert "s" not in db.relation_names()
 
     def test_drop_view_invalidates(self, db, maintainer):
         maintainer.drop_view("v")

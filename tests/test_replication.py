@@ -9,6 +9,7 @@ snapshot + WAL replay reproduces every relation and every view exactly
 """
 
 import gc
+import io
 import json
 import os
 import random
@@ -32,6 +33,11 @@ from repro import (
     ViewMaintainer,
     check_view_consistency,
     recover,
+)
+from repro.engine.persistence import (
+    FORMAT_VERSION,
+    PersistenceError,
+    load_database,
 )
 from repro.instrumentation import CostRecorder, recording
 from repro.replication.checkpoints import (
@@ -574,13 +580,13 @@ R_ATTRIBUTES = [
 BAD_ROWS = [[1], [1, "x"], 5, "ab", None]
 
 
-def checkpoint_document(rows, views=None):
+def checkpoint_document(rows, views=None, catalog=None):
     return {
         "format": 1,
         "wal_sequence": 0,
         "next_txn_id": 1,
         "database": {
-            "format": 1,
+            "format": FORMAT_VERSION,
             "relations": {
                 "r": {
                     "attributes": R_ATTRIBUTES,
@@ -588,9 +594,43 @@ def checkpoint_document(rows, views=None):
                     "counts": [1] * len(rows),
                 }
             },
+            "constraints": {},
+            "keys": {},
+            "foreign_keys": [],
+            **(catalog or {}),
         },
         "views": views or {},
     }
+
+
+#: Catalog entries that parse as JSON but do not hold over r(A, B) with
+#: the rows [7, 7] and [7, 8].
+BAD_CATALOGS = {
+    "unknown relation": {"constraints": {"zz": "A >= 0"}},
+    "attribute outside the schema": {"keys": {"r": [["Z"]]}},
+    "constraint that does not parse": {"constraints": {"r": "A >="}},
+    "constraint out of class": {"constraints": {"r": "A != 5"}},
+    "constraint the rows break": {"constraints": {"r": "B <= 7"}},
+    "key the rows collide on": {"keys": {"r": [["A"]]}},
+    "foreign key to an undeclared key": {
+        "foreign_keys": [
+            {
+                "relation": "r",
+                "attributes": ["B"],
+                "ref_relation": "r",
+                "ref_attributes": ["A"],
+            }
+        ]
+    },
+    "foreign key missing a field": {"foreign_keys": [{"relation": "r"}]},
+    "foreign key that is not an object": {"foreign_keys": ["r"]},
+    "constraint that is not text": {"constraints": {"r": 5}},
+    "key that is a string": {"keys": {"r": ["B"]}},
+    "keys that are not a list": {"keys": {"r": 3}},
+    "keys that are not a mapping": {"keys": [["B"]]},
+    "foreign keys that are not a list": {"foreign_keys": {}},
+    "no catalog": {"constraints": None},
+}
 
 
 class TestRecoveryLifecycle:
@@ -692,6 +732,48 @@ class TestHostileBytes:
             out.write(line)
         with pytest.raises(ReplicationError, match="WAL record 1"):
             Recovery(directory).replay()
+
+    @pytest.mark.parametrize(
+        "catalog", BAD_CATALOGS.values(), ids=list(BAD_CATALOGS)
+    )
+    def test_a_bad_catalog_entry(self, catalog):
+        doc = checkpoint_document([[7, 7], [7, 8]], catalog=catalog)
+        with pytest.raises(ReplicationError, match="catalog"):
+            Checkpoint(doc).build_database()
+        with pytest.raises(PersistenceError, match="catalog"):
+            load_database(io.StringIO(json.dumps(doc["database"])))
+
+    def test_the_same_rows_and_a_good_catalog_load(self):
+        catalog = {"constraints": {"r": "A = 7"}, "keys": {"r": [["A", "B"]]}}
+        doc = checkpoint_document([[7, 7], [7, 8]], catalog=catalog)
+        database = Checkpoint(doc).build_database()
+        assert database.keys.keys_of("r") == (("A", "B"),)
+        assert str(database.constraints.get("r")) == "A = 7"
+
+    def test_a_tail_that_breaks_the_checkpoints_catalog(self, tmp_path):
+        # The WAL carries rows only: a key dropped after the checkpoint
+        # is back on restart, and a tail that broke it cannot replay.
+        directory = str(tmp_path)
+        db = Database()
+        db.create_relation("r", ["A", "B"], [(1, 1)])
+        db.declare_key("r", ["A"])
+        durability = DurabilityManager(db, directory, sync="never")
+        durability.checkpoint()
+        with db.transact() as txn:
+            txn.insert("r", (2, 2))
+        db.drop_key("r")
+        with db.transact() as txn:
+            txn.insert("r", (1, 2))
+        durability.close()
+
+        recovery = Recovery(directory)
+        with pytest.raises(ReplicationError) as raised:
+            recovery.replay()
+        assert "key (A) on 'r'" in str(raised.value)
+        assert "checkpoint 0" in str(raised.value)
+        assert recovery.database.relation("r").counts() == {(1, 1): 1}
+        assert recovery.database.last_sequence() == 0
+        assert recovery.database.keys.keys_of("r") == (("A",),)
 
 
 # ----------------------------------------------------------------------

@@ -22,13 +22,12 @@ from pathlib import Path
 import pytest
 
 from repro import BaseRef, Database, DurabilityManager, ViewMaintainer, recover
-from repro.algebra.conditions import Condition
 from repro.algebra.domains import FiniteDomain, StringDomain
 from repro.algebra.schema import Attribute, RelationSchema
 from repro.algebra.tuples import Row
 from repro.cluster import ClusterTopology, PartitionSpec, ShardNode
 from repro.engine.log import replay_records
-from repro.engine.persistence import relation_to_document
+from repro.engine.persistence import database_to_document, relation_to_document
 from repro.errors import DomainError, SchemaError
 from repro.extensions.alerters import AlertEvent, AlerterRegistry
 from repro.replication.wal import WalReader
@@ -150,15 +149,17 @@ def test_a_prepared_cluster_batch_is_encoded_exactly_once(
 ):
     # Shard 0 of two owns A <= 49; its constraint is B = A + 1 and that
     # range.  With the key, a base-free shard tracks key occupancy.
+    genesis = Database()
+    genesis.create_relation("r", ["A", "B"], [(1, 2), (2, 3), (60, 61)])
+    genesis.declare_constraint("r", "B = A + 1")
+    for key in keys.get("r", ()):
+        genesis.declare_key("r", list(key))
     shard = ShardNode(
         0,
         ClusterTopology(2, [PartitionSpec("r", "A", (49,))]),
-        {"r": ["A", "B"]},
-        {"r": [(1, 2), (2, 3), (60, 61)]},
-        {"r": Condition.coerce("B = A + 1")},
+        database_to_document(genesis),
         [("low", BaseRef("r").select("B < 5"))],
         base_free=base_free,
-        keys=keys,
     )
     del encode_calls[:]
 
