@@ -49,7 +49,7 @@ def _run(probe_indexes):
         definition, evaluate_normal_form(definition.normal_form, db.instances())
     )
     # Only the plan's index-probe hook is used; nothing executes it.
-    plan = CompiledViewPlan(definition, db, db.schema_catalog(), CostRecorder())
+    plan = CompiledViewPlan(definition, db, CostRecorder())
 
     def maintain(txn_id, deltas):
         probe = plan.index_probe_for(deltas) if probe_indexes else None

@@ -63,8 +63,7 @@ class FullReevaluationMaintainer:
         plan = self._plans.get(definition.name)
         if plan is None or plan.definition is not definition:
             plan = self._plans[definition.name] = CompiledViewPlan(
-                definition, self.database, self.database.schema_catalog(),
-                self._counters,
+                definition, self.database, self._counters
             )
         counted: Tally = []
         charged: Tally = []

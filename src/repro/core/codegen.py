@@ -8,8 +8,10 @@ objects and closure predicates.  Algorithm 4.1 already amortizes the
 finishes the job in the DBToaster tradition by amortizing the
 *dispatch* as well — at plan-compile time each
 :class:`~repro.core.compiled.CompiledViewPlan` emits straight-line
-Python source, ``compile()``s it once, and thereafter every transaction
-runs the generated closures over whole batches:
+Python source, ``compile()``s it once — once per distinct program, so
+views of one shape share the compiled code (:func:`compile_kernel`) —
+and thereafter every transaction runs the generated closures over
+whole batches:
 
 * **screen kernels** — one per (view, relation-occurrence set): the
   Definition 4.2 invariant/variant split evaluated row by row over a
@@ -56,6 +58,9 @@ so does the memory the unrolled source takes to compile) is executed by
 
 from __future__ import annotations
 
+import functools
+import re
+from types import CodeType
 from typing import TYPE_CHECKING, Callable, Collection, Optional, Sequence
 
 from repro.algebra.aggregates import column_plans
@@ -84,6 +89,8 @@ ValueTuple = tuple[int, ...]
 #: v7: every linked OLD step is an index probe (view operands included).
 #: v8: the fold kernel keeps per-group accumulators and renders from them.
 #: v9: an OLD probe subscripts a table of bucket lookups and counts itself.
+#: (Compiling once per distinct program left the text byte-identical,
+#: so it kept v9.)
 CODEGEN_VERSION = 9
 
 #: Shapes whose truth table exceeds this many rows run on
@@ -971,20 +978,58 @@ AggregateKernel = Callable[
 ]
 
 
+#: How many distinct compiled programs :func:`compile_kernel` keeps.
+#: A catalog of hundreds of views has a few dozen (one per view shape
+#: and kernel kind); past the bound the least recently used is dropped
+#: and, if asked for again, compiled again.
+PROGRAM_CACHE_SIZE = 256
+
+_COMMENT = re.compile(r"#[^\n]*")
+
+
+def program_key(source: str) -> str:
+    """``source`` with every comment reduced to a bare ``#``.
+
+    Line numbers do not move.  User-chosen names reach generated text
+    only inside comments (through :func:`quoted`, which escapes
+    newlines) and generated code has no string literals, so every ``#``
+    opens a comment and two sources with one key are one program.
+    """
+    return _COMMENT.sub("#", source)
+
+
+@functools.lru_cache(maxsize=PROGRAM_CACHE_SIZE)
+def _program(key: str) -> CodeType:
+    """The module code of one comment-free program (compiled once)."""
+    return compile(key, "<codegen>", "exec")
+
+
+def _renamed(code: CodeType, filename: str) -> CodeType:
+    """``code`` and every code object nested in it, under ``filename``."""
+    consts = tuple(
+        _renamed(const, filename) if isinstance(const, CodeType) else const
+        for const in code.co_consts
+    )
+    return code.replace(co_filename=filename, co_consts=consts)
+
+
 def compile_kernel(source: str, name: str, filename: str) -> Callable:
     """``compile()`` + ``exec`` one generated module; return ``name``.
 
-    ``filename`` shows up in tracebacks (``<codegen:view:kind>``) so a
-    bug in generated code is attributable to its generator.
+    The module code is compiled once per distinct program
+    (:func:`program_key`) and shared; each kernel runs a copy renamed
+    to its own ``filename``, which shows up in tracebacks and profiles
+    (``<codegen:view:kind>``) so a bug in generated code is
+    attributable to its generator.
     """
     namespace: dict = dict(_KERNEL_GLOBALS)
     try:
-        code = compile(source, filename, "exec")
-        exec(code, namespace)  # noqa: S102 - the codegen seam
+        code = _renamed(_program(program_key(source)), filename)
     except SyntaxError as exc:  # pragma: no cover - generator bug
         raise MaintenanceError(
             f"generated kernel {filename} failed to compile: {exc}\n{source}"
         ) from exc
+    exec(code, namespace)  # noqa: S102 - the codegen seam
     kernel = namespace.get(name)
     if kernel is None:  # pragma: no cover - generator bug
         raise MaintenanceError(

@@ -35,7 +35,6 @@ from typing import TYPE_CHECKING, AbstractSet, Callable, Iterable, Iterator, Map
 from repro.algebra.expressions import NormalForm
 from repro.algebra.relation import Delta, HashIndex, Relation
 from repro.algebra.tags import Tag
-from repro.algebra.schema import RelationSchema
 from repro.analysis.dependencies import (
     FkReduction,
     ViewKey,
@@ -111,9 +110,6 @@ class CompiledViewPlan:
     database:
         The database whose base relations, declared constraints and
         keys the plan binds.
-    catalog:
-        Schema catalog at compile time (base relations *and* upstream
-        views), used to build relevance screens per operand relation.
     counters:
         The owner's always-on bag — the maintainer's per-view row —
         which counts this compile.  What a maintenance call counts goes
@@ -151,7 +147,6 @@ class CompiledViewPlan:
         self,
         definition: ViewDefinition,
         database: "Database",
-        catalog: Mapping[str, RelationSchema],
         counters: CostRecorder,
         view_operands: Mapping[str, Relation] = MappingProxyType({}),
     ) -> None:
@@ -178,7 +173,6 @@ class CompiledViewPlan:
         )
         self._occurrence_names = self._exec_normal_form.relation_names
         self._core_schema = self._exec_normal_form.output_schema()
-        schemas: dict[str, RelationSchema] = {}
         #: Operand name → its live post-commit relation.  A DDL event
         #: that could replace one invalidates the whole plan.
         self._operands: dict[str, Relation] = {}
@@ -187,20 +181,15 @@ class CompiledViewPlan:
         # APSP, the paper's built-once structure.
         self._screens: dict[str, RelevanceFilter] = {}
         for name in set(self.normal_form.relation_names):
-            try:
-                schema = catalog[name]
-            except KeyError:
-                raise MaintenanceError(
-                    f"cannot compile plan for view {definition.name!r}: "
-                    f"operand {name!r} is not in the catalog"
-                ) from None
-            schemas[name] = schema
-            self._operands[name] = (
+            operand = (
                 view_operands[name]
                 if name in view_operands
                 else database.relation(name)
             )
-            self._screens[name] = RelevanceFilter(self.normal_form, name, schema)
+            self._operands[name] = operand
+            self._screens[name] = RelevanceFilter(
+                self.normal_form, name, operand.schema
+            )
         # Static irrelevance (the analyzer's check (d), proved here so
         # the *plan itself* carries the optimization): a relation whose
         # declared constraint makes C ∧ K_R unsatisfiable for every
@@ -245,7 +234,7 @@ class CompiledViewPlan:
             source = generate_screen_source(
                 name,
                 self._screens[name],
-                schemas[name],
+                self._operands[name].schema,
                 statically_irrelevant=name in self._static_irrelevant,
             )
             kernel = compile_kernel(

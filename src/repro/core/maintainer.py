@@ -49,6 +49,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from repro.algebra.expressions import Expression
 from repro.algebra.relation import Delta, Relation
+from repro.algebra.schema import RelationSchema
 from repro.core.codegen import MAX_CODEGEN_ROWS
 from repro.core.compiled import CompiledViewPlan
 from repro.core.truthtable import count_delta_rows
@@ -283,13 +284,15 @@ class ViewMaintainer:
         """Shared registration checks for new and restored views."""
         if name in self._entries:
             raise MaintenanceError(f"view {name!r} is already defined")
-        if name in self.database.relation_names():
+        if self.database.has_relation(name):
             raise MaintenanceError(
                 f"view name {name!r} collides with a base relation; views "
                 "and relations share one namespace (stacked views resolve "
                 "references through it)"
             )
-        definition = ViewDefinition(name, expression, self._combined_catalog())
+        definition = ViewDefinition(
+            name, expression, self._operand_schemas(expression.base_names())
+        )
         referenced = frozenset(definition.normal_form.relation_names)
         for dep in sorted(referenced & self._entries.keys()):
             if self._entries[dep].policy is not MaintenancePolicy.IMMEDIATE:
@@ -369,7 +372,6 @@ class ViewMaintainer:
         return CompiledViewPlan(
             definition,
             self.database,
-            self._combined_catalog(),
             row,
             view_operands={
                 name: self._entries[name].view.contents
@@ -455,13 +457,22 @@ class ViewMaintainer:
                 entry.row.count("plan_cache_invalidations")
 
     # ------------------------------------------------------------------
-    # Combined catalogs (base relations + registered views)
+    # Operands by name (base relations + registered views)
     # ------------------------------------------------------------------
-    def _combined_catalog(self):
-        catalog = dict(self.database.schema_catalog())
-        for view_name, entry in self._entries.items():
-            catalog[view_name] = entry.view.contents.schema
-        return catalog
+    def _operand_schemas(self, names: Iterable[str]) -> dict[str, RelationSchema]:
+        """The schema of each named operand — a registered view's stored
+        relation, else a base relation — looked up by name, so a
+        registration costs the operands it names, not the catalog.  A
+        name that is neither is left out, for the definition to report.
+        """
+        schemas: dict[str, RelationSchema] = {}
+        for name in names:
+            entry = self._entries.get(name)
+            if entry is not None:
+                schemas[name] = entry.view.contents.schema
+            elif self.database.has_relation(name):
+                schemas[name] = self.database.relation(name).schema
+        return schemas
 
     def instances(self) -> dict[str, Relation]:
         """Base relations plus every view's contents, by name.

@@ -135,6 +135,10 @@ class Database:
         except KeyError:
             raise UnknownRelationError(f"unknown relation {name!r}") from None
 
+    def has_relation(self, name: str) -> bool:
+        """Whether a base relation named ``name`` exists."""
+        return name in self._relations
+
     def relation_names(self) -> tuple[str, ...]:
         """All base-relation names, sorted."""
         return tuple(sorted(self._relations))

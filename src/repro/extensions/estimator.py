@@ -183,8 +183,7 @@ class AdaptiveMaintainer:
     def _compiled(self, definition: ViewDefinition) -> CompiledViewPlan:
         if self._plan is None:
             self._plan = CompiledViewPlan(
-                definition, self.database, self.database.schema_catalog(),
-                self._counters,
+                definition, self.database, self._counters
             )
         return self._plan
 

@@ -45,6 +45,23 @@ def example_41_view_expr():
     )
 
 
+@pytest.fixture
+def kernel_compiles(monkeypatch) -> list[str]:
+    """Every source ``repro.core.codegen`` hands to ``compile()`` from
+    here on, starting from an empty compiled-program cache."""
+    from repro.core import codegen
+
+    codegen._program.cache_clear()
+    sources: list[str] = []
+
+    def counted(source, filename, mode):
+        sources.append(source)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(codegen, "compile", counted, raising=False)
+    return sources
+
+
 # ----------------------------------------------------------------------
 # Random-database helpers (used by property and integration tests)
 # ----------------------------------------------------------------------

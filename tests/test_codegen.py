@@ -1,6 +1,6 @@
 """Tests for the generated batch kernels (``repro.core.codegen``).
 
-The codegen contract has five legs, each pinned here:
+The codegen contract has six legs, each pinned here:
 
 * **equivalence** — a maintainer running the generated kernels and the
   per-tuple reference functions (``tests/reference.py``) agree
@@ -20,7 +20,10 @@ The codegen contract has five legs, each pinned here:
   identical results and identical work counters; a wide view with few
   changed relations stays on kernels;
 * **hostile names** — relation and attribute names never execute: they
-  reach generated source only quoted, inside comments.
+  reach generated source only quoted, inside comments;
+* **sharing** — kernels whose sources differ only in their comments
+  (twin views over different relations) are compiled once, and each
+  still runs under its own view's ``<codegen:view:kind>`` filename.
 """
 
 import ast
@@ -414,6 +417,114 @@ class TestKernelNamespace:
                             bound.add(node.id)
                 free = loaded - bound - module_names - ambient
                 assert not free, (view, function.name, sorted(free))
+
+    def test_no_string_literal(self):
+        # Names live in comments only, so two sources equal once their
+        # comments are dropped are one program (codegen.program_key).
+        for view, source in self._sources().items():
+            literals = [
+                node.value
+                for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.Constant)
+                and isinstance(node.value, (str, bytes))
+            ]
+            assert literals == [], view
+
+
+def _kernel_code_objects(plan):
+    """Every code object of every kernel module a plan runs: each
+    module's functions (a kernel and the helpers it calls) and every
+    code object nested in them."""
+    kernels = [kernel for _, kernel in plan._screen_kernels.values()]
+    kernels += [
+        shape[2].row_kernel for shape in plan._shapes.values() if shape[2]
+    ]
+    if plan._aggregate_kernel is not None:
+        kernels.append(plan._aggregate_kernel[1])
+    pending = [
+        value.__code__
+        for kernel in kernels
+        for value in kernel.__globals__.values()
+        if callable(value) and hasattr(value, "__code__")
+    ]
+    while pending:
+        code = pending.pop()
+        yield code
+        pending += [c for c in code.co_consts if hasattr(c, "co_filename")]
+
+
+class TestProgramSharing:
+    """Kernels that differ only in their comments share one compile."""
+
+    #: Relation names a comment quotes: a ``#`` of its own, a quote and
+    #: a newline, which ``repr`` escapes.
+    RELATIONS = ("plain", "has#hash", "it's", "new\nline")
+
+    @staticmethod
+    def _twins(name):
+        return {
+            f"{name} sel": BaseRef(name).select("A < 25").project(["A"]),
+            f"{name} cnt": BaseRef(name).aggregate(["B"], [("count", None, "n")]),
+        }
+
+    def test_twin_views_compile_as_often_as_one(self, kernel_compiles):
+        db = Database()
+        for name in self.RELATIONS:
+            db.create_relation(name, ["A", "B"], [(10, 1), (30, 2), (20, 1)])
+        maintainer = ViewMaintainer(db)
+        for view, expression in self._twins(self.RELATIONS[0]).items():
+            maintainer.define_view(view, expression)
+        one = len(kernel_compiles)
+        assert one > 0
+        for name in self.RELATIONS[1:]:
+            for view, expression in self._twins(name).items():
+                maintainer.define_view(view, expression)
+        assert len(kernel_compiles) == one
+        for k, name in enumerate(self.RELATIONS):
+            with db.transact() as txn:
+                txn.insert(name, (k, 3))
+                txn.delete(name, (30, 2))
+            with db.transact() as txn:
+                txn.insert(name, (24, 1))
+                txn.delete(name, (10, 1))
+        assert len(kernel_compiles) == one
+        maintainer.verify_all()
+        for view in maintainer.view_names():
+            codes = list(_kernel_code_objects(maintainer.compiled_plan(view)))
+            assert len(codes) > 1
+            for code in codes:
+                assert code.co_filename.startswith(f"<codegen:{view}:"), (
+                    view, code.co_name, code.co_filename
+                )
+
+    def test_a_different_literal_is_a_different_program(self, kernel_compiles):
+        db = Database()
+        db.create_relation("r", ["A", "B"], [(10, 1), (25, 2)])
+        maintainer = ViewMaintainer(db)
+        maintainer.define_view("lt25", BaseRef("r").select("A < 25"))
+        first = len(kernel_compiles)
+        maintainer.define_view("also_lt25", BaseRef("r").select("A < 25"))
+        assert len(kernel_compiles) == first
+        maintainer.define_view("lt26", BaseRef("r").select("A < 26"))
+        assert len(kernel_compiles) > first
+        db.apply(inserts={"r": [(25, 3)]})
+        assert maintainer.view("lt25").contents.counts() == {(10, 1): 1}
+        assert maintainer.view("lt26").contents.counts() == {
+            (10, 1): 1, (25, 2): 1, (25, 3): 1
+        }
+        maintainer.verify_all()
+
+    def test_the_cache_keeps_no_more_than_its_bound(self, kernel_compiles):
+        bound = codegen.PROGRAM_CACHE_SIZE
+        db = Database()
+        db.create_relation("r", ["A", "B"], [(1, 1)])
+        maintainer = ViewMaintainer(db)
+        for k in range(bound + 1):
+            maintainer.define_view(f"v{k}", BaseRef("r").select(f"A < {k + 2}"))
+        assert len(set(map(codegen.program_key, kernel_compiles))) > bound
+        assert codegen._program.cache_info().currsize <= bound
+        db.apply(inserts={"r": [(3, 1)]})
+        maintainer.verify_all()
 
 
 class TestStatsSurface:

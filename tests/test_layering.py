@@ -15,13 +15,15 @@ Two rules:
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 from repro.algebra.expressions import BaseRef
 from repro.engine.database import Database
 from repro.extensions.union_views import UnionView
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
 
 SYSTEM = (
     "algebra/",
@@ -127,3 +129,21 @@ def test_a_union_view_adds_no_commit_hook_of_its_own():
     db.create_relation("r", ["A", "B"], [(1, 2)])
     view = UnionView(db, "u", [BaseRef("r").project(["A"])])
     assert db._commit_hooks == [view._maintainer._on_commit]
+
+
+def test_only_the_kernel_generator_may_call_compile(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "lint_determinism", ROOT / "tools" / "lint_determinism.py"
+    )
+    assert spec is not None and spec.loader is not None
+    lint = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(lint)
+    source = 'code = compile("1 + 1", "<text>", "eval")\n'
+    for relative in ("src/repro/engine/sneaky.py", "src/repro/core/codegen.py"):
+        path = tmp_path / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(source, encoding="utf-8")
+    sneaky = lint.check_file(tmp_path / "src/repro/engine/sneaky.py", tmp_path)
+    assert len(sneaky) == 1
+    assert sneaky[0].startswith("src/repro/engine/sneaky.py:1: compile()")
+    assert lint.check_file(tmp_path / "src/repro/core/codegen.py", tmp_path) == []

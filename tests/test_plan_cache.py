@@ -190,6 +190,60 @@ class TestInvalidation:
         assert maintainer.compiled_plan("v") is plan
 
 
+class TestCompiledCodeAcrossDDL:
+    """Compiled code is shared by program text, so a recompile after DDL
+    gets new code exactly when its source changed."""
+
+    def test_ddl_recompiles_compile_only_changed_sources(self, kernel_compiles):
+        db = Database()
+        db.create_relation("r", ["A", "B"], [(20, 2), (30, 10)])
+        db.create_relation("s", ["C", "D"], [(2, 20), (10, 30)])
+        maintainer = ViewMaintainer(db)
+        maintainer.define_view("v", VIEW_EXPR)
+
+        def consistent():
+            check_view_consistency(maintainer.view("v"), db.instances())
+            maintainer.verify_all()
+
+        def recompiled(commit):
+            """Compile calls made by a recompile that ``commit`` forces."""
+            assert maintainer.compiled_plan("v") is None
+            before = len(kernel_compiles)
+            commit()
+            assert maintainer.compiled_plan("v") is not None
+            consistent()
+            return len(kernel_compiles) - before
+
+        # Every shape compiled: r alone, s alone, both.
+        db.apply(inserts={"r": [(5, 2)]})
+        db.apply(inserts={"s": [(2, 21)]})
+        db.apply(inserts={"s": [(10, 31)]}, deletes={"r": [(5, 2)]})
+        consistent()
+        original = maintainer.kernel_source("v")
+
+        # The constraint proves r statically irrelevant: r's screen
+        # becomes a stub, a new program.
+        db.declare_constraint("r", "A >= 20")
+        both = {"r": [(40, 10)], "s": [(10, 32)]}
+        assert recompiled(lambda: db.apply(inserts=both)) == 1
+        assert "statically irrelevant" in maintainer.kernel_source("v")
+
+        # Without it the source is the original again, and so is the code.
+        db.drop_constraint("r")
+        assert recompiled(lambda: db.apply(inserts={"r": [(7, 10)]})) == 0
+        assert maintainer.kernel_source("v") == original
+        assert maintainer.view("v").contents.counts() != {}
+
+        # Index DDL changes bindings, never source: a new index, then
+        # the one the s-side probe is bound to.
+        db.create_index("r", ["A"])
+        assert recompiled(lambda: db.apply(inserts={"s": [(10, 33)]})) == 0
+        assert ("B",) in db.relation("r").indexes
+        db.drop_index("r", ["B"])
+        assert recompiled(lambda: db.apply(deletes={"r": [(7, 10)]})) == 0
+        assert maintainer.kernel_source("v") == original
+
+
 class TestStaleIndexBindings:
     def test_index_dropped_between_commits_forces_replan(self, db, maintainer):
         # First commit: the plan lazily creates and binds s(C).

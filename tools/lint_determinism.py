@@ -16,8 +16,8 @@ nondeterminism breaks all of that silently, so this lint forbids, in
   ``random.SystemRandom`` instance is fine);
 * ``datetime.datetime.now`` / ``utcnow`` / ``today`` and
   ``datetime.date.today`` — ambient dates;
-* ``eval`` / ``exec`` — dynamic code execution, allowed only in the
-  sanctioned kernel generator (``src/repro/core/codegen.py``), whose
+* ``eval`` / ``exec`` / ``compile`` — dynamic code execution, allowed
+  only in the sanctioned kernel generator (``src/repro/core/codegen.py``), whose
   generated source is itself required to be byte-for-byte
   deterministic.
 
@@ -71,7 +71,7 @@ FORBIDDEN_DATETIME = frozenset({"now", "utcnow", "today"})
 #: hides code from this lint (and from review) — banned.
 DYNAMIC_EXEC_ALLOWLIST = frozenset({Path("src/repro/core/codegen.py")})
 
-FORBIDDEN_DYNAMIC = frozenset({"eval", "exec"})
+FORBIDDEN_DYNAMIC = frozenset({"eval", "exec", "compile"})
 
 
 def _dotted(node: ast.AST) -> str | None:
@@ -112,7 +112,7 @@ def check_file(path: Path, root: Path) -> list[str]:
         ):
             report(
                 node,
-                f"{node.func.id}() executes dynamic code; only the "
+                f"{node.func.id}() compiles or runs dynamic code; only the "
                 "kernel generator (core/codegen.py) may do that",
             )
             continue

@@ -36,7 +36,9 @@ restart: ``cli.build_served_state`` (checkpoint load, view restore, WAL
 replay) plus the ``DurabilityManager`` open, run on a directory made by
 the harness's own ``ServedHost._prepare``, and the tool prints the
 function calls per WAL record replayed.  Both counts are exact for a
-fixed workload and seed, like the per-transaction count.
+fixed workload and seed, like the per-transaction count.  Both set-ups
+then print the kernel modules ``repro.core.codegen`` compiled and how
+many distinct programs (sources without their comments) those were.
 
 ``cProfile`` charges every Python call and nothing inside C code, so the
 shares it prints overstate call-heavy code.  Use it to find a candidate;
@@ -48,11 +50,13 @@ Usage (from the repository root)::
     python tools/profile_workload.py oltp_served --served
     python tools/profile_workload.py oltp_inproc --setup
     python tools/profile_workload.py oltp_served --setup
+    python tools/profile_workload.py catalog_wide --setup
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import cProfile
 import gc
 import os
@@ -140,6 +144,34 @@ def bytes_retained(host, ops) -> tuple[int, int]:
     return grown, phase.txns
 
 
+@contextlib.contextmanager
+def kernel_compiles():
+    """Collect the source of every module ``repro.core.codegen`` compiles.
+
+    The compiled-program cache starts empty, as in a fresh process: a
+    served set-up's directory was prepared by defining the same views
+    here first.
+    """
+    from repro.core import codegen
+
+    codegen._program.cache_clear()
+    sources: list[str] = []
+
+    def counted(source, filename, mode):
+        sources.append(source)
+        return compile(source, filename, mode)
+
+    with mock.patch.object(codegen, "compile", counted, create=True):
+        yield sources
+
+
+def print_compiles(sources: list[str]) -> None:
+    from repro.core.codegen import program_key
+
+    distinct = len(set(map(program_key, sources)))
+    print(f"kernel modules compiled: {len(sources)} (distinct sources: {distinct})")
+
+
 def profile_setup(workload, stream, txns: int):
     import catalog
     from harness import build_database, define_views
@@ -147,16 +179,18 @@ def profile_setup(workload, stream, txns: int):
     rows, schemas = stream.base_rows(), stream.schemas()
     specs = catalog.view_specs(workload)
     profiler = cProfile.Profile()
-    profiler.enable()
-    database = build_database(rows, schemas)
-    maintainer = define_views(database, specs)
-    profiler.disable()
+    with kernel_compiles() as sources:
+        profiler.enable()
+        database = build_database(rows, schemas)
+        maintainer = define_views(database, specs)
+        profiler.disable()
     maintainer.verify_all()
     tuples = sum(map(len, rows.values()))
     stats = pstats.Stats(profiler)
     print(f"{workload.name} set-up: {tuples} base tuples, {len(specs)} views, seed {SEED}")
     calls = stats.total_calls
     print(f"function calls per base tuple: {calls / tuples:.1f}   ({calls} calls)")
+    print_compiles(sources)
     return stats
 
 
@@ -171,10 +205,11 @@ def profile_served_setup(workload, stream, txns: int):
         directory = host._prepare()
         options = [f"{name}={spec}" for name, spec in host.specs.items()]
         profiler = cProfile.Profile()
-        profiler.enable()
-        recovery, maintainer, replayed = build_served_state(directory, options)
-        durability = DurabilityManager(recovery.database, directory)
-        profiler.disable()
+        with kernel_compiles() as sources:
+            profiler.enable()
+            recovery, maintainer, replayed = build_served_state(directory, options)
+            durability = DurabilityManager(recovery.database, directory)
+            profiler.disable()
         durability.close()
         maintainer.verify_all()
     finally:
@@ -186,6 +221,7 @@ def profile_served_setup(workload, stream, txns: int):
     )
     calls = stats.total_calls
     print(f"function calls per WAL record: {calls / max(replayed, 1):.1f}   ({calls} calls)")
+    print_compiles(sources)
     return stats
 
 
