@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Any, BinaryIO
+from typing import Any, BinaryIO, Iterator
 
 from repro.engine.persistence import canonical_json
 from repro.errors import ReproError
@@ -69,8 +69,6 @@ E_OFFSET_OUT_OF_RANGE = "offset_out_of_range"
 E_TOO_MANY_SESSIONS = "too_many_sessions"
 #: The server is draining; no new work is accepted.
 E_SHUTTING_DOWN = "shutting_down"
-#: The request exceeded the server's per-request timeout.
-E_TIMEOUT = "timeout"
 #: A cluster transaction aborted because a shard stayed unreachable
 #: past the coordinator's two-phase-commit timeout (retry is safe: the
 #: abort is durable before the error is reported).
@@ -153,35 +151,41 @@ def check_frame_length(length: int, max_frame_bytes: int) -> None:
         )
 
 
-async def read_frame_async(reader, max_frame_bytes: int) -> dict[str, Any] | None:
-    """Read one frame from an asyncio stream reader.
+def split_frames(buffer: bytearray, max_frame_bytes: int) -> Iterator[bytes]:
+    """Take every complete frame off the front of ``buffer``, in order.
 
-    Returns ``None`` on a clean EOF at a frame boundary; raises
-    :class:`ProtocolError` for truncation mid-frame or an oversized or
-    undecodable payload.
+    Yields each frame's payload (undecoded) as soon as it is removed,
+    so the caller may stop early and leave the rest in the buffer; a
+    partial frame stays there for the next call.  A declared length
+    over ``max_frame_bytes`` raises :class:`ProtocolError` as soon as
+    its header is in — after the frames before it were yielded, before
+    any byte of its payload is read.
     """
-    import asyncio
+    while len(buffer) >= HEADER_BYTES:
+        (length,) = _HEADER.unpack_from(buffer)
+        check_frame_length(length, max_frame_bytes)
+        end = HEADER_BYTES + length
+        if len(buffer) < end:
+            return
+        payload = bytes(buffer[HEADER_BYTES:end])
+        del buffer[:end]
+        yield payload
 
-    try:
-        header = await reader.readexactly(HEADER_BYTES)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise ProtocolError(E_BAD_FRAME, "connection closed mid-header") from exc
-    (length,) = _HEADER.unpack(header)
-    check_frame_length(length, max_frame_bytes)
-    try:
-        payload = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise ProtocolError(E_BAD_FRAME, "connection closed mid-frame") from exc
-    return decode_payload(payload)
+
+def check_stream_end(buffer: bytes | bytearray) -> None:
+    """Raise :class:`ProtocolError` unless a stream that ended with
+    ``buffer`` unsplit ended at a frame boundary."""
+    if buffer:
+        where = "header" if len(buffer) < HEADER_BYTES else "frame"
+        raise ProtocolError(E_BAD_FRAME, f"connection closed mid-{where}")
 
 
 def read_frame_blocking(stream: BinaryIO, max_frame_bytes: int) -> dict[str, Any] | None:
     """Read one frame from a blocking binary stream (the client side).
 
-    Same contract as :func:`read_frame_async`: ``None`` on clean EOF,
-    :class:`ProtocolError` on truncation or damage.
+    ``None`` on clean EOF, :class:`ProtocolError` on truncation or
+    damage — what :func:`split_frames` and :func:`check_stream_end`
+    make of the same bytes.
     """
     header = _read_exact(stream, HEADER_BYTES)
     if header is None:

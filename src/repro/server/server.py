@@ -17,8 +17,9 @@ bounded per-session pending lists, so one stalled reader is
 disconnected (the slow-consumer policy) rather than allowed to wedge
 the commit path.
 
-The wire protocol lives in :mod:`repro.server.protocol`; the per
--connection loops in :mod:`repro.server.session`; the blocking client in
+The wire protocol lives in :mod:`repro.server.protocol`; the
+per-connection protocol and the request path in
+:mod:`repro.server.session`; the blocking client in
 :mod:`repro.server.client`; ``docs/server.md`` is the normative
 protocol description.
 """
@@ -29,7 +30,7 @@ import asyncio
 import contextlib
 import threading
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping, TypeVar
 
 from repro.algebra.conditions import Condition
 from repro.algebra.relation import Relation
@@ -46,10 +47,12 @@ from repro.instrumentation import CostRecorder, recording
 from repro.scheduler import RefreshScheduler, StalenessSLA, TickClock
 from repro.server import protocol
 from repro.server.protocol import ProtocolError
-from repro.server.session import LocalSession, Session
+from repro.server.session import LocalSession, Refusal, Session
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.replication.durability import DurabilityManager
+
+_S = TypeVar("_S", Session, LocalSession)
 
 
 class ServerConfig:
@@ -70,7 +73,6 @@ class ServerConfig:
         "max_sessions",
         "max_frame_bytes",
         "outbox_frames",
-        "request_timeout",
         "drain_timeout",
         "changefeed_history",
         "staleness_slas",
@@ -84,7 +86,6 @@ class ServerConfig:
         max_sessions: int = 64,
         max_frame_bytes: int = protocol.DEFAULT_MAX_FRAME_BYTES,
         outbox_frames: int = 256,
-        request_timeout: float = 30.0,
         drain_timeout: float = 5.0,
         changefeed_history: int = 1024,
         staleness_slas: "Mapping[str, StalenessSLA] | None" = None,
@@ -95,7 +96,6 @@ class ServerConfig:
         self.max_sessions = max_sessions
         self.max_frame_bytes = max_frame_bytes
         self.outbox_frames = outbox_frames
-        self.request_timeout = request_timeout
         self.drain_timeout = drain_timeout
         self.changefeed_history = changefeed_history
         #: view name → :class:`~repro.scheduler.sla.StalenessSLA` for
@@ -223,8 +223,8 @@ class ViewServer:
     async def start(self) -> None:
         """Bind and start accepting connections (returns once bound)."""
         self._stopped = asyncio.Event()
-        self._asyncio_server = await asyncio.start_server(
-            self._on_connection, self.config.host, self.config.port
+        self._asyncio_server = await asyncio.get_running_loop().create_server(
+            self._accept, self.config.host, self.config.port
         )
         self.port = self._asyncio_server.sockets[0].getsockname()[1]
 
@@ -240,12 +240,14 @@ class ViewServer:
         await self._stopped.wait()
 
     async def shutdown(self) -> None:
-        """Graceful shutdown: stop accepting, drain in-flight work.
+        """Graceful shutdown: stop accepting, flush, close.
 
         New connections and new requests are refused with
-        ``shutting_down``; requests already being handled get
-        ``drain_timeout`` seconds to finish and their responses are
-        flushed before the connections close.
+        ``shutting_down``.  A request is answered inside the loop
+        callback that received it, so none is ever in flight here:
+        every session hands its pending frames to its transport and
+        closes, and the connections get ``drain_timeout`` seconds to
+        write them out before they are aborted.
         """
         if self._draining:
             await self.wait_closed()
@@ -253,55 +255,32 @@ class ViewServer:
         self._draining = True
         if self._asyncio_server is not None:
             self._asyncio_server.close()
-            await self._asyncio_server.wait_closed()
-        sessions = list(self._sessions.values())
+        sessions = [s for s in self._sessions.values() if isinstance(s, Session)]
+        for session in sessions:
+            session.close("shutdown")
         if sessions:
-            await asyncio.gather(
-                *(s.drain_close(self.config.drain_timeout) for s in sessions),
-                return_exceptions=True,
+            await asyncio.wait(
+                [s.closed for s in sessions], timeout=self.config.drain_timeout
             )
-            tasks = [s.task for s in sessions if s.task is not None]
-            if tasks:
-                done, pending = await asyncio.wait(
-                    tasks, timeout=self.config.drain_timeout
-                )
-                for task in pending:
-                    task.cancel()
+            for session in sessions:
+                if not session.closed.done():
+                    session.abort("shutdown")
+            await asyncio.wait([s.closed for s in sessions])
+        if self._asyncio_server is not None:
+            await self._asyncio_server.wait_closed()
         if self._stopped is not None:
             self._stopped.set()
 
     # ------------------------------------------------------------------
     # Connection admission
     # ------------------------------------------------------------------
-    async def _on_connection(self, reader, writer) -> None:
-        if self._draining:
-            await self._reject(
-                writer, protocol.E_SHUTTING_DOWN, "server is shutting down"
-            )
-            return
-        if len(self._sessions) >= self.config.max_sessions:
-            self.recorder.incr("server_sessions_rejected")
-            await self._reject(
-                writer,
-                protocol.E_TOO_MANY_SESSIONS,
-                f"server is at its {self.config.max_sessions}-session limit",
-            )
-            return
-        session_id = self._next_session_id
-        self._next_session_id += 1
-        session = Session(self, reader, writer, session_id)
-        session.task = asyncio.current_task()
-        self._sessions[session_id] = session
-        self.recorder.incr("server_sessions_opened")
-        await session.run()
-
-    async def _reject(self, writer, code: str, message: str) -> None:
-        # Suppressed errors mean the peer vanished mid-rejection.
-        with contextlib.suppress(ConnectionError, OSError):
-            writer.write(protocol.encode_frame(protocol.response_error(None, code, message)))
-            await writer.drain()
-            writer.close()
-            await writer.wait_closed()
+    def _accept(self) -> asyncio.Protocol:
+        """The protocol factory: a session, or a refusal that writes one
+        error frame and hangs up."""
+        try:
+            return self._admit(lambda session_id: Session(self, session_id))
+        except ProtocolError as exc:
+            return Refusal(exc)
 
     def open_local_session(self, transport) -> LocalSession:
         """Admit one in-process client over an injectable transport.
@@ -314,10 +293,13 @@ class ViewServer:
         bool`` receives every outbound frame; see
         :class:`~repro.server.session.LocalSession` for the contract.
         """
+        return self._admit(lambda session_id: LocalSession(self, session_id, transport))
+
+    def _admit(self, make: Callable[[int], _S]) -> _S:
+        """Register the session ``make(session_id)`` builds, unless
+        admission control refuses it (:class:`ProtocolError`)."""
         if self._draining:
-            raise ProtocolError(
-                protocol.E_SHUTTING_DOWN, "server is shutting down"
-            )
+            raise ProtocolError(protocol.E_SHUTTING_DOWN, "server is shutting down")
         if len(self._sessions) >= self.config.max_sessions:
             self.recorder.incr("server_sessions_rejected")
             raise ProtocolError(
@@ -326,8 +308,7 @@ class ViewServer:
             )
         session_id = self._next_session_id
         self._next_session_id += 1
-        session = LocalSession(self, session_id, transport)
-        self._sessions[session_id] = session
+        session = self._sessions[session_id] = make(session_id)
         self.recorder.incr("server_sessions_opened")
         return session
 
@@ -391,7 +372,12 @@ class ViewServer:
     async def dispatch(
         self, session: "Session | LocalSession", doc: Mapping[str, Any]
     ) -> dict[str, Any]:
-        """Handle one request document; always returns a response doc."""
+        """Handle one request document; always returns a response doc.
+
+        An ``async def`` whose handlers never await: a session drives
+        the coroutine to completion in one step
+        (:meth:`~repro.server.session.Endpoint.handle`).
+        """
         request_id = doc.get("id")
         self.recorder.incr("server_requests")
         if self._draining:

@@ -169,22 +169,21 @@ def _drain_blocking(stream, max_frame_bytes=1 << 20):
         return (exc.code, out)
 
 
-def _drain_async(data: bytes, max_frame_bytes=1 << 20):
-    """Same contract as :func:`_drain_blocking`, via the async reader."""
-
-    async def run():
-        reader = asyncio.StreamReader()
-        reader.feed_data(data)
-        reader.feed_eof()
-        out = []
-        try:
-            while (doc := await protocol.read_frame_async(reader, max_frame_bytes)) is not None:
-                out.append(doc)
-            return ("eof", out)
-        except ProtocolError as exc:
-            return (exc.code, out)
-
-    return asyncio.run(run())
+def _drain_split(data: bytes, rng, max_frame_bytes=1 << 20):
+    """Same contract as :func:`_drain_blocking`, via the server's
+    incremental splitter fed ``data`` in ``_ChoppyStream`` chunks."""
+    stream = _ChoppyStream(data, rng)
+    buffer = bytearray()
+    out = []
+    try:
+        while chunk := stream.read(len(data)):
+            buffer += chunk
+            for payload in protocol.split_frames(buffer, max_frame_bytes):
+                out.append(protocol.decode_payload(payload))
+        protocol.check_stream_end(buffer)
+        return ("eof", out)
+    except ProtocolError as exc:
+        return (exc.code, out)
 
 
 class TestFramingProperties:
@@ -205,6 +204,7 @@ class TestFramingProperties:
         blob = b"".join(protocol.encode_frame(doc) for doc in docs)
         stream = _ChoppyStream(blob, random.Random(seed))
         assert _drain_blocking(stream) == ("eof", docs)
+        assert _drain_split(blob, random.Random(seed)) == ("eof", docs)
 
     @given(doc=json_documents)
     @settings(max_examples=40, deadline=None)
@@ -216,6 +216,10 @@ class TestFramingProperties:
             protocol.read_frame_blocking(io.BytesIO(framed), payload_length - 1)
         assert exc.value.code == protocol.E_BAD_FRAME
         assert protocol.read_frame_blocking(io.BytesIO(framed), payload_length) == doc
+        # The splitter refuses on the header alone, payload unread.
+        with pytest.raises(ProtocolError) as exc:
+            next(protocol.split_frames(bytearray(framed[:4]), payload_length - 1))
+        assert exc.value.code == protocol.E_BAD_FRAME
 
     @given(
         docs=st.lists(json_documents, min_size=1, max_size=4),
@@ -245,15 +249,21 @@ class TestFramingProperties:
 
     @given(
         docs=st.lists(json_documents, min_size=1, max_size=4),
-        data=st.data(),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        limit=st.just(1 << 20) | st.integers(min_value=0, max_value=64),
     )
     @settings(max_examples=40, deadline=None)
-    def test_async_reader_agrees_with_blocking(self, docs, data):
-        """Both codec halves classify every prefix identically."""
+    def test_splitter_agrees_with_blocking(self, docs, seed, limit):
+        """The server's splitter and the client's blocking reader
+        classify every prefix of a stream identically, whatever the
+        chunking and the frame-size limit."""
         blob = b"".join(protocol.encode_frame(doc) for doc in docs)
-        cut = data.draw(st.integers(min_value=0, max_value=len(blob)))
-        prefix = blob[:cut]
-        assert _drain_async(prefix) == _drain_blocking(io.BytesIO(prefix))
+        rng = random.Random(seed)
+        for cut in range(len(blob) + 1):
+            prefix = blob[:cut]
+            assert _drain_split(prefix, rng, limit) == _drain_blocking(
+                io.BytesIO(prefix), limit
+            )
 
 
 # ----------------------------------------------------------------------
@@ -858,34 +868,40 @@ class _StubServer:
         self.released.append(session.session_id)
 
 
-def _drive_session(stub, frames, read_frames=1, timeout=5.0):
-    """Run one Session over a real socket pair; returns received docs."""
+async def _read_doc(reader, timeout=5.0):
+    """The next frame's document from an asyncio stream; None at EOF."""
+    try:
+        header = await asyncio.wait_for(
+            reader.readexactly(protocol.HEADER_BYTES), timeout
+        )
+    except asyncio.IncompleteReadError:
+        return None
+    payload = await asyncio.wait_for(
+        reader.readexactly(int.from_bytes(header, "big")), timeout
+    )
+    return protocol.decode_payload(payload)
+
+
+def _drive_session(stub, data, read_frames=1):
+    """Run one Session over a real socket; returns received docs."""
 
     async def main():
-        received = []
-
-        async def on_connect(reader, writer):
-            session = Session(stub, reader, writer, 1)
-            session.task = asyncio.current_task()
-            await session.run()
-
-        server = await asyncio.start_server(on_connect, "127.0.0.1", 0)
+        loop = asyncio.get_running_loop()
+        server = await loop.create_server(lambda: Session(stub, 1), "127.0.0.1", 0)
         port = server.sockets[0].getsockname()[1]
         reader, writer = await asyncio.open_connection("127.0.0.1", port)
-        for frame in frames:
-            writer.write(protocol.encode_frame(frame))
+        writer.write(data)
         await writer.drain()
+        received = []
         for _ in range(read_frames):
-            doc = await asyncio.wait_for(
-                protocol.read_frame_async(reader, 1 << 20), timeout
-            )
+            doc = await _read_doc(reader)
             if doc is None:
                 break
             received.append(doc)
         writer.close()
         # EOF reaches the session asynchronously; wait for its release.
-        deadline = asyncio.get_running_loop().time() + timeout
-        while not stub.released and asyncio.get_running_loop().time() < deadline:
+        deadline = loop.time() + 5.0
+        while not stub.released and loop.time() < deadline:
             await asyncio.sleep(0.01)
         server.close()
         await server.wait_closed()
@@ -894,72 +910,163 @@ def _drive_session(stub, frames, read_frames=1, timeout=5.0):
     return asyncio.run(main())
 
 
+def _frames(*docs) -> bytes:
+    return b"".join(protocol.encode_frame(doc) for doc in docs)
+
+
 class TestSession:
-    def test_request_timeout_produces_timeout_error(self):
-        async def slow_handler(session, doc):
-            await asyncio.sleep(5)
-            return protocol.response_ok(doc.get("id"), {})
-
-        stub = _StubServer(slow_handler, request_timeout=0.1)
-        received = _drive_session(stub, [{"id": 9, "op": "ping"}])
-        assert received[0]["ok"] is False
-        assert received[0]["error"]["code"] == protocol.E_TIMEOUT
-        assert received[0]["id"] == 9
-
     def test_framing_violation_answers_then_hangs_up(self):
         async def handler(session, doc):  # pragma: no cover - never reached
             return protocol.response_ok(doc.get("id"), {})
 
         stub = _StubServer(handler)
-
-        async def main():
-            async def on_connect(reader, writer):
-                session = Session(stub, reader, writer, 1)
-                session.task = asyncio.current_task()
-                await session.run()
-
-            server = await asyncio.start_server(on_connect, "127.0.0.1", 0)
-            port = server.sockets[0].getsockname()[1]
-            reader, writer = await asyncio.open_connection("127.0.0.1", port)
-            writer.write(b"\x7f\xff\xff\xff")  # absurd declared length
-            await writer.drain()
-            doc = await asyncio.wait_for(
-                protocol.read_frame_async(reader, 1 << 20), 5
-            )
-            eof = await asyncio.wait_for(
-                protocol.read_frame_async(reader, 1 << 20), 5
-            )
-            writer.close()
-            server.close()
-            await server.wait_closed()
-            return doc, eof
-
-        doc, eof = asyncio.run(main())
-        assert doc["ok"] is False
-        assert doc["error"]["code"] == protocol.E_BAD_FRAME
-        assert eof is None  # the server hung up after reporting
+        # An absurd declared length, then one more read: the error, then EOF.
+        received = _drive_session(stub, b"\x7f\xff\xff\xff", read_frames=2)
+        assert len(received) == 1
+        assert received[0]["ok"] is False
+        assert received[0]["error"]["code"] == protocol.E_BAD_FRAME
+        assert stub.released == [1]
 
     def test_frames_pending_when_the_drain_starts_are_delivered(self):
-        """A response queued in the loop iteration the shutdown begins in
-        (not yet written: the flush is scheduled, the drain gets there
-        first) still reaches the client before the connection closes."""
-        drains = []
+        """A response queued in the loop iteration a close begins in
+        (not yet written: the flush is scheduled, the close gets there
+        first) still reaches the client before the connection closes —
+        what a shutdown's drain relies on."""
 
         async def handler(session, doc):
-            # Queued behind this request: by the time the flush callback
-            # runs, drain_close has already marked the session closing.
-            drains.append(asyncio.ensure_future(session.drain_close(1.0)))
+            # Scheduled ahead of the flush this response will schedule.
+            asyncio.get_running_loop().call_soon(session.close)
             return protocol.response_ok(doc.get("id"), {"last": True})
 
         stub = _StubServer(handler)
-        received = _drive_session(stub, [{"id": 4, "op": "ping"}], read_frames=2)
+        received = _drive_session(stub, _frames({"id": 4, "op": "ping"}), read_frames=2)
         assert received == [{"id": 4, "ok": True, "result": {"last": True}}]
-        assert stub.released == [1] and drains[0].done()
+        assert stub.released == [1]
 
     def test_session_releases_on_eof(self):
         async def handler(session, doc):
             return protocol.response_ok(doc.get("id"), {})
 
         stub = _StubServer(handler)
-        _drive_session(stub, [{"id": 1, "op": "ping"}])
+        _drive_session(stub, _frames({"id": 1, "op": "ping"}))
         assert stub.released == [1]
+
+    def test_a_paused_transport_gets_the_backlog_in_one_write_on_resume(self):
+        class Transport:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, data):
+                self.writes.append(data)
+
+        frames = [protocol.encode_frame({"n": n}) for n in range(3)]
+
+        async def main():
+            session = Session(_StubServer(None), 1)
+            transport = Transport()
+            session.connection_made(transport)
+            session.pause_writing()
+            for frame in frames:
+                assert session.send_frame(frame)
+            await asyncio.sleep(0)
+            paused = list(transport.writes)
+            session.resume_writing()
+            await asyncio.sleep(0)
+            return paused, transport.writes, session.writes
+
+        paused, writes, count = asyncio.run(main())
+        assert paused == []
+        assert writes == [b"".join(frames)]
+        assert count == 1
+
+    def test_eof_mid_frame_is_a_bad_frame(self):
+        async def handler(session, doc):
+            return protocol.response_ok(doc.get("id"), {})
+
+        stub = _StubServer(handler)
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            server = await loop.create_server(lambda: Session(stub, 1), "127.0.0.1", 0)
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.sockets[0].getsockname()[1]
+            )
+            writer.write(_frames({"id": 1, "op": "ping"}) + b"\x00\x00\x00\x09{")
+            writer.write_eof()
+            docs = [await _read_doc(reader) for _ in range(3)]
+            writer.close()
+            server.close()
+            await server.wait_closed()
+            return docs
+
+        answered, refused, eof = asyncio.run(main())
+        assert answered == {"id": 1, "ok": True, "result": {}}
+        assert refused["error"]["code"] == protocol.E_BAD_FRAME
+        assert "mid-frame" in refused["error"]["message"]
+        assert eof is None
+
+
+# ----------------------------------------------------------------------
+# Framing on a live connection
+# ----------------------------------------------------------------------
+def _raw_connection(handle) -> socket.socket:
+    sock = socket.create_connection(("127.0.0.1", handle.port), timeout=5)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
+
+
+def _read_responses(sock, count):
+    """Exactly ``count`` frames, then proof that nothing else follows."""
+    stream = sock.makefile("rb")
+    docs = [protocol.read_frame_blocking(stream, 1 << 20) for _ in range(count)]
+    sock.settimeout(0.2)
+    with pytest.raises(socket.timeout):
+        stream.read(1)
+    return docs
+
+
+class TestLiveFraming:
+    def test_a_request_sent_one_byte_per_send_gets_one_response(self, served):
+        handle, *_ = served
+        with _raw_connection(handle) as sock:
+            for byte in _frames({"id": 5, "op": "ping"}):
+                sock.send(bytes([byte]))
+                time.sleep(0.0005)
+            (response,) = _read_responses(sock, 1)
+        assert response["id"] == 5 and response["ok"] is True
+
+    def test_three_requests_in_one_sendall_get_three_responses_in_order(self, served):
+        handle, *_ = served
+        with _raw_connection(handle) as sock:
+            sock.sendall(
+                _frames(
+                    {"id": 1, "op": "txn", "insert": {"r": [[3, 10]]}},
+                    {"id": 2, "op": "query", "target": "hot"},
+                    {"id": 3, "op": "ping"},
+                )
+            )
+            responses = _read_responses(sock, 3)
+        assert [r["id"] for r in responses] == [1, 2, 3]
+        assert all(r["ok"] for r in responses)
+        # The query saw the transaction before it in the same segment.
+        assert [3, 5] in responses[1]["result"]["rows"]
+
+    def test_connecting_clients_adds_no_task(self, served):
+        handle, server, *_ = served
+
+        async def task_count():
+            return len(asyncio.all_tasks())
+
+        def tasks():
+            return asyncio.run_coroutine_threadsafe(task_count(), handle._loop).result(5)
+
+        before = tasks()
+        clients = [connect(handle) for _ in range(8)]
+        try:
+            for client in clients:
+                assert client.ping()
+            assert len(server._sessions) == 8
+            assert tasks() == before
+        finally:
+            for client in clients:
+                client.close()
