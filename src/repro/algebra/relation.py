@@ -24,6 +24,7 @@ All three store rows as encoded value tuples aligned with their schema.
 
 from __future__ import annotations
 
+from collections import Counter
 from operator import itemgetter
 from types import MappingProxyType
 from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence
@@ -46,6 +47,16 @@ def key_function(positions: Sequence[int]) -> Callable[[ValueTuple], ValueTuple]
         (position,) = positions
         return lambda values: (values[position],)
     return itemgetter(*positions)
+
+
+def first_repeat(encoded: Sequence[ValueTuple]) -> int:
+    """Position of the first tuple equal to an earlier one (there is one)."""
+    seen: set[ValueTuple] = set()
+    for position, values in enumerate(encoded):
+        if values in seen:
+            return position
+        seen.add(values)
+    raise ValueError("no tuple repeats an earlier one")
 
 
 class HashIndex:
@@ -176,10 +187,16 @@ class Relation:
     def from_rows(
         cls, schema: RelationSchema, rows: Iterable[object]
     ) -> "Relation":
-        """Build a relation from any mix of Rows, mappings or sequences."""
+        """Build a relation from any mix of Rows, mappings or sequences
+        (one :meth:`RelationSchema.encode_rows` batch); a repeat counts."""
+        return cls.adopt(schema, dict(Counter(schema.encode_rows(rows))))
+
+    @classmethod
+    def adopt(cls, schema: RelationSchema, counts: dict[ValueTuple, int]) -> "Relation":
+        """The relation *over* a loader's count map of encoded tuples and
+        positive counts, unchecked and not copied."""
         rel = cls(schema)
-        for row in rows:
-            rel.add(row)
+        rel._counts = counts
         return rel
 
     @classmethod

@@ -17,6 +17,7 @@ normalization step of :mod:`repro.algebra.expressions` introduces
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.algebra.domains import Domain, INTEGERS, IntegerDomain
@@ -192,6 +193,26 @@ class RelationSchema:
         return tuple(
             attr.domain.validate(v) for attr, v in zip(self.attributes, values)
         )
+
+    def encode_rows(self, rows: Iterable[object]) -> list[tuple[int, ...]]:
+        """Validate and encode a batch of raw rows, in order: the load door.
+
+        A plain-integer batch of exact tuples and lists is checked whole,
+        in C-level passes over row types, arities and value types (a
+        ``bool`` is refused, as ``IntegerDomain`` refuses it).  Anything
+        else goes row by row through ``coerce_row``, which raises on the
+        first bad row.
+        """
+        rows = rows if type(rows) is list else list(rows)
+        if self._plain_integers and set(map(type, rows)) <= {tuple, list}:
+            encoded = list(map(tuple, rows))
+            if set(map(len, encoded)) <= {len(self.names)} and set(
+                map(type, chain.from_iterable(encoded))
+            ) <= {int}:
+                return encoded
+        from repro.algebra.tuples import coerce_row  # tuples imports this module
+
+        return [coerce_row(self, row) for row in rows]
 
     def decode_values(self, codes: Sequence[int]) -> tuple[object, ...]:
         """Invert :meth:`encode_values`."""

@@ -83,9 +83,10 @@ def coerce_row(schema: RelationSchema, row: object) -> tuple[int, ...]:
     positional sequence, validating values against the schema's domains.
 
     A row goes through this door once, at the API edge (transactions,
-    ``create_relation``, ``Delta(...)``, the raw-row ``Relation``
-    methods, documents, a shard's raw batches); the result is never
-    passed back in — under a ``StringDomain`` a code is not a raw value.
+    ``Delta(...)``, the raw-row ``Relation`` methods, a shard's raw
+    batches; loads take :meth:`RelationSchema.encode_rows`, which falls
+    back to it); the result is never passed back in — under a
+    ``StringDomain`` a code is not a raw value.
     """
     # Tuples and lists first: nearly every row is one, and the
     # ``typing`` ABC checks below cost several times the encode.

@@ -24,7 +24,7 @@ from contextlib import contextmanager, suppress
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.algebra.conditions import Condition
-from repro.algebra.relation import Delta, HashIndex, Relation, key_function
+from repro.algebra.relation import Delta, HashIndex, Relation, first_repeat, key_function
 from repro.algebra.schema import RelationSchema
 from repro.engine.constraints import (
     ConstraintCatalog,
@@ -84,7 +84,9 @@ class Database:
         """Create a base relation, optionally loading initial rows.
 
         Initial rows bypass the transaction machinery: they define the
-        starting state, not an update to be maintained against.
+        starting state, not an update to be maintained against.  They are
+        one :meth:`RelationSchema.encode_rows` batch, then a set: the first
+        bad row raises, else the first repeat.
 
         DDL hooks observe the creation and a hook that crashes does not
         undo it, with one exception: a hook that *rejects* the name by
@@ -96,12 +98,13 @@ class Database:
             raise SchemaError(f"relation {name!r} already exists")
         if not isinstance(schema, RelationSchema):
             schema = RelationSchema(schema)
-        relation = Relation(schema)
-        for distinct, row in enumerate(rows):
-            relation.add(row)
-            if len(relation) == distinct:  # the row only raised a counter
-                raise SchemaError(f"duplicate initial row {row!r} in {name!r}")
-        self._relations[name] = relation
+        rows = list(rows)
+        encoded = schema.encode_rows(rows)
+        counts = dict.fromkeys(encoded, 1)
+        if len(counts) < len(rows):
+            row = rows[first_repeat(encoded)]
+            raise SchemaError(f"duplicate initial row {row!r} in {name!r}")
+        relation = self._relations[name] = Relation.adopt(schema, counts)
         try:
             self._notify_ddl("create_relation", name)
         except ReproError:

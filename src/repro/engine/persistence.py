@@ -27,7 +27,7 @@ from repro.algebra.domains import (
     IntegerDomain,
     StringDomain,
 )
-from repro.algebra.relation import Delta, Relation
+from repro.algebra.relation import Delta, Relation, first_repeat
 from repro.algebra.schema import Attribute, RelationSchema
 from repro.engine.database import Database
 from repro.errors import ReproError
@@ -114,7 +114,8 @@ def _relation_parts(
     """A relation document's schema, rows and checked counts.
 
     ``allow_counts`` permits multiplicities greater than one; without it
-    every count must be 1.  The rows themselves are not looked at here.
+    every count must be 1.  Rows must be arrays; their values are not
+    looked at here.
     """
     try:
         attributes = [
@@ -128,21 +129,17 @@ def _relation_parts(
         raise PersistenceError(f"relation {name!r} is malformed: {exc}") from exc
     if not isinstance(rows, list) or not isinstance(counts, list):
         raise PersistenceError(f"relation {name!r}: rows and counts must be lists")
+    # The codec writes arrays; coerce_row would read an object as a mapping.
+    if not set(map(type, rows)) <= {list, tuple}:
+        raise PersistenceError(f"relation {name!r}: every row must be an array")
     if len(rows) != len(counts):
         raise PersistenceError(
             f"relation {name!r}: {len(rows)} rows but {len(counts)} counts"
         )
-    for values, count in zip(rows, counts):
-        if count != 1 and not allow_counts:
-            raise PersistenceError(
-                f"relation {name!r}: base relations are sets; "
-                f"count {count} for {values}"
-            )
-        if type(count) is not int or count < 1:
-            raise PersistenceError(
-                f"relation {name!r}: count {count!r} for {values} "
-                "must be a positive integer"
-            )
+    if not (set(map(type, counts)) <= {int} and min(counts, default=1) >= 1):
+        raise PersistenceError(f"relation {name!r}: counts must be positive integers")
+    if not allow_counts and max(counts, default=1) > 1:
+        raise PersistenceError(f"relation {name!r}: base relations are sets; count > 1")
     return schema, rows, counts
 
 
@@ -153,24 +150,21 @@ def relation_from_document(
 
     ``allow_counts`` permits multiplicities greater than one — required
     for materialized-view contents (checkpoints persist their §5.2
-    counters), forbidden for base relations (which are sets).  A row
-    that does not fit the schema is a :class:`PersistenceError` naming
-    the relation.
+    counters), forbidden for base relations (which are sets).  The rows
+    are encoded as one batch (:meth:`RelationSchema.encode_rows`); the
+    first that does not fit the schema, else the first repeat, is a
+    :class:`PersistenceError` naming the relation.
     """
     schema, rows, counts = _relation_parts(doc, name, allow_counts)
-    relation = Relation(schema)
-    for distinct, (values, count) in enumerate(zip(rows, counts)):
-        try:
-            relation.add(values, count)
-        except (TypeError, ReproError) as exc:
-            raise PersistenceError(
-                f"relation {name!r}: bad row {values!r}: {exc}"
-            ) from exc
-        if len(relation) == distinct:  # the row only raised a counter
-            raise PersistenceError(
-                f"relation {name!r}: duplicate row {values}"
-            )
-    return relation
+    try:
+        encoded = schema.encode_rows(rows)
+    except (TypeError, ReproError) as exc:
+        raise PersistenceError(f"relation {name!r}: bad row: {exc}") from exc
+    stored = dict(zip(encoded, counts))
+    if len(stored) < len(rows):
+        row = rows[first_repeat(encoded)]
+        raise PersistenceError(f"relation {name!r}: duplicate row {row}")
+    return Relation.adopt(schema, stored)
 
 
 # ----------------------------------------------------------------------
@@ -210,8 +204,8 @@ def database_from_document(doc: dict[str, Any]) -> Database:
     """Decode a document produced by :func:`database_to_document`.
 
     Each relation is built once: its document rows go straight into
-    :meth:`Database.create_relation`, which encodes every row and
-    rejects duplicates.  The catalog follows — constraints, keys, then
+    :meth:`Database.create_relation`, which encodes them as one batch
+    and rejects duplicates.  The catalog follows — constraints, keys, then
     foreign keys — through the database's own ``declare_*`` methods, so
     each declaration validates the rows it lands on.
     """
@@ -278,13 +272,19 @@ def delta_to_document(delta: Delta) -> dict[str, Any]:
     return {"inserted": expand(delta.inserted), "deleted": expand(delta.deleted)}
 
 
-def delta_from_document(schema: RelationSchema, doc: dict[str, Any]) -> Delta:
-    """Decode a document produced by :func:`delta_to_document`; a row
-    that does not fit ``schema`` is a :class:`PersistenceError`."""
+def delta_from_document(
+    schema: RelationSchema, doc: dict[str, Any], name: str = "?"
+) -> Delta:
+    """Decode a document produced by :func:`delta_to_document` for
+    relation ``name``; a row that is not an array or does not fit
+    ``schema`` is a :class:`PersistenceError`."""
     try:
-        return Delta(schema, doc["inserted"], doc["deleted"])
+        inserted, deleted = doc["inserted"], doc["deleted"]
+        if not set(map(type, inserted + deleted)) <= {list, tuple}:
+            raise TypeError("every row must be an array")
+        return Delta(schema, inserted, deleted)
     except (KeyError, TypeError, ReproError) as exc:
-        raise PersistenceError(f"delta document is malformed: {exc}") from exc
+        raise PersistenceError(f"relation {name!r}: malformed delta: {exc}") from exc
 
 
 def deltas_to_document(deltas: "Mapping[str, Delta]") -> dict[str, Any]:
@@ -307,7 +307,7 @@ def deltas_from_document(
             raise PersistenceError(
                 f"delta references unknown relation {name!r}"
             )
-        deltas[name] = delta_from_document(schema, delta_doc)
+        deltas[name] = delta_from_document(schema, delta_doc, name)
     return deltas
 
 

@@ -17,6 +17,11 @@ the reference hashes the whole operand, so ``tuples_scanned`` and
 ``index_probes`` differ (``tests/test_codegen.py`` compares those
 against the row-cap fallback, which runs the reference planner behind
 the maintainer's own probes).
+
+The per-row loaders at the end build a relation's count map without the
+batch door (``RelationSchema.encode_rows``): one ``coerce_row`` per row,
+in order, then each site's duplicate rule.  The batch loaders must give
+the same map in the same order, or raise the same error.
 """
 
 from __future__ import annotations
@@ -25,12 +30,16 @@ from typing import Mapping
 
 from repro.algebra.expressions import Expression
 from repro.algebra.relation import Delta
+from repro.algebra.schema import RelationSchema
+from repro.algebra.tuples import coerce_row
 from repro.core.aggregates import AggregateState
 from repro.core.differential import compute_view_delta
 from repro.core.irrelevance import filter_delta
 from repro.core.planner import evaluate_normal_form
 from repro.core.views import MaterializedView, ViewDefinition
 from repro.engine.database import Database
+from repro.engine.persistence import PersistenceError
+from repro.errors import ReproError, SchemaError
 from repro.instrumentation import charge
 
 #: Counters the maintainer's kernels and the reference functions charge
@@ -137,3 +146,53 @@ class ReferenceViews:
             view.apply_delta(delta)
             if not delta.is_empty():
                 deltas[name] = delta
+
+
+# ----------------------------------------------------------------------
+# Per-row loaders
+# ----------------------------------------------------------------------
+
+def _coerced(schema: RelationSchema, rows: list) -> list[tuple[int, ...]]:
+    """Every row through ``coerce_row``, in order: the first bad row raises."""
+    return [coerce_row(schema, row) for row in rows]
+
+
+def reference_create_relation(
+    name: str, schema: RelationSchema, rows: list
+) -> dict[tuple[int, ...], int]:
+    """``Database.create_relation``'s count map: a set, so the first row
+    that repeats an earlier one is a ``SchemaError``."""
+    counts: dict[tuple[int, ...], int] = {}
+    for row, values in zip(rows, _coerced(schema, rows)):
+        if values in counts:
+            raise SchemaError(f"duplicate initial row {row!r} in {name!r}")
+        counts[values] = 1
+    return counts
+
+
+def reference_relation_from_document(
+    name: str, schema: RelationSchema, rows: list, counts: list
+) -> dict[tuple[int, ...], int]:
+    """``relation_from_document``'s count map, for a document with valid
+    counts: rows must be arrays, and a repeat is refused even where
+    counts are allowed."""
+    if any(type(row) not in (list, tuple) for row in rows):
+        raise PersistenceError(f"relation {name!r}: every row must be an array")
+    try:
+        encoded = _coerced(schema, rows)
+    except (TypeError, ReproError) as exc:
+        raise PersistenceError(f"relation {name!r}: bad row: {exc}") from exc
+    stored: dict[tuple[int, ...], int] = {}
+    for row, values, count in zip(rows, encoded, counts):
+        if values in stored:
+            raise PersistenceError(f"relation {name!r}: duplicate row {row}")
+        stored[values] = count
+    return stored
+
+
+def reference_from_rows(schema: RelationSchema, rows: list) -> dict[tuple[int, ...], int]:
+    """``Relation.from_rows``'s count map: a bag, a repeat counts again."""
+    counts: dict[tuple[int, ...], int] = {}
+    for values in _coerced(schema, rows):
+        counts[values] = counts.get(values, 0) + 1
+    return counts

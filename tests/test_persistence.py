@@ -14,8 +14,10 @@ from repro.engine.persistence import (
     PersistenceError,
     database_from_document,
     database_to_document,
+    deltas_from_document,
     load_database,
     load_database_file,
+    relation_from_document,
     save_database,
     save_database_file,
 )
@@ -174,6 +176,32 @@ class TestErrors:
         }
         with pytest.raises(PersistenceError):
             database_from_document(doc)
+
+    def test_a_json_object_is_not_a_row(self):
+        # The codec writes every row as an array; ``coerce_row`` would
+        # read an object as a mapping from attribute names.
+        attributes = [
+            {"name": "A", "domain": {"kind": "integer"}},
+            {"name": "B", "domain": {"kind": "integer"}},
+        ]
+        doc = {"attributes": attributes, "rows": [{"A": 1, "B": 2}], "counts": [1]}
+        with pytest.raises(PersistenceError, match="relation 'r'.*must be an array"):
+            relation_from_document(doc, "r", True)
+        with pytest.raises(PersistenceError, match="relation 'r'.*must be an array"):
+            load_database(
+                io.StringIO(json.dumps({
+                    "format": FORMAT_VERSION,
+                    "relations": {"r": doc},
+                    "constraints": {},
+                    "keys": {},
+                    "foreign_keys": [],
+                }))
+            )
+        schema = RelationSchema(["A", "B"])
+        for side in ("inserted", "deleted"):
+            delta_doc = {"inserted": [], "deleted": [], side: [{"A": 1, "B": 2}]}
+            with pytest.raises(PersistenceError, match="relation 'r'.*must be an array"):
+                deltas_from_document({"r": schema}, {"r": delta_doc})
 
     def test_unknown_domain_kind(self):
         doc = {

@@ -577,7 +577,24 @@ R_ATTRIBUTES = [
     {"name": "A", "domain": {"kind": "integer"}},
     {"name": "B", "domain": {"kind": "integer"}},
 ]
-BAD_ROWS = [[1], [1, "x"], 5, "ab", None]
+#: Rows over r(A, B integer) that must not load.  From ``[True, 7]`` on
+#: they are what a batch check of types and arities could wave through:
+#: a bool (an ``int`` to Python), a float, one value too many, and JSON
+#: objects (mappings to ``coerce_row``; the codec writes only arrays).
+#: The first object repeats the ``[7, 7]`` the cases load before it;
+#: the second does not, so only the array rule refuses it.
+BAD_ROWS = [
+    [1],
+    [1, "x"],
+    5,
+    "ab",
+    None,
+    [True, 7],
+    [7.0, 7],
+    [7, 7, 7],
+    {"A": 7, "B": 7},
+    {"A": 8, "B": 9},
+]
 
 
 def checkpoint_document(rows, views=None, catalog=None):
@@ -696,6 +713,14 @@ class TestHostileBytes:
     def test_a_bad_base_row_in_a_checkpoint(self, row):
         checkpoint = Checkpoint(checkpoint_document([[7, 7], row]))
         with pytest.raises(ReplicationError, match="'r'"):
+            checkpoint.build_database()
+
+    @pytest.mark.parametrize("again", [[7, 8], (7, 8)], ids=["list", "tuple"])
+    def test_a_duplicate_base_row_in_a_checkpoint(self, again):
+        checkpoint = Checkpoint(checkpoint_document([[7, 7], [7, 8], [9, 9], again]))
+        with pytest.raises(
+            ReplicationError, match=r"'r'.*duplicate initial row \[?\(?7, 8"
+        ):
             checkpoint.build_database()
 
     @pytest.mark.parametrize("row", BAD_ROWS)

@@ -7,9 +7,9 @@ walks back through it.  Three kinds of pin:
 * the source under ``src/repro`` is read with ``ast``: ``coerce_row`` is
   referenced only by the edge modules, and the modules that hold encoded
   tuples build no ``Row`` around them;
-* ``RelationSchema.encode_values`` is counted over a whole write —
-  transaction, commit, view maintenance, WAL append — and runs once per
-  row;
+* the rows through ``RelationSchema.encode_values`` and the batch door
+  ``encode_rows`` are counted over a whole write — load, transaction,
+  commit, view maintenance, WAL append — and each row is encoded once;
 * a relation with a label column (a non-identity encoding, where a
   second coercion is a ``DomainError`` and not just wasted time) goes
   through every write path end to end.
@@ -20,25 +20,40 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import BaseRef, Database, DurabilityManager, ViewMaintainer, recover
 from repro.algebra.domains import FiniteDomain, StringDomain
+from repro.algebra.relation import Relation
 from repro.algebra.schema import Attribute, RelationSchema
 from repro.algebra.tuples import Row
 from repro.cluster import ClusterTopology, PartitionSpec, ShardNode
 from repro.engine.log import replay_records
-from repro.engine.persistence import database_to_document, relation_to_document
+from repro.engine.persistence import (
+    database_to_document,
+    relation_from_document,
+    relation_to_document,
+)
 from repro.errors import DomainError, SchemaError
 from repro.extensions.alerters import AlertEvent, AlerterRegistry
 from repro.replication.wal import WalReader
 from repro.server import ServerConfig, ServerHandle, ViewClient, ViewServer
 
 from tests.conftest import capture_commits
+from tests.reference import (
+    reference_create_relation,
+    reference_from_rows,
+    reference_relation_from_document,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 #: The modules that take raw rows from outside; the list lives here.
+#: ``algebra/schema.py`` holds the batch door, ``encode_rows``, whose
+#: per-row fallback is ``coerce_row``.
 EDGE_MODULES = {
+    "algebra/schema.py",
     "algebra/tuples.py",
     "algebra/relation.py",
     "engine/transactions.py",
@@ -102,14 +117,30 @@ def test_encoded_side_modules_construct_no_row():
 # ----------------------------------------------------------------------
 @pytest.fixture
 def encode_calls(monkeypatch):
+    """Every row encoded, once per row: a row through ``encode_values``,
+    or each row of a batch through ``encode_rows`` (whose per-row
+    fallback's own ``encode_values`` calls are that batch's, not
+    counted again)."""
     calls = []
-    encode_values = RelationSchema.encode_values
+    in_batch = []
+    encode_values, encode_rows = RelationSchema.encode_values, RelationSchema.encode_rows
 
     def counted(self, values):
-        calls.append(values)
+        if not in_batch:
+            calls.append(values)
         return encode_values(self, values)
 
+    def counted_batch(self, rows):
+        in_batch.append(True)
+        try:
+            encoded = encode_rows(self, rows)
+        finally:
+            in_batch.pop()
+        calls.extend(encoded)
+        return encoded
+
     monkeypatch.setattr(RelationSchema, "encode_values", counted)
+    monkeypatch.setattr(RelationSchema, "encode_rows", counted_batch)
     return calls
 
 
@@ -184,6 +215,103 @@ def test_a_prepared_cluster_batch_is_encoded_exactly_once(
         reply = prepare(txn, [[6, 7], list(bad)])
         assert reply["kind"] == "nack" and str(bad) in reply["error"]
         assert len(encode_calls) == 2
+
+
+# ----------------------------------------------------------------------
+# The batch door agrees with the per-row door
+# ----------------------------------------------------------------------
+#: Same attribute names, three kinds of domain: the integer schema takes
+#: the batch door's C-level check, the other two its per-row fallback.
+LOAD_SCHEMAS = {
+    "integer": RelationSchema(["A", "B"]),
+    "finite": RelationSchema([Attribute("A"), Attribute("B", FiniteDomain(0, 3))]),
+    "string": RelationSchema([Attribute("A"), Attribute("B", StringDomain(["x", "y"]))]),
+}
+#: Values every kind the fast check must refuse: bools, floats, strings,
+#: ``None`` and an unhashable list.
+HOSTILE_VALUES = st.sampled_from([True, False, 1.0, 2.5, "x", "z", None, [1], 9])
+
+
+@st.composite
+def clean_row(draw, kind, a):
+    """A row of ``LOAD_SCHEMAS[kind]`` that loads, in any shape."""
+    schema = LOAD_SCHEMAS[kind]
+    b = draw(st.integers(0, 1))
+    raw = (a, schema.attributes[1].domain.decode(b))
+    shape = draw(st.sampled_from(["tuple", "tuple", "list", "list", "row", "mapping"]))
+    if shape == "row":  # a Row carries codes
+        return Row(schema, (a, b))
+    if shape == "mapping":  # in either key order
+        mapping = {"A": raw[0], "B": raw[1]}
+        return mapping if draw(st.booleans()) else dict(reversed(mapping.items()))
+    return raw if shape == "tuple" else list(raw)
+
+
+@st.composite
+def hostile_rows(draw):
+    """A row most schemas here refuse: a hostile value or a wrong arity,
+    a Row of other attributes, a mapping with missing or extra names, a
+    scalar."""
+    shape = draw(st.sampled_from(["tuple", "list", "row", "mapping", "scalar"]))
+    if shape == "row":
+        return Row(RelationSchema(["C", "D"]), (0, 1))
+    if shape == "scalar":
+        return draw(st.sampled_from([5, "ab", None]))
+    arity = draw(st.sampled_from([2, 2, 1, 3]))
+    values = [draw(st.integers(0, 3)) for _ in range(arity)]
+    values[draw(st.integers(0, arity - 1))] = draw(HOSTILE_VALUES)
+    if shape == "mapping":
+        names = draw(st.sampled_from([("A", "B"), ("A",), ("A", "B", "C")]))
+        return dict(zip(names, values * 2))
+    return tuple(values) if shape == "tuple" else list(values)
+
+
+@st.composite
+def row_batches(draw, kind):
+    """A batch of rows that load, then maybe hostile rows and repeats of
+    earlier rows (in another shape) at random places."""
+    rows = [
+        draw(clean_row(kind, a))
+        for a in draw(st.lists(st.integers(0, 30), unique=True, max_size=6))
+    ]
+    extras = [hostile_rows()] * draw(st.sampled_from([0, 0, 0, 1, 2]))
+    extras += [st.sampled_from(rows)] * (draw(st.sampled_from([0, 0, 1])) if rows else 0)
+    for extra in extras:
+        row = draw(extra)
+        if isinstance(row, (tuple, list)):
+            row = list(row) if isinstance(row, tuple) else tuple(row)
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    return rows
+
+
+def load_outcome(load, *args):
+    """What ``load(*args)`` gives: its count map as ordered items, or its
+    error's type and text."""
+    try:
+        loaded = load(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return list(getattr(loaded, "count_map", loaded).items())
+
+
+@settings(max_examples=400, deadline=None)
+@given(kind=st.sampled_from(sorted(LOAD_SCHEMAS)), data=st.data())
+def test_the_batch_door_loads_as_a_per_row_loop_does(kind, data):
+    schema = LOAD_SCHEMAS[kind]
+    rows = data.draw(row_batches(kind))
+    counts = data.draw(st.lists(st.integers(1, 3), min_size=len(rows), max_size=len(rows)))
+    assert load_outcome(
+        Database().create_relation, "r", schema, rows
+    ) == load_outcome(reference_create_relation, "r", schema, rows)
+    attributes = relation_to_document(Relation(schema))["attributes"]
+    for doc_counts, allow_counts in ((counts, True), ([1] * len(rows), False)):
+        doc = {"attributes": attributes, "rows": rows, "counts": doc_counts}
+        assert load_outcome(
+            relation_from_document, doc, "r", allow_counts
+        ) == load_outcome(reference_relation_from_document, "r", schema, rows, doc_counts)
+    assert load_outcome(Relation.from_rows, schema, rows) == load_outcome(
+        reference_from_rows, schema, rows
+    )
 
 
 # ----------------------------------------------------------------------

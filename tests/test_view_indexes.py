@@ -26,6 +26,7 @@ live contents.  Pinned here:
 """
 
 import ast
+import gc
 import sys
 from pathlib import Path
 from unittest import mock
@@ -42,7 +43,9 @@ from repro.analysis.findings import F_UNBOUND_OLD_OPERAND
 from repro.cli import parse_view_expression
 from repro.errors import MaintenanceError
 from repro.instrumentation import CostRecorder, recording
+from repro.engine.persistence import database_to_document
 from repro.replication import DurabilityManager, recover
+from repro.replication.checkpoints import Checkpoint
 from tests.reference import REFERENCE_PARITY_COUNTERS, ReferenceViews
 
 #: ``p`` drops r's key, so its tuples carry counters ≥ 2; ``st`` joins
@@ -526,6 +529,56 @@ class TestMacrobenchCatalog:
         with recording(CostRecorder()) as recorder:
             db.apply(inserts={"lineitem": [(3, 6, 5, 9, 0)]})
         assert recorder.get("index_probes") == 5
+
+    def test_loading_a_relation_makes_no_call_per_row(self):
+        """A clock-free law for load cost: ``create_relation`` and a
+        checkpoint's ``build_database`` make as many calls for 40 000
+        plain-integer rows as for 20 000 — the batch door checks a batch
+        in C-level passes, and the count map is one ``dict.fromkeys``.
+        (11.0 calls per row when every row went through ``Relation.add``,
+        ``coerce_row`` and ``encode_values``.)"""
+
+        def call_events(load) -> int:
+            events = [0]
+
+            def profile(frame, event, arg):
+                if event in ("call", "c_call"):
+                    events[0] += 1
+
+            # A collection would run other objects' finalizers in here.
+            gc.collect()
+            gc.disable()
+            sys.setprofile(profile)
+            try:
+                load()
+            finally:
+                sys.setprofile(None)
+                gc.enable()
+            return events[0]
+
+        counted = []
+        for size in (20_000, 40_000):
+            rows = [(i, i % 7, -i) for i in range(size)]
+            attributes = ["A", "B", "C"]
+            creating = call_events(
+                lambda: Database().create_relation("r", attributes, rows)
+            )
+            genesis = Database()
+            genesis.create_relation("r", attributes, [list(row) for row in rows])
+            checkpoint = Checkpoint(
+                {
+                    "format": 1,
+                    "wal_sequence": 0,
+                    "next_txn_id": 1,
+                    "database": database_to_document(genesis),
+                    "views": {},
+                }
+            )
+            built = []
+            booting = call_events(lambda: built.append(checkpoint.build_database()))
+            assert built[0].relation("r") == genesis.relation("r")
+            counted.append((creating, booting))
+        assert counted[0] == counted[1]
 
     def test_defining_a_view_pays_no_per_tuple_interpretation(self):
         """A clock-free law for definition cost: a view is materialized

@@ -35,7 +35,9 @@ function calls per base tuple.  On a served workload it is the child's
 restart: ``cli.build_served_state`` (checkpoint load, view restore, WAL
 replay) plus the ``DurabilityManager`` open, run on a directory made by
 the harness's own ``ServedHost._prepare``, and the tool prints the
-function calls per WAL record replayed.  Both counts are exact for a
+function calls per WAL record replayed and, since loading the
+checkpoint is a share of them too, per checkpointed tuple (base rows
+plus the views' stored rows).  Both counts are exact for a
 fixed workload and seed, like the per-transaction count.  Both set-ups
 then print the kernel modules ``repro.core.codegen`` compiled and how
 many distinct programs (sources without their comments) those were.
@@ -59,6 +61,7 @@ import argparse
 import contextlib
 import cProfile
 import gc
+import json
 import os
 import pstats
 import sys
@@ -203,6 +206,7 @@ def profile_served_setup(workload, stream, txns: int):
     host = ServedHost(workload, stream, False)
     try:
         directory = host._prepare()
+        base_rows, view_rows = checkpointed_tuples(directory)
         options = [f"{name}={spec}" for name, spec in host.specs.items()]
         profiler = cProfile.Profile()
         with kernel_compiles() as sources:
@@ -221,8 +225,25 @@ def profile_served_setup(workload, stream, txns: int):
     )
     calls = stats.total_calls
     print(f"function calls per WAL record: {calls / max(replayed, 1):.1f}   ({calls} calls)")
+    tuples = base_rows + view_rows
+    print(
+        f"function calls per checkpointed tuple: {calls / max(tuples, 1):.1f}   "
+        f"({base_rows} base rows + {view_rows} view rows)"
+    )
     print_compiles(sources)
     return stats
+
+
+def checkpointed_tuples(directory: str) -> tuple[int, int]:
+    """Rows the newest checkpoint in ``directory`` holds: base rows, and
+    the rows of the views' stored contents."""
+    from repro.replication.checkpoints import latest_checkpoint_path
+
+    with open(latest_checkpoint_path(directory), encoding="utf-8") as stream:
+        doc = json.load(stream)
+    base = sum(len(rel["rows"]) for rel in doc["database"]["relations"].values())
+    views = sum(len(view["relation"]["rows"]) for view in doc["views"].values())
+    return base, views
 
 
 def profile_served_child(workload, stream, txns: int):
