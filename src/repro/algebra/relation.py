@@ -93,10 +93,17 @@ class HashIndex:
     # Maintenance (driven by the owning relation's mutators)
     # ------------------------------------------------------------------
     def _rebuild(self, relation: "Relation") -> None:
-        """Re-index ``relation`` in place: holders of this index keep it."""
-        self._buckets.clear()
-        for values in relation.value_tuples():
-            self._insert(values)
+        """Re-index ``relation`` in place: holders of this index keep it.
+        One pass, no Python call per row: the keys are mapped in C."""
+        buckets, rows = self._buckets, relation._counts
+        buckets.clear()
+        positions = relation.schema.positions(self.attributes)
+        keys = map(itemgetter(*positions), rows)
+        for key, values in zip(zip(keys) if len(positions) == 1 else keys, rows):
+            if key in buckets:
+                buckets[key].add(values)
+            else:
+                buckets[key] = {values}
 
     def _insert(self, values: ValueTuple) -> None:
         self._buckets.setdefault(self.key_of(values), set()).add(values)

@@ -135,6 +135,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import re
 import sys
 from typing import Any
@@ -628,23 +629,28 @@ def parse_view_option(text: str) -> tuple[str, Expression]:
 
 
 def build_served_state(directory: str, view_options: list[str]):
-    """Recover DIR and register the requested views; ready to serve.
-
-    Returns ``(recovery, maintainer, replayed)`` — base relations from
-    the newest checkpoint, each ``--view`` restored (adopting
-    checkpointed contents when present, so catch-up is differential),
-    and the WAL tail replayed through the normal commit pipeline.
+    """The ``serve`` restart, each step once: boot DIR's checkpoint,
+    restore each ``--view`` (adopting checkpointed contents), replay the
+    WAL tail and open the writer from the replay's own scan.  Returns
+    ``(recovery, maintainer, replayed, durability)``.  The collector is
+    paused: the load's row lists and index buckets form no cycles, yet
+    would set off pass after pass.
     """
-    from repro.core.maintainer import ViewMaintainer
+    from repro.replication.durability import DurabilityManager
     from repro.replication.recovery import Recovery
 
-    recovery = Recovery(directory)
-    maintainer = ViewMaintainer(recovery.database)
-    for option in view_options:
-        name, expression = parse_view_option(option)
-        recovery.restore_view(maintainer, name, expression)
-    replayed = recovery.replay()
-    return recovery, maintainer, replayed
+    gc.disable()
+    try:
+        recovery = Recovery(directory)
+        maintainer = ViewMaintainer(recovery.database)
+        for option in view_options:
+            name, expression = parse_view_option(option)
+            recovery.restore_view(maintainer, name, expression)
+        replayed = recovery.replay()
+        durability = DurabilityManager(recovery.database, directory, scan=recovery.scan)
+    finally:
+        gc.enable()
+    return recovery, maintainer, replayed, durability
 
 
 def run_serve(
@@ -663,16 +669,13 @@ def run_serve(
     """
     import asyncio
 
-    from repro.replication.durability import DurabilityManager
     from repro.server.server import ServerConfig, ViewServer
 
-    recovery, maintainer, replayed = build_served_state(
+    recovery, maintainer, replayed, durability = build_served_state(
         directory, view_options or []
     )
-    database = recovery.database
-    durability = DurabilityManager(database, directory)
     server = ViewServer(
-        database,
+        recovery.database,
         maintainer,
         ServerConfig(host=host, port=port),
         durability=durability,

@@ -234,19 +234,18 @@ class ViewMaintainer:
     ) -> MaterializedView:
         """Register a view with pre-computed contents — no evaluation.
 
-        This is the rebuild-from-snapshot path used by crash recovery
-        (:class:`repro.replication.recovery.Recovery`): a checkpoint
-        carries each view's stored relation (multiplicity counters
-        included), so after a restart the view is re-adopted
-        byte-for-byte and the replayed write-ahead-log tail flows
-        through the normal differential pipeline — the view is never
-        recomputed from scratch.
+        This is the rebuild-from-snapshot path of crash recovery
+        (:class:`repro.replication.recovery.Recovery`): a checkpoint carries
+        each view's stored relation, counters included, so after a restart
+        the view is re-adopted byte-for-byte and the replayed WAL tail flows
+        through the differential pipeline — it is never recomputed.
 
         ``contents`` must match the definition's *stored* schema by
         attribute names — the visible schema for plain views, the SPJ
         core's schema for aggregate views (checkpoints persist the core
         support relation; visible group rows are derived and re-rendered
-        here).  Rows are re-encoded against the catalog's domains.
+        here).  Contents over the stored schema (domains too) are adopted
+        as a copy; others are re-encoded against the catalog's domains.
         ``verify`` recomputes the view and compares, turning a stale or
         tampered snapshot into an immediate error instead of a silently
         diverging view.
@@ -268,10 +267,11 @@ class ViewMaintainer:
             )
         row = CostRecorder()
         plan = self._compile_plan(definition, referenced, row)
-        adopted = Relation(expected)
-        for values, count in contents.items():
-            adopted.add(tuple(contents.schema.decode_values(values)), count)
-        view = MaterializedView.from_stored(definition, adopted)
+        bag = contents.counts()  # a copy: the caller's may be live
+        if contents.schema != expected:
+            decoded = map(contents.schema.decode_values, bag)
+            bag = dict(zip(expected.encode_rows(decoded), bag.values()))
+        view = MaterializedView.from_stored(definition, Relation.adopt(expected, bag))
         if verify:
             from repro.core.consistency import check_view_consistency
 

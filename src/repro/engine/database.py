@@ -21,6 +21,7 @@ A :class:`Database` owns:
 from __future__ import annotations
 
 from contextlib import contextmanager, suppress
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.algebra.conditions import Condition
@@ -241,10 +242,15 @@ class Database:
         """
         relation = self.relation(relation_name)
         key = validate_key_attributes(relation_name, attributes, relation.schema)
-        collisions = find_key_collisions(
-            relation.schema, key, relation.value_tuples()
-        )
-        if collisions:
+        bound = key in relation.indexes
+        index = relation.index_on(key)  # built in one pass unless bound
+        if len(index) < len(relation):  # some bucket holds two rows
+            if not bound:
+                relation._drop_index(key)
+            crowded = [rows for rows in index._buckets.values() if len(rows) > 1]
+            collisions = find_key_collisions(
+                relation.schema, key, chain.from_iterable(crowded)
+            )
             preview = ", ".join(f"{a!r}/{b!r}" for a, b in collisions[:3])
             if len(collisions) > 3:
                 preview += ", …"
@@ -252,7 +258,8 @@ class Database:
                 f"cannot declare key ({', '.join(key)}) on {relation_name!r}: "
                 f"existing rows collide on it: {preview}"
             )
-        self.create_index(relation_name, key)
+        if not bound:
+            self._notify_ddl("create_index", relation_name)
         self.keys.declare_key(relation_name, key)
         return key
 

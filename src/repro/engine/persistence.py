@@ -312,8 +312,8 @@ def deltas_from_document(
 
 
 def save_database(database: Database, stream: IO[str]) -> None:
-    """Write a database to an open text stream as JSON."""
-    json.dump(database_to_document(database), stream, indent=1, sort_keys=True)
+    """Write a database to an open text stream as compact JSON."""
+    stream.write(canonical_json(database_to_document(database)).decode("ascii"))
 
 
 def load_database(stream: IO[str]) -> Database:

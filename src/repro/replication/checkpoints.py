@@ -30,6 +30,7 @@ from repro.algebra.relation import Relation
 from repro.engine.database import Database
 from repro.engine.persistence import (
     PersistenceError,
+    canonical_json,
     database_from_document,
     database_to_document,
     relation_from_document,
@@ -86,9 +87,10 @@ def write_checkpoint(
 ) -> str:
     """Write a checkpoint document; returns its path.
 
-    The document is written to a temporary file and atomically renamed
-    into place, so a crash mid-checkpoint leaves the previous checkpoint
-    intact and the half-written file ignored (its name never matches).
+    The compact document is written to a temporary file and atomically
+    renamed into place, so a crash mid-checkpoint leaves the previous
+    checkpoint intact and the half-written file ignored (its name never
+    matches).
     """
     views: dict[str, Any] = {}
     if maintainer is not None:
@@ -110,8 +112,8 @@ def write_checkpoint(
     }
     path = checkpoint_path(directory, wal_sequence)
     tmp_path = path + ".tmp"
-    with open(tmp_path, "w", encoding="utf-8") as stream:
-        json.dump(doc, stream, indent=1, sort_keys=True)
+    with open(tmp_path, "wb") as stream:
+        stream.write(canonical_json(doc))
         stream.flush()
         os.fsync(stream.fileno())
     os.replace(tmp_path, path)

@@ -20,7 +20,7 @@ The intended lifecycle::
 After a crash, :class:`repro.replication.recovery.Recovery` rebuilds
 the database from the newest checkpoint plus the WAL tail; attaching a
 fresh ``DurabilityManager`` to the recovered database resumes appending
-after the last intact record.
+after the last intact record (found by ``scan=recovery.scan``, if given).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from repro.algebra.relation import Delta
 from repro.engine.database import Database
 from repro.engine.persistence import deltas_to_document
 from repro.replication.checkpoints import write_checkpoint
-from repro.replication.wal import DEFAULT_SEGMENT_BYTES, WalIO, WalWriter
+from repro.replication.wal import DEFAULT_SEGMENT_BYTES, WalIO, WalReader, WalWriter
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.maintainer import ViewMaintainer
@@ -43,8 +43,8 @@ class DurabilityManager:
     Constructing the manager opens (or creates) the log in
     ``directory`` — recovering a torn tail if the previous process
     crashed mid-append — and registers a commit hook on ``database``.
-    ``segment_bytes``, ``sync`` and ``io`` are passed through to
-    :class:`~repro.replication.wal.WalWriter`.
+    ``segment_bytes``, ``sync``, ``io`` and ``scan`` are passed through
+    to :class:`~repro.replication.wal.WalWriter`.
     """
 
     def __init__(
@@ -54,11 +54,12 @@ class DurabilityManager:
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         sync: str = "commit",
         io: WalIO | None = None,
+        scan: WalReader | None = None,
     ) -> None:
         self.database = database
         self.directory = directory
         self._writer = WalWriter(
-            directory, segment_bytes=segment_bytes, sync=sync, io=io
+            directory, segment_bytes=segment_bytes, sync=sync, io=io, scan=scan
         )
         self._attached = False
         database.add_commit_hook(self._on_commit)

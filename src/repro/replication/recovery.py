@@ -43,7 +43,8 @@ is insensitive to the vagaries of the original operation order, and the
 WAL's checksums plus sequence continuity guarantee the replayed stream
 is exactly the committed prefix.  A torn tail — the record being
 appended when the process died — is left out, which is correct because
-an incomplete append means the commit never finished.
+an incomplete append means the commit never finished; a writer opened
+from :attr:`Recovery.scan` cuts it off without reading the log again.
 
 A recovery session is used once: views are restored, then the tail is
 replayed, and the checkpoint's documents are let go of as soon as they
@@ -100,6 +101,8 @@ class Recovery:
         self._view_names = checkpoint.view_names()
         #: Torn-tail report from the last replay (None when clean).
         self.tail_damage: TailDamage | None = None
+        #: The replay's finished WAL scan, for a writer to open from.
+        self.scan: WalReader | None = None
         #: WAL sequence the database is current as of after replay.
         self.last_sequence = self.checkpoint_sequence
 
@@ -176,6 +179,7 @@ class Recovery:
             newest_txn_id = max(newest_txn_id, record.txn_id)
             records += 1
         self.tail_damage = reader.tail_damage
+        self.scan = reader
         if last is None:
             return 0
         tail.txn_id = last.txn_id

@@ -28,9 +28,9 @@ A crash mid-append leaves a *torn tail*: the final line is incomplete
 or fails its checksum.  Both :class:`WalReader` and :class:`WalWriter`
 treat a damaged record with nothing valid after it as that torn tail —
 the reader stops in front of it, the writer physically truncates it on
-open.  A damaged record *followed by* valid data cannot be produced by
-an append-only crash and raises :class:`WalCorruptionError` instead of
-being silently skipped.
+open (found by its own scan or a handed-over one).  A damaged record
+*followed by* valid data cannot be produced by an append-only crash
+and raises :class:`WalCorruptionError` instead of being silently skipped.
 """
 
 from __future__ import annotations
@@ -189,19 +189,23 @@ class WalReader:
     reader observes appends made after it was constructed — this is the
     polling loop of :class:`repro.replication.follower.Follower`.  After
     an iteration finishes, :attr:`tail_damage` reports the torn tail it
-    stopped in front of, if any.
+    stopped in front of, if any, and :attr:`last_intact` the last intact
+    sequence, where a :class:`WalWriter` handed this reader opens.
     """
 
     def __init__(self, directory: str) -> None:
         if not os.path.isdir(directory):
             raise ReplicationError(f"WAL directory {directory!r} does not exist")
         self.directory = directory
-        #: Set by the most recent full ``records()`` iteration.
+        #: Set by the most recent full ``records()`` iteration, with the
+        #: last intact sequence and whether it skipped whole segments.
         self.tail_damage: TailDamage | None = None
+        self.last_intact: int | None = None
+        self.skipped = False
 
     def records(self, after: int = 0) -> Iterator[WalRecord]:
         """Yield records with ``sequence > after``, in sequence order."""
-        self.tail_damage = None
+        self.tail_damage, self.last_intact, self.skipped = None, None, False
         segments = segment_paths(self.directory)
         expected: int | None = None
         for index, (first_sequence, path) in enumerate(segments):
@@ -216,6 +220,7 @@ class WalReader:
             # parsing: the next segment's name bounds their contents.
             if index + 1 < len(segments) and segments[index + 1][0] <= after + 1:
                 expected = segments[index + 1][0]
+                self.skipped = True
                 continue
             lines = list(_segment_lines(path))
             for line_index, (offset, raw) in enumerate(lines):
@@ -231,7 +236,7 @@ class WalReader:
                         self.tail_damage = TailDamage(
                             path, offset, "undecodable or checksum-mismatched record"
                         )
-                        return
+                        break  # the last segment: the scan ends here
                     raise WalCorruptionError(
                         f"damaged record at {os.path.basename(path)} offset "
                         f"{offset} with valid records after it"
@@ -245,13 +250,13 @@ class WalReader:
                 if record.sequence > after:
                     charge("wal_records_read")
                     yield record
+        self.last_intact = (expected or 1) - 1
 
     def last_sequence(self) -> int:
         """Sequence of the newest intact record (0 when the log is empty)."""
-        last = 0
-        for record in self.records():
-            last = record.sequence
-        return last
+        for _ in self.records():
+            pass
+        return self.last_intact
 
     def __repr__(self) -> str:
         return f"<WalReader {self.directory!r}>"
@@ -316,6 +321,9 @@ class WalWriter:
     io:
         The :class:`WalIO` implementation carrying all filesystem
         operations (default: the real one).
+    scan:
+        A finished :class:`WalReader` scan of ``directory`` (recovery's):
+        the writer opens from it instead of reading the log again.
     """
 
     _SYNC_MODES = ("commit", "close", "never")
@@ -326,6 +334,7 @@ class WalWriter:
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         sync: str = "commit",
         io: WalIO | None = None,
+        scan: WalReader | None = None,
     ) -> None:
         if sync not in self._SYNC_MODES:
             raise ReplicationError(
@@ -340,21 +349,27 @@ class WalWriter:
         self._io = io if io is not None else WalIO()
         self._stream = None
         self._segment_size = 0
-        self._last_sequence = self._recover_tail()
+        self._last_sequence = self._recover_tail(scan)
 
     # ------------------------------------------------------------------
     # Open-time tail recovery
     # ------------------------------------------------------------------
-    def _recover_tail(self) -> int:
-        """Find the last intact sequence; truncate a torn tail in place."""
-        reader = WalReader(self.directory)
-        last = 0
-        for record in reader.records():
-            last = record.sequence
-        damage = reader.tail_damage
+    def _recover_tail(self, scan: WalReader | None) -> int:
+        """Find the last intact sequence; truncate a torn tail in place.
+        The log is scanned here if ``scan`` skipped segments (unpruned by
+        a checkpoint): damage there raises as it always has."""
+        if scan is not None and (
+            scan.last_intact is None
+            or not os.path.samefile(scan.directory, self.directory)
+        ):
+            raise ReplicationError(f"{scan!r} is not a finished scan of this log")
+        if scan is None or scan.skipped:
+            scan = WalReader(self.directory)
+            scan.last_sequence()
+        damage = scan.tail_damage
         if damage is not None:
             self._io.truncate(damage.path, damage.offset)
-        return last
+        return scan.last_intact
 
     # ------------------------------------------------------------------
     # Appending

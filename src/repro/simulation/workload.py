@@ -720,6 +720,7 @@ class Episode:
             segment_bytes=SEGMENT_BYTES,
             sync="commit",
             io=self.io,
+            scan=recovery.scan,
         )
         self.server = ViewServer(
             self.database, self.maintainer, self._server_config(),

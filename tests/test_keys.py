@@ -101,6 +101,53 @@ class TestKeyEnforcement:
         with pytest.raises(ConstraintError, match="existing rows collide"):
             db.declare_key("p", ["B"])
 
+    def test_declaring_a_key_builds_its_index_once_and_refuses_cleanly(self):
+        """The declaration builds the key's index in one pass and sorts
+        only the rows of buckets holding two or more: a refusal names the
+        pairs a sorted scan of every row finds, in its order, and leaves
+        the relation's indexes and the DDL bus as it found them."""
+        db = Database()
+        schema = ["B", "C", "D"]
+        db.create_relation("p", schema, [(i * 7 % 13, i % 4, i) for i in range(30)])
+        db.create_relation("q", schema, [(i % 3, i % 2, i) for i in range(8)])
+        events = []
+        db.add_ddl_hook(lambda event, name: events.append((event, name)))
+        db.create_index("p", ["C"])
+        db.create_index("q", ["D"])
+        refusals = {
+            ("p", ("B",)): "(0, 0, 0)/(0, 1, 13), (0, 0, 0)/(0, 2, 26), "
+            "(1, 0, 28)/(1, 2, 2), …",
+            ("p", ("C",)): "(0, 0, 0)/(1, 0, 28), (0, 2, 26)/(1, 2, 2), "
+            "(0, 0, 0)/(2, 0, 4), …",
+            ("q", ("C", "B")): "(0, 0, 0)/(0, 0, 6), (1, 1, 1)/(1, 1, 7)",
+        }
+        for (name, key), pairs in refusals.items():
+            indexes = dict(db.relation(name).indexes)
+            with pytest.raises(ConstraintError) as refused:
+                db.declare_key(name, list(key))
+            assert str(refused.value) == (
+                f"cannot declare key ({', '.join(key)}) on {name!r}: "
+                f"existing rows collide on it: {pairs}"
+            )
+            assert dict(db.relation(name).indexes) == indexes
+        assert events == [("create_index", "p"), ("create_index", "q")]
+        index_c = db.relation("p").indexes[("C",)]
+        for name, key in (("p", ("B", "C")), ("p", ("C", "D")), ("q", ("D",))):
+            db.declare_key(name, list(key))
+            assert db.keys.keys_of(name)[-1] == key
+        relation = db.relation("p")
+        assert set(relation.indexes) == {("C",), ("B", "C"), ("C", "D")}
+        assert relation.indexes[("C",)] is index_c
+        for attributes, index in relation.indexes.items():
+            assert index._stale_key(relation) is None, attributes
+        assert events[2:] == [
+            ("create_index", "p"), ("declare_key", "p"),
+            ("create_index", "p"), ("declare_key", "p"),
+            ("declare_key", "q"),  # its index was bound: no second build
+        ]
+        rows = relation.value_tuples()
+        assert find_key_collisions(relation.schema, ("B", "C"), rows) == []
+
     def test_foreign_key_requires_a_declared_referenced_key(self):
         db = Database()
         db.create_relation("p", ["B", "C"], [])

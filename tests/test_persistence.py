@@ -56,6 +56,28 @@ class TestRoundTrip:
         loaded = load_database_file(path)
         assert loaded.relation("r") == db.relation("r")
 
+    def test_files_are_compact_and_indented_ones_still_load(self, db, tmp_path):
+        from repro.engine.persistence import canonical_json
+        from repro.replication.checkpoints import Checkpoint, write_checkpoint
+
+        path = str(tmp_path / "db.json")
+        save_database_file(db, path)
+        doc = database_to_document(db)
+        with open(path, "rb") as stream:
+            assert stream.read() == canonical_json(doc)
+        checkpoint = write_checkpoint(str(tmp_path), db, 0)
+        with open(checkpoint, "rb") as stream:
+            written = json.loads(stream.read())
+        assert written["database"] == doc
+        # Files written indented by earlier versions load as before.
+        with open(path, "w", encoding="utf-8") as stream:
+            json.dump(doc, stream, indent=1, sort_keys=True)
+        assert load_database_file(path).relation("typed") == db.relation("typed")
+        with open(checkpoint, "w", encoding="utf-8") as stream:
+            json.dump(written, stream, indent=1, sort_keys=True)
+        booted = Checkpoint.load(checkpoint).build_database()
+        assert booted.relation("typed") == db.relation("typed")
+
     def test_document_is_deterministic(self, db):
         assert database_to_document(db) == database_to_document(db)
 

@@ -13,6 +13,7 @@ import io
 import json
 import os
 import random
+import shutil
 import tempfile
 import tracemalloc
 import typing
@@ -47,6 +48,7 @@ from repro.replication.checkpoints import (
 )
 from repro.replication.wal import (
     WalCorruptionError,
+    WalIO,
     WalReader,
     WalRecord,
     WalWriter,
@@ -959,6 +961,44 @@ def run_script(db, scripts):
                         txn.update("r", (a, b), (b, a))
 
 
+class RecordedCuts(WalIO):
+    """The real filesystem, with each torn-tail truncation recorded."""
+
+    def __init__(self):
+        self.cuts = []
+
+    def truncate(self, path, offset):
+        self.cuts.append((os.path.basename(path), offset))
+        super().truncate(path, offset)
+
+
+def _segment_bytes(directory):
+    contents = {}
+    for _, path in segment_paths(directory):
+        with open(path, "rb") as stream:
+            contents[os.path.basename(path)] = stream.read()
+    return contents
+
+
+def assert_one_scan_matches_two(directory, recovery, scratch):
+    """A writer opened from ``recovery.scan``, as ``serve`` opens it,
+    resumes at the same sequence, cuts the same torn tail and appends
+    the same bytes as a writer that scans the log for itself (over
+    ``scratch``, a copy of ``directory`` taken before either opens).
+    Returns the sequence both resumed at."""
+    shutil.copytree(directory, scratch)
+    handed, own = RecordedCuts(), RecordedCuts()
+    doc = {"r": {"inserted": [[99, 98]], "deleted": []}}
+    with WalWriter(directory, io=handed, scan=recovery.scan) as one:
+        with WalWriter(scratch, io=own) as two:
+            resumed = one.last_sequence
+            assert two.last_sequence == resumed
+            assert handed.cuts == own.cuts
+            assert one.append(1000, doc) == two.append(1000, doc)
+    assert _segment_bytes(directory) == _segment_bytes(scratch)
+    return resumed
+
+
 class TestReplayProperties:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(txn_scripts, max_size=8))
@@ -1016,6 +1056,11 @@ class TestReplayProperties:
             check_view_consistency(
                 recovered.view("v"), recovery.database.instances()
             )
+            with tempfile.TemporaryDirectory() as scratch:
+                resumed = assert_one_scan_matches_two(
+                    directory, recovery, os.path.join(scratch, "own")
+                )
+            assert resumed == recovery.last_sequence
 
 
 STACKED_EXPR = BaseRef("v").select("D >= 4")
@@ -1048,12 +1093,12 @@ class TestCrashPointMatrix:
     commit per record) reaches after the same number of records — base
     relations and every view's stored contents byte-for-byte, the
     position and the transaction counter — at every one of the ~50
-    crash points, not just the handful an ad-hoc test picks.
+    crash points, not just the handful an ad-hoc test picks.  At each,
+    the WAL writer opened from the recovery's own scan, as ``serve``
+    opens it, must match a writer that scans the log again.
     """
 
     def test_recovery_at_every_record_boundary(self, tmp_path):
-        import shutil
-
         from repro.engine.log import replay_records
         from repro.replication.recovery import decode_wal_record
 
@@ -1137,4 +1182,103 @@ class TestCrashPointMatrix:
                     last if seen else checkpoint_sequence
                 )
             recovered.verify_all()
+            own = str(tmp_path / f"own-{k}")
+            assert assert_one_scan_matches_two(scratch, recovery, own) == last
             shutil.rmtree(scratch)
+            shutil.rmtree(own)
+
+
+class TestWriterHandover:
+    """A writer opened from a recovery's scan reads no record again, and
+    refuses whatever a writer scanning for itself would refuse."""
+
+    def test_the_served_restart_decodes_each_record_once(self, tmp_path):
+        from repro.cli import build_served_state
+
+        directory = str(tmp_path)
+        db, durability, _ = make_leader(directory)
+        churn(db, 12)
+        durability.close()
+        with recording(CostRecorder()) as recorder:
+            recovery, _, replayed, served = build_served_state(directory, [])
+        served.close()
+        assert replayed == 12
+        assert recorder.get("wal_records_read") == 12
+        assert served.position == recovery.last_sequence == 12
+
+    def test_damage_below_an_unpruned_checkpoint_still_stops_serve(self, tmp_path):
+        from repro.cli import run_serve
+
+        directory = str(tmp_path / "leader")
+        db, durability, maintainer = make_leader(directory, segment_bytes=200)
+        churn(db, 12)
+        durability.checkpoint(maintainer, prune=False)
+        churn(db, 3, seed=1)
+        durability.close()
+        segments = segment_paths(directory)
+        assert len(segments) > 2
+        first = segments[0][1]
+        with open(first, "rb") as stream:
+            lines = stream.read().splitlines(keepends=True)
+        assert len(lines) > 1
+        lines[0] = lines[0][:10] + b"X" + lines[0][11:]  # valid records follow
+        with open(first, "wb") as stream:
+            stream.writelines(lines)
+        own = str(tmp_path / "own")
+        shutil.copytree(directory, own)
+        with pytest.raises(WalCorruptionError) as scanned:
+            WalWriter(own)
+        # The replay reads only the segments above the checkpoint ...
+        recovery = Recovery(directory)
+        assert recovery.replay() == 3
+        assert recovery.scan.skipped
+        # ... so the writer opened from its scan reads the whole log.
+        with pytest.raises(WalCorruptionError) as handed:
+            WalWriter(directory, scan=recovery.scan)
+        assert str(handed.value) == str(scanned.value)
+        with pytest.raises(WalCorruptionError) as served:
+            run_serve(directory, port=0, emit=lambda line: None)
+        assert str(served.value) == str(scanned.value)
+
+    def test_a_later_segment_with_no_intact_record_resumes_at_its_start(
+        self, tmp_path
+    ):
+        # What a checkpoint's pruning can leave after a crash tore the
+        # first record of a fresh segment: the segment's name is the
+        # only trace of the sequences before it.
+        directory = str(tmp_path)
+        with WalWriter(directory, segment_bytes=1) as writer:
+            for txn in range(1, 6):
+                writer.append(txn, {})
+        *older, (_, newest) = segment_paths(directory)
+        for _, path in older:
+            os.remove(path)
+        with open(newest, "wb") as stream:
+            stream.write(b'{"body":{"seq":5,')  # the torn first record
+        scan = WalReader(directory)
+        assert list(scan.records(after=4)) == []
+        assert scan.last_intact == 4
+        with WalWriter(directory, scan=scan) as writer:
+            assert writer.last_sequence == 4
+            assert writer.append(5, {}) == 5
+        assert WalReader(directory).last_sequence() == 5
+
+    def test_a_scan_that_did_not_finish_is_refused(self, tmp_path):
+        directory = str(tmp_path / "log")
+        with WalWriter(directory) as writer:
+            writer.append(1, {})
+            writer.append(2, {})
+        unread = WalReader(directory)
+        with pytest.raises(ReplicationError, match="not a finished scan"):
+            WalWriter(directory, scan=unread)
+        halfway = WalReader(directory)
+        next(halfway.records())
+        with pytest.raises(ReplicationError, match="not a finished scan"):
+            WalWriter(directory, scan=halfway)
+        other = str(tmp_path / "other")
+        os.makedirs(other)
+        elsewhere = WalReader(other)
+        assert elsewhere.last_sequence() == 0
+        with pytest.raises(ReplicationError, match="not a finished scan"):
+            WalWriter(directory, scan=elsewhere)
+        assert WalReader(directory).last_sequence() == 2

@@ -435,6 +435,31 @@ class TestLabelColumn:
             document_bytes(maintainer.view("in_stock").contents)
         )
 
+    def test_restored_contents_over_other_domains_are_re_encoded(self):
+        """Contents whose label domain differs from the catalog's are
+        decoded and re-encoded in one batch; a label the catalog lacks
+        is the same ``DomainError`` as when each row was ``add``-ed."""
+        db = Database()
+        color = Attribute("color", StringDomain(["red", "blue"]))
+        db.create_relation("r", RelationSchema([color, "n"]), [("red", 1)])
+        expression = BaseRef("r").select("n > 0")
+        other = RelationSchema(
+            [Attribute("color", StringDomain(["blue", "red", "green"])), "n"]
+        )
+        stored = Relation.from_rows(other, [("blue", 2), ("red", 3), ("blue", 4)])
+        stored.add(("red", 3), 2)
+        view = ViewMaintainer(db).restore_view("v", expression, stored)
+        assert view.contents.schema == db.relation("r").schema
+        assert decoded(view.contents) == {
+            ("blue", 2): 1, ("red", 3): 3, ("blue", 4): 1
+        }
+        hostile = Relation.from_rows(other, [("blue", 2), ("green", 5), ("red", 1)])
+        with pytest.raises(DomainError) as refused:
+            ViewMaintainer(db).restore_view("v", expression, hostile)
+        assert str(refused.value) == (
+            "value 'green' is not in <StringDomain {red, blue}>"
+        )
+
     def test_replay_records_into_a_fresh_database(self):
         db = labelled_database()
         fresh = labelled_database()

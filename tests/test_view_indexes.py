@@ -38,7 +38,8 @@ from hypothesis import strategies as st
 import repro.core.codegen as codegen
 from repro import BaseRef, Database, ViewMaintainer, instrumentation
 from repro.algebra.evaluate import evaluate
-from repro.algebra.relation import Delta, HashIndex
+from repro.algebra.relation import Delta, HashIndex, Relation
+from repro.algebra.schema import RelationSchema
 from repro.analysis.findings import F_UNBOUND_OLD_OPERAND
 from repro.cli import parse_view_expression
 from repro.errors import MaintenanceError
@@ -47,6 +48,28 @@ from repro.engine.persistence import database_to_document
 from repro.replication import DurabilityManager, recover
 from repro.replication.checkpoints import Checkpoint
 from tests.reference import REFERENCE_PARITY_COUNTERS, ReferenceViews
+
+
+def _call_events(run, kinds=("call", "c_call")) -> int:
+    """The call events of ``kinds`` that ``sys.setprofile`` sees in
+    ``run``: Python-level (``call``) and C-level (``c_call``) calls."""
+    events = [0]
+
+    def profile(frame, event, arg):
+        if event in kinds:
+            events[0] += 1
+
+    # A collection would run other objects' finalizers in here.
+    gc.collect()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return events[0]
+
 
 #: ``p`` drops r's key, so its tuples carry counters ≥ 2; ``st`` joins
 #: it to ``t`` through ``E = B``.
@@ -537,30 +560,11 @@ class TestMacrobenchCatalog:
         in C-level passes, and the count map is one ``dict.fromkeys``.
         (11.0 calls per row when every row went through ``Relation.add``,
         ``coerce_row`` and ``encode_values``.)"""
-
-        def call_events(load) -> int:
-            events = [0]
-
-            def profile(frame, event, arg):
-                if event in ("call", "c_call"):
-                    events[0] += 1
-
-            # A collection would run other objects' finalizers in here.
-            gc.collect()
-            gc.disable()
-            sys.setprofile(profile)
-            try:
-                load()
-            finally:
-                sys.setprofile(None)
-                gc.enable()
-            return events[0]
-
         counted = []
         for size in (20_000, 40_000):
             rows = [(i, i % 7, -i) for i in range(size)]
             attributes = ["A", "B", "C"]
-            creating = call_events(
+            creating = _call_events(
                 lambda: Database().create_relation("r", attributes, rows)
             )
             genesis = Database()
@@ -575,10 +579,64 @@ class TestMacrobenchCatalog:
                 }
             )
             built = []
-            booting = call_events(lambda: built.append(checkpoint.build_database()))
+            booting = _call_events(lambda: built.append(checkpoint.build_database()))
             assert built[0].relation("r") == genesis.relation("r")
             counted.append((creating, booting))
         assert counted[0] == counted[1]
+
+    def test_restoring_a_view_makes_no_call_per_stored_row(self):
+        """A clock-free law for recovery's view restore: contents over
+        the view's stored schema are adopted as a copy of their count map,
+        so restoring 40 000 stored rows makes as many calls as 20 000.
+        (9.0 calls per row when each was decoded and ``Relation.add``-ed.)"""
+        db = Database()
+        db.create_relation("r", ["A", "B", "C"], [(1, 2, 3)])
+        expression = BaseRef("r").select("B < 5").project(["A", "B"])
+        schema = ViewMaintainer(db).define_view("v", expression).contents.schema
+        counted = []
+        for size in (10, 20_000, 40_000):  # the first compiles the kernel
+            contents = Relation.from_rows(schema, [(i, i % 5) for i in range(size)])
+            contents.index_on(["B"])  # a live relation's index stays its own
+            maintainer = ViewMaintainer(db)
+            counted.append(
+                _call_events(lambda: maintainer.restore_view("v", expression, contents))
+            )
+            restored = maintainer.view("v").contents
+            assert restored.counts() == contents.counts()
+            assert not restored.indexes
+            contents.add((-1, 0))  # the caller's relation is not the view's
+            assert (-1, 0) not in restored
+        assert counted[1] == counted[2]
+
+    def test_building_an_index_makes_no_call_per_row(self):
+        """A clock-free law for index builds (lazy binds after a restart,
+        key declarations): a hash index over 40 000 rows is built with as
+        many Python calls as over 20 000, on one attribute and on two,
+        with keys unique or shared — the keys are mapped in C.  (One or
+        two per row through ``_insert`` and a one-attribute ``key_of``;
+        what is left per row is the C-level ``set.add`` of a row whose
+        key an earlier row has.)"""
+        counted = []
+        for size in (20_000, 40_000):
+            relation = Relation.from_rows(
+                RelationSchema(["A", "B", "C"]),
+                [(i, i % 7, i % 3) for i in range(size)],
+            )
+            built = {}
+            for attributes in (["A"], ["B"], ["A", "B"], ["C", "B"]):
+                def build(attributes=attributes):
+                    built[tuple(attributes)] = HashIndex(relation, attributes)
+
+                events = _call_events(build, kinds=("call",))
+                counted.append((size, tuple(attributes), events))
+            for index in built.values():
+                assert sum(map(len, index._buckets.values())) == size
+                assert index._stale_key(relation) is None
+            assert len(built[("B",)]) == 7
+            assert len(built[("C", "B")]) == 21
+        assert [events for size, _, events in counted if size == 20_000] == [
+            events for size, _, events in counted if size == 40_000
+        ]
 
     def test_defining_a_view_pays_no_per_tuple_interpretation(self):
         """A clock-free law for definition cost: a view is materialized

@@ -33,14 +33,16 @@ transaction at the default ``--txns``.
 ``build_database`` and ``define_views``, and the tool prints the
 function calls per base tuple.  On a served workload it is the child's
 restart: ``cli.build_served_state`` (checkpoint load, view restore, WAL
-replay) plus the ``DurabilityManager`` open, run on a directory made by
-the harness's own ``ServedHost._prepare``, and the tool prints the
-function calls per WAL record replayed and, since loading the
-checkpoint is a share of them too, per checkpointed tuple (base rows
-plus the views' stored rows).  Both counts are exact for a
-fixed workload and seed, like the per-transaction count.  Both set-ups
-then print the kernel modules ``repro.core.codegen`` compiled and how
-many distinct programs (sources without their comments) those were.
+replay and the WAL writer's open, as ``serve`` runs them), run on a
+directory made by the harness's own ``ServedHost._prepare``, and the
+tool prints the function calls per WAL record replayed, the WAL records
+decoded against the tail's length (one scan decodes each once) and,
+since loading the checkpoint is a share of the calls too, the calls per
+checkpointed tuple (base rows plus the views' stored rows).  The counts
+are exact for a fixed workload and seed, like the per-transaction
+count.  Both set-ups then print the kernel modules
+``repro.core.codegen`` compiled and how many distinct programs (sources
+without their comments) those were.
 
 ``cProfile`` charges every Python call and nothing inside C code, so the
 shares it prints overstate call-heavy code.  Use it to find a candidate;
@@ -201,7 +203,6 @@ def profile_served_setup(workload, stream, txns: int):
     from harness import ServedHost
 
     from repro.cli import build_served_state
-    from repro.replication.durability import DurabilityManager
 
     host = ServedHost(workload, stream, False)
     try:
@@ -211,8 +212,9 @@ def profile_served_setup(workload, stream, txns: int):
         profiler = cProfile.Profile()
         with kernel_compiles() as sources:
             profiler.enable()
-            recovery, maintainer, replayed = build_served_state(directory, options)
-            durability = DurabilityManager(recovery.database, directory)
+            _, maintainer, replayed, durability = build_served_state(
+                directory, options
+            )
             profiler.disable()
         durability.close()
         maintainer.verify_all()
@@ -225,6 +227,12 @@ def profile_served_setup(workload, stream, txns: int):
     )
     calls = stats.total_calls
     print(f"function calls per WAL record: {calls / max(replayed, 1):.1f}   ({calls} calls)")
+    decoded = sum(
+        entry[1]
+        for (filename, _, function), entry in stats.stats.items()  # type: ignore[attr-defined]
+        if function == "decode_line" and filename.endswith("wal.py")
+    )
+    print(f"WAL records decoded per restart: {decoded}   (tail: {replayed} records)")
     tuples = base_rows + view_rows
     print(
         f"function calls per checkpointed tuple: {calls / max(tuples, 1):.1f}   "
