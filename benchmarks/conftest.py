@@ -46,16 +46,6 @@ def smoke_env(tag: str) -> bool:
     return env_flag(f"REPRO_{tag}_SMOKE")
 
 
-def record_env(tag: str) -> bool:
-    """True when the ``REPRO_{tag}_RECORD`` gate is on.
-
-    Recording gates append a dated entry to the experiment's
-    ``BENCH_*.json`` trajectory; ``record_env("E25")`` reads
-    ``REPRO_E25_RECORD``.
-    """
-    return env_flag(f"REPRO_{tag}_RECORD")
-
-
 @pytest.fixture
 def report():
     """Register a result table for the end-of-run summary."""

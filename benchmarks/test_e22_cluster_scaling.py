@@ -16,26 +16,19 @@ transaction stream:
   sends are exactly the broadcast run's surplus.
 
 Set ``REPRO_E22_SMOKE=1`` (CI does) to shrink the stream to a smoke
-run of the same code paths.  Set ``REPRO_E22_RECORD=1`` to append the
-measured numbers to ``BENCH_E22.json`` at the repo root — the
-benchmark trajectory tracked across PRs (ROADMAP: record before/after
-numbers whenever the hot path changes).
+run of the same code paths.  The recorded full-size numbers are in
+EXPERIMENTS.md (E22).
 """
 
-import json
 import random
 import time
-from datetime import date
-from pathlib import Path
 
-from benchmarks.conftest import env_flag, smoke_env
+from benchmarks.conftest import smoke_env
 from repro.bench.reporting import format_table
 from repro.cluster import build_cluster
 from repro.simulation.sharded import VALUE_RANGE, cluster_workload
 
 SMOKE = smoke_env("E22")
-RECORD = env_flag("REPRO_E22_RECORD")
-TRAJECTORY = Path(__file__).resolve().parent.parent / "BENCH_E22.json"
 
 TXNS = 40 if SMOKE else 300
 SHARD_COUNTS = (1, 2, 4)
@@ -67,14 +60,6 @@ def _run(shards, routed=True):
         assert outcome is not None and outcome["status"] == "committed"
     elapsed = time.perf_counter() - start
     return elapsed, coordinator
-
-
-def _record(entry):
-    trajectory = []
-    if TRAJECTORY.exists():
-        trajectory = json.loads(TRAJECTORY.read_text())
-    trajectory.append(entry)
-    TRAJECTORY.write_text(json.dumps(trajectory, indent=2) + "\n")
 
 
 def test_e22_cluster_scaling(report, benchmark):
@@ -173,36 +158,6 @@ def test_e22_cluster_scaling(report, benchmark):
         broadcast_counters["cluster_deltas_sent"]
         == routed_counters["cluster_deltas_sent"] + skipped
     )
-
-    if RECORD:
-        _record(
-            {
-                "experiment": "E22",
-                "date": date.today().isoformat(),
-                "smoke": SMOKE,
-                "txns": TXNS,
-                "scaling": {
-                    str(shards): {
-                        "us_per_txn": round(elapsed / TXNS * 1e6, 1),
-                        "deltas_sent": coordinator.recorder.counters.get(
-                            "cluster_deltas_sent", 0
-                        ),
-                        "deltas_skipped": coordinator.recorder.counters.get(
-                            "cluster_deltas_skipped", 0
-                        ),
-                    }
-                    for shards, (elapsed, coordinator) in runs.items()
-                },
-                "ablation": {
-                    "shards": ABLATION_SHARDS,
-                    "routed_us_per_txn": round(routed_time / TXNS * 1e6, 1),
-                    "broadcast_us_per_txn": round(
-                        broadcast_time / TXNS * 1e6, 1
-                    ),
-                    "sends_avoided": skipped,
-                },
-            }
-        )
 
     # One micro-benchmark sample: a routed cross-shard transaction.
     cluster = _run(2)[1]

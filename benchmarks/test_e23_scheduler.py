@@ -17,17 +17,14 @@ Two questions about the scheduler subsystem, on seeded streams:
   and deferral counts are the price of under-provisioning.
 
 Set ``REPRO_E23_SMOKE=1`` (CI does) to shrink the streams to a smoke
-run of the same code paths.  Set ``REPRO_E23_RECORD=1`` to append the
-measured numbers to ``BENCH_E23.json`` at the repo root.
+run of the same code paths.  The recorded full-size numbers are in
+EXPERIMENTS.md (E23).
 """
 
-import json
 import random
 import time
-from datetime import date
-from pathlib import Path
 
-from benchmarks.conftest import env_flag, smoke_env
+from benchmarks.conftest import smoke_env
 from repro import (
     BaseRef,
     Database,
@@ -40,8 +37,6 @@ from repro.core.maintainer import MaintenancePolicy
 from repro.scheduler import RefreshScheduler, StalenessSLA, TickClock
 
 SMOKE = smoke_env("E23")
-RECORD = env_flag("REPRO_E23_RECORD")
-TRAJECTORY = Path(__file__).resolve().parent.parent / "BENCH_E23.json"
 
 TXNS = 40 if SMOKE else 300
 SEED_ROWS = 50 if SMOKE else 400
@@ -162,14 +157,6 @@ def _run_sla_sweep(batch_limit):
     return scheduler, refreshed
 
 
-def _record(entry):
-    trajectory = []
-    if TRAJECTORY.exists():
-        trajectory = json.loads(TRAJECTORY.read_text())
-    trajectory.append(entry)
-    TRAJECTORY.write_text(json.dumps(trajectory, indent=2) + "\n")
-
-
 def test_e23_scheduler(report, benchmark, tmp_path):
     # -- base-free hosting: memory next to identical contents ----------
     db, full, bare, timings = _run_followers(tmp_path)
@@ -259,34 +246,6 @@ def test_e23_scheduler(report, benchmark, tmp_path):
     # Looser bounds amortize strictly more commits per refresh.
     refresh_counts = [row[1] for row in sweep_rows]
     assert refresh_counts == sorted(refresh_counts, reverse=True)
-
-    if RECORD:
-        _record(
-            {
-                "experiment": "E23",
-                "date": date.today().isoformat(),
-                "smoke": SMOKE,
-                "txns": TXNS,
-                "base_free": {
-                    "full_base_rows": _base_rows(full.database),
-                    "base_free_base_rows": _base_rows(bare.database),
-                    "base_rows_dropped": dropped,
-                    "full_catch_up_ms": round(timings["full"] * 1e3, 2),
-                    "base_free_catch_up_ms": round(
-                        timings["base-free"] * 1e3, 2
-                    ),
-                },
-                "sla_sweep": {
-                    str(bound): {
-                        "refreshes": row[1],
-                        "violations": row[3],
-                    }
-                    for bound, row in zip(SLA_BOUNDS, sweep_rows)
-                },
-                "nominal_violations": nominal.counters()["sla_violations"],
-                "starved_violations": starved.counters()["sla_violations"],
-            }
-        )
 
     # One micro-benchmark sample: a commit plus a scheduler tick.
     bench_db = _seeded_database()

@@ -21,25 +21,20 @@ fold parity this file used to carry as a third arm lives in
 ``tests/test_aggregates.py``.)
 
 Set ``REPRO_E25_SMOKE=1`` (CI does) to shrink the stream to a smoke
-run of the same code paths.  Set ``REPRO_E25_RECORD=1`` to append the
-measured numbers to ``BENCH_E25.json`` at the repo root.
+run of the same code paths.  The recorded full-size numbers are in
+EXPERIMENTS.md (E25).
 """
 
-import json
 import random
 import time
-from datetime import date
-from pathlib import Path
 
-from benchmarks.conftest import record_env, smoke_env
+from benchmarks.conftest import smoke_env
 from repro import BaseRef, Database, ViewMaintainer
 from repro.algebra.evaluate import evaluate
 from repro.bench.reporting import format_table
 from repro.instrumentation import CostRecorder, recording
 
 SMOKE = smoke_env("E25")
-RECORD = record_env("E25")
-TRAJECTORY = Path(__file__).resolve().parent.parent / "BENCH_E25.json"
 
 TXNS = 30 if SMOKE else 250
 SEED_ROWS = 40 if SMOKE else 250
@@ -177,30 +172,6 @@ def _run_recompute():
     return best
 
 
-#: The abstract work recorded with each trajectory entry — the SPJ
-#: core's counters plus the aggregate fold's own two.
-WORK_COUNTERS = (
-    "tuples_scanned",
-    "join_probes",
-    "tuples_emitted",
-    "tuples_ignored",
-    "truth_table_rows",
-    "delta_rows_evaluated",
-    "subexpression_memo_hits",
-    "differential_updates",
-    "aggregate_rows_folded",
-    "aggregate_groups_touched",
-)
-
-
-def _record(entry):
-    trajectory = []
-    if TRAJECTORY.exists():
-        trajectory = json.loads(TRAJECTORY.read_text())
-    trajectory.append(entry)
-    TRAJECTORY.write_text(json.dumps(trajectory, indent=2) + "\n")
-
-
 def test_e25_aggregate_maintenance(report, benchmark):
     compiled_s, compiled_counters, compiled_views, compiled_stats = (
         _run_differential()
@@ -244,24 +215,6 @@ def test_e25_aggregate_maintenance(report, benchmark):
         assert compiled_s < recompute_s, (
             f"differential {compiled_s:.4f}s not faster than "
             f"recompute {recompute_s:.4f}s"
-        )
-
-    if RECORD:
-        _record(
-            {
-                "experiment": "E25",
-                "date": date.today().isoformat(),
-                "smoke": SMOKE,
-                "txns": TXNS,
-                "differential_ms": round(compiled_s * 1e3, 2),
-                "recompute_ms": round(recompute_s * 1e3, 2),
-                "speedup_vs_recompute": round(speedup, 3),
-                "codegen": compiled_stats,
-                "work_counters": {
-                    name: compiled_counters.get(name, 0)
-                    for name in WORK_COUNTERS
-                },
-            }
         )
 
     # One micro-benchmark sample: a single sale event folded through

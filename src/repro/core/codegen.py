@@ -194,7 +194,6 @@ def generate_screen_source(
     relation_name: str,
     relevance_filter: "RelevanceFilter",
     schema: RelationSchema,
-    statically_irrelevant: bool = False,
 ) -> str:
     """Emit the batch screen kernel for one participating relation.
 
@@ -211,16 +210,6 @@ def generate_screen_source(
     """
     out = _Emitter()
     out.emit(f"# screen kernel: relation {quoted(relation_name)}")
-    if statically_irrelevant:
-        # The Theorem 4.1 static proof is baked into the source: the
-        # kernel body is the proof's conclusion.  Constraint DDL
-        # invalidates the whole plan, regenerating this file.
-        out.emit("# statically irrelevant under the declared constraint:")
-        out.emit("# every legal update is dropped with no per-tuple work")
-        out.emit("def screen_kernel(inserted, deleted):")
-        out.indent += 1
-        out.emit("return {}, {}, 0, 0")
-        return out.source()
     if relevance_filter._always_relevant:
         out.emit("# condition has an empty disjunct (constant TRUE):")
         out.emit("# every update is relevant, no screening possible")

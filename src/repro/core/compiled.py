@@ -112,8 +112,8 @@ class CompiledViewPlan:
         keys the plan binds.
     counters:
         The owner's always-on bag — the maintainer's per-view row —
-        which counts this compile.  What a maintenance call counts goes
-        to the tally its caller settles there (:meth:`maintain`), so
+        which counts this compile.  What a maintenance step counts goes
+        to the tallies its caller settles there (:meth:`screen`), so
         the per-view counters outlive the plan (eviction, recompiles).
     view_operands:
         The contents of the view's operands that are themselves
@@ -214,12 +214,16 @@ class CompiledViewPlan:
             tuple[int, tuple[str, ...]], HashIndex
         ] = {}
         # Generated batch kernels.  Screen kernels are compiled eagerly
-        # — they bake the APSP distances and any static-irrelevance
-        # proof into source, so they must be rebuilt whenever the plan
-        # is (constraint DDL invalidates the plan, not just a flag).
-        # Shape kernels compile on first use of each truth-table shape,
-        # like the planners they mirror.
-        self._screen_kernels: dict[str, tuple[str, ScreenKernel]] = {}
+        # — they bake the APSP distances into source, so they must be
+        # rebuilt whenever the plan is.  Shape kernels compile on first
+        # use of each truth-table shape, like the planners they mirror.
+        #: Relation name → its screen kernel's source and the kernel, or
+        #: a comment line and None when a compile-time proof drops the
+        #: relation's deltas wholesale: static irrelevance, or the probe
+        #: side of an FK reduction (legal states keep the foreign key
+        #: satisfied, and the probe contributes only its referenced key
+        #: attributes, which the referencing side already carries).
+        self._screen_kernels: dict[str, tuple[str, ScreenKernel | None]] = {}
         #: The names of the relations whose deltas survived screening,
         #: in a call's order → everything one execution of that shape
         #: needs that no transaction changes: the changed positions,
@@ -230,12 +234,21 @@ class CompiledViewPlan:
         # eagerly with the screens: its shape depends only on the spec
         # and core schema, never on the incoming delta.
         self._aggregate_kernel: tuple[str, AggregateKernel] | None = None
+        probe_side = self._reduction.probe_relations if self._reduction else ()
         for name in sorted(self._screens):
+            if name in self._static_irrelevant or name in probe_side:
+                proof = (
+                    "statically irrelevant under its declared constraint"
+                    if name in self._static_irrelevant
+                    else "an FK-reduction probe operand"
+                )
+                self._screen_kernels[name] = (
+                    f"# screen: relation {quoted(name)} is {proof}; no kernel\n",
+                    None,
+                )
+                continue
             source = generate_screen_source(
-                name,
-                self._screens[name],
-                self._operands[name].schema,
-                statically_irrelevant=name in self._static_irrelevant,
+                name, self._screens[name], self._operands[name].schema
             )
             kernel = compile_kernel(
                 source,
@@ -258,43 +271,6 @@ class CompiledViewPlan:
         counters.count("codegen_plans_compiled")
 
     # ------------------------------------------------------------------
-    # One maintenance call
-    # ------------------------------------------------------------------
-    def maintain(
-        self,
-        deltas: Mapping[str, Delta],
-        aggregate_state: "AggregateState | None",
-        counted: Tally,
-        charged: Tally | None,
-    ) -> Delta | None:
-        """One view's whole pipeline for one commit's non-empty operand
-        deltas: the view delta, or ``None`` when every tuple was
-        screened out — the payoff Section 4 is after.
-
-        The three steps hand on the kernels' own count maps and append
-        ``(metric, amount)`` pairs to ``counted`` (always-on) or
-        ``charged`` (active recorder only; ``None`` when none is
-        active), which the caller settles once
-        (:meth:`~repro.instrumentation.CostRecorder.settle`).
-        """
-        relevant: dict[str, Delta] = {}
-        for relation_name, delta in deltas.items():
-            screened = self.screen(relation_name, delta, counted, charged)
-            if screened is not None:
-                relevant[relation_name] = screened
-        if not relevant:
-            return None
-        inserted, deleted = self.compute_delta(relevant, counted, charged)
-        if aggregate_state is None:
-            return Delta.adopt(self._core_schema, inserted, deleted)
-        # That was a delta over the SPJ *core*; the fold turns it into
-        # the visible group-row delta every downstream consumer sees.
-        inserted, deleted = self.fold_aggregate(
-            aggregate_state, inserted, deleted, counted, charged
-        )
-        return Delta.adopt(aggregate_state.visible_schema, inserted, deleted)
-
-    # ------------------------------------------------------------------
     # Section 4: screening
     # ------------------------------------------------------------------
     def screen(
@@ -304,25 +280,21 @@ class CompiledViewPlan:
         counted: Tally,
         charged: Tally | None,
     ) -> Delta | None:
-        """What of one relation's delta can affect the view, if any."""
+        """What of one relation's delta can affect the view, if any.
+
+        ``relation_name`` must be one the view reads: a foreign name
+        raises :class:`KeyError`.  This step, :meth:`compute_delta` and
+        :meth:`fold_aggregate` append ``(metric, amount)`` pairs to
+        ``counted`` (always-on) or ``charged`` (active recorder only;
+        ``None`` when none is active), which the caller settles once
+        (:meth:`~repro.instrumentation.CostRecorder.settle`).
+        """
         n = len(delta.inserted) + len(delta.deleted)
-        if relation_name not in self._screens:
-            # The relation does not participate in the view: everything
-            # is irrelevant (Theorem 4.1's trivial case).
-            counted += (("tuples_screened", n), ("tuples_irrelevant", n))
-            return None
-        static = relation_name in self._static_irrelevant
-        if static or (
-            self._reduction is not None
-            and relation_name in self._reduction.probe_relations
-        ):
+        kernel = self._screen_kernels[relation_name][1]
+        if kernel is None:
             # Dropped with no per-tuple work by a compile-time proof,
-            # and counted under it: no legal update to this relation
-            # can affect the view, or the FK reduction proved the same
-            # of a probe side (legal states keep the foreign key
-            # satisfied, and the probe contributes only its referenced
-            # key attributes, which the referencing side already
-            # carries).
+            # and counted under it.
+            static = relation_name in self._static_irrelevant
             counted += (
                 ("tuples_screened", n),
                 ("tuples_irrelevant", n),
@@ -335,9 +307,9 @@ class CompiledViewPlan:
         # RelevanceFilter.screen_delta, every instrumentation counter
         # included: it returns its per-tuple ground-eval and
         # bound-probe tallies so they are charged in bulk here.
-        inserted, deleted, ground_evals, bound_probes = self._screen_kernels[
-            relation_name
-        ][1](delta.inserted, delta.deleted)
+        inserted, deleted, ground_evals, bound_probes = kernel(
+            delta.inserted, delta.deleted
+        )
         counted += (
             ("tuples_screened", n),
             ("tuples_irrelevant", n - len(inserted) - len(deleted)),
@@ -529,7 +501,7 @@ class CompiledViewPlan:
         :data:`~repro.core.codegen.MAX_CODEGEN_ROWS` runs on
         :func:`~repro.core.planner.evaluate_normal_form` instead.
 
-        Tallies go to ``counted`` and ``charged`` as in :meth:`maintain`.
+        Tallies go to ``counted`` and ``charged`` as in :meth:`screen`.
         """
         operands = [self._operands[name] for name in self._occurrence_names]
         sizes = [len(operand) for operand in operands]
@@ -670,12 +642,14 @@ class CompiledViewPlan:
         """The complete generated source for this plan, deterministic.
 
         One listing: a version header, the screen kernel per
-        participating relation (sorted by name), then the row/apply
-        kernels for every single-relation truth-table shape plus the
-        all-relations shape.  Generation is a pure function of the plan
-        structure, so two compiles of the same definition against the
-        same catalog and constraints emit byte-identical text — the
-        property the CLI's ``--source`` determinism check asserts.
+        participating relation (sorted by name; a comment line naming
+        the proof for a relation whose deltas are dropped unscreened),
+        then the row/apply kernels for every single-relation
+        truth-table shape plus the all-relations shape.  Generation is
+        a pure function of the plan structure, so two compiles of the
+        same definition against the same catalog and constraints emit
+        byte-identical text — the property the CLI's ``--source``
+        determinism check asserts.
         Shapes beyond :data:`~repro.core.codegen.MAX_CODEGEN_ROWS` are
         listed as reference-planner fallbacks.
         """

@@ -23,10 +23,10 @@ drop, a declared constraint or key) could stale them; the next
 maintenance call recompiles.  Every consumer of the maintainer —
 immediate commits, deferred ``refresh``, WAL-replay recovery,
 changefeed followers, the network view-server — therefore runs the
-same cached plan, and there is one pipeline, run by one call per view
-(:meth:`~repro.core.compiled.CompiledViewPlan.maintain`): screen
-kernels, then row kernels, then (for aggregate views) the fold kernel;
-what it counts is settled on the view's row once.  The per-tuple
+same cached plan, and there is one pipeline, which ``_maintain`` runs
+stage by stage over the plan's kernels: screen kernels, then row
+kernels, then (for aggregate views) the fold kernel; what it counts is
+settled on the view's row once.  The per-tuple
 functions the kernels mirror —
 :func:`~repro.core.irrelevance.filter_delta`,
 :func:`~repro.core.differential.compute_view_delta`,
@@ -849,17 +849,20 @@ class ViewMaintainer:
         recording: bool,
         sequence: int,
     ) -> Delta | None:
-        """Execute the compiled plan and apply what it returns: the
-        applied view delta, ``None`` when the view did not change.  What
-        the call counts is settled on the view's row once, raise or not;
-        what it would only charge is not even tallied unless a recorder
-        is active to receive it (``recording``).  ``sequence`` is the
-        log position the view is brought up to.
+        """Run the plan's stages — screen each changed relation, the
+        row kernels over what survived, the fold for an aggregate view —
+        and apply the view delta they hand on; ``None`` when every tuple
+        was screened out, the payoff Section 4 is after.  What the
+        stages count is settled on the view's row once, raise or not;
+        what they would only charge is not even tallied unless a
+        recorder is active to receive it (``recording``).  ``sequence``
+        is the log position the view is brought up to.
         """
         view = entry.view
         plan = entry.plan
         counted: Tally = [("transactions_seen", 1)]
         charged: Tally | None = [] if recording else None
+        view_delta: Delta | None = None
         try:
             # A hit except right after an invalidation (the miss
             # recompiles and keeps the new plan).
@@ -868,17 +871,28 @@ class ViewMaintainer:
                 plan = self._recompile(entry)
             else:
                 counted += (("plan_cache_hits", 1),)
-            view_delta = plan.maintain(
-                deltas, view.aggregate_state, counted, charged
-            )
-            if view_delta is None:
+            relevant: dict[str, Delta] = {}
+            for relation_name, delta in deltas.items():
+                screened = plan.screen(relation_name, delta, counted, charged)
+                if screened is not None:
+                    relevant[relation_name] = screened
+            if not relevant:
                 counted += (("transactions_skipped", 1),)
             else:
+                inserted, deleted = plan.compute_delta(relevant, counted, charged)
+                state = view.aggregate_state
+                if state is not None:
+                    inserted, deleted = plan.fold_aggregate(
+                        state, inserted, deleted, counted, charged
+                    )
+                view_delta = Delta.adopt(view.contents.schema, inserted, deleted)
                 counted += (
-                    ("view_tuples_inserted", len(view_delta.inserted)),
-                    ("view_tuples_deleted", len(view_delta.deleted)),
+                    ("view_tuples_inserted", len(inserted)),
+                    ("view_tuples_deleted", len(deleted)),
                 )
-                view.apply_delta(view_delta)
+                if inserted or deleted:
+                    view_delta.apply_to(view.contents)
+                    view.updates_applied += 1
                 counted += (("deltas_applied", 1),)
         finally:
             entry.row.settle(counted, charged)

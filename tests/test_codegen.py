@@ -435,7 +435,7 @@ def _kernel_code_objects(plan):
     """Every code object of every kernel module a plan runs: each
     module's functions (a kernel and the helpers it calls) and every
     code object nested in them."""
-    kernels = [kernel for _, kernel in plan._screen_kernels.values()]
+    kernels = [kernel for _, kernel in plan._screen_kernels.values() if kernel]
     kernels += [
         shape[2].row_kernel for shape in plan._shapes.values() if shape[2]
     ]

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.algebra.expressions import BaseRef
+from repro.algebra.relation import Delta
 from repro.analysis import (
     F_COUNTER_FREE,
     F_DUPLICATE_SENSITIVE,
@@ -516,6 +517,46 @@ class TestKeyDdlInvalidation:
         text = maintainer.explain("v", ["r", "p"])
         assert "derived view key" in text
         assert "counter-free" in text
+
+
+class TestFkProbeSide:
+    def test_a_probe_delta_is_dropped_under_the_reduction(self, kernel_compiles):
+        """A delta to the probe side of an FK-reduced view is dropped
+        wholesale by the compile-time proof and booked under it; the
+        probe relation never gets a screen kernel."""
+        db = keyed_database()
+        maintainer = ViewMaintainer(db)
+        # The selection gives r's screen a body p's would not share, so
+        # a kernel for p would be a program of its own.
+        view = maintainer.define_view(
+            "v", BaseRef("r").join(BaseRef("p")).select("A >= 2").project(["A", "B"])
+        )
+        plan = maintainer.compiled_plan("v")
+        assert tuple(plan.reduction.probe_relations) == ("p",)
+        screens = [source for source in kernel_compiles if "def screen_kernel" in source]
+        assert len(screens) == 1
+        assert "# screen: relation 'p' is an FK-reduction probe operand" in (
+            maintainer.kernel_source("v")
+        )
+
+        before = view.contents.counts()
+        # A new parent, and two parents no r row references.
+        with recording(CostRecorder()) as recorder:
+            with db.transact() as txn:
+                txn.insert("p", (9, 90))
+                txn.delete("p", (3, 30))
+                txn.delete("p", (2, 20))
+        assert recorder.get("fk_probe_tuples_dropped") == 3
+        assert recorder.get("static_tuples_dropped") == 0
+        assert recorder.get("filter_tuples_checked") == 0
+        stats = maintainer.stats("v")
+        assert stats["tuples_static_dropped"] == stats["tuples_irrelevant"] == 3
+        assert stats["transactions_skipped"] == 1
+        assert view.contents.counts() == before != {}
+        maintainer.verify_all()
+        # Only a relation the view reads has a table entry.
+        with pytest.raises(KeyError):
+            plan.screen("q", Delta.adopt(db.relation("p").schema, {}, {}), [], None)
 
 
 # ----------------------------------------------------------------------
