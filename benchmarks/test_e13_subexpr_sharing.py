@@ -11,7 +11,9 @@ choice) prefix share that prefix's result.  The experiment updates k
 relations of a chain join
 simultaneously (2^k − 1 rows) with sharing on and off and reports join
 probes, memo hits and wall time — identical results, strictly less
-work with sharing, growing with k.
+work with sharing, growing with k.  It runs the per-tuple reference
+walker (``tests/reference.py``), where sharing is a switch; the
+generated row kernels always share.
 """
 
 import time
@@ -19,9 +21,9 @@ import time
 from repro.algebra.expressions import BaseRef, to_normal_form
 from repro.algebra.relation import Delta
 from repro.bench.reporting import format_table
-from repro.core.differential import compute_view_delta
 from repro.instrumentation import CostRecorder, recording
 from repro.workloads.generators import generate_chain_database
+from tests.reference import compute_view_delta
 
 P = 4  # relations in the chain
 CARD = 800

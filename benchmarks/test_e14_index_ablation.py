@@ -6,8 +6,8 @@ those probes from lazily-created persistent hash indexes (each kept in
 step by the relation that carries it) instead of re-hashing each base
 relation on every transaction.  This experiment runs the same small-transaction
 stream through the reference function ``compute_view_delta`` with and
-without an ``index_probe`` hook — the hook being the maintainer's own
-(``CompiledViewPlan.index_probe_for``) — and reports per-transaction
+without an ``index_probe`` hook — the hook reading the indexes the
+maintainer binds (``tests.reference.index_probe_for``) — and reports per-transaction
 time and tuples scanned: the scanned count collapses with the probe
 because only matching keys are ever touched.
 """
@@ -17,13 +17,11 @@ import time
 
 from repro.algebra.expressions import BaseRef
 from repro.bench.reporting import format_table
-from repro.core.differential import compute_view_delta
 from repro.core.maintainer import ViewMaintainer
-from repro.core.compiled import CompiledViewPlan
-from repro.core.planner import evaluate_normal_form
 from repro.core.views import MaterializedView, ViewDefinition
 from repro.engine.database import Database
 from repro.instrumentation import CostRecorder, recording
+from tests.reference import compute_view_delta, evaluate_normal_form, index_probe_for
 
 TRANSACTIONS = 100
 BASE = 6000
@@ -48,15 +46,17 @@ def _run(probe_indexes):
     view = MaterializedView.from_stored(
         definition, evaluate_normal_form(definition.normal_form, db.instances())
     )
-    # Only the plan's index-probe hook is used; nothing executes it.
-    plan = CompiledViewPlan(definition, db, CostRecorder())
-
     def maintain(txn_id, deltas):
-        probe = plan.index_probe_for(deltas) if probe_indexes else None
+        instances = db.instances()
+        probe = (
+            index_probe_for(definition.normal_form, instances, deltas)
+            if probe_indexes
+            else None
+        )
         view.apply_delta(
             compute_view_delta(
                 definition.normal_form,
-                db.instances(),
+                instances,
                 deltas,
                 index_probe=probe,
             )

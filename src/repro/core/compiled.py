@@ -30,11 +30,10 @@ same plan against a replica produces byte-for-byte the leader's result.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import TYPE_CHECKING, AbstractSet, Callable, Iterable, Iterator, Mapping, cast
+from typing import TYPE_CHECKING, AbstractSet, Callable, Iterable, Mapping, cast
 
 from repro.algebra.expressions import NormalForm
 from repro.algebra.relation import Delta, HashIndex, Relation
-from repro.algebra.tags import Tag
 from repro.analysis.dependencies import (
     FkReduction,
     ViewKey,
@@ -51,13 +50,12 @@ from repro.core.codegen import (
     compile_shape_kernels,
     generate_aggregate_source,
     generate_screen_source,
-    generate_shape_source,
+    generate_shape_sources,
     quoted,
 )
 from repro.core.counting import net_counts
-from repro.core.differential import execute_planner
 from repro.core.irrelevance import RelevanceFilter, is_statically_irrelevant
-from repro.core.planner import IndexProbe, ProbeFn, ProbeRow, RowPlanner, StepPlan, evaluate_normal_form
+from repro.core.planner import RowPlanner, StepPlan
 from repro.core.truthtable import count_delta_rows
 from repro.core.views import ViewDefinition
 from repro.errors import MaintenanceError
@@ -97,7 +95,7 @@ class _Lookups(dict[int, Lookup]):
         return lookup
 
 
-_Shape = tuple[tuple[int, ...], RowPlanner, ShapeKernels | None, _Lookups]
+_Shape = tuple[tuple[int, ...], RowPlanner, ShapeKernels, _Lookups]
 
 
 class CompiledViewPlan:
@@ -227,8 +225,7 @@ class CompiledViewPlan:
         #: The names of the relations whose deltas survived screening,
         #: in a call's order → everything one execution of that shape
         #: needs that no transaction changes: the changed positions,
-        #: their planner, its kernels (None past the row cap) and its
-        #: step → bound index lookup.
+        #: their planner, its kernels and its step → bound index lookup.
         self._shapes: dict[tuple[str, ...], _Shape] = {}
         # The aggregate fold kernel (when the view aggregates) compiles
         # eagerly with the screens: its shape depends only on the spec
@@ -303,10 +300,9 @@ class CompiledViewPlan:
                 ("fk_probe_tuples_dropped", 0 if static else n),
             )
             return None
-        # The generated kernel is functionally identical to
-        # RelevanceFilter.screen_delta, every instrumentation counter
-        # included: it returns its per-tuple ground-eval and
-        # bound-probe tallies so they are charged in bulk here.
+        # The generated kernel decides what RelevanceFilter.is_relevant
+        # decides, tuple by tuple, and returns its per-tuple ground-eval
+        # and bound-probe tallies so they are charged in bulk here.
         inserted, deleted, ground_evals, bound_probes = kernel(
             delta.inserted, delta.deleted
         )
@@ -390,27 +386,12 @@ class CompiledViewPlan:
         """The view's netted insert and delete count maps — fresh
         dicts — for one transaction's screened deltas, none empty.
 
-        Runs the shape's generated row kernel, the batch counterpart of
-        :func:`repro.core.differential.execute_planner`, tallying the
-        same counters in bulk from what the kernel returns.
+        Runs the shape's generated row kernel, tallying the Section 5
+        work counters in bulk from what the kernel returns.
         """
         names = tuple(deltas)
         shape = self._shapes.get(names) or self._compile_shape(names, counted)
-        changed, planner, kernels, lookups = shape
-        if kernels is None:
-            # The shape's truth table exceeds MAX_CODEGEN_ROWS: the
-            # reference planner executes it instead, tuple by tuple,
-            # charging as it goes.
-            fallback = sum(len(d.inserted) + len(d.deleted) for d in deltas.values())
-            counted += (("codegen_fallback_tuples", fallback),)
-            delta = execute_planner(
-                planner,
-                self._operands,
-                deltas,
-                changed,
-                index_probe=self.index_probe_for(deltas),
-            )
-            return delta.inserted, delta.deleted
+        _, _, kernels, lookups = shape
         ins, dele, scanned, probes, emitted, ignored, looked_up = kernels.row_kernel(
             list(map(deltas.get, self._occurrence_names)), self._old_counts, lookups
         )
@@ -497,9 +478,7 @@ class CompiledViewPlan:
         empty, and every other operand read as it stands.  An OLD probe
         reads an index the operand already carries or one built for
         this call alone, never registered: evaluation creates and binds
-        no index and fires no DDL event.  A shape past
-        :data:`~repro.core.codegen.MAX_CODEGEN_ROWS` runs on
-        :func:`~repro.core.planner.evaluate_normal_form` instead.
+        no index and fires no DDL event.
 
         Tallies go to ``counted`` and ``charged`` as in :meth:`screen`.
         """
@@ -512,8 +491,6 @@ class CompiledViewPlan:
         root_name, root = self._occurrence_names[largest], operands[largest]
         names = (root_name,)
         _, planner, kernels, _ = self._shapes.get(names) or self._compile_shape(names, counted)
-        if kernels is None:
-            return evaluate_normal_form(self._exec_normal_form, self._operands)
 
         def transient(step: StepPlan) -> HashIndex:
             name, attrs = self._probe_target(step.position, step.link_attr_names)
@@ -553,8 +530,7 @@ class CompiledViewPlan:
                 counter_free=self.counter_free,
                 bag_operands=self._bag_operands,
             )
-            if kernels is not None:
-                counted += (("codegen_plans_compiled", 1),)
+            counted += (("codegen_plans_compiled", 1),)
             lookups = _Lookups(
                 lambda step: self._bind_index(step.position, step.link_attr_names),
                 planner.distinct_steps,
@@ -597,38 +573,6 @@ class CompiledViewPlan:
         occurrence = self._exec_normal_form.occurrences[position]
         return occurrence.name, tuple(occurrence.inverse[q] for q in link_attrs)
 
-    def index_probe_for(self, deltas: Mapping[str, Delta]) -> IndexProbe:
-        """The per-execution OLD-operand probe hook.
-
-        Bindings are plan-level (resolved once, invalidated with the
-        plan); the screening of probe results against the transaction's
-        inserted tuples is per-execution — indexes store the
-        *post-commit* relation while OLD semantics wants ``r − d_r``.
-        A tuple's surviving multiplicity is its live count less this
-        transaction's inserted copies — for a set operand (count one)
-        that is "an inserted tuple is not OLD", for a bag operand the
-        same subtraction the generated scan performs.  Inserts the
-        relevance filter dropped survive in probe results harmlessly:
-        an irrelevant tuple fails the view condition in every
-        combination.
-        """
-
-        def probe_hook(position: int, link_attrs: tuple[str, ...]) -> ProbeFn:
-            index = self._bind_index(position, link_attrs)
-            delta = deltas.get(self._occurrence_names[position])
-            inserted = delta.inserted if delta is not None else {}
-            counts = self._old_counts(position)
-
-            def probe(key: ValueTuple) -> Iterator[ProbeRow]:
-                for values in index.probe(key):
-                    remaining = counts[values] - inserted.get(values, 0)
-                    if remaining > 0:
-                        yield values, Tag.OLD, remaining
-
-            return probe
-
-        return probe_hook
-
     def index_bindings(self) -> dict[tuple[int, tuple[str, ...]], HashIndex]:
         """A snapshot of the currently resolved probe bindings: the
         hash index of its operand relation each OLD probe executed so
@@ -645,13 +589,13 @@ class CompiledViewPlan:
         participating relation (sorted by name; a comment line naming
         the proof for a relation whose deltas are dropped unscreened),
         then the row/apply kernels for every single-relation
-        truth-table shape plus the all-relations shape.  Generation is
-        a pure function of the plan structure, so two compiles of the
-        same definition against the same catalog and constraints emit
-        byte-identical text — the property the CLI's ``--source``
-        determinism check asserts.
-        Shapes beyond :data:`~repro.core.codegen.MAX_CODEGEN_ROWS` are
-        listed as reference-planner fallbacks.
+        truth-table shape plus the all-relations shape — past
+        :data:`~repro.core.codegen.MAX_CODEGEN_ROWS` rows, a comment
+        line for it: its listing would plan and emit 2^w − 1 rows.
+        Generation is a pure function of the plan structure, so two
+        compiles of the same definition against the same catalog and
+        constraints emit byte-identical text — the property the CLI's
+        ``--source`` determinism check asserts.
         """
         name = self.definition.name
         parts = [
@@ -676,16 +620,14 @@ class CompiledViewPlan:
             rows = count_delta_rows(len(shape))
             if rows > MAX_CODEGEN_ROWS:
                 parts.append(
-                    f"# shape {shape!r}: {rows} truth-table rows "
-                    "exceed the codegen limit; reference-planner fallback\n"
+                    f"# shape {shape!r}: {rows} truth-table rows, compiled "
+                    f"in chunks of {MAX_CODEGEN_ROWS} on first use; not listed\n"
                 )
                 continue
-            parts.append(
-                generate_shape_source(
-                    self.planner_for(shape),
-                    counter_free=self.counter_free,
-                    bag_operands=self._bag_operands,
-                )
+            parts += generate_shape_sources(
+                self.planner_for(shape),
+                counter_free=self.counter_free,
+                bag_operands=self._bag_operands,
             )
         if self._aggregate_kernel is not None:
             parts.append(self._aggregate_kernel[0])

@@ -20,9 +20,11 @@ provides:
   generalization;
 * :func:`construct_witness_database` — the constructive "only if"
   direction of Theorem 4.1's proof: for any relevant tuple, a database
-  instance in which the update visibly changes the view;
-* :func:`filter_delta` — the convenience entry point the view
-  maintainer uses: screen a whole :class:`~repro.algebra.relation.Delta`.
+  instance in which the update visibly changes the view.
+
+The view maintainer screens whole deltas with a kernel generated from a
+:class:`RelevanceFilter` (:func:`repro.core.codegen.generate_screen_source`),
+which decides what :meth:`RelevanceFilter.is_relevant` decides.
 
 Self-joins (a relation appearing in several occurrences of the view)
 generalize the paper's single-occurrence setting: a tuple is irrelevant
@@ -43,7 +45,7 @@ from typing import Mapping, Sequence
 
 from repro.algebra.conditions import Condition
 from repro.algebra.expressions import NormalForm, Occurrence
-from repro.algebra.relation import Delta, Relation
+from repro.algebra.relation import Relation
 from repro.algebra.schema import RelationSchema
 from repro.core.graph import ZERO, INF, ConstraintGraph
 from repro.core.normalize import normalize_atom, normalize_conjunction
@@ -320,8 +322,8 @@ class _DisjunctScreen:
 
 
 class FilterStats:
-    """Counters describing one batch-filtering run of the reference
-    functions (:meth:`RelevanceFilter.screen_delta`, :func:`filter_delta`)."""
+    """What a :class:`RelevanceFilter` has screened through
+    :meth:`RelevanceFilter.is_relevant`."""
 
     __slots__ = ("checked", "relevant", "irrelevant")
 
@@ -414,38 +416,6 @@ class RelevanceFilter:
         """Algorithm 4.1's T_out: the relevant subset of ``tuples``."""
         return [values for values in tuples if self.is_relevant(values)]
 
-    def screen_delta(self, delta: Delta) -> tuple[Delta, FilterStats]:
-        """Screen one net-effect delta; returns (filtered delta, call stats).
-
-        The execution half of Algorithm 4.1: the filter's once-per-view
-        precomputation (normalization, invariant split, APSP) is reused
-        across calls — this is what the compiled-plan cache banks on —
-        while the returned :class:`FilterStats` describe *this* call
-        only.  Cumulative counts keep accruing on :attr:`stats`.
-        """
-        call_stats = FilterStats()
-
-        def keep(values: ValueTuple) -> bool:
-            charge("filter_tuples_checked")
-            call_stats.checked += 1
-            self.stats.checked += 1
-            relevant = self._decide(values)
-            if relevant:
-                call_stats.relevant += 1
-                self.stats.relevant += 1
-            else:
-                call_stats.irrelevant += 1
-                self.stats.irrelevant += 1
-            return relevant
-
-        inserted = {
-            values: count for values, count in delta.inserted.items() if keep(values)
-        }
-        deleted = {
-            values: count for values, count in delta.deleted.items() if keep(values)
-        }
-        return Delta.from_counts(delta.schema, inserted, deleted), call_stats
-
     def describe(self) -> str:
         """The Definition 4.2 split, one line per (occurrence, disjunct).
 
@@ -490,20 +460,3 @@ class RelevanceFilter:
             f"<RelevanceFilter view over {self.relation_name!r}, "
             f"{len(self._screens)} screens, {self.stats!r}>"
         )
-
-
-def filter_delta(
-    normal_form: NormalForm,
-    relation_name: str,
-    delta: Delta,
-    schema: RelationSchema | None = None,
-) -> tuple[Delta, FilterStats]:
-    """Screen a whole net-effect delta; keep only relevant tuples.
-
-    Returns the filtered delta and the filter statistics.  Insertions
-    and deletions are screened by the same test (Theorem 4.1 covers
-    both directions).
-    """
-    schema = schema if schema is not None else delta.schema
-    relevance = RelevanceFilter(normal_form, relation_name, schema)
-    return relevance.screen_delta(delta)

@@ -26,12 +26,10 @@ changefeed followers, the network view-server — therefore runs the
 same cached plan, and there is one pipeline, which ``_maintain`` runs
 stage by stage over the plan's kernels: screen kernels, then row
 kernels, then (for aggregate views) the fold kernel; what it counts is
-settled on the view's row once.  The per-tuple
-functions the kernels mirror —
-:func:`~repro.core.irrelevance.filter_delta`,
-:func:`~repro.core.differential.compute_view_delta`,
-:meth:`~repro.core.aggregates.AggregateState.fold` — are the reference
-library the parity tests compare the maintainer against.
+settled on the view's row once.  The parity tests compare the
+maintainer against a per-tuple statement of Sections 4 and 5 kept with
+the tests (``tests/reference.py``) and against
+:meth:`~repro.core.aggregates.AggregateState.fold`.
 
 The registry is one record per view plus one index, *dependents*: a
 relation or view name to the records whose definitions read it.  The
@@ -576,11 +574,13 @@ class ViewMaintainer:
         """Indexes the planner would probe while maintaining this view.
 
         Walks every row's join order for each single-relation update
-        and for the update changing every operand (past the kernel row
-        cap that shape is left out), and collects, for each OLD operand
-        joined by equality links, the base relation or upstream view
-        and link attributes — exactly the indexes the lazy path would
-        create on first use.  Returns sorted ``(name, attributes)`` pairs.
+        and for the update changing every operand (left out past
+        :data:`~repro.core.codegen.MAX_CODEGEN_ROWS` rows, where the
+        walk would plan 2^w − 1 of them), and collects, for each OLD
+        operand joined by equality links, the base relation or upstream
+        view and link attributes — exactly the indexes the lazy path
+        would create on first use.  Returns sorted
+        ``(name, attributes)`` pairs.
         """
         plan = self.peek_plan(name)
         normal_form = plan.execution_normal_form

@@ -1,4 +1,4 @@
-"""Evaluation of truth-table rows, with shared subexpressions.
+"""Planning the evaluation of truth-table rows, with shared subexpressions.
 
 Section 5.3 observes that once the truth-table rows to evaluate are
 known, "we can further reduce the cost of materializing the view by
@@ -10,7 +10,9 @@ expression can be evaluated by "some known algorithm" — the paper cites
 QUEL decomposition; we substitute a direct pipelined hash-join
 evaluator (see DESIGN.md).
 
-This planner implements those ideas concretely:
+This planner decides those ideas once per truth-table shape; the
+kernel generator (:mod:`repro.core.codegen`) turns its decisions into
+code:
 
 * **Order** — each truth-table row gets its own join order, chosen to
   start where that row is small: at its lowest DELTA position, then
@@ -20,15 +22,13 @@ This planner implements those ideas concretely:
   opens with an OLD operand, so no row scans one whole: an OLD operand
   is reached through the keys of a delta-sized accumulator, which a
   persistent index answers.  The orders live in
-  :attr:`RowPlanner.chains`, the one place a join order is decided;
-  the reference evaluator and the kernel generator both walk it.
+  :attr:`RowPlanner.chains`, the one place a join order is decided.
 
 * **Sharing** — every prefix result is memoized on its (position,
   choice) signature, so rows whose orders begin alike share the work
   up to the point they part; the :class:`StepPlan` of a step (its
   links, filters and accumulator layout) depends only on the positions
   joined so far and is likewise kept once per distinct order prefix.
-  Experiment E13 measures the effect of turning the memo off.
 
 * **Selection pushdown** — atoms of the view condition that appear in
   every DNF disjunct are applied as early as their variables are bound:
@@ -37,35 +37,19 @@ This planner implements those ideas concretely:
   operand prefilters, and the rest become step post-filters.  With a
   purely conjunctive condition nothing is left for a final pass; a
   multi-disjunct condition is re-checked once at the end.
-
-* **Index probes** — an optional ``index_probe`` callback lets the
-  caller (the view maintainer) answer OLD-operand probes from a
-  persistent hash index instead of materializing and hashing the whole
-  base relation per evaluation.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.algebra.conditions import Atom, Condition, Var
 from repro.algebra.evaluate import compile_condition
 from repro.algebra.expressions import NormalForm
-from repro.algebra.relation import Relation, TaggedRelation
 from repro.algebra.schema import RelationSchema
-from repro.algebra.tags import Tag, combine_join_tags
 from repro.core.truthtable import DeltaRowChoice, Rows, delta_rows, render_row
-from repro.instrumentation import charge
 
 ValueTuple = tuple[int, ...]
-
-#: Rows returned by a probe: (encoded values, tag, count).
-ProbeRow = tuple[ValueTuple, Tag, int]
-#: A probe function: join-key values -> matching operand rows.
-ProbeFn = Callable[[ValueTuple], Iterable[ProbeRow]]
-#: Caller-provided index hook:
-#: (position, link_attr_qualified_names) -> ProbeFn or None.
-IndexProbe = Callable[[int, tuple[str, ...]], Optional[ProbeFn]]
 
 
 class StepPlan:
@@ -164,8 +148,7 @@ Chain = tuple[StepPlan, ...]
 
 
 class RowPlanner:
-    """Evaluates a batch of truth-table rows for one view and one
-    transaction's operands.
+    """The evaluation plan of one truth-table shape of one view.
 
     Parameters
     ----------
@@ -173,23 +156,14 @@ class RowPlanner:
         The view in paper normal form.
     changed_positions:
         Occurrence positions with a non-empty (filtered) delta.
-    share_subexpressions:
-        Memoize prefix joins across rows (default on; E13's ablation
-        switch).
-    index_probe:
-        Optional hook answering OLD-operand probes from an index.
     """
 
     def __init__(
         self,
         normal_form: NormalForm,
         changed_positions: Sequence[int],
-        share_subexpressions: bool = True,
-        index_probe: IndexProbe | None = None,
     ) -> None:
         self.normal_form = normal_form
-        self.share = share_subexpressions
-        self.index_probe = index_probe
         self.changed = tuple(sorted(set(changed_positions)))
         self._output_schema = normal_form.output_schema()
         self._plan_condition()
@@ -204,8 +178,7 @@ class RowPlanner:
         #: Truth-table row -> its chain, in truth-table order: the
         #: shape's 2^k − 1 rows, or the one all-OLD row of a full
         #: evaluation when nothing changed.  The one place a join order
-        #: is decided; :meth:`evaluate_rows` and the kernel generator
-        #: both walk it.
+        #: is decided; the kernel generator walks it.
         self.chains: dict[Rows, Chain] = {
             row: self._build_chain(row)
             for row in (
@@ -368,174 +341,6 @@ class RowPlanner:
         return None
 
     # ------------------------------------------------------------------
-    # Evaluation
-    # ------------------------------------------------------------------
-    def evaluate_rows(
-        self,
-        rows: Iterable[Rows],
-        operands: Sequence[Mapping[DeltaRowChoice, TaggedRelation]],
-        index_probe: IndexProbe | None = None,
-    ) -> TaggedRelation:
-        """Evaluate every row and merge the projected, tagged results.
-
-        ``operands[position][choice]`` supplies the tagged tuples of
-        each occurrence under each truth-table choice; DELTA entries are
-        only consulted for changed positions.  ``index_probe`` answers
-        OLD-operand probes for *this* execution; when omitted, the hook
-        supplied at construction applies.  Separating the two is what
-        lets one cached planner serve many transactions, each with its
-        own delta-screened probe closure.
-        """
-        if index_probe is None:
-            index_probe = self.index_probe
-        memo: dict[tuple, TaggedRelation] = {}
-        hash_cache: dict[tuple[int, DeltaRowChoice], dict] = {}
-        merged = TaggedRelation(self._output_schema)
-        if self._always_empty:
-            return merged
-
-        for row in rows:
-            charge("delta_rows_evaluated")
-            chain = self.chains[row]
-            result = self._eval_prefix(
-                chain, len(chain) - 1, row, operands, memo, hash_cache, index_probe
-            )
-            self._project_into(result, chain, merged)
-        return merged
-
-    def _eval_prefix(
-        self,
-        chain: Chain,
-        step_index: int,
-        row: Rows,
-        operands: Sequence[Mapping[DeltaRowChoice, TaggedRelation]],
-        memo: dict,
-        hash_cache: dict,
-        index_probe: IndexProbe | None,
-    ) -> TaggedRelation:
-        key = tuple(
-            (step.position, row[step.position])
-            for step in chain[: step_index + 1]
-        )
-        if self.share:
-            cached = memo.get(key)
-            if cached is not None:
-                charge("subexpression_memo_hits")
-                return cached
-
-        step = chain[step_index]
-        choice = row[step.position]
-        if step_index == 0:
-            result = self._load_first_operand(step, choice, operands)
-        else:
-            acc = self._eval_prefix(
-                chain, step_index - 1, row, operands, memo, hash_cache, index_probe
-            )
-            result = self._join_step(
-                acc, step, choice, operands, hash_cache, index_probe
-            )
-
-        if self.share:
-            memo[key] = result
-        return result
-
-    def _load_first_operand(
-        self,
-        step: StepPlan,
-        choice: DeltaRowChoice,
-        operands: Sequence[Mapping[DeltaRowChoice, TaggedRelation]],
-    ) -> TaggedRelation:
-        source = operands[step.position][choice]
-        out = TaggedRelation(step.operand_schema)
-        prefilter = step.prefilter
-        for values, tag, count in source.items():
-            charge("tuples_scanned")
-            if prefilter is None or prefilter(values):
-                out.add(values, tag, count)
-        return out
-
-    def _join_step(
-        self,
-        acc: TaggedRelation,
-        step: StepPlan,
-        choice: DeltaRowChoice,
-        operands: Sequence[Mapping[DeltaRowChoice, TaggedRelation]],
-        hash_cache: dict,
-        index_probe: IndexProbe | None,
-    ) -> TaggedRelation:
-        out = TaggedRelation(step.acc_schema)
-        if acc.is_empty():
-            return out
-
-        probe = self._probe_for(step, choice, operands, hash_cache, index_probe)
-        eq_links = step.eq_links
-        postfilter = step.postfilter
-        for acc_values, acc_tag, acc_count in acc.items():
-            charge("join_probes")
-            probe_key = tuple(acc_values[pos] + shift for pos, _, shift in eq_links)
-            for op_values, op_tag, op_count in probe(probe_key):
-                tag = combine_join_tags(acc_tag, op_tag)
-                if tag is Tag.IGNORE:
-                    charge("tuples_ignored")
-                    continue
-                row = acc_values + op_values
-                if postfilter is not None and not postfilter(row):
-                    continue
-                charge("tuples_emitted")
-                out.add(row, tag, acc_count * op_count)
-        return out
-
-    def _probe_for(
-        self,
-        step: StepPlan,
-        choice: DeltaRowChoice,
-        operands: Sequence[Mapping[DeltaRowChoice, TaggedRelation]],
-        hash_cache: dict,
-        index_probe: IndexProbe | None,
-    ) -> ProbeFn:
-        """A probe function over the operand, preferring a caller index.
-
-        The index fast path applies to OLD operands only (indexes track
-        base relations and materialized views); DELTA operands are
-        hashed directly — they are small by assumption.
-        """
-        if (
-            choice is DeltaRowChoice.OLD
-            and index_probe is not None
-            and step.link_attr_names
-        ):
-            indexed = index_probe(step.position, step.link_attr_names)
-            if indexed is not None:
-                prefilter = step.prefilter
-                if prefilter is None:
-                    return indexed
-
-                def filtered(key: ValueTuple, _inner=indexed, _pred=prefilter):
-                    for values, tag, count in _inner(key):
-                        if _pred(values):
-                            yield values, tag, count
-
-                return filtered
-
-        # One table per distinct step: the key attributes and the
-        # prefilter are the step's, not the operand's.
-        cache_key = (step.number, choice)
-        table = hash_cache.get(cache_key)
-        if table is None:
-            table = {}
-            source = operands[step.position][choice]
-            key_positions = step.operand_key_positions
-            prefilter = step.prefilter
-            for values, tag, count in source.items():
-                charge("tuples_scanned")
-                if prefilter is not None and not prefilter(values):
-                    continue
-                key = tuple(values[i] for i in key_positions)
-                table.setdefault(key, []).append((values, tag, count))
-            hash_cache[cache_key] = table
-        return lambda key: table.get(key, ())
-
-    # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
@@ -606,8 +411,8 @@ class RowPlanner:
         Lists the truth-table rows to evaluate, each row's join order,
         and per distinct step: the hash-join links (with ``x = y + c``
         shifts), operand prefilters and post-join filters the pushdown
-        assigned — the textual form of what :meth:`evaluate_rows` will
-        execute.
+        assigned — the textual form of what the shape's row kernel
+        executes.
         """
         nf = self.normal_form
         names = [occ.name for occ in nf.occurrences]
@@ -630,58 +435,4 @@ class RowPlanner:
         lines.append(
             "projection: " + ", ".join(out for out, _ in nf.projection)
         )
-        lines.append(
-            f"subexpression sharing: {'on' if self.share else 'off'}; "
-            f"index probes: {'available' if self.index_probe else 'none'}"
-        )
         return "\n".join(lines)
-
-    def _project_into(
-        self, result: TaggedRelation, chain: Chain, merged: TaggedRelation
-    ) -> None:
-        """Apply the final filter and projection; accumulate into merged."""
-        final_filter, positions = self.finish_of(chain)
-        for values, tag, count in result.items():
-            if final_filter is not None and not final_filter(values):
-                continue
-            merged.add(tuple(values[i] for i in positions), tag, count)
-
-
-def evaluate_normal_form(
-    normal_form: NormalForm, instances: Mapping[str, Relation]
-) -> Relation:
-    """Full (non-differential) evaluation via the reference planner.
-
-    Treats every operand as OLD and evaluates the single all-old row,
-    tuple by tuple, charging as it goes.  This is the reference
-    library's complete evaluation — the complete re-evaluation
-    baseline, the extensions and the row-cap fallback run it; the
-    maintainer materializes a view on its generated kernels instead
-    (:meth:`~repro.core.compiled.CompiledViewPlan.evaluate`), so a
-    clock comparing the two is not apples-to-apples.  Returns a counted
-    :class:`~repro.algebra.relation.Relation` over the view's output
-    schema.
-
-    The naive tree evaluator (:func:`repro.algebra.evaluate.evaluate`)
-    is retained as an *independent* oracle; the test suite cross-checks
-    the two on random inputs.
-    """
-    planner = RowPlanner(normal_form, changed_positions=())
-    operands = []
-    for occurrence in normal_form.occurrences:
-        relation = instances[occurrence.name]
-        occ_schema = normal_form.qualified_schema.project_schema(
-            occurrence.qualified_names()
-        )
-        tagged = TaggedRelation(occ_schema)
-        for values, count in relation.items():
-            tagged.add(values, Tag.OLD, count)
-        operands.append({DeltaRowChoice.OLD: tagged})
-    merged = planner.evaluate_rows(planner.chains, operands)
-
-    out = Relation(normal_form.output_schema())
-    counts = out._counts
-    for values, tag, count in merged.items():
-        assert tag is Tag.OLD
-        counts[values] = counts.get(values, 0) + count
-    return out

@@ -14,35 +14,41 @@ This module builds that bridge:
   as an SPJ expression over the database — the assertion holds exactly
   when that expression evaluates to the empty relation.
 * At declaration ("compile") time the error-predicate view is put in
-  normal form and a Section 4 :class:`RelevanceFilter` is prepared per
-  relation — [HS78]'s compile-time assertion processor.
-* :meth:`AssertionMonitor.validate_transaction` screens a transaction's
-  net deltas through the filters; surviving tuples trigger a
-  differential evaluation of only the delta rows, against the simulated
-  post-state.  Any *insert-tagged* tuple emerging means the transaction
-  would make the error predicate non-empty: an
-  :class:`IntegrityViolation` is raised **before** commit, so the
-  transaction can be aborted.
+  normal form — [HS78]'s compile-time assertion processor — and checked
+  empty by a complete evaluation.
+* :meth:`AssertionMonitor.validate_transaction` checks a transaction
+  against the simulated post-state through a throwaway
+  :class:`~repro.core.compiled.CompiledViewPlan` of the error predicate:
+  the Section 4 screen kernels drop the provably irrelevant tuples, and
+  the survivors run the row kernels of only the delta rows.  Any
+  *insert-tagged* tuple emerging means the transaction would make the
+  error predicate non-empty: an :class:`IntegrityViolation` is raised
+  **before** commit, so the transaction can be aborted.
 * Alternatively :meth:`AssertionMonitor.attach` installs a post-commit
   monitor that records violations (useful when enforcement is advisory).
 
-It runs the per-tuple reference library, not a compiled plan, on
-purpose: the state it checks is not committed yet and exists only as
-copies of the touched relations, and a compiled plan reads live ones.
+A compiled plan reads whichever relations it is handed as operands
+(``view_operands``), not only the database's live ones.  Screening reads
+the deltas alone, so its plan is handed the post-state as it stands.
+Only when a delta survives does the monitor compute the error
+predicate's delta, with a plan handed copies of the database's own
+relations (the simulated post-state's are throwaway already), because
+a plan binds the hash indexes it probes on its operands, and a check
+must leave the database as it found it.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from repro.algebra.expressions import Expression, to_normal_form
+from repro.algebra.expressions import Expression, NormalForm
 from repro.algebra.relation import Delta, Relation
-from repro.core.differential import compute_view_delta
-from repro.core.irrelevance import filter_delta
+from repro.core.compiled import CompiledViewPlan
+from repro.core.views import ViewDefinition
 from repro.engine.database import Database
 from repro.engine.transactions import Transaction
 from repro.errors import MaintenanceError
-from repro.instrumentation import charge
+from repro.instrumentation import CostRecorder, Tally, charge
 
 
 class IntegrityViolation(MaintenanceError):
@@ -62,23 +68,43 @@ class IntegrityViolation(MaintenanceError):
 
 
 class IntegrityAssertion:
-    """One compiled assertion: name + error-predicate normal form."""
+    """One compiled assertion: name + error-predicate view definition."""
 
-    __slots__ = ("name", "error_predicate", "normal_form")
+    __slots__ = ("name", "error_predicate", "definition")
 
     def __init__(
         self, name: str, error_predicate: Expression, database: Database
     ) -> None:
         self.name = name
         self.error_predicate = error_predicate
-        self.normal_form = to_normal_form(
-            error_predicate, database.schema_catalog()
+        self.definition = ViewDefinition(
+            name, error_predicate, database.schema_catalog()
         )
+
+    @property
+    def normal_form(self) -> NormalForm:
+        """The error predicate in paper normal form."""
+        return self.definition.normal_form
 
     @property
     def relation_names(self) -> frozenset[str]:
         """Relations whose updates can possibly matter."""
-        return frozenset(self.normal_form.relation_names)
+        return self.definition.relation_names
+
+    def plan(
+        self,
+        database: Database,
+        operands: Mapping[str, Relation],
+        counters: CostRecorder,
+    ) -> CompiledViewPlan:
+        """A throwaway compiled plan of the error predicate that reads
+        each relation it names from ``operands``."""
+        return CompiledViewPlan(
+            self.definition,
+            database,
+            counters,
+            view_operands={name: operands[name] for name in self.relation_names},
+        )
 
     def __repr__(self) -> str:
         return f"<IntegrityAssertion {self.name!r}: NOT EXISTS {self.error_predicate}>"
@@ -108,11 +134,12 @@ class AssertionMonitor:
         if name in self._assertions:
             raise MaintenanceError(f"assertion {name!r} is already declared")
         assertion = IntegrityAssertion(name, error_predicate, self.database)
-        from repro.core.planner import evaluate_normal_form
-
-        current = evaluate_normal_form(
-            assertion.normal_form, self.database.instances()
-        )
+        counters = CostRecorder()
+        counted: Tally = []
+        charged: Tally = []
+        plan = assertion.plan(self.database, self.database.instances(), counters)
+        current = plan.evaluate(counted, charged)
+        counters.settle(counted, charged)
         if len(current) > 0:
             raise IntegrityViolation(name, sorted(current.value_tuples()))
         self._assertions[name] = assertion
@@ -168,20 +195,40 @@ class AssertionMonitor:
         if not touched:
             return []
         charge("assertion_checks")
-        relevant: dict[str, Delta] = {}
-        for relation_name in touched:
-            filtered, _ = filter_delta(
-                assertion.normal_form, relation_name, deltas[relation_name]
-            )
-            if not filtered.is_empty():
-                relevant[relation_name] = filtered
-        if not relevant:
-            # Every update provably cannot satisfy the error predicate:
-            # [HS78]'s compile-time screening at its best.
-            charge("assertion_checks_screened")
-            return []
-        error_delta = compute_view_delta(assertion.normal_form, post, relevant)
-        return sorted(error_delta.inserted)
+        # Screening reads the deltas alone, so its plan reads ``post``
+        # as it stands.
+        counters = CostRecorder()
+        plan = assertion.plan(self.database, post, counters)
+        counted: Tally = []
+        charged: Tally = []
+        try:
+            relevant: dict[str, Delta] = {}
+            for relation_name in sorted(touched):
+                screened = plan.screen(
+                    relation_name, deltas[relation_name], counted, charged
+                )
+                if screened is not None:
+                    relevant[relation_name] = screened
+            if not relevant:
+                # Every update provably cannot satisfy the error predicate:
+                # [HS78]'s compile-time screening at its best.
+                charge("assertion_checks_screened")
+                return []
+            # A plan binds the indexes it probes on its operands: the
+            # database's own relations are copied first, the throwaway
+            # simulated ones are not.
+            live = self.database.instances()
+            operands: dict[str, Relation] = {}
+            for name in assertion.relation_names:
+                relation = post[name]
+                operands[name] = (
+                    relation.copy() if relation is live.get(name) else relation
+                )
+            plan = assertion.plan(self.database, operands, counters)
+            inserted, _ = plan.compute_delta(relevant, counted, charged)
+            return sorted(inserted)
+        finally:
+            counters.settle(counted, charged)
 
     # ------------------------------------------------------------------
     # Post-commit monitoring

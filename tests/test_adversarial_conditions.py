@@ -15,9 +15,9 @@ from repro.algebra.expressions import BaseRef, to_normal_form
 from repro.algebra.schema import RelationSchema
 from repro.core.irrelevance import RelevanceFilter, is_irrelevant_update
 from repro.core.maintainer import ViewMaintainer
-from repro.core.planner import evaluate_normal_form
 from repro.core.satisfiability import is_satisfiable_conjunction
 from repro.engine.database import Database
+from tests.reference import evaluate_normal_form
 
 
 class TestSelfReferentialAtoms:

@@ -1,11 +1,14 @@
 """Unit tests for integrity-assertion monitoring ([HS78] extension)."""
 
+import random
+
 import pytest
 
 from repro.algebra.expressions import BaseRef
 from repro.engine.database import Database
 from repro.errors import MaintenanceError
 from repro.extensions.assertions import AssertionMonitor, IntegrityViolation
+from tests.reference import compute_view_delta, filter_delta
 
 
 @pytest.fixture
@@ -100,6 +103,46 @@ class TestPreCommitValidation:
         assert recorder.get("assertion_checks_screened") == 1
         assert recorder.get("differential_updates") == 0
 
+    def test_a_screened_out_check_copies_only_the_touched_relation(
+        self, db, monitor, monkeypatch
+    ):
+        """Screening reads the deltas alone: a transaction whose deltas
+        all screen out costs no copy of a relation it did not touch."""
+        from repro.algebra.relation import Relation
+
+        monitor.declare(
+            "orders_active_accounts",
+            BaseRef("orders").join(BaseRef("accounts")).select("balance <= 0"),
+        )
+        copied = []
+        real = Relation.copy
+
+        def copy(relation):
+            copied.append(relation)
+            return real(relation)
+
+        monkeypatch.setattr(Relation, "copy", copy)
+        txn = db.begin()
+        txn.insert("accounts", (3, 700))  # balance <= 0 unsatisfiable
+        monitor.validate_transaction(txn)
+        assert copied == [db.relation("accounts")]
+
+    def test_a_join_check_leaves_the_live_relations_unindexed(self, db, monitor):
+        monitor.declare(
+            "orders_active_accounts",
+            BaseRef("orders").join(BaseRef("accounts")).select("balance <= 0"),
+        )
+        txn = db.begin()
+        txn.insert("orders", (11, 1))  # account 1 is active: no violation
+        monitor.validate_transaction(txn)
+        txn.commit()
+        monitor.attach()
+        with db.transact() as txn:
+            txn.insert("orders", (12, 1))
+        assert monitor.observed_violations == []
+        assert not db.relation("accounts").indexes
+        assert not db.relation("orders").indexes
+
     def test_join_assertion(self, db, monitor):
         """An assertion spanning two relations: no order may reference
         an account with zero balance."""
@@ -159,3 +202,58 @@ class TestPostCommitMonitoring:
         with db.transact() as txn:
             txn.insert("accounts", (3, -7))
         assert monitor.observed_violations == []
+
+
+class TestAgreesWithTheReference:
+    """The monitor runs compiled plans; its witnesses are what the
+    per-tuple reference finds over the same simulated post-state."""
+
+    def test_random_two_relation_join_assertions(self):
+        rng = random.Random(37)
+        checked = 0
+        for _ in range(120):
+            db = Database()
+            for name, attributes in (("r", ["A", "B"]), ("s", ["B", "C"])):
+                rows = {(rng.randint(0, 5), rng.randint(0, 5)) for _ in range(5)}
+                db.create_relation(name, attributes, sorted(rows))
+            predicate = (
+                BaseRef("r")
+                .join(BaseRef("s"))
+                .select(f"A < {rng.randint(0, 6)} and C >= {rng.randint(0, 6)}")
+            )
+            monitor = AssertionMonitor(db)
+            try:
+                assertion = monitor.declare("p", predicate)
+            except IntegrityViolation:
+                continue  # only a currently-satisfied assertion declares
+            txn = db.begin()
+            for _ in range(rng.randint(1, 4)):
+                name = rng.choice(["r", "s"])
+                row = (rng.randint(0, 5), rng.randint(0, 5))
+                if row in db.relation(name):
+                    txn.delete(name, row)
+                else:
+                    txn.insert(name, row)
+            try:
+                monitor.validate_transaction(txn)
+                got = []
+            except IntegrityViolation as exc:
+                got = exc.witnesses
+            deltas = txn.net_deltas()
+            post = dict(db.instances())
+            relevant = {}
+            for name, delta in deltas.items():
+                post[name] = post[name].copy()
+                delta.apply_to(post[name])
+                screened, _ = filter_delta(assertion.normal_form, name, delta)
+                if not screened.is_empty():
+                    relevant[name] = screened
+            want = (
+                sorted(compute_view_delta(assertion.normal_form, post, relevant).inserted)
+                if relevant
+                else []
+            )
+            assert got == want
+            txn.abort()
+            checked += 1
+        assert checked > 30

@@ -4,7 +4,9 @@ The codegen contract has six legs, each pinned here:
 
 * **equivalence** — a maintainer running the generated kernels and the
   per-tuple reference functions (``tests/reference.py``) agree
-  byte-for-byte on view contents *and* on the abstract work counters,
+  byte-for-byte on view contents *and* on the abstract work counters
+  (with the reference behind the same index probes, on how OLD
+  operands are reached too),
   over random legal update streams covering every truth-table shape
   the views produce (single-relation, two- and three-way joins, counted
   projections, disjunctions needing the final DNF re-check);
@@ -15,10 +17,10 @@ The codegen contract has six legs, each pinned here:
   screen source cannot survive ``declare_constraint`` /
   ``drop_constraint``: the DDL drops the compiled kernels with the
   plan, and the recompiled source changes behavior immediately;
-* **fallback** — shapes whose truth table exceeds the row cap run on
-  the reference planner, charging ``codegen_fallback_tuples``, with
-  identical results and identical work counters; a wide view with few
-  changed relations stays on kernels;
+* **wide shapes** — a truth table past ``MAX_CODEGEN_ROWS`` runs as
+  row kernels in chunks with the reference's contents and work counters
+  (7- and 8-way joins, a 12-wide view, every relation changed), and
+  nothing ever charges ``codegen_fallback_tuples``;
 * **hostile names** — relation and attribute names never execute: they
   reach generated source only quoted, inside comments;
 * **sharing** — kernels whose sources differ only in their comments
@@ -28,7 +30,8 @@ The codegen contract has six legs, each pinned here:
 
 import ast
 import random
-from unittest import mock
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -38,7 +41,11 @@ import repro.core.codegen as codegen
 from repro import BaseRef, Database, ViewMaintainer
 from repro.core.codegen import CODEGEN_VERSION
 from repro.instrumentation import CostRecorder, recording
-from tests.reference import REFERENCE_PARITY_COUNTERS, ReferenceViews
+from tests.reference import (
+    PROBE_PARITY_COUNTERS,
+    REFERENCE_PARITY_COUNTERS,
+    ReferenceViews,
+)
 
 # ----------------------------------------------------------------------
 # Shared fixtures: three base relations and view shapes spanning the
@@ -57,14 +64,6 @@ VIEW_SHAPES = {
     "disj": BaseRef("r").select("A < 3 or B > 6"),
 }
 
-#: Work counters the row kernels and the row-cap fallback (the
-#: reference planner behind the same index probes) charge identically.
-FALLBACK_PARITY_COUNTERS = REFERENCE_PARITY_COUNTERS + (
-    "tuples_scanned",
-    "index_probes",
-)
-
-
 def _fresh_database():
     db = Database()
     db.create_relation("r", ["A", "B"], [(1, 6), (2, 7), (9, 9)])
@@ -73,18 +72,19 @@ def _fresh_database():
     return db
 
 
-def _run_stream(stream, reference=False):
+def _run_stream(stream, reference=False, index_probes=False):
     """Build the shared catalog, replay ``stream``, return the evidence.
 
     ``stream`` is a list of transactions; each transaction is a list of
     ``(relation, row, delete?)`` operations.  Deletes target a live row
     (chosen by index) so every stream is legal by construction.  The
     views are maintained by a :class:`ViewMaintainer`, or with
-    ``reference`` by the reference functions alone.
+    ``reference`` by the reference functions alone (behind index probes
+    with ``index_probes``).
     """
     db = _fresh_database()
     if reference:
-        maintainer = ReferenceViews(db, VIEW_SHAPES)
+        maintainer = ReferenceViews(db, VIEW_SHAPES, index_probes=index_probes)
     else:
         maintainer = ViewMaintainer(db)
         for name, expression in VIEW_SHAPES.items():
@@ -131,7 +131,8 @@ def _assert_same_work(counters, have, want):
 
 
 def _assert_parity(stream):
-    """Kernels, row-cap fallback and reference functions all agree."""
+    """Kernels and reference functions agree, and so does the reference
+    behind the maintainer's index probes, on how OLD operands are read."""
     m_gen, c_gen, v_gen = _run_stream(stream)
     _, c_ref, v_ref = _run_stream(stream, reference=True)
     assert v_gen == v_ref
@@ -139,10 +140,9 @@ def _assert_parity(stream):
     assert m_gen.codegen_stats().get("codegen_plans_compiled") > 0
     assert m_gen.codegen_stats().get("codegen_fallback_tuples") == 0
     assert "codegen_plans_compiled" not in c_ref
-    with mock.patch.object(codegen, "MAX_CODEGEN_ROWS", 0):
-        _, c_cap, v_cap = _run_stream(stream)
-    assert v_gen == v_cap
-    _assert_same_work(FALLBACK_PARITY_COUNTERS, c_gen, c_cap)
+    _, c_probe, v_probe = _run_stream(stream, reference=True, index_probes=True)
+    assert v_gen == v_probe
+    _assert_same_work(PROBE_PARITY_COUNTERS, c_gen, c_probe)
 
 
 rows_st = st.tuples(
@@ -242,62 +242,228 @@ class TestConstraintDDL:
         maintainer.verify_all()
 
 
-class TestFallback:
-    def test_oversized_shape_falls_back_to_reference_planner(self, monkeypatch):
-        monkeypatch.setattr(codegen, "MAX_CODEGEN_ROWS", 0)
-        stream = [
-            [("r", (1, 6), False), ("s", (8, 8), False)],
-            [("r", (2, 7), True)],
-        ]
-        m_cap, c_cap, v_cap = _run_stream(stream)
-        assert c_cap.get("codegen_fallback_tuples", 0) > 0
-        assert m_cap.codegen_stats().get("codegen_fallback_tuples") > 0
-        monkeypatch.undo()
-        _, c_ref, v_ref = _run_stream(stream, reference=True)
-        assert v_cap == v_ref
-        assert "codegen_fallback_tuples" not in c_ref
+def _chain(width):
+    """``c0 ⋈ … ⋈ c{width-1}``: ``c{i}(K{i}, K{i+1})`` holds ``(v, v)``
+    for v < 4, so every tuple of one value joins into one view row."""
+    names = [f"c{i}" for i in range(width)]
+    db = Database()
+    for i, name in enumerate(names):
+        db.create_relation(name, [f"K{i}", f"K{i + 1}"], [(v, v) for v in range(4)])
+    expression = BaseRef(names[0])
+    for name in names[1:]:
+        expression = expression.join(BaseRef(name))
+    stream = [
+        # Every relation changes: 2^width − 1 truth-table rows, the all-
+        # insert and all-delete rows contributing a view row each.
+        [(name, (4, 4), False) for name in names]
+        + [(name, (3, 3), True) for name in names],
+        [(name, (3, 3), False) for name in names]
+        + [(name, (1, 2), False) for name in names[::2]]
+        + [(name, (2, 2), True) for name in names[1::2]],
+        [(name, (2, 1), False) for name in names],
+    ]
+    return db, expression, stream
+
+
+def _self_join(width):
+    """``width`` occurrences of ``e(S, T)``, each one's ``T`` the next
+    one's ``S``: every commit on ``e`` changes all of them."""
+    db = Database()
+    db.create_relation("e", ["S", "T"], [(v, v + 1) for v in range(50)])
+    expression = BaseRef("e").rename({"S": "X0", "T": "X1"})
+    for i in range(1, width):
+        expression = expression.join(
+            BaseRef("e").rename({"S": f"X{i}", "T": f"X{i + 1}"})
+        )
+    stream = [
+        [("e", (50, 51), False), ("e", (10, 11), True)],
+        [("e", (10, 11), False), ("e", (20, 20), False), ("e", (30, 31), True)],
+        [("e", (51, 3), False), ("e", (0, 1), True), ("e", (20, 20), True)],
+    ]
+    return db, expression, stream
+
+
+def _replay_wide(build, maintained):
+    """Replay a wide shape's stream; the views and the work recorded.
+    ``maintained`` puts a maintainer or reference views on the fresh
+    database."""
+    db, expression, stream = build()
+    views = maintained(db, expression)
+    recorder = CostRecorder()
+    with recording(recorder):
+        for operations in stream:
+            with db.transact() as txn:
+                for name, row, delete in operations:
+                    (txn.delete if delete else txn.insert)(name, row)
+    return views, recorder.snapshot()
+
+
+class TestWideShapes:
+    """Truth tables past ``MAX_CODEGEN_ROWS`` run as row kernels in chunks."""
+
+    @pytest.mark.parametrize(
+        "build, rows",
+        [
+            (lambda: _self_join(7), 127),
+            (lambda: _chain(8), 255),
+            (lambda: _chain(12), 4095),
+        ],
+        ids=["self_join_7", "chain_8", "chain_12"],
+    )
+    def test_every_relation_changed_runs_on_kernels(self, build, rows):
+        assert rows > codegen.MAX_CODEGEN_ROWS
+
+        def maintainer(db, expression):
+            m = ViewMaintainer(db)
+            m.define_view("wide", expression)
+            return m
+
+        m, work = _replay_wide(build, maintainer)
+        ref, ref_work = _replay_wide(
+            build, lambda db, e: ReferenceViews(db, {"wide": e})
+        )
+        probe, probe_work = _replay_wide(
+            build, lambda db, e: ReferenceViews(db, {"wide": e}, index_probes=True)
+        )
+        m.verify_all()  # contents equal a recompute
+        contents = m.view("wide").contents.counts()
+        assert contents == ref.view("wide").contents.counts()
+        assert contents == probe.view("wide").contents.counts()
+        assert len(contents) > 1
+        _assert_same_work(REFERENCE_PARITY_COUNTERS, work, ref_work)
+        _assert_same_work(PROBE_PARITY_COUNTERS, work, probe_work)
+        assert work["delta_rows_evaluated"] >= rows
+        assert work.get("codegen_fallback_tuples", 0) == 0
+        assert m.codegen_stats().get("codegen_fallback_tuples") == 0
+
+    def test_a_wide_shape_is_a_sequence_of_bounded_kernels(self):
+        db, expression, _ = _chain(8)
+        maintainer = ViewMaintainer(db)
+        maintainer.define_view("wide", expression)
+        planner = maintainer.peek_plan("wide").planner_for(tuple(range(8)))
+        # The 255 rows of the shape changing every relation, in four
+        # chunks of at most 64 rows, each a module of its own.
+        sources = codegen.generate_shape_sources(planner)
+        assert len(sources) == 4
+        defined = []
+        called = []
+        for source in sources:
+            assert source.count("\n    # row ") <= codegen.MAX_CODEGEN_ROWS
+            tree = ast.parse(source)
+            defined += [
+                node.name
+                for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name.startswith("row_")
+            ]
+            called.append([
+                node.func.id
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id.startswith("row_kernel")
+            ])
+        assert defined == ["row_kernel", "row_kernel_1", "row_kernel_2", "row_kernel_3"]
+        # ``row_kernel`` calls the later chunks one after another; no
+        # chunk calls another, so the stack does not grow with them.
+        assert called == [["row_kernel_1", "row_kernel_2", "row_kernel_3"], [], [], []]
+
+    def test_more_chunks_than_the_recursion_limit(self, monkeypatch):
+        # One row per chunk: the ten-wide shape is 1 023 chunks, past
+        # the interpreter's stack limit were each to call the next.
+        monkeypatch.setattr(codegen, "MAX_CODEGEN_ROWS", 1)
+        assert 2**10 - 1 > sys.getrecursionlimit()
+
+        def maintainer(db, expression):
+            m = ViewMaintainer(db)
+            m.define_view("wide", expression)
+            return m
+
+        def first_commit():
+            db, expression, stream = _chain(10)
+            return db, expression, stream[:1]
+
+        m, work = _replay_wide(first_commit, maintainer)
+        ref, ref_work = _replay_wide(
+            first_commit, lambda db, e: ReferenceViews(db, {"wide": e})
+        )
+        m.verify_all()
+        contents = m.view("wide").contents.counts()
+        assert contents == ref.view("wide").contents.counts()
+        assert len(contents) > 1
+        _assert_same_work(REFERENCE_PARITY_COUNTERS, work, ref_work)
+
+    def test_introspecting_a_wide_view_plans_no_wide_shape(self, monkeypatch):
+        # ``explain … source`` and ``recommend indexes`` list the shape
+        # changing all twenty relations (1 048 575 rows) as one line.
+        import repro.core.compiled as compiled
+
+        db, expression, _ = _chain(20)
+        maintainer = ViewMaintainer(db)
+        maintainer.define_view("wide", expression)
+        planned = []
+        real = compiled.CompiledViewPlan.planner_for
+
+        def planner_for(plan, changed):
+            planned.append(len(changed))
+            return real(plan, changed)
+
+        monkeypatch.setattr(compiled.CompiledViewPlan, "planner_for", planner_for)
+        started = time.perf_counter()
+        source = maintainer.kernel_source("wide")
+        indexes = maintainer.recommended_indexes("wide")
+        assert time.perf_counter() - started < 10
+        assert planned and max(planned) == 1
+        assert source.count("# row kernel: shape") == 20
+        assert f"# shape {tuple(range(20))!r}: 1048575 truth-table rows" in source
+        # Each relation probed on either link attribute, the two ends
+        # on their one.
+        assert len(indexes) == 2 * 20 - 2
+
+    def test_chunks_compile_through_compile_kernel_as_wrapped(self, monkeypatch):
+        # The frozen benchmark tracer replaces ``compile_kernel`` by name
+        # with a wrapper of exactly (source, name, filename).
+        import repro.core.compiled as compiled
+
+        real = codegen.compile_kernel
+        names = []
+
+        def wrapped(source, name, filename):
+            names.append(name)
+            return real(source, name, filename)
+
+        monkeypatch.setattr(codegen, "compile_kernel", wrapped)
+        monkeypatch.setattr(compiled, "compile_kernel", wrapped)
+        db, expression, stream = _chain(8)
+        maintainer = ViewMaintainer(db)
+        maintainer.define_view("wide", expression)
+        with db.transact() as txn:
+            for name, row, delete in stream[0]:
+                (txn.delete if delete else txn.insert)(name, row)
+        maintainer.verify_all()
+        assert names.count("row_kernel") == 2  # evaluate's shape, then all eight
 
     def test_wide_view_with_one_changed_relation_runs_on_kernels(self):
-        # No cap on operand count: what the row cap bounds is the truth
-        # table, and one changed relation out of twelve is one row.
-        width = 12
-        names = [f"c{i}" for i in range(width)]
-
-        def build():
-            db = Database()
-            for i, name in enumerate(names):
-                db.create_relation(
-                    name, [f"K{i}", f"K{i + 1}"], [(v, v) for v in range(4)]
-                )
-            expression = BaseRef(names[0])
-            for name in names[1:]:
-                expression = expression.join(BaseRef(name))
-            return db, expression
-
+        # What the row cap bounds is the truth table, and one changed
+        # relation out of twelve is one row.
         def replay(db):
             with db.transact() as txn:
-                txn.insert(names[5], (1, 2))
-                txn.delete(names[5], (3, 3))
+                txn.insert("c5", (1, 2))
+                txn.delete("c5", (3, 3))
             with db.transact() as txn:
-                txn.insert(names[5], (2, 1))
+                txn.insert("c5", (2, 1))
 
-        db, expression = build()
+        db, expression, _ = _chain(12)
         maintainer = ViewMaintainer(db)
         view = maintainer.define_view("wide", expression)
         recorder = CostRecorder()
         with recording(recorder):
             replay(db)
         maintainer.verify_all()
-        assert recorder.get("codegen_fallback_tuples") == 0
-        assert maintainer.codegen_stats().get("codegen_fallback_tuples") == 0
+        assert recorder.get("delta_rows_evaluated") == 2
         assert recorder.get("codegen_batch_rows") > 0
-        # Every single-relation shape is generated; only the shape with
-        # all twelve relations changed (4 095 rows) is past the row cap.
-        source = maintainer.kernel_source("wide")
-        assert source.count("# row kernel: shape") == width
-        assert source.count("reference-planner fallback") == 1
 
-        db, expression = build()
+        db, expression, _ = _chain(12)
         reference = ReferenceViews(db, {"wide": expression})
         replay(db)
         assert view.contents.counts() == reference.view("wide").contents.counts()

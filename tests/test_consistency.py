@@ -9,9 +9,9 @@ from repro.core.consistency import (
     check_view_consistency,
     compare_relations,
 )
-from repro.core.planner import evaluate_normal_form
 from repro.core.views import MaterializedView, ViewDefinition
 from repro.errors import MaintenanceError
+from tests.reference import evaluate_normal_form
 
 
 @pytest.fixture

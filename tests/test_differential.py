@@ -1,17 +1,16 @@
-"""Unit tests for differential view-delta computation (Section 5)."""
+"""Differential view-delta computation (Section 5): the select and
+project cases on the maintainer, the join cases on the reference."""
 
 import pytest
 
-from repro.algebra.conditions import Condition
 from repro.algebra.expressions import BaseRef, to_normal_form
 from repro.algebra.relation import Delta, Relation
 from repro.algebra.schema import RelationSchema
-from repro.core.differential import (
-    compute_view_delta,
-    project_view_delta,
-    select_view_delta,
-)
+from repro.core.maintainer import ViewMaintainer
+from repro.engine.database import Database
 from repro.errors import MaintenanceError
+from repro.instrumentation import CostRecorder, recording
+from tests.reference import compute_view_delta
 
 
 @pytest.fixture
@@ -29,48 +28,90 @@ def _instances(catalog, r_rows, s_rows):
     }
 
 
+def _one_commit(rows, expression, inserts, deletes):
+    """One view over ``r(A, B)`` holding ``rows``, maintained through one
+    commit: the view delta it applied (None if empty), the work
+    recorded and the view."""
+    db = Database()
+    db.create_relation("r", ["A", "B"], rows)
+    maintainer = ViewMaintainer(db)
+    view = maintainer.define_view("v", expression)
+    applied = []
+    maintainer.subscribe("v", lambda _, delta: applied.append(delta))
+    recorder = CostRecorder()
+    with recording(recorder), db.transact() as txn:
+        for row in inserts:
+            txn.insert("r", row)
+        for row in deletes:
+            txn.delete("r", row)
+    maintainer.verify_all()
+    return (applied[0] if applied else None), recorder, view
+
+
 class TestSelectViewDelta:
     """Section 5.1: v' = v ∪ σ_C(i_r) − σ_C(d_r)."""
 
-    def test_filters_both_sides(self, catalog):
-        delta = Delta(
-            catalog["r"],
-            inserted=[(1, 5), (1, 50)],
-            deleted=[(2, 7), (2, 70)],
+    def test_filters_both_sides(self):
+        delta, _, view = _one_commit(
+            [(2, 7), (2, 70)],
+            BaseRef("r").select("B < 10"),
+            inserts=[(1, 5), (1, 50)],
+            deletes=[(2, 7), (2, 70)],
         )
-        out = select_view_delta(Condition.coerce("B < 10"), delta)
-        assert set(out.inserted) == {(1, 5)}
-        assert set(out.deleted) == {(2, 7)}
+        assert delta.inserted == {(1, 5): 1}
+        assert delta.deleted == {(2, 7): 1}
+        assert view.contents.counts() == {(1, 5): 1}
 
-    def test_needs_no_base_state(self, catalog):
-        # The function signature itself proves the point: no relation
-        # contents are passed, exactly as the paper observes.
-        delta = Delta(catalog["r"], inserted=[(1, 5)])
-        out = select_view_delta(Condition.true(), delta)
-        assert set(out.inserted) == {(1, 5)}
+    def test_needs_no_base_state(self):
+        # The only tuples read are the delta's own: no operand of a
+        # select view is OLD, exactly as the paper observes.
+        delta, recorder, _ = _one_commit(
+            [(a, a) for a in range(50)],
+            BaseRef("r"),
+            inserts=[(1, 5)],
+            deletes=[(2, 2)],
+        )
+        assert delta.inserted == {(1, 5): 1}
+        assert delta.deleted == {(2, 2): 1}
+        assert recorder.get("tuples_scanned") == 2
+        assert recorder.get("index_probes") == 0
 
 
 class TestProjectViewDelta:
-    """Section 5.2: counted projection of a delta."""
+    """Section 5.2: the counted delta of V = π_X(R)."""
 
-    def test_aggregates_counts(self, catalog):
-        delta = Delta(catalog["r"], inserted=[(1, 10), (2, 10)], deleted=[(3, 20)])
-        out = project_view_delta(["B"], delta)
-        assert out.inserted == {(10,): 2}
-        assert out.deleted == {(20,): 1}
-
-    def test_cancellation_to_net_counts(self, catalog):
-        # +2 and −1 on the same projected tuple nets to +1.
-        delta = Delta(
-            catalog["r"], inserted=[(1, 10), (2, 10)], deleted=[(3, 10)]
+    def test_aggregates_counts(self):
+        delta, _, view = _one_commit(
+            [(3, 20)],
+            BaseRef("r").project(["B"]),
+            inserts=[(1, 10), (2, 10)],
+            deletes=[(3, 20)],
         )
-        out = project_view_delta(["B"], delta)
-        assert out.inserted == {(10,): 1}
-        assert out.deleted == {}
+        assert delta.inserted == {(10,): 2}
+        assert delta.deleted == {(20,): 1}
+        assert view.contents.counts() == {(10,): 2}
 
-    def test_exact_cancellation(self, catalog):
-        delta = Delta(catalog["r"], inserted=[(1, 10)], deleted=[(3, 10)])
-        assert project_view_delta(["B"], delta).is_empty()
+    def test_cancellation_to_net_counts(self):
+        # +2 and −1 on the same projected tuple nets to +1 on its counter.
+        delta, _, view = _one_commit(
+            [(3, 10)],
+            BaseRef("r").project(["B"]),
+            inserts=[(1, 10), (2, 10)],
+            deletes=[(3, 10)],
+        )
+        assert delta.inserted == {(10,): 1}
+        assert delta.deleted == {}
+        assert view.contents.counts() == {(10,): 2}
+
+    def test_exact_cancellation(self):
+        delta, _, view = _one_commit(
+            [(3, 10)],
+            BaseRef("r").project(["B"]),
+            inserts=[(1, 10)],
+            deletes=[(3, 10)],
+        )
+        assert delta is None
+        assert view.contents.counts() == {(10,): 1}
 
 
 class TestComputeViewDelta:

@@ -128,6 +128,16 @@ class TestCompiledPlanExplain:
         assert "probes hash index" in text
         assert "will be created on first use" in text
 
+    def test_a_listed_probe_is_never_denied(self, db):
+        # The plan probes s(B), so no line may say it has no index
+        # probes or report an evaluator switch the kernels do not have.
+        m = ViewMaintainer(db)
+        m.define_view("j", BaseRef("r").join(BaseRef("s")))
+        text = m.explain("j", ["r"])
+        assert "step 1: probes hash index s(B)" in text
+        assert "index probes: none" not in text
+        assert "subexpression sharing" not in text
+
     def test_existing_index_shown_as_bound(self, db, maintainer):
         db.create_index("s", ["B"])
         text = maintainer.explain("v", ["r"])

@@ -109,7 +109,7 @@ class TestEvaluatorAgreement:
               suppress_health_check=[HealthCheck.too_slow])
     @given(spj_trees(), row_lists, row_lists)
     def test_pipelined_equals_naive(self, expr, r_rows, s_rows):
-        from repro.core.planner import evaluate_normal_form
+        from tests.reference import evaluate_normal_form
 
         instances = _instances(r_rows, s_rows)
         nf = to_normal_form(expr, CATALOG)

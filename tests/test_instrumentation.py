@@ -318,7 +318,12 @@ class TestDeclarationsMatchTheSource:
                     else:
                         opaque.add((path.name, ast.unparse(arg)))
         assert literal - METRICS.keys() == set(), "incremented but undeclared"
-        assert METRICS.keys() - literal == set(), "declared but never incremented"
+        # The one exception: never charged (every truth table runs on
+        # kernels) and declared because the benchmark's frozen layer
+        # report reads it.
+        assert METRICS.keys() - literal == {"codegen_fallback_tuples"}, (
+            "declared but never incremented"
+        )
         assert opaque <= self.FORWARDED, "counter names must be literals"
 
     def test_a_computed_name_in_a_tally_is_found(self):

@@ -11,11 +11,11 @@ from repro.algebra.schema import RelationSchema
 from repro.core.irrelevance import (
     RelevanceFilter,
     construct_witness_database,
-    filter_delta,
     is_irrelevant_combination,
     is_irrelevant_update,
 )
 from repro.errors import MaintenanceError
+from tests.reference import filter_delta
 
 
 @pytest.fixture

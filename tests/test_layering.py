@@ -6,12 +6,10 @@ Two rules:
   registry — imports none of the apparatus kept beside it (benchmark
   reporting, baselines, extensions, workload generators, the
   simulator);
-* one engine: outside ``core/`` every maintainer runs the compiled
-  kernels.  The per-tuple reference library they mirror is imported
-  only by the integrity-assertion monitor, which checks a state that
-  is not committed yet and so has no live relations for a compiled plan
-  to read.  The package root re-exports that library as public API;
-  re-exporting runs nothing, so ``__init__.py`` files are not checked.
+* one engine: ``src/`` runs the compiled kernels and nothing else.  The
+  per-tuple reference they are held to lives with the tests
+  (``tests/reference.py``); no module of ``src/`` imports it, or
+  ``tests`` at all, or defines one of its evaluators again.
 """
 
 import ast
@@ -43,11 +41,18 @@ APPARATUS = (
     "repro.workloads",
     "repro.simulation",
 )
+#: The per-tuple evaluators, which live in ``tests/reference.py`` only.
 REFERENCE_LIBRARY = {
     "compute_view_delta",
     "filter_delta",
     "execute_planner",
+    "build_operands",
+    "changed_positions_for",
     "evaluate_normal_form",
+    "evaluate_rows",
+    "screen_delta",
+    "index_probe_for",
+    "RowWalker",
 }
 
 
@@ -81,15 +86,38 @@ def test_the_system_imports_no_apparatus():
     assert offenders == []
 
 
-def test_only_core_and_the_assertion_monitor_import_the_reference_library():
-    importers = sorted(
-        module
+def test_no_module_in_src_imports_or_defines_the_reference_library():
+    offenders = sorted(
+        (module, name)
         for module, tree in _modules()
-        if not module.startswith("core/")
-        and not module.endswith("__init__.py")
-        and any(name in REFERENCE_LIBRARY for _, name in _imports(tree))
+        for name in [
+            imported
+            for imported, _ in _imports(tree)
+            if imported == "tests" or imported.startswith("tests.")
+        ]
+        + [name for _, name in _imports(tree) if name in REFERENCE_LIBRARY]
+        + [
+            node.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name in REFERENCE_LIBRARY
+        ]
     )
-    assert importers == ["extensions/assertions.py"]
+    assert offenders == []
+
+
+def test_the_row_planner_has_no_interpreter_knobs():
+    tree = ast.parse((SRC / "core" / "planner.py").read_text("utf-8"))
+    (init,) = [
+        node
+        for top in tree.body
+        if isinstance(top, ast.ClassDef) and top.name == "RowPlanner"
+        for node in top.body
+        if isinstance(node, ast.FunctionDef) and node.name == "__init__"
+    ]
+    assert [arg.arg for arg in init.args.args] == [
+        "self", "normal_form", "changed_positions"
+    ]
 
 
 def test_only_the_codec_the_shell_and_the_cluster_genesis_declare_keys():

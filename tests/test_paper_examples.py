@@ -10,12 +10,12 @@ from repro.algebra.evaluate import evaluate
 from repro.algebra.expressions import BaseRef, to_normal_form
 from repro.algebra.relation import Delta, Relation
 from repro.algebra.schema import RelationSchema
-from repro.core.differential import compute_view_delta
 from repro.core.irrelevance import is_irrelevant_update
 from repro.core.maintainer import ViewMaintainer
 from repro.core.truthtable import enumerate_delta_rows, render_row
 from repro.engine.database import Database
 from repro.workloads.scenarios import example_4_1
+from tests.reference import compute_view_delta
 
 
 class TestExample41:

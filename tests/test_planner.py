@@ -1,4 +1,5 @@
-"""Unit tests for the row planner: sharing, pushdown, index probes."""
+"""Unit tests for the row planner (sharing, pushdown, join orders), run
+through the reference walker (sharing switch, index hook)."""
 
 import pytest
 
@@ -6,10 +7,10 @@ from repro.algebra.expressions import BaseRef, to_normal_form
 from repro.algebra.relation import Delta, Relation, TaggedRelation
 from repro.algebra.schema import RelationSchema
 from repro.algebra.tags import Tag
-from repro.core.differential import compute_view_delta
-from repro.core.planner import RowPlanner, evaluate_normal_form
+from repro.core.planner import RowPlanner
 from repro.core.truthtable import DeltaRowChoice, enumerate_delta_rows
 from repro.instrumentation import CostRecorder, recording
+from tests.reference import RowWalker, compute_view_delta, evaluate_normal_form
 
 
 @pytest.fixture
@@ -238,8 +239,7 @@ class TestPlannerPlumbing:
             )
         )
         tagged.add((1, 2), Tag.INSERT)
-        out = planner.evaluate_rows(
-            enumerate_delta_rows(1, [0]),
-            [{DeltaRowChoice.OLD: tagged, DeltaRowChoice.DELTA: tagged}],
-        )
+        out = RowWalker(
+            planner, [{DeltaRowChoice.OLD: tagged, DeltaRowChoice.DELTA: tagged}]
+        ).evaluate(enumerate_delta_rows(1, [0]))
         assert out.is_empty()

@@ -27,15 +27,18 @@ from repro.algebra.expressions import BaseRef, to_normal_form
 from repro.algebra.relation import Relation
 from repro.algebra.schema import RelationSchema
 from repro.core.consistency import check_view_consistency
-from repro.core.differential import compute_view_delta
 from repro.core.irrelevance import (
     construct_witness_database,
-    filter_delta,
     is_irrelevant_update,
 )
 from repro.core.maintainer import ViewMaintainer
 from repro.engine.database import Database
-from tests.reference import ReferenceViews
+from tests.reference import (
+    ReferenceViews,
+    compute_view_delta,
+    evaluate_normal_form,
+    filter_delta,
+)
 
 # ----------------------------------------------------------------------
 # Strategies for whole maintenance scenarios
@@ -264,7 +267,6 @@ class TestPipelinedEvaluatorAgreement:
     @settings(max_examples=100, deadline=None)
     @given(r_rows, s_rows, view_indices)
     def test_agreement(self, r_init, s_init, vi):
-        from repro.core.planner import evaluate_normal_form
 
         expr = VIEW_EXPRESSIONS[vi]
         nf = to_normal_form(expr, CATALOG)

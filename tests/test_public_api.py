@@ -22,10 +22,23 @@ class TestExports:
             "parse_condition",
             "is_satisfiable",
             "is_irrelevant_update",
-            "compute_view_delta",
+            "RelevanceFilter",
             "check_view_consistency",
         ):
             assert name in repro.__all__
+
+    def test_the_per_tuple_reference_is_not_public(self):
+        import repro.core
+
+        for name in (
+            "filter_delta",
+            "compute_view_delta",
+            "execute_planner",
+            "changed_positions_for",
+        ):
+            assert name not in repro.__all__
+            assert name not in repro.core.__all__
+            assert not hasattr(repro, name)
 
 
 class TestQuickstartDocstring:

@@ -10,11 +10,9 @@ live contents.  Pinned here:
 * **parity** — over random streams on a stacked pair whose upstream
   holds multiplicities ≥ 2, the reader equals its recompute and every
   view index equals a rebuild after every commit; the generated kernels
-  agree with the reference planner behind the same probes (the row-cap
-  fallback, ``index_probe_for``) on ``tuples_scanned``, ``join_probes``,
-  ``tuples_emitted`` and ``index_probes``, and with the index-free
-  reference functions (``tests/reference.py``) on contents and on every
-  counter that does not depend on how an OLD operand is reached;
+  agree with the reference functions (``tests/reference.py``) on
+  contents and every work counter — behind the same index probes
+  (``index_probe_for``) on ``tuples_scanned`` and ``index_probes`` too;
 * **cost by a count** — a commit reaching the OLD view operand scans
   the same number of tuples whatever the upstream view holds;
 * **lifecycle** — indexes are built on a plan's first bind (also after
@@ -29,13 +27,11 @@ import ast
 import gc
 import sys
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.codegen as codegen
 from repro import BaseRef, Database, ViewMaintainer, instrumentation
 from repro.algebra.evaluate import evaluate
 from repro.algebra.relation import Delta, HashIndex, Relation
@@ -47,7 +43,11 @@ from repro.instrumentation import CostRecorder, recording
 from repro.engine.persistence import database_to_document
 from repro.replication import DurabilityManager, recover
 from repro.replication.checkpoints import Checkpoint
-from tests.reference import REFERENCE_PARITY_COUNTERS, ReferenceViews
+from tests.reference import (
+    PROBE_PARITY_COUNTERS,
+    REFERENCE_PARITY_COUNTERS,
+    ReferenceViews,
+)
 
 
 def _call_events(run, kinds=("call", "c_call")) -> int:
@@ -103,14 +103,20 @@ def _assert_indexes_match_contents(maintainer):
             assert index._buckets == rebuilt._buckets, (name, attrs)
 
 
-def _replay(stream, reference=False):
+def _replay(stream, reference=False, index_probes=False):
     """Replay ``stream`` over the bag pair; contents and work counters.
 
     A transaction is a list of ``(relation, row, delete?)``; a delete
     removes a live row picked by ``row[0]``, so every stream is legal.
+    The views are maintained by a maintainer, or with ``reference`` by
+    the reference functions (behind index probes with ``index_probes``).
     """
     db = _bag_database()
-    views = ReferenceViews(db, BAG_VIEWS) if reference else _bag_maintainer(db)
+    views = (
+        ReferenceViews(db, BAG_VIEWS, index_probes=index_probes)
+        if reference
+        else _bag_maintainer(db)
+    )
     live = {"r": sorted(R_ROWS), "t": sorted(T_ROWS)}
     recorder = CostRecorder()
     for operations in stream:
@@ -143,12 +149,11 @@ stream_st = st.lists(
 class TestBagOperandParity:
     def _assert_parity(self, stream):
         maintainer, have, work = _replay(stream)
-        with mock.patch.object(codegen, "MAX_CODEGEN_ROWS", 0):
-            _, capped, capped_work = _replay(stream)
+        _, probed, probed_work = _replay(stream, reference=True, index_probes=True)
         _, want, reference_work = _replay(stream, reference=True)
-        assert have == capped == want
-        for name in ("tuples_scanned", "join_probes", "tuples_emitted", "index_probes"):
-            assert work.get(name, 0) == capped_work.get(name, 0), name
+        assert have == probed == want
+        for name in PROBE_PARITY_COUNTERS:
+            assert work.get(name, 0) == probed_work.get(name, 0), name
         for name in REFERENCE_PARITY_COUNTERS:
             assert work.get(name, 0) == reference_work.get(name, 0), name
         assert maintainer.codegen_stats().get("codegen_fallback_tuples") == 0
@@ -210,13 +215,12 @@ class TestCostIsIndependentOfTheUpstreamView:
         assert self._scanned(10) == self._scanned(1000)
 
 
-class TestRowCapFallback:
-    def test_bag_operand_is_maintained_through_index_probe_for(self, monkeypatch):
-        monkeypatch.setattr(codegen, "MAX_CODEGEN_ROWS", 0)
+class TestReferenceProbes:
+    def test_bag_operand_is_maintained_through_index_probe_for(self):
         db = _bag_database()
         maintainer = _bag_maintainer(db)
         reference_db = _bag_database()
-        reference = ReferenceViews(reference_db, BAG_VIEWS)
+        reference = ReferenceViews(reference_db, BAG_VIEWS, index_probes=True)
         for database in (db, reference_db):
             with database.transact() as txn:
                 txn.insert("t", (1, 9))  # p holds (1,) three times
@@ -228,8 +232,9 @@ class TestRowCapFallback:
         assert st_contents.counts() == reference.view("st").contents.counts()
         assert st_contents.count_of((1, 9, 1)) == 3
         assert st_contents.count_of((2, 9, 2)) == 4
-        assert maintainer.codegen_stats().get("codegen_fallback_tuples") > 0
-        assert set(maintainer.view("p").contents.indexes) == {("B",)}
+        assert maintainer.codegen_stats().get("codegen_fallback_tuples") == 0
+        for views in (maintainer, reference):
+            assert set(views.view("p").contents.indexes) == {("B",)}
 
 
 class TestLifecycle:

@@ -5,9 +5,9 @@ import pytest
 from repro.algebra.expressions import BaseRef
 from repro.algebra.relation import Delta
 from repro.algebra.schema import RelationSchema
-from repro.core.planner import evaluate_normal_form
 from repro.core.views import MaterializedView, ViewDefinition
 from repro.errors import ExpressionError, ViewDefinitionError
+from tests.reference import evaluate_normal_form
 
 
 @pytest.fixture
