@@ -429,6 +429,55 @@ class Relation:
         return "\n".join(lines)
 
 
+def apply_counts(
+    relation: Relation,
+    inserted: Mapping[ValueTuple, int],
+    deleted: Mapping[ValueTuple, int],
+) -> None:
+    """``r := r ∪ i − d`` from two encoded count maps over ``relation``'s
+    schema, in place.
+
+    All or nothing: every count is checked — positive, and no more
+    copies deleted than ``relation`` holds — before the first tuple
+    changes, so a :class:`MaintenanceError` leaves ``relation`` and its
+    indexes as they were.  :meth:`Delta.apply_to` and the maintainer's
+    commit path both apply through here.
+    """
+    counts = relation._counts
+    if deleted:
+        for values, count in deleted.items():
+            if count <= 0:
+                raise MaintenanceError(f"delete count must be positive, got {count}")
+            present = counts.get(values, 0)
+            if present < count:
+                raise MaintenanceError(
+                    f"cannot remove {count} copies of {values}: only {present} present"
+                )
+    for count in inserted.values():
+        if count <= 0:
+            raise MaintenanceError(f"insert count must be positive, got {count}")
+    if deleted:
+        for values, count in deleted.items():
+            remaining = counts[values] - count
+            if remaining:
+                counts[values] = remaining
+            else:
+                del counts[values]
+    for values, count in inserted.items():
+        if values in counts:
+            counts[values] += count
+        else:
+            counts[values] = count
+    if relation._indexes:
+        # A delete that only lowers a counter leaves the tuple indexed.
+        gone = [values for values in deleted if values not in counts]
+        for index in relation._indexes.values():
+            for values in gone:
+                index._remove(values)
+            for values in inserted:
+                index._insert(values)
+
+
 class Delta:
     """The net effect ``(i_r, d_r)`` of a transaction on one relation.
 
@@ -520,50 +569,15 @@ class Delta:
     def apply_to(self, relation: Relation) -> None:
         """Apply this delta in place: ``r := r ∪ i_r − d_r``.
 
-        All or nothing: every count is checked — positive, and no more
-        copies deleted than ``relation`` holds — before the first tuple
-        changes, so a :class:`MaintenanceError` leaves ``relation`` and
-        its indexes as they were.  The tuples are already encoded; only
-        the two schemas' attribute names are compared.
+        All or nothing (:func:`apply_counts`).  The tuples are already
+        encoded; only the two schemas' attribute names are compared.
         """
         if relation.schema.names != self.schema.names:
             raise SchemaError(
                 f"cannot apply a delta over {self.schema.names} "
                 f"to a relation over {relation.schema.names}"
             )
-        counts = relation._counts
-        for values, count in self.deleted.items():
-            if count <= 0:
-                raise MaintenanceError(
-                    f"delete count must be positive, got {count}"
-                )
-            present = counts.get(values, 0)
-            if present < count:
-                raise MaintenanceError(
-                    f"cannot remove {count} copies of {values}: "
-                    f"only {present} present"
-                )
-        for count in self.inserted.values():
-            if count <= 0:
-                raise MaintenanceError(
-                    f"insert count must be positive, got {count}"
-                )
-        for values, count in self.deleted.items():
-            remaining = counts[values] - count
-            if remaining:
-                counts[values] = remaining
-            else:
-                del counts[values]
-        for values, count in self.inserted.items():
-            counts[values] = counts.get(values, 0) + count
-        if relation._indexes:
-            # A delete that only lowers a counter leaves the tuple indexed.
-            gone = [values for values in self.deleted if values not in counts]
-            for index in relation._indexes.values():
-                for values in gone:
-                    index._remove(values)
-                for values in self.inserted:
-                    index._insert(values)
+        apply_counts(relation, self.inserted, self.deleted)
 
     def compose(self, later: "Delta") -> "Delta":
         """The net effect of this delta followed by ``later``.

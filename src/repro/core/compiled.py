@@ -29,6 +29,7 @@ same plan against a replica produces byte-for-byte the leader's result.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from types import MappingProxyType
 from typing import TYPE_CHECKING, AbstractSet, Callable, Iterable, Mapping, cast
 
@@ -96,6 +97,120 @@ class _Lookups(dict[int, Lookup]):
 
 
 _Shape = tuple[tuple[int, ...], RowPlanner, ShapeKernels, _Lookups]
+
+
+def run_screen(
+    kernel: ScreenKernel | None, static: bool, delta: Delta,
+    counters: dict[str, int], charged: Tally | None,
+) -> Delta | None:
+    """What of one relation's delta can affect the view, if any; ``kernel``
+    is None where a compile-time proof drops the delta unscreened (static
+    irrelevance when ``static``, else an FK reduction's probe side).
+
+    The stages — this one, :func:`run_rows`, :func:`run_fold` — add what
+    they count to ``counters`` in place and append what only an active
+    recorder receives to ``charged`` (``None`` when none is active).
+    """
+    inserted, deleted = delta.inserted, delta.deleted
+    n = len(inserted) + len(deleted)
+    counters["tuples_screened"] += n
+    if kernel is None:
+        counters["tuples_irrelevant"] += n
+        counters["tuples_static_dropped"] += n
+        if static:
+            counters["static_tuples_dropped"] += n
+        else:
+            counters["fk_probe_tuples_dropped"] += n
+        return None
+    # The generated kernel decides what RelevanceFilter.is_relevant
+    # decides, tuple by tuple, and returns its per-tuple ground-eval
+    # and bound-probe tallies so they are charged in bulk here.
+    ins, dele, ground_evals, bound_probes = kernel(inserted, deleted)
+    kept = len(ins) + len(dele)
+    counters["tuples_irrelevant"] += n - kept
+    counters["codegen_batch_rows"] += n
+    if charged is not None:
+        charged += (
+            ("filter_tuples_checked", n),
+            ("filter_ground_evals", ground_evals),
+            ("filter_bound_probes", bound_probes),
+        )
+    if not kept:
+        return None
+    if kept == n:  # nothing screened out: the input goes on
+        return delta
+    return Delta.adopt(delta.schema, ins, dele)
+
+
+def run_rows(
+    shape: _Shape, operands: list[Delta | None],
+    old_counts: Callable[[int], Mapping[ValueTuple, int]],
+    counters: dict[str, int], charged: Tally | None,
+) -> tuple[CountMap, CountMap]:
+    """The view's netted insert and delete count maps — fresh dicts — from
+    one shape's row kernel over a screened delta per occurrence (None for
+    one that did not change), its Section 5 work counted in bulk."""
+    _, _, kernels, lookups = shape
+    ins, dele, scanned, probes, emitted, ignored, looked_up = kernels.row_kernel(
+        operands, old_counts, lookups
+    )
+    rows = kernels.rows_evaluated
+    counters["codegen_batch_rows"] += rows
+    if charged is not None:
+        charged += (
+            ("differential_updates", 1),
+            ("truth_table_rows", rows),
+            ("delta_rows_evaluated", rows),
+            ("subexpression_memo_hits", kernels.memo_hits),
+            ("tuples_scanned", scanned),
+            ("join_probes", probes),
+            ("index_probes", looked_up),
+            ("tuples_emitted", emitted),
+            ("tuples_ignored", ignored),
+        )
+    if ins and dele:
+        net_counts(ins, dele)
+    return ins, dele
+
+
+def run_fold(
+    fold: AggregateKernel, state: "AggregateState", view_name: str,
+    inserted: CountMap, deleted: CountMap,
+    counters: dict[str, int], charged: Tally | None,
+) -> tuple[CountMap, CountMap]:
+    """Fold one core delta's count maps into an aggregate view's support
+    state; the visible delta's count maps out.
+
+    The final stage of aggregate maintenance: the Section 5 pipeline
+    produced the core delta over the view's SPJ core, and the generated
+    fold kernel applies it to the per-group support bags and
+    accumulators, re-rendering every touched group from the
+    accumulators (the reference
+    :meth:`~repro.core.aggregates.AggregateState.fold` renders the same
+    rows from the bags).  A group whose visible row changes contributes
+    a delete of the old row and an insert of the new one (a keyed
+    upsert, from the changefeed's point of view); a group that appears
+    or disappears contributes just the insert or delete.  An
+    underflowing delete raises with the state untouched.
+    """
+    rows = len(inserted) + len(deleted)
+    inserted, deleted, touched, rescanned, bad = fold(
+        state.groups, state.accumulators, inserted, deleted
+    )
+    counters["codegen_batch_rows"] += rows
+    if charged is not None:
+        # An underflow touched and rescanned nothing.
+        charged += (
+            ("aggregate_rows_folded", rows),
+            ("aggregate_groups_touched", touched),
+            ("aggregate_support_rescanned", rescanned),
+        )
+    if bad is not None:
+        raise MaintenanceError(
+            f"aggregate maintenance for view {view_name!r} would delete more "
+            f"copies of core row {bad} than the group support holds"
+        )
+    return inserted, deleted
 
 
 class CompiledViewPlan:
@@ -280,49 +395,20 @@ class CompiledViewPlan:
         """What of one relation's delta can affect the view, if any.
 
         ``relation_name`` must be one the view reads: a foreign name
-        raises :class:`KeyError`.  This step, :meth:`compute_delta` and
-        :meth:`fold_aggregate` append ``(metric, amount)`` pairs to
-        ``counted`` (always-on) or ``charged`` (active recorder only;
-        ``None`` when none is active), which the caller settles once
+        raises :class:`KeyError`.  This method, :meth:`compute_delta`
+        and :meth:`fold_aggregate` run the stages commits run
+        (:func:`run_screen`, …) for a caller that tallies: they append
+        ``(metric, amount)`` pairs to ``counted`` (always-on) or
+        ``charged`` (active recorder only; ``None`` when none is
+        active), which the caller settles once
         (:meth:`~repro.instrumentation.CostRecorder.settle`).
         """
-        n = len(delta.inserted) + len(delta.deleted)
         kernel = self._screen_kernels[relation_name][1]
-        if kernel is None:
-            # Dropped with no per-tuple work by a compile-time proof,
-            # and counted under it.
-            static = relation_name in self._static_irrelevant
-            counted += (
-                ("tuples_screened", n),
-                ("tuples_irrelevant", n),
-                ("tuples_static_dropped", n),
-                ("static_tuples_dropped", n if static else 0),
-                ("fk_probe_tuples_dropped", 0 if static else n),
-            )
-            return None
-        # The generated kernel decides what RelevanceFilter.is_relevant
-        # decides, tuple by tuple, and returns its per-tuple ground-eval
-        # and bound-probe tallies so they are charged in bulk here.
-        inserted, deleted, ground_evals, bound_probes = kernel(
-            delta.inserted, delta.deleted
-        )
-        counted += (
-            ("tuples_screened", n),
-            ("tuples_irrelevant", n - len(inserted) - len(deleted)),
-            ("codegen_batch_rows", n),
-        )
-        if charged is not None:
-            charged += (
-                ("filter_tuples_checked", n),
-                ("filter_ground_evals", ground_evals),
-                ("filter_bound_probes", bound_probes),
-            )
-        if inserted is delta.inserted:
-            # A constant-TRUE condition: the kernel passed its input on.
-            return delta
-        if inserted or deleted:
-            return Delta.adopt(delta.schema, inserted, deleted)
-        return None
+        static = relation_name in self._static_irrelevant
+        counters: defaultdict[str, int] = defaultdict(int)
+        screened = run_screen(kernel, static, delta, counters, charged)
+        counted += counters.items()
+        return screened
 
     @property
     def static_irrelevant(self) -> frozenset[str]:
@@ -384,34 +470,16 @@ class CompiledViewPlan:
         self, deltas: Mapping[str, Delta], counted: Tally, charged: Tally | None
     ) -> tuple[CountMap, CountMap]:
         """The view's netted insert and delete count maps — fresh
-        dicts — for one transaction's screened deltas, none empty.
-
-        Runs the shape's generated row kernel, tallying the Section 5
-        work counters in bulk from what the kernel returns.
-        """
+        dicts — for one transaction's screened deltas, none empty: the
+        shape's row kernel, compiled on first use, run by
+        :func:`run_rows`."""
         names = tuple(deltas)
         shape = self._shapes.get(names) or self._compile_shape(names, counted)
-        _, _, kernels, lookups = shape
-        ins, dele, scanned, probes, emitted, ignored, looked_up = kernels.row_kernel(
-            list(map(deltas.get, self._occurrence_names)), self._old_counts, lookups
-        )
-        rows = kernels.rows_evaluated
-        counted += (("codegen_batch_rows", rows),)
-        if charged is not None:
-            charged += (
-                ("differential_updates", 1),
-                ("truth_table_rows", rows),
-                ("delta_rows_evaluated", rows),
-                ("subexpression_memo_hits", kernels.memo_hits),
-                ("tuples_scanned", scanned),
-                ("join_probes", probes),
-                ("index_probes", looked_up),
-                ("tuples_emitted", emitted),
-                ("tuples_ignored", ignored),
-            )
-        if ins and dele:
-            net_counts(ins, dele)
-        return ins, dele
+        operands = list(map(deltas.get, self._occurrence_names))
+        counters: defaultdict[str, int] = defaultdict(int)
+        rows = run_rows(shape, operands, self._old_counts, counters, charged)
+        counted += counters.items()
+        return rows
 
     def fold_aggregate(
         self,
@@ -422,45 +490,13 @@ class CompiledViewPlan:
         charged: Tally | None,
     ) -> tuple[CountMap, CountMap]:
         """Fold one core delta's count maps into the support state;
-        the visible delta's count maps out.
-
-        The final stage of aggregate maintenance: the Section 5 pipeline
-        produced the core delta over the view's SPJ core, and this fold
-        applies it to the per-group support bags and accumulators,
-        re-rendering every touched group.  A group whose visible row
-        changes contributes a delete of the old row and an insert of
-        the new one (a keyed upsert, from the changefeed's point of
-        view); a group that appears or disappears contributes just the
-        insert or delete.
-
-        Runs the generated fold kernel, which keeps bags and
-        accumulators in step and renders from the accumulators; the
-        reference :meth:`~repro.core.aggregates.AggregateState.fold`
-        renders the same rows from the bags.  The counters —
-        ``aggregate_rows_folded``, ``aggregate_groups_touched`` and
-        ``aggregate_support_rescanned`` — are tallied here in the
-        driver.  An underflowing delete raises with the state untouched.
-        """
+        the visible delta's count maps out (:func:`run_fold`)."""
         assert self._aggregate_kernel is not None, "not an aggregate view"
-        rows = len(inserted) + len(deleted)
-        inserted, deleted, touched, rescanned, bad = self._aggregate_kernel[1](
-            state.groups, state.accumulators, inserted, deleted
-        )
-        counted += (("codegen_batch_rows", rows),)
-        if charged is not None:
-            # An underflow touched and rescanned nothing.
-            charged += (
-                ("aggregate_rows_folded", rows),
-                ("aggregate_groups_touched", touched),
-                ("aggregate_support_rescanned", rescanned),
-            )
-        if bad is not None:
-            raise MaintenanceError(
-                f"aggregate maintenance for view {self.definition.name!r} "
-                f"would delete more copies of core row {bad} than the "
-                "group support holds"
-            )
-        return inserted, deleted
+        fold, name = self._aggregate_kernel[1], self.definition.name
+        counters: defaultdict[str, int] = defaultdict(int)
+        rows = run_fold(fold, state, name, inserted, deleted, counters, charged)
+        counted += counters.items()
+        return rows
 
     # ------------------------------------------------------------------
     # Complete evaluation

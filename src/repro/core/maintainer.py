@@ -23,10 +23,11 @@ drop, a declared constraint or key) could stale them; the next
 maintenance call recompiles.  Every consumer of the maintainer —
 immediate commits, deferred ``refresh``, WAL-replay recovery,
 changefeed followers, the network view-server — therefore runs the
-same cached plan, and there is one pipeline, which ``_maintain`` runs
-stage by stage over the plan's kernels: screen kernels, then row
-kernels, then (for aggregate views) the fold kernel; what it counts is
-settled on the view's row once.  The parity tests compare the
+same cached plan, and there is one pipeline: ``_run`` runs each reached
+view's *step* (its plan's kernels, resolved when it compiled) inline —
+the stage functions of :mod:`repro.core.compiled` around its screen,
+row and fold kernels, then the apply — counting straight into the
+view's row.  The parity tests compare the
 maintainer against a per-tuple statement of Sections 4 and 5 kept with
 the tests (``tests/reference.py``) and against
 :meth:`~repro.core.aggregates.AggregateState.fold`.
@@ -43,13 +44,13 @@ from __future__ import annotations
 
 import contextlib
 import enum
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
 
 from repro.algebra.expressions import Expression
-from repro.algebra.relation import Delta, Relation
+from repro.algebra.relation import Delta, Relation, ValueTuple, apply_counts
 from repro.algebra.schema import RelationSchema
-from repro.core.codegen import MAX_CODEGEN_ROWS
-from repro.core.compiled import CompiledViewPlan
+from repro.core.codegen import MAX_CODEGEN_ROWS, AggregateKernel, ScreenKernel
+from repro.core.compiled import CompiledViewPlan, _Shape, run_fold, run_rows, run_screen
 from repro.core.truthtable import count_delta_rows
 from repro.core.views import MaterializedView, ViewDefinition
 from repro.engine.database import Database
@@ -71,6 +72,30 @@ class MaintenancePolicy(enum.Enum):
     DEFERRED = "deferred"
 
 
+#: The families of every counter a maintenance call increments: a view's
+#: row holds them at 0 from the start, so an increment is one subscript.
+_ROW_FAMILIES = ("view", "plan_cache", "codegen", "analysis")
+
+
+class _Step(NamedTuple):
+    """The bindings a maintenance call of a view reads, resolved when its
+    plan compiles and dropped with it.  Not count maps or aggregate state:
+    ``Relation.assign`` and ``replace_contents`` replace those."""
+
+    plan: CompiledViewPlan
+    #: None where a compile-time proof drops the relation's deltas:
+    #: static irrelevance if it is in ``static``, else an FK reduction.
+    screens: Mapping[str, ScreenKernel | None]
+    static: frozenset[str]
+    shapes: Mapping[tuple[str, ...], _Shape]
+    old_counts: Callable[[int], Mapping[ValueTuple, int]]
+    occurrence_names: tuple[str, ...]
+    fold: AggregateKernel | None
+    view: MaterializedView
+    contents: Relation
+    subscribers: list[Callable[[MaterializedView, Delta], None]]
+
+
 class _ViewEntry:
     """Everything the maintainer keeps about one registered view."""
 
@@ -80,7 +105,7 @@ class _ViewEntry:
         "dependencies",
         "ordinal",
         "row",
-        "plan",
+        "step",
         "pending",
         "commits_since_refresh",
         "subscribers",
@@ -93,7 +118,6 @@ class _ViewEntry:
         dependencies: frozenset[str],
         ordinal: int,
         row: CostRecorder,
-        plan: CompiledViewPlan,
     ) -> None:
         self.view = view
         self.policy = policy
@@ -106,9 +130,9 @@ class _ViewEntry:
         #: The view's always-on counters.  Its compiled plans count
         #: into it too, so codegen counters survive recompiles.
         self.row = row
-        #: The compiled plan; None between a DDL invalidation and the
-        #: next maintenance call or introspection, which recompiles.
-        self.plan: CompiledViewPlan | None = plan
+        #: The compiled plan's step; None between a DDL invalidation and
+        #: the next maintenance call or introspection, which recompiles.
+        self.step: _Step | None = None
         #: Deferred views: the composed, not yet applied operand deltas.
         self.pending: dict[str, Delta] = {}
         #: Commits that touched a deferred view's operands since its
@@ -116,6 +140,18 @@ class _ViewEntry:
         #: (Distinct from len(pending): composition nets per relation.)
         self.commits_since_refresh = 0
         self.subscribers: list[Callable[[MaterializedView, Delta], None]] = []
+
+    def keep(self, plan: CompiledViewPlan) -> _Step:
+        """Resolve ``plan``'s step and keep it."""
+        fold = plan._aggregate_kernel
+        self.step = _Step(
+            plan,
+            {name: kernel for name, (_, kernel) in plan._screen_kernels.items()},
+            plan.static_irrelevant, plan._shapes, plan._old_counts,
+            plan._occurrence_names, None if fold is None else fold[1],
+            self.view, self.view.contents, self.subscribers,
+        )
+        return self.step
 
 
 class ViewMaintainer:
@@ -213,7 +249,7 @@ class ViewMaintainer:
             )
             if errors:
                 raise StrictAnalysisError(name, errors)
-        row = CostRecorder()
+        row = CostRecorder().family(*_ROW_FAMILIES)
         plan = self._compile_plan(definition, referenced, row)
         counted: Tally = []
         charged: Tally | None = [] if active_recorder() is not None else None
@@ -263,7 +299,7 @@ class ViewMaintainer:
                 f"restored contents for view {name!r} have schema "
                 f"{list(contents.schema.names)}, expected {list(expected.names)}"
             )
-        row = CostRecorder()
+        row = CostRecorder().family(*_ROW_FAMILIES)
         plan = self._compile_plan(definition, referenced, row)
         bag = contents.counts()  # a copy: the caller's may be live
         if contents.schema != expected:
@@ -314,7 +350,8 @@ class ViewMaintainer:
         cannot be computed, must leave no trace — not a view without a
         plan, not a taken name."""
         view.last_refresh_sequence = self.database.last_sequence()
-        entry = _ViewEntry(view, policy, referenced, self._next_ordinal, row, plan)
+        entry = _ViewEntry(view, policy, referenced, self._next_ordinal, row)
+        entry.keep(plan)
         self._next_ordinal += 1
         self._entries[view.definition.name] = entry
         for dep in referenced:
@@ -338,7 +375,8 @@ class ViewMaintainer:
             raise MaintenanceError(
                 f"cannot drop view {name!r}: referenced by {referencing}"
             )
-        if entry.plan is not None:
+        if entry.step is not None:
+            entry.step = None
             entry.row.count("plan_cache_invalidations")
         self._retired.add(entry.row)
         del self._entries[name]
@@ -385,12 +423,10 @@ class ViewMaintainer:
         """The generated kernel source for one view's current plan."""
         return self.peek_plan(name).kernel_source()
 
-    def _recompile(self, entry: _ViewEntry) -> CompiledViewPlan:
+    def _recompile(self, entry: _ViewEntry) -> _Step:
         """Compile and keep the plan of a registered view anew."""
-        entry.plan = self._compile_plan(
-            entry.view.definition, entry.dependencies, entry.row
-        )
-        return entry.plan
+        definition = entry.view.definition
+        return entry.keep(self._compile_plan(definition, entry.dependencies, entry.row))
 
     def peek_plan(self, name: str) -> CompiledViewPlan:
         """The plan introspection reads: compiled if absent, uncounted.
@@ -400,7 +436,7 @@ class ViewMaintainer:
         counters alone.
         """
         entry = self._entry(name)
-        return entry.plan or self._recompile(entry)
+        return (entry.step or self._recompile(entry)).plan
 
     def compiled_plan(self, name: str) -> CompiledViewPlan | None:
         """The currently cached plan for ``name`` (None when absent).
@@ -408,7 +444,8 @@ class ViewMaintainer:
         Purely observational: does not compile and does not touch the
         hit/miss counters.
         """
-        return self._entry(name).plan
+        step = self._entry(name).step
+        return None if step is None else step.plan
 
     def plan_cache_stats(self) -> dict[str, int]:
         """Maintainer-wide plan-cache counters (hits/misses/invalidations)."""
@@ -450,8 +487,8 @@ class ViewMaintainer:
     def _invalidate_readers(self, name: str) -> None:
         """Discard the kept plan of every view reading ``name``."""
         for entry in self._dependents.get(name, ()):
-            if entry.plan is not None:
-                entry.plan = None
+            if entry.step is not None:
+                entry.step = None
                 entry.row.count("plan_cache_invalidations")
 
     # ------------------------------------------------------------------
@@ -665,33 +702,120 @@ class ViewMaintainer:
         else:
             merged = {e.ordinal: e for name in arrived for e in self._reach_of(name)}
             reached = [merged[ordinal] for ordinal in sorted(merged)]
-        if not reached:
-            return
+        if reached:
+            self._run(reached, arrived, refreshing=False)
+
+    def _run(
+        self, reached: Iterable[_ViewEntry], arrived: dict[str, Delta], refreshing: bool
+    ) -> None:
+        """Run each reached entry's step inline, in ordinal order, over the
+        operand deltas in ``arrived``, which each view delta joins for what
+        is stacked on it; a deferred entry composes its backlog instead,
+        unless ``refreshing``.  Counts go straight into each view's row; an
+        active recorder gets them (each row's growth) and what the steps
+        only charge in one landing, raise or not."""
         sequence = self.database.last_sequence()
-        recording = active_recorder() is not None
-        for entry in reached:
-            effective = {
-                dep: arrived[dep] for dep in entry.dependencies if dep in arrived
-            }
-            if not effective:
-                # Reachable, but no operand changed in this commit.
-                continue
-            if entry.policy is MaintenancePolicy.IMMEDIATE:
-                view_delta = self._maintain(entry, effective, recording, sequence)
-                if view_delta is not None:
-                    arrived[entry.view.definition.name] = view_delta
-            else:
-                entry.commits_since_refresh += 1
-                pending = entry.pending
-                for relation_name, delta in effective.items():
-                    existing = pending.get(relation_name)
-                    composed = (
-                        delta if existing is None else existing.compose(delta)
-                    )
-                    if composed.is_empty():
-                        pending.pop(relation_name, None)
+        recorder = active_recorder()
+        charged: Tally | None = None if recorder is None else []
+        try:
+            for entry in reached:
+                effective: dict[str, Delta] = {}
+                for dep in entry.dependencies:
+                    if dep in arrived:
+                        effective[dep] = arrived[dep]
+                if not effective:
+                    # Reachable, but no operand changed in this commit.
+                    continue
+                if entry.policy is MaintenancePolicy.DEFERRED and not refreshing:
+                    entry.commits_since_refresh += 1
+                    pending = entry.pending
+                    for relation_name, delta in effective.items():
+                        existing = pending.get(relation_name)
+                        composed = delta if existing is None else existing.compose(delta)
+                        if composed.is_empty():
+                            pending.pop(relation_name, None)
+                        else:
+                            pending[relation_name] = composed
+                    continue
+                counters = entry.row.counters
+                step = entry.step
+                missed = step is None
+                if step is None:  # invalidated by DDL since the last call
+                    step = self._recompile(entry)  # counts its compile itself
+                (plan, screens, static, shapes, old_counts, names, fold,
+                 view, contents, subscribers) = step
+                relevant: dict[str, Delta] = {}
+                view_delta: Delta | None = None
+                # The row's keys are seeded, so its values line up with these.
+                before = None if charged is None else [*counters.values()]
+                try:
+                    counters["transactions_seen"] += 1
+                    if missed:
+                        counters["plan_cache_misses"] += 1
                     else:
-                        pending[relation_name] = composed
+                        counters["plan_cache_hits"] += 1
+                    for name in effective:
+                        delta = effective[name]
+                        screened = run_screen(
+                            screens[name], name in static, delta, counters, charged
+                        )
+                        if screened is not None:
+                            relevant[name] = screened
+                    if not relevant:
+                        counters["transactions_skipped"] += 1
+                    else:
+                        key = tuple(relevant)
+                        try:
+                            shape = shapes[key]
+                        except KeyError:  # compiled on first survival
+                            compiled: Tally = []
+                            shape = plan._compile_shape(key, compiled)
+                            counters["codegen_plans_compiled"] += len(compiled)
+                        operands = list(map(relevant.get, names))
+                        ins, dele = run_rows(
+                            shape, operands, old_counts, counters, charged
+                        )
+                        state = view.aggregate_state
+                        if fold is not None and state is not None:
+                            ins, dele = run_fold(
+                                fold, state, view.definition.name, ins, dele,
+                                counters, charged,
+                            )
+                        if ins or dele:
+                            view_delta = Delta.adopt(contents.schema, ins, dele)
+                        counters["view_tuples_inserted"] += len(ins)
+                        counters["view_tuples_deleted"] += len(dele)
+                        if view_delta is not None:
+                            apply_counts(contents, ins, dele)
+                            view.updates_applied += 1
+                        counters["deltas_applied"] += 1
+                finally:
+                    if charged is not None and before is not None:
+                        charged += [
+                            (metric, amount - was)
+                            for (metric, amount), was in zip(counters.items(), before)
+                            if amount != was
+                        ]
+                view.last_refresh_sequence = sequence
+                if refreshing:
+                    # Applied: a raise from here on leaves no backlog to
+                    # apply a second time.
+                    entry.pending = {}
+                    entry.commits_since_refresh = 0
+                if not relevant:
+                    continue
+                if self.auto_verify:
+                    from repro.core.consistency import check_view_consistency
+
+                    check_view_consistency(view, self.instances())
+                if view_delta is not None:
+                    for callback in subscribers:
+                        callback(view, view_delta)
+                    arrived[view.definition.name] = view_delta
+        finally:
+            if charged:
+                assert recorder is not None
+                recorder.land(charged)
 
     def apply_deltas(self, txn_id: int, deltas: Mapping[str, Delta]) -> None:
         """Maintain every view from externally supplied net deltas.
@@ -747,14 +871,13 @@ class ViewMaintainer:
         environment").
         """
         entry = self._entry(name)
-        pending = entry.pending
-        entry.commits_since_refresh = 0
-        sequence = self.database.last_sequence()
-        if not pending:
-            entry.view.last_refresh_sequence = sequence
+        if not entry.pending:
+            entry.commits_since_refresh = 0
+            entry.view.last_refresh_sequence = self.database.last_sequence()
             return False
-        entry.pending = {}
-        self._maintain(entry, pending, active_recorder() is not None, sequence)
+        # The step clears the backlog once it has applied it: a refresh
+        # that raises before that leaves the view stale and says so.
+        self._run([entry], dict(entry.pending), refreshing=True)
         return True
 
     def pending_deltas(self, name: str) -> dict[str, Delta]:
@@ -839,81 +962,9 @@ class ViewMaintainer:
             )
         return reports
 
-    # ------------------------------------------------------------------
-    # The filter + differential pipeline
-    # ------------------------------------------------------------------
-    def _maintain(
-        self,
-        entry: _ViewEntry,
-        deltas: Mapping[str, Delta],
-        recording: bool,
-        sequence: int,
-    ) -> Delta | None:
-        """Run the plan's stages — screen each changed relation, the
-        row kernels over what survived, the fold for an aggregate view —
-        and apply the view delta they hand on; ``None`` when every tuple
-        was screened out, the payoff Section 4 is after.  What the
-        stages count is settled on the view's row once, raise or not;
-        what they would only charge is not even tallied unless a
-        recorder is active to receive it (``recording``).  ``sequence``
-        is the log position the view is brought up to.
-        """
-        view = entry.view
-        plan = entry.plan
-        counted: Tally = [("transactions_seen", 1)]
-        charged: Tally | None = [] if recording else None
-        view_delta: Delta | None = None
-        try:
-            # A hit except right after an invalidation (the miss
-            # recompiles and keeps the new plan).
-            if plan is None:
-                counted += (("plan_cache_misses", 1),)
-                plan = self._recompile(entry)
-            else:
-                counted += (("plan_cache_hits", 1),)
-            relevant: dict[str, Delta] = {}
-            for relation_name, delta in deltas.items():
-                screened = plan.screen(relation_name, delta, counted, charged)
-                if screened is not None:
-                    relevant[relation_name] = screened
-            if not relevant:
-                counted += (("transactions_skipped", 1),)
-            else:
-                inserted, deleted = plan.compute_delta(relevant, counted, charged)
-                state = view.aggregate_state
-                if state is not None:
-                    inserted, deleted = plan.fold_aggregate(
-                        state, inserted, deleted, counted, charged
-                    )
-                view_delta = Delta.adopt(view.contents.schema, inserted, deleted)
-                counted += (
-                    ("view_tuples_inserted", len(inserted)),
-                    ("view_tuples_deleted", len(deleted)),
-                )
-                if inserted or deleted:
-                    view_delta.apply_to(view.contents)
-                    view.updates_applied += 1
-                counted += (("deltas_applied", 1),)
-        finally:
-            entry.row.settle(counted, charged)
-        view.last_refresh_sequence = sequence
-        if view_delta is None:
-            return None
-
-        if self.auto_verify:
-            from repro.core.consistency import check_view_consistency
-
-            check_view_consistency(view, self.instances())
-
-        if view_delta.is_empty():
-            return None
-        for callback in entry.subscribers:
-            callback(view, view_delta)
-        return view_delta
-
     def __repr__(self) -> str:
         return (
             f"<ViewMaintainer {len(self._entries)} views, "
-            f"{sum(e.plan is not None for e in self._entries.values())} "
+            f"{sum(e.step is not None for e in self._entries.values())} "
             "cached plans>"
         )

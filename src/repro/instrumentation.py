@@ -20,11 +20,13 @@ One bag type, :class:`CostRecorder`, serves both ways of counting:
   the scheduler own a bag and count with :meth:`CostRecorder.count`,
   which feeds the bag and the active recorder in one increment (the
   maintainer-wide totals are the sum of its rows, dropped views'
-  included).  One view's maintenance defers its increments to two
-  :data:`Tally` lists and lands them together
-  (:meth:`CostRecorder.settle`).  The server and the cluster coordinator activate their
-  own bag around the work they host, so they count with ``incr`` /
-  :func:`charge`.
+  included).  A commit adds each view's counts straight into that
+  view's row, and with a recorder active lands one :data:`Tally` of
+  the commit's increments on it once (:meth:`CostRecorder.land`); a
+  plan stage called on its own defers its increments to two tallies
+  and lands them together (:meth:`CostRecorder.settle`).  The server
+  and the cluster coordinator activate their own bag around the work
+  they host, so they count with ``incr`` / :func:`charge`.
 
 A counter names one kind of work, not one call site: the evaluation and
 screening counters are charged by the per-tuple reference functions
@@ -245,6 +247,11 @@ class CostRecorder:
         if charged:
             # Into nothing with no recorder active: names still checked.
             _land({} if active is None else active.counters, charged)
+
+    def land(self, tally: Tally) -> None:
+        """Add a tally's pairs to this bag alone (a zero amount is no
+        event)."""
+        _land(self.counters, tally)
 
     def add(self, other: CostRecorder) -> None:
         """Fold another bag's counts into this one."""

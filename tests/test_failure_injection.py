@@ -15,14 +15,20 @@ and these tests pin it down:
 * a subscriber that raises propagates after the view delta applied;
 * a corrupted view is caught by ``auto_verify`` / ``check_view_consistency``
   with a precise report, and the exception names the view;
-* maintenance keeps working after an observer failure.
+* maintenance keeps working after an observer failure;
+* a generated kernel that raises stops the commit's view maintenance
+  where it raised: earlier views stay updated, the faulted view is left
+  as it was with what it counted so far, later views are untouched; a
+  refresh that raises before its apply keeps its backlog, and one whose
+  subscriber raises after it does not.
 """
 
 import pytest
 
 from repro.algebra.expressions import BaseRef
+from repro.core import compiled
 from repro.core.consistency import check_view_consistency
-from repro.core.maintainer import ViewMaintainer
+from repro.core.maintainer import MaintenancePolicy, ViewMaintainer
 from repro.engine.database import Database
 from repro.errors import MaintenanceError
 
@@ -196,3 +202,123 @@ class TestSubscriberFailures:
         # The view delta had already been applied.
         assert (2, 2) in view.contents
         check_view_consistency(view, db.instances())
+
+
+@pytest.fixture
+def kernel_faults(monkeypatch):
+    """A set of kernel file names (``<codegen:VIEW:KIND...>``): a screen
+    or fold kernel compiled from here on raises while its name is in it."""
+    armed: set[str] = set()
+    compile_kernel = compiled.compile_kernel
+
+    def faultable(source, name, filename):
+        kernel = compile_kernel(source, name, filename)
+
+        def run(*args):
+            if filename in armed:
+                raise RuntimeError(f"injected fault in {filename}")
+            return kernel(*args)
+
+        return run
+
+    monkeypatch.setattr(compiled, "compile_kernel", faultable)
+    return armed
+
+
+class TestKernelFaults:
+    def test_a_failed_refresh_keeps_its_backlog(self, db, kernel_faults):
+        maintainer = ViewMaintainer(db)
+        view = maintainer.define_view(
+            "v", BaseRef("r").select("A > 0"), policy=MaintenancePolicy.DEFERRED
+        )
+        db.apply(inserts={"r": [(2, 2)]})
+        backlog = maintainer.backlog("v")
+        assert backlog["pending_relations"] == 1
+        kernel_faults.add("<codegen:v:screen:r>")
+        with pytest.raises(RuntimeError, match="injected"):
+            maintainer.refresh("v")
+        # Still stale, and saying so.
+        assert maintainer.backlog("v") == backlog
+        assert (2, 2) not in view.contents
+        kernel_faults.clear()
+        assert maintainer.refresh("v") is True
+        assert maintainer.backlog("v") == {
+            "pending_relations": 0,
+            "pending_delta_size": 0,
+            "commits_since_refresh": 0,
+            "sequence_lag": 0,
+        }
+        maintainer.verify_all()
+
+    def test_a_subscriber_raising_in_a_refresh_leaves_no_backlog(self, db):
+        # The delta is applied before the subscribers run, so the backlog
+        # is gone by then: a second refresh must not apply it again.
+        maintainer = ViewMaintainer(db)
+        view = maintainer.define_view(
+            "v", BaseRef("r").select("A > 0"), policy=MaintenancePolicy.DEFERRED
+        )
+
+        def bad_subscriber(view, delta):
+            raise RuntimeError("subscriber exploded")
+
+        maintainer.subscribe("v", bad_subscriber)
+        db.apply(inserts={"r": [(2, 2)]})
+        with pytest.raises(RuntimeError, match="exploded"):
+            maintainer.refresh("v")
+        assert view.contents.counts()[(2, 2)] == 1
+        assert maintainer.backlog("v")["pending_relations"] == 0
+        assert maintainer.backlog("v")["commits_since_refresh"] == 0
+        maintainer.unsubscribe("v", bad_subscriber)
+        assert maintainer.refresh("v") is False
+        assert view.contents.counts()[(2, 2)] == 1
+        maintainer.verify_all()
+
+    def test_a_fold_fault_stops_the_commit_at_its_view(self, db, kernel_faults):
+        maintainer = ViewMaintainer(db)
+        names = ["sel", "proj", "agg", "low", "stacked"]
+        maintainer.define_view("sel", BaseRef("r").select("A > 0"))
+        maintainer.define_view("proj", BaseRef("r").project(["B"]))
+        maintainer.define_view(
+            "agg", BaseRef("r").aggregate(["B"], [("count", None, "n")])
+        )
+        maintainer.define_view("low", BaseRef("r").select("B < 100"))
+        maintainer.define_view("stacked", BaseRef("sel").project(["A"]))
+        db.apply(inserts={"r": [(2, 2)]})  # every shape compiled
+        before = {name: maintainer.stats(name) for name in names}
+        contents = {name: maintainer.view(name).contents.counts() for name in names}
+        groups = dict(maintainer.view("agg").aggregate_state.groups)
+
+        kernel_faults.add("<codegen:agg:aggregate>")
+        with pytest.raises(RuntimeError, match="injected"):
+            db.apply(inserts={"r": [(5, 5)]})
+        assert (5, 5) in db.relation("r")  # the commit stands
+        after = {name: maintainer.stats(name) for name in names}
+        for name in ("sel", "proj"):
+            assert after[name]["transactions_seen"] == before[name]["transactions_seen"] + 1
+            assert after[name]["deltas_applied"] == before[name]["deltas_applied"] + 1
+            check_view_consistency(maintainer.view(name), maintainer.instances())
+        # The faulted view: what it counted up to the raise is landed,
+        # and neither its contents nor its support state moved.
+        moved = {
+            metric: after["agg"][metric] - before["agg"][metric]
+            for metric in after["agg"]
+            if after["agg"][metric] != before["agg"][metric]
+        }
+        assert moved == {
+            "transactions_seen": 1,
+            "tuples_screened": 1,
+            "plan_cache_hits": 1,
+        }
+        assert maintainer.view("agg").contents.counts() == contents["agg"]
+        assert maintainer.view("agg").aggregate_state.groups == groups
+        for name in ("low", "stacked"):
+            assert after[name] == before[name]
+            assert maintainer.view(name).contents.counts() == contents[name]
+
+        kernel_faults.clear()
+        db.apply(inserts={"r": [(6, 6)]})
+        final = {name: maintainer.stats(name) for name in names}
+        for name in names:
+            assert final[name]["transactions_seen"] == after[name]["transactions_seen"] + 1
+            assert final[name]["deltas_applied"] == after[name]["deltas_applied"] + 1
+        assert (6, 1) in maintainer.view("agg").contents

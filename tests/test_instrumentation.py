@@ -277,8 +277,25 @@ class TestDeclarationsMatchTheSource:
     #: The two lists of a deferred tally (``CostRecorder.settle``): a
     #: site extends one with ``(name, amount)`` pairs.
     TALLIES = {"counted", "charged"}
+    #: Counter maps a site increments in place, ``counters["name"] += n``
+    #: (a bag's own map, or a view's row on the commit path).
+    COUNTER_MAPS = {"counters"}
     #: The only non-literal names: the registry's own plumbing.
     FORWARDED = {("instrumentation.py", "name")}
+
+    @classmethod
+    def _forwards_a_counter_map(cls, value):
+        """``counters.items()``, or a comprehension over it (alone or
+        zipped with something else): the pairs of a counter map."""
+        if isinstance(value, ast.ListComp):
+            value = value.generators[0].iter
+            if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "zip":
+                value = value.args[0]
+        return (
+            isinstance(value, ast.Call)
+            and getattr(value.func, "attr", None) == "items"
+            and getattr(value.func.value, "id", None) in cls.COUNTER_MAPS
+        )
 
     @classmethod
     def _name_arguments(cls, node):
@@ -293,6 +310,12 @@ class TestDeclarationsMatchTheSource:
                 computed = isinstance(arg, (ast.Name, ast.JoinedStr, ast.BinOp))
                 if computed or isinstance(getattr(arg, "value", None), str):
                     yield arg
+        elif (
+            isinstance(node, ast.AugAssign)
+            and isinstance(node.target, ast.Subscript)
+            and getattr(node.target.value, "id", None) in cls.COUNTER_MAPS
+        ):
+            yield node.target.slice
         elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             if any(getattr(t, "id", None) in cls.TALLIES for t in targets):
@@ -302,6 +325,8 @@ class TestDeclarationsMatchTheSource:
                 for value in values:
                     if isinstance(value, ast.Constant) and value.value is None:
                         continue
+                    if cls._forwards_a_counter_map(value):
+                        continue  # its names are linted where it is incremented
                     assert hasattr(value, "elts"), "a tally takes a literal of pairs"
                     for pair in value.elts:
                         assert isinstance(pair, ast.Tuple) and len(pair.elts) == 2
@@ -334,6 +359,35 @@ class TestDeclarationsMatchTheSource:
             for arg in self._name_arguments(node)
         ]
         assert names == ["proof", "'tuples_screened'"]
+
+    def test_a_computed_key_of_a_counter_map_is_found(self):
+        tree = ast.parse(
+            "counters[proof] += n\n"
+            "counters['tuples_screened'] += n\n"
+            "counters[f'{kind}_dropped'] += n\n"
+            "seen[proof] += 1\n"
+        )
+        names = [
+            ast.unparse(arg)
+            for node in ast.walk(tree)
+            for arg in self._name_arguments(node)
+        ]
+        assert names == ["proof", "'tuples_screened'", "f'{kind}_dropped'"]
+
+    def test_a_tally_forwards_only_a_counter_map(self):
+        forwarded = (
+            "counted += counters.items()\n"
+            "charged += [(m, a - b) for (m, a), b in zip(counters.items(), before)]\n"
+        )
+        assert [
+            arg
+            for node in ast.walk(ast.parse(forwarded))
+            for arg in self._name_arguments(node)
+        ] == []
+        for other in ("counted += seen.items()\n", "charged += [(m, 1) for m in names]\n"):
+            with pytest.raises(AssertionError, match="literal of pairs"):
+                for node in ast.walk(ast.parse(other)):
+                    list(self._name_arguments(node))
 
     def test_every_declaration_is_complete(self):
         for metric in METRICS.values():

@@ -1,16 +1,17 @@
 """Unit and integration tests for the ViewMaintainer pipeline."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from repro.algebra.expressions import BaseRef
 from repro.algebra.schema import RelationSchema
-from repro.core.compiled import CompiledViewPlan
 from repro.core.consistency import check_view_consistency
 from repro.core.maintainer import MaintenancePolicy, ViewMaintainer
 from repro.engine.database import Database
 from repro.errors import MaintenanceError, UnknownViewError
+from repro.instrumentation import CostRecorder, recording
 
 from tests.conftest import run_random_transactions
 from tests.reference import ReferenceViews
@@ -298,17 +299,16 @@ class TestCommitPathGlue:
             return instances(self)
 
         monkeypatch.setattr(ViewMaintainer, "instances", counting_instances)
-        for attr in ("screen", "compute_delta"):
-            method = getattr(CompiledViewPlan, attr)
+        run = ViewMaintainer._run
 
-            def inside(self, *args, _method=method):
-                in_plan.append(1)
-                try:
-                    return _method(self, *args)
-                finally:
-                    in_plan.pop()
+        def inside(self, *args, **kwargs):
+            in_plan.append(1)
+            try:
+                return run(self, *args, **kwargs)
+            finally:
+                in_plan.pop()
 
-            monkeypatch.setattr(CompiledViewPlan, attr, inside)
+        monkeypatch.setattr(ViewMaintainer, "_run", inside)
         init = RelationSchema.__init__
 
         def counting_init(self, *args, **kwargs):
@@ -323,3 +323,191 @@ class TestCommitPathGlue:
         assert calls == {"instances": 0, "schemas": 0}
         monkeypatch.undo()
         m.verify_all()
+
+
+def _changes(before, after):
+    """The ``(inserted, deleted)`` count maps taking ``before`` to ``after``."""
+    inserted = {t: n - before.get(t, 0) for t, n in after.items() if n > before.get(t, 0)}
+    deleted = {t: n - after.get(t, 0) for t, n in before.items() if n > after.get(t, 0)}
+    return inserted, deleted
+
+
+class TestResolvedSteps:
+    """A view's step — the bindings a commit reads — is resolved when
+    its plan compiles and dropped with it, so no event a later commit
+    depends on is missed."""
+
+    #: Each event, then one more commit.
+    EVENTS = (
+        ("create_index", lambda db, m, deliver: db.create_index("r", ["B"])),
+        # The join's plan bound r's index on A at its first commit; a
+        # step kept past this drop would probe an index no longer kept up.
+        ("drop_index", lambda db, m, deliver: db.drop_index("r", ["A"])),
+        ("declare_key", lambda db, m, deliver: db.declare_key("s", ["C"])),
+        ("declare_constraint", lambda db, m, deliver: db.declare_constraint("r", "A >= 0")),
+        ("define_view", lambda db, m, deliver: m.define_view("late", BaseRef("r").select("B > 1"))),
+        ("drop_view", lambda db, m, deliver: m.drop_view("stacked")),
+        ("subscribe", lambda db, m, deliver: m.subscribe("late", deliver)),
+        ("unsubscribe", lambda db, m, deliver: m.unsubscribe("sel", deliver)),
+        (
+            "replace_contents",
+            lambda db, m, deliver: m.view("agg").replace_contents(
+                m.view("agg").stored_contents().copy()
+            ),
+        ),
+    )
+
+    @staticmethod
+    def _world():
+        db = Database()
+        db.create_relation("r", ["A", "B"], [(1, 1), (2, 2), (3, 3)])
+        db.create_relation("s", ["C", "D"], [(1, 10), (2, 20)])
+        m = ViewMaintainer(db)
+        m.define_view("sel", BaseRef("r").select("A > 0"))
+        m.define_view("join", BaseRef("r").product(BaseRef("s")).select("A = C"))
+        m.define_view(
+            "agg",
+            BaseRef("r").aggregate(["B"], [("count", None, "n"), ("max", "A", "top")]),
+        )
+        # Its commits on s probe sel through an index sel builds.
+        m.define_view("stacked", BaseRef("sel").product(BaseRef("s")).select("A = C"))
+        deliveries = []
+
+        def deliver(view, delta):
+            deliveries.append(
+                (view.definition.name, dict(delta.inserted), dict(delta.deleted))
+            )
+
+        for name in m.view_names():
+            m.subscribe(name, deliver)
+        return db, m, deliveries, deliver
+
+    @staticmethod
+    def _commit(db, i):
+        """A k = 2 commit: a row into r (and an older one out), and a row
+        into s that joins r's row of the commit before."""
+        with db.transact() as txn:
+            txn.insert("r", (10 + i, 1 + i % 3))
+            if i > 1:
+                txn.delete("r", (8 + i, 1 + (i - 2) % 3))
+            txn.insert("s", (9 + i, 7 * i))
+
+    def _replay(self, events):
+        db, m, _, deliver = self._world()
+        self._commit(db, 0)
+        for i, (_, event) in enumerate(events, 1):
+            event(db, m, deliver)
+            self._commit(db, i)
+        return m
+
+    def test_every_event_reaches_the_next_commit(self):
+        db, m, deliveries, deliver = self._world()
+        subscribed = set(m.view_names())
+        self._commit(db, 0)
+        for i, (event_name, event) in enumerate(self.EVENTS, 1):
+            if event_name == "drop_index":
+                assert ("A",) in db.relation("r").indexes
+            if event_name == "drop_view":
+                assert m.view("sel").contents.indexes
+            event(db, m, deliver)
+            if event_name == "drop_view":
+                subscribed.discard("stacked")
+                assert not m.view("sel").contents.indexes
+            elif event_name == "subscribe":
+                subscribed.add("late")
+            elif event_name == "unsubscribe":
+                subscribed.discard("sel")
+            before = {name: m.view(name).contents.counts() for name in m.view_names()}
+            deliveries.clear()
+            self._commit(db, i)
+
+            m.verify_all()
+            agg = m.view("agg")
+            assert agg.aggregate_state.visible_relation() == agg.contents, event_name
+            assert agg.aggregate_state.accumulator_drift() == []
+            expected = {}
+            for name in subscribed:
+                changes = _changes(before[name], m.view(name).contents.counts())
+                if changes != ({}, {}):
+                    expected[name] = changes
+            delivered = {name: (ins, dele) for name, ins, dele in deliveries}
+            assert len(delivered) == len(deliveries), event_name
+            assert delivered == expected, event_name
+            fresh = self._replay(self.EVENTS[:i])
+            assert m.all_stats() == fresh.all_stats(), event_name
+            for name in m.view_names():
+                assert m.view(name).contents == fresh.view(name).contents
+        assert m.view("join").contents and m.view("agg").contents
+
+    @staticmethod
+    def _mixed_stream():
+        """Stacked, aggregate and deferred views, an FK-reduced view whose
+        probe relation p is dropped by proof, a relation q statically
+        irrelevant to a view, and k = 2 commits, from one seed."""
+        db = Database()
+        db.create_relation("p", ["B", "C"], [(b, b * 10) for b in range(4)])
+        db.create_relation("r", ["A", "B"], [(1, 0), (2, 1), (3, 1)])
+        db.create_relation("q", ["E", "F"], [(10, 1)])
+        db.declare_key("p", ["B"])
+        db.declare_foreign_key("r", ["B"], "p", ["B"])
+        db.declare_constraint("q", "E >= 10")
+        m = ViewMaintainer(db)
+        m.define_view("fk", BaseRef("r").join(BaseRef("p")).project(["A", "B"]))
+        m.define_view("qs", BaseRef("r").product(BaseRef("q")).select("E < 5 and A = F"))
+        m.define_view("sel", BaseRef("r").select("A > 2"))
+        m.define_view("stacked", BaseRef("sel").join(BaseRef("p")))
+        m.define_view(
+            "agg",
+            BaseRef("r").aggregate(["B"], [("count", None, "n"), ("max", "A", "top")]),
+        )
+        m.define_view(
+            "dfr",
+            BaseRef("r").product(BaseRef("q")).select("A = F"),
+            policy=MaintenancePolicy.DEFERRED,
+        )
+        assert m.compiled_plan("fk").reduction is not None
+        assert m.compiled_plan("qs").static_irrelevant == frozenset({"q"})
+        rng = random.Random(11)
+        live = [(1, 0), (2, 1), (3, 1)]
+        for i in range(60):
+            kind = rng.randrange(4)
+            with db.transact() as txn:
+                if kind == 0:
+                    txn.insert("p", (100 + i, i))
+                    live.append((10 + i, rng.randrange(4)))
+                    txn.insert("r", live[-1])
+                elif kind == 1 and live:
+                    txn.delete("r", live.pop(rng.randrange(len(live))))
+                elif kind == 2:
+                    txn.insert("q", (10 + rng.randrange(5), rng.randrange(20)))
+                else:
+                    live.append((10 + i, rng.randrange(4)))
+                    txn.insert("r", live[-1])
+            if i % 7 == 6:
+                m.refresh("dfr")
+        m.quiesce()
+        m.verify_all()
+        return m
+
+    def test_a_recorder_sees_what_the_rows_count(self):
+        plain = self._mixed_stream()
+        with recording(CostRecorder()) as recorder:
+            recorded = self._mixed_stream()
+        assert recorded.all_stats() == plain.all_stats()
+        for name in plain.view_names():
+            assert recorded.view(name).contents == plain.view(name).contents
+        summed = Counter()
+        for stats in recorded.all_stats().values():
+            summed.update(stats)
+        totals = recorder.family("view", "plan_cache").as_dict()
+        assert totals == {name: summed[name] for name in totals}
+        # Every count the rows hold, codegen and analysis ones included,
+        # reached the recorder too.
+        rows = {name: n for name, n in recorded.totals.snapshot().items() if n}
+        assert {name: recorder.get(name) for name in rows} == rows
+        assert rows["static_tuples_dropped"] and rows["fk_probe_tuples_dropped"]
+        assert totals["transactions_skipped"] > 0
+        assert recorder.get("filter_tuples_checked") > 0
+        assert recorder.get("fk_probe_tuples_dropped") > 0
+        assert recorder.get("static_tuples_dropped") > 0
+        assert recorder.get("aggregate_rows_folded") > 0

@@ -486,8 +486,9 @@ class TestMacrobenchCatalog:
 
     def test_one_row_commit_pays_for_no_glue_between_the_kernels(self):
         """A clock-free law for what runs *between* the generated
-        kernels: ``_maintain`` calls each of the plan's stages once per
-        view, and they hand each other count maps and two tallies."""
+        kernels: the commit walks the reached views' resolved steps
+        inline, calling each view's kernels back to back and counting
+        straight into its row, with nothing between the views."""
         specs, db, maintainer = self._maintainer(
             {
                 "customer": [(c, c % 4, c % 3) for c in range(8)],
@@ -533,27 +534,30 @@ class TestMacrobenchCatalog:
         assert len(maintained) == 6
         assert all(maintainer.stats(name)["deltas_applied"] == 2 for name in specs)
         maintainer.verify_all()
-        # repro.instrumentation is entered once per maintained view —
-        # the settlement — plus a constant of 1: the commit asks once
-        # whether a recorder is active.  (fbd8c76: 99, a ``count`` or
-        # ``charge`` per metric.)  The kernels probe index buckets
-        # directly and count their probes themselves (42a3db4: 5
-        # ``HashIndex.probe`` charges, one per probe).
-        assert counts["registry"] == len(maintained) + 1
+        # repro.instrumentation is entered once per commit: it asks
+        # once whether a recorder is active, and the counts go straight
+        # into each view's row.  (c849590: once more per maintained
+        # view, a settlement; fbd8c76: 99, a ``count`` or ``charge`` per
+        # metric.)  The kernels probe index buckets directly and count
+        # their probes themselves (42a3db4: 5 ``HashIndex.probe``
+        # charges, one per probe).
+        assert counts["registry"] == 1
         assert counts["probe charges"] == 0
-        # Per maintained view and changed operand, the screened operand
-        # and the view delta; plus the transaction's own lineitem delta.
-        # (fbd8c76: 15 — every stage wrapped its kernel's dicts anew,
-        # three times for an aggregate view, and each ``from_counts``
-        # ran ``__init__`` first.)
-        assert counts["deltas"] <= 2 * len(maintained) + 1
-        # Every Python-level and C-level call of the commit: 344 on
-        # CPython 3.11, 362 while a ``plan.maintain`` frame ran the
-        # stages and ``apply_delta`` applied, 416 at 42a3db4, 779 at
-        # fbd8c76.  A change that brings per-stage wrapping, per-metric
-        # calls or per-probe dispatch back fails here by count, not by
-        # clock.
-        assert counts["calls"] <= 360
+        # Per maintained view, the view delta — a screened operand the
+        # screen took nothing from goes on as it came — plus the
+        # transaction's own lineitem delta.  (c849590: 13, a screened
+        # copy per operand; fbd8c76: 15 — every stage wrapped its
+        # kernel's dicts anew, three times for an aggregate view, and
+        # each ``from_counts`` ran ``__init__`` first.)
+        assert counts["deltas"] <= len(maintained) + 1
+        # Every Python-level and C-level call of the commit: 265 on
+        # CPython 3.11; 344 while ``_maintain`` called the plan's stage
+        # methods per view and settled two tallies, 362 while a
+        # ``plan.maintain`` frame ran the stages and ``apply_delta``
+        # applied, 416 at 42a3db4, 779 at fbd8c76.  A change that brings
+        # a per-view maintenance frame, per-view settlements, per-metric calls
+        # or per-probe dispatch back fails here by count, not by clock.
+        assert counts["calls"] <= 270
 
         # The probes are still counted, in bulk, for an active recorder.
         with recording(CostRecorder()) as recorder:
