@@ -86,6 +86,7 @@ from repro.core.implication import (
 from repro.core.irrelevance import is_statically_irrelevant
 from repro.core.normalize import normalize_conjunction
 from repro.core.satisfiability import is_satisfiable, is_satisfiable_conjunction
+from repro.core.truthtable import DeltaRowChoice
 from repro.errors import ConditionError
 from repro.instrumentation import charge
 
@@ -417,21 +418,18 @@ def _plan_lint_findings(
     findings: list[Finding] = []
     p = len(nf.occurrences)
 
-    # OLD operands joined with no equality links: walk the planner's
-    # row chain for every single-relation update (the common
-    # transaction shape) and collect steps that join an unchanged
-    # operand with an empty link set — those are full cross-product
-    # scans no index can serve.
+    # OLD operands joined with no equality links: walk the lowered
+    # shape of every single-relation update (the common transaction
+    # shape) and collect the OLD nodes it hashes instead of probing —
+    # full cross-product scans no index can serve.
     if p > 1:
         unbound: dict[int, set[str]] = {}
         for changed in range(p):
-            planner = plan.planner_for([changed])
-            for chain in planner.chains.values():
-                for step in chain[1:]:
-                    if not step.link_attr_names:
-                        unbound.setdefault(step.position, set()).add(
-                            nf.occurrences[changed].name
-                        )
+            for node in plan.shape_ops([changed]).nodes:
+                if node.table and node.choice is DeltaRowChoice.OLD:
+                    unbound.setdefault(node.step.position, set()).add(
+                        nf.occurrences[changed].name
+                    )
         for position in sorted(unbound):
             occurrence = nf.occurrences[position]
             triggers = ", ".join(sorted(unbound[position]))

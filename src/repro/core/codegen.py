@@ -1,7 +1,7 @@
 """Generated batch kernels for the maintenance hot path.
 
-The reference functions in :mod:`repro.core.planner` and
-:mod:`repro.core.irrelevance` dispatch per tuple: every screened tuple
+The per-tuple statement of the paper's algorithms — the test reference
+in ``tests/reference.py`` — dispatches per tuple: every screened tuple
 walks condition ASTs, every joined tuple goes through generic step
 objects and closure predicates.  Algorithm 4.1 already amortizes the
 *planning* work (invariant split, APSP) once per batch; this module
@@ -18,16 +18,15 @@ whole batches:
   delta's two count dicts, with the invariant APSP distances baked into
   the source as integer literals and the variant bounds unrolled into
   ``min``/``max`` expressions plus the O(B²) negative-cycle probes;
-* **row kernels** — one per truth-table shape: the Section 5.3 rows
-  unrolled, each along its own delta-rooted join order
-  (``RowPlanner.chains``), into hash-join loops over the changed
-  operands' count dicts and index probes of the OLD ones (a base
-  relation's index or an upstream view's own), rows sharing the node
-  of every common
-  (position, choice) prefix, with equality-link keys, pre/post-filters
+* **row kernels** — one per truth-table shape: the ops the planner
+  lowered the shape to (:class:`~repro.core.planner.ShapeOps`, one
+  node per distinct (position, choice) prefix of the rows' delta-rooted
+  join orders) unrolled into hash-join loops over the changed operands'
+  count dicts and index probes of the OLD ones (a base relation's index
+  or an upstream view's own), with equality-link keys, pre/post-filters
   and the paper's tag algebra all inlined (``insert ⊗ delete`` pairs
   dropped in-loop);
-* **apply kernels** — one per distinct complete join order of a shape:
+* **apply kernels** — one per finish (distinct complete join order):
   the final DNF re-check, projection and Section 5.2
   multiplicity-counter folding into plain ``dict`` accumulators,
   collapsed to a net view delta by
@@ -40,10 +39,11 @@ already holds (``inserted`` / ``deleted``).
 Generated source is a pure function of the plan structure — no
 timestamps, no ids, no dict-order dependence — so two compiles of the
 same plan emit byte-identical text (the CLI's ``explain <view> source``
-determinism check).  Every kernel charges the same instrumentation
-counters as the reference function it replaces (in bulk, from the
-drivers), and the parity suites hold the two to byte-for-byte agreement
-on every view state.
+determinism check; ``tools/kernel_digest.py`` pins the text of a corpus
+to :data:`CODEGEN_VERSION`).  Every kernel charges the same
+instrumentation counters as the reference does per tuple (in bulk, from
+the drivers), and the parity suites hold the two to byte-for-byte
+agreement on every view state.
 
 Relation and attribute names are chosen by users and reach generated
 text only inside comments, always through :func:`quoted`, so no
@@ -59,7 +59,7 @@ from __future__ import annotations
 import functools
 import re
 from types import CodeType
-from typing import TYPE_CHECKING, Callable, Collection, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.algebra.aggregates import column_plans
 from repro.algebra.conditions import Atom, Condition, Var
@@ -67,13 +67,13 @@ from repro.algebra.schema import RelationSchema
 from repro.algebra.tags import Tag
 from repro.core.aggregates import accumulator_slots
 from repro.core.graph import INF, ZERO
-from repro.core.truthtable import DeltaRowChoice
+from repro.core.planner import Access
 from repro.errors import MaintenanceError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.algebra.aggregates import AggregateSpec
     from repro.core.irrelevance import RelevanceFilter
-    from repro.core.planner import RowPlanner, StepPlan
+    from repro.core.planner import Finish, Node, ShapeOps, StepPlan
 
 ValueTuple = tuple[int, ...]
 
@@ -139,49 +139,50 @@ class _Emitter:
         return "\n".join(self.lines) + "\n"
 
 
-def _atom_expr(atom: Atom, index_of: Callable[[str], int], var: str) -> str:
-    """One atom as a Python expression over indexable row ``var``.
+def _cells(schema: RelationSchema, var: str) -> Callable[[str], str]:
+    """Renders a variable as its cell of row ``var``, laid out as ``schema``."""
+    return lambda name: f"{var}[{schema.index(name)}]"
 
-    ``index_of`` resolves a variable name to a tuple/column position.
+
+def _atom_expr(atom: Atom, cell: Callable[[str], str]) -> str:
+    """One atom as a Python expression; ``cell`` renders a variable.
+
     Canonicalization guarantees a non-ground atom's left term is a
     variable; ground atoms are folded by the planner before this point.
     """
     if atom.is_ground():
         return "True" if atom.truth_value() else "False"
     assert isinstance(atom.left, Var)
-    left = f"{var}[{index_of(atom.left.name)}]"
-    op = _PY_OPS[atom.op]
     if isinstance(atom.right, Var):
-        right = f"{var}[{index_of(atom.right.name)}]"
-        if atom.offset:
-            right = f"{right} + {atom.offset}" if atom.offset > 0 else (
-                f"{right} - {-atom.offset}"
-            )
+        right = _shifted(cell(atom.right.name), atom.offset)
     else:
         right = str(atom.right.value + atom.offset)
-    return f"{left} {op} {right}"
+    return f"{cell(atom.left.name)} {_PY_OPS[atom.op]} {right}"
 
 
-def _conjunction_expr(
-    atoms: Sequence[Atom], index_of: Callable[[str], int], var: str
-) -> str:
+def _conjunction_expr(atoms: Sequence[Atom], cell: Callable[[str], str]) -> str:
     if not atoms:
         return "True"
-    return " and ".join(f"({_atom_expr(a, index_of, var)})" for a in atoms)
+    return " and ".join(f"({_atom_expr(a, cell)})" for a in atoms)
 
 
-def _condition_expr(
-    condition: Condition, index_of: Callable[[str], int], var: str
-) -> str:
-    """A DNF condition as one Python expression over row ``var``."""
+def _condition_expr(condition: Condition, cell: Callable[[str], str]) -> str:
+    """A DNF condition as one Python expression."""
     if condition.is_true():
         return "True"
     if condition.is_false():
         return "False"
     return " or ".join(
-        f"({_conjunction_expr(d.atoms, index_of, var)})"
-        for d in condition.disjuncts
+        f"({_conjunction_expr(d.atoms, cell)})" for d in condition.disjuncts
     )
+
+
+def _skip_unless(
+    out: _Emitter, atoms: Sequence[Atom], schema: RelationSchema, var: str
+) -> None:
+    """Skip row ``var`` unless it satisfies ``atoms`` (if any)."""
+    if atoms:
+        out.skip_if(f"not ({_conjunction_expr(atoms, _cells(schema, var))})")
 
 
 # ----------------------------------------------------------------------
@@ -248,7 +249,7 @@ def generate_screen_source(
         # Variant evaluable atoms: nested short-circuit so the per-atom
         # ground-eval counter matches the reference filter's early exit.
         for atom in screen.variant_evaluable:
-            expr = _substituted_ground_expr(atom, col_expr)
+            expr = _atom_expr(atom, col_expr)
             out.emit("ge += 1")
             out.emit(f"if {expr}:")
             out.indent += 1
@@ -263,24 +264,6 @@ def generate_screen_source(
     out.indent = base_indent - 2
     out.emit("return ki, kd, ge, bp")
     return out.source()
-
-
-def _substituted_ground_expr(
-    atom: Atom, col_expr: Callable[[str], str]
-) -> str:
-    """A variant-evaluable atom as an expression over the row's cells."""
-    op = _PY_OPS[atom.op]
-    assert isinstance(atom.left, Var)
-    left = col_expr(atom.left.name)
-    if isinstance(atom.right, Var):
-        right = col_expr(atom.right.name)
-        if atom.offset > 0:
-            right = f"{right} + {atom.offset}"
-        elif atom.offset < 0:
-            right = f"{right} - {-atom.offset}"
-    else:
-        right = str(atom.right.value + atom.offset)
-    return f"{left} {op} {right}"
 
 
 def _bound_probe_exprs(
@@ -376,62 +359,33 @@ def _fold(func: str, exprs: list[str]) -> str:
 # Row + apply kernels (Section 5.3 over one truth-table shape)
 # ----------------------------------------------------------------------
 
-def generate_shape_sources(
-    planner: "RowPlanner",
-    counter_free: bool = False,
-    bag_operands: Collection[str] = (),
-) -> list[str]:
-    """Emit the row kernel + apply kernels for one truth-table shape.
+def generate_shape_sources(ops: "ShapeOps") -> list[str]:
+    """Emit the row kernel + apply kernels for one lowered shape.
 
     The row kernel ``row_kernel(deltas, old, index_for)`` unrolls
-    ``planner.chains``: each row's own join order, one named list per
-    distinct (position, choice) prefix, so rows whose orders begin
-    alike share the node — exactly the prefixes the reference planner
-    memoizes.  ``deltas[p]`` is the
+    ``ops.nodes`` in order, one named list per node, so rows whose
+    orders begin alike share it; each row then hands its final node to
+    its finish's apply kernel.  ``deltas[p]`` is the
     :class:`~repro.algebra.relation.Delta` of changed occurrence ``p``
     — its ``inserted``/``deleted`` dicts are the DELTA operand —
     ``old(p)`` the live post-commit count map of occurrence ``p``, and
     ``index_for[s]`` the bucket lookup (:attr:`~repro.algebra.relation.
-    HashIndex.lookup`) of the hash index bound to the OLD probe of
-    distinct step ``s`` (``StepPlan.number``).  Every OLD operand joined
-    through equality links is answered by that lookup and nothing else,
-    ``ix(k, NO_ROWS)`` per parent row; the kernel counts those probes
-    itself.
-    The index holds the post-commit operand and OLD means ``r − d_r``,
-    so a changed base operand (a set) drops this transaction's inserts
-    from each bucket, and an operand named in ``bag_operands`` — an
-    upstream view, whose tuples carry Section 5.2 counters — takes each
-    multiplicity from ``old(p)`` less the inserted copies (``count −
-    inserted.get(values, 0) > 0``, exactly
-    :func:`repro.core.differential._old_operand`); which of the two a
-    step emits is decided here, at generation time.  A DELTA operand,
-    or an OLD one no link reaches (a cross join), is hashed: one table
-    per (distinct step, choice) — mirroring the reference planner's
-    ``hash_cache`` — built lazily behind a ``None`` guard so an operand
-    never reached because its accumulator is empty is never scanned.
-    The kernel returns ``(ins, dele, tuples_scanned, join_probes,
-    tuples_emitted, tuples_ignored, index_probes)``.
+    HashIndex.lookup`) of the hash index bound to the probe target of
+    distinct step ``s`` (``StepPlan.number``): ``ix(k, NO_ROWS)`` per
+    parent row, the probes counted by the kernel itself.  Each node's
+    :class:`~repro.core.planner.Access` picks its template (``_SCANS``,
+    ``_PROBES``).  A hash join's table is built lazily behind a ``None``
+    guard, so an operand never reached because its accumulator is empty
+    is never scanned.  The kernel returns ``(ins, dele, tuples_scanned,
+    join_probes, tuples_emitted, tuples_ignored, index_probes)``.
 
-    Names follow the steps' numbers, which count distinct steps in
-    first-use order: the table of step ``s`` is ``h_{s}_{CHOICE}``, a
-    node is ``n_`` plus its prefix's choice letters, and the apply
-    kernel of a complete order is ``apply_kernel`` — each of the last
-    two suffixed ``_{s}`` with its last step's number unless that is
-    the node's depth, which holds exactly along row 0's order.  A shape
-    whose rows all share one order therefore reads as it did when the
-    order was the shape's.
-
-    There is one apply kernel per distinct complete order: it folds
-    each completed row through the final DNF re-check, the projection
-    and the Section 5.2 counter accumulators, and the first two read
-    positions of the joined row, whose layout is the order's.
-
-    With ``counter_free`` (sound only when a derived view key proves
-    every view row has multiplicity ≤ 1 — see
-    :func:`repro.analysis.dependencies.derive_view_key`) the apply
-    kernel pins each accumulator entry to one instead of summing
-    multiplicities: the counts carry no information, so the
-    ``get``-then-add round trip per emitted row is dropped.  The final
+    There is one apply kernel per finish: it folds each completed row
+    through the final DNF re-check, the projection and the Section 5.2
+    counter accumulators — pinned to one for a counter-free finish
+    (sound only when a derived view key proves every view row has
+    multiplicity ≤ 1, see
+    :func:`repro.analysis.dependencies.derive_view_key`), which drops
+    the ``get``-then-add round trip per emitted row.  The final
     :func:`~repro.core.counting.net_counts` pass still runs — one
     transaction may legitimately delete a view row and re-insert it.
 
@@ -450,44 +404,30 @@ def generate_shape_sources(
     calls one ``row_kernel``.  A shape of at most
     :data:`MAX_CODEGEN_ROWS` rows is one module, ``row_kernel`` alone.
     """
-    nf = planner.normal_form
-    names = [occ.name for occ in nf.occurrences]
-    bags = frozenset(
-        occ.position for occ in nf.occurrences if occ.name in bag_operands
-    )
-    rows = list(planner.chains.items())
-    if planner.always_empty:
-        # The row kernel returns before any row: one chunk will do.
+    planner, nodes = ops.planner, ops.nodes
+    names = [occ.name for occ in planner.normal_form.occurrences]
+    rows = list(ops.rows.items())
+    if not ops.rows_evaluated:
+        # A shared ground atom is false and the row kernel returns
+        # before any row: one chunk will do.
         rows = rows[:MAX_CODEGEN_ROWS]
     # Which chunk first binds, and which last reads, each node and each
-    # hash table (one per joined (distinct step, choice) that no index
-    # answers: DELTA operands and link-less OLD ones).
+    # hash table; each row's new nodes are the ones after the previous
+    # row's final node, up to its own.
     born: dict[str, int] = {}
-    tables: dict[tuple[int, DeltaRowChoice], int] = {}
     read: dict[str, int] = {}
-    walks: list[tuple[str, list[tuple[str, str, "StepPlan", DeltaRowChoice]]]] = []
-    for index, (row, chain) in enumerate(rows):
+    first_node = [0]
+    for index, (_, (final, _)) in enumerate(rows):
         chunk = index // MAX_CODEGEN_ROWS
-        walk = []
-        parent = ""
-        sig = ""
-        for depth, step in enumerate(chain):
-            choice = row[step.position]
-            sig += "D" if choice is DeltaRowChoice.DELTA else "O"
-            node = _numbered(f"n_{sig}", chain[: depth + 1])
-            if node not in born:
-                born[node] = chunk
-                if depth:
-                    read[parent] = chunk
-                    if not _probes_index(step, choice):
-                        table = f"h_{step.number}_{choice.name}"
-                        born.setdefault(table, chunk)
-                        tables.setdefault((step.number, choice), chunk)
-                        read[table] = chunk
-                walk.append((node, parent, step, choice))
-            parent = node
-        read[parent] = chunk
-        walks.append((parent, walk))
+        for node in nodes[first_node[-1]: final + 1]:
+            born[node.name] = chunk
+            if node.parent is not None:
+                read[nodes[node.parent].name] = chunk
+                if node.table:
+                    born.setdefault(node.table, chunk)
+                    read[node.table] = chunk
+        read[nodes[final].name] = chunk
+        first_node.append(final + 1)
 
     chunks = (len(rows) + MAX_CODEGEN_ROWS - 1) // MAX_CODEGEN_ROWS
     # What each chunk is handed, and what the last one returns:
@@ -497,6 +437,9 @@ def generate_shape_sources(
     for name, first in born.items():
         for chunk in range(first + 1, read.get(name, -1) + 1):
             handed[chunk].append(name)
+    tables = sorted(
+        {(n.step.number, n.choice.value, n.table) for n in nodes if n.table}
+    )
     sources = []
     for chunk in range(chunks):
         first = chunk * MAX_CODEGEN_ROWS
@@ -513,29 +456,27 @@ def generate_shape_sources(
             )
         for row_index in span:
             out.emit(
-                f"# row {row_index}: "
-                f"{planner.describe_chain(rows[row_index][0], quoted)}"
+                f"# row {row_index}: {ops.describe_row(rows[row_index][0], quoted)}"
             )
-        if counter_free:
+        if ops.finishes[0].counter_free:
             out.emit(
                 "# counter-free: a derived view key proves multiplicity <= 1;"
             )
             out.emit("# the apply kernel pins every counter to one")
 
-        apply_kernels: set[str] = set()
+        emitted: set[int] = set()
         for row_index in span:
-            chain = rows[row_index][1]
-            name = _numbered("apply_kernel", chain)
-            if name not in apply_kernels:
-                apply_kernels.add(name)
-                _emit_apply_kernel(out, planner, chain, name, counter_free)
+            finish = rows[row_index][1][1]
+            if finish not in emitted:
+                emitted.add(finish)
+                _emit_apply_kernel(out, ops.finishes[finish])
                 out.emit()
         if chunk == 0:
             out.emit("def row_kernel(deltas, old, index_for):")
             out.indent += 1
             out.emit("ins = {}")
             out.emit("dele = {}")
-            if planner.always_empty:
+            if not ops.rows_evaluated:
                 out.emit("# a shared ground atom is false: no row can contribute")
                 out.emit("return ins, dele, 0, 0, 0, 0, 0")
                 return [out.source()]
@@ -550,24 +491,19 @@ def generate_shape_sources(
         for p in planner.changed:
             out.emit(f"i{p} = deltas[{p}].inserted")
             out.emit(f"d{p} = deltas[{p}].deleted")
-        for number, choice in sorted(
-            (key for key, first in tables.items() if first == chunk),
-            key=lambda item: (item[0], item[1].value),
-        ):
-            out.emit(f"h_{number}_{choice.name} = None")
+        for _, _, table in tables:
+            if born[table] == chunk:
+                out.emit(f"{table} = None")
 
         for row_index in span:
             out.emit(f"# row {row_index}")
-            final, walk = walks[row_index]
-            for node, parent, step, choice in walk:
-                if not parent:
-                    _emit_first_operand(out, planner, node, step, choice)
+            final, finish = rows[row_index][1]
+            for node in nodes[first_node[row_index]: final + 1]:
+                if node.parent is None:
+                    _emit_root(out, node)
                 else:
-                    _emit_join_node(
-                        out, planner, node, parent, step, choice, step.position in bags
-                    )
-            chain = rows[row_index][1]
-            out.emit(f"{_numbered('apply_kernel', chain)}({final}, ins, dele)")
+                    _emit_join_node(out, node, nodes[node.parent].name)
+            out.emit(f"{ops.finishes[finish].name}({nodes[final].name}, ins, dele)")
         if chunk == 0:
             for later in range(1, chunks):
                 out.emit(
@@ -579,190 +515,132 @@ def generate_shape_sources(
     return sources
 
 
-def _numbered(name: str, chain: Sequence["StepPlan"]) -> str:
-    """``name`` for the (prefix of a) chain: suffixed with its last
-    step's number unless that number is the depth (row 0's order)."""
-    number = chain[-1].number
-    return name if number == len(chain) - 1 else f"{name}_{number}"
-
-
-def _emit_apply_kernel(
-    out: _Emitter,
-    planner: "RowPlanner",
-    chain: Sequence["StepPlan"],
-    name: str,
-    counter_free: bool,
-) -> None:
-    final_schema = chain[-1].acc_schema
-    _, positions = planner.finish_of(chain)
-    key = _key_tuple_expr(positions, "v")
-    out.emit(f"def {name}(rows, ins, dele):")
+def _emit_apply_kernel(out: _Emitter, finish: "Finish") -> None:
+    key = _key_tuple_expr(finish.positions, "v")
+    out.emit(f"def {finish.name}(rows, ins, dele):")
     out.indent += 1
     out.emit("for v, t, c in rows:")
     out.indent += 1
-    if planner.needs_final_filter:
-        expr = _condition_expr(
-            planner.normal_form.condition, final_schema.index, "v"
-        )
+    if finish.condition is not None:
+        expr = _condition_expr(finish.condition, _cells(finish.schema, "v"))
         out.skip_if(f"not ({expr})")
     out.emit(f"k = {key}")
     out.emit("if t is T_I:")
     out.indent += 1
-    if counter_free:
+    if finish.counter_free:
         out.emit("ins[k] = 1")
     else:
         out.emit("ins[k] = ins.get(k, 0) + c")
     out.indent -= 1
     out.emit("elif t is T_D:")
     out.indent += 1
-    if counter_free:
+    if finish.counter_free:
         out.emit("dele[k] = 1")
     else:
         out.emit("dele[k] = dele.get(k, 0) + c")
-    out.indent -= 2
-    out.indent -= 1
+    out.indent -= 3
 
 
-def _emit_scan(
-    out: _Emitter, planner: "RowPlanner", step: "StepPlan", choice: DeltaRowChoice
-) -> int:
-    """Open the loop binding ``bv, bt, bc`` over one operand's tuples.
+#: Per scan access: the lines opening the loop that binds ``bv, bt, bc``
+#: over one operand's tuples, tallying ``tuples_scanned`` (every operand
+#: tuple, before the prefilter), and how many levels they open.
+_SCANS: dict[Access, tuple[tuple[str, ...], int]] = {
+    Access.DELTA_SCAN: ((
+        "ts += len(i{p}) + len(d{p})",
+        "for src, bt in ((i{p}, T_I), (d{p}, T_D)):",
+        "    for bv, bc in src.items():",
+    ), 2),
+    Access.OLD_SCAN: ((
+        "bt = T_O",
+        "src = old({p})",
+        "ts += len(src)",
+        "for bv, bc in src.items():",
+    ), 1),
+    Access.OLD_SCAN_LESS_INSERTS: ((
+        "bt = T_O",
+        "for bv, bc in old({p}).items():",
+        "    bc -= i{p}.get(bv, 0)",
+        "    if bc <= 0:",
+        "        continue",
+        "    ts += 1",
+    ), 1),
+}
 
-    Tallies ``tuples_scanned`` as the reference planner does (every
-    operand tuple, before the prefilter) and skips prefiltered tuples;
-    the caller emits the loop body, then closes the returned number of
-    indent levels.
-    """
-    p = step.position
-    if choice is DeltaRowChoice.DELTA:
-        out.emit(f"ts += len(i{p}) + len(d{p})")
-        out.emit(f"for src, bt in ((i{p}, T_I), (d{p}, T_D)):")
-        out.indent += 1
-        out.emit("for bv, bc in src.items():")
-        out.indent += 1
-        depth = 2
-    else:
-        out.emit("bt = T_O")
-        if p in planner.changed:
-            # r − d_r from the post-state: inserted copies are not OLD.
-            out.emit(f"for bv, bc in old({p}).items():")
-            out.indent += 1
-            out.emit(f"bc -= i{p}.get(bv, 0)")
-            out.skip_if("bc <= 0")
-            out.emit("ts += 1")
-        else:
-            out.emit(f"src = old({p})")
-            out.emit("ts += len(src)")
-            out.emit("for bv, bc in src.items():")
-            out.indent += 1
-        depth = 1
-    prefilter = _prefilter_expr(step, "bv")
-    if prefilter is not None:
-        out.skip_if(f"not ({prefilter})")
+#: Per probe access: the line ahead of the loop over the parent's rows,
+#: and the lines that count — or skip — each probed tuple ``bv``.
+_PROBES: dict[Access, tuple[str, tuple[str, ...]]] = {
+    Access.SET_PROBE: ("bc = 1", ()),
+    Access.SET_PROBE_LESS_INSERTS: ("bc = 1", ("if bv in i{p}:", "    continue")),
+    Access.BAG_PROBE: ("counts = old({p})", ("bc = counts[bv]",)),
+    Access.BAG_PROBE_LESS_INSERTS: ("counts = old({p})", (
+        "bc = counts[bv] - i{p}.get(bv, 0)",
+        "if bc <= 0:",
+        "    continue",
+    )),
+}
+
+
+def _emit_scan(out: _Emitter, node: "Node") -> int:
+    """Open the loop over one operand's tuples and skip prefiltered
+    ones; the caller emits the loop body, then closes the returned
+    number of indent levels."""
+    lines, depth = _SCANS[node.access]
+    for line in lines:
+        out.emit(line.format(p=node.step.position))
+    out.indent += depth
+    _skip_unless(out, node.step.prefilter_atoms, node.step.operand_schema, "bv")
     return depth
 
 
-def _emit_first_operand(
-    out: _Emitter,
-    planner: "RowPlanner",
-    node: str,
-    step: "StepPlan",
-    choice: DeltaRowChoice,
-) -> None:
-    out.emit(f"{node} = []")
-    out.emit(f"{node}_append = {node}.append")
-    depth = _emit_scan(out, planner, step, choice)
-    out.emit(f"{node}_append((bv, bt, bc))")
+def _emit_root(out: _Emitter, node: "Node") -> None:
+    out.emit(f"{node.name} = []")
+    out.emit(f"{node.name}_append = {node.name}.append")
+    depth = _emit_scan(out, node)
+    out.emit(f"{node.name}_append((bv, bt, bc))")
     out.indent -= depth
 
 
-def _probes_index(step: "StepPlan", choice: DeltaRowChoice) -> bool:
-    """Whether a joined step is an index probe (else a hash join)."""
-    return choice is DeltaRowChoice.OLD and bool(step.link_attr_names)
-
-
-def _emit_join_node(
-    out: _Emitter,
-    planner: "RowPlanner",
-    node: str,
-    parent: str,
-    step: "StepPlan",
-    choice: DeltaRowChoice,
-    bag: bool,
-) -> None:
-    key_expr = _probe_key_expr(step)
-    out.emit(f"{node} = []")
+def _emit_join_node(out: _Emitter, node: "Node", parent: str) -> None:
+    out.emit(f"{node.name} = []")
     out.emit(f"if {parent}:")
     out.indent += 1
-    out.emit(f"{node}_append = {node}.append")
-    if _probes_index(step, choice):
-        _emit_probe_loop(out, planner, node, parent, step, key_expr, bag)
+    out.emit(f"{node.name}_append = {node.name}.append")
+    if node.table is None:
+        _emit_probe_loop(out, node, parent)
     else:
-        _emit_hash_join(out, planner, node, parent, step, choice, key_expr)
+        _emit_hash_join(out, node, parent)
     out.indent -= 1
 
 
-def _emit_probe_loop(
-    out: _Emitter,
-    planner: "RowPlanner",
-    node: str,
-    parent: str,
-    step: "StepPlan",
-    key_expr: str,
-    bag: bool,
-) -> None:
-    """An OLD operand answered from its persistent hash index.
-
-    Indexes hold the distinct tuples of the post-commit operand.  A base
-    operand is a set: count one, and a changed one's probe results drop
-    this transaction's inserts.  A ``bag`` operand (an upstream view)
-    reads each tuple's count from the live count map, less the copies
-    this transaction inserted.  Every parent row is one join probe and
-    one index probe, both counted in bulk.
-    """
-    p = step.position
-    prefilter = _prefilter_expr(step, "bv")
+def _emit_probe_loop(out: _Emitter, node: "Node", parent: str) -> None:
+    """An OLD operand answered from its persistent hash index: every
+    parent row is one join probe and one index probe, both counted in
+    bulk."""
+    step, p = node.step, node.step.position
+    setup, count = _PROBES[node.access]
     out.emit(f"ix = index_for[{step.number}]")
-    if bag:
-        out.emit(f"counts = old({p})")
-    else:
-        out.emit("bc = 1")
+    out.emit(setup.format(p=p))
     out.emit(f"jp += len({parent})")
     out.emit(f"ip += len({parent})")
     out.emit(f"for av, at, ac in {parent}:")
     out.indent += 1
-    out.emit(f"k = {key_expr}")
+    out.emit(f"k = {_probe_key_expr(step)}")
     out.emit("for bv in ix(k, NO_ROWS):")
     out.indent += 1
-    if bag and p in planner.changed:
-        out.emit(f"bc = counts[bv] - i{p}.get(bv, 0)")
-        out.skip_if("bc <= 0")
-    elif bag:
-        out.emit("bc = counts[bv]")
-    elif p in planner.changed:
-        out.skip_if(f"bv in i{p}")
-    if prefilter is not None:
-        out.skip_if(f"not ({prefilter})")
-    _emit_combine_emit(out, node, step, probed=True)
+    for line in count:
+        out.emit(line.format(p=p))
+    _skip_unless(out, step.prefilter_atoms, step.operand_schema, "bv")
+    _emit_combine_emit(out, node.name, step, probed=True)
     out.indent -= 2
 
 
-def _emit_hash_join(
-    out: _Emitter,
-    planner: "RowPlanner",
-    node: str,
-    parent: str,
-    step: "StepPlan",
-    choice: DeltaRowChoice,
-    key_expr: str,
-) -> None:
-    table = f"h_{step.number}_{choice.name}"
-    build_key = _key_tuple_expr(step.operand_key_positions, "bv")
+def _emit_hash_join(out: _Emitter, node: "Node", parent: str) -> None:
+    step, table = node.step, node.table
     out.emit(f"if {table} is None:")
     out.indent += 1
     out.emit(f"{table} = {{}}")
-    depth = _emit_scan(out, planner, step, choice)
-    out.emit(f"bk = {build_key}")
+    depth = _emit_scan(out, node)
+    out.emit(f"bk = {_key_tuple_expr(step.operand_key_positions, 'bv')}")
     out.emit(f"bucket = {table}.get(bk)")
     out.emit("if bucket is None:")
     out.indent += 1
@@ -777,13 +655,13 @@ def _emit_hash_join(
     out.emit(f"for av, at, ac in {parent}:")
     out.indent += 1
     out.emit("jp += 1")
-    out.emit(f"k = {key_expr}")
+    out.emit(f"k = {_probe_key_expr(step)}")
     out.emit(f"bucket = {table}.get(k)")
     out.emit("if bucket is not None:")
     out.indent += 1
     out.emit("for bv, bt, bc in bucket:")
     out.indent += 1
-    _emit_combine_emit(out, node, step, probed=False)
+    _emit_combine_emit(out, node.name, step, probed=False)
     out.indent -= 3
 
 
@@ -806,9 +684,7 @@ def _emit_combine_emit(
         out.emit("    ti += 1")
         out.emit("    continue")
     out.emit("rv = av + bv")
-    postfilter = _postfilter_expr(step, "rv")
-    if postfilter is not None:
-        out.skip_if(f"not ({postfilter})")
+    _skip_unless(out, step.postfilter_atoms, step.acc_schema, "rv")
     out.emit("te += 1")
     out.emit(f"{node}_append((rv, t, ac * bc))")
 
@@ -818,20 +694,6 @@ def _probe_key_expr(step) -> str:
     for pos, _, shift in step.eq_links:
         parts.append(_shifted(f"av[{pos}]", shift))
     return "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
-
-
-def _prefilter_expr(step, var: str) -> Optional[str]:
-    atoms = step.prefilter_atoms
-    if not atoms:
-        return None
-    return _conjunction_expr(atoms, step.operand_schema.index, var)
-
-
-def _postfilter_expr(step, var: str) -> Optional[str]:
-    atoms = step.postfilter_atoms
-    if not atoms:
-        return None
-    return _conjunction_expr(atoms, step.acc_schema.index, var)
 
 
 # ----------------------------------------------------------------------
@@ -1096,7 +958,8 @@ def compile_kernel(
 
 
 class ShapeKernels:
-    """The compiled row + apply kernels for one truth-table shape."""
+    """The compiled row + apply kernels for one truth-table shape, and
+    the rows and memo hits its lowering charges per execution."""
 
     __slots__ = ("source", "row_kernel", "rows_evaluated", "memo_hits")
 
@@ -1109,41 +972,18 @@ class ShapeKernels:
     ) -> None:
         self.source = source
         self.row_kernel = row_kernel
-        #: Rows this shape charges per execution (0 when the planner is
-        #: statically empty, mirroring the reference planner's early
-        #: return).
         self.rows_evaluated = rows_evaluated
-        #: ``subexpression_memo_hits`` the reference planner charges
-        #: per execution.  The memo holds every prefix of each
-        #: evaluated row, so a row scores exactly one hit iff an
-        #: earlier row's order opens with the same (position, choice) —
-        #: a compile-time constant of the shape (0 for a statically
-        #: empty plan).
         self.memo_hits = memo_hits
 
     def __repr__(self) -> str:
         return f"<ShapeKernels {self.rows_evaluated} rows>"
 
 
-def compile_shape_kernels(
-    planner: "RowPlanner",
-    view_name: str,
-    counter_free: bool = False,
-    bag_operands: Collection[str] = (),
-) -> ShapeKernels:
-    """Generate + compile one shape's kernels."""
-    sources = generate_shape_sources(planner, counter_free, bag_operands)
-    shape_tag = "".join(str(p) for p in planner.changed)
+def compile_shape_kernels(ops: "ShapeOps", view_name: str) -> ShapeKernels:
+    """Generate + compile one lowered shape's kernels."""
+    sources = generate_shape_sources(ops)
+    shape_tag = "".join(str(p) for p in ops.planner.changed)
     kernel = compile_kernel(
         sources, "row_kernel", f"<codegen:{view_name}:shape{shape_tag}>"
     )
-    if planner.always_empty:
-        rows_evaluated = memo_hits = 0
-    else:
-        chains = planner.chains
-        rows_evaluated = len(chains)
-        memo_hits = len(chains) - len(
-            {(chain[0].position, row[chain[0].position])
-             for row, chain in chains.items()}
-        )
-    return ShapeKernels("\n".join(sources), kernel, rows_evaluated, memo_hits)
+    return ShapeKernels("\n".join(sources), kernel, ops.rows_evaluated, ops.memo_hits)

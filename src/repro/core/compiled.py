@@ -56,7 +56,7 @@ from repro.core.codegen import (
 )
 from repro.core.counting import net_counts
 from repro.core.irrelevance import RelevanceFilter, is_statically_irrelevant
-from repro.core.planner import RowPlanner, StepPlan
+from repro.core.planner import ProbeTarget, RowPlanner, ShapeOps
 from repro.core.truthtable import count_delta_rows
 from repro.core.views import ViewDefinition
 from repro.errors import MaintenanceError
@@ -75,28 +75,28 @@ class _Lookups(dict[int, Lookup]):
     """One shape's step number → the bucket lookup of the index that
     step's OLD probe reads (:attr:`HashIndex.lookup`); the row kernel
     subscripts it.  A step's entry is resolved on first use, by
-    ``index_of(step)``: for a commit, the index the plan binds
-    (:meth:`CompiledViewPlan._bind_index`, so an index is still created
-    lazily and with no DDL event); for :meth:`CompiledViewPlan.evaluate`,
-    a transient one."""
+    ``index_of`` of its probe target: for a commit, the index the plan
+    binds (:meth:`CompiledViewPlan._bind_index`, so an index is still
+    created lazily and with no DDL event); for
+    :meth:`CompiledViewPlan.evaluate`, a transient one."""
 
-    __slots__ = ("_index_of", "_steps")
+    __slots__ = ("_index_of", "_targets")
 
     def __init__(
         self,
-        index_of: Callable[[StepPlan], HashIndex],
-        steps: tuple[StepPlan, ...],
+        index_of: Callable[[ProbeTarget], HashIndex],
+        targets: Mapping[int, ProbeTarget],
     ) -> None:
         super().__init__()
         self._index_of = index_of
-        self._steps = steps
+        self._targets = targets
 
     def __missing__(self, number: int) -> Lookup:
-        lookup = self[number] = self._index_of(self._steps[number]).lookup
+        lookup = self[number] = self._index_of(self._targets[number]).lookup
         return lookup
 
 
-_Shape = tuple[tuple[int, ...], RowPlanner, ShapeKernels, _Lookups]
+_Shape = tuple[tuple[int, ...], ShapeOps, ShapeKernels, _Lookups]
 
 
 def run_screen(
@@ -322,10 +322,8 @@ class CompiledViewPlan:
         # relations has 2^p − 1 possible shapes but a workload usually
         # exercises a handful.
         self._planners: dict[tuple[int, ...], RowPlanner] = {}
-        #: (position, link_attrs) → the operand relation's HashIndex.
-        self._index_bindings: dict[
-            tuple[int, tuple[str, ...]], HashIndex
-        ] = {}
+        #: Probe target → the operand relation's HashIndex.
+        self._index_bindings: dict[ProbeTarget, HashIndex] = {}
         # Generated batch kernels.  Screen kernels are compiled eagerly
         # — they bake the APSP distances into source, so they must be
         # rebuilt whenever the plan is.  Shape kernels compile on first
@@ -340,7 +338,7 @@ class CompiledViewPlan:
         #: The names of the relations whose deltas survived screening,
         #: in a call's order → everything one execution of that shape
         #: needs that no transaction changes: the changed positions,
-        #: their planner, its kernels and its step → bound index lookup.
+        #: their ops, its kernels and its step → bound index lookup.
         self._shapes: dict[tuple[str, ...], _Shape] = {}
         # The aggregate fold kernel (when the view aggregates) compiles
         # eagerly with the screens: its shape depends only on the spec
@@ -466,6 +464,14 @@ class CompiledViewPlan:
             self._planners[key] = planner
         return planner
 
+    def shape_ops(self, changed_positions: Iterable[int]) -> ShapeOps:
+        """One truth-table shape lowered with this plan's bag operands
+        and counter-free proof: what its kernels, ``explain``, the index
+        advisor and the analyzer read."""
+        return self.planner_for(changed_positions).lower(
+            self._bag_operands, self.counter_free
+        )
+
     def compute_delta(
         self, deltas: Mapping[str, Delta], counted: Tally, charged: Tally | None
     ) -> tuple[CountMap, CountMap]:
@@ -526,10 +532,10 @@ class CompiledViewPlan:
         largest = sizes.index(max(sizes))
         root_name, root = self._occurrence_names[largest], operands[largest]
         names = (root_name,)
-        _, planner, kernels, _ = self._shapes.get(names) or self._compile_shape(names, counted)
+        _, ops, kernels, _ = self._shapes.get(names) or self._compile_shape(names, counted)
 
-        def transient(step: StepPlan) -> HashIndex:
-            name, attrs = self._probe_target(step.position, step.link_attr_names)
+        def transient(target: ProbeTarget) -> HashIndex:
+            name, attrs = target
             operand = self._operands[name]
             return operand.indexes.get(attrs) or HashIndex(operand, attrs)
 
@@ -538,7 +544,7 @@ class CompiledViewPlan:
         inserted, _, scanned, probes, emitted, _, looked_up = kernels.row_kernel(
             [everything if name == root_name else None for name in self._occurrence_names],
             self._old_counts,
-            _Lookups(transient, planner.distinct_steps),
+            _Lookups(transient, ops.probe_targets),
         )
         counted += (("codegen_batch_rows", kernels.rows_evaluated),)
         if charged is not None:
@@ -559,19 +565,10 @@ class CompiledViewPlan:
         # The same names in another order reach the same shape.
         shape = next((s for s in self._shapes.values() if s[0] == changed), None)
         if shape is None:
-            planner = self.planner_for(changed)
-            kernels = compile_shape_kernels(
-                planner,
-                self.definition.name,
-                counter_free=self.counter_free,
-                bag_operands=self._bag_operands,
-            )
+            ops = self.shape_ops(changed)
+            kernels = compile_shape_kernels(ops, self.definition.name)
             counted += (("codegen_plans_compiled", 1),)
-            lookups = _Lookups(
-                lambda step: self._bind_index(step.position, step.link_attr_names),
-                planner.distinct_steps,
-            )
-            shape = (changed, planner, kernels, lookups)
+            shape = (changed, ops, kernels, _Lookups(self._bind_index, ops.probe_targets))
         self._shapes[names] = shape
         return shape
 
@@ -585,39 +582,57 @@ class CompiledViewPlan:
     # ------------------------------------------------------------------
     # Index bindings
     # ------------------------------------------------------------------
-    def _bind_index(
-        self, position: int, link_attrs: tuple[str, ...]
-    ) -> HashIndex:
+    def _bind_index(self, target: ProbeTarget) -> HashIndex:
         """Resolve (and cache) the hash index one OLD probe uses.
 
         An operand lazily gets its covering index on first use, from
         the operand relation itself: an index nobody dropped changes no
         plan's meaning, so no DDL event fires.
         """
-        key = (position, link_attrs)
-        binding = self._index_bindings.get(key)
+        binding = self._index_bindings.get(target)
         if binding is None:
-            name, attrs = self._probe_target(position, link_attrs)
-            binding = self._index_bindings[key] = self._operands[name].index_on(attrs)
+            name, attrs = target
+            binding = self._index_bindings[target] = self._operands[name].index_on(attrs)
         return binding
 
-    def _probe_target(
-        self, position: int, link_attrs: tuple[str, ...]
-    ) -> tuple[str, tuple[str, ...]]:
-        """The operand one OLD probe reads and the attributes of it
-        the probe's link attributes name."""
-        occurrence = self._exec_normal_form.occurrences[position]
-        return occurrence.name, tuple(occurrence.inverse[q] for q in link_attrs)
-
-    def index_bindings(self) -> dict[tuple[int, tuple[str, ...]], HashIndex]:
+    def index_bindings(self) -> dict[ProbeTarget, HashIndex]:
         """A snapshot of the currently resolved probe bindings: the
         hash index of its operand relation each OLD probe executed so
-        far reads, by (position, link attributes)."""
+        far reads, by probe target (operand, attributes)."""
         return dict(self._index_bindings)
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    def _listed_shapes(self) -> list[tuple[int, ...]]:
+        """The shapes introspection covers: each single-relation shape,
+        then (for a join) the one changing every operand."""
+        width = len(self._exec_normal_form.occurrences)
+        return [(i,) for i in range(width)] + [tuple(range(width))] * (width > 1)
+
+    @staticmethod
+    def _unplanned(shape: tuple[int, ...]) -> str | None:
+        """The line introspection prints instead of planning a shape of
+        more than :data:`~repro.core.codegen.MAX_CODEGEN_ROWS` rows (it
+        would plan and print all 2^w − 1); None for any other shape."""
+        rows = count_delta_rows(len(shape))
+        if rows <= MAX_CODEGEN_ROWS:
+            return None
+        return (
+            f"shape {shape!r}: {rows} truth-table rows, compiled "
+            f"in chunks of {MAX_CODEGEN_ROWS} on first use; not listed"
+        )
+
+    def recommended_indexes(self) -> tuple[ProbeTarget, ...]:
+        """The probe targets of every listed shape's OLD probes, sorted:
+        the indexes the lazy path would create on first use."""
+        return tuple(sorted({
+            target
+            for shape in self._listed_shapes()
+            if not self._unplanned(shape)
+            for target in self.shape_ops(shape).probe_targets.values()
+        }))
+
     def kernel_source(self) -> str:
         """The complete generated source for this plan, deterministic.
 
@@ -627,7 +642,7 @@ class CompiledViewPlan:
         then the row/apply kernels for every single-relation
         truth-table shape plus the all-relations shape — past
         :data:`~repro.core.codegen.MAX_CODEGEN_ROWS` rows, a comment
-        line for it: its listing would plan and emit 2^w − 1 rows.
+        line for it (:meth:`_unplanned`).
         Generation is a pure function of the plan structure, so two
         compiles of the same definition against the same catalog and
         constraints emit byte-identical text — the property the CLI's
@@ -648,23 +663,12 @@ class CompiledViewPlan:
             )
         for relation_name in sorted(self._screen_kernels):
             parts.append(self._screen_kernels[relation_name][0])
-        width = len(self._exec_normal_form.occurrences)
-        shapes = [(i,) for i in range(width)]
-        if width > 1:
-            shapes.append(tuple(range(width)))
-        for shape in shapes:
-            rows = count_delta_rows(len(shape))
-            if rows > MAX_CODEGEN_ROWS:
-                parts.append(
-                    f"# shape {shape!r}: {rows} truth-table rows, compiled "
-                    f"in chunks of {MAX_CODEGEN_ROWS} on first use; not listed\n"
-                )
-                continue
-            parts += generate_shape_sources(
-                self.planner_for(shape),
-                counter_free=self.counter_free,
-                bag_operands=self._bag_operands,
-            )
+        for shape in self._listed_shapes():
+            unplanned = self._unplanned(shape)
+            if unplanned:
+                parts.append(f"# {unplanned}\n")
+            else:
+                parts += generate_shape_sources(self.shape_ops(shape))
         if self._aggregate_kernel is not None:
             parts.append(self._aggregate_kernel[0])
         return "\n".join(parts)
@@ -675,9 +679,10 @@ class CompiledViewPlan:
         Sections: the Definition 4.2 invariant/variant split per changed
         relation (the screening plan), the cached row plan for the
         resulting truth-table shape (each row's join order, hash links,
-        pushdown),
-        and the hash index each OLD probe binds.  This is what the CLI's
-        ``explain`` verb prints.
+        pushdown), and the hash index each OLD probe binds — past
+        :data:`~repro.core.codegen.MAX_CODEGEN_ROWS` rows, one line for
+        the shape instead of the last two (:meth:`_unplanned`).  This is
+        what the CLI's ``explain`` verb prints.
         """
         nf = self._exec_normal_form
         changed_set = set(changed_relations)
@@ -738,25 +743,25 @@ class CompiledViewPlan:
                 )
                 continue
             lines.append(self._screens[relation_name].describe())
-        planner = self.planner_for(positions)
-        lines.append(planner.describe())
-        lines.append("index bindings (OLD-operand probes):")
-        probes = planner.old_probe_steps()
-        for step in probes:
-            operand, base_attrs = self._probe_target(
-                step.position, step.link_attr_names
-            )
-            state = (
-                "bound"
-                if base_attrs in self._operands[operand].indexes
-                else "will be created on first use"
-            )
-            lines.append(
-                f"  step {step.number}: probes hash index "
-                f"{operand}({', '.join(base_attrs)}) [{state}]"
-            )
-        if not probes:
-            lines.append("  (none: no OLD operand is joined by equality links)")
+        unplanned = self._unplanned(tuple(positions))
+        if unplanned:
+            lines.append(unplanned)
+        else:
+            ops = self.shape_ops(positions)
+            lines.append(ops.describe())
+            lines.append("index bindings (OLD-operand probes):")
+            for number, (operand, attrs) in ops.probe_targets.items():
+                state = (
+                    "bound"
+                    if attrs in self._operands[operand].indexes
+                    else "will be created on first use"
+                )
+                lines.append(
+                    f"  step {number}: probes hash index "
+                    f"{operand}({', '.join(attrs)}) [{state}]"
+                )
+            if not ops.probe_targets:
+                lines.append("  (none: no OLD operand is joined by equality links)")
         if self.definition.aggregate is not None:
             lines.append(
                 "aggregate stage (generated fold kernel): "

@@ -49,9 +49,8 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
 from repro.algebra.expressions import Expression
 from repro.algebra.relation import Delta, Relation, ValueTuple, apply_counts
 from repro.algebra.schema import RelationSchema
-from repro.core.codegen import MAX_CODEGEN_ROWS, AggregateKernel, ScreenKernel
+from repro.core.codegen import AggregateKernel, ScreenKernel
 from repro.core.compiled import CompiledViewPlan, _Shape, run_fold, run_rows, run_screen
-from repro.core.truthtable import count_delta_rows
 from repro.core.views import MaterializedView, ViewDefinition
 from repro.engine.database import Database
 from repro.errors import MaintenanceError, UnknownViewError
@@ -610,30 +609,15 @@ class ViewMaintainer:
     def recommended_indexes(self, name: str) -> tuple[tuple[str, tuple[str, ...]], ...]:
         """Indexes the planner would probe while maintaining this view.
 
-        Walks every row's join order for each single-relation update
-        and for the update changing every operand (left out past
-        :data:`~repro.core.codegen.MAX_CODEGEN_ROWS` rows, where the
-        walk would plan 2^w − 1 of them), and collects, for each OLD
-        operand joined by equality links, the base relation or upstream
-        view and link attributes — exactly the indexes the lazy path
-        would create on first use.  Returns sorted
-        ``(name, attributes)`` pairs.
+        The probe targets of every OLD operand joined by equality links,
+        in the lowered shapes of each single-relation update and of the
+        update changing every operand (left out past
+        :data:`~repro.core.codegen.MAX_CODEGEN_ROWS` rows, where it would
+        plan 2^w − 1 of them): exactly the indexes the lazy path would
+        create on first use.  Returns sorted ``(name, attributes)``
+        pairs.
         """
-        plan = self.peek_plan(name)
-        normal_form = plan.execution_normal_form
-        width = len(normal_form.occurrences)
-        shapes = [(i,) for i in range(width)]
-        if 1 < width and count_delta_rows(width) <= MAX_CODEGEN_ROWS:
-            shapes.append(tuple(range(width)))
-        recommendations: set[tuple[str, tuple[str, ...]]] = set()
-        for shape in shapes:
-            for step in plan.planner_for(shape).old_probe_steps():
-                occurrence = normal_form.occurrences[step.position]
-                base_attrs = tuple(
-                    occurrence.inverse[q] for q in step.link_attr_names
-                )
-                recommendations.add((occurrence.name, base_attrs))
-        return tuple(sorted(recommendations))
+        return self.peek_plan(name).recommended_indexes()
 
     def create_recommended_indexes(self, name: str) -> int:
         """Eagerly create every recommended index; returns how many.

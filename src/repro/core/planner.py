@@ -10,9 +10,10 @@ expression can be evaluated by "some known algorithm" — the paper cites
 QUEL decomposition; we substitute a direct pipelined hash-join
 evaluator (see DESIGN.md).
 
-This planner decides those ideas once per truth-table shape; the
-kernel generator (:mod:`repro.core.codegen`) turns its decisions into
-code:
+This planner decides those ideas once per truth-table shape and lowers
+them to plain data, :class:`ShapeOps` (:meth:`RowPlanner.lower`), which
+the kernel generator (:mod:`repro.core.codegen`), ``explain``, the index
+advisor, the analyzer and the test reference all read:
 
 * **Order** — each truth-table row gets its own join order, chosen to
   start where that row is small: at its lowest DELTA position, then
@@ -37,26 +38,30 @@ code:
   operand prefilters, and the rest become step post-filters.  With a
   purely conjunctive condition nothing is left for a final pass; a
   multi-disjunct condition is re-checked once at the end.
+
+* **Access** — how each node reads its operand: a DELTA operand or an
+  OLD one no link reaches is scanned (an OLD operand that changed less
+  this transaction's inserts) and, once joined, hashed; a linked OLD
+  operand is an index probe, as a set (a base relation) or a bag (an
+  upstream view).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from enum import Enum
+from typing import Callable, Collection, NamedTuple, Optional, Sequence
 
 from repro.algebra.conditions import Atom, Condition, Var
-from repro.algebra.evaluate import compile_condition
 from repro.algebra.expressions import NormalForm
 from repro.algebra.schema import RelationSchema
 from repro.core.truthtable import DeltaRowChoice, Rows, delta_rows, render_row
-
-ValueTuple = tuple[int, ...]
 
 
 class StepPlan:
     """Static plan for joining one operand onto the accumulator.
 
     Step plans are pure *plan-construction* artifacts: they hold the
-    resolved hash-join links, prefilter/postfilter predicates and key
+    resolved hash-join links, the prefilter/postfilter atoms and key
     positions, and are reused verbatim across every execution of the
     owning :class:`RowPlanner` (and, through
     :class:`repro.core.compiled.CompiledViewPlan`, across transactions).
@@ -77,8 +82,6 @@ class StepPlan:
         "acc_schema",
         "eq_links",
         "link_attr_names",
-        "prefilter",
-        "postfilter",
         "prefilter_atoms",
         "postfilter_atoms",
         "operand_key_positions",
@@ -106,20 +109,9 @@ class StepPlan:
         self.operand_key_positions = tuple(
             operand_schema.index(name) for name in self.link_attr_names
         )
-        # The raw atom lists are retained alongside the compiled
-        # closures: the codegen backend re-emits them as inline source.
+        # Conjunctions over the operand's tuple and the joined row.
         self.prefilter_atoms = tuple(prefilter_atoms)
         self.postfilter_atoms = tuple(postfilter_atoms)
-        self.prefilter = (
-            compile_condition(Condition.of_atoms(prefilter_atoms), operand_schema)
-            if prefilter_atoms
-            else None
-        )
-        self.postfilter = (
-            compile_condition(Condition.of_atoms(postfilter_atoms), acc_schema)
-            if postfilter_atoms
-            else None
-        )
 
     def describe(self, operand_names: Sequence[str]) -> str:
         """One human-readable line for this step of the plan."""
@@ -136,15 +128,163 @@ class StepPlan:
             parts.append(f"hash-join on [{links}]")
         elif len(self.prefix) > 1:
             parts.append("cross join (no equality link)")
-        if self.prefilter is not None:
+        if self.prefilter_atoms:
             parts.append("prefiltered")
-        if self.postfilter is not None:
+        if self.postfilter_atoms:
             parts.append("post-filtered")
         return "; ".join(parts)
 
 
 #: One truth-table row's plan: its steps in join order.
 Chain = tuple[StepPlan, ...]
+
+#: What an OLD probe reads: an operand's name and its attributes the
+#: probe's links name — the hash index the probe binds.
+ProbeTarget = tuple[str, tuple[str, ...]]
+
+
+class Access(Enum):
+    """How a node reads its operand's tuples.
+
+    A root node, and the table of a hash join, are filled by a scan; a
+    joined node with a probe target looks its operand up in a hash index
+    instead.  OLD is ``r − d_r`` and an index holds the post-commit
+    operand, so a changed operand's OLD drops this transaction's inserts;
+    a bag operand (an upstream view) counts each tuple from its live
+    count map, a set counts one.
+    """
+
+    DELTA_SCAN = "delta scan"
+    OLD_SCAN = "OLD scan"
+    OLD_SCAN_LESS_INSERTS = "OLD scan less inserts"
+    SET_PROBE = "set probe"
+    SET_PROBE_LESS_INSERTS = "set probe less inserts"
+    BAG_PROBE = "bag probe"
+    BAG_PROBE_LESS_INSERTS = "bag probe less inserts"
+
+
+class Node(NamedTuple):
+    """One distinct (position, choice) prefix of the shape's row orders:
+    ``step``'s operand under ``choice`` joined onto node ``parent``
+    (``None`` at a root).  A joined node with a ``table`` is a hash join
+    whose table ``access`` fills; one with a ``target`` is an index
+    probe."""
+
+    name: str
+    parent: Optional[int]
+    step: StepPlan
+    choice: DeltaRowChoice
+    access: Access
+    table: Optional[str]
+    target: Optional[ProbeTarget]
+
+
+class Finish(NamedTuple):
+    """What turns a complete order's joined rows into view rows: the
+    final DNF re-check (``None`` for a conjunctive condition) and the
+    projection's positions, both over ``schema`` (the order's layout),
+    and whether counters are pinned to one."""
+
+    name: str
+    condition: Optional[Condition]
+    schema: RelationSchema
+    positions: tuple[int, ...]
+    counter_free: bool
+
+
+class ShapeOps(NamedTuple):
+    """One truth-table shape lowered to plain ops (:meth:`RowPlanner.lower`).
+
+    ``nodes`` are in emission order — each row's new nodes follow the
+    previous row's, its final node last — ``finishes`` hold one entry per
+    distinct complete order, and ``rows`` maps each truth-table row, in
+    ``planner.chains`` order, to its final node and its finish.  A row
+    scores one memo hit iff an earlier row opened at its root node, so
+    ``memo_hits`` is the rows less the roots; both are 0 when a shared
+    ground atom is false and no row runs.
+    """
+
+    planner: "RowPlanner"
+    nodes: tuple[Node, ...]
+    finishes: tuple[Finish, ...]
+    rows: dict[Rows, tuple[int, int]]
+    rows_evaluated: int
+    memo_hits: int
+
+    @property
+    def probe_targets(self) -> dict[int, ProbeTarget]:
+        """Step number → the target of its OLD probe, in step order."""
+        return dict(
+            sorted((n.step.number, n.target) for n in self.nodes if n.target)
+        )
+
+    def describe_row(self, row: Rows, quote: Callable[[str], str] = str) -> str:
+        """One row's join order, e.g. ``i_customer -> lineitem [probe cust_id]``.
+
+        A DELTA operand renders as ``i_<name>``; a joined operand says
+        how it is reached: ``probe`` (by index), ``hash`` (by its link
+        attributes) or ``cross`` (no equality link).  ``quote`` renders
+        every relation and attribute name.
+        """
+        occurrences = self.planner.normal_form.occurrences
+        parts = []
+        index: Optional[int] = self.rows[row][0]
+        while index is not None:
+            node = self.nodes[index]
+            occurrence = occurrences[node.step.position]
+            name = quote(occurrence.name)
+            part = name if node.choice is DeltaRowChoice.OLD else f"i_{name}"
+            if node.parent is not None:
+                attrs = ", ".join(
+                    quote(occurrence.inverse[q]) for q in node.step.link_attr_names
+                )
+                kind = "probe" if node.target else "hash" if attrs else "cross"
+                part += f" [{kind} {attrs}]" if attrs else f" [{kind}]"
+            parts.append(part)
+            index = node.parent
+        return " -> ".join(reversed(parts))
+
+    def describe(self) -> str:
+        """A human-readable account of the evaluation plan.
+
+        Lists the truth-table rows to evaluate, each row's join order,
+        and per distinct step: the hash-join links (with ``x = y + c``
+        shifts), operand prefilters and post-join filters the pushdown
+        assigned — the textual form of what the shape's row kernel
+        executes.
+        """
+        planner = self.planner
+        nf = planner.normal_form
+        names = [occ.name for occ in nf.occurrences]
+        lines = [
+            f"view: {nf!r}",
+            f"changed occurrences: "
+            f"{[names[i] for i in planner.changed] or '(none: full evaluation)'}",
+            f"rows to evaluate: {len(self.rows)}",
+        ]
+        for row in self.rows:
+            lines.append(f"  {render_row(row, names)}")
+        lines.append("join order per row (from its lowest delta, along the links):")
+        for index, row in enumerate(self.rows):
+            lines.append(f"  row {index}: {self.describe_row(row)}")
+        lines.append("steps (one per distinct order prefix, shared across rows):")
+        for step in planner.distinct_steps:
+            lines.append("  " + step.describe(names))
+        if self.finishes[0].condition is not None:
+            lines.append("final pass: full DNF condition re-check")
+        lines.append(
+            "projection: " + ", ".join(out for out, _ in nf.projection)
+        )
+        return "\n".join(lines)
+
+
+def _numbered(name: str, chain: Sequence[StepPlan]) -> str:
+    """``name`` for the (prefix of a) chain: suffixed with its last
+    step's number unless that number is the depth, which holds exactly
+    along row 0's order — so a shape whose rows share one order reads as
+    it did when the order was the shape's."""
+    number = chain[-1].number
+    return name if number == len(chain) - 1 else f"{name}_{number}"
 
 
 class RowPlanner:
@@ -165,20 +305,13 @@ class RowPlanner:
     ) -> None:
         self.normal_form = normal_form
         self.changed = tuple(sorted(set(changed_positions)))
-        self._output_schema = normal_form.output_schema()
         self._plan_condition()
         self._steps_by_prefix: dict[tuple[int, ...], StepPlan] = {}
-        # Complete order -> (final DNF re-check, projection positions):
-        # both read the fully joined row, whose layout is the order's.
-        self._finishes: dict[
-            tuple[int, ...],
-            tuple[Optional[Callable[[ValueTuple], bool]], tuple[int, ...]],
-        ] = {}
         width = len(normal_form.occurrences)
         #: Truth-table row -> its chain, in truth-table order: the
         #: shape's 2^k − 1 rows, or the one all-OLD row of a full
         #: evaluation when nothing changed.  The one place a join order
-        #: is decided; the kernel generator walks it.
+        #: is decided; :meth:`lower` turns it into ops.
         self.chains: dict[Rows, Chain] = {
             row: self._build_chain(row)
             for row in (
@@ -257,15 +390,6 @@ class RowPlanner:
             rest.remove(position)
             prefix += (position,)
             chain.append(self._step_for(prefix))
-        if prefix not in self._finishes:
-            acc_schema = chain[-1].acc_schema
-            nf = self.normal_form
-            self._finishes[prefix] = (
-                compile_condition(nf.condition, acc_schema)
-                if self._needs_final_filter
-                else None,
-                tuple(acc_schema.index(q) for _, q in nf.projection),
-            )
         return tuple(chain)
 
     def _step_for(self, prefix: tuple[int, ...]) -> StepPlan:
@@ -348,91 +472,74 @@ class RowPlanner:
         """Every step some chain uses, indexed by ``StepPlan.number``."""
         return tuple(self._steps_by_prefix.values())
 
-    def old_probe_steps(self) -> tuple[StepPlan, ...]:
-        """The distinct steps some row joins as an OLD operand through
-        equality links — the probes a persistent index can answer."""
-        found = {
-            step.number: step
-            for row, chain in self.chains.items()
-            for step in chain[1:]
-            if row[step.position] is DeltaRowChoice.OLD and step.link_attr_names
-        }
-        return tuple(found[number] for number in sorted(found))
+    def lower(
+        self, bag_operands: Collection[str] = (), counter_free: bool = False
+    ) -> ShapeOps:
+        """The shape as ops: every access, sharing and finish decision.
 
-    def finish_of(
-        self, chain: Chain
-    ) -> tuple[Optional[Callable[[ValueTuple], bool]], tuple[int, ...]]:
-        """What turns a chain's joined rows into view rows: the final
-        DNF re-check (``None`` for a conjunctive condition) and the
-        positions the projection keeps, both over ``chain[-1].acc_schema``."""
-        return self._finishes[chain[-1].prefix]
-
-    @property
-    def always_empty(self) -> bool:
-        """True when a shared ground atom is false: no row contributes."""
-        return self._always_empty
-
-    @property
-    def needs_final_filter(self) -> bool:
-        """True when the full DNF condition is re-checked at the end."""
-        return self._needs_final_filter
-
-    def describe_chain(
-        self, row: Rows, quote: Callable[[str], str] = str
-    ) -> str:
-        """One row's join order, e.g. ``i_customer -> lineitem [probe cust_id]``.
-
-        A DELTA operand renders as ``i_<name>``; a joined operand says
-        how it is reached: ``probe`` (OLD, by its link attributes —
-        from a persistent index where one exists), ``hash`` (DELTA, by
-        its link attributes) or ``cross`` (no equality link).  ``quote``
-        renders every relation and attribute name.
+        ``bag_operands`` names the operands that are upstream views
+        (bags); ``counter_free`` is true when a derived view key proves
+        every view row has multiplicity ≤ 1, so the finishes pin each
+        counter to one.  Node ``n_<choices>`` and finish ``apply_kernel``
+        are suffixed with their last step's number off row 0's order; a
+        hash table ``h_<step>_<CHOICE>`` is one per joined (step,
+        choice) that no index answers, shared by every node joining it.
         """
         occurrences = self.normal_form.occurrences
-        parts = []
-        for step in self.chains[row]:
-            occurrence = occurrences[step.position]
-            old = row[step.position] is DeltaRowChoice.OLD
-            part = quote(occurrence.name) if old else f"i_{quote(occurrence.name)}"
-            if len(step.prefix) > 1:
-                attrs = ", ".join(
-                    quote(occurrence.inverse[q]) for q in step.link_attr_names
-                )
-                if not attrs:
-                    part += " [cross]"
-                else:
-                    part += f" [{'probe' if old else 'hash'} {attrs}]"
-            parts.append(part)
-        return " -> ".join(parts)
-
-    def describe(self) -> str:
-        """A human-readable account of the evaluation plan.
-
-        Lists the truth-table rows to evaluate, each row's join order,
-        and per distinct step: the hash-join links (with ``x = y + c``
-        shifts), operand prefilters and post-join filters the pushdown
-        assigned — the textual form of what the shape's row kernel
-        executes.
-        """
-        nf = self.normal_form
-        names = [occ.name for occ in nf.occurrences]
-        lines = [
-            f"view: {nf!r}",
-            f"changed occurrences: "
-            f"{[names[i] for i in self.changed] or '(none: full evaluation)'}",
-            f"rows to evaluate: {len(self.chains)}",
-        ]
-        for row in self.chains:
-            lines.append(f"  {render_row(row, names)}")
-        lines.append("join order per row (from its lowest delta, along the links):")
-        for index, row in enumerate(self.chains):
-            lines.append(f"  row {index}: {self.describe_chain(row)}")
-        lines.append("steps (one per distinct order prefix, shared across rows):")
-        for step in self._steps_by_prefix.values():
-            lines.append("  " + step.describe(names))
-        if self._needs_final_filter:
-            lines.append("final pass: full DNF condition re-check")
-        lines.append(
-            "projection: " + ", ".join(out for out, _ in nf.projection)
+        delta = DeltaRowChoice.DELTA
+        nodes: list[Node] = []
+        numbered: dict[str, int] = {}
+        finishes: list[Finish] = []
+        finished: dict[str, int] = {}
+        rows: dict[Rows, tuple[int, int]] = {}
+        for row, chain in self.chains.items():
+            parent: Optional[int] = None
+            sig = ""
+            for depth, step in enumerate(chain):
+                choice = row[step.position]
+                sig += "D" if choice is delta else "O"
+                name = _numbered(f"n_{sig}", chain[: depth + 1])
+                if name not in numbered:
+                    numbered[name] = len(nodes)
+                    occurrence = occurrences[step.position]
+                    changed = step.position in self.changed
+                    table: Optional[str] = None
+                    target: Optional[ProbeTarget] = None
+                    if parent is None or choice is delta or not step.link_attr_names:
+                        access = (
+                            Access.DELTA_SCAN if choice is delta
+                            else Access.OLD_SCAN_LESS_INSERTS if changed
+                            else Access.OLD_SCAN
+                        )
+                        if parent is not None:
+                            table = f"h_{step.number}_{choice.name}"
+                    else:
+                        if occurrence.name in bag_operands:
+                            access = Access.BAG_PROBE_LESS_INSERTS if changed else Access.BAG_PROBE
+                        else:
+                            access = Access.SET_PROBE_LESS_INSERTS if changed else Access.SET_PROBE
+                        target = (
+                            occurrence.name,
+                            tuple(occurrence.inverse[q] for q in step.link_attr_names),
+                        )
+                    nodes.append(Node(name, parent, step, choice, access, table, target))
+                parent = numbered[name]
+            assert parent is not None
+            finish = _numbered("apply_kernel", chain)
+            if finish not in finished:
+                finished[finish] = len(finishes)
+                schema = chain[-1].acc_schema
+                finishes.append(Finish(
+                    finish,
+                    self.normal_form.condition if self._needs_final_filter else None,
+                    schema,
+                    tuple(schema.index(q) for _, q in self.normal_form.projection),
+                    counter_free,
+                ))
+            rows[row] = (parent, finished[finish])
+        evaluated = 0 if self._always_empty else len(rows)
+        roots = sum(node.parent is None for node in nodes)
+        return ShapeOps(
+            self, tuple(nodes), tuple(finishes), rows,
+            evaluated, evaluated and evaluated - roots,
         )
-        return "\n".join(lines)

@@ -6,11 +6,12 @@ parity suites hold those kernels to:
 
 * :func:`filter_delta` — Algorithm 4.1 over a whole delta, one
   :meth:`~repro.core.irrelevance.RelevanceFilter.is_relevant` per tuple;
-* :class:`RowWalker` — Algorithm 5.1's row evaluation: it walks a
-  :class:`~repro.core.planner.RowPlanner`'s chains (the join order,
-  links and filters the kernel generator also reads) over tagged
-  operands, with the memo of shared prefixes as a switch (E13) and an
-  optional index hook for OLD operands (:func:`index_probe_for`, E14);
+* :class:`RowWalker` — Algorithm 5.1's row evaluation: it walks the
+  nodes of a shape lowered by :meth:`~repro.core.planner.RowPlanner.lower`
+  (the join orders, links and filter atoms the kernel generator also
+  reads) over tagged operands it builds itself, with the memo of shared
+  prefixes as a switch (E13) and an optional index hook for OLD operands
+  (:func:`index_probe_for`, E14);
 * :func:`compute_view_delta` and :func:`evaluate_normal_form` — the
   differential and the complete evaluation built on it.
 
@@ -40,6 +41,8 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
+from repro.algebra.conditions import Atom, Condition
+from repro.algebra.evaluate import compile_condition
 from repro.algebra.expressions import Expression, NormalForm
 from repro.algebra.relation import Delta, Relation, TaggedRelation
 from repro.algebra.schema import RelationSchema
@@ -48,7 +51,7 @@ from repro.algebra.tuples import coerce_row
 from repro.core.aggregates import AggregateState
 from repro.core.differential import LazyOperandEntry
 from repro.core.irrelevance import FilterStats, RelevanceFilter
-from repro.core.planner import Chain, RowPlanner, StepPlan
+from repro.core.planner import Node, RowPlanner, ShapeOps
 from repro.core.truthtable import DeltaRowChoice, Rows, enumerate_delta_rows
 from repro.core.views import MaterializedView, ViewDefinition
 from repro.engine.database import Database
@@ -129,74 +132,84 @@ def screened(relevance: RelevanceFilter, delta: Delta) -> Delta:
 # ----------------------------------------------------------------------
 
 class RowWalker:
-    """Evaluates truth-table rows along ``planner.chains``, tuple by tuple.
+    """Evaluates a lowered shape's rows (:class:`ShapeOps`), tuple by tuple.
 
     ``operands[position][choice]`` supplies the tagged tuples of each
     occurrence under each truth-table choice (DELTA only for changed
-    positions).  With ``share_subexpressions`` every chain prefix is
-    memoized on its (position, choice) signature, so rows whose orders
-    begin alike share the work — the nodes a row kernel shares.  An OLD
-    operand joined by equality links is answered by ``index_probe``
-    where it returns a probe; any other joined operand is hashed once
-    per (distinct step, choice), as the kernels hash it.
+    positions); the walker takes the nodes, choices, links and filter
+    atoms from the ops and nothing else — OLD comes from ``operands``,
+    whatever the ops' access says.  With ``share_subexpressions`` every
+    node is memoized, so rows whose orders begin alike share the work,
+    as the row kernel's nodes do.  A node the ops probe is answered by
+    ``index_probe`` where it returns a probe; any other joined operand is
+    hashed once per (distinct step, choice), as the kernels hash it.
     """
 
     def __init__(
         self,
-        planner: RowPlanner,
+        ops: ShapeOps,
         operands: Operands,
         index_probe: IndexProbe | None = None,
         share_subexpressions: bool = True,
     ) -> None:
-        self.planner = planner
+        self.ops = ops
         self.operands = operands
         self.index_probe = index_probe
         self.share = share_subexpressions
-        self.memo: dict[tuple[tuple[int, DeltaRowChoice], ...], TaggedRelation] = {}
+        self.memo: dict[int, TaggedRelation] = {}
         self.tables: dict[tuple[int, DeltaRowChoice], dict[ValueTuple, list[ProbeRow]]] = {}
+        #: Step number -> its prefilter and postfilter, compiled here.
+        self.filters = {
+            node.step.number: (
+                _conjunction(node.step.prefilter_atoms, node.step.operand_schema),
+                _conjunction(node.step.postfilter_atoms, node.step.acc_schema),
+            )
+            for node in ops.nodes
+        }
 
     def evaluate(self, rows: Iterable[Rows]) -> TaggedRelation:
         """Every row, filtered, projected and merged into one result."""
-        merged = TaggedRelation(self.planner.normal_form.output_schema())
-        if self.planner.always_empty:
+        merged = TaggedRelation(self.ops.planner.normal_form.output_schema())
+        if not self.ops.rows_evaluated:  # a shared ground atom is false
             return merged
         for row in rows:
             charge("delta_rows_evaluated")
-            chain = self.planner.chains[row]
-            final_filter, positions = self.planner.finish_of(chain)
-            for values, tag, count in self._prefix(chain, len(chain), row).items():
-                if final_filter is None or final_filter(values):
+            final, finish = self.ops.rows[row]
+            condition, schema, positions = self.ops.finishes[finish][1:4]
+            check = None if condition is None else compile_condition(condition, schema)
+            for values, tag, count in self._node(final).items():
+                if check is None or check(values):
                     merged.add(tuple(values[i] for i in positions), tag, count)
         return merged
 
-    def _prefix(self, chain: Chain, length: int, row: Rows) -> TaggedRelation:
-        key = tuple((step.position, row[step.position]) for step in chain[:length])
+    def _node(self, index: int) -> TaggedRelation:
         if self.share:
-            cached = self.memo.get(key)
+            cached = self.memo.get(index)
             if cached is not None:
                 charge("subexpression_memo_hits")
                 return cached
-        step = chain[length - 1]
-        choice = row[step.position]
-        if length == 1:
+        node = self.ops.nodes[index]
+        step = node.step
+        if node.parent is None:
+            prefilter = self.filters[step.number][0]
             result = TaggedRelation(step.operand_schema)
-            for values, tag, count in self.operands[step.position][choice].items():
+            for values, tag, count in self.operands[step.position][node.choice].items():
                 charge("tuples_scanned")
-                if step.prefilter is None or step.prefilter(values):
+                if prefilter is None or prefilter(values):
                     result.add(values, tag, count)
         else:
-            result = self._join(self._prefix(chain, length - 1, row), step, choice)
+            result = self._join(self._node(node.parent), node)
         if self.share:
-            self.memo[key] = result
+            self.memo[index] = result
         return result
 
-    def _join(
-        self, acc: TaggedRelation, step: StepPlan, choice: DeltaRowChoice
-    ) -> TaggedRelation:
+    def _join(self, acc: TaggedRelation, node: Node) -> TaggedRelation:
+        step = node.step
         out = TaggedRelation(step.acc_schema)
         if acc.is_empty():
             return out
-        probe = self._probe_for(step, choice)
+        probe = self._probe_for(node)
+        postfilter = self.filters[step.number][1]
         for acc_values, acc_tag, acc_count in acc.items():
             charge("join_probes")
             key = tuple(acc_values[pos] + shift for pos, _, shift in step.eq_links)
@@ -206,19 +219,16 @@ class RowWalker:
                     charge("tuples_ignored")
                     continue
                 joined = acc_values + op_values
-                if step.postfilter is not None and not step.postfilter(joined):
+                if postfilter is not None and not postfilter(joined):
                     continue
                 charge("tuples_emitted")
                 out.add(joined, tag, acc_count * op_count)
         return out
 
-    def _probe_for(self, step: StepPlan, choice: DeltaRowChoice) -> ProbeFn:
-        prefilter = step.prefilter
-        if (
-            choice is DeltaRowChoice.OLD
-            and self.index_probe is not None
-            and step.link_attr_names
-        ):
+    def _probe_for(self, node: Node) -> ProbeFn:
+        step, choice = node.step, node.choice
+        prefilter = self.filters[step.number][0]
+        if node.target is not None and self.index_probe is not None:
             indexed = self.index_probe(step.position, step.link_attr_names)
             if indexed is not None:
                 if prefilter is None:
@@ -235,6 +245,12 @@ class RowWalker:
                     key = tuple(values[i] for i in step.operand_key_positions)
                     table.setdefault(key, []).append((values, tag, count))
         return lambda key: table.get(key, ())
+
+
+def _conjunction(
+    atoms: Sequence[Atom], schema: RelationSchema
+) -> Optional[Callable[[ValueTuple], bool]]:
+    return compile_condition(Condition.of_atoms(atoms), schema) if atoms else None
 
 
 def changed_positions_for(
@@ -293,7 +309,7 @@ def compute_view_delta(
         return Delta(normal_form.output_schema())
     charge("differential_updates")
     walker = RowWalker(
-        RowPlanner(normal_form, changed),
+        RowPlanner(normal_form, changed).lower(),
         build_operands(normal_form, post_instances, deltas, changed),
         index_probe,
         share_subexpressions,
@@ -340,7 +356,7 @@ def evaluate_normal_form(
     normal_form: NormalForm, instances: Mapping[str, Relation]
 ) -> Relation:
     """Complete evaluation: the one all-OLD row over every operand."""
-    planner = RowPlanner(normal_form, changed_positions=())
+    ops = RowPlanner(normal_form, changed_positions=()).lower()
     operands = []
     for occurrence in normal_form.occurrences:
         tagged = TaggedRelation(
@@ -350,7 +366,7 @@ def evaluate_normal_form(
             tagged.add(values, Tag.OLD, count)
         operands.append({DeltaRowChoice.OLD: tagged})
     counts: dict[ValueTuple, int] = {}
-    for values, _, count in RowWalker(planner, operands).evaluate(planner.chains).items():
+    for values, _, count in RowWalker(ops, operands).evaluate(ops.rows).items():
         counts[values] = counts.get(values, 0) + count
     return Relation.from_counts(normal_form.output_schema(), counts)
 

@@ -343,7 +343,7 @@ class TestWideShapes:
         planner = maintainer.peek_plan("wide").planner_for(tuple(range(8)))
         # The 255 rows of the shape changing every relation, in four
         # chunks of at most 64 rows, each a module of its own.
-        sources = codegen.generate_shape_sources(planner)
+        sources = codegen.generate_shape_sources(planner.lower())
         assert len(sources) == 4
         defined = []
         called = []
@@ -419,6 +419,37 @@ class TestWideShapes:
         # Each relation probed on either link attribute, the two ends
         # on their one.
         assert len(indexes) == 2 * 20 - 2
+
+    def test_explaining_a_wide_shape_plans_no_wide_shape(self, monkeypatch):
+        # The bare ``explain`` and ``explain … changing`` every relation
+        # print the screens and one line for the 1 048 575-row shape.
+        import repro.core.compiled as compiled
+        from repro.cli import Shell
+
+        db, expression, _ = _chain(20)
+        shell = Shell(db)
+        shell.maintainer.define_view("wide", expression)
+        planned = []
+        real = compiled.CompiledViewPlan.planner_for
+
+        def planner_for(plan, changed):
+            planned.append(len(changed))
+            return real(plan, changed)
+
+        monkeypatch.setattr(compiled.CompiledViewPlan, "planner_for", planner_for)
+        every = ", ".join(f"c{i}" for i in range(20))
+        started = time.perf_counter()
+        texts = [shell.execute("explain wide"), shell.execute(f"explain wide changing {every}")]
+        assert time.perf_counter() - started < 10
+        assert all(width <= 1 for width in planned)
+        for text in texts:
+            assert f"shape {tuple(range(20))!r}: 1048575 truth-table rows" in text
+            assert all(f"  c{i}#{i}: invariant" in text for i in range(20))
+            assert "rows to evaluate" not in text
+        # A shape of one relation is still planned and listed.
+        text = shell.execute("explain wide changing c3")
+        assert "rows to evaluate: 1" in text
+        assert "index bindings (OLD-operand probes):" in text
 
     def test_chunks_compile_through_compile_kernel_as_wrapped(self, monkeypatch):
         # The frozen benchmark tracer replaces ``compile_kernel`` by name

@@ -36,7 +36,7 @@ class TestPlannerDescribe:
         nf = to_normal_form(
             BaseRef("r").join(BaseRef("s")), db.schema_catalog()
         )
-        text = RowPlanner(nf, [0]).describe()
+        text = RowPlanner(nf, [0]).lower().describe()
         assert "rows to evaluate: 1" in text
         assert "i_r ⋈ s" in text
         assert "  row 0: i_r -> s [probe B]" in text
@@ -45,7 +45,7 @@ class TestPlannerDescribe:
         nf = to_normal_form(
             BaseRef("r").join(BaseRef("s")), db.schema_catalog()
         )
-        text = RowPlanner(nf, [0, 1]).describe()
+        text = RowPlanner(nf, [0, 1]).lower().describe()
         assert "  row 0: i_s -> r [probe B]" in text
         assert "  row 1: i_r -> s [probe B]" in text
         assert "  row 2: i_r -> i_s [hash B]" in text
@@ -53,7 +53,7 @@ class TestPlannerDescribe:
 
     def test_full_evaluation_mode(self, db):
         nf = to_normal_form(BaseRef("r"), db.schema_catalog())
-        text = RowPlanner(nf, []).describe()
+        text = RowPlanner(nf, []).lower().describe()
         assert "full evaluation" in text
         assert "rows to evaluate: 1" in text
 
@@ -62,7 +62,7 @@ class TestPlannerDescribe:
             BaseRef("r").join(BaseRef("s")).select("A < 5 and C > 1"),
             db.schema_catalog(),
         )
-        text = RowPlanner(nf, [0]).describe()
+        text = RowPlanner(nf, [0]).lower().describe()
         assert "hash-join on" in text
         assert "prefiltered" in text
 
@@ -71,14 +71,14 @@ class TestPlannerDescribe:
         nf = to_normal_form(
             BaseRef("r").product(BaseRef("u")), db.schema_catalog()
         )
-        text = RowPlanner(nf, [0]).describe()
+        text = RowPlanner(nf, [0]).lower().describe()
         assert "cross join" in text
 
     def test_dnf_final_pass_flagged(self, db):
         nf = to_normal_form(
             BaseRef("r").select("A < 1 or B > 5"), db.schema_catalog()
         )
-        text = RowPlanner(nf, [0]).describe()
+        text = RowPlanner(nf, [0]).lower().describe()
         assert "full DNF condition re-check" in text
 
 

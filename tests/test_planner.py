@@ -240,6 +240,6 @@ class TestPlannerPlumbing:
         )
         tagged.add((1, 2), Tag.INSERT)
         out = RowWalker(
-            planner, [{DeltaRowChoice.OLD: tagged, DeltaRowChoice.DELTA: tagged}]
+            planner.lower(), [{DeltaRowChoice.OLD: tagged, DeltaRowChoice.DELTA: tagged}]
         ).evaluate(enumerate_delta_rows(1, [0]))
         assert out.is_empty()

@@ -185,7 +185,7 @@ class TestSharing:
         db = _database([(1, 2)], [(2, 3)], [(3, 4)])
         nf = to_normal_form(VIEWS["chain"], db.schema_catalog())
         planner = RowPlanner(nf, changed_positions=[0, 1, 2])
-        kernels = compile_shape_kernels(planner, "chain")
+        kernels = compile_shape_kernels(planner.lower(), "chain")
         assert kernels is not None and kernels.rows_evaluated == 7
 
         reference = ReferenceViews(db, {"chain": VIEWS["chain"]})

@@ -107,7 +107,7 @@ def corpus() -> dict[str, str]:
 
     db, expression, _ = test_codegen._chain(8)
     plan = maintained(db, {"chain": expression}, "chain8").peek_plan("chain")
-    chunks = codegen.generate_shape_sources(plan.planner_for(range(8)))
+    chunks = codegen.generate_shape_sources(plan.planner_for(range(8)).lower())
     texts["chain8/every relation"] = "\n".join(chunks)
     return texts
 
