@@ -957,33 +957,11 @@ def compile_kernel(
     return kernel
 
 
-class ShapeKernels:
-    """The compiled row + apply kernels for one truth-table shape, and
-    the rows and memo hits its lowering charges per execution."""
-
-    __slots__ = ("source", "row_kernel", "rows_evaluated", "memo_hits")
-
-    def __init__(
-        self,
-        source: str,
-        row_kernel: RowKernel,
-        rows_evaluated: int,
-        memo_hits: int,
-    ) -> None:
-        self.source = source
-        self.row_kernel = row_kernel
-        self.rows_evaluated = rows_evaluated
-        self.memo_hits = memo_hits
-
-    def __repr__(self) -> str:
-        return f"<ShapeKernels {self.rows_evaluated} rows>"
-
-
-def compile_shape_kernels(ops: "ShapeOps", view_name: str) -> ShapeKernels:
-    """Generate + compile one lowered shape's kernels."""
-    sources = generate_shape_sources(ops)
+def compile_shape_kernels(ops: "ShapeOps", view_name: str) -> RowKernel:
+    """Generate + compile one lowered shape's kernels; its ``row_kernel``."""
     shape_tag = "".join(str(p) for p in ops.planner.changed)
-    kernel = compile_kernel(
-        sources, "row_kernel", f"<codegen:{view_name}:shape{shape_tag}>"
+    return compile_kernel(
+        generate_shape_sources(ops),
+        "row_kernel",
+        f"<codegen:{view_name}:shape{shape_tag}>",
     )
-    return ShapeKernels("\n".join(sources), kernel, ops.rows_evaluated, ops.memo_hits)

@@ -45,8 +45,8 @@ from repro.core.codegen import (
     AggregateKernel,
     CODEGEN_VERSION,
     MAX_CODEGEN_ROWS,
+    RowKernel,
     ScreenKernel,
-    ShapeKernels,
     compile_kernel,
     compile_shape_kernels,
     generate_aggregate_source,
@@ -96,7 +96,7 @@ class _Lookups(dict[int, Lookup]):
         return lookup
 
 
-_Shape = tuple[tuple[int, ...], ShapeOps, ShapeKernels, _Lookups]
+_Shape = tuple[tuple[int, ...], ShapeOps, RowKernel, _Lookups]
 
 
 def run_screen(
@@ -150,18 +150,18 @@ def run_rows(
     """The view's netted insert and delete count maps — fresh dicts — from
     one shape's row kernel over a screened delta per occurrence (None for
     one that did not change), its Section 5 work counted in bulk."""
-    _, _, kernels, lookups = shape
-    ins, dele, scanned, probes, emitted, ignored, looked_up = kernels.row_kernel(
+    _, ops, row_kernel, lookups = shape
+    ins, dele, scanned, probes, emitted, ignored, looked_up = row_kernel(
         operands, old_counts, lookups
     )
-    rows = kernels.rows_evaluated
+    rows = ops.rows_evaluated
     counters["codegen_batch_rows"] += rows
     if charged is not None:
         charged += (
             ("differential_updates", 1),
             ("truth_table_rows", rows),
             ("delta_rows_evaluated", rows),
-            ("subexpression_memo_hits", kernels.memo_hits),
+            ("subexpression_memo_hits", ops.memo_hits),
             ("tuples_scanned", scanned),
             ("join_probes", probes),
             ("index_probes", looked_up),
@@ -338,7 +338,7 @@ class CompiledViewPlan:
         #: The names of the relations whose deltas survived screening,
         #: in a call's order → everything one execution of that shape
         #: needs that no transaction changes: the changed positions,
-        #: their ops, its kernels and its step → bound index lookup.
+        #: their ops, its row kernel and its step → bound index lookup.
         self._shapes: dict[tuple[str, ...], _Shape] = {}
         # The aggregate fold kernel (when the view aggregates) compiles
         # eagerly with the screens: its shape depends only on the spec
@@ -532,7 +532,7 @@ class CompiledViewPlan:
         largest = sizes.index(max(sizes))
         root_name, root = self._occurrence_names[largest], operands[largest]
         names = (root_name,)
-        _, ops, kernels, _ = self._shapes.get(names) or self._compile_shape(names, counted)
+        _, ops, row_kernel, _ = self._shapes.get(names) or self._compile_shape(names, counted)
 
         def transient(target: ProbeTarget) -> HashIndex:
             name, attrs = target
@@ -541,12 +541,12 @@ class CompiledViewPlan:
 
         # The kernel only reads a delta's maps: the live one will do.
         everything = Delta.adopt(root.schema, cast(CountMap, root.count_map), {})
-        inserted, _, scanned, probes, emitted, _, looked_up = kernels.row_kernel(
+        inserted, _, scanned, probes, emitted, _, looked_up = row_kernel(
             [everything if name == root_name else None for name in self._occurrence_names],
             self._old_counts,
             _Lookups(transient, ops.probe_targets),
         )
-        counted += (("codegen_batch_rows", kernels.rows_evaluated),)
+        counted += (("codegen_batch_rows", ops.rows_evaluated),)
         if charged is not None:
             charged += (
                 ("tuples_scanned", scanned),
@@ -566,9 +566,9 @@ class CompiledViewPlan:
         shape = next((s for s in self._shapes.values() if s[0] == changed), None)
         if shape is None:
             ops = self.shape_ops(changed)
-            kernels = compile_shape_kernels(ops, self.definition.name)
+            row_kernel = compile_shape_kernels(ops, self.definition.name)
             counted += (("codegen_plans_compiled", 1),)
-            shape = (changed, ops, kernels, _Lookups(self._bind_index, ops.probe_targets))
+            shape = (changed, ops, row_kernel, _Lookups(self._bind_index, ops.probe_targets))
         self._shapes[names] = shape
         return shape
 

@@ -158,14 +158,22 @@ class RowWalker:
         self.share = share_subexpressions
         self.memo: dict[int, TaggedRelation] = {}
         self.tables: dict[tuple[int, DeltaRowChoice], dict[ValueTuple, list[ProbeRow]]] = {}
-        #: Step number -> its prefilter and postfilter, compiled here.
-        self.filters = {
-            node.step.number: (
-                _conjunction(node.step.prefilter_atoms, node.step.operand_schema),
-                _conjunction(node.step.postfilter_atoms, node.step.acc_schema),
+        #: Per step, by number: its prefilter and postfilter, compiled here.
+        self.filters = [
+            (
+                _conjunction(step.prefilter_atoms, step.operand_schema),
+                _conjunction(step.postfilter_atoms, step.acc_schema),
             )
-            for node in ops.nodes
-        }
+            for step in ops.planner.distinct_steps
+        ]
+        #: Per finish: the final re-check, compiled here, and the projection.
+        self.finishes = [
+            (
+                None if f.condition is None else compile_condition(f.condition, f.schema),
+                f.positions,
+            )
+            for f in ops.finishes
+        ]
 
     def evaluate(self, rows: Iterable[Rows]) -> TaggedRelation:
         """Every row, filtered, projected and merged into one result."""
@@ -175,8 +183,7 @@ class RowWalker:
         for row in rows:
             charge("delta_rows_evaluated")
             final, finish = self.ops.rows[row]
-            condition, schema, positions = self.ops.finishes[finish][1:4]
-            check = None if condition is None else compile_condition(condition, schema)
+            check, positions = self.finishes[finish]
             for values, tag, count in self._node(final).items():
                 if check is None or check(values):
                     merged.add(tuple(values[i] for i in positions), tag, count)

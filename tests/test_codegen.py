@@ -633,9 +633,7 @@ def _kernel_code_objects(plan):
     module's functions (a kernel and the helpers it calls) and every
     code object nested in them."""
     kernels = [kernel for _, kernel in plan._screen_kernels.values() if kernel]
-    kernels += [
-        shape[2].row_kernel for shape in plan._shapes.values() if shape[2]
-    ]
+    kernels += [shape[2] for shape in plan._shapes.values()]
     if plan._aggregate_kernel is not None:
         kernels.append(plan._aggregate_kernel[1])
     pending = [

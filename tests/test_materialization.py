@@ -28,7 +28,6 @@ from hypothesis import strategies as st
 import repro.core.compiled as compiled
 from repro import BaseRef, Database, ViewMaintainer
 from repro.algebra.evaluate import evaluate
-from repro.core.codegen import ShapeKernels
 from repro.errors import UnknownViewError
 from tests.strategies import (
     SPJ_TABLES,
@@ -212,15 +211,13 @@ class TestFailedMaterialization:
         reach = {n: list(e) for n, e in maintainer._reach.items()}
         real = compiled.compile_shape_kernels
 
-        def raising(planner, view_name, **options):
-            kernels = real(planner, view_name, **options)
+        def raising(ops, view_name):
+            real(ops, view_name)
 
             def row_kernel(deltas, old, index_for):
                 raise RuntimeError("kernel fault")
 
-            return ShapeKernels(
-                kernels.source, row_kernel, kernels.rows_evaluated, kernels.memo_hits
-            )
+            return row_kernel
 
         monkeypatch.setattr(compiled, "compile_shape_kernels", raising)
         with pytest.raises(RuntimeError, match="kernel fault"):

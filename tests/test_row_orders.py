@@ -2,8 +2,8 @@
 
 ``RowPlanner`` gives each row of a shape its own order — rooted at the
 row's lowest DELTA position and grown along the equality links — and
-the generated kernels walk the same ``planner.chains`` the reference
-evaluator does.  Held here:
+the generated kernels are emitted from the same lowered ops
+(``planner.lower()``) the reference walker walks.  Held here:
 
 * **parity** — over 3-operand chain and star joins and a self-join,
   with one to three relations changed per transaction (inserts, deletes
@@ -14,7 +14,7 @@ evaluator does.  Held here:
   probes and index-probes the same amounts at base sizes 10² and 10⁴,
   and a chain whose last relation changes never cross-joins;
 * **sharing** — the memo hits a shape's kernels charge are the ones the
-  reference planner scores walking the same chains.
+  reference walker scores walking the same nodes.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from repro import BaseRef, Database, ViewMaintainer
 from repro.algebra.expressions import to_normal_form
-from repro.core.codegen import compile_shape_kernels
 from repro.core.consistency import check_view_consistency
 from repro.core.planner import RowPlanner
 from repro.instrumentation import CostRecorder, recording
@@ -184,9 +183,9 @@ class TestSharing:
     def test_kernel_memo_hits_are_the_reference_planners(self):
         db = _database([(1, 2)], [(2, 3)], [(3, 4)])
         nf = to_normal_form(VIEWS["chain"], db.schema_catalog())
-        planner = RowPlanner(nf, changed_positions=[0, 1, 2])
-        kernels = compile_shape_kernels(planner.lower(), "chain")
-        assert kernels is not None and kernels.rows_evaluated == 7
+        # What the shape's kernels charge per run (``run_rows``).
+        ops = RowPlanner(nf, changed_positions=[0, 1, 2]).lower()
+        assert ops.rows_evaluated == 7
 
         reference = ReferenceViews(db, {"chain": VIEWS["chain"]})
         recorder = CostRecorder()
@@ -196,4 +195,4 @@ class TestSharing:
         # Seven rows, three distinct opening deltas: the other four
         # rows each re-use an opening some earlier row evaluated.
         assert recorder.get("subexpression_memo_hits") == 4
-        assert kernels.memo_hits == 4
+        assert ops.memo_hits == 4
