@@ -30,7 +30,10 @@ whole batches:
   the final DNF re-check, projection and Section 5.2
   multiplicity-counter folding into plain ``dict`` accumulators,
   collapsed to a net view delta by
-  :func:`repro.core.counting.net_counts`.
+  :func:`repro.core.counting.net_counts`;
+* **trigger programs** — one per set of changed relations: every view
+  a commit reaches, in order, as straight-line code that calls its
+  kernels, counts, applies and delivers (Algorithm 5.1).
 
 One data format crosses every kernel boundary, in and out: the
 ``values → count`` dicts a :class:`~repro.algebra.relation.Delta`
@@ -58,14 +61,17 @@ from __future__ import annotations
 
 import functools
 import re
+from collections import defaultdict
 from types import CodeType
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.algebra.aggregates import column_plans
 from repro.algebra.conditions import Atom, Condition, Var
+from repro.algebra.relation import Delta, apply_counts
 from repro.algebra.schema import RelationSchema
 from repro.algebra.tags import Tag
 from repro.core.aggregates import accumulator_slots
+from repro.core.counting import net_counts
 from repro.core.graph import INF, ZERO
 from repro.core.planner import Access
 from repro.errors import MaintenanceError
@@ -74,6 +80,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.algebra.aggregates import AggregateSpec
     from repro.core.irrelevance import RelevanceFilter
     from repro.core.planner import Finish, Node, ShapeOps, StepPlan
+    from repro.instrumentation import Tally
 
 ValueTuple = tuple[int, ...]
 
@@ -116,24 +123,58 @@ def quoted(names: "str | tuple[str, ...] | list[str]") -> str:
 
 
 class _Emitter:
-    """Tiny indented-source builder."""
+    """Tiny indented-source builder.  ``tally`` says what :meth:`count`
+    also appends to the generated code's ``tally`` list: nothing (None),
+    the recorder-only charges (``"charges"``) or every count
+    (``"counts"``)."""
 
-    __slots__ = ("lines", "indent")
+    __slots__ = ("lines", "indent", "tally")
 
-    def __init__(self) -> None:
+    def __init__(self, tally: str | None = None) -> None:
         self.lines: list[str] = []
         self.indent = 0
+        self.tally = tally
 
-    def emit(self, line: str = "") -> None:
+    def emit(self, line: str = "", shift: int = 0) -> None:
         if line:
-            self.lines.append("    " * self.indent + line)
+            self.lines.append("    " * (self.indent + shift) + line)
         else:
             self.lines.append("")
 
-    def skip_if(self, condition: str) -> None:
-        """``if <condition>: continue`` at the current indent."""
-        self.emit(f"if {condition}:")
-        self.emit("    continue")
+    def count(self, *pairs: tuple[str, str]) -> None:
+        """Count each ``(counter, amount expression)`` pair: a row
+        counter into the row ``c``, and into ``tally`` as it says."""
+        for name, amount in pairs:
+            assert name in TRIGGER_ROW_COUNTS + TRIGGER_CHARGES, name
+            if name in TRIGGER_ROW_COUNTS:
+                self.emit(f"c[{name!r}] += {amount}")
+        if self.tally != "counts":
+            pairs = tuple(p for p in pairs if self.tally and p[0] in TRIGGER_CHARGES)
+        if pairs:
+            self.emit(f"tally += ({', '.join(f'({n!r}, {a})' for n, a in pairs)},)")
+
+    def text(self, text: str) -> None:
+        """``text``'s lines at the current indent."""
+        self.lines += map(("    " * self.indent).__add__, text.splitlines())
+
+    def block(self, template: str, *args: object, **fields: object) -> None:
+        """``template`` filled in, at the current indent; a line ``@
+        name=amount, ...`` counts, and a run of them counts as one."""
+        prefix = "    " * self.indent
+        pairs: list = []
+        # A last empty line ends a last run of counts.
+        for line in template.format(*args, **fields).splitlines() + [""]:
+            stripped = line.lstrip()
+            if pairs and not stripped.startswith("@"):
+                self.indent += at
+                self.count(*pairs)
+                self.indent -= at
+                pairs = []
+            if stripped.startswith("@"):
+                pairs += [(n.strip(), a.strip()) for n, a in (p.split("=") for p in stripped[1:].split(","))]
+                at = (len(line) - len(stripped)) // 4
+            elif stripped:
+                self.lines.append(prefix + line)
 
     def source(self) -> str:
         return "\n".join(self.lines) + "\n"
@@ -182,12 +223,32 @@ def _skip_unless(
 ) -> None:
     """Skip row ``var`` unless it satisfies ``atoms`` (if any)."""
     if atoms:
-        out.skip_if(f"not ({_conjunction_expr(atoms, _cells(schema, var))})")
+        out.text(f"if not ({_conjunction_expr(atoms, _cells(schema, var))}):\n    continue")
 
 
 # ----------------------------------------------------------------------
 # Screen kernels (Section 4 over a delta's count dicts)
 # ----------------------------------------------------------------------
+
+_SCREEN_ALL = """\
+# condition has an empty disjunct (constant TRUE):
+# every update is relevant, no screening possible
+def screen_kernel(inserted, deleted):
+    return inserted, deleted, 0, 0"""
+_SCREEN_NONE = """\
+def screen_kernel(inserted, deleted):
+    # every disjunct's invariant part is unsatisfiable:
+    # all updates screened out
+    return {}, {}, 0, 0"""
+_SCREEN_HEAD = """\
+def screen_kernel(inserted, deleted):
+    ki = {}
+    kd = {}
+    ge = 0
+    bp = 0
+    for src, kept in ((inserted, ki), (deleted, kd)):
+        for v, c in src.items():"""
+
 
 def generate_screen_source(
     relation_name: str,
@@ -210,34 +271,15 @@ def generate_screen_source(
     out = _Emitter()
     out.emit(f"# screen kernel: relation {quoted(relation_name)}")
     if relevance_filter._always_relevant:
-        out.emit("# condition has an empty disjunct (constant TRUE):")
-        out.emit("# every update is relevant, no screening possible")
-        out.emit("def screen_kernel(inserted, deleted):")
-        out.indent += 1
-        out.emit("return inserted, deleted, 0, 0")
+        out.text(_SCREEN_ALL)
         return out.source()
-
     screens = relevance_filter._screens
-    out.emit("def screen_kernel(inserted, deleted):")
-    out.indent += 1
+    out.text(_SCREEN_HEAD if screens else _SCREEN_NONE)
     if not screens:
-        out.emit("# every disjunct's invariant part is unsatisfiable:")
-        out.emit("# all updates screened out")
-        out.emit("return {}, {}, 0, 0")
         return out.source()
-
-    out.emit("ki = {}")
-    out.emit("kd = {}")
-    out.emit("ge = 0")
-    out.emit("bp = 0")
-    out.emit("for src, kept in ((inserted, ki), (deleted, kd)):")
-    out.indent += 1
-    out.emit("for v, c in src.items():")
-    out.indent += 1
-    base_indent = out.indent
     for screen_index, screen in enumerate(screens):
         occurrence = screen.occurrence
-        out.indent = base_indent
+        out.indent = 3
         out.emit(
             f"# screen {screen_index}: occurrence "
             f"{quoted(occurrence.name)}#{occurrence.position}"
@@ -249,19 +291,15 @@ def generate_screen_source(
         # Variant evaluable atoms: nested short-circuit so the per-atom
         # ground-eval counter matches the reference filter's early exit.
         for atom in screen.variant_evaluable:
-            expr = _atom_expr(atom, col_expr)
-            out.emit("ge += 1")
-            out.emit(f"if {expr}:")
+            out.text(f"ge += 1\nif {_atom_expr(atom, col_expr)}:")
             out.indent += 1
         out.emit("bp += 1")
         probes = _bound_probe_exprs(screen, col_expr, out)
         if probes:
-            joined = " or ".join(probes)
-            out.emit(f"if not ({joined}):")
+            out.emit(f"if not ({' or '.join(probes)}):")
             out.indent += 1
-        out.emit("kept[v] = c")
-        out.emit("continue")
-    out.indent = base_indent - 2
+        out.text("kept[v] = c\ncontinue")
+    out.indent = 1
     out.emit("return ki, kd, ge, bp")
     return out.source()
 
@@ -437,60 +475,38 @@ def generate_shape_sources(ops: "ShapeOps") -> list[str]:
     for name, first in born.items():
         for chunk in range(first + 1, read.get(name, -1) + 1):
             handed[chunk].append(name)
-    tables = sorted(
-        {(n.step.number, n.choice.value, n.table) for n in nodes if n.table}
-    )
+    tables = sorted({(n.step.number, n.choice.value, n.table) for n in nodes if n.table})
     sources = []
     for chunk in range(chunks):
         first = chunk * MAX_CODEGEN_ROWS
         span = range(first, min(first + MAX_CODEGEN_ROWS, len(rows)))
         out = _Emitter()
-        out.emit(
-            "# row kernel: shape "
-            + quoted(tuple(names[i] for i in planner.changed))
-            + f" of view over {quoted(names)}"
-        )
+        changed = quoted(tuple(names[i] for i in planner.changed))
+        out.emit(f"# row kernel: shape {changed} of view over {quoted(names)}")
         if chunks > 1:
-            out.emit(
-                f"# chunk {chunk} of {chunks}: rows {span[0]} to {span[-1]}"
-            )
+            out.emit(f"# chunk {chunk} of {chunks}: rows {span[0]} to {span[-1]}")
         for row_index in span:
-            out.emit(
-                f"# row {row_index}: {ops.describe_row(rows[row_index][0], quoted)}"
-            )
+            out.emit(f"# row {row_index}: {ops.describe_row(rows[row_index][0], quoted)}")
         if ops.finishes[0].counter_free:
-            out.emit(
-                "# counter-free: a derived view key proves multiplicity <= 1;"
-            )
+            out.emit("# counter-free: a derived view key proves multiplicity <= 1;")
             out.emit("# the apply kernel pins every counter to one")
 
-        emitted: set[int] = set()
-        for row_index in span:
-            finish = rows[row_index][1][1]
-            if finish not in emitted:
-                emitted.add(finish)
-                _emit_apply_kernel(out, ops.finishes[finish])
-                out.emit()
+        for finish in dict.fromkeys(rows[row_index][1][1] for row_index in span):
+            _emit_apply_kernel(out, ops.finishes[finish])
+            out.emit()
         if chunk == 0:
-            out.emit("def row_kernel(deltas, old, index_for):")
+            out.text("def row_kernel(deltas, old, index_for):\n    ins = {}\n    dele = {}")
             out.indent += 1
-            out.emit("ins = {}")
-            out.emit("dele = {}")
             if not ops.rows_evaluated:
-                out.emit("# a shared ground atom is false: no row can contribute")
-                out.emit("return ins, dele, 0, 0, 0, 0, 0")
+                out.text("# a shared ground atom is false: no row can contribute\n"
+                         "return ins, dele, 0, 0, 0, 0, 0")
                 return [out.source()]
-            for tally in state[2:]:
-                out.emit(f"{tally} = 0")
+            out.lines += [f"    {tally} = 0" for tally in state[2:]]
         else:
-            out.emit(
-                f"def row_kernel_{chunk}(deltas, old, index_for, "
-                f"{', '.join(handed[chunk])}):"
-            )
+            out.emit(f"def row_kernel_{chunk}(deltas, old, index_for, {', '.join(handed[chunk])}):")
             out.indent += 1
         for p in planner.changed:
-            out.emit(f"i{p} = deltas[{p}].inserted")
-            out.emit(f"d{p} = deltas[{p}].deleted")
+            out.text(f"i{p} = deltas[{p}].inserted\nd{p} = deltas[{p}].deleted")
         for _, _, table in tables:
             if born[table] == chunk:
                 out.emit(f"{table} = None")
@@ -504,41 +520,24 @@ def generate_shape_sources(ops: "ShapeOps") -> list[str]:
                 else:
                     _emit_join_node(out, node, nodes[node.parent].name)
             out.emit(f"{ops.finishes[finish].name}({nodes[final].name}, ins, dele)")
-        if chunk == 0:
-            for later in range(1, chunks):
-                out.emit(
-                    f"{', '.join(handed[later + 1])} = row_kernel_{later}("
-                    f"deltas, old, index_for, {', '.join(handed[later])})"
-                )
+        for later in range(1, chunks) if chunk == 0 else ():
+            out.emit(f"{', '.join(handed[later + 1])} = row_kernel_{later}("
+                     f"deltas, old, index_for, {', '.join(handed[later])})")
         out.emit(f"return {', '.join(handed[chunk + 1] if chunk else state)}")
         sources.append(out.source())
     return sources
 
 
 def _emit_apply_kernel(out: _Emitter, finish: "Finish") -> None:
-    key = _key_tuple_expr(finish.positions, "v")
-    out.emit(f"def {finish.name}(rows, ins, dele):")
-    out.indent += 1
-    out.emit("for v, t, c in rows:")
-    out.indent += 1
+    out.text(f"def {finish.name}(rows, ins, dele):\n    for v, t, c in rows:")
+    out.indent += 2
     if finish.condition is not None:
         expr = _condition_expr(finish.condition, _cells(finish.schema, "v"))
-        out.skip_if(f"not ({expr})")
-    out.emit(f"k = {key}")
-    out.emit("if t is T_I:")
-    out.indent += 1
-    if finish.counter_free:
-        out.emit("ins[k] = 1")
-    else:
-        out.emit("ins[k] = ins.get(k, 0) + c")
-    out.indent -= 1
-    out.emit("elif t is T_D:")
-    out.indent += 1
-    if finish.counter_free:
-        out.emit("dele[k] = 1")
-    else:
-        out.emit("dele[k] = dele.get(k, 0) + c")
-    out.indent -= 3
+        out.text(f"if not ({expr}):\n    continue")
+    ins, dele = ("1", "1") if finish.counter_free else ("ins.get(k, 0) + c", "dele.get(k, 0) + c")
+    out.text(f"k = {_key_tuple_expr(finish.positions, 'v')}\nif t is T_I:\n    ins[k] = {ins}\n"
+             f"elif t is T_D:\n    dele[k] = {dele}")
+    out.indent -= 2
 
 
 #: Per scan access: the lines opening the loop that binds ``bv, bt, bc``
@@ -585,26 +584,22 @@ def _emit_scan(out: _Emitter, node: "Node") -> int:
     ones; the caller emits the loop body, then closes the returned
     number of indent levels."""
     lines, depth = _SCANS[node.access]
-    for line in lines:
-        out.emit(line.format(p=node.step.position))
+    out.text("\n".join(lines).format(p=node.step.position))
     out.indent += depth
     _skip_unless(out, node.step.prefilter_atoms, node.step.operand_schema, "bv")
     return depth
 
 
 def _emit_root(out: _Emitter, node: "Node") -> None:
-    out.emit(f"{node.name} = []")
-    out.emit(f"{node.name}_append = {node.name}.append")
+    out.text(f"{node.name} = []\n{node.name}_append = {node.name}.append")
     depth = _emit_scan(out, node)
     out.emit(f"{node.name}_append((bv, bt, bc))")
     out.indent -= depth
 
 
 def _emit_join_node(out: _Emitter, node: "Node", parent: str) -> None:
-    out.emit(f"{node.name} = []")
-    out.emit(f"if {parent}:")
+    out.text(f"{node.name} = []\nif {parent}:\n    {node.name}_append = {node.name}.append")
     out.indent += 1
-    out.emit(f"{node.name}_append = {node.name}.append")
     if node.table is None:
         _emit_probe_loop(out, node, parent)
     else:
@@ -618,17 +613,13 @@ def _emit_probe_loop(out: _Emitter, node: "Node", parent: str) -> None:
     bulk."""
     step, p = node.step, node.step.position
     setup, count = _PROBES[node.access]
-    out.emit(f"ix = index_for[{step.number}]")
-    out.emit(setup.format(p=p))
-    out.emit(f"jp += len({parent})")
-    out.emit(f"ip += len({parent})")
-    out.emit(f"for av, at, ac in {parent}:")
-    out.indent += 1
-    out.emit(f"k = {_probe_key_expr(step)}")
-    out.emit("for bv in ix(k, NO_ROWS):")
-    out.indent += 1
-    for line in count:
-        out.emit(line.format(p=p))
+    out.text(
+        f"ix = index_for[{step.number}]\n{setup.format(p=p)}\njp += len({parent})\n"
+        f"ip += len({parent})\nfor av, at, ac in {parent}:\n    k = {_probe_key_expr(step)}\n"
+        "    for bv in ix(k, NO_ROWS):"
+    )
+    out.indent += 2
+    out.text("\n".join(count).format(p=p))
     _skip_unless(out, step.prefilter_atoms, step.operand_schema, "bv")
     _emit_combine_emit(out, node.name, step, probed=True)
     out.indent -= 2
@@ -636,33 +627,34 @@ def _emit_probe_loop(out: _Emitter, node: "Node", parent: str) -> None:
 
 def _emit_hash_join(out: _Emitter, node: "Node", parent: str) -> None:
     step, table = node.step, node.table
-    out.emit(f"if {table} is None:")
+    out.text(f"if {table} is None:\n    {table} = {{}}")
     out.indent += 1
-    out.emit(f"{table} = {{}}")
     depth = _emit_scan(out, node)
-    out.emit(f"bk = {_key_tuple_expr(step.operand_key_positions, 'bv')}")
-    out.emit(f"bucket = {table}.get(bk)")
-    out.emit("if bucket is None:")
-    out.indent += 1
-    out.emit(f"{table}[bk] = [(bv, bt, bc)]")
-    out.indent -= 1
-    out.emit("else:")
-    out.indent += 1
-    out.emit("bucket.append((bv, bt, bc))")
-    out.indent -= 1
-    out.indent -= depth
-    out.indent -= 1
-    out.emit(f"for av, at, ac in {parent}:")
-    out.indent += 1
-    out.emit("jp += 1")
-    out.emit(f"k = {_probe_key_expr(step)}")
-    out.emit(f"bucket = {table}.get(k)")
-    out.emit("if bucket is not None:")
-    out.indent += 1
-    out.emit("for bv, bt, bc in bucket:")
-    out.indent += 1
+    out.text(
+        f"bk = {_key_tuple_expr(step.operand_key_positions, 'bv')}\nbucket = {table}.get(bk)\n"
+        f"if bucket is None:\n    {table}[bk] = [(bv, bt, bc)]\nelse:\n    bucket.append((bv, bt, bc))"
+    )
+    out.indent -= depth + 1
+    out.text(
+        f"for av, at, ac in {parent}:\n    jp += 1\n    k = {_probe_key_expr(step)}\n"
+        f"    bucket = {table}.get(k)\n    if bucket is not None:\n        for bv, bt, bc in bucket:"
+    )
+    out.indent += 3
     _emit_combine_emit(out, node.name, step, probed=False)
     out.indent -= 3
+
+
+#: The tag algebra of a hashed operand, which may be a DELTA operand.
+_TAGS = """\
+if at is T_O:
+    t = bt
+elif bt is T_O:
+    t = at
+elif at is bt:
+    t = at
+else:
+    ti += 1
+    continue"""
 
 
 def _emit_combine_emit(
@@ -670,23 +662,10 @@ def _emit_combine_emit(
 ) -> None:
     """Tag algebra + postfilter + emit, shared by both join paths.  A
     ``probed`` operand is OLD by construction, so the joined row keeps
-    the parent's tag; a hashed one may be a DELTA operand."""
-    if probed:
-        out.emit("t = at")
-    else:
-        out.emit("if at is T_O:")
-        out.emit("    t = bt")
-        out.emit("elif bt is T_O:")
-        out.emit("    t = at")
-        out.emit("elif at is bt:")
-        out.emit("    t = at")
-        out.emit("else:")
-        out.emit("    ti += 1")
-        out.emit("    continue")
-    out.emit("rv = av + bv")
+    the parent's tag."""
+    out.text("t = at\nrv = av + bv" if probed else _TAGS + "\nrv = av + bv")
     _skip_unless(out, step.postfilter_atoms, step.acc_schema, "rv")
-    out.emit("te += 1")
-    out.emit(f"{node}_append((rv, t, ac * bc))")
+    out.text(f"te += 1\n{node}_append((rv, t, ac * bc))")
 
 
 def _probe_key_expr(step) -> str:
@@ -752,131 +731,109 @@ def generate_aggregate_source(
         (i, func, p) for i, (func, p) in enumerate(slots) if func in ("min", "max")
     ]
     key = _key_tuple_expr(positions, "v")
-
+    grow = shrink = ""
+    for i, (func, p) in enumerate(slots):
+        if func in ("count", "sum"):
+            slot, change = (0, "c") if func == "count" else (i, f"v[{p}] * c")
+            grow += f"            a[{slot}] += {change}\n"
+            shrink += f"        a[{slot}] -= {change}\n"
+        else:
+            grow += f"            if v[{p}] {'<' if func == 'min' else '>'} a[{i}]:\n"
+            grow += f"                a[{i}] = v[{p}]\n"
+    carried = rescan = ""
+    if extrema:
+        # The extremum-exhaustion branch: the only place a bag is
+        # iterated.  A stale group that went on to vanish (a[0] == 0)
+        # has no bag left to scan.
+        carried = " or ".join(f"v[{p}] == a[{i}]" for i, _, p in extrema)
+        carried = f"            elif {carried}:\n                stale[k] = a\n"
+        rescan = "".join(
+            f"            a[{i}] = {func}(v[{p}] for v in bag)\n" for i, func, p in extrema
+        )
+        rescan = _RESCAN + rescan
     out = _Emitter()
     out.emit(f"# aggregate kernel: {quoted(str(spec))}")
     out.emit(f"# core row layout: {quoted(tuple(core_schema.names))}")
     out.emit(f"# accumulators per group: {quoted([f for f, _ in slots])}")
     out.emit()
-    out.emit("def fold_kernel(groups, accs, ins, dele):")
-    out.indent += 1
-    out.emit("for v, c in dele.items():")
-    out.indent += 1
-    out.emit(f"bag = groups.get({key})")
-    out.emit("if bag is None or bag.get(v, 0) < c:")
-    out.emit("    return {}, {}, 0, 0, v")
-    out.indent -= 1
-    # A group's before-row is rendered the first time a delta row
-    # reaches it, ahead of that row's own update: inserts run first, so
-    # ``before`` keeps the reference fold's touched order.
-    out.emit("before = {}")
-    out.emit("for v, c in ins.items():")
-    out.indent += 1
-    out.emit(f"k = {key}")
-    out.emit("a = accs.get(k)")
-    out.emit("if k not in before:")
-    out.emit(f"    before[k] = None if a is None else {row}")
-    out.emit("if a is None:")
-    out.indent += 1
-    out.emit("groups[k] = {v: c}")
     fresh = ", ".join(
         "c" if func == "count" else f"v[{p}] * c" if func == "sum" else f"v[{p}]"
         for func, p in slots
     )
-    out.emit(f"accs[k] = [{fresh}]")
-    out.indent -= 1
-    out.emit("else:")
-    out.indent += 1
-    out.emit("bag = groups[k]")
-    out.emit("bag[v] = bag.get(v, 0) + c")
-    for i, (func, p) in enumerate(slots):
-        if func == "count":
-            out.emit("a[0] += c")
-        elif func == "sum":
-            out.emit(f"a[{i}] += v[{p}] * c")
-        else:
-            out.emit(f"if v[{p}] {'<' if func == 'min' else '>'} a[{i}]:")
-            out.emit(f"    a[{i}] = v[{p}]")
-    out.indent -= 2
-    if extrema:
-        out.emit("stale = {}")
-    out.emit("for v, c in dele.items():")
-    out.indent += 1
-    out.emit(f"k = {key}")
-    out.emit("bag = groups[k]")
-    out.emit("a = accs[k]")
-    out.emit("if k not in before:")
-    out.emit(f"    before[k] = {row}")
-    for i, (func, p) in enumerate(slots):
-        if func == "count":
-            out.emit("a[0] -= c")
-        elif func == "sum":
-            out.emit(f"a[{i}] -= v[{p}] * c")
-    out.emit("n = bag[v] - c")
-    out.emit("if n:")
-    out.indent += 1
-    out.emit("bag[v] = n")
-    out.indent -= 1
-    out.emit("else:")
-    out.indent += 1
-    out.emit("del bag[v]")
-    out.emit("if not bag:")
-    out.indent += 1
-    out.emit("del groups[k]")
-    out.emit("del accs[k]")
-    out.indent -= 1
-    if extrema:
-        carried = " or ".join(f"v[{p}] == a[{i}]" for i, _, p in extrema)
-        out.emit(f"elif {carried}:")
-        out.emit("    stale[k] = a")
-    out.indent -= 2
-    if extrema:
-        # The extremum-exhaustion branch: the only place a bag is
-        # iterated.  A stale group that went on to vanish (a[0] == 0)
-        # has no bag left to scan.
-        out.emit("rescanned = 0")
-        out.emit("for k, a in stale.items():")
-        out.indent += 1
-        out.emit("if a[0]:")
-        out.indent += 1
-        out.emit("bag = groups[k]")
-        out.emit("rescanned += len(bag)")
-        for i, func, p in extrema:
-            out.emit(f"a[{i}] = {func}(v[{p}] for v in bag)")
-        out.indent -= 2
-    out.emit("inserted = {}")
-    out.emit("deleted = {}")
-    out.emit("for k, old in before.items():")
-    out.indent += 1
-    out.emit("a = accs.get(k)")
-    out.emit(f"new = None if a is None else {row}")
-    out.emit("if old != new:")
-    out.indent += 1
-    out.emit("if old is not None:")
-    out.emit("    deleted[old] = 1")
-    out.emit("if new is not None:")
-    out.emit("    inserted[new] = 1")
-    out.indent -= 2
-    out.emit(
-        "return inserted, deleted, len(before), "
-        f"{'rescanned' if extrema else '0'}, None"
-    )
+    out.text(_FOLD_KERNEL.format(
+        key=key, row=row, fresh=fresh, grow=grow, shrink=shrink,
+        stale="    stale = {}\n" * bool(extrema), carried=carried, rescan=rescan,
+        rescanned="rescanned" if extrema else "0",
+    ))
     return out.source()
+
+
+# A group's before-row is rendered the first time a delta row reaches
+# it, ahead of that row's own update: inserts run first, so ``before``
+# keeps the reference fold's touched order.
+_FOLD_KERNEL = """\
+def fold_kernel(groups, accs, ins, dele):
+    for v, c in dele.items():
+        bag = groups.get({key})
+        if bag is None or bag.get(v, 0) < c:
+            return {{}}, {{}}, 0, 0, v
+    before = {{}}
+    for v, c in ins.items():
+        k = {key}
+        a = accs.get(k)
+        if k not in before:
+            before[k] = None if a is None else {row}
+        if a is None:
+            groups[k] = {{v: c}}
+            accs[k] = [{fresh}]
+        else:
+            bag = groups[k]
+            bag[v] = bag.get(v, 0) + c
+{grow}{stale}    for v, c in dele.items():
+        k = {key}
+        bag = groups[k]
+        a = accs[k]
+        if k not in before:
+            before[k] = {row}
+{shrink}        n = bag[v] - c
+        if n:
+            bag[v] = n
+        else:
+            del bag[v]
+            if not bag:
+                del groups[k]
+                del accs[k]
+{carried}{rescan}    inserted = {{}}
+    deleted = {{}}
+    for k, old in before.items():
+        a = accs.get(k)
+        new = None if a is None else {row}
+        if old != new:
+            if old is not None:
+                deleted[old] = 1
+            if new is not None:
+                inserted[new] = 1
+    return inserted, deleted, len(before), {rescanned}, None
+"""
+_RESCAN = """\
+    rescanned = 0
+    for k, a in stale.items():
+        if a[0]:
+            bag = groups[k]
+            rescanned += len(bag)
+"""
 
 
 # ----------------------------------------------------------------------
 # Compilation
 # ----------------------------------------------------------------------
 
-#: Constants available to every generated kernel.  This is the entire
-#: ambient namespace — generated source may not reach anything else,
-#: which is what keeps kernels deterministic and side-effect-free.
+#: Constants available to every generated kernel (and, with
+#: :data:`_TRIGGER_GLOBALS`, trigger).  This is the entire ambient
+#: namespace — generated source may not reach anything else, which is
+#: what keeps it deterministic.
 _KERNEL_GLOBALS = {
-    "__builtins__": {
-        "len": len,
-        "min": min,
-        "max": max,
-    },
+    "__builtins__": {"len": len, "min": min, "max": max},
     "T_O": Tag.OLD,
     "T_I": Tag.INSERT,
     "T_D": Tag.DELETE,
@@ -905,8 +862,10 @@ def program_key(source: str) -> str:
 
     Line numbers do not move.  User-chosen names reach generated text
     only inside comments (through :func:`quoted`, which escapes
-    newlines) and generated code has no string literals, so every ``#``
-    opens a comment and two sources with one key are one program.
+    newlines), and the only string literals in generated code are the
+    counter names of :data:`TRIGGER_ROW_COUNTS` and
+    :data:`TRIGGER_CHARGES`, which hold no ``#``: every ``#`` opens a
+    comment, and two sources with one key are one program.
     """
     return _COMMENT.sub("#", source)
 
@@ -915,6 +874,16 @@ def program_key(source: str) -> str:
 def _program(key: str) -> CodeType:
     """The module code of one comment-free program (compiled once)."""
     return compile(key, "<codegen>", "exec")
+
+
+def _load(source: str, filename: str) -> CodeType:
+    """The module code of ``source``'s program (:func:`_program`)."""
+    try:
+        return _program(program_key(source))
+    except SyntaxError as exc:  # pragma: no cover - generator bug
+        raise MaintenanceError(
+            f"generated kernel {filename} failed to compile: {exc}\n{source}"
+        ) from exc
 
 
 def _renamed(code: CodeType, filename: str) -> CodeType:
@@ -942,12 +911,7 @@ def compile_kernel(
     """
     namespace: dict = dict(_KERNEL_GLOBALS)
     for chunk in [source] if isinstance(source, str) else source:
-        try:
-            code = _renamed(_program(program_key(chunk)), filename)
-        except SyntaxError as exc:  # pragma: no cover - generator bug
-            raise MaintenanceError(
-                f"generated kernel {filename} failed to compile: {exc}\n{chunk}"
-            ) from exc
+        code = _renamed(_load(chunk, filename), filename)
         exec(code, namespace)  # noqa: S102 - the codegen seam
     kernel = namespace.get(name)
     if kernel is None:  # pragma: no cover - generator bug
@@ -965,3 +929,275 @@ def compile_shape_kernels(ops: "ShapeOps", view_name: str) -> RowKernel:
         "row_kernel",
         f"<codegen:{view_name}:shape{shape_tag}>",
     )
+
+
+# ----------------------------------------------------------------------
+# Trigger programs (Algorithm 5.1 over every view one commit reaches)
+# ----------------------------------------------------------------------
+
+#: Every counter the templates below count: into a view's row ``c`` ...
+TRIGGER_ROW_COUNTS = (
+    "transactions_seen", "plan_cache_hits", "plan_cache_misses", "tuples_screened",
+    "tuples_irrelevant", "tuples_static_dropped", "static_tuples_dropped",
+    "fk_probe_tuples_dropped", "transactions_skipped", "codegen_plans_compiled",
+    "codegen_batch_rows", "view_tuples_inserted", "view_tuples_deleted", "deltas_applied",
+)
+#: ... or for an active recorder alone, through ``tally``.
+TRIGGER_CHARGES = (
+    "filter_tuples_checked", "filter_ground_evals", "filter_bound_probes",
+    "differential_updates", "truth_table_rows", "delta_rows_evaluated",
+    "subexpression_memo_hits", "tuples_scanned", "join_probes", "index_probes",
+    "tuples_emitted", "tuples_ignored", "aggregate_rows_folded",
+    "aggregate_groups_touched", "aggregate_support_rescanned",
+)
+
+# One template per stage; a line ``@ name=amount, ...`` counts.
+# Section 4: ``dest`` is what of delta ``src`` can affect the view, or
+# None; a delta the screen took nothing from goes on as it came.
+_SCREEN = """\
+ai = {src}.inserted
+ad = {src}.deleted
+n = len(ai) + len(ad)
+@ tuples_screened=n
+ki, kd, ge, bp = {kernel}(ai, ad)
+kept = len(ki) + len(kd)
+@ tuples_irrelevant=n - kept, codegen_batch_rows=n, filter_tuples_checked=n
+@ filter_ground_evals=ge, filter_bound_probes=bp
+{dest} = None if not kept else {src} if kept == n else ADOPT({src}.schema, ki, kd)
+"""
+# A delta a compile-time proof drops unscreened: static irrelevance, or
+# an FK reduction's probe side.
+_DROP = """\
+n = len({src}.inserted) + len({src}.deleted)
+@ tuples_screened=n, tuples_irrelevant=n, tuples_static_dropped=n, {drop}=n
+"""
+# Section 5: a shape's row kernel over a screened delta per occurrence.
+_ROWS = """\
+ins, dele, ts, jp, te, ti, ip = {shape}[2]({operands}, {old}, {shape}[3])
+rows = {shape}[1].rows_evaluated
+@ codegen_batch_rows=rows, differential_updates=1, truth_table_rows=rows, delta_rows_evaluated=rows
+@ subexpression_memo_hits={shape}[1].memo_hits, tuples_scanned=ts, join_probes=jp
+@ index_probes=ip, tuples_emitted=te, tuples_ignored=ti
+if ins and dele:
+    NET(ins, dele)
+"""
+# An aggregate view's fold; an underflow changed, touched and rescanned
+# nothing.
+_FOLD = """\
+rows = len(ins) + len(dele)
+ins, dele, touched, rescanned, bad = {fold}({state}.groups, {state}.accumulators, ins, dele)
+@ codegen_batch_rows=rows, aggregate_rows_folded=rows
+@ aggregate_groups_touched=touched, aggregate_support_rescanned=rescanned
+if bad is not None:
+    raise UNDERFLOW({view_name}, bad)
+"""
+# The shape's entry, compiled on first survival.
+_SHAPE = """\
+sh = SH{i}.get({key})
+if sh is None:
+    t = []
+    sh = CS{i}({key}, t)
+    @ codegen_plans_compiled=len(t)
+"""
+# All or nothing: ``apply_counts`` checks every count first.
+_APPLY = """\
+d{i} = ADOPT(S{i}, ins, dele) if ins or dele else None
+@ view_tuples_inserted=len(ins), view_tuples_deleted=len(dele)
+if d{i} is not None:
+    APPLY(R{i}, ins, dele)
+    V{i}.updates_applied += 1
+@ deltas_applied=1
+"""
+# Subscribe and unsubscribe replace the list: a callback may do either.
+_DELIVER = """\
+if d{i} is not None:
+    for f in E{i}.subscribers:
+        f(V{i}, d{i})
+"""
+# A deferred view reached by a commit composes its backlog.
+_COMPOSE = """\
+x = E{i}.pending.get(N{i}_{j})
+x = {src} if x is None else x.compose({src})
+if x.is_empty():
+    E{i}.pending.pop(N{i}_{j}, None)
+else:
+    E{i}.pending[N{i}_{j}] = x
+"""
+
+
+def _underflow(view_name: str, row: ValueTuple) -> MaintenanceError:
+    return MaintenanceError(
+        f"aggregate maintenance for view {view_name!r} would delete more "
+        f"copies of core row {row} than the group support holds"
+    )
+
+
+#: A trigger also builds, applies and nets view deltas.
+_TRIGGER_GLOBALS = dict(
+    _KERNEL_GLOBALS, ADOPT=Delta.adopt, APPLY=apply_counts, NET=net_counts, UNDERFLOW=_underflow
+)
+
+
+def _emit_view(
+    out: _Emitter, i: int, entry: Any, operands: list[tuple[str, str, bool]],
+    refreshing: bool, verify: bool,
+) -> dict[str, Any]:
+    """One maintained view's stages; its view delta is left in ``d{i}``
+    (None when nothing changed).  Returns the names the text reads."""
+    plan, view = entry.plan, entry.view
+    bound = {f"E{i}": entry, f"V{i}": view, f"C{i}": entry.row.counters,
+             f"S{i}": view.contents.schema, f"R{i}": view.contents, f"SH{i}": plan._shapes,
+             f"CS{i}": plan._compile_shape, f"OLD{i}": plan._old_counts}
+    # A miss is counted once: a trigger that counts one is not kept.
+    out.block("c = C{0}\n" + "E{0}.missed = False\n" * entry.missed
+              + "@ transactions_seen=1, plan_cache_{1}=1", i, "misses" if entry.missed else "hits")
+    live: list[tuple[int, str]] = []
+    for j, (name, src, dynamic) in enumerate(operands):
+        kernel = plan._screen_kernels[name][1]
+        if dynamic:
+            out.emit(f"if {src} is not None:")
+        out.indent += dynamic
+        out.block(_SCREEN if kernel else _DROP, src=src, dest=f"x{j}", kernel=f"Q{i}_{j}", drop=(
+            "static_tuples_dropped" if name in plan.static_irrelevant else "fk_probe_tuples_dropped"))
+        out.indent -= dynamic
+        if kernel:
+            bound[f"Q{i}_{j}"] = kernel
+            live.append((j, name))
+            out.block("else:\n    x{0} = None" * dynamic, j)
+    # Applied: a raise from here on leaves no backlog to apply twice.
+    settle = "V{i}.last_refresh_sequence = seq\n" + (
+        "E{i}.pending = {{}}\nE{i}.commits_since_refresh = 0\n" * refreshing)
+    if live:
+        out.emit(f"if {' and '.join(f'x{j} is None' for j, _ in live)}:")
+    out.indent += bool(live)
+    out.block("@ transactions_skipped=1\n" + settle + "d{i} = None", i=i)
+    if not live:
+        return bound
+    out.emit("else:", -1)
+    key = "k" if len(live) > 1 else f"K{i}"
+    if key != "k":
+        bound[key] = (live[0][1],)
+    out.block("k = ()" * (key == "k"))
+    for j, name in live if key == "k" else ():
+        bound[f"N{i}_{j}"] = name
+        out.block("if x{1} is not None:\n    k += (N{0}_{1},)", i, j)
+    slot = {name: f"x{j}" for j, name in live}
+    positions = ", ".join(slot.get(name, "None") for name in plan._occurrence_names)
+    out.block(_SHAPE + _ROWS, i=i, key=key, shape="sh", operands=f"[{positions}]", old=f"OLD{i}")
+    if plan._aggregate_kernel is not None:
+        bound[f"F{i}"] = plan._aggregate_kernel[1]
+        out.block(_FOLD, fold=f"F{i}", state=f"V{i}.aggregate_state", view_name=f"V{i}.definition.name")
+    out.block(_APPLY + settle + f"VERIFY(V{i})\n" * verify + _DELIVER, i=i)
+    out.indent -= 1
+    return bound
+
+
+def generate_trigger_source(
+    views: Sequence[tuple[Any, bool]], arrived: Sequence[str],
+    refreshing: bool, recording: bool, verify: bool,
+) -> tuple[str, dict[str, Any]]:
+    """The trigger program of one set of changed relations, and the
+    names its text reads — bound in the namespace, never written into
+    the text but in comments, so triggers over relations of one shape
+    are one program.  ``views`` are the maintainer's records of the
+    views the deltas of ``arrived`` reach, in ordinal order, each with
+    True for a deferred view a commit only backlogs; ``refreshing`` when
+    the one view is a deferred view refreshed from its backlog.
+    ``trigger(arrived, recorder)`` runs each view's stages in order,
+    hands a view delta on to what is stacked on it as a local, and
+    passes over a view none of whose operands changed.  With
+    ``recording`` every count also joins one ``tally``, landed on
+    ``recorder`` once, raise or not; ``verify`` re-derives each view it
+    changed (``auto_verify``)."""
+    names = sorted(arrived)
+    out = _Emitter("counts" if recording else None)
+    bound: dict[str, Any] = {f"A{k}": name for k, name in enumerate(names)}
+    out.emit(f"# trigger: {len(views)} view(s) reached from {quoted(names)}"
+             + " (refresh)" * refreshing)
+    out.emit("def trigger(arrived, recorder):")
+    out.lines += [f"    a{k} = arrived[A{k}]" for k in range(len(names))]
+    out.block("    seq = LAST_SEQUENCE()" * any(not compose for _, compose in views)
+              + "\n    tally = []\n    try:" * recording)
+    out.indent = 1 + recording
+    if not views:
+        out.emit("pass")
+    # Operand name -> the local holding its delta, and whether that may
+    # be None at run time (a view delta).
+    sources = {name: (f"a{k}", False) for k, name in enumerate(names)}
+    for i, (entry, compose) in enumerate(views):
+        operands = [(dep, *sources[dep]) for dep in sorted(entry.dependencies) if dep in sources]
+        out.emit(f"# view {i}: {quoted(entry.view.definition.name)}")
+        # Reached, but maybe no operand changed.
+        guarded = all(dynamic for _, _, dynamic in operands)
+        if guarded:
+            out.block("d{0} = None\nif {1}:", i, " or ".join(f"{src} is not None" for _, src, _ in operands))
+            operands = [(name, src, len(operands) > 1) for name, src, _ in operands]
+        out.indent += guarded
+        if not compose:
+            bound.update(_emit_view(out, i, entry, operands, refreshing, verify))
+            sources[entry.view.definition.name] = (f"d{i}", True)
+        else:
+            bound[f"E{i}"] = entry
+            out.emit(f"E{i}.commits_since_refresh += 1")
+            for j, (name, src, dynamic) in enumerate(operands):
+                bound[f"N{i}_{j}"] = name
+                out.block(f"if {src} is not None:" * dynamic)
+                out.indent += dynamic
+                out.block(_COMPOSE, i=i, j=j, src=src)
+                out.indent -= dynamic
+        out.indent -= guarded
+    out.indent = 1
+    out.block("finally:\n    if tally:\n        recorder.land(tally)" * recording)
+    return out.source(), bound
+
+
+Trigger = Callable[[Mapping[str, Any], Any], None]
+
+
+def compile_trigger(
+    views: Sequence[tuple[Any, bool]], arrived: Sequence[str], refreshing: bool,
+    recording: bool, verify: Callable[[Any], object] | None, last_sequence: Callable[[], int],
+) -> Trigger:
+    """The program of :func:`generate_trigger_source`, compiled once per
+    distinct program and bound to its names, to ``last_sequence`` (what
+    a maintained view is stamped with) and to ``verify``."""
+    source, bound = generate_trigger_source(
+        views, arrived, refreshing, recording, verify is not None
+    )
+    namespace: dict = dict(_TRIGGER_GLOBALS, LAST_SEQUENCE=last_sequence, VERIFY=verify, **bound)
+    exec(_load(source, "<codegen:trigger>"), namespace)  # noqa: S102 - the codegen seam
+    return namespace["trigger"]
+
+
+#: Per stage: its template, its parameters after ``c, tally``, its result.
+_STAGES = {
+    "screen": (_SCREEN, "a, kernel", "x"),
+    "drop": (_DROP, "a, kernel", "None"),
+    "rows": (_ROWS, "sh, operands, old", "ins, dele"),
+    "fold": (_FOLD, "fold, st, view_name, ins, dele", "ins, dele"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _stage(kind: str, recording: bool, drop: str) -> Callable:
+    template, parameters, result = _STAGES["drop" if drop else kind]
+    out = _Emitter("charges" if recording else None)
+    out.block(f"def stage(c, tally, {parameters}):\n" + "\n".join(
+        "    " + line for line in (template + f"return {result}").splitlines()
+    ), src="a", dest="x", kernel="kernel", drop=drop, shape="sh", operands="operands",
+        old="old", fold="fold", state="st", view_name="view_name")
+    namespace: dict = dict(_TRIGGER_GLOBALS)
+    exec(_load(out.source(), f"<codegen:stage:{kind}>"), namespace)  # noqa: S102 - the codegen seam
+    return namespace["stage"]
+
+
+def stage(kind: str, counted: Tally, charged: Tally | None, *args: Any, drop: str = "") -> Any:
+    """Run one stage of a trigger — ``"screen"`` (``drop`` names the
+    counter of a delta a proof drops), ``"rows"`` or ``"fold"`` — as a
+    function of its own, emitted from the same template: what the plan's
+    stage methods run.  Row counts join ``counted``; the charges only an
+    active recorder receives join ``charged`` (None: none is active)."""
+    counters: defaultdict[str, int] = defaultdict(int)
+    result = _stage(kind, charged is not None, drop)(counters, charged, *args)
+    counted += counters.items()
+    return result

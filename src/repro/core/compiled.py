@@ -29,7 +29,6 @@ same plan against a replica produces byte-for-byte the leader's result.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from types import MappingProxyType
 from typing import TYPE_CHECKING, AbstractSet, Callable, Iterable, Mapping, cast
 
@@ -53,13 +52,12 @@ from repro.core.codegen import (
     generate_screen_source,
     generate_shape_sources,
     quoted,
+    stage,
 )
-from repro.core.counting import net_counts
 from repro.core.irrelevance import RelevanceFilter, is_statically_irrelevant
 from repro.core.planner import ProbeTarget, RowPlanner, ShapeOps
 from repro.core.truthtable import count_delta_rows
 from repro.core.views import ViewDefinition
-from repro.errors import MaintenanceError
 from repro.instrumentation import CostRecorder, Tally
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -97,120 +95,6 @@ class _Lookups(dict[int, Lookup]):
 
 
 _Shape = tuple[tuple[int, ...], ShapeOps, RowKernel, _Lookups]
-
-
-def run_screen(
-    kernel: ScreenKernel | None, static: bool, delta: Delta,
-    counters: dict[str, int], charged: Tally | None,
-) -> Delta | None:
-    """What of one relation's delta can affect the view, if any; ``kernel``
-    is None where a compile-time proof drops the delta unscreened (static
-    irrelevance when ``static``, else an FK reduction's probe side).
-
-    The stages — this one, :func:`run_rows`, :func:`run_fold` — add what
-    they count to ``counters`` in place and append what only an active
-    recorder receives to ``charged`` (``None`` when none is active).
-    """
-    inserted, deleted = delta.inserted, delta.deleted
-    n = len(inserted) + len(deleted)
-    counters["tuples_screened"] += n
-    if kernel is None:
-        counters["tuples_irrelevant"] += n
-        counters["tuples_static_dropped"] += n
-        if static:
-            counters["static_tuples_dropped"] += n
-        else:
-            counters["fk_probe_tuples_dropped"] += n
-        return None
-    # The generated kernel decides what RelevanceFilter.is_relevant
-    # decides, tuple by tuple, and returns its per-tuple ground-eval
-    # and bound-probe tallies so they are charged in bulk here.
-    ins, dele, ground_evals, bound_probes = kernel(inserted, deleted)
-    kept = len(ins) + len(dele)
-    counters["tuples_irrelevant"] += n - kept
-    counters["codegen_batch_rows"] += n
-    if charged is not None:
-        charged += (
-            ("filter_tuples_checked", n),
-            ("filter_ground_evals", ground_evals),
-            ("filter_bound_probes", bound_probes),
-        )
-    if not kept:
-        return None
-    if kept == n:  # nothing screened out: the input goes on
-        return delta
-    return Delta.adopt(delta.schema, ins, dele)
-
-
-def run_rows(
-    shape: _Shape, operands: list[Delta | None],
-    old_counts: Callable[[int], Mapping[ValueTuple, int]],
-    counters: dict[str, int], charged: Tally | None,
-) -> tuple[CountMap, CountMap]:
-    """The view's netted insert and delete count maps — fresh dicts — from
-    one shape's row kernel over a screened delta per occurrence (None for
-    one that did not change), its Section 5 work counted in bulk."""
-    _, ops, row_kernel, lookups = shape
-    ins, dele, scanned, probes, emitted, ignored, looked_up = row_kernel(
-        operands, old_counts, lookups
-    )
-    rows = ops.rows_evaluated
-    counters["codegen_batch_rows"] += rows
-    if charged is not None:
-        charged += (
-            ("differential_updates", 1),
-            ("truth_table_rows", rows),
-            ("delta_rows_evaluated", rows),
-            ("subexpression_memo_hits", ops.memo_hits),
-            ("tuples_scanned", scanned),
-            ("join_probes", probes),
-            ("index_probes", looked_up),
-            ("tuples_emitted", emitted),
-            ("tuples_ignored", ignored),
-        )
-    if ins and dele:
-        net_counts(ins, dele)
-    return ins, dele
-
-
-def run_fold(
-    fold: AggregateKernel, state: "AggregateState", view_name: str,
-    inserted: CountMap, deleted: CountMap,
-    counters: dict[str, int], charged: Tally | None,
-) -> tuple[CountMap, CountMap]:
-    """Fold one core delta's count maps into an aggregate view's support
-    state; the visible delta's count maps out.
-
-    The final stage of aggregate maintenance: the Section 5 pipeline
-    produced the core delta over the view's SPJ core, and the generated
-    fold kernel applies it to the per-group support bags and
-    accumulators, re-rendering every touched group from the
-    accumulators (the reference
-    :meth:`~repro.core.aggregates.AggregateState.fold` renders the same
-    rows from the bags).  A group whose visible row changes contributes
-    a delete of the old row and an insert of the new one (a keyed
-    upsert, from the changefeed's point of view); a group that appears
-    or disappears contributes just the insert or delete.  An
-    underflowing delete raises with the state untouched.
-    """
-    rows = len(inserted) + len(deleted)
-    inserted, deleted, touched, rescanned, bad = fold(
-        state.groups, state.accumulators, inserted, deleted
-    )
-    counters["codegen_batch_rows"] += rows
-    if charged is not None:
-        # An underflow touched and rescanned nothing.
-        charged += (
-            ("aggregate_rows_folded", rows),
-            ("aggregate_groups_touched", touched),
-            ("aggregate_support_rescanned", rescanned),
-        )
-    if bad is not None:
-        raise MaintenanceError(
-            f"aggregate maintenance for view {view_name!r} would delete more "
-            f"copies of core row {bad} than the group support holds"
-        )
-    return inserted, deleted
 
 
 class CompiledViewPlan:
@@ -390,23 +274,19 @@ class CompiledViewPlan:
         counted: Tally,
         charged: Tally | None,
     ) -> Delta | None:
-        """What of one relation's delta can affect the view, if any.
+        """What of one relation's delta can affect the view, if any (a
+        foreign ``relation_name`` raises :class:`KeyError`).
 
-        ``relation_name`` must be one the view reads: a foreign name
-        raises :class:`KeyError`.  This method, :meth:`compute_delta`
-        and :meth:`fold_aggregate` run the stages commits run
-        (:func:`run_screen`, …) for a caller that tallies: they append
-        ``(metric, amount)`` pairs to ``counted`` (always-on) or
-        ``charged`` (active recorder only; ``None`` when none is
-        active), which the caller settles once
-        (:meth:`~repro.instrumentation.CostRecorder.settle`).
+        This method, :meth:`compute_delta` and :meth:`fold_aggregate`
+        run a trigger's stages (:func:`~repro.core.codegen.stage`) for a
+        caller that tallies: ``(metric, amount)`` pairs join ``counted``
+        (always-on) or ``charged`` (active recorder only; ``None`` when
+        none is active), which the caller settles once.
         """
         kernel = self._screen_kernels[relation_name][1]
         static = relation_name in self._static_irrelevant
-        counters: defaultdict[str, int] = defaultdict(int)
-        screened = run_screen(kernel, static, delta, counters, charged)
-        counted += counters.items()
-        return screened
+        drop = "" if kernel else "static_tuples_dropped" if static else "fk_probe_tuples_dropped"
+        return stage("screen", counted, charged, delta, kernel, drop=drop)
 
     @property
     def static_irrelevant(self) -> frozenset[str]:
@@ -477,15 +357,11 @@ class CompiledViewPlan:
     ) -> tuple[CountMap, CountMap]:
         """The view's netted insert and delete count maps — fresh
         dicts — for one transaction's screened deltas, none empty: the
-        shape's row kernel, compiled on first use, run by
-        :func:`run_rows`."""
+        shape's row kernel, compiled on first use."""
         names = tuple(deltas)
         shape = self._shapes.get(names) or self._compile_shape(names, counted)
         operands = list(map(deltas.get, self._occurrence_names))
-        counters: defaultdict[str, int] = defaultdict(int)
-        rows = run_rows(shape, operands, self._old_counts, counters, charged)
-        counted += counters.items()
-        return rows
+        return stage("rows", counted, charged, shape, operands, self._old_counts)
 
     def fold_aggregate(
         self,
@@ -496,13 +372,12 @@ class CompiledViewPlan:
         charged: Tally | None,
     ) -> tuple[CountMap, CountMap]:
         """Fold one core delta's count maps into the support state;
-        the visible delta's count maps out (:func:`run_fold`)."""
+        the visible delta's count maps out (a changed group's old row
+        out and new row in).  An underflowing delete raises with the
+        state untouched."""
         assert self._aggregate_kernel is not None, "not an aggregate view"
         fold, name = self._aggregate_kernel[1], self.definition.name
-        counters: defaultdict[str, int] = defaultdict(int)
-        rows = run_fold(fold, state, name, inserted, deleted, counters, charged)
-        counted += counters.items()
-        return rows
+        return stage("fold", counted, charged, fold, state, name, inserted, deleted)
 
     # ------------------------------------------------------------------
     # Complete evaluation

@@ -77,10 +77,6 @@ class ConstraintGraph:
             graph.add_atom(atom)
         return graph
 
-    def add_node(self, node: str) -> None:
-        """Ensure ``node`` exists (isolated nodes are fine)."""
-        self._nodes.add(node)
-
     def add_edge(self, origin: str, destination: str, weight: int) -> None:
         """Add ``origin − destination ≤ weight``, keeping the tightest."""
         self._nodes.add(origin)

@@ -23,11 +23,11 @@ drop, a declared constraint or key) could stale them; the next
 maintenance call recompiles.  Every consumer of the maintainer —
 immediate commits, deferred ``refresh``, WAL-replay recovery,
 changefeed followers, the network view-server — therefore runs the
-same cached plan, and there is one pipeline: ``_run`` runs each reached
-view's *step* (its plan's kernels, resolved when it compiled) inline —
-the stage functions of :mod:`repro.core.compiled` around its screen,
-row and fold kernels, then the apply — counting straight into the
-view's row.  The parity tests compare the
+same cached plan, and there is one pipeline: a *trigger program*
+(:func:`~repro.core.codegen.compile_trigger`), generated once per set of
+changed relations, runs every view their deltas reach as straight-line
+code — each view's screen, row and fold kernels, then the apply —
+counting straight into the view's row.  The parity tests compare the
 maintainer against a per-tuple statement of Sections 4 and 5 kept with
 the tests (``tests/reference.py``) and against
 :meth:`~repro.core.aggregates.AggregateState.fold`.
@@ -42,15 +42,15 @@ reaches, never the catalog.
 
 from __future__ import annotations
 
-import contextlib
 import enum
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Mapping
 
 from repro.algebra.expressions import Expression
-from repro.algebra.relation import Delta, Relation, ValueTuple, apply_counts
+from repro.algebra.relation import Delta, Relation
 from repro.algebra.schema import RelationSchema
-from repro.core.codegen import AggregateKernel, ScreenKernel
-from repro.core.compiled import CompiledViewPlan, _Shape, run_fold, run_rows, run_screen
+from repro.core.codegen import Trigger, compile_trigger
+from repro.core.compiled import CompiledViewPlan
+from repro.core.consistency import ConsistencyReport, check_view_consistency
 from repro.core.views import MaterializedView, ViewDefinition
 from repro.engine.database import Database
 from repro.errors import MaintenanceError, UnknownViewError
@@ -58,7 +58,6 @@ from repro.instrumentation import CostRecorder, Tally, active_recorder
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis import AnalysisReport
-    from repro.core.consistency import ConsistencyReport
     from repro.scheduler.selfmaint import SelfMaintainability
 
 
@@ -76,38 +75,12 @@ class MaintenancePolicy(enum.Enum):
 _ROW_FAMILIES = ("view", "plan_cache", "codegen", "analysis")
 
 
-class _Step(NamedTuple):
-    """The bindings a maintenance call of a view reads, resolved when its
-    plan compiles and dropped with it.  Not count maps or aggregate state:
-    ``Relation.assign`` and ``replace_contents`` replace those."""
-
-    plan: CompiledViewPlan
-    #: None where a compile-time proof drops the relation's deltas:
-    #: static irrelevance if it is in ``static``, else an FK reduction.
-    screens: Mapping[str, ScreenKernel | None]
-    static: frozenset[str]
-    shapes: Mapping[tuple[str, ...], _Shape]
-    old_counts: Callable[[int], Mapping[ValueTuple, int]]
-    occurrence_names: tuple[str, ...]
-    fold: AggregateKernel | None
-    view: MaterializedView
-    contents: Relation
-    subscribers: list[Callable[[MaterializedView, Delta], None]]
-
-
 class _ViewEntry:
     """Everything the maintainer keeps about one registered view."""
 
     __slots__ = (
-        "view",
-        "policy",
-        "dependencies",
-        "ordinal",
-        "row",
-        "step",
-        "pending",
-        "commits_since_refresh",
-        "subscribers",
+        "view", "policy", "dependencies", "ordinal", "row", "plan", "missed",
+        "pending", "commits_since_refresh", "subscribers",
     )
 
     def __init__(
@@ -129,28 +102,21 @@ class _ViewEntry:
         #: The view's always-on counters.  Its compiled plans count
         #: into it too, so codegen counters survive recompiles.
         self.row = row
-        #: The compiled plan's step; None between a DDL invalidation and
-        #: the next maintenance call or introspection, which recompiles.
-        self.step: _Step | None = None
+        #: The compiled plan; None between a DDL invalidation and the
+        #: next maintenance call or introspection, which recompiles.
+        self.plan: CompiledViewPlan | None = None
+        #: The plan was compiled for a trigger and has not run since:
+        #: its first maintenance counts a plan-cache miss.
+        self.missed = False
         #: Deferred views: the composed, not yet applied operand deltas.
         self.pending: dict[str, Delta] = {}
         #: Commits that touched a deferred view's operands since its
         #: last refresh — the backlog measure staleness SLAs bound.
         #: (Distinct from len(pending): composition nets per relation.)
         self.commits_since_refresh = 0
+        #: Replaced, never changed in place, by subscribe and unsubscribe:
+        #: a delivery iterates the list it read, whatever a callback does.
         self.subscribers: list[Callable[[MaterializedView, Delta], None]] = []
-
-    def keep(self, plan: CompiledViewPlan) -> _Step:
-        """Resolve ``plan``'s step and keep it."""
-        fold = plan._aggregate_kernel
-        self.step = _Step(
-            plan,
-            {name: kernel for name, (_, kernel) in plan._screen_kernels.items()},
-            plan.static_irrelevant, plan._shapes, plan._old_counts,
-            plan._occurrence_names, None if fold is None else fold[1],
-            self.view, self.view.contents, self.subscribers,
-        )
-        return self.step
 
 
 class ViewMaintainer:
@@ -191,6 +157,11 @@ class ViewMaintainer:
         #: on first use by _reach_of; dropped wholesale by _install_view
         #: and drop_view.
         self._reach: dict[str, list[_ViewEntry]] = {}
+        #: The trigger program of each set of changed relations (or of one
+        #: deferred view's backlog), by the key _on_commit and refresh
+        #: look it up under; compiled by _trigger on first use.  Dropped
+        #: wholesale with the reach lists and whenever a plan is.
+        self._triggers: dict[Hashable, Trigger] = {}
         self._next_ordinal = 0
         #: The rows of dropped views, summed.
         self._retired = CostRecorder()
@@ -306,8 +277,6 @@ class ViewMaintainer:
             bag = dict(zip(expected.encode_rows(decoded), bag.values()))
         view = MaterializedView.from_stored(definition, Relation.adopt(expected, bag))
         if verify:
-            from repro.core.consistency import check_view_consistency
-
             check_view_consistency(view, self.instances())
         return self._install_view(view, referenced, policy, plan, row)
 
@@ -350,12 +319,13 @@ class ViewMaintainer:
         plan, not a taken name."""
         view.last_refresh_sequence = self.database.last_sequence()
         entry = _ViewEntry(view, policy, referenced, self._next_ordinal, row)
-        entry.keep(plan)
+        entry.plan = plan
         self._next_ordinal += 1
         self._entries[view.definition.name] = entry
         for dep in referenced:
             self._dependents.setdefault(dep, []).append(entry)
         self._reach.clear()
+        self._triggers.clear()
         return view
 
     def drop_view(self, name: str) -> None:
@@ -374,12 +344,13 @@ class ViewMaintainer:
             raise MaintenanceError(
                 f"cannot drop view {name!r}: referenced by {referencing}"
             )
-        if entry.step is not None:
-            entry.step = None
+        if entry.plan is not None:
+            entry.plan = None
             entry.row.count("plan_cache_invalidations")
         self._retired.add(entry.row)
         del self._entries[name]
         self._reach.clear()
+        self._triggers.clear()
         for dep in entry.dependencies:
             readers = self._dependents[dep]
             readers.remove(entry)
@@ -422,10 +393,11 @@ class ViewMaintainer:
         """The generated kernel source for one view's current plan."""
         return self.peek_plan(name).kernel_source()
 
-    def _recompile(self, entry: _ViewEntry) -> _Step:
+    def _recompile(self, entry: _ViewEntry) -> CompiledViewPlan:
         """Compile and keep the plan of a registered view anew."""
         definition = entry.view.definition
-        return entry.keep(self._compile_plan(definition, entry.dependencies, entry.row))
+        entry.plan = self._compile_plan(definition, entry.dependencies, entry.row)
+        return entry.plan
 
     def peek_plan(self, name: str) -> CompiledViewPlan:
         """The plan introspection reads: compiled if absent, uncounted.
@@ -435,7 +407,7 @@ class ViewMaintainer:
         counters alone.
         """
         entry = self._entry(name)
-        return (entry.step or self._recompile(entry)).plan
+        return entry.plan or self._recompile(entry)
 
     def compiled_plan(self, name: str) -> CompiledViewPlan | None:
         """The currently cached plan for ``name`` (None when absent).
@@ -443,8 +415,7 @@ class ViewMaintainer:
         Purely observational: does not compile and does not touch the
         hit/miss counters.
         """
-        step = self._entry(name).step
-        return None if step is None else step.plan
+        return self._entry(name).plan
 
     def plan_cache_stats(self) -> dict[str, int]:
         """Maintainer-wide plan-cache counters (hits/misses/invalidations)."""
@@ -484,11 +455,13 @@ class ViewMaintainer:
         self._invalidate_readers(relation_name)
 
     def _invalidate_readers(self, name: str) -> None:
-        """Discard the kept plan of every view reading ``name``."""
+        """Discard the kept plan of every view reading ``name``, and
+        every trigger program, which holds the plans' kernels."""
         for entry in self._dependents.get(name, ()):
-            if entry.step is not None:
-                entry.step = None
+            if entry.plan is not None:
+                entry.plan = None
                 entry.row.count("plan_cache_invalidations")
+                self._triggers.clear()
 
     # ------------------------------------------------------------------
     # Operands by name (base relations + registered views)
@@ -531,16 +504,18 @@ class ViewMaintainer:
         natural hook for alerters [BC79]: the view delta *is* the alert
         stream.
         """
-        self._entry(name).subscribers.append(callback)
+        entry = self._entry(name)
+        entry.subscribers = [*entry.subscribers, callback]
 
     def unsubscribe(
         self, name: str, callback: Callable[[MaterializedView, Delta], None]
     ) -> None:
         """Remove a previously registered subscriber (no-op if absent)."""
         entry = self._entries.get(name)
-        if entry is not None:
-            with contextlib.suppress(ValueError):
-                entry.subscribers.remove(callback)
+        if entry is not None and callback in entry.subscribers:
+            subscribers = list(entry.subscribers)
+            subscribers.remove(callback)
+            entry.subscribers = subscribers
 
     def view(self, name: str) -> MaterializedView:
         """The materialized view registered under ``name``."""
@@ -667,139 +642,47 @@ class ViewMaintainer:
 
     def _on_commit(self, txn_id: int, deltas: Mapping[str, Delta]) -> None:
         entries = self._entries
-        # Operand deltas by name: the transaction's non-empty base
-        # deltas, then every view delta as it is applied.  A registered
-        # view's name never takes a base delta — what is stacked on it
-        # reads the view.
+        # The transaction's non-empty base deltas.  A registered view's
+        # name never takes a base delta — what is stacked on it reads
+        # the view.
         arrived = {
             name: delta
             for name, delta in deltas.items()
             if name not in entries and not delta.is_empty()
         }
-        # The records those deltas can reach, in ascending ordinal:
-        # upstream views are registered before anything that references
-        # them, so every operand delta of a record — from the
-        # transaction or from a view maintained before it — has arrived
-        # by its turn.
-        if len(arrived) == 1:
-            reached = self._reach_of(next(iter(arrived)))
+        if arrived:
+            recorder = active_recorder()
+            key = (frozenset(arrived), recorder is not None, self.auto_verify)
+            trigger = self._triggers.get(key) or self._trigger(key, tuple(arrived), None, key[1])
+            trigger(arrived, recorder)
+
+    def _trigger(
+        self, key: Hashable, names: tuple[str, ...], target: _ViewEntry | None,
+        recording: bool,
+    ) -> Trigger:
+        """Compile the trigger ``key`` names (it ends with ``recording``,
+        whether a recorder is active, and ``auto_verify``): of the
+        relations ``names`` for a commit, or of deferred view
+        ``target``'s backlog over them for a refresh.  A commit's trigger runs the records
+        the deltas reach in ascending ordinal, so an upstream view's
+        delta has arrived by the turn of what is stacked on it.  A plan
+        DDL discarded is compiled here; the trigger that counts its miss
+        is not kept, so the next one counts hits."""
+        if target is not None:
+            views = [(target, False)]
         else:
-            merged = {e.ordinal: e for name in arrived for e in self._reach_of(name)}
-            reached = [merged[ordinal] for ordinal in sorted(merged)]
-        if reached:
-            self._run(reached, arrived, refreshing=False)
-
-    def _run(
-        self, reached: Iterable[_ViewEntry], arrived: dict[str, Delta], refreshing: bool
-    ) -> None:
-        """Run each reached entry's step inline, in ordinal order, over the
-        operand deltas in ``arrived``, which each view delta joins for what
-        is stacked on it; a deferred entry composes its backlog instead,
-        unless ``refreshing``.  Counts go straight into each view's row; an
-        active recorder gets them (each row's growth) and what the steps
-        only charge in one landing, raise or not."""
-        sequence = self.database.last_sequence()
-        recorder = active_recorder()
-        charged: Tally | None = None if recorder is None else []
-        try:
-            for entry in reached:
-                effective: dict[str, Delta] = {}
-                for dep in entry.dependencies:
-                    if dep in arrived:
-                        effective[dep] = arrived[dep]
-                if not effective:
-                    # Reachable, but no operand changed in this commit.
-                    continue
-                if entry.policy is MaintenancePolicy.DEFERRED and not refreshing:
-                    entry.commits_since_refresh += 1
-                    pending = entry.pending
-                    for relation_name, delta in effective.items():
-                        existing = pending.get(relation_name)
-                        composed = delta if existing is None else existing.compose(delta)
-                        if composed.is_empty():
-                            pending.pop(relation_name, None)
-                        else:
-                            pending[relation_name] = composed
-                    continue
-                counters = entry.row.counters
-                step = entry.step
-                missed = step is None
-                if step is None:  # invalidated by DDL since the last call
-                    step = self._recompile(entry)  # counts its compile itself
-                (plan, screens, static, shapes, old_counts, names, fold,
-                 view, contents, subscribers) = step
-                relevant: dict[str, Delta] = {}
-                view_delta: Delta | None = None
-                # The row's keys are seeded, so its values line up with these.
-                before = None if charged is None else [*counters.values()]
-                try:
-                    counters["transactions_seen"] += 1
-                    if missed:
-                        counters["plan_cache_misses"] += 1
-                    else:
-                        counters["plan_cache_hits"] += 1
-                    for name in effective:
-                        delta = effective[name]
-                        screened = run_screen(
-                            screens[name], name in static, delta, counters, charged
-                        )
-                        if screened is not None:
-                            relevant[name] = screened
-                    if not relevant:
-                        counters["transactions_skipped"] += 1
-                    else:
-                        key = tuple(relevant)
-                        try:
-                            shape = shapes[key]
-                        except KeyError:  # compiled on first survival
-                            compiled: Tally = []
-                            shape = plan._compile_shape(key, compiled)
-                            counters["codegen_plans_compiled"] += len(compiled)
-                        operands = list(map(relevant.get, names))
-                        ins, dele = run_rows(
-                            shape, operands, old_counts, counters, charged
-                        )
-                        state = view.aggregate_state
-                        if fold is not None and state is not None:
-                            ins, dele = run_fold(
-                                fold, state, view.definition.name, ins, dele,
-                                counters, charged,
-                            )
-                        if ins or dele:
-                            view_delta = Delta.adopt(contents.schema, ins, dele)
-                        counters["view_tuples_inserted"] += len(ins)
-                        counters["view_tuples_deleted"] += len(dele)
-                        if view_delta is not None:
-                            apply_counts(contents, ins, dele)
-                            view.updates_applied += 1
-                        counters["deltas_applied"] += 1
-                finally:
-                    if charged is not None and before is not None:
-                        charged += [
-                            (metric, amount - was)
-                            for (metric, amount), was in zip(counters.items(), before)
-                            if amount != was
-                        ]
-                view.last_refresh_sequence = sequence
-                if refreshing:
-                    # Applied: a raise from here on leaves no backlog to
-                    # apply a second time.
-                    entry.pending = {}
-                    entry.commits_since_refresh = 0
-                if not relevant:
-                    continue
-                if self.auto_verify:
-                    from repro.core.consistency import check_view_consistency
-
-                    check_view_consistency(view, self.instances())
-                if view_delta is not None:
-                    for callback in subscribers:
-                        callback(view, view_delta)
-                    arrived[view.definition.name] = view_delta
-        finally:
-            if charged:
-                assert recorder is not None
-                recorder.land(charged)
+            merged = {e.ordinal: e for name in names for e in self._reach_of(name)}
+            views = [(e, e.policy is MaintenancePolicy.DEFERRED) for _, e in sorted(merged.items())]
+        for entry, compose in views:
+            if not compose and entry.plan is None:
+                self._recompile(entry)  # counts its compile itself
+                entry.missed = True
+        verify = (lambda view: check_view_consistency(view, self.instances())) if self.auto_verify else None
+        trigger = compile_trigger(views, names, refreshing=target is not None, recording=recording,
+                                  verify=verify, last_sequence=self.database.last_sequence)
+        if not any(entry.missed for entry, compose in views if not compose):
+            self._triggers[key] = trigger
+        return trigger
 
     def apply_deltas(self, txn_id: int, deltas: Mapping[str, Delta]) -> None:
         """Maintain every view from externally supplied net deltas.
@@ -855,13 +738,18 @@ class ViewMaintainer:
         environment").
         """
         entry = self._entry(name)
-        if not entry.pending:
+        pending = entry.pending
+        if not pending:
             entry.commits_since_refresh = 0
             entry.view.last_refresh_sequence = self.database.last_sequence()
             return False
-        # The step clears the backlog once it has applied it: a refresh
-        # that raises before that leaves the view stale and says so.
-        self._run([entry], dict(entry.pending), refreshing=True)
+        # The trigger clears the backlog once it has applied it: a
+        # refresh that raises before that leaves the view stale and says
+        # so.
+        recorder = active_recorder()
+        key = (entry, frozenset(pending), recorder is not None, self.auto_verify)
+        trigger = self._triggers.get(key) or self._trigger(key, tuple(pending), entry, key[2])
+        trigger(pending, recorder)
         return True
 
     def pending_deltas(self, name: str) -> dict[str, Delta]:
@@ -922,7 +810,7 @@ class ViewMaintainer:
 
     def verify_all(
         self, raise_on_mismatch: bool = True
-    ) -> "dict[str, ConsistencyReport]":
+    ) -> dict[str, ConsistencyReport]:
         """Full-recompute oracle over every registered view.
 
         Each view's defining expression is evaluated from scratch
@@ -934,8 +822,6 @@ class ViewMaintainer:
         raises :class:`~repro.errors.MaintenanceError`; otherwise the
         per-view reports are returned for inspection either way.
         """
-        from repro.core.consistency import check_view_consistency
-
         instances = self.instances()
         reports: dict[str, ConsistencyReport] = {}
         for name in self.view_names():
@@ -949,6 +835,6 @@ class ViewMaintainer:
     def __repr__(self) -> str:
         return (
             f"<ViewMaintainer {len(self._entries)} views, "
-            f"{sum(e.step is not None for e in self._entries.values())} "
+            f"{sum(e.plan is not None for e in self._entries.values())} "
             "cached plans>"
         )

@@ -25,13 +25,17 @@ The codegen contract has six legs, each pinned here:
   reach generated source only quoted, inside comments;
 * **sharing** — kernels whose sources differ only in their comments
   (twin views over different relations) are compiled once, and each
-  still runs under its own view's ``<codegen:view:kind>`` filename.
+  still runs under its own view's ``<codegen:view:kind>`` filename; the
+  trigger programs of relations whose views are of one shape are one
+  program too.
 """
 
 import ast
+import importlib.util
 import random
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +43,7 @@ from hypothesis import strategies as st
 
 import repro.core.codegen as codegen
 from repro import BaseRef, Database, ViewMaintainer
+from repro.cli import parse_view_expression
 from repro.core.codegen import CODEGEN_VERSION
 from repro.instrumentation import CostRecorder, recording
 from tests.reference import (
@@ -682,7 +687,10 @@ class TestProgramSharing:
             with db.transact() as txn:
                 txn.insert(name, (24, 1))
                 txn.delete(name, (10, 1))
-        assert len(kernel_compiles) == one
+        # The commits compiled one program more: the trigger every
+        # relation's commits run, bound to each relation's kernels.
+        assert len(kernel_compiles) == one + 1
+        assert "def trigger(" in kernel_compiles[-1]
         maintainer.verify_all()
         for view in maintainer.view_names():
             codes = list(_kernel_code_objects(maintainer.compiled_plan(view)))
@@ -708,6 +716,50 @@ class TestProgramSharing:
             (10, 1): 1, (25, 2): 1, (25, 3): 1
         }
         maintainer.verify_all()
+
+    def test_catalog_wide_triggers_are_one_program(self, monkeypatch, kernel_compiles):
+        """Two maintainers over the benchmark's ``catalog_wide`` catalog
+        emit byte-identical trigger text for the same changed relations,
+        and the triggers of its 100 aux relations, one per relation, are
+        one compiled program (compiled one by one, they cost 1.9 MB of
+        ``peak_rss_mb``)."""
+        macrobench = Path(__file__).resolve().parent.parent / "macrobench"
+        modules = {}
+        for name in ("config", "catalog", "gen"):
+            spec = importlib.util.spec_from_file_location(name, macrobench / f"{name}.py")
+            modules[name] = importlib.util.module_from_spec(spec)
+            monkeypatch.setitem(sys.modules, name, modules[name])  # gone after
+            spec.loader.exec_module(modules[name])
+        workload = modules["config"].WORKLOADS["catalog_wide"]
+        gen = modules["gen"]
+        texts: dict[tuple[str, ...], list[str]] = {}
+        generate = codegen.generate_trigger_source
+
+        def kept(views, arrived, *args):
+            source, bound = generate(views, arrived, *args)
+            texts.setdefault(tuple(arrived), []).append(source)
+            return source, bound
+
+        monkeypatch.setattr(codegen, "generate_trigger_source", kept)
+        for _ in range(2):
+            db = Database()
+            for name, attributes in gen.SCHEMAS.items():
+                db.create_relation(name, list(attributes), [])
+            for k in range(workload.aux_relations):
+                db.create_relation(f"aux{k}", list(gen.AUX_SCHEMA), [(0, 50, 3)])
+            maintainer = ViewMaintainer(db)
+            for name, spec in modules["catalog"].view_specs(workload).items():
+                maintainer.define_view(name, parse_view_expression(spec))
+            db.apply(inserts={"lineitem": [(1, 1, 1, 9, 0)]})
+            for k in range(workload.aux_relations):
+                db.apply(inserts={f"aux{k}": [(1, 10, 3)]})
+            assert maintainer.stats(f"aux{k}_cnt")["deltas_applied"] == 1
+        assert len(texts) == 1 + workload.aux_relations
+        assert all(first == second for first, second in texts.values())
+        aux = {codegen.program_key(t[0]) for key, t in texts.items() if key[0].startswith("aux")}
+        assert len(aux) == 1
+        # Compiled once each: the lineitem trigger's program and the aux one.
+        assert sum("def trigger(" in source for source in kernel_compiles) == 2
 
     def test_the_cache_keeps_no_more_than_its_bound(self, kernel_compiles):
         bound = codegen.PROGRAM_CACHE_SIZE

@@ -17,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from repro import BaseRef, MaintenancePolicy, ViewMaintainer
+from repro import BaseRef, Database, MaintenancePolicy, ViewMaintainer
+from repro.core import codegen
 from repro.errors import ReproError, UnknownMetricError
 from repro.instrumentation import (
     METRICS,
@@ -277,20 +278,14 @@ class TestDeclarationsMatchTheSource:
     #: The two lists of a deferred tally (``CostRecorder.settle``): a
     #: site extends one with ``(name, amount)`` pairs.
     TALLIES = {"counted", "charged"}
-    #: Counter maps a site increments in place, ``counters["name"] += n``
-    #: (a bag's own map, or a view's row on the commit path).
+    #: Counter maps a site increments in place, ``counters["name"] += n``.
     COUNTER_MAPS = {"counters"}
     #: The only non-literal names: the registry's own plumbing.
     FORWARDED = {("instrumentation.py", "name")}
 
     @classmethod
     def _forwards_a_counter_map(cls, value):
-        """``counters.items()``, or a comprehension over it (alone or
-        zipped with something else): the pairs of a counter map."""
-        if isinstance(value, ast.ListComp):
-            value = value.generators[0].iter
-            if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "zip":
-                value = value.args[0]
+        """``counters.items()``: the pairs of a counter map."""
         return (
             isinstance(value, ast.Call)
             and getattr(value.func, "attr", None) == "items"
@@ -332,8 +327,51 @@ class TestDeclarationsMatchTheSource:
                         assert isinstance(pair, ast.Tuple) and len(pair.elts) == 2
                         yield pair.elts[0]
 
+    @staticmethod
+    def _trigger_text():
+        """The trigger programs of a stream that runs every template:
+        a plan-cache miss and hits, screens that keep, drop and are
+        dropped by proof (static irrelevance, an FK reduction's probe
+        side), a shape compiled on first survival, a fold, all counted
+        for a recorder."""
+        db = Database()
+        db.create_relation("p", ["B", "C"], [(b, b * 10) for b in range(4)])
+        db.create_relation("r", ["A", "B"], [(1, 0), (2, 1)])
+        db.create_relation("q", ["E", "F"], [(10, 1)])
+        db.declare_key("p", ["B"])
+        db.declare_foreign_key("r", ["B"], "p", ["B"])
+        db.declare_constraint("q", "E >= 10")
+        m = ViewMaintainer(db)
+        m.define_view("fk", BaseRef("r").join(BaseRef("p")).project(["A", "B"]))
+        m.define_view("qs", BaseRef("r").product(BaseRef("q")).select("E < 5 and A = F"))
+        m.define_view("big", BaseRef("r").select("A > 100"))
+        m.define_view("agg", BaseRef("r").aggregate(["B"], [("max", "A", "top")]))
+        texts = []
+        generate = codegen.generate_trigger_source
+
+        def kept(*args):
+            source, bound = generate(*args)
+            texts.append(source)
+            return source, bound
+
+        with pytest.MonkeyPatch.context() as patch, recording(CostRecorder()):
+            patch.setattr(codegen, "generate_trigger_source", kept)
+            db.apply(inserts={"p": [(9, 90)], "r": [(9, 9)], "q": [(11, 2)]})
+            db.create_index("r", ["A"])
+            db.apply(inserts={"r": [(200, 1)]})
+        m.verify_all()
+        return "".join(texts)
+
+    def test_the_trigger_emitter_writes_its_table(self):
+        """Every counter name in generated code is one of the emitter's
+        table, and every one of the table is written."""
+        table = set(codegen.TRIGGER_ROW_COUNTS + codegen.TRIGGER_CHARGES)
+        text = codegen.program_key(self._trigger_text())  # no comments
+        assert set(re.findall(r"'([a-z_]+)'", text)) == table
+
     def test_every_declared_name_has_a_literal_increment_site(self):
-        literal: set[str] = set()
+        # What the trigger emitter's templates count, in generated code.
+        literal = set(codegen.TRIGGER_ROW_COUNTS + codegen.TRIGGER_CHARGES)
         opaque: set[tuple[str, str]] = set()
         for path in sorted(SRC.rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -375,10 +413,7 @@ class TestDeclarationsMatchTheSource:
         assert names == ["proof", "'tuples_screened'", "f'{kind}_dropped'"]
 
     def test_a_tally_forwards_only_a_counter_map(self):
-        forwarded = (
-            "counted += counters.items()\n"
-            "charged += [(m, a - b) for (m, a), b in zip(counters.items(), before)]\n"
-        )
+        forwarded = "counted += counters.items()\n"
         assert [
             arg
             for node in ast.walk(ast.parse(forwarded))

@@ -1,7 +1,6 @@
 """Unit and integration tests for the ViewMaintainer pipeline."""
 
 import random
-from collections import Counter
 
 import pytest
 
@@ -268,6 +267,29 @@ class TestSubscribers:
         assert received == []
         m.unsubscribe("u", callback)  # idempotent
 
+    @pytest.mark.parametrize("policy", list(MaintenancePolicy))
+    def test_a_subscriber_leaving_during_delivery_takes_no_delta_away(
+        self, db, view_expr, policy
+    ):
+        """``once`` unsubscribes itself from inside its first delivery;
+        ``always``, subscribed after it, still receives that delta — in
+        the commit (immediate) and in the refresh (deferred) alike."""
+        m = ViewMaintainer(db)
+        m.define_view("u", view_expr, policy=policy)
+        received = []
+
+        def once(view, delta):
+            received.append("once")
+            m.unsubscribe("u", once)
+
+        m.subscribe("u", once)
+        m.subscribe("u", lambda view, delta: received.append("always"))
+        for row in ((9, 10), (8, 10)):
+            db.apply(inserts={"r": [row]})
+            if policy is MaintenancePolicy.DEFERRED:
+                assert m.refresh("u")
+        assert received == ["once", "always", "always"]
+
 
 class TestCommitPathGlue:
     def test_commits_build_no_instance_map_and_no_schema(
@@ -276,6 +298,21 @@ class TestCommitPathGlue:
         """Everything a commit needs that no transaction changes is
         resolved when the plan (or one of its shapes) compiles: 50
         commits build no name -> relation map and no schema."""
+        calls = {"instances": 0, "schemas": 0}
+        in_plan = []
+        commits = []
+        on_commit = ViewMaintainer._on_commit
+
+        def inside(self, *args, **kwargs):
+            in_plan.append(1)
+            commits.append(1)
+            try:
+                return on_commit(self, *args, **kwargs)
+            finally:
+                in_plan.pop()
+
+        # Before the maintainer registers its commit hook.
+        monkeypatch.setattr(ViewMaintainer, "_on_commit", inside)
         m = ViewMaintainer(db)
         m.define_view("u", view_expr)
         m.define_view("sel", BaseRef("r").select("A < 8"))
@@ -289,8 +326,6 @@ class TestCommitPathGlue:
         db.apply(inserts={"r": [(3, 7)]})
         db.apply(inserts={"s": [(7, 1)]})
         db.apply(inserts={"r": [(4, 8)], "s": [(8, 2)]})
-        calls = {"instances": 0, "schemas": 0}
-        in_plan = []
 
         instances = ViewMaintainer.instances
 
@@ -299,16 +334,6 @@ class TestCommitPathGlue:
             return instances(self)
 
         monkeypatch.setattr(ViewMaintainer, "instances", counting_instances)
-        run = ViewMaintainer._run
-
-        def inside(self, *args, **kwargs):
-            in_plan.append(1)
-            try:
-                return run(self, *args, **kwargs)
-            finally:
-                in_plan.pop()
-
-        monkeypatch.setattr(ViewMaintainer, "_run", inside)
         init = RelationSchema.__init__
 
         def counting_init(self, *args, **kwargs):
@@ -317,7 +342,9 @@ class TestCommitPathGlue:
 
         monkeypatch.setattr(RelationSchema, "__init__", counting_init)
 
+        commits.clear()
         run_random_transactions(db, random.Random(5), 50)
+        assert commits  # the counts below were taken inside commits
         assert m.stats("u")["transactions_seen"] > 0
         assert m.stats("st")["deltas_applied"] > 0
         assert calls == {"instances": 0, "schemas": 0}
@@ -333,9 +360,10 @@ def _changes(before, after):
 
 
 class TestResolvedSteps:
-    """A view's step — the bindings a commit reads — is resolved when
-    its plan compiles and dropped with it, so no event a later commit
-    depends on is missed."""
+    """What a commit's trigger program binds — a view's plan and
+    kernels, the views it reaches — is resolved when it compiles and
+    dropped with them, so no event a later commit or refresh depends on
+    is missed."""
 
     #: Each event, then one more commit.
     EVENTS = (
@@ -358,11 +386,11 @@ class TestResolvedSteps:
     )
 
     @staticmethod
-    def _world():
+    def _world(auto_verify=False):
         db = Database()
         db.create_relation("r", ["A", "B"], [(1, 1), (2, 2), (3, 3)])
         db.create_relation("s", ["C", "D"], [(1, 10), (2, 20)])
-        m = ViewMaintainer(db)
+        m = ViewMaintainer(db, auto_verify=auto_verify)
         m.define_view("sel", BaseRef("r").select("A > 0"))
         m.define_view("join", BaseRef("r").product(BaseRef("s")).select("A = C"))
         m.define_view(
@@ -371,6 +399,11 @@ class TestResolvedSteps:
         )
         # Its commits on s probe sel through an index sel builds.
         m.define_view("stacked", BaseRef("sel").product(BaseRef("s")).select("A = C"))
+        m.define_view(
+            "dfr",
+            BaseRef("r").product(BaseRef("s")).select("A = C"),
+            policy=MaintenancePolicy.DEFERRED,
+        )
         deliveries = []
 
         def deliver(view, delta):
@@ -392,18 +425,28 @@ class TestResolvedSteps:
                 txn.delete("r", (8 + i, 1 + (i - 2) % 3))
             txn.insert("s", (9 + i, 7 * i))
 
-    def _replay(self, events):
-        db, m, _, deliver = self._world()
+    @staticmethod
+    def _then(db, m, i):
+        """After the commit: a two-relation commit whose deltas arrive
+        in the other order, then a refresh of the deferred view."""
+        db.apply(inserts={"s": [(40 + i, i)], "r": [(40 + i, 2)]})
+        assert m.refresh("dfr")
+
+    def _replay(self, events, auto_verify=False):
+        db, m, _, deliver = self._world(auto_verify)
         self._commit(db, 0)
+        self._then(db, m, 0)
         for i, (_, event) in enumerate(events, 1):
             event(db, m, deliver)
             self._commit(db, i)
+            self._then(db, m, i)
         return m
 
     def test_every_event_reaches_the_next_commit(self):
         db, m, deliveries, deliver = self._world()
         subscribed = set(m.view_names())
         self._commit(db, 0)
+        self._then(db, m, 0)
         for i, (event_name, event) in enumerate(self.EVENTS, 1):
             if event_name == "drop_index":
                 assert ("A",) in db.relation("r").indexes
@@ -421,7 +464,6 @@ class TestResolvedSteps:
             deliveries.clear()
             self._commit(db, i)
 
-            m.verify_all()
             agg = m.view("agg")
             assert agg.aggregate_state.visible_relation() == agg.contents, event_name
             assert agg.aggregate_state.accumulator_drift() == []
@@ -433,6 +475,12 @@ class TestResolvedSteps:
             delivered = {name: (ins, dele) for name, ins, dele in deliveries}
             assert len(delivered) == len(deliveries), event_name
             assert delivered == expected, event_name
+            before = m.view("dfr").contents.counts()
+            deliveries.clear()
+            self._then(db, m, i)
+            m.verify_all()
+            refreshed = _changes(before, m.view("dfr").contents.counts())
+            assert ("dfr", *refreshed) in deliveries, event_name
             fresh = self._replay(self.EVENTS[:i])
             assert m.all_stats() == fresh.all_stats(), event_name
             for name in m.view_names():
@@ -440,7 +488,7 @@ class TestResolvedSteps:
         assert m.view("join").contents and m.view("agg").contents
 
     @staticmethod
-    def _mixed_stream():
+    def _mixed_stream(auto_verify=False):
         """Stacked, aggregate and deferred views, an FK-reduced view whose
         probe relation p is dropped by proof, a relation q statically
         irrelevant to a view, and k = 2 commits, from one seed."""
@@ -451,7 +499,7 @@ class TestResolvedSteps:
         db.declare_key("p", ["B"])
         db.declare_foreign_key("r", ["B"], "p", ["B"])
         db.declare_constraint("q", "E >= 10")
-        m = ViewMaintainer(db)
+        m = ViewMaintainer(db, auto_verify=auto_verify)
         m.define_view("fk", BaseRef("r").join(BaseRef("p")).project(["A", "B"]))
         m.define_view("qs", BaseRef("r").product(BaseRef("q")).select("E < 5 and A = F"))
         m.define_view("sel", BaseRef("r").select("A > 2"))
@@ -489,25 +537,81 @@ class TestResolvedSteps:
         m.verify_all()
         return m
 
+    def test_the_plan_stage_methods_count_what_a_refresh_counts(self):
+        """``plan.screen`` / ``compute_delta`` / ``fold_aggregate`` run
+        functions emitted from the trigger's templates: over a deferred
+        view's backlog they count what its refresh then counts — screens
+        kept, dropped by static irrelevance and by an FK reduction."""
+        db = Database()
+        db.create_relation("p", ["B", "C"], [(b, b * 10) for b in range(4)])
+        db.create_relation("r", ["A", "B"], [(1, 0), (2, 1)])
+        db.create_relation("q", ["E", "F"], [(10, 1)])
+        db.declare_key("p", ["B"])
+        db.declare_foreign_key("r", ["B"], "p", ["B"])
+        db.declare_constraint("q", "E >= 10")
+        m = ViewMaintainer(db)
+        deferred = MaintenancePolicy.DEFERRED
+        m.define_view("fk", BaseRef("r").join(BaseRef("p")).project(["A", "B"]), deferred)
+        m.define_view("qs", BaseRef("r").product(BaseRef("q")).select("E < 5 and A = F"),
+                      deferred)
+        m.define_view("agg", BaseRef("r").aggregate(["B"], [("max", "A", "top")]), deferred)
+        db.apply(inserts={"p": [(9, 90)], "r": [(9, 9), (3, 0)], "q": [(11, 2)]},
+                 deletes={"r": [(1, 0)]})
+        for name in ("fk", "qs", "agg"):
+            plan, view = m.compiled_plan(name), m.view(name)
+            counted, charged = [], []
+            relevant = {}
+            for relation, delta in m.pending_deltas(name).items():
+                screened = plan.screen(relation, delta, counted, charged)
+                if screened is not None:
+                    relevant[relation] = screened
+            ins, dele = plan.compute_delta(relevant, counted, charged)
+            if view.aggregate_state is not None:
+                state = view.aggregate_state
+                view.aggregate_state = state.from_core(
+                    view.definition.aggregate, state.stored_contents()
+                )
+                plan.fold_aggregate(view.aggregate_state, ins, dele, counted, charged)
+                view.aggregate_state = state
+            before = m.totals.snapshot()
+            with recording(CostRecorder()) as recorder:
+                assert m.refresh(name)
+            for metric, _ in counted:
+                grown = m.totals.get(metric) - before.get(metric, 0)
+                assert sum(n for k, n in counted if k == metric) == grown, (name, metric)
+            for metric, _ in charged:
+                assert sum(n for k, n in charged if k == metric) == recorder.get(metric)
+            assert counted and charged
+        assert m.totals.get("static_tuples_dropped") and m.totals.get("fk_probe_tuples_dropped")
+        m.verify_all()
+
     def test_a_recorder_sees_what_the_rows_count(self):
-        plain = self._mixed_stream()
+        """Over the mixed stream and over the event stream above, with
+        and without ``auto_verify``."""
+        for auto_verify in (False, True):
+            rows = self._recorded(lambda: self._mixed_stream(auto_verify))
+            assert rows["static_tuples_dropped"] and rows["fk_probe_tuples_dropped"]
+            assert rows["transactions_skipped"] and rows["aggregate_rows_folded"]
+            rows = self._recorded(lambda: self._replay(self.EVENTS, auto_verify))
+            assert rows["plan_cache_misses"] and rows["plan_cache_invalidations"]
+
+    @staticmethod
+    def _recorded(run):
+        """What a recorder receives when ``run`` runs under one, checked
+        against the rows of the maintainer it returns and against the
+        same run without one."""
+        plain = run()
         with recording(CostRecorder()) as recorder:
-            recorded = self._mixed_stream()
+            recorded = run()
         assert recorded.all_stats() == plain.all_stats()
         for name in plain.view_names():
             assert recorded.view(name).contents == plain.view(name).contents
-        summed = Counter()
-        for stats in recorded.all_stats().values():
-            summed.update(stats)
+        # The rows summed, a dropped view's included.
         totals = recorder.family("view", "plan_cache").as_dict()
-        assert totals == {name: summed[name] for name in totals}
+        assert totals == recorded.totals.family("view", "plan_cache").as_dict()
         # Every count the rows hold, codegen and analysis ones included,
         # reached the recorder too.
         rows = {name: n for name, n in recorded.totals.snapshot().items() if n}
         assert {name: recorder.get(name) for name in rows} == rows
-        assert rows["static_tuples_dropped"] and rows["fk_probe_tuples_dropped"]
-        assert totals["transactions_skipped"] > 0
-        assert recorder.get("filter_tuples_checked") > 0
-        assert recorder.get("fk_probe_tuples_dropped") > 0
-        assert recorder.get("static_tuples_dropped") > 0
-        assert recorder.get("aggregate_rows_folded") > 0
+        assert totals["plan_cache_hits"] and recorder.get("filter_tuples_checked")
+        return recorder.snapshot()

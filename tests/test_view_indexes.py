@@ -32,7 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import BaseRef, Database, ViewMaintainer, instrumentation
+from repro import BaseRef, Database, ViewMaintainer, core, instrumentation
 from repro.algebra.evaluate import evaluate
 from repro.algebra.relation import Delta, HashIndex, Relation
 from repro.algebra.schema import RelationSchema
@@ -447,7 +447,9 @@ class TestMacrobenchCatalog:
         }
         return assigned["VIEW_SPECS"], assigned["KEYS"]
 
-    def _maintainer(self, rows=None):
+    def _maintainer(self, rows=None, copies=1):
+        """The catalog's views over a fresh database; with ``copies`` of
+        2 the catalog is defined a second time under other names."""
         specs, keys = self._catalog()
         assert len(specs) == 6
         db = Database()
@@ -456,8 +458,11 @@ class TestMacrobenchCatalog:
         for name, key in keys.items():
             db.declare_key(name, list(key))
         maintainer = ViewMaintainer(db)
-        for name, spec in specs.items():
-            maintainer.define_view(name, parse_view_expression(spec))
+        for copy in range(copies):
+            renamed = {name: f"{name}_{copy}" if copy else name for name in specs}
+            for name, spec in specs.items():
+                words = [renamed.get(word, word) for word in spec.split(" ")]
+                maintainer.define_view(renamed[name], parse_view_expression(" ".join(words)))
         return specs, db, maintainer
 
     def test_no_view_scans_an_old_operand(self):
@@ -484,24 +489,25 @@ class TestMacrobenchCatalog:
                 if len(operands) == 1:
                     assert "(none: no OLD operand" in text
 
-    def test_one_row_commit_pays_for_no_glue_between_the_kernels(self):
-        """A clock-free law for what runs *between* the generated
-        kernels: the commit walks the reached views' resolved steps
-        inline, calling each view's kernels back to back and counting
-        straight into its row, with nothing between the views."""
+    def _one_row_commit(self, copies):
+        """What a one-row lineitem commit enters, with the kernels
+        compiled, the indexes bound and the trigger built by the commit
+        before it."""
         specs, db, maintainer = self._maintainer(
             {
                 "customer": [(c, c % 4, c % 3) for c in range(8)],
                 "product": [(p, 390 + 10 * p, p % 3) for p in range(8)],
-            }
+            },
+            copies,
         )
-        # Kernels compile and indexes bind on first use, outside the law.
         db.apply(inserts={"lineitem": [(1, 2, 3, 7, 0)]})
-        seen = {name: maintainer.stats(name)["transactions_seen"] for name in specs}
+        names = maintainer.view_names()
+        seen = {name: maintainer.stats(name)["transactions_seen"] for name in names}
 
         registry = instrumentation.__file__
+        glue = {core.maintainer.__file__, core.compiled.__file__}
         constructors = (Delta.__init__.__code__, Delta.adopt.__func__.__code__)
-        counts = {"calls": 0, "registry": 0, "probe charges": 0, "deltas": 0}
+        counts = {"calls": 0, "registry": 0, "probe charges": 0, "deltas": 0, "glue": 0}
 
         def profile(frame, event, arg):
             if event == "c_call":
@@ -511,6 +517,7 @@ class TestMacrobenchCatalog:
             counts["calls"] += 1
             code = frame.f_code
             caller = frame.f_back.f_code
+            counts["glue"] += code.co_filename in glue
             if code.co_filename == registry and caller.co_filename != registry:
                 if caller is HashIndex.probe.__code__:
                     counts["probe charges"] += 1
@@ -526,14 +533,29 @@ class TestMacrobenchCatalog:
             sys.setprofile(None)
 
         maintained = [
-            name
-            for name in specs
+            name for name in names
             if maintainer.stats(name)["transactions_seen"] > seen[name]
         ]
         # lineitem reaches five views; open_premium hears open_lines.
-        assert len(maintained) == 6
-        assert all(maintainer.stats(name)["deltas_applied"] == 2 for name in specs)
+        assert len(maintained) == 6 * copies
+        assert all(maintainer.stats(name)["deltas_applied"] == 2 for name in names)
         maintainer.verify_all()
+        return counts, db
+
+    def test_one_row_commit_pays_for_no_glue_between_the_kernels(self):
+        """A clock-free law for what runs *between* the generated
+        kernels: the commit runs its trigger program, which calls the
+        reached views' kernels as straight-line code and counts straight
+        into each view's row, with no frame of the maintainer or the
+        plan per view."""
+        counts, db = self._one_row_commit(1)
+        # The maintainer's and the plans' modules are entered as often
+        # whether the commit reaches 6 views or 12: the commit hook (and
+        # its comprehension, before CPython 3.12 inlined them), nothing
+        # per view.  (Before trigger programs, ``run_screen``,
+        # ``run_rows`` and, for an aggregate, ``run_fold`` per view.)
+        doubled, _ = self._one_row_commit(2)
+        assert counts["glue"] == doubled["glue"] <= 2
         # repro.instrumentation is entered once per commit: it asks
         # once whether a recorder is active, and the counts go straight
         # into each view's row.  (c849590: once more per maintained
@@ -541,7 +563,7 @@ class TestMacrobenchCatalog:
         # metric.)  The kernels probe index buckets directly and count
         # their probes themselves (42a3db4: 5 ``HashIndex.probe``
         # charges, one per probe).
-        assert counts["registry"] == 1
+        assert counts["registry"] == doubled["registry"] == 1
         assert counts["probe charges"] == 0
         # Per maintained view, the view delta — a screened operand the
         # screen took nothing from goes on as it came — plus the
@@ -549,15 +571,16 @@ class TestMacrobenchCatalog:
         # copy per operand; fbd8c76: 15 — every stage wrapped its
         # kernel's dicts anew, three times for an aggregate view, and
         # each ``from_counts`` ran ``__init__`` first.)
-        assert counts["deltas"] <= len(maintained) + 1
-        # Every Python-level and C-level call of the commit: 265 on
-        # CPython 3.11; 344 while ``_maintain`` called the plan's stage
-        # methods per view and settled two tallies, 362 while a
+        assert counts["deltas"] <= 6 + 1
+        # Every Python-level and C-level call of the commit: 253 on
+        # CPython 3.11; 265 while a ``_run`` frame walked the views through
+        # the stage functions, 344 while ``_maintain`` called the plan's
+        # stage methods per view and settled two tallies, 362 while a
         # ``plan.maintain`` frame ran the stages and ``apply_delta``
         # applied, 416 at 42a3db4, 779 at fbd8c76.  A change that brings
         # a per-view maintenance frame, per-view settlements, per-metric calls
         # or per-probe dispatch back fails here by count, not by clock.
-        assert counts["calls"] <= 270
+        assert counts["calls"] <= 258
 
         # The probes are still counted, in bulk, for an active recorder.
         with recording(CostRecorder()) as recorder:

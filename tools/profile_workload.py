@@ -42,7 +42,9 @@ checkpointed tuple (base rows plus the views' stored rows).  The counts
 are exact for a fixed workload and seed, like the per-transaction
 count.  Both set-ups then print the kernel modules
 ``repro.core.codegen`` compiled and how many distinct programs (sources
-without their comments) those were.
+without their comments) those were; an in-process stream run prints the
+trigger programs the maintainer built (one per set of changed relations
+the stream committed) and how many distinct programs those were.
 
 ``cProfile`` charges every Python call and nothing inside C code, so the
 shares it prints overstate call-heavy code.  Use it to find a candidate;
@@ -55,6 +57,7 @@ Usage (from the repository root)::
     python tools/profile_workload.py oltp_inproc --setup
     python tools/profile_workload.py oltp_served --setup
     python tools/profile_workload.py catalog_wide --setup
+    python tools/profile_workload.py catalog_wide --txns 200
 """
 
 from __future__ import annotations
@@ -90,10 +93,11 @@ def profile_in_process(workload, stream, txns: int):
     from harness import InProcHost, Phase
 
     host = InProcHost(workload, stream, None)
-    host.setup(1)
-    # As run.py does: one operation of every class first, so that no
-    # kernel is compiled inside the profile.
-    host.run_chunk(stream.warmup() + stream.take(workload.chunk_ops), Phase(), 0)
+    with trigger_sources() as triggers:
+        host.setup(1)
+        # As run.py does: one operation of every class first, so that no
+        # kernel or trigger is compiled inside the profile.
+        host.run_chunk(stream.warmup() + stream.take(workload.chunk_ops), Phase(), 0)
     ops = stream.take_txns(txns)
     phase = Phase()
     seen = host.maintainer.totals.get("transactions_seen")
@@ -120,6 +124,7 @@ def profile_in_process(workload, stream, txns: int):
         f"bytes retained per transaction: {retained / max(retained_txns, 1):.1f}   "
         f"({retained} B over {retained_txns} more transactions)"
     )
+    print_compiles(triggers, "trigger programs built")
     return stats
 
 
@@ -170,11 +175,29 @@ def kernel_compiles():
         yield sources
 
 
-def print_compiles(sources: list[str]) -> None:
+@contextlib.contextmanager
+def trigger_sources():
+    """Collect the source of every trigger program the maintainer builds
+    (one per set of changed relations, or refreshed backlog)."""
+    from repro.core import codegen
+
+    sources: list[str] = []
+    generate = codegen.generate_trigger_source
+
+    def kept(*args):
+        source, bound = generate(*args)
+        sources.append(source)
+        return source, bound
+
+    with mock.patch.object(codegen, "generate_trigger_source", kept):
+        yield sources
+
+
+def print_compiles(sources: list[str], what: str = "kernel modules compiled") -> None:
     from repro.core.codegen import program_key
 
     distinct = len(set(map(program_key, sources)))
-    print(f"kernel modules compiled: {len(sources)} (distinct sources: {distinct})")
+    print(f"{what}: {len(sources)} (distinct sources: {distinct})")
 
 
 def profile_setup(workload, stream, txns: int):
