@@ -63,7 +63,7 @@ import functools
 import re
 from collections import defaultdict
 from types import CodeType
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple, Sequence
 
 from repro.algebra.aggregates import column_plans
 from repro.algebra.conditions import Atom, Condition, Var
@@ -78,7 +78,7 @@ from repro.errors import MaintenanceError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.algebra.aggregates import AggregateSpec
-    from repro.core.irrelevance import RelevanceFilter
+    from repro.core.irrelevance import RelevanceFilter, _DisjunctScreen
     from repro.core.planner import Finish, Node, ShapeOps, StepPlan
     from repro.instrumentation import Tally
 
@@ -96,7 +96,9 @@ ValueTuple = tuple[int, ...]
 #: v9: an OLD probe subscripts a table of bucket lookups and counts itself.
 #: (Compiling once per distinct program left the text byte-identical,
 #: so it kept v9.)
-CODEGEN_VERSION = 9
+#: v10: a never-true probe is left out, a screen with nothing to test
+#: has no kernel, and the first atom's tests are counted in bulk.
+CODEGEN_VERSION = 10
 
 #: The most truth-table rows one compiled module unrolls; a larger
 #: shape is several such modules.  Unrolled in one module, the source
@@ -230,105 +232,223 @@ def _skip_unless(
 # Screen kernels (Section 4 over a delta's count dicts)
 # ----------------------------------------------------------------------
 
-_SCREEN_ALL = """\
-# condition has an empty disjunct (constant TRUE):
-# every update is relevant, no screening possible
-def screen_kernel(inserted, deleted):
-    return inserted, deleted, 0, 0"""
+#: One live (occurrence, disjunct) screen as text: its variant-evaluable
+#: atom tests in order, the bound folds its probes read, and its
+#: negative-cycle probe disjunction ("" when no probe can fire).
+Block = tuple[tuple[str, ...], tuple[str, ...], str]
+#: A screen with nothing left to test: every tuple reaching it passes.
+OPEN: Block = ((), (), "")
+
 _SCREEN_NONE = """\
 def screen_kernel(inserted, deleted):
     # every disjunct's invariant part is unsatisfiable:
     # all updates screened out
     return {}, {}, 0, 0"""
-_SCREEN_HEAD = """\
-def screen_kernel(inserted, deleted):
-    ki = {}
-    kd = {}
-    ge = 0
-    bp = 0
-    for src, kept in ((inserted, ki), (deleted, kd)):
-        for v, c in src.items():"""
 
 
-def generate_screen_source(
+class Screen(NamedTuple):
+    """One relation's compiled Section 4 screen, as a plan keeps it and
+    a trigger reads it."""
+
+    #: The kernel's text, or the comment line that stands for it.
+    source: str
+    #: None when no tuple needs testing: the delta goes on as it came,
+    #: or, when ``drop`` names the counter it is booked under, a
+    #: compile-time proof drops it unscreened.
+    kernel: ScreenKernel | None
+    #: The live screens the kernel tests, in order; ``(OPEN,)`` when the
+    #: first has nothing left to test, ``()`` when there are none.
+    blocks: tuple[Block, ...] = ()
+    drop: str = ""
+
+    @property
+    def kind(self) -> str:
+        """How a trigger screens with it, and which stage
+        (:func:`stage`) runs it alone: ``"screen"``, ``"pass"``,
+        ``"probed pass"`` (counting a bound probe per tuple) or
+        ``"drop"``."""
+        if self.kernel is not None:
+            return "screen"
+        return "drop" if self.drop else "probed pass" if self.blocks else "pass"
+
+
+def screen_for(
     relation_name: str,
     relevance_filter: "RelevanceFilter",
     schema: RelationSchema,
-) -> str:
-    """Emit the batch screen kernel for one participating relation.
+    compile_screen: Callable[[str], ScreenKernel],
+) -> Screen:
+    """The batch screen of one participating relation, its kernel
+    compiled by ``compile_screen`` when it needs one.
 
     The generated ``screen_kernel(inserted, deleted)`` returns
     ``(kept_inserted, kept_deleted, ground_evals, bound_probes)``: the
     relevant entries of each count dict, in order, and the tallies the
-    driver charges to the reference filter's per-tuple counters in bulk.
-    Structure per tuple, mirroring ``RelevanceFilter._decide`` exactly:
-    one block per live (occurrence, disjunct) screen, variant-evaluable
-    atoms as nested short-circuit tests, variant bounds as ``min``/
-    ``max`` folds, and the negative-cycle probe pairs unrolled with the
-    invariant APSP distances baked in as integer literals (pairs whose
-    invariant path is unreachable are omitted at generation time).
+    trigger charges to the reference filter's per-tuple counters in
+    bulk.  Structure per tuple, mirroring ``RelevanceFilter._decide``
+    exactly: one block per live (occurrence, disjunct) screen,
+    variant-evaluable atoms as nested short-circuit tests, variant
+    bounds as ``min``/``max`` folds, and the negative-cycle probe pairs
+    unrolled with the invariant APSP distances baked in as integer
+    literals (pairs whose invariant path is unreachable, or that can
+    never fire, are omitted at generation time).  The first screen's
+    first atom is tested for every tuple, so it is not counted per
+    tuple; with no probe, every tuple that reaches the probe stage is
+    kept, so that count is the kept count.
+
+    A relation whose condition has a constant TRUE disjunct, or whose
+    first screen has nothing left to test, needs no kernel: every
+    update is relevant.
     """
-    out = _Emitter()
-    out.emit(f"# screen kernel: relation {quoted(relation_name)}")
+    name = quoted(relation_name)
     if relevance_filter._always_relevant:
-        out.text(_SCREEN_ALL)
-        return out.source()
-    screens = relevance_filter._screens
-    out.text(_SCREEN_HEAD if screens else _SCREEN_NONE)
-    if not screens:
-        return out.source()
-    for screen_index, screen in enumerate(screens):
-        occurrence = screen.occurrence
-        out.indent = 3
-        out.emit(
-            f"# screen {screen_index}: occurrence "
-            f"{quoted(occurrence.name)}#{occurrence.position}"
+        return Screen(
+            f"# screen: relation {name} has a constant TRUE disjunct: "
+            "every update is relevant; no kernel\n",
+            None,
         )
+    screens = relevance_filter._screens
+    if not screens:
+        source = f"# screen kernel: relation {name}\n{_SCREEN_NONE}\n"
+        return Screen(source, compile_screen(source))
+    blocks: list[Block] = []
+    probed = evals = 0  # any probe; atom tests counted per tuple
+    for screen in screens:
 
-        def col_expr(qualified: str, _occ=occurrence) -> str:
-            return f"v[{schema.index(_occ.inverse[qualified])}]"
+        def col_expr(qualified: str, _inverse: dict[str, str] = screen.occurrence.inverse) -> str:
+            return f"v[{schema.index(_inverse[qualified])}]"
 
-        # Variant evaluable atoms: nested short-circuit so the per-atom
-        # ground-eval counter matches the reference filter's early exit.
-        for atom in screen.variant_evaluable:
-            out.text(f"ge += 1\nif {_atom_expr(atom, col_expr)}:")
-            out.indent += 1
-        out.emit("bp += 1")
-        probes = _bound_probe_exprs(screen, col_expr, out)
-        if probes:
-            out.emit(f"if not ({' or '.join(probes)}):")
-            out.indent += 1
-        out.text("kept[v] = c\ncontinue")
+        folds, probes, _ = bound_probes(screen, col_expr)
+        atoms = tuple(_atom_expr(atom, col_expr) for atom in screen.variant_evaluable)
+        blocks.append((atoms, tuple(folds), " or ".join(probes)))
+        probed = probed or bool(probes)
+        evals += len(atoms) - (len(blocks) == 1 and bool(atoms))
+        if not (atoms or probes):
+            # Every tuple reaching it passes: later screens never run.
+            break
+    if blocks[0] == OPEN:
+        return Screen(
+            f"# screen: relation {name} has nothing left to test: every "
+            "update is relevant; no kernel\n",
+            None,
+            (OPEN,),
+        )
+    out = _Emitter()
+    out.lines = [f"# screen kernel: relation {name}", "def screen_kernel(inserted, deleted):",
+                 "    ki = {}", "    kd = {}"] + ["    ge = 0"] * bool(evals) + ["    bp = 0"] * probed + [
+                 "    for src, kept in ((inserted, ki), (deleted, kd)):", "        for v, c in src.items():"]
+    out.indent = 3
+    for index, block in enumerate(blocks):
+        occurrence = screens[index].occurrence
+        out.emit(f"# screen {index}: occurrence {quoted(occurrence.name)}#{occurrence.position}")
+        _emit_tests(out, block, "ge", "bp" * probed,
+                    "kept[v] = c\ncontinue" if index < len(blocks) - 1 else "kept[v] = c",
+                    first_counted=bool(index))
     out.indent = 1
-    out.emit("return ki, kd, ge, bp")
+    ge = " + ".join(["ge"] * bool(evals) + ["len(inserted) + len(deleted)"] * bool(blocks[0][0])) or "0"
+    out.emit(f"return ki, kd, {ge}, {'bp' if probed else 'len(ki) + len(kd)'}")
+    source = out.source()
+    return Screen(source, compile_screen(source), tuple(blocks))
+
+
+def _emit_tests(
+    out: _Emitter, block: Block, ge: str, bp: str, keep: str, first_counted: bool = True
+) -> None:
+    """One screen's tests at the current indent, ending in ``keep``:
+    each atom counted into ``ge`` (the first only if ``first_counted``),
+    the probe stage into ``bp`` (if named)."""
+    atoms, folds, probe = block
+    opened = out.indent
+    for index, atom in enumerate(atoms):
+        if index or first_counted:
+            out.emit(f"{ge} += 1")
+        out.emit(f"if {atom}:")
+        out.indent += 1
+    if bp:
+        out.emit(f"{bp} += 1")
+    out.text("\n".join(folds))
+    if probe:
+        out.emit(f"if not ({probe}):")
+        out.indent += 1
+    out.text(keep)
+    out.indent = opened
+
+
+def generate_pass_source(relation_name: str, blocks: Sequence[Block]) -> str:
+    """One fused screen pass over a delta for several single-screen
+    programs whose tests open alike.
+
+    ``screen_kernel(inserted, deleted)`` tests the leading atoms every
+    program shares once per tuple, then each program's remaining tests,
+    and returns one ``(kept_inserted, kept_deleted, ground_evals,
+    bound_probes)`` per program, in order — what that program's own
+    kernel returns: a shared atom is counted for every program that
+    would have tested it.
+    """
+    shared = 0
+    while all(len(atoms) > shared for atoms, _, _ in blocks) and len(
+        {atoms[shared] for atoms, _, _ in blocks}
+    ) == 1:
+        shared += 1
+    lead = blocks[0][0][:shared]
+    out = _Emitter()
+    out.emit(f"# screen pass: relation {quoted(relation_name)}, {len(blocks)} screens "
+             f"sharing {shared} leading test(s)")
+    out.emit("def screen_kernel(inserted, deleted):")
+    out.indent = 1
+    for r, (atoms, _, probe) in enumerate(blocks):
+        out.text(f"ki{r} = {{}}\nkd{r} = {{}}" + f"\nge{r} = 0" * (len(atoms) > shared)
+                 + f"\nbp{r} = 0" * bool(probe))
+    out.text("g = 0" * (shared > 1))
+    kept = ", ".join(f"k{r}" for r in range(len(blocks)))
+    out.text(f"for src, {kept} in ((inserted, {', '.join(f'ki{r}' for r in range(len(blocks)))}), "
+             f"(deleted, {', '.join(f'kd{r}' for r in range(len(blocks)))})):\n"
+             "    for v, c in src.items():")
+    out.indent = 3
+    _emit_tests(out, (lead, (), ""), "g", "", "", first_counted=False)
+    out.indent = 3 + shared
+    for r, (atoms, folds, probe) in enumerate(blocks):
+        out.emit(f"# screen {r}")
+        _emit_tests(out, (atoms[shared:], folds, probe), f"ge{r}", f"bp{r}" * bool(probe), f"k{r}[v] = c")
+    out.indent = 1
+    out.emit("n = len(inserted) + len(deleted)" + " + g" * (shared > 1))
+    out.emit("return " + ", ".join(
+        f"(ki{r}, kd{r}, n{f' + ge{r}' * (len(atoms) > shared)}, "
+        f"{f'bp{r}' if probe else f'len(ki{r}) + len(kd{r})'})"
+        for r, (atoms, _, probe) in enumerate(blocks)
+    ) + "," * (len(blocks) == 1))
     return out.source()
 
 
-def _bound_probe_exprs(
-    screen, col_expr: Callable[[str], str], out: _Emitter
-) -> list[str]:
-    """Emit tightest-bound folds; return the negative-cycle probe exprs.
+def bound_probes(
+    screen: "_DisjunctScreen", col_expr: Callable[[str], str]
+) -> tuple[list[str], list[str], list[tuple[str, int, str]]]:
+    """A screen's tightest-bound folds, its negative-cycle probes, and
+    the probes left out because they can never fire.
 
     Reproduces ``_DisjunctScreen.admits``: each variant non-evaluable
     atom contributes an upper (``x ≤ e``) or lower (``x ≥ e``) bound
     whose constant is a cell expression; discrete-domain
     normalization (``<`` → ``≤ e−1``, ``>`` → ``≥ e+1``, ``=`` → both)
     is applied symbolically here, and the probe pairs are unrolled with
-    the APSP entries as literals.
+    the APSP entries as literals.  A probe ``-(e) + w + e < 0`` whose
+    two bounds are one expression ``e`` over a path ``w ≥ 0`` cannot
+    hold — a join equality gives one for every tuple — so it is left
+    out as ``(e, w, e)``, and so is a fold only such probes read.
     """
+    if not screen.variant_non_evaluable:
+        # No bound: the one pair left is the zero node's with itself.
+        return [], [], []
     uppers: dict[str, list[str]] = {}
     lowers: dict[str, list[str]] = {}
     order: list[str] = []
     for atom in screen.variant_non_evaluable:
         assert isinstance(atom.left, Var) and isinstance(atom.right, Var)
         x, y = atom.left.name, atom.right.name
-        substituted_left = _is_substituted(screen, x)
-        if substituted_left:
+        if _is_substituted(screen, x):
             # Const(vx) op y + c mirrors to y mirror(op) (vx - c).
             free = y
-            op = {"=": "=", "<": ">", ">": "<", "<=": ">=", ">=": "<="}[
-                atom.op
-            ]
+            op = {"=": "=", "<": ">", ">": "<", "<=": ">=", ">=": "<="}[atom.op]
             base = col_expr(x)
             shift = -atom.offset
         else:
@@ -338,41 +458,34 @@ def _bound_probe_exprs(
             shift = atom.offset
         if free not in order:
             order.append(free)
-        if op in ("<=", "<"):
-            expr = _shifted(base, shift - (1 if op == "<" else 0))
-            uppers.setdefault(free, []).append(expr)
-        elif op in (">=", ">"):
-            expr = _shifted(base, shift + (1 if op == ">" else 0))
-            lowers.setdefault(free, []).append(expr)
-        else:  # "=": both bounds
-            uppers.setdefault(free, []).append(_shifted(base, shift))
-            lowers.setdefault(free, []).append(_shifted(base, shift))
+        if op in ("<=", "<", "="):
+            uppers.setdefault(free, []).append(_shifted(base, shift - (op == "<")))
+        if op in (">=", ">", "="):
+            lowers.setdefault(free, []).append(_shifted(base, shift + (op == ">")))
 
-    lower_items: list[tuple[str, str]] = []
-    upper_items: list[tuple[str, str]] = []
-    for var_index, free in enumerate(order):
-        if free in lowers:
-            name = f"l{var_index}"
-            out.emit(f"{name} = {_fold('max', lowers[free])}")
-            lower_items.append((free, name))
-        if free in uppers:
-            name = f"u{var_index}"
-            out.emit(f"{name} = {_fold('min', uppers[free])}")
-            upper_items.append((free, name))
-    lower_items.append((ZERO, "0"))
-    upper_items.append((ZERO, "0"))
-
+    # (variable, fold name, fold expression) per bound, then the zero node.
+    lower_items = [(free, f"l{k}", _fold("max", lowers[free]))
+                   for k, free in enumerate(order) if free in lowers] + [(ZERO, "0", "0")]
+    upper_items = [(free, f"u{k}", _fold("min", uppers[free]))
+                   for k, free in enumerate(order) if free in uppers] + [(ZERO, "0", "0")]
     dist = screen.dist
     probes: list[str] = []
-    for y, cl in lower_items:
-        for x, cu in upper_items:
-            if y == ZERO and x == ZERO:
-                continue
+    dropped: list[tuple[str, int, str]] = []
+    read: set[str] = set()
+    for y, cl, lower in lower_items:
+        for x, cu, upper in upper_items:
             path = dist[y][x]
-            if path == INF:
+            if (y == ZERO and x == ZERO) or path == INF:
+                continue
+            if lower == upper and path >= 0:
+                dropped.append((lower, int(path), upper))
                 continue
             probes.append(f"(-({cl}) + {int(path)} + {cu} < 0)")
-    return probes
+            read |= {cl, cu}
+    exprs = {name: expr for _, name, expr in lower_items + upper_items}
+    folds = [f"{name} = {exprs[name]}" for k in range(len(order))
+             for name in (f"l{k}", f"u{k}") if name in read]
+    return folds, probes, dropped
 
 
 def _is_substituted(screen, name: str) -> bool:
@@ -952,25 +1065,32 @@ TRIGGER_CHARGES = (
 )
 
 # One template per stage; a line ``@ name=amount, ...`` counts.
-# Section 4: ``dest`` is what of delta ``src`` can affect the view, or
-# None; a delta the screen took nothing from goes on as it came.
-_SCREEN = """\
-ai = {src}.inserted
-ad = {src}.deleted
-n = len(ai) + len(ad)
-@ tuples_screened=n
-ki, kd, ge, bp = {kernel}(ai, ad)
-kept = len(ki) + len(kd)
-@ tuples_irrelevant=n - kept, codegen_batch_rows=n, filter_tuples_checked=n
-@ filter_ground_evals=ge, filter_bound_probes=bp
-{dest} = None if not kept else {src} if kept == n else ADOPT({src}.schema, ki, kd)
+# Section 4, once per source delta: its count dicts and their size.
+_SOURCE = """\
+{src}i = {src}.inserted
+{src}d = {src}.deleted
+{src}n = len({src}i) + len({src}d)
 """
-# A delta a compile-time proof drops unscreened: static irrelevance, or
-# an FK reduction's probe side.
-_DROP = """\
-n = len({src}.inserted) + len({src}.deleted)
-@ tuples_screened=n, tuples_irrelevant=n, tuples_static_dropped=n, {drop}=n
+# Once per distinct screen program over a source: ``s{p}`` is what of
+# the delta can affect the views holding the program, or None; a delta
+# the screen took nothing from goes on as it came.
+_KEPT = """\
+ki, kd, ge{p}, bp{p} = {result}
+m{p} = len(ki) + len(kd)
+s{p} = None if not m{p} else {src} if m{p} == {src}n else ADOPT({src}.schema, ki, kd)
 """
+# Per view reading a source, by its screen's kind (``Screen.kind``): a
+# screened source (the program runs, if it has not yet, after the first
+# line), one that goes on as it came, and one a compile-time proof drops
+# unscreened: static irrelevance, or an FK reduction's probe side.
+_SCREENED = """\
+@ tuples_irrelevant={src}n - m{p}, codegen_batch_rows={src}n, filter_tuples_checked={src}n
+@ filter_ground_evals=ge{p}, filter_bound_probes=bp{p}
+"""
+_PASS = "@ tuples_screened={src}n, codegen_batch_rows={src}n, filter_tuples_checked={src}n\n"
+_DROP = "@ tuples_screened={src}n, tuples_irrelevant={src}n, tuples_static_dropped={src}n, {drop}={src}n\n"
+#: The template of a screen with no kernel, by its kind.
+_UNSCREENED = {"pass": _PASS, "probed pass": _PASS + "@ filter_bound_probes={src}n\n", "drop": _DROP}
 # Section 5: a shape's row kernel over a screened delta per occurrence.
 _ROWS = """\
 ins, dele, ts, jp, te, ti, ip = {shape}[2]({operands}, {old}, {shape}[3])
@@ -1038,9 +1158,81 @@ _TRIGGER_GLOBALS = dict(
 )
 
 
+class _Screens:
+    """What one trigger screens.  Each source delta (a local ``a{k}`` or
+    ``d{i}``) is sized once; each distinct screen program over it
+    (:func:`program_key`) runs once, whichever views hold it; and the
+    single-screen programs over one source that open with the same test
+    run as one fused pass (:func:`generate_pass_source`), compiled here.
+    The first view to read a source emits what it needs, so every later
+    reader — which runs only when that one did — finds it bound."""
+
+    def __init__(self, views: Sequence[tuple[Any, bool]], names: Sequence[str]) -> None:
+        sources = {name: f"a{k}" for k, name in enumerate(names)}
+        #: (source, program key) -> program number.
+        self.program: dict[tuple[str, str], int] = {}
+        # Per program: its source, the relation it screens, its screen.
+        programs: list[tuple[str, str, Screen]] = []
+        for i, (entry, compose) in enumerate(views):
+            for dep in [] if compose else sorted(entry.dependencies & sources.keys()):
+                screen = entry.plan._screen_kernels[dep]
+                key = (sources[dep], program_key(screen.source))
+                if screen.kernel is not None and key not in self.program:
+                    self.program[key] = len(programs)
+                    programs.append((sources[dep], dep, screen))
+            if not compose:
+                sources[entry.view.definition.name] = f"d{i}"
+        leads: dict[tuple[str, str], list[int]] = {}
+        for p, (src, _, screen) in enumerate(programs):
+            if len(screen.blocks) == 1 and screen.blocks[0][0]:
+                leads.setdefault((src, screen.blocks[0][0][0]), []).append(p)
+        #: Per program, the expression of its result; the names the text
+        #: reads.
+        self.result: list[str] = []
+        self.bound: dict[str, Any] = {}
+        fused = [members for members in leads.values() if len(members) > 1]
+        passes = {p: (g, r) for g, members in enumerate(fused) for r, p in enumerate(members)}
+        for p, (src, _, screen) in enumerate(programs):
+            if p in passes:
+                self.result.append("r{0}[{1}]".format(*passes[p]))
+            else:
+                self.result.append(f"Q{p}({src}i, {src}d)")
+                self.bound[f"Q{p}"] = screen.kernel
+        #: Per program in a fused pass, the line that runs the pass.
+        self.passes: dict[int, str] = {}
+        for g, members in enumerate(fused):
+            src, dep, _ = programs[members[0]]
+            source = generate_pass_source(dep, [programs[p][2].blocks[0] for p in members])
+            self.bound[f"P{g}"] = compile_kernel(source, "screen_kernel", f"<codegen:pass:{dep}>")
+            self.passes.update((p, f"r{g} = P{g}({src}i, {src}d)") for p in members)
+        # The sources sized, programs run and passes run so far.
+        self.done: set[object] = set()
+
+    def read(self, out: _Emitter, src: str, screen: Screen) -> str | None:
+        """Screen ``src`` for one view reading it with ``screen``: the
+        expression of what goes on, None when nothing can."""
+        if src not in self.done:
+            self.done.add(src)
+            out.block(_SOURCE, src=src)
+        if screen.kernel is None:
+            out.block(_UNSCREENED[screen.kind], src=src, drop=screen.drop)
+            return None if screen.drop else src
+        p = self.program[src, program_key(screen.source)]
+        out.block("@ tuples_screened={src}n", src=src)
+        if p not in self.done:
+            self.done.add(p)
+            run = self.passes.get(p)
+            if run is not None and run not in self.done:
+                self.done.add(run)
+                out.emit(run)
+            out.block(_KEPT, src=src, p=p, result=self.result[p])
+        out.block(_SCREENED, src=src, p=p)
+        return f"s{p}"
+
+
 def _emit_view(
     out: _Emitter, i: int, entry: Any, operands: list[tuple[str, str, bool]],
-    refreshing: bool, verify: bool,
+    screens: _Screens, refreshing: bool, verify: bool,
 ) -> dict[str, Any]:
     """One maintained view's stages; its view delta is left in ``d{i}``
     (None when nothing changed).  Returns the names the text reads."""
@@ -1048,47 +1240,52 @@ def _emit_view(
     bound = {f"E{i}": entry, f"V{i}": view, f"C{i}": entry.row.counters,
              f"S{i}": view.contents.schema, f"R{i}": view.contents, f"SH{i}": plan._shapes,
              f"CS{i}": plan._compile_shape, f"OLD{i}": plan._old_counts}
-    # A miss is counted once: a trigger that counts one is not kept.
-    out.block("c = C{0}\n" + "E{0}.missed = False\n" * entry.missed
-              + "@ transactions_seen=1, plan_cache_{1}=1", i, "misses" if entry.missed else "hits")
-    live: list[tuple[int, str]] = []
+    # A plan DDL discarded counts a miss the first time it runs, once.
+    out.block("c = C{0}\n" + (
+        "if E{0}.missed:\n    E{0}.missed = False\n    @ transactions_seen=1, plan_cache_misses=1\n"
+        "else:\n    " * entry.missed) + "@ transactions_seen=1, plan_cache_hits=1", i)
+    # Operand name -> the expression of its screened delta, and whether
+    # that may be None.
+    live: dict[str, tuple[str, bool]] = {}
     for j, (name, src, dynamic) in enumerate(operands):
-        kernel = plan._screen_kernels[name][1]
-        if dynamic:
-            out.emit(f"if {src} is not None:")
+        screen = plan._screen_kernels[name]
+        out.block(f"if {src} is not None:" * dynamic)
         out.indent += dynamic
-        out.block(_SCREEN if kernel else _DROP, src=src, dest=f"x{j}", kernel=f"Q{i}_{j}", drop=(
-            "static_tuples_dropped" if name in plan.static_irrelevant else "fk_probe_tuples_dropped"))
+        expr = screens.read(out, src, screen)
         out.indent -= dynamic
-        if kernel:
-            bound[f"Q{i}_{j}"] = kernel
-            live.append((j, name))
-            out.block("else:\n    x{0} = None" * dynamic, j)
+        if expr is not None and dynamic:
+            out.block("    x{0} = {1}\nelse:\n    x{0} = None", j, expr)
+            expr = f"x{j}"
+        if expr is not None:
+            live[name] = (expr, dynamic or screen.kernel is not None)
     # Applied: a raise from here on leaves no backlog to apply twice.
     settle = "V{i}.last_refresh_sequence = seq\n" + (
         "E{i}.pending = {{}}\nE{i}.commits_since_refresh = 0\n" * refreshing)
-    if live:
-        out.emit(f"if {' and '.join(f'x{j} is None' for j, _ in live)}:")
-    out.indent += bool(live)
-    out.block("@ transactions_skipped=1\n" + settle + "d{i} = None", i=i)
+    skipped = all(nullable for _, nullable in live.values())
+    if live and skipped:
+        out.emit(f"if {' and '.join(f'{expr} is None' for expr, _ in live.values())}:")
+    out.indent += bool(live) and skipped
+    out.block(("@ transactions_skipped=1\n" + settle + "d{i} = None") * skipped, i=i)
     if not live:
         return bound
-    out.emit("else:", -1)
-    key = "k" if len(live) > 1 else f"K{i}"
-    if key != "k":
-        bound[key] = (live[0][1],)
-    out.block("k = ()" * (key == "k"))
-    for j, name in live if key == "k" else ():
-        bound[f"N{i}_{j}"] = name
-        out.block("if x{1} is not None:\n    k += (N{0}_{1},)", i, j)
-    slot = {name: f"x{j}" for j, name in live}
-    positions = ", ".join(slot.get(name, "None") for name in plan._occurrence_names)
+    if skipped:
+        out.emit("else:", -1)
+    key = f"K{i}"
+    if len(live) == 1 or not any(nullable for _, nullable in live.values()):
+        bound[key] = tuple(live)
+    else:
+        key = "k"
+        out.emit("k = ()")
+        for j, (name, (expr, nullable)) in enumerate(live.items()):
+            bound[f"N{i}_{j}"] = name
+            out.block(f"if {expr} is not None:\n    " * nullable + "k += (N{0}_{1},)", i, j)
+    positions = ", ".join(live.get(name, ("None",))[0] for name in plan._occurrence_names)
     out.block(_SHAPE + _ROWS, i=i, key=key, shape="sh", operands=f"[{positions}]", old=f"OLD{i}")
     if plan._aggregate_kernel is not None:
         bound[f"F{i}"] = plan._aggregate_kernel[1]
         out.block(_FOLD, fold=f"F{i}", state=f"V{i}.aggregate_state", view_name=f"V{i}.definition.name")
     out.block(_APPLY + settle + f"VERIFY(V{i})\n" * verify + _DELIVER, i=i)
-    out.indent -= 1
+    out.indent -= skipped
     return bound
 
 
@@ -1105,13 +1302,16 @@ def generate_trigger_source(
     the one view is a deferred view refreshed from its backlog.
     ``trigger(arrived, recorder)`` runs each view's stages in order,
     hands a view delta on to what is stacked on it as a local, and
-    passes over a view none of whose operands changed.  With
-    ``recording`` every count also joins one ``tally``, landed on
-    ``recorder`` once, raise or not; ``verify`` re-derives each view it
-    changed (``auto_verify``)."""
+    passes over a view none of whose operands changed.  Each source
+    delta is screened once per distinct program, however many views
+    hold it (:class:`_Screens`).  With ``recording`` every count also
+    joins one ``tally``, landed on ``recorder`` once, raise or not;
+    ``verify`` re-derives each view it changed (``auto_verify``)."""
     names = sorted(arrived)
     out = _Emitter("counts" if recording else None)
+    screens = _Screens(views, names)
     bound: dict[str, Any] = {f"A{k}": name for k, name in enumerate(names)}
+    bound.update(screens.bound)
     out.emit(f"# trigger: {len(views)} view(s) reached from {quoted(names)}"
              + " (refresh)" * refreshing)
     out.emit("def trigger(arrived, recorder):")
@@ -1134,7 +1334,7 @@ def generate_trigger_source(
             operands = [(name, src, len(operands) > 1) for name, src, _ in operands]
         out.indent += guarded
         if not compose:
-            bound.update(_emit_view(out, i, entry, operands, refreshing, verify))
+            bound.update(_emit_view(out, i, entry, operands, screens, refreshing, verify))
             sources[entry.view.definition.name] = (f"d{i}", True)
         else:
             bound[f"E{i}"] = entry
@@ -1171,8 +1371,10 @@ def compile_trigger(
 
 #: Per stage: its template, its parameters after ``c, tally``, its result.
 _STAGES = {
-    "screen": (_SCREEN, "a, kernel", "x"),
-    "drop": (_DROP, "a, kernel", "None"),
+    "screen": (_SOURCE + "@ tuples_screened={src}n\n" + _KEPT + _SCREENED, "a, kernel", "s0"),
+    "pass": (_SOURCE + _UNSCREENED["pass"], "a, kernel", "a"),
+    "probed pass": (_SOURCE + _UNSCREENED["probed pass"], "a, kernel", "a"),
+    "drop": (_SOURCE + _DROP, "a, kernel", "None"),
     "rows": (_ROWS, "sh, operands, old", "ins, dele"),
     "fold": (_FOLD, "fold, st, view_name, ins, dele", "ins, dele"),
 }
@@ -1180,11 +1382,11 @@ _STAGES = {
 
 @functools.lru_cache(maxsize=None)
 def _stage(kind: str, recording: bool, drop: str) -> Callable:
-    template, parameters, result = _STAGES["drop" if drop else kind]
+    template, parameters, result = _STAGES[kind]
     out = _Emitter("charges" if recording else None)
     out.block(f"def stage(c, tally, {parameters}):\n" + "\n".join(
         "    " + line for line in (template + f"return {result}").splitlines()
-    ), src="a", dest="x", kernel="kernel", drop=drop, shape="sh", operands="operands",
+    ), src="a", p=0, result="kernel(ai, ad)", drop=drop, shape="sh", operands="operands",
         old="old", fold="fold", state="st", view_name="view_name")
     namespace: dict = dict(_TRIGGER_GLOBALS)
     exec(_load(out.source(), f"<codegen:stage:{kind}>"), namespace)  # noqa: S102 - the codegen seam
@@ -1192,11 +1394,12 @@ def _stage(kind: str, recording: bool, drop: str) -> Callable:
 
 
 def stage(kind: str, counted: Tally, charged: Tally | None, *args: Any, drop: str = "") -> Any:
-    """Run one stage of a trigger — ``"screen"`` (``drop`` names the
-    counter of a delta a proof drops), ``"rows"`` or ``"fold"`` — as a
-    function of its own, emitted from the same template: what the plan's
-    stage methods run.  Row counts join ``counted``; the charges only an
-    active recorder receives join ``charged`` (None: none is active)."""
+    """Run one stage of a trigger — a screen of any kind
+    (:attr:`Screen.kind`; ``drop`` names the counter of a delta a proof
+    drops), ``"rows"`` or ``"fold"`` — as a function of its own, emitted
+    from the same template: what the plan's stage methods run.  Row
+    counts join ``counted``; the charges only an active recorder
+    receives join ``charged`` (None: none is active)."""
     counters: defaultdict[str, int] = defaultdict(int)
     result = _stage(kind, charged is not None, drop)(counters, charged, *args)
     counted += counters.items()

@@ -29,6 +29,7 @@ same plan against a replica produces byte-for-byte the leader's result.
 
 from __future__ import annotations
 
+from functools import partial
 from types import MappingProxyType
 from typing import TYPE_CHECKING, AbstractSet, Callable, Iterable, Mapping, cast
 
@@ -45,13 +46,13 @@ from repro.core.codegen import (
     CODEGEN_VERSION,
     MAX_CODEGEN_ROWS,
     RowKernel,
-    ScreenKernel,
+    Screen,
     compile_kernel,
     compile_shape_kernels,
     generate_aggregate_source,
-    generate_screen_source,
     generate_shape_sources,
     quoted,
+    screen_for,
     stage,
 )
 from repro.core.irrelevance import RelevanceFilter, is_statically_irrelevant
@@ -212,13 +213,14 @@ class CompiledViewPlan:
         # — they bake the APSP distances into source, so they must be
         # rebuilt whenever the plan is.  Shape kernels compile on first
         # use of each truth-table shape, like the planners they mirror.
-        #: Relation name → its screen kernel's source and the kernel, or
-        #: a comment line and None when a compile-time proof drops the
+        #: Relation name → its screen (:class:`~repro.core.codegen.Screen`):
+        #: the kernel and its source, or a comment line and no kernel when
+        #: every update is relevant or a compile-time proof drops the
         #: relation's deltas wholesale: static irrelevance, or the probe
         #: side of an FK reduction (legal states keep the foreign key
         #: satisfied, and the probe contributes only its referenced key
         #: attributes, which the referencing side already carries).
-        self._screen_kernels: dict[str, tuple[str, ScreenKernel | None]] = {}
+        self._screen_kernels: dict[str, Screen] = {}
         #: The names of the relations whose deltas survived screening,
         #: in a call's order → everything one execution of that shape
         #: needs that no transaction changes: the changed positions,
@@ -231,25 +233,28 @@ class CompiledViewPlan:
         probe_side = self._reduction.probe_relations if self._reduction else ()
         for name in sorted(self._screens):
             if name in self._static_irrelevant or name in probe_side:
+                static = name in self._static_irrelevant
                 proof = (
                     "statically irrelevant under its declared constraint"
-                    if name in self._static_irrelevant
+                    if static
                     else "an FK-reduction probe operand"
                 )
-                self._screen_kernels[name] = (
+                self._screen_kernels[name] = Screen(
                     f"# screen: relation {quoted(name)} is {proof}; no kernel\n",
                     None,
+                    drop="static_tuples_dropped" if static else "fk_probe_tuples_dropped",
                 )
                 continue
-            source = generate_screen_source(
-                name, self._screens[name], self._operands[name].schema
+            self._screen_kernels[name] = screen_for(
+                name,
+                self._screens[name],
+                self._operands[name].schema,
+                partial(
+                    compile_kernel,
+                    name="screen_kernel",
+                    filename=f"<codegen:{definition.name}:screen:{name}>",
+                ),
             )
-            kernel = compile_kernel(
-                source,
-                "screen_kernel",
-                f"<codegen:{definition.name}:screen:{name}>",
-            )
-            self._screen_kernels[name] = (source, kernel)
         if definition.aggregate is not None:
             source = generate_aggregate_source(
                 definition.aggregate, self.normal_form.output_schema()
@@ -283,10 +288,8 @@ class CompiledViewPlan:
         (always-on) or ``charged`` (active recorder only; ``None`` when
         none is active), which the caller settles once.
         """
-        kernel = self._screen_kernels[relation_name][1]
-        static = relation_name in self._static_irrelevant
-        drop = "" if kernel else "static_tuples_dropped" if static else "fk_probe_tuples_dropped"
-        return stage("screen", counted, charged, delta, kernel, drop=drop)
+        screen = self._screen_kernels[relation_name]
+        return stage(screen.kind, counted, charged, delta, screen.kernel, drop=screen.drop)
 
     @property
     def static_irrelevant(self) -> frozenset[str]:
@@ -537,7 +540,7 @@ class CompiledViewPlan:
                 "are screened out wholesale\n"
             )
         for relation_name in sorted(self._screen_kernels):
-            parts.append(self._screen_kernels[relation_name][0])
+            parts.append(self._screen_kernels[relation_name].source)
         for shape in self._listed_shapes():
             unplanned = self._unplanned(shape)
             if unplanned:

@@ -57,13 +57,15 @@ class ConstraintGraph:
     constraint), which preserves both cycle detection and solutions.
     """
 
-    __slots__ = ("_nodes", "_edges")
+    __slots__ = ("_nodes", "_edges", "_cites")
 
     def __init__(self, nodes: Iterable[str] = ()) -> None:
         self._nodes: set[str] = set(nodes)
         self._nodes.add(ZERO)
         # (origin, destination) -> weight (minimum over parallel edges)
         self._edges: dict[tuple[str, str], int] = {}
+        # (origin, destination) -> the atom that edge's weight came from
+        self._cites: dict[tuple[str, str], Atom | None] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -77,23 +79,30 @@ class ConstraintGraph:
             graph.add_atom(atom)
         return graph
 
-    def add_edge(self, origin: str, destination: str, weight: int) -> None:
-        """Add ``origin − destination ≤ weight``, keeping the tightest."""
+    def add_edge(
+        self, origin: str, destination: str, weight: int, cite: Atom | None = None
+    ) -> None:
+        """Add ``origin − destination ≤ weight``, keeping the tightest
+        and the atom ``cite`` it came from."""
         self._nodes.add(origin)
         self._nodes.add(destination)
         key = (origin, destination)
         existing = self._edges.get(key)
         if existing is None or weight < existing:
             self._edges[key] = weight
+            self._cites[key] = cite
 
-    def add_atom(self, atom: Atom) -> None:
+    def add_atom(self, atom: Atom, cite: Atom | None = None) -> None:
         """Translate one normalized atom into its edge.
 
         >>> g = ConstraintGraph()
         >>> g.add_atom(Atom("x", "<=", "y", 2))   # x <= y + 2
         >>> g.edges()[("x", "y")]
         2
+
+        Its edge cites ``cite``, or ``atom`` itself.
         """
+        cite = atom if cite is None else cite
         if atom.op not in ("<=", ">="):
             raise ConditionError(
                 f"graph atoms must be normalized to <= or >=, got {atom}"
@@ -104,23 +113,24 @@ class ConstraintGraph:
             x = atom.left.name  # type: ignore[union-attr]
             y = atom.right.name  # type: ignore[union-attr]
             if atom.op == "<=":
-                self.add_edge(x, y, atom.offset)
+                self.add_edge(x, y, atom.offset, cite)
             else:
-                self.add_edge(y, x, -atom.offset)
+                self.add_edge(y, x, -atom.offset, cite)
             return
         # Single-variable bound: x op c, routed through ZERO.
         assert atom.is_single_variable()
         x = atom.left.name  # type: ignore[union-attr]
         c = atom.right.value  # type: ignore[union-attr]
         if atom.op == "<=":
-            self.add_edge(x, ZERO, c)
+            self.add_edge(x, ZERO, c, cite)
         else:
-            self.add_edge(ZERO, x, -c)
+            self.add_edge(ZERO, x, -c, cite)
 
     def copy(self) -> "ConstraintGraph":
         """An independent copy."""
         out = ConstraintGraph(self._nodes)
         out._edges = dict(self._edges)
+        out._cites = dict(self._cites)
         return out
 
     # ------------------------------------------------------------------
@@ -194,6 +204,40 @@ class ConstraintGraph:
             if dist[u] + w < dist[v]:
                 return True
         return False
+
+    def negative_cycle(self) -> list[tuple[str, str, int, Atom | None]] | None:
+        """A negative-weight cycle as its edges ``(origin, destination,
+        weight, cited atom)`` in order, or None when there is none.
+
+        Bellman–Ford from a virtual source, keeping each node's
+        predecessor: an edge that still relaxes in pass ``n`` proves a
+        negative cycle, and ``n`` steps back along the predecessors from
+        its head land on one, which the walk then closes.
+        """
+        nodes = sorted(self._nodes)
+        dist: dict[str, float] = {u: 0 for u in nodes}
+        pred: dict[str, str] = {}
+        edges = sorted(self._edges.items())
+        last: str | None = None
+        for _ in nodes:
+            last = None
+            for (u, v), w in edges:
+                if dist[u] + w < dist[v]:
+                    dist[v] = dist[u] + w
+                    pred[v] = u
+                    last = v
+            if last is None:
+                return None
+        assert last is not None
+        for _ in nodes:
+            last = pred[last]
+        cycle: list[tuple[str, str, int, Atom | None]] = []
+        node = last
+        while not cycle or node != last:
+            origin = pred[node]
+            cycle.append((origin, node, self._edges[origin, node], self._cites[origin, node]))
+            node = origin
+        return cycle[::-1]
 
     def has_negative_cycle(self, method: str = "bellman") -> bool:
         """Negative-cycle test by either algorithm.

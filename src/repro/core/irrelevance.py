@@ -23,7 +23,7 @@ provides:
   instance in which the update visibly changes the view.
 
 The view maintainer screens whole deltas with a kernel generated from a
-:class:`RelevanceFilter` (:func:`repro.core.codegen.generate_screen_source`),
+:class:`RelevanceFilter` (:func:`repro.core.codegen.screen_for`),
 which decides what :meth:`RelevanceFilter.is_relevant` decides.
 
 Self-joins (a relation appearing in several occurrences of the view)

@@ -666,8 +666,8 @@ class ViewMaintainer:
         ``target``'s backlog over them for a refresh.  A commit's trigger runs the records
         the deltas reach in ascending ordinal, so an upstream view's
         delta has arrived by the turn of what is stacked on it.  A plan
-        DDL discarded is compiled here; the trigger that counts its miss
-        is not kept, so the next one counts hits."""
+        DDL discarded is compiled here, and the trigger counts its miss
+        the first time the view runs, then hits."""
         if target is not None:
             views = [(target, False)]
         else:
@@ -680,8 +680,7 @@ class ViewMaintainer:
         verify = (lambda view: check_view_consistency(view, self.instances())) if self.auto_verify else None
         trigger = compile_trigger(views, names, refreshing=target is not None, recording=recording,
                                   verify=verify, last_sequence=self.database.last_sequence)
-        if not any(entry.missed for entry, compose in views if not compose):
-            self._triggers[key] = trigger
+        self._triggers[key] = trigger
         return trigger
 
     def apply_deltas(self, txn_id: int, deltas: Mapping[str, Delta]) -> None:

@@ -637,7 +637,7 @@ def _kernel_code_objects(plan):
     """Every code object of every kernel module a plan runs: each
     module's functions (a kernel and the helpers it calls) and every
     code object nested in them."""
-    kernels = [kernel for _, kernel in plan._screen_kernels.values() if kernel]
+    kernels = [screen.kernel for screen in plan._screen_kernels.values() if screen.kernel]
     kernels += [shape[2] for shape in plan._shapes.values()]
     if plan._aggregate_kernel is not None:
         kernels.append(plan._aggregate_kernel[1])

@@ -26,7 +26,7 @@ and these tests pin it down:
 import pytest
 
 from repro.algebra.expressions import BaseRef
-from repro.core import compiled
+from repro.core import codegen, compiled
 from repro.core.consistency import check_view_consistency
 from repro.core.maintainer import MaintenancePolicy, ViewMaintainer
 from repro.engine.database import Database
@@ -206,8 +206,9 @@ class TestSubscriberFailures:
 
 @pytest.fixture
 def kernel_faults(monkeypatch):
-    """A set of kernel file names (``<codegen:VIEW:KIND...>``): a screen
-    or fold kernel compiled from here on raises while its name is in it."""
+    """A set of kernel file names (``<codegen:VIEW:KIND...>``,
+    ``<codegen:pass:RELATION>``): a screen, fused screen pass, row or
+    fold kernel compiled from here on raises while its name is in it."""
     armed: set[str] = set()
     compile_kernel = compiled.compile_kernel
 
@@ -222,6 +223,7 @@ def kernel_faults(monkeypatch):
         return run
 
     monkeypatch.setattr(compiled, "compile_kernel", faultable)
+    monkeypatch.setattr(codegen, "compile_kernel", faultable)
     return armed
 
 
@@ -249,6 +251,33 @@ class TestKernelFaults:
             "sequence_lag": 0,
         }
         maintainer.verify_all()
+
+    def test_a_fused_pass_fault_stops_the_commit_at_its_first_reader(self, db, kernel_faults):
+        """Two views whose screens open with ``A > 0`` share one fused
+        pass, which the first of them runs: a fault in it stops the
+        commit there, after the view before them."""
+        maintainer = ViewMaintainer(db)
+        names = ["proj", "lo", "lo_b"]
+        maintainer.define_view("proj", BaseRef("r").project(["B"]))
+        maintainer.define_view("lo", BaseRef("r").select("A > 0"))
+        maintainer.define_view("lo_b", BaseRef("r").select("A > 0 and B < 100"))
+        before = {name: maintainer.stats(name) for name in names}
+        contents = {name: maintainer.view(name).contents.counts() for name in names}
+        kernel_faults.add("<codegen:pass:r>")
+        with pytest.raises(RuntimeError, match="injected"):
+            db.apply(inserts={"r": [(5, 5)]})
+        after = {name: maintainer.stats(name) for name in names}
+        assert after["proj"]["deltas_applied"] == before["proj"]["deltas_applied"] + 1
+        check_view_consistency(maintainer.view("proj"), maintainer.instances())
+        moved = {m: after["lo"][m] - before["lo"][m] for m in after["lo"] if after["lo"][m] != before["lo"][m]}
+        assert moved == {"transactions_seen": 1, "tuples_screened": 1, "plan_cache_hits": 1}
+        assert after["lo_b"] == before["lo_b"]
+        for name in ("lo", "lo_b"):
+            assert maintainer.view(name).contents.counts() == contents[name]
+        kernel_faults.clear()
+        db.apply(inserts={"r": [(6, 6)]})
+        assert (6, 6) in maintainer.view("lo").contents
+        assert (6, 6) in maintainer.view("lo_b").contents
 
     def test_a_subscriber_raising_in_a_refresh_leaves_no_backlog(self, db):
         # The delta is applied before the subscribers run, so the backlog

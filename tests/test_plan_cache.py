@@ -111,6 +111,27 @@ class TestInvalidation:
         assert maintainer.stats("v")["plan_cache_misses"] == 1
         check_view_consistency(maintainer.view("v"), db.instances())
 
+    def test_a_ddl_event_costs_no_extra_trigger(self, db, maintainer, monkeypatch):
+        """The trigger built after a DDL event is kept: it counts the
+        recompiled plan's miss on its first run and hits after that."""
+        from repro.core import maintainer as module
+
+        built = []
+        real = module.compile_trigger
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "compile_trigger", counted)
+        db.create_index("s", ["C"])
+        db.apply(inserts={"r": [(3, 2)]})
+        db.apply(inserts={"r": [(4, 2)]})
+        assert len(built) == 1
+        stats = maintainer.stats("v")
+        assert (stats["plan_cache_misses"], stats["plan_cache_hits"]) == (1, 1)
+        check_view_consistency(maintainer.view("v"), db.instances())
+
     def test_unrelated_relation_ddl_leaves_plan_cached(self, db, maintainer):
         plan = maintainer.compiled_plan("v")
         db.create_relation("u", ["X"], [(1,)])

@@ -507,7 +507,7 @@ class TestMacrobenchCatalog:
         registry = instrumentation.__file__
         glue = {core.maintainer.__file__, core.compiled.__file__}
         constructors = (Delta.__init__.__code__, Delta.adopt.__func__.__code__)
-        counts = {"calls": 0, "registry": 0, "probe charges": 0, "deltas": 0, "glue": 0}
+        counts = {"calls": 0, "registry": 0, "probe charges": 0, "deltas": 0, "glue": 0, "screens": 0}
 
         def profile(frame, event, arg):
             if event == "c_call":
@@ -518,6 +518,7 @@ class TestMacrobenchCatalog:
             code = frame.f_code
             caller = frame.f_back.f_code
             counts["glue"] += code.co_filename in glue
+            counts["screens"] += code.co_name == "screen_kernel"
             if code.co_filename == registry and caller.co_filename != registry:
                 if caller is HashIndex.probe.__code__:
                     counts["probe charges"] += 1
@@ -572,20 +573,32 @@ class TestMacrobenchCatalog:
         # kernel's dicts anew, three times for an aggregate view, and
         # each ``from_counts`` ran ``__init__`` first.)
         assert counts["deltas"] <= 6 + 1
-        # Every Python-level and C-level call of the commit: 253 on
-        # CPython 3.11; 265 while a ``_run`` frame walked the views through
+        # Every Python-level and C-level call of the commit: 228 on
+        # CPython 3.11; 253 while every view ran its own screen kernel
+        # and sized its own delta, 265 while a ``_run`` frame walked the views through
         # the stage functions, 344 while ``_maintain`` called the plan's
         # stage methods per view and settled two tallies, 362 while a
         # ``plan.maintain`` frame ran the stages and ``apply_delta``
         # applied, 416 at 42a3db4, 779 at fbd8c76.  A change that brings
         # a per-view maintenance frame, per-view settlements, per-metric calls
         # or per-probe dispatch back fails here by count, not by clock.
-        assert counts["calls"] <= 258
+        assert counts["calls"] <= 228
 
         # The probes are still counted, in bulk, for an active recorder.
         with recording(CostRecorder()) as recorder:
             db.apply(inserts={"lineitem": [(3, 6, 5, 9, 0)]})
         assert recorder.get("index_probes") == 5
+
+    def test_a_lineitem_commit_screens_once_per_fused_pass(self):
+        """The five views reading ``lineitem`` hold two screen programs
+        (``status = 0 and qty >= 5``, and ``status = 0`` once the join
+        equality's never-true probe is left out) that open with the same
+        test: one fused pass screens the delta for all of them, and for
+        a second copy of the catalog too.  (Five calls, one per reader,
+        while every view ran its own screen kernel.)"""
+        counts, _ = self._one_row_commit(1)
+        doubled, _ = self._one_row_commit(2)
+        assert counts["screens"] == doubled["screens"] == 1
 
     def test_loading_a_relation_makes_no_call_per_row(self):
         """A clock-free law for load cost: ``create_relation`` and a

@@ -44,7 +44,9 @@ count.  Both set-ups then print the kernel modules
 ``repro.core.codegen`` compiled and how many distinct programs (sources
 without their comments) those were; an in-process stream run prints the
 trigger programs the maintainer built (one per set of changed relations
-the stream committed) and how many distinct programs those were.
+the stream committed) and how many distinct programs those were, and
+beside them the screen passes run per transaction: ``screen_kernel``
+calls, one per distinct screen program or fused pass per source delta.
 
 ``cProfile`` charges every Python call and nothing inside C code, so the
 shares it prints overstate call-heavy code.  Use it to find a candidate;
@@ -125,6 +127,9 @@ def profile_in_process(workload, stream, txns: int):
         f"({retained} B over {retained_txns} more transactions)"
     )
     print_compiles(triggers, "trigger programs built")
+    # One call per distinct screen program, or fused pass, per source delta.
+    passes = sum(row[1] for key, row in stats.stats.items() if key[2] == "screen_kernel")
+    print(f"screen passes per transaction:  {passes / phase.txns:.2f}   ({passes} screen kernel calls)")
     return stats
 
 
