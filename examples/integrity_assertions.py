@@ -1,25 +1,30 @@
-"""Integrity enforcement with the irrelevance filter ([HS78] extension).
+"""Integrity assertions as views that must stay empty ([HS78]).
 
 The paper's conclusions note that irrelevant-update detection "can be
 used in those contexts as well" — meaning trigger support and Hammer &
-Sarin's integrity assertions.  This example declares two assertions
-over a small banking schema:
+Sarin's integrity assertions.  An assertion is declared by its *error
+predicate*, which is empty exactly when the assertion holds, and is
+maintained like any other view: ``MaintenancePolicy.ASSERTION``.  This
+example declares two over a small banking schema:
 
 * ``non_negative`` — no account balance may drop below zero
   (error predicate: σ_{balance<0}(accounts));
 * ``orders_active`` — no order may reference a drained account
   (error predicate: σ_{balance≤0}(orders ⋈ accounts)).
 
-Transactions are validated *before* commit; violating ones are aborted
-with the exact error-predicate witnesses.  Updates that provably cannot
-violate an assertion are screened out by the Section 4 filter without
-evaluating anything.
+A commit that would leave an assertion's view non-empty is undone — the
+base relations and every view as they were — and raises
+``IntegrityViolation`` with the witnesses.  Updates the Section 4 filter
+proves irrelevant to an error predicate never reach its differential.
+Advisory monitoring, which records instead of rejecting, is an ordinary
+view plus a subscriber.
 
 Run:  python examples/integrity_assertions.py
 """
 
 from repro import BaseRef, Database
-from repro.extensions.assertions import AssertionMonitor, IntegrityViolation
+from repro.core.maintainer import MaintenancePolicy, ViewMaintainer
+from repro.errors import IntegrityViolation
 
 
 def main() -> None:
@@ -29,27 +34,38 @@ def main() -> None:
     )
     db.create_relation("orders", ["order_id", "acct"], [(10, 1), (11, 2)])
 
-    monitor = AssertionMonitor(db)
-    monitor.declare("non_negative", BaseRef("accounts").select("balance < 0"))
-    monitor.declare(
+    maintainer = ViewMaintainer(db)
+    assertion = MaintenancePolicy.ASSERTION
+    maintainer.define_view(
+        "non_negative", BaseRef("accounts").select("balance < 0"), policy=assertion
+    )
+    maintainer.define_view(
         "orders_active",
         BaseRef("orders").join(BaseRef("accounts")).select("balance <= 0"),
+        policy=assertion,
     )
-    print("Declared assertions:", ", ".join(monitor.assertion_names()))
+    # Advisory: large balances are allowed, but someone wants to hear.
+    maintainer.define_view("large", BaseRef("accounts").select("balance >= 80"))
+    alerts: list[tuple] = []
+    maintainer.subscribe(
+        "large", lambda view, delta: alerts.extend(sorted(delta.inserted))
+    )
+    print("Declared assertions: non_negative, orders_active")
 
     def attempt(description, build):
+        before = db.relation("accounts").counts(), db.relation("orders").counts()
         txn = db.begin()
         build(txn)
         try:
-            monitor.validate_transaction(txn)
+            txn.commit()
         except IntegrityViolation as violation:
-            txn.abort()
+            after = db.relation("accounts").counts(), db.relation("orders").counts()
+            assert after == before, "a rejected commit changes nothing"
             print(f"  REJECTED  {description}\n            -> {violation}")
         else:
-            txn.commit()
             print(f"  committed {description}")
 
-    print("\nRunning transactions through pre-commit validation:\n")
+    print("\nRunning transactions:\n")
     attempt(
         "deposit 50 into account 2",
         lambda txn: txn.update("accounts", (2, 40), (2, 90)),
@@ -75,9 +91,12 @@ def main() -> None:
     print(db.relation("accounts").pretty())
     print("\nFinal orders:")
     print(db.relation("orders").pretty())
+    print("\nAdvisory alerts (committed large balances):", alerts)
+    assert alerts == [(2, 90)]
+    maintainer.verify_all()
     print(
         "\nEvery committed state satisfies both assertions; every "
-        "violation was caught before commit, with witnesses."
+        "violating commit was undone, with witnesses."
     )
 
 

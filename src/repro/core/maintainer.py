@@ -43,17 +43,17 @@ reaches, never the catalog.
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Mapping
 
 from repro.algebra.expressions import Expression
 from repro.algebra.relation import Delta, Relation
 from repro.algebra.schema import RelationSchema
-from repro.core.codegen import Trigger, compile_trigger
+from repro.core.codegen import Trigger, compile_trigger, undo_views, violation
 from repro.core.compiled import CompiledViewPlan
 from repro.core.consistency import ConsistencyReport, check_view_consistency
 from repro.core.views import MaterializedView, ViewDefinition
-from repro.engine.database import Database
-from repro.errors import MaintenanceError, UnknownViewError
+from repro.engine.database import Database, deliver
+from repro.errors import MaintenanceError, UnknownViewError, ViewQuarantinedError
 from repro.instrumentation import CostRecorder, Tally, active_recorder
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -68,6 +68,12 @@ class MaintenancePolicy(enum.Enum):
     IMMEDIATE = "immediate"
     #: On demand / periodically — snapshot refresh (Section 6, [AL80]).
     DEFERRED = "deferred"
+    #: An integrity assertion [HS78]: an immediate view of the
+    #: assertion's *error predicate*, which must stay empty.  Declaring
+    #: one over a state that violates it raises, and a commit the view
+    #: would not stay empty through is undone; both raise
+    #: :class:`~repro.errors.IntegrityViolation` naming the witnesses.
+    ASSERTION = "assertion"
 
 
 #: The families of every counter a maintenance call increments: a view's
@@ -80,7 +86,7 @@ class _ViewEntry:
 
     __slots__ = (
         "view", "policy", "dependencies", "ordinal", "row", "plan", "missed",
-        "pending", "commits_since_refresh", "subscribers",
+        "pending", "commits_since_refresh", "subscribers", "quarantined",
     )
 
     def __init__(
@@ -117,6 +123,10 @@ class _ViewEntry:
         #: Replaced, never changed in place, by subscribe and unsubscribe:
         #: a delivery iterates the list it read, whatever a callback does.
         self.subscribers: list[Callable[[MaterializedView, Delta], None]] = []
+        #: Why the view is quarantined (a commit's stages raised in it or
+        #: in a view it reads), or None: ``txn``, ``seq``, the ``view``
+        #: that raised, the ``error`` type and its ``message``.
+        self.quarantined: dict[str, object] | None = None
 
 
 class ViewMaintainer:
@@ -165,6 +175,10 @@ class ViewMaintainer:
         self._next_ordinal = 0
         #: The rows of dropped views, summed.
         self._retired = CostRecorder()
+        #: The running commit's transaction id, and the views its trigger
+        #: quarantined.
+        self._txn_id = 0
+        self._faulted: list[str] = []
         database.add_commit_hook(self._on_commit)
         database.add_ddl_hook(self._on_ddl)
 
@@ -201,6 +215,13 @@ class ViewMaintainer:
         registration with :class:`~repro.errors.StrictAnalysisError`
         before anything is materialized.  WARN/INFO findings never
         block; read them via :meth:`analyze`.
+
+        With ``policy=MaintenancePolicy.ASSERTION`` the expression is an
+        integrity assertion's error predicate: a state it is not empty
+        on raises :class:`~repro.errors.IntegrityViolation` instead of
+        registering, and so does every later commit that would make it
+        non-empty, which is undone.  Advisory monitoring is an ordinary
+        view plus a subscriber.
         """
         definition, referenced = self._validated_definition(name, expression)
         effective_strict = self.strict if strict is None else strict
@@ -226,6 +247,8 @@ class ViewMaintainer:
         stored = plan.evaluate(counted, charged)
         row.settle(counted, charged)
         view = MaterializedView.from_stored(definition, stored)
+        if policy is MaintenancePolicy.ASSERTION and len(view.contents):
+            raise violation(view, view.contents.counts())
         return self._install_view(view, referenced, policy, plan, row)
 
     def restore_view(
@@ -297,10 +320,15 @@ class ViewMaintainer:
         )
         referenced = frozenset(definition.normal_form.relation_names)
         for dep in sorted(referenced & self._entries.keys()):
-            if self._entries[dep].policy is not MaintenancePolicy.IMMEDIATE:
+            upstream = self._entries[dep]
+            if upstream.policy is not MaintenancePolicy.IMMEDIATE:
                 raise MaintenanceError(
-                    f"view {name!r} references deferred view {dep!r}; "
-                    "stacked views require IMMEDIATE upstream maintenance"
+                    f"view {name!r} references {upstream.policy.value} view "
+                    f"{dep!r}; stacked views require IMMEDIATE upstream maintenance"
+                )
+            if upstream.quarantined is not None:
+                raise MaintenanceError(
+                    f"view {name!r} references quarantined view {dep!r}; refresh it first"
                 )
         return definition, referenced
 
@@ -498,9 +526,11 @@ class ViewMaintainer:
     ) -> None:
         """Receive every non-empty delta applied to view ``name``.
 
-        Callbacks run right after the delta is applied (and after
-        ``auto_verify``, when enabled), inside the commit for immediate
-        views and inside ``refresh()`` for deferred ones.  This is the
+        Callbacks run once the commit stands — after every view, the
+        write-ahead log and any later hook — so a callback only ever
+        sees committed deltas; for deferred views, at the end of
+        ``refresh()``.  A callback that raises does not undo anything:
+        the other deliveries run, then its error is raised.  This is the
         natural hook for alerters [BC79]: the view delta *is* the alert
         stream.
         """
@@ -540,12 +570,22 @@ class ViewMaintainer:
             totals.add(entry.row)
         return totals
 
-    def stats(self, name: str) -> dict[str, int]:
+    def stats(self, name: str) -> dict[str, Any]:
         """One view's maintenance counters: the ``view`` and
-        ``plan_cache`` families of :mod:`repro.instrumentation`."""
-        return self._entry(name).row.family("view", "plan_cache").as_dict()
+        ``plan_cache`` families of :mod:`repro.instrumentation`; and for
+        a quarantined view, its ``quarantined`` record."""
+        entry = self._entry(name)
+        stats: dict[str, Any] = entry.row.family("view", "plan_cache").as_dict()
+        if entry.quarantined is not None:
+            stats["quarantined"] = dict(entry.quarantined)
+        return stats
 
-    def all_stats(self) -> dict[str, dict[str, int]]:
+    def quarantined(self, name: str) -> dict[str, object] | None:
+        """Why view ``name`` is quarantined, or None (see :meth:`refresh`)."""
+        record = self._entry(name).quarantined
+        return None if record is None else dict(record)
+
+    def all_stats(self) -> dict[str, dict[str, Any]]:
         """Every view's maintenance counters (:meth:`stats`), by name —
         the JSON-ready form the view-server's ``stats`` op serves."""
         return {name: self.stats(name) for name in self.view_names()}
@@ -631,7 +671,7 @@ class ViewMaintainer:
             names = [name]
             while names:
                 for entry in self._dependents.get(names.pop(), ()):
-                    if entry.ordinal not in found:
+                    if entry.ordinal not in found and entry.quarantined is None:
                         found[entry.ordinal] = entry
                         # A deferred view has no per-commit delta to
                         # pass on.
@@ -654,7 +694,48 @@ class ViewMaintainer:
             recorder = active_recorder()
             key = (frozenset(arrived), recorder is not None, self.auto_verify)
             trigger = self._triggers.get(key) or self._trigger(key, tuple(arrived), None, key[1])
-            trigger(arrived, recorder)
+            database = self.database
+            self._txn_id, self._faulted = txn_id, []
+            trigger(arrived, recorder, database.undo, database.deliveries)
+            if self._faulted:
+                record = self._entries[self._faulted[0]].quarantined
+                assert record is not None
+                raise ViewQuarantinedError(tuple(self._faulted), record)
+
+    def _quarantine(
+        self, views: tuple, applied: list, stamps: tuple, i: int, error: Exception,
+        sequence: int, sharers: tuple[int, ...],
+    ) -> None:
+        """Quarantine view ``i`` of a commit's trigger, whose stages
+        raised ``error``; with it every view that reads it, and the
+        ``sharers`` whose screens it left unrun (see the trigger's
+        arguments in :func:`~repro.core.codegen.compile_trigger`).  The
+        view takes back what it applied; those after it are skipped for
+        the rest of the run, and left out of the reach lists and
+        triggers from here on.  An assertion cannot be quarantined: the
+        error is raised, and the commit undone."""
+        hit = [views[i][0], *(views[k][0] for k in sharers)]
+        found: dict[str, _ViewEntry] = {}
+        while hit:
+            entry = hit.pop()
+            name = entry.view.definition.name
+            if name not in found:
+                found[name] = entry
+                hit.extend(self._dependents.get(name, ()))
+        if any(e.policy is MaintenancePolicy.ASSERTION for e in found.values()):
+            raise error
+        undo_views(views[i:i + 1], applied[i:i + 1], stamps[i:i + 1])
+        applied[i] = None
+        record = {
+            "txn": self._txn_id, "seq": sequence, "view": views[i][0].view.definition.name,
+            "error": type(error).__name__, "message": str(error),
+        }
+        for name, entry in sorted(found.items(), key=lambda item: item[1].ordinal):
+            if entry.quarantined is None:
+                entry.quarantined = record
+                self._faulted.append(name)
+        self._reach.clear()
+        self._triggers.clear()
 
     def _trigger(
         self, key: Hashable, names: tuple[str, ...], target: _ViewEntry | None,
@@ -679,7 +760,8 @@ class ViewMaintainer:
                 entry.missed = True
         verify = (lambda view: check_view_consistency(view, self.instances())) if self.auto_verify else None
         trigger = compile_trigger(views, names, refreshing=target is not None, recording=recording,
-                                  verify=verify, last_sequence=self.database.last_sequence)
+                                  verify=verify, last_sequence=self.database.last_sequence,
+                                  quarantine=self._quarantine)
         self._triggers[key] = trigger
         return trigger
 
@@ -692,12 +774,14 @@ class ViewMaintainer:
         base-relation rows to commit against, so they decode shipped
         deltas and feed them here directly.  Stacked views, deferred
         composition, subscribers and statistics all behave exactly as
-        for a local commit.  Callers own sequencing: deltas must arrive
-        in commit order, and the database position must be advanced
+        for a local commit, all or nothing up to the same commit point.
+        Callers own
+        sequencing: deltas must arrive in commit order, and the database
+        position must be advanced
         (:meth:`~repro.engine.database.Database.advance_sequence`) so
         ``last_refresh_sequence`` bookkeeping stays meaningful.
         """
-        self._on_commit(txn_id, deltas)
+        self.database._apply_commit(None, deltas, (self._on_commit,), txn_id)
 
     # ------------------------------------------------------------------
     # Self-maintainability
@@ -734,9 +818,17 @@ class ViewMaintainer:
         exactly like one large transaction's net effect, so the same
         filter + differential pipeline applies (the paper's closing
         observation that its approach "also applies to this
-        environment").
+        environment").  Subscribers get the applied delta at the end.
+
+        A quarantined view (any policy) is rebuilt instead, after the
+        quarantined views it reads: its plan evaluates it anew, and the
+        difference reaches its subscribers as one delta, so a replica
+        kept from them still equals the view.
         """
         entry = self._entry(name)
+        if entry.quarantined is not None:
+            self._rebuild(entry)
+            return True
         pending = entry.pending
         if not pending:
             entry.commits_since_refresh = 0
@@ -748,8 +840,37 @@ class ViewMaintainer:
         recorder = active_recorder()
         key = (entry, frozenset(pending), recorder is not None, self.auto_verify)
         trigger = self._triggers.get(key) or self._trigger(key, tuple(pending), entry, key[2])
-        trigger(pending, recorder)
+        # Outside a commit: nothing here is undone.
+        deliveries: list = []
+        trigger(pending, recorder, [], deliveries)
+        deliver(deliveries)
         return True
+
+    def _rebuild(self, entry: _ViewEntry) -> None:
+        """Re-evaluate a quarantined view and lift its quarantine."""
+        for dep in sorted(entry.dependencies):
+            upstream = self._entries.get(dep)
+            if upstream is not None and upstream.quarantined is not None:
+                self._rebuild(upstream)
+        view = entry.view
+        counted: Tally = []
+        charged: Tally | None = [] if active_recorder() is not None else None
+        stored = (entry.plan or self._recompile(entry)).evaluate(counted, charged)
+        entry.row.settle(counted, charged)
+        before = view.contents.counts()
+        view.replace_contents(stored)
+        after = view.contents.count_map
+        inserted = {v: n - before.get(v, 0) for v, n in after.items() if n > before.get(v, 0)}
+        deleted = {v: n - after.get(v, 0) for v, n in before.items() if n > after.get(v, 0)}
+        entry.pending = {}
+        entry.commits_since_refresh = 0
+        view.last_refresh_sequence = self.database.last_sequence()
+        entry.quarantined = None
+        self._reach.clear()
+        self._triggers.clear()
+        if inserted or deleted:
+            delta = Delta.adopt(view.contents.schema, inserted, deleted)
+            deliver([(entry.subscribers, view, delta)])
 
     def pending_deltas(self, name: str) -> dict[str, Delta]:
         """A deferred view's composed, not-yet-applied deltas."""
@@ -793,8 +914,9 @@ class ViewMaintainer:
     def quiesce(self) -> tuple[str, ...]:
         """Bring every view up to date; returns the names that changed.
 
-        Immediate views are always current, so this amounts to
-        refreshing every deferred view's composed backlog.  Afterwards
+        Immediate views are current unless quarantined, so this amounts
+        to refreshing every deferred view's composed backlog and
+        rebuilding every quarantined view.  Afterwards
         the maintainer is at a *quiescent point*: every registered view
         equals its definition evaluated against the current base state
         — the precondition :meth:`verify_all` checks, and the moment
@@ -802,7 +924,8 @@ class ViewMaintainer:
         """
         refreshed = []
         for name in self.view_names():
-            if self._entries[name].policy is MaintenancePolicy.DEFERRED:
+            entry = self._entries[name]
+            if entry.policy is MaintenancePolicy.DEFERRED or entry.quarantined is not None:
                 if self.refresh(name):
                     refreshed.append(name)
         return tuple(refreshed)

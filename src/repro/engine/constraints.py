@@ -3,8 +3,8 @@
 A *relation constraint* asserts that every tuple of one base relation
 satisfies a paper-class condition over that relation's own attributes —
 the single-relation special case of the integrity assertions of
-Hammer & Sarin [HS78] (see :mod:`repro.extensions.assertions` for the
-general, view-shaped form).  Constraints serve two masters:
+Hammer & Sarin [HS78] (the general form is a view that must stay
+empty, ``MaintenancePolicy.ASSERTION``).  Constraints serve two masters:
 
 * **Enforcement** — the commit pipeline rejects transactions whose
   inserted tuples violate a declared constraint, before any state

@@ -16,6 +16,16 @@ A :class:`Database` owns:
   position have been updated, matching the paper's assumption that base
   relations are updated before views and that complete affected tuples
   are available at view-update time.
+
+A commit is all or nothing.  While it runs, :attr:`Database.undo`
+is its *undo record*: a hook appends ``(function, *arguments)`` for
+each effect it made, and if the base apply, a hook or the log append
+raises, the commit point is never reached — the base deltas are
+inverted, the position is put back, the records run in reverse (so a
+hook may undo by re-deriving from the restored base) and the
+transaction ends aborted.  Past the commit point :attr:`Database.deliveries`
+run: ``(callbacks, first, second)``, view subscribers with a view and
+its delta, so a changefeed only ever sees committed deltas.
 """
 
 from __future__ import annotations
@@ -25,7 +35,14 @@ from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.algebra.conditions import Condition
-from repro.algebra.relation import Delta, HashIndex, Relation, first_repeat, key_function
+from repro.algebra.relation import (
+    Delta,
+    HashIndex,
+    Relation,
+    apply_counts,
+    first_repeat,
+    key_function,
+)
 from repro.algebra.schema import RelationSchema
 from repro.engine.constraints import (
     ConstraintCatalog,
@@ -39,7 +56,7 @@ from repro.engine.keys import (
     find_key_collisions,
     validate_key_attributes,
 )
-from repro.engine.transactions import Transaction
+from repro.engine.transactions import Transaction, TransactionState
 from repro.errors import (
     ConstraintError,
     ConstraintViolationError,
@@ -47,6 +64,7 @@ from repro.errors import (
     ReproError,
     SchemaError,
     UnknownRelationError,
+    ViewQuarantinedError,
 )
 
 ValueTuple = tuple[int, ...]
@@ -72,6 +90,9 @@ class Database:
         self.keys = KeyCatalog(notify=self._notify_ddl)
         self._commit_hooks: list[CommitHook] = []
         self._ddl_hooks: list[DdlHook] = []
+        #: The running commit's undo record and deliveries; else None.
+        self.undo: list | None = None
+        self.deliveries: list | None = None
 
     # ------------------------------------------------------------------
     # Schema management
@@ -429,7 +450,10 @@ class Database:
 
         Hooks run in registration order, inside the commit, after base
         relations (with their indexes) and the position have been
-        updated.
+        updated.  A hook that raises undoes the commit (each hook's
+        effects are in :attr:`undo`), except with
+        :class:`~repro.errors.ViewQuarantinedError`: the commit stands
+        and ``commit()`` raises it once every hook and delivery ran.
         """
         self._commit_hooks.append(hook)
 
@@ -455,22 +479,14 @@ class Database:
             self._ddl_hooks.remove(hook)
 
     def _notify_ddl(self, event: str, relation_name: str) -> None:
-        # Unlike commit hooks (observers of an already-durable fact,
-        # where stop-at-first-failure is the pinned policy), DDL hooks
-        # are correctness-critical: the maintainer's plan invalidation
+        # Unlike commit hooks (where a failure undoes the commit, so
+        # the hooks after it have nothing to observe), DDL hooks are
+        # correctness-critical: the maintainer's plan invalidation
         # rides this bus, and a user hook registered earlier must not be
         # able to stop it — that would leave a cached plan bound to an
         # index or relation that no longer exists.  Every hook sees
         # every event; the first failure propagates afterwards.
-        failure: BaseException | None = None
-        for hook in self._ddl_hooks:
-            try:
-                hook(event, relation_name)
-            except BaseException as exc:
-                if failure is None:
-                    failure = exc
-        if failure is not None:
-            raise failure
+        deliver([(self._ddl_hooks, event, relation_name)])
 
     def _check_constraints(
         self, txn: Transaction, deltas: Mapping[str, Delta]
@@ -635,14 +651,52 @@ class Database:
                     )
         return sorted(dangling)
 
-    def _apply_commit(self, txn: Transaction, deltas: Mapping[str, Delta]) -> None:
-        """Apply a transaction's net effect (called by Transaction.commit)."""
-        for name, delta in deltas.items():
-            delta.apply_to(self._relations[name])
-        if deltas:
-            self._last_sequence += 1
-        for hook in self._commit_hooks:
-            hook(txn.txn_id, deltas)
+    def _apply_commit(
+        self,
+        txn: Transaction | None,
+        deltas: Mapping[str, Delta],
+        hooks: Sequence[CommitHook] = (),
+        txn_id: int = 0,
+    ) -> None:
+        """Apply ``txn``'s net effect and run the commit hooks, up to the
+        commit point (see the module docstring).  Past it the deliveries
+        run, every one even if some raise, and then the first failure is
+        raised: a hook's :class:`~repro.errors.ViewQuarantinedError`
+        first, else a delivery's.  With ``txn`` None, ``hooks`` observe
+        the deltas of transaction ``txn_id``, which a base-free host
+        holds no base rows to apply to."""
+        if txn is not None:
+            hooks, txn_id = self._commit_hooks, txn.txn_id
+        outer = self.undo, self.deliveries
+        undo: list = []
+        deliveries: list = []
+        self.undo, self.deliveries = undo, deliveries
+        sequence, applied, stale = self._last_sequence, 0, None
+        try:
+            if txn is not None:
+                for name, delta in deltas.items():
+                    delta.apply_to(self._relations[name])
+                    applied += 1
+                if deltas:
+                    self._last_sequence += 1
+            for hook in hooks:
+                try:
+                    hook(txn_id, deltas)
+                except ViewQuarantinedError as exc:
+                    stale = stale or exc
+        except BaseException:
+            for name, delta in reversed(list(deltas.items())[:applied]):
+                apply_counts(self._relations[name], delta.deleted, delta.inserted)
+            self._last_sequence = sequence
+            for function, *arguments in reversed(undo):
+                function(*arguments)
+            if txn is not None:
+                txn.state = TransactionState.ABORTED
+            raise
+        finally:
+            self.undo, self.deliveries = outer
+        if deliveries or stale is not None:
+            deliver(deliveries, stale)
 
     # ------------------------------------------------------------------
     # Misc
@@ -664,3 +718,17 @@ class Database:
             f"{name}({len(rel)})" for name, rel in sorted(self._relations.items())
         )
         return f"<Database {parts or 'empty'}>"
+
+
+def deliver(deliveries: Iterable[tuple], failure: BaseException | None = None) -> None:
+    """Run each ``(callbacks, first, second)`` delivery, calling every
+    callback with the two arguments, even after one raised; then raise
+    ``failure``, else the first error."""
+    for callbacks, first, second in deliveries:
+        for callback in callbacks:
+            try:
+                callback(first, second)
+            except BaseException as exc:
+                failure = failure or exc
+    if failure is not None:
+        raise failure

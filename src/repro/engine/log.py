@@ -15,9 +15,11 @@ instead (:mod:`repro.replication.recovery`).
 
 from __future__ import annotations
 
+from contextlib import suppress
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from repro.algebra.relation import Delta
+from repro.errors import ViewQuarantinedError
 from repro.instrumentation import charge
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -58,7 +60,8 @@ def replay_records(
     replayed = 0
     for record in records:
         txn_id = record.txn_id if preserve_txn_ids else None
-        with database.transact(txn_id) as txn:
+        # A commit that quarantined views stands (the views say so).
+        with suppress(ViewQuarantinedError), database.transact(txn_id) as txn:
             for name, delta in record.deltas.items():
                 txn._net(name, delta.deleted, False, encoded=True)
                 txn._net(name, delta.inserted, True, encoded=True)

@@ -171,7 +171,8 @@ class Transaction:
         maintainers, the write-ahead log) run *inside* the
         commit, matching the paper's assumption that "the differential
         update mechanism is invoked as the last operation within the
-        transaction".
+        transaction"; if one raises, the commit is undone and the
+        transaction ends aborted (``Database._apply_commit``).
         """
         self._require_active()
         deltas = self.net_deltas()

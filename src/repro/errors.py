@@ -105,6 +105,37 @@ class MaintenanceError(ReproError):
     """Differential maintenance failed or was invoked inconsistently."""
 
 
+class IntegrityViolation(MaintenanceError):
+    """A commit would make an assertion's error predicate true: the
+    commit is undone ([HS78]'s integrity assertions)."""
+
+    def __init__(self, assertion_name: str, witnesses: list) -> None:
+        self.assertion_name = assertion_name
+        #: The error-predicate rows the commit would have created.
+        self.witnesses = witnesses
+        preview = ", ".join(map(str, witnesses[:3]))
+        if len(witnesses) > 3:
+            preview += ", …"
+        super().__init__(
+            f"assertion {assertion_name!r} violated; "
+            f"error-predicate witnesses: {preview}"
+        )
+
+
+class ViewQuarantinedError(MaintenanceError):
+    """A commit stands, but ``views`` raised in their maintenance (or
+    read one that did): they keep their pre-commit contents until
+    ``refresh`` rebuilds them.  ``record`` says why."""
+
+    def __init__(self, views: tuple[str, ...], record: dict) -> None:
+        self.views, self.record = views, record
+        super().__init__(
+            f"transaction {record['txn']} committed at sequence "
+            f"{record['seq']}, but views {list(views)} are quarantined: "
+            f"{record['view']!r} raised {record['error']}: {record['message']}"
+        )
+
+
 class AnalysisError(ReproError):
     """The static view analyzer was invoked inconsistently.
 

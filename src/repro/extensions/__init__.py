@@ -1,11 +1,8 @@
 """Extensions beyond the paper's core contribution.
 
-Section 2 (previous work) and Section 6 (conclusions) point at three
-neighbouring applications of the same machinery, all implemented here:
+Section 2 (previous work) and Section 6 (conclusions) point at
+neighbouring applications of the same machinery, implemented here:
 
-* :mod:`assertions` — integrity-assertion monitoring in the style of
-  Hammer & Sarin [HS78]; the paper notes "our results can be used in
-  those contexts as well".
 * :mod:`alerters` — Buneman & Clemons-style alerters [BC79] as
   first-class subscribers to maintained-view deltas.
 * :mod:`estimator` — the conclusions' open question ("determine under
@@ -16,10 +13,12 @@ neighbouring applications of the same machinery, all implemented here:
   union of branches, maintained through the very distributivity over
   union that powers Section 5.
 
-All but :mod:`assertions` run the compiled kernels (see its docstring).
+All of them run the compiled kernels.  Hammer & Sarin's integrity
+assertions [HS78], which the paper says its results serve too, need no
+extension: an assertion is a view of its error predicate that must stay
+empty (``MaintenancePolicy.ASSERTION``), checked at the commit point.
 """
 
-from repro.extensions.assertions import AssertionMonitor, IntegrityAssertion
 from repro.extensions.alerters import Alerter, AlertEvent, AlerterRegistry
 from repro.extensions.estimator import (
     AdaptiveMaintainer,
@@ -30,8 +29,6 @@ from repro.extensions.union_views import UnionView
 
 __all__ = [
     "UnionView",
-    "AssertionMonitor",
-    "IntegrityAssertion",
     "Alerter",
     "AlertEvent",
     "AlerterRegistry",

@@ -254,6 +254,15 @@ class AdaptiveMaintainer:
             StrategyDecision(chosen, est_diff, est_full, observed)
         )
         self._counters.settle(counted, charged)
+        # An undone commit is evaluated away, from the restored base.
+        self.database.undo.append((self._rematerialize,))
+
+    def _rematerialize(self) -> None:
+        counted: Tally = []
+        charged: Tally = []
+        plan = self._compiled(self.view.definition)
+        self.view.replace_contents(plan.evaluate(counted, charged))
+        self._counters.settle(counted, charged)
 
     def _on_ddl(self, event: str, relation_name: str) -> None:
         definition = self.view.definition

@@ -118,8 +118,6 @@ METRICS: dict[str, Metric] = _declare(
         ("aggregate_groups_touched", "groups", "groups re-rendered by those folds"),
         ("aggregate_support_rescanned", "rows", "support-bag rows rescanned because a fold removed a row carrying its group's MIN/MAX"),
         ("baseline_recomputations", "views", "views recomputed by the full-re-evaluation baseline"),
-        ("assertion_checks", "calls", "integrity assertions examined at commit"),
-        ("assertion_checks_screened", "calls", "of those, dismissed by the relevance screen alone"),
     )),
     ("codegen", (  # docs/codegen.md
         ("codegen_plans_compiled", "kernels", "kernel sets generated and installed: once per plan's screen and fold kernels, once per truth-table shape"),

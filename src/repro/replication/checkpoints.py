@@ -95,6 +95,8 @@ def write_checkpoint(
     views: dict[str, Any] = {}
     if maintainer is not None:
         for name in maintainer.view_names():
+            if maintainer.quarantined(name) is not None:
+                continue  # stale: restoring re-defines it from the base
             view = maintainer.view(name)
             # Aggregate views persist their core support relation (the
             # visible group rows are derived state); plain views persist

@@ -72,6 +72,9 @@ class DurabilityManager:
         if not deltas:
             return
         self._writer.append(txn_id, deltas_to_document(deltas))
+        # A hook after this one that raises undoes the commit, and the
+        # record with it.
+        self.database.undo.append((self._writer.retract,))
 
     @property
     def position(self) -> int:

@@ -43,11 +43,13 @@ maintains — inserts and deletes — like a single-relation view.
 
 from __future__ import annotations
 
+from contextlib import suppress
+
 from repro.algebra.expressions import Expression
 from repro.core.maintainer import MaintenancePolicy, ViewMaintainer
 from repro.core.views import MaterializedView
 from repro.engine.log import replay_records
-from repro.errors import ReplicationError
+from repro.errors import ReplicationError, ViewQuarantinedError
 from repro.instrumentation import charge
 from repro.replication.checkpoints import boot_from_checkpoint
 from repro.replication.recovery import decode_wal_record
@@ -153,7 +155,8 @@ class Follower:
                     "its position is out of step with the WAL"
                 )
             self.database.advance_sequence(sequence + 1)
-            self.maintainer.apply_deltas(log_record.txn_id, log_record.deltas)
+            with suppress(ViewQuarantinedError):  # applied; see stats
+                self.maintainer.apply_deltas(log_record.txn_id, log_record.deltas)
         else:
             replay_records(
                 self.database,

@@ -54,6 +54,7 @@ built, the view documents when replay starts.
 
 from __future__ import annotations
 
+import contextlib
 from typing import Callable
 
 from repro.algebra.expressions import Expression
@@ -63,7 +64,7 @@ from repro.engine.database import Database
 from repro.engine.log import LogRecord
 from repro.engine.persistence import PersistenceError, deltas_from_document
 from repro.engine.transactions import Transaction
-from repro.errors import ReplicationError, ReproError
+from repro.errors import ReplicationError, ReproError, ViewQuarantinedError
 from repro.instrumentation import charge
 from repro.replication.checkpoints import Checkpoint, boot_from_checkpoint
 from repro.replication.wal import TailDamage, WalReader, WalRecord
@@ -193,7 +194,8 @@ class Recovery:
             ) from exc
         charge("log_replay_transactions", records)
         database.advance_sequence(last.sequence)  # the commit takes it
-        tail.commit()
+        with contextlib.suppress(ViewQuarantinedError):  # committed; see stats
+            tail.commit()
         database.advance_sequence(last.sequence + 1)  # an empty net too
         database.advance_txn_counter(newest_txn_id + 1)
         self.last_sequence = last.sequence

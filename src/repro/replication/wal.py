@@ -31,10 +31,17 @@ the reader stops in front of it, the writer physically truncates it on
 open (found by its own scan or a handed-over one).  A damaged record
 *followed by* valid data cannot be produced by an append-only crash
 and raises :class:`WalCorruptionError` instead of being silently skipped.
+
+An append that raises (a failed write or fsync), or that its commit
+takes back because something after it raised, is cut off the segment
+at the offset where it began (:meth:`WalWriter.retract`), so the next
+append takes its sequence and the log never holds a sequence twice.  A
+writer that cannot cut refuses every later append.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import zlib
@@ -349,6 +356,10 @@ class WalWriter:
         self._io = io if io is not None else WalIO()
         self._stream = None
         self._segment_size = 0
+        #: Where the last append began: its segment and offset.
+        self._appended: tuple[str, int] | None = None
+        #: Why an append could not be cut back; every append then fails.
+        self._broken: Exception | None = None
         self._last_sequence = self._recover_tail(scan)
 
     # ------------------------------------------------------------------
@@ -380,19 +391,52 @@ class WalWriter:
         return self._last_sequence
 
     def append(self, txn_id: int, deltas_doc: dict[str, Any]) -> int:
-        """Append one committed transaction; returns its sequence."""
+        """Append one committed transaction; returns its sequence.  A
+        write or fsync that raises is cut off first (:meth:`retract`)."""
+        if self._broken is not None:
+            raise ReplicationError(
+                "the WAL refuses appends: a failed append could not be cut "
+                f"back ({self._broken!r})"
+            ) from self._broken
         sequence = self._last_sequence + 1
         line = encode_record(sequence, txn_id, deltas_doc)
         stream = self._stream_for(sequence)
-        self._io.write(stream, line)
-        if self.sync == "commit":
-            self._io.fsync(stream)
-            charge("wal_fsyncs")
+        self._appended = (stream.name, self._segment_size)
+        try:
+            self._io.write(stream, line)
+            if self.sync == "commit":
+                self._io.fsync(stream)
+                charge("wal_fsyncs")
+        except BaseException:
+            self._cut()
+            raise
         self._segment_size += len(line)
         self._last_sequence = sequence
         charge("wal_records_appended")
         charge("wal_bytes_written", len(line))
         return sequence
+
+    def retract(self) -> None:
+        """Take back the last append, whose commit was undone: the next
+        append takes its sequence again."""
+        self._last_sequence -= 1
+        self._cut()
+
+    def _cut(self) -> None:
+        """Close the stream (what it buffers reaches the file first) and
+        cut the segment back to where the last append began; a cut that
+        fails leaves the writer refusing appends."""
+        path, offset = self._appended
+        self._appended = None
+        try:
+            if self._stream is not None:
+                with contextlib.suppress(Exception):
+                    self._io.close(self._stream)
+            self._stream = None
+            self._segment_size = 0
+            self._io.truncate(path, offset)
+        except Exception as exc:
+            self._broken = exc
 
     def _stream_for(self, sequence: int):
         if self._stream is not None and self._segment_size >= self.segment_bytes:

@@ -63,6 +63,9 @@ E_UNKNOWN_TARGET = "unknown_target"
 E_BAD_CONDITION = "bad_condition"
 #: A ``txn`` was rejected; the transaction was not applied.
 E_TXN_FAILED = "txn_failed"
+#: ``query``/``subscribe`` target is a quarantined view (stale until
+#: refreshed; the ``stats`` op says why).
+E_VIEW_QUARANTINED = "view_quarantined"
 #: ``subscribe --from`` position fell outside the retained window.
 E_OFFSET_OUT_OF_RANGE = "offset_out_of_range"
 #: Admission control: the server is at its session limit.

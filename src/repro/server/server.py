@@ -37,11 +37,13 @@ from repro.algebra.relation import Relation
 from repro.core.maintainer import ViewMaintainer
 from repro.engine.database import Database
 from repro.engine.persistence import delta_to_document
+from repro.engine.transactions import TransactionState
 from repro.errors import (
     ConditionError,
     ReproError,
     UnknownRelationError,
     UnknownViewError,
+    ViewQuarantinedError,
 )
 from repro.instrumentation import CostRecorder, recording
 from repro.scheduler import RefreshScheduler, StalenessSLA, TickClock
@@ -419,10 +421,21 @@ class ViewServer:
             "relations": list(self.database.relation_names()),
         }
 
+    def _healthy_view(self, name: str) -> None:
+        """Refuse a quarantined view: its contents are stale."""
+        record = self.maintainer.quarantined(name)
+        if record is not None:
+            raise ProtocolError(
+                protocol.E_VIEW_QUARANTINED,
+                f"view {name!r} is quarantined since transaction "
+                f"{record['txn']} ({record['error']} in {record['view']!r})",
+            )
+
     def _resolve_target(self, name: str) -> tuple[str, Relation, int]:
         """``(kind, contents, sequence)`` for a view or base relation."""
         with contextlib.suppress(UnknownViewError):
             view = self.maintainer.view(name)
+            self._healthy_view(name)
             return "view", view.contents, view.last_refresh_sequence
         try:
             relation = self.database.relation(name)
@@ -533,6 +546,7 @@ class ViewServer:
                         f"'{label}' batch for {name!r} must be a list of rows",
                     )
         txn = self.database.begin()
+        quarantined: tuple[str, ...] = ()
         try:
             # Deletes before inserts, matching Database.apply: an update
             # expressed as delete+insert of the same key nets correctly.
@@ -541,11 +555,16 @@ class ViewServer:
             for name, batch_rows in inserts.items():
                 txn.insert_many(name, batch_rows)
             deltas = txn.commit()
-        except ReproError as exc:
-            if txn.state.value == "active":
+        except ViewQuarantinedError as exc:  # committed; these views are stale
+            deltas, quarantined = txn.net_deltas(), exc.views
+        except Exception as exc:
+            if txn.state is TransactionState.COMMITTED:
+                raise
+            if txn.state is TransactionState.ACTIVE:
                 txn.abort()
             self.recorder.incr("server_txns_failed")
-            raise ProtocolError(protocol.E_TXN_FAILED, str(exc)) from exc
+            message = str(exc) if isinstance(exc, ReproError) else f"{type(exc).__name__}: {exc}"
+            raise ProtocolError(protocol.E_TXN_FAILED, message) from exc
         self.recorder.incr("server_txns_committed")
         # Advance virtual time and let the scheduler refresh whatever
         # the commit pushed past its staleness SLA.
@@ -561,11 +580,14 @@ class ViewServer:
             for name, delta in sorted(deltas.items())
             if not delta.is_empty()
         }
-        return {
+        result = {
             "txn": txn.txn_id,
             "seq": self.database.last_sequence(),
             "applied": applied,
         }
+        if quarantined:
+            result["quarantined"] = list(quarantined)
+        return result
 
     def _feed_position(self, view_name: str) -> tuple[Changefeed, int]:
         """The feed a subscription to ``view_name`` follows, and the
@@ -577,6 +599,7 @@ class ViewServer:
                 protocol.E_UNKNOWN_TARGET,
                 f"{view_name!r} names no view (subscriptions are per-view)",
             ) from None
+        self._healthy_view(view_name)
         return self._attach_feed(view_name), view.last_refresh_sequence
 
     def _op_subscribe(self, session: Session, doc: Mapping[str, Any]) -> dict[str, Any]:

@@ -46,6 +46,32 @@ def example_41_view_expr():
 
 
 @pytest.fixture
+def kernel_faults(monkeypatch) -> set[str]:
+    """A set of kernel file names (``<codegen:VIEW:KIND...>``,
+    ``<codegen:pass:RELATION>``), or prefixes of them (``<codegen:VIEW:``
+    names every kernel of one view): a screen, fused screen pass, row or
+    fold kernel compiled from here on raises while one is in it."""
+    from repro.core import codegen, compiled
+
+    armed: set[str] = set()
+    compile_kernel = compiled.compile_kernel
+
+    def faultable(source, name, filename):
+        kernel = compile_kernel(source, name, filename)
+
+        def run(*args):
+            if filename.startswith(tuple(armed)):
+                raise RuntimeError(f"injected fault in {filename}")
+            return kernel(*args)
+
+        return run
+
+    monkeypatch.setattr(compiled, "compile_kernel", faultable)
+    monkeypatch.setattr(codegen, "compile_kernel", faultable)
+    return armed
+
+
+@pytest.fixture
 def kernel_compiles(monkeypatch) -> list[str]:
     """Every source ``repro.core.codegen`` hands to ``compile()`` from
     here on, starting from an empty compiled-program cache."""
@@ -80,9 +106,13 @@ def capture_commits(db: Database) -> list[LogRecord]:
     """A list that every later commit with a net effect is appended to,
     in commit order: the history a test replays or ships."""
     records: list[LogRecord] = []
-    db.add_commit_hook(
-        lambda txn_id, deltas: deltas and records.append(LogRecord(txn_id, dict(deltas)))
-    )
+
+    def capture(txn_id, deltas):
+        if deltas:
+            records.append(LogRecord(txn_id, dict(deltas)))
+            db.undo.append((records.pop,))  # an undone commit is no history
+
+    db.add_commit_hook(capture)
     return records
 
 

@@ -41,7 +41,7 @@ from repro import (
 from repro.algebra.evaluate import evaluate
 from repro.algebra.relation import Delta
 from repro.baselines.full_reevaluation import FullReevaluationMaintainer
-from repro.errors import MaintenanceError, ViewDefinitionError
+from repro.errors import MaintenanceError, ViewDefinitionError, ViewQuarantinedError
 from repro.extensions.estimator import AdaptiveMaintainer
 from repro.instrumentation import CostRecorder, recording
 from repro.simulation.workload import BASE_TABLES
@@ -619,13 +619,17 @@ class TestUnderflowIsAllOrNothing:
             database.relation("r").schema, self.INSERTED, self.DELETED
         )
         recorder = CostRecorder()
-        with pytest.raises(MaintenanceError, match=r"core row \(2, 6, 1\)"):
+        # The underflow quarantines the view: the deltas stand, and it
+        # keeps its contents until a refresh rebuilds it.
+        with pytest.raises(ViewQuarantinedError, match=r"core row \(2, 6, 1\)"):
             with recording(recorder):
                 maintainer.apply_deltas(99, {"r": delta})
         assert _snapshot(view) == before
+        stats = maintainer.stats("v")
+        assert stats.pop("quarantined")["txn"] == 99
         moved = {
             name: value - row_before[name]
-            for name, value in maintainer.stats("v").items()
+            for name, value in stats.items()
             if value != row_before[name]
         }
         assert moved == {
@@ -647,7 +651,8 @@ class TestUnderflowIsAllOrNothing:
             "tuples_scanned": 5,
             "aggregate_rows_folded": 5,
         }
-        # …and the next legal commit is maintained.
+        # …and once rebuilt, the next legal commit is maintained.
+        assert maintainer.refresh("v")
         database.apply(deletes={"r": [(2, 6, 1)]}, inserts={"r": [(1, 7, 7)]})
         assert maintainer.stats("v")["deltas_applied"] == row_before["deltas_applied"] + 1
         assert_matches_recompute(maintainer, "v", database)

@@ -1,14 +1,24 @@
-"""Unit tests for integrity-assertion monitoring ([HS78] extension)."""
+"""Integrity assertions ([HS78]) as views that must stay empty.
+
+An assertion is declared by its *error predicate*, an SPJ expression
+that is empty exactly when the assertion holds, and maintained as an
+IMMEDIATE view (``MaintenancePolicy.ASSERTION``): a commit its view
+would not stay empty through is undone and raises
+:class:`~repro.errors.IntegrityViolation` naming the witnesses.
+"""
 
 import random
 
 import pytest
 
 from repro.algebra.expressions import BaseRef
+from repro.core.maintainer import MaintenancePolicy, ViewMaintainer
 from repro.engine.database import Database
-from repro.errors import MaintenanceError
-from repro.extensions.assertions import AssertionMonitor, IntegrityViolation
+from repro.engine.transactions import TransactionState
+from repro.errors import IntegrityViolation, MaintenanceError
 from tests.reference import compute_view_delta, filter_delta
+
+ASSERTION = MaintenancePolicy.ASSERTION
 
 
 @pytest.fixture
@@ -23,194 +33,172 @@ def db():
 
 
 @pytest.fixture
-def monitor(db):
-    return AssertionMonitor(db)
+def maintainer(db):
+    return ViewMaintainer(db)
 
 
 NEGATIVE_BALANCE = BaseRef("accounts").select("balance < 0")
+INACTIVE_ORDERS = BaseRef("orders").join(BaseRef("accounts")).select("balance <= 0")
 
 
 class TestDeclaration:
-    def test_declare_compiles(self, monitor):
-        assertion = monitor.declare("non_negative", NEGATIVE_BALANCE)
-        assert assertion.relation_names == {"accounts"}
-        assert monitor.assertion_names() == ("non_negative",)
+    def test_declare_compiles(self, maintainer):
+        view = maintainer.define_view("non_negative", NEGATIVE_BALANCE, policy=ASSERTION)
+        assert len(view.contents) == 0
+        assert maintainer.policy("non_negative") is ASSERTION
+        assert maintainer.dependencies("non_negative") == {"accounts"}
 
-    def test_declare_rejects_currently_violated(self, db, monitor):
+    def test_declare_rejects_currently_violated(self, db, maintainer):
+        """Declaring over a violating state leaves no trace."""
         with db.transact() as txn:
             txn.insert("accounts", (3, -5))
-        with pytest.raises(IntegrityViolation):
-            monitor.declare("non_negative", NEGATIVE_BALANCE)
+        totals = maintainer.totals.as_dict()
+        with pytest.raises(IntegrityViolation) as raised:
+            maintainer.define_view("non_negative", NEGATIVE_BALANCE, policy=ASSERTION)
+        assert raised.value.witnesses == [(3, -5)]
+        assert maintainer.view_names() == ()
+        assert maintainer.totals.as_dict() == totals
+        # The name is free.
+        maintainer.define_view("non_negative", BaseRef("accounts"))
 
-    def test_duplicate_name_rejected(self, monitor):
-        monitor.declare("a", NEGATIVE_BALANCE)
+    def test_duplicate_name_rejected(self, maintainer):
+        maintainer.define_view("a", NEGATIVE_BALANCE, policy=ASSERTION)
         with pytest.raises(MaintenanceError):
-            monitor.declare("a", NEGATIVE_BALANCE)
+            maintainer.define_view("a", NEGATIVE_BALANCE, policy=ASSERTION)
 
-    def test_drop(self, monitor):
-        monitor.declare("a", NEGATIVE_BALANCE)
-        monitor.drop("a")
-        assert monitor.assertion_names() == ()
-        with pytest.raises(MaintenanceError):
-            monitor.drop("a")
+    def test_drop(self, db, maintainer):
+        maintainer.define_view("a", NEGATIVE_BALANCE, policy=ASSERTION)
+        maintainer.drop_view("a")
+        assert maintainer.view_names() == ()
+        db.apply(inserts={"accounts": [(3, -1)]})  # no longer enforced
+
+    def test_nothing_stacks_on_an_assertion(self, maintainer):
+        maintainer.define_view("a", NEGATIVE_BALANCE, policy=ASSERTION)
+        with pytest.raises(MaintenanceError, match="assertion view 'a'"):
+            maintainer.define_view("b", BaseRef("a"))
 
 
 class TestPreCommitValidation:
-    def test_valid_transaction_passes(self, db, monitor):
-        monitor.declare("non_negative", NEGATIVE_BALANCE)
-        txn = db.begin()
-        txn.insert("accounts", (3, 50))
-        monitor.validate_transaction(txn)  # must not raise
-        txn.commit()
+    """A commit is checked before it takes effect: one its assertion
+    view would not stay empty through is undone."""
 
-    def test_violating_insert_rejected_before_commit(self, db, monitor):
-        monitor.declare("non_negative", NEGATIVE_BALANCE)
+    def test_valid_transaction_passes(self, db, maintainer):
+        maintainer.define_view("non_negative", NEGATIVE_BALANCE, policy=ASSERTION)
+        db.apply(inserts={"accounts": [(3, 50)]})
+        assert (3, 50) in db.relation("accounts")
+
+    def test_violating_insert_rejected_before_commit(self, db, maintainer):
+        maintainer.define_view("non_negative", NEGATIVE_BALANCE, policy=ASSERTION)
         txn = db.begin()
         txn.insert("accounts", (3, -1))
-        with pytest.raises(IntegrityViolation) as exc:
-            monitor.validate_transaction(txn)
-        assert (3, -1) in exc.value.witnesses
-        txn.abort()
+        with pytest.raises(IntegrityViolation) as raised:
+            txn.commit()
+        assert raised.value.assertion_name == "non_negative"
+        assert raised.value.witnesses == [(3, -1)]
+        assert txn.state is TransactionState.ABORTED
         assert (3, -1) not in db.relation("accounts")
+        assert db.last_sequence() == 0
 
-    def test_update_into_violation_detected(self, db, monitor):
-        monitor.declare("non_negative", NEGATIVE_BALANCE)
-        txn = db.begin()
-        txn.update("accounts", (1, 100), (1, -100))
+    def test_validation_is_side_effect_free(self, db, maintainer):
+        maintainer.define_view("non_negative", NEGATIVE_BALANCE, policy=ASSERTION)
+        watched = maintainer.define_view("all", BaseRef("accounts"))
+        agg = maintainer.define_view(
+            "total", BaseRef("accounts").aggregate([], [("sum", "balance", "s")])
+        )
+        before = [db.relation("accounts").counts(), watched.contents.counts(),
+                  agg.contents.counts(), dict(agg.aggregate_state.groups)]
         with pytest.raises(IntegrityViolation):
-            monitor.validate_transaction(txn)
+            db.apply(inserts={"accounts": [(3, -1)]})
+        after = [db.relation("accounts").counts(), watched.contents.counts(),
+                 agg.contents.counts(), dict(agg.aggregate_state.groups)]
+        assert after == before
+        assert len(maintainer.view("non_negative").contents) == 0
+        maintainer.verify_all()
 
-    def test_validation_is_side_effect_free(self, db, monitor):
-        monitor.declare("non_negative", NEGATIVE_BALANCE)
-        before = db.relation("accounts").copy()
-        txn = db.begin()
-        txn.insert("accounts", (3, -1))
+    def test_update_into_violation_detected(self, db, maintainer):
+        maintainer.define_view("non_negative", NEGATIVE_BALANCE, policy=ASSERTION)
         with pytest.raises(IntegrityViolation):
-            monitor.validate_transaction(txn)
-        assert db.relation("accounts") == before
+            with db.transact() as txn:
+                txn.update("accounts", (1, 100), (1, -100))
+        assert (1, 100) in db.relation("accounts")
 
-    def test_screened_updates_skip_evaluation(self, db, monitor):
+    def test_screened_updates_skip_evaluation(self, db, maintainer):
         """Updates the §4 filter proves irrelevant to the error
-        predicate cost nothing — the [HS78] compile-time payoff."""
-        from repro.instrumentation import CostRecorder, recording
+        predicate cost no differential — the [HS78] compile-time
+        payoff: the assertion's row counts them ``transactions_skipped``."""
+        maintainer.define_view("non_negative", NEGATIVE_BALANCE, policy=ASSERTION)
+        db.apply(inserts={"accounts": [(3, 700)]})  # balance < 0 unsatisfiable
+        stats = maintainer.stats("non_negative")
+        assert stats["transactions_skipped"] == 1
+        assert stats["deltas_applied"] == 0
 
-        monitor.declare("non_negative", NEGATIVE_BALANCE)
-        txn = db.begin()
-        txn.insert("accounts", (3, 700))  # balance < 0 unsatisfiable
-        recorder = CostRecorder()
-        with recording(recorder):
-            monitor.validate_transaction(txn)
-        assert recorder.get("assertion_checks_screened") == 1
-        assert recorder.get("differential_updates") == 0
-
-    def test_a_screened_out_check_copies_only_the_touched_relation(
-        self, db, monitor, monkeypatch
-    ):
-        """Screening reads the deltas alone: a transaction whose deltas
-        all screen out costs no copy of a relation it did not touch."""
-        from repro.algebra.relation import Relation
-
-        monitor.declare(
-            "orders_active_accounts",
-            BaseRef("orders").join(BaseRef("accounts")).select("balance <= 0"),
-        )
-        copied = []
-        real = Relation.copy
-
-        def copy(relation):
-            copied.append(relation)
-            return real(relation)
-
-        monkeypatch.setattr(Relation, "copy", copy)
-        txn = db.begin()
-        txn.insert("accounts", (3, 700))  # balance <= 0 unsatisfiable
-        monitor.validate_transaction(txn)
-        assert copied == [db.relation("accounts")]
-
-    def test_a_join_check_leaves_the_live_relations_unindexed(self, db, monitor):
-        monitor.declare(
-            "orders_active_accounts",
-            BaseRef("orders").join(BaseRef("accounts")).select("balance <= 0"),
-        )
-        txn = db.begin()
-        txn.insert("orders", (11, 1))  # account 1 is active: no violation
-        monitor.validate_transaction(txn)
-        txn.commit()
-        monitor.attach()
-        with db.transact() as txn:
-            txn.insert("orders", (12, 1))
-        assert monitor.observed_violations == []
-        assert not db.relation("accounts").indexes
-        assert not db.relation("orders").indexes
-
-    def test_join_assertion(self, db, monitor):
+    def test_join_assertion(self, db, maintainer):
         """An assertion spanning two relations: no order may reference
         an account with zero balance."""
-        predicate = (
-            BaseRef("orders")
-            .join(BaseRef("accounts"))
-            .select("balance <= 0")
-        )
-        monitor.declare("orders_active_accounts", predicate)
-        txn = db.begin()
-        txn.insert("orders", (11, 2))  # account 2 has balance 0
-        with pytest.raises(IntegrityViolation):
-            monitor.validate_transaction(txn)
+        maintainer.define_view("active", INACTIVE_ORDERS, policy=ASSERTION)
+        db.apply(inserts={"orders": [(11, 1)]})  # account 1 is active
+        with pytest.raises(IntegrityViolation) as raised:
+            db.apply(inserts={"orders": [(12, 2)]})  # account 2 has balance 0
+        assert raised.value.witnesses == [(12, 2, 0)]
+        assert (12, 2) not in db.relation("orders")
 
-    def test_join_assertion_other_side(self, db, monitor):
-        predicate = (
-            BaseRef("orders")
-            .join(BaseRef("accounts"))
-            .select("balance <= 0")
-        )
-        monitor.declare("orders_active_accounts", predicate)
+    def test_join_assertion_other_side(self, db, maintainer):
+        maintainer.define_view("active", INACTIVE_ORDERS, policy=ASSERTION)
         # Draining account 1 to zero while it has an order violates too.
-        txn = db.begin()
-        txn.update("accounts", (1, 100), (1, 0))
         with pytest.raises(IntegrityViolation):
-            monitor.validate_transaction(txn)
+            with db.transact() as txn:
+                txn.update("accounts", (1, 100), (1, 0))
+        assert (1, 100) in db.relation("accounts")
 
-    def test_read_only_transaction_passes(self, db, monitor):
-        monitor.declare("non_negative", NEGATIVE_BALANCE)
-        txn = db.begin()
-        monitor.validate_transaction(txn)
-        txn.commit()
+    def test_read_only_transaction_passes(self, db, maintainer):
+        maintainer.define_view("non_negative", NEGATIVE_BALANCE, policy=ASSERTION)
+        db.begin().commit()
 
 
 class TestPostCommitMonitoring:
-    def test_monitor_records_violations(self, db, monitor):
-        monitor.declare("non_negative", NEGATIVE_BALANCE)
-        monitor.attach()
+    """Advisory enforcement is an ordinary view plus a subscriber: it
+    records what committed, and vetoes nothing."""
+
+    @pytest.fixture
+    def observed(self, maintainer):
+        maintainer.define_view("negative", NEGATIVE_BALANCE)
+        observed = []
+        maintainer.subscribe("negative", self._record(observed))
+        return observed
+
+    @staticmethod
+    def _record(observed):
+        return lambda view, delta: observed.append(sorted(delta.inserted))
+
+    def test_monitor_records_violations(self, db, observed):
         with db.transact() as txn:
             txn.insert("accounts", (3, -7))
-        assert len(monitor.observed_violations) == 1
-        txn_id, name, witnesses = monitor.observed_violations[0]
-        assert name == "non_negative"
-        assert witnesses == [(3, -7)]
+        assert (3, -7) in db.relation("accounts")  # advisory: committed
+        assert observed == [[(3, -7)]]
 
-    def test_monitor_quiet_on_clean_commits(self, db, monitor):
-        monitor.declare("non_negative", NEGATIVE_BALANCE)
-        monitor.attach()
+    def test_monitor_quiet_on_clean_commits(self, db, observed):
         with db.transact() as txn:
             txn.insert("accounts", (3, 7))
-        assert monitor.observed_violations == []
+        assert observed == []
 
-    def test_detach(self, db, monitor):
-        monitor.declare("non_negative", NEGATIVE_BALANCE)
-        monitor.attach()
-        monitor.detach()
+    def test_detach(self, db, maintainer):
+        observed = []
+        maintainer.define_view("negative", NEGATIVE_BALANCE)
+        callback = self._record(observed)
+        maintainer.subscribe("negative", callback)
+        maintainer.unsubscribe("negative", callback)
         with db.transact() as txn:
             txn.insert("accounts", (3, -7))
-        assert monitor.observed_violations == []
+        assert observed == []
 
 
 class TestAgreesWithTheReference:
-    """The monitor runs compiled plans; its witnesses are what the
-    per-tuple reference finds over the same simulated post-state."""
+    """An assertion's witnesses are what the per-tuple reference finds
+    the commit's error-predicate delta inserts."""
 
     def test_random_two_relation_join_assertions(self):
         rng = random.Random(37)
-        checked = 0
+        checked = violated = 0
         for _ in range(120):
             db = Database()
             for name, attributes in (("r", ["A", "B"]), ("s", ["B", "C"])):
@@ -221,9 +209,9 @@ class TestAgreesWithTheReference:
                 .join(BaseRef("s"))
                 .select(f"A < {rng.randint(0, 6)} and C >= {rng.randint(0, 6)}")
             )
-            monitor = AssertionMonitor(db)
+            maintainer = ViewMaintainer(db)
             try:
-                assertion = monitor.declare("p", predicate)
+                view = maintainer.define_view("p", predicate, policy=ASSERTION)
             except IntegrityViolation:
                 continue  # only a currently-satisfied assertion declares
             txn = db.begin()
@@ -234,26 +222,30 @@ class TestAgreesWithTheReference:
                     txn.delete(name, row)
                 else:
                     txn.insert(name, row)
-            try:
-                monitor.validate_transaction(txn)
-                got = []
-            except IntegrityViolation as exc:
-                got = exc.witnesses
             deltas = txn.net_deltas()
             post = dict(db.instances())
             relevant = {}
+            normal_form = view.definition.normal_form
             for name, delta in deltas.items():
                 post[name] = post[name].copy()
                 delta.apply_to(post[name])
-                screened, _ = filter_delta(assertion.normal_form, name, delta)
+                screened, _ = filter_delta(normal_form, name, delta)
                 if not screened.is_empty():
                     relevant[name] = screened
             want = (
-                sorted(compute_view_delta(assertion.normal_form, post, relevant).inserted)
+                sorted(compute_view_delta(normal_form, post, relevant).inserted)
                 if relevant
                 else []
             )
+            before = {name: db.relation(name).counts() for name in ("r", "s")}
+            try:
+                txn.commit()
+                got = []
+            except IntegrityViolation as exc:
+                got = exc.witnesses
+                violated += 1
+                assert {n: db.relation(n).counts() for n in ("r", "s")} == before
             assert got == want
-            txn.abort()
             checked += 1
         assert checked > 30
+        assert violated > 5

@@ -1,6 +1,7 @@
 """Unit tests for the interactive shell and the CLI verbs."""
 
 import asyncio
+import json
 import threading
 
 import pytest
@@ -17,7 +18,7 @@ from repro.cli import (
 )
 from repro.core.maintainer import ViewMaintainer
 from repro.engine.database import Database
-from repro.errors import ReproError
+from repro.errors import ReproError, ViewQuarantinedError
 from repro.replication.durability import DurabilityManager
 from repro.replication.follower import Follower
 from repro.server import ViewClient
@@ -106,6 +107,20 @@ class TestViews:
         shell.execute("insert into r values (9, 30)")
         stats = shell.execute("stats v")
         assert "transactions_seen: 1" in stats
+
+    def test_stats_shows_a_quarantine_as_json(self, shell, kernel_faults):
+        _setup_sales(shell)
+        shell.execute("create view v as r where B >= 20")
+        kernel_faults.add("<codegen:v:")
+        with pytest.raises(ViewQuarantinedError):
+            shell.execute("insert into r values (9, 30)")
+        line = next(
+            line for line in shell.execute("stats v").splitlines()
+            if line.startswith("quarantined: ")
+        )
+        record = json.loads(line.removeprefix("quarantined: "))
+        assert (record["view"], record["error"]) == ("v", "RuntimeError")
+        assert record["seq"] == shell.database.last_sequence()
 
     def test_drop_view(self, shell):
         _setup_sales(shell)

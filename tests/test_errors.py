@@ -46,7 +46,7 @@ class TestHierarchy:
         assert issubclass(ViewDefinitionError, ExpressionError)
 
     def test_integrity_violation_is_maintenance_error(self):
-        from repro.extensions.assertions import IntegrityViolation
+        from repro.errors import IntegrityViolation
 
         assert issubclass(IntegrityViolation, MaintenanceError)
 

@@ -435,13 +435,70 @@ class TestEndToEnd:
 
     def test_txn_unknown_relation_fails_atomically(self, served):
         handle, server, db, maintainer = served
+        # An unknown relation, a row of the wrong arity, and cells of
+        # the wrong type: each a typed txn_failed, never the catch-all.
+        hostile = (
+            {"r": [(7, 10)], "zzz": [(1,)]},
+            {"r": [(7, 10), (1, 2, 3)]},
+            {"r": [(7, 10), (1, "x")]},
+            {"r": [(7, 10), (1, [2])]},
+            {"r": [(7, 10), (1, None)]},
+            {"r": [(7, 10), (1, 2.5)]},
+        )
         with connect(handle) as client:
-            with pytest.raises(ServerError) as exc:
-                client.txn(insert={"r": [(7, 10)], "zzz": [(1,)]})
-            assert exc.value.code == protocol.E_TXN_FAILED
+            for insert in hostile:
+                with pytest.raises(ServerError) as exc:
+                    client.txn(insert=insert)
+                assert exc.value.code == protocol.E_TXN_FAILED, insert
             answer = client.query("r")
+            assert client.stats()["counters"]["server_txns_failed"] == len(hostile)
         # The whole batch aborted: the valid part did not land either.
         assert [7, 10] not in answer["rows"]
+
+    def test_an_undone_commit_is_txn_failed_whatever_raised(self):
+        db = make_database()
+        maintainer = ViewMaintainer(db)
+        maintainer.define_view("hot", HOT)
+        armed = []
+
+        def hook(txn_id, deltas):
+            if armed:
+                raise OSError("injected disk failure")
+
+        db.add_commit_hook(hook)
+        server = ViewServer(db, maintainer, ServerConfig())
+        with ServerHandle(server) as handle, connect(handle) as client:
+            armed.append(True)
+            with pytest.raises(ServerError) as exc:
+                client.txn(insert={"r": [(7, 10)]})
+            assert exc.value.code == protocol.E_TXN_FAILED
+            assert "OSError: injected disk failure" in str(exc.value)
+            armed.clear()
+            assert [7, 10] not in client.query("r")["rows"]
+            assert client.txn(insert={"r": [(7, 10)]})["seq"] == 1
+
+    def test_a_quarantined_view_is_reported_and_refused(self, kernel_faults):
+        db = make_database()
+        maintainer = ViewMaintainer(db)
+        maintainer.define_view("hot", HOT)
+        maintainer.define_view("all_r", BaseRef("r"))
+        server = ViewServer(db, maintainer, ServerConfig())
+        with ServerHandle(server) as handle, connect(handle) as client:
+            kernel_faults.add("<codegen:hot:")
+            reply = client.txn(insert={"r": [(7, 10)]})
+            kernel_faults.clear()
+            assert reply["quarantined"] == ["hot"]
+            assert [7, 10] in client.query("all_r")["rows"]  # committed
+            for call in (lambda: client.query("hot"), lambda: client.subscribe("hot")):
+                with pytest.raises(ServerError) as exc:
+                    call()
+                assert exc.value.code == protocol.E_VIEW_QUARANTINED
+            record = client.stats()["views"]["hot"]["maintenance"]["quarantined"]
+            assert record == {
+                "txn": reply["txn"], "seq": 1, "view": "hot", "error": "RuntimeError",
+                "message": "injected fault in <codegen:hot:shape0>",
+            }
+            assert "quarantined" not in client.stats()["views"]["all_r"]["maintenance"]
 
     def test_txn_empty_rejected(self, served):
         handle, *_ = served
