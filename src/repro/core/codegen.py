@@ -33,7 +33,8 @@ whole batches:
   :func:`repro.core.counting.net_counts`;
 * **trigger programs** — one per set of changed relations: every view
   a commit reaches, in order, as straight-line code that calls its
-  kernels, counts, applies and delivers (Algorithm 5.1).
+  kernels, counts, applies, records what it applied for an undo and
+  queues the deliveries (Algorithm 5.1).
 
 One data format crosses every kernel boundary, in and out: the
 ``values → count`` dicts a :class:`~repro.algebra.relation.Delta`

@@ -32,6 +32,13 @@ maintainer against a per-tuple statement of Sections 4 and 5 kept with
 the tests (``tests/reference.py``) and against
 :meth:`~repro.core.aggregates.AggregateState.fold`.
 
+A commit's maintenance is all or nothing with the commit (its trigger
+records what it applied in the database's undo record), except that
+a view whose own stages raise is *quarantined* — it and what reads it
+keep their pre-commit contents until :meth:`ViewMaintainer.refresh`
+rebuilds them — and an assertion view (``MaintenancePolicy.ASSERTION``)
+the commit would leave non-empty undoes the commit.
+
 The registry is one record per view plus one index, *dependents*: a
 relation or view name to the records whose definitions read it.  The
 trivial case of Section 4's filter — the updated relation does not
