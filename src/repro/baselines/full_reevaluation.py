@@ -57,9 +57,9 @@ class FullReevaluationMaintainer:
         except KeyError:
             raise UnknownViewError(f"no view named {name!r}") from None
 
-    def _evaluate(self, definition: ViewDefinition) -> Relation:
+    def _evaluate(self, definition: ViewDefinition, settle: bool = True) -> Relation:
         """One complete evaluation on the view's plan (compiled anew
-        after DDL)."""
+        after DDL); ``settle`` lands what it counted."""
         plan = self._plans.get(definition.name)
         if plan is None or plan.definition is not definition:
             plan = self._plans[definition.name] = CompiledViewPlan(
@@ -68,7 +68,8 @@ class FullReevaluationMaintainer:
         counted: Tally = []
         charged: Tally = []
         stored = plan.evaluate(counted, charged)
-        self._counters.settle(counted, charged)
+        if settle:
+            self._counters.settle(counted, charged)
         return stored
 
     def _on_commit(self, txn_id: int, deltas: Mapping[str, Delta]) -> None:
@@ -76,18 +77,23 @@ class FullReevaluationMaintainer:
             name for name, view in self._views.items()
             if view.definition.relation_names & deltas.keys()
         ]
-        if names:
-            self._recompute(names)
-            # An undone commit is recomputed away, from the restored base.
-            self.database.undo.append((self._recompute, names))
-
-    def _recompute(self, names: list[str]) -> None:
         for name in names:
             view = self._views[name]
             charge("baseline_recomputations")
             view.replace_contents(self._evaluate(view.definition))
             view.updates_applied += 1
             self.recomputations[name] += 1
+        if names:
+            self.database.undo.append((self._undo, names))
+
+    def _undo(self, names: list[str]) -> None:
+        """Take an undone commit back: re-derive its views from the
+        restored base, uncounted, and uncount the commit."""
+        for name in names:
+            view = self._views[name]
+            view.replace_contents(self._evaluate(view.definition, settle=False))
+            view.updates_applied -= 1
+            self.recomputations[name] -= 1
 
     def _on_ddl(self, event: str, relation_name: str) -> None:
         self._plans.clear()

@@ -1142,16 +1142,10 @@ _VIOLATION = """\
 if ins:
     raise VIOLATION(V{i}, ins)
 """
-# A fault in a view's stages quarantines it (and what reads it, and the
-# views ``q`` whose shared screen it left unrun); the commit goes on.
-_QUARANTINE = """\
-except Exception as e:
-    d{i} = None
-    QUARANTINE(W, u, o, {i}, e, seq, {q})
-"""
 # A deferred view reached by a commit composes its backlog, into a copy
 # the undo record keeps the original of.
 _BACKLOG = """\
+c = C{i}
 E{i}.commits_since_refresh += 1
 u[{i}] = E{i}.pending
 p = E{i}.pending = {{**u[{i}]}}
@@ -1203,10 +1197,20 @@ def undo_views(views: Sequence[tuple[Any, bool, Any]], applied: list, stamps: Se
         view.updates_applied -= 1
 
 
+def raised_in(error: BaseException) -> Any:
+    """The counters of the view whose stages in a trigger run raised
+    ``error`` — what the trigger's frame held as ``c`` — or None when it
+    raised before any view's stages began."""
+    tb = error.__traceback__
+    while tb is not None and tb.tb_frame.f_code.co_name != "trigger":
+        tb = tb.tb_next
+    return None if tb is None else tb.tb_frame.f_locals.get("c")
+
+
 #: A trigger also builds, applies, nets and undoes view deltas.
 _TRIGGER_GLOBALS = dict(
     _KERNEL_GLOBALS, ADOPT=Delta.adopt, APPLY=apply_counts, NET=net_counts, UNDERFLOW=_underflow,
-    VIOLATION=violation, UNDO=undo_views, Exception=Exception,
+    VIOLATION=violation, UNDO=undo_views,
 )
 
 
@@ -1223,10 +1227,8 @@ class _Screens:
         sources = {name: f"a{k}" for k, name in enumerate(names)}
         #: (source, program key) -> program number.
         self.program: dict[tuple[str, str], int] = {}
-        # Per program: its source, the relation it screens, its screen;
-        # and the views reading it.
+        # Per program: its source, the relation it screens, its screen.
         programs: list[tuple[str, str, Screen]] = []
-        readers: list[list[int]] = []
         for i, (entry, compose) in enumerate(views):
             for dep in [] if compose else sorted(entry.dependencies & sources.keys()):
                 screen = entry.plan._screen_kernels[dep]
@@ -1234,9 +1236,6 @@ class _Screens:
                 if screen.kernel is not None and key not in self.program:
                     self.program[key] = len(programs)
                     programs.append((sources[dep], dep, screen))
-                    readers.append([])
-                if screen.kernel is not None:
-                    readers[self.program[key]].append(i)
             if not compose:
                 sources[entry.view.definition.name] = f"d{i}"
         leads: dict[tuple[str, str], list[int]] = {}
@@ -1262,13 +1261,6 @@ class _Screens:
             source = generate_pass_source(dep, [programs[p][2].blocks[0] for p in members])
             self.bound[f"P{g}"] = compile_kernel(source, "screen_kernel", f"<codegen:pass:{dep}>")
             self.passes.update((p, f"r{g} = P{g}({src}i, {src}d)") for p in members)
-        #: Per view, the later views reading a program (or a fused pass)
-        #: it runs first: a fault before its screens finish leaves them
-        #: unrun, and those readers are quarantined with it.
-        self.sharers: dict[int, list[int]] = {}
-        for members in [*fused, *([p] for p in range(len(programs)) if p not in passes)]:
-            first, *later = sorted({i for p in members for i in readers[p]})
-            self.sharers.setdefault(first, []).extend(later)
         # The sources sized, programs run and passes run so far.
         self.done: set[object] = set()
 
@@ -1304,17 +1296,6 @@ def _emit_view(
     bound = {f"E{i}": entry, f"V{i}": view, f"C{i}": entry.row.counters,
              f"S{i}": view.contents.schema, f"R{i}": view.contents, f"SH{i}": plan._shapes,
              f"CS{i}": plan._compile_shape, f"OLD{i}": plan._old_counts}
-    # A commit quarantines a view its stages fail in; a refresh raises,
-    # and so does an assertion, undoing the commit.
-    assertion = entry.policy.value == "assertion"
-    caught = not (refreshing or assertion)
-    sharers = screens.sharers.get(i) if caught else None
-    if caught:
-        out.emit("try:")
-        out.indent += 1
-    if sharers:
-        bound[f"Z{i}"] = tuple(sharers)
-        out.emit(f"q = Z{i}")
     # A plan DDL discarded counts a miss the first time it runs, once.
     out.block("c = C{0}\n" + (
         "if E{0}.missed:\n    E{0}.missed = False\n    @ transactions_seen=1, plan_cache_misses=1\n"
@@ -1333,8 +1314,6 @@ def _emit_view(
             expr = f"x{j}"
         if expr is not None:
             live[name] = (expr, dynamic or screen.kernel is not None)
-    if sharers:
-        out.emit("q = ()")
     # Applied: a raise from here on leaves no backlog to apply twice.
     settle = "V{i}.last_refresh_sequence = seq\n" + (
         "E{i}.pending = {{}}\nE{i}.commits_since_refresh = 0\n" * refreshing)
@@ -1344,8 +1323,6 @@ def _emit_view(
     out.indent += bool(live) and skipped
     out.block(("@ transactions_skipped=1\n" + settle + "d{i} = None") * skipped, i=i)
     if not live:
-        out.indent -= caught
-        out.block(_QUARANTINE * caught, i=i, q="q" if sharers else "()")
         return bound
     if skipped:
         out.emit("else:", -1)
@@ -1366,10 +1343,10 @@ def _emit_view(
         record = f"(d{i}, ci, cd)"
         out.emit("ci, cd = ins, dele")
         out.block(_FOLD, fold=f"F{i}", state=f"V{i}.aggregate_state", view_name=f"V{i}.definition.name")
+    assertion = entry.policy.value == "assertion"
     out.block(_APPLY + _VIOLATION * assertion + settle + f"VERIFY(V{i})\n" * verify + _DELIVER,
               i=i, record=record)
-    out.indent -= skipped + caught
-    out.block(_QUARANTINE * caught, i=i, q="q" if sharers else "()")
+    out.indent -= skipped
     return bound
 
 
@@ -1389,10 +1366,10 @@ def generate_trigger_source(
     and passes over a view none of whose operands changed.  It appends
     its undo record to ``U`` (:func:`undo_views` reverses it) and each
     applied delta a view has subscribers for to ``DL``, to deliver once
-    the commit stands.  In a commit's trigger, a view whose stages raise
-    is quarantined (``QUARANTINE``), and a view a fault could have
-    quarantined mid-run checks first; an assertion's view that the
-    apply leaves non-empty raises ``IntegrityViolation``.  Each source
+    the commit stands.  Each view's stages run with its counters bound
+    to ``c``, so whoever catches a raise can tell from the frame which
+    view raised.  An assertion's view that the apply leaves non-empty
+    raises ``IntegrityViolation``.  Each source
     delta is screened once per distinct program, however many views
     hold it (:class:`_Screens`).  With ``recording`` every count also
     joins one ``tally``, landed on ``recorder`` once, raise or not;
@@ -1425,8 +1402,6 @@ def generate_trigger_source(
     # Operand name -> the local holding its delta, and whether that may
     # be None at run time (a view delta).
     sources = {name: (f"a{k}", False) for k, name in enumerate(names)}
-    # The views a fault in an earlier view may quarantine mid-run.
-    exposed = {k for later in screens.sharers.values() for k in later}
     for i, (entry, compose) in enumerate(views):
         operands = [(dep, *sources[dep]) for dep in sorted(entry.dependencies) if dep in sources]
         out.emit(f"# view {i}: {quoted(entry.view.definition.name)}")
@@ -1436,16 +1411,11 @@ def generate_trigger_source(
             out.block("d{0} = None\nif {1}:", i, " or ".join(f"{src} is not None" for _, src, _ in operands))
             operands = [(name, src, len(operands) > 1) for name, src, _ in operands]
         out.indent += guarded
-        exposed_here = not refreshing and (
-            i in exposed or any(src.startswith("d") for _, src, _ in operands))
-        if exposed_here:
-            out.block(f"d{i} = None\n" * (not guarded and not compose) + f"if E{i}.quarantined is None:")
-        out.indent += exposed_here
         if not compose:
             bound.update(_emit_view(out, i, entry, operands, screens, refreshing, verify))
             sources[entry.view.definition.name] = (f"d{i}", True)
         else:
-            bound[f"E{i}"] = entry
+            bound[f"E{i}"], bound[f"C{i}"] = entry, entry.row.counters
             out.block(_BACKLOG, i=i)
             for j, (name, src, dynamic) in enumerate(operands):
                 bound[f"N{i}_{j}"] = name
@@ -1453,7 +1423,7 @@ def generate_trigger_source(
                 out.indent += dynamic
                 out.block(_COMPOSE, i=i, j=j, src=src)
                 out.indent -= dynamic
-        out.indent -= guarded + exposed_here
+        out.indent -= guarded
     out.indent = 1
     out.block("finally:\n    if tally:\n        recorder.land(tally)" * recording)
     return out.source(), bound
@@ -1465,18 +1435,14 @@ Trigger = Callable[[Mapping[str, Any], Any, list, list], None]
 def compile_trigger(
     views: Sequence[tuple[Any, bool]], arrived: Sequence[str], refreshing: bool,
     recording: bool, verify: Callable[[Any], object] | None, last_sequence: Callable[[], int],
-    quarantine: Callable[..., None],
 ) -> Trigger:
     """The program of :func:`generate_trigger_source`, compiled once per
     distinct program and bound to its names, to ``last_sequence`` (what
-    a maintained view is stamped with), to ``verify`` and to
-    ``quarantine(views, applied, stamps, i, error, sequence, sharers)``
-    for view ``i`` of a commit whose stages raise."""
+    a maintained view is stamped with) and to ``verify``."""
     source, bound = generate_trigger_source(
         views, arrived, refreshing, recording, verify is not None
     )
-    namespace: dict = dict(_TRIGGER_GLOBALS, LAST_SEQUENCE=last_sequence, VERIFY=verify,
-                           QUARANTINE=quarantine, **bound)
+    namespace: dict = dict(_TRIGGER_GLOBALS, LAST_SEQUENCE=last_sequence, VERIFY=verify, **bound)
     exec(_load(source, "<codegen:trigger>"), namespace)  # noqa: S102 - the codegen seam
     return namespace["trigger"]
 

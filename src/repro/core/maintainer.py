@@ -34,9 +34,10 @@ the tests (``tests/reference.py``) and against
 
 A commit's maintenance is all or nothing with the commit (its trigger
 records what it applied in the database's undo record), except that
-a view whose own stages raise is *quarantined* — it and what reads it
-keep their pre-commit contents until :meth:`ViewMaintainer.refresh`
-rebuilds them — and an assertion view (``MaintenancePolicy.ASSERTION``)
+a view whose own stages raise is *quarantined*: the trigger's run is
+taken back and run again without it and what reads it, which keep
+their pre-commit contents until :meth:`ViewMaintainer.refresh`
+rebuilds them.  An assertion view (``MaintenancePolicy.ASSERTION``)
 the commit would leave non-empty undoes the commit.
 
 The registry is one record per view plus one index, *dependents*: a
@@ -50,13 +51,14 @@ reaches, never the catalog.
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Mapping, NoReturn
 
 from repro.algebra.expressions import Expression
 from repro.algebra.relation import Delta, Relation
 from repro.algebra.schema import RelationSchema
-from repro.core.codegen import Trigger, compile_trigger, undo_views, violation
+from repro.core.codegen import Trigger, compile_trigger, raised_in, violation
 from repro.core.compiled import CompiledViewPlan
+from repro.core.counting import net_counts
 from repro.core.consistency import ConsistencyReport, check_view_consistency
 from repro.core.views import MaterializedView, ViewDefinition
 from repro.engine.database import Database, deliver
@@ -182,10 +184,6 @@ class ViewMaintainer:
         self._next_ordinal = 0
         #: The rows of dropped views, summed.
         self._retired = CostRecorder()
-        #: The running commit's transaction id, and the views its trigger
-        #: quarantined.
-        self._txn_id = 0
-        self._faulted: list[str] = []
         database.add_commit_hook(self._on_commit)
         database.add_ddl_hook(self._on_ddl)
 
@@ -702,47 +700,61 @@ class ViewMaintainer:
             key = (frozenset(arrived), recorder is not None, self.auto_verify)
             trigger = self._triggers.get(key) or self._trigger(key, tuple(arrived), None, key[1])
             database = self.database
-            self._txn_id, self._faulted = txn_id, []
-            trigger(arrived, recorder, database.undo, database.deliveries)
-            if self._faulted:
-                record = self._entries[self._faulted[0]].quarantined
-                assert record is not None
-                raise ViewQuarantinedError(tuple(self._faulted), record)
+            try:
+                trigger(arrived, recorder, database.undo, database.deliveries)
+            except Exception as error:
+                self._quarantine(txn_id, arrived, key, error)
 
     def _quarantine(
-        self, views: tuple, applied: list, stamps: tuple, i: int, error: Exception,
-        sequence: int, sharers: tuple[int, ...],
-    ) -> None:
-        """Quarantine view ``i`` of a commit's trigger, whose stages
-        raised ``error``; with it every view that reads it, and the
-        ``sharers`` whose screens it left unrun (see the trigger's
-        arguments in :func:`~repro.core.codegen.compile_trigger`).  The
-        view takes back what it applied; those after it are skipped for
-        the rest of the run, and left out of the reach lists and
-        triggers from here on.  An assertion cannot be quarantined: the
-        error is raised, and the commit undone."""
-        hit = [views[i][0], *(views[k][0] for k in sharers)]
-        found: dict[str, _ViewEntry] = {}
-        while hit:
-            entry = hit.pop()
-            name = entry.view.definition.name
-            if name not in found:
-                found[name] = entry
-                hit.extend(self._dependents.get(name, ()))
-        if any(e.policy is MaintenancePolicy.ASSERTION for e in found.values()):
-            raise error
-        undo_views(views[i:i + 1], applied[i:i + 1], stamps[i:i + 1])
-        applied[i] = None
-        record = {
-            "txn": self._txn_id, "seq": sequence, "view": views[i][0].view.definition.name,
-            "error": type(error).__name__, "message": str(error),
-        }
-        for name, entry in sorted(found.items(), key=lambda item: item[1].ordinal):
-            if entry.quarantined is None:
-                entry.quarantined = record
-                self._faulted.append(name)
-        self._reach.clear()
-        self._triggers.clear()
+        self, txn_id: int, arrived: Mapping[str, Delta], key: Hashable, error: Exception
+    ) -> NoReturn:
+        """A commit's trigger run over ``arrived`` raised ``error``: take
+        the run back (its undo record and the deliveries it queued),
+        quarantine the view whose stages raised and every view reading
+        it, and run the commit's trigger again without them — until a
+        run completes; then raise :class:`ViewQuarantinedError`.  A view
+        a taken-back run got through keeps that run's counts, not the
+        next one's.  ``error`` is raised instead, for the commit to be
+        undone, when it came from no view's stages or an assertion is
+        among the views to quarantine."""
+        database = self.database
+        faulted: list[str] = []
+        # id(counters) -> (counters, what they held after their first run).
+        held: dict[int, tuple[dict[str, int], dict[str, int]]] = {}
+        try:
+            while True:
+                counters = raised_in(error)
+                entry = next((e for e in self._entries.values() if e.row.counters is counters), None)
+                readers = [] if entry is None else [entry, *self._reach_of(entry.view.definition.name)]
+                if not readers or any(e.policy is MaintenancePolicy.ASSERTION for e in readers):
+                    raise error
+                function, views, *record = database.undo.pop()
+                function(views, *record)
+                ran = [e for e, _, _ in views]
+                taken = {e.view for e in ran}
+                database.deliveries[:] = [d for d in database.deliveries if d[1] not in taken]
+                for done in ran[:ran.index(entry)]:
+                    row = done.row.counters
+                    held.setdefault(id(row), (row, dict(row)))
+                why = {"txn": txn_id, "seq": database.last_sequence(),
+                       "view": entry.view.definition.name,
+                       "error": type(error).__name__, "message": str(error)}
+                for reader in readers:
+                    reader.quarantined = why
+                    faulted.append(reader.view.definition.name)
+                self._reach.clear()
+                self._triggers.clear()
+                try:
+                    trigger = self._trigger(key, tuple(arrived), None, key[1])
+                    trigger(arrived, active_recorder(), database.undo, database.deliveries)
+                    break
+                except Exception as again:
+                    error = again
+        finally:
+            for counters, first in held.values():
+                counters.clear()
+                counters.update(first)
+        raise ViewQuarantinedError(tuple(faulted), self._entries[faulted[0]].quarantined)
 
     def _trigger(
         self, key: Hashable, names: tuple[str, ...], target: _ViewEntry | None,
@@ -767,8 +779,7 @@ class ViewMaintainer:
                 entry.missed = True
         verify = (lambda view: check_view_consistency(view, self.instances())) if self.auto_verify else None
         trigger = compile_trigger(views, names, refreshing=target is not None, recording=recording,
-                                  verify=verify, last_sequence=self.database.last_sequence,
-                                  quarantine=self._quarantine)
+                                  verify=verify, last_sequence=self.database.last_sequence)
         self._triggers[key] = trigger
         return trigger
 
@@ -782,9 +793,8 @@ class ViewMaintainer:
         deltas and feed them here directly.  Stacked views, deferred
         composition, subscribers and statistics all behave exactly as
         for a local commit, all or nothing up to the same commit point.
-        Callers own
-        sequencing: deltas must arrive in commit order, and the database
-        position must be advanced
+        Callers own sequencing: deltas must arrive in commit order, and
+        the database position must be advanced
         (:meth:`~repro.engine.database.Database.advance_sequence`) so
         ``last_refresh_sequence`` bookkeeping stays meaningful.
         """
@@ -866,9 +876,7 @@ class ViewMaintainer:
         entry.row.settle(counted, charged)
         before = view.contents.counts()
         view.replace_contents(stored)
-        after = view.contents.count_map
-        inserted = {v: n - before.get(v, 0) for v, n in after.items() if n > before.get(v, 0)}
-        deleted = {v: n - after.get(v, 0) for v, n in before.items() if n > after.get(v, 0)}
+        inserted, deleted = net_counts(view.contents.counts(), before)
         entry.pending = {}
         entry.commits_since_refresh = 0
         view.last_refresh_sequence = self.database.last_sequence()

@@ -247,6 +247,7 @@ class AdaptiveMaintainer:
         diff_term, full_term = self.model.size_features(
             delta_tuples, changed, touched_base, total_base
         )
+        known = (self.model.c_diff, self.model.c_full)
         self.model.observe(
             chosen, diff_term if chosen == "differential" else full_term, observed
         )
@@ -254,15 +255,18 @@ class AdaptiveMaintainer:
             StrategyDecision(chosen, est_diff, est_full, observed)
         )
         self._counters.settle(counted, charged)
-        # An undone commit is evaluated away, from the restored base.
-        self.database.undo.append((self._rematerialize,))
+        # An undone commit is taken back to what the model knew before.
+        self.database.undo.append((self._undo, *known))
 
-    def _rematerialize(self) -> None:
-        counted: Tally = []
-        charged: Tally = []
+    def _undo(self, c_diff: float, c_full: float) -> None:
+        """Take an undone commit back: re-derive the view from the
+        restored base, uncounted, and forget the commit's decision."""
         plan = self._compiled(self.view.definition)
-        self.view.replace_contents(plan.evaluate(counted, charged))
-        self._counters.settle(counted, charged)
+        self.view.replace_contents(plan.evaluate([], []))
+        self.view.updates_applied -= 1
+        self.model.c_diff, self.model.c_full = c_diff, c_full
+        self.decisions.pop()
+        self._rounds -= 1
 
     def _on_ddl(self, event: str, relation_name: str) -> None:
         definition = self.view.definition

@@ -136,20 +136,34 @@ class TestHookFailures:
 
     def test_the_other_maintainers_roll_back_too(self, db):
         """The complete re-evaluation baseline and the adaptive
-        maintainer re-derive their views from the restored base."""
+        maintainer re-derive their views from the restored base, and
+        take their counts and decisions back."""
         adaptive = AdaptiveMaintainer(db, "a", BaseRef("r").select("A > 0"))
-        full = FullReevaluationMaintainer(db).define_view("f", BaseRef("r"))
+        baseline = FullReevaluationMaintainer(db)
+        full = baseline.define_view("f", BaseRef("r"))
+        armed = []
 
         def bad_hook(txn_id, deltas):
-            raise RuntimeError("later observer crashed")
+            if armed:
+                raise RuntimeError("later observer crashed")
 
         db.add_commit_hook(bad_hook)
-        for row in ((2, 2), (3, 3), (4, 4)):  # both adaptive strategies
+        rows = {(1, 1): 1}
+        for row in ((2, 2), (3, 3)):  # one undone commit per adaptive strategy
+            armed.append(True)
             with pytest.raises(RuntimeError):
                 db.apply(inserts={"r": [row]})
-        assert adaptive.strategy_counts()["full"] >= 1
+            armed.clear()
+            for view in (adaptive.view, full):
+                assert view.contents.counts() == rows
+                assert view.updates_applied == len(rows) - 1
+            assert baseline.recomputations["f"] == len(rows) - 1
+            assert len(adaptive.decisions) == len(rows) - 1
+            db.apply(inserts={"r": [row]})
+            rows[row] = 1
+        assert adaptive.strategy_counts() == {"differential": 1, "full": 1}
         for view in (adaptive.view, full):
-            assert view.contents.counts() == {(1, 1): 1}
+            assert view.contents.counts() == rows
 
     def test_maintenance_resumes_after_observer_removal(self, db):
         maintainer = ViewMaintainer(db)
@@ -441,46 +455,81 @@ class TestKernelFaults:
         }
         maintainer.verify_all()
 
-    def test_a_fused_pass_fault_quarantines_its_readers(self, db, kernel_faults):
+    def test_a_fused_pass_fault_stops_the_commit_at_its_first_reader(self, db, kernel_faults):
         """Two views whose screens open with ``A > 0`` share one fused
         pass, which the first of them runs: a fault in it quarantines
-        both, and the view before them applies."""
+        that view alone.  The commit's trigger runs again without it,
+        where the other reader screens on its own, and applies."""
         maintainer = ViewMaintainer(db)
         names = ["proj", "lo", "lo_b"]
         maintainer.define_view("proj", BaseRef("r").project(["B"]))
         maintainer.define_view("lo", BaseRef("r").select("A > 0"))
         maintainer.define_view("lo_b", BaseRef("r").select("A > 0 and B < 100"))
         before = {name: maintainer.stats(name) for name in names}
-        contents = {name: maintainer.view(name).contents.counts() for name in names}
+        contents = maintainer.view("lo").contents.counts()
         kernel_faults.add("<codegen:pass:r>")
         with pytest.raises(ViewQuarantinedError, match="injected") as raised:
             db.apply(inserts={"r": [(5, 5)]})
-        assert raised.value.views == ("lo", "lo_b")
+        assert raised.value.views == ("lo",)
         record = raised.value.record
         assert record == {
             "txn": 1, "seq": 1, "view": "lo", "error": "RuntimeError",
             "message": "injected fault in <codegen:pass:r>",
         }
-        assert maintainer.quarantined("lo_b") == record
+        assert maintainer.quarantined("lo_b") is None
         after = {name: maintainer.stats(name) for name in names}
-        assert after["proj"]["deltas_applied"] == before["proj"]["deltas_applied"] + 1
-        check_view_consistency(maintainer.view("proj"), maintainer.instances())
+        # Each view counts the commit once, though the trigger ran twice.
+        for name in ("proj", "lo_b"):
+            assert after[name]["transactions_seen"] == before[name]["transactions_seen"] + 1
+            assert after[name]["deltas_applied"] == before[name]["deltas_applied"] + 1
+            check_view_consistency(maintainer.view(name), maintainer.instances())
         counted = {m: v - before["lo"][m] for m, v in after["lo"].items() if m in before["lo"]}
         assert {m: v for m, v in counted.items() if v} == {
             "transactions_seen": 1, "tuples_screened": 1, "plan_cache_hits": 1,
         }
-        assert after["lo_b"] == {**before["lo_b"], "quarantined": record}
-        for name in ("lo", "lo_b"):
-            assert maintainer.view(name).contents.counts() == contents[name]
+        assert maintainer.view("lo").contents.counts() == contents
         kernel_faults.clear()
-        # Quarantined views are left out of later commits ...
+        # A quarantined view is left out of later commits ...
         db.apply(inserts={"r": [(6, 6)]})
         assert (6, 6) not in maintainer.view("lo").contents
-        # ... until a refresh rebuilds them.
-        assert maintainer.refresh("lo_b")
-        assert maintainer.quarantined("lo") == record  # each view on its own
+        assert (6, 6) in maintainer.view("lo_b").contents
+        # ... until a refresh rebuilds it.
         assert maintainer.refresh("lo")
         db.apply(inserts={"r": [(7, 7)]})
+        maintainer.verify_all()
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_a_fault_before_a_shared_source_is_read_quarantines_only_its_view(
+        self, kernel_faults, stacked
+    ):
+        """``j`` faults screening ``r`` before ``s`` is read at all; the
+        views after it that read ``s`` — an ordinary view and an
+        assertion — still apply.  Stacked, ``i`` over ``j`` is the first
+        reader of ``s`` and goes with ``j``."""
+        db = Database()
+        db.create_relation("r", ["A", "B"], [(1, 1)])
+        db.create_relation("s", ["B", "C"], [(1, 1)])
+        maintainer = ViewMaintainer(db)
+        if stacked:
+            maintainer.define_view("j", BaseRef("r").select("A > 0"))
+            maintainer.define_view("i", BaseRef("j").join(BaseRef("s")))
+        else:
+            maintainer.define_view("j", BaseRef("r").join(BaseRef("s")).select("A > 0"))
+        maintainer.define_view("m", BaseRef("s").select("C > 0"))
+        maintainer.define_view(
+            "big", BaseRef("s").select("C > 1000"), policy=MaintenancePolicy.ASSERTION
+        )
+        kernel_faults.add("<codegen:j:screen:r>")
+        with pytest.raises(ViewQuarantinedError) as raised:
+            db.apply(inserts={"r": [(2, 2)], "s": [(2, 2)]})
+        assert raised.value.views == (("j", "i") if stacked else ("j",))
+        assert {maintainer.quarantined(name)["view"] for name in raised.value.views} == {"j"}
+        assert (2, 2) in db.relation("r") and (2, 2) in db.relation("s")
+        for name in ("m", "big"):
+            assert maintainer.quarantined(name) is None
+            check_view_consistency(maintainer.view(name), maintainer.instances())
+        kernel_faults.clear()
+        maintainer.quiesce()
         maintainer.verify_all()
 
     def test_a_quarantine_in_an_undone_commit_stays_with_its_view(self, db, kernel_faults):
@@ -545,10 +594,14 @@ class TestKernelFaults:
         groups = dict(maintainer.view("agg").aggregate_state.groups)
 
         kernel_faults.add("<codegen:agg:aggregate>")
+        delivered = []
+        maintainer.subscribe("sel", lambda view, delta: delivered.append(delta))
         with pytest.raises(ViewQuarantinedError, match="injected") as raised:
             db.apply(inserts={"r": [(5, 5)]})
         assert raised.value.views == ("agg",)
         assert (5, 5) in db.relation("r")  # the commit stands
+        # The taken-back run's delivery went with it: one delta, not two.
+        assert [dict(delta.inserted) for delta in delivered] == [{(5, 5): 1}]
         after = {name: maintainer.stats(name) for name in names}
         for name in ("sel", "proj", "low", "stacked"):
             assert after[name]["transactions_seen"] == before[name]["transactions_seen"] + 1
@@ -589,6 +642,20 @@ class TestKernelFaults:
         db.apply(inserts={"r": [(7, 6)]})
         assert (6, 2) in maintainer.view("agg").contents
         maintainer.verify_all()
+
+
+def _readers(name, maintainer):
+    """``name`` and every view reading it, directly or not, from the
+    definitions alone."""
+    found = {name}
+    while True:
+        more = {
+            other for other in maintainer.view_names()
+            if maintainer.view(other).definition.relation_names & found
+        } - found
+        if not more:
+            return found
+        found |= more
 
 
 #: The assertion of the fault property: no ``r`` row past (5, 5).
@@ -668,13 +735,18 @@ def test_a_fault_at_any_commit_leaves_views_log_and_feed_in_step(
             try:
                 txn.commit()
             except ViewQuarantinedError as exc:
-                assert fault == "kernel" and victim in exc.views
+                # The victim and what reads it, nothing else.
+                assert fault == "kernel"
+                assert exc.views == tuple(n for n in definitions if n in _readers(victim, maintainer))
+                assert exc.record["view"] == victim
             except (OSError, ZeroDivisionError, IntegrityViolation, RuntimeError):
                 assert txn.state is TransactionState.ABORTED
             kernel_faults.clear()
             io.failures = 0
             hook_armed.clear()
             assert len(maintainer.view("no_corner").contents) == 0
+            for name in definitions:
+                assert (maintainer.quarantined(name) or {"view": victim})["view"] == victim
             healthy = [n for n in definitions if maintainer.quarantined(n) is None]
             instances = maintainer.instances()
             for name in healthy:
