@@ -75,6 +75,7 @@ from repro.core.aggregates import accumulator_slots
 from repro.core.counting import net_counts
 from repro.core.graph import INF, ZERO
 from repro.core.planner import Access
+from repro.core.truthtable import DeltaRowChoice
 from repro.errors import IntegrityViolation, MaintenanceError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -99,7 +100,9 @@ ValueTuple = tuple[int, ...]
 #: so it kept v9.)
 #: v10: a never-true probe is left out, a screen with nothing to test
 #: has no kernel, and the first atom's tests are counted in bulk.
-CODEGEN_VERSION = 10
+#: v11: row kernels are pipelined: a node one consumer reads runs in its
+#: loop, and each joined row goes straight into its finish.
+CODEGEN_VERSION = 11
 
 #: The most truth-table rows one compiled module unrolls; a larger
 #: shape is several such modules.  Unrolled in one module, the source
@@ -183,11 +186,6 @@ class _Emitter:
         return "\n".join(self.lines) + "\n"
 
 
-def _cells(schema: RelationSchema, var: str) -> Callable[[str], str]:
-    """Renders a variable as its cell of row ``var``, laid out as ``schema``."""
-    return lambda name: f"{var}[{schema.index(name)}]"
-
-
 def _atom_expr(atom: Atom, cell: Callable[[str], str]) -> str:
     """One atom as a Python expression; ``cell`` renders a variable.
 
@@ -221,12 +219,11 @@ def _condition_expr(condition: Condition, cell: Callable[[str], str]) -> str:
     )
 
 
-def _skip_unless(
-    out: _Emitter, atoms: Sequence[Atom], schema: RelationSchema, var: str
-) -> None:
-    """Skip row ``var`` unless it satisfies ``atoms`` (if any)."""
+def _skip_unless(out: _Emitter, atoms: Sequence[Atom], cell: Callable[[str], str]) -> None:
+    """Skip the row whose variables ``cell`` renders unless it satisfies
+    ``atoms`` (if any)."""
     if atoms:
-        out.text(f"if not ({_conjunction_expr(atoms, _cells(schema, var))}):\n    continue")
+        out.text(f"if not ({_conjunction_expr(atoms, cell)}):\n    continue")
 
 
 # ----------------------------------------------------------------------
@@ -508,38 +505,48 @@ def _fold(func: str, exprs: list[str]) -> str:
 
 
 # ----------------------------------------------------------------------
-# Row + apply kernels (Section 5.3 over one truth-table shape)
+# Row kernels (Section 5.3 over one truth-table shape)
 # ----------------------------------------------------------------------
 
-def generate_shape_sources(ops: "ShapeOps") -> list[str]:
-    """Emit the row kernel + apply kernels for one lowered shape.
+def generate_shape_sources(
+    ops: "ShapeOps", outputs: "Sequence[Sequence[Finish]] | None" = None
+) -> list[str]:
+    """Emit the row kernel of one lowered shape, pipelined.
 
-    The row kernel ``row_kernel(deltas, old, index_for)`` unrolls
-    ``ops.nodes`` in order, one named list per node, so rows whose
-    orders begin alike share it; each row then hands its final node to
-    its finish's apply kernel.  ``deltas[p]`` is the
-    :class:`~repro.algebra.relation.Delta` of changed occurrence ``p``
-    — its ``inserted``/``deleted`` dicts are the DELTA operand —
-    ``old(p)`` the live post-commit count map of occurrence ``p``, and
-    ``index_for[s]`` the bucket lookup (:attr:`~repro.algebra.relation.
-    HashIndex.lookup`) of the hash index bound to the probe target of
-    distinct step ``s`` (``StepPlan.number``): ``ix(k, NO_ROWS)`` per
-    parent row, the probes counted by the kernel itself.  Each node's
-    :class:`~repro.core.planner.Access` picks its template (``_SCANS``,
-    ``_PROBES``).  A hash join's table is built lazily behind a ``None``
-    guard, so an operand never reached because its accumulator is empty
-    is never scanned.  The kernel returns ``(ins, dele, tuples_scanned,
-    join_probes, tuples_emitted, tuples_ignored, index_probes)``.
+    ``row_kernel(deltas, old, index_for)`` runs ``ops.rows`` in order.
+    Each row opens one loop per node of its join order, nested: a root
+    scans its operand, a joined node probes an index or a hash table
+    for each row of its parent, and the innermost loop folds each
+    joined row straight into its finish — the final DNF re-check, the
+    projection key read from the operands' own cells, and the Section
+    5.2 counters (pinned to one for a counter-free finish, sound only
+    when a derived view key proves every view row has multiplicity ≤ 1,
+    see :func:`repro.analysis.dependencies.derive_view_key`).  No joined
+    row is built and no node is kept, except a node two consumers read
+    (:attr:`~repro.core.planner.ShapeOps.stored`): rows whose orders begin alike fill it once
+    as a list of ``(row, tag, count)`` and each then loops over it.
+    ``deltas[p]`` is the :class:`~repro.algebra.relation.Delta` of
+    changed occurrence ``p`` — its ``inserted``/``deleted`` dicts are
+    the DELTA operand — ``old(p)`` the live post-commit count map of
+    occurrence ``p``, and ``index_for[s]`` the bucket lookup
+    (:attr:`~repro.algebra.relation.HashIndex.lookup`) of the hash index
+    bound to the probe target of distinct step ``s``
+    (``StepPlan.number``): one lookup per parent row, resolved when the
+    first parent row reaches it, the probes counted by the kernel
+    itself.  Each node's :class:`~repro.core.planner.Access` picks its
+    template (``_SCANS``, ``_PROBES``).  A hash join's table is built
+    when the first parent row reaches it, so an operand no row reaches
+    is never scanned.  The kernel returns ``(ins, dele,
+    tuples_scanned, join_probes, tuples_emitted, tuples_ignored,
+    index_probes)``; the final :func:`~repro.core.counting.net_counts`
+    pass runs in the caller — one transaction may legitimately delete a
+    view row and re-insert it.
 
-    There is one apply kernel per finish: it folds each completed row
-    through the final DNF re-check, the projection and the Section 5.2
-    counter accumulators — pinned to one for a counter-free finish
-    (sound only when a derived view key proves every view row has
-    multiplicity ≤ 1, see
-    :func:`repro.analysis.dependencies.derive_view_key`), which drops
-    the ``get``-then-add round trip per emitted row.  The final
-    :func:`~repro.core.counting.net_counts` pass still runs — one
-    transaction may legitimately delete a view row and re-insert it.
+    ``outputs`` are the finishes of several views that share this
+    traversal, one sequence per view aligned with ``ops.finishes``
+    (default: ``ops.finishes`` alone).  With more than one, each joined
+    row goes to every view's finish in turn, and the kernel returns
+    ``ins0, dele0, ins1, dele1, …`` ahead of the five tallies.
 
     A shape of more than :data:`MAX_CODEGEN_ROWS` rows is emitted as
     several modules — chunks — of at most that many rows each, so no one
@@ -548,48 +555,54 @@ def generate_shape_sources(ops: "ShapeOps") -> list[str]:
     function, and 632 MB as 64 functions of one module).  Chunk ``c > 0``
     defines ``row_kernel_{c}``; ``row_kernel`` runs chunk 0 and then
     calls ``row_kernel_1``, ``row_kernel_2`` … in sequence, handing each
-    the two accumulators, the five tallies and every node and hash table
-    bound before it that it or a later chunk reads; each returns the
-    same for the chunk after it.  Prefixes and tables are thus shared
-    across the whole shape as within one chunk, the stack stays two
-    frames deep however many chunks there are, and the caller still
+    the accumulators, the five tallies and every stored node and hash
+    table bound before it that it or a later chunk reads; each returns
+    the same for the chunk after it.  Prefixes and tables are thus
+    shared across the whole shape as within one chunk, the stack stays
+    two frames deep however many chunks there are, and the caller still
     calls one ``row_kernel``.  A shape of at most
     :data:`MAX_CODEGEN_ROWS` rows is one module, ``row_kernel`` alone.
     """
     planner, nodes = ops.planner, ops.nodes
+    outputs = [ops.finishes] if outputs is None else list(outputs)
+    accs = [("ins", "dele")] if len(outputs) == 1 else [
+        (f"ins{m}", f"dele{m}") for m in range(len(outputs))
+    ]
     names = [occ.name for occ in planner.normal_form.occurrences]
     rows = list(ops.rows.items())
     if not ops.rows_evaluated:
         # A shared ground atom is false and the row kernel returns
         # before any row: one chunk will do.
         rows = rows[:MAX_CODEGEN_ROWS]
-    # Which chunk first binds, and which last reads, each node and each
-    # hash table; each row's new nodes are the ones after the previous
-    # row's final node, up to its own.
+    stored = ops.stored
+    # Which chunk first binds, and which last reads, each stored node
+    # and each hash table; each row's new nodes are the ones after the
+    # previous row's final node, up to its own.
     born: dict[str, int] = {}
     read: dict[str, int] = {}
     first_node = [0]
     for index, (_, (final, _)) in enumerate(rows):
         chunk = index // MAX_CODEGEN_ROWS
         for node in nodes[first_node[-1]: final + 1]:
-            born[node.name] = chunk
             if node.parent is not None:
-                read[nodes[node.parent].name] = chunk
+                if node.parent in stored:
+                    born.setdefault(nodes[node.parent].name, chunk)
+                    read[nodes[node.parent].name] = chunk
                 if node.table:
                     born.setdefault(node.table, chunk)
                     read[node.table] = chunk
-        read[nodes[final].name] = chunk
         first_node.append(final + 1)
 
     chunks = (len(rows) + MAX_CODEGEN_ROWS - 1) // MAX_CODEGEN_ROWS
     # What each chunk is handed, and what the last one returns:
     # everything bound before it and read in it or after it.
-    state = ["ins", "dele", "ts", "jp", "te", "ti", "ip"]
+    state = [name for pair in accs for name in pair] + ["ts", "jp", "te", "ti", "ip"]
     handed = [list(state) for _ in range(chunks + 1)]
     for name, first in born.items():
         for chunk in range(first + 1, read.get(name, -1) + 1):
             handed[chunk].append(name)
     tables = sorted({(n.step.number, n.choice.value, n.table) for n in nodes if n.table})
+    done = ", ".join(state[:-5]) + ", ts, jp + ip, te, ti, ip"
     sources = []
     for chunk in range(chunks):
         first = chunk * MAX_CODEGEN_ROWS
@@ -597,25 +610,24 @@ def generate_shape_sources(ops: "ShapeOps") -> list[str]:
         out = _Emitter()
         changed = quoted(tuple(names[i] for i in planner.changed))
         out.emit(f"# row kernel: shape {changed} of view over {quoted(names)}")
+        if len(outputs) > 1:
+            out.emit(f"# one traversal, {len(outputs)} views' finishes")
         if chunks > 1:
             out.emit(f"# chunk {chunk} of {chunks}: rows {span[0]} to {span[-1]}")
         for row_index in span:
             out.emit(f"# row {row_index}: {ops.describe_row(rows[row_index][0], quoted)}")
-        if ops.finishes[0].counter_free:
+        if len(outputs) == 1 and ops.finishes[0].counter_free:
             out.emit("# counter-free: a derived view key proves multiplicity <= 1;")
-            out.emit("# the apply kernel pins every counter to one")
-
-        for finish in dict.fromkeys(rows[row_index][1][1] for row_index in span):
-            _emit_apply_kernel(out, ops.finishes[finish])
-            out.emit()
+            out.emit("# the finish pins every counter to one")
         if chunk == 0:
-            out.text("def row_kernel(deltas, old, index_for):\n    ins = {}\n    dele = {}")
+            out.emit("def row_kernel(deltas, old, index_for):")
             out.indent += 1
+            out.lines += [f"    {name} = {{}}" for name in state[:-5]]
             if not ops.rows_evaluated:
                 out.text("# a shared ground atom is false: no row can contribute\n"
-                         "return ins, dele, 0, 0, 0, 0, 0")
+                         f"return {', '.join(state[:-5])}, 0, 0, 0, 0, 0")
                 return [out.source()]
-            out.lines += [f"    {tally} = 0" for tally in state[2:]]
+            out.lines += [f"    {tally} = 0" for tally in state[-5:]]
         else:
             out.emit(f"def row_kernel_{chunk}(deltas, old, index_for, {', '.join(handed[chunk])}):")
             out.indent += 1
@@ -628,165 +640,237 @@ def generate_shape_sources(ops: "ShapeOps") -> list[str]:
         for row_index in span:
             out.emit(f"# row {row_index}")
             final, finish = rows[row_index][1]
-            for node in nodes[first_node[row_index]: final + 1]:
-                if node.parent is None:
-                    _emit_root(out, node)
-                else:
-                    _emit_join_node(out, node, nodes[node.parent].name)
-            out.emit(f"{ops.finishes[finish].name}({nodes[final].name}, ins, dele)")
+            _emit_row(out, nodes, range(first_node[row_index], final + 1), stored,
+                      [finishes[finish] for finishes in outputs], accs)
         for later in range(1, chunks) if chunk == 0 else ():
             out.emit(f"{', '.join(handed[later + 1])} = row_kernel_{later}("
                      f"deltas, old, index_for, {', '.join(handed[later])})")
-        out.emit(f"return {', '.join(handed[chunk + 1] if chunk else state)}")
+        out.emit(f"return {', '.join(handed[chunk + 1]) if chunk else done}")
         sources.append(out.source())
     return sources
 
 
-def _emit_apply_kernel(out: _Emitter, finish: "Finish") -> None:
-    out.text(f"def {finish.name}(rows, ins, dele):\n    for v, t, c in rows:")
-    out.indent += 2
-    if finish.condition is not None:
-        expr = _condition_expr(finish.condition, _cells(finish.schema, "v"))
-        out.text(f"if not ({expr}):\n    continue")
-    ins, dele = ("1", "1") if finish.counter_free else ("ins.get(k, 0) + c", "dele.get(k, 0) + c")
-    out.text(f"k = {_key_tuple_expr(finish.positions, 'v')}\nif t is T_I:\n    ins[k] = {ins}\n"
-             f"elif t is T_D:\n    dele[k] = {dele}")
-    out.indent -= 2
+class _Joined(NamedTuple):
+    """What the open loops bind for the joined row so far: one
+    expression per cell of the order's layout, the row's tag and count
+    expressions, the row variables whose concatenation is the row, and
+    the next free loop level."""
+
+    cells: tuple[str, ...]
+    tag: str
+    count: str
+    parts: tuple[str, ...]
+    level: int
+
+    def cell(self, schema: RelationSchema) -> Callable[[str], str]:
+        return lambda name: self.cells[schema.index(name)]
 
 
-#: Per scan access: the lines opening the loop that binds ``bv, bt, bc``
-#: over one operand's tuples, tallying ``tuples_scanned`` (every operand
-#: tuple, before the prefilter), and how many levels they open.
+def _emit_row(
+    out: _Emitter, nodes: Sequence["Node"], path: range, stored: Mapping[int, int],
+    finishes: Sequence["Finish"], accs: Sequence[tuple[str, str]],
+) -> None:
+    """One truth-table row's new nodes ``path`` as nested loops, its
+    finishes in the innermost.  The row is cut after each stored node:
+    a segment fills the node, and the next loops over it.  A segment
+    opening with a delta scan is emitted once per side of the delta,
+    inserts then deletes, so its tag is a constant."""
+    opened = out.indent
+    for i in path:
+        if i in stored:
+            out.text(f"{nodes[i].name} = []\n{nodes[i].name}_append = {nodes[i].name}.append")
+    for p in dict.fromkeys(nodes[i].step.position for i in path
+                           if nodes[i].access in (Access.BAG_PROBE, Access.BAG_PROBE_LESS_INSERTS)):
+        out.emit(f"o{p} = old({p})")
+    cuts = [n + 1 for n, i in enumerate(path) if i in stored]
+    segments = [path[start:end] for start, end in zip([0] + cuts, cuts + [len(path)])]
+    level = 0
+    for index, segment in enumerate(segments):
+        head = nodes[segment[0]]
+        delta_root = not index and head.parent is None and head.access is Access.DELTA_SCAN
+        if delta_root:
+            out.emit(f"ts += len(i{head.step.position}) + len(d{head.step.position})")
+        for side in (("i", "T_I"), ("d", "T_D")) if delta_root else (None,):
+            if index:
+                joined = _loop_over(out, nodes[segments[index - 1][-1]], level)
+            elif head.parent is None:
+                joined = _emit_root(out, head, side)
+            else:
+                joined = _emit_join(out, head, _loop_over(out, nodes[head.parent], 0))
+            for i in segment[bool(not index):]:
+                joined = _emit_join(out, nodes[i], joined)
+            if index < len(segments) - 1:
+                out.emit(f"{nodes[segment[-1]].name}_append("
+                         f"({' + '.join(joined.parts)}, {joined.tag}, {joined.count}))")
+            else:
+                _emit_finishes(out, joined, finishes, accs)
+            out.indent = opened
+        level = joined.level
+
+
+def _loop_over(out: _Emitter, node: "Node", level: int) -> _Joined:
+    """Open the loop over a stored node's rows."""
+    out.emit(f"for a{level}, t{level}, c{level} in {node.name}:")
+    out.indent += 1
+    width = len(node.step.acc_schema)
+    return _Joined(tuple(f"a{level}[{j}]" for j in range(width)), f"t{level}", f"c{level}",
+                   (f"a{level}",), level + 1)
+
+
+#: Per scan access: the lines opening the loop that binds row ``{v}``
+#: and count ``{c}`` over one operand's tuples from ``{s}``, tallying
+#: ``tuples_scanned`` (every operand tuple, before the prefilter), and
+#: how many levels they open.  A delta scan binds the tag ``{t}``; an
+#: OLD scan's tag is T_O.
 _SCANS: dict[Access, tuple[tuple[str, ...], int]] = {
     Access.DELTA_SCAN: ((
         "ts += len(i{p}) + len(d{p})",
-        "for src, bt in ((i{p}, T_I), (d{p}, T_D)):",
-        "    for bv, bc in src.items():",
+        "for {s}, {t} in ((i{p}, T_I), (d{p}, T_D)):",
+        "    for {v}, {c} in {s}.items():",
     ), 2),
     Access.OLD_SCAN: ((
-        "bt = T_O",
-        "src = old({p})",
-        "ts += len(src)",
-        "for bv, bc in src.items():",
+        "{s} = old({p})",
+        "ts += len({s})",
+        "for {v}, {c} in {s}.items():",
     ), 1),
     Access.OLD_SCAN_LESS_INSERTS: ((
-        "bt = T_O",
-        "for bv, bc in old({p}).items():",
-        "    bc -= i{p}.get(bv, 0)",
-        "    if bc <= 0:",
+        "for {v}, {c} in old({p}).items():",
+        "    {c} -= i{p}.get({v}, 0)",
+        "    if {c} <= 0:",
         "        continue",
         "    ts += 1",
     ), 1),
 }
 
-#: Per probe access: the line ahead of the loop over the parent's rows,
-#: and the lines that count — or skip — each probed tuple ``bv``.
-_PROBES: dict[Access, tuple[str, tuple[str, ...]]] = {
-    Access.SET_PROBE: ("bc = 1", ()),
-    Access.SET_PROBE_LESS_INSERTS: ("bc = 1", ("if bv in i{p}:", "    continue")),
-    Access.BAG_PROBE: ("counts = old({p})", ("bc = counts[bv]",)),
-    Access.BAG_PROBE_LESS_INSERTS: ("counts = old({p})", (
-        "bc = counts[bv] - i{p}.get(bv, 0)",
-        "if bc <= 0:",
+#: Per probe access: the lines that count — or skip — each probed
+#: tuple ``b{L}``, binding its count ``n{L}`` if it is a bag's.
+_PROBES: dict[Access, tuple[str, ...]] = {
+    Access.SET_PROBE: (),
+    Access.SET_PROBE_LESS_INSERTS: ("if b{L} in i{p}:", "    continue"),
+    Access.BAG_PROBE: ("n{L} = o{p}[b{L}]",),
+    Access.BAG_PROBE_LESS_INSERTS: (
+        "n{L} = o{p}[b{L}] - i{p}.get(b{L}, 0)",
+        "if n{L} <= 0:",
         "    continue",
-    )),
+    ),
 }
 
 
-def _emit_scan(out: _Emitter, node: "Node") -> int:
+def _emit_scan(out: _Emitter, node: "Node", v: str, t: str, c: str, s: str) -> str:
     """Open the loop over one operand's tuples and skip prefiltered
-    ones; the caller emits the loop body, then closes the returned
-    number of indent levels."""
+    ones; returns the rows' tag.  The caller emits the loop body."""
     lines, depth = _SCANS[node.access]
-    out.text("\n".join(lines).format(p=node.step.position))
+    out.text("\n".join(lines).format(p=node.step.position, v=v, t=t, c=c, s=s))
     out.indent += depth
-    _skip_unless(out, node.step.prefilter_atoms, node.step.operand_schema, "bv")
-    return depth
+    _prefilter(out, node.step, v)
+    return t if node.access is Access.DELTA_SCAN else "T_O"
 
 
-def _emit_root(out: _Emitter, node: "Node") -> None:
-    out.text(f"{node.name} = []\n{node.name}_append = {node.name}.append")
-    depth = _emit_scan(out, node)
-    out.emit(f"{node.name}_append((bv, bt, bc))")
-    out.indent -= depth
+def _prefilter(out: _Emitter, step: "StepPlan", v: str) -> None:
+    """Skip operand row ``v`` unless it passes ``step``'s prefilter."""
+    _skip_unless(out, step.prefilter_atoms, lambda name: f"{v}[{step.operand_schema.index(name)}]")
 
 
-def _emit_join_node(out: _Emitter, node: "Node", parent: str) -> None:
-    out.text(f"{node.name} = []\nif {parent}:\n    {node.name}_append = {node.name}.append")
-    out.indent += 1
-    if node.table is None:
-        _emit_probe_loop(out, node, parent)
+def _emit_root(out: _Emitter, node: "Node", side: tuple[str, str] | None) -> _Joined:
+    """Open a root's scan; a delta scan's over one ``side`` of the
+    delta, ``(dict prefix, tag)``."""
+    if side is None:
+        tag = _emit_scan(out, node, "b0", "t0", "c0", "src")
     else:
-        _emit_hash_join(out, node, parent)
-    out.indent -= 1
+        out.emit(f"for b0, c0 in {side[0]}{node.step.position}.items():")
+        out.indent += 1
+        _prefilter(out, node.step, "b0")
+        tag = side[1]
+    width = len(node.step.operand_schema)
+    return _Joined(tuple(f"b0[{j}]" for j in range(width)), tag, "c0", ("b0",), 1)
 
 
-def _emit_probe_loop(out: _Emitter, node: "Node", parent: str) -> None:
-    """An OLD operand answered from its persistent hash index: every
-    parent row is one join probe and one index probe, both counted in
-    bulk."""
-    step, p = node.step, node.step.position
-    setup, count = _PROBES[node.access]
-    out.text(
-        f"ix = index_for[{step.number}]\n{setup.format(p=p)}\njp += len({parent})\n"
-        f"ip += len({parent})\nfor av, at, ac in {parent}:\n    k = {_probe_key_expr(step)}\n"
-        "    for bv in ix(k, NO_ROWS):"
-    )
-    out.indent += 2
-    out.text("\n".join(count).format(p=p))
-    _skip_unless(out, step.prefilter_atoms, step.operand_schema, "bv")
-    _emit_combine_emit(out, node.name, step, probed=True)
-    out.indent -= 2
+def _emit_join(out: _Emitter, node: "Node", parent: _Joined) -> _Joined:
+    """Open the loop joining ``node``'s operand onto each parent row:
+    an index probe or a hash-table lookup, its filters, and the tally of
+    rows it emits."""
+    step, level = node.step, parent.level
+    key = "(" + ", ".join(_shifted(parent.cells[pos], shift) for pos, _, shift in step.eq_links) + (
+        "," if len(step.eq_links) == 1 else "") + ")"
+    operand = tuple(f"b{level}[{j}]" for j in range(len(step.operand_schema)))
+    tag, count = parent.tag, parent.count
+    if node.table is None:
+        # An OLD operand answered from its persistent hash index: one
+        # join probe and one index probe per parent row.  The operand
+        # being OLD, the joined row keeps the parent's tag.
+        out.text(f"ip += 1\nfor b{level} in index_for[{step.number}]({key}, NO_ROWS):")
+        out.indent += 1
+        out.text("\n".join(_PROBES[node.access]).format(L=level, p=step.position))
+        if node.access in (Access.BAG_PROBE, Access.BAG_PROBE_LESS_INSERTS):
+            count = f"{count} * n{level}"
+        _skip_unless(out, step.prefilter_atoms, lambda name: operand[step.operand_schema.index(name)])
+    else:
+        table = node.table
+        out.text(f"jp += 1\nif {table} is None:\n    {table} = {{}}")
+        out.indent += 1
+        filled = out.indent
+        entry_tag = _emit_scan(out, node, "hv", "ht", "hc", "hs")
+        out.text(
+            f"hk = {_key_tuple_expr(step.operand_key_positions, 'hv')}\nbucket = {table}.get(hk)\n"
+            f"if bucket is None:\n    {table}[hk] = [(hv, {entry_tag}, hc)]\n"
+            f"else:\n    bucket.append((hv, {entry_tag}, hc))"
+        )
+        out.indent = filled - 1
+        out.emit(f"for b{level}, s{level}, n{level} in {table}.get({key}, NO_ROWS):")
+        out.indent += 1
+        count = f"{count} * n{level}"
+        if node.choice is not DeltaRowChoice.DELTA:
+            pass  # an OLD table: every entry is T_O, the row keeps the parent's tag
+        elif tag == "T_O":
+            tag = f"s{level}"
+        elif tag in ("T_I", "T_D"):
+            # A delta entry is never T_O: it matches the tag or is ignored.
+            out.text(f"if s{level} is not {tag}:\n    ti += 1\n    continue")
+        else:
+            out.text(_TAGS.format(a=tag, b=f"s{level}", t=f"t{level}"))
+            tag = f"t{level}"
+    joined = _Joined(parent.cells + operand, tag, count, parent.parts + (f"b{level}",), level + 1)
+    _skip_unless(out, step.postfilter_atoms, joined.cell(step.acc_schema))
+    out.emit("te += 1")
+    return joined
 
 
-def _emit_hash_join(out: _Emitter, node: "Node", parent: str) -> None:
-    step, table = node.step, node.table
-    out.text(f"if {table} is None:\n    {table} = {{}}")
-    out.indent += 1
-    depth = _emit_scan(out, node)
-    out.text(
-        f"bk = {_key_tuple_expr(step.operand_key_positions, 'bv')}\nbucket = {table}.get(bk)\n"
-        f"if bucket is None:\n    {table}[bk] = [(bv, bt, bc)]\nelse:\n    bucket.append((bv, bt, bc))"
-    )
-    out.indent -= depth + 1
-    out.text(
-        f"for av, at, ac in {parent}:\n    jp += 1\n    k = {_probe_key_expr(step)}\n"
-        f"    bucket = {table}.get(k)\n    if bucket is not None:\n        for bv, bt, bc in bucket:"
-    )
-    out.indent += 3
-    _emit_combine_emit(out, node.name, step, probed=False)
-    out.indent -= 3
-
-
-#: The tag algebra of a hashed operand, which may be a DELTA operand.
+#: The tag algebra of a hashed DELTA operand: ``insert ⊗ delete`` pairs
+#: are dropped and counted.
 _TAGS = """\
-if at is T_O:
-    t = bt
-elif bt is T_O:
-    t = at
-elif at is bt:
-    t = at
+if {a} is T_O:
+    {t} = {b}
+elif {a} is {b}:
+    {t} = {a}
 else:
     ti += 1
     continue"""
 
 
-def _emit_combine_emit(
-    out: _Emitter, node: str, step: "StepPlan", probed: bool
+def _emit_finishes(
+    out: _Emitter, joined: _Joined, finishes: Sequence["Finish"], accs: Sequence[tuple[str, str]]
 ) -> None:
-    """Tag algebra + postfilter + emit, shared by both join paths.  A
-    ``probed`` operand is OLD by construction, so the joined row keeps
-    the parent's tag."""
-    out.text("t = at\nrv = av + bv" if probed else _TAGS + "\nrv = av + bv")
-    _skip_unless(out, step.postfilter_atoms, step.acc_schema, "rv")
-    out.text(f"te += 1\n{node}_append((rv, t, ac * bc))")
-
-
-def _probe_key_expr(step) -> str:
-    parts = []
-    for pos, _, shift in step.eq_links:
-        parts.append(_shifted(f"av[{pos}]", shift))
-    return "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
+    """Fold the joined row into each view's finish in turn: its DNF
+    re-check, its projection key and its counters; a constant tag folds
+    into its side alone."""
+    constant = {"T_I": 0, "T_D": 1}.get(joined.tag)
+    tests = ([("", constant)] if constant is not None else
+             [(f"if {joined.tag} is T_I:", 0), (f"elif {joined.tag} is T_D:", 1)])
+    for test, side in tests:
+        if test:
+            out.emit(test)
+        out.indent += bool(test)
+        for finish, acc in zip(finishes, accs):
+            opened = out.indent
+            if finish.condition is not None:
+                out.emit(f"if {_condition_expr(finish.condition, joined.cell(finish.schema))}:")
+                out.indent += 1
+            key = [joined.cells[p] for p in finish.positions]
+            out.emit(f"k = ({', '.join(key)}{',' * (len(key) == 1)})")
+            count = "1" if finish.counter_free else f"{acc[side]}.get(k, 0) + {joined.count}"
+            out.emit(f"{acc[side]}[k] = {count}")
+            out.indent = opened
+        out.indent -= bool(test)
 
 
 # ----------------------------------------------------------------------
@@ -1093,15 +1177,35 @@ _DROP = "@ tuples_screened={src}n, tuples_irrelevant={src}n, tuples_static_dropp
 #: The template of a screen with no kernel, by its kind.
 _UNSCREENED = {"pass": _PASS, "probed pass": _PASS + "@ filter_bound_probes={src}n\n", "drop": _DROP}
 # Section 5: a shape's row kernel over a screened delta per occurrence.
-_ROWS = """\
-ins, dele, ts, jp, te, ti, ip = {shape}[2]({operands}, {old}, {shape}[3])
-rows = {shape}[1].rows_evaluated
-@ codegen_batch_rows=rows, differential_updates=1, truth_table_rows=rows, delta_rows_evaluated=rows
+# What a traversal does is counted once, however many views take it.
+_TRAVERSED = """\
+@ truth_table_rows={rows}, delta_rows_evaluated={rows}
 @ subexpression_memo_hits={shape}[1].memo_hits, tuples_scanned=ts, join_probes=jp
 @ index_probes=ip, tuples_emitted=te, tuples_ignored=ti
+"""
+_NET = """\
 if ins and dele:
     NET(ins, dele)
 """
+_ROWS = """\
+ins, dele, ts, jp, te, ti, ip = {shape}[2]({operands}, {old}, {shape}[3])
+rows = {shape}[1].rows_evaluated
+@ codegen_batch_rows=rows, differential_updates=1
+""" + _TRAVERSED.replace("{rows}", "rows") + _NET
+# A traversal several views share runs in the first one's turn, its
+# entry compiled on first survival; each view then takes its own
+# accumulators, in its own turn.
+_TRAVERSE = """\
+gs = G{g}.get({key})
+if gs is None:
+    gs = G{g}[{key}] = CG{g}({key})
+{outs}, ts, jp, te, ti, ip = gs[2]({operands}, {old}, gs[3])
+""" + _TRAVERSED.replace("{rows}", "gs[1].rows_evaluated").replace("{shape}", "gs")
+_TAKE = """\
+ins, dele = gi{g}_{m}, gd{g}_{m}
+rows = sh[1].rows_evaluated
+@ codegen_batch_rows=rows, differential_updates=1
+""" + _NET
 # An aggregate view's fold; an underflow changed, touched and rescanned
 # nothing.
 _FOLD = """\
@@ -1286,12 +1390,61 @@ class _Screens:
         return f"s{p}"
 
 
+def _screen_ident(screen: Screen) -> tuple[str, str]:
+    """What one screen lets through, as far as text can tell: its kind
+    and program (or the counter a proof drops the delta under)."""
+    return screen.kind, program_key(screen.source) if screen.kernel is not None else screen.drop
+
+
+def traversals(views: Sequence[tuple[Any, bool]], arrived: Sequence[str]) -> list[tuple[list[int], int]]:
+    """The views of one trigger (:func:`generate_trigger_source`) that
+    share one traversal: per group of two or more, its members' places
+    in ``views``, in order, and the place of the view whose plan
+    traverses.  A view joins a group when it reads the same deltas
+    through the same screens as its members — so each skips, and runs
+    the same shape, exactly when they do — and its core implies the
+    atoms the traversing view's joins apply
+    (:meth:`~repro.core.compiled.CompiledViewPlan.takes_traversal_of`);
+    a view whose joins apply atoms every member implies takes the
+    traversal over instead."""
+    sources = {name: f"a{k}" for k, name in enumerate(sorted(arrived))}
+    groups: list[tuple[tuple, list[int], list[int]]] = []
+    for i, (entry, compose) in enumerate(views):
+        if compose:
+            continue
+        plan = entry.plan
+        reads = tuple(
+            (dep, sources[dep], _screen_ident(plan._screen_kernels[dep]))
+            for dep in sorted(entry.dependencies) if dep in sources
+        )
+        sources[entry.view.definition.name] = f"d{i}"
+        if all(plan._screen_kernels[dep].drop for dep, _, _ in reads):
+            continue
+        for key, members, leader in groups:
+            if key != reads:
+                continue
+            if plan.takes_traversal_of(views[leader[0]][0].plan):
+                members.append(i)
+                break
+            if all(views[j][0].plan.takes_traversal_of(plan) for j in members):
+                members.append(i)
+                leader[0] = i
+                break
+        else:
+            groups.append((reads, [i], [i]))
+    return [(members, leader[0]) for _, members, leader in groups if len(members) > 1]
+
+
 def _emit_view(
     out: _Emitter, i: int, entry: Any, operands: list[tuple[str, str, bool]],
     screens: _Screens, refreshing: bool, verify: bool,
+    share: tuple[int, int, list[Any], Any] | None = None,
 ) -> dict[str, Any]:
     """One maintained view's stages; its view delta is left in ``d{i}``
-    (None when nothing changed).  Returns the names the text reads."""
+    (None when nothing changed).  ``share`` says which shared traversal
+    the view takes (:func:`traversals`): its group's number, the view's
+    place in it, the group's members' records and the traversing view's
+    record.  Returns the names the text reads."""
     plan, view = entry.plan, entry.view
     bound = {f"E{i}": entry, f"V{i}": view, f"C{i}": entry.row.counters,
              f"S{i}": view.contents.schema, f"R{i}": view.contents, f"SH{i}": plan._shapes,
@@ -1336,7 +1489,20 @@ def _emit_view(
             bound[f"N{i}_{j}"] = name
             out.block(f"if {expr} is not None:\n    " * nullable + "k += (N{0}_{1},)", i, j)
     positions = ", ".join(live.get(name, ("None",))[0] for name in plan._occurrence_names)
-    out.block(_SHAPE + _ROWS, i=i, key=key, shape="sh", operands=f"[{positions}]", old=f"OLD{i}")
+    out.block(_SHAPE, i=i, key=key)
+    if share is None:
+        out.block(_ROWS, shape="sh", operands=f"[{positions}]", old=f"OLD{i}")
+    else:
+        g, m, members, leader = share
+        if not m:
+            bound[f"G{g}"] = {}
+            bound[f"CG{g}"] = functools.partial(
+                leader.plan.shared_shape, members=[member.plan for member in members],
+                first=entry.view.definition.name,
+            )
+            outs = ", ".join(f"gi{g}_{n}, gd{g}_{n}" for n in range(len(members)))
+            out.block(_TRAVERSE, g=g, key=key, outs=outs, operands=f"[{positions}]", old=f"OLD{i}")
+        out.block(_TAKE, g=g, m=m)
     record = f"d{i}"
     if plan._aggregate_kernel is not None:
         bound[f"F{i}"] = plan._aggregate_kernel[1]
@@ -1377,6 +1543,10 @@ def generate_trigger_source(
     names = sorted(arrived)
     out = _Emitter("counts" if recording else None)
     screens = _Screens(views, names)
+    shares: dict[int, tuple[int, int, list[Any], Any]] = {}
+    for g, (members, leader) in enumerate(traversals(views, names)):
+        records = [views[j][0] for j in members]
+        shares.update((j, (g, m, records, views[leader][0])) for m, j in enumerate(members))
     bound: dict[str, Any] = {f"A{k}": name for k, name in enumerate(names)}
     bound.update(screens.bound)
     bound["W"] = tuple(
@@ -1412,7 +1582,7 @@ def generate_trigger_source(
             operands = [(name, src, len(operands) > 1) for name, src, _ in operands]
         out.indent += guarded
         if not compose:
-            bound.update(_emit_view(out, i, entry, operands, screens, refreshing, verify))
+            bound.update(_emit_view(out, i, entry, operands, screens, refreshing, verify, shares.get(i)))
             sources[entry.view.definition.name] = (f"d{i}", True)
         else:
             bound[f"E{i}"], bound[f"C{i}"] = entry, entry.row.counters

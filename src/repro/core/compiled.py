@@ -31,8 +31,9 @@ from __future__ import annotations
 
 from functools import partial
 from types import MappingProxyType
-from typing import TYPE_CHECKING, AbstractSet, Callable, Iterable, Mapping, cast
+from typing import TYPE_CHECKING, AbstractSet, Callable, Iterable, Mapping, Sequence, cast
 
+from repro.algebra.conditions import Atom, Condition, Conjunction
 from repro.algebra.expressions import NormalForm
 from repro.algebra.relation import Delta, HashIndex, Relation
 from repro.analysis.dependencies import (
@@ -55,8 +56,9 @@ from repro.core.codegen import (
     screen_for,
     stage,
 )
+from repro.core.implication import implies
 from repro.core.irrelevance import RelevanceFilter, is_statically_irrelevant
-from repro.core.planner import ProbeTarget, RowPlanner, ShapeOps
+from repro.core.planner import Finish, ProbeTarget, RowPlanner, ShapeOps, shared_atoms
 from repro.core.truthtable import count_delta_rows
 from repro.core.views import ViewDefinition
 from repro.instrumentation import CostRecorder, Tally
@@ -437,9 +439,7 @@ class CompiledViewPlan:
     def _compile_shape(self, names: tuple[str, ...], counted: Tally) -> _Shape:
         """One truth-table shape's execution entry, compiled on first
         use and memoised under ``names``."""
-        changed = tuple(
-            i for i, name in enumerate(self._occurrence_names) if name in names
-        )
+        changed = self._changed(names)
         # The same names in another order reach the same shape.
         shape = next((s for s in self._shapes.values() if s[0] == changed), None)
         if shape is None:
@@ -449,6 +449,70 @@ class CompiledViewPlan:
             shape = (changed, ops, row_kernel, _Lookups(self._bind_index, ops.probe_targets))
         self._shapes[names] = shape
         return shape
+
+    def _changed(self, names: Iterable[str]) -> tuple[int, ...]:
+        """The occurrence positions of the relations ``names``."""
+        return tuple(i for i, name in enumerate(self._occurrence_names) if name in names)
+
+    # ------------------------------------------------------------------
+    # Traversals shared across views (Sellis's multiple-query
+    # optimization, over the views one commit reaches)
+    # ------------------------------------------------------------------
+    def takes_traversal_of(self, other: "CompiledViewPlan") -> bool:
+        """Whether this view's rows can come from ``other``'s traversal
+        of any shape: both join the same occurrences of the same
+        operands, and every disjunct of this view's core implies each
+        atom ``other``'s traversal applies as it joins
+        (:func:`~repro.core.implication.implies`), so a finish
+        re-checking this view's other atoms (:meth:`finishes_over`)
+        keeps exactly its rows.  Equal cores take each other's."""
+        mine, theirs = self._exec_normal_form, other._exec_normal_form
+        if self._bag_operands != other._bag_operands or _layout(mine) != _layout(theirs):
+            return False
+        if _always_empty(mine) or _always_empty(theirs):
+            return False
+        pushed = [atom for atom in shared_atoms(theirs.condition) if not atom.is_ground()]
+        # An atom a disjunct holds needs no solver, and neither does one
+        # over a variable it leaves free (so it cannot imply the atom).
+        return all(
+            atom in d.atoms or (atom.variables() <= d.variables() and implies(d, atom))
+            for d in mine.condition.disjuncts for atom in pushed
+        )
+
+    def finishes_over(self, ops: ShapeOps) -> tuple[Finish, ...]:
+        """This view's finishes over ``ops``, a traversal it takes
+        (:meth:`takes_traversal_of`): per complete order, its own
+        projection and counters and a re-check of its atoms the
+        traversal did not apply."""
+        nf = self._exec_normal_form
+        condition = _recheck(nf, ops.planner.pushed_atoms)
+        return tuple(
+            finish._replace(
+                condition=condition,
+                positions=tuple(finish.schema.index(q) for _, q in nf.projection),
+                counter_free=self.counter_free,
+            )
+            for finish in ops.finishes
+        )
+
+    def recheck_over(self, other: "CompiledViewPlan") -> Condition | None:
+        """What this view's finish re-checks over ``other``'s traversal
+        (:meth:`finishes_over`): None when nothing is left to check."""
+        return _recheck(self._exec_normal_form, shared_atoms(other._exec_normal_form.condition))
+
+    def shared_shape(
+        self, names: tuple[str, ...], members: Sequence["CompiledViewPlan"], first: str
+    ) -> _Shape:
+        """The execution entry of this view's traversal of the shape of
+        ``names``, with one finish per view of ``members`` (each takes
+        this traversal): its kernel returns each member's accumulators
+        in turn.  It is named for view ``first``, in whose turn it
+        runs."""
+        ops = self.shape_ops(self._changed(names))
+        sources = generate_shape_sources(ops, [member.finishes_over(ops) for member in members])
+        shape_tag = "".join(str(p) for p in ops.planner.changed)
+        kernel = compile_kernel(sources, "row_kernel", f"<codegen:{first}:shape{shape_tag}:shared>")
+        return (ops.planner.changed, ops, kernel, _Lookups(self._bind_index, ops.probe_targets))
 
     # ------------------------------------------------------------------
     # Operand resolution
@@ -655,3 +719,25 @@ class CompiledViewPlan:
             f"{len(self._screens)} screens, {shapes}/{possible} planner shapes, "
             f"{len(self._index_bindings)} index bindings>"
         )
+
+
+def _layout(nf: NormalForm) -> tuple:
+    """What fixes a normal form's joined rows: its occurrences, in
+    order, and how each names its attributes."""
+    return tuple((occ.name, tuple(occ.rename.items())) for occ in nf.occurrences)
+
+
+def _always_empty(nf: NormalForm) -> bool:
+    """A false condition, or a false ground atom every disjunct holds."""
+    condition = nf.condition
+    return not condition.disjuncts or any(
+        atom.is_ground() and not atom.truth_value() for atom in shared_atoms(condition)
+    )
+
+
+def _recheck(nf: NormalForm, pushed: Iterable[Atom]) -> Condition | None:
+    """``nf``'s condition less the atoms ``pushed`` (a traversal applied
+    them); None when some disjunct has nothing left."""
+    applied = set(pushed)
+    rest = [[atom for atom in d.atoms if atom not in applied] for d in nf.condition.disjuncts]
+    return None if any(not atoms for atoms in rest) else Condition(map(Conjunction, rest))

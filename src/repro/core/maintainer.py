@@ -56,7 +56,7 @@ from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Mapping, No
 from repro.algebra.expressions import Expression
 from repro.algebra.relation import Delta, Relation
 from repro.algebra.schema import RelationSchema
-from repro.core.codegen import Trigger, compile_trigger, raised_in, violation
+from repro.core.codegen import Trigger, compile_trigger, raised_in, traversals, violation
 from repro.core.compiled import CompiledViewPlan
 from repro.core.counting import net_counts
 from repro.core.consistency import ConsistencyReport, check_view_consistency
@@ -607,9 +607,53 @@ class ViewMaintainer:
         screening split, the truth-table rows, each row's join order
         with its pushdown decisions, and the hash index each OLD
         probe binds — the plan a real transaction with this shape would
-        execute, served from the same cache.
+        execute, served from the same cache — and, when the update
+        reaches other views that share this view's traversal
+        (:func:`~repro.core.codegen.traversals`), which views those are,
+        whose plan traverses and what this view's finish re-checks.
         """
-        return self.peek_plan(name).describe(changed_relations)
+        changed = tuple(changed_relations)
+        text = self.peek_plan(name).describe(changed)
+        reached = self._reached(changed)
+        if not any(e.view.definition.name == name for e, _ in reached):
+            return text
+        for sharing, lead in self.shared_traversals(changed):
+            if name in sharing:
+                recheck = self._entry(name).plan.recheck_over(self._entry(lead).plan)
+                return text + (
+                    f"\nshared traversal on this update: {', '.join(sharing)} run one, "
+                    f"over the plan of {lead!r}; this view's finish re-checks "
+                    f"{'nothing' if recheck is None else recheck}"
+                )
+        return text + (
+            "\nshared traversal on this update: none (no other view it reaches "
+            "reads these deltas with this core)"
+        )
+
+    def shared_traversals(self, changed_relations: Iterable[str]) -> list[tuple[list[str], str]]:
+        """The traversals the views an update of the base relations
+        ``changed_relations`` reaches share (a commit's trigger runs
+        each once, :func:`~repro.core.codegen.traversals`): per group,
+        its views' names in order and the name of the view whose plan
+        traverses.  A view whose plan DDL discarded joins no group."""
+        changed = tuple(changed_relations)
+        reached = [(e, compose) for e, compose in self._reached(changed) if e.plan is not None]
+        arrived = [name for name in changed if name not in self._entries]
+        return [
+            ([reached[j][0].view.definition.name for j in members],
+             reached[leader][0].view.definition.name)
+            for members, leader in traversals(reached, arrived)
+        ]
+
+    def _reached(self, changed_relations: Iterable[str]) -> list[tuple[_ViewEntry, bool]]:
+        """The views a commit of the base relations ``changed_relations``
+        reaches, in ordinal order, each with whether it only composes a
+        backlog (a deferred view): what the commit's trigger runs."""
+        merged = {
+            e.ordinal: e for relation in changed_relations if relation not in self._entries
+            for e in self._reach_of(relation)
+        }
+        return [(e, e.policy is MaintenancePolicy.DEFERRED) for _, e in sorted(merged.items())]
 
     def analyze(self) -> "AnalysisReport":
         """Run the full static analyzer over every registered view.
@@ -768,11 +812,7 @@ class ViewMaintainer:
         delta has arrived by the turn of what is stacked on it.  A plan
         DDL discarded is compiled here, and the trigger counts its miss
         the first time the view runs, then hits."""
-        if target is not None:
-            views = [(target, False)]
-        else:
-            merged = {e.ordinal: e for name in names for e in self._reach_of(name)}
-            views = [(e, e.policy is MaintenancePolicy.DEFERRED) for _, e in sorted(merged.items())]
+        views = [(target, False)] if target is not None else self._reached(names)
         for entry, compose in views:
             if not compose and entry.plan is None:
                 self._recompile(entry)  # counts its compile itself

@@ -163,6 +163,12 @@ class Access(Enum):
     BAG_PROBE_LESS_INSERTS = "bag probe less inserts"
 
 
+#: How many loops a row kernel nests before it stores a node and loops
+#: over it afresh: Python compiles at most 20 nested blocks, and a hash
+#: join fills its table two loops further in.
+MAX_NESTING = 12
+
+
 class Node(NamedTuple):
     """One distinct (position, choice) prefix of the shape's row orders:
     ``step``'s operand under ``choice`` joined onto node ``parent``
@@ -212,6 +218,32 @@ class ShapeOps(NamedTuple):
     memo_hits: int
 
     @property
+    def stored(self) -> dict[int, int]:
+        """Node index → how many consumers read it, for each node a row
+        kernel stores: one that two consumers read (a prefix rows
+        share), or one :data:`MAX_NESTING` loops deep.  Every other node
+        has one consumer — a node joined onto it, or its row's finishes
+        — and runs inside that consumer's loop.  A final node joins
+        every operand, so only its row's finishes read it: it is never
+        stored."""
+        nodes = self.nodes
+        consumers = [0] * len(nodes)
+        for node in nodes:
+            if node.parent is not None:
+                consumers[node.parent] += 1
+        finals = {final for final, _ in self.rows.values()}
+        for final in finals:
+            consumers[final] += 1
+        stored: dict[int, int] = {}
+        depth = [0] * len(nodes)
+        for i, node in enumerate(nodes):
+            parent = node.parent
+            depth[i] = 1 if parent is None else 1 + (1 if parent in stored else depth[parent])
+            if consumers[i] > 1 or (depth[i] >= MAX_NESTING and i not in finals):
+                stored[i] = consumers[i]
+        return stored
+
+    @property
     def probe_targets(self) -> dict[int, ProbeTarget]:
         """Step number → the target of its OLD probe, in step order."""
         return dict(
@@ -226,9 +258,13 @@ class ShapeOps(NamedTuple):
         attributes) or ``cross`` (no equality link).  ``quote`` renders
         every relation and attribute name.
         """
+        return self.describe_node(self.rows[row][0], quote)
+
+    def describe_node(self, index: Optional[int], quote: Callable[[str], str] = str) -> str:
+        """The join order up to node ``index``, as :meth:`describe_row`
+        renders it."""
         occurrences = self.planner.normal_form.occurrences
         parts = []
-        index: Optional[int] = self.rows[row][0]
         while index is not None:
             node = self.nodes[index]
             occurrence = occurrences[node.step.position]
@@ -270,12 +306,32 @@ class ShapeOps(NamedTuple):
         lines.append("steps (one per distinct order prefix, shared across rows):")
         for step in planner.distinct_steps:
             lines.append("  " + step.describe(names))
+        stored = self.stored
+        if stored:
+            lines.append("stored nodes (the rest run inside their consumer's loop):")
+            for index, readers in stored.items():
+                node = self.nodes[index]
+                why = f"read by {readers}" if readers > 1 else f"{MAX_NESTING} loops deep"
+                lines.append(f"  {node.name}: {self.describe_node(index)} ({why})")
+        else:
+            lines.append("stored nodes: none (every node runs inside its consumer's loop)")
         if self.finishes[0].condition is not None:
             lines.append("final pass: full DNF condition re-check")
         lines.append(
             "projection: " + ", ".join(out for out, _ in nf.projection)
         )
         return "\n".join(lines)
+
+
+def shared_atoms(condition: Condition) -> list[Atom]:
+    """The atoms every disjunct of ``condition`` holds, in the first
+    disjunct's order (none for a false condition)."""
+    disjuncts = condition.disjuncts
+    shared = list(disjuncts[0].atoms) if disjuncts else []
+    for other in disjuncts[1:]:
+        other_set = set(other.atoms)
+        shared = [a for a in shared if a in other_set]
+    return shared
 
 
 def _numbered(name: str, chain: Sequence[StepPlan]) -> str:
@@ -332,15 +388,8 @@ class RowPlanner:
         """What of the condition every order shares: the pushable atoms
         and which operand pairs an equality atom links."""
         nf = self.normal_form
-        disjuncts = nf.condition.disjuncts
-        if disjuncts:
-            pushable = list(disjuncts[0].atoms)
-            for other in disjuncts[1:]:
-                other_set = set(other.atoms)
-                pushable = [a for a in pushable if a in other_set]
-        else:
-            pushable = []
-        self._needs_final_filter = len(disjuncts) != 1
+        pushable = shared_atoms(nf.condition)
+        self._needs_final_filter = len(nf.condition.disjuncts) != 1
 
         # Ground atoms shared by every disjunct evaluate at plan time: a
         # false one makes the whole condition unsatisfiable, so no row
@@ -467,6 +516,12 @@ class RowPlanner:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    @property
+    def pushed_atoms(self) -> tuple[Atom, ...]:
+        """The atoms every row's traversal applies as it joins: the
+        non-ground atoms every disjunct holds."""
+        return tuple(self._pushable)
+
     @property
     def distinct_steps(self) -> tuple[StepPlan, ...]:
         """Every step some chain uses, indexed by ``StepPlan.number``."""

@@ -46,7 +46,9 @@ without their comments) those were; an in-process stream run prints the
 trigger programs the maintainer built (one per set of changed relations
 the stream committed) and how many distinct programs those were, and
 beside them the screen passes run per transaction: ``screen_kernel``
-calls, one per distinct screen program or fused pass per source delta.
+calls, one per distinct screen program or fused pass per source delta,
+and the row traversals: ``row_kernel`` calls, one per view that
+survived its screens, or one per group of views sharing a traversal.
 
 ``cProfile`` charges every Python call and nothing inside C code, so the
 shares it prints overstate call-heavy code.  Use it to find a candidate;
@@ -130,6 +132,9 @@ def profile_in_process(workload, stream, txns: int):
     # One call per distinct screen program, or fused pass, per source delta.
     passes = sum(row[1] for key, row in stats.stats.items() if key[2] == "screen_kernel")
     print(f"screen passes per transaction:  {passes / phase.txns:.2f}   ({passes} screen kernel calls)")
+    # One call per traversal: views sharing one run one row kernel.
+    traversals = sum(row[1] for key, row in stats.stats.items() if key[2] == "row_kernel")
+    print(f"row traversals per transaction: {traversals / phase.txns:.2f}   ({traversals} row kernel calls)")
     return stats
 
 
