@@ -269,7 +269,7 @@ def analyze_definition(
                         view_key.describe(),
                         "the view key's closure covers the whole flattened "
                         "product, so every view row has multiplicity 1 and "
-                        "the apply kernels pin the Section 5.2 counters "
+                        "the row kernels' finishes pin the Section 5.2 counters "
                         "(counter-free maintenance)",
                     )
                 )

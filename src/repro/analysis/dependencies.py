@@ -14,7 +14,7 @@ Three derived artifacts feed the runtime:
   view's output columns on which no two materialized rows can agree.
   A derived view key simultaneously proves every view row has
   multiplicity ≤ 1, so the Section 5.2 counters carry no information:
-  the codegen apply kernels may pin every counter to one
+  the codegen finishes may pin every counter to one
   (*counter-free* maintenance, ``F_COUNTER_FREE``).
 * **FK-join reductions** (:func:`fk_reduction`) — a join view whose
   probe sides are reached through declared foreign keys into declared

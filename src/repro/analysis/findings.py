@@ -86,7 +86,7 @@ F_UNSUPPORTED_AGGREGATE = "unsupported_aggregate"
 F_VIEW_KEY = "view_key"
 #: Check (i): when the view key's closure covers the whole flattened
 #: product, every view row provably has multiplicity ≤ 1, so codegen
-#: pins the §5.2 counters to one (counter-free apply kernels).
+#: pins the §5.2 counters to one (counter-free finishes).
 F_COUNTER_FREE = "counter_free"
 #: Check (i): the view is self-maintainable and would be hosted
 #: base-free, but some base relation it reads declares no key — shipped

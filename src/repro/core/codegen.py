@@ -21,16 +21,17 @@ whole batches:
 * **row kernels** — one per truth-table shape: the ops the planner
   lowered the shape to (:class:`~repro.core.planner.ShapeOps`, one
   node per distinct (position, choice) prefix of the rows' delta-rooted
-  join orders) unrolled into hash-join loops over the changed operands'
-  count dicts and index probes of the OLD ones (a base relation's index
-  or an upstream view's own), with equality-link keys, pre/post-filters
-  and the paper's tag algebra all inlined (``insert ⊗ delete`` pairs
-  dropped in-loop);
-* **apply kernels** — one per finish (distinct complete join order):
-  the final DNF re-check, projection and Section 5.2
-  multiplicity-counter folding into plain ``dict`` accumulators,
-  collapsed to a net view delta by
-  :func:`repro.core.counting.net_counts`;
+  join orders) unrolled into pipelined loops — a scan of the changed
+  operands' count dicts, hash-table lookups and index probes of the OLD
+  ones (a base relation's index or an upstream view's own) — with
+  equality-link keys, pre/post-filters and the paper's tag algebra all
+  inlined (``insert ⊗ delete`` pairs dropped in-loop), each joined row
+  folded in the innermost loop into its finish: the final DNF re-check,
+  projection and Section 5.2 multiplicity counters in plain ``dict``
+  accumulators, collapsed to a net view delta by
+  :func:`repro.core.counting.net_counts`.  Views one commit reaches
+  whose cores are equal, or implied, share one row kernel with a
+  finish per view (:func:`traversals`);
 * **trigger programs** — one per set of changed relations: every view
   a commit reaches, in order, as straight-line code that calls its
   kernels, counts, applies, records what it applied for an undo and
@@ -89,7 +90,7 @@ ValueTuple = tuple[int, ...]
 #: Bumped whenever the shape of the generated source changes; written
 #: into the header of every generated kernel source.
 #: v2: aggregate fold kernels (group-apply + unrolled renderers).
-#: v3: counter-free apply kernels (derived view keys pin counters to 1).
+#: v3: counter-free finishes (derived view keys pin counters to 1).
 #: v4: every name in a comment is quoted (see :func:`quoted`).
 #: v5: kernels read and write ``Delta``'s count dicts directly.
 #: v6: a join order per truth-table row; steps numbered per shape.
@@ -1408,7 +1409,8 @@ def traversals(views: Sequence[tuple[Any, bool]], arrived: Sequence[str]) -> lis
     a view whose joins apply atoms every member implies takes the
     traversal over instead."""
     sources = {name: f"a{k}" for k, name in enumerate(sorted(arrived))}
-    groups: list[tuple[tuple, list[int], list[int]]] = []
+    # Per group: what its views read, its members, the traversing view.
+    groups: list[list[Any]] = []
     for i, (entry, compose) in enumerate(views):
         if compose:
             continue
@@ -1420,19 +1422,20 @@ def traversals(views: Sequence[tuple[Any, bool]], arrived: Sequence[str]) -> lis
         sources[entry.view.definition.name] = f"d{i}"
         if all(plan._screen_kernels[dep].drop for dep, _, _ in reads):
             continue
-        for key, members, leader in groups:
+        for group in groups:
+            key, members, leader = group
             if key != reads:
                 continue
-            if plan.takes_traversal_of(views[leader[0]][0].plan):
+            if plan.takes_traversal_of(views[leader][0].plan):
                 members.append(i)
                 break
             if all(views[j][0].plan.takes_traversal_of(plan) for j in members):
                 members.append(i)
-                leader[0] = i
+                group[2] = i
                 break
         else:
-            groups.append((reads, [i], [i]))
-    return [(members, leader[0]) for _, members, leader in groups if len(members) > 1]
+            groups.append([reads, [i], i])
+    return [(members, leader) for _, members, leader in groups if len(members) > 1]
 
 
 def _emit_view(

@@ -325,7 +325,7 @@ class CompiledViewPlan:
 
     @property
     def counter_free(self) -> bool:
-        """Whether apply kernels pin the Section 5.2 counters to one.
+        """Whether the row kernels' finishes pin the Section 5.2 counters to one.
 
         True exactly when the chase proved a view key, so every view
         row has multiplicity ≤ 1.  The reference functions always keep
@@ -581,7 +581,7 @@ class CompiledViewPlan:
         One listing: a version header, the screen kernel per
         participating relation (sorted by name; a comment line naming
         the proof for a relation whose deltas are dropped unscreened),
-        then the row/apply kernels for every single-relation
+        then the row kernels for every single-relation
         truth-table shape plus the all-relations shape — past
         :data:`~repro.core.codegen.MAX_CODEGEN_ROWS` rows, a comment
         line for it (:meth:`_unplanned`).
@@ -666,7 +666,7 @@ class CompiledViewPlan:
             for step in self._view_key.proof:
                 lines.append(f"  {step}")
             lines.append(
-                "  multiplicity ≤ 1 proven; counter-free apply kernels"
+                "  multiplicity ≤ 1 proven; counter-free finishes"
             )
         lines.append("relevance screens (Definition 4.2 split, compiled once):")
         for relation_name in sorted(changed_set & self._screens.keys()):
