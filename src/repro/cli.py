@@ -90,7 +90,9 @@ Shell commands::
                                 -- the compiled maintenance plan: the
                                    invariant/variant screening split,
                                    each truth-table row's join order,
-                                   index bindings, and the
+                                   index bindings, the nodes the row
+                                   kernel stores, the views sharing its
+                                   traversal, and the
                                    chase proofs (derived view keys, FK
                                    reductions); the bare form assumes
                                    every referenced relation changed

@@ -333,6 +333,10 @@ def test_a_one_row_lineitem_commit_runs_four_traversals_for_six_views():
     assert "shared traversal on this update: pricey_open, cat_price run one" in text
     assert "finish re-checks price > 400" in text
     assert "stored nodes: none" in text
+    both = maintainer.explain("region_qty", ["lineitem", "customer"])
+    assert "stored nodes (the rest run inside their consumer's loop):\n  n_D_2: i_lineitem (read by 2)" in both
+    assert both.endswith("region_activity, region_qty run one, over the plan of "
+                         "'region_activity'; this view's finish re-checks nothing")
     assert maintainer.explain("open_lines", ["lineitem"]).endswith(
         "shared traversal on this update: none (no other view it reaches "
         "reads these deltas with this core)")
