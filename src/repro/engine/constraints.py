@@ -27,7 +27,7 @@ invalidated exactly like plans staled by an index drop.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.algebra.conditions import Condition
 from repro.algebra.relation import Relation
@@ -83,6 +83,13 @@ class ConstraintCatalog:
     def get(self, relation_name: str) -> Condition | None:
         """The declared condition for ``relation_name``, or ``None``."""
         return self._conditions.get(relation_name)
+
+    def involves(self, names: Iterable[str]) -> bool:
+        """Whether any of ``names`` carries a constraint: O(1) per name."""
+        for name in names:  # noqa: SIM110 - one frame per commit, not a generator's
+            if name in self._conditions:
+                return True
+        return False
 
     def names(self) -> tuple[str, ...]:
         """All constrained relation names, sorted."""

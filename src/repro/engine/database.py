@@ -30,9 +30,9 @@ its delta, so a changefeed only ever sees committed deltas.
 
 from __future__ import annotations
 
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.algebra.conditions import Condition
 from repro.algebra.relation import (
@@ -65,6 +65,7 @@ from repro.errors import (
     SchemaError,
     UnknownRelationError,
     ViewQuarantinedError,
+    preview,
 )
 
 ValueTuple = tuple[int, ...]
@@ -77,6 +78,11 @@ CommitHook = Callable[[int, Mapping[str, Delta]], None]
 #: ``"declare_key"``, ``"drop_key"``, ``"declare_foreign_key"``,
 #: ``"drop_foreign_key"``.
 DdlHook = Callable[[str, str], None]
+
+
+def _pair(collision: tuple[ValueTuple, ValueTuple]) -> str:
+    """One key collision as an error message shows it."""
+    return "{!r}/{!r}".format(*collision)
 
 
 class Database:
@@ -226,12 +232,9 @@ class Database:
             relation_name, coerced, relation.schema, relation
         )
         if violations:
-            preview = ", ".join(map(str, violations[:3]))
-            if len(violations) > 3:
-                preview += ", …"
             raise ConstraintError(
                 f"cannot declare constraint {coerced} on {relation_name!r}: "
-                f"existing rows violate it: {preview}"
+                f"existing rows violate it: {preview(violations)}"
             )
         self.constraints.declare(relation_name, coerced)
         return coerced
@@ -272,12 +275,9 @@ class Database:
             collisions = find_key_collisions(
                 relation.schema, key, chain.from_iterable(crowded)
             )
-            preview = ", ".join(f"{a!r}/{b!r}" for a, b in collisions[:3])
-            if len(collisions) > 3:
-                preview += ", …"
             raise ConstraintError(
                 f"cannot declare key ({', '.join(key)}) on {relation_name!r}: "
-                f"existing rows collide on it: {preview}"
+                f"existing rows collide on it: {preview(collisions, _pair)}"
             )
         if not bound:
             self._notify_ddl("create_index", relation_name)
@@ -338,12 +338,9 @@ class Database:
             ref.value_tuples(),
         )
         if dangling:
-            preview = ", ".join(map(str, dangling[:3]))
-            if len(dangling) > 3:
-                preview += ", …"
             raise ConstraintError(
                 f"cannot declare foreign key {foreign_key.describe()}: "
-                f"existing rows dangle: {preview}"
+                f"existing rows dangle: {preview(dangling)}"
             )
         self.create_index(relation_name, key)
         self.keys.declare_foreign_key(foreign_key)
@@ -371,13 +368,14 @@ class Database:
         """
         if txn_id is None:
             txn_id = self._next_txn_id
-        txn = Transaction(self, txn_id)
-        self._next_txn_id = max(self._next_txn_id, txn_id + 1)
-        return txn
+        if txn_id >= self._next_txn_id:
+            self._next_txn_id = txn_id + 1
+        return Transaction(self, txn_id)
 
-    @contextmanager
-    def transact(self, txn_id: int | None = None) -> Iterator[Transaction]:
-        """Context manager: commit on success, abort on exception.
+    def transact(self, txn_id: int | None = None) -> Transaction:
+        """:meth:`begin`, spelled for a ``with`` block: the transaction is
+        its own context manager, committing on success and aborting on
+        an exception.  It takes its id here, at the call.
 
         >>> db = Database()
         >>> _ = db.create_relation("r", ["A", "B"])
@@ -386,15 +384,7 @@ class Database:
         >>> (1, 2) in db.relation("r")
         True
         """
-        txn = self.begin(txn_id)
-        try:
-            yield txn
-        except BaseException:
-            if txn.state.value == "active":
-                txn.abort()
-            raise
-        if txn.state.value == "active":
-            txn.commit()
+        return self.begin(txn_id)
 
     @property
     def next_txn_id(self) -> int:
@@ -433,14 +423,12 @@ class Database:
     def apply(self, inserts: Mapping[str, Iterable[object]] | None = None,
               deletes: Mapping[str, Iterable[object]] | None = None) -> dict[str, Delta]:
         """One-shot transaction helper: insert/delete batches and commit."""
-        with self.transact() as txn:
+        with self.begin() as txn:
             for name, rows in (deletes or {}).items():
                 txn.delete_many(name, rows)
             for name, rows in (inserts or {}).items():
                 txn.insert_many(name, rows)
-            # Committed here for the deltas; transact() is the abort on error.
-            deltas = txn.commit()
-        return deltas
+            return txn.commit()  # for the deltas; the block aborts on error
 
     # ------------------------------------------------------------------
     # Commit pipeline
@@ -501,9 +489,10 @@ class Database:
         *net effect* against the post-state — so a violation of any
         declared invariant aborts before the commit mutates anything.
         """
-        if len(self.constraints):
+        constraints = self.constraints
+        if constraints.involves(deltas):
             for name, delta in deltas.items():
-                condition = self.constraints.get(name)
+                condition = constraints.get(name)
                 if condition is None or not delta.inserted:
                     continue
                 schema = self._relations[name].schema
@@ -511,12 +500,9 @@ class Database:
                     name, condition, schema, delta.inserted
                 )
                 if violations:
-                    preview = ", ".join(map(str, violations[:3]))
-                    if len(violations) > 3:
-                        preview += ", …"
                     raise ConstraintViolationError(
                         f"transaction {txn.txn_id} violates the constraint "
-                        f"{condition} on {name!r}: {preview}"
+                        f"{condition} on {name!r}: {preview(violations)}"
                     )
         violation = self.net_effect_violation(deltas)
         if violation is not None:
@@ -550,28 +536,23 @@ class Database:
         on the post-state, so a transaction may move a referenced row
         and its referencing rows together.
         """
-        if not len(self.keys):
+        keys = self.keys
+        if not keys.involves(deltas):
             return None
         for name in sorted(deltas):
             delta = deltas[name]
             if not delta.inserted:
                 continue
-            for key in self.keys.keys_of(name):
+            for key in keys.keys_of(name):
                 collisions = self._key_collisions(name, key, delta)
                 if collisions:
-                    preview = ", ".join(
-                        f"{a!r}/{b!r}" for a, b in collisions[:3]
-                    )
-                    if len(collisions) > 3:
-                        preview += ", …"
                     return (
-                        f"the key ({', '.join(key)}) on {name!r}: {preview}"
+                        f"the key ({', '.join(key)}) on {name!r}: "
+                        f"{preview(collisions, _pair)}"
                     )
         checked: set[ForeignKey] = set()
         for name in sorted(deltas):
-            candidates = self.keys.foreign_keys_of(name) + self.keys.referencing(
-                name
-            )
+            candidates = keys.foreign_keys_of(name) + keys.referencing(name)
             for fk in candidates:
                 if fk in checked:
                     continue
@@ -580,10 +561,7 @@ class Database:
                     fk, deltas.get(fk.relation), deltas.get(fk.ref_relation)
                 )
                 if dangling:
-                    preview = ", ".join(map(str, dangling[:3]))
-                    if len(dangling) > 3:
-                        preview += ", …"
-                    return f"the foreign key {fk.describe()}: {preview}"
+                    return f"the foreign key {fk.describe()}: {preview(dangling)}"
         return None
 
     def _key_collisions(
@@ -674,8 +652,9 @@ class Database:
         sequence, applied, stale = self._last_sequence, 0, None
         try:
             if txn is not None:
+                # txn's own deltas carry each relation's schema: no apply_to.
                 for name, delta in deltas.items():
-                    delta.apply_to(self._relations[name])
+                    apply_counts(self._relations[name], delta.inserted, delta.deleted)
                     applied += 1
                 if deltas:
                     self._last_sequence += 1

@@ -95,11 +95,14 @@ class KeyCatalog:
     :class:`~repro.engine.constraints.ConstraintCatalog`).
     """
 
-    __slots__ = ("_keys", "_foreign_keys", "_notify")
+    __slots__ = ("_keys", "_foreign_keys", "_referenced", "_notify")
 
     def __init__(self, notify: NotifyFn | None = None) -> None:
         self._keys: dict[str, list[tuple[str, ...]]] = {}
         self._foreign_keys: dict[str, list[ForeignKey]] = {}
+        #: Referenced relation -> :meth:`referencing`'s answer, rebuilt on
+        #: every foreign-key change so a commit reads it without a scan.
+        self._referenced: dict[str, tuple[ForeignKey, ...]] = {}
         self._notify = notify
 
     # -- keys -----------------------------------------------------------
@@ -151,9 +154,6 @@ class KeyCatalog:
         """The declared candidate keys of ``relation_name`` (sorted)."""
         return tuple(self._keys.get(relation_name, ()))
 
-    def has_key(self, relation_name: str) -> bool:
-        return bool(self._keys.get(relation_name))
-
     # -- foreign keys ---------------------------------------------------
     def declare_foreign_key(self, foreign_key: ForeignKey) -> None:
         """Record one foreign key (idempotent)."""
@@ -161,6 +161,7 @@ class KeyCatalog:
         if foreign_key not in fks:
             fks.append(foreign_key)
             fks.sort(key=lambda fk: (fk.ref_relation, fk.attributes, fk.ref_attributes))
+            self._reindex()
         if self._notify is not None:
             self._notify("declare_foreign_key", foreign_key.relation)
 
@@ -176,6 +177,7 @@ class KeyCatalog:
             self._foreign_keys[relation_name] = remaining
         else:
             del self._foreign_keys[relation_name]
+        self._reindex()
         if self._notify is not None:
             self._notify("drop_foreign_key", relation_name)
         return True
@@ -186,14 +188,22 @@ class KeyCatalog:
 
     def referencing(self, ref_relation: str) -> tuple[ForeignKey, ...]:
         """Every foreign key whose *referenced* relation is ``ref_relation``."""
-        found = [
-            fk
-            for fks in self._foreign_keys.values()
-            for fk in fks
-            if fk.ref_relation == ref_relation
-        ]
-        found.sort(key=lambda fk: (fk.relation, fk.attributes, fk.ref_attributes))
-        return tuple(found)
+        return self._referenced.get(ref_relation, ())
+
+    def _reindex(self) -> None:
+        """Rebuild :meth:`referencing`'s index after a foreign-key change."""
+        self._referenced = {}
+        # In (relation, attributes) order, which referencing() keeps.
+        for fk in self.foreign_key_items():
+            self._referenced[fk.ref_relation] = self.referencing(fk.ref_relation) + (fk,)
+
+    def involves(self, names: Iterable[str]) -> bool:
+        """Whether a key or foreign key is declared on, from or to any of
+        ``names``: O(1) per name."""
+        for name in names:  # noqa: SIM110 - one frame per commit, not a generator's
+            if name in self._keys or name in self._foreign_keys or name in self._referenced:
+                return True
+        return False
 
     # -- bulk views -----------------------------------------------------
     def names(self) -> tuple[str, ...]:
@@ -225,9 +235,7 @@ class KeyCatalog:
                 self._foreign_keys[name] = remaining
             else:
                 del self._foreign_keys[name]
-
-    def __len__(self) -> int:
-        return sum(len(keys) for keys in self._keys.values())
+        self._reindex()
 
     def __contains__(self, relation_name: str) -> bool:
         return bool(self._keys.get(relation_name))

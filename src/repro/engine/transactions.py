@@ -54,9 +54,11 @@ class Transaction:
     """An atomic batch of base-relation updates.
 
     Obtain instances through :meth:`repro.engine.database.Database.begin`
-    or the :meth:`~repro.engine.database.Database.transact` context
-    manager rather than constructing them directly.  Rows are raw — a
-    ``Row``, a mapping or a sequence — and are encoded once, here.
+    rather than constructing them directly.  A transaction is its own
+    context manager: a ``with`` block commits it on success if it is
+    still active and aborts it on an exception, or when that commit
+    fails with the transaction still active.  Rows are raw — a ``Row``,
+    a mapping or a sequence — and are encoded once, here.
     """
 
     def __init__(self, database: "Database", txn_id: int) -> None:
@@ -111,14 +113,15 @@ class Transaction:
         ``encoded`` rows skip the boundary they crossed when first
         written (replay of logged deltas only).
         """
-        self._require_active()
+        if self.state is not TransactionState.ACTIVE:
+            self._require_active()
         relation = self._database.relation(relation_name)
         pending = self._pending.get(relation_name)
         if pending is None:
             pending = self._pending[relation_name] = (relation.schema, set(), set())
         schema, inserts, deletes = pending
         cancels, grows = (deletes, inserts) if inserting else (inserts, deletes)
-        stored = relation.count_map
+        stored = relation._counts
         encode = schema.encode_values
         for row in rows:
             if encoded:
@@ -151,7 +154,7 @@ class Transaction:
         """
         return {
             name: Delta.adopt(
-                schema, {v: 1 for v in inserts}, {v: 1 for v in deletes}
+                schema, dict.fromkeys(inserts, 1), dict.fromkeys(deletes, 1)
             )
             for name, (schema, inserts, deletes) in sorted(self._pending.items())
             if inserts or deletes
@@ -174,7 +177,8 @@ class Transaction:
         transaction"; if one raises, the commit is undone and the
         transaction ends aborted (``Database._apply_commit``).
         """
-        self._require_active()
+        if self.state is not TransactionState.ACTIVE:
+            self._require_active()
         deltas = self.net_deltas()
         # Declared-constraint enforcement runs while the transaction is
         # still active: a violation propagates with nothing applied and
@@ -195,6 +199,18 @@ class Transaction:
             raise TransactionError(
                 f"transaction {self.txn_id} is {self.state.value}, not active"
             )
+
+    def __enter__(self) -> "Transaction":
+        return self
+
+    def __exit__(self, exc_type: object, exc: object, traceback: object) -> None:
+        try:
+            if exc_type is None and self.state is TransactionState.ACTIVE:
+                self.commit()
+        finally:
+            # An error in the block, or a commit refused (a declared check).
+            if self.state is TransactionState.ACTIVE:
+                self.abort()
 
     def __repr__(self) -> str:
         return (

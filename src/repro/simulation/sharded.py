@@ -386,12 +386,11 @@ class ShardedEpisode:
         for sequence in sorted(committed):
             txn_id = committed[sequence]
             inserts, deletes = self.submitted[txn_id]
-            txn = database.begin(txn_id=txn_id)
-            for name in sorted(deletes):
-                txn.delete_many(name, deletes[name])
-            for name in sorted(inserts):
-                txn.insert_many(name, inserts[name])
-            txn.commit()
+            with database.begin(txn_id=txn_id) as txn:
+                for name in sorted(deletes):
+                    txn.delete_many(name, deletes[name])
+                for name in sorted(inserts):
+                    txn.insert_many(name, inserts[name])
         maintainer.quiesce()
         return database, maintainer
 

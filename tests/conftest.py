@@ -2,11 +2,34 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import sys
 
 import pytest
 from repro import BaseRef, Database, Relation, RelationSchema
 from repro.engine.log import LogRecord
+
+
+def call_events(run, kinds=("call", "c_call")) -> int:
+    """The call events of ``kinds`` that ``sys.setprofile`` sees in
+    ``run``: Python-level (``call``) and C-level (``c_call``) calls."""
+    events = [0]
+
+    def profile(frame, event, arg):
+        if event in kinds:
+            events[0] += 1
+
+    # A collection would run other objects' finalizers in here.
+    gc.collect()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return events[0]
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,21 @@
 """Unit tests for transactions and the Section 3 net-effect semantics."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algebra.domains import StringDomain
 from repro.algebra.schema import Attribute, RelationSchema
 from repro.engine.database import Database
-from repro.errors import SchemaError, TransactionError, UnknownRelationError
+from repro.engine.transactions import TransactionState
+from repro.errors import (
+    ConstraintViolationError,
+    SchemaError,
+    TransactionError,
+    UnknownRelationError,
+    ViewQuarantinedError,
+)
+from tests.conftest import call_events
 
 
 @pytest.fixture
@@ -181,6 +191,34 @@ class TestContextManager:
             txn.abort()
         assert (5, 6) not in db.relation("r")
 
+    def test_a_block_that_commits_and_then_raises_is_not_aborted(self, db):
+        # An abort of the committed transaction would raise
+        # TransactionError in place of the block's own error.
+        with pytest.raises(RuntimeError):
+            with db.transact() as txn:
+                txn.insert("r", (5, 6))
+                txn.commit()
+                raise RuntimeError("after the commit")
+        assert txn.state is TransactionState.COMMITTED
+        assert (5, 6) in db.relation("r")
+
+    def test_a_refused_commit_at_the_end_of_the_block_aborts(self, db):
+        db.declare_constraint("r", "A < 5")
+        with pytest.raises(ConstraintViolationError):
+            with db.transact() as txn:
+                txn.insert("r", (5, 6))
+        assert txn.state is TransactionState.ABORTED
+        assert (5, 6) not in db.relation("r")
+
+    def test_the_id_is_taken_at_the_call(self, db):
+        pending = db.transact()
+        with db.transact() as later:
+            later.insert("r", (5, 6))
+        assert (pending.txn_id, later.txn_id) == (1, 2)
+        with pending:
+            pending.insert("r", (7, 8))
+        assert pending.state is TransactionState.COMMITTED
+
 
 class TestReplayEquivalence:
     def test_net_effect_equals_sequential_replay(self):
@@ -215,3 +253,167 @@ class TestReplayEquivalence:
                     replay.discard(row)
             txn.commit()
             assert stored() == replay
+
+
+class TestEngineGlue:
+    """A clock-free law for what the engine itself runs per commit."""
+
+    @staticmethod
+    def commit_calls(database: Database) -> int:
+        # The harness's own events (its lambda, ``setprofile(None)``)
+        # are taken off.
+        harness = call_events(lambda: None)
+        commit = call_events(
+            lambda: database.apply(inserts={"r": [(5, 6)]}, deletes={"r": [(1, 2)]})
+        )
+        return commit - harness
+
+    @pytest.mark.parametrize("unrelated_key", [False, True])
+    def test_a_hookless_update_pays_for_its_rows_not_for_glue(self, db, unrelated_key):
+        """A one-delete-one-insert ``Database.apply`` on an indexed
+        relation with no hook: 56 Python- and C-level calls on CPython
+        3.11, with or without a key declared on another relation; 78
+        and 90 while ``transact`` was a ``contextlib`` generator, every
+        batch built a ``count_map`` proxy, ``net_deltas`` ran a
+        comprehension per side, the checks summed the key catalog and
+        scanned every foreign key, and the commit re-checked its own
+        deltas' schemas."""
+        db.create_index("r", ["A"])
+        if unrelated_key:
+            db.create_relation("k", ["K"], [(1,)])
+            db.declare_key("k", ["K"])
+        assert self.commit_calls(db) <= 56
+        assert set(db.relation("r").value_tuples()) == {(3, 4), (5, 6)}
+
+
+# ----------------------------------------------------------------------
+# Property: the three ways to run a transaction are one commit
+# ----------------------------------------------------------------------
+LABELS = ["a", "b", "c", "d"]
+GOOD_ROWS = {
+    "r": st.tuples(st.integers(0, 6), st.sampled_from(LABELS)),
+    "p": st.tuples(st.integers(0, 4)),
+    "c": st.tuples(st.integers(0, 4), st.integers(0, 5)),
+}
+#: Bad arity, a label outside the domain, a string for an integer.
+BAD_ROWS = st.sampled_from([(1,), (1, "zz"), ("x", "a"), (1, 2, 3)])
+BATCHES = st.fixed_dictionaries(
+    {name: st.lists(rows, max_size=3) for name, rows in GOOD_ROWS.items()}
+).map(lambda batches: {name: rows for name, rows in batches.items() if rows})
+
+
+@st.composite
+def transactions(draw):
+    """``(deletes, inserts)``; one in four holds one bad row somewhere."""
+    deletes, inserts = draw(BATCHES), draw(BATCHES)
+    if draw(st.integers(0, 3)) == 0:
+        side = draw(st.sampled_from([deletes, inserts]))
+        rows = side.setdefault(draw(st.sampled_from(sorted(GOOD_ROWS))), [])
+        rows.insert(draw(st.integers(0, len(rows))), draw(BAD_ROWS))
+    return deletes, inserts
+
+
+def hooked_database(hook: str) -> Database:
+    """``r`` (with a label column, an index and the constraint ``A < 5``),
+    ``p`` keyed on ``K`` and ``c`` keyed on ``X`` with ``c(K) → p(K)``;
+    ``hook`` names the commit hook: none, one that raises, or one that
+    says the commit stands with a view quarantined."""
+    database = Database()
+    schema = RelationSchema([Attribute("A"), Attribute("B", StringDomain(LABELS))])
+    database.create_relation("r", schema, [(1, "a"), (2, "b"), (3, "c")])
+    database.create_index("r", ["B"])
+    database.declare_constraint("r", "A < 5")
+    database.create_relation("p", ["K"], [(0,), (1,), (2,)])
+    database.declare_key("p", ["K"])
+    database.create_relation("c", ["X", "K"], [(0, 0), (1, 1)])
+    database.declare_key("c", ["X"])
+    database.declare_foreign_key("c", ["K"], "p", ["K"])
+
+    def raising(txn_id, deltas):
+        raise RuntimeError("hook failed")
+
+    def quarantining(txn_id, deltas):
+        record = {"txn": txn_id, "seq": 0, "view": "v", "error": "E", "message": ""}
+        raise ViewQuarantinedError(("v",), record)
+
+    if hook == "raises":
+        database.add_commit_hook(raising)
+    elif hook == "quarantines":
+        database.add_commit_hook(quarantining)
+    return database
+
+
+def run_apply(database, deletes, inserts):
+    database.apply(inserts=inserts, deletes=deletes)
+
+
+def run_with(database, deletes, inserts):
+    with database.transact() as txn:
+        for name, rows in deletes.items():
+            txn.delete_many(name, rows)
+        for name, rows in inserts.items():
+            txn.insert_many(name, rows)
+
+
+def run_explicit(database, deletes, inserts):
+    txn = database.begin()
+    try:
+        for name, rows in deletes.items():
+            txn.delete_many(name, rows)
+        for name, rows in inserts.items():
+            txn.insert_many(name, rows)
+        txn.commit()
+    except Exception:
+        if txn.state is TransactionState.ACTIVE:
+            txn.abort()
+        raise
+
+
+def outcome(run, hook, batches):
+    """Everything a commit leaves behind, after ``run`` ran ``batches``."""
+    database = hooked_database(hook)
+    begun = []
+    begin = database.begin
+    database.begin = lambda txn_id=None: begun.append(begin(txn_id)) or begun[-1]
+    errors = []
+    for deletes, inserts in batches:
+        try:
+            run(database, deletes, inserts)
+        except Exception as exc:  # the type is the outcome
+            errors.append(type(exc))
+        else:
+            errors.append(None)
+    relations = {
+        name: (
+            dict(database.relation(name).count_map),
+            {
+                attributes: {key: set(rows) for key, rows in index._buckets.items()}
+                for attributes, index in database.relation(name).indexes.items()
+            },
+        )
+        for name in database.relation_names()
+    }
+    return (
+        errors,
+        [txn.state for txn in begun],
+        relations,
+        database.next_txn_id,
+        database.last_sequence(),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    hook=st.sampled_from(["none", "raises", "quarantines"]),
+    batches=st.lists(transactions(), min_size=1, max_size=4),
+)
+def test_apply_with_block_and_explicit_commit_agree(hook, batches):
+    """``Database.apply``, a ``with db.transact()`` block and an explicit
+    ``begin()`` / ``commit()`` run over the same batches (bad rows at
+    any position, repeats, insert-then-delete cancellations, constraint,
+    key and foreign-key violations, a failing or quarantining hook)
+    leave the same relations and indexes, transaction ids, position,
+    transaction states and error types."""
+    applied = outcome(run_apply, hook, batches)
+    assert outcome(run_with, hook, batches) == applied
+    assert outcome(run_explicit, hook, batches) == applied

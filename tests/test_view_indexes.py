@@ -44,32 +44,12 @@ from repro.instrumentation import CostRecorder, recording
 from repro.engine.persistence import database_to_document
 from repro.replication import DurabilityManager, recover
 from repro.replication.checkpoints import Checkpoint
+from tests.conftest import call_events
 from tests.reference import (
     PROBE_PARITY_COUNTERS,
     REFERENCE_PARITY_COUNTERS,
     ReferenceViews,
 )
-
-
-def _call_events(run, kinds=("call", "c_call")) -> int:
-    """The call events of ``kinds`` that ``sys.setprofile`` sees in
-    ``run``: Python-level (``call``) and C-level (``c_call``) calls."""
-    events = [0]
-
-    def profile(frame, event, arg):
-        if event in kinds:
-            events[0] += 1
-
-    # A collection would run other objects' finalizers in here.
-    gc.collect()
-    gc.disable()
-    sys.setprofile(profile)
-    try:
-        run()
-    finally:
-        sys.setprofile(None)
-        gc.enable()
-    return events[0]
 
 
 #: ``p`` drops r's key, so its tuples carry counters ≥ 2; ``st`` joins
@@ -577,9 +557,12 @@ class TestMacrobenchCatalog:
         # kernel's dicts anew, three times for an aggregate view, and
         # each ``from_counts`` ran ``__init__`` first.)
         assert counts["deltas"] <= 6 + 1
-        # Every Python-level and C-level call of the commit: 192 on
+        # Every Python-level and C-level call of the commit: 160 on
         # CPython 3.11 — six views run four pipelined row kernels, two
-        # of them shared traversals; 229 while every view ran its own
+        # of them shared traversals; 192 while ``Database.apply`` ran
+        # ``transact`` as a ``contextlib`` generator, each batch built a
+        # ``count_map`` proxy, the key check summed the catalog and the
+        # commit re-checked its own deltas' schemas; 229 while every view ran its own
         # row kernel and each kernel called an apply kernel, one of
         # them the trigger appending its undo
         # record; 228 before commits were all or nothing, 253 while
@@ -591,7 +574,7 @@ class TestMacrobenchCatalog:
         # applied, 416 at 42a3db4, 779 at fbd8c76.  A change that brings
         # a per-view maintenance frame, per-view settlements, per-metric calls
         # or per-probe dispatch back fails here by count, not by clock.
-        assert counts["calls"] <= 192
+        assert counts["calls"] <= 160
 
         # The probes are still counted, in bulk, for an active recorder:
         # one per traversal that probes — ``open_premium``'s and the two
@@ -622,7 +605,7 @@ class TestMacrobenchCatalog:
         for size in (20_000, 40_000):
             rows = [(i, i % 7, -i) for i in range(size)]
             attributes = ["A", "B", "C"]
-            creating = _call_events(
+            creating = call_events(
                 lambda: Database().create_relation("r", attributes, rows)
             )
             genesis = Database()
@@ -637,7 +620,7 @@ class TestMacrobenchCatalog:
                 }
             )
             built = []
-            booting = _call_events(lambda: built.append(checkpoint.build_database()))
+            booting = call_events(lambda: built.append(checkpoint.build_database()))
             assert built[0].relation("r") == genesis.relation("r")
             counted.append((creating, booting))
         assert counted[0] == counted[1]
@@ -657,7 +640,7 @@ class TestMacrobenchCatalog:
             contents.index_on(["B"])  # a live relation's index stays its own
             maintainer = ViewMaintainer(db)
             counted.append(
-                _call_events(lambda: maintainer.restore_view("v", expression, contents))
+                call_events(lambda: maintainer.restore_view("v", expression, contents))
             )
             restored = maintainer.view("v").contents
             assert restored.counts() == contents.counts()
@@ -685,7 +668,7 @@ class TestMacrobenchCatalog:
                 def build(attributes=attributes):
                     built[tuple(attributes)] = HashIndex(relation, attributes)
 
-                events = _call_events(build, kinds=("call",))
+                events = call_events(build, kinds=("call",))
                 counted.append((size, tuple(attributes), events))
             for index in built.values():
                 assert sum(map(len, index._buckets.values())) == size

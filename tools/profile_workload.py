@@ -49,6 +49,10 @@ beside them the screen passes run per transaction: ``screen_kernel``
 calls, one per distinct screen program or fused pass per source delta,
 and the row traversals: ``row_kernel`` calls, one per view that
 survived its screens, or one per group of views sharing a traversal.
+Last it prints the calls per transaction made outside the trigger
+program (the engine's and the maintainer's glue, the harness and the
+reads), counted with ``sys.setprofile`` over a third pass of ``--txns``
+more transactions: a clock-free number for the glue alone.
 
 ``cProfile`` charges every Python call and nothing inside C code, so the
 shares it prints overstate call-heavy code.  Use it to find a candidate;
@@ -111,6 +115,7 @@ def profile_in_process(workload, stream, txns: int):
     profiler.disable()
     maintained = host.maintainer.totals.get("transactions_seen") - seen
     retained, retained_txns = bytes_retained(host, stream.take_txns(txns))
+    outside, outside_txns = calls_outside_trigger(host, stream.take_txns(txns))
     host.verify()
     stats = pstats.Stats(profiler)
     print(
@@ -135,6 +140,10 @@ def profile_in_process(workload, stream, txns: int):
     # One call per traversal: views sharing one run one row kernel.
     traversals = sum(row[1] for key, row in stats.stats.items() if key[2] == "row_kernel")
     print(f"row traversals per transaction: {traversals / phase.txns:.2f}   ({traversals} row kernel calls)")
+    print(
+        f"calls per transaction outside the trigger: {outside / max(outside_txns, 1):.1f}   "
+        f"({outside} calls over {outside_txns} more transactions)"
+    )
     return stats
 
 
@@ -162,6 +171,46 @@ def bytes_retained(host, ops) -> tuple[int, int]:
         tracemalloc.stop()
     grown = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
     return grown, phase.txns
+
+
+def calls_outside_trigger(host, ops) -> tuple[int, int]:
+    """Calls made outside the trigger program, over one more pass of the
+    stream: the engine's and the maintainer's glue around it, plus the
+    harness and the stream's reads, as in the profiled count.
+
+    A ``sys.setprofile`` hook counts every Python and built-in call and
+    how deep it is inside trigger frames, which run under the bare
+    ``<codegen>`` file name (kernels are renamed ``<codegen:view:kind>``);
+    a call at depth 0 counts (the trigger's own call among them), and
+    everything the trigger runs does not.  Exact for a fixed ``--txns`` and seed, with
+    ``gc`` off so no finalizer runs inside.  Returns ``(calls,
+    transactions)``.
+    """
+    from harness import Phase
+
+    trigger = "<codegen>"
+    counts = {"calls": 0, "depth": 0}
+
+    def profile(frame, event, arg):
+        if event == "call":
+            inside = frame.f_code.co_filename == trigger
+            counts["calls"] += not counts["depth"]
+            counts["depth"] += inside
+        elif event == "return":
+            counts["depth"] -= frame.f_code.co_filename == trigger
+        elif event == "c_call":
+            counts["calls"] += not counts["depth"]
+
+    phase = Phase()
+    gc.collect()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        host.run_chunk(ops, phase, 0)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return counts["calls"], phase.txns
 
 
 @contextlib.contextmanager
