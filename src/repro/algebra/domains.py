@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from repro.errors import DomainError, preview
+from repro.errors import DomainError
 
 
 class Domain:
@@ -197,7 +197,10 @@ class StringDomain(Domain):
         return hash((StringDomain, self.labels))
 
     def __repr__(self) -> str:
-        return f"<StringDomain {{{preview(self.labels, limit=4)}}}>"
+        preview = ", ".join(self.labels[:4])
+        if len(self.labels) > 4:
+            preview += ", …"
+        return f"<StringDomain {{{preview}}}>"
 
 
 #: Shared default instance; attributes that do not declare a domain use it.

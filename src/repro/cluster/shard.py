@@ -72,7 +72,7 @@ from contextlib import suppress
 from typing import Any, Mapping, Sequence
 
 from repro.algebra.expressions import Expression
-from repro.algebra.relation import Delta
+from repro.algebra.relation import Delta, Relation
 from repro.analysis.dependencies import determined_row, key_determines_row
 from repro.cluster.topology import ClusterTopology
 from repro.core.maintainer import ViewMaintainer
@@ -83,8 +83,8 @@ from repro.errors import (
     ClusterError,
     ReproError,
     UnknownRelationError,
+    UnknownViewError,
     ViewQuarantinedError,
-    preview,
 )
 from repro.instrumentation import charge
 
@@ -271,9 +271,10 @@ class ShardNode:
                 name, condition, delta.schema, delta.inserted
             )
             if violations:
+                preview = ", ".join(map(str, violations[:3]))
                 return (
                     f"shard {self.shard_id} constraint {condition} on "
-                    f"{name!r} rejects: {preview(violations)}"
+                    f"{name!r} rejects: {preview}"
                 )
         if not self.base_free:
             violation = self.database.net_effect_violation(net)
@@ -332,7 +333,7 @@ class ShardNode:
             self._capture_relation_deltas(txn_id, deltas)
         else:
             # A commit that quarantined views stands (see stats).
-            with suppress(ViewQuarantinedError), self.database.begin(txn_id) as txn:
+            with suppress(ViewQuarantinedError), self.database.transact(txn_id) as txn:
                 for name, batch in sorted((message.get("deletes") or {}).items()):
                     txn.delete_many(name, batch)
                 for name, batch in sorted((message.get("inserts") or {}).items()):
@@ -508,6 +509,16 @@ class ShardNode:
             for name, delta in sorted(deltas.items())
             if not delta.is_empty()
         }
+
+    # ------------------------------------------------------------------
+    # Local reads (scatter-gather query path; no messages involved)
+    # ------------------------------------------------------------------
+    def snapshot_counts(self, target: str) -> tuple[Relation, str]:
+        """``(contents, kind)`` for a view or base relation by name."""
+        try:
+            return self.maintainer.view(target).contents, "view"
+        except UnknownViewError:
+            return self.database.relation(target), "relation"
 
     def __repr__(self) -> str:
         return (

@@ -65,7 +65,6 @@ from repro.errors import (
     SchemaError,
     UnknownRelationError,
     ViewQuarantinedError,
-    preview,
 )
 
 ValueTuple = tuple[int, ...]
@@ -78,11 +77,6 @@ CommitHook = Callable[[int, Mapping[str, Delta]], None]
 #: ``"declare_key"``, ``"drop_key"``, ``"declare_foreign_key"``,
 #: ``"drop_foreign_key"``.
 DdlHook = Callable[[str, str], None]
-
-
-def _pair(collision: tuple[ValueTuple, ValueTuple]) -> str:
-    """One key collision as an error message shows it."""
-    return "{!r}/{!r}".format(*collision)
 
 
 class Database:
@@ -232,9 +226,12 @@ class Database:
             relation_name, coerced, relation.schema, relation
         )
         if violations:
+            preview = ", ".join(map(str, violations[:3]))
+            if len(violations) > 3:
+                preview += ", …"
             raise ConstraintError(
                 f"cannot declare constraint {coerced} on {relation_name!r}: "
-                f"existing rows violate it: {preview(violations)}"
+                f"existing rows violate it: {preview}"
             )
         self.constraints.declare(relation_name, coerced)
         return coerced
@@ -275,9 +272,12 @@ class Database:
             collisions = find_key_collisions(
                 relation.schema, key, chain.from_iterable(crowded)
             )
+            preview = ", ".join(f"{a!r}/{b!r}" for a, b in collisions[:3])
+            if len(collisions) > 3:
+                preview += ", …"
             raise ConstraintError(
                 f"cannot declare key ({', '.join(key)}) on {relation_name!r}: "
-                f"existing rows collide on it: {preview(collisions, _pair)}"
+                f"existing rows collide on it: {preview}"
             )
         if not bound:
             self._notify_ddl("create_index", relation_name)
@@ -338,9 +338,12 @@ class Database:
             ref.value_tuples(),
         )
         if dangling:
+            preview = ", ".join(map(str, dangling[:3]))
+            if len(dangling) > 3:
+                preview += ", …"
             raise ConstraintError(
                 f"cannot declare foreign key {foreign_key.describe()}: "
-                f"existing rows dangle: {preview(dangling)}"
+                f"existing rows dangle: {preview}"
             )
         self.create_index(relation_name, key)
         self.keys.declare_foreign_key(foreign_key)
@@ -356,7 +359,7 @@ class Database:
     # Transactions
     # ------------------------------------------------------------------
     def begin(self, txn_id: int | None = None) -> Transaction:
-        """Start a new transaction.
+        """Start a new transaction; it takes its id here, at the call.
 
         ``txn_id`` pins an explicit identifier — the recovery path uses
         this to replay write-ahead-log records under their original ids,
@@ -365,17 +368,10 @@ class Database:
         replayer's contract (a log never holds duplicates); the counter
         only ever advances, so fresh transactions cannot collide with
         replayed ones.
-        """
-        if txn_id is None:
-            txn_id = self._next_txn_id
-        if txn_id >= self._next_txn_id:
-            self._next_txn_id = txn_id + 1
-        return Transaction(self, txn_id)
 
-    def transact(self, txn_id: int | None = None) -> Transaction:
-        """:meth:`begin`, spelled for a ``with`` block: the transaction is
-        its own context manager, committing on success and aborting on
-        an exception.  It takes its id here, at the call.
+        The transaction is its own context manager, committing on
+        success and aborting on an exception; :meth:`transact` is this
+        method under the name a ``with`` block reads by:
 
         >>> db = Database()
         >>> _ = db.create_relation("r", ["A", "B"])
@@ -384,7 +380,13 @@ class Database:
         >>> (1, 2) in db.relation("r")
         True
         """
-        return self.begin(txn_id)
+        if txn_id is None:
+            txn_id = self._next_txn_id
+        if txn_id >= self._next_txn_id:
+            self._next_txn_id = txn_id + 1
+        return Transaction(self, txn_id)
+
+    transact = begin
 
     @property
     def next_txn_id(self) -> int:
@@ -423,7 +425,7 @@ class Database:
     def apply(self, inserts: Mapping[str, Iterable[object]] | None = None,
               deletes: Mapping[str, Iterable[object]] | None = None) -> dict[str, Delta]:
         """One-shot transaction helper: insert/delete batches and commit."""
-        with self.begin() as txn:
+        with self.transact() as txn:
             for name, rows in (deletes or {}).items():
                 txn.delete_many(name, rows)
             for name, rows in (inserts or {}).items():
@@ -500,9 +502,12 @@ class Database:
                     name, condition, schema, delta.inserted
                 )
                 if violations:
+                    preview = ", ".join(map(str, violations[:3]))
+                    if len(violations) > 3:
+                        preview += ", …"
                     raise ConstraintViolationError(
                         f"transaction {txn.txn_id} violates the constraint "
-                        f"{condition} on {name!r}: {preview(violations)}"
+                        f"{condition} on {name!r}: {preview}"
                     )
         violation = self.net_effect_violation(deltas)
         if violation is not None:
@@ -546,9 +551,13 @@ class Database:
             for key in keys.keys_of(name):
                 collisions = self._key_collisions(name, key, delta)
                 if collisions:
+                    preview = ", ".join(
+                        f"{a!r}/{b!r}" for a, b in collisions[:3]
+                    )
+                    if len(collisions) > 3:
+                        preview += ", …"
                     return (
-                        f"the key ({', '.join(key)}) on {name!r}: "
-                        f"{preview(collisions, _pair)}"
+                        f"the key ({', '.join(key)}) on {name!r}: {preview}"
                     )
         checked: set[ForeignKey] = set()
         for name in sorted(deltas):
@@ -561,7 +570,10 @@ class Database:
                     fk, deltas.get(fk.relation), deltas.get(fk.ref_relation)
                 )
                 if dangling:
-                    return f"the foreign key {fk.describe()}: {preview(dangling)}"
+                    preview = ", ".join(map(str, dangling[:3]))
+                    if len(dangling) > 3:
+                        preview += ", …"
+                    return f"the foreign key {fk.describe()}: {preview}"
         return None
 
     def _key_collisions(
@@ -652,9 +664,12 @@ class Database:
         sequence, applied, stale = self._last_sequence, 0, None
         try:
             if txn is not None:
-                # txn's own deltas carry each relation's schema: no apply_to.
                 for name, delta in deltas.items():
-                    apply_counts(self._relations[name], delta.inserted, delta.deleted)
+                    relation = self._relations[name]
+                    if relation.schema is delta.schema:
+                        apply_counts(relation, delta.inserted, delta.deleted)
+                    else:  # the relation was re-created since the batch
+                        delta.apply_to(relation)
                     applied += 1
                 if deltas:
                     self._last_sequence += 1

@@ -29,7 +29,7 @@ are invalidated exactly like plans staled by a constraint change.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from repro.algebra.schema import RelationSchema
 from repro.errors import ConstraintError
@@ -95,14 +95,11 @@ class KeyCatalog:
     :class:`~repro.engine.constraints.ConstraintCatalog`).
     """
 
-    __slots__ = ("_keys", "_foreign_keys", "_referenced", "_notify")
+    __slots__ = ("_keys", "_foreign_keys", "_notify")
 
     def __init__(self, notify: NotifyFn | None = None) -> None:
         self._keys: dict[str, list[tuple[str, ...]]] = {}
         self._foreign_keys: dict[str, list[ForeignKey]] = {}
-        #: Referenced relation -> :meth:`referencing`'s answer, rebuilt on
-        #: every foreign-key change so a commit reads it without a scan.
-        self._referenced: dict[str, tuple[ForeignKey, ...]] = {}
         self._notify = notify
 
     # -- keys -----------------------------------------------------------
@@ -161,7 +158,6 @@ class KeyCatalog:
         if foreign_key not in fks:
             fks.append(foreign_key)
             fks.sort(key=lambda fk: (fk.ref_relation, fk.attributes, fk.ref_attributes))
-            self._reindex()
         if self._notify is not None:
             self._notify("declare_foreign_key", foreign_key.relation)
 
@@ -177,7 +173,6 @@ class KeyCatalog:
             self._foreign_keys[relation_name] = remaining
         else:
             del self._foreign_keys[relation_name]
-        self._reindex()
         if self._notify is not None:
             self._notify("drop_foreign_key", relation_name)
         return True
@@ -188,22 +183,23 @@ class KeyCatalog:
 
     def referencing(self, ref_relation: str) -> tuple[ForeignKey, ...]:
         """Every foreign key whose *referenced* relation is ``ref_relation``."""
-        return self._referenced.get(ref_relation, ())
+        found = [
+            fk
+            for fks in self._foreign_keys.values()
+            for fk in fks
+            if fk.ref_relation == ref_relation
+        ]
+        found.sort(key=lambda fk: (fk.relation, fk.attributes, fk.ref_attributes))
+        return tuple(found)
 
-    def _reindex(self) -> None:
-        """Rebuild :meth:`referencing`'s index after a foreign-key change."""
-        self._referenced = {}
-        # In (relation, attributes) order, which referencing() keeps.
-        for fk in self.foreign_key_items():
-            self._referenced[fk.ref_relation] = self.referencing(fk.ref_relation) + (fk,)
-
-    def involves(self, names: Iterable[str]) -> bool:
+    def involves(self, names: Collection[str]) -> bool:
         """Whether a key or foreign key is declared on, from or to any of
-        ``names``: O(1) per name."""
+        ``names``: O(1) per name while no foreign key is declared."""
+        keys, foreign_keys = self._keys, self._foreign_keys
         for name in names:  # noqa: SIM110 - one frame per commit, not a generator's
-            if name in self._keys or name in self._foreign_keys or name in self._referenced:
+            if name in keys or name in foreign_keys:
                 return True
-        return False
+        return any(map(self.referencing, names)) if foreign_keys else False
 
     # -- bulk views -----------------------------------------------------
     def names(self) -> tuple[str, ...]:
@@ -235,7 +231,6 @@ class KeyCatalog:
                 self._foreign_keys[name] = remaining
             else:
                 del self._foreign_keys[name]
-        self._reindex()
 
     def __contains__(self, relation_name: str) -> bool:
         return bool(self._keys.get(relation_name))

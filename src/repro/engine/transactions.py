@@ -54,11 +54,9 @@ class Transaction:
     """An atomic batch of base-relation updates.
 
     Obtain instances through :meth:`repro.engine.database.Database.begin`
-    rather than constructing them directly.  A transaction is its own
-    context manager: a ``with`` block commits it on success if it is
-    still active and aborts it on an exception, or when that commit
-    fails with the transaction still active.  Rows are raw — a ``Row``,
-    a mapping or a sequence — and are encoded once, here.
+    rather than constructing them directly; a ``with`` block commits one
+    (``__exit__``).  Rows are raw — a ``Row``, a mapping or a sequence —
+    and are encoded once, here.
     """
 
     def __init__(self, database: "Database", txn_id: int) -> None:
@@ -204,11 +202,12 @@ class Transaction:
         return self
 
     def __exit__(self, exc_type: object, exc: object, traceback: object) -> None:
+        """Commit if still active; abort on an error in the block, or
+        when that commit is refused (a declared check) while active."""
         try:
             if exc_type is None and self.state is TransactionState.ACTIVE:
                 self.commit()
         finally:
-            # An error in the block, or a commit refused (a declared check).
             if self.state is TransactionState.ACTIVE:
                 self.abort()
 

@@ -8,14 +8,6 @@ friends raised by misuse of the Python API itself) propagate.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
-
-
-def preview(items: Sequence[Any], show: Callable[[Any], str] = str, limit: int = 3) -> str:
-    """The first ``limit`` of ``items`` for a message, ``…`` for the rest."""
-    shown = ", ".join(map(show, items[:limit]))
-    return shown + ", …" if len(items) > limit else shown
-
 
 class ReproError(Exception):
     """Base class for all errors raised by the ``repro`` library."""
@@ -121,9 +113,12 @@ class IntegrityViolation(MaintenanceError):
         self.assertion_name = assertion_name
         #: The error-predicate rows the commit would have created.
         self.witnesses = witnesses
+        preview = ", ".join(map(str, witnesses[:3]))
+        if len(witnesses) > 3:
+            preview += ", …"
         super().__init__(
             f"assertion {assertion_name!r} violated; "
-            f"error-predicate witnesses: {preview(witnesses)}"
+            f"error-predicate witnesses: {preview}"
         )
 
 

@@ -386,7 +386,7 @@ class ShardedEpisode:
         for sequence in sorted(committed):
             txn_id = committed[sequence]
             inserts, deletes = self.submitted[txn_id]
-            with database.begin(txn_id=txn_id) as txn:
+            with database.transact(txn_id=txn_id) as txn:
                 for name in sorted(deletes):
                     txn.delete_many(name, deletes[name])
                 for name in sorted(inserts):

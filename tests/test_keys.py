@@ -18,7 +18,6 @@ Three layers under test, mirroring the subsystem's shape:
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.algebra.expressions import BaseRef
 from repro.algebra.relation import Delta
@@ -38,7 +37,7 @@ from repro.analysis import (
 from repro.analysis.dependencies import shared_equality_atoms
 from repro.core.maintainer import MaintenancePolicy, ViewMaintainer
 from repro.engine.database import Database
-from repro.engine.keys import ForeignKey, KeyCatalog, find_key_collisions
+from repro.engine.keys import find_key_collisions
 from repro.errors import ConstraintError, KeyViolationError
 from repro.instrumentation import CostRecorder, recording
 from repro.replication.durability import DurabilityManager
@@ -699,65 +698,6 @@ class TestBaseFreeFkJoin:
                 assert len(index) == 0, (name, attrs)
                 assert index._stale_key(relation) is None
         assert set(bare.database.relation("r").indexes) == {("B",)}
-
-
-# ----------------------------------------------------------------------
-# Property: the referenced-relation index is the scan it replaced
-# ----------------------------------------------------------------------
-CATALOG_NAMES = ("p", "q", "r")
-CATALOG_ATTRS = (("A",), ("B",), ("A", "B"))
-CATALOG_OPS = st.lists(
-    st.one_of(
-        st.tuples(
-            st.just("declare"),
-            st.sampled_from(CATALOG_NAMES),
-            st.sampled_from(CATALOG_ATTRS),
-            st.sampled_from(CATALOG_NAMES),
-            st.sampled_from(CATALOG_ATTRS),
-        ),
-        st.tuples(
-            st.just("drop"), st.sampled_from(CATALOG_NAMES), st.sampled_from(CATALOG_NAMES)
-        ),
-        st.tuples(st.just("discard"), st.sampled_from(CATALOG_NAMES)),
-        st.tuples(st.just("key"), st.sampled_from(CATALOG_NAMES)),
-    ),
-    max_size=30,
-)
-
-
-def scanned_referencing(catalog: KeyCatalog, ref_relation: str):
-    """What ``referencing`` returned when it scanned every foreign key."""
-    found = [fk for fk in catalog.foreign_key_items() if fk.ref_relation == ref_relation]
-    found.sort(key=lambda fk: (fk.relation, fk.attributes, fk.ref_attributes))
-    return tuple(found)
-
-
-@settings(max_examples=200, deadline=None)
-@given(ops=CATALOG_OPS)
-def test_referenced_index_equals_a_scan(ops):
-    """After any sequence of foreign-key declarations and drops, and of
-    relation discards, ``referencing`` answers what a scan over every
-    declared foreign key answers, and ``involves`` names exactly the
-    relations a key or foreign key is declared on, from or to."""
-    catalog = KeyCatalog()
-    for op, *args in ops:
-        if op == "declare":
-            catalog.declare_foreign_key(ForeignKey(*args))
-        elif op == "drop":
-            catalog.drop_foreign_key(*args)
-        elif op == "discard":
-            catalog.discard(*args)
-        else:
-            catalog.declare_key(args[0], ("A",))
-        for name in CATALOG_NAMES:
-            assert catalog.referencing(name) == scanned_referencing(catalog, name)
-            declared = (
-                bool(catalog.keys_of(name))
-                or bool(catalog.foreign_keys_of(name))
-                or bool(scanned_referencing(catalog, name))
-            )
-            assert catalog.involves([name]) is declared
-    assert catalog.involves([]) is False
 
 
 # ----------------------------------------------------------------------

@@ -165,6 +165,21 @@ class TestLifecycle:
         txn.commit()
         assert set(db.relation("r").value_tuples()) == {(5, 6), (7, 8)}
 
+    def test_a_relation_re_created_under_an_open_transaction_refuses_it(self, db):
+        # The pending batch is over r's old schema: its tuples must not
+        # reach the new relation, and p's applied delta is taken back.
+        db.create_relation("p", ["C"])
+        txn = db.begin()
+        txn.insert("p", (9,))
+        txn.insert("r", (5, 6))
+        db.drop_relation("r")
+        db.create_relation("r", ["X", "Y", "Z"])
+        with pytest.raises(SchemaError):
+            txn.commit()
+        assert txn.state is TransactionState.ABORTED
+        assert len(db.relation("r")) == 0 and len(db.relation("p")) == 0
+        assert db.last_sequence() == 0
+
 
 class TestContextManager:
     def test_commits_on_success(self, db):
@@ -374,7 +389,9 @@ def outcome(run, hook, batches):
     database = hooked_database(hook)
     begun = []
     begin = database.begin
-    database.begin = lambda txn_id=None: begun.append(begin(txn_id)) or begun[-1]
+    database.begin = database.transact = (
+        lambda txn_id=None: begun.append(begin(txn_id)) or begun[-1]
+    )
     errors = []
     for deletes, inserts in batches:
         try:
