@@ -12,7 +12,6 @@ database seeded with just that pair.
 
 import random
 
-from repro.algebra.evaluate import evaluate
 from repro.algebra.expressions import BaseRef, to_normal_form
 from repro.algebra.relation import Relation
 from repro.algebra.schema import RelationSchema
@@ -21,6 +20,7 @@ from repro.core.irrelevance import (
     is_irrelevant_combination,
     is_irrelevant_update,
 )
+from tests.reference import evaluate
 
 CATALOG = {
     "r": RelationSchema(["A", "B"]),

@@ -11,12 +11,12 @@ everything the repository provides, engaged at once.
 
 import time
 
-from repro.algebra.evaluate import evaluate
 from repro.baselines.full_reevaluation import FullReevaluationMaintainer
 from repro.bench.reporting import format_table
 from repro.core.consistency import compare_relations
 from repro.core.maintainer import ViewMaintainer
 from repro.workloads.orderflow import OrderFlow
+from tests.reference import evaluate
 
 TRANSACTIONS = 150
 

@@ -30,9 +30,9 @@ import time
 
 from benchmarks.conftest import smoke_env
 from repro import BaseRef, Database, ViewMaintainer
-from repro.algebra.evaluate import evaluate
 from repro.bench.reporting import format_table
 from repro.instrumentation import CostRecorder, recording
+from tests.reference import evaluate
 
 SMOKE = smoke_env("E25")
 

@@ -13,12 +13,12 @@ which is exactly why the paper picks (1).
 import random
 import time
 
-from repro.algebra.evaluate import project_relation
 from repro.algebra.relation import Delta, Relation
 from repro.algebra.schema import RelationSchema
 from repro.baselines.key_projection import KeyProjectionView
 from repro.bench.reporting import format_table
 from repro.core.counting import maintain_project_view
+from tests.reference import project_relation
 
 SCHEMA = RelationSchema(["A", "B"])
 BASE_SIZE = 3000

@@ -8,14 +8,13 @@ against complete re-evaluation of the 3-way join.
 
 import time
 
-from repro.algebra.evaluate import evaluate
 from repro.algebra.expressions import BaseRef, to_normal_form
 from repro.algebra.relation import Delta
 from repro.bench.reporting import format_table
 from repro.core.truthtable import enumerate_delta_rows, full_truth_table, render_row
 from repro.instrumentation import CostRecorder, recording
 from repro.workloads.generators import generate_chain_database
-from tests.reference import compute_view_delta, evaluate_normal_form
+from tests.reference import compute_view_delta, evaluate, evaluate_normal_form
 
 NAMES = ["r1", "r2", "r3"]
 

@@ -1,7 +1,8 @@
 """E6 — the Section 5.3 tag tables, reproduced and exercised.
 
 Prints the paper's two tag tables (the 9-row join table and the 3-row
-select/project table) from the implementation's own combination rules,
+select/project table) from the per-tuple reference's combination rules
+(``tests/reference.py``, the tables the generated row kernels implement),
 checks them cell by cell against the transcribed paper tables, and
 verifies on random tagged relations that the tagged join equals the
 set-algebra expansion ``(r − d ∪ i) ⋈ (s − d' ∪ i')``.  The benchmark
@@ -10,17 +11,19 @@ measures the tagged join on mixed-tag operands.
 
 import random
 
-from repro.algebra.evaluate import join_relations, tagged_join
-from repro.algebra.relation import Relation, TaggedRelation
+from repro.algebra.relation import Relation
 from repro.algebra.schema import RelationSchema
-from repro.algebra.tags import (
+from repro.algebra.tags import Tag
+from repro.bench.reporting import format_table
+from tests.reference import (
     JOIN_TAG_TABLE,
     UNARY_TAG_TABLE,
-    Tag,
+    TaggedRelation,
     combine_join_tags,
+    join_relations,
+    tagged_join,
     unary_tag,
 )
-from repro.bench.reporting import format_table
 
 PAPER_JOIN_TABLE = [
     ("insert", "insert", "insert"),

@@ -121,15 +121,15 @@ def section_5_3_join_views():
 
 def section_5_3_tags():
     heading("Section 5.3, Example 5.4 — mixed transactions and tags")
-    from repro.algebra.tags import Tag, combine_join_tags
-
-    print("The join tag table:")
-    for left in (Tag.INSERT, Tag.DELETE, Tag.OLD):
-        for right in (Tag.INSERT, Tag.DELETE, Tag.OLD):
-            print(
-                f"  {left.value:<6} ⋈ {right.value:<6} -> "
-                f"{combine_join_tags(left, right).value}"
-            )
+    print("The join tag table (the generated row kernels combine tags by it):")
+    for left, right, joined in (
+        ("insert", "insert", "insert"), ("insert", "delete", "ignore"),
+        ("insert", "old", "insert"), ("delete", "insert", "ignore"),
+        ("delete", "delete", "delete"), ("delete", "old", "delete"),
+        ("old", "insert", "insert"), ("old", "delete", "delete"),
+        ("old", "old", "old"),
+    ):
+        print(f"  {left:<6} ⋈ {right:<6} -> {joined}")
     db = Database()
     db.create_relation("r", ["A", "B"], [(1, 10)])
     db.create_relation("s", ["B", "C"], [(10, 5)])

@@ -54,7 +54,6 @@ from repro.algebra import (
     RelationSchema,
     Row,
     Relation,
-    TaggedRelation,
     Delta,
     Tag,
     Atom,
@@ -74,7 +73,6 @@ from repro.algebra import (
     Difference,
     Expression,
     NormalForm,
-    evaluate,
 )
 from repro.algebra.domains import Domain, IntegerDomain, FiniteDomain, StringDomain
 from repro.algebra.expressions import to_normal_form
@@ -125,7 +123,6 @@ __all__ = [
     "RelationSchema",
     "Row",
     "Relation",
-    "TaggedRelation",
     "Delta",
     "Tag",
     "Atom",
@@ -146,7 +143,6 @@ __all__ = [
     "Expression",
     "NormalForm",
     "to_normal_form",
-    "evaluate",
     "Domain",
     "IntegerDomain",
     "FiniteDomain",

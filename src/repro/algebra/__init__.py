@@ -2,18 +2,18 @@
 
 This subpackage implements, from scratch, everything Section 3 of the
 paper assumes of its host system: relation schemes over discrete domains,
-tuples, *counted* relations (Section 5.2's multiplicity counters),
-*tagged* delta relations (Section 5.3's insert/delete/old tags), the
-select–project–join expression language, the condition language of
-Section 4, and an evaluator implementing the paper's redefined project
-and join operators.
+tuples, *counted* relations (Section 5.2's multiplicity counters), deltas and
+Section 5.3's insert/delete/old tags, the select–project–join
+expression language and the condition language of Section 4.  A
+view's ground truth is its definition as SQL on ``sqlite3``
+(:mod:`repro.algebra.sqlite_oracle`, imported when a check runs).
 """
 
 from repro.algebra.domains import Domain, IntegerDomain, FiniteDomain, StringDomain
 from repro.algebra.schema import Attribute, RelationSchema
 from repro.algebra.tuples import Row
-from repro.algebra.tags import Tag, combine_join_tags, unary_tag
-from repro.algebra.relation import Relation, TaggedRelation, Delta
+from repro.algebra.tags import Tag
+from repro.algebra.relation import Relation, Delta
 from repro.algebra.conditions import (
     Atom,
     Conjunction,
@@ -38,7 +38,6 @@ from repro.algebra.expressions import (
     Occurrence,
     to_normal_form,
 )
-from repro.algebra.evaluate import evaluate
 from repro.algebra.rewrites import simplify_condition, push_selections, is_spj
 
 __all__ = [
@@ -50,10 +49,7 @@ __all__ = [
     "RelationSchema",
     "Row",
     "Tag",
-    "combine_join_tags",
-    "unary_tag",
     "Relation",
-    "TaggedRelation",
     "Delta",
     "Atom",
     "Conjunction",
@@ -75,7 +71,6 @@ __all__ = [
     "NormalForm",
     "Occurrence",
     "to_normal_form",
-    "evaluate",
     "simplify_condition",
     "push_selections",
     "is_spj",

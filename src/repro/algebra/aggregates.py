@@ -36,17 +36,14 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from repro.algebra.expressions import Expression, SchemaCatalog
-from repro.algebra.relation import Relation
 from repro.algebra.schema import Attribute, RelationSchema
 from repro.errors import ExpressionError
-from repro.instrumentation import charge
 
 __all__ = [
     "AGGREGATE_FUNCTIONS",
     "Aggregate",
     "AggregateColumn",
     "AggregateSpec",
-    "aggregate_relation",
     "column_plans",
     "render_group",
 ]
@@ -279,10 +276,10 @@ def render_group(
     multiplicities.  Returns ``None`` for an empty group (the group
     emits no row at all — the aggregate analogue of "delete the view
     tuple when the counter reaches zero").  This is the single
-    definition of the aggregate arithmetic: full evaluation
-    (:func:`aggregate_relation`), the reference fold and the
-    generated kernels (:mod:`repro.core.codegen`) must all agree with
-    it cell for cell.
+    definition of the aggregate arithmetic: the reference fold and the
+    generated kernels (:mod:`repro.core.codegen`) must agree with it
+    cell for cell, and so must the SQL ground truth
+    (:mod:`repro.algebra.sqlite_oracle`).
     """
     total = sum(support.values())
     if total <= 0:
@@ -305,32 +302,3 @@ def render_group(
         else:  # max
             cells.append(max(row[position] for row in support))
     return tuple(cells)
-
-
-def aggregate_relation(relation: Relation, spec: AggregateSpec) -> Relation:
-    """Full evaluation: group ``relation`` and render every group.
-
-    The input must produce every key and aggregate input attribute
-    (it is typically the evaluated SPJ core).  Each non-empty group
-    yields exactly one visible row with count 1 — aggregate view
-    contents are sets, the multiplicity machinery lives underneath in
-    the core support.  With no grouping keys the whole relation is one
-    group, and an empty input yields an empty view (no row, matching
-    SQL's ``GROUP BY ()`` with zero groups rather than a NULL row —
-    documented in docs/aggregates.md).
-    """
-    schema = relation.schema
-    key_positions = schema.positions(spec.keys)
-    plans = column_plans(spec, schema)
-    groups: dict[ValueTuple, dict[ValueTuple, int]] = {}
-    for values, count in relation.items():
-        charge("tuples_scanned")
-        key = tuple(values[i] for i in key_positions)
-        bag = groups.setdefault(key, {})
-        bag[values] = bag.get(values, 0) + count
-    counts: dict[ValueTuple, int] = {}
-    for key in sorted(groups):
-        row = render_group(key, groups[key], plans)
-        if row is not None:
-            counts[row] = 1
-    return Relation.from_counts(spec.output_schema(schema), counts)

@@ -1,6 +1,6 @@
-"""Counted and tagged relations.
+"""Counted relations and their deltas.
 
-Three tuple-collection types underpin the whole library:
+Two tuple-collection types underpin the whole library:
 
 * :class:`Relation` — a relation with the paper's Section 5.2
   *multiplicity counter*: a mapping from tuple to a positive count.
@@ -15,11 +15,7 @@ Three tuple-collection types underpin the whole library:
   set of inserted tuples and a disjoint set of deleted tuples, exactly
   the ``(i_r, d_r)`` pair of Section 3.
 
-* :class:`TaggedRelation` — tuples carrying an ``old``/``insert``/
-  ``delete`` tag and a count; the operand and result type of the
-  differential (truth-table row) evaluation of Section 5.3.
-
-All three store rows as encoded value tuples aligned with their schema.
+Both store rows as encoded value tuples aligned with their schema.
 """
 
 from __future__ import annotations
@@ -433,6 +429,7 @@ def apply_counts(
     relation: Relation,
     inserted: Mapping[ValueTuple, int],
     deleted: Mapping[ValueTuple, int],
+    base: bool = False,
 ) -> None:
     """``r := r ∪ i − d`` from two encoded count maps over ``relation``'s
     schema, in place.
@@ -440,8 +437,11 @@ def apply_counts(
     All or nothing: every count is checked — positive, and no more
     copies deleted than ``relation`` holds — before the first tuple
     changes, so a :class:`MaintenanceError` leaves ``relation`` and its
-    indexes as they were.  :meth:`Delta.apply_to` and the maintainer's
-    commit path both apply through here.
+    indexes as they were.  With ``base``, ``relation`` is a base
+    relation, a set, and inserting a tuple it already holds is refused
+    too (two open transactions that both inserted it; a view is a bag
+    and counts up instead).  :meth:`Delta.apply_to` and the
+    maintainer's commit path both apply through here.
     """
     counts = relation._counts
     if deleted:
@@ -453,9 +453,11 @@ def apply_counts(
                 raise MaintenanceError(
                     f"cannot remove {count} copies of {values}: only {present} present"
                 )
-    for count in inserted.values():
+    for values, count in inserted.items():
         if count <= 0:
             raise MaintenanceError(f"insert count must be positive, got {count}")
+        if base and values in counts:
+            raise MaintenanceError(f"cannot insert {values}: a base relation holds it already")
     if deleted:
         for values, count in deleted.items():
             remaining = counts[values] - count
@@ -637,113 +639,3 @@ class Delta:
             f"<Delta {list(self.schema.names)} "
             f"+{len(self.inserted)} -{len(self.deleted)}>"
         )
-
-
-class TaggedRelation:
-    """Tuples carrying a tag and a count: the §5.3 evaluation currency.
-
-    The map key is ``(values, tag)`` so the same tuple may legitimately
-    appear under several tags while a differential expression is being
-    evaluated (for instance, projected inserts and deletes landing on
-    the same view tuple, which later partially cancel when the delta is
-    applied to the stored view).
-    """
-
-    __slots__ = ("schema", "_counts")
-
-    def __init__(self, schema: RelationSchema) -> None:
-        self.schema = schema
-        self._counts: dict[tuple[ValueTuple, Tag], int] = {}
-
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_relation(cls, relation: Relation, tag: Tag = Tag.OLD) -> "TaggedRelation":
-        """Tag every tuple of ``relation`` with ``tag`` (default ``OLD``)."""
-        out = cls(relation.schema)
-        for values, count in relation.items():
-            out._counts[(values, tag)] = count
-        return out
-
-    @classmethod
-    def from_delta(cls, delta: Delta) -> "TaggedRelation":
-        """The tagged form of a delta: inserts and deletes, tagged."""
-        out = cls(delta.schema)
-        for values, tag, count in delta.tagged_items():
-            out._counts[(values, tag)] = count
-        return out
-
-    # ------------------------------------------------------------------
-    # Mutation / inspection
-    # ------------------------------------------------------------------
-    def add(self, values: ValueTuple, tag: Tag, count: int = 1) -> None:
-        """Accumulate ``count`` copies of ``values`` under ``tag``."""
-        if tag is Tag.IGNORE:
-            return
-        if count <= 0:
-            raise MaintenanceError(f"tagged count must be positive, got {count}")
-        key = (values, tag)
-        self._counts[key] = self._counts.get(key, 0) + count
-
-    def items(self) -> Iterator[tuple[ValueTuple, Tag, int]]:
-        """Iterate ``(values, tag, count)`` triples."""
-        for (values, tag), count in self._counts.items():
-            yield values, tag, count
-
-    def __len__(self) -> int:
-        return len(self._counts)
-
-    def is_empty(self) -> bool:
-        return not self._counts
-
-    def count_of(self, values: ValueTuple, tag: Tag) -> int:
-        """The count stored for ``values`` under ``tag`` (0 when absent)."""
-        return self._counts.get((values, tag), 0)
-
-    def merge(self, other: "TaggedRelation") -> None:
-        """Accumulate all of ``other`` into this relation in place."""
-        if other.schema.names != self.schema.names:
-            raise SchemaError(
-                f"schema mismatch: {self.schema.names} vs {other.schema.names}"
-            )
-        for (values, tag), count in other._counts.items():
-            key = (values, tag)
-            self._counts[key] = self._counts.get(key, 0) + count
-
-    def to_delta(self) -> Delta:
-        """Collapse the tagged tuples into a net :class:`Delta`.
-
-        ``OLD`` tuples are dropped (they are already in the view);
-        inserts and deletes of the same tuple cancel count-wise, which
-        happens when different truth-table rows contribute opposite
-        changes that net out.
-        """
-        inserted: dict[ValueTuple, int] = {}
-        deleted: dict[ValueTuple, int] = {}
-        for (values, tag), count in self._counts.items():
-            if tag is Tag.INSERT:
-                inserted[values] = inserted.get(values, 0) + count
-            elif tag is Tag.DELETE:
-                deleted[values] = deleted.get(values, 0) + count
-        for values in list(inserted.keys() & deleted.keys()):
-            cancel = min(inserted[values], deleted[values])
-            inserted[values] -= cancel
-            deleted[values] -= cancel
-            if not inserted[values]:
-                del inserted[values]
-            if not deleted[values]:
-                del deleted[values]
-        return Delta.adopt(self.schema, inserted, deleted)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TaggedRelation):
-            return NotImplemented
-        return self.schema.names == other.schema.names and self._counts == other._counts
-
-    def __repr__(self) -> str:
-        by_tag: dict[Tag, int] = {}
-        for (_, tag), count in self._counts.items():
-            by_tag[tag] = by_tag.get(tag, 0) + count
-        summary = ", ".join(f"{t.value}:{c}" for t, c in sorted(by_tag.items(), key=lambda kv: kv[0].value))
-        return f"<TaggedRelation {list(self.schema.names)} {summary or 'empty'}>"

@@ -76,7 +76,7 @@ class RelationSchema:
     1
     """
 
-    __slots__ = ("attributes", "names", "_index", "_nameset", "_plain_integers")
+    __slots__ = ("attributes", "names", "_index", "_nameset", "_arity", "_plain_integers")
 
     def __init__(self, attributes: Iterable[Attribute | str]) -> None:
         attrs = []
@@ -95,6 +95,7 @@ class RelationSchema:
             raise SchemaError("a relation schema needs at least one attribute")
         self._index = {name: i for i, name in enumerate(self.names)}
         self._nameset = frozenset(self.names)
+        self._arity = len(self.names)
         #: Every domain is exactly IntegerDomain: an ``int`` is its own
         #: encoding, so whole tuples pass through without per-value calls.
         self._plain_integers = all(
@@ -179,16 +180,17 @@ class RelationSchema:
     # ------------------------------------------------------------------
     def encode_values(self, values: Sequence[object]) -> tuple[int, ...]:
         """Validate and encode one tuple of raw values against the schema."""
-        if self._plain_integers and len(values) == len(self.attributes):
+        arity = len(values)
+        if self._plain_integers and arity == self._arity:
             for v in values:
                 if type(v) is not int:
                     break  # bool, subclass, non-integer: validate below
             else:
                 return tuple(values)  # type: ignore  # every value is an int
-        if len(values) != len(self.attributes):
+        if arity != self._arity:
             raise SchemaError(
-                f"tuple arity {len(values)} does not match schema arity "
-                f"{len(self.attributes)} ({self.names})"
+                f"tuple arity {arity} does not match schema arity "
+                f"{self._arity} ({self.names})"
             )
         return tuple(
             attr.domain.validate(v) for attr, v in zip(self.attributes, values)

@@ -1,17 +1,18 @@
-"""A view oracle that shares no code with the system: SQL on ``sqlite3``.
+"""The ground truth a view is checked against: its definition as SQL on
+``sqlite3``.
 
 Each view definition is translated, node by node, into one SQL query
-over tables holding the base relations' rows; a view read by another
-view is inlined as a subquery, so a stacked view is evaluated from the
-base rows up, as SQL would.  Nothing here calls
-``repro.algebra.evaluate``, the normal form, a plan or a kernel: the
-only things read from the system are the definitions' syntax trees and
-the stored rows.
+over tables holding the named relations' rows.  Nothing here calls the
+normal form, a plan or a kernel, and nothing from ``repro`` is
+imported: the only things read from the system are the definitions'
+syntax trees and the stored rows, so a bug in the system cannot also
+be a bug in its oracle.
 
 Semantics, as the paper and ``docs/aggregates.md`` state them:
 
-* a base relation is a set, a view a bag: SQL's own duplicate rows,
-  counted with ``COUNT(*)`` at the end;
+* a relation is a bag: a row with count ``n`` is ``n`` rows of its
+  table (a base relation's counts are all 1; a view read by a stacked
+  view is loaded as it stands), counted with ``COUNT(*)`` at the end;
 * a projection keeps duplicates, a join multiplies them;
 * a selection atom ``x op y + c`` is the SQL comparison of the same
   form, a DNF condition ``OR`` of ``AND`` s;
@@ -20,56 +21,71 @@ Semantics, as the paper and ``docs/aggregates.md`` state them:
   ``MAX``, and ``AVG`` as the floor of ``SUM / COUNT`` — SQL's integer
   division truncates toward zero, so the floor is spelt out.
 
-Run one as ``SqliteOracle(database).contents(definitions, name)``: the
-``values -> count`` map of the view's rows, over the encoded values the
-database stores; ``load()`` copies the base rows again after a commit.
+Run one as ``SqliteOracle(instances).contents(expression)``: the
+``values -> count`` map of the expression's rows, over the encoded
+values the relations store.  ``instances`` maps names to relations;
+a table is copied the first time a query reads it, so an oracle checks
+the rows as they stood then.  ``sqlite3`` is imported when the first oracle is made, and an
+oracle used as a context manager closes its connection on exit.
 """
 
 from __future__ import annotations
 
-import sqlite3
+from itertools import chain, repeat
 from typing import Any, Mapping
 
 _OPS = {"=": "=", "<": "<", ">": ">", "<=": "<=", ">=": ">="}
 
 
 class SqliteOracle:
-    """The base relations of one database, loaded into an in-memory
-    sqlite database, and the views' contents by SQL.  SQL names are
-    case-blind, so every column goes by its place (``k0``, ``k1``, …);
-    the translation keeps which attribute name each place holds."""
+    """Named relations, copied into an in-memory sqlite database as
+    queries read them, and the contents of expressions over them by
+    SQL.  SQL names are case-blind, so every column goes by its place
+    (``k0``, ``k1``, …); the translation keeps which attribute name
+    each place holds."""
 
-    def __init__(self, database: Any) -> None:
+    def __init__(self, instances: Mapping[str, Any]) -> None:
+        import sqlite3
+
         self.connection = sqlite3.connect(":memory:")
-        self.database = database
+        self.instances = instances
+        #: The tables copied so far, with their attribute names.
         self.columns: dict[str, list[str]] = {}
-        for name in database.relation_names():
-            columns = list(database.relation(name).schema.names)
-            self.columns[name] = columns
-            self.connection.execute(f"CREATE TABLE {_q(name)} ({_places(len(columns))})")
         self._aliases = 0
-        self.load()
-
-    def load(self) -> None:
-        """Copy every base relation's rows as they stand now."""
-        for name, columns in self.columns.items():
-            self.connection.execute(f"DELETE FROM {_q(name)}")
-            self.connection.executemany(
-                f"INSERT INTO {_q(name)} VALUES ({', '.join('?' * len(columns))})",
-                list(self.database.relation(name).count_map),
-            )
 
     def close(self) -> None:
         self.connection.close()
 
-    def contents(self, definitions: Mapping[str, Any], name: str) -> dict[tuple, int]:
-        """View ``name``'s rows and their counts.  ``definitions`` maps
-        every view name to its expression; a name it does not hold is a
-        base relation."""
-        sql, columns = self._query(definitions[name], definitions)
+    def __enter__(self) -> "SqliteOracle":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def contents(
+        self, expression: Any, definitions: Mapping[str, Any] | None = None
+    ) -> dict[tuple, int]:
+        """The rows of ``expression`` and their counts.  A name that
+        ``definitions`` maps to an expression is inlined as a subquery,
+        so a stacked view is evaluated from the base rows up; any other
+        name is a table of ``instances``."""
+        sql, columns = self._query(expression, definitions or {})
         listed = _places(len(columns))
-        counted = f"SELECT {listed}, COUNT(*) FROM ({sql}) AS {self._alias()} GROUP BY {listed}"
-        return {tuple(row[:-1]): row[-1] for row in self.connection.execute(counted)}
+        bag = f"SELECT {listed}, COUNT(*) FROM ({sql}) AS {self._alias()} GROUP BY {listed}"
+        return {tuple(row[:-1]): row[-1] for row in self.connection.execute(bag)}
+
+    def _table(self, name: str) -> list[str]:
+        """Copy relation ``name``'s rows, each as often as it counts."""
+        columns = self.columns.get(name)
+        if columns is None:
+            relation = self.instances[name]
+            columns = self.columns[name] = list(relation.schema.names)
+            self.connection.execute(f"CREATE TABLE {_q(name)} ({_places(len(columns))})")
+            self.connection.executemany(
+                f"INSERT INTO {_q(name)} VALUES ({', '.join('?' * len(columns))})",
+                chain.from_iterable(repeat(row, count) for row, count in relation.count_map.items()),
+            )
+        return columns
 
     def _alias(self) -> str:
         self._aliases += 1
@@ -82,7 +98,7 @@ class SqliteOracle:
         if kind == "BaseRef":
             if node.name in definitions:
                 return self._query(definitions[node.name], definitions)
-            columns = self.columns[node.name]
+            columns = self._table(node.name)
             return f"SELECT {_places(len(columns))} FROM {_q(node.name)}", columns
         if kind == "Select":
             sql, columns = self._query(node.child, definitions)

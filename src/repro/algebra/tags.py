@@ -3,8 +3,10 @@
 To handle transactions that both insert and delete, the paper tags every
 tuple flowing through a differential evaluation as ``insert``,
 ``delete`` or ``old`` and redefines the join to combine tags.  Two
-tables in the paper define the semantics; both are reproduced verbatim
-here and exercised by experiment **E6**.
+tables in the paper define the semantics.  The generated row kernels
+(:mod:`repro.core.codegen`) bind :class:`Tag` and combine tags as the
+tables say; the tables themselves, as data, are the per-tuple
+reference's (``tests/reference.py``), exercised by experiment **E6**.
 
 Join tag combination (the 9-row table of Section 5.3)::
 
@@ -53,45 +55,3 @@ class Tag(enum.Enum):
 
     def __repr__(self) -> str:
         return f"Tag.{self.name}"
-
-
-#: The paper's join tag table, keyed by the operand tags.
-JOIN_TAG_TABLE: dict[tuple[Tag, Tag], Tag] = {
-    (Tag.INSERT, Tag.INSERT): Tag.INSERT,
-    (Tag.INSERT, Tag.DELETE): Tag.IGNORE,
-    (Tag.INSERT, Tag.OLD): Tag.INSERT,
-    (Tag.DELETE, Tag.INSERT): Tag.IGNORE,
-    (Tag.DELETE, Tag.DELETE): Tag.DELETE,
-    (Tag.DELETE, Tag.OLD): Tag.DELETE,
-    (Tag.OLD, Tag.INSERT): Tag.INSERT,
-    (Tag.OLD, Tag.DELETE): Tag.DELETE,
-    (Tag.OLD, Tag.OLD): Tag.OLD,
-}
-
-#: The paper's unary (select/project) tag table.
-UNARY_TAG_TABLE: dict[Tag, Tag] = {
-    Tag.INSERT: Tag.INSERT,
-    Tag.DELETE: Tag.DELETE,
-    Tag.OLD: Tag.OLD,
-}
-
-
-def combine_join_tags(left: Tag, right: Tag) -> Tag:
-    """Tag of a joined tuple, per the paper's Section 5.3 table.
-
-    ``IGNORE`` operands are not valid inputs: the paper specifies that
-    ignored tuples are discarded *when performing the join*, so they can
-    never reach a subsequent combination.
-    """
-    try:
-        return JOIN_TAG_TABLE[(left, right)]
-    except KeyError:
-        raise ValueError(f"cannot combine tags {left!r} ⋈ {right!r}") from None
-
-
-def unary_tag(tag: Tag) -> Tag:
-    """Tag of a selected/projected tuple (identity on real tags)."""
-    try:
-        return UNARY_TAG_TABLE[tag]
-    except KeyError:
-        raise ValueError(f"{tag!r} cannot flow through a unary operator") from None

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from repro.algebra.evaluate import project_relation
 from repro.algebra.relation import Delta, Relation, ValueTuple, key_function
 from repro.algebra.schema import RelationSchema
 from repro.errors import MaintenanceError, SchemaError
@@ -110,7 +109,16 @@ class KeyProjectionView:
         does the count aggregation that alternative (1) keeps
         incrementally maintained.
         """
-        return project_relation(self.contents, self.attributes)
+        project = key_function(self.stored_schema.positions(self.attributes))
+        counts: dict[ValueTuple, int] = {}
+        for values, count in self.contents.count_map.items():
+            key = project(values)
+            counts[key] = counts.get(key, 0) + count
+        if counts:
+            charge("tuples_scanned", len(self.contents))
+        return Relation.from_counts(
+            self.stored_schema.project_schema(self.attributes), counts
+        )
 
     def __len__(self) -> int:
         return len(self.contents)

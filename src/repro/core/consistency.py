@@ -5,15 +5,18 @@ sequence of transactions, a differentially-maintained view must equal —
 tuple for tuple *and count for count* — the complete re-evaluation of
 its defining expression over the current base relations.  This module
 performs that comparison and reports differences precisely, and backs
-both the maintainer's ``auto_verify`` mode and the property tests.
+the maintainer's ``verify_all`` and ``auto_verify`` and the property
+tests.  The re-evaluation is SQL on ``sqlite3``
+(:mod:`repro.algebra.sqlite_oracle`), which shares no code with the
+kernels it checks.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from repro.algebra.evaluate import evaluate
 from repro.algebra.relation import Relation
+from repro.algebra.sqlite_oracle import SqliteOracle
 from repro.core.views import MaterializedView
 from repro.errors import MaintenanceError
 
@@ -101,18 +104,28 @@ def compare_relations(
 
 def check_view_consistency(
     view: MaterializedView,
-    instances: Mapping[str, Relation],
+    instances: Mapping[str, Relation] | SqliteOracle,
     raise_on_mismatch: bool = True,
 ) -> ConsistencyReport:
     """Recompute ``view`` from scratch and compare with its contents.
 
-    Each hash index the view carries is audited as well, against a
-    rebuild from the contents.  With ``raise_on_mismatch`` (the default)
+    The recomputation is the definition as SQL on ``sqlite3``.
+    ``instances`` maps every name the definition reads to its relation
+    (a stacked view's upstream to its stored contents), or is an oracle
+    already made over such a map, so that views checked together load
+    each table once.  Each hash index the view carries is audited as
+    well, against a rebuild from the contents.  With
+    ``raise_on_mismatch`` (the default)
     an inconsistency raises :class:`~repro.errors.MaintenanceError`
     carrying the report's summary; otherwise the report is returned for
     inspection either way.
     """
-    truth = evaluate(view.definition.expression, instances)
+    if not isinstance(instances, SqliteOracle):
+        with SqliteOracle(instances) as oracle:
+            return check_view_consistency(view, oracle, raise_on_mismatch)
+    truth = Relation.from_counts(
+        view.contents.schema, instances.contents(view.definition.expression)
+    )
     report = compare_relations(view.definition.name, view.contents, truth)
     for attrs, index in view.contents.indexes.items():
         stale_key = index._stale_key(view.contents)

@@ -9,14 +9,15 @@ another base tuple may still support it (the paper's Example 5.1).
 The paper's chosen fix (alternative 1) attaches a multiplicity counter
 to every view tuple: insertions increment, deletions decrement, and a
 tuple leaves the view when its counter reaches zero.  With the project
-and join operators redefined to sum and multiply counters
-(:mod:`repro.algebra.evaluate`), distributivity over difference is
-restored and differential maintenance is exact.
+and join operators redefined to sum and multiply counters, distributivity
+over difference is restored and differential maintenance is exact (the
+property tests check the identity with ``tests/reference.py``'s
+``counted_projection_distributes``).
 
 :class:`~repro.algebra.relation.Relation` already carries the counter;
 this module supplies the §5.2-specific operations: the direct
-maintenance rule for a pure project view, and the distributivity check
-the paper's argument rests on (used by the property tests).
+maintenance rule for a pure project view and the counter netting every
+maintenance backend shares.
 """
 
 from __future__ import annotations
@@ -91,21 +92,3 @@ def maintain_project_view(
         )
     inserted, deleted = net_counts(*project_delta(delta, attributes))
     Delta.from_counts(view.schema, inserted, deleted).apply_to(view)
-
-
-def counted_projection_distributes(
-    r1: Relation, r2: Relation, attributes: Sequence[str]
-) -> bool:
-    """Check ``π_X(r₁ − r₂) = π_X(r₁) − π_X(r₂)`` under counted semantics.
-
-    ``r₂`` must be a counted sub-multiset of ``r₁`` for the left side to
-    be defined.  The paper claims the redefined projection makes the
-    identity hold; the property tests drive this over random relations.
-    """
-    from repro.algebra.evaluate import project_relation
-
-    left = project_relation(r1.difference(r2), attributes)
-    right = project_relation(r1, attributes).difference(
-        project_relation(r2, attributes)
-    )
-    return left == right

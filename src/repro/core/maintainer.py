@@ -56,6 +56,7 @@ from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Mapping, No
 from repro.algebra.expressions import Expression
 from repro.algebra.relation import Delta, Relation
 from repro.algebra.schema import RelationSchema
+from repro.algebra.sqlite_oracle import SqliteOracle
 from repro.core.codegen import Trigger, compile_trigger, raised_in, traversals, violation
 from repro.core.compiled import CompiledViewPlan
 from repro.core.counting import net_counts
@@ -518,8 +519,8 @@ class ViewMaintainer:
         """Base relations plus every view's contents, by name.
 
         The mapping :func:`~repro.core.consistency.check_view_consistency`
-        and :func:`~repro.algebra.evaluate.evaluate` take: a stacked
-        view's definition names its upstream views like relations.
+        takes: a stacked view's definition names its upstream views like
+        relations.
         """
         instances = dict(self.database.instances())
         for view_name, entry in self._entries.items():
@@ -990,23 +991,23 @@ class ViewMaintainer:
     ) -> dict[str, ConsistencyReport]:
         """Full-recompute oracle over every registered view.
 
-        Each view's defining expression is evaluated from scratch
-        against the current base relations (and upstream views, for
-        stacked definitions) and diffed — multiplicity counters
+        Each view's defining expression is evaluated from scratch, as
+        SQL on ``sqlite3`` over the current base relations (and upstream
+        views, for stacked definitions), each loaded once, and diffed — multiplicity counters
         included — against the maintained contents.  Only meaningful at
         a quiescent point (:meth:`quiesce` first, or no deferred
         backlog).  With ``raise_on_mismatch`` the first divergence
         raises :class:`~repro.errors.MaintenanceError`; otherwise the
         per-view reports are returned for inspection either way.
         """
-        instances = self.instances()
         reports: dict[str, ConsistencyReport] = {}
-        for name in self.view_names():
-            reports[name] = check_view_consistency(
-                self._entries[name].view,
-                instances,
-                raise_on_mismatch=raise_on_mismatch,
-            )
+        with SqliteOracle(self.instances()) as oracle:
+            for name in self.view_names():
+                reports[name] = check_view_consistency(
+                    self._entries[name].view,
+                    oracle,
+                    raise_on_mismatch=raise_on_mismatch,
+                )
         return reports
 
     def __repr__(self) -> str:

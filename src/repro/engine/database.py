@@ -559,6 +559,8 @@ class Database:
                     return (
                         f"the key ({', '.join(key)}) on {name!r}: {preview}"
                     )
+        if not keys._foreign_keys:  # none declared: nothing to scan
+            return None
         checked: set[ForeignKey] = set()
         for name in sorted(deltas):
             candidates = keys.foreign_keys_of(name) + keys.referencing(name)
@@ -667,7 +669,7 @@ class Database:
                 for name, delta in deltas.items():
                     relation = self._relations[name]
                     if relation.schema is delta.schema:
-                        apply_counts(relation, delta.inserted, delta.deleted)
+                        apply_counts(relation, delta.inserted, delta.deleted, True)
                     else:  # the relation was re-created since the batch
                         delta.apply_to(relation)
                     applied += 1

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
+from repro.algebra.relation import key_function
 from repro.algebra.schema import RelationSchema
 from repro.errors import ConstraintError
 
@@ -270,11 +271,11 @@ def find_key_collisions(
     rows: Iterable[ValueTuple],
 ) -> list[tuple[ValueTuple, ValueTuple]]:
     """Pairs of distinct rows agreeing on ``key``, sorted (first few)."""
-    positions = [schema.index(name) for name in key]
+    key_of = key_function(schema.positions(key))
     seen: dict[ValueTuple, ValueTuple] = {}
     collisions: list[tuple[ValueTuple, ValueTuple]] = []
     for values in sorted(rows):
-        key_values = tuple(values[p] for p in positions)
+        key_values = key_of(values)
         other = seen.get(key_values)
         if other is not None and other != values:
             collisions.append((other, values))

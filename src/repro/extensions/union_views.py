@@ -29,9 +29,9 @@ from __future__ import annotations
 from functools import reduce
 from typing import Sequence
 
-from repro.algebra.evaluate import evaluate
 from repro.algebra.expressions import Expression, to_normal_form
 from repro.algebra.relation import Delta, Relation
+from repro.algebra.sqlite_oracle import SqliteOracle
 from repro.core.maintainer import ViewMaintainer
 from repro.core.views import MaterializedView
 from repro.engine.database import Database
@@ -104,11 +104,14 @@ class UnionView:
     # Verification / teardown
     # ------------------------------------------------------------------
     def verify(self) -> None:
-        """Compare against every branch evaluated from scratch by the
-        independent evaluator, :func:`repro.algebra.evaluate.evaluate`."""
-        instances = self.database.instances()
-        truth = reduce(Relation.union, (evaluate(b, instances) for b in self.branches))
-        if truth != self.contents:
+        """Compare against every branch evaluated from scratch as SQL on
+        ``sqlite3`` (:mod:`repro.algebra.sqlite_oracle`), counts summed."""
+        truth: dict = {}
+        with SqliteOracle(self.database.instances()) as oracle:
+            for branch in self.branches:
+                for values, count in oracle.contents(branch).items():
+                    truth[values] = truth.get(values, 0) + count
+        if truth != self.contents.count_map:
             raise MaintenanceError(
                 f"union view {self.name!r} diverged from recomputation"
             )

@@ -82,7 +82,6 @@ METRICS: dict[str, Metric] = _declare(
         ("tuples_emitted", "tuples", "tuples a select, project or join step produced"),
         ("tuples_ignored", "pairs", "insert ⊗ delete join pairs dropped by the tag algebra"),
         ("index_probes", "probes", "lookups answered by an engine hash index"),
-        ("full_reevaluations", "calls", "complete evaluations of an expression tree by algebra.evaluate"),
     )),
     ("differential", (  # Section 5
         ("differential_updates", "calls", "view deltas computed"),

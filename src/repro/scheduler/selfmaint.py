@@ -27,9 +27,8 @@ whose premises the engine can actually discharge:
   compiled maintenance plan's delta enumeration for one occurrence
   contains exactly the ``(DELTA,)`` row: the plan screens, selects and
   projects the delta itself with counted semantics and never
-  materializes an OLD operand (see
-  ``repro.core.differential.LazyOperandEntry`` — OLD operands are built
-  lazily, and the single-occurrence DELTA row requests none).  Running
+  materializes an OLD operand (the single-occurrence DELTA row reads
+  none).  Running
   the *same compiled plan* against empty base relations is therefore
   byte-for-byte identical by construction, which is how the base-free
   hosting modes execute it.

@@ -29,8 +29,8 @@ trace.  The checks:
 :func:`verify_base_free_follower`
     A base-free follower holds no base replica to recompute from, so
     the ground truth comes from the *leader*: each follower view is
-    re-evaluated with the naive tree evaluator against the leader's
-    relations and bag-compared with the follower's maintained contents.
+    re-evaluated as SQL on ``sqlite3`` against the leader's relations
+    and bag-compared with the follower's maintained contents.
     Once the bootstrap copy has been shed, every base relation on the
     follower must also be empty (:func:`verify_shed_base`, which the
     sharded topology runs on its base-free shards too).
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from repro.algebra.evaluate import evaluate
+from repro.algebra.sqlite_oracle import SqliteOracle
 from repro.engine.database import Database
 from repro.engine.log import replay_records
 from repro.replication.checkpoints import boot_from_checkpoint
@@ -255,16 +255,14 @@ def verify_base_free_follower(
     )
     follower.maintainer.quiesce()
     divergences.extend(audit_aggregate_state(label, follower.maintainer))
-    instances = {
-        name: leader.relation(name) for name in leader.relation_names()
-    }
-    for name in sorted(follower.maintainer.view_names()):
-        view = follower.maintainer.view(name)
-        message = diff_counts(
-            f"{label}: base-free view {name!r} (vs the leader recompute)",
-            evaluate(view.definition.expression, instances).counts(),
-            view.contents.counts(),
-        )
-        if message:
-            divergences.append(message)
+    with SqliteOracle(leader.instances()) as oracle:
+        for name in sorted(follower.maintainer.view_names()):
+            view = follower.maintainer.view(name)
+            message = diff_counts(
+                f"{label}: base-free view {name!r} (vs the leader recompute)",
+                oracle.contents(view.definition.expression),
+                view.contents.counts(),
+            )
+            if message:
+                divergences.append(message)
     return divergences

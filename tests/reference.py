@@ -31,6 +31,18 @@ index, so ``tuples_scanned`` and ``index_probes`` differ; with
 :func:`index_probe_for` and those two agree as well
 (``PROBE_PARITY_COUNTERS``).
 
+The tag algebra comes first: the paper's two tag tables as data
+(:data:`JOIN_TAG_TABLE`, :data:`UNARY_TAG_TABLE`) and
+:class:`TaggedRelation`, the currency of the per-tuple evaluators.
+
+:func:`evaluate` is the complete re-evaluation of an expression tree by
+Section 5.2's counted operators (and Section 5.3's tagged ones beside
+them), the naive tree walker.  ``tests/test_sqlite_oracle.py`` holds it
+to the system's ground truth, SQL on ``sqlite3``
+(:mod:`repro.algebra.sqlite_oracle`), and the benchmarks that measure
+against complete re-evaluation (E4, E5, E6, E12, E18, E25) import it
+from here.
+
 The per-row loaders at the end build a relation's count map without the
 batch door (``RelationSchema.encode_rows``): one ``coerce_row`` per row,
 in order, then each site's duplicate rule.  The batch loaders must give
@@ -39,14 +51,26 @@ the same map in the same order, or raise the same error.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+import operator
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from repro.algebra.conditions import Atom, Condition
-from repro.algebra.evaluate import compile_condition
-from repro.algebra.expressions import Expression, NormalForm
-from repro.algebra.relation import Delta, Relation, TaggedRelation
+from repro.algebra.aggregates import Aggregate, AggregateSpec, column_plans, render_group
+from repro.algebra.conditions import Atom, Condition, Var
+from repro.algebra.expressions import (
+    BaseRef,
+    Difference,
+    Expression,
+    Join,
+    NormalForm,
+    Product,
+    Project,
+    Rename,
+    Select,
+    Union,
+)
+from repro.algebra.relation import Delta, Relation
 from repro.algebra.schema import RelationSchema
-from repro.algebra.tags import Tag, combine_join_tags
+from repro.algebra.tags import Tag
 from repro.algebra.tuples import coerce_row
 from repro.core.aggregates import AggregateState
 from repro.core.differential import LazyOperandEntry
@@ -56,10 +80,161 @@ from repro.core.truthtable import DeltaRowChoice, Rows, enumerate_delta_rows
 from repro.core.views import MaterializedView, ViewDefinition
 from repro.engine.database import Database
 from repro.engine.persistence import PersistenceError
-from repro.errors import MaintenanceError, ReproError, SchemaError
+from repro.errors import ExpressionError, MaintenanceError, ReproError, SchemaError
 from repro.instrumentation import charge
 
 ValueTuple = tuple[int, ...]
+
+
+# ----------------------------------------------------------------------
+# The tag algebra (Section 5.3)
+# ----------------------------------------------------------------------
+
+#: The paper's join tag table, keyed by the operand tags.
+JOIN_TAG_TABLE: dict[tuple[Tag, Tag], Tag] = {
+    (Tag.INSERT, Tag.INSERT): Tag.INSERT,
+    (Tag.INSERT, Tag.DELETE): Tag.IGNORE,
+    (Tag.INSERT, Tag.OLD): Tag.INSERT,
+    (Tag.DELETE, Tag.INSERT): Tag.IGNORE,
+    (Tag.DELETE, Tag.DELETE): Tag.DELETE,
+    (Tag.DELETE, Tag.OLD): Tag.DELETE,
+    (Tag.OLD, Tag.INSERT): Tag.INSERT,
+    (Tag.OLD, Tag.DELETE): Tag.DELETE,
+    (Tag.OLD, Tag.OLD): Tag.OLD,
+}
+
+#: The paper's unary (select/project) tag table.
+UNARY_TAG_TABLE: dict[Tag, Tag] = {
+    Tag.INSERT: Tag.INSERT,
+    Tag.DELETE: Tag.DELETE,
+    Tag.OLD: Tag.OLD,
+}
+
+
+def combine_join_tags(left: Tag, right: Tag) -> Tag:
+    """Tag of a joined tuple, per the paper's Section 5.3 table.
+
+    ``IGNORE`` operands are not valid inputs: the paper specifies that
+    ignored tuples are discarded *when performing the join*, so they can
+    never reach a subsequent combination.
+    """
+    try:
+        return JOIN_TAG_TABLE[(left, right)]
+    except KeyError:
+        raise ValueError(f"cannot combine tags {left!r} ⋈ {right!r}") from None
+
+
+def unary_tag(tag: Tag) -> Tag:
+    """Tag of a selected/projected tuple (identity on real tags)."""
+    try:
+        return UNARY_TAG_TABLE[tag]
+    except KeyError:
+        raise ValueError(f"{tag!r} cannot flow through a unary operator") from None
+
+
+class TaggedRelation:
+    """Tuples carrying a tag and a count: the §5.3 evaluation currency.
+
+    The map key is ``(values, tag)`` so the same tuple may legitimately
+    appear under several tags while a differential expression is being
+    evaluated (for instance, projected inserts and deletes landing on
+    the same view tuple, which later partially cancel when the delta is
+    applied to the stored view).
+    """
+
+    __slots__ = ("schema", "_counts")
+
+    def __init__(self, schema: RelationSchema) -> None:
+        self.schema = schema
+        self._counts: dict[tuple[ValueTuple, Tag], int] = {}
+
+    @classmethod
+    def from_relation(cls, relation: Relation, tag: Tag = Tag.OLD) -> "TaggedRelation":
+        """Tag every tuple of ``relation`` with ``tag`` (default ``OLD``)."""
+        out = cls(relation.schema)
+        for values, count in relation.items():
+            out._counts[(values, tag)] = count
+        return out
+
+    @classmethod
+    def from_delta(cls, delta: Delta) -> "TaggedRelation":
+        """The tagged form of a delta: inserts and deletes, tagged."""
+        out = cls(delta.schema)
+        for values, tag, count in delta.tagged_items():
+            out._counts[(values, tag)] = count
+        return out
+
+    def add(self, values: ValueTuple, tag: Tag, count: int = 1) -> None:
+        """Accumulate ``count`` copies of ``values`` under ``tag``."""
+        if tag is Tag.IGNORE:
+            return
+        if count <= 0:
+            raise MaintenanceError(f"tagged count must be positive, got {count}")
+        key = (values, tag)
+        self._counts[key] = self._counts.get(key, 0) + count
+
+    def items(self) -> Iterator[tuple[ValueTuple, Tag, int]]:
+        """Iterate ``(values, tag, count)`` triples."""
+        for (values, tag), count in self._counts.items():
+            yield values, tag, count
+
+    def __len__(self) -> int:
+        return len(self._counts)
+
+    def is_empty(self) -> bool:
+        return not self._counts
+
+    def count_of(self, values: ValueTuple, tag: Tag) -> int:
+        """The count stored for ``values`` under ``tag`` (0 when absent)."""
+        return self._counts.get((values, tag), 0)
+
+    def merge(self, other: "TaggedRelation") -> None:
+        """Accumulate all of ``other`` into this relation in place."""
+        if other.schema.names != self.schema.names:
+            raise SchemaError(
+                f"schema mismatch: {self.schema.names} vs {other.schema.names}"
+            )
+        for (values, tag), count in other._counts.items():
+            key = (values, tag)
+            self._counts[key] = self._counts.get(key, 0) + count
+
+    def to_delta(self) -> Delta:
+        """Collapse the tagged tuples into a net :class:`Delta`.
+
+        ``OLD`` tuples are dropped (they are already in the view);
+        inserts and deletes of the same tuple cancel count-wise, which
+        happens when different truth-table rows contribute opposite
+        changes that net out.
+        """
+        inserted: dict[ValueTuple, int] = {}
+        deleted: dict[ValueTuple, int] = {}
+        for (values, tag), count in self._counts.items():
+            if tag is Tag.INSERT:
+                inserted[values] = inserted.get(values, 0) + count
+            elif tag is Tag.DELETE:
+                deleted[values] = deleted.get(values, 0) + count
+        for values in list(inserted.keys() & deleted.keys()):
+            cancel = min(inserted[values], deleted[values])
+            inserted[values] -= cancel
+            deleted[values] -= cancel
+            if not inserted[values]:
+                del inserted[values]
+            if not deleted[values]:
+                del deleted[values]
+        return Delta.adopt(self.schema, inserted, deleted)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TaggedRelation):
+            return NotImplemented
+        return self.schema.names == other.schema.names and self._counts == other._counts
+
+    def __repr__(self) -> str:
+        by_tag: dict[Tag, int] = {}
+        for (_, tag), count in self._counts.items():
+            by_tag[tag] = by_tag.get(tag, 0) + count
+        summary = ", ".join(f"{t.value}:{c}" for t, c in sorted(by_tag.items(), key=lambda kv: kv[0].value))
+        return f"<TaggedRelation {list(self.schema.names)} {summary or 'empty'}>"
+
 #: Rows a probe answers: (encoded values, tag, count).
 ProbeRow = tuple[ValueTuple, Tag, int]
 #: A probe function: join-key values -> matching operand rows.
@@ -272,6 +447,36 @@ def changed_positions_for(
     )
 
 
+def old_operand(
+    post_state: Relation,
+    delta: Delta | None,
+    qualified_schema: RelationSchema,
+) -> TaggedRelation:
+    """The OLD operand: tuples present both before and after the commit.
+
+    ``post_state`` is the relation *after* the transaction applied;
+    subtracting the inserted counts recovers ``r − d_r``.  The count
+    arithmetic matters for *counted* operands (a view used as the base
+    of another view): an insertion may merely raise an existing tuple's
+    counter, in which case the pre-existing copies are still OLD.
+    """
+    out = TaggedRelation(qualified_schema)
+    inserted = delta.inserted if delta is not None else {}
+    for values, count in post_state.items():
+        remaining = count - inserted.get(values, 0)
+        if remaining > 0:
+            out.add(values, Tag.OLD, remaining)
+    return out
+
+
+def delta_operand(delta: Delta, qualified_schema: RelationSchema) -> TaggedRelation:
+    """The DELTA operand: net inserts and deletes, tagged."""
+    out = TaggedRelation(qualified_schema)
+    for values, tag, count in delta.tagged_items():
+        out.add(values, tag, count)
+    return out
+
+
 def build_operands(
     normal_form: NormalForm,
     post_instances: Mapping[str, Relation],
@@ -292,10 +497,23 @@ def build_operands(
         occ_schema = qualified.project_schema(occ.qualified_names())
         operands.append(
             LazyOperandEntry(
-                post, deltas.get(occ.name), occ_schema, i in changed_positions
+                _operand_builder(post, deltas.get(occ.name), occ_schema, i in changed_positions)
             )
         )
     return operands
+
+
+def _operand_builder(
+    post: Relation, delta: Delta | None, schema: RelationSchema, changed: bool
+) -> Callable[[DeltaRowChoice], TaggedRelation]:
+    def build(choice: DeltaRowChoice) -> TaggedRelation:
+        if choice is DeltaRowChoice.OLD:
+            return old_operand(post, delta, schema)
+        if changed and delta is not None:
+            return delta_operand(delta, schema)
+        raise MaintenanceError("DELTA operand requested for an unchanged relation")
+
+    return build
 
 
 def compute_view_delta(
@@ -473,6 +691,358 @@ class ReferenceViews:
             view.apply_delta(delta)
             if not delta.is_empty():
                 deltas[name] = delta
+
+
+# ----------------------------------------------------------------------
+# Complete re-evaluation: the tree evaluator (Sections 5.2 and 5.3)
+# ----------------------------------------------------------------------
+#
+# Counted operators over Relation (Section 5.2): projection *sums*
+# multiplicity counters, join *multiplies* them (the paper's
+# ``t(N) = u(N) * v(N)``), selection leaves them unchanged, and
+# :func:`evaluate` applies them to a whole expression tree.  Tagged
+# operators over TaggedRelation (Section 5.3) behave alike on counts and
+# combine tags per the paper's table: ``insert ⋈ delete`` pairs are
+# discarded inside the join.  Joins are hash joins keyed on the shared
+# attributes; selections are compiled to closures once per call.
+
+Predicate = Callable[[ValueTuple], bool]
+
+
+def compile_condition(condition: Condition, schema: RelationSchema) -> Predicate:
+    """Compile ``condition`` into a fast row predicate for ``schema``.
+
+    Variables are resolved to tuple positions once; the resulting
+    closure evaluates one row with no dictionary lookups.
+    """
+    if condition.is_true():
+        return lambda values: True
+    if condition.is_false():
+        return lambda values: False
+
+    op_funcs = {
+        "=": operator.eq,
+        "<": operator.lt,
+        ">": operator.gt,
+        "<=": operator.le,
+        ">=": operator.ge,
+    }
+
+    compiled_disjuncts: list[tuple[Callable, ...]] = []
+    for disjunct in condition.disjuncts:
+        atom_preds = []
+        for atom in disjunct.atoms:
+            func = op_funcs[atom.op]
+            offset = atom.offset
+            if isinstance(atom.left, Var) and isinstance(atom.right, Var):
+                li = schema.index(atom.left.name)
+                ri = schema.index(atom.right.name)
+                atom_preds.append(
+                    lambda v, f=func, li=li, ri=ri, c=offset: f(v[li], v[ri] + c)
+                )
+            elif isinstance(atom.left, Var):
+                li = schema.index(atom.left.name)
+                rc = atom.right.value + offset  # type: ignore[union-attr]
+                atom_preds.append(lambda v, f=func, li=li, rc=rc: f(v[li], rc))
+            elif isinstance(atom.right, Var):
+                lc = atom.left.value  # type: ignore[union-attr]
+                ri = schema.index(atom.right.name)
+                atom_preds.append(
+                    lambda v, f=func, lc=lc, ri=ri, c=offset: f(lc, v[ri] + c)
+                )
+            else:
+                truth = atom.truth_value()
+                atom_preds.append(lambda v, t=truth: t)
+        compiled_disjuncts.append(tuple(atom_preds))
+
+    if len(compiled_disjuncts) == 1:
+        preds = compiled_disjuncts[0]
+        return lambda values: all(p(values) for p in preds)
+
+    disjuncts = tuple(compiled_disjuncts)
+    return lambda values: any(all(p(values) for p in preds) for preds in disjuncts)
+
+
+# ----------------------------------------------------------------------
+# Counted operators over Relation
+# ----------------------------------------------------------------------
+
+def select_relation(relation: Relation, condition: Condition) -> Relation:
+    """``σ_C(r)`` — counts unchanged (the paper's note on select)."""
+    predicate = compile_condition(condition, relation.schema)
+    out = Relation(relation.schema)
+    for values, count in relation.items():
+        charge("tuples_scanned")
+        if predicate(values):
+            out._counts[values] = count
+    return out
+
+
+def project_relation(relation: Relation, attributes: Sequence[str]) -> Relation:
+    """``π_X(r)`` with summed multiplicity counters (Section 5.2)."""
+    positions = relation.schema.positions(attributes)
+    out_schema = relation.schema.project_schema(attributes)
+    out = Relation(out_schema)
+    counts = out._counts
+    for values, count in relation.items():
+        charge("tuples_scanned")
+        key = tuple(values[i] for i in positions)
+        counts[key] = counts.get(key, 0) + count
+    return out
+
+
+def join_relations(left: Relation, right: Relation) -> Relation:
+    """Natural join with multiplied counters (Section 5.2's ⋈).
+
+    Implemented as a hash join: the smaller operand is built into a hash
+    table keyed on the shared attributes.  With no shared attributes the
+    join degenerates into the cross product, as usual.
+    """
+    shared = left.schema.shared_names(right.schema)
+    out_schema = left.schema.join_schema(right.schema)
+
+    build, probe = (left, right) if len(left) <= len(right) else (right, left)
+    build_is_left = build is left
+
+    build_keys = build.schema.positions(shared)
+    probe_keys = probe.schema.positions(shared)
+
+    # Positions of the probe-side attributes that are *not* shared,
+    # needed to assemble output rows in out_schema order.
+    table: dict[ValueTuple, list[tuple[ValueTuple, int]]] = {}
+    for values, count in build.items():
+        charge("tuples_scanned")
+        key = tuple(values[i] for i in build_keys)
+        table.setdefault(key, []).append((values, count))
+
+    right_extra_positions = tuple(
+        right.schema.index(n) for n in right.schema.names if n not in set(shared)
+    )
+
+    out = Relation(out_schema)
+    counts = out._counts
+    for probe_values, probe_count in probe.items():
+        charge("join_probes")
+        key = tuple(probe_values[i] for i in probe_keys)
+        for build_values, build_count in table.get(key, ()):
+            if build_is_left:
+                lvals, rvals = build_values, probe_values
+            else:
+                lvals, rvals = probe_values, build_values
+            row = lvals + tuple(rvals[i] for i in right_extra_positions)
+            charge("tuples_emitted")
+            counts[row] = counts.get(row, 0) + build_count * probe_count
+    return out
+
+
+def rename_relation(relation: Relation, mapping: Mapping[str, str]) -> Relation:
+    """``ρ_mapping(r)`` — same tuples under a renamed schema."""
+    out = Relation(relation.schema.renamed(mapping))
+    out._counts = dict(relation._counts)
+    return out
+
+
+def product_relations(left: Relation, right: Relation) -> Relation:
+    """Cross product with multiplied counters; schemas must be disjoint."""
+    out_schema = left.schema.concat(right.schema)
+    out = Relation(out_schema)
+    counts = out._counts
+    for lvals, lcount in left.items():
+        for rvals, rcount in right.items():
+            charge("tuples_emitted")
+            counts[lvals + rvals] = lcount * rcount
+    return out
+
+
+def evaluate(expression: Expression, instances: Mapping[str, Relation]) -> Relation:
+    """Fully evaluate an SPJ expression — complete re-evaluation.
+
+    ``instances`` maps base-relation names to their current contents.
+    This is the paper's "re-evaluating the relational expression that
+    defines the view": the baseline the benchmarks measure the
+    differential algorithm against, held to the SQL ground truth by the
+    tests.
+    """
+    catalog = {name: rel.schema for name, rel in instances.items()}
+    # Validates the tree up front, including condition variable scoping.
+    expression.schema(catalog)
+    return _evaluate_node(expression, instances)
+
+
+def _evaluate_node(
+    expression: Expression, instances: Mapping[str, Relation]
+) -> Relation:
+    if isinstance(expression, BaseRef):
+        return instances[expression.name]
+    if isinstance(expression, Select):
+        return select_relation(
+            _evaluate_node(expression.child, instances), expression.condition
+        )
+    if isinstance(expression, Project):
+        return project_relation(
+            _evaluate_node(expression.child, instances), expression.attributes
+        )
+    if isinstance(expression, Join):
+        return join_relations(
+            _evaluate_node(expression.left, instances),
+            _evaluate_node(expression.right, instances),
+        )
+    if isinstance(expression, Product):
+        return product_relations(
+            _evaluate_node(expression.left, instances),
+            _evaluate_node(expression.right, instances),
+        )
+    if isinstance(expression, Rename):
+        return rename_relation(
+            _evaluate_node(expression.child, instances), expression.mapping
+        )
+    if isinstance(expression, Union):
+        left = _evaluate_node(expression.left, instances)
+        right = _evaluate_node(expression.right, instances)
+        return _align_schema(left, right.schema).union(right)
+    if isinstance(expression, Difference):
+        left = _evaluate_node(expression.left, instances)
+        right = _evaluate_node(expression.right, instances)
+        return left.difference(_align_schema(right, left.schema))
+    if isinstance(expression, Aggregate):
+        return aggregate_relation(
+            _evaluate_node(expression.child, instances), expression.spec
+        )
+    raise ExpressionError(f"cannot evaluate {type(expression).__name__}")
+
+
+def _align_schema(relation: Relation, target: RelationSchema) -> Relation:
+    """Rebind a relation to an equally-named schema (domains may differ
+    in provenance but names match by Union/Difference validation)."""
+    if relation.schema is target or relation.schema == target:
+        return relation
+    out = Relation(target)
+    out._counts = dict(relation._counts)
+    return out
+
+
+def aggregate_relation(relation: Relation, spec: AggregateSpec) -> Relation:
+    """Full evaluation: group ``relation`` and render every group.
+
+    The input must produce every key and aggregate input attribute
+    (it is typically the evaluated SPJ core).  Each non-empty group
+    yields exactly one visible row with count 1 — aggregate view
+    contents are sets, the multiplicity machinery lives underneath in
+    the core support.  With no grouping keys the whole relation is one
+    group, and an empty input yields an empty view (no row, matching
+    SQL's ``GROUP BY ()`` with zero groups rather than a NULL row —
+    documented in docs/aggregates.md).
+    """
+    schema = relation.schema
+    key_positions = schema.positions(spec.keys)
+    plans = column_plans(spec, schema)
+    groups: dict[ValueTuple, dict[ValueTuple, int]] = {}
+    for values, count in relation.items():
+        charge("tuples_scanned")
+        key = tuple(values[i] for i in key_positions)
+        bag = groups.setdefault(key, {})
+        bag[values] = bag.get(values, 0) + count
+    counts: dict[ValueTuple, int] = {}
+    for key in sorted(groups):
+        row = render_group(key, groups[key], plans)
+        if row is not None:
+            counts[row] = 1
+    return Relation.from_counts(spec.output_schema(schema), counts)
+
+
+def counted_projection_distributes(
+    r1: Relation, r2: Relation, attributes: Sequence[str]
+) -> bool:
+    """Check ``π_X(r₁ − r₂) = π_X(r₁) − π_X(r₂)`` under counted semantics.
+
+    ``r₂`` must be a counted sub-multiset of ``r₁`` for the left side to
+    be defined.  The paper claims the redefined projection makes the
+    identity hold; the property tests drive this over random relations.
+    """
+    left = project_relation(r1.difference(r2), attributes)
+    right = project_relation(r1, attributes).difference(
+        project_relation(r2, attributes)
+    )
+    return left == right
+
+
+# ----------------------------------------------------------------------
+# Tagged operators over TaggedRelation (Section 5.3)
+# ----------------------------------------------------------------------
+
+def tagged_select(relation: TaggedRelation, condition: Condition) -> TaggedRelation:
+    """``σ_C`` over tagged tuples; tags pass through unchanged."""
+    predicate = compile_condition(condition, relation.schema)
+    out = TaggedRelation(relation.schema)
+    for values, tag, count in relation.items():
+        charge("tuples_scanned")
+        if predicate(values):
+            out.add(values, tag, count)
+    return out
+
+
+def tagged_project(
+    relation: TaggedRelation, attributes: Sequence[str]
+) -> TaggedRelation:
+    """``π_X`` over tagged tuples; counts sum *per tag*."""
+    positions = relation.schema.positions(attributes)
+    out = TaggedRelation(relation.schema.project_schema(attributes))
+    for values, tag, count in relation.items():
+        charge("tuples_scanned")
+        out.add(tuple(values[i] for i in positions), tag, count)
+    return out
+
+
+def tagged_join(left: TaggedRelation, right: TaggedRelation) -> TaggedRelation:
+    """Natural join over tagged tuples, combining tags per the paper.
+
+    ``insert ⋈ delete`` combinations yield ``IGNORE`` and are dropped
+    inside the join, exactly as Section 5.3 specifies.
+    """
+    shared = left.schema.shared_names(right.schema)
+    out_schema = left.schema.join_schema(right.schema)
+
+    left_keys = left.schema.positions(shared)
+    right_keys = right.schema.positions(shared)
+    shared_set = set(shared)
+    right_extra_positions = tuple(
+        right.schema.index(n) for n in right.schema.names if n not in shared_set
+    )
+
+    table: dict[ValueTuple, list[tuple[ValueTuple, Tag, int]]] = {}
+    for values, tag, count in left.items():
+        charge("tuples_scanned")
+        key = tuple(values[i] for i in left_keys)
+        table.setdefault(key, []).append((values, tag, count))
+
+    out = TaggedRelation(out_schema)
+    for rvalues, rtag, rcount in right.items():
+        charge("join_probes")
+        key = tuple(rvalues[i] for i in right_keys)
+        for lvalues, ltag, lcount in table.get(key, ()):
+            tag = combine_join_tags(ltag, rtag)
+            if tag is Tag.IGNORE:
+                charge("tuples_ignored")
+                continue
+            row = lvalues + tuple(rvalues[i] for i in right_extra_positions)
+            charge("tuples_emitted")
+            out.add(row, tag, lcount * rcount)
+    return out
+
+
+def tagged_product(left: TaggedRelation, right: TaggedRelation) -> TaggedRelation:
+    """Cross product over tagged tuples (disjoint schemas)."""
+    out_schema = left.schema.concat(right.schema)
+    out = TaggedRelation(out_schema)
+    for lvalues, ltag, lcount in left.items():
+        for rvalues, rtag, rcount in right.items():
+            tag = combine_join_tags(ltag, rtag)
+            if tag is Tag.IGNORE:
+                charge("tuples_ignored")
+                continue
+            charge("tuples_emitted")
+            out.add(lvalues + rvalues, tag, lcount * rcount)
+    return out
 
 
 # ----------------------------------------------------------------------

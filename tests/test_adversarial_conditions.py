@@ -10,14 +10,13 @@ self-loops), and join operands linked to the accumulator through
 import pytest
 
 from repro.algebra.conditions import Atom, parse_condition
-from repro.algebra.evaluate import evaluate
 from repro.algebra.expressions import BaseRef, to_normal_form
 from repro.algebra.schema import RelationSchema
 from repro.core.irrelevance import RelevanceFilter, is_irrelevant_update
 from repro.core.maintainer import ViewMaintainer
 from repro.core.satisfiability import is_satisfiable_conjunction
 from repro.engine.database import Database
-from tests.reference import evaluate_normal_form
+from tests.reference import evaluate, evaluate_normal_form
 
 
 class TestSelfReferentialAtoms:

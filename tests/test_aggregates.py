@@ -38,14 +38,13 @@ from repro import (
     ViewMaintainer,
     recover,
 )
-from repro.algebra.evaluate import evaluate
 from repro.algebra.relation import Delta
 from repro.baselines.full_reevaluation import FullReevaluationMaintainer
 from repro.errors import MaintenanceError, ViewDefinitionError, ViewQuarantinedError
 from repro.extensions.estimator import AdaptiveMaintainer
 from repro.instrumentation import CostRecorder, recording
 from repro.simulation.workload import BASE_TABLES
-from tests.reference import ReferenceViews
+from tests.reference import ReferenceViews, evaluate
 from tests.strategies import aggregate_expressions, update_streams
 
 #: The maintainer (generated fold kernel) and the reference functions

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from repro.algebra.evaluate import evaluate, project_relation
 from repro.algebra.expressions import BaseRef
 from repro.algebra.relation import Delta, Relation
 from repro.algebra.schema import RelationSchema
@@ -15,6 +14,7 @@ from repro.engine.database import Database
 from repro.errors import MaintenanceError, SchemaError, UnknownViewError
 
 from tests.conftest import run_random_transactions
+from tests.reference import evaluate, project_relation
 
 
 @pytest.fixture

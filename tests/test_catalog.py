@@ -26,7 +26,6 @@ import threading
 
 import pytest
 
-from repro.algebra.evaluate import evaluate
 from repro.algebra.expressions import BaseRef
 from repro.cli import run_serve, run_serve_cluster
 from repro.core.maintainer import ViewMaintainer
@@ -47,6 +46,7 @@ from repro.replication.follower import Follower
 from repro.replication.recovery import Recovery
 from repro.server import ViewClient, protocol
 from repro.server.protocol import ServerError
+from tests.reference import evaluate
 
 #: r's rows reach p through the foreign key onto p's key: the view is
 #: FK-reducible and, keyed, counter-free.

@@ -6,15 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algebra.evaluate import project_relation
 from repro.algebra.relation import Delta, Relation
 from repro.algebra.schema import RelationSchema
 from repro.core.counting import (
-    counted_projection_distributes,
     maintain_project_view,
     project_delta,
 )
 from repro.errors import MaintenanceError
+from tests.reference import counted_projection_distributes, project_relation
 
 
 @pytest.fixture

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from repro.algebra.evaluate import evaluate
 from repro.algebra.expressions import BaseRef
 from repro.core.consistency import check_view_consistency
 from repro.engine.database import Database
@@ -14,6 +13,7 @@ from repro.extensions.estimator import (
     MaintenanceCostModel,
     StrategyDecision,
 )
+from tests.reference import evaluate
 
 
 @pytest.fixture

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.algebra.conditions import Condition
-from repro.algebra.evaluate import (
+from repro.algebra.expressions import BaseRef
+from repro.algebra.relation import Relation
+from repro.algebra.schema import RelationSchema
+from repro.algebra.tags import Tag
+from tests.reference import (
+    TaggedRelation,
     compile_condition,
     evaluate,
     join_relations,
@@ -16,10 +21,6 @@ from repro.algebra.evaluate import (
     tagged_project,
     tagged_select,
 )
-from repro.algebra.expressions import BaseRef
-from repro.algebra.relation import Relation, TaggedRelation
-from repro.algebra.schema import RelationSchema
-from repro.algebra.tags import Tag
 
 
 @pytest.fixture

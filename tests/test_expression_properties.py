@@ -18,7 +18,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.algebra.conditions import Atom, Condition
-from repro.algebra.evaluate import evaluate
 from repro.algebra.expressions import (
     BaseRef,
     Expression,
@@ -30,6 +29,7 @@ from repro.algebra.schema import RelationSchema
 from repro.core.consistency import check_view_consistency
 from repro.core.maintainer import ViewMaintainer
 from repro.engine.database import Database
+from tests.reference import evaluate
 
 CATALOG = {
     "r": RelationSchema(["A", "B"]),

@@ -4,13 +4,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.algebra.evaluate import evaluate
 from repro.algebra.expressions import BaseRef
 from repro.algebra.relation import Delta, HashIndex, Relation
 from repro.algebra.schema import RelationSchema
 from repro.core.maintainer import ViewMaintainer
 from repro.engine.database import Database
 from repro.errors import MaintenanceError, SchemaError
+from tests.reference import evaluate
 
 
 @pytest.fixture

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from repro.algebra.evaluate import evaluate
 from repro.algebra.expressions import BaseRef, to_normal_form
 from repro.algebra.relation import Delta, Relation
 from repro.algebra.schema import RelationSchema
@@ -15,7 +14,7 @@ from repro.core.irrelevance import (
     is_irrelevant_update,
 )
 from repro.errors import MaintenanceError
-from tests.reference import filter_delta
+from tests.reference import evaluate, filter_delta
 
 
 @pytest.fixture

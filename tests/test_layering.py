@@ -1,6 +1,6 @@
 """Which layer may import what, read from the source with ``ast``.
 
-Two rules:
+Three rules:
 
 * the system — the layers a ``repro.cli`` verb runs, and the metrics
   registry — imports none of the apparatus kept beside it (benchmark
@@ -9,11 +9,17 @@ Two rules:
 * one engine: ``src/`` runs the compiled kernels and nothing else.  The
   per-tuple reference they are held to lives with the tests
   (``tests/reference.py``); no module of ``src/`` imports it, or
-  ``tests`` at all, or defines one of its evaluators again.
+  ``tests`` at all, or defines one of its evaluators again;
+* one ground truth that shares nothing with that engine: the SQL
+  translator (``algebra/sqlite_oracle.py``) imports the standard
+  library only.
 """
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from repro.algebra.expressions import BaseRef
@@ -53,6 +59,27 @@ REFERENCE_LIBRARY = {
     "screen_delta",
     "index_probe_for",
     "RowWalker",
+    # The tree evaluator and the tag algebra it runs on.  ``evaluate``
+    # is left out: ``CompiledViewPlan.evaluate`` defines it too.
+    "compile_condition",
+    "select_relation",
+    "project_relation",
+    "join_relations",
+    "rename_relation",
+    "product_relations",
+    "aggregate_relation",
+    "tagged_select",
+    "tagged_project",
+    "tagged_join",
+    "tagged_product",
+    "counted_projection_distributes",
+    "TaggedRelation",
+    "JOIN_TAG_TABLE",
+    "UNARY_TAG_TABLE",
+    "combine_join_tags",
+    "unary_tag",
+    "old_operand",
+    "delta_operand",
 }
 
 
@@ -102,8 +129,38 @@ def test_no_module_in_src_imports_or_defines_the_reference_library():
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and node.name in REFERENCE_LIBRARY
         ]
+        + [
+            target.id
+            for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Name) and target.id in REFERENCE_LIBRARY
+        ]
     )
     assert offenders == []
+
+
+def test_the_sql_oracle_imports_the_standard_library_only():
+    tree = ast.parse((SRC / "algebra" / "sqlite_oracle.py").read_text("utf-8"))
+    imported = {module.split(".")[0] for module, _ in _imports(tree)}
+    assert imported - {"__future__"} <= sys.stdlib_module_names
+    assert "sqlite3" in imported
+    # sqlite3 is imported when an oracle is made, not with the module.
+    assert not any(
+        isinstance(node, ast.Import) and any(a.name == "sqlite3" for a in node.names)
+        for node in tree.body
+    )
+
+
+def test_the_shell_does_not_import_sqlite():
+    """``import repro.cli`` (what ``serve`` and the benchmark host run)
+    leaves ``sqlite3`` to the first check that needs it."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, repro.cli; print('sqlite3' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert loaded.stdout.strip() == "False"
 
 
 def test_the_row_planner_has_no_interpreter_knobs():

@@ -11,7 +11,8 @@ OLD ``r − d_r`` is empty (``CompiledViewPlan.evaluate``).  Pinned here:
   operand, COUNT/SUM/AVG/MIN/MAX aggregates, FK-reduced and
   counter-free plans under declared keys, an always-empty plan, an
   empty operand and a tie for the largest operand, the contents equal
-  :func:`repro.algebra.evaluate.evaluate`, the naive tree walker;
+  ``tests/reference.py``'s :func:`evaluate`, the naive tree walker
+  (which ``test_sqlite_oracle.py`` holds to the SQL ground truth);
 * **the lazy-index lifecycle holds exactly** — in every case no operand
   gains or loses an index, the plan binds none, and no DDL hook fires;
 * **a failed materialization leaves no trace** — a row kernel that
@@ -27,8 +28,8 @@ from hypothesis import strategies as st
 
 import repro.core.compiled as compiled
 from repro import BaseRef, Database, ViewMaintainer
-from repro.algebra.evaluate import evaluate
 from repro.errors import UnknownViewError
+from tests.reference import evaluate
 from tests.strategies import (
     SPJ_TABLES,
     aggregate_expressions,

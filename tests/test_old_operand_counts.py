@@ -14,9 +14,8 @@ from repro import BaseRef, Database, ViewMaintainer
 from repro.algebra.relation import Delta, Relation
 from repro.algebra.schema import RelationSchema
 from repro.algebra.tags import Tag
-from repro.core.differential import _old_operand
 from repro.instrumentation import CostRecorder, recording
-from tests.reference import REFERENCE_PARITY_COUNTERS, ReferenceViews
+from tests.reference import REFERENCE_PARITY_COUNTERS, ReferenceViews, old_operand
 
 SCHEMA = RelationSchema(["A"])
 
@@ -33,16 +32,16 @@ class TestSetSemantics:
     def test_inserted_tuple_excluded(self):
         post = Relation.from_rows(SCHEMA, [(1,), (2,)])
         delta = Delta(SCHEMA, inserted=[(2,)])
-        assert _counts(_old_operand(post, delta, SCHEMA)) == {(1,): 1}
+        assert _counts(old_operand(post, delta, SCHEMA)) == {(1,): 1}
 
     def test_deleted_tuple_absent_from_post_already(self):
         post = Relation.from_rows(SCHEMA, [(1,)])
         delta = Delta(SCHEMA, deleted=[(9,)])
-        assert _counts(_old_operand(post, delta, SCHEMA)) == {(1,): 1}
+        assert _counts(old_operand(post, delta, SCHEMA)) == {(1,): 1}
 
     def test_no_delta(self):
         post = Relation.from_rows(SCHEMA, [(1,), (2,)])
-        assert _counts(_old_operand(post, None, SCHEMA)) == {(1,): 1, (2,): 1}
+        assert _counts(old_operand(post, None, SCHEMA)) == {(1,): 1, (2,): 1}
 
 
 class TestCountedSemantics:
@@ -50,18 +49,18 @@ class TestCountedSemantics:
         # Pre-state count 2; insert raises it to 5. OLD must be 2.
         post = Relation.from_counts(SCHEMA, {(1,): 5})
         delta = Delta.from_counts(SCHEMA, {(1,): 3}, {})
-        assert _counts(_old_operand(post, delta, SCHEMA)) == {(1,): 2}
+        assert _counts(old_operand(post, delta, SCHEMA)) == {(1,): 2}
 
     def test_full_insert_excludes_tuple(self):
         post = Relation.from_counts(SCHEMA, {(1,): 3})
         delta = Delta.from_counts(SCHEMA, {(1,): 3}, {})
-        assert _counts(_old_operand(post, delta, SCHEMA)) == {}
+        assert _counts(old_operand(post, delta, SCHEMA)) == {}
 
     def test_partial_delete_remainder_is_old(self):
         # Pre-state count 5, delete 2: post holds 3, all of them OLD.
         post = Relation.from_counts(SCHEMA, {(1,): 3})
         delta = Delta.from_counts(SCHEMA, {}, {(1,): 2})
-        assert _counts(_old_operand(post, delta, SCHEMA)) == {(1,): 3}
+        assert _counts(old_operand(post, delta, SCHEMA)) == {(1,): 3}
 
     def test_identity_old_equals_pre_minus_deletes(self):
         """old = post − i must equal pre − d, count for count."""
@@ -69,7 +68,7 @@ class TestCountedSemantics:
         delta = Delta.from_counts(SCHEMA, {(1,): 2, (4,): 1}, {(2,): 1, (3,): 1})
         post = pre.copy()
         delta.apply_to(post)
-        old = _counts(_old_operand(post, delta, SCHEMA))
+        old = _counts(old_operand(post, delta, SCHEMA))
         expected = {}
         for values, count in pre.items():
             remaining = count - delta.deleted.get(values, 0)

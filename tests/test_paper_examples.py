@@ -6,7 +6,6 @@ paper's stated outcomes line by line.
 
 import pytest
 
-from repro.algebra.evaluate import evaluate
 from repro.algebra.expressions import BaseRef, to_normal_form
 from repro.algebra.relation import Delta, Relation
 from repro.algebra.schema import RelationSchema
@@ -15,7 +14,7 @@ from repro.core.maintainer import ViewMaintainer
 from repro.core.truthtable import enumerate_delta_rows, render_row
 from repro.engine.database import Database
 from repro.workloads.scenarios import example_4_1
-from tests.reference import compute_view_delta
+from tests.reference import compute_view_delta, evaluate
 
 
 class TestExample41:

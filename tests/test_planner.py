@@ -4,13 +4,18 @@ through the reference walker (sharing switch, index hook)."""
 import pytest
 
 from repro.algebra.expressions import BaseRef, to_normal_form
-from repro.algebra.relation import Delta, Relation, TaggedRelation
+from repro.algebra.relation import Delta, Relation
 from repro.algebra.schema import RelationSchema
 from repro.algebra.tags import Tag
 from repro.core.planner import RowPlanner
 from repro.core.truthtable import DeltaRowChoice, enumerate_delta_rows
 from repro.instrumentation import CostRecorder, recording
-from tests.reference import RowWalker, compute_view_delta, evaluate_normal_form
+from tests.reference import (
+    RowWalker,
+    TaggedRelation,
+    compute_view_delta,
+    evaluate_normal_form,
+)
 
 
 @pytest.fixture
@@ -52,7 +57,7 @@ class TestEvaluateNormalForm:
         ],
     )
     def test_agrees_with_tree_evaluator(self, make_expr, catalog):
-        from repro.algebra.evaluate import evaluate
+        from tests.reference import evaluate
 
         instances = _chain_instances(catalog)
         expr = make_expr()
@@ -112,7 +117,7 @@ class TestSubexpressionSharing:
 class TestEqualityLinkOffsets:
     def test_join_on_offset_equality(self, catalog):
         """x = y + c equality atoms must be honoured as shifted hash keys."""
-        from repro.algebra.evaluate import evaluate
+        from tests.reference import evaluate
 
         expr = (
             BaseRef("r")

@@ -22,7 +22,6 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.algebra.evaluate import evaluate
 from repro.algebra.expressions import BaseRef, to_normal_form
 from repro.algebra.relation import Relation
 from repro.algebra.schema import RelationSchema
@@ -36,6 +35,7 @@ from repro.engine.database import Database
 from tests.reference import (
     ReferenceViews,
     compute_view_delta,
+    evaluate,
     evaluate_normal_form,
     filter_delta,
 )

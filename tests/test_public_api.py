@@ -40,6 +40,17 @@ class TestExports:
             assert name not in repro.core.__all__
             assert not hasattr(repro, name)
 
+    def test_the_tree_evaluator_and_tag_algebra_are_not_public(self):
+        """They live in ``tests/reference.py``; a view's ground truth is
+        ``check_view_consistency`` (SQL on ``sqlite3``)."""
+        import repro.algebra
+
+        for name in ("evaluate", "TaggedRelation", "combine_join_tags", "unary_tag"):
+            assert name not in repro.__all__
+            assert name not in repro.algebra.__all__
+            assert not hasattr(repro, name)
+            assert not hasattr(repro.algebra, name)
+
 
 class TestQuickstartDocstring:
     def test_readme_quickstart_flow(self):

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.algebra.relation import Delta, Relation, TaggedRelation
+from repro.algebra.relation import Delta, Relation
 from repro.algebra.schema import RelationSchema
 from repro.algebra.tags import Tag
 from repro.errors import MaintenanceError, SchemaError
+from tests.reference import TaggedRelation
 
 
 @pytest.fixture

@@ -9,9 +9,10 @@ invariants, over random inputs.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algebra.relation import Delta, Relation, TaggedRelation
+from repro.algebra.relation import Delta, Relation
 from repro.algebra.schema import RelationSchema
 from repro.algebra.tags import Tag
+from tests.reference import TaggedRelation
 
 SCHEMA = RelationSchema(["A", "B"])
 

@@ -5,11 +5,11 @@ import random
 import pytest
 
 from repro.algebra.conditions import parse_condition
-from repro.algebra.evaluate import evaluate
 from repro.algebra.expressions import BaseRef, Select
 from repro.algebra.relation import Relation
 from repro.algebra.rewrites import is_spj, push_selections, simplify_condition
 from repro.algebra.schema import RelationSchema
+from tests.reference import evaluate
 
 
 @pytest.fixture

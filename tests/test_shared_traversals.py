@@ -6,9 +6,9 @@ same deltas through the same screens (``codegen.traversals``).  Two
 properties keep that honest:
 
 * every view's contents equal what ``sqlite3`` computes from the base
-  rows (``tests/sqlite_oracle.py``, which shares no code with the
-  system), after every commit of a stream over the macrobench catalog,
-  over generated groups of views sharing a core, and over
+  rows (``repro.algebra.sqlite_oracle``, which shares no code with the
+  kernels), after every commit of a stream over the macrobench
+  catalog, over generated groups of views sharing a core, and over
   ``test_row_orders.py``'s chain, star, self-join and DNF views;
 * sharing is invisible per view: each view's contents, subscriber
   deltas and always-on row equal those of the same view defined alone,
@@ -28,10 +28,10 @@ from hypothesis import strategies as st
 
 from repro import BaseRef, CostRecorder, Database, ViewMaintainer, recording
 from repro.algebra.conditions import Atom, Condition, Conjunction
+from repro.algebra.sqlite_oracle import SqliteOracle
 from repro.cli import parse_view_expression
 from repro.core.codegen import TRIGGER_ROW_COUNTS
 from tests import test_row_orders as row_orders
-from tests.sqlite_oracle import SqliteOracle
 from tests.strategies import SPJ_TABLES, update_streams
 
 #: The counters a traversal charges; a shared one charges them once.
@@ -63,12 +63,12 @@ def _catalog():
     return assigned["VIEW_SPECS"], assigned["KEYS"]
 
 
-def _assert_matches_sqlite(db, maintainer, definitions, oracle):
-    oracle.load()
-    for name in definitions:
-        expected = sorted(oracle.contents(definitions, name).items())
-        got = sorted(maintainer.view(name).contents.count_map.items())
-        assert repr(got) == repr(expected), name
+def _assert_matches_sqlite(db, maintainer, definitions):
+    with SqliteOracle(db.instances()) as oracle:
+        for name in definitions:
+            expected = sorted(oracle.contents(definitions[name], definitions).items())
+            got = sorted(maintainer.view(name).contents.count_map.items())
+            assert repr(got) == repr(expected), name
 
 
 # ----------------------------------------------------------------------
@@ -145,14 +145,10 @@ def test_the_macrobench_catalog_matches_sqlite_after_every_commit(stream):
         (["pricey_open", "cat_price", "pricey_open_1", "cat_price_1", "cheap_lines"], "cat_price"),
         (["region_activity", "region_qty", "region_activity_1", "region_qty_1"], "region_activity"),
     ]
-    oracle = SqliteOracle(db)
-    try:
-        _assert_matches_sqlite(db, maintainer, definitions, oracle)
-        for inserts, deletes in commits:
-            db.apply(inserts=inserts, deletes=deletes)
-            _assert_matches_sqlite(db, maintainer, definitions, oracle)
-    finally:
-        oracle.close()
+    _assert_matches_sqlite(db, maintainer, definitions)
+    for inserts, deletes in commits:
+        db.apply(inserts=inserts, deletes=deletes)
+        _assert_matches_sqlite(db, maintainer, definitions)
 
 
 # ----------------------------------------------------------------------
@@ -249,16 +245,12 @@ def test_views_sharing_a_traversal_match_sqlite(group, stream):
     _, definitions = group
     initial, transactions = stream
     db, maintainer, _, _, _ = _run(definitions, initial, [])
-    oracle = SqliteOracle(db)
-    try:
-        for ops in transactions:
-            txn = db.begin()
-            for op, name, row in ops:
-                (txn.insert if op == "ins" else txn.delete)(name, row)
-            txn.commit()
-            _assert_matches_sqlite(db, maintainer, definitions, oracle)
-    finally:
-        oracle.close()
+    for ops in transactions:
+        txn = db.begin()
+        for op, name, row in ops:
+            (txn.insert if op == "ins" else txn.delete)(name, row)
+        txn.commit()
+        _assert_matches_sqlite(db, maintainer, definitions)
 
 
 @QUICK
@@ -354,13 +346,9 @@ def test_the_row_order_views_match_sqlite(a_rows, b_rows, c_rows, stream):
     maintainer = ViewMaintainer(db)
     for name, expression in row_orders.VIEWS.items():
         maintainer.define_view(name, expression)
-    oracle = SqliteOracle(db)
-    try:
-        for txn_ops in stream:
-            row_orders._replay(db, [txn_ops])
-            _assert_matches_sqlite(db, maintainer, row_orders.VIEWS, oracle)
-    finally:
-        oracle.close()
+    for txn_ops in stream:
+        row_orders._replay(db, [txn_ops])
+        _assert_matches_sqlite(db, maintainer, row_orders.VIEWS)
 
 
 def test_a_tighter_bound_takes_the_looser_views_traversal():
@@ -377,11 +365,7 @@ def test_a_tighter_bound_takes_the_looser_views_traversal():
         maintainer.define_view(name, expression)
     assert maintainer.shared_traversals(["r"]) == [(["tight", "loose"], "loose")]
     assert maintainer.explain("tight", ["r"]).endswith("this view's finish re-checks D >= 4")
-    oracle = SqliteOracle(db)
-    try:
-        for inserts, deletes in [({"r": [(3, 3), (4, 2)]}, {}), ({}, {"r": [(1, 2)]}),
-                                 ({"r": [(5, 3)]}, {"r": [(2, 3)]})]:
-            db.apply(inserts=inserts, deletes=deletes)
-            _assert_matches_sqlite(db, maintainer, definitions, oracle)
-    finally:
-        oracle.close()
+    for inserts, deletes in [({"r": [(3, 3), (4, 2)]}, {}), ({}, {"r": [(1, 2)]}),
+                             ({"r": [(5, 3)]}, {"r": [(2, 3)]})]:
+        db.apply(inserts=inserts, deletes=deletes)
+        _assert_matches_sqlite(db, maintainer, definitions)

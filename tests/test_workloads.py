@@ -124,7 +124,7 @@ class TestScenarios:
             (2, 10),
             (10, 20),
         }
-        from repro.algebra.evaluate import evaluate
+        from tests.reference import evaluate
 
         view = evaluate(sc.expression, sc.database.instances())
         assert view.counts() == {(5, 20): 1}
@@ -136,7 +136,7 @@ class TestScenarios:
 
     def test_sales_scenario_view_evaluates(self):
         sc = sales_scenario(customers=20, orders=50)
-        from repro.algebra.evaluate import evaluate
+        from tests.reference import evaluate
 
         view = evaluate(sc.expression, sc.database.instances())
         # Every surviving order satisfies the condition.
