@@ -26,7 +26,6 @@ from types import MappingProxyType
 from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.algebra.schema import RelationSchema
-from repro.algebra.tags import Tag
 from repro.algebra.tuples import Row, coerce_row
 from repro.errors import DomainError, MaintenanceError, SchemaError
 from repro.instrumentation import charge
@@ -560,13 +559,6 @@ class Delta:
     def delete_count(self) -> int:
         """Number of distinct net-deleted tuples."""
         return len(self.deleted)
-
-    def tagged_items(self) -> Iterator[tuple[ValueTuple, Tag, int]]:
-        """Iterate the delta as tagged tuples, the §5.3 representation."""
-        for values, count in self.inserted.items():
-            yield values, Tag.INSERT, count
-        for values, count in self.deleted.items():
-            yield values, Tag.DELETE, count
 
     def apply_to(self, relation: Relation) -> None:
         """Apply this delta in place: ``r := r ∪ i_r − d_r``.

@@ -27,8 +27,8 @@ registration time* instead of against tuples at update time:
     with a column subset means one view is computable from the other.
 (f) **Plan lint** (WARN / INFO) — OLD operands joined with no equality
     links (every maintenance step scans them in full, no index can
-    help) and truth-table delta rows that can never fire because they
-    require a delta from a statically irrelevant relation.
+    help) and delta terms that can never fire because they require a
+    delta from a statically irrelevant relation.
 (g) **Self-maintainability** (INFO) — the view is maintainable from
     its own counted contents plus the delta, with no base-relation
     access (:mod:`repro.scheduler.selfmaint`), so a ``base_free=True``
@@ -414,7 +414,7 @@ def _loose_bound_findings(
 def _plan_lint_findings(
     view_name: str, nf: "NormalForm", plan: "CompiledViewPlan"
 ) -> list[Finding]:
-    """Check (f): lint the compiled plan's join orders and truth table."""
+    """Check (f): lint the compiled plan's join orders and delta terms."""
     findings: list[Finding] = []
     p = len(nf.occurrences)
 
@@ -445,23 +445,21 @@ def _plan_lint_findings(
                 )
             )
 
-    # Truth-table rows that can never fire: a row assigning a delta to
-    # a statically irrelevant occurrence requires tuples the relevance
-    # stage provably never passes through.
+    # Delta terms that can never fire: the term of a statically
+    # irrelevant occurrence opens with tuples the relevance stage
+    # provably never passes through.  (Section 5.3's table would count
+    # every row holding such a delta: 2^p − 2^(p − dead) of 2^p − 1.)
     static = sorted(plan.static_irrelevant)
     if static:
-        static_positions = sum(
+        dead_terms = sum(
             1 for occ in nf.occurrences if occ.name in plan.static_irrelevant
         )
-        total_rows = 2**p - 1
-        live_rows = 2 ** (p - static_positions) - 1
-        dead_rows = total_rows - live_rows
         findings.append(
             Finding(
                 F_DEAD_TRUTH_ROWS,
                 view_name,
                 ", ".join(static),
-                f"{dead_rows} of {total_rows} truth-table delta rows "
+                f"{dead_terms} of {p} delta terms (one per occurrence) "
                 f"require a delta from statically irrelevant relation(s) "
                 f"[{', '.join(static)}] and can never fire",
             )

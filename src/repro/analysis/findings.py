@@ -68,8 +68,9 @@ F_SUBSUMED_VIEW = "subsumed_view"
 #: Check (f): an OLD operand is joined with no equality links — every
 #: maintenance step scans it in full (no index binding possible).
 F_UNBOUND_OLD_OPERAND = "unbound_old_operand"
-#: Check (f): truth-table delta rows that can never fire because they
-#: require a delta from a statically irrelevant relation.
+#: Check (f): delta terms (one per occurrence; Section 5.3's truth-table
+#: rows, telescoped) that can never fire because they require a delta
+#: from a statically irrelevant relation.
 F_DEAD_TRUTH_ROWS = "dead_truth_table_rows"
 #: Check (g): the view is self-maintainable — maintainable from its own
 #: counted contents plus the delta, with no base-relation access — so a

@@ -18,14 +18,15 @@ whole batches:
   delta's two count dicts, with the invariant APSP distances baked into
   the source as integer literals and the variant bounds unrolled into
   ``min``/``max`` expressions plus the O(B²) negative-cycle probes;
-* **row kernels** — one per truth-table shape: the ops the planner
-  lowered the shape to (:class:`~repro.core.planner.ShapeOps`, one
-  node per distinct (position, choice) prefix of the rows' delta-rooted
-  join orders) unrolled into pipelined loops — a scan of the changed
-  operands' count dicts, hash-table lookups and index probes of the OLD
-  ones (a base relation's index or an upstream view's own) — with
-  equality-link keys, pre/post-filters and the paper's tag algebra all
-  inlined (``insert ⊗ delete`` pairs dropped in-loop), each joined row
+* **row kernels** — one per shape (the set of changed occurrences):
+  the ops the planner lowered the shape's terms to
+  (:class:`~repro.core.planner.ShapeOps`, one node per step of each
+  term's delta-rooted join order) unrolled into pipelined loops — a
+  scan of one changed operand's count dicts per term, hash-table
+  lookups and index probes of the others (a base relation's index or
+  an upstream view's own, read as stored or as before the commit) —
+  with equality-link keys and pre/post-filters inlined, and the term's
+  tag the delta's, each joined row
   folded in the innermost loop into its finish: the final DNF re-check,
   projection and Section 5.2 multiplicity counters in plain ``dict``
   accumulators, collapsed to a net view delta by
@@ -54,9 +55,8 @@ Relation and attribute names are chosen by users and reach generated
 text only inside comments, always through :func:`quoted`, so no
 identifier can end its comment and start a statement.
 
-Every shape runs on kernels, however wide: a truth table past
-:data:`MAX_CODEGEN_ROWS` rows is emitted and compiled as row kernels of
-at most that many rows each, which ``row_kernel`` calls in sequence.
+Every shape runs on kernels, however wide: a shape of k changed
+occurrences is k terms, one function.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ import functools
 import re
 from collections import defaultdict
 from types import CodeType
-from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, AbstractSet, Any, Callable, Mapping, NamedTuple, Sequence
 
 from repro.algebra.aggregates import column_plans
 from repro.algebra.conditions import Atom, Condition, Var
@@ -75,8 +75,7 @@ from repro.algebra.tags import Tag
 from repro.core.aggregates import accumulator_slots
 from repro.core.counting import net_counts
 from repro.core.graph import INF, ZERO
-from repro.core.planner import Access
-from repro.core.truthtable import DeltaRowChoice
+from repro.core.planner import BAG_PROBES, Access
 from repro.errors import IntegrityViolation, MaintenanceError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -103,13 +102,9 @@ ValueTuple = tuple[int, ...]
 #: has no kernel, and the first atom's tests are counted in bulk.
 #: v11: row kernels are pipelined: a node one consumer reads runs in its
 #: loop, and each joined row goes straight into its finish.
-CODEGEN_VERSION = 11
-
-#: The most truth-table rows one compiled module unrolls; a larger
-#: shape is several such modules.  Unrolled in one module, the source
-#: doubles per changed occurrence, and so does what compiling it takes
-#: (255 rows 0.3 s and 79 MB, 4 095 rows 11 s and 1 GB).
-MAX_CODEGEN_ROWS = 64
+#: v12: a shape is k telescoped terms, not 2^k − 1 truth-table rows, and
+#: an operand right of a term's delta is read as before the commit.
+CODEGEN_VERSION = 12
 
 _PY_OPS = {"=": "==", "<": "<", ">": ">", "<=": "<=", ">=": ">="}
 
@@ -506,63 +501,53 @@ def _fold(func: str, exprs: list[str]) -> str:
 
 
 # ----------------------------------------------------------------------
-# Row kernels (Section 5.3 over one truth-table shape)
+# Row kernels (Section 5.3 over one shape's terms)
 # ----------------------------------------------------------------------
 
-def generate_shape_sources(
+def generate_shape_source(
     ops: "ShapeOps", outputs: "Sequence[Sequence[Finish]] | None" = None
-) -> list[str]:
+) -> str:
     """Emit the row kernel of one lowered shape, pipelined.
 
-    ``row_kernel(deltas, old, index_for)`` runs ``ops.rows`` in order.
-    Each row opens one loop per node of its join order, nested: a root
-    scans its operand, a joined node probes an index or a hash table
-    for each row of its parent, and the innermost loop folds each
-    joined row straight into its finish — the final DNF re-check, the
-    projection key read from the operands' own cells, and the Section
-    5.2 counters (pinned to one for a counter-free finish, sound only
-    when a derived view key proves every view row has multiplicity ≤ 1,
-    see :func:`repro.analysis.dependencies.derive_view_key`).  No joined
-    row is built and no node is kept, except a node two consumers read
-    (:attr:`~repro.core.planner.ShapeOps.stored`): rows whose orders begin alike fill it once
-    as a list of ``(row, tag, count)`` and each then loops over it.
-    ``deltas[p]`` is the :class:`~repro.algebra.relation.Delta` of
-    changed occurrence ``p`` — its ``inserted``/``deleted`` dicts are
-    the DELTA operand — ``old(p)`` the live post-commit count map of
-    occurrence ``p``, and ``index_for[s]`` the bucket lookup
+    ``row_kernel(deltas, old, index_for)`` runs ``ops.rows`` — the
+    shape's terms — in order.  Each term opens one loop per node of its
+    join order, nested: the root scans one side of the term's delta, a
+    joined node probes an index or a hash table for each row of its
+    parent, and the innermost loop folds each joined row straight into
+    its finish — the final DNF re-check, the projection key read from
+    the operands' own cells, and the Section 5.2 counters (pinned to one
+    for a counter-free finish, sound only when a derived view key proves
+    every view row has multiplicity ≤ 1, see
+    :func:`repro.analysis.dependencies.derive_view_key`).  No joined row
+    is built and no node is kept, except one :data:`~repro.core.planner.MAX_NESTING`
+    loops deep (:attr:`~repro.core.planner.ShapeOps.stored`), which is
+    filled as a list of ``(row, tag, count)`` that the rest of its term
+    loops over.  ``deltas[p]`` is the
+    :class:`~repro.algebra.relation.Delta` of changed occurrence ``p`` —
+    its ``inserted``/``deleted`` dicts are the delta operand — ``old(p)``
+    the live post-commit count map of occurrence ``p``, and
+    ``index_for[s]`` the bucket lookup
     (:attr:`~repro.algebra.relation.HashIndex.lookup`) of the hash index
     bound to the probe target of distinct step ``s``
     (``StepPlan.number``): one lookup per parent row, resolved when the
     first parent row reaches it, the probes counted by the kernel
     itself.  Each node's :class:`~repro.core.planner.Access` picks its
-    template (``_SCANS``, ``_PROBES``).  A hash join's table is built
-    when the first parent row reaches it, so an operand no row reaches
-    is never scanned.  The kernel returns ``(ins, dele,
-    tuples_scanned, join_probes, tuples_emitted, tuples_ignored,
-    index_probes)``; the final :func:`~repro.core.counting.net_counts`
-    pass runs in the caller — one transaction may legitimately delete a
-    view row and re-insert it.
+    template (``_SCANS``, ``_PROBES``); a pre-commit probe also reads
+    the rows this commit deleted from the stored operand, hashed on the
+    probe's key when the first parent row reaches it (``gone_<step>``).
+    A hash join's table is built when the first parent row reaches it,
+    so an operand no term reaches is never scanned.  The kernel returns
+    ``(ins, dele, tuples_scanned, join_probes, tuples_emitted, 0,
+    index_probes)`` — the sixth slot is 0: no term joins two deltas, so
+    none drops an ``insert ⊗ delete`` pair — and the final
+    :func:`~repro.core.counting.net_counts` pass runs in the caller: one
+    transaction may legitimately delete a view row and re-insert it.
 
     ``outputs`` are the finishes of several views that share this
     traversal, one sequence per view aligned with ``ops.finishes``
     (default: ``ops.finishes`` alone).  With more than one, each joined
     row goes to every view's finish in turn, and the kernel returns
     ``ins0, dele0, ins1, dele1, …`` ahead of the five tallies.
-
-    A shape of more than :data:`MAX_CODEGEN_ROWS` rows is emitted as
-    several modules — chunks — of at most that many rows each, so no one
-    compile grows with the truth table (it doubles per changed
-    occurrence: 4 095 rows took 1 GB to compile unrolled in one
-    function, and 632 MB as 64 functions of one module).  Chunk ``c > 0``
-    defines ``row_kernel_{c}``; ``row_kernel`` runs chunk 0 and then
-    calls ``row_kernel_1``, ``row_kernel_2`` … in sequence, handing each
-    the accumulators, the five tallies and every stored node and hash
-    table bound before it that it or a later chunk reads; each returns
-    the same for the chunk after it.  Prefixes and tables are thus
-    shared across the whole shape as within one chunk, the stack stays
-    two frames deep however many chunks there are, and the caller still
-    calls one ``row_kernel``.  A shape of at most
-    :data:`MAX_CODEGEN_ROWS` rows is one module, ``row_kernel`` alone.
     """
     planner, nodes = ops.planner, ops.nodes
     outputs = [ops.finishes] if outputs is None else list(outputs)
@@ -571,84 +556,41 @@ def generate_shape_sources(
     ]
     names = [occ.name for occ in planner.normal_form.occurrences]
     rows = list(ops.rows.items())
+    state = [name for pair in accs for name in pair]
+    out = _Emitter()
+    changed = quoted(tuple(names[i] for i in planner.changed))
+    out.emit(f"# row kernel: shape {changed} of view over {quoted(names)}")
+    if len(outputs) > 1:
+        out.emit(f"# one traversal, {len(outputs)} views' finishes")
+    for row_index, (row, _) in enumerate(rows):
+        out.emit(f"# row {row_index}: {ops.describe_row(row, quoted)}")
+    if len(outputs) == 1 and ops.finishes[0].counter_free:
+        out.emit("# counter-free: a derived view key proves multiplicity <= 1;")
+        out.emit("# the finish pins every counter to one")
+    out.emit("def row_kernel(deltas, old, index_for):")
+    out.indent += 1
+    out.lines += [f"    {name} = {{}}" for name in state]
     if not ops.rows_evaluated:
-        # A shared ground atom is false and the row kernel returns
-        # before any row: one chunk will do.
-        rows = rows[:MAX_CODEGEN_ROWS]
+        out.text("# a shared ground atom is false: no row can contribute\n"
+                 f"return {', '.join(state)}, 0, 0, 0, 0, 0")
+        return out.source()
+    out.lines += [f"    {tally} = 0" for tally in ("ts", "jp", "te", "ti", "ip")]
+    for p in planner.changed:
+        out.text(f"i{p} = deltas[{p}].inserted\nd{p} = deltas[{p}].deleted")
+    for table in sorted((n.step.number, n.table) for n in nodes if n.table):
+        out.emit(f"{table[1]} = None")
+    for node in nodes:
+        if node.access in _GONE:
+            out.emit(f"gone_{node.step.number} = None")
     stored = ops.stored
-    # Which chunk first binds, and which last reads, each stored node
-    # and each hash table; each row's new nodes are the ones after the
-    # previous row's final node, up to its own.
-    born: dict[str, int] = {}
-    read: dict[str, int] = {}
-    first_node = [0]
-    for index, (_, (final, _)) in enumerate(rows):
-        chunk = index // MAX_CODEGEN_ROWS
-        for node in nodes[first_node[-1]: final + 1]:
-            if node.parent is not None:
-                if node.parent in stored:
-                    born.setdefault(nodes[node.parent].name, chunk)
-                    read[nodes[node.parent].name] = chunk
-                if node.table:
-                    born.setdefault(node.table, chunk)
-                    read[node.table] = chunk
-        first_node.append(final + 1)
-
-    chunks = (len(rows) + MAX_CODEGEN_ROWS - 1) // MAX_CODEGEN_ROWS
-    # What each chunk is handed, and what the last one returns:
-    # everything bound before it and read in it or after it.
-    state = [name for pair in accs for name in pair] + ["ts", "jp", "te", "ti", "ip"]
-    handed = [list(state) for _ in range(chunks + 1)]
-    for name, first in born.items():
-        for chunk in range(first + 1, read.get(name, -1) + 1):
-            handed[chunk].append(name)
-    tables = sorted({(n.step.number, n.choice.value, n.table) for n in nodes if n.table})
-    done = ", ".join(state[:-5]) + ", ts, jp + ip, te, ti, ip"
-    sources = []
-    for chunk in range(chunks):
-        first = chunk * MAX_CODEGEN_ROWS
-        span = range(first, min(first + MAX_CODEGEN_ROWS, len(rows)))
-        out = _Emitter()
-        changed = quoted(tuple(names[i] for i in planner.changed))
-        out.emit(f"# row kernel: shape {changed} of view over {quoted(names)}")
-        if len(outputs) > 1:
-            out.emit(f"# one traversal, {len(outputs)} views' finishes")
-        if chunks > 1:
-            out.emit(f"# chunk {chunk} of {chunks}: rows {span[0]} to {span[-1]}")
-        for row_index in span:
-            out.emit(f"# row {row_index}: {ops.describe_row(rows[row_index][0], quoted)}")
-        if len(outputs) == 1 and ops.finishes[0].counter_free:
-            out.emit("# counter-free: a derived view key proves multiplicity <= 1;")
-            out.emit("# the finish pins every counter to one")
-        if chunk == 0:
-            out.emit("def row_kernel(deltas, old, index_for):")
-            out.indent += 1
-            out.lines += [f"    {name} = {{}}" for name in state[:-5]]
-            if not ops.rows_evaluated:
-                out.text("# a shared ground atom is false: no row can contribute\n"
-                         f"return {', '.join(state[:-5])}, 0, 0, 0, 0, 0")
-                return [out.source()]
-            out.lines += [f"    {tally} = 0" for tally in state[-5:]]
-        else:
-            out.emit(f"def row_kernel_{chunk}(deltas, old, index_for, {', '.join(handed[chunk])}):")
-            out.indent += 1
-        for p in planner.changed:
-            out.text(f"i{p} = deltas[{p}].inserted\nd{p} = deltas[{p}].deleted")
-        for _, _, table in tables:
-            if born[table] == chunk:
-                out.emit(f"{table} = None")
-
-        for row_index in span:
-            out.emit(f"# row {row_index}")
-            final, finish = rows[row_index][1]
-            _emit_row(out, nodes, range(first_node[row_index], final + 1), stored,
-                      [finishes[finish] for finishes in outputs], accs)
-        for later in range(1, chunks) if chunk == 0 else ():
-            out.emit(f"{', '.join(handed[later + 1])} = row_kernel_{later}("
-                     f"deltas, old, index_for, {', '.join(handed[later])})")
-        out.emit(f"return {', '.join(handed[chunk + 1]) if chunk else done}")
-        sources.append(out.source())
-    return sources
+    first = 0
+    for row_index, (_, (final, finish)) in enumerate(rows):
+        out.emit(f"# row {row_index}")
+        _emit_row(out, nodes, range(first, final + 1), stored,
+                  [finishes[finish] for finishes in outputs], accs)
+        first = final + 1
+    out.emit(f"return {', '.join(state)}, ts, jp + ip, te, ti, ip")
+    return out.source()
 
 
 class _Joined(NamedTuple):
@@ -668,37 +610,30 @@ class _Joined(NamedTuple):
 
 
 def _emit_row(
-    out: _Emitter, nodes: Sequence["Node"], path: range, stored: Mapping[int, int],
+    out: _Emitter, nodes: Sequence["Node"], path: range, stored: AbstractSet[int],
     finishes: Sequence["Finish"], accs: Sequence[tuple[str, str]],
 ) -> None:
-    """One truth-table row's new nodes ``path`` as nested loops, its
-    finishes in the innermost.  The row is cut after each stored node:
-    a segment fills the node, and the next loops over it.  A segment
-    opening with a delta scan is emitted once per side of the delta,
-    inserts then deletes, so its tag is a constant."""
+    """One term's nodes ``path`` as nested loops, its finishes in the
+    innermost.  The term is cut after each stored node: a segment fills
+    the node, and the next loops over it.  The first segment is emitted
+    once per side of the term's delta, inserts then deletes, so its tag
+    is a constant."""
     opened = out.indent
     for i in path:
         if i in stored:
             out.text(f"{nodes[i].name} = []\n{nodes[i].name}_append = {nodes[i].name}.append")
-    for p in dict.fromkeys(nodes[i].step.position for i in path
-                           if nodes[i].access in (Access.BAG_PROBE, Access.BAG_PROBE_LESS_INSERTS)):
+    for p in dict.fromkeys(nodes[i].step.position for i in path if nodes[i].access in BAG_PROBES):
         out.emit(f"o{p} = old({p})")
     cuts = [n + 1 for n, i in enumerate(path) if i in stored]
     segments = [path[start:end] for start, end in zip([0] + cuts, cuts + [len(path)])]
     level = 0
     for index, segment in enumerate(segments):
-        head = nodes[segment[0]]
-        delta_root = not index and head.parent is None and head.access is Access.DELTA_SCAN
-        if delta_root:
-            out.emit(f"ts += len(i{head.step.position}) + len(d{head.step.position})")
-        for side in (("i", "T_I"), ("d", "T_D")) if delta_root else (None,):
-            if index:
-                joined = _loop_over(out, nodes[segments[index - 1][-1]], level)
-            elif head.parent is None:
-                joined = _emit_root(out, head, side)
-            else:
-                joined = _emit_join(out, head, _loop_over(out, nodes[head.parent], 0))
-            for i in segment[bool(not index):]:
+        root = nodes[segment[0]]
+        if not index:
+            out.emit(f"ts += len(i{root.step.position}) + len(d{root.step.position})")
+        for side in (("i", "T_I"), ("d", "T_D")) if not index else (None,):
+            joined = _emit_root(out, root, side) if side else _loop_over(out, nodes[segments[index - 1][-1]], level)
+            for i in segment[not index:]:
                 joined = _emit_join(out, nodes[i], joined)
             if index < len(segments) - 1:
                 out.emit(f"{nodes[segment[-1]].name}_append("
@@ -718,53 +653,49 @@ def _loop_over(out: _Emitter, node: "Node", level: int) -> _Joined:
                    (f"a{level}",), level + 1)
 
 
-#: Per scan access: the lines opening the loop that binds row ``{v}``
-#: and count ``{c}`` over one operand's tuples from ``{s}``, tallying
-#: ``tuples_scanned`` (every operand tuple, before the prefilter), and
-#: how many levels they open.  A delta scan binds the tag ``{t}``; an
-#: OLD scan's tag is T_O.
-_SCANS: dict[Access, tuple[tuple[str, ...], int]] = {
-    Access.DELTA_SCAN: ((
-        "ts += len(i{p}) + len(d{p})",
-        "for {s}, {t} in ((i{p}, T_I), (d{p}, T_D)):",
-        "    for {v}, {c} in {s}.items():",
-    ), 2),
-    Access.OLD_SCAN: ((
+#: Per scan of a hash join's operand: the lines opening the loop that
+#: binds row ``{v}`` and count ``{c}`` over the operand's tuples,
+#: tallying ``tuples_scanned`` (every operand tuple, before the
+#: prefilter).  A pre-commit scan reads the stored tuples and the ones
+#: this commit deleted from them, each with its count before the commit.
+_SCANS: dict[Access, tuple[str, ...]] = {
+    Access.OLD_SCAN: (
         "{s} = old({p})",
         "ts += len({s})",
         "for {v}, {c} in {s}.items():",
-    ), 1),
-    Access.OLD_SCAN_LESS_INSERTS: ((
-        "for {v}, {c} in old({p}).items():",
-        "    {c} -= i{p}.get({v}, 0)",
+    ),
+    Access.PRE_COMMIT_SCAN: (
+        "{s} = old({p})",
+        "for {v} in (*{s}, *[x for x in d{p} if x not in {s}]):",
+        "    {c} = {s}.get({v}, 0) - i{p}.get({v}, 0) + d{p}.get({v}, 0)",
         "    if {c} <= 0:",
         "        continue",
         "    ts += 1",
-    ), 1),
+    ),
 }
 
 #: Per probe access: the lines that count — or skip — each probed
-#: tuple ``b{L}``, binding its count ``n{L}`` if it is a bag's.
+#: tuple ``b{L}``, binding its count ``n{L}`` if it is a bag's.  A
+#: pre-commit probe's count is the one before the commit: less this
+#: commit's inserts, plus its deletes.
 _PROBES: dict[Access, tuple[str, ...]] = {
     Access.SET_PROBE: (),
-    Access.SET_PROBE_LESS_INSERTS: ("if b{L} in i{p}:", "    continue"),
+    Access.PRE_COMMIT_SET_PROBE: ("if b{L} in i{p}:", "    continue"),
     Access.BAG_PROBE: ("n{L} = o{p}[b{L}]",),
-    Access.BAG_PROBE_LESS_INSERTS: (
-        "n{L} = o{p}[b{L}] - i{p}.get(b{L}, 0)",
+    Access.PRE_COMMIT_BAG_PROBE: (
+        "n{L} = o{p}.get(b{L}, 0) - i{p}.get(b{L}, 0) + d{p}.get(b{L}, 0)",
         "if n{L} <= 0:",
         "    continue",
     ),
 }
 
-
-def _emit_scan(out: _Emitter, node: "Node", v: str, t: str, c: str, s: str) -> str:
-    """Open the loop over one operand's tuples and skip prefiltered
-    ones; returns the rows' tag.  The caller emits the loop body."""
-    lines, depth = _SCANS[node.access]
-    out.text("\n".join(lines).format(p=node.step.position, v=v, t=t, c=c, s=s))
-    out.indent += depth
-    _prefilter(out, node.step, v)
-    return t if node.access is Access.DELTA_SCAN else "T_O"
+#: Per pre-commit probe: which of this commit's deleted rows the stored
+#: operand no longer holds, so that its index cannot answer them — every
+#: one of a set's, and a bag's whose count fell to none.
+_GONE: dict[Access, str] = {
+    Access.PRE_COMMIT_SET_PROBE: "",
+    Access.PRE_COMMIT_BAG_PROBE: "if hv in o{p}:\n    continue\n",
+}
 
 
 def _prefilter(out: _Emitter, step: "StepPlan", v: str) -> None:
@@ -772,37 +703,50 @@ def _prefilter(out: _Emitter, step: "StepPlan", v: str) -> None:
     _skip_unless(out, step.prefilter_atoms, lambda name: f"{v}[{step.operand_schema.index(name)}]")
 
 
-def _emit_root(out: _Emitter, node: "Node", side: tuple[str, str] | None) -> _Joined:
-    """Open a root's scan; a delta scan's over one ``side`` of the
-    delta, ``(dict prefix, tag)``."""
-    if side is None:
-        tag = _emit_scan(out, node, "b0", "t0", "c0", "src")
-    else:
-        out.emit(f"for b0, c0 in {side[0]}{node.step.position}.items():")
-        out.indent += 1
-        _prefilter(out, node.step, "b0")
-        tag = side[1]
+def _emit_root(out: _Emitter, node: "Node", side: tuple[str, str]) -> _Joined:
+    """Open the scan of one ``side`` of a term's delta, ``(dict prefix,
+    tag)``."""
+    out.emit(f"for b0, c0 in {side[0]}{node.step.position}.items():")
+    out.indent += 1
+    _prefilter(out, node.step, "b0")
     width = len(node.step.operand_schema)
-    return _Joined(tuple(f"b0[{j}]" for j in range(width)), tag, "c0", ("b0",), 1)
+    return _Joined(tuple(f"b0[{j}]" for j in range(width)), side[1], "c0", ("b0",), 1)
+
+
+def _bucketed(table: str, key: str, entry: str) -> str:
+    """The lines adding ``entry`` to ``table``'s bucket under ``key``."""
+    return (f"hk = {key}\nbucket = {table}.get(hk)\n"
+            f"if bucket is None:\n    {table}[hk] = [{entry}]\nelse:\n    bucket.append({entry})")
 
 
 def _emit_join(out: _Emitter, node: "Node", parent: _Joined) -> _Joined:
     """Open the loop joining ``node``'s operand onto each parent row:
     an index probe or a hash-table lookup, its filters, and the tally of
-    rows it emits."""
+    rows it emits.  The operand is untagged: the row keeps the parent's
+    tag."""
     step, level = node.step, parent.level
     key = "(" + ", ".join(_shifted(parent.cells[pos], shift) for pos, _, shift in step.eq_links) + (
         "," if len(step.eq_links) == 1 else "") + ")"
     operand = tuple(f"b{level}[{j}]" for j in range(len(step.operand_schema)))
-    tag, count = parent.tag, parent.count
+    count = parent.count
+    p = step.position
+    hk = _key_tuple_expr(step.operand_key_positions, "hv")
     if node.table is None:
-        # An OLD operand answered from its persistent hash index: one
-        # join probe and one index probe per parent row.  The operand
-        # being OLD, the joined row keeps the parent's tag.
-        out.text(f"ip += 1\nfor b{level} in index_for[{step.number}]({key}, NO_ROWS):")
+        # An operand answered from its persistent hash index: one join
+        # probe and one index probe per parent row.
+        probed = f"index_for[{step.number}]({key}, NO_ROWS)"
+        out.emit("ip += 1")
+        if node.access in _GONE:
+            gone = f"gone_{step.number}"
+            out.text(f"if {gone} is None:\n    {gone} = {{}}\n    for hv in d{p}:")
+            out.indent += 2
+            out.text(_GONE[node.access].format(p=p) + _bucketed(gone, hk, "hv"))
+            out.indent -= 2
+            probed = f"(*{probed}, *{gone}.get({key}, ()))"
+        out.emit(f"for b{level} in {probed}:")
         out.indent += 1
-        out.text("\n".join(_PROBES[node.access]).format(L=level, p=step.position))
-        if node.access in (Access.BAG_PROBE, Access.BAG_PROBE_LESS_INSERTS):
+        out.text("\n".join(_PROBES[node.access]).format(L=level, p=p))
+        if node.access in BAG_PROBES:
             count = f"{count} * n{level}"
         _skip_unless(out, step.prefilter_atoms, lambda name: operand[step.operand_schema.index(name)])
     else:
@@ -810,42 +754,19 @@ def _emit_join(out: _Emitter, node: "Node", parent: _Joined) -> _Joined:
         out.text(f"jp += 1\nif {table} is None:\n    {table} = {{}}")
         out.indent += 1
         filled = out.indent
-        entry_tag = _emit_scan(out, node, "hv", "ht", "hc", "hs")
-        out.text(
-            f"hk = {_key_tuple_expr(step.operand_key_positions, 'hv')}\nbucket = {table}.get(hk)\n"
-            f"if bucket is None:\n    {table}[hk] = [(hv, {entry_tag}, hc)]\n"
-            f"else:\n    bucket.append((hv, {entry_tag}, hc))"
-        )
+        out.text("\n".join(_SCANS[node.access]).format(p=p, v="hv", c="hc", s="hs"))
+        out.indent += 1
+        _prefilter(out, step, "hv")
+        # Every entry of a table carries the untagged operand's tag.
+        out.text(_bucketed(table, hk, "(hv, T_O, hc)"))
         out.indent = filled - 1
         out.emit(f"for b{level}, s{level}, n{level} in {table}.get({key}, NO_ROWS):")
         out.indent += 1
         count = f"{count} * n{level}"
-        if node.choice is not DeltaRowChoice.DELTA:
-            pass  # an OLD table: every entry is T_O, the row keeps the parent's tag
-        elif tag == "T_O":
-            tag = f"s{level}"
-        elif tag in ("T_I", "T_D"):
-            # A delta entry is never T_O: it matches the tag or is ignored.
-            out.text(f"if s{level} is not {tag}:\n    ti += 1\n    continue")
-        else:
-            out.text(_TAGS.format(a=tag, b=f"s{level}", t=f"t{level}"))
-            tag = f"t{level}"
-    joined = _Joined(parent.cells + operand, tag, count, parent.parts + (f"b{level}",), level + 1)
+    joined = _Joined(parent.cells + operand, parent.tag, count, parent.parts + (f"b{level}",), level + 1)
     _skip_unless(out, step.postfilter_atoms, joined.cell(step.acc_schema))
     out.emit("te += 1")
     return joined
-
-
-#: The tag algebra of a hashed DELTA operand: ``insert ⊗ delete`` pairs
-#: are dropped and counted.
-_TAGS = """\
-if {a} is T_O:
-    {t} = {b}
-elif {a} is {b}:
-    {t} = {a}
-else:
-    ti += 1
-    continue"""
 
 
 def _emit_finishes(
@@ -1033,6 +954,7 @@ _RESCAN = """\
 #: what keeps it deterministic.
 _KERNEL_GLOBALS = {
     "__builtins__": {"len": len, "min": min, "max": max},
+    #: The tag an untagged operand's hash-table entries carry.
     "T_O": Tag.OLD,
     "T_I": Tag.INSERT,
     "T_D": Tag.DELETE,
@@ -1094,24 +1016,17 @@ def _renamed(code: CodeType, filename: str) -> CodeType:
     return code.replace(co_filename=filename, co_consts=consts)
 
 
-def compile_kernel(
-    source: str | Sequence[str], name: str, filename: str
-) -> Callable:
+def compile_kernel(source: str, name: str, filename: str) -> Callable:
     """``compile()`` + ``exec`` one generated module; return ``name``.
 
     The module code is compiled once per distinct program
     (:func:`program_key`) and shared; each kernel runs a copy renamed
     to its own ``filename``, which shows up in tracebacks and profiles
     (``<codegen:view:kind>``) so a bug in generated code is
-    attributable to its generator.  ``source`` may also be the chunks
-    of one module (a chunked row kernel, :func:`generate_shape_sources`):
-    each is compiled as a program of its own, and all run in one
-    namespace, where ``row_kernel``'s calls of the later chunks resolve.
+    attributable to its generator.
     """
     namespace: dict = dict(_KERNEL_GLOBALS)
-    for chunk in [source] if isinstance(source, str) else source:
-        code = _renamed(_load(chunk, filename), filename)
-        exec(code, namespace)  # noqa: S102 - the codegen seam
+    exec(_renamed(_load(source, filename), filename), namespace)  # noqa: S102 - the codegen seam
     kernel = namespace.get(name)
     if kernel is None:  # pragma: no cover - generator bug
         raise MaintenanceError(
@@ -1124,7 +1039,7 @@ def compile_shape_kernels(ops: "ShapeOps", view_name: str) -> RowKernel:
     """Generate + compile one lowered shape's kernels; its ``row_kernel``."""
     shape_tag = "".join(str(p) for p in ops.planner.changed)
     return compile_kernel(
-        generate_shape_sources(ops),
+        generate_shape_source(ops),
         "row_kernel",
         f"<codegen:{view_name}:shape{shape_tag}>",
     )
@@ -1145,8 +1060,7 @@ TRIGGER_ROW_COUNTS = (
 TRIGGER_CHARGES = (
     "filter_tuples_checked", "filter_ground_evals", "filter_bound_probes",
     "differential_updates", "truth_table_rows", "delta_rows_evaluated",
-    "subexpression_memo_hits", "tuples_scanned", "join_probes", "index_probes",
-    "tuples_emitted", "tuples_ignored", "aggregate_rows_folded",
+    "tuples_scanned", "join_probes", "index_probes", "tuples_emitted", "aggregate_rows_folded",
     "aggregate_groups_touched", "aggregate_support_rescanned",
 )
 
@@ -1177,19 +1091,19 @@ _PASS = "@ tuples_screened={src}n, codegen_batch_rows={src}n, filter_tuples_chec
 _DROP = "@ tuples_screened={src}n, tuples_irrelevant={src}n, tuples_static_dropped={src}n, {drop}={src}n\n"
 #: The template of a screen with no kernel, by its kind.
 _UNSCREENED = {"pass": _PASS, "probed pass": _PASS + "@ filter_bound_probes={src}n\n", "drop": _DROP}
-# Section 5: a shape's row kernel over a screened delta per occurrence.
-# What a traversal does is counted once, however many views take it.
+# Section 5: a shape's row kernel over a screened delta per occurrence,
+# one term per changed occurrence.  What a traversal does is counted
+# once, however many views take it.
 _TRAVERSED = """\
 @ truth_table_rows={rows}, delta_rows_evaluated={rows}
-@ subexpression_memo_hits={shape}[1].memo_hits, tuples_scanned=ts, join_probes=jp
-@ index_probes=ip, tuples_emitted=te, tuples_ignored=ti
+@ tuples_scanned=ts, join_probes=jp, index_probes=ip, tuples_emitted=te
 """
 _NET = """\
 if ins and dele:
     NET(ins, dele)
 """
 _ROWS = """\
-ins, dele, ts, jp, te, ti, ip = {shape}[2]({operands}, {old}, {shape}[3])
+ins, dele, ts, jp, te, _, ip = {shape}[2]({operands}, {old}, {shape}[3])
 rows = {shape}[1].rows_evaluated
 @ codegen_batch_rows=rows, differential_updates=1
 """ + _TRAVERSED.replace("{rows}", "rows") + _NET
@@ -1200,8 +1114,8 @@ _TRAVERSE = """\
 gs = G{g}.get({key})
 if gs is None:
     gs = G{g}[{key}] = CG{g}({key})
-{outs}, ts, jp, te, ti, ip = gs[2]({operands}, {old}, gs[3])
-""" + _TRAVERSED.replace("{rows}", "gs[1].rows_evaluated").replace("{shape}", "gs")
+{outs}, ts, jp, te, _, ip = gs[2]({operands}, {old}, gs[3])
+""" + _TRAVERSED.replace("{rows}", "gs[1].rows_evaluated")
 _TAKE = """\
 ins, dele = gi{g}_{m}, gd{g}_{m}
 rows = sh[1].rows_evaluated

@@ -9,10 +9,9 @@ from "once per batch" to "once per view registration":
 * the Section 4 relevance screens (normalization, invariant/variant
   split, Floyd–Warshall APSP) are built per participating relation at
   compile time and reused by every subsequent transaction;
-* the Section 5 row planners (a delta-rooted join order per row,
+* the Section 5 row planners (a delta-rooted join order per term,
   hash-join links, selection pushdown, projection positions) are built
-  per truth-table shape — the tuple of changed occurrence positions —
-  and cached;
+  per shape — the tuple of changed occurrence positions — and cached;
 * OLD-operand probes bind to persistent hash indexes once, and the
   bindings are kept until an index create/drop, relation drop or view
   re-registration invalidates the whole plan.
@@ -45,13 +44,12 @@ from repro.analysis.dependencies import (
 from repro.core.codegen import (
     AggregateKernel,
     CODEGEN_VERSION,
-    MAX_CODEGEN_ROWS,
     RowKernel,
     Screen,
     compile_kernel,
     compile_shape_kernels,
     generate_aggregate_source,
-    generate_shape_sources,
+    generate_shape_source,
     quoted,
     screen_for,
     stage,
@@ -59,7 +57,6 @@ from repro.core.codegen import (
 from repro.core.implication import implies
 from repro.core.irrelevance import RelevanceFilter, is_statically_irrelevant
 from repro.core.planner import Finish, ProbeTarget, RowPlanner, ShapeOps, shared_atoms
-from repro.core.truthtable import count_delta_rows
 from repro.core.views import ViewDefinition
 from repro.instrumentation import CostRecorder, Tally
 
@@ -205,16 +202,16 @@ class CompiledViewPlan:
             and is_statically_irrelevant(self.normal_form, name, constraint)
         )
         # Row planners are keyed by the changed-position tuple (the
-        # truth-table shape) and built on first use: a view over p
-        # relations has 2^p − 1 possible shapes but a workload usually
-        # exercises a handful.
+        # shape) and built on first use: a view over p relations has
+        # 2^p − 1 possible shapes but a workload usually exercises a
+        # handful.
         self._planners: dict[tuple[int, ...], RowPlanner] = {}
         #: Probe target → the operand relation's HashIndex.
         self._index_bindings: dict[ProbeTarget, HashIndex] = {}
         # Generated batch kernels.  Screen kernels are compiled eagerly
         # — they bake the APSP distances into source, so they must be
         # rebuilt whenever the plan is.  Shape kernels compile on first
-        # use of each truth-table shape, like the planners they mirror.
+        # use of each shape, like the planners they mirror.
         #: Relation name → its screen (:class:`~repro.core.codegen.Screen`):
         #: the kernel and its source, or a comment line and no kernel when
         #: every update is relevant or a compile-time proof drops the
@@ -341,7 +338,7 @@ class CompiledViewPlan:
     # Section 5: planners and execution
     # ------------------------------------------------------------------
     def planner_for(self, changed_positions: Iterable[int]) -> RowPlanner:
-        """The cached row planner for one truth-table shape."""
+        """The cached row planner for one shape."""
         key = tuple(sorted(set(changed_positions)))
         planner = self._planners.get(key)
         if planner is None:
@@ -350,7 +347,7 @@ class CompiledViewPlan:
         return planner
 
     def shape_ops(self, changed_positions: Iterable[int]) -> ShapeOps:
-        """One truth-table shape lowered with this plan's bag operands
+        """One shape lowered with this plan's bag operands
         and counter-free proof: what its kernels, ``explain``, the index
         advisor and the analyzer read."""
         return self.planner_for(changed_positions).lower(
@@ -391,13 +388,12 @@ class CompiledViewPlan:
         """The view's stored contents — an aggregate view's core rows —
         evaluated from scratch on the kernels commits run.
 
-        Complete evaluation is one row of the Section 5.3 truth table:
-        insert all of an operand ``r`` into an empty ``r``, and only
-        ``i_r ⋈ s ⋈ …`` of the expansion is non-empty — the shape
-        ``(r,)`` that every commit on ``r`` executes.  Its row kernel
-        runs with the whole count map of the largest operand (ties to
-        the first occurrence) as ``inserted``, so OLD ``r − d_r`` is
-        empty, and every other operand read as it stands.  An OLD probe
+        Complete evaluation is one term of the delta rule: insert all
+        of an operand ``r`` into an empty ``r``, and the view's delta is
+        ``i_r ⋈ s ⋈ …`` — the shape ``(r,)`` that every commit on ``r``
+        executes.  Its row kernel runs with the whole count map of the
+        largest operand (ties to the first occurrence) as ``inserted``,
+        and every other operand read as it stands.  An OLD probe
         reads an index the operand already carries or one built for
         this call alone, never registered: evaluation creates and binds
         no index and fires no DDL event.
@@ -437,7 +433,7 @@ class CompiledViewPlan:
         return Relation.from_counts(self._core_schema, inserted)
 
     def _compile_shape(self, names: tuple[str, ...], counted: Tally) -> _Shape:
-        """One truth-table shape's execution entry, compiled on first
+        """One shape's execution entry, compiled on first
         use and memoised under ``names``."""
         changed = self._changed(names)
         # The same names in another order reach the same shape.
@@ -509,9 +505,9 @@ class CompiledViewPlan:
         in turn.  It is named for view ``first``, in whose turn it
         runs."""
         ops = self.shape_ops(self._changed(names))
-        sources = generate_shape_sources(ops, [member.finishes_over(ops) for member in members])
+        source = generate_shape_source(ops, [member.finishes_over(ops) for member in members])
         shape_tag = "".join(str(p) for p in ops.planner.changed)
-        kernel = compile_kernel(sources, "row_kernel", f"<codegen:{first}:shape{shape_tag}:shared>")
+        kernel = compile_kernel(source, "row_kernel", f"<codegen:{first}:shape{shape_tag}:shared>")
         return (ops.planner.changed, ops, kernel, _Lookups(self._bind_index, ops.probe_targets))
 
     # ------------------------------------------------------------------
@@ -552,27 +548,16 @@ class CompiledViewPlan:
         width = len(self._exec_normal_form.occurrences)
         return [(i,) for i in range(width)] + [tuple(range(width))] * (width > 1)
 
-    @staticmethod
-    def _unplanned(shape: tuple[int, ...]) -> str | None:
-        """The line introspection prints instead of planning a shape of
-        more than :data:`~repro.core.codegen.MAX_CODEGEN_ROWS` rows (it
-        would plan and print all 2^w − 1); None for any other shape."""
-        rows = count_delta_rows(len(shape))
-        if rows <= MAX_CODEGEN_ROWS:
-            return None
-        return (
-            f"shape {shape!r}: {rows} truth-table rows, compiled "
-            f"in chunks of {MAX_CODEGEN_ROWS} on first use; not listed"
-        )
-
     def recommended_indexes(self) -> tuple[ProbeTarget, ...]:
-        """The probe targets of every listed shape's OLD probes, sorted:
-        the indexes the lazy path would create on first use."""
+        """The probe targets of every single-relation shape, sorted: the
+        indexes the lazy path would create on first use.  A term's join
+        order depends on its delta alone, so a shape changing several
+        relations probes no target theirs do not."""
+        width = len(self._exec_normal_form.occurrences)
         return tuple(sorted({
             target
-            for shape in self._listed_shapes()
-            if not self._unplanned(shape)
-            for target in self.shape_ops(shape).probe_targets.values()
+            for i in range(width)
+            for target in self.shape_ops((i,)).probe_targets.values()
         }))
 
     def kernel_source(self) -> str:
@@ -581,11 +566,8 @@ class CompiledViewPlan:
         One listing: a version header, the screen kernel per
         participating relation (sorted by name; a comment line naming
         the proof for a relation whose deltas are dropped unscreened),
-        then the row kernels for every single-relation
-        truth-table shape plus the all-relations shape — past
-        :data:`~repro.core.codegen.MAX_CODEGEN_ROWS` rows, a comment
-        line for it (:meth:`_unplanned`).
-        Generation is a pure function of the plan structure, so two
+        then the row kernels for every single-relation shape plus the
+        all-relations shape.  Generation is a pure function of the plan structure, so two
         compiles of the same definition against the same catalog and
         constraints emit byte-identical text — the property the CLI's
         ``--source`` determinism check asserts.
@@ -606,11 +588,7 @@ class CompiledViewPlan:
         for relation_name in sorted(self._screen_kernels):
             parts.append(self._screen_kernels[relation_name].source)
         for shape in self._listed_shapes():
-            unplanned = self._unplanned(shape)
-            if unplanned:
-                parts.append(f"# {unplanned}\n")
-            else:
-                parts += generate_shape_sources(self.shape_ops(shape))
+            parts.append(generate_shape_source(self.shape_ops(shape)))
         if self._aggregate_kernel is not None:
             parts.append(self._aggregate_kernel[0])
         return "\n".join(parts)
@@ -620,11 +598,9 @@ class CompiledViewPlan:
 
         Sections: the Definition 4.2 invariant/variant split per changed
         relation (the screening plan), the cached row plan for the
-        resulting truth-table shape (each row's join order, hash links,
-        pushdown), and the hash index each OLD probe binds — past
-        :data:`~repro.core.codegen.MAX_CODEGEN_ROWS` rows, one line for
-        the shape instead of the last two (:meth:`_unplanned`).  This is
-        what the CLI's ``explain`` verb prints.
+        resulting shape (each term's join order, hash links, pushdown),
+        and the hash index each probe binds.  This is what the CLI's
+        ``explain`` verb prints.
         """
         nf = self._exec_normal_form
         changed_set = set(changed_relations)
@@ -685,25 +661,21 @@ class CompiledViewPlan:
                 )
                 continue
             lines.append(self._screens[relation_name].describe())
-        unplanned = self._unplanned(tuple(positions))
-        if unplanned:
-            lines.append(unplanned)
-        else:
-            ops = self.shape_ops(positions)
-            lines.append(ops.describe())
-            lines.append("index bindings (OLD-operand probes):")
-            for number, (operand, attrs) in ops.probe_targets.items():
-                state = (
-                    "bound"
-                    if attrs in self._operands[operand].indexes
-                    else "will be created on first use"
-                )
-                lines.append(
-                    f"  step {number}: probes hash index "
-                    f"{operand}({', '.join(attrs)}) [{state}]"
-                )
-            if not ops.probe_targets:
-                lines.append("  (none: no OLD operand is joined by equality links)")
+        ops = self.shape_ops(positions)
+        lines.append(ops.describe())
+        lines.append("index bindings (OLD-operand probes):")
+        for number, (operand, attrs) in ops.probe_targets.items():
+            state = (
+                "bound"
+                if attrs in self._operands[operand].indexes
+                else "will be created on first use"
+            )
+            lines.append(
+                f"  step {number}: probes hash index "
+                f"{operand}({', '.join(attrs)}) [{state}]"
+            )
+        if not ops.probe_targets:
+            lines.append("  (none: no OLD operand is joined by equality links)")
         if self.definition.aggregate is not None:
             lines.append(
                 "aggregate stage (generated fold kernel): "
@@ -713,7 +685,7 @@ class CompiledViewPlan:
 
     def __repr__(self) -> str:
         shapes = len(self._planners)
-        possible = count_delta_rows(len(self._exec_normal_form.occurrences)) + 1
+        possible = 1 << len(self._exec_normal_form.occurrences)
         return (
             f"<CompiledViewPlan {self.definition.name!r} "
             f"{len(self._screens)} screens, {shapes}/{possible} planner shapes, "

@@ -675,11 +675,9 @@ class ViewMaintainer:
         """Indexes the planner would probe while maintaining this view.
 
         The probe targets of every OLD operand joined by equality links,
-        in the lowered shapes of each single-relation update and of the
-        update changing every operand (left out past
-        :data:`~repro.core.codegen.MAX_CODEGEN_ROWS` rows, where it would
-        plan 2^w − 1 of them): exactly the indexes the lazy path would
-        create on first use.  Returns sorted ``(name, attributes)``
+        in the lowered shapes of each single-relation update (an update
+        changing several relations probes the same): exactly the indexes
+        the lazy path would create on first use.  Returns sorted ``(name, attributes)``
         pairs.
         """
         return self.peek_plan(name).recommended_indexes()

@@ -1,35 +1,40 @@
-"""Planning the evaluation of truth-table rows, with shared subexpressions.
+"""Planning the evaluation of a join delta's terms.
 
-Section 5.3 observes that once the truth-table rows to evaluate are
-known, "we can further reduce the cost of materializing the view by
-using an algorithm to determine a good order for execution of the
-joins.  Notice that a new feature of our problem is the possibility of
-saving computation by re-using partial subexpressions appearing in
-multiple rows within the table."  Section 5.4 adds that each row's SPJ
-expression can be evaluated by "some known algorithm" — the paper cites
-QUEL decomposition; we substitute a direct pipelined hash-join
-evaluator (see DESIGN.md).
+Section 5.3 expands the join of ``(old ∪ changed)`` operands into a
+truth table and evaluates the 2^k − 1 rows that hold a changed operand.
+This planner evaluates the same delta as k terms instead — the
+first-order delta rule (Olteanu's survey, PAPERS.md)::
 
-This planner decides those ideas once per truth-table shape and lowers
-them to plain data, :class:`ShapeOps` (:meth:`RowPlanner.lower`), which
-the kernel generator (:mod:`repro.core.codegen`), ``explain``, the index
-advisor, the analyzer and the test reference all read:
+    Δ(R1 ⋈ … ⋈ Rp) = Σ_i N1 ⋈ … ⋈ N(i−1) ⋈ ΔRi ⋈ O(i+1) ⋈ … ⋈ Op
 
-* **Order** — each truth-table row gets its own join order, chosen to
-  start where that row is small: at its lowest DELTA position, then
-  repeatedly the operand an equality atom links to what is already
-  bound (DELTA before OLD, then the lower position), and an unlinked
-  operand — a cross join — only when nothing is linked.  A row never
-  opens with an OLD operand, so no row scans one whole: an OLD operand
-  is reached through the keys of a delta-sized accumulator, which a
-  persistent index answers.  The orders live in
+one term per changed occurrence ``i``: its tagged delta, the stored
+post-commit operand ``N`` left of it and the pre-commit operand ``O``
+right of it (an unchanged operand is both).  The delta's tag is the
+term's tag, so no tag algebra runs; with one changed occurrence the one
+term is the table's one row.  Section 5.4 adds that each SPJ expression
+can be evaluated by "some known algorithm" — the paper cites QUEL
+decomposition; we substitute a direct pipelined hash-join evaluator
+(see DESIGN.md).
+
+This planner decides once per shape — the changed positions — and
+lowers the terms to plain data, :class:`ShapeOps`
+(:meth:`RowPlanner.lower`), which the kernel generator
+(:mod:`repro.core.codegen`), ``explain``, the index advisor, the
+analyzer and the test reference all read:
+
+* **Order** — each term gets its own join order, chosen to start where
+  the term is small: at its delta, then repeatedly the operand an
+  equality atom links to what is already bound (the lower position
+  first), and an unlinked operand — a cross join — only when nothing is
+  linked.  No term scans a stored operand whole unless it is a cross
+  join: a stored operand is reached through the keys of a delta-sized
+  accumulator, which a persistent index answers.  The orders live in
   :attr:`RowPlanner.chains`, the one place a join order is decided.
 
-* **Sharing** — every prefix result is memoized on its (position,
-  choice) signature, so rows whose orders begin alike share the work
-  up to the point they part; the :class:`StepPlan` of a step (its
-  links, filters and accumulator layout) depends only on the positions
-  joined so far and is likewise kept once per distinct order prefix.
+* **Steps** — the :class:`StepPlan` of a step (its links, filters and
+  accumulator layout) depends only on the positions joined so far, and
+  is kept once per distinct order prefix.  Terms start at distinct
+  deltas, so no two share a prefix.
 
 * **Selection pushdown** — atoms of the view condition that appear in
   every DNF disjunct are applied as early as their variables are bound:
@@ -39,11 +44,12 @@ advisor, the analyzer and the test reference all read:
   purely conjunctive condition nothing is left for a final pass; a
   multi-disjunct condition is re-checked once at the end.
 
-* **Access** — how each node reads its operand: a DELTA operand or an
-  OLD one no link reaches is scanned (an OLD operand that changed less
-  this transaction's inserts) and, once joined, hashed; a linked OLD
-  operand is an index probe, as a set (a base relation) or a bag (an
-  upstream view).
+* **Access** — how each node reads its operand: the delta is scanned;
+  an operand no link reaches is scanned and hashed; a linked one is an
+  index probe, as a set (a base relation) or a bag (an upstream view).
+  A changed operand right of the delta reads the pre-commit state
+  (``PRE_COMMIT_*``): the stored rows less this commit's inserts, plus
+  its deletes.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ from typing import Callable, Collection, NamedTuple, Optional, Sequence
 from repro.algebra.conditions import Atom, Condition, Var
 from repro.algebra.expressions import NormalForm
 from repro.algebra.schema import RelationSchema
-from repro.core.truthtable import DeltaRowChoice, Rows, delta_rows, render_row
+from repro.core.truthtable import DeltaRowChoice, Rows
 
 
 class StepPlan:
@@ -69,9 +75,8 @@ class StepPlan:
     A step is a function of the positions joined so far, in order
     (``prefix``, this operand last) — which atoms are links, which are
     filters and where the accumulator keeps each attribute all follow
-    from it — so the planner keeps one per distinct prefix and every
-    row chain that reaches the prefix shares it.  ``number`` counts the
-    distinct steps of one planner in first-use order.
+    from it — so the planner keeps one per distinct prefix.  ``number``
+    counts the distinct steps of one planner in first-use order.
     """
 
     __slots__ = (
@@ -135,11 +140,11 @@ class StepPlan:
         return "; ".join(parts)
 
 
-#: One truth-table row's plan: its steps in join order.
+#: One term's plan: its steps in join order.
 Chain = tuple[StepPlan, ...]
 
-#: What an OLD probe reads: an operand's name and its attributes the
-#: probe's links name — the hash index the probe binds.
+#: What a probe reads: an operand's name and its attributes the probe's
+#: links name — the hash index the probe binds.
 ProbeTarget = tuple[str, tuple[str, ...]]
 
 
@@ -148,19 +153,27 @@ class Access(Enum):
 
     A root node, and the table of a hash join, are filled by a scan; a
     joined node with a probe target looks its operand up in a hash index
-    instead.  OLD is ``r − d_r`` and an index holds the post-commit
-    operand, so a changed operand's OLD drops this transaction's inserts;
-    a bag operand (an upstream view) counts each tuple from its live
-    count map, a set counts one.
+    instead.  An index holds the stored, post-commit operand, so a
+    pre-commit read drops this commit's inserts and adds back its
+    deletes; a bag operand (an upstream view) counts each tuple from
+    its live count map, a set counts one.
     """
 
     DELTA_SCAN = "delta scan"
     OLD_SCAN = "OLD scan"
-    OLD_SCAN_LESS_INSERTS = "OLD scan less inserts"
+    PRE_COMMIT_SCAN = "pre-commit scan"
     SET_PROBE = "set probe"
-    SET_PROBE_LESS_INSERTS = "set probe less inserts"
+    PRE_COMMIT_SET_PROBE = "pre-commit set probe"
     BAG_PROBE = "bag probe"
-    BAG_PROBE_LESS_INSERTS = "bag probe less inserts"
+    PRE_COMMIT_BAG_PROBE = "pre-commit bag probe"
+
+
+#: The accesses that read an operand as it stood before the commit.
+PRE_COMMIT = frozenset({
+    Access.PRE_COMMIT_SCAN, Access.PRE_COMMIT_SET_PROBE, Access.PRE_COMMIT_BAG_PROBE,
+})
+#: The accesses that probe a bag and count each tuple from it.
+BAG_PROBES = frozenset({Access.BAG_PROBE, Access.PRE_COMMIT_BAG_PROBE})
 
 
 #: How many loops a row kernel nests before it stores a node and loops
@@ -170,8 +183,8 @@ MAX_NESTING = 12
 
 
 class Node(NamedTuple):
-    """One distinct (position, choice) prefix of the shape's row orders:
-    ``step``'s operand under ``choice`` joined onto node ``parent``
+    """One step of a term's join order: ``step``'s operand, the delta
+    (``choice`` DELTA) or untagged (OLD), joined onto node ``parent``
     (``None`` at a root).  A joined node with a ``table`` is a hash join
     whose table ``access`` fills; one with a ``target`` is an index
     probe."""
@@ -199,15 +212,14 @@ class Finish(NamedTuple):
 
 
 class ShapeOps(NamedTuple):
-    """One truth-table shape lowered to plain ops (:meth:`RowPlanner.lower`).
+    """One shape lowered to plain ops (:meth:`RowPlanner.lower`).
 
-    ``nodes`` are in emission order — each row's new nodes follow the
-    previous row's, its final node last — ``finishes`` hold one entry per
-    distinct complete order, and ``rows`` maps each truth-table row, in
-    ``planner.chains`` order, to its final node and its finish.  A row
-    scores one memo hit iff an earlier row opened at its root node, so
-    ``memo_hits`` is the rows less the roots; both are 0 when a shared
-    ground atom is false and no row runs.
+    ``nodes`` are in emission order — each term's nodes follow the
+    previous term's, its final node last — ``finishes`` hold one entry
+    per term, and ``rows`` maps each term, in ``planner.chains`` order,
+    to its final node and its finish.
+    ``rows_evaluated`` counts the terms, 0 when a shared ground atom is
+    false and none runs.
     """
 
     planner: "RowPlanner"
@@ -215,33 +227,22 @@ class ShapeOps(NamedTuple):
     finishes: tuple[Finish, ...]
     rows: dict[Rows, tuple[int, int]]
     rows_evaluated: int
-    memo_hits: int
 
     @property
-    def stored(self) -> dict[int, int]:
-        """Node index → how many consumers read it, for each node a row
-        kernel stores: one that two consumers read (a prefix rows
-        share), or one :data:`MAX_NESTING` loops deep.  Every other node
-        has one consumer — a node joined onto it, or its row's finishes
-        — and runs inside that consumer's loop.  A final node joins
-        every operand, so only its row's finishes read it: it is never
-        stored."""
-        nodes = self.nodes
-        consumers = [0] * len(nodes)
-        for node in nodes:
-            if node.parent is not None:
-                consumers[node.parent] += 1
+    def stored(self) -> frozenset[int]:
+        """The nodes a row kernel stores: each :data:`MAX_NESTING` loops
+        deep, but a final node, which only its term's finishes read.
+        Every other node runs inside the loop of the one node joined
+        onto it, or of its term's finishes."""
         finals = {final for final, _ in self.rows.values()}
-        for final in finals:
-            consumers[final] += 1
-        stored: dict[int, int] = {}
-        depth = [0] * len(nodes)
-        for i, node in enumerate(nodes):
+        stored: set[int] = set()
+        depth = [0] * len(self.nodes)
+        for i, node in enumerate(self.nodes):
             parent = node.parent
             depth[i] = 1 if parent is None else 1 + (1 if parent in stored else depth[parent])
-            if consumers[i] > 1 or (depth[i] >= MAX_NESTING and i not in finals):
-                stored[i] = consumers[i]
-        return stored
+            if depth[i] >= MAX_NESTING and i not in finals:
+                stored.add(i)
+        return frozenset(stored)
 
     @property
     def probe_targets(self) -> dict[int, ProbeTarget]:
@@ -251,12 +252,13 @@ class ShapeOps(NamedTuple):
         )
 
     def describe_row(self, row: Rows, quote: Callable[[str], str] = str) -> str:
-        """One row's join order, e.g. ``i_customer -> lineitem [probe cust_id]``.
+        """One term's join order, e.g. ``i_customer -> lineitem [probe cust_id]``.
 
-        A DELTA operand renders as ``i_<name>``; a joined operand says
-        how it is reached: ``probe`` (by index), ``hash`` (by its link
-        attributes) or ``cross`` (no equality link).  ``quote`` renders
-        every relation and attribute name.
+        The delta renders as ``i_<name>``, a pre-commit operand as
+        ``pre_<name>``; a joined operand says how it is reached:
+        ``probe`` (by index), ``hash`` (by its link attributes) or
+        ``cross`` (no equality link).  ``quote`` renders every relation
+        and attribute name.
         """
         return self.describe_node(self.rows[row][0], quote)
 
@@ -269,7 +271,11 @@ class ShapeOps(NamedTuple):
             node = self.nodes[index]
             occurrence = occurrences[node.step.position]
             name = quote(occurrence.name)
-            part = name if node.choice is DeltaRowChoice.OLD else f"i_{name}"
+            part = (
+                f"i_{name}" if node.choice is DeltaRowChoice.DELTA
+                else f"pre_{name}" if node.access in PRE_COMMIT
+                else name
+            )
             if node.parent is not None:
                 attrs = ", ".join(
                     quote(occurrence.inverse[q]) for q in node.step.link_attr_names
@@ -283,11 +289,10 @@ class ShapeOps(NamedTuple):
     def describe(self) -> str:
         """A human-readable account of the evaluation plan.
 
-        Lists the truth-table rows to evaluate, each row's join order,
-        and per distinct step: the hash-join links (with ``x = y + c``
-        shifts), operand prefilters and post-join filters the pushdown
-        assigned — the textual form of what the shape's row kernel
-        executes.
+        Lists the terms to evaluate, each term's join order, and per
+        distinct step: the hash-join links (with ``x = y + c`` shifts),
+        operand prefilters and post-join filters the pushdown assigned —
+        the textual form of what the shape's row kernel executes.
         """
         planner = self.planner
         nf = planner.normal_form
@@ -296,23 +301,21 @@ class ShapeOps(NamedTuple):
             f"view: {nf!r}",
             f"changed occurrences: "
             f"{[names[i] for i in planner.changed] or '(none: full evaluation)'}",
-            f"rows to evaluate: {len(self.rows)}",
+            f"rows to evaluate: {len(self.rows)} (one term per changed occurrence)",
         ]
         for row in self.rows:
-            lines.append(f"  {render_row(row, names)}")
-        lines.append("join order per row (from its lowest delta, along the links):")
+            lines.append(f"  {self.describe_row(row).replace(' -> ', ' ⋈ ')}")
+        lines.append("join order per term (from its delta, along the links):")
         for index, row in enumerate(self.rows):
             lines.append(f"  row {index}: {self.describe_row(row)}")
-        lines.append("steps (one per distinct order prefix, shared across rows):")
+        lines.append("steps (one per distinct order prefix):")
         for step in planner.distinct_steps:
             lines.append("  " + step.describe(names))
         stored = self.stored
         if stored:
-            lines.append("stored nodes (the rest run inside their consumer's loop):")
-            for index, readers in stored.items():
-                node = self.nodes[index]
-                why = f"read by {readers}" if readers > 1 else f"{MAX_NESTING} loops deep"
-                lines.append(f"  {node.name}: {self.describe_node(index)} ({why})")
+            lines.append(f"stored nodes ({MAX_NESTING} loops deep; the rest run inside their consumer's loop):")
+            for index in sorted(stored):
+                lines.append(f"  {self.nodes[index].name}: {self.describe_node(index)}")
         else:
             lines.append("stored nodes: none (every node runs inside its consumer's loop)")
         if self.finishes[0].condition is not None:
@@ -344,7 +347,7 @@ def _numbered(name: str, chain: Sequence[StepPlan]) -> str:
 
 
 class RowPlanner:
-    """The evaluation plan of one truth-table shape of one view.
+    """The evaluation plan of one shape of one view: its terms.
 
     Parameters
     ----------
@@ -364,15 +367,16 @@ class RowPlanner:
         self._plan_condition()
         self._steps_by_prefix: dict[tuple[int, ...], StepPlan] = {}
         width = len(normal_form.occurrences)
-        #: Truth-table row -> its chain, in truth-table order: the
-        #: shape's 2^k − 1 rows, or the one all-OLD row of a full
-        #: evaluation when nothing changed.  The one place a join order
-        #: is decided; :meth:`lower` turns it into ops.
+        delta, old = DeltaRowChoice.DELTA, DeltaRowChoice.OLD
+        #: Term -> its chain: per changed position, in order, the row
+        #: with DELTA there and OLD elsewhere; or the one all-OLD row of
+        #: a full evaluation when nothing changed.  The one place a join
+        #: order is decided; :meth:`lower` turns it into ops.
         self.chains: dict[Rows, Chain] = {
             row: self._build_chain(row)
             for row in (
-                delta_rows(width, self.changed)
-                or [(DeltaRowChoice.OLD,) * width]
+                [tuple(delta if p == i else old for p in range(width)) for i in self.changed]
+                or [(old,) * width]
             )
         }
 
@@ -414,11 +418,11 @@ class RowPlanner:
                     self._linked[q].add(p)
 
     def _build_chain(self, row: Rows) -> Chain:
-        """One row's join order and steps, by the greedy rule: start at
-        the row's lowest DELTA position, then keep appending an operand
-        an equality atom links to what is bound — DELTA before OLD,
-        then the lower position — and an unlinked one only when none is
-        linked."""
+        """One term's join order and steps, by the greedy rule: start at
+        the term's delta (position 0 when it has none), then keep
+        appending an operand an equality atom links to what is bound —
+        the lower position first — and an unlinked one only when none
+        is linked."""
         delta = DeltaRowChoice.DELTA
         rest = list(range(len(row)))
         prefix: tuple[int, ...] = (
@@ -428,14 +432,7 @@ class RowPlanner:
         chain = [self._step_for(prefix)]
         while rest:
             bound = set(prefix)
-            position = min(
-                rest,
-                key=lambda p: (
-                    not (self._linked[p] & bound),
-                    row[p] is not delta,
-                    p,
-                ),
-            )
+            position = min(rest, key=lambda p: (not (self._linked[p] & bound), p))
             rest.remove(position)
             prefix += (position,)
             chain.append(self._step_for(prefix))
@@ -518,7 +515,7 @@ class RowPlanner:
     # ------------------------------------------------------------------
     @property
     def pushed_atoms(self) -> tuple[Atom, ...]:
-        """The atoms every row's traversal applies as it joins: the
+        """The atoms every term's traversal applies as it joins: the
         non-ground atoms every disjunct holds."""
         return tuple(self._pushable)
 
@@ -530,71 +527,64 @@ class RowPlanner:
     def lower(
         self, bag_operands: Collection[str] = (), counter_free: bool = False
     ) -> ShapeOps:
-        """The shape as ops: every access, sharing and finish decision.
+        """The shape as ops: every access and finish decision.
 
         ``bag_operands`` names the operands that are upstream views
         (bags); ``counter_free`` is true when a derived view key proves
         every view row has multiplicity ≤ 1, so the finishes pin each
         counter to one.  Node ``n_<choices>`` and finish ``apply_kernel``
-        are suffixed with their last step's number off row 0's order; a
-        hash table ``h_<step>_<CHOICE>`` is one per joined (step,
-        choice) that no index answers, shared by every node joining it.
+        are suffixed with their last step's number off the first term's
+        order; a hash table ``h_<step>_OLD`` is one per joined step that
+        no index answers.
         """
         occurrences = self.normal_form.occurrences
         delta = DeltaRowChoice.DELTA
         nodes: list[Node] = []
-        numbered: dict[str, int] = {}
         finishes: list[Finish] = []
-        finished: dict[str, int] = {}
         rows: dict[Rows, tuple[int, int]] = {}
         for row, chain in self.chains.items():
             parent: Optional[int] = None
             sig = ""
+            # A changed operand right of the delta is read pre-commit.
+            first = row.index(delta) if delta in row else len(row)
             for depth, step in enumerate(chain):
                 choice = row[step.position]
                 sig += "D" if choice is delta else "O"
-                name = _numbered(f"n_{sig}", chain[: depth + 1])
-                if name not in numbered:
-                    numbered[name] = len(nodes)
-                    occurrence = occurrences[step.position]
-                    changed = step.position in self.changed
-                    table: Optional[str] = None
-                    target: Optional[ProbeTarget] = None
-                    if parent is None or choice is delta or not step.link_attr_names:
-                        access = (
-                            Access.DELTA_SCAN if choice is delta
-                            else Access.OLD_SCAN_LESS_INSERTS if changed
-                            else Access.OLD_SCAN
-                        )
-                        if parent is not None:
-                            table = f"h_{step.number}_{choice.name}"
+                occurrence = occurrences[step.position]
+                pre = step.position > first and step.position in self.changed
+                table: Optional[str] = None
+                target: Optional[ProbeTarget] = None
+                if parent is None or not step.link_attr_names:
+                    access = (
+                        Access.DELTA_SCAN if choice is delta
+                        else Access.PRE_COMMIT_SCAN if pre
+                        else Access.OLD_SCAN
+                    )
+                    if parent is not None:
+                        table = f"h_{step.number}_OLD"
+                else:
+                    if occurrence.name in bag_operands:
+                        access = Access.PRE_COMMIT_BAG_PROBE if pre else Access.BAG_PROBE
                     else:
-                        if occurrence.name in bag_operands:
-                            access = Access.BAG_PROBE_LESS_INSERTS if changed else Access.BAG_PROBE
-                        else:
-                            access = Access.SET_PROBE_LESS_INSERTS if changed else Access.SET_PROBE
-                        target = (
-                            occurrence.name,
-                            tuple(occurrence.inverse[q] for q in step.link_attr_names),
-                        )
-                    nodes.append(Node(name, parent, step, choice, access, table, target))
-                parent = numbered[name]
+                        access = Access.PRE_COMMIT_SET_PROBE if pre else Access.SET_PROBE
+                    target = (
+                        occurrence.name,
+                        tuple(occurrence.inverse[q] for q in step.link_attr_names),
+                    )
+                name = _numbered(f"n_{sig}", chain[: depth + 1])
+                nodes.append(Node(name, parent, step, choice, access, table, target))
+                parent = len(nodes) - 1
             assert parent is not None
-            finish = _numbered("apply_kernel", chain)
-            if finish not in finished:
-                finished[finish] = len(finishes)
-                schema = chain[-1].acc_schema
-                finishes.append(Finish(
-                    finish,
-                    self.normal_form.condition if self._needs_final_filter else None,
-                    schema,
-                    tuple(schema.index(q) for _, q in self.normal_form.projection),
-                    counter_free,
-                ))
-            rows[row] = (parent, finished[finish])
-        evaluated = 0 if self._always_empty else len(rows)
-        roots = sum(node.parent is None for node in nodes)
+            schema = chain[-1].acc_schema
+            rows[row] = (parent, len(finishes))
+            finishes.append(Finish(
+                _numbered("apply_kernel", chain),
+                self.normal_form.condition if self._needs_final_filter else None,
+                schema,
+                tuple(schema.index(q) for _, q in self.normal_form.projection),
+                counter_free,
+            ))
         return ShapeOps(
             self, tuple(nodes), tuple(finishes), rows,
-            evaluated, evaluated and evaluated - roots,
+            0 if self._always_empty else len(rows),
         )

@@ -14,6 +14,12 @@ with ``k`` modified relations costs O(2^k) regardless of ``p``.
 This module enumerates exactly those rows.  A row is a tuple of
 :class:`DeltaRowChoice` values, one per occurrence (``OLD`` everywhere
 except the changed positions, which range over ``OLD``/``DELTA``).
+
+Maintenance evaluates fewer: the planner (:mod:`repro.core.planner`)
+telescopes the same delta to one term per changed occurrence — k
+instead of 2^k − 1 — each written as a row with one ``DELTA`` cell.  The
+table is kept for what prints it (the paper walkthrough, benchmark E5)
+and for the test reference, which holds the terms to it.
 """
 
 from __future__ import annotations
@@ -30,6 +36,8 @@ class DeltaRowChoice(enum.Enum):
     """One truth-table cell: which tuples of the operand a row uses."""
 
     #: B_i = 0 — tuples present both before and after the transaction.
+    #: In a telescoped term, an untagged operand: stored left of the
+    #: term's delta, pre-commit right of it.
     OLD = 0
     #: B_i = 1 — the transaction's net-change tuples (tagged inserts
     #: and deletes).
@@ -50,9 +58,8 @@ def delta_rows(
     ``changed_positions`` are the operand indices the transaction
     modified.  Every combination of OLD/DELTA over those positions
     except all-OLD (the current view), with unchanged positions pinned
-    to OLD — ``2^k − 1`` rows, none when nothing changed.  Plan
-    construction reads this; an execution goes through
-    :func:`enumerate_delta_rows`, which charges each row.
+    to OLD — ``2^k − 1`` rows, none when nothing changed.
+    :func:`enumerate_delta_rows` yields them, charging each row.
     """
     changed = sorted(set(changed_positions))
     for position in changed:
@@ -91,13 +98,6 @@ def enumerate_delta_rows(
         yield row
 
 
-def count_delta_rows(changed_count: int) -> int:
-    """Number of rows :func:`enumerate_delta_rows` will yield: 2^k − 1."""
-    if changed_count < 0:
-        raise MaintenanceError("changed_count must be non-negative")
-    return (1 << changed_count) - 1 if changed_count else 0
-
-
 def render_row(row: Rows, operand_names: Sequence[str]) -> str:
     """Format a row like the paper's table, e.g. ``i_r1 ⋈ r2 ⋈ r3``.
 
@@ -120,8 +120,7 @@ def full_truth_table(num_operands: int) -> list[Rows]:
     """All ``2^p`` rows including the all-old row, for display only.
 
     This reproduces the paper's illustrative p = 3 table verbatim
-    (benchmark E5 prints it); maintenance itself always uses
-    :func:`enumerate_delta_rows`.
+    (benchmark E5 prints it).
     """
     rows = []
     for bits in product((DeltaRowChoice.OLD, DeltaRowChoice.DELTA),

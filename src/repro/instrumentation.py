@@ -80,14 +80,12 @@ METRICS: dict[str, Metric] = _declare(
         ("tuples_scanned", "tuples", "operand tuples read by a scan, a hash-table build or an aggregation"),
         ("join_probes", "probes", "accumulator tuples probed into an operand"),
         ("tuples_emitted", "tuples", "tuples a select, project or join step produced"),
-        ("tuples_ignored", "pairs", "insert ⊗ delete join pairs dropped by the tag algebra"),
         ("index_probes", "probes", "lookups answered by an engine hash index"),
     )),
     ("differential", (  # Section 5
         ("differential_updates", "calls", "view deltas computed"),
-        ("truth_table_rows", "rows", "Section 5.3 rows enumerated"),
-        ("delta_rows_evaluated", "rows", "rows the planner or a row kernel actually evaluated"),
-        ("subexpression_memo_hits", "rows", "row prefixes served from the planner's memo instead of re-joined"),
+        ("truth_table_rows", "rows", "delta terms enumerated: one per changed occurrence (Section 5.3's table would have 2^k − 1 rows)"),
+        ("delta_rows_evaluated", "rows", "delta terms a row kernel actually evaluated"),
     )),
     ("screening", (  # Section 4
         ("filter_tuples_checked", "tuples", "delta tuples put through a relevance screen"),
@@ -121,7 +119,7 @@ METRICS: dict[str, Metric] = _declare(
     ("codegen", (  # docs/codegen.md
         ("codegen_plans_compiled", "kernels", "kernel sets generated and installed: once per plan's screen and fold kernels, once per truth-table shape"),
         ("codegen_batch_rows", "rows", "delta tuples screened, truth-table rows evaluated and core rows folded by generated kernels"),
-        ("codegen_fallback_tuples", "tuples", "always 0: every truth table runs on kernels (chained past MAX_CODEGEN_ROWS); kept for macrobench/layers.py, which reads it"),
+        ("codegen_fallback_tuples", "tuples", "always 0: every shape runs on kernels; kept for macrobench/layers.py, which reads it"),
     )),
     ("analysis", (  # docs/analysis.md
         ("analysis_runs", "calls", "static analyzer runs"),

@@ -6,18 +6,22 @@ parity suites hold those kernels to:
 
 * :func:`filter_delta` — Algorithm 4.1 over a whole delta, one
   :meth:`~repro.core.irrelevance.RelevanceFilter.is_relevant` per tuple;
-* :class:`RowWalker` — Algorithm 5.1's row evaluation: it walks the
-  nodes of a shape lowered by :meth:`~repro.core.planner.RowPlanner.lower`
+* :class:`RowWalker` — Algorithm 5.1's delta evaluation: it walks the
+  terms of a shape lowered by :meth:`~repro.core.planner.RowPlanner.lower`
   (the join orders, links and filter atoms the kernel generator also
-  reads) over tagged operands it builds itself, with the memo of shared
-  prefixes as a switch (E13) and an optional index hook for OLD operands
+  reads) over the tagged delta and the stored and pre-commit operands it
+  builds itself, with an optional index hook for the untagged operands
   (:func:`index_probe_for`, E14);
 * :func:`compute_view_delta` and :func:`evaluate_normal_form` — the
-  differential and the complete evaluation built on it.
+  differential and the complete evaluation built on it;
+* :func:`truth_table_delta` — the same view delta by the paper's own
+  Section 5.3 table: its 2^k − 1 rows over OLD (``r − d_r``) and the
+  tagged deltas, joined by the tagged operators below.  The terms and
+  the table net to the same view delta (``tests/test_delta_terms.py``).
 
 :class:`ReferenceViews` maintains views with these functions alone:
-each relation's net delta screened, the truth table evaluated over
-hashed OLD operands, :meth:`AggregateState.fold` for the core delta of
+each relation's net delta screened, the terms evaluated over hashed
+operands, :meth:`AggregateState.fold` for the core delta of
 an aggregate view, the result applied with full Section 5.2 counters.
 It shares no compiled plan, generated kernel or chase-derived shortcut
 (static irrelevance, FK reduction, counter-free apply) with
@@ -25,8 +29,8 @@ It shares no compiled plan, generated kernel or chase-derived shortcut
 side and compare view contents after every stream.
 
 Work counters are comparable too.  By default the reference hashes
-every OLD operand it joins where the maintainer probes a persistent
-index, so ``tuples_scanned`` and ``index_probes`` differ; with
+every untagged operand it joins where the maintainer probes a
+persistent index, so ``tuples_scanned`` and ``index_probes`` differ; with
 ``index_probes=True`` it reads the same indexes through
 :func:`index_probe_for` and those two agree as well
 (``PROBE_PARITY_COUNTERS``).
@@ -132,6 +136,14 @@ def unary_tag(tag: Tag) -> Tag:
         raise ValueError(f"{tag!r} cannot flow through a unary operator") from None
 
 
+def tagged_items(delta: Delta) -> Iterator[tuple[ValueTuple, Tag, int]]:
+    """Iterate a delta as tagged tuples, the §5.3 representation."""
+    for values, count in delta.inserted.items():
+        yield values, Tag.INSERT, count
+    for values, count in delta.deleted.items():
+        yield values, Tag.DELETE, count
+
+
 class TaggedRelation:
     """Tuples carrying a tag and a count: the §5.3 evaluation currency.
 
@@ -160,7 +172,7 @@ class TaggedRelation:
     def from_delta(cls, delta: Delta) -> "TaggedRelation":
         """The tagged form of a delta: inserts and deletes, tagged."""
         out = cls(delta.schema)
-        for values, tag, count in delta.tagged_items():
+        for values, tag, count in tagged_items(delta):
             out._counts[(values, tag)] = count
         return out
 
@@ -239,11 +251,16 @@ class TaggedRelation:
 ProbeRow = tuple[ValueTuple, Tag, int]
 #: A probe function: join-key values -> matching operand rows.
 ProbeFn = Callable[[ValueTuple], Iterable[ProbeRow]]
-#: An index hook: (position, link attributes) -> a probe function, or
-#: None to hash the operand instead.
-IndexProbe = Callable[[int, tuple[str, ...]], Optional[ProbeFn]]
-#: ``operands[position][choice]``: an occurrence's tagged tuples.
-Operands = Sequence[Mapping[DeltaRowChoice, TaggedRelation]]
+#: An index hook: (position, link attributes, pre-commit) -> a probe
+#: function, or None to hash the operand instead.
+IndexProbe = Callable[[int, tuple[str, ...], bool], Optional[ProbeFn]]
+
+#: What a term reads of an occurrence: its tagged delta, the operand as
+#: stored after the commit, or as it stood before it; and what the
+#: paper's truth table reads besides the delta: OLD, ``r − d_r``.
+DELTA, STORED, PRE_COMMIT, OLD = "delta", "stored", "pre-commit", "old"
+#: ``operands[position][state]``: an occurrence's tagged tuples.
+Operands = Sequence[Mapping[str, TaggedRelation]]
 
 #: Counters the maintainer's kernels and the reference functions charge
 #: identically on the same stream (absent static-irrelevance and
@@ -251,10 +268,8 @@ Operands = Sequence[Mapping[DeltaRowChoice, TaggedRelation]]
 REFERENCE_PARITY_COUNTERS = (
     "join_probes",
     "tuples_emitted",
-    "tuples_ignored",
     "truth_table_rows",
     "delta_rows_evaluated",
-    "subexpression_memo_hits",
     "filter_tuples_checked",
     "filter_ground_evals",
     "filter_bound_probes",
@@ -264,7 +279,7 @@ REFERENCE_PARITY_COUNTERS = (
 )
 
 #: Counters the kernels and the reference behind :func:`index_probe_for`
-#: charge identically: how an OLD operand is reached agrees too.
+#: charge identically: how an untagged operand is reached agrees too.
 PROBE_PARITY_COUNTERS = REFERENCE_PARITY_COUNTERS + (
     "tuples_scanned",
     "index_probes",
@@ -307,17 +322,17 @@ def screened(relevance: RelevanceFilter, delta: Delta) -> Delta:
 # ----------------------------------------------------------------------
 
 class RowWalker:
-    """Evaluates a lowered shape's rows (:class:`ShapeOps`), tuple by tuple.
+    """Evaluates a lowered shape's terms (:class:`ShapeOps`), tuple by tuple.
 
-    ``operands[position][choice]`` supplies the tagged tuples of each
-    occurrence under each truth-table choice (DELTA only for changed
-    positions); the walker takes the nodes, choices, links and filter
-    atoms from the ops and nothing else — OLD comes from ``operands``,
-    whatever the ops' access says.  With ``share_subexpressions`` every
-    node is memoized, so rows whose orders begin alike share the work,
-    as the row kernel's nodes do.  A node the ops probe is answered by
-    ``index_probe`` where it returns a probe; any other joined operand is
-    hashed once per (distinct step, choice), as the kernels hash it.
+    ``operands[position][state]`` supplies the tagged tuples of each
+    occurrence in each state a term reads: ``DELTA`` (changed positions
+    only), ``STORED`` and ``PRE_COMMIT``.  The walker takes the nodes,
+    choices, links and filter atoms from the ops and nothing else: a
+    term's delta is the node the ops choose DELTA, a changed operand
+    right of it is read ``PRE_COMMIT`` and every other one ``STORED`` —
+    whatever the ops' access says.  A node the ops probe is answered by
+    ``index_probe`` where it returns a probe; any other joined operand
+    is hashed once per distinct step, as the kernels hash it.
     """
 
     def __init__(
@@ -325,14 +340,11 @@ class RowWalker:
         ops: ShapeOps,
         operands: Operands,
         index_probe: IndexProbe | None = None,
-        share_subexpressions: bool = True,
     ) -> None:
         self.ops = ops
         self.operands = operands
         self.index_probe = index_probe
-        self.share = share_subexpressions
-        self.memo: dict[int, TaggedRelation] = {}
-        self.tables: dict[tuple[int, DeltaRowChoice], dict[ValueTuple, list[ProbeRow]]] = {}
+        self.tables: dict[int, dict[ValueTuple, list[ProbeRow]]] = {}
         #: Per step, by number: its prefilter and postfilter, compiled here.
         self.filters = [
             (
@@ -351,7 +363,7 @@ class RowWalker:
         ]
 
     def evaluate(self, rows: Iterable[Rows]) -> TaggedRelation:
-        """Every row, filtered, projected and merged into one result."""
+        """Every term, filtered, projected and merged into one result."""
         merged = TaggedRelation(self.ops.planner.normal_form.output_schema())
         if not self.ops.rows_evaluated:  # a shared ground atom is false
             return merged
@@ -359,47 +371,45 @@ class RowWalker:
             charge("delta_rows_evaluated")
             final, finish = self.ops.rows[row]
             check, positions = self.finishes[finish]
-            for values, tag, count in self._node(final).items():
+            first = row.index(DeltaRowChoice.DELTA) if DeltaRowChoice.DELTA in row else len(row)
+            for values, tag, count in self._node(final, first).items():
                 if check is None or check(values):
                     merged.add(tuple(values[i] for i in positions), tag, count)
         return merged
 
-    def _node(self, index: int) -> TaggedRelation:
-        if self.share:
-            cached = self.memo.get(index)
-            if cached is not None:
-                charge("subexpression_memo_hits")
-                return cached
+    def _state(self, node: Node, first: int) -> str:
+        """What the node's term reads of its operand, its delta at
+        position ``first``."""
+        position = node.step.position
+        if node.choice is DeltaRowChoice.DELTA:
+            return DELTA
+        return PRE_COMMIT if position > first and position in self.ops.planner.changed else STORED
+
+    def _node(self, index: int, first: int) -> TaggedRelation:
         node = self.ops.nodes[index]
         step = node.step
-        if node.parent is None:
-            prefilter = self.filters[step.number][0]
-            result = TaggedRelation(step.operand_schema)
-            for values, tag, count in self.operands[step.position][node.choice].items():
-                charge("tuples_scanned")
-                if prefilter is None or prefilter(values):
-                    result.add(values, tag, count)
-        else:
-            result = self._join(self._node(node.parent), node)
-        if self.share:
-            self.memo[index] = result
+        if node.parent is not None:
+            return self._join(self._node(node.parent, first), node, self._state(node, first))
+        prefilter = self.filters[step.number][0]
+        result = TaggedRelation(step.operand_schema)
+        for values, tag, count in self.operands[step.position][self._state(node, first)].items():
+            charge("tuples_scanned")
+            if prefilter is None or prefilter(values):
+                result.add(values, tag, count)
         return result
 
-    def _join(self, acc: TaggedRelation, node: Node) -> TaggedRelation:
+    def _join(self, acc: TaggedRelation, node: Node, state: str) -> TaggedRelation:
         step = node.step
         out = TaggedRelation(step.acc_schema)
         if acc.is_empty():
             return out
-        probe = self._probe_for(node)
+        probe = self._probe_for(node, state)
         postfilter = self.filters[step.number][1]
         for acc_values, acc_tag, acc_count in acc.items():
             charge("join_probes")
             key = tuple(acc_values[pos] + shift for pos, _, shift in step.eq_links)
             for op_values, op_tag, op_count in probe(key):
                 tag = combine_join_tags(acc_tag, op_tag)
-                if tag is Tag.IGNORE:
-                    charge("tuples_ignored")
-                    continue
                 joined = acc_values + op_values
                 if postfilter is not None and not postfilter(joined):
                     continue
@@ -407,21 +417,21 @@ class RowWalker:
                 out.add(joined, tag, acc_count * op_count)
         return out
 
-    def _probe_for(self, node: Node) -> ProbeFn:
-        step, choice = node.step, node.choice
+    def _probe_for(self, node: Node, state: str) -> ProbeFn:
+        step = node.step
         prefilter = self.filters[step.number][0]
         if node.target is not None and self.index_probe is not None:
-            indexed = self.index_probe(step.position, step.link_attr_names)
+            indexed = self.index_probe(step.position, step.link_attr_names, state == PRE_COMMIT)
             if indexed is not None:
                 if prefilter is None:
                     return indexed
                 return lambda key: (
                     found for found in indexed(key) if prefilter(found[0])
                 )
-        table = self.tables.get((step.number, choice))
+        table = self.tables.get(step.number)
         if table is None:
-            table = self.tables[(step.number, choice)] = {}
-            for values, tag, count in self.operands[step.position][choice].items():
+            table = self.tables[step.number] = {}
+            for values, tag, count in self.operands[step.position][state].items():
                 charge("tuples_scanned")
                 if prefilter is None or prefilter(values):
                     key = tuple(values[i] for i in step.operand_key_positions)
@@ -452,7 +462,8 @@ def old_operand(
     delta: Delta | None,
     qualified_schema: RelationSchema,
 ) -> TaggedRelation:
-    """The OLD operand: tuples present both before and after the commit.
+    """The paper's OLD operand: tuples present both before and after the
+    commit.
 
     ``post_state`` is the relation *after* the transaction applied;
     subtracting the inserted counts recovers ``r − d_r``.  The count
@@ -469,10 +480,36 @@ def old_operand(
     return out
 
 
+def pre_commit_operand(
+    post_state: Relation,
+    delta: Delta | None,
+    qualified_schema: RelationSchema,
+) -> TaggedRelation:
+    """The operand as it stood before the commit: the post-state less
+    the inserted counts, plus the deleted ones — OLD and the deletes."""
+    out = TaggedRelation(qualified_schema)
+    inserted = delta.inserted if delta is not None else {}
+    deleted = delta.deleted if delta is not None else {}
+    counts = dict(post_state.items())
+    for values in [*counts, *(v for v in deleted if v not in counts)]:
+        count = counts.get(values, 0) - inserted.get(values, 0) + deleted.get(values, 0)
+        if count > 0:
+            out.add(values, Tag.OLD, count)
+    return out
+
+
+def stored_operand(post_state: Relation, qualified_schema: RelationSchema) -> TaggedRelation:
+    """The operand as stored after the commit, untagged (``OLD``)."""
+    out = TaggedRelation(qualified_schema)
+    for values, count in post_state.items():
+        out.add(values, Tag.OLD, count)
+    return out
+
+
 def delta_operand(delta: Delta, qualified_schema: RelationSchema) -> TaggedRelation:
     """The DELTA operand: net inserts and deletes, tagged."""
     out = TaggedRelation(qualified_schema)
-    for values, tag, count in delta.tagged_items():
+    for values, tag, count in tagged_items(delta):
         out.add(values, tag, count)
     return out
 
@@ -484,7 +521,9 @@ def build_operands(
     changed_positions: Sequence[int],
 ) -> list[LazyOperandEntry]:
     """Per-occurrence lazy operands over one transaction's post-state
-    and deltas: OLD is ``r − d_r``, DELTA the tagged net change."""
+    and deltas, by state: ``DELTA`` the tagged net change, ``STORED``
+    the post-state, ``PRE_COMMIT`` the state before the commit and
+    ``OLD`` the paper's ``r − d_r``."""
     qualified = normal_form.qualified_schema
     operands = []
     for i, occ in enumerate(normal_form.occurrences):
@@ -505,9 +544,13 @@ def build_operands(
 
 def _operand_builder(
     post: Relation, delta: Delta | None, schema: RelationSchema, changed: bool
-) -> Callable[[DeltaRowChoice], TaggedRelation]:
-    def build(choice: DeltaRowChoice) -> TaggedRelation:
-        if choice is DeltaRowChoice.OLD:
+) -> Callable[[str], TaggedRelation]:
+    def build(state: str) -> TaggedRelation:
+        if state == STORED:
+            return stored_operand(post, schema)
+        if state == PRE_COMMIT:
+            return pre_commit_operand(post, delta, schema)
+        if state == OLD:
             return old_operand(post, delta, schema)
         if changed and delta is not None:
             return delta_operand(delta, schema)
@@ -520,10 +563,10 @@ def compute_view_delta(
     normal_form: NormalForm,
     post_instances: Mapping[str, Relation],
     deltas: Mapping[str, Delta],
-    share_subexpressions: bool = True,
     index_probe: IndexProbe | None = None,
 ) -> Delta:
-    """The net change to a view caused by one transaction (Algorithm 5.1).
+    """The net change to a view caused by one transaction (Algorithm 5.1),
+    one term per changed occurrence.
 
     ``post_instances`` holds every operand *after* the transaction;
     ``deltas`` its net effect per relation, possibly screened first.  A
@@ -533,14 +576,42 @@ def compute_view_delta(
     if not changed:
         return Delta(normal_form.output_schema())
     charge("differential_updates")
+    ops = RowPlanner(normal_form, changed).lower()
+    if ops.rows_evaluated:
+        charge("truth_table_rows", ops.rows_evaluated)
     walker = RowWalker(
-        RowPlanner(normal_form, changed).lower(),
-        build_operands(normal_form, post_instances, deltas, changed),
-        index_probe,
-        share_subexpressions,
+        ops, build_operands(normal_form, post_instances, deltas, changed), index_probe
     )
-    rows = enumerate_delta_rows(len(normal_form.occurrences), changed)
-    return walker.evaluate(rows).to_delta()
+    return walker.evaluate(ops.rows).to_delta()
+
+
+def truth_table_delta(
+    normal_form: NormalForm,
+    post_instances: Mapping[str, Relation],
+    deltas: Mapping[str, Delta],
+) -> Delta:
+    """The net change to a view by the paper's Section 5.3 table.
+
+    Each of the 2^k − 1 rows joins OLD (``r − d_r``) or the tagged delta
+    per occurrence with the tagged operators — ``insert ⋈ delete``
+    pairs dropped — selects and projects; the rows' tagged tuples net
+    to the view delta.  Every row is a cross product of its operands
+    before the select, so keep the relations small.
+    """
+    changed = changed_positions_for(normal_form, deltas)
+    operands = build_operands(normal_form, post_instances, deltas, changed)
+    projection = [qualified for _, qualified in normal_form.projection]
+    merged = TaggedRelation(normal_form.output_schema())
+    for row in enumerate_delta_rows(len(normal_form.occurrences), changed):
+        joined: TaggedRelation | None = None
+        for position, choice in enumerate(row):
+            operand = operands[position][DELTA if choice is DeltaRowChoice.DELTA else OLD]
+            joined = operand if joined is None else tagged_product(joined, operand)
+        assert joined is not None
+        selected = tagged_select(joined, normal_form.condition)
+        for values, tag, count in tagged_project(selected, projection).items():
+            merged.add(values, tag, count)
+    return merged.to_delta()
 
 
 def index_probe_for(
@@ -548,29 +619,39 @@ def index_probe_for(
     post_instances: Mapping[str, Relation],
     deltas: Mapping[str, Delta],
 ) -> IndexProbe:
-    """An OLD-operand hook reading the indexes the maintainer binds.
+    """An untagged-operand hook reading the indexes the maintainer binds.
 
     A probe reads the operand's hash index on its link attributes
     (``index_on``: built on first use, then kept by the relation), one
     charged :meth:`~repro.algebra.relation.HashIndex.probe` per key.
-    The index holds the post-commit operand while OLD means ``r − d_r``,
-    so a tuple keeps its live count less this transaction's inserted
-    copies, and one with none left is not OLD.
+    The index holds the post-commit operand: a stored read keeps each
+    tuple's live count; a pre-commit read takes this transaction's
+    inserted copies off and its deleted ones back, and adds the deleted
+    tuples the operand no longer holds under the probed key.
     """
 
-    def hook(position: int, link_attrs: tuple[str, ...]) -> ProbeFn:
+    def hook(position: int, link_attrs: tuple[str, ...], pre_commit: bool) -> ProbeFn:
         occurrence = normal_form.occurrences[position]
         operand = post_instances[occurrence.name]
-        index = operand.index_on([occurrence.inverse[q] for q in link_attrs])
+        attrs = [occurrence.inverse[q] for q in link_attrs]
+        index = operand.index_on(attrs)
+        counts = operand.count_map
+        if not pre_commit:
+            return lambda key: ((values, Tag.OLD, counts[values]) for values in index.probe(key))
         delta = deltas.get(occurrence.name)
         inserted = delta.inserted if delta is not None else {}
-        counts = operand.count_map
+        deleted = delta.deleted if delta is not None else {}
+        positions = operand.schema.positions(attrs)
+        gone: dict[ValueTuple, list[ValueTuple]] = {}
+        for values in deleted:
+            if values not in counts:
+                gone.setdefault(tuple(values[i] for i in positions), []).append(values)
 
         def probe(key: ValueTuple) -> Iterable[ProbeRow]:
-            for values in index.probe(key):
-                remaining = counts[values] - inserted.get(values, 0)
-                if remaining > 0:
-                    yield values, Tag.OLD, remaining
+            for values in [*index.probe(key), *gone.get(key, ())]:
+                count = counts.get(values, 0) - inserted.get(values, 0) + deleted.get(values, 0)
+                if count > 0:
+                    yield values, Tag.OLD, count
 
         return probe
 
@@ -580,16 +661,16 @@ def index_probe_for(
 def evaluate_normal_form(
     normal_form: NormalForm, instances: Mapping[str, Relation]
 ) -> Relation:
-    """Complete evaluation: the one all-OLD row over every operand."""
+    """Complete evaluation: the one row with no delta, over every operand
+    as stored."""
     ops = RowPlanner(normal_form, changed_positions=()).lower()
-    operands = []
-    for occurrence in normal_form.occurrences:
-        tagged = TaggedRelation(
-            normal_form.qualified_schema.project_schema(occurrence.qualified_names())
-        )
-        for values, count in instances[occurrence.name].items():
-            tagged.add(values, Tag.OLD, count)
-        operands.append({DeltaRowChoice.OLD: tagged})
+    qualified = normal_form.qualified_schema
+    operands = [
+        {STORED: stored_operand(
+            instances[occ.name], qualified.project_schema(occ.qualified_names())
+        )}
+        for occ in normal_form.occurrences
+    ]
     counts: dict[ValueTuple, int] = {}
     for values, _, count in RowWalker(ops, operands).evaluate(ops.rows).items():
         counts[values] = counts.get(values, 0) + count
@@ -1022,7 +1103,6 @@ def tagged_join(left: TaggedRelation, right: TaggedRelation) -> TaggedRelation:
         for lvalues, ltag, lcount in table.get(key, ()):
             tag = combine_join_tags(ltag, rtag)
             if tag is Tag.IGNORE:
-                charge("tuples_ignored")
                 continue
             row = lvalues + tuple(rvalues[i] for i in right_extra_positions)
             charge("tuples_emitted")
@@ -1038,7 +1118,6 @@ def tagged_product(left: TaggedRelation, right: TaggedRelation) -> TaggedRelatio
         for rvalues, rtag, rcount in right.items():
             tag = combine_join_tags(ltag, rtag)
             if tag is Tag.IGNORE:
-                charge("tuples_ignored")
                 continue
             charge("tuples_emitted")
             out.add(lvalues + rvalues, tag, lcount * rcount)

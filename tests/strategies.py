@@ -7,7 +7,7 @@ import random
 from hypothesis import strategies as st
 
 from repro.algebra.conditions import Atom, Condition, Conjunction
-from repro.algebra.expressions import Expression
+from repro.algebra.expressions import BaseRef, Expression
 from repro.simulation.workload import (
     BASE_TABLES,
     random_aggregate_expression,
@@ -112,6 +112,37 @@ def spj_expressions(draw, max_operands: int = 3) -> Expression:
     """
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
     return random_spj_expression(random.Random(seed), max_operands=max_operands)
+
+
+@st.composite
+def natural_joins(draw, max_operands: int = 3) -> Expression:
+    """Natural joins of two or three of the SPJ_TABLES relations.
+
+    :func:`spj_expressions` joins tables that share no attribute name,
+    so every join of its views is a product and the condition carries
+    the links.  Here each later operand is renamed so that one or two of
+    its attributes take the names of attributes already joined: the
+    join itself links them.  An optional atom and projection follow.
+    """
+    count = draw(st.integers(min_value=2, max_value=max_operands))
+    names = draw(st.permutations(sorted(SPJ_TABLES)))[:count]
+    expression: Expression = BaseRef(names[0])
+    bound = list(SPJ_TABLES[names[0]])
+    for name in names[1:]:
+        attributes = SPJ_TABLES[name]
+        shared = draw(st.integers(min_value=1, max_value=len(attributes)))
+        sources = draw(st.permutations(attributes))[:shared]
+        targets = draw(st.permutations(bound))[:shared]
+        mapping = dict(zip(sources, targets))
+        expression = expression.join(BaseRef(name).rename(mapping))
+        bound += [a for a in attributes if a not in mapping]
+    if draw(st.booleans()):
+        attribute = draw(st.sampled_from(bound))
+        expression = expression.select(f"{attribute} <= {draw(st.integers(0, 6))}")
+    if draw(st.booleans()):
+        kept = draw(st.lists(st.sampled_from(bound), min_size=1, unique=True))
+        expression = expression.project(kept)
+    return expression
 
 
 @st.composite

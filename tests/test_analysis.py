@@ -159,12 +159,13 @@ class TestExample42Simultaneous:
         assert irrelevance == ["r", "s"]
         plan = maintainer.compiled_plan("u")
         assert plan.static_irrelevant == frozenset({"r", "s"})
-        # Every truth-table row needing a delta is dead: 2^2 - 1 = 3.
+        # Every delta term is dead: one per occurrence, 2 of 2 (the
+        # truth table counted its 2^2 - 1 = 3 rows).
         dead = [
             f for f in report.for_view("u") if f.code == F_DEAD_TRUTH_ROWS
         ]
         assert len(dead) == 1
-        assert "3" in dead[0].message
+        assert "2 of 2 delta terms" in dead[0].message
 
     def test_constrained_emptiness_is_not_unsatisfiability(self, maintainer):
         # The condition itself is satisfiable — only *legal* states

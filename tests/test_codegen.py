@@ -17,10 +17,10 @@ The codegen contract has six legs, each pinned here:
   screen source cannot survive ``declare_constraint`` /
   ``drop_constraint``: the DDL drops the compiled kernels with the
   plan, and the recompiled source changes behavior immediately;
-* **wide shapes** — a truth table past ``MAX_CODEGEN_ROWS`` runs as
-  row kernels in chunks with the reference's contents and work counters
-  (7- and 8-way joins, a 12-wide view, every relation changed), and
-  nothing ever charges ``codegen_fallback_tuples``;
+* **wide shapes** — a shape changing every relation of a 7- to
+  16-way join runs as one row kernel of k terms with the reference's
+  contents and work counters, and nothing ever charges
+  ``codegen_fallback_tuples``;
 * **hostile names** — relation and attribute names never execute: they
   reach generated source only quoted, inside comments;
 * **sharing** — kernels whose sources differ only in their comments
@@ -304,20 +304,19 @@ def _replay_wide(build, maintained):
 
 
 class TestWideShapes:
-    """Truth tables past ``MAX_CODEGEN_ROWS`` run as row kernels in chunks."""
+    """Every shape runs on one row kernel of k terms, however wide."""
 
     @pytest.mark.parametrize(
-        "build, rows",
+        "build, terms",
         [
-            (lambda: _self_join(7), 127),
-            (lambda: _chain(8), 255),
-            (lambda: _chain(12), 4095),
+            (lambda: _self_join(7), 7),
+            (lambda: _chain(8), 8),
+            (lambda: _chain(12), 12),
+            (lambda: _self_join(16), 16),
         ],
-        ids=["self_join_7", "chain_8", "chain_12"],
+        ids=["self_join_7", "chain_8", "chain_12", "self_join_16"],
     )
-    def test_every_relation_changed_runs_on_kernels(self, build, rows):
-        assert rows > codegen.MAX_CODEGEN_ROWS
-
+    def test_every_relation_changed_runs_on_kernels(self, build, terms):
         def maintainer(db, expression):
             m = ViewMaintainer(db)
             m.define_view("wide", expression)
@@ -330,78 +329,31 @@ class TestWideShapes:
         probe, probe_work = _replay_wide(
             build, lambda db, e: ReferenceViews(db, {"wide": e}, index_probes=True)
         )
-        m.verify_all()  # contents equal a recompute
+        if terms < 16:
+            # Contents equal a recompute.  The SQL translator nests one
+            # subquery per join, and sixteen overflow sqlite's parser
+            # stack: the widest view is held to the two walkers alone.
+            m.verify_all()
         contents = m.view("wide").contents.counts()
         assert contents == ref.view("wide").contents.counts()
         assert contents == probe.view("wide").contents.counts()
         assert len(contents) > 1
         _assert_same_work(REFERENCE_PARITY_COUNTERS, work, ref_work)
         _assert_same_work(PROBE_PARITY_COUNTERS, work, probe_work)
-        assert work["delta_rows_evaluated"] >= rows
+        # Every commit of the stream changes every occurrence: k terms
+        # each, where the truth table had 2^k − 1 rows.
+        commits = len(build()[2])
+        assert work["truth_table_rows"] == work["delta_rows_evaluated"] == commits * terms
         assert work.get("codegen_fallback_tuples", 0) == 0
         assert m.codegen_stats().get("codegen_fallback_tuples") == 0
 
-    def test_a_wide_shape_is_a_sequence_of_bounded_kernels(self):
-        db, expression, _ = _chain(8)
-        maintainer = ViewMaintainer(db)
-        maintainer.define_view("wide", expression)
-        planner = maintainer.peek_plan("wide").planner_for(tuple(range(8)))
-        # The 255 rows of the shape changing every relation, in four
-        # chunks of at most 64 rows, each a module of its own.
-        sources = codegen.generate_shape_sources(planner.lower())
-        assert len(sources) == 4
-        defined = []
-        called = []
-        for source in sources:
-            assert source.count("\n    # row ") <= codegen.MAX_CODEGEN_ROWS
-            tree = ast.parse(source)
-            defined += [
-                node.name
-                for node in tree.body
-                if isinstance(node, ast.FunctionDef)
-                and node.name.startswith("row_")
-            ]
-            called.append([
-                node.func.id
-                for node in ast.walk(tree)
-                if isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id.startswith("row_kernel")
-            ])
-        assert defined == ["row_kernel", "row_kernel_1", "row_kernel_2", "row_kernel_3"]
-        # ``row_kernel`` calls the later chunks one after another; no
-        # chunk calls another, so the stack does not grow with them.
-        assert called == [["row_kernel_1", "row_kernel_2", "row_kernel_3"], [], [], []]
-
-    def test_more_chunks_than_the_recursion_limit(self, monkeypatch):
-        # One row per chunk: the ten-wide shape is 1 023 chunks, past
-        # the interpreter's stack limit were each to call the next.
-        monkeypatch.setattr(codegen, "MAX_CODEGEN_ROWS", 1)
-        assert 2**10 - 1 > sys.getrecursionlimit()
-
-        def maintainer(db, expression):
-            m = ViewMaintainer(db)
-            m.define_view("wide", expression)
-            return m
-
-        def first_commit():
-            db, expression, stream = _chain(10)
-            return db, expression, stream[:1]
-
-        m, work = _replay_wide(first_commit, maintainer)
-        ref, ref_work = _replay_wide(
-            first_commit, lambda db, e: ReferenceViews(db, {"wide": e})
-        )
-        m.verify_all()
-        contents = m.view("wide").contents.counts()
-        assert contents == ref.view("wide").contents.counts()
-        assert len(contents) > 1
-        _assert_same_work(REFERENCE_PARITY_COUNTERS, work, ref_work)
-
     def test_introspecting_a_wide_view_plans_no_wide_shape(self, monkeypatch):
-        # ``explain … source`` and ``recommend indexes`` list the shape
-        # changing all twenty relations (1 048 575 rows) as one line.
+        # ``explain … source`` lists the shape changing all twenty
+        # relations as its twenty terms — no table of 1 048 575 rows —
+        # each nesting past ``MAX_NESTING`` loops; ``recommend indexes``
+        # reads the single-relation shapes, whose probes are the same.
         import repro.core.compiled as compiled
+        from repro.core.planner import MAX_NESTING
 
         db, expression, _ = _chain(20)
         maintainer = ViewMaintainer(db)
@@ -418,47 +370,44 @@ class TestWideShapes:
         source = maintainer.kernel_source("wide")
         indexes = maintainer.recommended_indexes("wide")
         assert time.perf_counter() - started < 10
-        assert planned and max(planned) == 1
-        assert source.count("# row kernel: shape") == 20
-        assert f"# shape {tuple(range(20))!r}: 1048575 truth-table rows" in source
+        assert max(planned) == 20
+        assert source.count("# row kernel: shape") == 21
+        wide = source[source.index(f"# row kernel: shape {tuple(f'c{i}' for i in range(20))!r}"):]
+        listed = [line for line in wide.splitlines() if line.startswith("# row ") and "kernel" not in line]
+        assert [line.split(":")[0] for line in listed] == [f"# row {i}" for i in range(20)]
+        # Twenty loops deep: each term stores a node and loops over it.
+        assert 20 > MAX_NESTING and "_append = " in wide
         # Each relation probed on either link attribute, the two ends
         # on their one.
         assert len(indexes) == 2 * 20 - 2
 
-    def test_explaining_a_wide_shape_plans_no_wide_shape(self, monkeypatch):
+    def test_explaining_a_wide_shape_plans_no_wide_shape(self):
         # The bare ``explain`` and ``explain … changing`` every relation
-        # print the screens and one line for the 1 048 575-row shape.
-        import repro.core.compiled as compiled
+        # print the screens and the shape's twenty terms, not a table of
+        # 1 048 575 rows.
         from repro.cli import Shell
 
         db, expression, _ = _chain(20)
         shell = Shell(db)
         shell.maintainer.define_view("wide", expression)
-        planned = []
-        real = compiled.CompiledViewPlan.planner_for
-
-        def planner_for(plan, changed):
-            planned.append(len(changed))
-            return real(plan, changed)
-
-        monkeypatch.setattr(compiled.CompiledViewPlan, "planner_for", planner_for)
         every = ", ".join(f"c{i}" for i in range(20))
         started = time.perf_counter()
         texts = [shell.execute("explain wide"), shell.execute(f"explain wide changing {every}")]
         assert time.perf_counter() - started < 10
-        assert all(width <= 1 for width in planned)
         for text in texts:
-            assert f"shape {tuple(range(20))!r}: 1048575 truth-table rows" in text
+            assert "rows to evaluate: 20 (one term per changed occurrence)" in text
             assert all(f"  c{i}#{i}: invariant" in text for i in range(20))
-            assert "rows to evaluate" not in text
-        # A shape of one relation is still planned and listed.
+            assert "  row 19: i_c19 -> c18 [probe K19]" in text
+            assert "  row 0: i_c0 -> pre_c1 [probe K1]" in text
+        # A shape of one relation is planned and listed as before.
         text = shell.execute("explain wide changing c3")
         assert "rows to evaluate: 1" in text
         assert "index bindings (OLD-operand probes):" in text
 
     def test_chunks_compile_through_compile_kernel_as_wrapped(self, monkeypatch):
         # The frozen benchmark tracer replaces ``compile_kernel`` by name
-        # with a wrapper of exactly (source, name, filename).
+        # with a wrapper of exactly (source, name, filename): a wide
+        # shape compiles through it as one module.
         import repro.core.compiled as compiled
 
         real = codegen.compile_kernel

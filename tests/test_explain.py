@@ -46,9 +46,11 @@ class TestPlannerDescribe:
             BaseRef("r").join(BaseRef("s")), db.schema_catalog()
         )
         text = RowPlanner(nf, [0, 1]).lower().describe()
-        assert "  row 0: i_s -> r [probe B]" in text
-        assert "  row 1: i_r -> s [probe B]" in text
-        assert "  row 2: i_r -> i_s [hash B]" in text
+        # One term per changed relation: s is read pre-commit right of
+        # r's delta, r as stored left of s's.
+        assert "  row 0: i_r -> pre_s [probe B]" in text
+        assert "  row 1: i_s -> r [probe B]" in text
+        assert "  row 2:" not in text
         assert "operand order" not in text
 
     def test_full_evaluation_mode(self, db):
@@ -86,7 +88,7 @@ class TestMaintainerExplain:
     def test_explain_changed_relations(self, maintainer):
         text = maintainer.explain("v", ["r", "s"])
         assert "changed occurrences: ['r', 's']" in text
-        assert "rows to evaluate: 3" in text
+        assert "rows to evaluate: 2 (one term per changed occurrence)" in text
 
     def test_explain_uninvolved_relation(self, maintainer):
         text = maintainer.explain("v", ["zzz"])

@@ -36,10 +36,11 @@ class TestRecommendations:
 
     def test_all_changed_shape_contributes_its_probes(self, db):
         # Over the cycle r - u - s, any one change reaches r through a
-        # single link (B from s, A from u).  Only when u and s change
-        # together and r does not is r joined last behind two deltas —
-        # i_u -> i_s [hash] -> r — and probed through both links at
-        # once, a key no single-relation shape asks for.
+        # single link (B from s, A from u).  A term's order depends on
+        # its delta alone, so the shape changing every relation joins
+        # as the single-relation shapes do — r is never probed through
+        # both links at once, as the truth table's i_u -> i_s [hash] -> r
+        # row did — and contributes the same probes, pre-commit.
         db.create_relation("u", ["A", "C"], [(1, 3)])
         m = ViewMaintainer(db)
         m.define_view(
@@ -50,7 +51,12 @@ class TestRecommendations:
             .select("B = B2 and C = C2"),
         )
         recs = set(m.recommended_indexes("v"))
-        assert {("r", ("A",)), ("r", ("B",)), ("r", ("A", "B"))} <= recs
+        assert {("r", ("A",)), ("r", ("B",))} <= recs
+        assert ("r", ("A", "B")) not in recs
+        plan = m.peek_plan("v")
+        every = plan.shape_ops(range(3)).probe_targets.values()
+        single = {t for i in range(3) for t in plan.shape_ops((i,)).probe_targets.values()}
+        assert set(every) == single
 
     def test_select_only_view_recommends_nothing(self, db):
         m = ViewMaintainer(db)

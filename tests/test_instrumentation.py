@@ -51,7 +51,7 @@ class TestRecorder:
         with recording(active):
             bag.settle(
                 [("tuples_screened", 2), ("tuples_irrelevant", 0)],
-                [("join_probes", 3), ("tuples_ignored", 0)],
+                [("join_probes", 3), ("index_probes", 0)],
             )
         assert bag.counters == {"tuples_screened": 2}
         assert active.counters == {"tuples_screened": 2, "join_probes": 3}

@@ -80,6 +80,10 @@ REFERENCE_LIBRARY = {
     "unary_tag",
     "old_operand",
     "delta_operand",
+    "pre_commit_operand",
+    "stored_operand",
+    "tagged_items",
+    "truth_table_delta",
 }
 
 

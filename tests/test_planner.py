@@ -1,5 +1,6 @@
-"""Unit tests for the row planner (sharing, pushdown, join orders), run
-through the reference walker (sharing switch, index hook)."""
+"""Unit tests for the row planner (terms, pushdown, join orders), run
+through the reference walker (index hook) and against the paper's
+truth table."""
 
 import pytest
 
@@ -9,12 +10,15 @@ from repro.algebra.schema import RelationSchema
 from repro.algebra.tags import Tag
 from repro.core.planner import RowPlanner
 from repro.core.truthtable import DeltaRowChoice, enumerate_delta_rows
-from repro.instrumentation import CostRecorder, recording
+from repro.instrumentation import METRICS, CostRecorder, recording
 from tests.reference import (
+    DELTA,
+    STORED,
     RowWalker,
     TaggedRelation,
     compute_view_delta,
     evaluate_normal_form,
+    truth_table_delta,
 )
 
 
@@ -72,7 +76,11 @@ class TestEvaluateNormalForm:
 
 
 class TestSubexpressionSharing:
-    def _run(self, share):
+    """Three changed relations of a chain: the planner's three terms
+    against the paper's seven truth-table rows.  The terms start at
+    distinct deltas, so no prefix is shared and nothing is memoized."""
+
+    def _run(self, table):
         catalog = {
             "r": RelationSchema(["A", "B"]),
             "s": RelationSchema(["B", "C"]),
@@ -92,26 +100,30 @@ class TestSubexpressionSharing:
         instances["t"].add((100, 100))
         recorder = CostRecorder()
         with recording(recorder):
-            out = compute_view_delta(
-                nf, instances, deltas, share_subexpressions=share
-            )
+            evaluate = truth_table_delta if table else compute_view_delta
+            out = evaluate(nf, instances, deltas)
         return out, recorder
 
     def test_sharing_gives_same_answer_with_memo_hits(self):
-        shared, rec_shared = self._run(True)
-        unshared, rec_unshared = self._run(False)
-        assert shared == unshared
-        assert rec_shared.get("subexpression_memo_hits") > 0
-        assert rec_unshared.get("subexpression_memo_hits") == 0
+        terms, rec_terms = self._run(False)
+        table, _ = self._run(True)
+        assert terms == table
+        # Nothing is memoized, and the counter of memo hits is gone.
+        assert "subexpression_memo_hits" not in METRICS
+        assert rec_terms.get("delta_rows_evaluated") == 3
 
     def test_sharing_reduces_join_probes(self):
-        _, rec_shared = self._run(True)
-        _, rec_unshared = self._run(False)
-        assert rec_shared.get("join_probes") <= rec_unshared.get("join_probes")
+        # The table's seven rows, with their shared prefixes memoized,
+        # made 26 join probes (28 without the memo); the three terms,
+        # each probing from its own delta, make 17.
+        _, rec_terms = self._run(False)
+        assert rec_terms.get("join_probes") == 17
 
     def test_2k_minus_1_rows_evaluated(self):
-        _, recorder = self._run(True)
-        assert recorder.get("delta_rows_evaluated") == 2**3 - 1
+        # One term per changed relation, where the table had 2^3 − 1 rows.
+        _, recorder = self._run(False)
+        assert recorder.get("delta_rows_evaluated") == 3
+        assert recorder.get("truth_table_rows") == 3
 
 
 class TestEqualityLinkOffsets:
@@ -145,7 +157,7 @@ class TestIndexProbe:
 
         probes = []
 
-        def index_probe(position, link_attrs):
+        def index_probe(position, link_attrs, pre_commit):
             occurrence = nf.occurrences[position]
             if occurrence.name != "s":
                 return None
@@ -175,7 +187,7 @@ class TestIndexProbe:
         instances["s"].add((2, 100))
         seen_positions = []
 
-        def index_probe(position, link_attrs):
+        def index_probe(position, link_attrs, pre_commit):
             seen_positions.append(position)
             return None
 
@@ -192,10 +204,11 @@ class TestPlannerPlumbing:
         )
         for changed in ([2], [0, 1], [0, 2], [0, 1, 2]):
             planner = RowPlanner(nf, changed_positions=changed)
-            assert len(planner.chains) == 2 ** len(changed) - 1
-            for row, chain in planner.chains.items():
-                deltas = [p for p in changed if row[p] is DeltaRowChoice.DELTA]
-                assert chain[0].position == deltas[0]
+            # One term per changed occurrence, with its one delta there.
+            assert len(planner.chains) == len(changed)
+            for (row, chain), position in zip(planner.chains.items(), changed):
+                deltas = [p for p in range(3) if row[p] is DeltaRowChoice.DELTA]
+                assert deltas == [position] == [chain[0].position]
                 assert sorted(step.position for step in chain) == [0, 1, 2]
                 # r - s - t is connected, so growing along the links
                 # never leaves an operand to be cross-joined.
@@ -215,13 +228,14 @@ class TestPlannerPlumbing:
             row: [step.position for step in chain]
             for row, chain in chains.items()
         }
+        # Each term grows from its delta along the links, the lower
+        # position first; the table's (delta, old, delta) row is gone.
         assert orders == {
-            (old, old, delta): [2, 0, 1],
             (delta, old, old): [0, 1, 2],
-            (delta, old, delta): [0, 2, 1],
+            (old, old, delta): [2, 0, 1],
         }
-        # Rows sharing an order prefix share its step plans.
-        assert chains[(delta, old, old)][0] is chains[(delta, old, delta)][0]
+        # Terms start at distinct deltas: they share no step plan.
+        assert not set(chains[(delta, old, old)]) & set(chains[(old, old, delta)])
 
     def test_unlinked_operand_comes_last(self, catalog):
         nf = to_normal_form(
@@ -245,6 +259,6 @@ class TestPlannerPlumbing:
         )
         tagged.add((1, 2), Tag.INSERT)
         out = RowWalker(
-            planner.lower(), [{DeltaRowChoice.OLD: tagged, DeltaRowChoice.DELTA: tagged}]
+            planner.lower(), [{STORED: tagged, DELTA: tagged}]
         ).evaluate(enumerate_delta_rows(1, [0]))
         assert out.is_empty()

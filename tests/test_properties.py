@@ -38,6 +38,7 @@ from tests.reference import (
     evaluate,
     evaluate_normal_form,
     filter_delta,
+    truth_table_delta,
 )
 
 # ----------------------------------------------------------------------
@@ -142,7 +143,7 @@ class TestMaintenanceCorrectness:
     ):
         """Theorem 4.1 over whole deltas: dropping the tuples
         ``filter_delta`` reports irrelevant never changes the view
-        delta — with the planner's prefix sharing on or off."""
+        delta — by the planner's terms or by the paper's table."""
         db = _build_db(r_init, s_init)
         nf = to_normal_form(VIEW_EXPRESSIONS[vi], CATALOG)
 
@@ -156,11 +157,9 @@ class TestMaintenanceCorrectness:
                 for name, delta in touched.items()
             }
             want = compute_view_delta(nf, db.instances(), touched)
-            for share in (True, False):
-                have = compute_view_delta(
-                    nf, db.instances(), screened, share_subexpressions=share
-                )
-                assert have == want, (share, have, want)
+            for evaluate_delta in (compute_view_delta, truth_table_delta):
+                have = evaluate_delta(nf, db.instances(), screened)
+                assert have == want, (evaluate_delta.__name__, have, want)
 
         db.add_commit_hook(check)
         for statements_batch in txns:

@@ -6,7 +6,7 @@ from repro.algebra.relation import Delta, Relation
 from repro.algebra.schema import RelationSchema
 from repro.algebra.tags import Tag
 from repro.errors import MaintenanceError, SchemaError
-from tests.reference import TaggedRelation
+from tests.reference import TaggedRelation, tagged_items
 
 
 @pytest.fixture
@@ -152,7 +152,7 @@ class TestDelta:
 
     def test_tagged_items(self, schema):
         d = Delta(schema, inserted=[(1, 2)], deleted=[(3, 4)])
-        tags = {tag for _, tag, _ in d.tagged_items()}
+        tags = {tag for _, tag, _ in tagged_items(d)}
         assert tags == {Tag.INSERT, Tag.DELETE}
 
     def test_compose_cancels_insert_then_delete(self, schema):

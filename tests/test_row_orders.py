@@ -24,7 +24,7 @@ from repro import BaseRef, Database, ViewMaintainer
 from repro.algebra.expressions import to_normal_form
 from repro.core.consistency import check_view_consistency
 from repro.core.planner import RowPlanner
-from repro.instrumentation import CostRecorder, recording
+from repro.instrumentation import METRICS, CostRecorder, recording
 from tests.reference import REFERENCE_PARITY_COUNTERS, ReferenceViews
 
 RELATIONS = {"a": ["A", "B"], "b": ["B", "C"], "c": ["C", "D"]}
@@ -154,11 +154,11 @@ class TestWorkDoesNotTrackTheBase:
         small = self._order_counts(10)  # 10² lineitems
         large = self._order_counts(1_000)  # 10⁴ lineitems
         assert small == large
-        # Only DELTA operands are scanned: the customer opening row 0,
-        # the four lineitems opening rows 1 and 2 (shared), and the
-        # customer again as row 2's hash build.  OLD operands are
-        # reached by one lineitem(cust_id) probe and four customer ones.
-        assert large == {"tuples_scanned": 6, "join_probes": 9, "index_probes": 5}
+        # Only the deltas are scanned: the four lineitems opening term
+        # 0 and the customer opening term 1.  The rest is reached by
+        # four pre-commit customer(cust_id) probes and one lineitem one.
+        # (The truth table's three rows scanned 6 and probed 9.)
+        assert large == {"tuples_scanned": 5, "join_probes": 5, "index_probes": 5}
 
     def test_chain_with_its_last_relation_changed_never_cross_joins(self):
         db = Database()
@@ -183,16 +183,19 @@ class TestSharing:
     def test_kernel_memo_hits_are_the_reference_planners(self):
         db = _database([(1, 2)], [(2, 3)], [(3, 4)])
         nf = to_normal_form(VIEWS["chain"], db.schema_catalog())
-        # What the shape's kernels charge per run (``run_rows``).
+        # What the shape's kernel charges per run: one term per changed
+        # relation, where the truth table had seven rows.
         ops = RowPlanner(nf, changed_positions=[0, 1, 2]).lower()
-        assert ops.rows_evaluated == 7
+        assert ops.rows_evaluated == 3
 
         reference = ReferenceViews(db, {"chain": VIEWS["chain"]})
         recorder = CostRecorder()
         with recording(recorder):
             db.apply({"a": [(5, 2)], "b": [(2, 9)], "c": [(9, 9)]})
         assert reference.view("chain").contents
-        # Seven rows, three distinct opening deltas: the other four
-        # rows each re-use an opening some earlier row evaluated.
-        assert recorder.get("subexpression_memo_hits") == 4
-        assert ops.memo_hits == 4
+        # Three terms, three distinct opening deltas: no prefix is
+        # shared, so nothing is memoized (the table's seven rows
+        # re-used an opening four times), and no memo counter exists.
+        assert recorder.get("truth_table_rows") == 3
+        assert len({ops.nodes[final].step.prefix[0] for final, _ in ops.rows.values()}) == 3
+        assert "subexpression_memo_hits" not in METRICS

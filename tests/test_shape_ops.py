@@ -1,12 +1,12 @@
 """A lowered shape's access decisions are the kernels' alone.
 
-``RowPlanner.lower`` decides, once, how each node of a truth-table
-shape reads its operand: scanned or probed, as a set or as a bag
-(an upstream view), with or without this transaction's inserts.  The
-kernel generator specialises on that decision; the reference walker
+``RowPlanner.lower`` decides, once, how each node of a shape's terms
+reads its operand: scanned or probed, as a set or as a bag (an upstream
+view), as stored or as it stood before the commit.  The kernel
+generator specialises on that decision; the reference walker
 (``tests/reference.py``) takes the nodes, links and atoms from the same
-ops but builds OLD = r − d_r itself from the live count maps and the
-deltas.  So a wrong access cannot pass the parity suites: flipping one
+ops but builds the stored and pre-commit operands itself from the live
+count maps and the deltas.  So a wrong access cannot pass the parity suites: flipping one
 here makes the kernels disagree with the reference, while the reference
 gives the same answer as before.
 """
@@ -41,8 +41,9 @@ def _path(relation):
 
 
 def _changed_self_join():
-    """Both occurrences of ``e`` change: OLD must drop the inserts, or
-    the path 2 → 3 → 4 is counted by two rows."""
+    """Both occurrences of ``e`` change: the term of the first one must
+    read the second pre-commit, dropping the inserts, or the path
+    2 → 3 → 4 is counted by both terms."""
     db = Database()
     db.create_relation("e", ["S", "T"], [(0, 1), (1, 2)])
     return db, {"v": _path("e")}, [{"e": [(2, 3), (3, 4)]}]
@@ -73,8 +74,8 @@ def _kernels(db, views):
     "build, access, flipped",
     [
         (_bag_operand, Access.BAG_PROBE, Access.SET_PROBE),
-        (_changed_self_join, Access.SET_PROBE_LESS_INSERTS, Access.SET_PROBE),
-        (_changed_bag_self_join, Access.BAG_PROBE_LESS_INSERTS, Access.BAG_PROBE),
+        (_changed_self_join, Access.PRE_COMMIT_SET_PROBE, Access.SET_PROBE),
+        (_changed_bag_self_join, Access.PRE_COMMIT_BAG_PROBE, Access.BAG_PROBE),
     ],
     ids=["bag", "less-inserts", "bag-less-inserts"],
 )

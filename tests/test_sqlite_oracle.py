@@ -7,8 +7,9 @@ paper's own statement of complete re-evaluation is the counted tree
 evaluator in ``tests/reference.py``.  The two share no code; here they
 are held to each other:
 
-* on the simulator's SPJ views and GROUP BY views, over generated base
-  rows after a generated update stream;
+* on the simulator's SPJ views and GROUP BY views, and on natural joins
+  that link their operands by shared attribute names, over generated
+  base rows after a generated update stream;
 * on a view stacked over such a view, whose stored contents are a bag
   (counts above 1), both as a table holding each row ``count`` times
   and inlined from the base rows;
@@ -29,6 +30,7 @@ from tests.reference import evaluate
 from tests.strategies import (
     SPJ_TABLES,
     aggregate_expressions,
+    natural_joins,
     spj_expressions,
     update_streams,
 )
@@ -65,6 +67,12 @@ def _agree(instances, expression, definitions=None):
 @EXAMPLES
 @given(spj_expressions(), update_streams())
 def test_spj_views_agree(expression, stream):
+    _agree(_streamed(stream).instances(), expression)
+
+
+@EXAMPLES
+@given(natural_joins(), update_streams())
+def test_natural_joins_agree(expression, stream):
     _agree(_streamed(stream).instances(), expression)
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.truthtable import (
     DeltaRowChoice,
-    count_delta_rows,
+    delta_rows,
     enumerate_delta_rows,
     full_truth_table,
     render_row,
@@ -51,14 +51,17 @@ class TestEnumeration:
     def test_row_count_is_2k_minus_1(self, k):
         rows = list(enumerate_delta_rows(k + 2, range(k)))
         assert len(rows) == 2**k - 1
-        assert count_delta_rows(k) == 2**k - 1
+        assert delta_rows(k + 2, range(k)) == rows
 
     def test_count_zero(self):
-        assert count_delta_rows(0) == 0
+        # No changed relation, no row, however wide the view.
+        for width in (0, 1, 5):
+            assert delta_rows(width, []) == []
 
     def test_count_negative_rejected(self):
+        # The list form checks positions as the charging one does.
         with pytest.raises(MaintenanceError):
-            count_delta_rows(-1)
+            delta_rows(2, [-1])
 
     def test_rows_are_distinct(self):
         rows = list(enumerate_delta_rows(6, [0, 2, 4]))

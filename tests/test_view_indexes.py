@@ -384,20 +384,23 @@ class TestGeneratedSource:
             assert "ix is not None" not in source, name
             ast.parse(source)
         sources = self._sources()
-        # A linked OLD step is a probe and owns no hash table; DELTA
-        # operands and the link-less cross join still hash.
+        # A linked untagged step is a probe and owns no hash table; only
+        # the link-less cross join hashes, and no term hashes a delta.
         assert re.search(r"for b\d+ in index_for\[\d+\]\(", sources["st"])
         assert "_OLD = None" not in sources["st"]
-        assert re.search(r"n(\d+) = o1\[b\1\] - i1\.get\(b\1, 0\)", sources["st"])
-        assert "_DELTA = None" in sources["st"]
+        # The pre-commit bag count: less the inserts, plus the deletes.
+        assert re.search(
+            r"n(\d+) = o1\.get\(b\1, 0\) - i1\.get\(b\1, 0\) \+ d1\.get\(b\1, 0\)", sources["st"]
+        )
+        assert all("_DELTA = None" not in source for source in sources.values())
         assert "_OLD = None" in sources["cross"]
         # The probe loop is the lookup alone, up to where it counts the
         # row it emits: no index method is called per probe, and the
-        # probed operand being OLD, no tag branch.
+        # probed operand being untagged, no tag branch.
         loops = [
             loop.split("te += 1")[0]
             for source in sources.values()
-            for loop in source.split("in index_for[")[1:]
+            for loop in source.split("index_for[")[1:]
         ]
         assert loops
         for body in loops:

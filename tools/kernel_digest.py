@@ -14,7 +14,7 @@ compares it with the digest checked in for the current version in
   3-occurrence self-join;
 * the ``catalog_wide`` catalog of ``macrobench/catalog.py`` (read-only:
   schemas, keys and view specs);
-* the 8-chain's shape changing every relation: 255 rows in four chunks.
+* the 8-chain's shape changing every relation: eight terms, one kernel.
 
 Usage, from the repository root::
 
@@ -107,8 +107,7 @@ def corpus() -> dict[str, str]:
 
     db, expression, _ = test_codegen._chain(8)
     plan = maintained(db, {"chain": expression}, "chain8").peek_plan("chain")
-    chunks = codegen.generate_shape_sources(plan.planner_for(range(8)).lower())
-    texts["chain8/every relation"] = "\n".join(chunks)
+    texts["chain8/every relation"] = codegen.generate_shape_source(plan.shape_ops(range(8)))
     return texts
 
 
