@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from operator import itemgetter
 from types import MappingProxyType
-from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import AbstractSet, Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from repro.algebra.schema import RelationSchema
 from repro.algebra.tuples import Row, coerce_row
@@ -64,18 +64,24 @@ class HashIndex:
     Rows are stored as full encoded value tuples; a key maps to the set
     of *distinct* rows sharing it, so the same index serves a bag (a
     view's contents), whose multiplicities stay in the relation's count
-    map.  Obtained from :meth:`Relation.index_on`, which is also what
-    keeps it in step with the relation.
+    map.  Obtained from :meth:`Relation.index_on`; every delta the
+    relation takes goes through :func:`apply_counts`, which keeps it in
+    step (or refuses with nothing changed, the index included).
     """
 
-    __slots__ = ("attributes", "key_of", "lookup", "_buckets")
+    __slots__ = ("attributes", "key_of", "lookup", "_buckets", "_getter", "_single")
 
     def __init__(self, relation: "Relation", attributes: Sequence[str]) -> None:
         if not attributes:
             raise SchemaError("an index needs at least one attribute")
         self.attributes = tuple(attributes)
+        positions = relation.schema.positions(self.attributes)
         #: A stored row's key: its values of ``attributes``, as a tuple.
-        self.key_of = key_function(relation.schema.positions(self.attributes))
+        self.key_of = key_function(positions)
+        #: Many rows' keys at once, mapped in C (:meth:`_update` wraps a
+        #: one-position getter's bare values into 1-tuples).
+        self._getter = itemgetter(*positions)
+        self._single = len(positions) == 1
         self._buckets: dict[ValueTuple, set[ValueTuple]] = {}
         #: ``lookup(key, default)``: :meth:`probe` without its charge,
         #: for callers that count their own probes (the row kernels).
@@ -88,29 +94,28 @@ class HashIndex:
     # Maintenance (driven by the owning relation's mutators)
     # ------------------------------------------------------------------
     def _rebuild(self, relation: "Relation") -> None:
-        """Re-index ``relation`` in place: holders of this index keep it.
-        One pass, no Python call per row: the keys are mapped in C."""
-        buckets, rows = self._buckets, relation._counts
-        buckets.clear()
-        positions = relation.schema.positions(self.attributes)
-        keys = map(itemgetter(*positions), rows)
-        for key, values in zip(zip(keys) if len(positions) == 1 else keys, rows):
-            if key in buckets:
-                buckets[key].add(values)
-            else:
-                buckets[key] = {values}
+        """Re-index ``relation`` in place: holders of this index keep it."""
+        self._buckets.clear()
+        self._update((), relation._counts)
 
-    def _insert(self, values: ValueTuple) -> None:
-        self._buckets.setdefault(self.key_of(values), set()).add(values)
-
-    def _remove(self, values: ValueTuple) -> None:
-        key = self.key_of(values)
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            return
-        bucket.discard(values)
-        if not bucket:
-            del self._buckets[key]
+    def _update(self, gone: Collection[ValueTuple], arrived: Collection[ValueTuple]) -> None:
+        """Take the ``gone`` rows out of their buckets, then put the
+        ``arrived`` ones in, with no Python call per row."""
+        buckets = self._buckets
+        if gone:
+            keys = map(self._getter, gone)
+            for key, values in zip(zip(keys) if self._single else keys, gone):
+                bucket = buckets[key]
+                bucket.discard(values)
+                if not bucket:
+                    del buckets[key]
+        if arrived:
+            keys = map(self._getter, arrived)
+            for key, values in zip(zip(keys) if self._single else keys, arrived):
+                if key in buckets:
+                    buckets[key].add(values)
+                else:
+                    buckets[key] = {values}
 
     def _stale_key(self, relation: "Relation") -> ValueTuple | None:
         """The lowest key whose bucket differs from a rebuild over
@@ -227,14 +232,7 @@ class Relation:
     def add(self, row: object, count: int = 1) -> None:
         """Insert ``count`` copies of ``row`` (incrementing its counter).
         Raw rows only, as for ``discard``, ``count_of`` and ``in``."""
-        if count <= 0:
-            raise MaintenanceError(f"insert count must be positive, got {count}")
-        values = coerce_row(self.schema, row)
-        present = self._counts.get(values, 0)
-        self._counts[values] = present + count
-        if not present:
-            for index in self._indexes.values():
-                index._insert(values)
+        apply_counts(self, {coerce_row(self.schema, row): count}, {})
 
     def discard(self, row: object, count: int = 1) -> None:
         """Remove ``count`` copies of ``row``.
@@ -244,20 +242,7 @@ class Relation:
         counter never goes negative, so a failure here signals a bug (or
         a deliberately corrupted state in the tests).
         """
-        if count <= 0:
-            raise MaintenanceError(f"delete count must be positive, got {count}")
-        values = coerce_row(self.schema, row)
-        present = self._counts.get(values, 0)
-        if present < count:
-            raise MaintenanceError(
-                f"cannot remove {count} copies of {values}: only {present} present"
-            )
-        if present == count:
-            del self._counts[values]
-            for index in self._indexes.values():
-                index._remove(values)
-        else:
-            self._counts[values] = present - count
+        apply_counts(self, {}, {coerce_row(self.schema, row): count})
 
     def clear(self) -> int:
         """Drop every tuple; returns how many distinct tuples were held.
@@ -430,53 +415,65 @@ def apply_counts(
     deleted: Mapping[ValueTuple, int],
     base: bool = False,
 ) -> None:
-    """``r := r ∪ i − d`` from two encoded count maps over ``relation``'s
-    schema, in place.
+    """``r := r ∪ i − d`` from two disjoint encoded count maps over
+    ``relation``'s schema, in place, looking each changed row up once.
 
-    All or nothing: every count is checked — positive, and no more
-    copies deleted than ``relation`` holds — before the first tuple
-    changes, so a :class:`MaintenanceError` leaves ``relation`` and its
-    indexes as they were.  With ``base``, ``relation`` is a base
-    relation, a set, and inserting a tuple it already holds is refused
-    too (two open transactions that both inserted it; a view is a bag
-    and counts up instead).  :meth:`Delta.apply_to` and the
-    maintainer's commit path both apply through here.
+    All or nothing: every count must be positive and no more copies
+    deleted than ``relation`` holds, or a :class:`MaintenanceError`
+    refuses with nothing changed — the count map holds what it held
+    (as a mapping) and the indexes are as they were.  With ``base``,
+    ``relation`` is a base relation, a set, and inserting a tuple it
+    already holds is refused too (two open transactions that both
+    inserted it); a view is a bag and counts up instead.  Every delta
+    a stored relation takes applies through here: a commit's base deltas
+    and their rollback, each view's delta in a trigger and its undo,
+    :meth:`Delta.apply_to`, :meth:`Relation.add` and ``discard``.
     """
     counts = relation._counts
+    # The rows whose counter reaches zero leave the indexes.
+    gone: list[ValueTuple] = []
     if deleted:
+        pop = counts.pop
         for values, count in deleted.items():
-            if count <= 0:
-                raise MaintenanceError(f"delete count must be positive, got {count}")
-            present = counts.get(values, 0)
-            if present < count:
-                raise MaintenanceError(
-                    f"cannot remove {count} copies of {values}: only {present} present"
-                )
-    for values, count in inserted.items():
-        if count <= 0:
-            raise MaintenanceError(f"insert count must be positive, got {count}")
-        if base and values in counts:
-            raise MaintenanceError(f"cannot insert {values}: a base relation holds it already")
-    if deleted:
-        for values, count in deleted.items():
-            remaining = counts[values] - count
-            if remaining:
-                counts[values] = remaining
+            present = pop(values, None)
+            if present == count:
+                gone.append(values)
+            elif present is not None and 0 < count < present:
+                counts[values] = present - count
             else:
-                del counts[values]
-    for values, count in inserted.items():
-        if values in counts:
-            counts[values] += count
+                if present is not None:
+                    counts[values] = present
+                _put_back(counts, deleted, values)
+                if count <= 0:
+                    raise MaintenanceError(f"delete count must be positive, got {count}")
+                raise MaintenanceError(f"cannot remove {count} copies of {values}: only {present or 0} present")
+    if inserted:
+        for values, count in inserted.items():
+            if count <= 0 or base and values in counts:
+                _put_back(counts, deleted, None)
+                if count <= 0:
+                    raise MaintenanceError(f"insert count must be positive, got {count}")
+                raise MaintenanceError(f"cannot insert {values}: a base relation holds it already")
+        if base:
+            # Every row is absent: one merge, reusing the stored hashes.
+            counts.update(inserted)
         else:
-            counts[values] = count
+            for values, count in inserted.items():
+                if values in counts:
+                    counts[values] += count
+                else:
+                    counts[values] = count
     if relation._indexes:
-        # A delete that only lowers a counter leaves the tuple indexed.
-        gone = [values for values in deleted if values not in counts]
         for index in relation._indexes.values():
-            for values in gone:
-                index._remove(values)
-            for values in inserted:
-                index._insert(values)
+            index._update(gone, inserted)
+
+
+def _put_back(counts: dict[ValueTuple, int], deleted: Mapping[ValueTuple, int], stop: object) -> None:
+    """Undo :func:`apply_counts`' deletes, those before ``stop``."""
+    for values, count in deleted.items():
+        if values == stop:
+            return
+        counts[values] = counts.get(values, 0) + count
 
 
 class Delta:
@@ -486,7 +483,8 @@ class Delta:
     disjoint from each other, inserts are disjoint from the pre-state
     and deletes are contained in it.  :class:`repro.engine.transactions`
     is responsible for establishing the invariant by net-effect
-    cancellation; this class enforces insert/delete disjointness.
+    cancellation.  The constructor and :meth:`from_counts` check
+    insert/delete disjointness; :meth:`adopt` trusts its caller.
     """
 
     __slots__ = ("schema", "inserted", "deleted")
@@ -506,11 +504,7 @@ class Delta:
         for row in deleted:
             values = coerce_row(schema, row)
             self.deleted[values] = self.deleted.get(values, 0) + 1
-        overlap = self.inserted.keys() & self.deleted.keys()
-        if overlap:
-            raise MaintenanceError(
-                f"delta inserts and deletes must be disjoint; overlap: {overlap}"
-            )
+        _require_disjoint(self.inserted, self.deleted)
 
     @classmethod
     def adopt(
@@ -519,22 +513,15 @@ class Delta:
         inserted: dict[ValueTuple, int],
         deleted: dict[ValueTuple, int],
     ) -> "Delta":
-        """The delta *over* two pre-encoded count maps, not copies of
-        them: for a caller that built the maps and keeps no other
-        reference.  The one disjointness check runs as in ``__init__``.
-        """
+        """The delta *over* two pre-encoded count maps, not copies, and
+        unchecked: its caller built them disjoint and keeps no other
+        reference — by net-effect cancellation (a transaction, a shard,
+        :meth:`compose`), ``net_counts`` after a row kernel or a rebuild,
+        a fold kernel's rows of distinct groups, or a screen's subset."""
         delta = cls.__new__(cls)
         delta.schema = schema
         delta.inserted = inserted
         delta.deleted = deleted
-        # An empty side overlaps nothing.
-        if inserted and deleted:
-            overlap = inserted.keys() & deleted.keys()
-            if overlap:
-                raise MaintenanceError(
-                    "delta inserts and deletes must be disjoint; "
-                    f"overlap: {overlap}"
-                )
         return delta
 
     @classmethod
@@ -544,9 +531,12 @@ class Delta:
         inserted: Mapping[ValueTuple, int],
         deleted: Mapping[ValueTuple, int],
     ) -> "Delta":
-        """Internal constructor from pre-encoded count maps, copied:
-        the caller's maps may be live (a relation's, another delta's)."""
-        return cls.adopt(schema, dict(inserted), dict(deleted))
+        """Internal constructor from pre-encoded count maps, copied
+        (the caller's maps may be live: a relation's, another delta's)
+        and checked disjoint as in ``__init__``."""
+        delta = cls.adopt(schema, dict(inserted), dict(deleted))
+        _require_disjoint(delta.inserted, delta.deleted)
+        return delta
 
     def is_empty(self) -> bool:
         """True when the transaction had no net effect on this relation."""
@@ -631,3 +621,10 @@ class Delta:
             f"<Delta {list(self.schema.names)} "
             f"+{len(self.inserted)} -{len(self.deleted)}>"
         )
+
+
+def _require_disjoint(inserted: Mapping[ValueTuple, int], deleted: Mapping[ValueTuple, int]) -> None:
+    # An empty side overlaps nothing.
+    overlap = inserted and deleted and inserted.keys() & deleted.keys()
+    if overlap:
+        raise MaintenanceError(f"delta inserts and deletes must be disjoint; overlap: {overlap}")

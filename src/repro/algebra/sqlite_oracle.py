@@ -49,9 +49,9 @@ class SqliteOracle:
 
         self.connection = sqlite3.connect(":memory:")
         self.instances = instances
-        #: The tables copied so far, with their attribute names.
-        self.columns: dict[str, list[str]] = {}
-        self._aliases = 0
+        #: Per relation copied so far: its table (``t0``, ``t1``, …; no
+        #: name reaches the SQL text) and its attribute names.
+        self.tables: dict[str, tuple[str, list[str]]] = {}
 
     def close(self) -> None:
         self.connection.close()
@@ -66,66 +66,72 @@ class SqliteOracle:
         self, expression: Any, definitions: Mapping[str, Any] | None = None
     ) -> dict[tuple, int]:
         """The rows of ``expression`` and their counts.  A name that
-        ``definitions`` maps to an expression is inlined as a subquery,
-        so a stacked view is evaluated from the base rows up; any other
-        name is a table of ``instances``."""
-        sql, columns = self._query(expression, definitions or {})
+        ``definitions`` maps to an expression is inlined, so a stacked
+        view is evaluated from the base rows up; any other name is a
+        table of ``instances``.  The query is a ``WITH`` list of one
+        named step per node, so its text does not nest deeper with each
+        join (sqlite's parser stack holds no 16 nested joins)."""
+        steps: list[str] = []
+        source, columns = self._query(expression, definitions or {}, steps)
         listed = _places(len(columns))
-        bag = f"SELECT {listed}, COUNT(*) FROM ({sql}) AS {self._alias()} GROUP BY {listed}"
+        with_list = f"WITH {', '.join(steps)} " if steps else ""
+        bag = f"{with_list}SELECT {listed}, COUNT(*) FROM {source} GROUP BY {listed}"
         return {tuple(row[:-1]): row[-1] for row in self.connection.execute(bag)}
 
-    def _table(self, name: str) -> list[str]:
+    def _table(self, name: str) -> tuple[str, list[str]]:
         """Copy relation ``name``'s rows, each as often as it counts."""
-        columns = self.columns.get(name)
-        if columns is None:
+        if name not in self.tables:
             relation = self.instances[name]
-            columns = self.columns[name] = list(relation.schema.names)
-            self.connection.execute(f"CREATE TABLE {_q(name)} ({_places(len(columns))})")
+            sql_name, columns = self.tables[name] = (f"t{len(self.tables)}", list(relation.schema.names))
+            self.connection.execute(f"CREATE TABLE {sql_name} ({_places(len(columns))})")
             self.connection.executemany(
-                f"INSERT INTO {_q(name)} VALUES ({', '.join('?' * len(columns))})",
+                f"INSERT INTO {sql_name} VALUES ({', '.join('?' * len(columns))})",
                 chain.from_iterable(repeat(row, count) for row, count in relation.count_map.items()),
             )
-        return columns
+        return self.tables[name]
 
-    def _alias(self) -> str:
-        self._aliases += 1
-        return f"q{self._aliases}"
+    def _query(
+        self, node: Any, definitions: Mapping[str, Any], steps: list[str]
+    ) -> tuple[str, list[str]]:
+        """One expression node as ``(the table or step holding its rows
+        as k0, k1, …, the attribute name each place holds)``, appending
+        the steps it needs to ``steps``."""
 
-    def _query(self, node: Any, definitions: Mapping[str, Any]) -> tuple[str, list[str]]:
-        """One expression node as ``(SELECT k0, k1, …, the attribute
-        name each place holds)``."""
+        def step(sql: str) -> str:
+            name = f"q{len(steps)}"
+            steps.append(f"{name} AS ({sql})")
+            return name
+
         kind = type(node).__name__
         if kind == "BaseRef":
             if node.name in definitions:
-                return self._query(definitions[node.name], definitions)
-            columns = self._table(node.name)
-            return f"SELECT {_places(len(columns))} FROM {_q(node.name)}", columns
+                return self._query(definitions[node.name], definitions, steps)
+            return self._table(node.name)
         if kind == "Select":
-            sql, columns = self._query(node.child, definitions)
+            source, columns = self._query(node.child, definitions, steps)
             where = _condition(node.condition, columns)
-            return f"SELECT * FROM ({sql}) AS {self._alias()} WHERE {where}", columns
+            return step(f"SELECT * FROM {source} WHERE {where}"), columns
         if kind == "Project":
-            sql, columns = self._query(node.child, definitions)
+            source, columns = self._query(node.child, definitions, steps)
             picked = [f"k{columns.index(a)} AS k{i}" for i, a in enumerate(node.attributes)]
-            return f"SELECT {', '.join(picked)} FROM ({sql}) AS {self._alias()}", list(node.attributes)
+            return step(f"SELECT {', '.join(picked)} FROM {source}"), list(node.attributes)
         if kind == "Rename":
-            sql, columns = self._query(node.child, definitions)
-            return sql, [node.mapping.get(c, c) for c in columns]
+            source, columns = self._query(node.child, definitions, steps)
+            return source, [node.mapping.get(c, c) for c in columns]
         if kind in ("Join", "Product"):
-            left, left_columns = self._query(node.left, definitions)
-            right, right_columns = self._query(node.right, definitions)
-            a, b = self._alias(), self._alias()
+            left, left_columns = self._query(node.left, definitions, steps)
+            right, right_columns = self._query(node.right, definitions, steps)
             shared = [c for c in left_columns if c in right_columns] if kind == "Join" else []
             kept = [j for j, c in enumerate(right_columns) if c not in shared]
-            cells = [f"{a}.k{i}" for i in range(len(left_columns))] + [f"{b}.k{j}" for j in kept]
+            cells = [f"a.k{i}" for i in range(len(left_columns))] + [f"b.k{j}" for j in kept]
             picked = ", ".join(f"{cell} AS k{i}" for i, cell in enumerate(cells))
             on = " AND ".join(
-                f"{a}.k{left_columns.index(c)} = {b}.k{right_columns.index(c)}" for c in shared
+                f"a.k{left_columns.index(c)} = b.k{right_columns.index(c)}" for c in shared
             ) or "1"
             columns = left_columns + [right_columns[j] for j in kept]
-            return f"SELECT {picked} FROM ({left}) AS {a} JOIN ({right}) AS {b} ON {on}", columns
+            return step(f"SELECT {picked} FROM {left} AS a JOIN {right} AS b ON {on}"), columns
         if kind == "Aggregate":
-            sql, columns = self._query(node.child, definitions)
+            source, columns = self._query(node.child, definitions, steps)
             spec = node.spec
             keys = [f"k{columns.index(k)}" for k in spec.keys]
             cells = keys + [
@@ -134,16 +140,10 @@ class SqliteOracle:
             ]
             picked = ", ".join(f"{cell} AS k{i}" for i, cell in enumerate(cells))
             grouped = f" GROUP BY {', '.join(keys)}" if keys else ""
-            inner = f"SELECT {picked}, COUNT(*) AS support FROM ({sql}) AS {self._alias()}{grouped}"
-            listed = _places(len(cells))
-            return (f"SELECT {listed} FROM ({inner}) AS {self._alias()} WHERE support > 0",
-                    list(spec.keys) + [c.alias for c in spec.columns])
+            inner = step(f"SELECT {picked}, COUNT(*) AS support FROM {source}{grouped}")
+            outer = step(f"SELECT {_places(len(cells))} FROM {inner} WHERE support > 0")
+            return outer, list(spec.keys) + [c.alias for c in spec.columns]
         raise NotImplementedError(f"the sqlite oracle does not translate {kind}")
-
-
-def _q(name: str) -> str:
-    """A table name, quoted for SQL."""
-    return '"' + name.replace('"', '""') + '"'
 
 
 def _places(width: int) -> str:

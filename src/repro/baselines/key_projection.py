@@ -85,10 +85,12 @@ class KeyProjectionView:
 
         Because stored tuples are uniquely identified, insertions and
         deletions "cause no trouble": each base change maps to exactly
-        one stored-tuple change.
+        one stored-tuple change.  An update of an attribute outside ``X``
+        and the key projects both sides onto one stored tuple, so the
+        delta is checked disjoint and such an update is refused.
         """
         charge("tuples_scanned", len(delta.deleted) + len(delta.inserted))
-        Delta.adopt(
+        Delta.from_counts(
             self.stored_schema,
             self._stored(delta.inserted),
             self._stored(delta.deleted),

@@ -1139,7 +1139,7 @@ if sh is None:
     sh = CS{i}({key}, t)
     @ codegen_plans_compiled=len(t)
 """
-# All or nothing: ``apply_counts`` checks every count first.  What is
+# All or nothing: ``apply_counts`` refuses with nothing changed.  What is
 # applied goes into the undo record ``u``.
 _APPLY = """\
 d{i} = ADOPT(S{i}, ins, dele) if ins or dele else None

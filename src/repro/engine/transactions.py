@@ -130,7 +130,7 @@ class Transaction:
                 values = encode(row)
             else:
                 values = coerce_row(schema, row)
-            if values in cancels:
+            if cancels and values in cancels:
                 # The opposite operation earlier in this transaction.
                 cancels.discard(values)
             elif (values in stored) is not inserting:

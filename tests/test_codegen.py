@@ -329,11 +329,9 @@ class TestWideShapes:
         probe, probe_work = _replay_wide(
             build, lambda db, e: ReferenceViews(db, {"wide": e}, index_probes=True)
         )
-        if terms < 16:
-            # Contents equal a recompute.  The SQL translator nests one
-            # subquery per join, and sixteen overflow sqlite's parser
-            # stack: the widest view is held to the two walkers alone.
-            m.verify_all()
+        # Contents equal a recompute, at every width: the SQL
+        # translator names a step per join instead of nesting one.
+        m.verify_all()
         contents = m.view("wide").contents.counts()
         assert contents == ref.view("wide").contents.counts()
         assert contents == probe.view("wide").contents.counts()

@@ -57,9 +57,11 @@ class TestHashIndex:
         assert len(index) == 1
 
     def test_remove_unknown_row_is_noop(self, relation):
-        index = HashIndex(relation, ["B"])
-        index._remove((9, 99))
+        index = relation.index_on(["B"])
+        with pytest.raises(MaintenanceError, match="only 0 present"):
+            relation.discard((9, 99))
         assert len(index) == 2
+        assert index._stale_key(relation) is None
 
     def test_probe_many(self, relation):
         index = HashIndex(relation, ["B"])

@@ -1,8 +1,12 @@
 """Unit tests for counted relations, deltas and tagged relations."""
 
-import pytest
+from collections import Counter
 
-from repro.algebra.relation import Delta, Relation
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.algebra.relation import Delta, Relation, apply_counts
 from repro.algebra.schema import RelationSchema
 from repro.algebra.tags import Tag
 from repro.errors import MaintenanceError, SchemaError
@@ -187,6 +191,90 @@ class TestDelta:
         composed = base.copy()
         d1.compose(d2).apply_to(composed)
         assert sequential == composed
+
+
+def _expected_refusal(stored, inserted, deleted, base):
+    """The message ``apply_counts`` refuses with, or None: every delete
+    in order (a positive count, no more copies than stored), then every
+    insert in order (a positive count; for a base relation, absent)."""
+    for values, count in deleted.items():
+        if count <= 0:
+            return f"delete count must be positive, got {count}"
+        present = stored.get(values, 0)
+        if present < count:
+            return f"cannot remove {count} copies of {values}: only {present} present"
+    for values, count in inserted.items():
+        if count <= 0:
+            return f"insert count must be positive, got {count}"
+        if base and values in stored:
+            return f"cannot insert {values}: a base relation holds it already"
+    return None
+
+
+ROWS = st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 1))
+INDEXED = st.lists(
+    st.lists(st.sampled_from("ABC"), min_size=1, max_size=2, unique=True).map(tuple),
+    max_size=2,
+    unique=True,
+)
+
+
+@st.composite
+def applications(draw):
+    """``(base, stored, attribute tuples to index, inserted, deleted)``:
+    a set relation or a bag, and a disjoint delta that is refused about
+    as often as not — an absent delete, an over-delete, a count ≤ 0, or
+    a base insert of a row already held."""
+    base = draw(st.booleans())
+    counts = st.just(1) if base else st.integers(1, 3)
+    stored = draw(st.dictionaries(ROWS, counts, max_size=8))
+    held = sorted(stored)
+    deleted = {}
+    for values in draw(st.lists(st.sampled_from(held), unique=True)) if held else ():
+        deleted[values] = draw(st.integers(1, stored[values]))
+    fresh = ROWS.filter(lambda values: values not in stored and values not in deleted)
+    inserted = draw(st.dictionaries(fresh, counts, max_size=4))
+    fault = draw(st.sampled_from(["none", "none", "absent", "over", "count", "held"]))
+    if fault == "absent":
+        deleted[draw(fresh.filter(lambda values: values not in inserted))] = 1
+    elif fault == "over" and deleted:
+        values = draw(st.sampled_from(sorted(deleted)))
+        deleted[values] = stored[values] + draw(st.integers(1, 2))
+    elif fault == "count":
+        side = draw(st.sampled_from([inserted, deleted]))
+        if side:
+            side[draw(st.sampled_from(sorted(side)))] = draw(st.integers(-1, 0))
+    elif fault == "held":
+        kept = [values for values in held if values not in deleted]
+        if kept:
+            inserted[draw(st.sampled_from(kept))] = 1
+    return base, stored, draw(INDEXED), inserted, deleted
+
+
+class TestApplyCounts:
+    """``apply_counts`` looks each changed row up once and checks as it
+    applies; it still refuses a bad delta whole, with today's message."""
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(applications())
+    def test_applies_as_counter_arithmetic_or_refuses_with_nothing_changed(self, case):
+        base, stored, indexed, inserted, deleted = case
+        relation = Relation.adopt(RelationSchema(["A", "B", "C"]), dict(stored))
+        indexes = [relation.index_on(attributes) for attributes in indexed]
+        buckets = [
+            {key: set(rows) for key, rows in index._buckets.items()} for index in indexes
+        ]
+        refusal = _expected_refusal(stored, inserted, deleted, base)
+        if refusal is None:
+            apply_counts(relation, inserted, deleted, base)
+            assert relation.counts() == dict(Counter(stored) + Counter(inserted) - Counter(deleted))
+            assert all(index._stale_key(relation) is None for index in indexes)
+        else:
+            with pytest.raises(MaintenanceError) as refused:
+                apply_counts(relation, inserted, deleted, base)
+            assert str(refused.value) == refusal
+            assert relation.counts() == stored
+            assert [index._buckets for index in indexes] == buckets
 
 
 class TestTaggedRelation:

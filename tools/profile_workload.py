@@ -52,7 +52,10 @@ survived its screens, or one per group of views sharing a traversal.
 Last it prints the calls per transaction made outside the trigger
 program (the engine's and the maintainer's glue, the harness and the
 reads), counted with ``sys.setprofile`` over a third pass of ``--txns``
-more transactions: a clock-free number for the glue alone.
+more transactions: a clock-free number for the glue alone.  Over the
+same pass it prints the base rows committed per transaction (the rows
+of the base deltas a commit applies) and those calls per base row, so
+that a per-row cost shows apart from a per-commit one.
 
 ``cProfile`` charges every Python call and nothing inside C code, so the
 shares it prints overstate call-heavy code.  Use it to find a candidate;
@@ -115,7 +118,7 @@ def profile_in_process(workload, stream, txns: int):
     profiler.disable()
     maintained = host.maintainer.totals.get("transactions_seen") - seen
     retained, retained_txns = bytes_retained(host, stream.take_txns(txns))
-    outside, outside_txns = calls_outside_trigger(host, stream.take_txns(txns))
+    outside, outside_txns, base_rows = calls_outside_trigger(host, stream.take_txns(txns))
     host.verify()
     stats = pstats.Stats(profiler)
     print(
@@ -144,6 +147,11 @@ def profile_in_process(workload, stream, txns: int):
         f"calls per transaction outside the trigger: {outside / max(outside_txns, 1):.1f}   "
         f"({outside} calls over {outside_txns} more transactions)"
     )
+    print(
+        f"base rows committed per transaction: {base_rows / max(outside_txns, 1):.1f}   "
+        f"({base_rows} rows)"
+    )
+    print(f"calls per base row outside the trigger: {outside / max(base_rows, 1):.1f}")
     return stats
 
 
@@ -173,7 +181,7 @@ def bytes_retained(host, ops) -> tuple[int, int]:
     return grown, phase.txns
 
 
-def calls_outside_trigger(host, ops) -> tuple[int, int]:
+def calls_outside_trigger(host, ops) -> tuple[int, int, int]:
     """Calls made outside the trigger program, over one more pass of the
     stream: the engine's and the maintainer's glue around it, plus the
     harness and the stream's reads, as in the profiled count.
@@ -182,20 +190,29 @@ def calls_outside_trigger(host, ops) -> tuple[int, int]:
     how deep it is inside trigger frames, which run under the bare
     ``<codegen>`` file name (kernels are renamed ``<codegen:view:kind>``);
     a call at depth 0 counts (the trigger's own call among them), and
-    everything the trigger runs does not.  Exact for a fixed ``--txns`` and seed, with
+    everything the trigger runs does not.  The same hook counts the
+    rows of each base delta a commit applies (an ``apply_counts`` call
+    with ``base`` set).  Exact for a fixed ``--txns`` and seed, with
     ``gc`` off so no finalizer runs inside.  Returns ``(calls,
-    transactions)``.
+    transactions, base rows)``.
     """
     from harness import Phase
 
+    from repro.algebra.relation import apply_counts
+
     trigger = "<codegen>"
-    counts = {"calls": 0, "depth": 0}
+    applying = apply_counts.__code__
+    counts = {"calls": 0, "depth": 0, "rows": 0}
 
     def profile(frame, event, arg):
         if event == "call":
-            inside = frame.f_code.co_filename == trigger
+            code = frame.f_code
+            inside = code.co_filename == trigger
             counts["calls"] += not counts["depth"]
             counts["depth"] += inside
+            if code is applying and frame.f_locals["base"]:
+                arguments = frame.f_locals
+                counts["rows"] += len(arguments["inserted"]) + len(arguments["deleted"])
         elif event == "return":
             counts["depth"] -= frame.f_code.co_filename == trigger
         elif event == "c_call":
@@ -210,7 +227,7 @@ def calls_outside_trigger(host, ops) -> tuple[int, int]:
     finally:
         sys.setprofile(None)
         gc.enable()
-    return counts["calls"], phase.txns
+    return counts["calls"], phase.txns, counts["rows"]
 
 
 @contextlib.contextmanager
